@@ -26,13 +26,17 @@ ci: lint build race cover bench serve-smoke
 # lint subsumes vet: formatting drift fails the gate, every package
 # must carry a godoc package comment (scripts/pkgdoc-lint), and
 # staticcheck runs when the host has it (the offline CI image does not
-# vendor it).
+# vendor it). internal/mat has amd64 assembly with a portable
+# fallback that an amd64 host never compiles, so lint also builds the
+# module and vets mat for arm64 — the fallback cannot rot unseen.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/mat/...
 	$(GO) run ./scripts/pkgdoc-lint
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

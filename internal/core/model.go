@@ -259,11 +259,15 @@ func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 }
 
 // Backward propagates dLogits through head and layers, accumulating
-// parameter gradients.
+// parameter gradients. The first layer's input is the feature matrix,
+// so nothing reads a gradient w.r.t. it and none is computed.
 func (m *Model) Backward(ctx *nn.Ctx, dLogits *mat.Dense) {
 	d := m.Head.Backward(ctx, dLogits)
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	for i := len(m.Layers) - 1; i > 0; i-- {
 		d = m.Layers[i].Backward(ctx, d)
+	}
+	if len(m.Layers) > 0 {
+		m.Layers[0].BackwardParams(ctx, d)
 	}
 }
 

@@ -419,6 +419,7 @@ func (t *PQTable) Query(q []float64) QuantQuery {
 		w := hi - lo
 		qs := q[lo:hi]
 		cents := t.Centroids[centOff(t.ColsN, p.M, p.K, s):]
+		dot := dotFor(w) // sub-vectors are a few elements: one call each, not two
 		for c := 0; c < p.K; c++ {
 			tab[s*p.K+c] = dot(qs, cents[c*w:(c+1)*w])
 		}

@@ -1,0 +1,74 @@
+//go:build unix
+
+package mat
+
+import (
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guardedFloats returns n float64s whose last byte is the last byte
+// of a mapping: the page after it is inaccessible, so reading or
+// writing one element past the slice faults instead of landing in
+// allocator slack.
+func guardedFloats(t *testing.T, n int) []float64 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	data := (n*8 + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, data+page, syscall.PROT_READ|syscall.PROT_WRITE,
+		syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[data:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&mem[data-n*8])), n)
+}
+
+// TestKernelsStayInsideTheirSlices runs every primitive on operands
+// that end on the last bytes of an allocation, at lengths covering
+// each loop of the assembly (16-wide body, 4-wide body, scalar tail).
+func TestKernelsStayInsideTheirSlices(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		x, y, d := guardedFloats(t, n), guardedFloats(t, n), guardedFloats(t, n)
+		rows, out := guardedFloats(t, 4*n), guardedFloats(t, 4)
+		for i := range x {
+			x[i], y[i], d[i] = float64(i+1), 0.5, 1
+		}
+		for i := range rows {
+			rows[i] = 0.25
+		}
+		want := float64(n*(n+1)) / 4 // sum of (i+1) * 0.5
+
+		Axpy(d, x, 2)
+		AddTo(d, y)
+		Scal(d, 2)
+		for i, v := range d {
+			if v != 2*(1+2*float64(i+1)+0.5) {
+				t.Fatalf("n=%d: element %d = %v", n, i, v)
+			}
+		}
+		if got := Dot(x, y); got != want {
+			t.Fatalf("n=%d: dot = %v, want %v", n, got, want)
+		}
+		dot4(out, x, rows, n)
+		for j, v := range out {
+			if v != want/2 {
+				t.Fatalf("n=%d: dot4[%d] = %v, want %v", n, j, v, want/2)
+			}
+		}
+		if useAVX2 { // below the cut-over the wrappers never reach these
+			axpyAVX2(d, x, 2)
+			addAVX2(d, y)
+			scaleAVX2(d, 2)
+			dotSink = dotAVX2(x, y)
+			dot4AVX2(out, x, rows, n)
+		}
+	}
+}

@@ -5,15 +5,20 @@
 //
 // It plays the role of Intel MKL in the paper's C++ implementation
 // (the weight-application step, Section V-A, is a dense GEMM). The
-// multiplication kernels use the i-k-j loop order so the innermost
-// loop streams contiguous rows of both the source and destination,
-// which the Go compiler turns into reasonably tight code, and they
-// parallelize across row blocks via perf.Parallel.
+// multiplication kernels are loops over a handful of vector
+// primitives (simd.go: Axpy, Dot, AddTo, Scal) that run as AVX2
+// assembly where the CPU has it and as portable Go loops elsewhere,
+// with the same bits either way. Every form keeps each output
+// element's sum in ascending k order and tiles only the loops around
+// it, so that one operand is consumed an L1-sized block at a time
+// while the other streams past; they parallelize across row blocks
+// via perf.Parallel.
 package mat
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gsgcn/internal/perf"
 )
@@ -30,6 +35,27 @@ const (
 	// (one memmove per index).
 	copyRowGrain = 64
 )
+
+// tileBytes is the size of the operand block each GEMM loop keeps in
+// the L1 cache while the other operand streams past it: rows of b in
+// a·b and a·bᵀ, rows of the accumulator in aᵀ·b. A tile changes which
+// rows are cached when they are used again, never the order in which
+// an output element's terms are added, so results do not depend on it.
+const tileBytes = 16 << 10
+
+// tileMinCols is the narrowest row worth tiling for: below two cache
+// lines a row's cost is its call, not its cache misses, and every
+// extra pass over the other operand only adds to it.
+const tileMinCols = 16
+
+// tileRows is the number of rows, of the given width, in one tile of an
+// operand with that many rows.
+func tileRows(cols, rows int) int {
+	if cols < tileMinCols {
+		return max(1, rows)
+	}
+	return max(1, tileBytes/(8*cols))
+}
 
 // Dense is a row-major matrix. Data[i*Cols+j] is element (i, j).
 // The zero value is an empty matrix.
@@ -165,31 +191,30 @@ func MulBTRange(dst, a, b *Dense, lo, hi int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBTRange shape mismatch")
 	}
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = dot(arow, b.Data[j*k:(j+1)*k])
-		}
-	}
+	mulBTRange(dst, a, b, lo, hi)
 }
 
-// mulRange computes rows [lo, hi) of dst = a*b serially.
+// mulRange computes rows [lo, hi) of dst = a*b serially. The inner
+// dimension is walked a tile of b's rows at a time, so that every
+// output row takes its updates from rows of b that are still in the
+// L1 cache; an output row still receives its terms in ascending k,
+// and a zero a[i][k] (half of a ReLU output, more under dropout) still
+// skips its update.
 func mulRange(dst, a, b *Dense, lo, hi int) {
 	n := b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
+	ka := a.Cols
+	clear(dst.Data[lo*n : hi*n])
+	axpy := axpyFor(n)
+	tile := tileRows(n, ka)
+	for k0 := 0; k0 < ka; k0 += tile {
+		k1 := min(k0+tile, ka)
+		for i := lo; i < hi; i++ {
+			drow := dst.Data[i*n : (i+1)*n]
+			for k, av := range a.Data[i*ka+k0 : i*ka+k1] {
+				if av != 0 {
+					axpy(drow, b.Data[(k0+k)*n:(k0+k+1)*n], av)
+				}
 			}
-			brow := b.Data[k*n : (k+1)*n]
-			axpy(drow, brow, av)
 		}
 	}
 }
@@ -234,33 +259,46 @@ func MulAT(dst, a, b *Dense, workers int) {
 	// at workers == 1, where perf.Parallel degrades to a serial loop —
 	// so that every worker count performs the exact same additions in
 	// the exact same grouping.
-	partials := make([][]float64, shards)
+	size := k * n
+	buf, _ := mulATScratch.Get().(*[]float64)
+	if buf == nil || cap(*buf) < shards*size {
+		grown := make([]float64, shards*size)
+		buf = &grown
+	}
+	partials := (*buf)[:shards*size]
 	perf.Parallel(shards, workers, func(_, slo, shi int) {
 		for s := slo; s < shi; s++ {
 			lo := s * a.Rows / shards
 			hi := (s + 1) * a.Rows / shards
-			p := make([]float64, k*n)
+			p := partials[s*size : (s+1)*size]
+			clear(p)
 			accumATRange(p, a, b, lo, hi)
-			partials[s] = p
 		}
 	})
 	// Reduce in fixed shard order; each output element is owned by
 	// exactly one chunk, so the reduction parallelizes bit-exactly.
-	perf.ParallelMin(len(dst.Data), elemGrain, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := 0.0
-			for _, p := range partials {
-				v += p[i]
-			}
-			dst.Data[i] = v
+	perf.ParallelMin(size, elemGrain, workers, func(_, lo, hi int) {
+		d := dst.Data[lo:hi]
+		clear(d)
+		for s := 0; s < shards; s++ {
+			AddTo(d, partials[s*size+lo:s*size+hi])
 		}
 	})
+	mulATScratch.Put(buf)
 }
+
+// mulATScratch recycles MulAT's partial buffers between calls: a
+// training step makes five calls at up to shards x k x n floats each,
+// which used to be that many fresh allocations. A buffer belongs to
+// one call from Get to Put, and every shard zeroes its slice before
+// accumulating, so concurrent callers and stale contents are both
+// harmless.
+var mulATScratch sync.Pool
 
 // mulATShards returns the fixed shard count for a MulAT of the given
 // shape: at least 64 rows per shard so each partial amortizes its
-// allocation, at most 64 shards (enough to occupy the paper's 40-core
-// platform), and few enough that the k x n partial buffers stay
+// zeroing and reduction, at most 64 shards (enough to occupy the
+// paper's 40-core platform), and few enough that the k x n partial buffers stay
 // within a fixed memory budget. The count is a function of the
 // problem shape only — never of the worker count — which is what
 // keeps the reduction order, and therefore the result, bit-identical
@@ -285,18 +323,24 @@ func mulATShards(rows, k, n int) int {
 }
 
 // accumATRange adds rows [lo, hi) of the product aᵀ·b into acc (a
-// k x n buffer in row-major order).
+// k x n buffer in row-major order). The accumulator is walked in
+// blocks of rows small enough to stay in the L1 cache while rows
+// [lo, hi) of a and b stream past; each element of acc still receives
+// its terms in ascending row order, zeros skipped.
 func accumATRange(acc []float64, a, b *Dense, lo, hi int) {
 	n := b.Cols
 	k := a.Cols
-	for r := lo; r < hi; r++ {
-		arow := a.Data[r*k : (r+1)*k]
-		brow := b.Data[r*n : (r+1)*n]
-		for c, av := range arow {
-			if av == 0 {
-				continue
+	axpy := axpyFor(n)
+	tile := tileRows(n, k)
+	for c0 := 0; c0 < k; c0 += tile {
+		c1 := min(c0+tile, k)
+		for r := lo; r < hi; r++ {
+			brow := b.Data[r*n : (r+1)*n]
+			for c, av := range a.Data[r*k+c0 : r*k+c1] {
+				if av != 0 {
+					axpy(acc[(c0+c)*n:(c0+c+1)*n], brow, av)
+				}
 			}
-			axpy(acc[c*n:(c+1)*n], brow, av)
 		}
 	}
 }
@@ -307,58 +351,36 @@ func MulBT(dst, a, b *Dense, workers int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBT shape mismatch")
 	}
-	k := a.Cols
 	perf.Parallel(a.Rows, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				drow[j] = dot(arow, brow)
-			}
-		}
+		mulBTRange(dst, a, b, lo, hi)
 	})
 }
 
-// axpy computes dst += alpha * src elementwise. The 4-way unroll gives
-// the compiler independent chains to schedule.
-func axpy(dst, src []float64, alpha float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += alpha * src[i]
-		dst[i+1] += alpha * src[i+1]
-		dst[i+2] += alpha * src[i+2]
-		dst[i+3] += alpha * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * src[i]
+// mulBTRange computes rows [lo, hi) of dst = a * bᵀ serially. Rows of
+// b are taken a tile at a time and stay in the L1 cache while the rows
+// of a stream past; within a tile dot4 forms four inner products for
+// one pass over the a row. Every element is the same dot as in the
+// untiled loop.
+func mulBTRange(dst, a, b *Dense, lo, hi int) {
+	k := a.Cols
+	m := b.Rows
+	dot := dotFor(k)
+	tile := tileRows(k, m)
+	for j0 := 0; j0 < m; j0 += tile {
+		j1 := min(j0+tile, m)
+		for i := lo; i < hi; i++ {
+			arow := a.Data[i*k : (i+1)*k]
+			drow := dst.Data[i*m : (i+1)*m]
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				dot4(drow[j:j+4], arow, b.Data[j*k:(j+4)*k], k)
+			}
+			for ; j < j1; j++ {
+				drow[j] = dot(arow, b.Data[j*k:(j+1)*k])
+			}
+		}
 	}
 }
-
-// dot returns the inner product of x and y.
-func dot(x, y []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(x)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < n; i++ {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
-// Axpy exposes dst += alpha*src for other packages.
-func Axpy(dst, src []float64, alpha float64) { axpy(dst, src, alpha) }
-
-// Dot exposes the inner product for other packages.
-func Dot(x, y []float64) float64 { return dot(x, y) }
 
 // Add computes dst = a + b elementwise.
 func Add(dst, a, b *Dense) {
@@ -381,15 +403,11 @@ func AddScaled(dst, src *Dense, alpha float64) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("mat: AddScaled shape mismatch")
 	}
-	axpy(dst.Data, src.Data, alpha)
+	Axpy(dst.Data, src.Data, alpha)
 }
 
 // Scale multiplies every element by alpha in place.
-func (m *Dense) Scale(alpha float64) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
-}
+func (m *Dense) Scale(alpha float64) { Scal(m.Data, alpha) }
 
 // Apply sets dst[i] = f(a[i]) elementwise. dst may alias a.
 func Apply(dst, a *Dense, f func(float64) float64) {
@@ -423,7 +441,7 @@ func AddScaledP(dst, src *Dense, alpha float64, workers int) {
 		panic("mat: AddScaledP shape mismatch")
 	}
 	perf.ParallelMin(len(dst.Data), elemGrain, workers, func(_, lo, hi int) {
-		axpy(dst.Data[lo:hi], src.Data[lo:hi], alpha)
+		Axpy(dst.Data[lo:hi], src.Data[lo:hi], alpha)
 	})
 }
 

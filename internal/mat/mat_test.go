@@ -265,27 +265,21 @@ func TestFrobeniusAndSum(t *testing.T) {
 	}
 }
 
-func BenchmarkMul256(b *testing.B) {
+func benchGEMM256(b *testing.B, mul func(dst, x, y *Dense, workers int)) {
 	r := rng.New(1)
-	a := randomMat(r, 256, 256)
-	c := randomMat(r, 256, 256)
+	x := randomMat(r, 256, 256)
+	y := randomMat(r, 256, 256)
 	dst := New(256, 256)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mul(dst, a, c, perf.NumWorkers())
+		mul(dst, x, y, perf.NumWorkers())
 	}
 }
 
-func BenchmarkMulAT256(b *testing.B) {
-	r := rng.New(1)
-	a := randomMat(r, 256, 256)
-	c := randomMat(r, 256, 256)
-	dst := New(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAT(dst, a, c, perf.NumWorkers())
-	}
-}
+func BenchmarkMul256(b *testing.B)   { benchGEMM256(b, Mul) }
+func BenchmarkMulAT256(b *testing.B) { benchGEMM256(b, MulAT) }
+func BenchmarkMulBT256(b *testing.B) { benchGEMM256(b, MulBT) }
 
 func TestMulRangeMatchesMul(t *testing.T) {
 	r := rng.New(21)

@@ -1,0 +1,177 @@
+package mat
+
+// Vector primitives under every GEMM form, the propagation loops and
+// the top-K scans. Each has two implementations that return the same
+// bits: a portable Go loop (the only path off amd64 or without AVX2,
+// and the reference the differential tests compare against) and an
+// AVX2 routine in simd_amd64.s. The assembly keeps the Go loop's
+// arithmetic exactly — a separate multiply and add per element, never
+// a fused one, and for dot the same four accumulator lanes reduced as
+// ((s0+s1)+s2)+s3 before a scalar tail — so which one runs never shows
+// in a result. The choice is made from what the code can observe: the
+// CPU's feature bits, read once at start-up (useAVX2), and the vector
+// length.
+//
+// The assembly checks no bounds. Every entry point below re-slices the
+// second operand to the exact length the kernel will touch, with the
+// operand's own length as the capacity bound (s[:n:len(s)]), before
+// the call: a mismatched pair panics there, as an index into the short
+// slice used to, and never reaches the assembly.
+
+// simdMinLen is the shortest vector handed to the assembly: one full
+// YMM register. Measured on the development host (Xeon, Go 1.24), the
+// call — an ABI0 frame and a VZEROUPPER — is paid back from there up
+// (axpy 2.3 ns against the Go loop's 3.1 at n = 4, 2.7 against 4.7 at
+// n = 8, so a hidden-8 layer's rows gain too) and is a wash below,
+// where the entry points run a Go loop, inlined into the caller when
+// the entry point is small enough for the compiler (AddTo and Scal
+// are).
+const simdMinLen = 4
+
+// Axpy computes dst += alpha * src elementwise over len(dst) elements.
+// It panics if src is shorter than dst.
+func Axpy(dst, src []float64, alpha float64) {
+	if len(dst) < simdMinLen {
+		for i := range dst {
+			dst[i] += alpha * src[i]
+		}
+		return
+	}
+	axpyFor(len(dst))(dst, src[:len(dst):len(src)], alpha)
+}
+
+// AddTo computes dst += src elementwise over len(dst) elements. It
+// panics if src is shorter than dst.
+func AddTo(dst, src []float64) {
+	if len(dst) >= simdMinLen {
+		addLong(dst, src)
+	} else {
+		for i := range dst {
+			dst[i] += src[i]
+		}
+	}
+}
+
+// addLong and scalLong stay out of line so that AddTo and Scal fit the
+// compiler's inlining budget and a short row costs its caller no call.
+//
+//go:noinline
+func addLong(dst, src []float64) {
+	src = src[:len(dst):len(src)]
+	if useAVX2 {
+		addAVX2(dst, src)
+		return
+	}
+	addGo(dst, src)
+}
+
+// Scal computes dst *= alpha elementwise.
+func Scal(dst []float64, alpha float64) {
+	if len(dst) >= simdMinLen {
+		scalLong(dst, alpha)
+	} else {
+		for i := range dst {
+			dst[i] *= alpha
+		}
+	}
+}
+
+//go:noinline
+func scalLong(dst []float64, alpha float64) {
+	if useAVX2 {
+		scaleAVX2(dst, alpha)
+		return
+	}
+	scaleGo(dst, alpha)
+}
+
+// Dot returns the inner product of x and the first len(x) elements of
+// y. It panics if y is shorter than x.
+func Dot(x, y []float64) float64 { return dot(x, y) }
+
+func dot(x, y []float64) float64 {
+	return dotFor(len(x))(x, y[:len(x):len(y)])
+}
+
+// dot4 sets out[j] = Dot(x, y[j*stride:]) for j = 0..3: four inner
+// products against consecutive rows of a row-major matrix for one
+// pass over x. Each result has exactly Dot's bits. It panics if y
+// does not hold four rows or out four results.
+func dot4(out, x, y []float64, stride int) {
+	out = out[:4:len(out)]
+	y = y[: 3*stride+len(x) : len(y)]
+	if useAVX2 && len(x) >= simdMinLen {
+		dot4AVX2(out, x, y, stride)
+		return
+	}
+	for j := range out {
+		out[j] = dotGo(x, y[j*stride:j*stride+len(x)])
+	}
+}
+
+// axpyFor returns the axpy kernel for vectors of n elements, so that a
+// GEMM decides once per call and then pays one call per row. Kernels
+// index src by dst's length: they are for callers that cut both slices
+// to n elements themselves.
+func axpyFor(n int) func(dst, src []float64, alpha float64) {
+	if useAVX2 && n >= simdMinLen {
+		return axpyAVX2
+	}
+	return axpyGo
+}
+
+// dotFor is axpyFor for dot.
+func dotFor(n int) func(x, y []float64) float64 {
+	if useAVX2 && n >= simdMinLen {
+		return dotAVX2
+	}
+	return dotGo
+}
+
+// axpyGo is the portable axpy. The 4-way unroll gives the compiler
+// independent chains to schedule.
+func axpyGo(dst, src []float64, alpha float64) {
+	n := len(dst)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		dst[i] += alpha * src[i]
+		dst[i+1] += alpha * src[i+1]
+		dst[i+2] += alpha * src[i+2]
+		dst[i+3] += alpha * src[i+3]
+	}
+	for ; i < n; i++ {
+		dst[i] += alpha * src[i]
+	}
+}
+
+// dotGo is the portable dot. Its accumulator layout — element i of
+// the body goes to lane i mod 4, lanes are summed left to right, the
+// tail is added last — is the contract the assembly reproduces.
+func dotGo(x, y []float64) float64 {
+	var s0, s1, s2, s3 float64
+	n := len(x)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+	}
+	s := s0 + s1 + s2 + s3
+	for ; i < n; i++ {
+		s += x[i] * y[i]
+	}
+	return s
+}
+
+func addGo(dst, src []float64) {
+	for i, x := range src {
+		dst[i] += x
+	}
+}
+
+func scaleGo(dst []float64, alpha float64) {
+	for i := range dst {
+		dst[i] *= alpha
+	}
+}

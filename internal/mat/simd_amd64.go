@@ -1,0 +1,70 @@
+package mat
+
+// useAVX2 reports whether the AVX2 kernels may run: the CPU has AVX2
+// and the operating system saves the YMM registers across context
+// switches. It is read from CPUID and XGETBV once, at package
+// initialisation, and nothing else ever sets it.
+var useAVX2 = detectAVX2()
+
+func detectAVX2() bool {
+	const (
+		osxsave = 1 << 27 // CPUID.1:ECX
+		avx     = 1 << 28 // CPUID.1:ECX
+		avx2    = 1 << 5  // CPUID.(7,0):EBX
+		xmmYmm  = 0x6     // XCR0: SSE and AVX state both enabled
+	)
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&xmmYmm != xmmYmm {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&avx2 != 0
+}
+
+// cpuid executes CPUID with the given leaf and sub-leaf.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads extended control register 0. It must only be called
+// when CPUID reports OSXSAVE.
+func xgetbv() (eax, edx uint32)
+
+// The routines below have no bounds checks: callers (simd.go) slice
+// every operand to the length the routine will touch before the call.
+// All are NOSPLIT leaf functions that end in VZEROUPPER.
+
+// axpyAVX2 computes dst[i] += alpha*src[i] for i < len(dst).
+// len(src) must be at least len(dst).
+//
+//go:noescape
+func axpyAVX2(dst, src []float64, alpha float64)
+
+// dotAVX2 returns the inner product over len(x) elements.
+// len(y) must be at least len(x).
+//
+//go:noescape
+func dotAVX2(x, y []float64) float64
+
+// dot4AVX2 sets out[j] to the inner product of x and
+// y[j*stride : j*stride+len(x)] for j < 4. len(out) must be at least
+// 4 and len(y) at least 3*stride+len(x).
+//
+//go:noescape
+func dot4AVX2(out, x, y []float64, stride int)
+
+// addAVX2 computes dst[i] += src[i] for i < len(dst).
+// len(src) must be at least len(dst).
+//
+//go:noescape
+func addAVX2(dst, src []float64)
+
+// scaleAVX2 computes dst[i] *= alpha.
+//
+//go:noescape
+func scaleAVX2(dst []float64, alpha float64)

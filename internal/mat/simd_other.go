@@ -1,0 +1,18 @@
+//go:build !amd64
+
+package mat
+
+// Only amd64 has assembly kernels. With useAVX2 a false constant the
+// compiler drops every call to the stubs below; they exist so simd.go
+// compiles unchanged on every architecture.
+const useAVX2 = false
+
+func axpyAVX2(dst, src []float64, alpha float64) { panic("mat: no AVX2 kernels on this architecture") }
+
+func dotAVX2(x, y []float64) float64 { panic("mat: no AVX2 kernels on this architecture") }
+
+func dot4AVX2(out, x, y []float64, stride int) { panic("mat: no AVX2 kernels on this architecture") }
+
+func addAVX2(dst, src []float64) { panic("mat: no AVX2 kernels on this architecture") }
+
+func scaleAVX2(dst []float64, alpha float64) { panic("mat: no AVX2 kernels on this architecture") }

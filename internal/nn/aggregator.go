@@ -84,19 +84,9 @@ func symPropagate(dst, src *mat.Dense, g *graph.CSR, q, workers int) {
 	forEachChunk(f, q, workers, func(lo, hi int) {
 		for v := 0; v < g.N; v++ {
 			drow := dst.Data[v*f+lo : v*f+hi]
-			for j := range drow {
-				drow[j] = 0
-			}
-			nb := g.Neighbors(int32(v))
-			if len(nb) == 0 {
-				continue
-			}
-			for _, u := range nb {
-				w := invSqrt[v] * invSqrt[u]
-				srow := src.Data[int(u)*f+lo : int(u)*f+hi]
-				for j, x := range srow {
-					drow[j] += w * x
-				}
+			clear(drow)
+			for _, u := range g.Neighbors(int32(v)) {
+				mat.Axpy(drow, src.Data[int(u)*f+lo:int(u)*f+hi], invSqrt[v]*invSqrt[u])
 			}
 		}
 	})
@@ -114,14 +104,9 @@ func sumPropagate(dst, src *mat.Dense, g *graph.CSR, q, workers int) {
 	forEachChunk(f, q, workers, func(lo, hi int) {
 		for v := 0; v < g.N; v++ {
 			drow := dst.Data[v*f+lo : v*f+hi]
-			for j := range drow {
-				drow[j] = 0
-			}
+			clear(drow)
 			for _, u := range g.Neighbors(int32(v)) {
-				srow := src.Data[int(u)*f+lo : int(u)*f+hi]
-				for j, x := range srow {
-					drow[j] += x
-				}
+				mat.AddTo(drow, src.Data[int(u)*f+lo:int(u)*f+hi])
 			}
 		}
 	})

@@ -84,3 +84,33 @@ func TestLayerForwardBackwardBitExactAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestBackwardParamsMatchesBackward: the parameters-only backward the
+// model uses for its first layer accumulates exactly the gradients of
+// the full Backward, with dropout on so the mask path is covered.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	const n, in, out = 21, 9, 5
+	grads := func(paramsOnly bool) []*mat.Dense {
+		ctx := testCtx(t, n)
+		ctx.Q = 3
+		ctx.Train, ctx.DropRate, ctx.Rng = true, 0.3, rng.New(5)
+		r := rng.New(77)
+		layer := NewGCNLayer(in, out, r)
+		x := randMat(r, n, in)
+		dOut := randMat(r, n, layer.OutWidth())
+		layer.Forward(ctx, x)
+		if paramsOnly {
+			layer.BackwardParams(ctx, dOut)
+		} else {
+			layer.Backward(ctx, dOut)
+		}
+		return []*mat.Dense{layer.WSelf.Grad, layer.WNeigh.Grad}
+	}
+	want, got := grads(false), grads(true)
+	for i := range want {
+		if want[i].FrobeniusNorm() == 0 {
+			t.Fatalf("gradient %d is zero: the comparison would be vacuous", i)
+		}
+		requireSame(t, "BackwardParams gradient", got[i], want[i])
+	}
+}

@@ -205,6 +205,39 @@ func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 // accumulates parameter gradients, and returns the gradient w.r.t.
 // the layer input.
 func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
+	l.BackwardParams(ctx, dOut)
+	dZSelf, dZNeigh := l.bufDZSelf, l.bufDZNeigh
+	n := dOut.Rows
+
+	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ). dH is
+	// returned to the caller, so it stays freshly allocated.
+	dH := mat.New(n, l.InDim)
+	dHNeigh := mat.Reuse(l.bufDHNeigh, n, l.InDim)
+	l.bufDHNeigh = dHNeigh
+	ctx.time("weight", func() {
+		mat.MulBT(dH, dZSelf, l.WSelf.W, ctx.Workers)
+		mat.MulBT(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Workers)
+	})
+	back := mat.Reuse(l.bufBack, n, l.InDim)
+	l.bufBack = back
+	ctx.time("featprop", func() {
+		aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers)
+	})
+	mat.AddScaledP(dH, back, 1, ctx.Workers)
+	if l.lastMask != nil {
+		for i, m := range l.lastMask {
+			dH.Data[i] *= m
+		}
+	}
+	return dH
+}
+
+// BackwardParams is the part of Backward that accumulates the
+// parameter gradients, without the gradient w.r.t. the layer input:
+// what the first layer of a stack needs, whose input is data. The
+// input gradient costs two GEMMs, a transpose aggregation and an
+// n x InDim allocation at the stack's widest feature dimension.
+func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 	if l.lastZ == nil {
 		panic("nn: Backward called before Forward")
 	}
@@ -239,28 +272,6 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 		mat.MulAT(dw, l.lastHNeigh, dZNeigh, ctx.Workers)
 		mat.AddScaled(l.WNeigh.Grad, dw, 1)
 	})
-
-	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ). dH is
-	// returned to the caller, so it stays freshly allocated.
-	dH := mat.New(n, l.InDim)
-	dHNeigh := mat.Reuse(l.bufDHNeigh, n, l.InDim)
-	l.bufDHNeigh = dHNeigh
-	ctx.time("weight", func() {
-		mat.MulBT(dH, dZSelf, l.WSelf.W, ctx.Workers)
-		mat.MulBT(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Workers)
-	})
-	back := mat.Reuse(l.bufBack, n, l.InDim)
-	l.bufBack = back
-	ctx.time("featprop", func() {
-		aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers)
-	})
-	mat.AddScaledP(dH, back, 1, ctx.Workers)
-	if l.lastMask != nil {
-		for i, m := range l.lastMask {
-			dH.Data[i] *= m
-		}
-	}
-	return dH
 }
 
 // dropoutInPlace zeroes each element with probability rate and scales

@@ -36,38 +36,7 @@ const (
 // dst outside the column range are left untouched. This is the unit
 // of work one processor performs on one feature partition H^(i,j).
 func PropagateRange(dst, src *mat.Dense, g *graph.CSR, norm Norm, colLo, colHi int) {
-	f := src.Cols
-	for v := 0; v < g.N; v++ {
-		drow := dst.Data[v*f+colLo : v*f+colHi]
-		for j := range drow {
-			drow[j] = 0
-		}
-		nb := g.Neighbors(int32(v))
-		if len(nb) == 0 {
-			continue
-		}
-		switch norm {
-		case NormDst:
-			for _, u := range nb {
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += x
-				}
-			}
-			inv := 1 / float64(len(nb))
-			for j := range drow {
-				drow[j] *= inv
-			}
-		case NormSrc:
-			for _, u := range nb {
-				inv := 1 / float64(g.Degree(u))
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += inv * x
-				}
-			}
-		}
-	}
+	propagateBlock(dst, src, g, norm, 0, g.N, colLo, colHi)
 }
 
 // Propagate runs the full feature propagation with feature-dimension
@@ -161,13 +130,14 @@ func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers in
 }
 
 // propagateBlock aggregates the column range for vertices [vlo, vhi).
+// The row arithmetic is mat's vector primitives (SIMD where the host
+// has it, same bits everywhere); neighbors are added in adjacency
+// order.
 func propagateBlock(dst, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi, colLo, colHi int) {
 	f := src.Cols
 	for v := vlo; v < vhi; v++ {
 		drow := dst.Data[v*f+colLo : v*f+colHi]
-		for j := range drow {
-			drow[j] = 0
-		}
+		clear(drow)
 		nb := g.Neighbors(int32(v))
 		if len(nb) == 0 {
 			continue
@@ -175,22 +145,12 @@ func propagateBlock(dst, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi, colL
 		switch norm {
 		case NormDst:
 			for _, u := range nb {
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += x
-				}
+				mat.AddTo(drow, src.Data[int(u)*f+colLo:int(u)*f+colHi])
 			}
-			inv := 1 / float64(len(nb))
-			for j := range drow {
-				drow[j] *= inv
-			}
+			mat.Scal(drow, 1/float64(len(nb)))
 		case NormSrc:
 			for _, u := range nb {
-				inv := 1 / float64(g.Degree(u))
-				srow := src.Data[int(u)*f+colLo : int(u)*f+colHi]
-				for j, x := range srow {
-					drow[j] += inv * x
-				}
+				mat.Axpy(drow, src.Data[int(u)*f+colLo:int(u)*f+colHi], 1/float64(g.Degree(u)))
 			}
 		}
 	}
