@@ -19,9 +19,16 @@ COVER_FLOOR ?= 84.5
 # CI hosts are noisy; the gate is for order-of-magnitude regressions.
 BENCH_TOL ?= 3.0
 
-.PHONY: ci lint vet build test race cover bench serve-smoke
+.PHONY: ci loc lint vet build test race cover bench serve-smoke
 
-ci: lint build race cover bench serve-smoke
+ci: loc lint build race cover bench serve-smoke
+
+# Non-test Go lines per package — the number ROADMAP item 3 tracks
+# (internal/serve above all) — first in every CI log.
+loc:
+	@for d in $$(find internal cmd pkg scripts -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%6d  %s\n' $$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | wc -l) $$d; \
+	done
 
 # lint subsumes vet: formatting drift fails the gate, every package
 # must carry a godoc package comment (scripts/pkgdoc-lint), and

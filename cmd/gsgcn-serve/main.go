@@ -382,28 +382,19 @@ func main() {
 			ShedQueueHW: spec.ShedQueue,
 			QPSLimit:    spec.QPS,
 		}
-		var (
-			ms  gsgcn.ModelServer
-			eng *gsgcn.InferenceEngine
-		)
-		if spec.Shards > 1 {
-			rt, err := reg.AddSharded(spec.Name, ds, opts, spec.Shards, spec.ShardSeed)
-			if err != nil {
-				fatal(err)
-			}
-			ms, eng = rt, rt.Engine(0)
-		} else {
-			srv, err := reg.Add(spec.Name, ds, opts)
-			if err != nil {
-				fatal(err)
-			}
-			ms, eng = srv, srv.Engine()
+		shards := spec.Shards
+		if shards < 1 {
+			shards = 1
+		}
+		srv, err := reg.AddSharded(spec.Name, ds, opts, shards, spec.ShardSeed)
+		if err != nil {
+			fatal(err)
 		}
 		start := time.Now()
-		if _, err := ms.Load(spec.Checkpoint); err != nil {
+		if _, err := srv.Load(spec.Checkpoint); err != nil {
 			fatal(fmt.Errorf("model %q: %w", spec.Name, err))
 		}
-		st, _ := eng.Snapshot()
+		st, _ := srv.Engine().Snapshot()
 		how := "computed"
 		if st.WarmStart {
 			how = "warm-started from " + spec.Artifact

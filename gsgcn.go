@@ -67,23 +67,20 @@ type (
 	// InferenceEngine computes and serves full-graph embeddings from a
 	// checkpointed model, with atomic hot reload.
 	InferenceEngine = serve.Engine
-	// InferenceServer is the HTTP/JSON request layer (micro-batching,
-	// /embed /predict /topk /healthz /reload) over an InferenceEngine.
+	// InferenceServer serves one model over HTTP (micro-batching,
+	// /embed /predict /topk /healthz /reload): N >= 1 shard
+	// InferenceEngines behind one request layer. NewInferenceServer
+	// builds the unsharded fleet of one, NewShardedServer the same type
+	// over several vertex shards — it then also serves the /shards
+	// operations — with exact-mode answers byte-identical at every
+	// shard count.
 	InferenceServer = serve.Server
 	// ModelRegistry serves several independent models from one process:
-	// each registered model is a full InferenceServer (or a sharded
-	// ShardedServer) reached as /models/{name}/…, with the unprefixed
-	// routes answering from a configured default model. See docs/API.md
-	// for the HTTP surface.
+	// each registered model is a full InferenceServer, sharded or not,
+	// reached as /models/{name}/…, with the unprefixed routes answering
+	// from a configured default model. See docs/API.md for the HTTP
+	// surface.
 	ModelRegistry = serve.Registry
-	// ModelServer is what the registry requires of one registered
-	// model; both InferenceServer and ShardedServer implement it.
-	ModelServer = serve.ModelServer
-	// ShardedServer is the scatter-gather router over N vertex-shard
-	// engines: the same HTTP surface as InferenceServer (plus /shards
-	// operations), with exact-mode answers byte-identical to a single
-	// process at every shard count.
-	ShardedServer = serve.Router
 	// ServingArtifact is a decoded snapshot artifact: precomputed
 	// full-graph embedding table, norms and (optionally) the
 	// deterministic HNSW index, with the metadata to validate them
@@ -217,12 +214,12 @@ func NewInferenceServer(ds *Dataset, opts ServeOptions) *InferenceServer {
 	return serve.NewServer(ds, opts)
 }
 
-// NewShardedServer builds a sharded serving fleet over ds: shards
-// engines each owning a deterministic, seed-keyed subset of the
-// vertices, behind a scatter-gather router with the InferenceServer
-// HTTP surface. Call Load with a checkpoint path, then mount it as an
-// http.Handler (or register it in a ModelRegistry with AddSharded).
-func NewShardedServer(ds *Dataset, opts ServeOptions, shards int, seed uint64) (*ShardedServer, error) {
+// NewShardedServer builds an InferenceServer over ds split across
+// shards engines, each owning a deterministic, seed-keyed subset of
+// the vertices, behind scatter-gather routing. Call Load with a
+// checkpoint path, then mount it as an http.Handler (or register it in
+// a ModelRegistry with AddSharded).
+func NewShardedServer(ds *Dataset, opts ServeOptions, shards int, seed uint64) (*InferenceServer, error) {
 	return serve.NewRouter(ds, opts, shards, seed)
 }
 

@@ -30,9 +30,9 @@
 // the file. The 8-byte alignment is what lets the mmap path cast
 // float sections in place instead of copying them.
 //
-// Version 1 artifacts (the PR 4–9 format: Meta header, then the f64
-// tables, a u32-prefixed index blob and the trailer) still decode;
-// Encode always writes version 2.
+// Any other format version — including the retired version 1 (the
+// PR 4–9 single-blob layout) — is rejected with a typed error; a
+// serving engine then falls back to its cold compute.
 //
 // Decode validates the trailer checksum, every declared length against
 // the actual data, and caps all metadata-driven allocations, so a
@@ -56,9 +56,8 @@ import (
 
 const (
 	magic = "GSGCNART"
-	// formatVersion is what Encode writes; legacyVersion still decodes.
+	// formatVersion is the one format Encode writes and Decode reads.
 	formatVersion = 2
-	legacyVersion = 1
 
 	// maxHeaderLen caps the JSON header a decoder will buffer.
 	maxHeaderLen = 1 << 20
@@ -351,68 +350,10 @@ func DecodeVerified(data []byte) (*Snapshot, error) {
 	if string(body[:8]) != magic {
 		return nil, fmt.Errorf("artifact: bad magic %q", body[:8])
 	}
-	switch v := binary.LittleEndian.Uint32(body[8:12]); v {
-	case legacyVersion:
-		return decodeV1(body)
-	case formatVersion:
-		return decodeV2(body)
-	default:
-		return nil, fmt.Errorf("artifact: format version %d, want %d or %d", v, legacyVersion, formatVersion)
+	if v := binary.LittleEndian.Uint32(body[8:12]); v != formatVersion {
+		return nil, fmt.Errorf("artifact: format version %d, want %d", v, formatVersion)
 	}
-}
-
-// decodeV1 parses the legacy single-blob layout (body excludes the
-// trailer, magic and version already checked).
-func decodeV1(body []byte) (*Snapshot, error) {
-	hlen := int(binary.LittleEndian.Uint32(body[12:16]))
-	if hlen > maxHeaderLen || 16+hlen > len(body) {
-		return nil, fmt.Errorf("artifact: header declares %d bytes, %d available", hlen, len(body)-16)
-	}
-	var meta Meta
-	if err := json.Unmarshal(body[16:16+hlen], &meta); err != nil {
-		return nil, fmt.Errorf("artifact: decoding header: %w", err)
-	}
-	if meta.Vertices < 0 || meta.Vertices > maxVertices || meta.Dim < 0 || meta.Dim > maxDim {
-		return nil, fmt.Errorf("artifact: header declares a %dx%d table, caps %d/%d",
-			meta.Vertices, meta.Dim, maxVertices, maxDim)
-	}
-	if err := meta.validateShard(); err != nil {
-		return nil, err
-	}
-	rows := meta.rows()
-	off := 16 + hlen
-	// Size arithmetic in int64: the dim caps alone do not keep
-	// rows*Dim inside a 32-bit int, and a wrapped product here
-	// would defeat the bytes-actually-present check below. The tables
-	// are allocated only after the blob is known to carry them.
-	need := 8 * (int64(rows)*int64(meta.Dim) + int64(rows))
-	if int64(off)+need+4 > int64(len(body)) {
-		return nil, fmt.Errorf("artifact: tables need %d bytes, blob carries %d", need+4, len(body)-off)
-	}
-	emb := mat.New(rows, meta.Dim)
-	for i := range emb.Data {
-		emb.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off : off+8]))
-		off += 8
-	}
-	norms := make([]float64, rows)
-	for i := range norms {
-		norms[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off : off+8]))
-		off += 8
-	}
-	ilen := int(binary.LittleEndian.Uint32(body[off : off+4]))
-	off += 4
-	if off+ilen != len(body) {
-		return nil, fmt.Errorf("artifact: index declares %d bytes, %d remain", ilen, len(body)-off)
-	}
-	snap := &Snapshot{Meta: meta, Emb: emb, Norms: norms}
-	if ilen > 0 {
-		idx, err := ann.DecodeIndex(body[off:], emb, norms)
-		if err != nil {
-			return nil, err
-		}
-		snap.Index = idx
-	}
-	return snap, nil
+	return decodeV2(body)
 }
 
 // parsedV2 is a validated v2 header: the metadata plus the located

@@ -55,9 +55,9 @@ func FuzzDecode(f *testing.F) {
 	crcSkew := append([]byte(nil), pqBlob[:len(pqBlob)-8]...)
 	crcSkew[len(crcSkew)-3] ^= 0x08 // inside pq.codes, the last section
 	f.Add(reseal(crcSkew))
-	// A legacy v1 file: must decode and upgrade-re-encode cleanly.
+	// A retired v1 file: must be rejected cleanly.
 	v1 := append([]byte(magic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(v1[8:12], legacyVersion)
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
 	s1 := testSnapshot(20, 4, false)
 	mhdr, _ := json.Marshal(s1.Meta)
 	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(mhdr)))

@@ -60,8 +60,8 @@ type Mapped struct {
 
 // OpenMapped maps the version-2 artifact at path read-only and
 // validates everything except the embedding section, whose CRC is
-// deferred to first row access. Version-1 artifacts and big-endian
-// hosts return an error — callers fall back to ReadFile.
+// deferred to first row access. Big-endian hosts return an error —
+// callers fall back to ReadFile.
 func OpenMapped(path string) (*Mapped, error) {
 	if !hostLittleEndian {
 		return nil, fmt.Errorf("artifact: mmap load needs a little-endian host")

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gsgcn/internal/mat"
@@ -107,9 +108,9 @@ func TestV2DtypeRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeV1 writes the legacy single-blob layout — the bytes a PR 4–9
-// binary would have produced — so compatibility is tested against the
-// real old format, not against this release's writer.
+// encodeV1 writes the retired single-blob layout — the bytes a PR 4–9
+// binary would have produced — so the rejection is tested against the
+// real old format.
 func encodeV1(t *testing.T, s *Snapshot) []byte {
 	t.Helper()
 	hdr, err := json.Marshal(s.Meta)
@@ -117,7 +118,7 @@ func encodeV1(t *testing.T, s *Snapshot) []byte {
 		t.Fatal(err)
 	}
 	buf := append([]byte(magic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(buf[8:12], legacyVersion)
+	binary.LittleEndian.PutUint32(buf[8:12], 1)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
 	buf = append(buf, f64Bytes(s.Emb.Data)...)
@@ -133,41 +134,16 @@ func encodeV1(t *testing.T, s *Snapshot) []byte {
 
 func crc64Sum(b []byte) uint64 { return crcChecksum(b) }
 
-// TestV1StillDecodes is the backward-compatibility contract: artifacts
-// written by the previous format version still load through the
-// copying decoder (bit-identical tables), and re-encoding one produces
-// a valid v2 file carrying the same data.
-func TestV1StillDecodes(t *testing.T) {
-	s := testSnapshot(90, 8, true)
-	blob := encodeV1(t, s)
-	got, err := Decode(blob)
-	if err != nil {
-		t.Fatalf("v1 artifact rejected: %v", err)
+// TestV1RejectedCleanly pins the retirement of format 1: a valid v1
+// blob (intact trailer, well-formed header and tables) is refused by
+// both loaders with the typed version error — never decoded, never a
+// panic.
+func TestV1RejectedCleanly(t *testing.T) {
+	blob := encodeV1(t, testSnapshot(90, 8, true))
+	snap, err := Decode(blob)
+	if snap != nil || err == nil || !strings.Contains(err.Error(), "artifact: format version 1, want 2") {
+		t.Fatalf("Decode(v1) = %v, %v", snap, err)
 	}
-	if got.Meta != s.Meta || got.Dtype != mat.DtypeF64 {
-		t.Fatalf("v1 decode: meta %+v dtype %v", got.Meta, got.Dtype)
-	}
-	for i := range s.Emb.Data {
-		if math.Float64bits(got.Emb.Data[i]) != math.Float64bits(s.Emb.Data[i]) {
-			t.Fatalf("v1 embedding element %d differs", i)
-		}
-	}
-	if got.Index == nil || !bytes.Equal(got.Index.EncodeBinary(), s.Index.EncodeBinary()) {
-		t.Fatal("v1 index lost or mangled")
-	}
-	re, err := Encode(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(re[8:12]); v != formatVersion {
-		t.Fatalf("re-encode of a v1 snapshot wrote version %d", v)
-	}
-	again, err := Decode(re)
-	if err != nil || again.Meta != got.Meta {
-		t.Fatalf("upgraded v1 artifact does not decode: %v", err)
-	}
-
-	// The mmap loader refuses v1 — callers fall back to ReadFile.
 	path := filepath.Join(t.TempDir(), "v1.art")
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
@@ -176,8 +152,8 @@ func TestV1StillDecodes(t *testing.T) {
 		m.Close()
 		t.Fatal("OpenMapped accepted a v1 artifact")
 	}
-	if _, _, err := ReadFile(path); err != nil {
-		t.Fatalf("ReadFile fallback failed on v1: %v", err)
+	if _, _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("ReadFile(v1) error = %v", err)
 	}
 }
 

@@ -38,7 +38,7 @@ type admitGate struct {
 	// hw is the queue-depth high-water mark; 0 disables the check.
 	hw int
 	// depth reads the live micro-batch queue depth (max across shards
-	// on a router). Consulted only when hw > 0.
+	// of a sharded model). Consulted only when hw > 0.
 	depth func() int
 
 	// limit is the QPS quota (0 = unlimited), enforced by a token

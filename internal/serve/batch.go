@@ -249,18 +249,7 @@ func (b *batcher) run(batch []*batchReq) {
 		if r.predict {
 			r.out <- batchResp{pred: predictionsFromLogits(st, r.ids, logits, off), batch: id}
 		} else {
-			res := &EmbedResult{
-				Version:      st.Version,
-				ModelVersion: st.ModelVersion,
-				Dim:          st.Dim(),
-				IDs:          r.ids,
-				Vectors:      make([][]float64, len(r.ids)),
-			}
-			for i := range r.ids {
-				v := make([]float64, st.Dim())
-				copy(v, h.Row(off+i))
-				res.Vectors[i] = v
-			}
+			res := embedResult(st, r.ids, func(i int) []float64 { return h.Row(off + i) })
 			r.out <- batchResp{embed: res, batch: id}
 		}
 		off += len(r.ids)

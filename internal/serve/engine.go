@@ -24,9 +24,11 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,8 +101,8 @@ type Options struct {
 	// serves only the embedding rows of the vertices that shard
 	// ShardIndex owns under partition.ShardMap{ShardCount, ShardSeed}.
 	// Queries for vertices owned by other shards fail with a
-	// not-owned error — a Router in front is expected to scatter them
-	// to their owners. 0 (or 1 with ShardIndex 0) is the ordinary
+	// not-owned error — the Server in front is expected to scatter
+	// them to their owners. 0 (or 1 with ShardIndex 0) is the ordinary
 	// whole-graph engine. When sharded, ArtifactPath names the
 	// per-shard artifact file (artifact.ShardPath output).
 	ShardCount int
@@ -119,7 +121,7 @@ type Options struct {
 	Deadline time.Duration
 	// ShedQueueHW is the admission gate's queue-depth high-water mark:
 	// when the micro-batcher already has this many requests queued
-	// (the deepest shard's queue, on a router), new queries are shed
+	// (the deepest shard's queue, on a sharded model), new queries are shed
 	// with 429 before any work is queued. 0 disables shedding.
 	ShedQueueHW int
 	// QPSLimit is the per-model admission quota in queries/sec,
@@ -150,6 +152,17 @@ func (o Options) sharded() bool { return o.ShardCount > 1 }
 // shardMap returns the vertex-shard assignment the options describe.
 func (o Options) shardMap() partition.ShardMap {
 	return partition.ShardMap{Shards: o.ShardCount, Seed: o.ShardSeed}
+}
+
+// seriesLabels returns the labels of this engine's metric series: the
+// model name, plus the shard index when the engine is one shard of a
+// fleet — an unsharded model's series carry no shard label.
+func (o Options) seriesLabels() map[string]string {
+	labels := map[string]string{"model": o.ModelName}
+	if o.sharded() {
+		labels["shard"] = strconv.Itoa(o.ShardIndex)
+	}
+	return labels
 }
 
 // annParams is the HNSW configuration the engine's lazy index build
@@ -348,8 +361,10 @@ type Engine struct {
 	artSum  uint64
 	artMeta artifact.Meta
 
-	cacheMu sync.Mutex
-	cache   map[topkKey]*TopKResult
+	// topkMemo memoizes TopKWith answers for callers embedding the
+	// engine as a library; a Server memoizes its merged answers itself
+	// and probes its engines through shardTopK, which bypasses this one.
+	topkMemo
 }
 
 type topkKey struct {
@@ -357,6 +372,40 @@ type topkKey struct {
 	id, k   int
 	ann     bool
 	ef      int // 0 for exact mode
+}
+
+// topkMemo memoizes top-K answers per (snapshot version, resolved
+// query). Keying by version means a reload can never serve a stale
+// answer; dropStale only returns the memory.
+type topkMemo struct {
+	cacheMu sync.Mutex
+	cache   map[topkKey]*TopKResult
+}
+
+func (m *topkMemo) lookup(key topkKey) *TopKResult {
+	m.cacheMu.Lock()
+	defer m.cacheMu.Unlock()
+	return m.cache[key]
+}
+
+// store memoizes res unless the memo already holds limit entries.
+func (m *topkMemo) store(key topkKey, res *TopKResult, limit int) {
+	m.cacheMu.Lock()
+	defer m.cacheMu.Unlock()
+	if len(m.cache) < limit {
+		m.cache[key] = res
+	}
+}
+
+// dropStale evicts results memoized from snapshots other than version.
+func (m *topkMemo) dropStale(version uint64) {
+	m.cacheMu.Lock()
+	defer m.cacheMu.Unlock()
+	for k := range m.cache {
+		if k.version != version {
+			delete(m.cache, k)
+		}
+	}
 }
 
 // NewEngine wires an engine over the dataset's graph and features.
@@ -368,7 +417,7 @@ func NewEngine(ds *datasets.Dataset, opts Options) *Engine {
 		ds:           ds,
 		opts:         opts,
 		artifactPath: opts.ArtifactPath,
-		cache:        make(map[topkKey]*TopKResult),
+		topkMemo:     topkMemo{cache: make(map[topkKey]*TopKResult)},
 	}
 	if opts.sharded() {
 		e.owned = opts.shardMap().Owned(ds.G.NumVertices(), opts.ShardIndex)
@@ -413,12 +462,16 @@ func (e *Engine) SetArtifactPath(path string) {
 // Dataset returns the graph/features the engine serves over.
 func (e *Engine) Dataset() *datasets.Dataset { return e.ds }
 
-// Snapshot returns the current serving state, or an error when no
+// errNoModel marks a query that arrived before any model was loaded:
+// a server-side condition (503, retryable), not a caller mistake.
+var errNoModel = errors.New("serve: no model loaded")
+
+// Snapshot returns the current serving state, or errNoModel when no
 // model has been loaded yet.
 func (e *Engine) Snapshot() (*State, error) {
 	st := e.state.Load()
 	if st == nil {
-		return nil, fmt.Errorf("serve: no model loaded")
+		return nil, errNoModel
 	}
 	return st, nil
 }
@@ -435,23 +488,20 @@ func (e *Engine) Install(m *core.Model) (uint64, error) {
 
 // InstallShared is Install with an optional shared table source: when
 // full is non-nil and the cold path runs, the whole-graph tables come
-// from full() instead of a private computeTables call. A Router
+// from full() instead of a private computeTables call. A Server
 // installing one model across N shard engines passes a memoized full
 // so the expensive whole-graph pass happens once per fleet install,
 // not once per shard; each engine still keeps only its owned rows.
 func (e *Engine) InstallShared(m *core.Model, full func() (*mat.Dense, []float64)) (uint64, error) {
-	if got, want := m.Layers[0].InDim, e.ds.FeatureDim(); got != want {
-		return 0, fmt.Errorf("serve: model expects %d input features, dataset has %d", got, want)
-	}
-	if got, want := m.Head.OutDim, e.ds.NumClasses; got != want {
-		return 0, fmt.Errorf("serve: model predicts %d classes, dataset has %d", got, want)
+	if err := modelFits(m, e.ds); err != nil {
+		return 0, err
 	}
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
 	st := e.buildState(m, full)
 	st.Version = e.swaps.Add(1)
 	e.state.Store(st)
-	e.dropStaleCache(st.Version)
+	e.dropStale(st.Version)
 	return st.Version, nil
 }
 
@@ -476,29 +526,29 @@ func (e *Engine) buildState(m *core.Model, full func() (*mat.Dense, []float64)) 
 		}
 		warmNote = note
 	}
-	var (
-		emb   *mat.Dense
-		norms []float64
-	)
-	if full != nil {
-		emb, norms = full()
-	} else {
-		emb, norms = computeTables(m, e.ds, e.opts)
+	if full == nil {
+		full = func() (*mat.Dense, []float64) { return computeTables(m, e.ds, e.opts) }
 	}
+	emb, norms := full()
 	if e.opts.sharded() {
 		emb, norms = compactRows(emb, norms, e.owned)
 	}
-	st := &State{
+	st := e.newState(m, emb, norms)
+	st.WarmNote = warmNote
+	e.attachPlane(st, nil, nil, nil)
+	return st
+}
+
+// newState starts the snapshot that serves m from the given tables.
+func (e *Engine) newState(m *core.Model, emb mat.RowSource, norms []float64) *State {
+	return &State{
 		Model:        m,
 		ModelVersion: m.ModelVersion,
 		Emb:          emb,
 		norms:        norms,
 		total:        e.ds.G.NumVertices(),
 		owned:        e.owned,
-		WarmNote:     warmNote,
 	}
-	e.attachPlane(st, nil, nil, nil)
-	return st
 }
 
 // attachPlane fills a freshly built snapshot's memory-plane fields:
@@ -572,8 +622,8 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 		if st != nil {
 			return st, ""
 		}
-		// Anything that cannot map (a v1 artifact, an exotic platform)
-		// may still decode; remember why the fast path was skipped.
+		// Anything that cannot map (an exotic platform) may still
+		// decode; remember why the fast path was skipped.
 		st, note2 := e.warmDecoded(m, artPath, want)
 		if st != nil {
 			return st, ""
@@ -583,40 +633,60 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 	return e.warmDecoded(m, artPath, want)
 }
 
-// reuseState clones the serving-table fields of an unchanged previous
-// warm snapshot into a fresh State for m — the no-decode reload path.
-func (e *Engine) reuseState(m *core.Model, prev *State) *State {
-	st := &State{
-		Model:        m,
-		ModelVersion: m.ModelVersion,
-		Emb:          prev.Emb,
-		norms:        prev.norms,
-		total:        e.ds.G.NumVertices(),
-		owned:        e.owned,
-		WarmStart:    true,
-		quant:        prev.quant,
-		dtype:        prev.dtype,
-		resident:     prev.resident,
-		mappedBytes:  prev.mappedBytes,
-		mapped:       prev.mapped,
+// reuseState is the no-decode reload path: when the artifact whose
+// checksum is sum is the very file the previous warm snapshot was
+// built from (and, for the mmap path, that snapshot still holds its
+// mapping), it clones the serving-table fields into a fresh State for
+// m. It returns nil when the artifact has to be read again.
+func (e *Engine) reuseState(m *core.Model, sum uint64, want artifact.Meta, needMapping bool) *State {
+	prev := e.state.Load()
+	if prev == nil || !prev.WarmStart || sum != e.artSum || e.artMeta != want || needMapping && prev.mapped == nil {
+		return nil
 	}
+	st := e.newState(m, prev.Emb, prev.norms)
+	st.WarmStart = true
+	st.quant, st.dtype, st.resident = prev.quant, prev.dtype, prev.resident
+	st.mapped, st.mappedBytes = prev.mapped, prev.mappedBytes
 	if idx := prev.annIdx.Load(); idx != nil {
 		st.setIndex(idx)
 	}
 	return st
 }
 
-// adoptIndex installs a persisted index only when it is the index the
-// lazy path would build (same structural parameters); otherwise the
-// lazy build stays in place — the embeddings are still warm.
-func (e *Engine) adoptIndex(st *State, idx *ann.Index) {
-	if idx == nil {
-		return
+// warmTables is an artifact's payload as a warm path obtained it:
+// decoded to private heap, or views into a read-only mapping.
+type warmTables struct {
+	meta  artifact.Meta
+	emb   mat.RowSource
+	norms []float64
+	index *ann.Index
+	f32   *mat.F32Table
+	pq    *mat.PQTable
+}
+
+// adoptTables finishes a warm start from an artifact's tables, backed
+// by mapped when they are views into a mapping: tables built for
+// another target are rejected, the file's checksum becomes the reuse
+// fingerprint, and the snapshot adopts the persisted index and dtype
+// payload where they are what the engine would derive itself.
+func (e *Engine) adoptTables(m *core.Model, want artifact.Meta, sum uint64, t warmTables, mapped *artifact.Mapped) (*State, string) {
+	if t.meta != want {
+		return nil, fmt.Sprintf("artifact was built for %+v, serving %+v", t.meta, want)
 	}
-	if got, want := idx.Params(), e.opts.annParams().Resolved(); got.M == want.M &&
-		got.EfConstruction == want.EfConstruction && got.Seed == want.Seed {
-		st.setIndex(idx)
+	e.artSum, e.artMeta = sum, want
+	st := e.newState(m, t.emb, t.norms)
+	st.WarmStart = true
+	// A persisted index is installed only when it is the index the lazy
+	// path would build (same structural parameters); otherwise the lazy
+	// build stays in place — the embeddings are still warm.
+	if t.index != nil {
+		if got, want := t.index.Params(), e.opts.annParams().Resolved(); got.M == want.M &&
+			got.EfConstruction == want.EfConstruction && got.Seed == want.Seed {
+			st.setIndex(t.index)
+		}
 	}
+	e.attachPlane(st, t.f32, t.pq, mapped)
+	return st, ""
 }
 
 // warmMapped is the mmap warm path: open the artifact as a read-only
@@ -628,29 +698,15 @@ func (e *Engine) warmMapped(m *core.Model, artPath string, want artifact.Meta) (
 	if err != nil {
 		return nil, err.Error()
 	}
-	if mp.Meta() != want {
-		got := mp.Meta()
-		_ = mp.Close()
-		return nil, fmt.Sprintf("artifact was built for %+v, serving %+v", got, want)
+	st, note := e.reuseState(m, mp.Sum(), want, true), ""
+	if st == nil {
+		st, note = e.adoptTables(m, want, mp.Sum(),
+			warmTables{mp.Meta(), mp.Table(), mp.Norms(), mp.Index(), mp.F32(), mp.PQ()}, mp)
 	}
-	if prev := e.state.Load(); prev != nil && prev.WarmStart && prev.mapped != nil &&
-		mp.Sum() == e.artSum && e.artMeta == want {
-		_ = mp.Close()
-		return e.reuseState(m, prev), ""
+	if st == nil || st.mapped != mp {
+		_ = mp.Close() // rejected, or unchanged and served from the earlier mapping
 	}
-	e.artSum, e.artMeta = mp.Sum(), want
-	st := &State{
-		Model:        m,
-		ModelVersion: m.ModelVersion,
-		Emb:          mp.Table(),
-		norms:        mp.Norms(),
-		total:        e.ds.G.NumVertices(),
-		owned:        e.owned,
-		WarmStart:    true,
-	}
-	e.adoptIndex(st, mp.Index())
-	e.attachPlane(st, mp.F32(), mp.PQ(), mp)
-	return st, ""
+	return st, note
 }
 
 // warmDecoded is the copying warm path: read, checksum and decode the
@@ -667,29 +723,15 @@ func (e *Engine) warmDecoded(m *core.Model, artPath string, want artifact.Meta) 
 	if err != nil {
 		return nil, err.Error()
 	}
-	if prev := e.state.Load(); prev != nil && prev.WarmStart && sum == e.artSum && e.artMeta == want {
-		return e.reuseState(m, prev), ""
+	if st := e.reuseState(m, sum, want, false); st != nil {
+		return st, ""
 	}
 	snap, err := artifact.DecodeVerified(data)
 	if err != nil {
 		return nil, err.Error()
 	}
-	if snap.Meta != want {
-		return nil, fmt.Sprintf("artifact was built for %+v, serving %+v", snap.Meta, want)
-	}
-	e.artSum, e.artMeta = sum, snap.Meta
-	st := &State{
-		Model:        m,
-		ModelVersion: m.ModelVersion,
-		Emb:          snap.Emb,
-		norms:        snap.Norms,
-		total:        e.ds.G.NumVertices(),
-		owned:        e.owned,
-		WarmStart:    true,
-	}
-	e.adoptIndex(st, snap.Index)
-	e.attachPlane(st, snap.F32, snap.PQ, nil)
-	return st, ""
+	return e.adoptTables(m, want, sum,
+		warmTables{snap.Meta, snap.Emb, snap.Norms, snap.Index, snap.F32, snap.PQ}, nil)
 }
 
 // LoadCheckpoint reconstructs a model from a v2 checkpoint file and
@@ -700,17 +742,6 @@ func (e *Engine) LoadCheckpoint(path string) (uint64, error) {
 		return 0, err
 	}
 	return e.Install(m)
-}
-
-// dropStaleCache evicts memoized query results from older snapshots.
-func (e *Engine) dropStaleCache(version uint64) {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	for k := range e.cache {
-		if k.version != version {
-			delete(e.cache, k)
-		}
-	}
 }
 
 // FullEmbeddings runs the model's GCN stack (without the classifier
@@ -808,16 +839,18 @@ func aggregateRowRange(dst, src *mat.Dense, g *graph.CSR, agg nn.Aggregator, inv
 			continue
 		}
 		switch agg {
-		case nn.AggMean:
+		case nn.AggMean, nn.AggSum:
 			for _, u := range nb {
 				srow := src.Data[int(u)*f : (int(u)+1)*f]
 				for j, x := range srow {
 					drow[j] += x
 				}
 			}
-			inv := 1 / float64(len(nb))
-			for j := range drow {
-				drow[j] *= inv
+			if agg == nn.AggMean {
+				inv := 1 / float64(len(nb))
+				for j := range drow {
+					drow[j] *= inv
+				}
 			}
 		case nn.AggSym:
 			for _, u := range nb {
@@ -825,13 +858,6 @@ func aggregateRowRange(dst, src *mat.Dense, g *graph.CSR, agg nn.Aggregator, inv
 				srow := src.Data[int(u)*f : (int(u)+1)*f]
 				for j, x := range srow {
 					drow[j] += w * x
-				}
-			}
-		case nn.AggSum:
-			for _, u := range nb {
-				srow := src.Data[int(u)*f : (int(u)+1)*f]
-				for j, x := range srow {
-					drow[j] += x
 				}
 			}
 		}
@@ -883,7 +909,7 @@ type TopKResult struct {
 	K            int    `json:"k"`
 	Mode         string `json:"mode"`
 	Ef           int    `json:"ef,omitempty"`
-	// Degraded marks an answer a sharded router assembled while one or
+	// Degraded marks an answer a sharded model assembled while one or
 	// more non-owning shards were down: the neighbors listed are exact
 	// over the live shards' vertices but vertices of the dead shards
 	// could not be considered. Never set on a healthy fleet or a
@@ -909,7 +935,7 @@ func checkIDs(st *State, ids []int) error {
 // localRows validates ids and maps them to the snapshot's local rows.
 // On a whole-graph snapshot the mapping is the identity (ids is
 // returned unchanged, not copied); on a shard snapshot a foreign id
-// fails with errNotOwned — the router is expected to have routed it
+// fails with errNotOwned — the Server is expected to have routed it
 // to its owner.
 func localRows(st *State, ids []int) ([]int, error) {
 	if err := checkIDs(st, ids); err != nil {
@@ -929,27 +955,6 @@ func localRows(st *State, ids []int) ([]int, error) {
 	return rows, nil
 }
 
-// embedOn answers an embedding query against a fixed snapshot.
-func embedOn(st *State, ids []int) (*EmbedResult, error) {
-	rows, err := localRows(st, ids)
-	if err != nil {
-		return nil, err
-	}
-	res := &EmbedResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		Dim:          st.Dim(),
-		IDs:          ids,
-		Vectors:      make([][]float64, len(ids)),
-	}
-	for i, r := range rows {
-		v := make([]float64, st.Dim())
-		copy(v, st.Emb.Row(r))
-		res.Vectors[i] = v
-	}
-	return res, nil
-}
-
 // headLogits computes the classifier head over gathered embedding
 // rows: logits = h·W + b, the same per-row arithmetic as the
 // training-side nn.Dense forward pass.
@@ -964,18 +969,6 @@ func headLogits(st *State, h *mat.Dense) *mat.Dense {
 		}
 	}
 	return out
-}
-
-// predictOn answers a prediction query against a fixed snapshot.
-func predictOn(st *State, ids []int) (*PredictResult, error) {
-	rows, err := localRows(st, ids)
-	if err != nil {
-		return nil, err
-	}
-	h := mat.New(len(ids), st.Dim())
-	mat.GatherRowsSrc(h, st.Emb, rows)
-	logits := headLogits(st, h)
-	return predictionsFromLogits(st, ids, logits, 0), nil
 }
 
 // predictionsFromLogits converts logits rows [off, off+len(ids)) into
@@ -1039,7 +1032,29 @@ func (e *Engine) Embed(ids []int) (*EmbedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return embedOn(st, ids)
+	rows, err := localRows(st, ids)
+	if err != nil {
+		return nil, err
+	}
+	return embedResult(st, ids, func(i int) []float64 { return st.Emb.Row(rows[i]) }), nil
+}
+
+// embedResult assembles the answer to an embedding query for ids from
+// st, copying row(i) — a view into a table — as ids[i]'s vector.
+func embedResult(st *State, ids []int, row func(i int) []float64) *EmbedResult {
+	res := &EmbedResult{
+		Version:      st.Version,
+		ModelVersion: st.ModelVersion,
+		Dim:          st.Dim(),
+		IDs:          ids,
+		Vectors:      make([][]float64, len(ids)),
+	}
+	for i := range ids {
+		v := make([]float64, st.Dim())
+		copy(v, row(i))
+		res.Vectors[i] = v
+	}
+	return res
 }
 
 // Predict answers a prediction query against the latest snapshot.
@@ -1048,7 +1063,13 @@ func (e *Engine) Predict(ids []int) (*PredictResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return predictOn(st, ids)
+	rows, err := localRows(st, ids)
+	if err != nil {
+		return nil, err
+	}
+	h := mat.New(len(ids), st.Dim())
+	mat.GatherRowsSrc(h, st.Emb, rows)
+	return predictionsFromLogits(st, ids, headLogits(st, h), 0), nil
 }
 
 // TopK returns the k vertices most cosine-similar to id (excluding id
@@ -1070,70 +1091,78 @@ func (e *Engine) TopK(id, k int) (*TopKResult, error) {
 // rebuilds and reloads. Results are memoized per (snapshot version,
 // id, k, mode, ef); k must be in [1, |V|-1].
 func (e *Engine) TopKWith(id, k int, mode string, ef int) (*TopKResult, error) {
-	st, err := e.Snapshot()
+	st, _, _, err := e.snapshotRow(id)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkIDs(st, []int{id}); err != nil {
+	ann, known := e.opts.annMode(mode)
+	useANN, ef, err := e.opts.planTopK(k, ann, ef, st.total, st.Emb.NumRows())
+	if err == nil && !known {
+		// The library's own text — a Go caller passed no request
+		// "parameter"; a served query never gets here with a bad mode.
+		err = fmt.Errorf("serve: unknown topk mode %q (want exact or ann)", mode)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if _, ok := st.rowOf(id); !ok {
-		return nil, fmt.Errorf("%w: vertex id %d", errNotOwned, id)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("serve: k must be >= 1, got %d", k)
-	}
-	if max := st.total - 1; k > max {
-		return nil, fmt.Errorf("serve: k=%d exceeds the %d other vertices", k, max)
-	}
-	useANN := false
-	switch mode {
-	case ModeAuto:
-		useANN = e.opts.ANN
-	case ModeExact:
-	case ModeANN:
-		useANN = true
-	default:
-		return nil, fmt.Errorf("serve: unknown topk mode %q (want exact or ann)", mode)
-	}
-	if useANN {
-		if ef <= 0 {
-			ef = e.opts.ANNEf
-		}
-		if ef < k {
-			ef = k
-		}
-		// The beam covers (almost) the whole table: the exact scan is
-		// both cheaper and, by definition, at least as accurate.
-		if n := st.Emb.NumRows(); ef >= n-1 || k >= n-1 {
-			useANN = false
-		}
-	}
-	if !useANN {
-		ef = 0
-	}
-
 	key := topkKey{version: st.Version, id: id, k: k, ann: useANN, ef: ef}
-	e.cacheMu.Lock()
-	if hit, ok := e.cache[key]; ok {
-		e.cacheMu.Unlock()
+	if hit := e.lookup(key); hit != nil {
 		return hit, nil
 	}
-	e.cacheMu.Unlock()
-
 	var res *TopKResult
 	if useANN {
 		res = e.topkANN(st, id, k, ef)
 	} else {
 		res = topkScan(st, id, k, e.opts.Workers)
 	}
-
-	e.cacheMu.Lock()
-	if len(e.cache) < e.opts.TopKCache {
-		e.cache[key] = res
-	}
-	e.cacheMu.Unlock()
+	e.store(key, res, e.opts.TopKCache)
 	return res, nil
+}
+
+// annMode is the one mode switch: whether a query in the given mode
+// searches the ANN index (ModeAuto follows the configured default) and
+// whether the mode is known at all.
+func (o Options) annMode(mode string) (useANN, known bool) {
+	switch mode {
+	case ModeAuto:
+		return o.ANN, true
+	case ModeExact:
+		return false, true
+	case ModeANN:
+		return true, true
+	}
+	return false, false
+}
+
+// planTopK is the one resolver of a top-K request's scan plan — the
+// rules TopKWith documents — shared by Engine.TopKWith and a Server's
+// scatter-gather so their rules and error texts cannot drift. useANN
+// is the request's annMode; total is the graph's vertex count; n is
+// the number of table rows the beam is measured against: total, except
+// on a shard engine addressed directly. The returned ef is 0 for an
+// exact plan.
+func (o Options) planTopK(k int, useANN bool, ef, total, n int) (planANN bool, planEf int, err error) {
+	if k < 1 {
+		return false, 0, fmt.Errorf("serve: k must be >= 1, got %d", k)
+	}
+	if max := total - 1; k > max {
+		return false, 0, fmt.Errorf("serve: k=%d exceeds the %d other vertices", k, max)
+	}
+	if !useANN {
+		return false, 0, nil
+	}
+	if ef <= 0 {
+		ef = o.ANNEf
+	}
+	if ef < k {
+		ef = k
+	}
+	// The beam covers (almost) the whole table: the exact scan is
+	// both cheaper and, by definition, at least as accurate.
+	if ef >= n-1 || k >= n-1 {
+		return false, 0, nil
+	}
+	return true, ef, nil
 }
 
 // annIndex returns the snapshot's HNSW index, building it on first
@@ -1251,7 +1280,7 @@ func scanVec(st *State, q []float64, qn float64, exclude, k, workers int) []Neig
 }
 
 // snapshotRow resolves the current snapshot and the embedding row and
-// norm of an owned vertex — the router's way of fetching a query
+// norm of an owned vertex — the Server's way of fetching a query
 // vector from the shard that owns it.
 func (e *Engine) snapshotRow(id int) (*State, []float64, float64, error) {
 	st, err := e.Snapshot()
@@ -1269,18 +1298,23 @@ func (e *Engine) snapshotRow(id int) (*State, []float64, float64, error) {
 }
 
 // shardTopK answers one scatter probe: the k best candidates of this
-// engine's table for the supplied query vector, as global ids. In ANN
-// mode the per-shard HNSW index is searched unless the beam would
-// cover the local table anyway, in which case the exact local scan is
-// both cheaper and complete — the same fallback rule the whole-graph
-// engine applies.
-func (e *Engine) shardTopK(q []float64, qn float64, exclude, k int, useANN bool, ef int) ([]Neighbor, *State, error) {
-	st, err := e.Snapshot()
-	if err != nil {
-		return nil, nil, err
+// engine's table for the supplied query vector, as global ids. st pins
+// the snapshot to scan — the Server passes the one the query vector
+// came from when this engine owns it, so a reload landing mid-query
+// cannot pair one version's vector with another's table — and nil
+// means the current one. In ANN mode the per-shard HNSW index is
+// searched unless the beam would cover the local table anyway, in
+// which case the exact local scan is both cheaper and complete — the
+// same fallback rule the whole-graph engine applies.
+func (e *Engine) shardTopK(st *State, q []float64, qn float64, exclude, k int, useANN bool, ef int) ([]Neighbor, error) {
+	if st == nil {
+		var err error
+		if st, err = e.Snapshot(); err != nil {
+			return nil, err
+		}
 	}
 	if useANN && ef < st.Emb.NumRows()-1 && k < st.Emb.NumRows()-1 {
-		return e.annVec(st, q, qn, exclude, k, ef), st, nil
+		return e.annVec(st, q, qn, exclude, k, ef), nil
 	}
-	return scanVec(st, q, qn, exclude, k, e.opts.Workers), st, nil
+	return scanVec(st, q, qn, exclude, k, e.opts.Workers), nil
 }

@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"gsgcn/internal/wire"
 )
 
 // TestBatcherCloseSubmitRace is the close-race regression test: any
@@ -154,6 +158,67 @@ func TestStrictVertexIDParsing(t *testing.T) {
 		for _, base := range []string{srvTS.URL, rtTS.URL} {
 			if code, body := get(t, base+"/embed?ids="+ok); code != 200 {
 				t.Errorf("ids=%s = %d %s, want 200", ok, code, body)
+			}
+		}
+	}
+}
+
+// TestClosedServerFailsEveryQuery pins the one closed state: after
+// Close, every query endpoint answers errClosed — 503 "serve: server
+// closed" — over HTTP-JSON, the negotiated wire encoding and framed
+// TCP, at one shard and at two. (Before Server and Router were one
+// type a closed unsharded server still answered /topk 200: it bypassed
+// the batcher, and an Engine has no closed state.)
+func TestClosedServerFailsEveryQuery(t *testing.T) {
+	ds := testDataset(t, false)
+	ckpt := trainAndSave(t, ds, 1, t.TempDir())
+	for _, shards := range []int{1, 2} {
+		reg := NewRegistry()
+		srv, err := reg.AddSharded("m", ds, Options{Workers: 1}, shards, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Load(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(reg)
+		defer ts.Close()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go reg.ServeWire(ln)
+		if code, _, _ := fetch(t, "GET", ts.URL+"/topk?id=3&k=2", nil); code != http.StatusOK {
+			t.Fatalf("shards=%d: /topk before Close = %d", shards, code)
+		}
+		reg.Close()
+
+		want := wire.ErrorResponse{Status: http.StatusServiceUnavailable, Message: errClosed.Error()}
+		for _, path := range []string{"/embed?ids=3", "/predict?ids=3", "/topk?id=3&k=2", "/models/m/topk?id=3&k=2&mode=ann"} {
+			code, _, raw := fetch(t, "GET", ts.URL+path, nil)
+			var body errorBody
+			if err := json.Unmarshal(raw, &body); err != nil {
+				t.Fatalf("shards=%d %s: body %q: %v", shards, path, raw, err)
+			}
+			if code != want.Status || body.Error != want.Message || body.Reason != "" {
+				t.Errorf("shards=%d json %s = %d %s", shards, path, code, raw)
+			}
+			code, _, raw = fetch(t, "GET", ts.URL+path, map[string]string{"Accept": wire.ContentType})
+			frame, _, err := wire.Decode(raw)
+			if got, ok := frame.(*wire.ErrorResponse); err != nil || !ok || code != want.Status || *got != want {
+				t.Errorf("shards=%d wire %s = %d %#v (%v)", shards, path, code, frame, err)
+			}
+		}
+		c := dialWire(t, ln.Addr().String())
+		for _, req := range []wire.Message{
+			&wire.EmbedRequest{IDs: []int{3}},
+			&wire.PredictRequest{Model: "m", IDs: []int{3}},
+			&wire.TopKRequest{ID: 3, K: 2},
+		} {
+			c.send(req)
+			if got, ok := c.recv().(*wire.ErrorResponse); !ok || *got != want {
+				t.Errorf("shards=%d tcp %T = %#v", shards, req, got)
 			}
 		}
 	}

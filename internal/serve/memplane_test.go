@@ -133,7 +133,7 @@ func TestMemPlaneHealthzAndResident(t *testing.T) {
 		t.Helper()
 		srv := NewServer(ds, opts)
 		defer srv.Close()
-		if _, err := srv.eng.Install(m); err != nil {
+		if _, err := srv.Install(m); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)

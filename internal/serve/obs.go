@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"gsgcn/internal/obs"
@@ -33,8 +32,8 @@ type endpointMetrics struct {
 }
 
 // modelMetrics instruments one model server's HTTP surface: the
-// shared middleware every layer (Server, Router, Registry) routes
-// requests through. It owns the per-endpoint request/latency/error
+// shared middleware both layers (Server, Registry) route requests
+// through. It owns the per-endpoint request/latency/error
 // handles and, when an access logger is wired, emits one structured
 // JSON line per request.
 type modelMetrics struct {
@@ -42,6 +41,9 @@ type modelMetrics struct {
 	model     string
 	log       *obs.Logger
 	endpoints map[string]*endpointMetrics
+	// all makes handleMetrics render the whole shared registry, not
+	// just this model's series: set on the Registry's own instruments.
+	all bool
 
 	// reqHTTP/reqWire split gsgcn_requests_total by transport: every
 	// request through the HTTP surface (JSON or negotiated binary
@@ -74,13 +76,8 @@ func newModelMetrics(reg *obs.Registry, model string, log *obs.Logger, endpoints
 	return mm
 }
 
-// countWire bills one wire-transport frame. Nil-safe like serve, so
-// hand-wired servers without instruments keep working.
-func (mm *modelMetrics) countWire() {
-	if mm != nil {
-		mm.reqWire.Inc()
-	}
-}
+// countWire bills one wire-transport frame.
+func (mm *modelMetrics) countWire() { mm.reqWire.Inc() }
 
 func newEndpointMetrics(reg *obs.Registry, model, ep string) *endpointMetrics {
 	em := &endpointMetrics{}
@@ -95,14 +92,12 @@ func newEndpointMetrics(reg *obs.Registry, model, ep string) *endpointMetrics {
 	return em
 }
 
-// endpointPatterns flattens route tables into the endpoint label
-// values to pre-register.
-func endpointPatterns(tables ...[]RouteDoc) []string {
-	var out []string
-	for _, t := range tables {
-		for _, e := range t {
-			out = append(out, e.Pattern)
-		}
+// endpointPatterns lists a route table's endpoint label values to
+// pre-register.
+func endpointPatterns(routes []RouteDoc) []string {
+	out := make([]string, len(routes))
+	for i, e := range routes {
+		out[i] = e.Pattern
 	}
 	return out
 }
@@ -140,32 +135,20 @@ type reqAnnot struct {
 	batch  uint64
 }
 
-// annotFanout records how many shards a request scattered to.
-func annotFanout(ctx context.Context, n int) {
-	if a, ok := ctx.Value(annotKey{}).(*reqAnnot); ok {
-		a.fanout = n
-	}
-}
-
-// annotBatch records the micro-batch id that answered a request.
-func annotBatch(ctx context.Context, id uint64) {
-	if a, ok := ctx.Value(annotKey{}).(*reqAnnot); ok {
-		a.batch = id
-	}
+// annotOf returns the request's annotation carrier, nil on contexts
+// the logging middleware did not prepare (no access log wired, or a
+// wire-listener frame).
+func annotOf(ctx context.Context) *reqAnnot {
+	a, _ := ctx.Value(annotKey{}).(*reqAnnot)
+	return a
 }
 
 // serve runs h under the shared middleware: a status-class counter
 // bump, one latency observation, and (when an access logger is wired)
 // one JSON request line carrying the process-wide monotonic request
 // id. endpoint must be one of the pre-registered patterns; anything
-// else folds into the catch-all. A nil receiver (a hand-wired server
-// with no instruments) serves h directly — observation is optional
-// everywhere by construction.
+// else folds into the catch-all.
 func (mm *modelMetrics) serve(endpoint string, h http.Handler, w http.ResponseWriter, r *http.Request) {
-	if mm == nil {
-		h.ServeHTTP(w, r)
-		return
-	}
 	em := mm.endpoints[endpoint]
 	if em == nil {
 		endpoint, em = epOther, mm.endpoints[epOther]
@@ -217,74 +200,61 @@ func (mm *modelMetrics) serve(endpoint string, h http.Handler, w http.ResponseWr
 	}
 }
 
-// handleMetrics renders the model-scoped scrape: only series labeled
-// with this model's name. The registry's bare /metrics renders the
-// whole shared registry instead.
+// handleMetrics renders the scrape: only series labeled with this
+// model's name — even an empty one — for a model server (also behind
+// /models/{name}/metrics), the whole shared registry — every model's
+// rows and the registry's own — for the registry's bare /metrics.
 func (mm *modelMetrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, fmt.Errorf("%w: %s", errMethod, r.Method))
 		return
 	}
 	w.Header().Set("Content-Type", obs.TextContentType)
-	_ = mm.reg.WriteFiltered(w, func(l map[string]string) bool { return l["model"] == mm.model })
+	_ = mm.reg.WriteFiltered(w, func(l map[string]string) bool { return mm.all || l["model"] == mm.model })
+}
+
+// flag is the gauge value of a boolean: 1 when on, 0 otherwise.
+func flag(on bool) float64 {
+	if on {
+		return 1
+	}
+	return 0
 }
 
 // registerMetrics exports the engine's snapshot gauges: every reader
 // loads the atomic state pointer, so a scrape can never wait on
 // reloadMu however slow a concurrent snapshot build is.
 func (e *Engine) registerMetrics(reg *obs.Registry) {
-	labels := map[string]string{"model": e.opts.ModelName}
-	if e.opts.sharded() {
-		labels["shard"] = strconv.Itoa(e.opts.ShardIndex)
-	}
-	reg.GaugeFunc("gsgcn_snapshot_version",
-		"Swap generation of the serving snapshot (0 = no model loaded).",
-		labels, func() float64 {
+	gauge := func(name, help string, labels map[string]string, read func(*State) float64) {
+		reg.GaugeFunc(name, help, labels, func() float64 {
 			if st := e.state.Load(); st != nil {
-				return float64(st.Version)
+				return read(st)
 			}
 			return 0
 		})
-	reg.GaugeFunc("gsgcn_snapshot_warm_start",
+	}
+	labels := e.opts.seriesLabels()
+	gauge("gsgcn_snapshot_version",
+		"Swap generation of the serving snapshot (0 = no model loaded).",
+		labels, func(st *State) float64 { return float64(st.Version) })
+	gauge("gsgcn_snapshot_warm_start",
 		"1 when the serving snapshot warm-started from a persisted artifact.",
-		labels, func() float64 {
-			if st := e.state.Load(); st != nil && st.WarmStart {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("gsgcn_index_resident",
+		labels, func(st *State) float64 { return flag(st.WarmStart) })
+	gauge("gsgcn_index_resident",
 		"1 when the snapshot's ANN index is built and resident.",
-		labels, func() float64 {
-			if st := e.state.Load(); st != nil && st.IndexReady() {
-				return 1
-			}
-			return 0
-		})
+		labels, func(st *State) float64 { return flag(st.IndexReady()) })
 	// The memory-plane gauges carry the dtype label (a per-engine
 	// constant, so cardinality stays bounded): resident is the private
 	// working set of the table representation, mapped the size of the
 	// artifact mapping behind it (0 when decoded to heap).
-	dlabels := map[string]string{"model": e.opts.ModelName, "dtype": e.opts.Dtype.String()}
-	if e.opts.sharded() {
-		dlabels["shard"] = strconv.Itoa(e.opts.ShardIndex)
-	}
-	reg.GaugeFunc("gsgcn_resident_bytes",
+	dlabels := e.opts.seriesLabels()
+	dlabels["dtype"] = e.opts.Dtype.String()
+	gauge("gsgcn_resident_bytes",
 		"Bytes of the serving table working set held privately: the f64 table when decoded to heap, the norms, and quantized codes plus codebooks.",
-		dlabels, func() float64 {
-			if st := e.state.Load(); st != nil {
-				return float64(st.ResidentBytes())
-			}
-			return 0
-		})
-	reg.GaugeFunc("gsgcn_mapped_bytes",
+		dlabels, func(st *State) float64 { return float64(st.ResidentBytes()) })
+	gauge("gsgcn_mapped_bytes",
 		"Bytes of the memory-mapped artifact backing the snapshot (0 when decoded to heap).",
-		dlabels, func() float64 {
-			if st := e.state.Load(); st != nil {
-				return float64(st.MappedBytes())
-			}
-			return 0
-		})
+		dlabels, func(st *State) float64 { return float64(st.MappedBytes()) })
 }
 
 // batcherInst holds the micro-batcher's histogram handles (nil on an

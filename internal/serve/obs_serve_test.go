@@ -181,8 +181,8 @@ func TestScrapeNeverBlocksOnReloadLocks(t *testing.T) {
 	ts := httptest.NewServer(reg)
 	defer ts.Close()
 
-	srv.eng.reloadMu.Lock()
-	defer srv.eng.reloadMu.Unlock()
+	srv.Engine().reloadMu.Lock()
+	defer srv.Engine().reloadMu.Unlock()
 	rt.swapMu.Lock()
 	defer rt.swapMu.Unlock()
 

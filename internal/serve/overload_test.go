@@ -19,7 +19,7 @@ func overloadServer(t *testing.T, opts Options) *Server {
 	m := testModel(t, ds, 2, "mean")
 	srv := NewServer(ds, opts)
 	t.Cleanup(srv.Close)
-	if _, err := srv.eng.Install(m); err != nil {
+	if _, err := srv.Install(m); err != nil {
 		t.Fatal(err)
 	}
 	return srv
@@ -204,7 +204,7 @@ func TestShedQueuePressure(t *testing.T) {
 		for _, pressured := range []bool{true, false} {
 			srv := NewServer(ds, Options{Workers: 1, ShedQueueHW: 4})
 			defer srv.Close()
-			if _, err := srv.eng.Install(m); err != nil {
+			if _, err := srv.Install(m); err != nil {
 				t.Fatal(err)
 			}
 			if pressured {
@@ -251,7 +251,7 @@ func TestShedQueuePressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := srv.eng.Install(m); err != nil {
+			if _, err := srv.Install(m); err != nil {
 				t.Fatal(err)
 			}
 			if pressured {
@@ -329,7 +329,7 @@ func TestSheddingPreservesAnswerBytes(t *testing.T) {
 	build := func(opts Options) *httptest.Server {
 		srv := NewServer(ds, opts)
 		t.Cleanup(srv.Close)
-		if _, err := srv.eng.Install(m); err != nil {
+		if _, err := srv.Install(m); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -14,10 +13,12 @@ import (
 )
 
 // Registry serves N independent models from one process. Each model
-// is a full single-model Server — its own Engine, checkpoint,
-// optional warm-start artifact, ANN configuration, micro-batcher and
+// is a full Server — its own engine per shard, checkpoint, optional
+// warm-start artifact, ANN configuration, micro-batchers and
 // snapshot/reload lifecycle — keyed by name and reached as
-// /models/{name}/embed|predict|topk|healthz|reload. The unprefixed
+// /models/{name}/embed|predict|topk|healthz|reload; unsharded and
+// sharded models mix freely, and dispatch, health listing and fleet
+// reload never distinguish them. The unprefixed
 // PR 2–4 routes keep working against a configured default model and
 // are byte-compatible with a single-model process: the registry
 // dispatches them to the default model's own handlers untouched.
@@ -36,7 +37,7 @@ import (
 // identical data serve from one in-memory graph and feature table.
 type Registry struct {
 	mu     sync.RWMutex
-	models map[string]ModelServer
+	models map[string]*Server
 	order  []string // registration order, for stable listings
 	def    string
 
@@ -56,49 +57,17 @@ type Registry struct {
 	inst      *modelMetrics
 }
 
-// ModelServer is what the registry requires of one registered model:
-// the full HTTP surface plus the lifecycle and status hooks. Both the
-// single-engine Server and the sharded Router implement it, so a
-// registry can mix unsharded and sharded models freely — the
-// dispatch, health listing and fleet reload code never distinguish
-// them.
-type ModelServer interface {
-	http.Handler
-	Load(path string) (uint64, error)
-	Reload() (uint64, error)
-	CheckpointPath() string
-	Close()
-	health() healthBody
-	modelInfo() modelInfo
-	instruments() *modelMetrics
-
-	// The wire-native query paths (see wire.go): the binary transport
-	// dispatches straight to these, bypassing HTTP parsing but running
-	// the same admission gate, deadline bound and micro-batcher.
-	wireEmbed(ctx context.Context, ids []int) (*EmbedResult, error)
-	wirePredict(ctx context.Context, ids []int) (*PredictResult, error)
-	wireTopK(q topkQuery, kSet bool) (*TopKResult, error)
-}
-
-// modelInfo is the configuration summary a ModelServer reports for
-// the registry's status surface (everything health() doesn't cover).
-type modelInfo struct {
-	artifact   string
-	annDefault bool
-	index      string // "built" | "lazy" | "none"
-	shards     int    // 0 = unsharded
-}
-
 // NewRegistry returns an empty registry. Add at least one model and
 // set (or default) a default before serving legacy routes.
 func NewRegistry() *Registry {
 	r := &Registry{
-		models: make(map[string]ModelServer),
+		models: make(map[string]*Server),
 		data:   make(map[uint64]*datasets.Dataset),
 		dataFP: make(map[*datasets.Dataset]uint64),
 		obs:    obs.NewRegistry(),
 	}
 	r.inst = newModelMetrics(r.obs, "", nil, []string{"/models", "/metrics"})
+	r.inst.all = true
 	return r
 }
 
@@ -117,17 +86,6 @@ func (r *Registry) SetAccessLog(l *obs.Logger) {
 	r.inst.log = l
 }
 
-// observe points a model's options at the registry's shared metrics
-// registry and access logger, labeling its series by model name.
-func (r *Registry) observe(name string, opts Options) Options {
-	opts.Obs = r.obs
-	opts.ModelName = name
-	r.mu.RLock()
-	opts.AccessLog = r.accessLog
-	r.mu.RUnlock()
-	return opts
-}
-
 // validModelName reports whether name can appear as a path segment:
 // nonempty, no slashes, none of the reserved spellings.
 func validModelName(name string) bool {
@@ -137,7 +95,7 @@ func validModelName(name string) bool {
 	return !strings.ContainsAny(name, "/\\ \t\n?#%")
 }
 
-// Add registers a model: a fresh single-model Server over ds with its
+// Add registers an unsharded model: a fresh Server over ds with its
 // own options. The first model added becomes the default until
 // SetDefault says otherwise. When ds has the same content fingerprint
 // as an earlier model's dataset, the earlier (identical) in-memory
@@ -147,48 +105,25 @@ func validModelName(name string) bool {
 // one graph's memory. No checkpoint is loaded yet; call Load on the
 // returned server.
 func (r *Registry) Add(name string, ds *datasets.Dataset, opts Options) (*Server, error) {
-	opts = r.observe(name, opts)
-	var srv *Server
-	err := r.register(name, ds, func(ds *datasets.Dataset) (ModelServer, error) {
-		srv = NewServer(ds, opts)
-		return srv, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return srv, nil
+	return r.AddSharded(name, ds, opts, 1, 0)
 }
 
-// AddSharded registers a sharded model: a Router scatter-gathering
-// over `shards` shard engines whose vertex ownership is keyed by
-// seed. Everything Add does — name validation, dataset dedup, default
-// election — applies identically; the registered model additionally
-// serves the /shards operations (see Router).
-func (r *Registry) AddSharded(name string, ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Router, error) {
-	opts = r.observe(name, opts)
-	var rt *Router
-	err := r.register(name, ds, func(ds *datasets.Dataset) (ModelServer, error) {
-		var err error
-		rt, err = NewRouter(ds, opts, shards, seed)
-		return rt, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-// register is the shared Add/AddSharded body: validate the name,
-// dedupe the dataset by content fingerprint, build the model server
-// over the (possibly shared) dataset, and wire it into the listings.
-func (r *Registry) register(name string, ds *datasets.Dataset, build func(*datasets.Dataset) (ModelServer, error)) error {
+// AddSharded registers a model split across `shards` shard engines
+// whose vertex ownership is keyed by seed (see NewRouter). Everything
+// Add does — name validation, dataset dedup, default election —
+// applies identically; with more than one shard the registered model
+// additionally serves the /shards operations.
+func (r *Registry) AddSharded(name string, ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Server, error) {
 	if !validModelName(name) {
-		return fmt.Errorf("serve: invalid model name %q", name)
+		return nil, fmt.Errorf("serve: invalid model name %q", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// The model reports into the registry's shared metrics registry
+	// and access logger, its series labeled by model name.
+	opts.Obs, opts.ModelName, opts.AccessLog = r.obs, name, r.accessLog
 	if _, dup := r.models[name]; dup {
-		return fmt.Errorf("serve: model %q already registered", name)
+		return nil, fmt.Errorf("serve: model %q already registered", name)
 	}
 	fp, seen := r.dataFP[ds]
 	if !seen {
@@ -200,16 +135,16 @@ func (r *Registry) register(name string, ds *datasets.Dataset, build func(*datas
 	} else {
 		r.data[fp] = ds
 	}
-	srv, err := build(ds)
+	srv, err := NewRouter(ds, opts, shards, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.models[name] = srv
 	r.order = append(r.order, name)
 	if r.def == "" {
 		r.def = name
 	}
-	return nil
+	return srv, nil
 }
 
 // SetDefault names the model behind the unprefixed legacy routes.
@@ -232,7 +167,7 @@ func (r *Registry) Default() string {
 }
 
 // Get returns the named model's server.
-func (r *Registry) Get(name string) (ModelServer, bool) {
+func (r *Registry) Get(name string) (*Server, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	srv, ok := r.models[name]
@@ -264,11 +199,7 @@ func (r *Registry) Close() {
 // was — the single-model reload guarantee, aggregated.
 func (r *Registry) ReloadAll() map[string]error {
 	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	servers := make([]ModelServer, len(names))
-	for i, n := range names {
-		servers[i] = r.models[n]
-	}
+	names, servers := r.snapshot()
 	r.mu.RUnlock()
 	failures := make(map[string]error)
 	for i, n := range names {
@@ -277,6 +208,18 @@ func (r *Registry) ReloadAll() map[string]error {
 		}
 	}
 	return failures
+}
+
+// snapshot copies the registered names and servers in registration
+// order (r.mu held), so callers can walk the fleet without holding the
+// registry lock across reloads or status assembly.
+func (r *Registry) snapshot() ([]string, []*Server) {
+	names := append([]string(nil), r.order...)
+	servers := make([]*Server, len(names))
+	for i, n := range names {
+		servers[i] = r.models[n]
+	}
+	return names, servers
 }
 
 // modelStatus is one model's entry in the /models listing and the
@@ -302,7 +245,7 @@ type modelStatus struct {
 }
 
 // statusFor assembles the live status of one registered model.
-func (r *Registry) statusFor(name string, srv ModelServer) modelStatus {
+func (r *Registry) statusFor(name string, srv *Server) modelStatus {
 	info := srv.modelInfo()
 	return modelStatus{
 		Name:       name,
@@ -329,11 +272,7 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	servers := make([]ModelServer, len(names))
-	for i, n := range names {
-		servers[i] = r.models[n]
-	}
+	names, servers := r.snapshot()
 	r.mu.RUnlock()
 	body := listBody{Default: r.Default(), Models: make([]modelStatus, 0, len(names))}
 	for i, n := range names {
@@ -341,17 +280,6 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 	}
 	sort.SliceStable(body.Models, func(i, j int) bool { return body.Models[i].Name < body.Models[j].Name })
 	writeJSON(w, http.StatusOK, body)
-}
-
-// handleMetrics serves the global scrape: every family and series in
-// the shared registry, across all models and the registry itself.
-func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeErr(w, fmt.Errorf("%w: %s", errMethod, req.Method))
-		return
-	}
-	w.Header().Set("Content-Type", obs.TextContentType)
-	_ = r.obs.WriteText(w)
 }
 
 // ServeHTTP routes requests: /models lists, /metrics is the global
@@ -372,7 +300,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if path == "/metrics" {
-		r.inst.serve("/metrics", http.HandlerFunc(r.handleMetrics), w, req)
+		r.inst.serve("/metrics", http.HandlerFunc(r.inst.handleMetrics), w, req)
 		return
 	}
 	if rest, ok := strings.CutPrefix(path, "/models/"); ok {
@@ -389,7 +317,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			// the legacy /healthz fields, plus index residency), also
 			// served at the bare /models/{name}. Billed to the model's
 			// /healthz endpoint — it is that model's health surface.
-			srv.instruments().serve("/healthz", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			srv.inst.serve("/healthz", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 				if req.Method != http.MethodGet {
 					writeErr(w, fmt.Errorf("%w: %s", errMethod, req.Method))
 					return
@@ -398,29 +326,22 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			}), w, req)
 			return
 		}
-		for _, e := range perModelEndpoints {
-			if e.Pattern == "/"+sub {
-				// Hand the request to the model's own mux under the
-				// unprefixed spelling; a shallow copy keeps the caller's
-				// request (and its URL) untouched.
-				req2 := new(http.Request)
-				*req2 = *req
-				u2 := *req.URL
-				u2.Path = e.Pattern
-				req2.URL = &u2
-				srv.ServeHTTP(w, req2)
-				return
-			}
+		shardOp := sub == "shards" || strings.HasPrefix(sub, "shards/")
+		if shardOp && !srv.sharded() {
+			// Shard operations exist only on sharded models.
+			srv.inst.serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: model %q is not sharded", name)})
+			}), w, req)
+			return
 		}
-		if sub == "shards" || strings.HasPrefix(sub, "shards/") {
-			// Shard operations exist only on sharded models; the Router
-			// hand-routes the exact sub-path itself.
-			if _, sharded := srv.(*Router); !sharded {
-				srv.instruments().serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-					writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: model %q is not sharded", name)})
-				}), w, req)
-				return
-			}
+		served := shardOp
+		for _, e := range perModelEndpoints {
+			served = served || e.Pattern == "/"+sub
+		}
+		if served {
+			// Hand the request to the model's own mux under the
+			// unprefixed spelling; a shallow copy keeps the caller's
+			// request (and its URL) untouched.
 			req2 := new(http.Request)
 			*req2 = *req
 			u2 := *req.URL

@@ -164,7 +164,7 @@ func TestRegistryReloadAllIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, load := range []struct {
-		srv  ModelServer
+		srv  *Server
 		path string
 	}{{srvA, ckptA}, {srvB, ckptB}, {rtC, ckptC}} {
 		if _, err := load.srv.Load(load.path); err != nil {
@@ -186,7 +186,7 @@ func TestRegistryReloadAllIsolation(t *testing.T) {
 		t.Errorf("model a version after fleet reload = %d, want 2", stA.Version)
 	}
 	for i := 0; i < rtC.Shards(); i++ {
-		if st, _ := rtC.Engine(i).Snapshot(); st.Version != 2 {
+		if st, _ := rtC.Shard(i).Snapshot(); st.Version != 2 {
 			t.Errorf("model c shard %d version = %d, want 2", i, st.Version)
 		}
 	}
@@ -202,7 +202,7 @@ func TestRegistryReloadAllIsolation(t *testing.T) {
 	}
 	stA, _ = srvA.Engine().Snapshot()
 	stB, _ := srvB.Engine().Snapshot()
-	stC, _ := rtC.Engine(0).Snapshot()
+	stC, _ := rtC.Shard(0).Snapshot()
 	if stA.Version != 3 || stC.Version != 3 {
 		t.Errorf("healthy models after partial failure: a=%d c=%d, want 3", stA.Version, stC.Version)
 	}

@@ -18,7 +18,7 @@ import (
 
 // newTestRouter builds a loaded router over the standard test
 // dataset/checkpoint.
-func newTestRouter(t *testing.T, opts Options, shards int, seed uint64, ckpt string) *Router {
+func newTestRouter(t *testing.T, opts Options, shards int, seed uint64, ckpt string) *Server {
 	t.Helper()
 	ds := testDataset(t, false)
 	rt, err := NewRouter(ds, opts, shards, seed)
@@ -402,7 +402,7 @@ func TestRouterWarmStart(t *testing.T) {
 	defer warm.Close()
 
 	for i := 0; i < shards; i++ {
-		st, err := warm.Engine(i).Snapshot()
+		st, err := warm.Shard(i).Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func TestRouterShardArtifactMismatch(t *testing.T) {
 	rt := newTestRouter(t, swapOpts, shards, 1, ckpt)
 	defer rt.Close()
 	for i := 0; i < shards; i++ {
-		st, err := rt.Engine(i).Snapshot()
+		st, err := rt.Shard(i).Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +513,7 @@ func TestRouterReloadEndpoint(t *testing.T) {
 		t.Errorf("reload version = %d, want 2", rb.Version)
 	}
 	for i := 0; i < rt.Shards(); i++ {
-		st, err := rt.Engine(i).Snapshot()
+		st, err := rt.Shard(i).Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +531,7 @@ func TestRouterReloadEndpoint(t *testing.T) {
 	resp.Body.Close()
 	for i := 0; i < rt.Shards(); i++ {
 		want := artifact.ShardPath("/tmp/nope.art", i, rt.Shards())
-		if got := rt.Engine(i).ArtifactPath(); got != want {
+		if got := rt.Shard(i).ArtifactPath(); got != want {
 			t.Errorf("shard %d artifact = %q, want %q", i, got, want)
 		}
 	}

@@ -1,40 +1,33 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
+	"path"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
+	"gsgcn/internal/artifact"
+	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
+	"gsgcn/internal/mat"
 	"gsgcn/internal/obs"
 )
-
-// errMethod marks requests using an unsupported HTTP method.
-var errMethod = errors.New("serve: method not allowed")
-
-// errNotOwned marks a query for a vertex a shard engine does not own.
-// The router never surfaces it — partition-aware routing sends every
-// id to its owner — so seeing it means a shard engine was addressed
-// directly with a foreign id.
-var errNotOwned = errors.New("serve: vertex not owned by this shard")
-
-// errShardDown marks a query whose owning shard is stopped; the
-// router returns it so clients can distinguish "this id is
-// temporarily unanswerable" (503, retryable) from a caller mistake.
-var errShardDown = errors.New("serve: owning shard is down")
 
 // maxQueryIDs bounds one request's id list; larger lookups should
 // page. It protects the micro-batcher from one request monopolizing
 // a batch.
 const maxQueryIDs = 4096
 
-// Server is the HTTP/JSON request layer over an inference Engine.
+// Server serves one model: N >= 1 shard Engines — each holding only
+// the embedding rows of the vertices it owns under a deterministic
+// partition.ShardMap — behind one micro-batcher per shard, one
+// admission gate, one obs middleware, one reload lifecycle and one
+// top-K memo. An unsharded model is a fleet of one whole-graph engine
+// (NewServer); NewRouter builds the same type over several shards.
 //
 // Endpoints:
 //
@@ -46,27 +39,86 @@ const maxQueryIDs = 4096
 //	GET      /metrics                 → Prometheus text exposition
 //	POST     /reload   {"path": "…"}  → hot-swap a new checkpoint
 //
-// POST bodies are JSON ({"ids":[…]}). Point queries arriving
-// concurrently are coalesced by the micro-batcher; every response
-// carries the snapshot version it was answered from. Every request
-// passes through the shared obs middleware (request/latency/error
-// metrics, optional structured access log) — observation-only, so
-// answers are bit-identical with instrumentation on or off.
+// POST bodies are JSON ({"ids":[…]}). The three query endpoints are
+// codecs over the transport-neutral operations in query.go, which the
+// negotiated binary encoding and the framed-TCP listener (wire.go)
+// share; every response carries the snapshot version it was answered
+// from. Every request passes through the shared obs middleware
+// (request/latency/error metrics, optional structured access log) —
+// observation-only, so answers are bit-identical with instrumentation
+// on or off.
+//
+// Routing is partition-aware. /embed and /predict group the queried
+// ids by owning shard, scatter one sub-query per owner, and stitch
+// the answers back in request order; every id touches exactly one
+// shard, and point queries arriving concurrently coalesce in that
+// shard's micro-batcher. /topk first fetches the query vertex's
+// embedding row from its owner, then probes every live shard and
+// merges the per-shard candidates through the same bounded-skiplist
+// total order (descending score, ascending id) the single-engine scan
+// uses — the order is insertion-order-insensitive, so in exact mode
+// the merged answer is byte-identical at every shard count and Workers
+// setting (test-enforced). In ann mode each shard searches its own
+// HNSW index: deterministic at a fixed shard count, but not across
+// shard counts (an index over a shard's rows is a different graph than
+// one over all rows — see docs/API.md).
+//
+// A model with more than one shard additionally serves the shard
+// operations (shardEndpoints), reports the fleet view in /healthz,
+// labels its per-shard metric series and warm-starts shard i from
+// artifact.ShardPath of the configured base. Every one of those is
+// decided by sharded(); an unsharded model's surface carries no trace
+// of shards.
+//
+// Failure semantics are degraded-not-dead: a stopped shard removes
+// only its vertices from service. /healthz always answers 200 and
+// reports per-shard status (ok / degraded / loading); requests whose
+// ids live on healthy shards keep answering bit-identically, requests
+// owned by a down shard fail 503, and /topk answers assembled while a
+// non-owning shard was down carry "degraded": true instead of
+// silently passing off a partial scan as the full one.
 type Server struct {
-	eng  *Engine
-	bat  *batcher
-	gate *admitGate
-	mux  *http.ServeMux
-	inst *modelMetrics
+	ds      *datasets.Dataset
+	opts    Options // resolved; ShardCount/ShardSeed describe the fleet
+	engines []*Engine
+	// bats micro-batch each shard's sub-queries: concurrent requests
+	// whose ids land on one shard coalesce into one gather there.
+	// Per-shard counts aggregate into the health body.
+	bats []*batcher
+	down []atomic.Bool
 
+	// gate is the model's admission control; its depth probe reads the
+	// deepest shard queue, because a scatter-gather answers at the pace
+	// of its slowest shard.
+	gate *admitGate
+
+	closed atomic.Bool
+
+	mux *http.ServeMux
+	// inst is the shared obs middleware; degraded counts queries
+	// refused because their owning shard was down plus top-K answers
+	// assembled while any shard was down (observation-only, exported
+	// only when sharded).
+	inst     *modelMetrics
+	degraded *obs.Counter
+
+	// mu guards ckptPath and artBase, the artifact base path each shard
+	// derives its own warm-start source from.
 	mu       sync.Mutex
 	ckptPath string
+	artBase  string
 
 	// swapMu serializes whole /reload sequences (artifact retarget →
 	// load → rollback on failure) so concurrent reloads cannot
 	// interleave their retargets and restores. It is never taken on
 	// the query or health paths.
 	swapMu sync.Mutex
+
+	// topkMemo memoizes merged /topk answers per (version, query) — the
+	// one memo on the served path. Answers computed while any shard was
+	// down are never memoized: they are partial by construction and
+	// must not outlive the outage.
+	topkMemo
 }
 
 // RouteDoc names one registered HTTP route: the methods it accepts
@@ -80,10 +132,10 @@ type RouteDoc struct {
 // perModelEndpoints enumerates the per-model endpoints. Each is
 // served twice: unprefixed against the default model (the PR 2–4
 // single-model surface, byte-compatible) and as /models/{name}/…
-// through a Registry. NewServer registers handlers from this table
-// and RegisteredRoutes derives the documented route list from it, so
-// an endpoint cannot be added without showing up in docs/API.md (the
-// coverage test in docs_test.go enforces the link).
+// through a Registry. The constructor registers handlers from this
+// table and RegisteredRoutes derives the documented route list from
+// it, so an endpoint cannot be added without showing up in
+// docs/API.md (the coverage test in docs_test.go enforces the link).
 var perModelEndpoints = []RouteDoc{
 	{"GET, POST", "/embed"},
 	{"GET, POST", "/predict"},
@@ -91,6 +143,16 @@ var perModelEndpoints = []RouteDoc{
 	{"GET", "/healthz"},
 	{"GET", "/metrics"},
 	{"POST", "/reload"},
+}
+
+// shardEndpoints enumerates the shard-operations routes a sharded
+// model adds on top of the per-model endpoints. Like
+// perModelEndpoints, the table is the single source both the handlers
+// and the documented route list derive from.
+var shardEndpoints = []RouteDoc{
+	{"GET", "/shards"},
+	{"POST", "/shards/{i}/stop"},
+	{"POST", "/shards/{i}/start"},
 }
 
 // RegisteredRoutes returns every HTTP route a Registry-fronted
@@ -107,17 +169,12 @@ func RegisteredRoutes() []RouteDoc {
 		// per-model status body).
 		{"GET", "/models/{name}"},
 	}
-	for _, e := range perModelEndpoints {
-		routes = append(routes, RouteDoc{e.Methods, "/models/{name}" + e.Pattern})
-	}
-	for _, e := range shardEndpoints {
-		routes = append(routes, RouteDoc{e.Methods, "/models/{name}" + e.Pattern})
-	}
-	for _, e := range perModelEndpoints {
-		routes = append(routes, e)
-	}
-	for _, e := range shardEndpoints {
-		routes = append(routes, e)
+	for _, prefix := range []string{"/models/{name}", ""} {
+		for _, table := range [][]RouteDoc{perModelEndpoints, shardEndpoints} {
+			for _, e := range table {
+				routes = append(routes, RouteDoc{e.Methods, prefix + e.Pattern})
+			}
+		}
 	}
 	for _, e := range append([]RouteDoc(nil), routes...) {
 		routes = append(routes, RouteDoc{e.Methods, "/v1" + e.Pattern})
@@ -145,56 +202,144 @@ func notFoundHandler(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: unknown endpoint %q", stripV1(r.URL.Path))})
 }
 
-// handlerFor maps an endpoint pattern to its handler on s.
+// handlerFor maps a per-model endpoint pattern to its handler on s.
 func (s *Server) handlerFor(pattern string) http.HandlerFunc {
 	switch pattern {
 	case "/embed":
-		return s.handleEmbed
+		return func(w http.ResponseWriter, r *http.Request) { s.handlePoint(w, r, false) }
 	case "/predict":
-		return s.handlePredict
+		return func(w http.ResponseWriter, r *http.Request) { s.handlePoint(w, r, true) }
 	case "/topk":
 		return s.handleTopK
 	case "/healthz":
 		return s.handleHealthz
 	case "/metrics":
-		return s.handleMetrics
+		return s.inst.handleMetrics
 	case "/reload":
 		return s.handleReload
 	}
 	panic("serve: endpoint " + pattern + " has no handler")
 }
 
-// NewServer builds a server over ds. No checkpoint is loaded yet;
-// call Load (or POST /reload with a path) before serving queries.
+// NewServer builds an unsharded model server over ds: a fleet of one
+// whole-graph engine. No checkpoint is loaded yet; call Load (or POST
+// /reload with a path) before serving queries.
 func NewServer(ds *datasets.Dataset, opts Options) *Server {
+	return newServer(ds, opts, 1, 0)
+}
+
+// NewRouter builds a model server over ds split across shards Engines
+// whose vertex ownership is the deterministic ShardMap{shards, seed}.
+// Options.ArtifactPath, when set, is the fleet-wide artifact base —
+// shard i warm-starts from artifact.ShardPath(base, i, shards). With
+// shards == 1 the result is exactly NewServer's. No checkpoint is
+// loaded yet; call Load before serving queries.
+func NewRouter(ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Server, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("serve: shard count must be >= 1, got %d", shards)
+	}
+	return newServer(ds, opts, shards, seed), nil
+}
+
+func newServer(ds *datasets.Dataset, opts Options, shards int, seed uint64) *Server {
 	opts = opts.withDefaults()
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	eng := NewEngine(ds, opts)
-	s := &Server{eng: eng, bat: newBatcher(eng, eng.opts.MaxBatch)}
-	s.gate = newAdmitGate(eng.opts, func() int { return len(s.bat.reqs) })
-	s.gate.instrument(opts.Obs, map[string]string{"model": opts.ModelName})
-	s.bat.instrument(opts.Obs, map[string]string{"model": opts.ModelName})
-	s.inst = newModelMetrics(opts.Obs, opts.ModelName, opts.AccessLog, endpointPatterns(perModelEndpoints))
-	mux := http.NewServeMux()
+	opts.ShardCount, opts.ShardIndex, opts.ShardSeed = shards, 0, seed
+	s := &Server{
+		ds:       ds,
+		opts:     opts,
+		engines:  make([]*Engine, shards),
+		bats:     make([]*batcher, shards),
+		down:     make([]atomic.Bool, shards),
+		artBase:  opts.ArtifactPath,
+		degraded: new(obs.Counter),
+		topkMemo: topkMemo{cache: make(map[topkKey]*TopKResult)},
+	}
+	for i := range s.engines {
+		o := opts
+		o.ShardIndex = i
+		o.ArtifactPath = s.shardArtifact(opts.ArtifactPath, i)
+		s.engines[i] = NewEngine(ds, o)
+		s.bats[i] = newBatcher(s.engines[i], opts.MaxBatch)
+		s.bats[i].instrument(opts.Obs, o.seriesLabels())
+	}
+	s.gate = newAdmitGate(opts, func() int {
+		max := 0
+		for _, b := range s.bats {
+			if d := len(b.reqs); d > max {
+				max = d
+			}
+		}
+		return max
+	})
+	model := map[string]string{"model": opts.ModelName}
+	s.gate.instrument(opts.Obs, model)
+	s.mux = http.NewServeMux()
+	routes := perModelEndpoints
+	if s.sharded() {
+		routes = append(routes[:len(routes):len(routes)], shardEndpoints...)
+		// Shard operations are hand-routed below their subtree (the
+		// module targets pre-1.22 ServeMux, which has no wildcard
+		// patterns).
+		for _, prefix := range []string{"", "/v1"} {
+			s.mux.HandleFunc(prefix+"/shards", s.handleShards)
+			s.mux.HandleFunc(prefix+"/shards/", s.handleShardOp)
+		}
+		s.degraded = opts.Obs.Counter("gsgcn_degraded_queries_total",
+			"Queries refused because their owning shard was down, plus top-K answers assembled without a down shard's vertices.",
+			model)
+		for i := range s.engines {
+			up := &s.down[i]
+			opts.Obs.GaugeFunc("gsgcn_shard_up", "1 when the shard is in service, 0 while stopped.",
+				s.engines[i].opts.seriesLabels(), func() float64 { return flag(!up.Load()) })
+		}
+	}
+	s.inst = newModelMetrics(opts.Obs, opts.ModelName, opts.AccessLog, endpointPatterns(routes))
 	for _, e := range perModelEndpoints {
 		h := s.handlerFor(e.Pattern)
-		mux.HandleFunc(e.Pattern, h)
-		mux.HandleFunc("/v1"+e.Pattern, h)
+		s.mux.HandleFunc(e.Pattern, h)
+		s.mux.HandleFunc("/v1"+e.Pattern, h)
 	}
-	mux.HandleFunc("/", notFoundHandler)
-	s.mux = mux
+	s.mux.HandleFunc("/", notFoundHandler)
 	return s
 }
 
-// Engine exposes the underlying inference engine.
-func (s *Server) Engine() *Engine { return s.eng }
+// sharded is the one predicate (shards > 1, the same one that makes
+// an Engine a shard engine) behind every difference between a sharded
+// model's surface and an unsharded one's.
+func (s *Server) sharded() bool { return s.opts.sharded() }
 
-// Load installs the checkpoint at path and remembers it as the
-// default for subsequent Reload calls.
+// shardArtifact derives shard i's warm-start source from the artifact
+// base: its ShardPath on a fleet, the unsuffixed base when unsharded,
+// nothing when the warm path is disabled.
+func (s *Server) shardArtifact(base string, i int) string {
+	if base == "" || !s.sharded() {
+		return base
+	}
+	return artifact.ShardPath(base, i, len(s.engines))
+}
+
+// Engine exposes the inference engine of an unsharded model (shard 0
+// of a fleet).
+func (s *Server) Engine() *Engine { return s.engines[0] }
+
+// Shard returns shard i's engine (for tests and direct inspection).
+func (s *Server) Shard(i int) *Engine { return s.engines[i] }
+
+// Shards returns the model's shard count (1 when unsharded).
+func (s *Server) Shards() int { return len(s.engines) }
+
+// Load reads the checkpoint at path once, installs the model on every
+// shard and remembers the path as the default for subsequent Reload
+// calls, returning the new version.
 func (s *Server) Load(path string) (uint64, error) {
-	v, err := s.eng.LoadCheckpoint(path)
+	m, err := core.LoadModelFile(path)
+	if err != nil {
+		return 0, err
+	}
+	v, err := s.Install(m)
 	if err != nil {
 		return 0, err
 	}
@@ -207,13 +352,11 @@ func (s *Server) Load(path string) (uint64, error) {
 // Reload re-reads the last loaded checkpoint path and swaps the new
 // snapshot in without interrupting in-flight requests.
 func (s *Server) Reload() (uint64, error) {
-	s.mu.Lock()
-	path := s.ckptPath
-	s.mu.Unlock()
+	path := s.CheckpointPath()
 	if path == "" {
 		return 0, fmt.Errorf("serve: no checkpoint path to reload")
 	}
-	return s.eng.LoadCheckpoint(path)
+	return s.Load(path)
 }
 
 // CheckpointPath returns the checkpoint the server last loaded
@@ -224,26 +367,80 @@ func (s *Server) CheckpointPath() string {
 	return s.ckptPath
 }
 
-// Close stops the micro-batch dispatcher.
-func (s *Server) Close() { s.bat.close() }
+// Install publishes an in-memory model on every shard engine in
+// lockstep. The expensive whole-graph table compute is shared: the
+// first shard that misses its warm-start artifact runs it, every other
+// cold shard compacts from the same tables. Each engine bumps its
+// version by exactly one per install, and the only failure mode
+// (model/dataset shape mismatch) is identical across shards, so shard
+// versions can never diverge.
+func (s *Server) Install(m *core.Model) (uint64, error) {
+	var (
+		once  sync.Once
+		emb   *mat.Dense
+		norms []float64
+	)
+	full := func() (*mat.Dense, []float64) {
+		once.Do(func() { emb, norms = computeTables(m, s.ds, s.opts) })
+		return emb, norms
+	}
+	var version uint64
+	for i, e := range s.engines {
+		v, err := e.InstallShared(m, full)
+		if err != nil {
+			if s.sharded() {
+				err = fmt.Errorf("serve: shard %d: %w", i, err)
+			}
+			return 0, err
+		}
+		version = v
+	}
+	s.dropStale(version)
+	return version, nil
+}
+
+// Close marks the server closed and stops every shard's micro-batch
+// dispatcher; subsequent queries on every endpoint and transport fail
+// with the retryable errClosed.
+func (s *Server) Close() {
+	s.closed.Store(true)
+	for _, b := range s.bats {
+		b.close()
+	}
+}
+
+// setShardDown takes shard i out of service or returns it: while down
+// its vertices stop answering (503) and /healthz reports the fleet
+// degraded. The shard's snapshot is kept, so restoring service is
+// instant.
+func (s *Server) setShardDown(i int, down bool) error {
+	if i < 0 || i >= len(s.engines) {
+		return fmt.Errorf("serve: shard %d out of range [0,%d)", i, len(s.engines))
+	}
+	s.down[i].Store(down)
+	return nil
+}
 
 // ServeHTTP implements http.Handler. Every request — known endpoint
 // or not — runs under the obs middleware; unknown paths fold into the
-// catch-all endpoint label, and /v1 spellings share their alias's
-// label.
+// catch-all endpoint label, /v1 spellings share their alias's label,
+// and shard-operation paths are normalized to their documented
+// patterns so a shard index can never mint a label value.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.inst.serve(stripV1(r.URL.Path), s.mux, w, r)
-}
-
-// instruments exposes the server's obs middleware to the registry,
-// which bills its own per-model status route to the model it serves.
-func (s *Server) instruments() *modelMetrics { return s.inst }
-
-// handleMetrics serves the model-scoped Prometheus rows. Behind a
-// Registry the same handler backs /models/{name}/metrics, while the
-// registry's bare /metrics renders every model's rows.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.inst.handleMetrics(w, r)
+	endpoint := stripV1(r.URL.Path)
+	if rest, ok := strings.CutPrefix(endpoint, "/shards/"); ok {
+		if _, op, _ := strings.Cut(rest, "/"); op == "stop" || op == "start" {
+			endpoint = "/shards/{i}/" + op
+		}
+	}
+	var h http.Handler = s.mux
+	// A fleet has always answered an unclean path ("//embed",
+	// "/a/../embed") with the JSON 404; ServeMux 301s to the cleaned
+	// path, as it always has for an unsharded model.
+	if p := r.URL.Path; s.sharded() && p != "/" && path.Clean(p) != strings.TrimSuffix(p, "/") {
+		h = http.HandlerFunc(notFoundHandler)
+	}
+	s.inst.serve(endpoint, h, w, r)
 }
 
 // writeJSON emits v with the given status.
@@ -253,89 +450,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-	// Reason classifies overload-protection rejections machine-readably
-	// — "shed" (queue high-water mark), "quota" (QPS limit), "deadline"
-	// (per-request deadline expired), "canceled" (client went away).
-	// Absent on every other error, so pre-existing error bodies are
-	// byte-identical.
-	Reason string `json:"reason,omitempty"`
-}
-
-// statusFor maps engine errors onto HTTP statuses: server-side
-// conditions (no model loaded yet, server closing) are 503 so
-// retry policies keyed on 4xx-vs-5xx treat them as retryable,
-// shed requests are 429 (back off and retry), expired deadlines are
-// 504, unsupported methods are 405, and everything else surfaced
-// here is a caller mistake.
-func statusFor(err error) int {
-	switch {
-	case err == nil:
-		return http.StatusOK
-	case errors.Is(err, errShed), errors.Is(err, errQuota):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		// The client disconnected; the status is for the log line, not
-		// the (gone) client. 503 keeps it in the retryable class.
-		return http.StatusServiceUnavailable
-	case errors.Is(err, errClosed), errors.Is(err, errShardDown):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, errNotOwned):
-		return http.StatusNotFound
-	case errors.Is(err, errMethod):
-		return http.StatusMethodNotAllowed
-	case strings.Contains(err.Error(), "no model loaded"):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusBadRequest
-}
-
-// reasonFor classifies overload-protection errors for the structured
-// error body ("" for everything else).
-func reasonFor(err error) string {
-	switch {
-	case errors.Is(err, errShed):
-		return "shed"
-	case errors.Is(err, errQuota):
-		return "quota"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	}
-	return ""
-}
-
-func writeErr(w http.ResponseWriter, err error) {
-	writeJSON(w, statusFor(err), errorBody{Error: err.Error(), Reason: reasonFor(err)})
-}
-
-// boundCtx bounds a query context by the configured per-model
-// deadline when one is set. It backs both transports: HTTP handlers
-// pass the request context (canceled by net/http on disconnect), the
-// wire listener its per-connection context.
-func boundCtx(ctx context.Context, deadline time.Duration) (context.Context, context.CancelFunc) {
-	if deadline <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, deadline)
-}
-
-// queryCtx derives the context an HTTP query runs under.
-func queryCtx(r *http.Request, deadline time.Duration) (context.Context, context.CancelFunc) {
-	return boundCtx(r.Context(), deadline)
-}
-
 // parseVertexID is the one vertex-id parser for every query
 // endpoint: plain base-10 digits, nothing else. strconv.Atoi is
 // deliberately not used directly — it accepts "+3" and "-0", and
 // ad-hoc trimming made "%203" valid on one endpoint and a 400 on
 // another. Every endpoint rejecting the same surface forms with the
-// same error text is what makes the router's scatter paths
-// byte-identical to a single process on malformed input too.
+// same error text is what keeps malformed input byte-identical across
+// shard counts too.
 func parseVertexID(tok string) (int, error) {
 	bad := func() (int, error) {
 		return 0, fmt.Errorf("serve: bad vertex id %q (want plain decimal digits)", tok)
@@ -356,15 +477,16 @@ func parseVertexID(tok string) (int, error) {
 }
 
 // parseIDs extracts the queried vertex ids from ?ids=… or a JSON
-// body {"ids":[…]}.
+// body {"ids":[…]} — the HTTP surface form only; the id-list bounds
+// every transport shares are checked by the point operation.
 func parseIDs(r *http.Request) ([]int, error) {
-	var ids []int
 	switch r.Method {
 	case http.MethodGet:
 		raw := r.URL.Query().Get("ids")
 		if raw == "" {
 			return nil, fmt.Errorf("serve: missing ids parameter")
 		}
+		var ids []int
 		for _, tok := range strings.Split(raw, ",") {
 			id, err := parseVertexID(tok)
 			if err != nil {
@@ -372,6 +494,7 @@ func parseIDs(r *http.Request) ([]int, error) {
 			}
 			ids = append(ids, id)
 		}
+		return ids, nil
 	case http.MethodPost:
 		var body struct {
 			IDs []int `json:"ids"`
@@ -379,87 +502,14 @@ func parseIDs(r *http.Request) ([]int, error) {
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 			return nil, fmt.Errorf("serve: bad JSON body: %w", err)
 		}
-		ids = body.IDs
-	default:
-		return nil, fmt.Errorf("%w: %s", errMethod, r.Method)
+		return body.IDs, nil
 	}
-	if err := checkQueryIDs(ids); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return nil, fmt.Errorf("%w: %s", errMethod, r.Method)
 }
 
-// checkQueryIDs enforces the id-list bounds every transport shares:
-// HTTP and wire requests reject empty and oversized lists with
-// identical error text (the cross-transport equivalence contract).
-func checkQueryIDs(ids []int) error {
-	if len(ids) == 0 {
-		return fmt.Errorf("serve: no ids given")
-	}
-	if len(ids) > maxQueryIDs {
-		return fmt.Errorf("serve: %d ids exceeds the per-request limit of %d", len(ids), maxQueryIDs)
-	}
-	return nil
-}
-
-func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.admit()
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	defer release()
-	ids, err := parseIDs(r)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	ctx, cancel := queryCtx(r, s.eng.opts.Deadline)
-	defer cancel()
-	res, batch, err := s.bat.Embed(ctx, ids)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	annotBatch(r.Context(), batch)
-	writeEmbedRes(w, r, res)
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.admit()
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	defer release()
-	ids, err := parseIDs(r)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	ctx, cancel := queryCtx(r, s.eng.opts.Deadline)
-	defer cancel()
-	res, batch, err := s.bat.Predict(ctx, ids)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	annotBatch(r.Context(), batch)
-	writePredictRes(w, r, res)
-}
-
-// topkQuery is a parsed /topk request.
-type topkQuery struct {
-	id, k int
-	mode  string
-	ef    int
-}
-
-// parseTopKQuery validates a /topk request for a graph of the given
-// vertex count. It is shared by the single-engine handler and the
-// scatter-gather router so both reject exactly the same surface forms
-// with the same bodies.
-func parseTopKQuery(r *http.Request, vertices int, annEnabled bool) (topkQuery, error) {
+// parseTopKQuery validates a /topk request against the model's graph
+// and defaults.
+func (s *Server) parseTopKQuery(r *http.Request) (topkQuery, error) {
 	if r.Method != http.MethodGet {
 		return topkQuery{}, fmt.Errorf("%w: %s", errMethod, r.Method)
 	}
@@ -478,10 +528,10 @@ func parseTopKQuery(r *http.Request, vertices int, annEnabled bool) (topkQuery, 
 			return topkQuery{}, fmt.Errorf("serve: bad k parameter %q", raw)
 		}
 	}
-	// Validate the mode string before parsing ef so a doubly-invalid
+	// The mode is resolved before ef is parsed so a doubly-invalid
 	// request reports the bad mode first, as it always has.
-	mode := q.Get("mode")
-	if _, err := resolveTopK(topkQuery{mode: mode}, true, vertices, annEnabled); err != nil {
+	ann, err := s.opts.queryMode(q.Get("mode"))
+	if err != nil {
 		return topkQuery{}, err
 	}
 	ef := 0
@@ -490,53 +540,20 @@ func parseTopKQuery(r *http.Request, vertices int, annEnabled bool) (topkQuery, 
 			return topkQuery{}, fmt.Errorf("serve: bad ef parameter %q (want a positive integer)", raw)
 		}
 	}
-	return resolveTopK(topkQuery{id: id, k: k, mode: mode, ef: ef}, kSet, vertices, annEnabled)
+	return resolveTopK(topkQuery{id: id, k: k, ann: ann, ef: ef}, kSet, s.ds.G.NumVertices())
 }
 
-// resolveTopK applies the semantic top-K rules both transports share
-// once their surface forms are parsed: the unset-k default clamped to
-// the graph, mode-string validation, and the ef-requires-ann rule.
-// Keeping them in one resolver is what makes a wire request and its
-// HTTP twin succeed or fail with identical error text.
-func resolveTopK(q topkQuery, kSet bool, vertices int, annEnabled bool) (topkQuery, error) {
-	if !kSet {
-		// The client sent no k: clamp the server-side default to the
-		// graph rather than rejecting it for exceeding |V|-1 (an
-		// explicit out-of-range k is still an error).
-		q.k = 10
-		if q.k > vertices-1 {
-			q.k = vertices - 1
-		}
-	}
-	switch q.mode {
-	case ModeAuto, ModeExact, ModeANN:
-	default:
-		return topkQuery{}, fmt.Errorf("serve: bad mode parameter %q (want exact or ann)", q.mode)
-	}
-	if q.ef != 0 && (q.mode == ModeExact || (q.mode == ModeAuto && !annEnabled)) {
-		return topkQuery{}, fmt.Errorf("serve: ef applies only to mode=ann")
-	}
-	return q, nil
+// handlePoint is the HTTP codec of the point operation: /embed
+// (predict false) and /predict.
+func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, predict bool) {
+	res, err := s.point(r.Context(), func() ([]int, error) { return parseIDs(r) }, predict)
+	writeQuery(w, r, res, err)
 }
 
+// handleTopK is the HTTP codec of the top-K operation.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.admit()
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	defer release()
-	tq, err := parseTopKQuery(r, s.eng.ds.G.NumVertices(), s.eng.opts.ANN)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	res, err := s.eng.TopKWith(tq.id, tq.k, tq.mode, tq.ef)
-	if err != nil {
-		writeQueryErr(w, r, err)
-		return
-	}
-	writeTopKRes(w, r, res)
+	res, err := s.topK(r.Context(), func() (topkQuery, error) { return s.parseTopKQuery(r) })
+	writeQuery(w, r, res, err)
 }
 
 type healthBody struct {
@@ -557,59 +574,213 @@ type healthBody struct {
 	Coalescing   float64 `json:"coalescing"`
 }
 
-// health assembles the single-model health body. It is the one
-// source of truth for both the legacy /healthz response and the
-// per-model extended status (modelStatus embeds healthBody), so the
-// documented "per-model healthz is a superset of legacy /healthz"
-// invariant holds by construction.
+// shardState is one shard's entry in GET /shards and a sharded
+// model's /healthz shard detail.
+type shardState struct {
+	Shard    int    `json:"shard"`
+	Status   string `json:"status"` // "ok" | "down" | "loading"
+	Vertices int    `json:"vertices"`
+	Version  uint64 `json:"version,omitempty"`
+	Warm     bool   `json:"warm_start,omitempty"`
+}
+
+// routerHealth is the sharded /healthz body: the health fields every
+// model reports plus the fleet view.
+type routerHealth struct {
+	healthBody
+	Shards      int          `json:"shards"`
+	ShardSeed   uint64       `json:"shard_seed"`
+	ShardsDown  int          `json:"shards_down"`
+	ShardDetail []shardState `json:"shard_detail"`
+}
+
+// shardsBody is the GET /shards response.
+type shardsBody struct {
+	Shards    int          `json:"shards"`
+	ShardSeed uint64       `json:"shard_seed"`
+	Detail    []shardState `json:"detail"`
+}
+
+// shardStates assembles the live per-shard status list.
+func (s *Server) shardStates() []shardState {
+	out := make([]shardState, len(s.engines))
+	for i, e := range s.engines {
+		ss := shardState{Shard: i, Status: "loading", Vertices: len(e.owned)}
+		if st, err := e.Snapshot(); err == nil {
+			ss.Status = "ok"
+			ss.Version = st.Version
+			ss.Warm = st.WarmStart
+		}
+		if s.down[i].Load() {
+			ss.Status = "down"
+		}
+		out[i] = ss
+	}
+	return out
+}
+
+// health assembles the model's health body, aggregated over its
+// shards. It is the one source of truth for the legacy /healthz
+// response, the sharded one (routerHealth embeds it) and the per-model
+// extended status (modelStatus embeds it), so the documented
+// "per-model healthz is a superset of legacy /healthz" invariant holds
+// by construction. Status is "ok" (every shard serving), "degraded"
+// (some shard down or still loading while others serve) or "loading"
+// (nothing serving yet); the endpoint always answers HTTP 200 — a down
+// shard degrades the fleet, it does not kill it.
 func (s *Server) health() healthBody {
 	body := healthBody{
 		Status:   "loading",
-		Vertices: s.eng.ds.G.NumVertices(),
-		Edges:    s.eng.ds.G.NumEdges(),
-		Classes:  s.eng.ds.NumClasses,
-		Dtype:    s.eng.opts.Dtype.String(),
+		Vertices: s.ds.G.NumVertices(),
+		Edges:    s.ds.G.NumEdges(),
+		Classes:  s.ds.NumClasses,
+		Dtype:    s.opts.Dtype.String(),
 	}
-	if st, err := s.eng.Snapshot(); err == nil {
+	loaded, downCount := 0, 0
+	warmAll := true
+	for i, e := range s.engines {
+		if s.down[i].Load() {
+			downCount++
+		}
+		st, err := e.Snapshot()
+		if err != nil {
+			warmAll = false
+			continue
+		}
+		loaded++
+		if body.Version == 0 {
+			body.Version = st.Version
+			body.ModelVersion = st.ModelVersion
+			body.Dim = st.Dim()
+			body.Dtype = st.Dtype().String()
+			body.WarmNote = st.WarmNote
+		}
+		// Memory-plane bytes sum across the fleet: the per-process
+		// answer a capacity planner wants.
+		body.ResidentB += st.ResidentBytes()
+		body.MappedB += st.MappedBytes()
+		warmAll = warmAll && st.WarmStart
+	}
+	switch {
+	case loaded == 0:
+	case downCount > 0 || loaded < len(s.engines):
+		body.Status = "degraded"
+	default:
 		body.Status = "ok"
-		body.Version = st.Version
-		body.ModelVersion = st.ModelVersion
-		body.Dim = st.Dim()
-		body.WarmStart = st.WarmStart
-		body.WarmNote = st.WarmNote
-		body.Dtype = st.Dtype().String()
-		body.ResidentB = st.ResidentBytes()
-		body.MappedB = st.MappedBytes()
 	}
-	body.Batches, body.Queries = s.bat.Stats()
+	body.WarmStart = loaded > 0 && warmAll
+	// Aggregate the per-shard micro-batcher counts so every shard
+	// count reports the same batching fields (parity is test-enforced).
+	for _, b := range s.bats {
+		bb, qq := b.Stats()
+		body.Batches += bb
+		body.Queries += qq
+	}
 	if body.Batches > 0 {
 		body.Coalescing = float64(body.Queries) / float64(body.Batches)
 	}
 	return body
 }
 
-// modelInfo reports the registry-facing configuration summary of an
-// unsharded model.
+// modelInfo is the configuration summary the registry's status
+// surface adds to health().
+type modelInfo struct {
+	artifact   string
+	annDefault bool
+	index      string // "built" | "lazy" | "none"
+	shards     int    // 0 = unsharded
+}
+
 func (s *Server) modelInfo() modelInfo {
-	info := modelInfo{
-		artifact:   s.eng.ArtifactPath(),
-		annDefault: s.eng.opts.ANN,
-		index:      "none",
+	s.mu.Lock()
+	base := s.artBase
+	s.mu.Unlock()
+	info := modelInfo{artifact: base, annDefault: s.opts.ANN, index: "none"}
+	if s.sharded() {
+		info.shards = len(s.engines)
 	}
-	if st, err := s.eng.Snapshot(); err == nil {
-		if st.IndexReady() {
+	built, loaded := true, 0
+	for _, e := range s.engines {
+		if st, err := e.Snapshot(); err == nil {
+			loaded++
+			built = built && st.IndexReady()
+		}
+	}
+	if loaded > 0 {
+		info.index = "lazy"
+		if built && loaded == len(s.engines) {
 			info.index = "built"
-		} else {
-			info.index = "lazy"
 		}
 	}
 	return info
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
+	if !s.sharded() {
+		writeJSON(w, http.StatusOK, s.health())
+		return
+	}
+	detail := s.shardStates()
+	downCount := 0
+	for _, ss := range detail {
+		if ss.Status == "down" {
+			downCount++
+		}
+	}
+	writeJSON(w, http.StatusOK, routerHealth{
+		healthBody:  s.health(),
+		Shards:      len(s.engines),
+		ShardSeed:   s.opts.ShardSeed,
+		ShardsDown:  downCount,
+		ShardDetail: detail,
+	})
 }
 
+func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeErr(w, fmt.Errorf("%w: %s", errMethod, r.Method))
+		return
+	}
+	writeJSON(w, http.StatusOK, shardsBody{
+		Shards:    len(s.engines),
+		ShardSeed: s.opts.ShardSeed,
+		Detail:    s.shardStates(),
+	})
+}
+
+// handleShardOp serves POST /shards/{i}/stop and /shards/{i}/start.
+func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
+	rest, _ := strings.CutPrefix(stripV1(r.URL.Path), "/shards/")
+	idxStr, op, _ := strings.Cut(rest, "/")
+	i, err := strconv.Atoi(idxStr)
+	if err != nil || op != "stop" && op != "start" {
+		notFoundHandler(w, r)
+		return
+	}
+	if r.Method != http.MethodPost {
+		writeErr(w, fmt.Errorf("%w: %s", errMethod, r.Method))
+		return
+	}
+	if err := s.setShardDown(i, op == "stop"); err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, s.shardStates()[i])
+}
+
+// reloadBody is the successful /reload response.
+type reloadBody struct {
+	Version      uint64 `json:"version"`
+	ModelVersion uint64 `json:"model_version"`
+	WarmStart    bool   `json:"warm_start"`
+	WarmNote     string `json:"warm_note,omitempty"`
+}
+
+// handleReload hot-swaps a checkpoint: {"path": …} loads a new one,
+// no path re-reads the last, and {"artifact": base} retargets every
+// shard's warm-start source to its ShardPath under the new base
+// before the load — all-or-nothing, so shard warm sources can never
+// point at mixed bases.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "serve: reload requires POST"})
@@ -642,9 +813,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	defer s.swapMu.Unlock()
 	restoreArtifact := func() {}
 	if body.Artifact != nil {
-		prev := s.eng.ArtifactPath()
-		s.eng.SetArtifactPath(*body.Artifact)
-		restoreArtifact = func() { s.eng.SetArtifactPath(prev) }
+		prevBase := s.setArtifactBase(*body.Artifact)
+		restoreArtifact = func() { s.setArtifactBase(prevBase) }
 	}
 	var (
 		v   uint64
@@ -660,22 +830,35 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	// Answer from the snapshot the reload just installed — including
-	// its warm-start outcome, so a reload that switched artifacts (or
-	// lost one) reports the state /healthz will now show.
-	st, _ := s.eng.Snapshot()
-	writeJSON(w, http.StatusOK, reloadBody{
-		Version:      v,
-		ModelVersion: st.ModelVersion,
-		WarmStart:    st.WarmStart,
-		WarmNote:     st.WarmNote,
-	})
+	// Answer from the snapshots the reload just installed — including
+	// their warm-start outcome, so a reload that switched artifacts (or
+	// lost one) reports the state /healthz will now show: warm only
+	// when every shard warmed, with the first note explaining a
+	// fallback.
+	res := reloadBody{Version: v, WarmStart: true}
+	for _, e := range s.engines {
+		st, serr := e.Snapshot()
+		if serr != nil {
+			continue
+		}
+		res.ModelVersion = st.ModelVersion
+		res.WarmStart = res.WarmStart && st.WarmStart
+		if res.WarmNote == "" {
+			res.WarmNote = st.WarmNote
+		}
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
-// reloadBody is the successful /reload response.
-type reloadBody struct {
-	Version      uint64 `json:"version"`
-	ModelVersion uint64 `json:"model_version"`
-	WarmStart    bool   `json:"warm_start"`
-	WarmNote     string `json:"warm_note,omitempty"`
+// setArtifactBase retargets the artifact base — every shard engine's
+// warm-start source becomes its shardArtifact under base — and returns
+// the previous base. Callers hold swapMu.
+func (s *Server) setArtifactBase(base string) (prev string) {
+	s.mu.Lock()
+	prev, s.artBase = s.artBase, base
+	s.mu.Unlock()
+	for i, e := range s.engines {
+		e.SetArtifactPath(s.shardArtifact(base, i))
+	}
+	return prev
 }

@@ -1,17 +1,24 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
+	"gsgcn/internal/wire"
 )
 
 // doReq issues one request and returns status, the decoded error body
@@ -116,15 +123,11 @@ func TestTopKDefaultKClampedToTinyGraph(t *testing.T) {
 		Name: "tiny", Vertices: 8, TargetEdges: 20,
 		FeatureDim: 4, NumClasses: 2, Seed: 3,
 	})
-	eng := NewEngine(ds, Options{Workers: 1})
+	srv := NewServer(ds, Options{Workers: 1, MaxBatch: 1})
 	m := core.NewModel(ds, core.Config{Layers: 2, Hidden: 4, Workers: 1, Seed: 17})
-	if _, err := eng.Install(m); err != nil {
+	if _, err := srv.Install(m); err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{eng: eng, bat: newBatcher(eng, 1)}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/topk", srv.handleTopK)
-	srv.mux = mux
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -215,5 +218,182 @@ func TestReloadDuringQueries(t *testing.T) {
 	// A failed reload must not have disturbed the serving snapshot.
 	if health.Version != 5 {
 		t.Errorf("version after 1 load + 4 reloads = %d, want 5", health.Version)
+	}
+}
+
+// TestTopKOneSnapshotUnderReload alternates two checkpoints under
+// concurrent top-K queries and checks every answer against the
+// reference for the version it reports: a query must take its vector
+// and scan its table in one snapshot, never one version's vector
+// against the next version's table (which would also be memoized
+// under the wrong version).
+func TestTopKOneSnapshotUnderReload(t *testing.T) {
+	ds := testDataset(t, false)
+	dir := t.TempDir()
+	ckpts := []string{trainAndSave(t, ds, 1, dir), trainAndSave(t, ds, 2, dir)}
+	const ids, k = 64, 3
+	var want [2][ids][]Neighbor
+	for c, path := range ckpts {
+		ref := NewEngine(ds, Options{Workers: 1})
+		if _, err := ref.LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		for id := range want[c] {
+			res, err := ref.TopKWith(id, k, ModeExact, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[c][id] = res.Neighbors
+		}
+	}
+	srv := NewServer(ds, Options{Workers: 1, TopKCache: 256})
+	defer srv.Close()
+	if _, err := srv.Load(ckpts[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := i % ids
+				res, err := srv.topK(context.Background(), func() (topkQuery, error) {
+					return topkQuery{id: id, k: k}, nil // mode exact
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+				// Version v was loaded from ckpts[(v-1)%2].
+				got := res.(*TopKResult)
+				if ref := want[(got.Version-1)%2][id]; !reflect.DeepEqual(got.Neighbors, ref) {
+					errs <- fmt.Errorf("id %d at version %d: got %v, want %v", id, got.Version, got.Neighbors, ref)
+					return
+				}
+			}
+		}(g)
+	}
+	for v := 2; v <= 400; v++ {
+		if _, err := srv.Load(ckpts[(v-1)%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestErrorTableAcrossTransports walks every row of errorTable — each
+// sentinel bare and wrapped the way a fleet install wraps a shard's
+// error — plus the no-row default, and requires the row's (status,
+// reason) and the error's own message to come back identically over
+// HTTP-JSON, the negotiated wire encoding and a framed-TCP exchange.
+// The error is injected where a transport hands its decoded request
+// to the operation, so it crosses the real operation and the real
+// codecs; no status is ever chosen from the message text.
+func TestErrorTableAcrossTransports(t *testing.T) {
+	ds := testDataset(t, false)
+	reg := NewRegistry()
+	defer reg.Close()
+	srv, err := reg.Add("m", ds, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type want struct {
+		err    error
+		status int
+		reason string
+	}
+	cases := []want{{errors.New("serve: no model loaded, says a caller mistake"), http.StatusBadRequest, ""}}
+	for _, row := range errorTable {
+		cases = append(cases,
+			want{row.err, row.status, row.reason},
+			want{fmt.Errorf("serve: shard %d: %w", 1, row.err), row.status, row.reason})
+	}
+	if len(cases) != 1+2*9 {
+		t.Fatalf("errorTable has %d rows; update this walk", len(errorTable))
+	}
+
+	for _, tc := range cases {
+		for _, predict := range []bool{false, true} {
+			res, err := srv.point(context.Background(), func() ([]int, error) { return nil, tc.err }, predict)
+			if err != tc.err {
+				t.Fatalf("point passed %v through as %v", tc.err, err)
+			}
+
+			// HTTP-JSON.
+			rec := httptest.NewRecorder()
+			writeQuery(rec, httptest.NewRequest("GET", "/embed", nil), res, err)
+			var body errorBody
+			if jerr := json.Unmarshal(rec.Body.Bytes(), &body); jerr != nil {
+				t.Fatalf("%v: JSON body %q: %v", tc.err, rec.Body, jerr)
+			}
+			if rec.Code != tc.status || body.Reason != tc.reason || body.Error != tc.err.Error() {
+				t.Errorf("%v over JSON = %d %+v, want %d %q", tc.err, rec.Code, body, tc.status, tc.reason)
+			}
+
+			// Negotiated wire body over HTTP.
+			wantFrame := wire.ErrorResponse{Status: tc.status, Reason: tc.reason, Message: tc.err.Error()}
+			rec = httptest.NewRecorder()
+			req := httptest.NewRequest("GET", "/embed", nil)
+			req.Header.Set("Accept", wire.ContentType)
+			writeQuery(rec, req, res, err)
+			frame, _, derr := wire.Decode(rec.Body.Bytes())
+			if got, ok := frame.(*wire.ErrorResponse); derr != nil || !ok || rec.Code != tc.status || *got != wantFrame {
+				t.Errorf("%v over negotiated wire = %d %#v (%v), want %+v", tc.err, rec.Code, frame, derr, wantFrame)
+			}
+		}
+	}
+
+	// Framed TCP: the rows a frame can reach end to end answer with the
+	// same table lookups — no model loaded, a closed server, and the
+	// 400 default.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go reg.ServeWire(ln)
+	c := dialWire(t, ln.Addr().String())
+	exchange := func(req wire.Message, want wire.ErrorResponse) {
+		t.Helper()
+		c.send(req)
+		if got, ok := c.recv().(*wire.ErrorResponse); !ok || *got != want {
+			t.Errorf("%T over TCP = %#v, want %+v", req, got, want)
+		}
+	}
+	exchange(&wire.EmbedRequest{IDs: []int{1}},
+		wire.ErrorResponse{Status: http.StatusServiceUnavailable, Message: errNoModel.Error()})
+	exchange(&wire.TopKRequest{ID: 1, K: 2},
+		wire.ErrorResponse{Status: http.StatusServiceUnavailable, Message: errNoModel.Error()})
+	exchange(&wire.PredictRequest{},
+		wire.ErrorResponse{Status: http.StatusBadRequest, Message: "serve: no ids given"})
+	srv.Close()
+	exchange(&wire.PredictRequest{IDs: []int{1}},
+		wire.ErrorResponse{Status: http.StatusServiceUnavailable, Message: errClosed.Error()})
+	// And every row, through the frame codec the listener writes with.
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := wire.WriteMessage(&buf, wireErrFor(tc.err)); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.ReadMessage(bufio.NewReader(&buf))
+		wantFrame := wire.ErrorResponse{Status: tc.status, Reason: tc.reason, Message: tc.err.Error()}
+		if got, ok := frame.(*wire.ErrorResponse); err != nil || !ok || *got != wantFrame {
+			t.Errorf("%v as a TCP frame = %#v (%v), want %+v", tc.err, frame, err, wantFrame)
+		}
 	}
 }

@@ -65,6 +65,18 @@ func computeTables(m *core.Model, ds *datasets.Dataset, opts Options) (*mat.Dens
 	return emb, norms
 }
 
+// modelFits checks that m's input and output widths are the dataset's
+// feature and class counts — the one way a model can fail to install.
+func modelFits(m *core.Model, ds *datasets.Dataset) error {
+	if got, want := m.Layers[0].InDim, ds.FeatureDim(); got != want {
+		return fmt.Errorf("serve: model expects %d input features, dataset has %d", got, want)
+	}
+	if got, want := m.Head.OutDim, ds.NumClasses; got != want {
+		return fmt.Errorf("serve: model predicts %d classes, dataset has %d", got, want)
+	}
+	return nil
+}
+
 // BuildSnapshot computes the serving tables offline — exactly the
 // arithmetic Engine.Install runs on a cold start — and packages them
 // as an artifact snapshot: the full-graph embedding table, its cosine
@@ -74,20 +86,11 @@ func computeTables(m *core.Model, ds *datasets.Dataset, opts Options) (*mat.Dens
 // cmd/gsgcn-index and loaded by a server is byte-equal to what that
 // server would have computed itself.
 func BuildSnapshot(ds *datasets.Dataset, m *core.Model, opts Options, withIndex bool) (*artifact.Snapshot, error) {
-	opts = opts.withDefaults()
-	if got, want := m.Layers[0].InDim, ds.FeatureDim(); got != want {
-		return nil, fmt.Errorf("serve: model expects %d input features, dataset has %d", got, want)
+	snaps, err := BuildShardSnapshots(ds, m, opts, withIndex, 1, 0)
+	if err != nil {
+		return nil, err
 	}
-	if got, want := m.Head.OutDim, ds.NumClasses; got != want {
-		return nil, fmt.Errorf("serve: model predicts %d classes, dataset has %d", got, want)
-	}
-	emb, norms := computeTables(m, ds, opts)
-	snap := &artifact.Snapshot{Meta: artifactMetaFor(m, ds), Emb: emb, Norms: norms}
-	if withIndex {
-		snap.Index = ann.Build(emb, norms, opts.annParams(), opts.Workers)
-	}
-	quantizeSnapshot(snap, opts)
-	return snap, nil
+	return snaps[0], nil
 }
 
 // quantizeSnapshot attaches the dtype payload the options select to a
@@ -111,47 +114,37 @@ func quantizeSnapshot(snap *artifact.Snapshot, opts Options) {
 }
 
 // BuildShardSnapshots computes the per-shard serving artifacts of a
-// sharded fleet: one whole-graph table pass (the expensive part runs
-// once, not once per shard), compacted to each shard's owned rows in
-// ascending owned-id order — exactly the compaction a shard engine's
-// cold start performs, so every shard artifact is byte-equal to what
-// that shard would have computed itself. With withIndex, each shard
-// additionally gets the deterministic HNSW index over its own rows
-// (the index a shard engine's lazy ann path would build). shards == 1
-// degenerates to one whole-graph snapshot identical to BuildSnapshot.
+// model: one whole-graph table pass (the expensive part runs once, not
+// once per shard), compacted to each shard's owned rows in ascending
+// owned-id order — exactly the compaction a shard engine's cold start
+// performs, so every shard artifact is byte-equal to what that shard
+// would have computed itself. With withIndex, each shard additionally
+// gets the deterministic HNSW index over its own rows (the index a
+// shard engine's lazy ann path would build). A fleet of one keeps the
+// whole-graph table and the unsharded meta: BuildSnapshot's artifact.
 func BuildShardSnapshots(ds *datasets.Dataset, m *core.Model, opts Options, withIndex bool, shards int, shardSeed uint64) ([]*artifact.Snapshot, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("serve: shard count must be >= 1, got %d", shards)
 	}
-	if shards == 1 {
-		snap, err := BuildSnapshot(ds, m, opts, withIndex)
-		if err != nil {
-			return nil, err
-		}
-		return []*artifact.Snapshot{snap}, nil
+	if err := modelFits(m, ds); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
-	if got, want := m.Layers[0].InDim, ds.FeatureDim(); got != want {
-		return nil, fmt.Errorf("serve: model expects %d input features, dataset has %d", got, want)
-	}
-	if got, want := m.Head.OutDim, ds.NumClasses; got != want {
-		return nil, fmt.Errorf("serve: model predicts %d classes, dataset has %d", got, want)
-	}
 	emb, norms := computeTables(m, ds, opts)
 	sm := partition.ShardMap{Shards: shards, Seed: shardSeed}
-	meta := artifactMetaFor(m, ds)
 	out := make([]*artifact.Snapshot, shards)
-	for i := 0; i < shards; i++ {
-		owned := sm.Owned(ds.G.NumVertices(), i)
-		sub, subNorms := compactRows(emb, norms, owned)
-		sMeta := meta
-		sMeta.Shards = shards
-		sMeta.Shard = i
-		sMeta.ShardSeed = shardSeed
-		sMeta.ShardRows = len(owned)
-		snap := &artifact.Snapshot{Meta: sMeta, Emb: sub, Norms: subNorms}
+	for i := range out {
+		snap := &artifact.Snapshot{Meta: artifactMetaFor(m, ds), Emb: emb, Norms: norms}
+		if shards > 1 {
+			owned := sm.Owned(ds.G.NumVertices(), i)
+			snap.Emb, snap.Norms = compactRows(emb, norms, owned)
+			snap.Meta.Shards = shards
+			snap.Meta.Shard = i
+			snap.Meta.ShardSeed = shardSeed
+			snap.Meta.ShardRows = len(owned)
+		}
 		if withIndex {
-			snap.Index = ann.Build(sub, subNorms, opts.annParams(), opts.Workers)
+			snap.Index = ann.Build(snap.Emb, snap.Norms, opts.annParams(), opts.Workers)
 		}
 		// Each shard trains its own codebook over its own rows — the
 		// same per-shard quantization a shard engine derives in

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gsgcn/internal/artifact"
@@ -246,5 +249,31 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 	}
 	if st3.WarmNote == "" {
 		t.Fatal("mismatch fallback left no note")
+	}
+}
+
+// TestWarmV1ArtifactFallsBackCold pins the retirement of artifact
+// format 1: a v1 file with an intact trailer is refused with the typed
+// version error on both warm paths, the engine computes cold, and the
+// reason reaches /healthz as warm_note.
+func TestWarmV1ArtifactFallsBackCold(t *testing.T) {
+	ds := testDataset(t, false)
+	m := testModel(t, ds, 2, "mean")
+	v1 := append([]byte("GSGCNART"), 1, 0, 0, 0, 0, 0, 0, 0) // version 1, empty header
+	v1 = binary.LittleEndian.AppendUint64(v1, crc64.Checksum(v1, crc64.MakeTable(crc64.ECMA)))
+	path := filepath.Join(t.TempDir(), "v1.art")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		srv := NewServer(ds, Options{Workers: 1, ArtifactPath: path, Mmap: mmap})
+		defer srv.Close()
+		if _, err := srv.Install(m); err != nil {
+			t.Fatal(err)
+		}
+		health := srv.health()
+		if health.Status != "ok" || health.WarmStart || !strings.Contains(health.WarmNote, "format version 1") {
+			t.Errorf("mmap=%v: health after a v1 artifact = %+v", mmap, health)
+		}
 	}
 }

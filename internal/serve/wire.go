@@ -15,12 +15,11 @@ import (
 
 // This file is the serving plane's binary-transport integration: the
 // HTTP content negotiation that lets any query endpoint answer with a
-// wire frame instead of JSON, the wire-native query paths on Server
-// and Router (same admission gate, deadline bound and micro-batcher as
-// the HTTP handlers), and the registry's persistent-connection TCP
-// listener. Both transports answer from identical result structs, so
-// a decoded wire answer is bit-identical to the JSON answer
-// (test-enforced in pkg/client).
+// wire frame instead of JSON, and the registry's persistent-connection
+// TCP listener, whose frames run the same operations (query.go) as the
+// HTTP handlers. Every transport answers from identical result
+// structs, so a decoded wire answer is bit-identical to the JSON
+// answer (test-enforced in pkg/client).
 
 // wantsWire reports whether the request negotiated the binary wire
 // encoding for its response body.
@@ -52,188 +51,58 @@ func wireError(status int, reason, msg string) *wire.ErrorResponse {
 	return &wire.ErrorResponse{Status: status, Reason: reason, Message: msg}
 }
 
-// wireErrFor maps a handler error to its wire frame: the same status,
-// reason and message the JSON envelope carries, so both transports
-// fail identically.
+// wireErrFor maps a query error to its wire frame: the same errorTable
+// status and reason and the same message the JSON envelope carries,
+// so every transport fails identically.
 func wireErrFor(err error) *wire.ErrorResponse {
-	return wireError(statusFor(err), reasonFor(err), err.Error())
+	status, reason := classify(err)
+	return wireError(status, reason, err.Error())
 }
 
-// writeQueryErr writes a query error in the negotiated encoding.
-func writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
-	if wantsWire(r) {
-		writeWire(w, statusFor(err), wireErrFor(err))
-		return
+// wireResp converts a query operation's result to its response frame.
+func wireResp(res any) wire.Message {
+	switch res := res.(type) {
+	case *EmbedResult:
+		// The point frames mirror their results field for field, so the
+		// compiler checks the conversion (struct tags do not count).
+		return (*wire.EmbedResponse)(res)
+	case *PredictResult:
+		return (*wire.PredictResponse)(res)
+	case *TopKResult:
+		mode, _ := wire.ModeByte(res.Mode)
+		nbs := make([]wire.Neighbor, len(res.Neighbors))
+		for i, n := range res.Neighbors {
+			nbs[i] = wire.Neighbor{ID: n.ID, Score: n.Score}
+		}
+		return &wire.TopKResponse{
+			Version:      res.Version,
+			ModelVersion: res.ModelVersion,
+			ID:           res.ID,
+			K:            res.K,
+			Mode:         mode,
+			Ef:           res.Ef,
+			Degraded:     res.Degraded,
+			Neighbors:    nbs,
+		}
 	}
-	writeErr(w, err)
+	panic(fmt.Sprintf("serve: no wire frame for %T", res))
 }
 
-func wireEmbedResp(res *EmbedResult) *wire.EmbedResponse {
-	return &wire.EmbedResponse{
-		Version:      res.Version,
-		ModelVersion: res.ModelVersion,
-		Dim:          res.Dim,
-		IDs:          res.IDs,
-		Vectors:      res.Vectors,
+// writeQuery writes a query operation's outcome — answer or error — in
+// the negotiated encoding. Only the query endpoints negotiate —
+// control-plane bodies (health, reload, listings) stay JSON-only.
+func writeQuery(w http.ResponseWriter, r *http.Request, res any, err error) {
+	switch {
+	case err != nil && wantsWire(r):
+		frame := wireErrFor(err)
+		writeWire(w, frame.Status, frame)
+	case err != nil:
+		writeErr(w, err)
+	case wantsWire(r):
+		writeWire(w, http.StatusOK, wireResp(res))
+	default:
+		writeJSON(w, http.StatusOK, res)
 	}
-}
-
-func wirePredictResp(res *PredictResult) *wire.PredictResponse {
-	return &wire.PredictResponse{
-		Version:      res.Version,
-		ModelVersion: res.ModelVersion,
-		Classes:      res.Classes,
-		MultiLabel:   res.MultiLabel,
-		IDs:          res.IDs,
-		Labels:       res.Labels,
-		Probs:        res.Probs,
-	}
-}
-
-func wireTopKResp(res *TopKResult) *wire.TopKResponse {
-	mode, _ := wire.ModeByte(res.Mode)
-	nbs := make([]wire.Neighbor, len(res.Neighbors))
-	for i, n := range res.Neighbors {
-		nbs[i] = wire.Neighbor{ID: n.ID, Score: n.Score}
-	}
-	return &wire.TopKResponse{
-		Version:      res.Version,
-		ModelVersion: res.ModelVersion,
-		ID:           res.ID,
-		K:            res.K,
-		Mode:         mode,
-		Ef:           res.Ef,
-		Degraded:     res.Degraded,
-		Neighbors:    nbs,
-	}
-}
-
-// writeEmbedRes / writePredictRes / writeTopKRes write a successful
-// query answer in the negotiated encoding. Only the query endpoints
-// negotiate — control-plane bodies (health, reload, listings) stay
-// JSON-only.
-func writeEmbedRes(w http.ResponseWriter, r *http.Request, res *EmbedResult) {
-	if wantsWire(r) {
-		writeWire(w, http.StatusOK, wireEmbedResp(res))
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func writePredictRes(w http.ResponseWriter, r *http.Request, res *PredictResult) {
-	if wantsWire(r) {
-		writeWire(w, http.StatusOK, wirePredictResp(res))
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func writeTopKRes(w http.ResponseWriter, r *http.Request, res *TopKResult) {
-	if wantsWire(r) {
-		writeWire(w, http.StatusOK, wireTopKResp(res))
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// wireEmbed answers an embed request arriving over the binary
-// transport: the same admission gate, id-count validation, deadline
-// bound and micro-batcher the HTTP handler uses, minus the HTTP
-// surface parsing. Concurrent wire requests coalesce into micro-
-// batches exactly like concurrent HTTP requests.
-func (s *Server) wireEmbed(ctx context.Context, ids []int) (*EmbedResult, error) {
-	release, err := s.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if err := checkQueryIDs(ids); err != nil {
-		return nil, err
-	}
-	ctx, cancel := boundCtx(ctx, s.eng.opts.Deadline)
-	defer cancel()
-	res, _, err := s.bat.Embed(ctx, ids)
-	return res, err
-}
-
-// wirePredict is wireEmbed for predictions.
-func (s *Server) wirePredict(ctx context.Context, ids []int) (*PredictResult, error) {
-	release, err := s.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if err := checkQueryIDs(ids); err != nil {
-		return nil, err
-	}
-	ctx, cancel := boundCtx(ctx, s.eng.opts.Deadline)
-	defer cancel()
-	res, _, err := s.bat.Predict(ctx, ids)
-	return res, err
-}
-
-// wireTopK answers a top-K request arriving over the binary transport,
-// applying the same defaulting/validation rules as the HTTP query
-// parser (resolveTopK) so both transports reject identical requests
-// with identical error text.
-func (s *Server) wireTopK(q topkQuery, kSet bool) (*TopKResult, error) {
-	release, err := s.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	tq, err := resolveTopK(q, kSet, s.eng.ds.G.NumVertices(), s.eng.opts.ANN)
-	if err != nil {
-		return nil, err
-	}
-	return s.eng.TopKWith(tq.id, tq.k, tq.mode, tq.ef)
-}
-
-// wireEmbed scatters a wire embed request across the shard fleet —
-// the Router-side twin of Server.wireEmbed.
-func (rt *Router) wireEmbed(ctx context.Context, ids []int) (*EmbedResult, error) {
-	release, err := rt.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if err := checkQueryIDs(ids); err != nil {
-		return nil, err
-	}
-	ctx, cancel := boundCtx(ctx, rt.opts.Deadline)
-	defer cancel()
-	res, _, err := rt.embed(ctx, ids)
-	return res, err
-}
-
-// wirePredict is the Router-side twin of Server.wirePredict.
-func (rt *Router) wirePredict(ctx context.Context, ids []int) (*PredictResult, error) {
-	release, err := rt.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if err := checkQueryIDs(ids); err != nil {
-		return nil, err
-	}
-	ctx, cancel := boundCtx(ctx, rt.opts.Deadline)
-	defer cancel()
-	res, _, err := rt.predict(ctx, ids)
-	return res, err
-}
-
-// wireTopK is the Router-side twin of Server.wireTopK.
-func (rt *Router) wireTopK(q topkQuery, kSet bool) (*TopKResult, error) {
-	release, err := rt.gate.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	tq, err := resolveTopK(q, kSet, rt.ds.G.NumVertices(), rt.opts.ANN)
-	if err != nil {
-		return nil, err
-	}
-	return rt.TopKWith(tq.id, tq.k, tq.mode, tq.ef)
 }
 
 // ServeWire accepts persistent wire-protocol connections on l and
@@ -300,19 +169,25 @@ func (r *Registry) serveWireConn(conn net.Conn) {
 	<-done
 }
 
-// answerWire dispatches one decoded request frame to its model and
-// converts the answer (or error) back to a frame. Every frame counts
-// toward gsgcn_requests_total{transport="wire"} under the model it
-// addressed (the registry's own label for unresolvable frames).
+// answerWire is the framed-TCP codec: it resolves the model a decoded
+// request frame addresses, runs the frame's operation and converts
+// the answer (or error) back to a frame. Every frame counts toward
+// gsgcn_requests_total{transport="wire"} under the model it addressed
+// (the registry's own label for unresolvable frames).
 func (r *Registry) answerWire(ctx context.Context, msg wire.Message) wire.Message {
-	var model string
+	var (
+		model   string
+		ids     []int
+		predict bool
+		topk    *wire.TopKRequest
+	)
 	switch m := msg.(type) {
 	case *wire.EmbedRequest:
-		model = m.Model
+		model, ids = m.Model, m.IDs
 	case *wire.PredictRequest:
-		model = m.Model
+		model, ids, predict = m.Model, m.IDs, true
 	case *wire.TopKRequest:
-		model = m.Model
+		model, topk = m.Model, m
 	default:
 		r.inst.countWire()
 		return wireError(http.StatusBadRequest, "",
@@ -323,47 +198,42 @@ func (r *Registry) answerWire(ctx context.Context, msg wire.Message) wire.Messag
 		r.inst.countWire()
 		return errResp
 	}
-	srv.instruments().countWire()
-	switch m := msg.(type) {
-	case *wire.EmbedRequest:
-		res, err := srv.wireEmbed(ctx, m.IDs)
-		if err != nil {
-			return wireErrFor(err)
-		}
-		return wireEmbedResp(res)
-	case *wire.PredictRequest:
-		res, err := srv.wirePredict(ctx, m.IDs)
-		if err != nil {
-			return wireErrFor(err)
-		}
-		return wirePredictResp(res)
-	case *wire.TopKRequest:
-		mode, ok := wire.ModeString(m.Mode)
-		if !ok {
-			// Surface the unknown byte through the same bad-mode error
-			// the HTTP parser emits for an unknown mode string.
-			mode = fmt.Sprintf("0x%02x", m.Mode)
-		}
-		res, err := srv.wireTopK(topkQuery{id: m.ID, k: m.K, mode: mode, ef: m.Ef}, m.K != 0)
-		if err != nil {
-			return wireErrFor(err)
-		}
-		return wireTopKResp(res)
+	srv.inst.countWire()
+	var (
+		res any
+		err error
+	)
+	if topk == nil {
+		res, err = srv.point(ctx, func() ([]int, error) { return ids, nil }, predict)
+	} else {
+		res, err = srv.topK(ctx, func() (topkQuery, error) {
+			mode, ok := wire.ModeString(topk.Mode)
+			if !ok {
+				// Surface the unknown byte through the same bad-mode
+				// error the HTTP parser emits for an unknown mode string.
+				mode = fmt.Sprintf("0x%02x", topk.Mode)
+			}
+			ann, err := srv.opts.queryMode(mode)
+			if err != nil {
+				return topkQuery{}, err
+			}
+			return resolveTopK(topkQuery{id: topk.ID, k: topk.K, ann: ann, ef: topk.Ef}, topk.K != 0, srv.ds.G.NumVertices())
+		})
 	}
-	return nil // unreachable: the first switch rejected non-requests
+	if err != nil {
+		return wireErrFor(err)
+	}
+	return wireResp(res)
 }
 
 // wireModel resolves a request frame's model name exactly as HTTP
 // dispatch does: empty addresses the default model, with the same
 // error statuses and messages for unknown names and an empty registry.
-func (r *Registry) wireModel(name string) (ModelServer, *wire.ErrorResponse) {
+func (r *Registry) wireModel(name string) (*Server, *wire.ErrorResponse) {
 	if name == "" {
-		def := r.Default()
-		if def == "" {
+		if name = r.Default(); name == "" {
 			return nil, wireError(http.StatusServiceUnavailable, "", "serve: no models registered")
 		}
-		srv, _ := r.Get(def)
-		return srv, nil
 	}
 	srv, ok := r.Get(name)
 	if !ok {

@@ -52,7 +52,7 @@ func startFleet(tb testing.TB, workers, shards int) *fleet {
 	reg := serve.NewRegistry()
 	tb.Cleanup(reg.Close)
 	opts := serve.Options{Workers: workers, ANN: true, ANNEf: 16}
-	var ms serve.ModelServer
+	var ms *serve.Server
 	var err error
 	if shards > 1 {
 		ms, err = reg.AddSharded("m", ds, opts, shards, 42)

@@ -7,10 +7,9 @@
 //
 //	{"package": "...", "trajectory": [entry, entry, ...]}
 //
-// A legacy single-run file (top-level "benchmarks") is migrated into
-// the first trajectory entry. Re-running on the same commit replaces
-// that commit's entry rather than appending a duplicate, so `make
-// bench` is idempotent within one PR.
+// Re-running on the same commit replaces that commit's entry rather
+// than appending a duplicate, so `make bench` is idempotent within one
+// PR.
 package main
 
 import (
@@ -98,9 +97,9 @@ func run(path, commit, date string, in io.Reader) error {
 	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }
 
-// load reads an existing trajectory file, migrating the legacy
-// single-run layout ({"go", "package", "benchmarks"}) into a
-// one-entry trajectory. A missing file starts an empty one.
+// load reads an existing trajectory file. A missing file starts an
+// empty one; anything that is not a trajectory is refused rather than
+// overwritten.
 func load(path string) (*trajectory, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -110,14 +109,8 @@ func load(path string) (*trajectory, error) {
 		return nil, err
 	}
 	var traj trajectory
-	if err := json.Unmarshal(raw, &traj); err == nil && traj.Trajectory != nil {
-		return &traj, nil
+	if err := json.Unmarshal(raw, &traj); err != nil || traj.Trajectory == nil {
+		return nil, fmt.Errorf("%s is not a trajectory file", path)
 	}
-	var legacy entry
-	if err := json.Unmarshal(raw, &legacy); err != nil || len(legacy.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s is neither a trajectory nor a legacy run file", path)
-	}
-	pkg := legacy.Package
-	legacy.Package = ""
-	return &trajectory{Package: pkg, Trajectory: []entry{legacy}}, nil
+	return &traj, nil
 }

@@ -64,25 +64,6 @@ func TestTrajectoryAccumulates(t *testing.T) {
 	}
 }
 
-// TestLegacyMigration feeds a pre-trajectory single-run file and
-// checks it becomes the first entry rather than being clobbered.
-func TestLegacyMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := os.WriteFile(path, []byte(runEntry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(path, "ccc", "2026-08-08", strings.NewReader(runEntry)); err != nil {
-		t.Fatal(err)
-	}
-	traj := readTraj(t, path)
-	if len(traj.Trajectory) != 2 || traj.Trajectory[0].Commit != "" || traj.Trajectory[1].Commit != "ccc" {
-		t.Fatalf("migration: got %+v", traj)
-	}
-	if traj.Package != "./x" || traj.Trajectory[0].Package != "" {
-		t.Fatalf("package field should hoist to the top level: %+v", traj)
-	}
-}
-
 // TestRejectsGarbage pins the error paths: junk stdin, an empty run,
 // and an unrecognizable existing file.
 func TestRejectsGarbage(t *testing.T) {
@@ -100,5 +81,13 @@ func TestRejectsGarbage(t *testing.T) {
 	}
 	if err := run(bad, "c", "d", strings.NewReader(runEntry)); err == nil {
 		t.Error("unrecognizable existing file accepted")
+	}
+	// A bare single-run file (the retired pre-trajectory layout) is
+	// refused like any other non-trajectory, never clobbered.
+	if err := os.WriteFile(bad, []byte(runEntry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(bad, "c", "d", strings.NewReader(runEntry)); err == nil {
+		t.Error("single-run file accepted as a trajectory")
 	}
 }
