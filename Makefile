@@ -9,8 +9,8 @@ GO ?= go
 
 # Coverage ratchet: `make cover` fails when total statement coverage
 # drops below this floor. The floor trails the measured total by a
-# small slack (85.7% when set); raise it as coverage rises, never
-# lower it.
+# small slack (85.2% over every package but benchmark/ when last
+# measured); raise it as coverage rises, never lower it.
 COVER_FLOOR ?= 84.5
 
 # Bench-trajectory regression tolerance: `make bench` fails when a
@@ -74,9 +74,11 @@ race:
 # for `go tool cover -html` drill-downs, and the total must clear
 # COVER_FLOOR. -p 1 for the same reason as race: the perf package's
 # wall-clock assertions must not share the host with other packages'
-# test binaries.
+# test binaries. The benchmark package is left out of the profile: it
+# is a main package that drives subprocesses for minutes, which its
+# unit tests cannot, and `make bench` is what exercises it.
 cover:
-	$(GO) test -p 1 -coverprofile=coverage.out ./...
+	$(GO) test -p 1 -coverprofile=coverage.out $$($(GO) list ./... | grep -v '/benchmark$$')
 	@total=$$($(GO) tool cover -func=coverage.out | tail -n 1 | awk '{print $$NF}' | tr -d '%'); \
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' \

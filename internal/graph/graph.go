@@ -11,6 +11,8 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -153,31 +155,36 @@ type Subgraph struct {
 
 // Induce extracts the subgraph induced by the given vertex set
 // (duplicates tolerated, order irrelevant). The result's Orig mapping
-// is sorted ascending. Cost is O(|vs| log |vs| + Σ deg(v)).
+// is sorted ascending. Cost is O(|vs| log |vs| + Σ deg(v) + N/64),
+// with nothing kept between calls: safe from any number of goroutines.
 func (g *CSR) Induce(vs []int32) *Subgraph {
-	uniq := make([]int32, len(vs))
-	copy(uniq, vs)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	// Deduplicate in place.
-	n := 0
-	for i, v := range uniq {
-		if i == 0 || v != uniq[n-1] {
-			uniq[n] = v
-			n++
-		}
-	}
-	uniq = uniq[:n]
+	uniq := slices.Clone(vs)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
+	n := len(uniq)
 
-	local := make(map[int32]int32, n)
-	for i, v := range uniq {
-		local[v] = int32(i)
+	// A vertex's local id is its rank in uniq. member has a bit per
+	// vertex of g, set for the members of uniq, and before[i] counts
+	// the members below vertex 64*i: a lookup is two loads and a
+	// popcount, where a map paid a hash and a probe for each of the
+	// Σ deg(v) neighbours, most of them not in the set.
+	member := make([]uint64, (g.N+63)/64)
+	for _, v := range uniq {
+		member[v>>6] |= 1 << (v & 63)
+	}
+	before := make([]int32, len(member))
+	count := 0
+	for i, word := range member {
+		before[i] = int32(count)
+		count += bits.OnesCount64(word)
 	}
 	rowPtr := make([]int64, n+1)
 	var col []int32
 	for i, v := range uniq {
 		for _, w := range g.Neighbors(v) {
-			if lw, ok := local[w]; ok {
-				col = append(col, lw)
+			word, bit := member[w>>6], uint64(1)<<(w&63)
+			if word&bit != 0 {
+				col = append(col, before[w>>6]+int32(bits.OnesCount64(word&(bit-1))))
 			}
 		}
 		rowPtr[i+1] = int64(len(col))

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,6 +129,61 @@ func TestInduceWholeGraph(t *testing.T) {
 	sub := g.Induce(all)
 	if sub.NumEdges() != g.NumEdges() {
 		t.Errorf("whole-graph induce lost edges: %d vs %d", sub.NumEdges(), g.NumEdges())
+	}
+}
+
+// induceByMap is Induce as it was written first: sort, deduplicate,
+// then a map from parent id to local id.
+func induceByMap(g *CSR, vs []int32) *Subgraph {
+	seen := map[int32]bool{}
+	var uniq []int32
+	for _, v := range vs {
+		if !seen[v] {
+			seen[v] = true
+			uniq = append(uniq, v)
+		}
+	}
+	slices.Sort(uniq)
+	local := make(map[int32]int32, len(uniq))
+	for i, v := range uniq {
+		local[v] = int32(i)
+	}
+	rowPtr := make([]int64, len(uniq)+1)
+	var col []int32
+	for i, v := range uniq {
+		for _, w := range g.Neighbors(v) {
+			if lw, ok := local[w]; ok {
+				col = append(col, lw)
+			}
+		}
+		rowPtr[i+1] = int64(len(col))
+	}
+	return &Subgraph{CSR: &CSR{N: len(uniq), RowPtr: rowPtr, ColIdx: col}, Orig: uniq}
+}
+
+// TestInduceMatchesMapVersion: the bitmap-and-rank lookup gives the
+// map's subgraph exactly, on vertex multisets of every density, on
+// graphs whose size is and is not a multiple of the bitmap's word, and
+// with the first and last vertex (the ends of the bitmap) in the set.
+func TestInduceMatchesMapVersion(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 128, 517} {
+		g := randomGraph(t, n, 6*n, uint64(n))
+		r := rng.New(uint64(1000 + n))
+		for _, k := range []int{0, 1, n / 3, n, 3 * n} {
+			vs := make([]int32, k, k+2)
+			for i := range vs {
+				vs[i] = int32(r.Intn(n))
+			}
+			if k > 1 {
+				vs = append(vs, 0, int32(n-1))
+			}
+			got, want := g.Induce(vs), induceByMap(g, vs)
+			if got.N != want.N || !slices.Equal(got.Orig, want.Orig) ||
+				!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+				t.Fatalf("n=%d k=%d: Induce differs from the map version:\n got %+v %v\nwant %+v %v",
+					n, k, got.CSR, got.Orig, want.CSR, want.Orig)
+			}
+		}
 	}
 }
 

@@ -140,7 +140,6 @@ func TestRowOpsBitExactAcrossWorkers(t *testing.T) {
 		b := randMat(r, rows, 11)
 		cat := New(rows, 24)
 		ConcatCols(cat, a, b)
-		square := func(x float64) float64 { return x * x }
 		for _, w := range workerSweep {
 			catP := New(rows, 24)
 			ConcatColsP(catP, a, b, w)
@@ -150,12 +149,6 @@ func TestRowOpsBitExactAcrossWorkers(t *testing.T) {
 			SplitColsP(sa, sb, cat, w)
 			requireIdentical(t, "SplitColsP/a", sa, a)
 			requireIdentical(t, "SplitColsP/b", sb, b)
-
-			app := New(rows, 13)
-			Apply(app, a, square)
-			appP := New(rows, 13)
-			ApplyP(appP, a, square, w)
-			requireIdentical(t, "ApplyP", appP, app)
 
 			acc := randMat(rng.New(43), rows, 13)
 			accP := acc.Clone()

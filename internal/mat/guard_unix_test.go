@@ -63,12 +63,58 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 				t.Fatalf("n=%d: dot4[%d] = %v, want %v", n, j, v, want/2)
 			}
 		}
+		Relu(d, x)
+		ReluGate(d, x, y)
+		for i, v := range d {
+			if v != 0.5 {
+				t.Fatalf("n=%d: element %d = %v after the gate, want 0.5", n, i, v)
+			}
+		}
 		if useAVX2 { // below the cut-over the wrappers never reach these
 			axpyAVX2(d, x, 2)
 			addAVX2(d, y)
 			scaleAVX2(d, 2)
 			dotSink = dotAVX2(x, y)
 			dot4AVX2(out, x, rows, n)
+			reluAVX2(d, x)
+			reluGateAVX2(d, x, y)
+		}
+	}
+}
+
+// TestAxpyRowsStaysInsideItsSlices: the list kernel with its row, the
+// last of its source rows and the last of its alphas each ending on the
+// last bytes of an allocation — packed, and strided with the final
+// alpha and the final row cut off where their strides would run on.
+func TestAxpyRowsStaysInsideItsSlices(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		for _, count := range []int{1, 3, listMax} {
+			for _, lay := range []struct{ astride, gap int }{{1, 0}, {4, 2}} {
+				stride := n + lay.gap
+				d := guardedFloats(t, n)
+				src := guardedFloats(t, (count-1)*stride+n)
+				alpha := guardedFloats(t, (count-1)*lay.astride+1)
+				for i := range src {
+					src[i] = 0.25
+				}
+				for i := 0; i < count; i++ {
+					alpha[i*lay.astride] = float64(i % 3) // a third of the terms are skipped
+				}
+				want := 0.0
+				for i := 0; i < count; i++ {
+					want += float64(i%3) * 0.25
+				}
+				axpyRows(d, src, stride, alpha, lay.astride, count)
+				if useAVX2 {
+					axpyRowsAVX2(d, src, stride, alpha, lay.astride, count)
+					want *= 2
+				}
+				for i, v := range d {
+					if v != want {
+						t.Fatalf("n=%d count=%d astride=%d: element %d = %v, want %v", n, count, lay.astride, i, v, want)
+					}
+				}
+			}
 		}
 	}
 }

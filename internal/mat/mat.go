@@ -6,7 +6,9 @@
 // It plays the role of Intel MKL in the paper's C++ implementation
 // (the weight-application step, Section V-A, is a dense GEMM). The
 // multiplication kernels are loops over a handful of vector
-// primitives (simd.go: Axpy, Dot, AddTo, Scal) that run as AVX2
+// primitives (simd.go: Axpy, Dot, AddTo, Scal, and under a·b and aᵀ·b
+// the list kernel axpyRows, which keeps a stretch of an output row in
+// registers while it takes a whole tile's terms) that run as AVX2
 // assembly where the CPU has it and as portable Go loops elsewhere,
 // with the same bits either way. Every form keeps each output
 // element's sum in ascending k order and tiles only the loops around
@@ -36,26 +38,44 @@ const (
 	copyRowGrain = 64
 )
 
-// tileBytes is the size of the operand block each GEMM loop keeps in
-// the L1 cache while the other operand streams past it: rows of b in
-// a·b and a·bᵀ, rows of the accumulator in aᵀ·b. A tile changes which
-// rows are cached when they are used again, never the order in which
-// an output element's terms are added, so results do not depend on it.
-const tileBytes = 16 << 10
+// The GEMM loops keep a block of one operand in the L1 cache while the
+// other operand streams past it. A tile changes which rows are cached
+// when they are used again, never the order in which an output
+// element's terms are added, so results do not depend on its size. The
+// sizes are measured (one core of a Xeon with a 48 KB L1, the shapes of
+// BenchmarkMul, BenchmarkMulAT and BenchmarkMulBT):
+const (
+	// dotTileBytes is the tile of b's rows in a·bᵀ. Every row of it
+	// is read whole for each row of a; at 32 KB the hidden-128 layer's
+	// product measured 6-11% slower than at 16 KB.
+	dotTileBytes = 16 << 10
+	// listTileBytes is the tile of b's rows in a·b and aᵀ·b, whose
+	// kernel reads a tile one column panel at a time and pays a fixed
+	// price per call — a call, a compaction, a mispredicted loop exit
+	// per panel — that a longer list spreads thinner: 32 KB is 20%
+	// faster than 16 KB where half of a is zeros, and 48 KB, where the
+	// tile no longer shares the L1 with the rows streaming past, is
+	// slower again.
+	listTileBytes = 32 << 10
+)
 
 // tileMinCols is the narrowest row worth tiling for: below two cache
 // lines a row's cost is its call, not its cache misses, and every
 // extra pass over the other operand only adds to it.
 const tileMinCols = 16
 
-// tileRows is the number of rows, of the given width, in one tile of an
-// operand with that many rows.
-func tileRows(cols, rows int) int {
+// tileRows is the number of rows, of the given width, in one tile of
+// the given size of an operand with that many rows.
+func tileRows(cols, rows, tileBytes int) int {
 	if cols < tileMinCols {
 		return max(1, rows)
 	}
 	return max(1, tileBytes/(8*cols))
 }
+
+// listRows is the tile of the two forms whose inner loop is axpyRows,
+// which takes its terms from at most listMax rows at a time.
+func listRows(cols, rows int) int { return min(tileRows(cols, rows, listTileBytes), listMax) }
 
 // Dense is a row-major matrix. Data[i*Cols+j] is element (i, j).
 // The zero value is an empty matrix.
@@ -204,17 +224,12 @@ func mulRange(dst, a, b *Dense, lo, hi int) {
 	n := b.Cols
 	ka := a.Cols
 	clear(dst.Data[lo*n : hi*n])
-	axpy := axpyFor(n)
-	tile := tileRows(n, ka)
+	tile := listRows(n, ka)
 	for k0 := 0; k0 < ka; k0 += tile {
 		k1 := min(k0+tile, ka)
+		btile := b.Data[k0*n : k1*n]
 		for i := lo; i < hi; i++ {
-			drow := dst.Data[i*n : (i+1)*n]
-			for k, av := range a.Data[i*ka+k0 : i*ka+k1] {
-				if av != 0 {
-					axpy(drow, b.Data[(k0+k)*n:(k0+k+1)*n], av)
-				}
-			}
+			axpyRows(dst.Data[i*n:(i+1)*n], btile, n, a.Data[i*ka+k0:i*ka+k1], 1, k1-k0)
 		}
 	}
 }
@@ -255,28 +270,43 @@ func MulAT(dst, a, b *Dense, workers int) {
 		accumATRange(dst.Data, a, b, 0, a.Rows)
 		return
 	}
-	// shards > 1 always goes through per-shard partial buffers — even
-	// at workers == 1, where perf.Parallel degrades to a serial loop —
-	// so that every worker count performs the exact same additions in
-	// the exact same grouping.
+	// shards > 1 always goes through per-shard partial products — even
+	// at workers == 1 — so that every worker count performs the exact
+	// same additions in the exact same grouping: each partial starts
+	// from zero, and dst is zero plus the partials in shard order. One
+	// worker adds each partial to dst as soon as it is complete and
+	// reuses its buffer for the next; several workers need all of them
+	// at once.
 	size := k * n
+	live := shards
+	if workers <= 1 {
+		live = 1
+	}
 	buf, _ := mulATScratch.Get().(*[]float64)
-	if buf == nil || cap(*buf) < shards*size {
-		grown := make([]float64, shards*size)
+	if buf == nil || cap(*buf) < live*size {
+		grown := make([]float64, live*size)
 		buf = &grown
 	}
-	partials := (*buf)[:shards*size]
+	defer mulATScratch.Put(buf)
+	partials := (*buf)[:live*size]
+	if live == 1 {
+		dst.Zero()
+		for s := 0; s < shards; s++ {
+			clear(partials)
+			accumATRange(partials, a, b, s*a.Rows/shards, (s+1)*a.Rows/shards)
+			AddTo(dst.Data, partials)
+		}
+		return
+	}
 	perf.Parallel(shards, workers, func(_, slo, shi int) {
 		for s := slo; s < shi; s++ {
-			lo := s * a.Rows / shards
-			hi := (s + 1) * a.Rows / shards
 			p := partials[s*size : (s+1)*size]
 			clear(p)
-			accumATRange(p, a, b, lo, hi)
+			accumATRange(p, a, b, s*a.Rows/shards, (s+1)*a.Rows/shards)
 		}
 	})
-	// Reduce in fixed shard order; each output element is owned by
-	// exactly one chunk, so the reduction parallelizes bit-exactly.
+	// Each output element is owned by exactly one chunk, so the
+	// reduction parallelizes bit-exactly.
 	perf.ParallelMin(size, elemGrain, workers, func(_, lo, hi int) {
 		d := dst.Data[lo:hi]
 		clear(d)
@@ -284,15 +314,14 @@ func MulAT(dst, a, b *Dense, workers int) {
 			AddTo(d, partials[s*size+lo:s*size+hi])
 		}
 	})
-	mulATScratch.Put(buf)
 }
 
 // mulATScratch recycles MulAT's partial buffers between calls: a
-// training step makes five calls at up to shards x k x n floats each,
-// which used to be that many fresh allocations. A buffer belongs to
-// one call from Get to Put, and every shard zeroes its slice before
-// accumulating, so concurrent callers and stale contents are both
-// harmless.
+// training step makes five calls at up to shards x k x n floats each
+// (k x n on one worker), which used to be that many fresh allocations.
+// A buffer belongs to one call from Get to Put, and every shard zeroes
+// its slice before accumulating, so concurrent callers and stale
+// contents are both harmless.
 var mulATScratch sync.Pool
 
 // mulATShards returns the fixed shard count for a MulAT of the given
@@ -323,24 +352,21 @@ func mulATShards(rows, k, n int) int {
 }
 
 // accumATRange adds rows [lo, hi) of the product aᵀ·b into acc (a
-// k x n buffer in row-major order). The accumulator is walked in
-// blocks of rows small enough to stay in the L1 cache while rows
-// [lo, hi) of a and b stream past; each element of acc still receives
-// its terms in ascending row order, zeros skipped.
+// k x n buffer in row-major order). Rows [lo, hi) are taken a tile at
+// a time, few enough that the tile of b stays in the L1 cache while
+// every row of acc takes its terms from it: row c from column c of the
+// tile of a, top to bottom. Each element of acc still receives its
+// terms in ascending row order, zeros skipped.
 func accumATRange(acc []float64, a, b *Dense, lo, hi int) {
 	n := b.Cols
 	k := a.Cols
-	axpy := axpyFor(n)
-	tile := tileRows(n, k)
-	for c0 := 0; c0 < k; c0 += tile {
-		c1 := min(c0+tile, k)
-		for r := lo; r < hi; r++ {
-			brow := b.Data[r*n : (r+1)*n]
-			for c, av := range a.Data[r*k+c0 : r*k+c1] {
-				if av != 0 {
-					axpy(acc[(c0+c)*n:(c0+c+1)*n], brow, av)
-				}
-			}
+	tile := listRows(n, hi-lo)
+	for r0 := lo; r0 < hi; r0 += tile {
+		r1 := min(r0+tile, hi)
+		btile := b.Data[r0*n : r1*n]
+		atile := a.Data[r0*k : r1*k]
+		for c := 0; c < k; c++ {
+			axpyRows(acc[c*n:(c+1)*n], btile, n, atile[c:], k, r1-r0)
 		}
 	}
 }
@@ -365,7 +391,7 @@ func mulBTRange(dst, a, b *Dense, lo, hi int) {
 	k := a.Cols
 	m := b.Rows
 	dot := dotFor(k)
-	tile := tileRows(k, m)
+	tile := tileRows(k, m, dotTileBytes)
 	for j0 := 0; j0 < m; j0 += tile {
 		j1 := min(j0+tile, m)
 		for i := lo; i < hi; i++ {
@@ -417,20 +443,6 @@ func Apply(dst, a *Dense, f func(float64) float64) {
 	for i, v := range a.Data {
 		dst.Data[i] = f(v)
 	}
-}
-
-// ApplyP is Apply sharded across workers goroutines. Each element is
-// owned by exactly one chunk, so the result is identical to Apply at
-// every worker count. dst may alias a.
-func ApplyP(dst, a *Dense, f func(float64) float64, workers int) {
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("mat: ApplyP shape mismatch")
-	}
-	perf.ParallelMin(len(a.Data), elemGrain, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst.Data[i] = f(a.Data[i])
-		}
-	})
 }
 
 // AddScaledP is AddScaled sharded across workers goroutines;

@@ -265,21 +265,69 @@ func TestFrobeniusAndSum(t *testing.T) {
 	}
 }
 
-func benchGEMM256(b *testing.B, mul func(dst, x, y *Dense, workers int)) {
-	r := rng.New(1)
-	x := randomMat(r, 256, 256)
-	y := randomMat(r, 256, 256)
-	dst := New(256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mul(dst, x, y, perf.NumWorkers())
+// gemmShapes are the layers of the two training workloads of the
+// benchmark, as (rows of the subgraph) x (layer input) x (layer
+// output), with the zeros a ReLU leaves in a hidden layer's input, and
+// a dense square for comparison with other libraries. A training step
+// runs all three products below on each.
+var gemmShapes = []struct {
+	name    string
+	m, k, n int
+	sparse  bool
+}{
+	{"434x256x128-half-zeros", 434, 256, 128, true},
+	{"434x50x128", 434, 50, 128, false},
+	{"434x256x121-half-zeros", 434, 256, 121, true},
+	{"700x602x8", 700, 602, 8, false},
+	{"700x16x41-half-zeros", 700, 16, 41, true},
+	{"256x256x256", 256, 256, 256, false},
+}
+
+// benchGEMM times, on one core at every shape, the product run builds
+// from the layer's input h (m x k), weights w (k x n) and output
+// gradient dz (m x n).
+func benchGEMM(b *testing.B, run func(h, w, dz *Dense) func()) {
+	for _, sh := range gemmShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			r := rng.New(1)
+			h := randomMat(r, sh.m, sh.k)
+			if sh.sparse {
+				h = sparseMat(r, sh.m, sh.k)
+			}
+			step := run(h, randomMat(r, sh.k, sh.n), randomMat(r, sh.m, sh.n))
+			b.ReportAllocs()
+			b.SetBytes(int64(2 * sh.m * sh.k * sh.n)) // so that "MB/s" reads MFLOP/s, zeros counted
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
 
-func BenchmarkMul256(b *testing.B)   { benchGEMM256(b, Mul) }
-func BenchmarkMulAT256(b *testing.B) { benchGEMM256(b, MulAT) }
-func BenchmarkMulBT256(b *testing.B) { benchGEMM256(b, MulBT) }
+// BenchmarkMul is the forward product z = h·w.
+func BenchmarkMul(b *testing.B) {
+	benchGEMM(b, func(h, w, dz *Dense) func() {
+		z := New(h.Rows, w.Cols)
+		return func() { Mul(z, h, w, 1) }
+	})
+}
+
+// BenchmarkMulAT is the weight gradient dw = hᵀ·dz.
+func BenchmarkMulAT(b *testing.B) {
+	benchGEMM(b, func(h, w, dz *Dense) func() {
+		dw := New(w.Rows, w.Cols)
+		return func() { MulAT(dw, h, dz, 1) }
+	})
+}
+
+// BenchmarkMulBT is the input gradient dh = dz·wᵀ.
+func BenchmarkMulBT(b *testing.B) {
+	benchGEMM(b, func(h, w, dz *Dense) func() {
+		dh := New(h.Rows, h.Cols)
+		return func() { MulBT(dh, dz, w, 1) }
+	})
+}
 
 func TestMulRangeMatchesMul(t *testing.T) {
 	r := rng.New(21)

@@ -1,19 +1,32 @@
 package mat
 
-// Vector primitives under every GEMM form, the propagation loops and
-// the top-K scans. Each has two implementations that return the same
-// bits: a portable Go loop (the only path off amd64 or without AVX2,
-// and the reference the differential tests compare against) and an
-// AVX2 routine in simd_amd64.s. The assembly keeps the Go loop's
-// arithmetic exactly — a separate multiply and add per element, never
-// a fused one, and for dot the same four accumulator lanes reduced as
-// ((s0+s1)+s2)+s3 before a scalar tail — so which one runs never shows
-// in a result. The choice is made from what the code can observe: the
-// CPU's feature bits, read once at start-up (useAVX2), and the vector
-// length.
+// Vector primitives under every GEMM form, the propagation loops, the
+// rectifier and the top-K scans. Each has two implementations that
+// return the same bits: a portable Go loop (the only path off amd64 or
+// without AVX2, and the reference the differential tests compare
+// against) and an AVX2 routine in simd_amd64.s. The assembly keeps the
+// Go loop's arithmetic exactly — a separate multiply and add per
+// element, never a fused one, for dot the same four accumulator lanes
+// reduced as ((s0+s1)+s2)+s3 before a scalar tail, and for axpyRows
+// the same terms in the same order, zeros skipped — so which one runs
+// never shows in a result. The choice is made from what the code can
+// observe: the CPU's feature bits, read once at start-up (useAVX2), and
+// the vector length.
+//
+// axpyRows is the one primitive that is more than a loop over
+// elements: dst += Σ alpha[t]·row[t], the inner loop of a·b and of
+// aᵀ·b. Its assembly first gathers the non-zero terms into a list, then
+// takes dst a column panel at a time, each panel loaded once, updated
+// by every term on the list and stored once. Neither step can change
+// an element's sum: the list holds the non-zero terms in their original
+// order, which is the order the portable loop visits them in, and a
+// panel only decides which elements share a register — every element
+// still has its own lane, its own running sum, and receives
+// product-then-add for term after term exactly as a chain of Axpy
+// calls would give it.
 //
 // The assembly checks no bounds. Every entry point below re-slices the
-// second operand to the exact length the kernel will touch, with the
+// other operands to the exact length the kernel will touch, with the
 // operand's own length as the capacity bound (s[:n:len(s)]), before
 // the call: a mismatched pair panics there, as an index into the short
 // slice used to, and never reaches the assembly.
@@ -85,6 +98,31 @@ func scalLong(dst []float64, alpha float64) {
 	scaleGo(dst, alpha)
 }
 
+// Relu sets dst[i] to src[i] where src[i] > 0 and to +0 everywhere
+// else — for a negative, a zero of either sign and a NaN — over
+// len(dst) elements: the one rectifier of training and serving. dst
+// may be src. It panics if src is shorter than dst.
+func Relu(dst, src []float64) {
+	src = src[:len(dst):len(src)]
+	if useAVX2 && len(dst) >= simdMinLen {
+		reluAVX2(dst, src)
+		return
+	}
+	reluGo(dst, src)
+}
+
+// ReluGate sets dst[i] to grad[i] where z[i] > 0 and to +0 everywhere
+// else: the rectifier's backward pass, with Relu's idea of positive.
+// dst may be z or grad. It panics if z or grad is shorter than dst.
+func ReluGate(dst, z, grad []float64) {
+	z, grad = z[:len(dst):len(z)], grad[:len(dst):len(grad)]
+	if useAVX2 && len(dst) >= simdMinLen {
+		reluGateAVX2(dst, z, grad)
+		return
+	}
+	reluGateGo(dst, z, grad)
+}
+
 // Dot returns the inner product of x and the first len(x) elements of
 // y. It panics if y is shorter than x.
 func Dot(x, y []float64) float64 { return dot(x, y) }
@@ -109,8 +147,7 @@ func dot4(out, x, y []float64, stride int) {
 	}
 }
 
-// axpyFor returns the axpy kernel for vectors of n elements, so that a
-// GEMM decides once per call and then pays one call per row. Kernels
+// axpyFor returns the axpy kernel for vectors of n elements. Kernels
 // index src by dst's length: they are for callers that cut both slices
 // to n elements themselves.
 func axpyFor(n int) func(dst, src []float64, alpha float64) {
@@ -118,6 +155,50 @@ func axpyFor(n int) func(dst, src []float64, alpha float64) {
 		return axpyAVX2
 	}
 	return axpyGo
+}
+
+// listMax is the most terms one axpyRows call takes: the length of the
+// list the assembly compacts the non-zero terms into, in its frame.
+const listMax = 64
+
+// axpyRows computes, for t = 0..count-1 in that order,
+//
+//	dst += alpha[t*astride] * src[t*stride : t*stride+len(dst)]
+//
+// skipping every term whose alpha is zero (of either sign): the inner
+// loop of a·b (dst a row of the product, alpha a run of a's row, src
+// the matching rows of b) and of aᵀ·b (dst a row of the accumulator,
+// alpha a run of a's column, src the matching rows of b). The result
+// is that of one Axpy per non-zero alpha, to the bit. The assembly
+// gathers the non-zero terms first and then keeps each stretch of dst
+// in registers while it takes all of them, where Axpy loads and stores
+// dst once per term. It panics if count exceeds listMax or if src or
+// alpha is too short for count terms.
+func axpyRows(dst, src []float64, stride int, alpha []float64, astride, count int) {
+	n := len(dst)
+	if count <= 0 || n == 0 {
+		return
+	}
+	if count > listMax {
+		panic("mat: axpyRows takes at most listMax terms")
+	}
+	src = src[: (count-1)*stride+n : len(src)]
+	alpha = alpha[: (count-1)*astride+1 : len(alpha)]
+	if useAVX2 && n >= simdMinLen {
+		axpyRowsAVX2(dst, src, stride, alpha, astride, count)
+		return
+	}
+	axpyRowsGo(dst, src, stride, alpha, astride, count)
+}
+
+// axpyRowsGo is the portable axpyRows: one axpyGo per non-zero alpha.
+func axpyRowsGo(dst, src []float64, stride int, alpha []float64, astride, count int) {
+	n := len(dst)
+	for t := 0; t < count; t++ {
+		if av := alpha[t*astride]; av != 0 {
+			axpyGo(dst, src[t*stride:t*stride+n], av)
+		}
+	}
 }
 
 // dotFor is axpyFor for dot.
@@ -162,6 +243,26 @@ func dotGo(x, y []float64) float64 {
 		s += x[i] * y[i]
 	}
 	return s
+}
+
+func reluGo(dst, src []float64) {
+	for i, v := range src {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+func reluGateGo(dst, z, grad []float64) {
+	for i, v := range z {
+		if v > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
 }
 
 func addGo(dst, src []float64) {

@@ -37,13 +37,30 @@ func xgetbv() (eax, edx uint32)
 
 // The routines below have no bounds checks: callers (simd.go) slice
 // every operand to the length the routine will touch before the call.
-// All are NOSPLIT leaf functions that end in VZEROUPPER.
+// All are leaf functions that end in VZEROUPPER, and NOSPLIT but for
+// axpyRowsAVX2, whose frame holds its term list.
 
 // axpyAVX2 computes dst[i] += alpha*src[i] for i < len(dst).
 // len(src) must be at least len(dst).
 //
 //go:noescape
 func axpyAVX2(dst, src []float64, alpha float64)
+
+// axpyRowsAVX2 computes dst[i] += alpha[t*astride]*src[t*stride+i]
+// for i < len(dst), for t = 0..count-1 in that order, skipping zero
+// alphas. count must be 1..listMax, stride and astride non-negative,
+// len(src) at least (count-1)*stride+len(dst) and len(alpha) at least
+// (count-1)*astride+1.
+//
+//go:noescape
+func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int)
+
+func _() {
+	// axpyRowsAVX2's frame is laid out for 64 terms; an "invalid
+	// array index" error here says listMax has moved without it.
+	var x [1]struct{}
+	_ = x[listMax-64]
+}
 
 // dotAVX2 returns the inner product over len(x) elements.
 // len(y) must be at least len(x).
@@ -68,3 +85,15 @@ func addAVX2(dst, src []float64)
 //
 //go:noescape
 func scaleAVX2(dst []float64, alpha float64)
+
+// reluAVX2 sets dst[i] to src[i] where src[i] > 0 and to +0 elsewhere.
+// len(src) must be at least len(dst).
+//
+//go:noescape
+func reluAVX2(dst, src []float64)
+
+// reluGateAVX2 sets dst[i] to grad[i] where z[i] > 0 and to +0
+// elsewhere. len(z) and len(grad) must be at least len(dst).
+//
+//go:noescape
+func reluGateAVX2(dst, z, grad []float64)

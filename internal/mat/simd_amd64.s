@@ -184,6 +184,134 @@ scaleDone:
 	VZEROUPPER
 	RET
 
+// func reluAVX2(dst, src []float64)
+//
+// x > 0 as an ordered, quiet compare gives all ones or all zeros per
+// lane (zeros for a NaN); the AND keeps x or leaves +0.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-48
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   dst_len+8(FP), CX
+	MOVQ   src_base+24(FP), SI
+	VXORPD Y0, Y0, Y0
+
+relu16:
+	CMPQ    CX, $16
+	JLT     relu4
+	VMOVUPD (SI), Y1
+	VMOVUPD 32(SI), Y2
+	VMOVUPD 64(SI), Y3
+	VMOVUPD 96(SI), Y4
+	VCMPPD  $0x1e, Y0, Y1, Y5
+	VCMPPD  $0x1e, Y0, Y2, Y6
+	VCMPPD  $0x1e, Y0, Y3, Y7
+	VCMPPD  $0x1e, Y0, Y4, Y8
+	VANDPD  Y5, Y1, Y1
+	VANDPD  Y6, Y2, Y2
+	VANDPD  Y7, Y3, Y3
+	VANDPD  Y8, Y4, Y4
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     relu16
+
+relu4:
+	CMPQ    CX, $4
+	JLT     relu1
+	VMOVUPD (SI), Y1
+	VCMPPD  $0x1e, Y0, Y1, Y5
+	VANDPD  Y5, Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     relu4
+
+relu1:
+	TESTQ  CX, CX
+	JZ     reluDone
+	VMOVSD (SI), X1
+	VCMPSD $0x1e, X0, X1, X5
+	VANDPD X5, X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    relu1
+
+reluDone:
+	VZEROUPPER
+	RET
+
+// func reluGateAVX2(dst, z, grad []float64)
+//
+// reluAVX2 with the compare on z and the AND on grad.
+TEXT ·reluGateAVX2(SB), NOSPLIT, $0-72
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   dst_len+8(FP), CX
+	MOVQ   z_base+24(FP), SI
+	MOVQ   grad_base+48(FP), DX
+	VXORPD Y0, Y0, Y0
+
+gate16:
+	CMPQ    CX, $16
+	JLT     gate4
+	VMOVUPD (SI), Y1
+	VMOVUPD 32(SI), Y2
+	VMOVUPD 64(SI), Y3
+	VMOVUPD 96(SI), Y4
+	VCMPPD  $0x1e, Y0, Y1, Y1
+	VCMPPD  $0x1e, Y0, Y2, Y2
+	VCMPPD  $0x1e, Y0, Y3, Y3
+	VCMPPD  $0x1e, Y0, Y4, Y4
+	VANDPD  (DX), Y1, Y1
+	VANDPD  32(DX), Y2, Y2
+	VANDPD  64(DX), Y3, Y3
+	VANDPD  96(DX), Y4, Y4
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     gate16
+
+gate4:
+	CMPQ    CX, $4
+	JLT     gate1
+	VMOVUPD (SI), Y1
+	VCMPPD  $0x1e, Y0, Y1, Y1
+	VANDPD  (DX), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     gate4
+
+gate1:
+	TESTQ  CX, CX
+	JZ     gateDone
+	VMOVSD (SI), X1
+	VMOVSD (DX), X2
+	VCMPSD $0x1e, X0, X1, X1
+	VANDPD X2, X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    gate1
+
+gateDone:
+	VZEROUPPER
+	RET
+
 // func dotAVX2(x, y []float64) float64
 //
 // Y0 holds the four accumulator lanes s0..s3 of dotGo. The body is
@@ -308,5 +436,199 @@ dot4Done:
 	VMOVSD X11, 8(DI)
 	VMOVSD X12, 16(DI)
 	VMOVSD X13, 24(DI)
+	VZEROUPPER
+	RET
+
+// The term list of axpyRowsAVX2 lives in its frame: listMax alphas at
+// 0(SP) and as many element offsets into src at 512(SP) (R9 and R8).
+//
+// LISTROW sets DX to the start of the AX-th listed row of the current
+// column panel (SI is src advanced to the panel) and Y8 to its alpha
+// in every lane.
+#define LISTROW \
+	MOVQ         (R8)(AX*8), DX; \
+	VBROADCASTSD (R9)(AX*8), Y8; \
+	LEAQ         (SI)(DX*8), DX
+
+// LISTNEXT closes a term loop: on to the next listed row, if any.
+#define LISTNEXT(loop) \
+	INCQ AX;      \
+	CMPQ AX, R10; \
+	JLT  loop
+
+// func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int)
+//
+// First the count alphas, astride apart, are compacted into the list
+// without a branch: every one is written, with the offset of its row
+// of src, and the write position moves on only past an alpha whose
+// bits other than the sign are not all zero.
+//
+// Then dst is walked in column panels of 32 elements, at most one each
+// of 16, 8 and 4, and the last three or fewer one at a time. A panel
+// is loaded into Y0..Y7 once, takes every listed term in list order —
+// product first, then the sum, each rounded, as in axpyAVX2 — and is
+// stored once: an element sees the operations of one axpyAVX2 call per
+// non-zero alpha, without the load and store between them.
+//
+// The 1 KB frame is more than a NOSPLIT function may have, so this one
+// routine carries the assembler's stack check.
+TEXT ·axpyRowsAVX2(SB), $1024-96
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  dst_len+8(FP), CX
+	MOVQ  src_base+24(FP), SI
+	MOVQ  stride+48(FP), BX
+	MOVQ  alpha_base+56(FP), R11
+	MOVQ  astride+80(FP), R12
+	MOVQ  count+88(FP), R13
+	TESTQ R13, R13
+	JLE   listDone
+	SHLQ  $3, R12
+	LEAQ  0(SP), R9
+	LEAQ  512(SP), R8
+	XORQ  R10, R10
+	XORQ  DX, DX
+
+listCompact:
+	MOVQ  (R11), AX
+	MOVQ  AX, (R9)(R10*8)
+	MOVQ  DX, (R8)(R10*8)
+	ADDQ  AX, AX           // shifts the sign out: zero for +0 and -0 only
+	NEGQ  AX               // sets the carry unless AX is zero
+	ADCQ  $0, R10
+	ADDQ  R12, R11
+	ADDQ  BX, DX
+	DECQ  R13
+	JNZ   listCompact
+	TESTQ R10, R10
+	JZ    listDone
+
+list32:
+	CMPQ    CX, $32
+	JLT     list16
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	XORQ    AX, AX
+
+list32Term:
+	LISTROW
+	VMULPD (DX), Y8, Y9
+	VMULPD 32(DX), Y8, Y10
+	VMULPD 64(DX), Y8, Y11
+	VMULPD 96(DX), Y8, Y12
+	VADDPD Y0, Y9, Y0
+	VADDPD Y1, Y10, Y1
+	VADDPD Y2, Y11, Y2
+	VADDPD Y3, Y12, Y3
+	VMULPD 128(DX), Y8, Y9
+	VMULPD 160(DX), Y8, Y10
+	VMULPD 192(DX), Y8, Y11
+	VMULPD 224(DX), Y8, Y12
+	VADDPD Y4, Y9, Y4
+	VADDPD Y5, Y10, Y5
+	VADDPD Y6, Y11, Y6
+	VADDPD Y7, Y12, Y7
+	LISTNEXT(list32Term)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	SUBQ    $32, CX
+	JMP     list32
+
+list16:
+	CMPQ    CX, $16
+	JLT     list8
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	XORQ    AX, AX
+
+list16Term:
+	LISTROW
+	VMULPD (DX), Y8, Y9
+	VMULPD 32(DX), Y8, Y10
+	VMULPD 64(DX), Y8, Y11
+	VMULPD 96(DX), Y8, Y12
+	VADDPD Y0, Y9, Y0
+	VADDPD Y1, Y10, Y1
+	VADDPD Y2, Y11, Y2
+	VADDPD Y3, Y12, Y3
+	LISTNEXT(list16Term)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+
+list8:
+	CMPQ    CX, $8
+	JLT     list4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	XORQ    AX, AX
+
+list8Term:
+	LISTROW
+	VMULPD (DX), Y8, Y9
+	VMULPD 32(DX), Y8, Y10
+	VADDPD Y0, Y9, Y0
+	VADDPD Y1, Y10, Y1
+	LISTNEXT(list8Term)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+
+list4:
+	CMPQ    CX, $4
+	JLT     list1
+	VMOVUPD (DI), Y0
+	XORQ    AX, AX
+
+list4Term:
+	LISTROW
+	VMULPD (DX), Y8, Y9
+	VADDPD Y0, Y9, Y0
+	LISTNEXT(list4Term)
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+
+list1:
+	TESTQ  CX, CX
+	JZ     listDone
+	VMOVSD (DI), X0
+	XORQ   AX, AX
+
+list1Term:
+	MOVQ   (R8)(AX*8), DX
+	VMOVSD (R9)(AX*8), X8
+	VMULSD (SI)(DX*8), X8, X9
+	VADDSD X0, X9, X0
+	LISTNEXT(list1Term)
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    list1
+
+listDone:
 	VZEROUPPER
 	RET

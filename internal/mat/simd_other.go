@@ -9,6 +9,10 @@ const useAVX2 = false
 
 func axpyAVX2(dst, src []float64, alpha float64) { panic("mat: no AVX2 kernels on this architecture") }
 
+func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int) {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
 func dotAVX2(x, y []float64) float64 { panic("mat: no AVX2 kernels on this architecture") }
 
 func dot4AVX2(out, x, y []float64, stride int) { panic("mat: no AVX2 kernels on this architecture") }
@@ -16,3 +20,7 @@ func dot4AVX2(out, x, y []float64, stride int) { panic("mat: no AVX2 kernels on 
 func addAVX2(dst, src []float64) { panic("mat: no AVX2 kernels on this architecture") }
 
 func scaleAVX2(dst []float64, alpha float64) { panic("mat: no AVX2 kernels on this architecture") }
+
+func reluAVX2(dst, src []float64) { panic("mat: no AVX2 kernels on this architecture") }
+
+func reluGateAVX2(dst, z, grad []float64) { panic("mat: no AVX2 kernels on this architecture") }

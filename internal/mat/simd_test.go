@@ -8,13 +8,16 @@ package mat
 // products overflow or underflow. NaNs are compared by class (the
 // payload depends on operand order, which Go does not fix). The
 // second half pins the tiled GEMM loops to untiled loops over the
-// portable primitives.
+// portable primitives. The list kernel under a·b and aᵀ·b (axpyRows)
+// gets both treatments, and a third for where its zeros fall.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"gsgcn/internal/perf"
 	"gsgcn/internal/rng"
 )
 
@@ -201,6 +204,144 @@ func TestAddScaleAVX2MatchPortable(t *testing.T) {
 	}
 }
 
+// alphaPatterns shape the zero structure of a run of alphas: the list
+// kernel must skip exactly the zeros (of either sign) wherever they
+// fall, and keep every other term in place and in order.
+type alphaPattern struct {
+	name string
+	zero func(t, count int) bool
+}
+
+var alphaPatterns = []alphaPattern{
+	{"as-drawn", func(t, count int) bool { return false }},
+	{"all-zero", func(t, count int) bool { return true }},
+	{"leading-zeros", func(t, count int) bool { return t < count/2 }},
+	{"trailing-zeros", func(t, count int) bool { return t >= count/2 }},
+	{"alternating", func(t, count int) bool { return t%2 == 0 }},
+	{"all-but-last", func(t, count int) bool { return t != count-1 }},
+}
+
+// TestAxpyRowsAVX2MatchesPortable: every row length with the list
+// lengths at the ends of the range, and every list length with row
+// lengths that take each panel of the assembly (32, 16, 8, 4, 1) alone
+// and together. Each (length, count, offset) is run under several zero
+// patterns, with the operands packed (a row of a, rows of b back to
+// back) and strided (a column of a, rows with a gap).
+func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
+	requireAVX2(t)
+	const maxAstride, maxGap = 5, 3
+	layouts := []struct{ astride, gap int }{{1, 0}, {maxAstride, maxGap}}
+	sweep := func(vcName string, gen func(*rng.RNG) float64, r *rng.RNG, ns, counts []int, patterns []alphaPattern) {
+		for _, n := range ns {
+			for off := 0; off <= maxDiffOffset; off++ {
+				// One draw serves every count: a case reads a prefix.
+				src := offsetSlice(r, gen, off, (listMax-1)*(n+maxGap)+n)
+				drawn := offsetSlice(r, gen, (off+2)%(maxDiffOffset+1), (listMax-1)*maxAstride+1)
+				base := offsetSlice(r, gen, (off+1)%(maxDiffOffset+1), n)
+				alpha := make([]float64, len(drawn))
+				want, got := make([]float64, n), make([]float64, n)
+				for _, count := range counts {
+					for _, ap := range patterns {
+						for _, lay := range layouts {
+							copy(alpha, drawn)
+							for i := 0; i < count; i++ {
+								if ap.zero(i, count) { // +0 and -0 in turn
+									alpha[i*lay.astride] = math.Copysign(0, float64(1-2*(i%2)))
+								}
+							}
+							stride := n + lay.gap
+							copy(want, base)
+							copy(got, base)
+							axpyRowsGo(want, src[:(count-1)*stride+n], stride, alpha[:(count-1)*lay.astride+1], lay.astride, count)
+							axpyRowsAVX2(got, src[:(count-1)*stride+n], stride, alpha[:(count-1)*lay.astride+1], lay.astride, count)
+							if !slices.EqualFunc(got, want, sameBits) { // a hundred thousand cases: name only the one that fails
+								requireSameBits(t, fmt.Sprintf("%s n=%d count=%d off=%d %s astride=%d gap=%d",
+									vcName, n, count, off, ap.name, lay.astride, lay.gap), got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	everyLen := make([]int, maxDiffLen+1)
+	for i := range everyLen {
+		everyLen[i] = i
+	}
+	everyCount := make([]int, listMax)
+	for i := range everyCount {
+		everyCount[i] = i + 1
+	}
+	for _, vc := range valueClasses {
+		r := rng.New(137)
+		// Where the zeros fall is the compaction's business, which
+		// does not look at the row length: two patterns suffice there.
+		sweep(vc.name, vc.gen, r, everyLen, []int{1, 7, listMax}, []alphaPattern{alphaPatterns[0], alphaPatterns[4]})
+		sweep(vc.name, vc.gen, r, []int{1, 4, 8, 21, 61}, everyCount, alphaPatterns)
+	}
+}
+
+func TestReluAVX2MatchesPortable(t *testing.T) {
+	requireAVX2(t)
+	for _, vc := range valueClasses {
+		r := rng.New(139)
+		for n := 0; n <= maxDiffLen; n++ {
+			for off := 0; off <= maxDiffOffset; off++ {
+				z := offsetSlice(r, vc.gen, off, n)
+				grad := offsetSlice(r, vc.gen, (off+1)%(maxDiffOffset+1), n)
+				tag := fmt.Sprintf("%s n=%d off=%d", vc.name, n, off)
+				want, got := make([]float64, n), make([]float64, n)
+				for i := range want {
+					want[i], got[i] = 99, 99
+				}
+				reluGo(want, z)
+				reluAVX2(got, z)
+				requireSameBits(t, "relu "+tag, got, want)
+
+				reluGateGo(want, z, grad)
+				reluGateAVX2(got, z, grad)
+				requireSameBits(t, "reluGate "+tag, got, want)
+
+				// In place: the forward pass of serving rectifies a
+				// row where it lies.
+				copy(want, z)
+				copy(got, z)
+				reluGo(want, want)
+				reluAVX2(got, got)
+				requireSameBits(t, "relu in place "+tag, got, want)
+			}
+		}
+	}
+}
+
+// TestReluSemantics pins what "positive" means, on both sides of the
+// cut-over length and whatever the dispatch picks: the scalar
+// if x > 0 { x } else { 0 } of the layer this replaced. Everything
+// that is not greater than zero — negatives, both zeros, NaN, -Inf —
+// becomes +0, sign bit clear; the gate passes the gradient's own bits,
+// a -0 or a NaN included, and nothing else.
+func TestReluSemantics(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	z := []float64{1.5, -1.5, 0, negZero, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	grad := []float64{negZero, 7, 7, 7, 7, math.NaN(), 7, -3, -3}
+	wantRelu := []float64{1.5, 0, 0, 0, 0, math.Inf(1), 0, math.SmallestNonzeroFloat64, 0}
+	wantGate := []float64{negZero, 0, 0, 0, 0, math.NaN(), 0, -3, 0}
+	for _, reps := range []int{1, 5} { // 9 and 45 elements: tail only, and every loop
+		var zz, gg, wr, wg []float64
+		for i := 0; i < reps; i++ {
+			zz, gg = append(zz, z...), append(gg, grad...)
+			wr, wg = append(wr, wantRelu...), append(wg, wantGate...)
+		}
+		for lo := 0; lo < len(zz); lo += 7 { // short slices take the Go loop
+			got := make([]float64, len(zz)-lo)
+			Relu(got, zz[lo:])
+			requireSameBits(t, fmt.Sprintf("Relu [%d:%d]", lo, len(zz)), got, wr[lo:])
+			ReluGate(got, zz[lo:], gg[lo:])
+			requireSameBits(t, fmt.Sprintf("ReluGate [%d:%d]", lo, len(zz)), got, wg[lo:])
+		}
+	}
+}
+
 // TestDispatchMatchesPortable runs on every host: whatever axpy, dot,
 // dot4, add and scale dispatch to, across the cut-over length, they
 // return the portable loops' bits.
@@ -236,6 +377,25 @@ func TestDispatchMatchesPortable(t *testing.T) {
 		}
 		dot4(g4[:], x, y, n)
 		requireSameBits(t, "dot4 "+tag, g4[:], w4[:])
+
+		// Four rows of y into base, the second skipped.
+		al := []float64{0.37, math.Copysign(0, -1), -1.5, 1}
+		copy(want, base)
+		copy(got, base)
+		for j, av := range al {
+			if av != 0 {
+				axpyGo(want, y[j*n:(j+1)*n], av)
+			}
+		}
+		axpyRows(got, y, n, al, 1, len(al))
+		requireSameBits(t, "axpyRows "+tag, got, want)
+
+		reluGo(want, x)
+		Relu(got, x)
+		requireSameBits(t, "relu "+tag, got, want)
+		reluGateGo(want, x, base)
+		ReluGate(got, x, base)
+		requireSameBits(t, "reluGate "+tag, got, want)
 	}
 }
 
@@ -272,6 +432,19 @@ func TestPrimitiveLengthContract(t *testing.T) {
 		mustPanic(t, fmt.Sprintf("dot4 short out n=%d", n), func() {
 			dot4(make([]float64, 3, 8), long, make([]float64, 4*n), n)
 		})
+		mustPanic(t, fmt.Sprintf("Relu n=%d", n), func() { Relu(long, short) })
+		mustPanic(t, fmt.Sprintf("ReluGate short z n=%d", n), func() { ReluGate(long, short, long) })
+		mustPanic(t, fmt.Sprintf("ReluGate short grad n=%d", n), func() { ReluGate(long, long, short) })
+		three := []float64{1, 1, 1}
+		mustPanic(t, fmt.Sprintf("axpyRows short rows n=%d", n), func() {
+			axpyRows(long, make([]float64, 3*n-1, 3*n+8), n, three, 1, 3)
+		})
+		mustPanic(t, fmt.Sprintf("axpyRows short alphas n=%d", n), func() {
+			axpyRows(long, make([]float64, 3*n), n, make([]float64, 4, 8), 2, 3)
+		})
+		mustPanic(t, fmt.Sprintf("axpyRows long list n=%d", n), func() {
+			axpyRows(long, make([]float64, n), 0, make([]float64, listMax+1), 1, listMax+1)
+		})
 		if n >= simdMinLen {
 			for i, v := range long {
 				if v != 1 {
@@ -305,16 +478,27 @@ func TestPrimitiveLengthContract(t *testing.T) {
 
 func TestPrimitivesOnEmptySlices(t *testing.T) {
 	var empty []float64
+	out1 := []float64{9}
 	Axpy(empty, empty, 2)
 	AddTo(empty, nil)
 	Scal(nil, 2)
 	if got := Dot(nil, empty); got != 0 {
 		t.Errorf("dot of empty slices = %v", got)
 	}
+	Relu(nil, empty)
+	ReluGate(empty, nil, nil)
+	axpyRows(nil, nil, 0, []float64{1}, 1, 1) // no columns
+	axpyRows(out1, nil, 1, nil, 1, 0)         // no terms
+	requireSameBits(t, "axpyRows with no terms", out1, []float64{9})
 	out := []float64{9, 9, 9, 9}
 	dot4(out, nil, nil, 0)
 	requireSameBits(t, "dot4 of empty rows", out, []float64{0, 0, 0, 0})
 	if useAVX2 {
+		reluAVX2(nil, nil)
+		reluGateAVX2(nil, nil, nil)
+		axpyRowsAVX2(nil, nil, 0, []float64{1}, 1, 1)
+		axpyRowsAVX2(out1, nil, 1, nil, 1, 0)
+		requireSameBits(t, "axpyRowsAVX2 with no terms", out1, []float64{9})
 		axpyAVX2(nil, nil, 2)
 		addAVX2(nil, nil)
 		scaleAVX2(nil, 2)
@@ -397,9 +581,9 @@ func sparseMat(r *rng.RNG, rows, cols int) *Dense {
 	return m
 }
 
-// tiledCases are (m, k, n) with row counts off every tile boundary,
-// inner dimensions on both sides of simdMinLen and the widths the
-// training workloads use.
+// tiledCases are (m, k, n) with row counts off every tile boundary and
+// on both sides of MulAT's sharding, inner dimensions on both sides of
+// simdMinLen and of listMax, and the widths the training workloads use.
 var tiledCases = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{5, 1, 17},
@@ -410,6 +594,9 @@ var tiledCases = []struct{ m, k, n int }{
 	{131, 50, 37},
 	{203, 256, 121},
 	{6, 602, 19},
+	{11, 50, 3},
+	{140, 256, 128},
+	{150, 602, 1},
 }
 
 func TestTiledGEMMMatchesUntiledPortable(t *testing.T) {
@@ -417,7 +604,7 @@ func TestTiledGEMMMatchesUntiledPortable(t *testing.T) {
 		for _, fill := range []struct {
 			name string
 			gen  func(*rng.RNG, int, int) *Dense
-		}{{"dense", randMat}, {"half-zeros", sparseMat}} {
+		}{{"dense", randMat}, {"half-zeros", sparseMat}, {"all-zeros", func(_ *rng.RNG, rows, cols int) *Dense { return New(rows, cols) }}} {
 			r := rng.New(uint64(127 + tc.m + tc.k + tc.n))
 			a := fill.gen(r, tc.m, tc.k)
 			b := fill.gen(r, tc.k, tc.n)  // Mul: a(m x k) * b(k x n)
@@ -430,6 +617,19 @@ func TestTiledGEMMMatchesUntiledPortable(t *testing.T) {
 				got.Fill(99)
 				Mul(got, a, b, workers)
 				requireSameBits(t, "Mul "+tag, got.Data, wantMul.Data)
+
+				// The same product in `workers` uneven row ranges, and
+				// as that many shards of the simulated executor.
+				got.Fill(99)
+				for w, lo := 0, 0; w < workers; w++ {
+					hi := tc.m * (w + 1) * (w + 2) / (workers * (workers + 1))
+					MulRange(got, a, b, lo, hi)
+					lo = hi
+				}
+				requireSameBits(t, "MulRange "+tag, got.Data, wantMul.Data)
+				got.Fill(99)
+				MulShards(got, a, b, workers, perf.SimConfig{})
+				requireSameBits(t, "MulShards "+tag, got.Data, wantMul.Data)
 
 				got.Fill(99)
 				MulBT(got, a, bt, workers)

@@ -142,6 +142,11 @@ type GCNLayer struct {
 	bufMask                      []float64
 }
 
+// reluGrain is the fewest elements of an activation matrix worth a
+// worker of their own in the rectifier and its gate; each element is
+// owned by one chunk, so the split never shows in a result.
+const reluGrain = 4096
+
 // NewGCNLayer constructs a layer with Glorot-initialized weights.
 func NewGCNLayer(in, out int, r *rng.RNG) *GCNLayer {
 	l := &GCNLayer{
@@ -197,7 +202,9 @@ func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 		return z.Clone()
 	}
 	out := mat.New(n, 2*l.OutDim)
-	mat.ApplyP(out, z, relu, ctx.Workers)
+	perf.ParallelMin(len(z.Data), reluGrain, ctx.Workers, func(_, lo, hi int) {
+		mat.Relu(out.Data[lo:hi], z.Data[lo:hi])
+	})
 	return out
 }
 
@@ -245,15 +252,8 @@ func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 	dZ := mat.Reuse(l.bufDZ, n, 2*l.OutDim)
 	l.bufDZ = dZ
 	if l.Activate {
-		// ReLU gate, sharded by elements (each owned by one worker).
-		perf.ParallelMin(len(l.lastZ.Data), 4096, ctx.Workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if l.lastZ.Data[i] > 0 {
-					dZ.Data[i] = dOut.Data[i]
-				} else {
-					dZ.Data[i] = 0
-				}
-			}
+		perf.ParallelMin(len(l.lastZ.Data), reluGrain, ctx.Workers, func(_, lo, hi int) {
+			mat.ReluGate(dZ.Data[lo:hi], l.lastZ.Data[lo:hi], dOut.Data[lo:hi])
 		})
 	} else {
 		dZ.CopyFrom(dOut)
@@ -357,11 +357,4 @@ func (d *Dense) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 		}
 	}
 	return dH
-}
-
-func relu(x float64) float64 {
-	if x > 0 {
-		return x
-	}
-	return 0
 }

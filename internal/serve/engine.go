@@ -810,12 +810,7 @@ func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur, next *mat.Dense, work
 				copy(drow[:out], zSb.Row(i))
 				copy(drow[out:], zNb.Row(i))
 				if l.Activate {
-					// Mirror relu() exactly: keep only x > 0.
-					for j, v := range drow {
-						if !(v > 0) {
-							drow[j] = 0
-						}
-					}
+					mat.Relu(drow, drow)
 				}
 			}
 		}
