@@ -23,11 +23,15 @@ BENCH_TOL ?= 3.0
 
 ci: loc lint build race cover bench serve-smoke
 
-# Non-test Go lines per package — the number ROADMAP item 3 tracks
-# (internal/serve above all) — first in every CI log.
+# Non-test source lines per package, Go plus assembly — the number
+# ROADMAP item 3 tracks (internal/serve above all) — first in every CI
+# log. A package with *.s files shows how many of its lines they are.
 loc:
-	@for d in $$(find internal cmd pkg scripts -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
-		printf '%6d  %s\n' $$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | wc -l) $$d; \
+	@for d in $$(find internal cmd pkg scripts \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		asm=$$(cat /dev/null $$(find $$d -maxdepth 1 -name '*.s') | wc -l); \
+		printf '%6d  %s' $$(cat $$(find $$d -maxdepth 1 \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go') | wc -l) $$d; \
+		if [ $$asm -gt 0 ]; then printf ' (%d asm)' $$asm; fi; \
+		echo; \
 	done
 
 # lint subsumes vet: formatting drift fails the gate, every package

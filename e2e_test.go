@@ -72,7 +72,7 @@ func TestEndToEndServingPipeline(t *testing.T) {
 	// Golden references from the TRAINING side: the full-graph
 	// forward pass of the trained model (embeddings and logits) and
 	// the training prediction rule.
-	wantEmb := serve.FullEmbeddings(m, ds.G, ds.Features, 1, 256)
+	wantEmb := m.FullEmbeddings(ds.G, ds.Features, 1, 256)
 	ctx := m.CtxForGraph(ds.G, ds.FeatureDim(), nil)
 	wantLogits := m.Forward(ctx, ds.Features)
 	wantLabels := nn.PredictSingle(wantLogits)

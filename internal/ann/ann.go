@@ -10,8 +10,7 @@
 // world:
 //
 //   - Layer heights are a pure function of (seed, vertex id), drawn
-//     from a private LCG with P(level >= l+1 | level >= l) = 1/4 —
-//     the same generator idiom as the serving skiplist's randLevel —
+//     from a private LCG with P(level >= l+1 | level >= l) = 1/4,
 //     so the level assignment never depends on insertion order or
 //     scheduling.
 //   - Construction is wave-parallel: vertices are inserted in id
@@ -25,7 +24,9 @@
 //   - Every comparison of two scored vertices goes through Before, a
 //     total order (higher score first, lower id on ties), so heap
 //     pops, neighbor selection and result ranking admit no
-//     tie-breaking ambiguity.
+//     tie-breaking ambiguity. Every bounded selection — the beam's
+//     result set, the quantized flat scan, and the serving layer's
+//     exact scan and cross-shard merge — is one type, TopK.
 //
 // Similarity is cosine (higher is closer), computed exactly as the
 // serving layer's exact scanner computes it, so an ANN result list is
@@ -437,18 +438,16 @@ func (ix *Index) greedyAt(q []float64, qn float64, ep int32, epSim float64, l in
 func (ix *Index) searchLayer(q []float64, qn float64, ep int32, epSim float64, l int32, ef int, exclude int32, visited []uint64) ([]Candidate, uint64) {
 	var dist uint64
 	cand := newHeap(true) // best-first expansion frontier
-	res := newHeap(false) // worst-first bounded result set
+	res := NewTopK(ef)    // the ef best found so far
 	visited[ep>>6] |= 1 << (uint(ep) & 63)
 	cand.push(Candidate{ID: ep, Score: epSim})
 	if ep != exclude {
-		res.push(Candidate{ID: ep, Score: epSim})
+		res.Offer(ep, epSim)
 	}
 	for cand.len() > 0 {
 		c := cand.pop()
-		if res.len() >= ef {
-			if w := res.peek(); Before(w.Score, w.ID, c.Score, c.ID) {
-				break
-			}
+		if w, full := res.worst(); full && Before(w.Score, w.ID, c.Score, c.ID) {
+			break
 		}
 		for _, u := range ix.nodes[c.ID].links[l] {
 			if visited[u>>6]&(1<<(uint(u)&63)) != 0 {
@@ -457,25 +456,16 @@ func (ix *Index) searchLayer(q []float64, qn float64, ep int32, epSim float64, l
 			visited[u>>6] |= 1 << (uint(u) & 63)
 			s := ix.sim(q, qn, u)
 			dist++
-			if res.len() >= ef {
-				if w := res.peek(); !Before(s, u, w.Score, w.ID) {
-					continue
-				}
+			if !res.admits(u, s) {
+				continue
 			}
 			cand.push(Candidate{ID: u, Score: s})
 			if u != exclude {
-				res.push(Candidate{ID: u, Score: s})
-				if res.len() > ef {
-					res.pop()
-				}
+				res.Offer(u, s)
 			}
 		}
 	}
-	out := res.drain()
-	sort.Slice(out, func(i, j int) bool {
-		return Before(out[i].Score, out[i].ID, out[j].Score, out[j].ID)
-	})
-	return out, dist
+	return res.Sorted(), dist
 }
 
 // Search returns the k indexed vertices most cosine-similar to the

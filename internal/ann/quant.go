@@ -41,13 +41,13 @@ func ScanQuant(qt mat.Quantized, norms []float64, q []float64, qn float64, ef in
 		shards = 1
 	}
 	qq := qt.Query(q)
-	heaps := make([]*heap, shards)
+	parts := make([]*TopK, shards)
 	perf.Parallel(shards, workers, func(_, slo, shi int) {
 		var buf [quantChunk]float64
 		for s := slo; s < shi; s++ {
 			lo := s * n / shards
 			hi := (s + 1) * n / shards
-			h := newHeap(false) // worst-ranked at root: the eviction point
+			tk := NewTopK(ef)
 			for blk := lo; blk < hi; blk += quantChunk {
 				end := blk + quantChunk
 				if end > hi {
@@ -62,37 +62,19 @@ func ScanQuant(qt mat.Quantized, norms []float64, q []float64, qn float64, ef in
 					if d := qn * norms[r]; d > 0 {
 						score = buf[r-blk] / d
 					}
-					offerBounded(h, Candidate{ID: int32(r), Score: score}, ef)
+					tk.Offer(int32(r), score)
 				}
 			}
-			heaps[s] = h
+			parts[s] = tk
 		}
 	})
-	final := newHeap(false)
-	for _, h := range heaps {
-		for _, c := range h.drain() {
-			offerBounded(final, c, ef)
+	final := parts[0]
+	for _, tk := range parts[1:] {
+		for _, c := range tk.h.v { // heap order: selection does not depend on it
+			final.Offer(c.ID, c.Score)
 		}
 	}
-	beam := final.drain()
-	sort.Slice(beam, func(i, j int) bool {
-		return Before(beam[i].Score, beam[i].ID, beam[j].Score, beam[j].ID)
-	})
-	return beam
-}
-
-// offerBounded keeps h bounded to the cap best candidates under the
-// Before order (h must be a worst-at-root heap).
-func offerBounded(h *heap, c Candidate, cap int) {
-	if h.len() < cap {
-		h.push(c)
-		return
-	}
-	w := h.peek()
-	if Before(c.Score, c.ID, w.Score, w.ID) {
-		h.pop()
-		h.push(c)
-	}
+	return final.Sorted()
 }
 
 // RerankExact rescores a candidate beam with the exact float64

@@ -60,6 +60,33 @@ func TestScanQuantEdgeCases(t *testing.T) {
 	}
 }
 
+// TestScanQuantIgnoresNaNRow: a row whose score is not a number ranks
+// nothing. The beam over a table holding one such row — early in the
+// scan, where a selector that admitted it would carry it to the root
+// and then lose to no later candidate — must be the beam over the same
+// table with that row excluded.
+func TestScanQuantIgnoresNaNRow(t *testing.T) {
+	const bad = 3
+	emb, norms := randTable(300, 16, 8, 5)
+	q, qn := emb.Row(42), norms[42]
+	poisoned := emb.Clone()
+	for j := range poisoned.Row(bad) {
+		poisoned.Row(bad)[j] = math.NaN()
+	}
+	for _, workers := range []int{1, 3} {
+		want := ScanQuant(mat.ToF32(emb, 1), norms, q, qn, 32, bad, workers)
+		got := ScanQuant(mat.ToF32(poisoned, 1), norms, q, qn, 32, -1, workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: beam has %d candidates, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: beam[%d] = %+v, want %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestRerankExactBitIdentity is the exactness half of the quantized
 // ANN contract: every score RerankExact reports must be bit-identical
 // to the exact scanner's score for that row — quantization may change

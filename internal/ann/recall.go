@@ -14,8 +14,9 @@ import (
 // ExactTopK is the brute-force reference scanner: it scores every
 // vertex of the table against the query and returns the k best under
 // the Before total order — the same arithmetic and the same order as
-// the serving layer's exact skiplist scan, so ANN answers are
-// comparable element-for-element.
+// the serving layer's exact scan, which selects through TopK where
+// this sorts everything, so ANN answers are comparable
+// element-for-element.
 func ExactTopK(emb mat.RowSource, norms []float64, query []float64, qn float64, k int, exclude int32) []Candidate {
 	n := emb.NumRows()
 	if k < 1 || n == 0 {

@@ -258,6 +258,77 @@ func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 	return m.Head.Forward(ctx, x)
 }
 
+// FullEmbeddings runs the GCN stack (without the classifier head) over
+// the entire graph and returns the |V| x OutWidth final-layer
+// embedding table — the one full-graph pass, behind serving's cold
+// start and the offline artifact build alike. Training samples
+// subgraphs because backpropagation over the full graph is
+// intractable; inference has no such constraint, and the exact
+// embeddings the paper evaluates (Section VI) come from this pass. It
+// streams one layer at a time in vertex blocks of `block` rows
+// (<= 0 means 256) over `workers` goroutines (<= 0 means the pool's
+// default): only the current and next layer activations are held in
+// full, plus per-worker block scratch, so memory stays O(|V|·f).
+//
+// Every output row is produced by serial per-row arithmetic in the
+// order Forward uses (neighbor aggregation in adjacency order through
+// the same partition kernel, GEMM accumulation in k order) and belongs
+// to exactly one block, so the table is bit-identical at every workers
+// and block setting and to Forward's own activations over g.
+func (m *Model) FullEmbeddings(g *graph.CSR, feats *mat.Dense, workers, block int) *mat.Dense {
+	if feats.Rows != g.N {
+		panic("core: feature rows do not match graph vertices")
+	}
+	if workers < 1 {
+		workers = perf.NumWorkers()
+	}
+	if block < 1 {
+		block = 256
+	}
+	cur := feats
+	for _, l := range m.Layers {
+		next := mat.New(g.N, l.OutWidth())
+		layerForwardBlocks(l, g, cur, next, workers, block)
+		cur = next
+	}
+	return cur
+}
+
+// layerForwardBlocks computes next = GCNLayer(cur) in vertex blocks.
+// Each block of rows is owned by exactly one worker; all arithmetic
+// inside a block is serial and per-row, so block boundaries never
+// change results.
+func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur, next *mat.Dense, workers, block int) {
+	in, out := l.InDim, l.OutDim
+	nBlocks := (g.N + block - 1) / block
+	perf.Parallel(nBlocks, workers, func(_, blo, bhi int) {
+		// Per-worker scratch, reused across this worker's blocks.
+		hN := make([]float64, block*in)
+		zS := make([]float64, block*out)
+		zN := make([]float64, block*out)
+		for b := blo; b < bhi; b++ {
+			lo := b * block
+			hi := min(lo+block, g.N)
+			rows := hi - lo
+			hNb := mat.FromData(rows, in, hN[:rows*in])
+			partition.PropagateRows(hNb, cur, g, l.Agg.Norm(), lo, hi)
+			hBlock := mat.FromData(rows, in, cur.Data[lo*in:hi*in])
+			zSb := mat.FromData(rows, out, zS[:rows*out])
+			zNb := mat.FromData(rows, out, zN[:rows*out])
+			mat.Mul(zSb, hBlock, l.WSelf.W, 1)
+			mat.Mul(zNb, hNb, l.WNeigh.W, 1)
+			for i := 0; i < rows; i++ {
+				drow := next.Row(lo + i)
+				copy(drow[:out], zSb.Row(i))
+				copy(drow[out:], zNb.Row(i))
+				if l.Activate {
+					mat.Relu(drow, drow)
+				}
+			}
+		}
+	})
+}
+
 // Backward propagates dLogits through head and layers, accumulating
 // parameter gradients. The first layer's input is the feature matrix,
 // so nothing reads a gradient w.r.t. it and none is computed.

@@ -9,11 +9,16 @@
 // neighbors' feature vectors (the feature-aggregation step of Section
 // II-A). The backward pass of the same operator distributes gradient
 // mass to neighbors scaled by the *source* degree, which on an
-// undirected graph is the transpose operator; both directions share
-// one kernel parameterized by the normalization mode.
+// undirected graph is the transpose operator; both directions, and the
+// symmetric and unnormalized operators of the aggregator ablation,
+// share one kernel parameterized by the normalization mode — the one
+// loop in the module that sums neighbor feature rows, under training's
+// subgraph steps and serving's full-graph pass alike.
 package partition
 
 import (
+	"math"
+
 	"gsgcn/internal/graph"
 	"gsgcn/internal/mat"
 	"gsgcn/internal/perf"
@@ -29,6 +34,12 @@ const (
 	// NormSrc computes dst[v] = sum_{u in N(v)} src[u]/deg(u)
 	// — the transpose (backward) of the mean aggregator.
 	NormSrc
+	// NormSym computes dst[v] = sum_{u in N(v)} src[u]/sqrt(deg(v)·deg(u))
+	// — Kipf & Welling's symmetric normalization, its own transpose.
+	NormSym
+	// NormSum computes dst[v] = sum_{u in N(v)} src[u] — the
+	// unnormalized adjacency, its own transpose on an undirected graph.
+	NormSum
 )
 
 // PropagateRange aggregates columns [colLo, colHi) of src into dst
@@ -36,7 +47,18 @@ const (
 // dst outside the column range are left untouched. This is the unit
 // of work one processor performs on one feature partition H^(i,j).
 func PropagateRange(dst, src *mat.Dense, g *graph.CSR, norm Norm, colLo, colHi int) {
-	propagateBlock(dst, src, g, norm, 0, g.N, colLo, colHi)
+	propagateBlock(dst, 0, src, g, norm, 0, g.N, colLo, colHi)
+}
+
+// PropagateRows aggregates every column of src for vertices
+// [vlo, vhi) into the (vhi-vlo) x f block dst, whose row i receives
+// vertex vlo+i: the unit of work of a pass that streams the graph in
+// vertex blocks and keeps only a block of aggregated rows at a time.
+func PropagateRows(dst, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi int) {
+	if dst.Rows != vhi-vlo || src.Rows != g.N || dst.Cols != src.Cols {
+		panic("partition: PropagateRows shape mismatch")
+	}
+	propagateBlock(dst, vlo, src, g, norm, vlo, vhi, 0, src.Cols)
 }
 
 // Propagate runs the full feature propagation with feature-dimension
@@ -124,33 +146,44 @@ func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers in
 			if vlo >= vhi || clo >= chi {
 				continue
 			}
-			propagateBlock(dst, src, g, norm, vlo, vhi, clo, chi)
+			propagateBlock(dst, 0, src, g, norm, vlo, vhi, clo, chi)
 		}
 	})
 }
 
-// propagateBlock aggregates the column range for vertices [vlo, vhi).
-// The row arithmetic is mat's vector primitives (SIMD where the host
-// has it, same bits everywhere); neighbors are added in adjacency
-// order.
-func propagateBlock(dst, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi, colLo, colHi int) {
+// propagateBlock aggregates the column range for vertices [vlo, vhi)
+// into dst, whose row 0 is vertex dstLo (0 for a |V|-row destination,
+// vlo for a block-local one). The row arithmetic is mat's vector
+// primitives (SIMD where the host has it, same bits everywhere);
+// neighbors are added in adjacency order, and the mean scales once
+// after the sum. An edge's weight is computed where it is used: a
+// neighbor of anything has degree >= 1 on a symmetric graph, and a
+// per-vertex table would cost every subgraph step an O(|V|) pass.
+func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi, colLo, colHi int) {
 	f := src.Cols
 	for v := vlo; v < vhi; v++ {
-		drow := dst.Data[v*f+colLo : v*f+colHi]
+		drow := dst.Data[(v-dstLo)*f+colLo : (v-dstLo)*f+colHi]
 		clear(drow)
 		nb := g.Neighbors(int32(v))
 		if len(nb) == 0 {
 			continue
 		}
 		switch norm {
-		case NormDst:
+		case NormDst, NormSum:
 			for _, u := range nb {
 				mat.AddTo(drow, src.Data[int(u)*f+colLo:int(u)*f+colHi])
 			}
-			mat.Scal(drow, 1/float64(len(nb)))
+			if norm == NormDst {
+				mat.Scal(drow, 1/float64(len(nb)))
+			}
 		case NormSrc:
 			for _, u := range nb {
 				mat.Axpy(drow, src.Data[int(u)*f+colLo:int(u)*f+colHi], 1/float64(g.Degree(u)))
+			}
+		case NormSym:
+			sv := 1 / math.Sqrt(float64(len(nb)))
+			for _, u := range nb {
+				mat.Axpy(drow, src.Data[int(u)*f+colLo:int(u)*f+colHi], sv*(1/math.Sqrt(float64(g.Degree(u)))))
 			}
 		}
 	}

@@ -67,7 +67,7 @@ func TestANNRecallOnTrainedEmbeddings(t *testing.T) {
 
 // TestANNTopKProperties checks the serving-level invariants of
 // mode=ann answers: valid ids, no self, no duplicates, sorted by the
-// tkBefore total order, mode/ef reported, and — at ef=|V| — exact
+// ann.Before total order, mode/ef reported, and — at ef=|V| — exact
 // agreement with the mode=exact scanner (the ann ⊆ exact property at
 // full beam width).
 func TestANNTopKProperties(t *testing.T) {
@@ -94,8 +94,8 @@ func TestANNTopKProperties(t *testing.T) {
 			seen[nb.ID] = true
 			if i > 0 {
 				prev := res.Neighbors[i-1]
-				if !tkBefore(prev.Score, int32(prev.ID), nb.Score, int32(nb.ID)) {
-					t.Fatalf("q=%d: neighbors not in tkBefore order at rank %d", q, i)
+				if !ann.Before(prev.Score, int32(prev.ID), nb.Score, int32(nb.ID)) {
+					t.Fatalf("q=%d: neighbors not in ann.Before order at rank %d", q, i)
 				}
 			}
 		}
@@ -296,7 +296,7 @@ func TestANNCacheKeyedByModeAndEf(t *testing.T) {
 }
 
 // TestAnnPackageAgreesWithServeScan pins the two exact scanners — the
-// ann package's harness reference and serve's sharded skiplist scan —
+// ann package's harness reference and serve's sharded scan —
 // to each other, element for element, on served embeddings.
 func TestAnnPackageAgreesWithServeScan(t *testing.T) {
 	ds := testDataset(t, false)

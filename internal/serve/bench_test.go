@@ -76,12 +76,14 @@ func BenchmarkTopKAnnVsExact(b *testing.B) {
 	n := st.Emb.NumRows()
 
 	b.Run("exact", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			topkScan(st, i%n, k, eng.opts.Workers)
 		}
 	})
 	b.Run("ann", func(b *testing.B) {
 		idx := eng.annIndex(st) // build outside the timed region
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng.topkANN(st, i%n, k, eng.opts.ANNEf)
@@ -235,6 +237,6 @@ func BenchmarkFullEmbeddings(b *testing.B) {
 	m := testModel(b, ds, 2, "mean")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FullEmbeddings(m, ds.G, ds.Features, 0, 256)
+		m.FullEmbeddings(ds.G, ds.Features, 0, 256)
 	}
 }

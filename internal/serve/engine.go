@@ -1,12 +1,11 @@
 // Package serve implements the online inference subsystem: the
-// serving half of the paper's pipeline. Training (Algorithms 1/5)
-// samples subgraphs because backpropagation over the full graph is
-// intractable; inference has no such constraint — the exact
-// embeddings the paper evaluates (Section VI) come from one
-// full-graph forward pass. This package computes that pass
-// layer-by-layer over the CSR graph, streaming vertex blocks so peak
-// memory stays O(|V|·f) (two layer activations plus per-worker block
-// scratch), sharded over the shared perf worker pool.
+// serving half of the paper's pipeline, as a snapshot lifecycle plus
+// codecs. It keeps no numerics of its own. The embedding table is the
+// one full-graph forward pass, core.Model.FullEmbeddings — the exact
+// embeddings the paper evaluates (Section VI), aggregated by the same
+// partition kernel training uses; the classifier head and the cosine
+// scans are mat's GEMM and dot; every top-K, exact or approximate,
+// selects through ann.TopK and ranks by ann.Before.
 //
 // The computed embedding table, the model that produced it, and a
 // top-K similarity index form one immutable State published through
@@ -14,13 +13,10 @@
 // and swaps it in, so in-flight requests finish against the snapshot
 // they started with and nothing is ever locked on the query path.
 //
-// Determinism: every output row is produced by serial per-row
-// arithmetic in a fixed order (neighbor aggregation in adjacency
-// order, GEMM accumulation in k order — the same orders the training
-// kernels use), and rows are assigned to exactly one vertex block, so
-// the embedding table is bit-identical at every Workers and BlockSize
-// setting and bit-identical to the training-side full-graph forward
-// pass.
+// Determinism: the embedding table is bit-identical at every Workers
+// and BlockSize setting and to the training-side forward pass (see
+// core.Model.FullEmbeddings), and selection under a total order does
+// not depend on how a scan was split, so every answer is too.
 package serve
 
 import (
@@ -37,9 +33,7 @@ import (
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
-	"gsgcn/internal/graph"
 	"gsgcn/internal/mat"
-	"gsgcn/internal/nn"
 	"gsgcn/internal/obs"
 	"gsgcn/internal/partition"
 	"gsgcn/internal/perf"
@@ -58,10 +52,6 @@ type Options struct {
 	// MaxBatch caps how many queued queries the request layer
 	// coalesces into one gather (0 = 64; 1 disables micro-batching).
 	MaxBatch int
-	// TopKCache bounds the number of memoized top-K query results
-	// (0 = 1024). Entries are keyed by snapshot version, so a model
-	// reload invalidates them wholesale.
-	TopKCache int
 	// ANN makes the HNSW index the default /topk mode (requests may
 	// still pick mode=exact per call). The index is built lazily on
 	// the first ANN query against a snapshot and memoized until the
@@ -181,9 +171,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 64
-	}
-	if o.TopKCache == 0 {
-		o.TopKCache = 1024
 	}
 	if o.ANNM == 0 {
 		o.ANNM = 16
@@ -374,6 +361,10 @@ type topkKey struct {
 	ef      int // 0 for exact mode
 }
 
+// topkMemoLimit is the number of answers a topkMemo holds; once full
+// it admits nothing until a reload empties it.
+const topkMemoLimit = 1024
+
 // topkMemo memoizes top-K answers per (snapshot version, resolved
 // query). Keying by version means a reload can never serve a stale
 // answer; dropStale only returns the memory.
@@ -388,11 +379,11 @@ func (m *topkMemo) lookup(key topkKey) *TopKResult {
 	return m.cache[key]
 }
 
-// store memoizes res unless the memo already holds limit entries.
-func (m *topkMemo) store(key topkKey, res *TopKResult, limit int) {
+// store memoizes res unless the memo is full.
+func (m *topkMemo) store(key topkKey, res *TopKResult) {
 	m.cacheMu.Lock()
 	defer m.cacheMu.Unlock()
-	if len(m.cache) < limit {
+	if len(m.cache) < topkMemoLimit {
 		m.cache[key] = res
 	}
 }
@@ -744,121 +735,6 @@ func (e *Engine) LoadCheckpoint(path string) (uint64, error) {
 	return e.Install(m)
 }
 
-// FullEmbeddings runs the model's GCN stack (without the classifier
-// head) over the entire graph and returns the |V| x OutWidth
-// final-layer embedding table. The computation streams one layer at a
-// time in vertex blocks of `block` rows: only the current and next
-// layer activations are held in full, plus per-worker block scratch,
-// so memory stays O(|V|·f). Output is bit-identical at every workers
-// and block setting.
-func FullEmbeddings(m *core.Model, g *graph.CSR, feats *mat.Dense, workers, block int) *mat.Dense {
-	if feats.Rows != g.N {
-		panic("serve: feature rows do not match graph vertices")
-	}
-	if workers < 1 {
-		workers = perf.NumWorkers()
-	}
-	if block < 1 {
-		block = 256
-	}
-	cur := feats
-	for _, l := range m.Layers {
-		next := mat.New(g.N, l.OutWidth())
-		layerForwardBlocks(l, g, cur, next, workers, block)
-		cur = next
-	}
-	return cur
-}
-
-// layerForwardBlocks computes next = GCNLayer(cur) in vertex blocks.
-// Each block of rows is owned by exactly one worker; all arithmetic
-// inside a block is serial and per-row, so block boundaries never
-// change results.
-func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur, next *mat.Dense, workers, block int) {
-	in, out := l.InDim, l.OutDim
-	var invSqrt []float64
-	if l.Agg == nn.AggSym {
-		invSqrt = make([]float64, g.N)
-		for v := 0; v < g.N; v++ {
-			if d := g.Degree(int32(v)); d > 0 {
-				invSqrt[v] = 1 / math.Sqrt(float64(d))
-			}
-		}
-	}
-	nBlocks := (g.N + block - 1) / block
-	perf.Parallel(nBlocks, workers, func(_, blo, bhi int) {
-		// Per-worker scratch, reused across this worker's blocks.
-		hN := make([]float64, block*in)
-		zS := make([]float64, block*out)
-		zN := make([]float64, block*out)
-		for b := blo; b < bhi; b++ {
-			lo := b * block
-			hi := lo + block
-			if hi > g.N {
-				hi = g.N
-			}
-			rows := hi - lo
-			hNb := mat.FromData(rows, in, hN[:rows*in])
-			aggregateRowRange(hNb, cur, g, l.Agg, invSqrt, lo, hi)
-			hBlock := mat.FromData(rows, in, cur.Data[lo*in:hi*in])
-			zSb := mat.FromData(rows, out, zS[:rows*out])
-			zNb := mat.FromData(rows, out, zN[:rows*out])
-			mat.Mul(zSb, hBlock, l.WSelf.W, 1)
-			mat.Mul(zNb, hNb, l.WNeigh.W, 1)
-			for i := 0; i < rows; i++ {
-				drow := next.Row(lo + i)
-				copy(drow[:out], zSb.Row(i))
-				copy(drow[out:], zNb.Row(i))
-				if l.Activate {
-					mat.Relu(drow, drow)
-				}
-			}
-		}
-	})
-}
-
-// aggregateRowRange fills dst row i with the aggregation of vertex
-// lo+i's neighborhood, mirroring the training-side operators
-// (partition.PropagateRange / nn.symPropagate / nn.sumPropagate)
-// element-for-element: neighbors accumulate in adjacency order and
-// the mean multiplies by 1/deg after summation.
-func aggregateRowRange(dst, src *mat.Dense, g *graph.CSR, agg nn.Aggregator, invSqrt []float64, lo, hi int) {
-	f := src.Cols
-	for v := lo; v < hi; v++ {
-		drow := dst.Row(v - lo)
-		for j := range drow {
-			drow[j] = 0
-		}
-		nb := g.Neighbors(int32(v))
-		if len(nb) == 0 {
-			continue
-		}
-		switch agg {
-		case nn.AggMean, nn.AggSum:
-			for _, u := range nb {
-				srow := src.Data[int(u)*f : (int(u)+1)*f]
-				for j, x := range srow {
-					drow[j] += x
-				}
-			}
-			if agg == nn.AggMean {
-				inv := 1 / float64(len(nb))
-				for j := range drow {
-					drow[j] *= inv
-				}
-			}
-		case nn.AggSym:
-			for _, u := range nb {
-				w := invSqrt[v] * invSqrt[u]
-				srow := src.Data[int(u)*f : (int(u)+1)*f]
-				for j, x := range srow {
-					drow[j] += w * x
-				}
-			}
-		}
-	}
-}
-
 // EmbedResult is the answer to an embedding query.
 type EmbedResult struct {
 	Version      uint64      `json:"version"`
@@ -1074,8 +950,8 @@ func (e *Engine) TopK(id, k int) (*TopKResult, error) {
 }
 
 // TopKWith answers a similar-nodes query in the requested mode.
-// ModeExact runs the sharded full scan: per-shard candidates
-// accumulate in bounded skiplists that merge in shard order, so the
+// ModeExact runs the sharded full scan: each row range keeps its k
+// best in an ann.TopK and the ranges merge through another, so the
 // answer is deterministic at every Workers setting. ModeANN searches
 // the snapshot's HNSW index with beam width ef (<= 0 uses the
 // configured default), built lazily on first use; when the beam would
@@ -1110,7 +986,7 @@ func (e *Engine) TopKWith(id, k int, mode string, ef int) (*TopKResult, error) {
 	} else {
 		res = topkScan(st, id, k, e.opts.Workers)
 	}
-	e.store(key, res, e.opts.TopKCache)
+	e.store(key, res)
 	return res, nil
 }
 
@@ -1231,13 +1107,13 @@ func topkScan(st *State, id, k, workers int) *TopKResult {
 
 // scanVec runs the worker-sharded exact scan of the snapshot's table
 // against an arbitrary query vector, excluding global vertex id
-// exclude (-1 = none). Every comparison uses the tkBefore total
-// order, so the merged list is bit-identical at every workers setting
-// — and, because candidates carry global ids, a scatter over N shard
-// engines merges into exactly the whole-graph answer.
+// exclude (-1 = none). Each contiguous row range selects its k best
+// and the ranges merge through the same selector, so the list is
+// bit-identical at every workers setting — and, because candidates
+// carry global ids, a scatter over N shard engines merges into
+// exactly the whole-graph answer.
 func scanVec(st *State, q []float64, qn float64, exclude, k, workers int) []Neighbor {
 	n := st.Emb.NumRows()
-	// One bounded skiplist per contiguous row range.
 	shards := workers
 	if shards > n {
 		shards = n
@@ -1245,12 +1121,12 @@ func scanVec(st *State, q []float64, qn float64, exclude, k, workers int) []Neig
 	if shards < 1 {
 		shards = 1
 	}
-	lists := make([]*topKList, shards)
+	parts := make([][]Neighbor, shards)
 	perf.Parallel(shards, workers, func(_, slo, shi int) {
 		for s := slo; s < shi; s++ {
 			lo := s * n / shards
 			hi := (s + 1) * n / shards
-			tk := newTopKList(k)
+			tk := ann.NewTopK(k)
 			for r := lo; r < hi; r++ {
 				gid := st.globalID(r)
 				if gid == exclude {
@@ -1262,16 +1138,36 @@ func scanVec(st *State, q []float64, qn float64, exclude, k, workers int) []Neig
 				}
 				tk.Offer(int32(gid), score)
 			}
-			lists[s] = tk
+			parts[s] = neighbors(tk)
 		}
 	})
-	final := newTopKList(k)
-	for _, tk := range lists {
-		for x := tk.front(); x != nil; x = x.next[0] {
-			final.Offer(x.id, x.score)
+	return mergeTopK(parts, k)
+}
+
+// neighbors is a selector's content as an answer's neighbor list, best
+// first.
+func neighbors(tk *ann.TopK) []Neighbor {
+	cands := tk.Sorted()
+	nbs := make([]Neighbor, len(cands))
+	for i, c := range cands {
+		nbs[i] = Neighbor{ID: int(c.ID), Score: c.Score}
+	}
+	return nbs
+}
+
+// mergeTopK selects the k best of several candidate lists over
+// disjoint ids — row ranges of one scan, or shards of a fleet.
+func mergeTopK(parts [][]Neighbor, k int) []Neighbor {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	final := ann.NewTopK(k)
+	for _, part := range parts {
+		for _, nb := range part {
+			final.Offer(int32(nb.ID), nb.Score)
 		}
 	}
-	return final.items()
+	return neighbors(final)
 }
 
 // snapshotRow resolves the current snapshot and the embedding row and

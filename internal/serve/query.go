@@ -279,7 +279,7 @@ func resolveTopK(q topkQuery, kSet bool, vertices int) (topkQuery, error) {
 // passed through queryMode and resolveTopK, and runs only after
 // admission. The
 // scatter-gather fetches the query vector from the owning shard,
-// probes every live shard and merges under the tkBefore total order;
+// probes every live shard and merges under the ann.Before total order;
 // the scan plan comes from planTopK against the global vertex count,
 // the resolver Engine.TopKWith uses, so exact answers are
 // byte-identical to a whole-graph engine's at every shard count.
@@ -354,16 +354,6 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 			return nil, err
 		}
 	}
-	neighbors := parts[0]
-	if len(parts) > 1 {
-		final := newTopKList(q.k)
-		for _, part := range parts {
-			for _, nb := range part {
-				final.Offer(int32(nb.ID), nb.Score)
-			}
-		}
-		neighbors = final.items()
-	}
 	res := &TopKResult{
 		Version:      st.Version,
 		ModelVersion: st.ModelVersion,
@@ -372,7 +362,7 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 		Mode:         ModeExact,
 		Ef:           ef,
 		Degraded:     degraded,
-		Neighbors:    neighbors,
+		Neighbors:    mergeTopK(parts, q.k),
 	}
 	if useANN {
 		res.Mode = ModeANN
@@ -380,7 +370,7 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 	if degraded {
 		s.degraded.Inc()
 	} else {
-		s.store(key, res, s.opts.TopKCache)
+		s.store(key, res)
 	}
 	s.annotate(ctx, len(live), 0)
 	return res, nil

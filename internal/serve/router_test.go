@@ -193,7 +193,7 @@ func TestRouterANNModes(t *testing.T) {
 // TestScatterMergeTies drives the scatter merge directly over a
 // synthetic table with heavy score ties (duplicated rows): at every
 // shard count the merged per-shard exact scans must equal the
-// whole-table scan entry for entry — the tkBefore total order breaks
+// whole-table scan entry for entry — the ann.Before total order breaks
 // every tie by id, independent of which shard offered the candidate
 // first.
 func TestScatterMergeTies(t *testing.T) {
@@ -221,16 +221,14 @@ func TestScatterMergeTies(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4, 7} {
 		sm := partition.ShardMap{Shards: shards, Seed: 5}
 		for _, workers := range []int{1, 3} {
-			final := newTopKList(k)
+			parts := make([][]Neighbor, shards)
 			for s := 0; s < shards; s++ {
 				owned := sm.Owned(n, s)
 				sub, subNorms := compactRows(emb, norms, owned)
 				st := &State{Emb: sub, norms: subNorms, total: n, owned: owned}
-				for _, nb := range scanVec(st, q, qn, id, k, workers) {
-					final.Offer(int32(nb.ID), nb.Score)
-				}
+				parts[s] = scanVec(st, q, qn, id, k, workers)
 			}
-			got := final.items()
+			got := mergeTopK(parts, k)
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d workers=%d: %d neighbors, want %d", shards, workers, len(got), len(want))
 			}

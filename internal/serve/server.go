@@ -54,14 +54,14 @@ const maxQueryIDs = 4096
 // shard, and point queries arriving concurrently coalesce in that
 // shard's micro-batcher. /topk first fetches the query vertex's
 // embedding row from its owner, then probes every live shard and
-// merges the per-shard candidates through the same bounded-skiplist
-// total order (descending score, ascending id) the single-engine scan
-// uses — the order is insertion-order-insensitive, so in exact mode
-// the merged answer is byte-identical at every shard count and Workers
-// setting (test-enforced). In ann mode each shard searches its own
-// HNSW index: deterministic at a fixed shard count, but not across
-// shard counts (an index over a shard's rows is a different graph than
-// one over all rows — see docs/API.md).
+// merges the per-shard candidates through the same bounded selector
+// and total order (ann.TopK: descending score, ascending id) the
+// single-engine scan uses — selection under it does not depend on
+// offer order, so in exact mode the merged answer is byte-identical at
+// every shard count and Workers setting (test-enforced). In ann mode
+// each shard searches its own HNSW index: deterministic at a fixed
+// shard count, but not across shard counts (an index over a shard's
+// rows is a different graph than one over all rows — see docs/API.md).
 //
 // A model with more than one shard additionally serves the shard
 // operations (shardEndpoints), reports the fleet view in /healthz,

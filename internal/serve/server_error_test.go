@@ -246,7 +246,7 @@ func TestTopKOneSnapshotUnderReload(t *testing.T) {
 			want[c][id] = res.Neighbors
 		}
 	}
-	srv := NewServer(ds, Options{Workers: 1, TopKCache: 256})
+	srv := NewServer(ds, Options{Workers: 1})
 	defer srv.Close()
 	if _, err := srv.Load(ckpts[0]); err != nil {
 		t.Fatal(err)

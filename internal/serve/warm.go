@@ -54,7 +54,7 @@ func (e *Engine) wantMeta(m *core.Model) artifact.Meta {
 // warm-start contract that artifacts are bit-identical to a fresh
 // compute holds only while both call exactly this code.
 func computeTables(m *core.Model, ds *datasets.Dataset, opts Options) (*mat.Dense, []float64) {
-	emb := FullEmbeddings(m, ds.G, ds.Features, opts.Workers, opts.BlockSize)
+	emb := m.FullEmbeddings(ds.G, ds.Features, opts.Workers, opts.BlockSize)
 	norms := make([]float64, emb.Rows)
 	perf.ParallelMin(emb.Rows, 64, opts.Workers, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
