@@ -3,6 +3,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -114,6 +116,54 @@ func TestAxpyRowsStaysInsideItsSlices(t *testing.T) {
 						t.Fatalf("n=%d count=%d astride=%d: element %d = %v, want %v", n, count, lay.astride, i, v, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestGatherSumStaysInsideItsSlices: the gather kernel with its row and
+// the last row an index names each ending on the last bytes of an
+// allocation — at list lengths that take one kernel call, exactly one
+// and more than one — and with the first index that names anything
+// further, or anything before the table, stopped in Go: past the guard
+// page the assembly would fault, not panic.
+func TestGatherSumStaysInsideItsSlices(t *testing.T) {
+	const rows, off = 5, 2
+	for n := 1; n <= 70; n++ {
+		stride := n + off + 1
+		d := guardedFloats(t, n)
+		src := guardedFloats(t, (rows-1)*stride+off+n) // the last row is cut off where its columns end
+		for i := range src {
+			src[i] = 0.25
+		}
+		for _, count := range []int{1, 3, listMax, listMax + 6} {
+			idx := make([]int32, count)
+			alpha := guardedFloats(t, count)
+			for i := range idx {
+				idx[i], alpha[i] = int32(rows-1-i%rows), 2 // the last row first
+			}
+			for _, w := range [][]float64{nil, alpha} {
+				want := 0.25 * float64(count) * 3
+				if w != nil {
+					want *= 2
+				}
+				GatherSum(d, src, stride, off, idx, w, 3)
+				for i, v := range d {
+					if v != want {
+						t.Fatalf("n=%d count=%d weighted=%t: element %d = %v, want %v", n, count, w != nil, i, v, want)
+					}
+				}
+				good := idx[count-1]
+				for _, bad := range []int32{rows, -1, math.MinInt32, math.MaxInt32} {
+					idx[count-1] = bad
+					mustPanic(t, fmt.Sprintf("n=%d count=%d index %d", n, count, bad), func() {
+						GatherSum(d, src, stride, off, idx, w, 3)
+					})
+				}
+				idx[count-1] = good
+				mustPanic(t, fmt.Sprintf("n=%d count=%d: one column further", n, count), func() {
+					GatherSum(d, src, stride, off+1, idx, w, 3)
+				})
 			}
 		}
 	}

@@ -10,7 +10,12 @@
 // the list kernel axpyRows, which keeps a stretch of an output row in
 // registers while it takes a whole tile's terms) that run as AVX2
 // assembly where the CPU has it and as portable Go loops elsewhere,
-// with the same bits either way. Every form keeps each output
+// with the same bits either way. GatherSum, the feature-aggregation
+// step's inner loop (Section V-B), walks a vertex's adjacency list the
+// same way: every element of the output row keeps a lane of its own,
+// starts from +0, takes the neighbors in list order and is scaled once,
+// so it returns the bits of a clear, an Axpy per neighbor and a Scal
+// without storing the row in between. Every form keeps each output
 // element's sum in ascending k order and tiles only the loops around
 // it, so that one operand is consumed an L1-sized block at a time
 // while the other streams past; they parallelize across row blocks

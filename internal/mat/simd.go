@@ -1,5 +1,7 @@
 package mat
 
+import "math"
+
 // Vector primitives under every GEMM form, the propagation loops, the
 // rectifier and the top-K scans. Each has two implementations that
 // return the same bits: a portable Go loop (the only path off amd64 or
@@ -13,23 +15,29 @@ package mat
 // observe: the CPU's feature bits, read once at start-up (useAVX2), and
 // the vector length.
 //
-// axpyRows is the one primitive that is more than a loop over
-// elements: dst += Σ alpha[t]·row[t], the inner loop of a·b and of
-// aᵀ·b. Its assembly first gathers the non-zero terms into a list, then
-// takes dst a column panel at a time, each panel loaded once, updated
-// by every term on the list and stored once. Neither step can change
-// an element's sum: the list holds the non-zero terms in their original
-// order, which is the order the portable loop visits them in, and a
-// panel only decides which elements share a register — every element
-// still has its own lane, its own running sum, and receives
+// axpyRows and GatherSum are the two primitives that are more than a
+// loop over elements: a row plus, or set to, a weighted sum of other
+// rows — dst += Σ alpha[t]·row[t], the inner loop of a·b and of aᵀ·b,
+// and dst = scale·Σ alpha[t]·row[idx[t]], a vertex's neighbor
+// aggregation. Both hand the assembly a list of (alpha, row offset)
+// terms — axpyRows' is its non-zero terms, compacted in the assembly's
+// frame; GatherSum's is built here from the indices, every one checked
+// — and one loop walks it: dst a column panel at a time, each panel
+// loaded (or started from +0) once, updated by every term on the list,
+// scaled and stored once. None of this can change an element's sum:
+// the list holds the terms in the order the portable loop visits them
+// in, and a panel only decides which elements share a register — every
+// element still has its own lane, its own running sum, and receives
 // product-then-add for term after term exactly as a chain of Axpy
-// calls would give it.
+// calls would give it, then the one multiplication a Scal would.
 //
 // The assembly checks no bounds. Every entry point below re-slices the
 // other operands to the exact length the kernel will touch, with the
 // operand's own length as the capacity bound (s[:n:len(s)]), before
 // the call: a mismatched pair panics there, as an index into the short
-// slice used to, and never reaches the assembly.
+// slice used to, and never reaches the assembly. GatherSum, whose rows
+// are wherever its indices say, checks every index against the table's
+// length first.
 
 // simdMinLen is the shortest vector handed to the assembly: one full
 // YMM register. Measured on the development host (Xeon, Go 1.24), the
@@ -198,6 +206,94 @@ func axpyRowsGo(dst, src []float64, stride int, alpha []float64, astride, count 
 		if av := alpha[t*astride]; av != 0 {
 			axpyGo(dst, src[t*stride:t*stride+n], av)
 		}
+	}
+}
+
+// ones is the alpha list of an unweighted GatherSum: x*1 is x.
+var ones = func() (a [listMax]float64) {
+	for i := range a {
+		a[i] = 1
+	}
+	return a
+}()
+
+// GatherSum sets dst to a scaled, weighted sum of rows picked out of
+// src by index — a vertex's neighbor aggregation in one call:
+//
+//	dst = scale * Σ_t alpha[t] * src[idx[t]*stride+off : idx[t]*stride+off+len(dst)]
+//
+// An empty alpha weighs every row 1. Each element's sum starts from +0
+// whatever dst held, takes its terms in idx's order, a rounded product
+// then a rounded add each (no zero is skipped, no term fused), and is
+// multiplied by scale once at the end: the bits of clear(dst), one
+// Axpy (or AddTo) per index and one Scal. The assembly keeps a column
+// panel of dst in registers from the +0 to the scale, where that
+// sequence loads and stores it once per index; it takes listMax terms
+// at a time, and a longer list carries the unscaled running sum from
+// one call into the next through dst, which changes no bit of it.
+//
+// It panics, before anything is read, if an index is negative or its
+// row would end past len(src), if stride or off is negative, or if
+// alpha is neither empty nor as long as idx.
+func GatherSum(dst, src []float64, stride, off int, idx []int32, alpha []float64, scale float64) {
+	n := len(dst)
+	if stride < 0 || off < 0 || len(alpha) != 0 && len(alpha) != len(idx) {
+		panic("mat: GatherSum arguments out of range")
+	}
+	// The largest index whose row ends inside src, by division: a
+	// product that overflowed could pass a comparison.
+	maxIdx := -1
+	if room := len(src) - off - n; room >= 0 {
+		maxIdx = math.MaxInt32
+		if stride > 0 {
+			maxIdx = room / stride
+		}
+	}
+	for _, u := range idx {
+		if u < 0 || int(u) > maxIdx {
+			panic("mat: GatherSum index out of range")
+		}
+	}
+	if len(idx) == 0 { // the assembly's term loops run at least once
+		gatherRowsGo(dst, src, nil, nil, scale, true)
+		return
+	}
+	var offs [listMax]int
+	for fresh := true; len(idx) > 0; fresh = false {
+		c := min(len(idx), listMax)
+		for t, u := range idx[:c] {
+			offs[t] = int(u)*stride + off
+		}
+		idx = idx[c:]
+		a := ones[:c]
+		if len(alpha) != 0 {
+			a, alpha = alpha[:c], alpha[c:]
+		}
+		s := 1.0
+		if len(idx) == 0 {
+			s = scale
+		}
+		if useAVX2 && n >= simdMinLen {
+			gatherRowsAVX2(dst, src, offs[:c], a, s, fresh)
+		} else {
+			gatherRowsGo(dst, src, offs[:c], a, s, fresh)
+		}
+	}
+}
+
+// gatherRowsGo is the portable step of GatherSum, and the statement of
+// what the assembly computes: dst, cleared first if fresh, takes
+// alpha[t] times the len(dst) elements of src at offs[t] for each t in
+// order, then is multiplied by scale.
+func gatherRowsGo(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool) {
+	if fresh {
+		clear(dst)
+	}
+	for t, o := range offs {
+		axpyGo(dst, src[o:o+len(dst)], alpha[t])
+	}
+	if scale != 1 { // x*1 is x
+		scaleGo(dst, scale)
 	}
 }
 

@@ -37,8 +37,9 @@ func xgetbv() (eax, edx uint32)
 
 // The routines below have no bounds checks: callers (simd.go) slice
 // every operand to the length the routine will touch before the call.
-// All are leaf functions that end in VZEROUPPER, and NOSPLIT but for
-// axpyRowsAVX2, whose frame holds its term list.
+// All end in VZEROUPPER and all are NOSPLIT leaves but axpyRowsAVX2,
+// whose frame holds its term list and which, like gatherRowsAVX2,
+// finishes in the list walk the two share.
 
 // axpyAVX2 computes dst[i] += alpha*src[i] for i < len(dst).
 // len(src) must be at least len(dst).
@@ -54,6 +55,14 @@ func axpyAVX2(dst, src []float64, alpha float64)
 //
 //go:noescape
 func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int)
+
+// gatherRowsAVX2 computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
+// for i < len(dst), over t = 0..len(offs)-1 in that order, with +0 in
+// place of dst[i] when fresh. len(offs) must be 1..listMax, len(alpha)
+// at least len(offs), and every offs[t] in 0..len(src)-len(dst).
+//
+//go:noescape
+func gatherRowsAVX2(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
 
 func _() {
 	// axpyRowsAVX2's frame is laid out for 64 terms; an "invalid

@@ -439,8 +439,9 @@ dot4Done:
 	VZEROUPPER
 	RET
 
-// The term list of axpyRowsAVX2 lives in its frame: listMax alphas at
-// 0(SP) and as many element offsets into src at 512(SP) (R9 and R8).
+// A term list is two parallel arrays, R9 the alphas and R8 the element
+// offsets of their rows in src, R10 terms long. axpyRowsAVX2 compacts
+// one into its frame; gatherRowsAVX2 is handed one by its caller.
 //
 // LISTROW sets DX to the start of the AX-th listed row of the current
 // column panel (SI is src advanced to the panel) and Y8 to its alpha
@@ -458,17 +459,12 @@ dot4Done:
 
 // func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int)
 //
-// First the count alphas, astride apart, are compacted into the list
-// without a branch: every one is written, with the offset of its row
-// of src, and the write position moves on only past an alpha whose
-// bits other than the sign are not all zero.
-//
-// Then dst is walked in column panels of 32 elements, at most one each
-// of 16, 8 and 4, and the last three or fewer one at a time. A panel
-// is loaded into Y0..Y7 once, takes every listed term in list order —
-// product first, then the sum, each rounded, as in axpyAVX2 — and is
-// stored once: an element sees the operations of one axpyAVX2 call per
-// non-zero alpha, without the load and store between them.
+// The count alphas, astride apart, are compacted into a list at 0(SP),
+// the offsets of their rows at 512(SP), without a branch: every one is
+// written, and the write position moves on only past an alpha whose
+// bits other than the sign are not all zero. listWalk then adds the
+// listed terms to dst as it stands (Y14 keeps every bit) and leaves the
+// sums as they come (Y15 is 1, and x*1 is x).
 //
 // The 1 KB frame is more than a NOSPLIT function may have, so this one
 // routine carries the assembler's stack check.
@@ -481,39 +477,81 @@ TEXT ·axpyRowsAVX2(SB), $1024-96
 	MOVQ  astride+80(FP), R12
 	MOVQ  count+88(FP), R13
 	TESTQ R13, R13
-	JLE   listDone
+	JLE   rowsDone
 	SHLQ  $3, R12
 	LEAQ  0(SP), R9
 	LEAQ  512(SP), R8
 	XORQ  R10, R10
 	XORQ  DX, DX
 
-listCompact:
+rowsCompact:
 	MOVQ  (R11), AX
 	MOVQ  AX, (R9)(R10*8)
 	MOVQ  DX, (R8)(R10*8)
-	ADDQ  AX, AX           // shifts the sign out: zero for +0 and -0 only
-	NEGQ  AX               // sets the carry unless AX is zero
+	ADDQ  AX, AX          // shifts the sign out: zero for +0 and -0 only
+	NEGQ  AX              // sets the carry unless AX is zero
 	ADCQ  $0, R10
 	ADDQ  R12, R11
 	ADDQ  BX, DX
 	DECQ  R13
-	JNZ   listCompact
+	JNZ   rowsCompact
 	TESTQ R10, R10
-	JZ    listDone
+	JZ    rowsDone
+	VPCMPEQD     Y14, Y14, Y14
+	MOVQ         $0x3ff0000000000000, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+	CALL         listWalk<>(SB)
+	RET
 
+rowsDone:
+	VZEROUPPER
+	RET
+
+// func gatherRowsAVX2(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
+//
+// The caller's list goes to listWalk as it is. Y14 is all zeros when
+// fresh, so that every sum starts from +0 whatever dst holds, and all
+// ones otherwise.
+TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-105
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	MOVQ         offs_base+48(FP), R8
+	MOVQ         offs_len+56(FP), R10
+	MOVQ         alpha_base+72(FP), R9
+	VBROADCASTSD scale+96(FP), Y15
+	MOVBQZX      fresh+104(FP), AX
+	DECQ         AX
+	VMOVQ        AX, X14
+	VPBROADCASTQ X14, Y14
+	JMP          listWalk<>(SB)
+
+// listWalk is the loop under both: for each element i of the CX at DI,
+//
+//	dst[i] = ((dst[i] & Y14) + Σ alpha[t]*src[offs[t]+i]) * Y15
+//
+// over the R10 >= 1 listed terms, in list order, product first, then
+// the sum, each rounded, as in axpyAVX2. dst is walked in column panels
+// of 32 elements, at most one each of 16, 8 and 4, and the last three
+// or fewer one at a time. A panel is loaded into Y0..Y7 once, takes
+// every listed term and is stored once: an element sees the operations
+// of one axpyAVX2 call per term, then one scaleAVX2, without the loads
+// and stores between them. Registers, not a frame, carry its arguments;
+// it ends the AVX section for its callers.
+TEXT listWalk<>(SB), NOSPLIT|NOFRAME, $0-0
 list32:
-	CMPQ    CX, $32
-	JLT     list16
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VMOVUPD 128(DI), Y4
-	VMOVUPD 160(DI), Y5
-	VMOVUPD 192(DI), Y6
-	VMOVUPD 224(DI), Y7
-	XORQ    AX, AX
+	CMPQ   CX, $32
+	JLT    list16
+	VANDPD (DI), Y14, Y0
+	VANDPD 32(DI), Y14, Y1
+	VANDPD 64(DI), Y14, Y2
+	VANDPD 96(DI), Y14, Y3
+	VANDPD 128(DI), Y14, Y4
+	VANDPD 160(DI), Y14, Y5
+	VANDPD 192(DI), Y14, Y6
+	VANDPD 224(DI), Y14, Y7
+	XORQ   AX, AX
 
 list32Term:
 	LISTROW
@@ -534,6 +572,14 @@ list32Term:
 	VADDPD Y6, Y11, Y6
 	VADDPD Y7, Y12, Y7
 	LISTNEXT(list32Term)
+	VMULPD  Y15, Y0, Y0
+	VMULPD  Y15, Y1, Y1
+	VMULPD  Y15, Y2, Y2
+	VMULPD  Y15, Y3, Y3
+	VMULPD  Y15, Y4, Y4
+	VMULPD  Y15, Y5, Y5
+	VMULPD  Y15, Y6, Y6
+	VMULPD  Y15, Y7, Y7
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -548,13 +594,13 @@ list32Term:
 	JMP     list32
 
 list16:
-	CMPQ    CX, $16
-	JLT     list8
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	XORQ    AX, AX
+	CMPQ   CX, $16
+	JLT    list8
+	VANDPD (DI), Y14, Y0
+	VANDPD 32(DI), Y14, Y1
+	VANDPD 64(DI), Y14, Y2
+	VANDPD 96(DI), Y14, Y3
+	XORQ   AX, AX
 
 list16Term:
 	LISTROW
@@ -567,6 +613,10 @@ list16Term:
 	VADDPD Y2, Y11, Y2
 	VADDPD Y3, Y12, Y3
 	LISTNEXT(list16Term)
+	VMULPD  Y15, Y0, Y0
+	VMULPD  Y15, Y1, Y1
+	VMULPD  Y15, Y2, Y2
+	VMULPD  Y15, Y3, Y3
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -576,11 +626,11 @@ list16Term:
 	SUBQ    $16, CX
 
 list8:
-	CMPQ    CX, $8
-	JLT     list4
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	XORQ    AX, AX
+	CMPQ   CX, $8
+	JLT    list4
+	VANDPD (DI), Y14, Y0
+	VANDPD 32(DI), Y14, Y1
+	XORQ   AX, AX
 
 list8Term:
 	LISTROW
@@ -589,6 +639,8 @@ list8Term:
 	VADDPD Y0, Y9, Y0
 	VADDPD Y1, Y10, Y1
 	LISTNEXT(list8Term)
+	VMULPD  Y15, Y0, Y0
+	VMULPD  Y15, Y1, Y1
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	ADDQ    $64, SI
@@ -596,16 +648,17 @@ list8Term:
 	SUBQ    $8, CX
 
 list4:
-	CMPQ    CX, $4
-	JLT     list1
-	VMOVUPD (DI), Y0
-	XORQ    AX, AX
+	CMPQ   CX, $4
+	JLT    list1
+	VANDPD (DI), Y14, Y0
+	XORQ   AX, AX
 
 list4Term:
 	LISTROW
 	VMULPD (DX), Y8, Y9
 	VADDPD Y0, Y9, Y0
 	LISTNEXT(list4Term)
+	VMULPD  Y15, Y0, Y0
 	VMOVUPD Y0, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
@@ -615,6 +668,7 @@ list1:
 	TESTQ  CX, CX
 	JZ     listDone
 	VMOVSD (DI), X0
+	VANDPD X14, X0, X0
 	XORQ   AX, AX
 
 list1Term:
@@ -623,6 +677,7 @@ list1Term:
 	VMULSD (SI)(DX*8), X8, X9
 	VADDSD X0, X9, X0
 	LISTNEXT(list1Term)
+	VMULSD X15, X0, X0
 	VMOVSD X0, (DI)
 	ADDQ   $8, SI
 	ADDQ   $8, DI

@@ -13,6 +13,10 @@ func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, coun
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
+func gatherRowsAVX2(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool) {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
 func dotAVX2(x, y []float64) float64 { panic("mat: no AVX2 kernels on this architecture") }
 
 func dot4AVX2(out, x, y []float64, stride int) { panic("mat: no AVX2 kernels on this architecture") }

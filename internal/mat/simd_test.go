@@ -281,6 +281,105 @@ func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
 	}
 }
 
+// gatherSumRef is what GatherSum replaced, on the portable loops: the
+// row cleared, one add (unweighted) or axpy per index, and one scaling
+// pass unless the scale is 1.
+func gatherSumRef(dst, src []float64, stride, off int, idx []int32, alpha []float64, scale float64) {
+	clear(dst)
+	for t, u := range idx {
+		row := src[int(u)*stride+off:][:len(dst)]
+		if len(alpha) == 0 {
+			addGo(dst, row)
+		} else {
+			axpyGo(dst, row, alpha[t])
+		}
+	}
+	if scale != 1 {
+		scaleGo(dst, scale)
+	}
+}
+
+// TestGatherSumMatchesPerIndexSequence runs on every host: every row
+// width (each panel of the assembly alone and together, and the Go
+// path below the cut-over) at every column offset, for lists that are
+// empty, short, exactly one kernel call, one more than that and several
+// calls long — a longer list must carry its running sum on, not start
+// again — with rows drawn from a handful so that most indices repeat,
+// weighted (zeros and specials among the weights: none is skipped) and
+// unweighted, scaled by 1 and by 1/degree. The destination starts as
+// garbage: nothing of it may reach a result.
+func TestGatherSumMatchesPerIndexSequence(t *testing.T) {
+	const rows, gap = 7, 2
+	degrees := []int{0, 1, 2, listMax - 1, listMax, listMax + 1, 200}
+	for _, vc := range valueClasses {
+		r := rng.New(149)
+		for n := 0; n <= maxDiffLen; n++ {
+			for off := 0; off <= maxDiffOffset; off++ {
+				stride := off + n + gap
+				src := offsetSlice(r, vc.gen, (off+1)%(maxDiffOffset+1), rows*stride)
+				drawn := offsetSlice(r, vc.gen, 3-off, degrees[len(degrees)-1])
+				got := offsetSlice(r, vc.gen, off, n)
+				want := make([]float64, n)
+				idx := make([]int32, len(drawn))
+				for i := range idx {
+					idx[i] = int32(r.Intn(rows))
+				}
+				var offs [listMax]int
+				for _, deg := range degrees {
+					for _, alpha := range [][]float64{nil, drawn[:deg]} {
+						for _, scale := range []float64{1, 1 / float64(deg)} {
+							for i := range got {
+								got[i] = math.NaN()
+							}
+							gatherSumRef(want, src, stride, off, idx[:deg], alpha, scale)
+							GatherSum(got, src, stride, off, idx[:deg], alpha, scale)
+							tag := fmt.Sprintf("%s n=%d off=%d deg=%d weighted=%t scale=%v", vc.name, n, off, deg, len(alpha) != 0, scale)
+							if !slices.EqualFunc(got, want, sameBits) {
+								requireSameBits(t, tag, got, want)
+							}
+							if deg < 2 || deg > listMax {
+								continue
+							}
+							// The portable step at every width, in two
+							// calls: the second carries the first's sum.
+							a := ones[:deg]
+							if len(alpha) != 0 {
+								a = alpha
+							}
+							for i, u := range idx[:deg] {
+								offs[i] = int(u)*stride + off
+							}
+							gatherRowsGo(got, src, offs[:deg/2], a[:deg/2], 1, true)
+							gatherRowsGo(got, src, offs[deg/2:deg], a[deg/2:], scale, false)
+							if !slices.EqualFunc(got, want, sameBits) {
+								requireSameBits(t, "portable steps: "+tag, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherSumStartsFromPositiveZero: (+0) + (-0) is +0, so a vertex
+// whose only neighbor holds -0 aggregates to +0 — which a kernel that
+// loaded its first row instead of adding it to zero would get wrong.
+func TestGatherSumStartsFromPositiveZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 3, 4, 8, 16, 32, 61} {
+		src := make([]float64, n)
+		got := make([]float64, n)
+		for i := range src {
+			src[i], got[i] = negZero, -7
+		}
+		for _, alpha := range [][]float64{nil, {1}} {
+			GatherSum(got, src, n, 0, []int32{0}, alpha, 1)
+			requireSameBits(t, fmt.Sprintf("n=%d weighted=%t", n, alpha != nil), got, make([]float64, n))
+		}
+	}
+}
+
 func TestReluAVX2MatchesPortable(t *testing.T) {
 	requireAVX2(t)
 	for _, vc := range valueClasses {
@@ -445,6 +544,22 @@ func TestPrimitiveLengthContract(t *testing.T) {
 		mustPanic(t, fmt.Sprintf("axpyRows long list n=%d", n), func() {
 			axpyRows(long, make([]float64, n), 0, make([]float64, listMax+1), 1, listMax+1)
 		})
+		// GatherSum: three rows of n, two columns to the left of them.
+		table := make([]float64, 3*(n+2))
+		for tag, fn := range map[string]func(){
+			"negative index":      func() { GatherSum(long, table, n+2, 2, []int32{0, -1}, nil, 1) },
+			"index past the end":  func() { GatherSum(long, table, n+2, 2, []int32{2, 3}, nil, 1) },
+			"row past the end":    func() { GatherSum(long, table[:len(table)-1:len(table)], n+2, 2, []int32{2}, nil, 1) },
+			"past the end, late":  func() { GatherSum(long, table, n+2, 2, append(make([]int32, listMax), 3), nil, 1) },
+			"offset past the row": func() { GatherSum(long, table, n+2, 3, []int32{2}, nil, 1) },
+			"overflowing product": func() { GatherSum(long, table, math.MaxInt64/2+1, 0, []int32{2}, nil, 1) },
+			"negative stride":     func() { GatherSum(long, table, -1, 0, []int32{0}, nil, 1) },
+			"negative offset":     func() { GatherSum(long, table, n+2, -1, []int32{1}, nil, 1) },
+			"short alphas":        func() { GatherSum(long, table, n+2, 2, []int32{0, 1}, three[:1], 1) },
+			"long alphas":         func() { GatherSum(long, table, n+2, 2, []int32{0, 1}, three, 1) },
+		} {
+			mustPanic(t, fmt.Sprintf("GatherSum %s n=%d", tag, n), fn)
+		}
 		if n >= simdMinLen {
 			for i, v := range long {
 				if v != 1 {
@@ -490,6 +605,10 @@ func TestPrimitivesOnEmptySlices(t *testing.T) {
 	axpyRows(nil, nil, 0, []float64{1}, 1, 1) // no columns
 	axpyRows(out1, nil, 1, nil, 1, 0)         // no terms
 	requireSameBits(t, "axpyRows with no terms", out1, []float64{9})
+	GatherSum(nil, nil, 0, 0, []int32{0, 0}, nil, 2) // no columns
+	GatherSum(out1, nil, 1, 0, nil, nil, 2)          // no terms: the empty sum, scaled
+	requireSameBits(t, "GatherSum with no terms", out1, []float64{0})
+	out1[0] = 9
 	out := []float64{9, 9, 9, 9}
 	dot4(out, nil, nil, 0)
 	requireSameBits(t, "dot4 of empty rows", out, []float64{0, 0, 0, 0})

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,76 @@ func TestPropagate2DMatches(t *testing.T) {
 	}
 }
 
+// TestColumnChunks pins the chunking every schedule shares: a chunk is
+// never narrower than a panel, boundaries fall on panel multiples, a
+// row under two panels is one chunk, and the chunks cover [0, f)
+// exactly once.
+func TestColumnChunks(t *testing.T) {
+	for _, c := range []struct {
+		f, q   int
+		bounds []int
+	}{
+		{16, 13, []int{0, 16}},
+		{1, 1, []int{0, 1}},
+		{0, 4, []int{0, 0}},
+		{63, 63, []int{0, 63}},
+		{64, 64, []int{0, 32, 64}},
+		{64, 0, []int{0, 64}},
+		{100, 2, []int{0, 32, 100}},
+		{602, 1, []int{0, 602}},
+		{602, 13, []int{0, 32, 64, 128, 160, 192, 256, 288, 352, 384, 416, 480, 512, 602}},
+		{602, 602, []int{0, 32, 64, 96, 128, 160, 192, 224, 256, 288, 320, 352, 384, 416, 448, 480, 512, 544, 602}},
+	} {
+		n := colChunks(c.f, c.q)
+		if n != len(c.bounds)-1 {
+			t.Errorf("f=%d q=%d: %d chunks, want %d", c.f, c.q, n, len(c.bounds)-1)
+			continue
+		}
+		for i := 0; i < n; i++ {
+			if lo, hi := chunkCols(c.f, n, i); lo != c.bounds[i] || hi != c.bounds[i+1] {
+				t.Errorf("f=%d q=%d: chunk %d = [%d,%d), want [%d,%d)", c.f, c.q, i, lo, hi, c.bounds[i], c.bounds[i+1])
+			}
+		}
+	}
+	for f := 0; f <= 700; f++ {
+		for _, q := range []int{1, 2, 3, 7, 13, 40, f} {
+			n, next := colChunks(f, q), 0
+			for i := 0; i < n; i++ {
+				lo, hi := chunkCols(f, n, i)
+				if lo != next || lo%panel != 0 || hi-lo < min(f, panel) || n > 1 && hi-lo < panel {
+					t.Fatalf("f=%d q=%d: chunk %d of %d = [%d,%d) after %d", f, q, i, n, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != f || n > max(q, 1) {
+				t.Fatalf("f=%d q=%d: %d chunks end at %d", f, q, n, next)
+			}
+		}
+	}
+}
+
+// TestPropagateSchedulesMatchSerial: whatever the chunk count asked for
+// and the worker count — so whatever column chunks and vertex ranges
+// the schedule cuts — Propagate returns the serial per-vertex loop's
+// bits, on a graph with isolated vertices.
+func TestPropagateSchedulesMatchSerial(t *testing.T) {
+	g := holeyGraph(t, 83)
+	for _, f := range []int{1, 8, 16, 33, 64, 602} {
+		src := randomFeatures(rng.New(uint64(f)), g.N, f)
+		dst := mat.New(g.N, f)
+		for _, norm := range []Norm{NormDst, NormSrc, NormSym, NormSum} {
+			want := refVector(src, g, norm)
+			for _, q := range []int{1, 13, f} {
+				for _, workers := range []int{1, 2, 4, 8} {
+					dst.Fill(99.5)
+					Propagate(dst, src, g, norm, q, workers)
+					sameBits(t, fmt.Sprintf("f=%d norm=%d q=%d workers=%d", f, norm, q, workers), dst, 0, g.N, 0, f, want, 0)
+				}
+			}
+		}
+	}
+}
+
 func TestSimPropagateMatchesAndTimes(t *testing.T) {
 	cfg := datasets.Config{Name: "t", Vertices: 400, TargetEdges: 3000, FeatureDim: 4, NumClasses: 4, Seed: 9}
 	g := datasets.Generate(cfg).G
@@ -270,16 +341,30 @@ func TestPropagateShapePanics(t *testing.T) {
 	Propagate(mat.New(4, 2), mat.New(5, 2), g, NormDst, 1, 1)
 }
 
-func BenchmarkPropagateQ1(b *testing.B) { benchPropagate(b, 1) }
-func BenchmarkPropagateQ8(b *testing.B) { benchPropagate(b, 8) }
-
-func benchPropagate(b *testing.B, q int) {
-	cfg := datasets.Config{Name: "b", Vertices: 2000, TargetEdges: 20000, FeatureDim: 4, NumClasses: 4, Seed: 1}
+// BenchmarkPropagate: one core on a training-sized subgraph (~670
+// vertices, ~13 neighbors each), at a hidden layer's width and at two
+// input widths, in one chunk and at the Theorem 2 count of the 602-wide
+// input, forward and backward. Bytes are the rows a pass reads (one per
+// directed edge) and writes (one per vertex).
+func BenchmarkPropagate(b *testing.B) {
+	cfg := datasets.Config{Name: "b", Vertices: 670, TargetEdges: 4350, FeatureDim: 4, NumClasses: 4, Seed: 1}
 	g := datasets.Generate(cfg).G
-	src := randomFeatures(rng.New(1), g.N, 256)
-	dst := mat.New(g.N, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Propagate(dst, src, g, NormDst, q, perf.NumWorkers())
+	for _, f := range []int{16, 256, 602} {
+		src := randomFeatures(rng.New(1), g.N, f)
+		dst := mat.New(g.N, f)
+		for _, q := range []int{1, 13} {
+			for _, op := range []struct {
+				name string
+				norm Norm
+			}{{"mean", NormDst}, {"transpose", NormSrc}} {
+				b.Run(fmt.Sprintf("f=%d/q=%d/%s", f, q, op.name), func(b *testing.B) {
+					b.SetBytes((g.NumDirectedEdges() + int64(g.N)) * int64(f) * 8)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						Propagate(dst, src, g, op.norm, q, 1)
+					}
+				})
+			}
+		}
 	}
 }
