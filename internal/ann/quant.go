@@ -70,9 +70,7 @@ func ScanQuant(qt mat.Quantized, norms []float64, q []float64, qn float64, ef in
 	})
 	final := parts[0]
 	for _, tk := range parts[1:] {
-		for _, c := range tk.h.v { // heap order: selection does not depend on it
-			final.Offer(c.ID, c.Score)
-		}
+		final.merge(tk)
 	}
 	return final.Sorted()
 }

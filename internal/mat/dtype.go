@@ -148,12 +148,12 @@ func (t *F32Table) NumCols() int { return t.ColsN }
 // ResidentBytes returns the table size in bytes.
 func (t *F32Table) ResidentBytes() int64 { return int64(len(t.Data)) * 4 }
 
-// Query converts the query once; scoring is then a float32 dot per
-// row.
+// Query converts the query's first ColsN elements once (it panics here
+// if q is shorter); scoring is then a float32 dot per row.
 func (t *F32Table) Query(q []float64) QuantQuery {
-	q32 := make([]float32, len(q))
-	for j, v := range q {
-		q32[j] = float32(v)
+	q32 := make([]float32, t.ColsN)
+	for j := range q32 {
+		q32[j] = float32(q[j])
 	}
 	return &f32Query{t: t, q: q32}
 }
@@ -163,13 +163,33 @@ type f32Query struct {
 	q []float32
 }
 
+// Scores scores four rows per pass over the query. A row's score is
+// one chain of dependent float32 adds — each waits for the one before
+// — so one row at a time runs at the adder's latency; four rows are
+// four independent chains in flight. Every row still has its own
+// accumulator taking its products in column order, so its bits do not
+// depend on which pass, or the one-row remainder loop, scored it.
 func (s *f32Query) Scores(lo, hi int, out []float64) {
-	cols := s.t.ColsN
-	for i := lo; i < hi; i++ {
+	cols, q := s.t.ColsN, s.q
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		rows := s.t.Data[i*cols : (i+4)*cols]
+		r0, r1, r2, r3 := rows[:cols], rows[cols:2*cols], rows[2*cols:3*cols], rows[3*cols:]
+		var a0, a1, a2, a3 float32
+		for j, v := range q {
+			a0 += v * r0[j]
+			a1 += v * r1[j]
+			a2 += v * r2[j]
+			a3 += v * r3[j]
+		}
+		o := out[i-lo : i-lo+4]
+		o[0], o[1], o[2], o[3] = float64(a0), float64(a1), float64(a2), float64(a3)
+	}
+	for ; i < hi; i++ {
 		row := s.t.Data[i*cols : (i+1)*cols]
 		var acc float32
-		for j, v := range row {
-			acc += s.q[j] * v
+		for j, v := range q {
+			acc += v * row[j]
 		}
 		out[i-lo] = float64(acc)
 	}
@@ -207,9 +227,6 @@ func ResolvePQ(rows, dim int) PQParams {
 	if m < 1 {
 		m = 1
 	}
-	if m > dim && dim > 0 {
-		m = dim
-	}
 	k := rows / 8
 	if k < 2 {
 		k = 2
@@ -224,15 +241,14 @@ func ResolvePQ(rows, dim int) PQParams {
 }
 
 // PQTable is a product-quantized embedding table: one byte per
-// subspace per row plus an M*K codebook of float64 centroids.
-// Centroids[(s*K+c)*dim + j] holds centroid c of subspace s laid out
-// over the full dim (columns outside the subspace are zero), which
-// keeps ADC table construction a plain dot over the subspace span.
+// subspace per row plus an M*K codebook of float64 centroids, each as
+// wide as its subspace's span.
 type PQTable struct {
 	RowsN, ColsN int
 	Params       PQParams
 	// Centroids is packed per subspace: for subspace s with span
-	// width w_s, centroid c occupies Centroids[off_s + c*w_s : ...].
+	// width w_s, centroid c occupies Centroids[off_s + c*w_s : ...],
+	// where off_s = K * (w_0 + ... + w_{s-1}).
 	Centroids []float64
 	// Codes[r*M+s] is row r's centroid id in subspace s.
 	Codes []uint8
@@ -244,24 +260,13 @@ func subSpan(dim, m, s int) (lo, hi int) {
 	return s * dim / m, (s + 1) * dim / m
 }
 
-// centOff returns the offset of subspace s's centroid block within
-// the packed Centroids slice.
-func centOff(dim, m, k, s int) int {
-	off := 0
-	for t := 0; t < s; t++ {
-		lo, hi := subSpan(dim, m, t)
-		off += k * (hi - lo)
-	}
-	return off
-}
-
-// centroidsLen is the packed Centroids length for a configuration.
-func centroidsLen(dim, m, k int) int { return centOff(dim, m, k, m) }
-
 // PQCentroidsLen returns the packed centroid slice length for a
-// configuration — the artifact codec's sizing rule for the codebook
-// section.
-func PQCentroidsLen(dim, m, k int) int { return centroidsLen(dim, m, k) }
+// configuration — the one sizing rule, the artifact codec's included.
+// The M spans partition the dim columns, so the K centroids of every
+// subspace together hold K*dim elements whatever M (>= 1) is; subspace
+// s's block starts where the blocks before it end, which the loops
+// that walk the codebook keep as a running offset.
+func PQCentroidsLen(dim, m, k int) int { return k * dim }
 
 // splitmix64 is the stateless seed expander used for deterministic
 // centroid initialization.
@@ -288,13 +293,15 @@ func TrainPQ(src RowSource, p PQParams, workers int) *PQTable {
 		RowsN:     rows,
 		ColsN:     dim,
 		Params:    p,
-		Centroids: make([]float64, centroidsLen(dim, p.M, p.K)),
+		Centroids: make([]float64, PQCentroidsLen(dim, p.M, p.K)),
 		Codes:     make([]uint8, rows*p.M),
 	}
+	off := 0
 	for s := 0; s < p.M; s++ {
 		lo, hi := subSpan(dim, p.M, s)
 		w := hi - lo
-		cents := t.Centroids[centOff(dim, p.M, p.K, s):centOff(dim, p.M, p.K, s+1)]
+		cents := t.Centroids[off : off+p.K*w]
+		off += p.K * w
 		// Stratified init jittered by the seed: centroid c starts at a
 		// distinct row, spread across the table.
 		for c := 0; c < p.K; c++ {
@@ -381,7 +388,7 @@ func (t *PQTable) Validate() error {
 	if p.K < 1 || p.K > 256 {
 		return fmt.Errorf("mat: pq K=%d out of range", p.K)
 	}
-	if want := centroidsLen(t.ColsN, p.M, p.K); len(t.Centroids) != want {
+	if want := PQCentroidsLen(t.ColsN, p.M, p.K); len(t.Centroids) != want {
 		return fmt.Errorf("mat: pq centroids len %d, want %d", len(t.Centroids), want)
 	}
 	if want := t.RowsN * p.M; len(t.Codes) != want {
@@ -411,17 +418,39 @@ func (t *PQTable) ResidentBytes() int64 {
 
 // Query builds the asymmetric distance table: tab[s*K+c] =
 // dot(query_s, centroid_{s,c}), so a row scores in M table lookups.
+// It is one pass over the packed codebook, M*K entries each with the
+// bits of Dot(query_s, centroid). A span shorter than simdMinLen is
+// summed in place as dotGo sums it — an entry starts as the +0 make
+// left there and takes a rounded product then a rounded add per
+// element in order, so a lone -0 product still gives +0 — one query
+// element across all K centroids at a time: K independent sums in
+// flight and no call per two-element dot. A wider span goes through
+// dot4, four centroids a pass, and dot for the last K mod 4. It panics,
+// before anything is scored, if q is shorter than the table is wide.
 func (t *PQTable) Query(q []float64) QuantQuery {
-	p := t.Params
-	tab := make([]float64, p.M*p.K)
-	for s := 0; s < p.M; s++ {
-		lo, hi := subSpan(t.ColsN, p.M, s)
+	m, k := t.Params.M, t.Params.K
+	q = q[:t.ColsN:len(q)]
+	tab := make([]float64, m*k)
+	off := 0
+	for s := 0; s < m; s++ {
+		lo, hi := subSpan(t.ColsN, m, s)
 		w := hi - lo
-		qs := q[lo:hi]
-		cents := t.Centroids[centOff(t.ColsN, p.M, p.K, s):]
-		dot := dotFor(w) // sub-vectors are a few elements: one call each, not two
-		for c := 0; c < p.K; c++ {
-			tab[s*p.K+c] = dot(qs, cents[c*w:(c+1)*w])
+		qs, cents, row := q[lo:hi], t.Centroids[off:off+k*w], tab[s*k:(s+1)*k]
+		off += k * w
+		if w < simdMinLen {
+			for j, x := range qs {
+				for c := range row {
+					row[c] += x * cents[c*w+j]
+				}
+			}
+			continue
+		}
+		c := 0
+		for ; c+4 <= k; c += 4 {
+			dot4(row[c:], qs, cents[c*w:], w)
+		}
+		for ; c < k; c++ {
+			row[c] = dot(qs, cents[c*w:(c+1)*w])
 		}
 	}
 	return &pqQuery{t: t, tab: tab}
@@ -432,13 +461,32 @@ type pqQuery struct {
 	tab []float64
 }
 
+// Scores scores four rows per pass over the table, for f32Query.Scores'
+// reason: a row's score is a chain of M dependent adds, and four rows
+// are four chains the core can overlap. Each row keeps its own
+// accumulator, started from +0 and taking its M entries in subspace
+// order, in the pass and in the remainder loop alike.
 func (s *pqQuery) Scores(lo, hi int, out []float64) {
-	m, k := s.t.Params.M, s.t.Params.K
-	for r := lo; r < hi; r++ {
-		codes := s.t.Codes[r*m : (r+1)*m]
+	m, k, tab := s.t.Params.M, s.t.Params.K, s.tab
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		codes := s.t.Codes[r*m : (r+4)*m]
+		c0, c1, c2, c3 := codes[:m], codes[m:2*m], codes[2*m:3*m], codes[3*m:]
+		var a0, a1, a2, a3 float64
+		for sub, c := range c0 {
+			row := tab[sub*k : (sub+1)*k]
+			a0 += row[c]
+			a1 += row[c1[sub]]
+			a2 += row[c2[sub]]
+			a3 += row[c3[sub]]
+		}
+		o := out[r-lo : r-lo+4]
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+	}
+	for ; r < hi; r++ {
 		acc := 0.0
-		for sub, c := range codes {
-			acc += s.tab[sub*k+int(c)]
+		for sub, c := range s.t.Codes[r*m : (r+1)*m] {
+			acc += tab[sub*k+int(c)]
 		}
 		out[r-lo] = acc
 	}

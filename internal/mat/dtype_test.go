@@ -1,7 +1,9 @@
 package mat
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -75,29 +77,6 @@ func TestToF32WorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestF32QueryScores(t *testing.T) {
-	src := dtypeTable(50, 8)
-	ft := ToF32(src, 2)
-	q := src.Row(3)
-	qq := ft.Query(q)
-	out := make([]float64, 50)
-	qq.Scores(0, 50, out)
-	// Reference: the same float32 accumulation done by hand.
-	q32 := make([]float32, 8)
-	for j, v := range q {
-		q32[j] = float32(v)
-	}
-	for r := 0; r < 50; r++ {
-		var acc float32
-		for j := 0; j < 8; j++ {
-			acc += q32[j] * ft.Data[r*8+j]
-		}
-		if math.Float64bits(out[r]) != math.Float64bits(float64(acc)) {
-			t.Fatalf("row %d: score %v, want %v", r, out[r], float64(acc))
-		}
-	}
-}
-
 // TestResolvePQShapes checks that the default configuration is always
 // trainable: every resolved parameter set passes TrainPQ's own
 // validation for the shape it was resolved for.
@@ -158,12 +137,13 @@ func TestPQQueryMatchesReconstruction(t *testing.T) {
 	out := make([]float64, 120)
 	pt.Query(q).Scores(0, 120, out)
 	for r := 0; r < 120; r++ {
-		acc := 0.0
+		acc, off := 0.0, 0
 		for s := 0; s < p.M; s++ {
 			lo, hi := subSpan(10, p.M, s)
 			w := hi - lo
 			c := int(pt.Codes[r*p.M+s])
-			cent := pt.Centroids[centOff(10, p.M, p.K, s)+c*w:]
+			cent := pt.Centroids[off+c*w:]
+			off += p.K * w
 			acc += dot(q[lo:hi], cent[:w])
 		}
 		if math.Float64bits(out[r]) != math.Float64bits(acc) {
@@ -209,6 +189,204 @@ func TestGatherRowsSrc(t *testing.T) {
 			if dst.At(i, j) != src.At(r, j) {
 				t.Fatalf("gathered row %d col %d mismatch", i, j)
 			}
+		}
+	}
+}
+
+// handPQ builds a structurally valid PQ table without training: seeded
+// centroids in (-1, 1) and seeded codes below K.
+func handPQ(t *testing.T, rows, dim, m, k int) *PQTable {
+	t.Helper()
+	pt := &PQTable{
+		RowsN: rows, ColsN: dim, Params: PQParams{M: m, K: k},
+		Centroids: dtypeTable(k, dim).Data,
+		Codes:     make([]uint8, rows*m),
+	}
+	x := uint64(dim*131 + m*17 + k)
+	for i := range pt.Codes {
+		x = splitmix64(x)
+		pt.Codes[i] = uint8(x % uint64(k))
+	}
+	if err := pt.Validate(); err != nil {
+		t.Fatalf("handPQ(%d,%d,%d,%d): %v", rows, dim, m, k, err)
+	}
+	return pt
+}
+
+// checkScoreRanges drives Scores over every lo mod 4 x length 0..9 and
+// one long range, against ref(r), the test's own one-row score. The
+// slot after the range must keep its sentinel.
+func checkScoreRanges(t *testing.T, name string, rows int, qq QuantQuery, ref func(r int) float64) {
+	t.Helper()
+	ranges := [][2]int{{1, rows}}
+	for lo := 0; lo < 4; lo++ {
+		for n := 0; n <= 9; n++ {
+			ranges = append(ranges, [2]int{lo, lo + n})
+		}
+	}
+	const sentinel = -12345.5
+	for _, rg := range ranges {
+		lo, hi := rg[0], rg[1]
+		out := make([]float64, hi-lo+1)
+		out[hi-lo] = sentinel
+		qq.Scores(lo, hi, out[:hi-lo])
+		for r := lo; r < hi; r++ {
+			if want := ref(r); !sameBits(out[r-lo], want) {
+				t.Fatalf("%s Scores(%d,%d) row %d: %v (%#x), want %v (%#x)", name, lo, hi, r,
+					out[r-lo], math.Float64bits(out[r-lo]), want, math.Float64bits(want))
+			}
+		}
+		if out[hi-lo] != sentinel {
+			t.Fatalf("%s Scores(%d,%d) wrote past its range", name, lo, hi)
+		}
+	}
+}
+
+// TestPQScoresMatchPerRow: whichever pass scores a row — the four-row
+// one at any phase, or the remainder loop — its score is the one-chain
+// sum of its M table entries in subspace order, to the bit.
+func TestPQScoresMatchPerRow(t *testing.T) {
+	const rows = 1031
+	for _, m := range []int{1, 2, 3, 128} {
+		for _, k := range []int{2, 255, 256} {
+			dim := 2*m + 1 // the last span is 3 wide, the others 2
+			pt := handPQ(t, rows, dim, m, k)
+			q := dtypeTable(3, dim).Row(2)
+			qq := pt.Query(q)
+			tab := qq.(*pqQuery).tab
+			checkScoreRanges(t, "pq", rows, qq, func(r int) float64 {
+				acc := 0.0
+				for s := 0; s < m; s++ {
+					acc += tab[s*k+int(pt.Codes[r*m+s])]
+				}
+				return acc
+			})
+		}
+	}
+}
+
+// TestF32ScoresMatchPerRow is the same statement for the float32
+// table: one float32 chain per row, products in column order.
+func TestF32ScoresMatchPerRow(t *testing.T) {
+	const rows = 1031
+	for _, cols := range []int{1, 2, 3, 7, 8, 256} {
+		ft := ToF32(dtypeTable(rows, cols), 2)
+		ft.Data[5*cols] = float32(math.Inf(1)) // a row that overflows must not leak into its neighbours
+		q := dtypeTable(3, cols).Row(1)
+		checkScoreRanges(t, "f32", rows, ft.Query(q), func(r int) float64 {
+			var acc float32
+			for j := 0; j < cols; j++ {
+				acc += float32(q[j]) * ft.Data[r*cols+j]
+			}
+			return float64(acc)
+		})
+	}
+}
+
+// TestPQQueryEntriesMatchDot: every ADC entry has Dot's bits, for spans
+// on both sides of simdMinLen, even and uneven splits, K with and
+// without a dot4 remainder, and the values a sum started from +0
+// treats specially: a -0 product (the entry is +0), NaN, infinities of
+// both signs and subnormals.
+func TestPQQueryEntriesMatchDot(t *testing.T) {
+	shapes := [][2]int{{3, 3}, {6, 3}, {9, 3}, {12, 3}, {15, 3}, {7, 3}, {7, 2}, {256, 128}} // dim, M
+	for _, sh := range shapes {
+		dim, m := sh[0], sh[1]
+		for _, k := range []int{2, 7, 256} {
+			pt := handPQ(t, 4, dim, m, k)
+			q := append([]float64(nil), dtypeTable(5, dim).Row(4)...)
+			cent := pt.Centroids
+			// Centroid 0 of subspace 0 is all zeros and the query is
+			// negative there: every product is -0.
+			w0 := dim / m
+			for j := 0; j < w0; j++ {
+				cent[j], q[j] = 0, -1-float64(j)
+			}
+			// Centroid 1 of subspace 0 holds the special values.
+			special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324}
+			for j := 0; j < w0; j++ {
+				cent[w0+j] = special[(j+k)%len(special)]
+			}
+			tab := pt.Query(q).(*pqQuery).tab
+			off := 0
+			for s := 0; s < m; s++ {
+				lo, hi := subSpan(dim, m, s)
+				w := hi - lo
+				for c := 0; c < k; c++ {
+					want := Dot(q[lo:hi], cent[off+c*w:off+(c+1)*w])
+					if got := tab[s*k+c]; !sameBits(got, want) {
+						t.Fatalf("dim %d M %d K %d: entry (%d,%d) = %v (%#x), Dot gives %v (%#x)",
+							dim, m, k, s, c, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+				off += k * w
+			}
+			if off != PQCentroidsLen(dim, m, k) || off != len(cent) {
+				t.Fatalf("dim %d M %d K %d: blocks end at %d, PQCentroidsLen %d, codebook %d",
+					dim, m, k, off, PQCentroidsLen(dim, m, k), len(cent))
+			}
+			if bits := math.Float64bits(tab[0]); bits != 0 {
+				t.Fatalf("dim %d M %d K %d: all -0 products gave %#x, want +0", dim, m, k, bits)
+			}
+		}
+	}
+}
+
+// TestQuantQueryShortPanics: a query shorter than the table is wide
+// panics in Query, before anything is scored — also when spare
+// capacity would let a re-slice reach past its length.
+func TestQuantQueryShortPanics(t *testing.T) {
+	src := dtypeTable(16, 6)
+	tables := map[string]Quantized{"f32": ToF32(src, 1), "i8pq": handPQ(t, 16, 6, 3, 4)}
+	for name, qt := range tables {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Query accepted a 5-element query for a 6-column table", name)
+				}
+			}()
+			qt.Query(make([]float64, 5, 8))
+		}()
+	}
+}
+
+// TestQuantConcurrentQueries: tables are immutable after construction,
+// so any number of goroutines may prepare and score queries on one
+// table at once (run under -race), each getting the serial answer.
+func TestQuantConcurrentQueries(t *testing.T) {
+	const rows, dim, goroutines = 203, 12, 8
+	src := dtypeTable(rows, dim)
+	for name, qt := range map[string]Quantized{"f32": ToF32(src, 1), "i8pq": TrainPQ(src, ResolvePQ(rows, dim), 2)} {
+		want := make([][]float64, goroutines)
+		for g := range want {
+			want[g] = make([]float64, rows)
+			qt.Query(src.Row(g)).Scores(0, rows, want[g])
+		}
+		errs := make(chan string, goroutines) // one send per goroutine at most
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got := make([]float64, rows)
+				for rep := 0; rep < 20; rep++ {
+					qq := qt.Query(src.Row(g))
+					mid := rows/2 + rep%4
+					qq.Scores(0, mid, got[:mid])
+					qq.Scores(mid, rows, got[mid:])
+					for r := range got {
+						if !sameBits(got[r], want[g][r]) {
+							errs <- fmt.Sprintf("%s goroutine %d rep %d: row %d = %v, want %v", name, g, rep, r, got[r], want[g][r])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
 		}
 	}
 }
