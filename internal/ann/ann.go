@@ -25,12 +25,16 @@
 //     total order (higher score first, lower id on ties), so heap
 //     pops, neighbor selection and result ranking admit no
 //     tie-breaking ambiguity. Every bounded selection — the beam's
-//     result set, the quantized flat scan, and the serving layer's
-//     exact scan and cross-shard merge — is one type, TopK.
+//     result set, the exact rerank of a quantized beam, and the
+//     serving layer's exact scan and cross-shard merge — is one type,
+//     TopK.
 //
 // Similarity is cosine (higher is closer), computed exactly as the
 // serving layer's exact scanner computes it, so an ANN result list is
-// comparable element-for-element with the exact one.
+// comparable element-for-element with the exact one. The search core
+// reads rows only through a scorer: Build and Search score from the
+// exact rows; SearchQuant steers the same walk by a compact table's
+// approximate scores and leaves the exact scores to RerankExact.
 package ann
 
 import (
@@ -257,36 +261,25 @@ func (ix *Index) buildCandidates(v int32) ([][]Candidate, uint64) {
 	if ix.entry < 0 {
 		return out, 0
 	}
-	q := ix.emb.Row(int(v))
-	qn := ix.norms[v]
-	var dist uint64
-	ep := ix.entry
-	epSim := ix.sim(q, qn, ep)
-	dist++
-	for l := ix.nodes[ep].level; l > lvl; l-- {
-		var d uint64
-		ep, epSim, d = ix.greedyAt(q, qn, ep, epSim, l)
-		dist += d
-	}
-	visited := make([]uint64, (len(ix.nodes)+63)/64)
+	w := ix.newWalk(exactScorer{ix, ix.emb.Row(int(v)), ix.norms[v]})
+	ep, epSim := w.descend(lvl)
 	top := lvl
 	if el := ix.nodes[ix.entry].level; el < top {
 		top = el
 	}
 	for l := top; l >= 0; l-- {
-		res, d := ix.searchLayer(q, qn, ep, epSim, l, ix.params.EfConstruction, -1, visited)
-		dist += d
+		res := w.searchLayer(ep, epSim, l, ix.params.EfConstruction, -1)
 		out[l] = res
 		if len(res) > 0 {
 			ep, epSim = res[0].ID, res[0].Score
 		}
 		// Reset the visited set between layers: each layer's beam is
 		// an independent search (links differ per layer).
-		for i := range visited {
-			visited[i] = 0
+		for i := range w.visited {
+			w.visited[i] = 0
 		}
 	}
-	return out, dist
+	return out, w.scored
 }
 
 // commit links vertex v into the graph: merge brute-force offers from
@@ -408,37 +401,101 @@ func (ix *Index) pruneLinks(u int32, l int32, links []int32, capL int) ([]int32,
 	return sel, dist + d
 }
 
+// scorer is what the search core knows of a query: scoreRows writes
+// the similarity of indexed row ids[i] to the query into out[i]. The
+// core hands it every unvisited neighbour of the node it expands in one
+// call, so a scorer with per-call cost — a quantized table's gather
+// loop — pays it once per expansion, not once per row.
+type scorer interface {
+	scoreRows(ids []int32, out []float64)
+}
+
+// exactScorer is the exact float64 cosine, ix.sim row by row: the
+// scorer of Build and Search.
+type exactScorer struct {
+	ix *Index
+	q  []float64
+	qn float64
+}
+
+func (s exactScorer) scoreRows(ids []int32, out []float64) {
+	for i, v := range ids {
+		out[i] = s.ix.sim(s.q, s.qn, v)
+	}
+}
+
+// walk is one query's pass over the graph: its scorer, the gather
+// scratch every expansion reuses, the visited bitset of the layer being
+// searched (zeroed; one bit per vertex), and the number of rows scored
+// so far.
+type walk struct {
+	ix      *Index
+	sc      scorer
+	ids     []int32
+	scores  []float64
+	visited []uint64
+	scored  uint64
+}
+
+func (ix *Index) newWalk(sc scorer) *walk {
+	width := 2 * ix.params.M // the longest link list Build leaves
+	return &walk{ix: ix, sc: sc, ids: make([]int32, 0, width), scores: make([]float64, width),
+		visited: make([]uint64, (len(ix.nodes)+63)/64)}
+}
+
+// score scores ids in one scorer call; the result is valid until the
+// next call.
+func (w *walk) score(ids []int32) []float64 {
+	if len(ids) > len(w.scores) {
+		w.scores = make([]float64, len(ids))
+	}
+	out := w.scores[:len(ids)]
+	w.sc.scoreRows(ids, out)
+	w.scored += uint64(len(ids))
+	return out
+}
+
+// descend scores the entry point and walks greedily down every layer
+// above stop, returning where layer stop's search starts.
+func (w *walk) descend(stop int32) (int32, float64) {
+	ep := w.ix.entry
+	epSim := w.score(append(w.ids[:0], ep))[0]
+	for l := w.ix.nodes[ep].level; l > stop; l-- {
+		ep, epSim = w.greedyAt(ep, epSim, l)
+	}
+	return ep, epSim
+}
+
 // greedyAt walks layer l greedily from ep toward the query, moving to
 // a neighbor only on strict improvement under the Before order, so the
 // walk terminates and is deterministic.
-func (ix *Index) greedyAt(q []float64, qn float64, ep int32, epSim float64, l int32) (int32, float64, uint64) {
-	var dist uint64
+func (w *walk) greedyAt(ep int32, epSim float64, l int32) (int32, float64) {
 	for {
+		links := w.ix.nodes[ep].links[l]
 		improved := false
-		for _, u := range ix.nodes[ep].links[l] {
-			s := ix.sim(q, qn, u)
-			dist++
-			if Before(s, u, epSim, ep) {
+		for i, s := range w.score(links) {
+			if u := links[i]; Before(s, u, epSim, ep) {
 				ep, epSim = u, s
 				improved = true
 			}
 		}
 		if !improved {
-			return ep, epSim, dist
+			return ep, epSim
 		}
 	}
 }
 
 // searchLayer is the ef-bounded best-first beam search at one layer:
-// expand the best unexpanded candidate until it cannot improve the
-// worst of the ef best found. exclude (when >= 0) is traversable but
-// never enters the result set — the serving layer's own-vertex
-// exclusion. visited must be a zeroed bitset of >= ceil(n/64) words.
+// expand the best unexpanded candidate — gather its unvisited
+// neighbors, score them in one call, then admit them in link order —
+// until it cannot improve the worst of the ef best found. exclude
+// (when >= 0) is traversable but never enters the result set — the
+// serving layer's own-vertex exclusion. w.visited must be zeroed.
 // Results come back sorted best-first under the Before order.
-func (ix *Index) searchLayer(q []float64, qn float64, ep int32, epSim float64, l int32, ef int, exclude int32, visited []uint64) ([]Candidate, uint64) {
-	var dist uint64
+func (w *walk) searchLayer(ep int32, epSim float64, l int32, ef int, exclude int32) []Candidate {
 	cand := newHeap(true) // best-first expansion frontier
 	res := NewTopK(ef)    // the ef best found so far
+	visited := w.visited
 	visited[ep>>6] |= 1 << (uint(ep) & 63)
 	cand.push(Candidate{ID: ep, Score: epSim})
 	if ep != exclude {
@@ -446,16 +503,19 @@ func (ix *Index) searchLayer(q []float64, qn float64, ep int32, epSim float64, l
 	}
 	for cand.len() > 0 {
 		c := cand.pop()
-		if w, full := res.worst(); full && Before(w.Score, w.ID, c.Score, c.ID) {
+		if worst, full := res.worst(); full && Before(worst.Score, worst.ID, c.Score, c.ID) {
 			break
 		}
-		for _, u := range ix.nodes[c.ID].links[l] {
-			if visited[u>>6]&(1<<(uint(u)&63)) != 0 {
-				continue
+		ids := w.ids[:0]
+		for _, u := range w.ix.nodes[c.ID].links[l] {
+			if visited[u>>6]&(1<<(uint(u)&63)) == 0 {
+				visited[u>>6] |= 1 << (uint(u) & 63)
+				ids = append(ids, u)
 			}
-			visited[u>>6] |= 1 << (uint(u) & 63)
-			s := ix.sim(q, qn, u)
-			dist++
+		}
+		w.ids = ids
+		for i, s := range w.score(ids) {
+			u := ids[i]
 			if !res.admits(u, s) {
 				continue
 			}
@@ -465,7 +525,15 @@ func (ix *Index) searchLayer(q []float64, qn float64, ep int32, epSim float64, l
 			}
 		}
 	}
-	return res.Sorted(), dist
+	return res.Sorted()
+}
+
+// beam descends to the base layer and returns its ef-wide beam — the
+// one query path, whatever scores the rows.
+func (ix *Index) beam(sc scorer, ef int, exclude int32) []Candidate {
+	w := ix.newWalk(sc)
+	ep, epSim := w.descend(0)
+	return w.searchLayer(ep, epSim, 0, ef, exclude)
 }
 
 // Search returns the k indexed vertices most cosine-similar to the
@@ -484,13 +552,7 @@ func (ix *Index) Search(query []float64, qn float64, k, ef int, exclude int32) [
 	if ef < k {
 		ef = k
 	}
-	ep := ix.entry
-	epSim := ix.sim(query, qn, ep)
-	for l := ix.nodes[ep].level; l > 0; l-- {
-		ep, epSim, _ = ix.greedyAt(query, qn, ep, epSim, l)
-	}
-	visited := make([]uint64, (len(ix.nodes)+63)/64)
-	res, _ := ix.searchLayer(query, qn, ep, epSim, 0, ef, exclude, visited)
+	res := ix.beam(exactScorer{ix, query, qn}, ef, exclude)
 	if len(res) > k {
 		res = res[:k]
 	}

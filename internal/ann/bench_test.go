@@ -6,27 +6,29 @@ import (
 	"gsgcn/internal/mat"
 )
 
-// BenchmarkAnnScanDtype prices one ANN candidate scan per resident
+// BenchmarkAnnScanDtype prices one ANN candidate search per resident
 // representation on a Table-I-shaped table: f64 is the exact flat
-// scan (the no-index baseline the quantized paths substitute), f32 and
-// i8pq run the quantized scan plus the exact rerank of the ef-wide
-// beam — the full work the serving layer does per query at that dtype.
-// Each quantized case reports its recall@10 against the exact scanner
-// so the speedup is never read without its accuracy.
+// scan (the no-index baseline), f32 and i8pq run the flat quantized
+// scan plus the exact rerank of the ef-wide beam — the reference the
+// serving layer ran before it walked the graph. Each quantized case
+// reports its recall@10 against the exact scanner so the speedup is
+// never read without its accuracy.
 //
 // The shard2460x256 group is the shape that is served — one shard of
-// the benchmark's serve_fleet workload, scanned on one core — and the
+// the benchmark's serve_fleet workload, searched on one core — and the
 // go test counterpart of serve.engine_topk_ann_i8pq_us: at dim 256 the
 // ADC table is 128 x 256 entries (256 KB, out of L1), which the
 // 8192 x 32 case (M 16, a 32 KB table) hides. It prices the two halves
-// of a quantized scan apart (query: the per-query table or vector;
-// scores: every row scored once) and then the whole.
+// of a quantized search apart (query: the per-query table or vector;
+// scores: every row scored once) and then the whole, both ways:
+// scan+rerank scores every row, walk+rerank — what is served — the
+// rows the HNSW walk visits. rows_scored/op and recall@10 sit beside
+// each so neither time is read without what it bought.
 func BenchmarkAnnScanDtype(b *testing.B) {
 	emb, norms := randTable(8192, 32, 16, 5)
 	b.Run("f64", func(b *testing.B) { benchExactScan(b, emb, norms) })
 	for name, qt := range quantizers(emb) {
-		qt := qt
-		b.Run(name, func(b *testing.B) { benchQuantScan(b, emb, norms, qt, 4) })
+		b.Run(name, func(b *testing.B) { benchQuantSearch(b, emb, norms, qt, flatScan(norms, 4)) })
 	}
 
 	b.Run("shard2460x256", func(b *testing.B) {
@@ -34,6 +36,7 @@ func BenchmarkAnnScanDtype(b *testing.B) {
 		n := emb.Rows
 		b.Run("f64/scan+rerank", func(b *testing.B) { benchExactScan(b, emb, norms) })
 		qts := quantizers(emb)
+		ix := Build(emb, norms, Params{}, 2)
 		for _, name := range []string{"f32", "i8pq"} {
 			qt := qts[name]
 			b.Run(name+"/query", func(b *testing.B) {
@@ -43,15 +46,19 @@ func BenchmarkAnnScanDtype(b *testing.B) {
 				}
 			})
 			b.Run(name+"/scores", func(b *testing.B) {
-				qq, out := qt.Query(emb.Row(0)), make([]float64, n)
+				qq, out, ids := qt.Query(emb.Row(0)), make([]float64, n), make([]int32, n)
+				for i := range ids {
+					ids[i] = int32(i)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					qq.Scores(0, n, out)
+					qq.ScoreRows(ids, out)
 				}
 				reportRowsPerSec(b, n)
 			})
-			b.Run(name+"/scan+rerank", func(b *testing.B) { benchQuantScan(b, emb, norms, qt, 1) })
+			b.Run(name+"/scan+rerank", func(b *testing.B) { benchQuantSearch(b, emb, norms, qt, flatScan(norms, 1)) })
+			b.Run(name+"/walk+rerank", func(b *testing.B) { benchQuantSearch(b, emb, norms, qt, ix.SearchQuant) })
 		}
 	})
 }
@@ -74,22 +81,54 @@ func benchExactScan(b *testing.B, emb *mat.Dense, norms []float64) {
 	reportRowsPerSec(b, emb.Rows)
 }
 
-// benchQuantScan times the quantized scan plus the exact rerank of its
-// beam, then reports recall@10 against the exact scanner over 50 evenly
-// spaced queries.
-func benchQuantScan(b *testing.B, emb *mat.Dense, norms []float64, qt mat.Quantized, workers int) {
+// beamSearch is what the two quantized candidate searches share:
+// Index.SearchQuant's signature.
+type beamSearch func(qt mat.Quantized, q []float64, qn float64, ef int, exclude int32) []Candidate
+
+// flatScan is ScanQuant as a beamSearch.
+func flatScan(norms []float64, workers int) beamSearch {
+	return func(qt mat.Quantized, q []float64, qn float64, ef int, exclude int32) []Candidate {
+		return ScanQuant(qt, norms, q, qn, ef, exclude, workers)
+	}
+}
+
+// countedTable counts the rows its queries score.
+type countedTable struct {
+	mat.Quantized
+	rows *int
+}
+
+func (t countedTable) Query(q []float64) mat.QuantQuery {
+	return countedQuery{t.Quantized.Query(q), t.rows}
+}
+
+type countedQuery struct {
+	mat.QuantQuery
+	rows *int
+}
+
+func (q countedQuery) ScoreRows(ids []int32, out []float64) {
+	*q.rows += len(ids)
+	q.QuantQuery.ScoreRows(ids, out)
+}
+
+// benchQuantSearch times a quantized candidate search plus the exact
+// rerank of its beam, then — outside the timed region, over 50 evenly
+// spaced queries — reports recall@10 against the exact scanner and the
+// rows the search scored per query.
+func benchQuantSearch(b *testing.B, emb *mat.Dense, norms []float64, qt mat.Quantized, search beamSearch) {
 	n := emb.Rows
-	answer := func(v int) []Candidate {
+	answer := func(qt mat.Quantized, v int) []Candidate {
 		q, qn := emb.Row(v), norms[v]
-		beam := ScanQuant(qt, norms, q, qn, benchEf, int32(v), workers)
-		return RerankExact(emb, norms, q, qn, beam, benchK)
+		return RerankExact(emb, norms, q, qn, search(qt, q, qn, benchEf, int32(v)), benchK)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		answer(i % n)
+		answer(qt, i%n)
 	}
-	reportRowsPerSec(b, n)
 	b.StopTimer()
+	scored := 0
+	counted := countedTable{qt, &scored}
 	sum, queries := 0.0, 0
 	for v := 0; v < n; v += n / 50 {
 		exact := ExactTopK(emb, norms, emb.Row(v), norms[v], benchK, int32(v))
@@ -98,7 +137,7 @@ func benchQuantScan(b *testing.B, emb *mat.Dense, norms []float64, qt mat.Quanti
 			want[c.ID] = true
 		}
 		hits := 0
-		for _, c := range answer(v) {
+		for _, c := range answer(counted, v) {
 			if want[c.ID] {
 				hits++
 			}
@@ -107,5 +146,6 @@ func benchQuantScan(b *testing.B, emb *mat.Dense, norms []float64, qt mat.Quanti
 		queries++
 	}
 	b.ReportMetric(sum/float64(queries), "recall@10")
+	b.ReportMetric(float64(scored)/float64(queries), "rows_scored/op")
 	b.ReportMetric(float64(qt.ResidentBytes()), "resident_bytes")
 }

@@ -114,14 +114,6 @@ func (t *TopK) Offer(id int32, score float64) {
 	t.h.push(Candidate{ID: id, Score: score})
 }
 
-// merge offers everything other holds, in heap order: selection under
-// a total order does not depend on the order of offers.
-func (t *TopK) merge(other *TopK) {
-	for _, c := range other.h.v {
-		t.Offer(c.ID, c.Score)
-	}
-}
-
 // Sorted returns the held entries best first, leaving the selector as
 // it was: a heapsort of a copy, each pop of the worst landing in the
 // slot the shrinking heap just gave up.

@@ -75,10 +75,28 @@ var quantBeamPins = []struct {
 	},
 }
 
-// quantBeamCRC scans a fixed query list — table rows with themselves
+// walkBeamPins pins the beams of the walk that is served (ISSUE 21) —
+// SearchQuant over Build's default index of the same tables, same
+// query list — by quantBeamPins name. Recorded from the commit that
+// introduced the walk, on linux/amd64: these move if a row's
+// approximate score moves by an ulp (as above), if the walk visits or
+// admits in another order, or if Build links the table differently.
+// On tables this small the walk reaches every row of the flat scan's
+// top 64, so five of the six equal the constants above — the walk's
+// beam is the scan's beam, bit for bit; dim7-uneven is where it is not.
+var walkBeamPins = map[string]uint64{
+	"i8pq-dim256-span2": 0x74def37932b15be5,
+	"i8pq-dim22-wide":   0x32b6dc9b3ab1deb7,
+	"i8pq-dim7-uneven":  0x5d81c9c5b6ce805c,
+	"i8pq-dim7-mixed":   0x6304303433c4778f,
+	"f32-dim256":        0x35f14848622293fe,
+	"f32-dim7":          0x7a954bba5947cde3,
+}
+
+// quantBeamCRC searches a fixed query list — table rows with themselves
 // excluded, one with nothing excluded, and one vector that is no row —
 // and folds every raw beam into one CRC.
-func quantBeamCRC(qt mat.Quantized, emb *mat.Dense, norms []float64, workers int) uint64 {
+func quantBeamCRC(search beamSearch, qt mat.Quantized, emb *mat.Dense, norms []float64) uint64 {
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
 	var word [8]byte
 	put := func(x uint64) {
@@ -86,7 +104,7 @@ func quantBeamCRC(qt mat.Quantized, emb *mat.Dense, norms []float64, workers int
 		h.Write(word[:])
 	}
 	scan := func(q []float64, qn float64, exclude int32) {
-		for _, c := range ScanQuant(qt, norms, q, qn, 64, exclude, workers) {
+		for _, c := range search(qt, q, qn, 64, exclude) {
 			put(uint64(uint32(c.ID)))
 			put(math.Float64bits(c.Score))
 		}
@@ -112,9 +130,13 @@ func TestQuantBeamsPinnedAcrossCommits(t *testing.T) {
 		emb, norms := randTable(pin.rows, pin.dim, 16, 77)
 		qt := pin.quantize(emb)
 		for _, workers := range []int{1, 2, 4} {
-			if got := quantBeamCRC(qt, emb, norms, workers); got != pin.crc {
+			if got := quantBeamCRC(flatScan(norms, workers), qt, emb, norms); got != pin.crc {
 				t.Errorf("%s workers=%d: beam CRC %#016x, pinned %#016x", pin.name, workers, got, pin.crc)
 			}
+		}
+		ix := Build(emb, norms, Params{}, 2)
+		if got, want := quantBeamCRC(ix.SearchQuant, qt, emb, norms), walkBeamPins[pin.name]; got != want {
+			t.Errorf("%s: walk beam CRC %#016x, pinned %#016x", pin.name, got, want)
 		}
 	}
 }

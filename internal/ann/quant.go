@@ -1,101 +1,76 @@
 package ann
 
 import (
-	"sort"
+	"fmt"
 
 	"gsgcn/internal/mat"
-	"gsgcn/internal/perf"
 )
 
-// This file is the quantized ANN path: a flat scan over a compact
-// table (float32 or int8-PQ codes) that produces a candidate beam,
-// and the exact rerank that rescores the beam from float64 rows. The
-// two compose into the serving layer's ANN mode for non-f64 dtypes:
-// recall is bounded by the beam width exactly as with HNSW, while
-// every reported score is bit-identical to the exact scanner's score
-// for that row — quantization can change *which* rows are answered,
-// never what score a row is answered with.
+// This file is the quantized ANN path: the index's graph walk steered
+// by scores from a compact table (float32 or int8-PQ codes), which
+// produces a candidate beam, and the exact rerank that rescores the
+// beam from float64 rows. The two compose into the serving layer's ANN
+// mode for non-f64 dtypes: a few hundred rows of the compact table are
+// scored per query instead of all of them, recall is bounded by the
+// beam width exactly as on the f64 walk, and every reported score is
+// bit-identical to the exact scanner's score for that row —
+// quantization can change *which* rows are answered, never what score
+// a row is answered with.
 
-// quantChunk is the row block a scan worker scores per Scores call —
-// large enough to amortize the interface dispatch, small enough to
-// stay in cache.
-const quantChunk = 1024
+// quantScorer is the approximate cosine over a quantized table: the
+// prepared query's approximate dot over qn*norms[r], with sim's
+// zero-norm rule — the scorer of SearchQuant.
+type quantScorer struct {
+	qq    mat.QuantQuery
+	norms []float64
+	qn    float64
+}
 
-// ScanQuant scans the quantized table and returns the ef best rows
-// by approximate cosine (approximate dot over qn*norms[r], the same
-// normalization as the exact scan), excluding row id exclude (-1 =
-// none). Candidates are returned best-first under the Before total
-// order; because top-ef selection under a total order is independent
-// of the scan decomposition, the beam is bit-identical at every
-// workers setting.
-func ScanQuant(qt mat.Quantized, norms []float64, q []float64, qn float64, ef int, exclude int32, workers int) []Candidate {
-	n := qt.NumRows()
-	if ef < 1 || n == 0 {
+func (s quantScorer) scoreRows(ids []int32, out []float64) {
+	s.qq.ScoreRows(ids, out)
+	for i, v := range ids {
+		if d := s.qn * s.norms[v]; d > 0 {
+			out[i] /= d
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+// SearchQuant is the same walk scored through a quantized table of the
+// indexed rows instead of the rows themselves: it returns the whole
+// ef-wide beam (Params.EfSearch when ef <= 0) ranked by approximate
+// cosine, for RerankExact to rescore — the graph's links were chosen
+// on exact scores, only the steering is approximate. The ADC table or
+// converted vector is prepared once; each expansion then scores its
+// neighbors in one gather pass over the codes.
+func (ix *Index) SearchQuant(qt mat.Quantized, query []float64, qn float64, ef int, exclude int32) []Candidate {
+	if qt.NumRows() != len(ix.nodes) {
+		panic(fmt.Sprintf("ann: quantized table has %d rows, index %d vertices", qt.NumRows(), len(ix.nodes)))
+	}
+	if len(ix.nodes) == 0 {
 		return nil
 	}
-	shards := workers
-	if shards > n {
-		shards = n
+	if ef <= 0 {
+		ef = ix.params.EfSearch
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	qq := qt.Query(q)
-	parts := make([]*TopK, shards)
-	perf.Parallel(shards, workers, func(_, slo, shi int) {
-		var buf [quantChunk]float64
-		for s := slo; s < shi; s++ {
-			lo := s * n / shards
-			hi := (s + 1) * n / shards
-			tk := NewTopK(ef)
-			for blk := lo; blk < hi; blk += quantChunk {
-				end := blk + quantChunk
-				if end > hi {
-					end = hi
-				}
-				qq.Scores(blk, end, buf[:end-blk])
-				for r := blk; r < end; r++ {
-					if int32(r) == exclude {
-						continue
-					}
-					score := 0.0
-					if d := qn * norms[r]; d > 0 {
-						score = buf[r-blk] / d
-					}
-					tk.Offer(int32(r), score)
-				}
-			}
-			parts[s] = tk
-		}
-	})
-	final := parts[0]
-	for _, tk := range parts[1:] {
-		final.merge(tk)
-	}
-	return final.Sorted()
+	return ix.beam(quantScorer{qt.Query(query), ix.norms, qn}, ef, exclude)
 }
 
 // RerankExact rescores a candidate beam with the exact float64
 // cosine — the very arithmetic of the exact scanner, so each returned
 // score is bit-identical to what an exact scan would report for that
-// row — and returns the k best under the Before order.
+// row — and returns the k best under the Before order. It selects
+// through TopK as the exact scanner does, so a row whose exact score is
+// not a number is dropped here as it is there.
 func RerankExact(emb mat.RowSource, norms []float64, q []float64, qn float64, beam []Candidate, k int) []Candidate {
-	if k < 1 || len(beam) == 0 {
-		return nil
-	}
-	out := make([]Candidate, len(beam))
-	for i, c := range beam {
+	tk := NewTopK(k)
+	for _, c := range beam {
 		score := 0.0
 		if d := qn * norms[c.ID]; d > 0 {
 			score = mat.Dot(q, emb.Row(int(c.ID))) / d
 		}
-		out[i] = Candidate{ID: c.ID, Score: score}
+		tk.Offer(c.ID, score)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return Before(out[i].Score, out[i].ID, out[j].Score, out[j].ID)
-	})
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k]
+	return tk.Sorted()
 }

@@ -11,11 +11,11 @@ import (
 // exact float64 rows without caring whether they live on the private
 // heap or inside a memory-mapped artifact, plus the two lossy
 // representations (float32 and int8 product quantization) the ANN
-// hot path can scan instead of the full-precision table. Exactness
-// is preserved by construction: quantized tables only ever generate
-// candidates — every reported score is recomputed from a RowSource's
-// float64 rows, so answers in exact mode are bit-identical across
-// dtypes.
+// hot path can score rows from instead of the full-precision table.
+// Exactness is preserved by construction: quantized tables only ever
+// generate candidates — every reported score is recomputed from a
+// RowSource's float64 rows, so answers in exact mode are bit-identical
+// across dtypes.
 
 // Dtype names a resident representation of an embedding table.
 type Dtype uint8
@@ -25,11 +25,11 @@ const (
 	// rerank read it; it is the zero value so untouched Options keep
 	// their pre-dtype behavior.
 	DtypeF64 Dtype = iota
-	// DtypeF32 halves the table for ANN scans; exact answers still
-	// read float64 rows.
+	// DtypeF32 halves the table ANN searches score from; exact answers
+	// still read float64 rows.
 	DtypeF32
 	// DtypeI8PQ is int8 product quantization: ~1 byte per subspace
-	// per row plus a small codebook, scanned via asymmetric distance
+	// per row plus a small codebook, scored via asymmetric distance
 	// tables.
 	DtypeI8PQ
 )
@@ -96,8 +96,8 @@ type Quantized interface {
 	Dtype() Dtype
 	NumRows() int
 	NumCols() int
-	// ResidentBytes is the size of the working set an ANN scan
-	// touches (codes plus codebooks) — the number the serving layer
+	// ResidentBytes is the size of the working set an ANN search
+	// scores from (codes plus codebooks) — the number the serving layer
 	// exports as its memory-plane gauge.
 	ResidentBytes() int64
 	// Query prepares per-query state (a converted vector or an
@@ -105,15 +105,17 @@ type Quantized interface {
 	Query(q []float64) QuantQuery
 }
 
-// QuantQuery is prepared per-query scoring state. Scores writes the
-// approximate dot(query, row r) for r in [lo, hi) into out[0:hi-lo].
-// It is safe to call concurrently from row-sharded scans.
+// QuantQuery is prepared per-query scoring state. ScoreRows writes the
+// approximate dot(query, row ids[i]) into out[i] — a graph walk passes
+// the neighbours it is about to visit, a flat scan consecutive ids. A
+// row's bits never depend on the ids it was batched with. It is safe
+// to call concurrently.
 type QuantQuery interface {
-	Scores(lo, hi int, out []float64)
+	ScoreRows(ids []int32, out []float64)
 }
 
 // F32Table is an embedding table rounded to float32: half the bytes
-// of the source, scanned with float32 arithmetic.
+// of the source, scored with float32 arithmetic.
 type F32Table struct {
 	RowsN, ColsN int
 	Data         []float32
@@ -163,18 +165,18 @@ type f32Query struct {
 	q []float32
 }
 
-// Scores scores four rows per pass over the query. A row's score is
+// ScoreRows scores four rows per pass over the query. A row's score is
 // one chain of dependent float32 adds — each waits for the one before
 // — so one row at a time runs at the adder's latency; four rows are
 // four independent chains in flight. Every row still has its own
 // accumulator taking its products in column order, so its bits do not
-// depend on which pass, or the one-row remainder loop, scored it.
-func (s *f32Query) Scores(lo, hi int, out []float64) {
-	cols, q := s.t.ColsN, s.q
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		rows := s.t.Data[i*cols : (i+4)*cols]
-		r0, r1, r2, r3 := rows[:cols], rows[cols:2*cols], rows[2*cols:3*cols], rows[3*cols:]
+// depend on which pass, beside which rows, or whether the one-row
+// remainder loop scored it.
+func (s *f32Query) ScoreRows(ids []int32, out []float64) {
+	cols, q, data := s.t.ColsN, s.q, s.t.Data
+	row := func(id int32) []float32 { return data[int(id)*cols:][:cols] }
+	for ; len(ids) >= 4; ids, out = ids[4:], out[4:] {
+		r0, r1, r2, r3 := row(ids[0]), row(ids[1]), row(ids[2]), row(ids[3])
 		var a0, a1, a2, a3 float32
 		for j, v := range q {
 			a0 += v * r0[j]
@@ -182,16 +184,15 @@ func (s *f32Query) Scores(lo, hi int, out []float64) {
 			a2 += v * r2[j]
 			a3 += v * r3[j]
 		}
-		o := out[i-lo : i-lo+4]
-		o[0], o[1], o[2], o[3] = float64(a0), float64(a1), float64(a2), float64(a3)
+		out[0], out[1], out[2], out[3] = float64(a0), float64(a1), float64(a2), float64(a3)
 	}
-	for ; i < hi; i++ {
-		row := s.t.Data[i*cols : (i+1)*cols]
+	for i, id := range ids {
+		r := row(id)
 		var acc float32
 		for j, v := range q {
-			acc += v * row[j]
+			acc += v * r[j]
 		}
-		out[i-lo] = float64(acc)
+		out[i] = float64(acc)
 	}
 }
 
@@ -461,33 +462,31 @@ type pqQuery struct {
 	tab []float64
 }
 
-// Scores scores four rows per pass over the table, for f32Query.Scores'
-// reason: a row's score is a chain of M dependent adds, and four rows
-// are four chains the core can overlap. Each row keeps its own
-// accumulator, started from +0 and taking its M entries in subspace
-// order, in the pass and in the remainder loop alike.
-func (s *pqQuery) Scores(lo, hi int, out []float64) {
-	m, k, tab := s.t.Params.M, s.t.Params.K, s.tab
-	r := lo
-	for ; r+4 <= hi; r += 4 {
-		codes := s.t.Codes[r*m : (r+4)*m]
-		c0, c1, c2, c3 := codes[:m], codes[m:2*m], codes[2*m:3*m], codes[3*m:]
+// ScoreRows scores four rows per pass over the table, for
+// f32Query.ScoreRows' reason: a row's score is a chain of M dependent
+// adds, and four rows are four chains the core can overlap. Each row
+// keeps its own accumulator, started from +0 and taking its M entries
+// in subspace order, in the pass and in the remainder loop alike.
+func (s *pqQuery) ScoreRows(ids []int32, out []float64) {
+	m, k, tab, codes := s.t.Params.M, s.t.Params.K, s.tab, s.t.Codes
+	row := func(id int32) []uint8 { return codes[int(id)*m:][:m] }
+	for ; len(ids) >= 4; ids, out = ids[4:], out[4:] {
+		c0, c1, c2, c3 := row(ids[0]), row(ids[1]), row(ids[2]), row(ids[3])
 		var a0, a1, a2, a3 float64
 		for sub, c := range c0 {
-			row := tab[sub*k : (sub+1)*k]
-			a0 += row[c]
-			a1 += row[c1[sub]]
-			a2 += row[c2[sub]]
-			a3 += row[c3[sub]]
+			t := tab[sub*k : (sub+1)*k]
+			a0 += t[c]
+			a1 += t[c1[sub]]
+			a2 += t[c2[sub]]
+			a3 += t[c3[sub]]
 		}
-		o := out[r-lo : r-lo+4]
-		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+		out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 	}
-	for ; r < hi; r++ {
+	for i, id := range ids {
 		acc := 0.0
-		for sub, c := range s.t.Codes[r*m : (r+1)*m] {
+		for sub, c := range row(id) {
 			acc += tab[sub*k+int(c)]
 		}
-		out[r-lo] = acc
+		out[i] = acc
 	}
 }

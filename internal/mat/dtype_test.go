@@ -135,7 +135,7 @@ func TestPQQueryMatchesReconstruction(t *testing.T) {
 	pt := TrainPQ(src, p, 2)
 	q := src.Row(7)
 	out := make([]float64, 120)
-	pt.Query(q).Scores(0, 120, out)
+	pt.Query(q).ScoreRows(idRange(0, 120), out)
 	for r := 0; r < 120; r++ {
 		acc, off := 0.0, 0
 		for s := 0; s < p.M; s++ {
@@ -213,48 +213,79 @@ func handPQ(t *testing.T, rows, dim, m, k int) *PQTable {
 	return pt
 }
 
-// checkScoreRanges drives Scores over every lo mod 4 x length 0..9 and
-// one long range, against ref(r), the test's own one-row score. The
-// slot after the range must keep its sentinel.
-func checkScoreRanges(t *testing.T, name string, rows int, qq QuantQuery, ref func(r int) float64) {
+// idRange returns the consecutive row ids [lo, hi) — a flat scan's
+// argument to ScoreRows.
+func idRange(lo, hi int) []int32 {
+	ids := make([]int32, hi-lo)
+	for i := range ids {
+		ids[i] = int32(lo + i)
+	}
+	return ids
+}
+
+// checkScoreRows drives ScoreRows against ref(r), the test's own
+// one-row score, two ways. As a flat scan: consecutive ids over every
+// lo mod 4 x length 0..9 and one long range. As a walk's gather: every
+// probed row alone (the remainder loop's first slot), in each of the
+// four slots of a four-row pass beside companions from all over the
+// table — themselves checked — and in each slot of the remainder
+// after a full pass, beside a repeated id. The slot after the
+// ids must keep its sentinel.
+func checkScoreRows(t *testing.T, name string, rows int, qq QuantQuery, ref func(r int) float64) {
 	t.Helper()
-	ranges := [][2]int{{1, rows}}
+	batches := [][]int32{idRange(1, rows)}
 	for lo := 0; lo < 4; lo++ {
 		for n := 0; n <= 9; n++ {
-			ranges = append(ranges, [2]int{lo, lo + n})
+			batches = append(batches, idRange(lo, lo+n))
+		}
+	}
+	for _, r := range []int32{0, 1, 5, 6, int32(rows / 2), int32(rows - 1)} {
+		far := func(i int) int32 { return int32((int(r)*7 + i*389 + 3) % rows) }
+		batches = append(batches, []int32{r})
+		for slot := 0; slot < 4; slot++ {
+			four := []int32{far(0), far(1), far(2), far(3)}
+			four[slot] = r
+			batches = append(batches, four)
+		}
+		for slot := 0; slot < 3; slot++ {
+			tail := []int32{far(4), far(5), far(6), far(7), far(8), far(8), far(8)}
+			tail[4+slot] = r
+			batches = append(batches, tail)
 		}
 	}
 	const sentinel = -12345.5
-	for _, rg := range ranges {
-		lo, hi := rg[0], rg[1]
-		out := make([]float64, hi-lo+1)
-		out[hi-lo] = sentinel
-		qq.Scores(lo, hi, out[:hi-lo])
-		for r := lo; r < hi; r++ {
-			if want := ref(r); !sameBits(out[r-lo], want) {
-				t.Fatalf("%s Scores(%d,%d) row %d: %v (%#x), want %v (%#x)", name, lo, hi, r,
-					out[r-lo], math.Float64bits(out[r-lo]), want, math.Float64bits(want))
+	for _, ids := range batches {
+		out := make([]float64, len(ids)+1)
+		out[len(ids)] = sentinel
+		qq.ScoreRows(ids, out[:len(ids)])
+		for i, r := range ids {
+			if want := ref(int(r)); !sameBits(out[i], want) {
+				t.Fatalf("%s ScoreRows(%v) row %d: %v (%#x), want %v (%#x)", name, ids, r,
+					out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
 			}
 		}
-		if out[hi-lo] != sentinel {
-			t.Fatalf("%s Scores(%d,%d) wrote past its range", name, lo, hi)
+		if out[len(ids)] != sentinel {
+			t.Fatalf("%s ScoreRows(%v) wrote past its ids", name, ids)
 		}
 	}
 }
 
 // TestPQScoresMatchPerRow: whichever pass scores a row — the four-row
-// one at any phase, or the remainder loop — its score is the one-chain
-// sum of its M table entries in subspace order, to the bit.
+// one in any slot beside any companions, or the remainder loop — its
+// score is the one-chain sum of its M table entries in subspace order,
+// to the bit: alone, in a group of four and in the remainder alike.
+// Shapes: spans of 2 (the serving shape), spans of 5 and 6 (entries
+// from the SIMD dot), uneven splits 2/2/3 and 2-then-3, one span.
 func TestPQScoresMatchPerRow(t *testing.T) {
 	const rows = 1031
-	for _, m := range []int{1, 2, 3, 128} {
+	for _, sh := range [][2]int{{256, 128}, {22, 4}, {7, 3}, {257, 128}, {5, 2}, {3, 1}} { // dim, M
+		dim, m := sh[0], sh[1]
 		for _, k := range []int{2, 255, 256} {
-			dim := 2*m + 1 // the last span is 3 wide, the others 2
 			pt := handPQ(t, rows, dim, m, k)
 			q := dtypeTable(3, dim).Row(2)
 			qq := pt.Query(q)
 			tab := qq.(*pqQuery).tab
-			checkScoreRanges(t, "pq", rows, qq, func(r int) float64 {
+			checkScoreRows(t, "pq", rows, qq, func(r int) float64 {
 				acc := 0.0
 				for s := 0; s < m; s++ {
 					acc += tab[s*k+int(pt.Codes[r*m+s])]
@@ -273,7 +304,7 @@ func TestF32ScoresMatchPerRow(t *testing.T) {
 		ft := ToF32(dtypeTable(rows, cols), 2)
 		ft.Data[5*cols] = float32(math.Inf(1)) // a row that overflows must not leak into its neighbours
 		q := dtypeTable(3, cols).Row(1)
-		checkScoreRanges(t, "f32", rows, ft.Query(q), func(r int) float64 {
+		checkScoreRows(t, "f32", rows, ft.Query(q), func(r int) float64 {
 			var acc float32
 			for j := 0; j < cols; j++ {
 				acc += float32(q[j]) * ft.Data[r*cols+j]
@@ -360,7 +391,7 @@ func TestQuantConcurrentQueries(t *testing.T) {
 		want := make([][]float64, goroutines)
 		for g := range want {
 			want[g] = make([]float64, rows)
-			qt.Query(src.Row(g)).Scores(0, rows, want[g])
+			qt.Query(src.Row(g)).ScoreRows(idRange(0, rows), want[g])
 		}
 		errs := make(chan string, goroutines) // one send per goroutine at most
 		var wg sync.WaitGroup
@@ -372,8 +403,8 @@ func TestQuantConcurrentQueries(t *testing.T) {
 				for rep := 0; rep < 20; rep++ {
 					qq := qt.Query(src.Row(g))
 					mid := rows/2 + rep%4
-					qq.Scores(0, mid, got[:mid])
-					qq.Scores(mid, rows, got[mid:])
+					qq.ScoreRows(idRange(0, mid), got[:mid])
+					qq.ScoreRows(idRange(mid, rows), got[mid:])
 					for r := range got {
 						if !sameBits(got[r], want[g][r]) {
 							errs <- fmt.Sprintf("%s goroutine %d rep %d: row %d = %v, want %v", name, g, rep, r, got[r], want[g][r])

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 
 	"gsgcn/internal/ann"
+	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
+	"gsgcn/internal/mat"
 )
 
 // annDataset is a >= 2k-vertex seeded graph — the scale the
@@ -65,57 +68,67 @@ func TestANNRecallOnTrainedEmbeddings(t *testing.T) {
 	}
 }
 
+// annDtypes are the resident representations mode=ann is served from:
+// the f64 walk and the two quantized walks share every contract below.
+var annDtypes = []mat.Dtype{mat.DtypeF64, mat.DtypeF32, mat.DtypeI8PQ}
+
 // TestANNTopKProperties checks the serving-level invariants of
-// mode=ann answers: valid ids, no self, no duplicates, sorted by the
-// ann.Before total order, mode/ef reported, and — at ef=|V| — exact
-// agreement with the mode=exact scanner (the ann ⊆ exact property at
-// full beam width).
+// mode=ann answers at every dtype: valid ids, no self, no duplicates,
+// sorted by the ann.Before total order, mode/ef reported, and — at
+// ef=|V| — exact agreement with the mode=exact scanner (the ann ⊆
+// exact property at full beam width; on a quantized table the full
+// beam is every row the walk can reach, reranked exactly).
 func TestANNTopKProperties(t *testing.T) {
 	ds := annDataset(t)
-	eng := trainedEngine(t, ds, Options{Workers: 2})
 	n := ds.G.NumVertices()
-
-	for _, q := range []int{0, 321, 1100, 2199} {
-		res, err := eng.TopKWith(q, 10, ModeANN, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Mode != ModeANN || res.Ef != eng.opts.ANNEf {
-			t.Fatalf("q=%d: mode=%q ef=%d, want ann/%d", q, res.Mode, res.Ef, eng.opts.ANNEf)
-		}
-		if len(res.Neighbors) != 10 {
-			t.Fatalf("q=%d: %d neighbors", q, len(res.Neighbors))
-		}
-		seen := make(map[int]bool)
-		for i, nb := range res.Neighbors {
-			if nb.ID < 0 || nb.ID >= n || nb.ID == q || seen[nb.ID] {
-				t.Fatalf("q=%d rank %d: bad id %d", q, i, nb.ID)
+	for _, dtype := range annDtypes {
+		eng := trainedEngine(t, ds, Options{Workers: 2, Dtype: dtype})
+		for _, q := range []int{0, 321, 1100, 2199} {
+			res, err := eng.TopKWith(q, 10, ModeANN, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[nb.ID] = true
-			if i > 0 {
-				prev := res.Neighbors[i-1]
-				if !ann.Before(prev.Score, int32(prev.ID), nb.Score, int32(nb.ID)) {
-					t.Fatalf("q=%d: neighbors not in ann.Before order at rank %d", q, i)
+			if res.Mode != ModeANN || res.Ef != eng.opts.ANNEf {
+				t.Fatalf("%s q=%d: mode=%q ef=%d, want ann/%d", dtype, q, res.Mode, res.Ef, eng.opts.ANNEf)
+			}
+			if len(res.Neighbors) != 10 {
+				t.Fatalf("%s q=%d: %d neighbors", dtype, q, len(res.Neighbors))
+			}
+			seen := make(map[int]bool)
+			for i, nb := range res.Neighbors {
+				if nb.ID < 0 || nb.ID >= n || nb.ID == q || seen[nb.ID] {
+					t.Fatalf("%s q=%d rank %d: bad id %d", dtype, q, i, nb.ID)
+				}
+				seen[nb.ID] = true
+				if i > 0 {
+					prev := res.Neighbors[i-1]
+					if !ann.Before(prev.Score, int32(prev.ID), nb.Score, int32(nb.ID)) {
+						t.Fatalf("%s q=%d: neighbors not in ann.Before order at rank %d", dtype, q, i)
+					}
 				}
 			}
-		}
 
-		// Full beam: the ANN answer must equal the exact scan. (The
-		// engine falls back to the scan at ef >= |V|-1, so probe the
-		// index directly at ef = n for the search-path property, and
-		// the engine for the fallback.)
-		st, _ := eng.Snapshot()
-		full := eng.annIndex(st).Search(st.Emb.Row(q), st.norms[q], 10, n, int32(q))
-		exact, err := eng.TopKWith(q, 10, ModeExact, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(full) != len(exact.Neighbors) {
-			t.Fatalf("q=%d: full-beam %d results vs exact %d", q, len(full), len(exact.Neighbors))
-		}
-		for i, c := range full {
-			if int(c.ID) != exact.Neighbors[i].ID || c.Score != exact.Neighbors[i].Score {
-				t.Fatalf("q=%d rank %d: full-beam %+v vs exact %+v", q, i, c, exact.Neighbors[i])
+			// Full beam: the ANN answer must equal the exact scan. (The
+			// engine falls back to the scan at ef >= |V|-1, so probe the
+			// index directly at ef = n for the search-path property, and
+			// the engine for the fallback.)
+			st, _ := eng.Snapshot()
+			vec, norm := st.Emb.Row(q), st.norms[q]
+			full := eng.annIndex(st).Search(vec, norm, 10, n, int32(q))
+			if st.quant != nil {
+				full = ann.RerankExact(st.Emb, st.norms, vec, norm, eng.annIndex(st).SearchQuant(st.quant, vec, norm, n, int32(q)), 10)
+			}
+			exact, err := eng.TopKWith(q, 10, ModeExact, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(full) != len(exact.Neighbors) {
+				t.Fatalf("%s q=%d: full-beam %d results vs exact %d", dtype, q, len(full), len(exact.Neighbors))
+			}
+			for i, c := range full {
+				if int(c.ID) != exact.Neighbors[i].ID || c.Score != exact.Neighbors[i].Score {
+					t.Fatalf("%s q=%d rank %d: full-beam %+v vs exact %+v", dtype, q, i, c, exact.Neighbors[i])
+				}
 			}
 		}
 	}
@@ -166,10 +179,12 @@ func trainedSmall(tb testing.TB, ds *datasets.Dataset, opts Options) *Engine {
 }
 
 // TestANNDeterministicAcrossWorkersAndRebuilds asserts the acceptance
-// bar's determinism clause at the serving layer: mode=ann result
-// lists — ids and float scores — are bit-identical across Workers
-// settings and across index rebuilds (fresh engines over the same
-// model).
+// bar's determinism clause at the serving layer, per dtype: mode=ann
+// result lists — ids and float scores — are bit-identical across
+// Workers settings, across index rebuilds (fresh engines over the same
+// model), and between a cold engine that builds its index on the first
+// query and one warm-started from a memory-mapped artifact that
+// carries it.
 func TestANNDeterministicAcrossWorkersAndRebuilds(t *testing.T) {
 	ds := annDataset(t)
 	m := core.NewModel(ds, core.Config{
@@ -180,81 +195,100 @@ func TestANNDeterministicAcrossWorkersAndRebuilds(t *testing.T) {
 		q   int
 		nbs []Neighbor
 	}
-	collect := func(workers int) []answer {
-		eng := NewEngine(ds, Options{Workers: workers, ANN: true})
-		if _, err := eng.Install(m); err != nil {
+	for _, dtype := range annDtypes {
+		collect := func(opts Options) []answer {
+			opts.ANN, opts.Dtype = true, dtype
+			eng := NewEngine(ds, opts)
+			if _, err := eng.Install(m); err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := eng.Snapshot(); st.WarmStart != (opts.ArtifactPath != "") || st.IndexReady() != st.WarmStart {
+				t.Fatalf("%s: warm=%v index ready=%v with artifact %q: %s", dtype, st.WarmStart, st.IndexReady(), opts.ArtifactPath, st.WarmNote)
+			}
+			var out []answer
+			for _, q := range []int{0, 99, 777, 2001} {
+				for _, ef := range []int{0, 32, 200} {
+					res, err := eng.TopKWith(q, 10, ModeANN, ef)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Mode != ModeANN {
+						t.Fatalf("%s q=%d ef=%d answered in mode %q", dtype, q, ef, res.Mode)
+					}
+					out = append(out, answer{q: q, nbs: res.Neighbors})
+				}
+			}
+			return out
+		}
+		same := func(what string, got, ref []answer) {
+			t.Helper()
+			for i := range ref {
+				if len(got[i].nbs) != len(ref[i].nbs) {
+					t.Fatalf("%s %s q=%d: %d vs %d neighbors", dtype, what, got[i].q, len(got[i].nbs), len(ref[i].nbs))
+				}
+				for j := range ref[i].nbs {
+					if got[i].nbs[j] != ref[i].nbs[j] {
+						t.Fatalf("%s %s q=%d rank %d: %+v vs %+v", dtype, what, got[i].q, j, got[i].nbs[j], ref[i].nbs[j])
+					}
+				}
+			}
+		}
+		ref := collect(Options{Workers: 1})
+		for _, workers := range []int{2, 4} {
+			same(fmt.Sprintf("workers=%d", workers), collect(Options{Workers: workers}), ref)
+		}
+		// Rebuild with identical settings: identical answers.
+		same("rebuild", collect(Options{Workers: 1}), ref)
+
+		snap, err := BuildSnapshot(ds, m, Options{Workers: 2, Dtype: dtype}, true)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var out []answer
-		for _, q := range []int{0, 99, 777, 2001} {
-			for _, ef := range []int{0, 32, 200} {
-				res, err := eng.TopKWith(q, 10, ModeANN, ef)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, answer{q: q, nbs: res.Neighbors})
-			}
+		path := t.TempDir() + "/m.art"
+		if _, err := artifact.WriteFile(path, snap); err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-	ref := collect(1)
-	for _, workers := range []int{2, 4, 8} {
-		got := collect(workers)
-		for i := range ref {
-			if len(got[i].nbs) != len(ref[i].nbs) {
-				t.Fatalf("workers=%d q=%d: %d vs %d neighbors", workers, got[i].q, len(got[i].nbs), len(ref[i].nbs))
-			}
-			for j := range ref[i].nbs {
-				if got[i].nbs[j] != ref[i].nbs[j] {
-					t.Fatalf("workers=%d q=%d rank %d: %+v vs %+v",
-						workers, got[i].q, j, got[i].nbs[j], ref[i].nbs[j])
-				}
-			}
-		}
-	}
-	// Rebuild with identical settings: identical answers.
-	again := collect(1)
-	for i := range ref {
-		for j := range ref[i].nbs {
-			if again[i].nbs[j] != ref[i].nbs[j] {
-				t.Fatalf("rebuild q=%d rank %d: %+v vs %+v", ref[i].q, j, again[i].nbs[j], ref[i].nbs[j])
-			}
-		}
+		same("warm mmap", collect(Options{Workers: 2, ArtifactPath: path, Mmap: true}), ref)
 	}
 }
 
-// TestANNIndexLazyAndInvalidated checks the memoization contract: the
-// index is built once per snapshot (concurrent first queries
-// included) and a reload discards it with its snapshot.
+// TestANNIndexLazyAndInvalidated checks the memoization contract at
+// every dtype — a quantized snapshot with no artifact index has no
+// other path to fall back on: the first mode=ann query builds the
+// index, once per snapshot, and a reload discards it with its snapshot.
 func TestANNIndexLazyAndInvalidated(t *testing.T) {
 	ds := testDataset(t, false)
-	eng := trainedSmall(t, ds, Options{Workers: 2, ANN: true})
-	st1, _ := eng.Snapshot()
-	if st1.annIdx.Load() != nil {
-		t.Fatal("index built before any ann query")
-	}
-	a := eng.annIndex(st1)
-	if a == nil || eng.annIndex(st1) != a {
-		t.Fatal("second annIndex call did not return the memoized index")
-	}
-	if a.Len() != ds.G.NumVertices() {
-		t.Fatalf("index covers %d vertices, want %d", a.Len(), ds.G.NumVertices())
-	}
+	for _, dtype := range annDtypes {
+		eng := trainedSmall(t, ds, Options{Workers: 2, ANN: true, Dtype: dtype})
+		st1, _ := eng.Snapshot()
+		if st1.IndexReady() {
+			t.Fatalf("%s: index built before any ann query", dtype)
+		}
+		if res, err := eng.TopKWith(5, 3, ModeANN, 0); err != nil || res.Mode != ModeANN {
+			t.Fatalf("%s: first ann query: %+v, %v", dtype, res, err)
+		}
+		a := st1.annIdx.Load()
+		if a == nil || eng.annIndex(st1) != a {
+			t.Fatalf("%s: the first ann query did not leave the memoized index", dtype)
+		}
+		if a.Len() != ds.G.NumVertices() {
+			t.Fatalf("%s: index covers %d vertices, want %d", dtype, a.Len(), ds.G.NumVertices())
+		}
 
-	// New snapshot: fresh index over the new table.
-	if _, err := eng.Install(testModel(t, ds, 2, "sym")); err != nil {
-		t.Fatal(err)
-	}
-	st2, _ := eng.Snapshot()
-	if st2 == st1 {
-		t.Fatal("reload did not swap the snapshot")
-	}
-	if st2.annIdx.Load() != nil {
-		t.Fatal("fresh snapshot carries a prebuilt index")
-	}
-	b := eng.annIndex(st2)
-	if b == a {
-		t.Fatal("reload served the stale index")
+		// New snapshot: fresh index over the new table.
+		if _, err := eng.Install(testModel(t, ds, 2, "sym")); err != nil {
+			t.Fatal(err)
+		}
+		st2, _ := eng.Snapshot()
+		if st2 == st1 {
+			t.Fatalf("%s: reload did not swap the snapshot", dtype)
+		}
+		if st2.IndexReady() {
+			t.Fatalf("%s: fresh snapshot carries a prebuilt index", dtype)
+		}
+		if b := eng.annIndex(st2); b == a {
+			t.Fatalf("%s: reload served the stale index", dtype)
+		}
 	}
 }
 

@@ -41,9 +41,9 @@ import (
 
 // Options parameterizes an inference engine.
 type Options struct {
-	// Workers is the goroutine budget for embedding computation and
-	// top-K scans (0 = GOMAXPROCS). Results are identical at every
-	// setting.
+	// Workers is the goroutine budget for embedding computation, index
+	// builds and exact top-K scans (0 = GOMAXPROCS); an ANN query runs
+	// on its caller's goroutine. Results are identical at every setting.
 	Workers int
 	// BlockSize is the number of vertices per streamed block of the
 	// layer-wise forward pass (0 = 256). Affects scratch memory and
@@ -66,9 +66,9 @@ type Options struct {
 	ANNEf int
 	// Dtype selects the resident representation of the serving table:
 	// f64 (the zero value), f32 or i8pq. Exact-mode answers are
-	// byte-identical across dtypes by construction — quantized
-	// representations only generate ANN candidate beams, which are
-	// reranked with exact float64 scores before anything is returned.
+	// byte-identical across dtypes by construction — a quantized
+	// representation only steers the ANN walk to a candidate beam, which
+	// is reranked with exact float64 scores before anything is returned.
 	Dtype mat.Dtype
 	// Mmap makes warm starts memory-map the artifact instead of
 	// decoding it to private heap: the float64 table then lives in
@@ -207,9 +207,9 @@ type State struct {
 	// norms[r] is ||Emb[r]||₂, precomputed for cosine similarity.
 	norms []float64
 
-	// quant is the compact scan table backing ANN mode for non-f64
-	// dtypes (nil when dtype is f64 — HNSW serves ANN there). Its
-	// beams are always exact-reranked before leaving the engine.
+	// quant is the compact table the ANN walk scores rows from at a
+	// non-f64 dtype (nil when dtype is f64 — the walk reads Emb there).
+	// Its beams are always exact-reranked before leaving the engine.
 	quant mat.Quantized
 	// dtype is the resident representation this snapshot serves with.
 	dtype mat.Dtype
@@ -543,7 +543,7 @@ func (e *Engine) newState(m *core.Model, emb mat.RowSource, norms []float64) *St
 }
 
 // attachPlane fills a freshly built snapshot's memory-plane fields:
-// the quantized scan table for non-f64 dtypes and the byte
+// the quantized table for non-f64 dtypes and the byte
 // accounting. A payload decoded from an artifact (f32/pq) is adopted
 // only when it is exactly what the engine would train itself — same
 // shape, same resolved parameters — so quantization, like every other
@@ -1028,19 +1028,21 @@ func (o Options) planTopK(k int, useANN bool, ef, total, n int) (planANN bool, p
 	if ef < k {
 		ef = k
 	}
-	// The beam covers (almost) the whole table: the exact scan is
-	// both cheaper and, by definition, at least as accurate.
-	if ef >= n-1 || k >= n-1 {
+	if beamCoversTable(k, ef, n) {
 		return false, 0, nil
 	}
 	return true, ef, nil
 }
 
-// annIndex returns the snapshot's HNSW index, building it on first
-// use. The sync.Once makes concurrent first queries build exactly
-// once; losers block until the winner publishes. Construction is
-// deterministic (see package ann), so every rebuild of the same
-// snapshot would yield an identical structure.
+// beamCoversTable is the one ANN-to-exact fallback rule, whole-graph
+// plan and shard probe alike: the beam would cover (almost) all n rows,
+// so the exact scan is cheaper and, by definition, at least as accurate.
+func beamCoversTable(k, ef, n int) bool { return ef >= n-1 || k >= n-1 }
+
+// annIndex returns the snapshot's HNSW index — every dtype's ANN path —
+// building it on first use. Concurrent first queries build exactly once;
+// losers block until the winner publishes. Construction is deterministic
+// (see package ann): every rebuild of a snapshot yields the same structure.
 func (e *Engine) annIndex(st *State) *ann.Index {
 	st.annOnce.Do(func() {
 		st.annIdx.Store(ann.Build(st.Emb, st.norms, e.opts.annParams(), e.opts.Workers))
@@ -1051,7 +1053,6 @@ func (e *Engine) annIndex(st *State) *ann.Index {
 // topkANN answers a top-K query from the snapshot's HNSW index.
 func (e *Engine) topkANN(st *State, id, k, ef int) *TopKResult {
 	row, _ := st.rowOf(id)
-	nbs := e.annVec(st, st.Emb.Row(row), st.norms[row], id, k, ef)
 	return &TopKResult{
 		Version:      st.Version,
 		ModelVersion: st.ModelVersion,
@@ -1059,18 +1060,19 @@ func (e *Engine) topkANN(st *State, id, k, ef int) *TopKResult {
 		K:            k,
 		Mode:         ModeANN,
 		Ef:           ef,
-		Neighbors:    nbs,
+		Neighbors:    e.annVec(st, st.Emb.Row(row), st.norms[row], id, k, ef),
 	}
 }
 
 // annVec runs the snapshot's ANN candidate search for an arbitrary
 // query vector, excluding global vertex id exclude (-1 = none), and
-// reports the candidates as global ids. On an f64 snapshot this is an
-// HNSW beam search; on a quantized snapshot it is the flat scan of
-// the compact table followed by an exact-f64 rerank of the ef-wide
-// beam — so every score returned, whatever the dtype, is bit-equal to
-// the exact scanner's score for that row. The search runs over local
-// rows; exclusion and results map through the snapshot's owned list.
+// reports the candidates as global ids. Every dtype walks the
+// snapshot's HNSW index: an f64 snapshot scores the walk from the exact
+// rows, a quantized one from the few hundred rows of the compact table
+// the walk visits, and exact-f64 reranks the ef-wide beam — so every
+// score returned, whatever the dtype, is bit-equal to the exact
+// scanner's score for that row. The search runs over local rows;
+// exclusion and results map through the snapshot's owned list.
 func (e *Engine) annVec(st *State, q []float64, qn float64, exclude, k, ef int) []Neighbor {
 	ex := int32(-1)
 	if exclude >= 0 {
@@ -1079,11 +1081,10 @@ func (e *Engine) annVec(st *State, q []float64, qn float64, exclude, k, ef int) 
 		}
 	}
 	var cands []ann.Candidate
-	if st.quant != nil {
-		beam := ann.ScanQuant(st.quant, st.norms, q, qn, ef, ex, e.opts.Workers)
-		cands = ann.RerankExact(st.Emb, st.norms, q, qn, beam, k)
+	if idx := e.annIndex(st); st.quant != nil {
+		cands = ann.RerankExact(st.Emb, st.norms, q, qn, idx.SearchQuant(st.quant, q, qn, ef, ex), k)
 	} else {
-		cands = e.annIndex(st).Search(q, qn, k, ef, ex)
+		cands = idx.Search(q, qn, k, ef, ex)
 	}
 	nbs := make([]Neighbor, len(cands))
 	for i, c := range cands {
@@ -1194,9 +1195,8 @@ func (e *Engine) snapshotRow(id int) (*State, []float64, float64, error) {
 // came from when this engine owns it, so a reload landing mid-query
 // cannot pair one version's vector with another's table — and nil
 // means the current one. In ANN mode the per-shard HNSW index is
-// searched unless the beam would cover the local table anyway, in
-// which case the exact local scan is both cheaper and complete — the
-// same fallback rule the whole-graph engine applies.
+// searched unless the beam would cover the local table anyway
+// (beamCoversTable, the rule planTopK applied to the whole graph).
 func (e *Engine) shardTopK(st *State, q []float64, qn float64, exclude, k int, useANN bool, ef int) ([]Neighbor, error) {
 	if st == nil {
 		var err error
@@ -1204,7 +1204,7 @@ func (e *Engine) shardTopK(st *State, q []float64, qn float64, exclude, k int, u
 			return nil, err
 		}
 	}
-	if useANN && ef < st.Emb.NumRows()-1 && k < st.Emb.NumRows()-1 {
+	if useANN && !beamCoversTable(k, ef, st.Emb.NumRows()) {
 		return e.annVec(st, q, qn, exclude, k, ef), nil
 	}
 	return scanVec(st, q, qn, exclude, k, e.opts.Workers), nil

@@ -5,8 +5,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"gsgcn/internal/ann"
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/mat"
+	"gsgcn/internal/rng"
 )
 
 // memPlaneDtypes are the non-default resident representations the
@@ -274,6 +276,103 @@ func TestMemPlaneWarmMmapServesIdentically(t *testing.T) {
 		st2, _ := warm.Snapshot()
 		if st2.mapped != st.mapped {
 			t.Fatalf("dtype=%s: reload remapped an unchanged artifact", dtype)
+		}
+	}
+}
+
+// TestMemPlaneAnnHostileNumbers is ROADMAP 1-ii for the quantized walk
+// as the serving layer runs it (shardTopK, the probe that takes a query
+// vector from outside the snapshot): over seeded mixtures of NaN, ±Inf,
+// ±0 and subnormal elements in the compact table, in the norms and in
+// the query vector and its norm — the entry point's row all NaN every
+// third trial — a mode=ann probe never panics, never hangs, and answers
+// at most k distinct owned ids, none the excluded one, none scored NaN,
+// in ann.Before order. The outcome per input is the one
+// ann.TestSearchQuantHostileNumbers spells out for the beam; what the
+// exact rerank adds is that a hostile number in the compact table can
+// change which rows are answered and never a score: every score is the
+// exact scanner's bits for that row over the same snapshot — a row with
+// a NaN or zero norm scores 0 in both, a zero or NaN-normed query
+// scores every row 0 in both, and a NaN query with a finite norm, which
+// the exact scan answers with nothing, gets nothing here either.
+func TestMemPlaneAnnHostileNumbers(t *testing.T) {
+	ds := testDataset(t, false)
+	m := testModel(t, ds, 2, "mean")
+	nan, inf := math.NaN(), math.Inf(1)
+	hostile := []float64{nan, inf, -inf, 0, math.Copysign(0, -1), 5e-324}
+	for _, dtype := range memPlaneDtypes {
+		for _, opts := range []Options{{Workers: 2, Dtype: dtype}, {Workers: 2, Dtype: dtype, ShardCount: 2, ShardIndex: 1, ShardSeed: 5}} {
+			eng := NewEngine(ds, opts)
+			if _, err := eng.Install(m); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := eng.Snapshot()
+			entry := int(eng.annIndex(st).Stats().Entry)
+			n, dim := st.Emb.NumRows(), st.Dim()
+			r := rng.New(7)
+			for trial := 0; trial < 40; trial++ {
+				// A snapshot over the same exact rows whose compact table
+				// and norms took some hostile numbers.
+				bad := eng.newState(m, st.Emb, append([]float64(nil), st.norms...))
+				bad.setIndex(eng.annIndex(st))
+				var elems []float64 // the compact table's numbers, poisoned in place
+				switch qt := st.quant.(type) {
+				case *mat.F32Table:
+					cp := *qt
+					cp.Data = append([]float32(nil), qt.Data...)
+					bad.quant = &cp
+					for i := r.Intn(30); i > 0; i-- {
+						cp.Data[r.Intn(len(cp.Data))] = float32(hostile[r.Intn(len(hostile))])
+					}
+					if trial%3 == 0 {
+						for j := 0; j < dim; j++ {
+							cp.Data[entry*dim+j] = float32(nan)
+						}
+					}
+				case *mat.PQTable:
+					cp := *qt
+					cp.Centroids = append([]float64(nil), qt.Centroids...)
+					bad.quant, elems = &cp, cp.Centroids
+					for i := r.Intn(30); i > 0; i-- {
+						elems[r.Intn(len(elems))] = hostile[r.Intn(len(hostile))]
+					}
+					if trial%3 == 0 { // the centroid the entry point is coded with in subspace 0
+						elems[int(cp.Codes[entry*cp.Params.M])*(dim/cp.Params.M)] = nan
+					}
+				}
+				for i := r.Intn(10); i > 0; i-- {
+					bad.norms[r.Intn(n)] = hostile[r.Intn(len(hostile))]
+				}
+				row := r.Intn(n)
+				q, qn := append([]float64(nil), st.Emb.Row(row)...), st.norms[row]
+				switch trial % 4 {
+				case 1:
+					q[r.Intn(dim)] = hostile[r.Intn(len(hostile))]
+				case 2:
+					qn = hostile[r.Intn(len(hostile))]
+				case 3:
+					q, qn = make([]float64, dim), 0
+				}
+				exclude, k, ef := st.globalID(row), 1+r.Intn(12), 16+r.Intn(48)
+
+				exact := map[int]uint64{}
+				for _, nb := range scanVec(bad, q, qn, exclude, n, 1) {
+					exact[nb.ID] = math.Float64bits(nb.Score)
+				}
+				got, err := eng.shardTopK(bad, q, qn, exclude, k, true, ef)
+				if err != nil || len(got) > k {
+					t.Fatalf("%s shards=%d trial %d: %d neighbors for k=%d, err %v", dtype, opts.ShardCount, trial, len(got), k, err)
+				}
+				for i, nb := range got {
+					bits, ok := exact[nb.ID]
+					if !ok || nb.ID == exclude || math.IsNaN(nb.Score) || math.Float64bits(nb.Score) != bits {
+						t.Fatalf("%s shards=%d trial %d rank %d: %+v is not a row the exact scan scores, or not with its score", dtype, opts.ShardCount, trial, i, nb)
+					}
+					if i > 0 && !ann.Before(got[i-1].Score, int32(got[i-1].ID), nb.Score, int32(nb.ID)) {
+						t.Fatalf("%s shards=%d trial %d: neighbors not in ann.Before order at rank %d", dtype, opts.ShardCount, trial, i)
+					}
+				}
+			}
 		}
 	}
 }
