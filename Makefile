@@ -19,7 +19,7 @@ COVER_FLOOR ?= 84.5
 # CI hosts are noisy; the gate is for order-of-magnitude regressions.
 BENCH_TOL ?= 3.0
 
-.PHONY: ci loc lint vet build test race cover bench serve-smoke
+.PHONY: ci loc lint vet build test race cover fuzz bench serve-smoke
 
 ci: loc lint build race cover bench serve-smoke
 
@@ -87,6 +87,15 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' \
 		|| { echo "cover: total $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
+
+# Fuzzing on a fixed budget, from the committed corpus
+# (internal/wire/testdata/fuzz): the frame decoder against itself —
+# Decode versus ReadMessage parsing in place, through its one-buffer
+# fallback, and fed a byte at a time. The corpus alone runs as plain
+# tests in every `go test`; this target also mutates. Not part of
+# `make ci`'s quick path: the CI workflow's full job calls it.
+fuzz:
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 
 # One iteration per benchmark: ns/op for the training epoch
 # (serial-vs-parallel engine speedup), serving throughput, ANN-vs-exact

@@ -15,12 +15,15 @@ import (
 var errClosed = errors.New("serve: server closed")
 
 // batcher coalesces concurrent point queries into one gather (and,
-// for predictions, one head GEMM). Requests queue on a channel; the
-// dispatcher takes whatever is queued when it becomes free — up to
-// MaxBatch ids — and answers the whole batch against a single
-// snapshot with a single pass over the embedding table. Under light
-// load a request is dispatched alone with no added latency (there is
-// no artificial batching window); under heavy concurrency batches
+// for predictions, one head GEMM). Every answer comes from run. A
+// request that finds the queue empty and the inline token free is a
+// batch of one, run in its own goroutine: no channel hop to the
+// dispatcher and none back, most of a microsecond answer's cost.
+// Anyone arriving meanwhile queues on a channel; the dispatcher takes
+// whatever is queued when it becomes free — up to MaxBatch ids — and
+// answers the whole batch against a single snapshot with a single
+// pass over the embedding table. There is no batching window: a lone
+// request pays no added latency, and under heavy concurrency batches
 // fill up and per-query overhead amortizes away.
 type batcher struct {
 	eng      *Engine
@@ -29,6 +32,10 @@ type batcher struct {
 	done     chan struct{}
 	closing  sync.Once
 	closed   atomic.Bool
+
+	// inline is the token for answering in the submitter's goroutine;
+	// it has one holder, so concurrent arrivals still queue and coalesce.
+	inline atomic.Bool
 
 	// batches/queries count dispatched batches and the queries they
 	// carried; queries/batches is the observed coalescing factor
@@ -97,8 +104,9 @@ func newBatcher(eng *Engine, maxBatch int) *batcher {
 // close stops the dispatcher. It is idempotent and safe to race with
 // submit from any number of goroutines: the closed flag flips before
 // the done channel closes, so a submit that observed the flag gets
-// errClosed immediately and one that already enqueued is unblocked
-// either by the dispatcher's final drain or by its own done-select.
+// errClosed immediately, one that already enqueued is unblocked
+// either by the dispatcher's final drain or by its own done-select,
+// and one answering inline returns its answer or errClosed.
 func (b *batcher) close() {
 	b.closing.Do(func() {
 		b.closed.Store(true)
@@ -167,14 +175,18 @@ func (b *batcher) submit(ctx context.Context, ids []int, predict bool) batchResp
 		return batchResp{err: fmt.Errorf("serve: %w before enqueue", err)}
 	}
 	r := &batchReq{ctx: ctx, ids: ids, predict: predict, out: make(chan batchResp, 1)}
-	select {
-	case b.reqs <- r:
-	case <-b.done:
-		return batchResp{err: errClosed}
-	case <-ctx.Done():
-		// The queue stayed full past the caller's deadline (or the
-		// client hung up): give the slot up without ever occupying one.
-		return batchResp{err: fmt.Errorf("serve: %w before enqueue", ctx.Err())}
+	if len(b.reqs) == 0 && b.inline.CompareAndSwap(false, true) {
+		b.runInline(r)
+	} else {
+		select {
+		case b.reqs <- r:
+		case <-b.done:
+			return batchResp{err: errClosed}
+		case <-ctx.Done():
+			// The queue stayed full past the caller's deadline (or the
+			// client hung up): give the slot up without ever occupying one.
+			return batchResp{err: fmt.Errorf("serve: %w before enqueue", ctx.Err())}
+		}
 	}
 	select {
 	case resp := <-r.out:
@@ -188,6 +200,13 @@ func (b *batcher) submit(ctx context.Context, ids []int, predict bool) batchResp
 		r.abandoned.Store(true)
 		return batchResp{err: fmt.Errorf("serve: %w while queued", ctx.Err())}
 	}
+}
+
+// runInline answers r as a batch of one in the caller's goroutine,
+// releasing the token by defer so that a panic in run cannot keep it.
+func (b *batcher) runInline(r *batchReq) {
+	defer b.inline.Store(false)
+	b.run([]*batchReq{r})
 }
 
 // run answers one batch against a single snapshot: one validation
@@ -249,8 +268,7 @@ func (b *batcher) run(batch []*batchReq) {
 		if r.predict {
 			r.out <- batchResp{pred: predictionsFromLogits(st, r.ids, logits, off), batch: id}
 		} else {
-			res := embedResult(st, r.ids, func(i int) []float64 { return h.Row(off + i) })
-			r.out <- batchResp{embed: res, batch: id}
+			r.out <- batchResp{embed: embedResult(st, r.ids, h, off), batch: id}
 		}
 		off += len(r.ids)
 	}

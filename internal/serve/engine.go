@@ -907,12 +907,15 @@ func (e *Engine) Embed(ids []int) (*EmbedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return embedResult(st, ids, func(i int) []float64 { return st.Emb.Row(rows[i]) }), nil
+	h := mat.New(len(ids), st.Dim())
+	mat.GatherRowsSrc(h, st.Emb, rows)
+	return embedResult(st, ids, h, 0), nil
 }
 
 // embedResult assembles the answer to an embedding query for ids from
-// st, copying row(i) — a view into a table — as ids[i]'s vector.
-func embedResult(st *State, ids []int, row func(i int) []float64) *EmbedResult {
+// rows [off, off+len(ids)) of h, freshly gathered from st's table and
+// not written again: the vectors are capped views of h, not copies.
+func embedResult(st *State, ids []int, h *mat.Dense, off int) *EmbedResult {
 	res := &EmbedResult{
 		Version:      st.Version,
 		ModelVersion: st.ModelVersion,
@@ -921,9 +924,8 @@ func embedResult(st *State, ids []int, row func(i int) []float64) *EmbedResult {
 		Vectors:      make([][]float64, len(ids)),
 	}
 	for i := range ids {
-		v := make([]float64, st.Dim())
-		copy(v, row(i))
-		res.Vectors[i] = v
+		row := h.Row(off + i)
+		res.Vectors[i] = row[:len(row):len(row)]
 	}
 	return res
 }

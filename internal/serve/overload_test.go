@@ -54,6 +54,7 @@ func TestSubmitCancelMidQueue(t *testing.T) {
 	// No dispatcher goroutine: the queue can only drain through our
 	// own reads, so queue states are fully deterministic.
 	b := &batcher{eng: eng, maxBatch: 1, reqs: make(chan *batchReq, 1), done: make(chan struct{})}
+	b.inline.Store(true) // held, as by a concurrent caller: every submit below queues
 
 	// Already-canceled context: rejected before taking a queue slot.
 	ctx, cancel := context.WithCancel(context.Background())

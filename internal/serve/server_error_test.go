@@ -387,7 +387,11 @@ func TestErrorTableAcrossTransports(t *testing.T) {
 	// And every row, through the frame codec the listener writes with.
 	for _, tc := range cases {
 		var buf bytes.Buffer
-		if err := wire.WriteMessage(&buf, wireErrFor(tc.err)); err != nil {
+		bw := bufio.NewWriter(&buf)
+		if err := wire.WriteMessage(bw, wireErrFor(tc.err)); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		frame, err := wire.ReadMessage(bufio.NewReader(&buf))

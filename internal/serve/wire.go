@@ -107,9 +107,8 @@ func writeQuery(w http.ResponseWriter, r *http.Request, res any, err error) {
 
 // ServeWire accepts persistent wire-protocol connections on l and
 // serves framed requests until the listener closes (its error is
-// returned). Each connection carries pipelined frames: requests
-// dispatch concurrently into the same admission/deadline/batching
-// machinery as HTTP, responses return in request order.
+// returned). Each connection carries pipelined frames through HTTP's
+// admission/deadline/batching machinery; responses keep request order.
 func (r *Registry) ServeWire(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -120,19 +119,25 @@ func (r *Registry) ServeWire(l net.Listener) error {
 	}
 }
 
-// serveWireConn runs one persistent connection. The reader loop
-// enqueues one response slot per decoded frame and answers each frame
-// on its own goroutine — so pipelined requests coalesce in the
-// micro-batcher — while the writer goroutine drains slots strictly in
-// request order, flushing when the pipeline runs dry. A malformed
-// frame answers with an error frame and closes the connection: framing
-// is unrecoverable once the stream is off by a byte.
+// serveWireConn runs one persistent connection on two goroutines. The
+// reader decodes frames and answers an embed or predict frame itself —
+// microseconds of work, less than a goroutine hand-off — passing the
+// writer a slot that is already filled. A top-K frame (hundreds of
+// microseconds, a fan-out across shards) gets its own goroutine and an
+// empty slot, so pipelined top-K queries still run beside each other
+// and beside the point frames behind them; the frame's type alone
+// decides. The writer drains slots strictly in request order and
+// flushes when the pipeline runs dry. One connection's point frames so
+// reach the micro-batcher one at a time: it coalesces across
+// connections and HTTP requests, not within a pipeline burst. A
+// malformed frame answers with an error frame and closes the
+// connection: framing is unrecoverable once the stream is off by a byte.
 func (r *Registry) serveWireConn(conn net.Conn) {
 	defer conn.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	bw := bufio.NewWriterSize(conn, wire.ConnBufSize)
 	slots := make(chan chan wire.Message, 128)
 	done := make(chan struct{})
 	go func() {
@@ -162,8 +167,12 @@ func (r *Registry) serveWireConn(conn net.Conn) {
 			break
 		}
 		slot := make(chan wire.Message, 1)
+		if msg.FrameType() == wire.TTopKReq {
+			go func() { slot <- r.answerWire(ctx, msg) }()
+		} else {
+			slot <- r.answerWire(ctx, msg)
+		}
 		slots <- slot
-		go func(msg wire.Message) { slot <- r.answerWire(ctx, msg) }(msg)
 	}
 	close(slots)
 	<-done

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -177,23 +179,84 @@ func TestServeWireErrorFrames(t *testing.T) {
 	}
 }
 
-// TestServeWirePipelinedOrder sends a burst of requests without
-// waiting for answers; responses must come back strictly in request
-// order even though they dispatch concurrently into the batcher.
-func TestServeWirePipelinedOrder(t *testing.T) {
-	_, addr := wireFixture(t)
-	c := dialWire(t, addr)
-	const n = 24
-	for i := 0; i < n; i++ {
-		c.send(&wire.EmbedRequest{IDs: []int{i % 8}})
-	}
-	for i := 0; i < n; i++ {
-		em, ok := c.recv().(*wire.EmbedResponse)
-		if !ok {
-			t.Fatalf("response %d: %#v", i, em)
+// jsonBody renders a response frame as the body the HTTP-JSON surface
+// writes for the same answer, so a TCP answer can be held against the
+// HTTP one byte for byte.
+func jsonBody(t *testing.T, m wire.Message) []byte {
+	t.Helper()
+	var res any
+	switch m := m.(type) {
+	case *wire.EmbedResponse:
+		res = (*EmbedResult)(m)
+	case *wire.PredictResponse:
+		res = (*PredictResult)(m)
+	case *wire.TopKResponse:
+		mode, _ := wire.ModeString(m.Mode)
+		tk := &TopKResult{Version: m.Version, ModelVersion: m.ModelVersion, ID: m.ID, K: m.K,
+			Mode: mode, Ef: m.Ef, Degraded: m.Degraded, Neighbors: make([]Neighbor, len(m.Neighbors))}
+		for i, n := range m.Neighbors {
+			tk.Neighbors[i] = Neighbor{ID: n.ID, Score: n.Score}
 		}
-		if len(em.IDs) != 1 || em.IDs[0] != i%8 {
-			t.Fatalf("response %d carries ids %v, want [%d] — pipeline out of order", i, em.IDs, i%8)
+		res = tk
+	default:
+		t.Fatalf("no JSON body for frame %#v", m)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, res)
+	return rec.Body.Bytes()
+}
+
+// TestServeWirePipelinedOrder sends a mixed burst — top-K, embed and
+// predict interleaved, against an unsharded and a sharded model,
+// including top-K frames followed at once by point frames — without
+// waiting for answers. Point frames are answered on the connection's
+// reader, top-K frames on goroutines of their own; responses must
+// still come back strictly in request order, each byte-identical to
+// the HTTP-JSON answer for the same query.
+func TestServeWirePipelinedOrder(t *testing.T) {
+	ts, addr := wireFixture(t)
+	c := dialWire(t, addr)
+	type query struct {
+		req  wire.Message
+		path string
+	}
+	var burst []query
+	for i := 0; i < 8; i++ {
+		model, base := "", ""
+		if i%2 == 1 {
+			model, base = "s", "/models/s"
+		}
+		a, b := i%8, (i+3)%8
+		burst = append(burst,
+			query{&wire.TopKRequest{Model: model, ID: a, K: 3, Mode: wire.ModeExact},
+				fmt.Sprintf("%s/topk?id=%d&k=3&mode=exact", base, a)},
+			query{&wire.EmbedRequest{Model: model, IDs: []int{a}},
+				fmt.Sprintf("%s/embed?ids=%d", base, a)},
+			query{&wire.PredictRequest{Model: model, IDs: []int{b, a}},
+				fmt.Sprintf("%s/predict?ids=%d,%d", base, b, a)},
+			query{&wire.TopKRequest{Model: model, ID: b, K: 2},
+				fmt.Sprintf("%s/topk?id=%d&k=2", base, b)},
+			query{&wire.TopKRequest{Model: model, ID: a, K: 1, Mode: wire.ModeExact},
+				fmt.Sprintf("%s/topk?id=%d&k=1&mode=exact", base, a)},
+			query{&wire.EmbedRequest{Model: model, IDs: []int{b, a, b}},
+				fmt.Sprintf("%s/embed?ids=%d,%d,%d", base, b, a, b)},
+		)
+	}
+	for _, q := range burst {
+		c.send(q.req)
+	}
+	for i, q := range burst {
+		got := c.recv()
+		if _, failed := got.(*wire.ErrorResponse); failed {
+			t.Fatalf("response %d (%s): %#v", i, q.path, got)
+		}
+		status, _, want := fetch(t, "GET", ts.URL+q.path, nil)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", q.path, status, want)
+		}
+		if body := jsonBody(t, got); !bytes.Equal(body, want) {
+			t.Fatalf("response %d is not the answer to %s — pipeline out of order, or the transports differ:\n tcp  %s\n http %s",
+				i, q.path, body, want)
 		}
 	}
 }

@@ -22,9 +22,20 @@
 // allocating, so a truncated, corrupted or hostile frame fails with a
 // clean error — never a panic, short read or unbounded allocation
 // (FuzzDecode, mirroring the artifact/checkpoint loaders).
+//
+// A frame is moved once per hop. Every message knows its exact payload
+// length, so AppendFrame grows its destination at most once and Encode
+// allocates once; WriteMessage encodes straight into the connection's
+// bufio.Writer, and ReadMessage checksums and parses a frame where the
+// connection's bufio.Reader holds it when it fits that buffer, reading
+// into one buffer of the frame's size when it does not. Either way a
+// decoded message owns all of its memory — strings, ids and rows are
+// copied out, a response's rows as capped sub-slices of one array — so
+// nothing aliases a buffer the next read overwrites.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -48,6 +59,12 @@ const (
 	// ContentType is the HTTP media type that selects this protocol
 	// via content negotiation (Accept / Content-Type headers).
 	ContentType = "application/x-gsgcn-wire"
+
+	// ConnBufSize sizes the buffered side of a framed connection that
+	// carries answers — the server's writer, the client's reader — from
+	// the largest common point answer (3 ids x 256 x 8 B = 6.2 KB): at
+	// bufio's 4 KB default every two-id answer bypasses the buffer.
+	ConnBufSize = 16 << 10
 )
 
 // Type identifies what a frame carries.
@@ -104,6 +121,8 @@ func ModeString(b byte) (s string, ok bool) {
 type Message interface {
 	// FrameType reports the type byte the message travels under.
 	FrameType() Type
+	// payloadLen is the exact number of bytes appendPayload appends.
+	payloadLen() int
 	appendPayload(buf []byte) []byte
 }
 
@@ -207,23 +226,62 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// grow returns buf with room for n more bytes, reallocating to exactly
+// that size when it has less. (slices.Grow would do, but allocates a
+// second, temporary slice in race-instrumented builds, which the
+// allocation ceilings in this package's tests would then have to
+// excuse.)
+func grow(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	return append(make([]byte, 0, len(buf)+n), buf...)
+}
+
+// extend lengthens buf by n bytes and returns it with the new tail,
+// so a run of fixed-width values is stored by one loop whose bounds
+// are settled here rather than by an append per element.
+func extend(buf []byte, n int) (grown, tail []byte) {
+	at := len(buf)
+	buf = grow(buf, n)[:at+n]
+	return buf, buf[at:]
+}
+
 func appendIDs(buf []byte, ids []int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+	buf, out := extend(buf, 8*len(ids))
+	for i, id := range ids {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(id))
 	}
 	return buf
 }
+
+func appendF64s(buf []byte, xs []float64) []byte {
+	buf, out := extend(buf, 8*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
+	}
+	return buf
+}
+
+func strLen(s string) int  { return 2 + len(s) }
+func idsLen(ids []int) int { return 4 + 8*len(ids) }
+
+func (m *EmbedRequest) payloadLen() int { return strLen(m.Model) + idsLen(m.IDs) }
 
 func (m *EmbedRequest) appendPayload(buf []byte) []byte {
 	buf = appendStr(buf, m.Model)
 	return appendIDs(buf, m.IDs)
 }
 
+func (m *PredictRequest) payloadLen() int { return strLen(m.Model) + idsLen(m.IDs) }
+
 func (m *PredictRequest) appendPayload(buf []byte) []byte {
 	buf = appendStr(buf, m.Model)
 	return appendIDs(buf, m.IDs)
 }
+
+func (m *TopKRequest) payloadLen() int { return strLen(m.Model) + 8 + 4 + 1 + 4 }
 
 func (m *TopKRequest) appendPayload(buf []byte) []byte {
 	buf = appendStr(buf, m.Model)
@@ -233,17 +291,34 @@ func (m *TopKRequest) appendPayload(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, uint32(m.Ef))
 }
 
+func (m *EmbedResponse) payloadLen() int {
+	n := 8 + 8 + 4 + idsLen(m.IDs)
+	for _, row := range m.Vectors {
+		n += 8 * len(row)
+	}
+	return n
+}
+
 func (m *EmbedResponse) appendPayload(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, m.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, m.ModelVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Dim))
 	buf = appendIDs(buf, m.IDs)
 	for _, row := range m.Vectors {
-		for _, x := range row {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		}
+		buf = appendF64s(buf, row)
 	}
 	return buf
+}
+
+func (m *PredictResponse) payloadLen() int {
+	n := 8 + 8 + 4 + 1 + idsLen(m.IDs)
+	for _, labels := range m.Labels {
+		n += 4 + 4*len(labels)
+	}
+	for _, probs := range m.Probs {
+		n += 4 + 8*len(probs)
+	}
+	return n
 }
 
 func (m *PredictResponse) appendPayload(buf []byte) []byte {
@@ -264,12 +339,12 @@ func (m *PredictResponse) appendPayload(buf []byte) []byte {
 	}
 	for _, probs := range m.Probs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(probs)))
-		for _, p := range probs {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
-		}
+		buf = appendF64s(buf, probs)
 	}
 	return buf
 }
+
+func (m *TopKResponse) payloadLen() int { return 8 + 8 + 8 + 4 + 1 + 4 + 1 + 4 + 16*len(m.Neighbors) }
 
 func (m *TopKResponse) appendPayload(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, m.Version)
@@ -284,12 +359,15 @@ func (m *TopKResponse) appendPayload(buf []byte) []byte {
 	}
 	buf = append(buf, degraded)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Neighbors)))
-	for _, n := range m.Neighbors {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(n.ID))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Score))
+	buf, out := extend(buf, 16*len(m.Neighbors))
+	for i, n := range m.Neighbors {
+		binary.LittleEndian.PutUint64(out[16*i:], uint64(n.ID))
+		binary.LittleEndian.PutUint64(out[16*i+8:], math.Float64bits(n.Score))
 	}
 	return buf
 }
+
+func (m *ErrorResponse) payloadLen() int { return 4 + strLen(m.Reason) + strLen(m.Message) }
 
 func (m *ErrorResponse) appendPayload(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Status))
@@ -297,24 +375,37 @@ func (m *ErrorResponse) appendPayload(buf []byte) []byte {
 	return appendStr(buf, m.Message)
 }
 
-// Encode serializes a message as one complete frame. Deterministic:
-// equal messages encode to equal bytes. It fails if a string exceeds
-// the u16 length field or the payload exceeds MaxPayload.
+// Encode serializes a message as one complete frame, in one
+// allocation of the frame's exact size. Deterministic: equal messages
+// encode to equal bytes. It fails if a string exceeds the u16 length
+// field or the payload exceeds MaxPayload.
 func Encode(m Message) ([]byte, error) {
+	return AppendFrame(nil, m)
+}
+
+// AppendFrame appends m's complete frame to dst, growing dst at most
+// once, and returns the extended slice; on error dst is returned as it
+// came and nothing was appended. The frame's bytes are Encode's.
+func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	if err := checkEncodable(m); err != nil {
-		return nil, err
+		return dst, err
 	}
-	buf := make([]byte, 0, headerLen+64)
+	n := m.payloadLen()
+	if n > MaxPayload {
+		return dst, fmt.Errorf("wire: payload is %d bytes, cap %d", n, MaxPayload)
+	}
+	start := len(dst)
+	buf := grow(dst, headerLen+n+trailerLen)
 	buf = append(buf, Magic...)
 	buf = append(buf, Version, byte(m.FrameType()))
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // payload length, patched below
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = m.appendPayload(buf)
-	n := len(buf) - headerLen
-	if n > MaxPayload {
-		return nil, fmt.Errorf("wire: payload is %d bytes, cap %d", n, MaxPayload)
+	if got := len(buf) - start - headerLen; got != n {
+		// The header is already written with n: a message whose two
+		// methods disagree is a bug in this package, not bad input.
+		panic(fmt.Sprintf("wire: %T wrote %d payload bytes, payloadLen said %d", m, got, n))
 	}
-	binary.LittleEndian.PutUint32(buf[6:10], uint32(n))
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
 }
 
 // checkEncodable rejects messages whose variable-length fields do not
@@ -399,6 +490,20 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// f64s fills dst from the next 8*len(dst) payload bytes: one bounds
+// check for the run, not one per element.
+func (r *reader) f64s(dst []float64) {
+	if r.err != nil || r.off+8*len(dst) > len(r.b) {
+		r.fail()
+		return
+	}
+	src := r.b[r.off : r.off+8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	r.off += len(src)
+}
+
 func (r *reader) str() string {
 	n := r.u16()
 	if r.err != nil || r.off+n > len(r.b) {
@@ -435,9 +540,11 @@ func (r *reader) ids() []int {
 		return nil
 	}
 	ids := make([]int, n)
+	src := r.b[r.off : r.off+8*n] // count checked that these bytes are here
 	for i := range ids {
-		ids[i] = int(r.u64())
+		ids[i] = int(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+	r.off += len(src)
 	return ids
 }
 
@@ -481,13 +588,14 @@ func parsePayload(t Type, payload []byte) (Message, error) {
 			if resp.Dim < 0 || int64(n)*int64(resp.Dim)*8 > int64(r.remaining()) {
 				r.err = fmt.Errorf("wire: %dx%d vector block exceeds the %d remaining bytes", n, resp.Dim, r.remaining())
 			} else {
+				// One backing array for the block; each row is capped at
+				// its own end, so an append to one cannot reach the next.
+				dim := resp.Dim
+				flat := make([]float64, n*dim)
+				r.f64s(flat)
 				resp.Vectors = make([][]float64, n)
 				for i := range resp.Vectors {
-					row := make([]float64, resp.Dim)
-					for j := range row {
-						row[j] = r.f64()
-					}
-					resp.Vectors[i] = row
+					resp.Vectors[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 				}
 			}
 		}
@@ -521,11 +629,8 @@ func parsePayload(t Type, payload []byte) (Message, error) {
 					if r.err != nil {
 						break
 					}
-					probs := make([]float64, cnt)
-					for j := range probs {
-						probs[j] = r.f64()
-					}
-					resp.Probs[i] = probs
+					resp.Probs[i] = make([]float64, cnt)
+					r.f64s(resp.Probs[i])
 				}
 			}
 		}
@@ -575,6 +680,18 @@ func checkHeader(hdr []byte) (int, error) {
 	return int(n), nil
 }
 
+// parseFrame verifies the CRC trailer of one complete frame whose
+// header checkHeader accepted, and parses its payload. The message
+// keeps no reference into frame.
+func parseFrame(frame []byte) (Message, error) {
+	body := frame[:len(frame)-trailerLen]
+	stored := binary.LittleEndian.Uint32(frame[len(body):])
+	if got := crc32.ChecksumIEEE(body); got != stored {
+		return nil, fmt.Errorf("wire: checksum mismatch (stored %08x, computed %08x) — frame corrupt", stored, got)
+	}
+	return parsePayload(Type(frame[5]), body[headerLen:])
+}
+
 // Decode parses one complete frame from the front of data and returns
 // the message plus the frame's total size in bytes. Extra bytes after
 // the frame are left for the caller (pipelined streams).
@@ -590,55 +707,60 @@ func Decode(data []byte) (Message, int, error) {
 	if len(data) < total {
 		return nil, 0, fmt.Errorf("wire: frame declares %d bytes, %d available", total, len(data))
 	}
-	body := data[:headerLen+n]
-	stored := binary.LittleEndian.Uint32(data[headerLen+n : total])
-	if got := crc32.ChecksumIEEE(body); got != stored {
-		return nil, 0, fmt.Errorf("wire: checksum mismatch (stored %08x, computed %08x) — frame corrupt", stored, got)
-	}
-	m, err := parsePayload(Type(data[5]), data[headerLen:headerLen+n])
+	m, err := parseFrame(data[:total])
 	if err != nil {
 		return nil, 0, err
 	}
 	return m, total, nil
 }
 
-// ReadMessage reads exactly one frame from r. The payload buffer it
-// allocates is bounded by the validated header, never by a hostile
-// length alone (MaxPayload cap). io.EOF before any byte means a clean
-// end of stream; a partial frame surfaces as io.ErrUnexpectedEOF.
-func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadMessage reads exactly one frame from br. A frame that fits br's
+// buffer is checksummed and parsed where br holds it; a larger one is
+// read into one buffer of the frame's size, bounded by the validated
+// header, never by a hostile length alone (MaxPayload cap). io.EOF
+// before any byte means a clean end of stream; a partial frame
+// surfaces as io.ErrUnexpectedEOF.
+func ReadMessage(br *bufio.Reader) (Message, error) {
+	hdr, err := br.Peek(headerLen)
+	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			if len(hdr) == 0 {
+				return nil, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
-	n, err := checkHeader(hdr[:])
+	n, err := checkHeader(hdr)
 	if err != nil {
 		return nil, err
 	}
-	rest := make([]byte, n+trailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	total := headerLen + n + trailerLen
+	var frame []byte
+	if total <= br.Size() {
+		frame, err = br.Peek(total)
+		defer br.Discard(len(frame)) // after the parse: it reads br's buffer
+	} else {
+		frame = make([]byte, total)
+		_, err = io.ReadFull(br, frame)
+	}
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("wire: reading %d-byte payload: %w", n, err)
 	}
-	body := append(hdr[:], rest[:n]...)
-	stored := binary.LittleEndian.Uint32(rest[n:])
-	if got := crc32.ChecksumIEEE(body); got != stored {
-		return nil, fmt.Errorf("wire: checksum mismatch (stored %08x, computed %08x) — frame corrupt", stored, got)
-	}
-	return parsePayload(Type(hdr[5]), body[headerLen:])
+	return parseFrame(frame)
 }
 
-// WriteMessage encodes m and writes the complete frame to w.
-func WriteMessage(w io.Writer, m Message) error {
-	frame, err := Encode(m)
+// WriteMessage encodes m into bw: in place in bw's buffer when the
+// frame fits what is free there, through one buffer of the frame's
+// size when it does not. The caller flushes.
+func WriteMessage(bw *bufio.Writer, m Message) error {
+	frame, err := AppendFrame(bw.AvailableBuffer(), m)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(frame)
+	_, err = bw.Write(frame)
 	return err
 }

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"io"
 	"math"
@@ -68,16 +70,168 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeGolden pins the frame bytes across commits: the frames of
+// testMessages() as the encoder before AppendFrame produced them. A
+// faster encoder either reproduces them or has changed the protocol.
+func TestEncodeGolden(t *testing.T) {
+	golden := []string{
+		"4753475701011e000000000003000000000000000000000001000000000000000700000000000000b195930d",
+		"47534757010114000000060063616e617279010000002a00000000000000ac5e41b1",
+		"47534757010232000000040070726f6405000000030000000000000001000000000000000400000000000000010000000000000005000000000000007e1aa7b4",
+		"47534757010313000000000009000000000000000a00000002400000005c4a0ea2",
+		"4753475701031400000001006d0000000000000000000000000000000000f486780a",
+		"4753475701814800000003000000000000007800000000000000020000000200000005000000000000000600000000000000000000000000f83f000000000000d0bf000000000000008059f3f8c21f6ea50153e6f434",
+		"475347570181180000000100000000000000010000000000000000000000000000001101adf4",
+		"4753475701827100000002000000000000002800000000000000030000000102000000080000000000000009000000000000000200000000000000020000000000000003000000000000000000d03f000000000000e03f000000000000d03f03000000000000000000c03f000000000000c03f000000000000e83fca161a6f",
+		"475347570183460000000700000000000000c800000000000000040000000000000002000000010000000001020000000100000000000000000000000000ec3f0200000000000000000000000000e0bf07bd8322",
+		"475347570183260000000100000000000000010000000000000000000000000000000100000002200000000000000000bd1b49f1",
+		"4753475701ee2b000000ad0100000400736865641f0073657276653a206f7665726c6f616465642c207265717565737420736865645f35ca3d",
+		"4753475701ee1b000000900100000000130073657276653a206e6f2069647320676976656e90a90319",
+	}
+	msgs := testMessages()
+	if len(msgs) != len(golden) {
+		t.Fatalf("%d test messages, %d golden frames", len(msgs), len(golden))
+	}
+	for i, m := range msgs {
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(frame); got != golden[i] {
+			t.Errorf("%T #%d:\n got %s\nwant %s", m, i, got, golden[i])
+		}
+	}
+}
+
+// TestPayloadLenIsExact: the length AppendFrame sizes its one
+// allocation from is the length the message goes on to write.
+func TestPayloadLenIsExact(t *testing.T) {
+	for _, m := range testMessages() {
+		if got, want := m.payloadLen(), len(m.appendPayload(nil)); got != want {
+			t.Errorf("%T: payloadLen() = %d, appendPayload wrote %d", m, got, want)
+		}
+	}
+}
+
+// TestAppendFrame: the frame lands after what dst already held, and a
+// message that cannot be encoded leaves dst as it came.
+func TestAppendFrame(t *testing.T) {
+	for _, m := range testMessages() {
+		want, _ := Encode(m)
+		got, err := AppendFrame([]byte("prefix"), m)
+		if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("AppendFrame(prefix, %T) = %x, %v", m, got, err)
+		}
+	}
+	for _, m := range []Message{
+		&EmbedRequest{Model: strings.Repeat("x", math.MaxUint16+1)},
+		&EmbedRequest{IDs: make([]int, MaxPayload/8)}, // 6 bytes over with its prefixes
+	} {
+		got, err := AppendFrame([]byte("prefix"), m)
+		if err == nil || string(got) != "prefix" {
+			t.Fatalf("AppendFrame of an unencodable message = %d bytes, %v", len(got), err)
+		}
+	}
+}
+
+func embedAnswer(ids, dim int) *EmbedResponse {
+	m := &EmbedResponse{Version: 1, ModelVersion: 1, Dim: dim, IDs: make([]int, ids), Vectors: make([][]float64, ids)}
+	for i := range m.Vectors {
+		m.IDs[i] = i
+		m.Vectors[i] = make([]float64, dim)
+		for j := range m.Vectors[i] {
+			m.Vectors[i][j] = float64(i*dim+j) / 7
+		}
+	}
+	return m
+}
+
+// TestReadMessageOwnsItsMemory reads two frames through one reader,
+// in place and through the fallback: the first message must not change
+// when the second overwrites the reader's buffer, and each row ends at
+// its own capacity, so appending to one cannot write into the next.
+func TestReadMessageOwnsItsMemory(t *testing.T) {
+	first := embedAnswer(3, 8)
+	first.IDs = []int{7, 8, 9}
+	second := &ErrorResponse{Status: 503, Reason: strings.Repeat("r", 300), Message: strings.Repeat("m", 300)}
+	var stream []byte
+	for _, m := range []Message{first, &EmbedRequest{Model: "canary", IDs: []int{4, 5}}, second} {
+		stream, _ = AppendFrame(stream, m)
+	}
+	for _, size := range []int{16, ConnBufSize} {
+		br := bufio.NewReaderSize(bytes.NewReader(stream), size)
+		got, err := ReadMessage(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := ReadMessage(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMessage(br); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("buffer %d: first message changed once later frames were read:\n got %#v\nwant %#v", size, got, first)
+		}
+		if want := (&EmbedRequest{Model: "canary", IDs: []int{4, 5}}); !reflect.DeepEqual(req, want) {
+			t.Fatalf("buffer %d: request changed once the next frame was read: %#v", size, req)
+		}
+		rows := got.(*EmbedResponse).Vectors
+		for i, row := range rows {
+			if cap(row) != len(row) {
+				t.Fatalf("buffer %d: row %d has len %d, cap %d", size, i, len(row), cap(row))
+			}
+		}
+		_ = append(rows[0], -1)
+		if rows[1][0] != first.Vectors[1][0] {
+			t.Fatal("append to row 0 wrote into row 1")
+		}
+	}
+}
+
+// TestCodecAllocations holds the codec to its budget: one allocation
+// to encode (none into a buffer that has the room), and a decoded
+// embed answer costs its struct, its ids, its row headers and one
+// array for every row together.
+func TestCodecAllocations(t *testing.T) {
+	m := embedAnswer(3, 256)
+	frame, _ := Encode(m)
+	if n := testing.AllocsPerRun(50, func() { _, _ = Encode(m) }); n > 1 {
+		t.Errorf("Encode: %v allocations, want 1", n)
+	}
+	dst := make([]byte, 0, len(frame))
+	if n := testing.AllocsPerRun(50, func() { _, _ = AppendFrame(dst, m) }); n > 0 {
+		t.Errorf("AppendFrame into a large-enough dst: %v allocations, want 0", n)
+	}
+	src := bytes.NewReader(frame)
+	br := bufio.NewReaderSize(src, ConnBufSize)
+	if n := testing.AllocsPerRun(50, func() {
+		src.Reset(frame)
+		br.Reset(src)
+		if _, err := ReadMessage(br); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 5 {
+		t.Errorf("ReadMessage of a 3 x 256 embed answer: %v allocations, want at most 5", n)
+	}
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	msgs := testMessages()
-	var buf bytes.Buffer
+	var stream bytes.Buffer
+	bw := bufio.NewWriter(&stream)
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteMessage(bw, m); err != nil {
 			t.Fatalf("WriteMessage: %v", err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf := bufio.NewReader(&stream)
 	for i, want := range msgs {
-		got, err := ReadMessage(&buf)
+		got, err := ReadMessage(buf)
 		if err != nil {
 			t.Fatalf("ReadMessage #%d: %v", i, err)
 		}
@@ -85,7 +239,7 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Fatalf("stream #%d:\n got %#v\nwant %#v", i, got, want)
 		}
 	}
-	if _, err := ReadMessage(&buf); err != io.EOF {
+	if _, err := ReadMessage(buf); err != io.EOF {
 		t.Fatalf("after last frame: err = %v, want io.EOF", err)
 	}
 }
@@ -199,7 +353,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 			t.Fatalf("%s: err %q does not mention %q", tc.name, err, tc.want)
 		}
 		// The streaming path must reject the same bytes.
-		if _, err := ReadMessage(bytes.NewReader(tc.data)); err == nil {
+		if _, err := ReadMessage(bufio.NewReader(bytes.NewReader(tc.data))); err == nil {
 			t.Fatalf("%s: ReadMessage accepted the frame", tc.name)
 		}
 	}
@@ -207,12 +361,12 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 
 func TestReadMessagePartialFrame(t *testing.T) {
 	frame, _ := Encode(&EmbedRequest{IDs: []int{1, 2, 3}})
-	if _, err := ReadMessage(bytes.NewReader(frame[:len(frame)-2])); err == nil {
+	if _, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame[:len(frame)-2]))); err == nil {
 		t.Fatal("ReadMessage accepted a partial frame")
 	}
 	// A clean EOF between frames is io.EOF exactly, so connection
 	// loops can distinguish shutdown from corruption.
-	if _, err := ReadMessage(bytes.NewReader(nil)); err != io.EOF {
+	if _, err := ReadMessage(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
 }
@@ -241,4 +395,28 @@ func TestModeMapping(t *testing.T) {
 	if _, ok := ModeString(99); ok {
 		t.Fatal("ModeString accepted an unknown byte")
 	}
+}
+
+// BenchmarkCodec is the codec's developer number at a large point
+// answer (8 ids x 256 floats, 16 KB): go test -run '^$' -bench Codec
+// -benchmem ./internal/wire.
+func BenchmarkCodec(b *testing.B) {
+	m := embedAnswer(8, 256)
+	frame, _ := Encode(m)
+	b.Run("Encode", func(b *testing.B) {
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, err := Encode(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Decode", func(b *testing.B) {
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Decode(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -10,12 +10,15 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/serve"
+	"gsgcn/internal/wire"
 )
 
 // fleet is one running server reachable over all three transports.
@@ -284,6 +287,33 @@ func TestTCPPipelining(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestTCPUnencodableRequestLeavesConnectionUsable: a request that
+// cannot become a frame (ids past wire.MaxPayload) fails on its own.
+// It sends nothing, so it must leave no reply slot in the FIFO — one
+// left there hands every later caller its predecessor's answer, or
+// none at all.
+func TestTCPUnencodableRequestLeavesConnectionUsable(t *testing.T) {
+	f := startFleet(t, 1, 1)
+	c, err := New(Config{Transport: "tcp", Addr: f.tcpAddr, Model: "m", Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Embed(ctx, make([]int, wire.MaxPayload/8+1)); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("Embed past MaxPayload: err = %v, want the payload-cap error", err)
+	}
+	for _, id := range []int{3, 5} {
+		r, err := c.Embed(ctx, []int{id})
+		if err != nil {
+			t.Fatalf("Embed([%d]) after an unencodable request: %v", id, err)
+		}
+		if len(r.IDs) != 1 || r.IDs[0] != id {
+			t.Fatalf("Embed([%d]) answered ids %v — the reply FIFO is misaligned", id, r.IDs)
+		}
 	}
 }
 

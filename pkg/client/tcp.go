@@ -55,7 +55,7 @@ func dialTCP(cfg Config) (*tcpClient, error) {
 // abandoned caller. On read error the loop exits; roundTrip observes
 // done and reports readErr.
 func (c *tcpClient) readLoop() {
-	br := bufio.NewReader(c.conn)
+	br := bufio.NewReaderSize(c.conn, wire.ConnBufSize)
 	for {
 		msg, err := wire.ReadMessage(br)
 		if err != nil {
@@ -75,7 +75,12 @@ func (c *tcpClient) readLoop() {
 	}
 }
 
-// roundTrip writes one request frame and waits for its answer.
+// roundTrip writes one request frame and waits for its answer. The
+// frame is encoded before its reply slot joins the FIFO: a request
+// that cannot be encoded sends nothing, so it must leave no slot
+// behind to misalign every later answer. The slot is in the FIFO
+// before the first byte can reach the server, so an answer never
+// arrives ahead of it.
 func (c *tcpClient) roundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
@@ -90,14 +95,18 @@ func (c *tcpClient) roundTrip(ctx context.Context, req wire.Message) (wire.Messa
 		return nil, c.readErr
 	default:
 	}
+	frame, err := wire.AppendFrame(c.bw.AvailableBuffer(), req)
+	if err != nil {
+		c.wmu.Unlock()
+		return nil, fmt.Errorf("client: writing request frame: %w", err)
+	}
 	select {
 	case c.pending <- slot:
 	default:
 		c.wmu.Unlock()
 		return nil, fmt.Errorf("client: too many in-flight requests on one connection")
 	}
-	err := wire.WriteMessage(c.bw, req)
-	if err == nil {
+	if _, err = c.bw.Write(frame); err == nil {
 		err = c.bw.Flush()
 	}
 	c.wmu.Unlock()

@@ -39,12 +39,20 @@ var table2Paper = [][]float64{
 	{335.36, 568.93, 828.25, 1164.45, 1306.21},
 }
 
+// table2Samples is how many timed iterations of each method RunTable2
+// takes per depth, after one untimed warm-up; the fastest is kept. A
+// single cold iteration carries first-touch page faults and whatever
+// else the host was doing, which at one layer is enough to invert the
+// table's depth trend.
+const table2Samples = 3
+
 // RunTable2 measures one training iteration of each method per depth
-// and models parallel execution: our iteration uses the Fig. 3 shard
-// decomposition; the baseline's GEMM segment scales with cores while
-// its gather segment (memory-bound data movement of d_LS-times
-// redundant features — the communication the paper blames in Section
-// VI-D) saturates at the memory-channel limit.
+// (warmed up, fastest of table2Samples) and models parallel execution:
+// our iteration uses the Fig. 3 shard decomposition; the baseline's
+// GEMM segment scales with cores while its gather segment
+// (memory-bound data movement of d_LS-times redundant features — the
+// communication the paper blames in Section VI-D) saturates at the
+// memory-channel limit.
 func RunTable2(o ExpOptions) (*Table2Result, error) {
 	o = o.normalized()
 	name := "reddit"
@@ -83,18 +91,30 @@ func RunTable2(o ExpOptions) (*Table2Result, error) {
 	for _, L := range layers {
 		// --- Ours: per-iteration shard times (sampling + featprop +
 		// weight application), as in Fig. 3. ------------------------
-		oursIter := oursIterShards(ds, o, L, maxP)
+		oursIterShards(ds, o, L, maxP) // warm-up
+		var oursIter iterShards
+		for i := 0; i < table2Samples; i++ {
+			if sh := oursIterShards(ds, o, L, maxP); i == 0 || sh.total() < oursIter.total() {
+				oursIter = sh
+			}
+		}
 
-		// --- Baseline: one real instrumented step. ------------------
+		// --- Baseline: real instrumented steps. ---------------------
 		cfg := baseline.SAGEConfig{
 			Layers: L, Hidden: o.Hidden, DLS: dls, Batch: batch,
 			LR: 0.01, Seed: o.Seed, Workers: 1,
 		}
 		sage := baseline.NewSAGE(ds, cfg)
-		sage.Timer = perf.NewTimer()
-		sage.Step()
-		seg := sage.Timer.Segments()
-		gather, gemm, sample := seg["gather"], seg["gemm"], seg["sample"]
+		sage.Step() // warm-up
+		var gather, gemm, sample time.Duration
+		for i := 0; i < table2Samples; i++ {
+			sage.Timer = perf.NewTimer()
+			sage.Step()
+			if i == 0 || sage.Timer.Total() < gather+gemm+sample {
+				seg := sage.Timer.Segments()
+				gather, gemm, sample = seg["gather"], seg["gemm"], seg["sample"]
+			}
+		}
 		res.BatchNodes = append(res.BatchNodes, sage.LastBatchNodes)
 
 		// Per-epoch normalization: iterations per epoch.
@@ -129,6 +149,17 @@ func RunTable2(o ExpOptions) (*Table2Result, error) {
 // training iterations.
 type iterShards struct {
 	sample, feat, weight []time.Duration
+}
+
+// total is the iteration's serial time: every shard of every phase.
+func (sh iterShards) total() time.Duration {
+	var sum time.Duration
+	for _, phase := range [][]time.Duration{sh.sample, sh.feat, sh.weight} {
+		for _, t := range phase {
+			sum += t
+		}
+	}
+	return sum
 }
 
 // oursIterShards measures one graph-sampling GCN iteration decomposed
