@@ -3,13 +3,15 @@ package gsgcn
 // This file is deliverable (d): a benchmark per table and figure of
 // the paper's evaluation section, each printing the regenerated
 // rows/series on its first iteration, plus ablation benches for the
-// design choices called out in DESIGN.md. Run with:
+// design choices called out in docs/ARCHITECTURE.md. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // Absolute numbers will differ from the paper (different hardware,
-// synthetic data, simulated cores — see EXPERIMENTS.md); the shapes
-// (who wins, how speedups trend with cores/depth) are the
+// synthetic data, simulated cores — ExperimentNames lists the
+// experiments, RunExperiment maps each to its driver, and the package
+// map in docs/ARCHITECTURE.md says what internal/perf simulates); the
+// shapes (who wins, how speedups trend with cores/depth) are the
 // reproduction target.
 
 import (
@@ -243,8 +245,8 @@ func BenchmarkTrainEpoch(b *testing.B) {
 // pool are worker-invariant, so all sub-benchmarks perform the exact
 // same arithmetic — the ratio of their ns/op is the real wall-clock
 // speedup of the goroutine-parallel engine (the measured counterpart
-// of the paper's Fig. 3A). Future PRs track the speedup trajectory
-// with `make bench`.
+// of the paper's Fig. 3A). A developer number; the benchmark's traced
+// run reports the same ratio as perf.speedup.
 func BenchmarkTrainEpochWorkers(b *testing.B) {
 	ds, err := LoadPreset("ppi", 0.05, 0)
 	if err != nil {

@@ -9,31 +9,38 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gsgcn"
 )
 
-func main() {
+// run is the whole command: it parses args, writes the statistics
+// and the path written to stdout, and flag diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gsgcn-datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset = flag.String("dataset", "ppi", "preset: ppi|reddit|yelp|amazon")
-		scale   = flag.Float64("scale", 0.01, "dataset scale relative to Table I")
-		out     = flag.String("out", "", "output path (default <dataset>.gsg)")
-		seed    = flag.Uint64("seed", 1, "seed")
-		statsOn = flag.Bool("stats", true, "print dataset statistics")
+		dataset = fs.String("dataset", "ppi", "preset: ppi|reddit|yelp|amazon")
+		scale   = fs.Float64("scale", 0.01, "dataset scale relative to Table I")
+		out     = fs.String("out", "", "output path (default <dataset>.gsg)")
+		seed    = fs.Uint64("seed", 1, "seed")
+		statsOn = fs.Bool("stats", true, "print dataset statistics")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	ds, err := gsgcn.LoadPreset(*dataset, *scale, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsgcn-datagen:", err)
-		os.Exit(1)
+		return err
 	}
 	if *statsOn {
 		s := ds.G.ComputeStats(true)
-		fmt.Printf("%s: |V|=%d |E|=%d avg-deg=%.2f max-deg=%d components=%d lcc=%.3f\n",
+		fmt.Fprintf(stdout, "%s: |V|=%d |E|=%d avg-deg=%.2f max-deg=%d components=%d lcc=%.3f\n",
 			ds.Name, s.Vertices, s.Edges, s.AvgDegree, s.MaxDegree, s.Components, s.LCCFrac)
 	}
 	path := *out
@@ -41,8 +48,18 @@ func main() {
 		path = ds.Name + ".gsg"
 	}
 	if err := gsgcn.WriteDataset(ds, path); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "wrote", path)
+	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "gsgcn-datagen:", err)
 		os.Exit(1)
 	}
-	fmt.Println("wrote", path)
 }

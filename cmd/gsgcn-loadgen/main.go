@@ -17,14 +17,15 @@
 // shard kill/restart cycles (-churn-shard/-churn-every). The
 // vertex-id space is discovered from the health endpoint.
 //
-// Results go to stderr as a human-readable summary; -bench emits a
-// benchmerge run entry on stdout so a run can be appended to the
-// BENCH_serve.json trajectory:
+// Results go to stderr as a human-readable summary, one line per
+// error class that occurred (`make serve-smoke` reads the ok and
+// unavailable lines for its availability assertion):
 //
-//	gsgcn-loadgen -addr http://127.0.0.1:8080 -rate 200 -duration 5s \
-//	    -bench LoadgenMixed | go run ./scripts/benchmerge \
-//	    -out BENCH_serve.json \
-//	    -commit "$(git rev-parse --short HEAD)-loadgen" -date "$(date -u +%F)"
+//	gsgcn-loadgen -addr http://127.0.0.1:8080 -rate 200 -duration 5s
+//
+// It is a smoke and exploration tool, not the measurement plane: an
+// open loop on a shared host measures the host's timers as much as
+// the server, so performance claims come from `go run ./benchmark`.
 //
 // Error classes: ok (200), shed (429), unavailable (503, includes
 // requests owned by a killed shard — expected during churn), deadline
@@ -44,7 +45,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -335,19 +335,6 @@ func run(cfg config) (summary, error) {
 	return s, nil
 }
 
-// benchEntry writes the run as a benchmerge run entry (the shape
-// bench-json.sh emits): p50 as ns/op, the rest of the distribution
-// and the error classes as named metrics.
-func benchEntry(w io.Writer, name string, s summary) {
-	metrics := fmt.Sprintf(`"p99_ns": %d, "p999_ns": %d, "ok_per_sec": %.1f`,
-		s.p99.Nanoseconds(), s.p999.Nanoseconds(), s.qps)
-	for cl := clsOK; cl < numClasses; cl++ {
-		metrics += fmt.Sprintf(`, "%s": %d`, classNames[cl], s.count[cl])
-	}
-	fmt.Fprintf(w, `{"go": %q, "package": "cmd/gsgcn-loadgen", "benchmarks": [{"name": %q, "iterations": %d, "ns_per_op": %d, "metrics": {%s}}]}`+"\n",
-		runtime.Version(), name, s.count[clsOK], s.p50.Nanoseconds(), metrics)
-}
-
 // report writes the human-readable summary.
 func report(w io.Writer, cfg config, s summary) {
 	fmt.Fprintf(w, "gsgcn-loadgen: %v at %.0f req/s over %d model(s), transport %s\n",
@@ -380,7 +367,6 @@ func main() {
 		reload    = flag.Duration("reload-every", 0, "hot-reload every model at this interval mid-traffic (0 = off)")
 		churn     = flag.Int("churn-shard", -1, "shard index to repeatedly stop and restart mid-traffic (-1 = off)")
 		churnDur  = flag.Duration("churn-every", time.Second, "interval between shard stop/start flips when -churn-shard is set")
-		bench     = flag.String("bench", "", "emit a benchmerge run entry on stdout naming the benchmark (empty = off)")
 		failErrs  = flag.Bool("fail-on-errors", false, "exit 1 when any client_error/server_error/transport occurred, or nothing succeeded")
 	)
 	flag.Parse()
@@ -404,9 +390,6 @@ func main() {
 		fatal(err)
 	}
 	report(os.Stderr, cfg, s)
-	if *bench != "" {
-		benchEntry(os.Stdout, *bench, s)
-	}
 	if *failErrs {
 		if bad := s.hardFailures(); bad > 0 {
 			fatal(fmt.Errorf("%d hard failures (client_error=%d server_error=%d transport=%d)",

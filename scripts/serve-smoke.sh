@@ -23,13 +23,14 @@
 # (-wire-addr): /v1 aliases must answer byte-identically to the legacy
 # routes, gsgcn-probe must decode identical answers over JSON,
 # negotiated-binary HTTP and framed TCP (one TCP connection surviving
-# a reload storm), and a JSON-vs-wire embed-only loadgen pair records
-# the transport's percentile win in BENCH_serve.json.
+# a reload storm).
+# Last, gsgcn-loadgen drives mixed open-loop traffic through a reload
+# storm and shard churn: no hard failure, and the share of requests
+# the stopped shard turned away is asserted — above zero, at most 35%.
 # Binaries are expected in ./bin (built by `make serve-smoke`).
 set -euo pipefail
 
 BIN=${BIN:-./bin}
-GO=${GO:-go}
 PORT=${PORT:-18473}
 TMP=$(mktemp -d)
 SERVER_PID=""
@@ -518,49 +519,22 @@ echo "== loadgen (mixed load + reload storm + shard churn)"
 # the gate (-fail-on-errors), as does an empty success sample.
 "$BIN/gsgcn-loadgen" -addr "$base" -rate 150 -duration 4s \
     -reload-every 1s -churn-shard 1 -churn-every 1s \
-    -fail-on-errors -bench LoadgenMixed > "$TMP/loadgen.json"
+    -fail-on-errors 2>&1 | tee "$TMP/loadgen.txt" >&2
 
-# The run entry must carry a real latency distribution before it is
-# allowed into the trajectory.
-if ! grep -Eq '"p99_ns": [1-9]' "$TMP/loadgen.json"; then
-    echo "serve-smoke: loadgen entry has an empty p99 sample:" >&2
-    cat "$TMP/loadgen.json" >&2; exit 1
+# The availability number, stated: shard 1 of 3 is down for about half
+# the run, and a request naming any id it owns comes back 503 — 130 or
+# 131 of some 600 (22%) in every run seen, the workload being seeded. Zero
+# means the churn never took the shard down and the phase tested
+# nothing; the 35% ceiling leaves room for a stop or start landing
+# late on a loaded host, not for a second shard's worth of 503s.
+# The class lines of loadgen's summary are its only two-field lines
+# (pinned by TestReportListsOnlyNonZeroClasses).
+total=$(awk 'NF == 2 && $2 ~ /^[0-9]+$/ { n += $2 } END { print n + 0 }' "$TMP/loadgen.txt")
+unavail=$(awk 'NF == 2 && $1 == "unavailable" { n = $2 } END { print n + 0 }' "$TMP/loadgen.txt")
+echo "serve-smoke: $unavail of $total requests unavailable under shard churn"
+if [ "$unavail" -le 0 ] || [ $((100 * unavail)) -gt $((35 * total)) ]; then
+    echo "serve-smoke: unavailable share must be above 0 and at most 35%" >&2
+    exit 1
 fi
-
-COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-$GO run ./scripts/benchmerge -out BENCH_serve.json \
-    -commit "${COMMIT}-loadgen" -date "$(date -u +%Y-%m-%d)" < "$TMP/loadgen.json"
-echo "serve-smoke: loadgen entry appended to BENCH_serve.json"
-
-echo "== loadgen (embed-only, JSON vs wire: the transport's percentile win)"
-# The same embed-only load at the same rate, once over JSON HTTP and
-# once over the persistent framed TCP connection — no reloads or
-# churn, so the percentile gap isolates the transport itself.
-"$BIN/gsgcn-loadgen" -addr "$base" -transport json -rate 150 -duration 4s \
-    -mix 1:0:0 -fail-on-errors -bench LoadgenEmbedJSON > "$TMP/loadgen-json.json"
-"$BIN/gsgcn-loadgen" -addr "$base" -wire-addr "$WADDR" -transport tcp \
-    -rate 150 -duration 4s -mix 1:0:0 -fail-on-errors \
-    -bench LoadgenEmbedWire > "$TMP/loadgen-wire.json"
-
-p99_of() { sed -n 's/.*"p99_ns": \([0-9][0-9]*\).*/\1/p' "$1"; }
-jp99=$(p99_of "$TMP/loadgen-json.json")
-wp99=$(p99_of "$TMP/loadgen-wire.json")
-if [ -z "$jp99" ] || [ -z "$wp99" ] || [ "$jp99" -le 0 ] || [ "$wp99" -le 0 ]; then
-    echo "serve-smoke: embed-only loadgen pair lacks p99 samples:" >&2
-    cat "$TMP/loadgen-json.json" "$TMP/loadgen-wire.json" >&2; exit 1
-fi
-echo "serve-smoke: /embed p99 json=${jp99}ns wire=${wp99}ns"
-if [ "$wp99" -ge "$jp99" ]; then
-    # Report, don't gate: on loaded CI hosts a 4s sample is too noisy
-    # to hard-fail, but the trajectory in BENCH_serve.json keeps the
-    # comparison on record for every PR.
-    echo "serve-smoke: WARNING: wire p99 did not beat JSON on this run" >&2
-fi
-
-$GO run ./scripts/benchmerge -out BENCH_serve.json \
-    -commit "${COMMIT}-loadgen-json" -date "$(date -u +%Y-%m-%d)" < "$TMP/loadgen-json.json"
-$GO run ./scripts/benchmerge -out BENCH_serve.json \
-    -commit "${COMMIT}-loadgen-wire" -date "$(date -u +%Y-%m-%d)" < "$TMP/loadgen-wire.json"
-echo "serve-smoke: JSON/wire embed entries appended to BENCH_serve.json"
 
 echo "serve-smoke: OK"
