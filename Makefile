@@ -84,12 +84,14 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' \
 		|| { echo "cover: total $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Fuzzing on a fixed budget, from the committed corpora
-# (internal/{wire,artifact,core}/testdata/fuzz), one -fuzz target per
-# `go test` run: the frame decoder against itself — Decode versus
+# Fuzzing on a fixed budget, four targets from the committed corpora
+# (internal/{wire,artifact,core,mat}/testdata/fuzz), one -fuzz target
+# per `go test` run: the frame decoder against itself — Decode versus
 # ReadMessage parsing in place, through its one-buffer fallback, and
 # fed a byte at a time — then the two file loaders, which must answer
-# any bytes with a value or a typed error, never a panic. The corpora
+# any bytes with a value or a typed error, never a panic, then the
+# quantized walk's ADC table, every entry of which must keep Dot's bits
+# on hostile numbers (NaN, ±Inf, subnormals, -0). The corpora
 # alone run as plain tests in every `go test`; this target also
 # mutates. -fuzzminimizetime bounds what the engine spends shrinking
 # each new-coverage input: at its default (60 s) two finds in the first
@@ -99,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadModel -fuzztime 30s -fuzzminimizetime 1000x
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzPQQuery -fuzztime 30s -fuzzminimizetime 1000x
 
 # The benchmark's smoke run: 3 s of each of the five workloads, exit
 # non-zero unless every one reports `checks: correct` with no failed

@@ -35,40 +35,46 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"gsgcn"
 )
 
-func main() {
+// run is the whole command: it parses args, writes what it built and
+// where to stdout, and flag diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gsgcn-index", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		load    = flag.String("load", "", "model checkpoint to index (required)")
-		data    = flag.String("data", "", "serving graph in .gsg format (overrides -dataset)")
-		dataset = flag.String("dataset", "ppi", "preset to regenerate when -data is unset: ppi|reddit|yelp|amazon")
-		scale   = flag.Float64("scale", 0.05, "preset scale relative to Table I")
-		seed    = flag.Uint64("seed", 1, "preset generation seed (must match training)")
-		out     = flag.String("out", "", "artifact output path (default <load>.art)")
-		workers = flag.Int("workers", 0, "goroutines for the embedding pass and index build (0 = GOMAXPROCS)")
-		block   = flag.Int("block", 0, "vertices per streamed inference block (0 = 256)")
-		dtype   = flag.String("dtype", "f64", "resident representation to quantize into the artifact: f64|f32|i8pq (exact answers always stay f64)")
-		index   = flag.Bool("index", true, "include the HNSW index (false = embeddings only)")
-		annM    = flag.Int("ann-m", 0, "HNSW connectivity, must match the server's -ann-m (0 = 16)")
-		annEf   = flag.Int("ann-ef", 0, "default query beam width stored with the index (0 = 64)")
-		shards  = flag.Int("shards", 0, "build per-shard artifacts for an N-shard serving fleet: -out becomes the base path, shard i lands at <out>.s<i>ofN (0 or 1 = one whole-graph artifact)")
-		shSeed  = flag.Uint64("shard-seed", 0, "seed keying the vertex-shard assignment (must match gsgcn-serve -shard-seed)")
+		load    = fs.String("load", "", "model checkpoint to index (required)")
+		data    = fs.String("data", "", "serving graph in .gsg format (overrides -dataset)")
+		dataset = fs.String("dataset", "ppi", "preset to regenerate when -data is unset: ppi|reddit|yelp|amazon")
+		scale   = fs.Float64("scale", 0.05, "preset scale relative to Table I")
+		seed    = fs.Uint64("seed", 1, "preset generation seed (must match training)")
+		out     = fs.String("out", "", "artifact output path (default <load>.art)")
+		workers = fs.Int("workers", 0, "goroutines for the embedding pass and index build (0 = GOMAXPROCS)")
+		block   = fs.Int("block", 0, "vertices per streamed inference block (0 = 256)")
+		dtype   = fs.String("dtype", "f64", "resident representation to quantize into the artifact: f64|f32|i8pq (exact answers always stay f64)")
+		index   = fs.Bool("index", true, "include the HNSW index (false = embeddings only)")
+		annM    = fs.Int("ann-m", 0, "HNSW connectivity, must match the server's -ann-m (0 = 16)")
+		annEf   = fs.Int("ann-ef", 0, "default query beam width stored with the index (0 = 64)")
+		shards  = fs.Int("shards", 0, "build per-shard artifacts for an N-shard serving fleet: -out becomes the base path, shard i lands at <out>.s<i>ofN (0 or 1 = one whole-graph artifact)")
+		shSeed  = fs.Uint64("shard-seed", 0, "seed keying the vertex-shard assignment (must match gsgcn-serve -shard-seed)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *load == "" {
-		fmt.Fprintln(os.Stderr, "gsgcn-index: -load is required")
-		os.Exit(2)
+		return errors.New("-load is required")
 	}
 	dt, err := gsgcn.ParseServingDtype(*dtype)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsgcn-index:", err)
-		os.Exit(2)
+		return err
 	}
 	if *out == "" {
 		*out = *load + ".art"
@@ -81,15 +87,13 @@ func main() {
 		ds, err = gsgcn.LoadPreset(*dataset, *scale, *seed)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsgcn-index:", err)
-		os.Exit(1)
+		return err
 	}
 	m, err := gsgcn.LoadModelFile(*load)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsgcn-index:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("%s: |V|=%d |E|=%d, model_version %d\n",
+	fmt.Fprintf(stdout, "%s: |V|=%d |E|=%d, model_version %d\n",
 		ds.Name, ds.G.NumVertices(), ds.G.NumEdges(), m.ModelVersion)
 
 	opts := gsgcn.ServeOptions{
@@ -103,8 +107,7 @@ func main() {
 	start := time.Now()
 	snaps, err := gsgcn.BuildShardServingArtifacts(ds, m, opts, *index, nShards, *shSeed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsgcn-index:", err)
-		os.Exit(1)
+		return err
 	}
 	built := time.Since(start)
 
@@ -115,20 +118,29 @@ func main() {
 		}
 		sum, err := gsgcn.WriteServingArtifact(path, snap)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gsgcn-index:", err)
-			os.Exit(1)
+			return err
 		}
 		mfPath, err := gsgcn.WriteArtifactManifest(path, *load, snap, sum)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gsgcn-index:", err)
-			os.Exit(1)
+			return err
 		}
 		info, _ := os.Stat(path)
 		size := int64(0)
 		if info != nil {
 			size = info.Size()
 		}
-		fmt.Printf("wrote %s (%d bytes, crc64 %016x, computed in %v) + %s\n",
+		fmt.Fprintf(stdout, "wrote %s (%d bytes, crc64 %016x, computed in %v) + %s\n",
 			path, size, sum, built.Round(time.Millisecond), mfPath)
+	}
+	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "gsgcn-index:", err)
+		os.Exit(1)
 	}
 }

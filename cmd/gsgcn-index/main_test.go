@@ -1,0 +1,111 @@
+package main
+
+import (
+	"fmt"
+	"hash/crc64"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"gsgcn"
+)
+
+// artifactPins maps each artifact TestRunArtifactsGolden writes to the
+// CRC-64/ECMA of its bytes before the 8-byte trailer (the trailer is
+// that CRC, so a whole-file CRC is the same constant for every file),
+// recorded at 4b59a64 on linux/amd64 with that commit's gsgcn-index
+// and the same checkpoint and flags. The artifact format is frozen: a
+// build that moves a byte of any of them fails here. As in the other
+// pins, embedding bits are promised on amd64 only.
+var artifactPins = map[string]uint64{
+	"i8pq shard 0 of 1": 0x1b40db9ae45fd4d8,
+	"i8pq shard 0 of 3": 0xdfb55b9be74decb2,
+	"i8pq shard 1 of 3": 0x0d191ca2af59a92e,
+	"i8pq shard 2 of 3": 0xfe086be2be5d700b,
+	"f64 shard 0 of 1":  0x2e4af3a2cacbbc82,
+	"f64 shard 0 of 3":  0x64c7701251853776,
+	"f64 shard 1 of 3":  0xa76ee20f71fbc6da,
+	"f64 shard 2 of 3":  0xf70c29efcda3df2b,
+}
+
+// TestRunArtifactsGolden indexes a seeded, untrained model over a tiny
+// preset at -dtype i8pq and f64, whole and as three shards, and holds
+// every artifact written to its pin; each is named on stdout and has
+// its manifest beside it.
+func TestRunArtifactsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("artifact bits are pinned on amd64 only")
+	}
+	dir := t.TempDir()
+	ds, err := gsgcn.LoadPreset("ppi", 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := gsgcn.NewModel(ds, gsgcn.Config{Layers: 2, Hidden: 8, Workers: 1, Seed: 17})
+	m.ModelVersion = 3
+	ckpt := filepath.Join(dir, "m.ckpt")
+	if err := m.SaveFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	crcTable := crc64.MakeTable(crc64.ECMA)
+	for _, dtype := range []string{"i8pq", "f64"} {
+		for _, shards := range []int{1, 3} {
+			out := filepath.Join(dir, fmt.Sprintf("%s-%d.art", dtype, shards))
+			var stdout, stderr strings.Builder
+			err := run([]string{"-load", ckpt, "-dataset", "ppi", "-scale", "0.01",
+				"-dtype", dtype, "-shards", fmt.Sprint(shards), "-shard-seed", "7", "-out", out}, &stdout, &stderr)
+			if err != nil {
+				t.Fatalf("%s x%d: %v", dtype, shards, err)
+			}
+			if stderr.Len() != 0 {
+				t.Errorf("%s x%d: a clean run wrote to stderr: %s", dtype, shards, stderr.String())
+			}
+			for i := 0; i < shards; i++ {
+				path := out
+				if shards > 1 {
+					path = gsgcn.ShardArtifactPath(out, i, shards)
+				}
+				key := fmt.Sprintf("%s shard %d of %d", dtype, i, shards)
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if got := crc64.Checksum(b[:len(b)-8], crcTable); got != artifactPins[key] {
+					t.Errorf("%s: CRC-64 %#016x, pinned %#016x", key, got, artifactPins[key])
+				}
+				if !strings.Contains(stdout.String(), "wrote "+path+" (") {
+					t.Errorf("%s: stdout does not name %s:\n%s", key, path, stdout.String())
+				}
+				if _, err := os.Stat(path + ".json"); err != nil {
+					t.Errorf("%s: no manifest: %v", key, err)
+				}
+			}
+		}
+	}
+}
+
+// TestRunRejectsBadInput: an undefined flag, a missing -load and an
+// unknown dtype all come back as errors (main's exit 1), the first with
+// the usage text on stderr, and none writes an artifact.
+func TestRunRejectsBadInput(t *testing.T) {
+	var stdout, stderr strings.Builder
+	err := run([]string{"-no-such-flag"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "no-such-flag") {
+		t.Errorf("undefined flag: err = %v", err)
+	}
+	if !strings.Contains(stderr.String(), "Usage of gsgcn-index") || stdout.Len() != 0 {
+		t.Errorf("undefined flag: stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+	out := filepath.Join(t.TempDir(), "x.art")
+	if err := run([]string{"-out", out}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "-load is required") {
+		t.Errorf("missing -load: err = %v", err)
+	}
+	if err := run([]string{"-load", "m.ckpt", "-dtype", "f16", "-out", out}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "f16") {
+		t.Errorf("unknown dtype: err = %v", err)
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("a rejected run left an artifact")
+	}
+}

@@ -419,15 +419,21 @@ func (t *PQTable) ResidentBytes() int64 {
 
 // Query builds the asymmetric distance table: tab[s*K+c] =
 // dot(query_s, centroid_{s,c}), so a row scores in M table lookups.
-// It is one pass over the packed codebook, M*K entries each with the
-// bits of Dot(query_s, centroid). A span shorter than simdMinLen is
-// summed in place as dotGo sums it — an entry starts as the +0 make
-// left there and takes a rounded product then a rounded add per
-// element in order, so a lone -0 product still gives +0 — one query
-// element across all K centroids at a time: K independent sums in
-// flight and no call per two-element dot. A wider span goes through
-// dot4, four centroids a pass, and dot for the last K mod 4. It panics,
-// before anything is scored, if q is shorter than the table is wide.
+// It is one pass over the packed codebook, read where it lies (a
+// mapped codebook is never copied), M*K entries each with the bits of
+// Dot(query_s, centroid). A span of 2 — every span at ResolvePQ's
+// default M but one span of 1 at an odd width — goes to adc2AVX2 where
+// AVX2 is present: four centroids a pass, each entry (+0 + q0*c0) +
+// q1*c1 as dotGo sums it. What the kernel leaves (the last K mod 4
+// entries), spans of 1 and 3, and every short span without AVX2 are
+// summed in place as dotGo sums them — an entry starts as the +0 make
+// left there and takes a rounded product then a rounded add per element
+// in order, so a lone -0 product still gives +0 — one query element
+// across all of the row's remaining centroids at a time: independent
+// sums in flight and no call per two-element dot. A wider span goes
+// through dot4, four centroids a pass, and dot for the last K mod 4. It
+// panics, before anything is scored, if q is shorter than the table is
+// wide.
 func (t *PQTable) Query(q []float64) QuantQuery {
 	m, k := t.Params.M, t.Params.K
 	q = q[:t.ColsN:len(q)]
@@ -439,6 +445,11 @@ func (t *PQTable) Query(q []float64) QuantQuery {
 		qs, cents, row := q[lo:hi], t.Centroids[off:off+k*w], tab[s*k:(s+1)*k]
 		off += k * w
 		if w < simdMinLen {
+			if w == 2 && useAVX2 {
+				n := k &^ 3
+				adc2AVX2(row[:n], cents[:2*n], qs[0], qs[1])
+				row, cents = row[n:], cents[2*n:]
+			}
 			for j, x := range qs {
 				for c := range row {
 					row[c] += x * cents[c*w+j]

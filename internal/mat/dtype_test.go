@@ -315,15 +315,32 @@ func TestF32ScoresMatchPerRow(t *testing.T) {
 }
 
 // TestPQQueryEntriesMatchDot: every ADC entry has Dot's bits, for spans
-// on both sides of simdMinLen, even and uneven splits, K with and
+// on both sides of simdMinLen, even and uneven splits (at dim 9 and
+// M 5, ResolvePQ's default, a span of 1 then spans of 2), K below the
+// span-2 kernel's four, on it and at every K mod 4 after it, K with and
 // without a dot4 remainder, and the values a sum started from +0
 // treats specially: a -0 product (the entry is +0), NaN, infinities of
-// both signs and subnormals.
+// both signs and subnormals. The same tables built on the portable
+// loops alone — what arm64 runs — have the same bits.
 func TestPQQueryEntriesMatchDot(t *testing.T) {
-	shapes := [][2]int{{3, 3}, {6, 3}, {9, 3}, {12, 3}, {15, 3}, {7, 3}, {7, 2}, {256, 128}} // dim, M
+	tabs := pqEntryTables(t)
+	t.Run("portable", func(t *testing.T) {
+		withoutAVX2(t)
+		for i, tab := range pqEntryTables(t) {
+			requireSameBits(t, fmt.Sprintf("table %d on the portable loops", i), tab, tabs[i])
+		}
+	})
+}
+
+// pqEntryTables builds and checks TestPQQueryEntriesMatchDot's tables
+// and returns them in order.
+func pqEntryTables(t *testing.T) [][]float64 {
+	t.Helper()
+	var tabs [][]float64
+	shapes := [][2]int{{3, 3}, {6, 3}, {9, 3}, {12, 3}, {15, 3}, {7, 3}, {7, 2}, {9, 5}, {256, 128}} // dim, M
 	for _, sh := range shapes {
 		dim, m := sh[0], sh[1]
-		for _, k := range []int{2, 7, 256} {
+		for _, k := range []int{2, 3, 4, 5, 7, 8, 9, 256} {
 			pt := handPQ(t, 4, dim, m, k)
 			q := append([]float64(nil), dtypeTable(5, dim).Row(4)...)
 			cent := pt.Centroids
@@ -339,27 +356,38 @@ func TestPQQueryEntriesMatchDot(t *testing.T) {
 				cent[w0+j] = special[(j+k)%len(special)]
 			}
 			tab := pt.Query(q).(*pqQuery).tab
-			off := 0
-			for s := 0; s < m; s++ {
-				lo, hi := subSpan(dim, m, s)
-				w := hi - lo
-				for c := 0; c < k; c++ {
-					want := Dot(q[lo:hi], cent[off+c*w:off+(c+1)*w])
-					if got := tab[s*k+c]; !sameBits(got, want) {
-						t.Fatalf("dim %d M %d K %d: entry (%d,%d) = %v (%#x), Dot gives %v (%#x)",
-							dim, m, k, s, c, got, math.Float64bits(got), want, math.Float64bits(want))
-					}
-				}
-				off += k * w
-			}
-			if off != PQCentroidsLen(dim, m, k) || off != len(cent) {
-				t.Fatalf("dim %d M %d K %d: blocks end at %d, PQCentroidsLen %d, codebook %d",
-					dim, m, k, off, PQCentroidsLen(dim, m, k), len(cent))
-			}
+			requireEntriesMatchDot(t, fmt.Sprintf("dim %d M %d K %d", dim, m, k), pt, q, tab)
 			if bits := math.Float64bits(tab[0]); bits != 0 {
 				t.Fatalf("dim %d M %d K %d: all -0 products gave %#x, want +0", dim, m, k, bits)
 			}
+			tabs = append(tabs, tab)
 		}
+	}
+	return tabs
+}
+
+// requireEntriesMatchDot checks that every entry of pt's ADC table tab
+// for query q has the bits of Dot(query_s, centroid), walking the
+// packed codebook block by block to its end.
+func requireEntriesMatchDot(t *testing.T, tag string, pt *PQTable, q, tab []float64) {
+	t.Helper()
+	dim, m, k, cent := pt.ColsN, pt.Params.M, pt.Params.K, pt.Centroids
+	off := 0
+	for s := 0; s < m; s++ {
+		lo, hi := subSpan(dim, m, s)
+		w := hi - lo
+		for c := 0; c < k; c++ {
+			want := Dot(q[lo:hi], cent[off+c*w:off+(c+1)*w])
+			if got := tab[s*k+c]; !sameBits(got, want) {
+				t.Fatalf("%s: entry (%d,%d) = %v (%#x), Dot gives %v (%#x)",
+					tag, s, c, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		off += k * w
+	}
+	if off != PQCentroidsLen(dim, m, k) || off != len(cent) {
+		t.Fatalf("%s: blocks end at %d, PQCentroidsLen %d, codebook %d",
+			tag, off, PQCentroidsLen(dim, m, k), len(cent))
 	}
 }
 

@@ -84,6 +84,35 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 	}
 }
 
+// TestPQQueryStaysInsideItsCodebook: a span-2 table whose last centroid
+// pair ends on the last bytes of a mapping, as a mapped artifact's
+// codebook may, with K a whole number of the kernel's passes and with
+// one centroid left for the remainder loop; and the kernel alone on the
+// last whole passes before the guard page.
+func TestPQQueryStaysInsideItsCodebook(t *testing.T) {
+	const dim, m = 6, 3
+	for _, k := range []int{4, 5, 256} {
+		pt := handPQ(t, 4, dim, m, k)
+		cents := guardedFloats(t, len(pt.Centroids))
+		copy(cents, pt.Centroids)
+		pt.Centroids = cents
+		q := dtypeTable(2, dim).Row(1)
+		tab := pt.Query(q).(*pqQuery).tab
+		requireEntriesMatchDot(t, fmt.Sprintf("K %d", k), pt, q, tab)
+		if useAVX2 {
+			n := k &^ 3
+			last := pt.Centroids[len(pt.Centroids)-2*n:]
+			got := guardedFloats(t, n)
+			adc2AVX2(got, last, q[4], q[5])
+			for c, v := range got {
+				if want := Dot(q[4:], last[2*c:2*c+2]); !sameBits(v, want) {
+					t.Fatalf("K %d: kernel entry %d = %v, Dot gives %v", k, c, v, want)
+				}
+			}
+		}
+	}
+}
+
 // TestAxpyRowsStaysInsideItsSlices: the list kernel with its row, the
 // last of its source rows and the last of its alphas each ending on the
 // last bytes of an allocation — packed, and strided with the final

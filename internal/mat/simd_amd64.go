@@ -3,7 +3,8 @@ package mat
 // useAVX2 reports whether the AVX2 kernels may run: the CPU has AVX2
 // and the operating system saves the YMM registers across context
 // switches. It is read from CPUID and XGETBV once, at package
-// initialisation, and nothing else ever sets it.
+// initialisation; only a test sets it again, to run the portable loops
+// on an AVX2 host, and puts it back before it returns.
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -35,8 +36,9 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// The routines below have no bounds checks: callers (simd.go) slice
-// every operand to the length the routine will touch before the call.
+// The routines below have no bounds checks: callers (simd.go, and
+// PQTable.Query for adc2AVX2) slice every operand to the length the
+// routine will touch before the call.
 // All end in VZEROUPPER and all are NOSPLIT leaves but axpyRowsAVX2,
 // whose frame holds its term list and which, like gatherRowsAVX2,
 // finishes in the list walk the two share.
@@ -83,6 +85,14 @@ func dotAVX2(x, y []float64) float64
 //
 //go:noescape
 func dot4AVX2(out, x, y []float64, stride int)
+
+// adc2AVX2 sets row[c] to the inner product of (q0, q1) and
+// cents[2c : 2c+2] for c < len(row): the ADC table row of a span-2
+// subspace. len(row) must be a multiple of 4 and len(cents) at least
+// 2*len(row).
+//
+//go:noescape
+func adc2AVX2(row, cents []float64, q0, q1 float64)
 
 // addAVX2 computes dst[i] += src[i] for i < len(dst).
 // len(src) must be at least len(dst).

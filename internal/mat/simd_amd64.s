@@ -3,8 +3,10 @@
 // AVX2 vector kernels. Arithmetic is VMULPD followed by VADDPD (and
 // the scalar VMULSD/VADDSD in tails) — never a fused multiply-add —
 // so every element is rounded exactly as in the portable Go loops of
-// simd.go. Callers guarantee the operand lengths; nothing here checks
-// a bound.
+// simd.go. adc2AVX2 alone moves elements between lanes — it splits
+// packed centroid pairs in registers and restores centroid order
+// before its store — and moving a value never changes its bits.
+// Callers guarantee the operand lengths; nothing here checks a bound.
 
 // HSUM leaves ((s0+s1)+s2)+s3 of the four lanes of Yacc in lane 0 of
 // Xres, the order dotGo sums its accumulators in. Xacc is the low
@@ -436,6 +438,44 @@ dot4Done:
 	VMOVSD X11, 8(DI)
 	VMOVSD X12, 16(DI)
 	VMOVSD X13, 24(DI)
+	VZEROUPPER
+	RET
+
+// func adc2AVX2(row, cents []float64, q0, q1 float64)
+//
+// Four span-2 table entries a pass, read from the packed codebook where
+// it lies: Y3 and Y4 hold the (c0, c1) pairs of centroids 0,1 and 2,3;
+// the unpacks split them, within each 128-bit lane, into the c0s (Y5)
+// and the c1s (Y6) of centroids 0,2,1,3. Each entry is summed as dotGo
+// sums two elements — (+0 + q0*c0) + q1*c1, the +0 in Y2 — and VPERMPD
+// (lanes 0,2,1,3) puts the four back in centroid order for one store.
+TEXT ·adc2AVX2(SB), NOSPLIT, $0-64
+	MOVQ         row_base+0(FP), DI
+	MOVQ         row_len+8(FP), CX
+	MOVQ         cents_base+24(FP), SI
+	VBROADCASTSD q0+48(FP), Y0
+	VBROADCASTSD q1+56(FP), Y1
+	VXORPD       Y2, Y2, Y2
+
+adc2Body:
+	TESTQ     CX, CX
+	JZ        adc2Done
+	VMOVUPD   (SI), Y3
+	VMOVUPD   32(SI), Y4
+	VUNPCKLPD Y4, Y3, Y5
+	VUNPCKHPD Y4, Y3, Y6
+	VMULPD    Y0, Y5, Y5
+	VADDPD    Y5, Y2, Y5
+	VMULPD    Y1, Y6, Y6
+	VADDPD    Y6, Y5, Y5
+	VPERMPD   $0xd8, Y5, Y5
+	VMOVUPD   Y5, (DI)
+	ADDQ      $64, SI
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JMP       adc2Body
+
+adc2Done:
 	VZEROUPPER
 	RET
 

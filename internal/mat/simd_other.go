@@ -21,6 +21,10 @@ func dotAVX2(x, y []float64) float64 { panic("mat: no AVX2 kernels on this archi
 
 func dot4AVX2(out, x, y []float64, stride int) { panic("mat: no AVX2 kernels on this architecture") }
 
+func adc2AVX2(row, cents []float64, q0, q1 float64) {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
 func addAVX2(dst, src []float64) { panic("mat: no AVX2 kernels on this architecture") }
 
 func scaleAVX2(dst []float64, alpha float64) { panic("mat: no AVX2 kernels on this architecture") }
