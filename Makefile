@@ -2,8 +2,9 @@
 # GitHub Actions workflow executes); `make bench` is the benchmark's
 # smoke run — all five workloads of `go run ./benchmark` against a real
 # trainer and a real gsgcn-serve, every answer checked — and
-# `make serve-smoke` exercises the datagen→train→index→serve pipeline
-# end-to-end over HTTP, cold and warm. Neither writes a tracked file;
+# `make serve-smoke` drives the datagen→train→index→serve pipeline as
+# real processes: flags, signals, ports, mmap and shard churn. Neither
+# writes a tracked file;
 # performance claims come from `go run ./benchmark` alone
 # (benchmark/README.md).
 
@@ -84,14 +85,17 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' \
 		|| { echo "cover: total $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Fuzzing on a fixed budget, four targets from the committed corpora
-# (internal/{wire,artifact,core,mat}/testdata/fuzz), one -fuzz target
-# per `go test` run: the frame decoder against itself — Decode versus
-# ReadMessage parsing in place, through its one-buffer fallback, and
-# fed a byte at a time — then the two file loaders, which must answer
-# any bytes with a value or a typed error, never a panic, then the
-# quantized walk's ADC table, every entry of which must keep Dot's bits
-# on hostile numbers (NaN, ±Inf, subnormals, -0). The corpora
+# Fuzzing on a fixed budget, five targets from the committed corpora
+# (internal/{wire,artifact,core,mat}/testdata/fuzz and
+# pkg/client/testdata/fuzz), one -fuzz target per `go test` run: the
+# frame decoder against itself — Decode versus ReadMessage parsing in
+# place, through its one-buffer fallback, and fed a byte at a time —
+# then the two file loaders, which must answer any bytes with a value
+# or a typed error, never a panic, then the quantized walk's ADC table,
+# every entry of which must keep Dot's bits on hostile numbers (NaN,
+# ±Inf, subnormals, -0), then query sequences with reloads, whose
+# answers must be the same bytes unsharded and on 3 shards over json,
+# wire and tcp (mode=ann across transports only). The corpora
 # alone run as plain tests in every `go test`; this target also
 # mutates. -fuzzminimizetime bounds what the engine spends shrinking
 # each new-coverage input: at its default (60 s) two finds in the first
@@ -102,6 +106,7 @@ fuzz:
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadModel -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzPQQuery -fuzztime 30s -fuzzminimizetime 1000x
+	$(GO) test ./pkg/client -run '^$$' -fuzz FuzzShapesAndTransports -fuzztime 30s -fuzzminimizetime 1000x
 
 # The benchmark's smoke run: 3 s of each of the five workloads, exit
 # non-zero unless every one reports `checks: correct` with no failed
@@ -113,17 +118,15 @@ fuzz:
 bench:
 	$(GO) run ./benchmark -quick
 
-# End-to-end serving smoke: generate a dataset, train briefly, save a
-# checkpoint, launch gsgcn-serve and assert /embed, /predict and /topk
-# answer with sane shapes — then build a snapshot artifact with
-# gsgcn-index, restart warm, and assert /healthz reports warm_start
-# and /topk answers match the cold run byte-for-byte. The sharded
-# phase also exposes the binary wire transport: gsgcn-probe asserts
-# JSON, negotiated-binary and framed-TCP answers decode identically
-# (and that one TCP connection survives a reload storm). The final
-# phase runs gsgcn-loadgen against the sharded server (reload storm +
-# shard churn mid-traffic): no hard failure, and the share of requests
-# the stopped shard turned away must be above zero and at most 35%.
+# End-to-end serving smoke, only what real processes can show (the
+# answers' bytes are the Go suites' business): generate a dataset,
+# train briefly, build 3 i8pq shard artifacts with gsgcn-index, boot
+# gsgcn-serve from a -config file (SIGHUP must advance the version,
+# SIGTERM must exit 0), then from flags, mmap-warm from those artifacts
+# with the wire listener on an ephemeral port, read from the log. The
+# final phase runs gsgcn-loadgen against it (reload storm + shard churn
+# mid-traffic): no hard failure, and the share of requests the stopped
+# shard turned away must be above zero and at most 35%.
 serve-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/gsgcn-datagen ./cmd/gsgcn-datagen
@@ -131,5 +134,4 @@ serve-smoke:
 	$(GO) build -o bin/gsgcn-serve ./cmd/gsgcn-serve
 	$(GO) build -o bin/gsgcn-index ./cmd/gsgcn-index
 	$(GO) build -o bin/gsgcn-loadgen ./cmd/gsgcn-loadgen
-	$(GO) build -o bin/gsgcn-probe ./cmd/gsgcn-probe
 	bash scripts/serve-smoke.sh

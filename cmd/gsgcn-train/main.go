@@ -8,36 +8,44 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"gsgcn"
 )
 
-func main() {
+// run is the whole command: it parses args, writes the run's report to
+// stdout, and flag diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gsgcn-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		data    = flag.String("data", "", "train on a .gsg dataset file (overrides -dataset; pair with gsgcn-serve -data)")
-		dataset = flag.String("dataset", "ppi", "preset: ppi|reddit|yelp|amazon")
-		scale   = flag.Float64("scale", 0.05, "dataset scale relative to Table I")
-		layers  = flag.Int("layers", 2, "GCN depth")
-		hidden  = flag.Int("hidden", 128, "hidden dimension")
-		epochs  = flag.Int("epochs", 10, "training epochs")
-		lr      = flag.Float64("lr", 0.01, "Adam learning rate")
-		m       = flag.Int("frontier", 0, "frontier size m (0 = auto)")
-		budget  = flag.Int("budget", 0, "subgraph vertex budget n (0 = auto)")
-		degCap  = flag.Int("degcap", 0, "Dashboard degree cap (0 = uncapped; paper uses 30 for amazon)")
-		workers = flag.Int("workers", 0, "real goroutines for sampling and dense kernels (0 = GOMAXPROCS; the loss trace is identical at any setting)")
-		pinter  = flag.Int("pinter", 0, "sampler instances per pool wave, p_inter (0 = GOMAXPROCS)")
-		prefet  = flag.Int("prefetch", 0, "sampler pipeline depth in waves (0 = default 2)")
-		seed    = flag.Uint64("seed", 1, "seed")
-		sampler = flag.String("sampler", "frontier", "sampler: frontier|random-node|random-edge|random-walk|forest-fire")
-		save    = flag.String("save", "", "write model checkpoint to this path after training")
-		load    = flag.String("load", "", "restore model checkpoint from this path before training")
-		metrics = flag.String("metrics-out", "", "dump training metrics (epoch wall time, loss, F1) to this file in Prometheus text format")
+		data    = fs.String("data", "", "train on a .gsg dataset file (overrides -dataset; pair with gsgcn-serve -data)")
+		dataset = fs.String("dataset", "ppi", "preset: ppi|reddit|yelp|amazon")
+		scale   = fs.Float64("scale", 0.05, "dataset scale relative to Table I")
+		layers  = fs.Int("layers", 2, "GCN depth")
+		hidden  = fs.Int("hidden", 128, "hidden dimension")
+		epochs  = fs.Int("epochs", 10, "training epochs")
+		lr      = fs.Float64("lr", 0.01, "Adam learning rate")
+		m       = fs.Int("frontier", 0, "frontier size m (0 = auto)")
+		budget  = fs.Int("budget", 0, "subgraph vertex budget n (0 = auto)")
+		degCap  = fs.Int("degcap", 0, "Dashboard degree cap (0 = uncapped; paper uses 30 for amazon)")
+		workers = fs.Int("workers", 0, "real goroutines for sampling and dense kernels (0 = GOMAXPROCS; the loss trace is identical at any setting)")
+		pinter  = fs.Int("pinter", 0, "sampler instances per pool wave, p_inter (0 = GOMAXPROCS)")
+		prefet  = fs.Int("prefetch", 0, "sampler pipeline depth in waves (0 = default 2)")
+		seed    = fs.Uint64("seed", 1, "seed")
+		sampler = fs.String("sampler", "frontier", "sampler: frontier|random-node|random-edge|random-walk|forest-fire")
+		save    = fs.String("save", "", "write model checkpoint to this path after training")
+		load    = fs.String("load", "", "restore model checkpoint from this path before training")
+		metrics = fs.String("metrics-out", "", "dump training metrics (epoch wall time, loss, F1) to this file in Prometheus text format")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var (
 		ds  *gsgcn.Dataset
@@ -49,10 +57,9 @@ func main() {
 		ds, err = gsgcn.LoadPreset(*dataset, *scale, *seed)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsgcn-train:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("%s: |V|=%d |E|=%d attrs=%d classes=%d multi=%v\n",
+	fmt.Fprintf(stdout, "%s: |V|=%d |E|=%d attrs=%d classes=%d multi=%v\n",
 		ds.Name, ds.G.NumVertices(), ds.G.NumEdges(), ds.FeatureDim(), ds.NumClasses, ds.MultiLabel)
 
 	cfg := gsgcn.Config{
@@ -61,13 +68,12 @@ func main() {
 		Workers: *workers, PInter: *pinter, Prefetch: *prefet, Seed: *seed,
 	}
 	model := gsgcn.NewModel(ds, cfg)
-	fmt.Println(model)
+	fmt.Fprintln(stdout, model)
 	if *load != "" {
 		if err := model.LoadFile(*load); err != nil {
-			fmt.Fprintln(os.Stderr, "gsgcn-train:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println("restored checkpoint", *load)
+		fmt.Fprintln(stdout, "restored checkpoint", *load)
 	}
 
 	var tr *gsgcn.Trainer
@@ -77,8 +83,7 @@ func main() {
 		fam := gsgcn.Samplers(ds.G, model.Config().Budget)
 		s, ok := fam[*sampler]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "gsgcn-train: unknown sampler %q\n", *sampler)
-			os.Exit(1)
+			return fmt.Errorf("unknown sampler %q", *sampler)
 		}
 		tr = gsgcn.NewTrainerWithSampler(ds, model, s)
 	}
@@ -109,19 +114,18 @@ func main() {
 		f1 := tr.Evaluate(ds.ValIdx)
 		lastLoss.Set(loss)
 		lastF1.Set(f1)
-		fmt.Printf("epoch %3d  loss %.4f  val-F1 %.4f  elapsed %.1fs\n",
+		fmt.Fprintf(stdout, "epoch %3d  loss %.4f  val-F1 %.4f  elapsed %.1fs\n",
 			e, loss, f1, time.Since(start).Seconds())
 	}
-	fmt.Printf("test-F1 %.4f\n", tr.Evaluate(ds.TestIdx))
+	fmt.Fprintf(stdout, "test-F1 %.4f\n", tr.Evaluate(ds.TestIdx))
 	if *metrics != "" {
 		if err := writeMetrics(*metrics, mreg); err != nil {
-			fmt.Fprintln(os.Stderr, "gsgcn-train:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println("wrote metrics", *metrics)
+		fmt.Fprintln(stdout, "wrote metrics", *metrics)
 	}
 	seg := tr.Timer.Segments()
-	fmt.Printf("time breakdown: sampling %.2fs  featprop %.2fs  weight %.2fs\n",
+	fmt.Fprintf(stdout, "time breakdown: sampling %.2fs  featprop %.2fs  weight %.2fs\n",
 		seg["sampling"].Seconds(), seg["featprop"].Seconds(), seg["weight"].Seconds())
 	if *save != "" {
 		// Tag the checkpoint with the optimizer step count so serving
@@ -129,10 +133,20 @@ func main() {
 		// from.
 		model.ModelVersion = uint64(tr.Steps())
 		if err := model.SaveFile(*save); err != nil {
-			fmt.Fprintln(os.Stderr, "gsgcn-train:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("saved checkpoint %s (model_version %d)\n", *save, model.ModelVersion)
+		fmt.Fprintf(stdout, "saved checkpoint %s (model_version %d)\n", *save, model.ModelVersion)
+	}
+	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "gsgcn-train:", err)
+		os.Exit(1)
 	}
 }
 

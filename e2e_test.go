@@ -1,9 +1,9 @@
 package gsgcn_test
 
-// The Go-native twin of scripts/serve-smoke.sh: the full pipeline —
-// datagen → train → save a v2 checkpoint → dataset-free model
-// reconstruction → serving engine → live HTTP queries — in one
-// process, with golden assertions the shell script cannot make: the
+// The full serving pipeline — datagen → train → save a v2 checkpoint
+// → dataset-free model reconstruction → serving engine → live HTTP
+// queries — in one process, with golden assertions the process-level
+// smoke script (scripts/serve-smoke.sh) cannot make: the
 // served /embed vectors are bit-identical to the training-side
 // forward pass, and /predict agrees with the training prediction rule
 // applied to the training-side logits.

@@ -37,6 +37,13 @@ type Fig3Result struct {
 	Cores  []int
 }
 
+// fig3Samples is how many times fig3Curve times every shard; each
+// shard keeps its fastest time. At quick scale a shard runs for tens of
+// microseconds, so one preempted by the host would on its own set the
+// simulated critical path (the table2Samples pattern). addGEMM, which
+// Table II shares, times its shards the same way.
+const fig3Samples = 3
+
 // fig3Budget caps the subgraph size for the scaling runs; Fig. 3
 // measures per-iteration kernel scaling, which is size-stationary, so
 // a moderate subgraph keeps the sweep tractable while preserving the
@@ -83,7 +90,7 @@ func fig3Curve(ds *Dataset, hidden int, o ExpOptions, maxP int) Fig3Curve {
 	f0 := ds.FeatureDim()
 
 	// --- Sampling: one instance per simulated core. -----------------
-	sampleTimes := perf.SimShardTimes(maxP, func(i int) {
+	sampleTimes := fastestShardTimes(maxP, func(i int) {
 		rr := rng.NewStream(o.Seed, 1000+i)
 		_ = sampler.SampleSubgraph(ds.G, fr, rr)
 	})
@@ -104,7 +111,7 @@ func fig3Curve(ds *Dataset, hidden int, o ExpOptions, maxP int) Fig3Curve {
 		src := randomDense(r, n, in)
 		dst := mat.New(n, in)
 		for _, norm := range []partition.Norm{partition.NormDst, partition.NormSrc} {
-			ts := perf.SimShardTimes(q, func(i int) {
+			ts := fastestShardTimes(q, func(i int) {
 				lo := i * in / q
 				hi := (i + 1) * in / q
 				if lo < hi {
@@ -167,6 +174,18 @@ func fig3Curve(ds *Dataset, hidden int, o ExpOptions, maxP int) Fig3Curve {
 	return curve
 }
 
+// fastestShardTimes is perf.SimShardTimes taken fig3Samples times,
+// keeping each shard's fastest.
+func fastestShardTimes(n int, shard func(i int)) []time.Duration {
+	best := perf.SimShardTimes(n, shard)
+	for s := 1; s < fig3Samples; s++ {
+		for i, t := range perf.SimShardTimes(n, shard) {
+			best[i] = min(best[i], t)
+		}
+	}
+	return best
+}
+
 // samplePerIter returns the amortized per-iteration sampling wall
 // time when p sampler instances refill the pool concurrently: the
 // refill produces p subgraphs in max-instance time, one consumed per
@@ -199,7 +218,7 @@ func addGEMM(times []time.Duration, r *rng.RNG, maxP, rows, k, cols int) {
 	a := randomDense(r, rows, k)
 	b := randomDense(r, k, cols)
 	dst := mat.New(rows, cols)
-	ts := perf.SimShardTimes(maxP, func(i int) {
+	ts := fastestShardTimes(maxP, func(i int) {
 		lo := i * rows / maxP
 		hi := (i + 1) * rows / maxP
 		if lo < hi {

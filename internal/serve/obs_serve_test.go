@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"gsgcn/internal/artifact"
+	"gsgcn/internal/core"
 	"gsgcn/internal/obs"
+	"gsgcn/internal/partition"
+	"gsgcn/internal/wire"
 )
 
 // scrape fetches url and returns the exposition body, failing on a
@@ -27,11 +33,30 @@ func scrape(t *testing.T, url string) string {
 // TestMetricsExpositionAndScoping pins the fleet scrape surface: the
 // registry's bare /metrics carries every expected family labeled by
 // model, while /models/{name}/metrics holds exactly that model's
-// series.
+// series. The series it reads back are what the drive below did: a
+// framed-TCP frame billed to the wire transport, a cold model and a
+// fleet warm-started from its shard artifacts (index included), a
+// stopped shard, and the one query that shard refused.
 func TestMetricsExpositionAndScoping(t *testing.T) {
 	ds := testDataset(t, false)
 	dir := t.TempDir()
 	ckpt := trainAndSave(t, ds, 1, dir)
+	m, err := core.LoadModelFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards, seed = 2, 9
+	fleetOpts := Options{Workers: 1, ANN: true}
+	snaps, err := BuildShardSnapshots(ds, m, fleetOpts, true, shards, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := dir + "/fleet.art"
+	for i, snap := range snaps {
+		if _, err := artifact.WriteFile(artifact.ShardPath(base, i, shards), snap); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	reg := NewRegistry()
 	defer reg.Close()
@@ -42,17 +67,48 @@ func TestMetricsExpositionAndScoping(t *testing.T) {
 	if _, err := srvA.Load(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.AddSharded("fleet", ds, Options{Workers: 1}, 2, 9); err != nil {
+	fleetOpts.ArtifactPath = base
+	fleet, err := reg.AddSharded("fleet", ds, fleetOpts, shards, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.Load(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(reg)
 	defer ts.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go reg.ServeWire(ln)
 
 	// Drive every metric family at least once.
 	for _, q := range []string{"/models/prod/embed?ids=0,1", "/models/prod/topk?id=0&k=3", "/models/prod/nope"} {
 		if status, _ := getBody(t, ts.URL+q); status == 0 {
 			t.Fatal("unreachable")
 		}
+	}
+	c := dialWire(t, ln.Addr().String())
+	c.send(&wire.EmbedRequest{Model: "prod", IDs: []int{2}})
+	if em, ok := c.recv().(*wire.EmbedResponse); !ok || len(em.Vectors) != 1 {
+		t.Fatalf("embed frame answered %#v", em)
+	}
+	if status, _, raw := fetch(t, http.MethodPost, ts.URL+"/models/fleet/shards/1/stop", nil); status != http.StatusOK {
+		t.Fatalf("stop shard 1: %d %s", status, raw)
+	}
+	down := scrape(t, ts.URL+"/metrics")
+	if !strings.Contains(down, `gsgcn_degraded_queries_total{model="fleet"} 0`) {
+		t.Error("the degraded-query counter moved before any query reached the stopped shard")
+	}
+	sm := partition.ShardMap{Shards: shards, Seed: seed}
+	dead := 0
+	for sm.Assign(int32(dead)) != 1 {
+		dead++
+	}
+	if status, _ := getBody(t, fmt.Sprintf("%s/models/fleet/embed?ids=%d", ts.URL, dead)); status != http.StatusServiceUnavailable {
+		t.Fatalf("embed of stopped shard 1's vertex %d: status %d, want 503", dead, status)
 	}
 
 	global := scrape(t, ts.URL+"/metrics")
@@ -76,8 +132,15 @@ func TestMetricsExpositionAndScoping(t *testing.T) {
 	}
 	for _, series := range []string{
 		`gsgcn_snapshot_version{model="prod"} 1`,
+		`gsgcn_snapshot_warm_start{model="prod"} 0`,
+		`gsgcn_snapshot_warm_start{model="fleet",shard="0"} 1`,
+		`gsgcn_snapshot_warm_start{model="fleet",shard="1"} 1`,
+		`gsgcn_index_resident{model="prod"} 0`,
+		`gsgcn_index_resident{model="fleet",shard="0"} 1`,
 		`gsgcn_shard_up{model="fleet",shard="0"} 1`,
-		`gsgcn_shard_up{model="fleet",shard="1"} 1`,
+		`gsgcn_shard_up{model="fleet",shard="1"} 0`,
+		`gsgcn_degraded_queries_total{model="fleet"} 1`,
+		`gsgcn_requests_total{model="prod",transport="wire"} 1`,
 		`endpoint="/embed",model="prod"`,
 		`endpoint="other",model="prod"`,
 	} {

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,11 +18,61 @@ import (
 	"gsgcn/internal/wire"
 )
 
-// fleet is one running server reachable over all three transports.
+// fleet is one running registry reachable over all three transports,
+// and the model its clients address.
 type fleet struct {
 	httpURL  string
 	tcpAddr  string
+	model    string
 	vertices int
+}
+
+// transports lists the three client transports, json (the reference
+// encoding) first.
+var transports = [3]string{"json", "wire", "tcp"}
+
+// testGraph is the graph every test here serves.
+func testGraph() *datasets.Dataset {
+	return datasets.Generate(datasets.Config{
+		Name: "client-test", Vertices: 120, TargetEdges: 900,
+		FeatureDim: 10, NumClasses: 4,
+		Homophily: 0.8, NoiseStd: 0.5, Seed: 11,
+	})
+}
+
+// saveCheckpoint trains a model on ds for steps optimizer steps and
+// saves it, stamped with the step count as its model version.
+func saveCheckpoint(tb testing.TB, ds *datasets.Dataset, steps int) string {
+	tb.Helper()
+	m := core.NewModel(ds, core.Config{
+		Layers: 2, Hidden: 8, Workers: 1, Seed: 7,
+		FrontierM: 30, Budget: 120, PInter: 1,
+	})
+	tr := core.NewTrainer(ds, m)
+	for i := 0; i < steps; i++ {
+		tr.Step()
+	}
+	m.ModelVersion = uint64(steps)
+	ckpt := filepath.Join(tb.TempDir(), "m.ckpt")
+	if err := m.SaveFile(ckpt); err != nil {
+		tb.Fatal(err)
+	}
+	return ckpt
+}
+
+// serveRegistry serves reg over HTTP via httptest and over the framed
+// transport on a loopback listener, returning both addresses.
+func serveRegistry(tb testing.TB, reg *serve.Registry) (httpURL, tcpAddr string) {
+	tb.Helper()
+	ts := httptest.NewServer(reg)
+	tb.Cleanup(ts.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	go reg.ServeWire(ln)
+	return ts.URL, ln.Addr().String()
 }
 
 // startFleet builds a registry with one trained model (sharded when
@@ -33,25 +80,8 @@ type fleet struct {
 // a loopback listener.
 func startFleet(tb testing.TB, workers, shards int) *fleet {
 	tb.Helper()
-	ds := datasets.Generate(datasets.Config{
-		Name: "client-test", Vertices: 120, TargetEdges: 900,
-		FeatureDim: 10, NumClasses: 4,
-		Homophily: 0.8, NoiseStd: 0.5, Seed: 11,
-	})
-	m := core.NewModel(ds, core.Config{
-		Layers: 2, Hidden: 8, Workers: 1, Seed: 7,
-		FrontierM: 30, Budget: 120, PInter: 1,
-	})
-	tr := core.NewTrainer(ds, m)
-	for i := 0; i < 3; i++ {
-		tr.Step()
-	}
-	m.ModelVersion = 3
-	ckpt := filepath.Join(tb.TempDir(), "m.ckpt")
-	if err := m.SaveFile(ckpt); err != nil {
-		tb.Fatal(err)
-	}
-
+	ds := testGraph()
+	ckpt := saveCheckpoint(tb, ds, 3)
 	reg := serve.NewRegistry()
 	tb.Cleanup(reg.Close)
 	opts := serve.Options{Workers: workers, ANN: true, ANNEf: 16}
@@ -68,34 +98,27 @@ func startFleet(tb testing.TB, workers, shards int) *fleet {
 	if _, err := ms.Load(ckpt); err != nil {
 		tb.Fatal(err)
 	}
-
-	ts := httptest.NewServer(reg)
-	tb.Cleanup(ts.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { ln.Close() })
-	go reg.ServeWire(ln)
-	return &fleet{httpURL: ts.URL, tcpAddr: ln.Addr().String(), vertices: ds.G.NumVertices()}
+	httpURL, tcpAddr := serveRegistry(tb, reg)
+	return &fleet{httpURL: httpURL, tcpAddr: tcpAddr, model: "m", vertices: ds.G.NumVertices()}
 }
 
-// clients builds one client per transport against f, all targeting
-// the model by name so every dispatch layer is exercised.
-func clients(tb testing.TB, f *fleet) map[string]Client {
+// clients builds one client per transport against f, in transports
+// order, all targeting the model by name so every dispatch layer is
+// exercised.
+func clients(tb testing.TB, f *fleet) [3]Client {
 	tb.Helper()
-	out := make(map[string]Client, 3)
-	for _, tr := range []string{"json", "wire", "tcp"} {
+	var out [3]Client
+	for i, tr := range transports {
 		addr := f.httpURL
 		if tr == "tcp" {
 			addr = f.tcpAddr
 		}
-		c, err := New(Config{Transport: tr, Addr: addr, Model: "m"})
+		c, err := New(Config{Transport: tr, Addr: addr, Model: f.model})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { c.Close() })
-		out[tr] = c
+		out[i] = c
 	}
 	return out
 }
@@ -115,41 +138,19 @@ func outcome(tb testing.TB, res any, err error) any {
 	return *ae
 }
 
-// bitsOf canonicalizes a result for exact comparison: identical
-// structure plus identical float64 bits (DeepEqual alone would let
-// -0 == 0 slip through on the float fields).
-func bitsOf(rows [][]float64) [][]uint64 {
-	out := make([][]uint64, len(rows))
-	for i, r := range rows {
-		out[i] = make([]uint64, len(r))
-		for j, v := range r {
-			out[i][j] = math.Float64bits(v)
-		}
-	}
-	return out
-}
+// exact renders a value so that two renderings are equal exactly when
+// the values are: %x prints every float64 in hexadecimal floating
+// point, which keeps all of its bits (-0 included), and every other
+// field by value.
+func exact(v any) string { return fmt.Sprintf("%T %x", v, v) }
 
-func compareOutcomes(t *testing.T, label string, got map[string]any) {
+// compareOutcomes requires the wire and tcp outcomes of one query to be
+// exact copies of the json one.
+func compareOutcomes(t *testing.T, label string, got [3]any) {
 	t.Helper()
-	ref := got["json"]
-	for _, tr := range []string{"wire", "tcp"} {
-		if !reflect.DeepEqual(ref, got[tr]) {
-			t.Errorf("%s: %s outcome differs from json:\n json: %#v\n %s: %#v", label, tr, ref, tr, got[tr])
-		}
-	}
-	// DeepEqual passed; additionally pin the float bits.
-	switch r := ref.(type) {
-	case *serve.EmbedResult:
-		for _, tr := range []string{"wire", "tcp"} {
-			if o := got[tr].(*serve.EmbedResult); !reflect.DeepEqual(bitsOf(r.Vectors), bitsOf(o.Vectors)) {
-				t.Errorf("%s: %s embedding bits differ from json", label, tr)
-			}
-		}
-	case *serve.PredictResult:
-		for _, tr := range []string{"wire", "tcp"} {
-			if o := got[tr].(*serve.PredictResult); !reflect.DeepEqual(bitsOf(r.Probs), bitsOf(o.Probs)) {
-				t.Errorf("%s: %s probability bits differ from json", label, tr)
-			}
+	for i := 1; i < len(got); i++ {
+		if exact(got[i]) != exact(got[0]) {
+			t.Errorf("%s: %s outcome differs from json:\n json: %+v\n %s: %+v", label, transports[i], got[0], transports[i], got[i])
 		}
 	}
 }
@@ -181,64 +182,14 @@ func TestTransportsBitIdentical(t *testing.T) {
 				{"topk-big-k", func(c Client) (any, error) { return c.TopK(ctx, TopKQuery{ID: 1, K: 100000}) }},
 			}
 			for _, q := range queries {
-				got := make(map[string]any, 3)
-				for tr, c := range cs {
+				var got [3]any
+				for i, c := range cs {
 					res, err := q.run(c)
-					got[tr] = outcome(t, res, err)
+					got[i] = outcome(t, res, err)
 				}
 				compareOutcomes(t, q.label, got)
 			}
 		})
-	}
-}
-
-// TestTransportEquivalenceRandomized drives the three transports with
-// a seeded stream of random queries — ids, k, ef and mode drawn to
-// straddle the valid/invalid boundary — and requires identical
-// outcomes on every draw: identical float64 bits on answers,
-// identical status/reason/message on rejections.
-func TestTransportEquivalenceRandomized(t *testing.T) {
-	f := startFleet(t, 2, 2)
-	cs := clients(t, f)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(99))
-	modes := []string{"", "", "exact", "ann"}
-
-	for i := 0; i < 150; i++ {
-		var run func(Client) (any, error)
-		label := ""
-		switch rng.Intn(3) {
-		case 0:
-			n := 1 + rng.Intn(4)
-			ids := make([]int, n)
-			for j := range ids {
-				// Mostly valid, occasionally out of range.
-				ids[j] = rng.Intn(f.vertices + f.vertices/10)
-			}
-			label = fmt.Sprintf("embed%v", ids)
-			run = func(c Client) (any, error) { return c.Embed(ctx, ids) }
-		case 1:
-			id := rng.Intn(f.vertices + 5)
-			label = fmt.Sprintf("predict[%d]", id)
-			run = func(c Client) (any, error) { return c.Predict(ctx, []int{id}) }
-		default:
-			q := TopKQuery{
-				ID:   rng.Intn(f.vertices + 5),
-				K:    rng.Intn(f.vertices + 10),
-				Mode: modes[rng.Intn(len(modes))],
-			}
-			if rng.Intn(3) == 0 {
-				q.Ef = 1 + rng.Intn(40) // sometimes invalid (non-ANN mode)
-			}
-			label = fmt.Sprintf("topk%+v", q)
-			run = func(c Client) (any, error) { return c.TopK(ctx, q) }
-		}
-		got := make(map[string]any, 3)
-		for tr, c := range cs {
-			res, err := run(c)
-			got[tr] = outcome(t, res, err)
-		}
-		compareOutcomes(t, label, got)
 	}
 }
 
@@ -278,7 +229,7 @@ func TestTCPPipelining(t *testing.T) {
 				errs <- fmt.Errorf("id %d: %w", id, err)
 				return
 			}
-			if len(r.IDs) != 1 || r.IDs[0] != id || !reflect.DeepEqual(bitsOf(r.Vectors), bitsOf(want[id])) {
+			if len(r.IDs) != 1 || r.IDs[0] != id || exact(r.Vectors) != exact(want[id]) {
 				errs <- fmt.Errorf("id %d: got someone else's answer", id)
 			}
 		}(id)
@@ -346,7 +297,7 @@ func TestTCPSurvivesReload(t *testing.T) {
 	if after.Version <= before.Version {
 		t.Errorf("snapshot version did not advance across reload: %d -> %d", before.Version, after.Version)
 	}
-	if !reflect.DeepEqual(bitsOf(before.Vectors), bitsOf(after.Vectors)) {
+	if exact(before.Vectors) != exact(after.Vectors) {
 		t.Errorf("same checkpoint reloaded; embedding bits changed")
 	}
 }
