@@ -11,10 +11,11 @@
 GO ?= go
 
 # Coverage ratchet: `make cover` fails when total statement coverage
-# drops below this floor. The floor trails the measured total by a
-# small slack (85.2% over every package but benchmark/ when last
-# measured); raise it as coverage rises, never lower it.
-COVER_FLOOR ?= 84.5
+# drops below this floor. The floor trails the measured total by one
+# point, rounded down to a half (87.5% over every package but
+# benchmark/ when last measured); raise it as coverage rises, never
+# lower it.
+COVER_FLOOR ?= 86.5
 
 .PHONY: ci loc lint vet build test race cover fuzz bench serve-smoke
 

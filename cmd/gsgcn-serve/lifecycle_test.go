@@ -194,14 +194,7 @@ func TestReloadFleetPartialFailure(t *testing.T) {
 	}
 	reloadFleet(reg)
 
-	stA, err := srvA.Engine().Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := srvB.Engine().Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stA, stB := srvA.Health(), srvB.Health()
 	if stA.Version != 2 {
 		t.Errorf("healthy model a version = %d, want 2", stA.Version)
 	}

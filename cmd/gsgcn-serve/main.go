@@ -394,21 +394,21 @@ func main() {
 		if _, err := srv.Load(spec.Checkpoint); err != nil {
 			fatal(fmt.Errorf("model %q: %w", spec.Name, err))
 		}
-		st, _ := srv.Engine().Snapshot()
+		h := srv.Health() // fleet-wide: warm only when every shard warmed
 		how := "computed"
-		if st.WarmStart {
+		if h.WarmStart {
 			how = "warm-started from " + spec.Artifact
-		} else if st.WarmNote != "" {
+		} else if h.WarmNote != "" {
 			logger.Event("artifact_fallback",
 				gsgcn.Log("model", spec.Name),
 				gsgcn.Log("artifact", spec.Artifact),
-				gsgcn.Log("reason", st.WarmNote))
+				gsgcn.Log("reason", h.WarmNote))
 		}
 		logger.Event("model_loaded",
 			gsgcn.Log("model", spec.Name),
 			gsgcn.Log("checkpoint", spec.Checkpoint),
-			gsgcn.Log("model_version", st.ModelVersion),
-			gsgcn.Log("dim", st.Dim()),
+			gsgcn.Log("model_version", h.ModelVersion),
+			gsgcn.Log("dim", h.Dim),
 			gsgcn.Log("shards", spec.Shards),
 			gsgcn.Log("snapshot", how),
 			gsgcn.Log("dur_ms", time.Since(start)))

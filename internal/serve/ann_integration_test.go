@@ -296,36 +296,38 @@ func TestANNIndexLazyAndInvalidated(t *testing.T) {
 // the same (id, k) never collide in the memo cache.
 func TestANNCacheKeyedByModeAndEf(t *testing.T) {
 	ds := testDataset(t, false)
-	eng := trainedSmall(t, ds, Options{Workers: 2})
-	exact1, err := eng.TopKWith(3, 5, ModeExact, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	annRes, err := eng.TopKWith(3, 5, ModeANN, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := memoServer(t, ds)
+	exact1 := serverTopK(t, srv, topkQuery{id: 3, k: 5})
+	annRes := serverTopK(t, srv, topkQuery{id: 3, k: 5, ann: true, ef: 16})
 	if annRes == exact1 {
 		t.Fatal("ann query served the cached exact result")
 	}
-	annRes2, err := eng.TopKWith(3, 5, ModeANN, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	annRes2 := serverTopK(t, srv, topkQuery{id: 3, k: 5, ann: true, ef: 32})
 	if annRes2 == annRes {
 		t.Fatal("different ef served the same cached result")
 	}
-	exact2, err := eng.TopKWith(3, 5, ModeExact, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact2 != exact1 {
+	if exact2 := serverTopK(t, srv, topkQuery{id: 3, k: 5}); exact2 != exact1 {
 		t.Fatal("exact result was not memoized")
+	}
+	if ann2 := serverTopK(t, srv, topkQuery{id: 3, k: 5, ann: true, ef: 16}); ann2 != annRes {
+		t.Fatal("ann result was not memoized")
 	}
 	// Sanity: ann/exact disagreement is allowed, shared ranks agree on
 	// the total order.
 	if exact1.Mode != ModeExact || annRes.Mode != ModeANN {
 		t.Fatalf("modes: %q / %q", exact1.Mode, annRes.Mode)
+	}
+	keys := map[topkKey]bool{}
+	for _, key := range memoKeys(srv) {
+		keys[key] = true
+	}
+	for _, want := range []topkQuery{{id: 3, k: 5}, {id: 3, k: 5, ann: true, ef: 16}, {id: 3, k: 5, ann: true, ef: 32}} {
+		if !keys[topkKey{1, want}] {
+			t.Errorf("memo keys %v lack %+v", keys, want)
+		}
+	}
+	if len(keys) != 3 {
+		t.Errorf("memo holds %d keys, want 3 (exact, ef 16, ef 32)", len(keys))
 	}
 }
 

@@ -148,22 +148,10 @@ func (b *batcher) loop() {
 	}
 }
 
-// Embed answers an embedding query through the micro-batching path,
-// also reporting the id of the batch that carried it. The context
-// bounds the whole wait: enqueueing on a full queue and waiting for
-// the dispatched answer both give up when ctx ends.
-func (b *batcher) Embed(ctx context.Context, ids []int) (*EmbedResult, uint64, error) {
-	resp := b.submit(ctx, ids, false)
-	return resp.embed, resp.batch, resp.err
-}
-
-// Predict answers a prediction query through the micro-batching path,
-// also reporting the id of the batch that carried it.
-func (b *batcher) Predict(ctx context.Context, ids []int) (*PredictResult, uint64, error) {
-	resp := b.submit(ctx, ids, true)
-	return resp.pred, resp.batch, resp.err
-}
-
+// submit answers one point query through the micro-batching path,
+// reporting the id of the batch that carried it. The context bounds
+// the whole wait: enqueueing on a full queue and waiting for the
+// dispatched answer both give up when ctx ends.
 func (b *batcher) submit(ctx context.Context, ids []int, predict bool) batchResp {
 	if b.closed.Load() {
 		return batchResp{err: errClosed}
@@ -207,6 +195,14 @@ func (b *batcher) submit(ctx context.Context, ids []int, predict bool) batchResp
 func (b *batcher) runInline(r *batchReq) {
 	defer b.inline.Store(false)
 	b.run([]*batchReq{r})
+}
+
+// runOne answers one point query as a batch of one through run, on an
+// uncounted batcher: the whole of Engine.Embed and Engine.Predict.
+func (e *Engine) runOne(ids []int, predict bool) batchResp {
+	r := &batchReq{ids: ids, predict: predict, out: make(chan batchResp, 1)}
+	(&batcher{eng: e}).run([]*batchReq{r})
+	return <-r.out
 }
 
 // run answers one batch against a single snapshot: one validation

@@ -34,8 +34,8 @@ func BenchmarkServeEmbed(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				if _, _, err := bat.Embed(context.Background(), []int{i % 2000}); err != nil {
-					b.Error(err)
+				if resp := bat.submit(context.Background(), []int{i % 2000}, false); resp.err != nil {
+					b.Error(resp.err)
 					return
 				}
 				i++
@@ -54,10 +54,10 @@ func BenchmarkServeEmbed(b *testing.B) {
 // BenchmarkTopKAnnVsExact tracks the speedup of the HNSW index over
 // the exact sharded scan on a Table-I-shaped graph: the exact path is
 // O(|V|) dot products per query, the ANN path visits only the beam's
-// neighborhood. Both sub-benchmarks bypass the memo cache (they call
-// the compute paths directly) so the numbers are per-scan, and the
-// ann case reports its recall@10 against the exact scanner so the
-// speedup is never read without its accuracy.
+// neighborhood. Both sub-benchmarks call Engine.TopKWith, which
+// memoizes nothing, so the numbers are per-scan, and the ann case
+// reports its recall@10 against the exact scanner so the speedup is
+// never read without its accuracy.
 func BenchmarkTopKAnnVsExact(b *testing.B) {
 	ds := datasets.Generate(datasets.Config{
 		Name: "topk-bench", Vertices: 6000, TargetEdges: 48000,
@@ -78,7 +78,9 @@ func BenchmarkTopKAnnVsExact(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			topkScan(st, i%n, k, eng.opts.Workers)
+			if _, err := eng.TopKWith(i%n, k, ModeExact, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("ann", func(b *testing.B) {
@@ -86,7 +88,9 @@ func BenchmarkTopKAnnVsExact(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.topkANN(st, i%n, k, eng.opts.ANNEf)
+			if _, err := eng.TopKWith(i%n, k, ModeANN, 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		queries := make([]int32, 0, 50)
@@ -200,7 +204,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	m := testModel(b, ds, 2, "mean")
 	srv := NewServer(ds, Options{})
 	defer srv.Close()
-	if _, err := srv.Engine().Install(m); err != nil {
+	if _, err := srv.Install(m); err != nil {
 		b.Fatal(err)
 	}
 

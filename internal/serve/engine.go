@@ -85,22 +85,16 @@ type Options struct {
 	// arch metadata and the dataset's graph fingerprint; any mismatch,
 	// corruption or absence falls back to the lazy full compute (the
 	// reason lands in State.WarmNote and /healthz). Empty disables the
-	// warm path.
+	// warm path. On a sharded Server it is the fleet-wide base, and each
+	// shard engine warm-starts from its artifact.ShardPath.
 	ArtifactPath string
-	// ShardCount makes this a shard engine: the engine holds and
-	// serves only the embedding rows of the vertices that shard
-	// ShardIndex owns under partition.ShardMap{ShardCount, ShardSeed}.
-	// Queries for vertices owned by other shards fail with a
-	// not-owned error — the Server in front is expected to scatter
-	// them to their owners. 0 (or 1 with ShardIndex 0) is the ordinary
-	// whole-graph engine. When sharded, ArtifactPath names the
-	// per-shard artifact file (artifact.ShardPath output).
-	ShardCount int
-	// ShardIndex is this engine's shard number in [0, ShardCount).
-	ShardIndex int
-	// ShardSeed keys the deterministic vertex-shard assignment; every
-	// engine of one fleet (and the artifact builder) must share it.
-	ShardSeed uint64
+	// shards, shard and shardSeed are a shard engine's identity, set
+	// only by newServer: the engine holds and serves only the embedding
+	// rows of the vertices shard owns under partition.ShardMap{shards,
+	// shardSeed}, and a query for a vertex another shard owns fails with
+	// errNotOwned. shards <= 1 is the whole-graph engine.
+	shards, shard int
+	shardSeed     uint64
 	// Deadline bounds each query's time in the serving path (0 =
 	// none). It covers the wait for a micro-batch slot and the wait
 	// for the dispatched answer; an expired request frees its queue
@@ -137,11 +131,11 @@ type Options struct {
 
 // sharded reports whether the options describe a shard engine rather
 // than a whole-graph one.
-func (o Options) sharded() bool { return o.ShardCount > 1 }
+func (o Options) sharded() bool { return o.shards > 1 }
 
 // shardMap returns the vertex-shard assignment the options describe.
 func (o Options) shardMap() partition.ShardMap {
-	return partition.ShardMap{Shards: o.ShardCount, Seed: o.ShardSeed}
+	return partition.ShardMap{Shards: o.shards, Seed: o.shardSeed}
 }
 
 // seriesLabels returns the labels of this engine's metric series: the
@@ -150,7 +144,7 @@ func (o Options) shardMap() partition.ShardMap {
 func (o Options) seriesLabels() map[string]string {
 	labels := map[string]string{"model": o.ModelName}
 	if o.sharded() {
-		labels["shard"] = strconv.Itoa(o.ShardIndex)
+		labels["shard"] = strconv.Itoa(o.shard)
 	}
 	return labels
 }
@@ -309,15 +303,20 @@ func (s *State) globalID(row int) int {
 // snapshot will pay the lazy build.
 func (s *State) IndexReady() bool { return s.annIdx.Load() != nil }
 
-// Engine answers embedding, prediction and similarity queries from
-// the latest published State.
+// Engine is one shard: it owns the snapshot lifecycle (install, warm
+// start, hot reload) of its rows and answers from the latest published
+// State. A Server runs one per shard; embedded as a library it is the
+// whole graph, and its Embed, Predict and TopKWith run the same code a
+// Server runs on a shard — the micro-batcher's run on a batch of one,
+// and the probe Server.topK sends each shard — without the Server's
+// admission, batching or memo.
 type Engine struct {
 	ds   *datasets.Dataset
 	opts Options
 
 	// owned is the ascending list of vertex ids this shard engine
 	// holds (nil for a whole-graph engine). Fixed at construction: it
-	// is a pure function of (ShardSeed, ShardCount, ShardIndex, |V|).
+	// is a pure function of (shardSeed, shards, shard, |V|).
 	owned []int32
 
 	state atomic.Pointer[State]
@@ -333,7 +332,7 @@ type Engine struct {
 	artMu sync.Mutex
 	// artifactPath is the warm-start source consulted on every
 	// install. It starts as Options.ArtifactPath and can be retargeted
-	// between reloads with SetArtifactPath — e.g. a /reload that ships
+	// between reloads with setArtifactPath — e.g. a /reload that ships
 	// a new checkpoint together with its freshly built artifact. Empty
 	// disables the warm path.
 	artifactPath string
@@ -347,82 +346,22 @@ type Engine struct {
 	// reuses the in-memory tables instead of re-decoding the file.
 	artSum  uint64
 	artMeta artifact.Meta
-
-	// topkMemo memoizes TopKWith answers for callers embedding the
-	// engine as a library; a Server memoizes its merged answers itself
-	// and probes its engines through shardTopK, which bypasses this one.
-	topkMemo
 }
 
-type topkKey struct {
-	version uint64
-	id, k   int
-	ann     bool
-	ef      int // 0 for exact mode
-}
-
-// topkMemoLimit is the number of answers a topkMemo holds; once full
-// it admits nothing until a reload empties it.
-const topkMemoLimit = 1024
-
-// topkMemo memoizes top-K answers per (snapshot version, resolved
-// query). Keying by version means a reload can never serve a stale
-// answer; dropStale only returns the memory.
-type topkMemo struct {
-	cacheMu sync.Mutex
-	cache   map[topkKey]*TopKResult
-}
-
-func (m *topkMemo) lookup(key topkKey) *TopKResult {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	return m.cache[key]
-}
-
-// store memoizes res unless the memo is full.
-func (m *topkMemo) store(key topkKey, res *TopKResult) {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if len(m.cache) < topkMemoLimit {
-		m.cache[key] = res
-	}
-}
-
-// dropStale evicts results memoized from snapshots other than version.
-func (m *topkMemo) dropStale(version uint64) {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	for k := range m.cache {
-		if k.version != version {
-			delete(m.cache, k)
-		}
-	}
-}
-
-// NewEngine wires an engine over the dataset's graph and features.
-// No model is loaded yet; queries fail until Install or
+// NewEngine wires a whole-graph engine over the dataset's graph and
+// features. No model is loaded yet; queries fail until Install or
 // LoadCheckpoint succeeds.
 func NewEngine(ds *datasets.Dataset, opts Options) *Engine {
 	opts = opts.withDefaults()
-	e := &Engine{
-		ds:           ds,
-		opts:         opts,
-		artifactPath: opts.ArtifactPath,
-		topkMemo:     topkMemo{cache: make(map[topkKey]*TopKResult)},
-	}
+	e := &Engine{ds: ds, opts: opts, artifactPath: opts.ArtifactPath}
 	if opts.sharded() {
-		e.owned = opts.shardMap().Owned(ds.G.NumVertices(), opts.ShardIndex)
+		e.owned = opts.shardMap().Owned(ds.G.NumVertices(), opts.shard)
 	}
 	if opts.Obs != nil {
 		e.registerMetrics(opts.Obs)
 	}
 	return e
 }
-
-// Options returns the resolved options as configured at construction.
-// The live warm-start source may since have been retargeted; read it
-// with ArtifactPath.
-func (e *Engine) Options() Options { return e.opts }
 
 // ArtifactPath returns the warm-start artifact path the next install
 // will consult (empty = warm path disabled). It never touches
@@ -433,14 +372,14 @@ func (e *Engine) ArtifactPath() string {
 	return e.artifactPath
 }
 
-// SetArtifactPath retargets the warm-start source for subsequent
+// setArtifactPath retargets the warm-start source for subsequent
 // installs and reloads. Changing the path also makes the next install
 // forget the previous artifact's fingerprint, so it fully re-reads
 // and re-validates the new file instead of short-circuiting into the
 // unchanged-artifact reuse path. The current serving snapshot is
 // untouched: /healthz keeps reporting the state it was built with
 // until the next reload actually installs one.
-func (e *Engine) SetArtifactPath(path string) {
+func (e *Engine) setArtifactPath(path string) {
 	e.artMu.Lock()
 	defer e.artMu.Unlock()
 	if e.artifactPath == path {
@@ -449,9 +388,6 @@ func (e *Engine) SetArtifactPath(path string) {
 	e.artifactPath = path
 	e.artDirty = true
 }
-
-// Dataset returns the graph/features the engine serves over.
-func (e *Engine) Dataset() *datasets.Dataset { return e.ds }
 
 // errNoModel marks a query that arrived before any model was loaded:
 // a server-side condition (503, retryable), not a caller mistake.
@@ -474,16 +410,16 @@ func (e *Engine) Snapshot() (*State, error) {
 // the installed model — hot reload should Install a fresh model or go
 // through LoadCheckpoint, which reconstructs one from disk.
 func (e *Engine) Install(m *core.Model) (uint64, error) {
-	return e.InstallShared(m, nil)
+	return e.installShared(m, nil)
 }
 
-// InstallShared is Install with an optional shared table source: when
+// installShared is Install with an optional shared table source: when
 // full is non-nil and the cold path runs, the whole-graph tables come
 // from full() instead of a private computeTables call. A Server
 // installing one model across N shard engines passes a memoized full
 // so the expensive whole-graph pass happens once per fleet install,
 // not once per shard; each engine still keeps only its owned rows.
-func (e *Engine) InstallShared(m *core.Model, full func() (*mat.Dense, []float64)) (uint64, error) {
+func (e *Engine) installShared(m *core.Model, full func() (*mat.Dense, []float64)) (uint64, error) {
 	if err := modelFits(m, e.ds); err != nil {
 		return 0, err
 	}
@@ -492,7 +428,6 @@ func (e *Engine) InstallShared(m *core.Model, full func() (*mat.Dense, []float64
 	st := e.buildState(m, full)
 	st.Version = e.swaps.Add(1)
 	e.state.Store(st)
-	e.dropStale(st.Version)
 	return st.Version, nil
 }
 
@@ -897,19 +832,18 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense, off int) *Pr
 	return res
 }
 
-// Embed answers an embedding query against the latest snapshot.
+// Embed answers an embedding query against the latest snapshot,
+// through the micro-batcher's run on a batch of one (see runOne).
 func (e *Engine) Embed(ids []int) (*EmbedResult, error) {
-	st, err := e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := localRows(st, ids)
-	if err != nil {
-		return nil, err
-	}
-	h := mat.New(len(ids), st.Dim())
-	mat.GatherRowsSrc(h, st.Emb, rows)
-	return embedResult(st, ids, h, 0), nil
+	resp := e.runOne(ids, false)
+	return resp.embed, resp.err
+}
+
+// Predict answers a prediction query against the latest snapshot, like
+// Embed.
+func (e *Engine) Predict(ids []int) (*PredictResult, error) {
+	resp := e.runOne(ids, true)
+	return resp.pred, resp.err
 }
 
 // embedResult assembles the answer to an embedding query for ids from
@@ -930,46 +864,27 @@ func embedResult(st *State, ids []int, h *mat.Dense, off int) *EmbedResult {
 	return res
 }
 
-// Predict answers a prediction query against the latest snapshot.
-func (e *Engine) Predict(ids []int) (*PredictResult, error) {
-	st, err := e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := localRows(st, ids)
-	if err != nil {
-		return nil, err
-	}
-	h := mat.New(len(ids), st.Dim())
-	mat.GatherRowsSrc(h, st.Emb, rows)
-	return predictionsFromLogits(st, ids, headLogits(st, h), 0), nil
-}
-
-// TopK returns the k vertices most cosine-similar to id (excluding id
-// itself) in the engine's default mode — see TopKWith.
-func (e *Engine) TopK(id, k int) (*TopKResult, error) {
-	return e.TopKWith(id, k, ModeAuto, 0)
-}
-
-// TopKWith answers a similar-nodes query in the requested mode.
-// ModeExact runs the sharded full scan: each row range keeps its k
-// best in an ann.TopK and the ranges merge through another, so the
-// answer is deterministic at every Workers setting. ModeANN searches
-// the snapshot's HNSW index with beam width ef (<= 0 uses the
-// configured default), built lazily on first use; when the beam would
-// cover the whole table anyway (ef or k >= |V|-1) the query falls
-// back to the exact scan, and the result reports mode "exact". Both
-// modes rank by the same total order (descending score, ascending id
-// on ties) and both are bit-identical across Workers settings,
-// rebuilds and reloads. Results are memoized per (snapshot version,
-// id, k, mode, ef); k must be in [1, |V|-1].
+// TopKWith answers a similar-nodes query in the requested mode with the
+// code a Server runs on each shard: snapshotRow fetches the query
+// vector, planTopK resolves the plan, shardTopK probes the table and
+// topkResult builds the answer. ModeExact runs the sharded full scan:
+// each row range keeps its k best in an ann.TopK and the ranges merge
+// through another, so the answer is deterministic at every Workers
+// setting. ModeANN searches the snapshot's HNSW index with beam width
+// ef (<= 0 uses the configured default), built lazily on first use;
+// when the beam would cover the whole table anyway (ef or k >= |V|-1)
+// the query falls back to the exact scan, and the result reports mode
+// "exact". Both modes rank by the same total order (descending score,
+// ascending id on ties) and both are bit-identical across Workers
+// settings, rebuilds and reloads. k must be in [1, |V|-1]. Nothing is
+// memoized: the one top-K memo is the Server's.
 func (e *Engine) TopKWith(id, k int, mode string, ef int) (*TopKResult, error) {
-	st, _, _, err := e.snapshotRow(id)
+	st, vec, norm, err := e.snapshotRow(id)
 	if err != nil {
 		return nil, err
 	}
-	ann, known := e.opts.annMode(mode)
-	useANN, ef, err := e.opts.planTopK(k, ann, ef, st.total, st.Emb.NumRows())
+	useANN, known := e.opts.annMode(mode)
+	p, err := e.opts.planTopK(topkQuery{id: id, k: k, ann: useANN, ef: ef}, st.total, st.Emb.NumRows())
 	if err == nil && !known {
 		// The library's own text — a Go caller passed no request
 		// "parameter"; a served query never gets here with a bad mode.
@@ -978,18 +893,27 @@ func (e *Engine) TopKWith(id, k int, mode string, ef int) (*TopKResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := topkKey{version: st.Version, id: id, k: k, ann: useANN, ef: ef}
-	if hit := e.lookup(key); hit != nil {
-		return hit, nil
+	return topkResult(st, p, false, e.shardTopK(st, vec, norm, p)), nil
+}
+
+// topkResult is the one builder of a top-K answer: planned query p,
+// answered from snapshot st (the one its query vector came from) with
+// the merged neighbors nbs.
+func topkResult(st *State, p topkQuery, degraded bool, nbs []Neighbor) *TopKResult {
+	res := &TopKResult{
+		Version:      st.Version,
+		ModelVersion: st.ModelVersion,
+		ID:           p.id,
+		K:            p.k,
+		Mode:         ModeExact,
+		Ef:           p.ef,
+		Degraded:     degraded,
+		Neighbors:    nbs,
 	}
-	var res *TopKResult
-	if useANN {
-		res = e.topkANN(st, id, k, ef)
-	} else {
-		res = topkScan(st, id, k, e.opts.Workers)
+	if p.ann {
+		res.Mode = ModeANN
 	}
-	e.store(key, res)
-	return res, nil
+	return res
 }
 
 // annMode is the one mode switch: whether a query in the given mode
@@ -1009,31 +933,28 @@ func (o Options) annMode(mode string) (useANN, known bool) {
 
 // planTopK is the one resolver of a top-K request's scan plan — the
 // rules TopKWith documents — shared by Engine.TopKWith and a Server's
-// scatter-gather so their rules and error texts cannot drift. useANN
-// is the request's annMode; total is the graph's vertex count; n is
-// the number of table rows the beam is measured against: total, except
-// on a shard engine addressed directly. The returned ef is 0 for an
-// exact plan.
-func (o Options) planTopK(k int, useANN bool, ef, total, n int) (planANN bool, planEf int, err error) {
-	if k < 1 {
-		return false, 0, fmt.Errorf("serve: k must be >= 1, got %d", k)
+// scatter-gather so their rules and error texts cannot drift. q.ann is
+// the request's annMode; total is the graph's vertex count; n is the
+// number of table rows the beam is measured against: total, except on
+// a shard engine addressed directly. The plan's ef is 0 when it is
+// exact.
+func (o Options) planTopK(q topkQuery, total, n int) (topkQuery, error) {
+	if q.k < 1 {
+		return topkQuery{}, fmt.Errorf("serve: k must be >= 1, got %d", q.k)
 	}
-	if max := total - 1; k > max {
-		return false, 0, fmt.Errorf("serve: k=%d exceeds the %d other vertices", k, max)
+	if max := total - 1; q.k > max {
+		return topkQuery{}, fmt.Errorf("serve: k=%d exceeds the %d other vertices", q.k, max)
 	}
-	if !useANN {
-		return false, 0, nil
+	if q.ef <= 0 {
+		q.ef = o.ANNEf
 	}
-	if ef <= 0 {
-		ef = o.ANNEf
+	if q.ef < q.k {
+		q.ef = q.k
 	}
-	if ef < k {
-		ef = k
+	if !q.ann || beamCoversTable(q.k, q.ef, n) {
+		q.ann, q.ef = false, 0
 	}
-	if beamCoversTable(k, ef, n) {
-		return false, 0, nil
-	}
-	return true, ef, nil
+	return q, nil
 }
 
 // beamCoversTable is the one ANN-to-exact fallback rule, whole-graph
@@ -1052,20 +973,6 @@ func (e *Engine) annIndex(st *State) *ann.Index {
 	return st.annIdx.Load()
 }
 
-// topkANN answers a top-K query from the snapshot's HNSW index.
-func (e *Engine) topkANN(st *State, id, k, ef int) *TopKResult {
-	row, _ := st.rowOf(id)
-	return &TopKResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		ID:           id,
-		K:            k,
-		Mode:         ModeANN,
-		Ef:           ef,
-		Neighbors:    e.annVec(st, st.Emb.Row(row), st.norms[row], id, k, ef),
-	}
-}
-
 // annVec runs the snapshot's ANN candidate search for an arbitrary
 // query vector, excluding global vertex id exclude (-1 = none), and
 // reports the candidates as global ids. Every dtype walks the
@@ -1077,10 +984,8 @@ func (e *Engine) topkANN(st *State, id, k, ef int) *TopKResult {
 // exclusion and results map through the snapshot's owned list.
 func (e *Engine) annVec(st *State, q []float64, qn float64, exclude, k, ef int) []Neighbor {
 	ex := int32(-1)
-	if exclude >= 0 {
-		if r, ok := st.rowOf(exclude); ok {
-			ex = int32(r)
-		}
+	if r, ok := st.rowOf(exclude); ok {
+		ex = int32(r)
 	}
 	var cands []ann.Candidate
 	if idx := e.annIndex(st); st.quant != nil {
@@ -1093,19 +998,6 @@ func (e *Engine) annVec(st *State, q []float64, qn float64, exclude, k, ef int) 
 		nbs[i] = Neighbor{ID: st.globalID(int(c.ID)), Score: c.Score}
 	}
 	return nbs
-}
-
-// topkScan computes the exact top-K cosine neighbors of id.
-func topkScan(st *State, id, k, workers int) *TopKResult {
-	row, _ := st.rowOf(id)
-	return &TopKResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		ID:           id,
-		K:            k,
-		Mode:         ModeExact,
-		Neighbors:    scanVec(st, st.Emb.Row(row), st.norms[row], id, k, workers),
-	}
 }
 
 // scanVec runs the worker-sharded exact scan of the snapshot's table
@@ -1174,8 +1066,8 @@ func mergeTopK(parts [][]Neighbor, k int) []Neighbor {
 }
 
 // snapshotRow resolves the current snapshot and the embedding row and
-// norm of an owned vertex — the Server's way of fetching a query
-// vector from the shard that owns it.
+// norm of an owned vertex — how a top-K query fetches its query vector
+// from the shard that owns it.
 func (e *Engine) snapshotRow(id int) (*State, []float64, float64, error) {
 	st, err := e.Snapshot()
 	if err != nil {
@@ -1191,23 +1083,15 @@ func (e *Engine) snapshotRow(id int) (*State, []float64, float64, error) {
 	return st, st.Emb.Row(row), st.norms[row], nil
 }
 
-// shardTopK answers one scatter probe: the k best candidates of this
-// engine's table for the supplied query vector, as global ids. st pins
-// the snapshot to scan — the Server passes the one the query vector
-// came from when this engine owns it, so a reload landing mid-query
-// cannot pair one version's vector with another's table — and nil
-// means the current one. In ANN mode the per-shard HNSW index is
-// searched unless the beam would cover the local table anyway
-// (beamCoversTable, the rule planTopK applied to the whole graph).
-func (e *Engine) shardTopK(st *State, q []float64, qn float64, exclude, k int, useANN bool, ef int) ([]Neighbor, error) {
-	if st == nil {
-		var err error
-		if st, err = e.Snapshot(); err != nil {
-			return nil, err
-		}
+// shardTopK answers one probe of planned query p: the p.k best
+// candidates of snapshot st, one of this engine's, for the supplied
+// query vector, as global ids, p.id excluded. In ANN mode the
+// snapshot's HNSW index is searched unless the beam would cover the
+// local table anyway (beamCoversTable, the rule planTopK applied to
+// the whole graph).
+func (e *Engine) shardTopK(st *State, q []float64, qn float64, p topkQuery) []Neighbor {
+	if p.ann && !beamCoversTable(p.k, p.ef, st.Emb.NumRows()) {
+		return e.annVec(st, q, qn, p.id, p.k, p.ef)
 	}
-	if useANN && !beamCoversTable(k, ef, st.Emb.NumRows()) {
-		return e.annVec(st, q, qn, exclude, k, ef), nil
-	}
-	return scanVec(st, q, qn, exclude, k, e.opts.Workers), nil
+	return scanVec(st, q, qn, p.id, p.k, e.opts.Workers)
 }

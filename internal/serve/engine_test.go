@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -144,7 +146,7 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := eng.Embed(nil); err == nil {
 		t.Error("empty ids should fail")
 	}
-	if _, err := eng.TopK(0, 0); err == nil {
+	if _, err := eng.TopKWith(0, 0, ModeAuto, 0); err == nil {
 		t.Error("k=0 should fail")
 	}
 
@@ -172,7 +174,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 		st, _ := eng.Snapshot()
 		for _, q := range []int{0, 17, 299} {
 			for _, k := range []int{1, 5, 50} {
-				got, err := eng.TopK(q, k)
+				got, err := eng.TopKWith(q, k, ModeAuto, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,22 +224,46 @@ func bruteTopK(st *State, q, k int) []Neighbor {
 	return all[:k]
 }
 
+// memoServer is an unsharded Server with a model installed, for the
+// top-K memo tests.
+func memoServer(tb testing.TB, ds *datasets.Dataset) *Server {
+	tb.Helper()
+	srv := NewServer(ds, Options{Workers: 2})
+	tb.Cleanup(srv.Close)
+	if _, err := srv.Install(testModel(tb, ds, 2, "mean")); err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
+// serverTopK runs q, a parsed query, through the served top-K path.
+func serverTopK(tb testing.TB, srv *Server, q topkQuery) *TopKResult {
+	tb.Helper()
+	res, err := srv.topK(context.Background(), func() (topkQuery, error) { return q, nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.(*TopKResult)
+}
+
+// memoKeys returns a copy of the memo's keys.
+func memoKeys(srv *Server) []topkKey {
+	srv.cacheMu.Lock()
+	defer srv.cacheMu.Unlock()
+	keys := make([]topkKey, 0, len(srv.cache))
+	for key := range srv.cache {
+		keys = append(keys, key)
+	}
+	return keys
+}
+
 // TestTopKCacheVersioning checks that top-K answers are memoized per
 // snapshot and invalidated when a new model is installed.
 func TestTopKCacheVersioning(t *testing.T) {
 	ds := testDataset(t, false)
-	eng := NewEngine(ds, Options{Workers: 2})
-	if _, err := eng.Install(testModel(t, ds, 2, "mean")); err != nil {
-		t.Fatal(err)
-	}
-	a, err := eng.TopK(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := eng.TopK(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := memoServer(t, ds)
+	q := topkQuery{id: 3, k: 5}
+	a, b := serverTopK(t, srv, q), serverTopK(t, srv, q)
 	if a != b {
 		t.Error("second identical query did not hit the cache")
 	}
@@ -247,24 +273,58 @@ func TestTopKCacheVersioning(t *testing.T) {
 
 	// New snapshot: cache entries from version 1 must not be served.
 	m2 := core.NewModel(ds, core.Config{Layers: 2, Hidden: 8, Workers: 1, Seed: 99})
-	if _, err := eng.Install(m2); err != nil {
+	if _, err := srv.Install(m2); err != nil {
 		t.Fatal(err)
 	}
-	c, err := eng.TopK(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := serverTopK(t, srv, q)
 	if c == a {
 		t.Error("stale cached result served after reload")
 	}
 	if c.Version != 2 {
 		t.Errorf("post-reload version = %d, want 2", c.Version)
 	}
-	eng.cacheMu.Lock()
-	for key := range eng.cache {
+	for _, key := range memoKeys(srv) {
 		if key.version != 2 {
 			t.Errorf("stale cache key %+v survived reload", key)
 		}
 	}
-	eng.cacheMu.Unlock()
+}
+
+// TestTopKMemoStopsAdmittingWhenFull pins the memo's admission rule:
+// the first topkMemoLimit distinct queries after an install are
+// stored; past that every query is still answered, and answered the
+// same, but not stored — until the next install empties the memo.
+func TestTopKMemoStopsAdmittingWhenFull(t *testing.T) {
+	ds := testDataset(t, false) // 300 vertices
+	srv := memoServer(t, ds)
+	first := serverTopK(t, srv, topkQuery{id: 0, k: 1})
+	for i := 1; i < topkMemoLimit; i++ {
+		serverTopK(t, srv, topkQuery{id: i % 300, k: 1 + i/300})
+	}
+	if n := len(memoKeys(srv)); n != topkMemoLimit {
+		t.Fatalf("memo holds %d answers after %d distinct queries, want %d", n, topkMemoLimit, topkMemoLimit)
+	}
+
+	late := topkQuery{id: 7, k: 9} // distinct from every query above
+	a, b := serverTopK(t, srv, late), serverTopK(t, srv, late)
+	if a == b {
+		t.Error("a full memo admitted a new answer")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("unmemoized answers differ: %+v vs %+v", a, b)
+	}
+	if n := len(memoKeys(srv)); n != topkMemoLimit {
+		t.Errorf("full memo grew to %d answers", n)
+	}
+	if serverTopK(t, srv, topkQuery{id: 0, k: 1}) != first {
+		t.Error("an answer stored before the memo filled is no longer served from it")
+	}
+
+	if _, err := srv.Install(testModel(t, ds, 2, "sym")); err != nil {
+		t.Fatal(err)
+	}
+	a = serverTopK(t, srv, late)
+	if serverTopK(t, srv, late) != a || len(memoKeys(srv)) != 1 {
+		t.Errorf("after an install the memo holds %d answers and does not serve the new one", len(memoKeys(srv)))
+	}
 }

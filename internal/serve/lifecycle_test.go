@@ -15,7 +15,7 @@ import (
 )
 
 // TestBatcherCloseSubmitRace is the close-race regression test: any
-// number of goroutines hammering Embed/Predict while close() fires —
+// number of goroutines hammering embed/predict submits while close() fires —
 // repeatedly, from several goroutines at once — must end with every
 // in-flight request answered (a result or errClosed, never a hang)
 // and no panic on double close. Run under -race this also proves the
@@ -39,12 +39,7 @@ func TestBatcherCloseSubmitRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 50; i++ {
-					var err error
-					if g%2 == 0 {
-						_, _, err = b.Embed(context.Background(), []int{(g + i) % 300})
-					} else {
-						_, _, err = b.Predict(context.Background(), []int{(g + i) % 300})
-					}
+					err := b.submit(context.Background(), []int{(g + i) % 300}, g%2 == 1).err
 					if err != nil && err != errClosed {
 						t.Errorf("submit during close: %v", err)
 						return
@@ -68,11 +63,11 @@ func TestBatcherCloseSubmitRace(t *testing.T) {
 		wg.Wait()
 
 		// After close, every submit fails fast with errClosed.
-		if _, _, err := b.Embed(context.Background(), []int{0}); err != errClosed {
-			t.Fatalf("post-close Embed err = %v, want errClosed", err)
+		if err := b.submit(context.Background(), []int{0}, false).err; err != errClosed {
+			t.Fatalf("post-close embed err = %v, want errClosed", err)
 		}
-		if _, _, err := b.Predict(context.Background(), []int{0}); err != errClosed {
-			t.Fatalf("post-close Predict err = %v, want errClosed", err)
+		if err := b.submit(context.Background(), []int{0}, true).err; err != errClosed {
+			t.Fatalf("post-close predict err = %v, want errClosed", err)
 		}
 	}
 }

@@ -131,7 +131,7 @@ func TestMemPlaneHealthzAndResident(t *testing.T) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
 
-	scrape := func(opts Options) healthBody {
+	scrape := func(opts Options) Health {
 		t.Helper()
 		srv := NewServer(ds, opts)
 		defer srv.Close()
@@ -140,7 +140,7 @@ func TestMemPlaneHealthzAndResident(t *testing.T) {
 		}
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		var health healthBody
+		var health Health
 		if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 			t.Fatalf("healthz = %d", code)
 		}
@@ -301,7 +301,7 @@ func TestMemPlaneAnnHostileNumbers(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	hostile := []float64{nan, inf, -inf, 0, math.Copysign(0, -1), 5e-324}
 	for _, dtype := range memPlaneDtypes {
-		for _, opts := range []Options{{Workers: 2, Dtype: dtype}, {Workers: 2, Dtype: dtype, ShardCount: 2, ShardIndex: 1, ShardSeed: 5}} {
+		for _, opts := range []Options{{Workers: 2, Dtype: dtype}, {Workers: 2, Dtype: dtype, shards: 2, shard: 1, shardSeed: 5}} {
 			eng := NewEngine(ds, opts)
 			if _, err := eng.Install(m); err != nil {
 				t.Fatal(err)
@@ -359,17 +359,17 @@ func TestMemPlaneAnnHostileNumbers(t *testing.T) {
 				for _, nb := range scanVec(bad, q, qn, exclude, n, 1) {
 					exact[nb.ID] = math.Float64bits(nb.Score)
 				}
-				got, err := eng.shardTopK(bad, q, qn, exclude, k, true, ef)
-				if err != nil || len(got) > k {
-					t.Fatalf("%s shards=%d trial %d: %d neighbors for k=%d, err %v", dtype, opts.ShardCount, trial, len(got), k, err)
+				got := eng.shardTopK(bad, q, qn, topkQuery{id: exclude, k: k, ann: true, ef: ef})
+				if len(got) > k {
+					t.Fatalf("%s shards=%d trial %d: %d neighbors for k=%d", dtype, opts.shards, trial, len(got), k)
 				}
 				for i, nb := range got {
 					bits, ok := exact[nb.ID]
 					if !ok || nb.ID == exclude || math.IsNaN(nb.Score) || math.Float64bits(nb.Score) != bits {
-						t.Fatalf("%s shards=%d trial %d rank %d: %+v is not a row the exact scan scores, or not with its score", dtype, opts.ShardCount, trial, i, nb)
+						t.Fatalf("%s shards=%d trial %d rank %d: %+v is not a row the exact scan scores, or not with its score", dtype, opts.shards, trial, i, nb)
 					}
 					if i > 0 && !ann.Before(got[i-1].Score, int32(got[i-1].ID), nb.Score, int32(nb.ID)) {
-						t.Fatalf("%s shards=%d trial %d: neighbors not in ann.Before order at rank %d", dtype, opts.ShardCount, trial, i)
+						t.Fatalf("%s shards=%d trial %d: neighbors not in ann.Before order at rank %d", dtype, opts.shards, trial, i)
 					}
 				}
 			}

@@ -244,8 +244,8 @@ func TestScrapeNeverBlocksOnReloadLocks(t *testing.T) {
 	ts := httptest.NewServer(reg)
 	defer ts.Close()
 
-	srv.Engine().reloadMu.Lock()
-	defer srv.Engine().reloadMu.Unlock()
+	srv.engines[0].reloadMu.Lock()
+	defer srv.engines[0].reloadMu.Unlock()
 	rt.swapMu.Lock()
 	defer rt.swapMu.Unlock()
 

@@ -133,8 +133,8 @@ func TestRunSkipsDeadRequests(t *testing.T) {
 		t.Fatalf("empty dispatch skewed stats: batches=%d queries=%d", batches, queries)
 	}
 
-	if _, batch, err := b.Embed(context.Background(), []int{1}); err != nil || batch != 1 {
-		t.Fatalf("first real query: batch=%d err=%v, want batch 1", batch, err)
+	if resp := b.submit(context.Background(), []int{1}, false); resp.err != nil || resp.batch != 1 {
+		t.Fatalf("first real query: batch=%d err=%v, want batch 1", resp.batch, resp.err)
 	}
 	if batches, queries := b.Stats(); batches != 1 || queries != 1 {
 		t.Fatalf("stats after one real query: batches=%d queries=%d", batches, queries)

@@ -235,8 +235,9 @@ func (s *Server) annotate(ctx context.Context, fanout int, batch uint64) {
 	}
 }
 
-// topkQuery is a parsed top-K request; ann is its mode, resolved by
-// queryMode.
+// topkQuery is a top-K query: as parsed, ann is its mode resolved by
+// queryMode and ef the requested beam (0 = default); as planTopK
+// returns it, ann and ef are the scan plan.
 type topkQuery struct {
 	id, k int
 	ann   bool
@@ -274,15 +275,61 @@ func resolveTopK(q topkQuery, kSet bool, vertices int) (topkQuery, error) {
 	return q, nil
 }
 
+// topkKey keys the top-K memo: a snapshot version and a query as
+// planTopK resolved it (ann and ef are the plan's, ef 0 when exact).
+type topkKey struct {
+	version uint64
+	topkQuery
+}
+
+// topkMemoLimit is the number of answers a topkMemo holds; once full
+// it admits nothing until a reload empties it.
+const topkMemoLimit = 1024
+
+// topkMemo memoizes top-K answers per (snapshot version, planned
+// query). Keying by version means a reload can never serve a stale
+// answer; dropStale only returns the memory. A Server holds the one
+// instance.
+type topkMemo struct {
+	cacheMu sync.Mutex
+	cache   map[topkKey]*TopKResult
+}
+
+func (m *topkMemo) lookup(key topkKey) *TopKResult {
+	m.cacheMu.Lock()
+	defer m.cacheMu.Unlock()
+	return m.cache[key]
+}
+
+// store memoizes res unless the memo is full.
+func (m *topkMemo) store(key topkKey, res *TopKResult) {
+	m.cacheMu.Lock()
+	defer m.cacheMu.Unlock()
+	if len(m.cache) < topkMemoLimit {
+		m.cache[key] = res
+	}
+}
+
+// dropStale evicts results memoized from snapshots other than version.
+func (m *topkMemo) dropStale(version uint64) {
+	m.cacheMu.Lock()
+	defer m.cacheMu.Unlock()
+	for k := range m.cache {
+		if k.version != version {
+			delete(m.cache, k)
+		}
+	}
+}
+
 // topK answers one similar-nodes query — the one top-K path under
 // every transport. decode yields the transport's request, parsed and
 // passed through queryMode and resolveTopK, and runs only after
-// admission. The
-// scatter-gather fetches the query vector from the owning shard,
-// probes every live shard and merges under the ann.Before total order;
-// the scan plan comes from planTopK against the global vertex count,
-// the resolver Engine.TopKWith uses, so exact answers are
-// byte-identical to a whole-graph engine's at every shard count.
+// admission. The scatter-gather fetches the query vector from the
+// owning shard, probes every live shard with shardTopK and merges
+// under the ann.Before total order; the scan plan comes from planTopK
+// against the global vertex count. Engine.TopKWith runs the same three
+// steps on one engine, so exact answers are byte-identical to a
+// whole-graph engine's at every shard count.
 func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (any, error) {
 	release, err := s.gate.admit()
 	if err != nil {
@@ -305,7 +352,7 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 		return nil, err
 	}
 	total := s.ds.G.NumVertices()
-	useANN, ef, err := s.opts.planTopK(q.k, q.ann, q.ef, total, total)
+	p, err := s.opts.planTopK(q, total, total)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +366,7 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 		}
 	}
 	degraded := len(live) < len(s.engines)
-	key := topkKey{version: st.Version, id: q.id, k: q.k, ann: useANN, ef: ef}
+	key := topkKey{st.Version, p}
 	if !degraded {
 		if hit := s.lookup(key); hit != nil {
 			s.annotate(ctx, len(live), 0)
@@ -330,11 +377,15 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 	parts := make([][]Neighbor, len(live))
 	errs := make([]error, len(live))
 	probe := func(j int) {
-		var pin *State
-		if live[j] == owner {
-			pin = st // scan the snapshot the query vector came from
+		// The owner scans the snapshot the query vector came from; every
+		// other shard its current one.
+		e, pin := s.engines[live[j]], st
+		if live[j] != owner {
+			if pin, errs[j] = e.Snapshot(); errs[j] != nil {
+				return
+			}
 		}
-		parts[j], errs[j] = s.engines[live[j]].shardTopK(pin, vec, norm, q.id, q.k, useANN, ef)
+		parts[j] = e.shardTopK(pin, vec, norm, p)
 	}
 	if len(live) == 1 {
 		probe(0) // in the caller's goroutine — always so for a fleet of one
@@ -354,19 +405,7 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 			return nil, err
 		}
 	}
-	res := &TopKResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		ID:           q.id,
-		K:            q.k,
-		Mode:         ModeExact,
-		Ef:           ef,
-		Degraded:     degraded,
-		Neighbors:    mergeTopK(parts, q.k),
-	}
-	if useANN {
-		res.Mode = ModeANN
-	}
+	res := topkResult(st, p, degraded, mergeTopK(parts, p.k))
 	if degraded {
 		s.degraded.Inc()
 	} else {

@@ -224,19 +224,19 @@ func (r *Registry) snapshot() ([]string, []*Server) {
 
 // modelStatus is one model's entry in the /models listing and the
 // body of /models/{name}/healthz: the per-model health surface. It
-// embeds the legacy healthBody — assembled by the same Server.health
-// the unprefixed /healthz serves — so the extended body is a field
-// superset of the legacy one by construction, and adds what only the
-// registry knows: the name, default flag, configured sources, and
-// index residency. Every field is read from the model's current
-// serving snapshot at request time, so it reflects the most recent
-// successful reload, not the initial load.
+// embeds the legacy Health — from the same status walk the unprefixed
+// /healthz serves — so the extended body is a field superset of the
+// legacy one by construction, and adds what only the registry knows:
+// the name, default flag, configured sources, and index residency.
+// Every field is read from the model's current serving snapshot at
+// request time, so it reflects the most recent successful reload, not
+// the initial load.
 type modelStatus struct {
 	Name       string `json:"name"`
 	Default    bool   `json:"default"`
 	Checkpoint string `json:"checkpoint,omitempty"`
 	Artifact   string `json:"artifact,omitempty"`
-	healthBody
+	Health
 	ANNDefault bool   `json:"ann_default"`
 	Index      string `json:"index"` // "built" | "lazy" | "none"
 	// Shards is the model's shard count; absent for unsharded models,
@@ -246,17 +246,15 @@ type modelStatus struct {
 
 // statusFor assembles the live status of one registered model.
 func (r *Registry) statusFor(name string, srv *Server) modelStatus {
-	info := srv.modelInfo()
-	return modelStatus{
-		Name:       name,
-		Default:    name == r.Default(),
-		Checkpoint: srv.CheckpointPath(),
-		Artifact:   info.artifact,
-		healthBody: srv.health(),
-		ANNDefault: info.annDefault,
-		Index:      info.index,
-		Shards:     info.shards,
+	f := srv.status()
+	ms := modelStatus{Name: name, Default: name == r.Default(), Health: f.Health, ANNDefault: srv.opts.ANN, Index: f.index}
+	srv.mu.Lock()
+	ms.Checkpoint, ms.Artifact = srv.ckptPath, srv.artBase
+	srv.mu.Unlock()
+	if srv.sharded() {
+		ms.Shards = len(srv.engines)
 	}
+	return ms
 }
 
 // listBody is the GET /models response.

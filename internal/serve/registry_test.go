@@ -149,7 +149,7 @@ func TestRegistryRouting(t *testing.T) {
 	if names := reg.Names(); len(names) != 2 || names[0] != "prod" || names[1] != "canary" {
 		t.Errorf("Names() = %v, want registration order [prod canary]", names)
 	}
-	if opts := srvB.Engine().Options(); !opts.ANN || opts.Workers != 1 {
+	if opts := srvB.engines[0].opts; !opts.ANN || opts.Workers != 1 {
 		t.Errorf("canary options = %+v, want resolved ANN config", opts)
 	}
 
@@ -208,11 +208,11 @@ func TestRegistryRouting(t *testing.T) {
 	if err := reg.SetDefault("canary"); err != nil {
 		t.Fatal(err)
 	}
-	var health healthBody
+	var health Health
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatal("legacy healthz after SetDefault")
 	}
-	stB, _ := srvB.Engine().Snapshot()
+	stB, _ := srvB.engines[0].Snapshot()
 	if health.ModelVersion != stB.ModelVersion {
 		t.Errorf("legacy healthz model_version = %d, want canary's %d", health.ModelVersion, stB.ModelVersion)
 	}
@@ -225,8 +225,8 @@ func TestRegistryRouting(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("prod reload = %d", status)
 	}
-	stA, _ := srvA.Engine().Snapshot()
-	stB, _ = srvB.Engine().Snapshot()
+	stA, _ := srvA.engines[0].Snapshot()
+	stB, _ = srvB.engines[0].Snapshot()
 	if stA.Version != 2 || stB.Version != 1 {
 		t.Errorf("versions after prod reload = %d/%d, want 2/1", stA.Version, stB.Version)
 	}
@@ -321,13 +321,13 @@ func TestRegistryEmptyAndDatasetSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Engine().Dataset() != s2.Engine().Dataset() {
+	if s1.engines[0].ds != s2.engines[0].ds {
 		t.Error("content-identical datasets were not shared")
 	}
-	if s1.Engine().Dataset() != ds1 {
+	if s1.engines[0].ds != ds1 {
 		t.Error("first registration does not serve the dataset it brought")
 	}
-	if s3.Engine().Dataset() == s1.Engine().Dataset() {
+	if s3.engines[0].ds == s1.engines[0].ds {
 		t.Error("different datasets were wrongly shared")
 	}
 	if core.DataFingerprint(ds1) != core.DataFingerprint(ds2) {
@@ -432,7 +432,7 @@ func TestHealthzReflectsLatestReload(t *testing.T) {
 	if status != http.StatusInternalServerError {
 		t.Fatalf("failing reload = %d, want 500", status)
 	}
-	if got := srv.Engine().ArtifactPath(); got != artPath {
+	if got := srv.engines[0].ArtifactPath(); got != artPath {
 		t.Errorf("failed reload retargeted the artifact: %q, want %q", got, artPath)
 	}
 	if rb := post(""); !rb.WarmStart {

@@ -484,6 +484,79 @@ func TestRouterShardArtifactMismatch(t *testing.T) {
 	}
 }
 
+// TestRouterPartlyWarmSaysWhy: on a fleet whose shard 2 has no
+// artifact, shards 0 and 1 warm-start and shard 2 computes cold. Every
+// status surface — Server.Health (what gsgcn-serve logs), /healthz,
+// /models/{name} and /reload — says the fleet is not warm and names
+// the missing file, whichever shard fell back.
+func TestRouterPartlyWarmSaysWhy(t *testing.T) {
+	ds := testDataset(t, false)
+	dir := t.TempDir()
+	ckpt := trainAndSave(t, ds, 1, dir)
+	m, err := core.LoadModelFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards, seed = 3, 11
+	opts := Options{Workers: 1}
+	snaps, err := BuildShardSnapshots(ds, m, opts, false, shards, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.ArtifactPath = dir + "/model.art"
+	for i, snap := range snaps[:2] {
+		if _, err := artifact.WriteFile(artifact.ShardPath(opts.ArtifactPath, i, shards), snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missing := artifact.ShardPath(opts.ArtifactPath, 2, shards)
+
+	reg := NewRegistry()
+	defer reg.Close()
+	srv, err := reg.AddSharded("fleet", ds, opts, shards, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Load(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < shards; i++ {
+		if st, _ := srv.Shard(i).Snapshot(); st.WarmStart != (i < 2) {
+			t.Fatalf("shard %d warm_start = %v: %q", i, st.WarmStart, st.WarmNote)
+		}
+	}
+	check := func(where string, warm bool, note string) {
+		t.Helper()
+		if warm || !strings.Contains(note, missing) {
+			t.Errorf("%s: warm_start %v, warm_note %q; want false and a note naming %s", where, warm, note, missing)
+		}
+	}
+	h := srv.Health()
+	check("Server.Health", h.WarmStart, h.WarmNote)
+	ts := httptest.NewServer(reg)
+	defer ts.Close()
+	var rh routerHealth
+	if code := getJSON(t, ts.URL+"/healthz", &rh); code != 200 {
+		t.Fatalf("/healthz = %d", code)
+	}
+	check("/healthz", rh.WarmStart, rh.WarmNote)
+	var ms modelStatus
+	if code := getJSON(t, ts.URL+"/models/fleet", &ms); code != 200 {
+		t.Fatalf("/models/fleet = %d", code)
+	}
+	check("/models/fleet", ms.WarmStart, ms.WarmNote)
+	resp, err := http.Post(ts.URL+"/reload", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rb reloadBody
+	if err := json.NewDecoder(resp.Body).Decode(&rb); err != nil {
+		t.Fatal(err)
+	}
+	check("/reload", rb.WarmStart, rb.WarmNote)
+}
+
 // TestRouterReloadEndpoint exercises /reload on a fleet: a new
 // checkpoint advances every shard in lockstep, and a reload that
 // retargets the artifact base points every shard at its own ShardPath.

@@ -79,7 +79,7 @@ const maxQueryIDs = 4096
 // silently passing off a partial scan as the full one.
 type Server struct {
 	ds      *datasets.Dataset
-	opts    Options // resolved; ShardCount/ShardSeed describe the fleet
+	opts    Options // resolved; shards/shardSeed describe the fleet
 	engines []*Engine
 	// bats micro-batch each shard's sub-queries: concurrent requests
 	// whose ids land on one shard coalesce into one gather there.
@@ -115,7 +115,7 @@ type Server struct {
 	swapMu sync.Mutex
 
 	// topkMemo memoizes merged /topk answers per (version, query) — the
-	// one memo on the served path. Answers computed while any shard was
+	// package's one top-K memo. Answers computed while any shard was
 	// down are never memoized: they are partial by construction and
 	// must not outlive the outage.
 	topkMemo
@@ -246,7 +246,7 @@ func newServer(ds *datasets.Dataset, opts Options, shards int, seed uint64) *Ser
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	opts.ShardCount, opts.ShardIndex, opts.ShardSeed = shards, 0, seed
+	opts.shards, opts.shard, opts.shardSeed = shards, 0, seed
 	s := &Server{
 		ds:       ds,
 		opts:     opts,
@@ -259,7 +259,7 @@ func newServer(ds *datasets.Dataset, opts Options, shards int, seed uint64) *Ser
 	}
 	for i := range s.engines {
 		o := opts
-		o.ShardIndex = i
+		o.shard = i
 		o.ArtifactPath = s.shardArtifact(opts.ArtifactPath, i)
 		s.engines[i] = NewEngine(ds, o)
 		s.bats[i] = newBatcher(s.engines[i], opts.MaxBatch)
@@ -321,9 +321,9 @@ func (s *Server) shardArtifact(base string, i int) string {
 	return artifact.ShardPath(base, i, len(s.engines))
 }
 
-// Engine exposes the inference engine of an unsharded model (shard 0
-// of a fleet).
-func (s *Server) Engine() *Engine { return s.engines[0] }
+// Health returns the model's fleet-wide status — the body of its
+// unsharded /healthz.
+func (s *Server) Health() Health { return s.status().Health }
 
 // Shard returns shard i's engine (for tests and direct inspection).
 func (s *Server) Shard(i int) *Engine { return s.engines[i] }
@@ -386,7 +386,7 @@ func (s *Server) Install(m *core.Model) (uint64, error) {
 	}
 	var version uint64
 	for i, e := range s.engines {
-		v, err := e.InstallShared(m, full)
+		v, err := e.installShared(m, full)
 		if err != nil {
 			if s.sharded() {
 				err = fmt.Errorf("serve: shard %d: %w", i, err)
@@ -556,7 +556,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	writeQuery(w, r, res, err)
 }
 
-type healthBody struct {
+// Health is a model's status as its unsharded /healthz reports it,
+// aggregated over its shards. It is the one body behind the legacy
+// /healthz response, the sharded one (routerHealth embeds it) and the
+// per-model extended status (modelStatus embeds it), so the documented
+// "per-model healthz is a superset of legacy /healthz" invariant holds
+// by construction. Status is "ok" (every shard serving), "degraded"
+// (some shard down or still loading while others serve) or "loading"
+// (nothing serving yet); the endpoint always answers HTTP 200 — a down
+// shard degrades the fleet, it does not kill it. WarmStart holds only
+// when every shard warmed, and WarmNote is the first shard's reason for
+// falling back.
+type Health struct {
 	Status       string  `json:"status"`
 	Version      uint64  `json:"version"`
 	ModelVersion uint64  `json:"model_version"`
@@ -587,7 +598,7 @@ type shardState struct {
 // routerHealth is the sharded /healthz body: the health fields every
 // model reports plus the fleet view.
 type routerHealth struct {
-	healthBody
+	Health
 	Shards      int          `json:"shards"`
 	ShardSeed   uint64       `json:"shard_seed"`
 	ShardsDown  int          `json:"shards_down"`
@@ -601,138 +612,89 @@ type shardsBody struct {
 	Detail    []shardState `json:"detail"`
 }
 
-// shardStates assembles the live per-shard status list.
-func (s *Server) shardStates() []shardState {
-	out := make([]shardState, len(s.engines))
+// fleetStatus is what one pass over the shards' snapshots finds.
+type fleetStatus struct {
+	Health
+	detail []shardState
+	down   int    // shards out of service
+	index  string // "built" | "lazy" | "none"
+}
+
+// status is the one status walk: a single pass over the shards'
+// snapshots feeds /healthz, /shards, /models and /reload.
+func (s *Server) status() fleetStatus {
+	f := fleetStatus{
+		Health: Health{
+			Status:   "loading",
+			Vertices: s.ds.G.NumVertices(),
+			Edges:    s.ds.G.NumEdges(),
+			Classes:  s.ds.NumClasses,
+			Dtype:    s.opts.Dtype.String(),
+		},
+		detail: make([]shardState, len(s.engines)),
+		index:  "none",
+	}
+	loaded, warm, built := 0, true, true
 	for i, e := range s.engines {
 		ss := shardState{Shard: i, Status: "loading", Vertices: len(e.owned)}
-		if st, err := e.Snapshot(); err == nil {
-			ss.Status = "ok"
-			ss.Version = st.Version
-			ss.Warm = st.WarmStart
+		if st, err := e.Snapshot(); err != nil {
+			warm, built = false, false
+		} else {
+			if loaded++; loaded == 1 {
+				f.Version, f.ModelVersion = st.Version, st.ModelVersion
+				f.Dim, f.Dtype = st.Dim(), st.Dtype().String()
+			}
+			if f.WarmNote == "" {
+				f.WarmNote = st.WarmNote
+			}
+			// Memory-plane bytes sum across the fleet: the per-process
+			// answer a capacity planner wants.
+			f.ResidentB += st.ResidentBytes()
+			f.MappedB += st.MappedBytes()
+			warm, built = warm && st.WarmStart, built && st.IndexReady()
+			ss.Status, ss.Version, ss.Warm = "ok", st.Version, st.WarmStart
 		}
 		if s.down[i].Load() {
 			ss.Status = "down"
+			f.down++
 		}
-		out[i] = ss
+		f.detail[i] = ss
 	}
-	return out
-}
-
-// health assembles the model's health body, aggregated over its
-// shards. It is the one source of truth for the legacy /healthz
-// response, the sharded one (routerHealth embeds it) and the per-model
-// extended status (modelStatus embeds it), so the documented
-// "per-model healthz is a superset of legacy /healthz" invariant holds
-// by construction. Status is "ok" (every shard serving), "degraded"
-// (some shard down or still loading while others serve) or "loading"
-// (nothing serving yet); the endpoint always answers HTTP 200 — a down
-// shard degrades the fleet, it does not kill it.
-func (s *Server) health() healthBody {
-	body := healthBody{
-		Status:   "loading",
-		Vertices: s.ds.G.NumVertices(),
-		Edges:    s.ds.G.NumEdges(),
-		Classes:  s.ds.NumClasses,
-		Dtype:    s.opts.Dtype.String(),
-	}
-	loaded, downCount := 0, 0
-	warmAll := true
-	for i, e := range s.engines {
-		if s.down[i].Load() {
-			downCount++
+	if loaded > 0 {
+		f.Status, f.index = "ok", "lazy"
+		if f.down > 0 || loaded < len(s.engines) {
+			f.Status = "degraded"
 		}
-		st, err := e.Snapshot()
-		if err != nil {
-			warmAll = false
-			continue
+		if built {
+			f.index = "built"
 		}
-		loaded++
-		if body.Version == 0 {
-			body.Version = st.Version
-			body.ModelVersion = st.ModelVersion
-			body.Dim = st.Dim()
-			body.Dtype = st.Dtype().String()
-			body.WarmNote = st.WarmNote
-		}
-		// Memory-plane bytes sum across the fleet: the per-process
-		// answer a capacity planner wants.
-		body.ResidentB += st.ResidentBytes()
-		body.MappedB += st.MappedBytes()
-		warmAll = warmAll && st.WarmStart
 	}
-	switch {
-	case loaded == 0:
-	case downCount > 0 || loaded < len(s.engines):
-		body.Status = "degraded"
-	default:
-		body.Status = "ok"
-	}
-	body.WarmStart = loaded > 0 && warmAll
+	f.WarmStart = loaded > 0 && warm
 	// Aggregate the per-shard micro-batcher counts so every shard
 	// count reports the same batching fields (parity is test-enforced).
 	for _, b := range s.bats {
 		bb, qq := b.Stats()
-		body.Batches += bb
-		body.Queries += qq
+		f.Batches += bb
+		f.Queries += qq
 	}
-	if body.Batches > 0 {
-		body.Coalescing = float64(body.Queries) / float64(body.Batches)
+	if f.Batches > 0 {
+		f.Coalescing = float64(f.Queries) / float64(f.Batches)
 	}
-	return body
-}
-
-// modelInfo is the configuration summary the registry's status
-// surface adds to health().
-type modelInfo struct {
-	artifact   string
-	annDefault bool
-	index      string // "built" | "lazy" | "none"
-	shards     int    // 0 = unsharded
-}
-
-func (s *Server) modelInfo() modelInfo {
-	s.mu.Lock()
-	base := s.artBase
-	s.mu.Unlock()
-	info := modelInfo{artifact: base, annDefault: s.opts.ANN, index: "none"}
-	if s.sharded() {
-		info.shards = len(s.engines)
-	}
-	built, loaded := true, 0
-	for _, e := range s.engines {
-		if st, err := e.Snapshot(); err == nil {
-			loaded++
-			built = built && st.IndexReady()
-		}
-	}
-	if loaded > 0 {
-		info.index = "lazy"
-		if built && loaded == len(s.engines) {
-			info.index = "built"
-		}
-	}
-	return info
+	return f
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	f := s.status()
 	if !s.sharded() {
-		writeJSON(w, http.StatusOK, s.health())
+		writeJSON(w, http.StatusOK, f.Health)
 		return
 	}
-	detail := s.shardStates()
-	downCount := 0
-	for _, ss := range detail {
-		if ss.Status == "down" {
-			downCount++
-		}
-	}
 	writeJSON(w, http.StatusOK, routerHealth{
-		healthBody:  s.health(),
+		Health:      f.Health,
 		Shards:      len(s.engines),
-		ShardSeed:   s.opts.ShardSeed,
-		ShardsDown:  downCount,
-		ShardDetail: detail,
+		ShardSeed:   s.opts.shardSeed,
+		ShardsDown:  f.down,
+		ShardDetail: f.detail,
 	})
 }
 
@@ -743,8 +705,8 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, shardsBody{
 		Shards:    len(s.engines),
-		ShardSeed: s.opts.ShardSeed,
-		Detail:    s.shardStates(),
+		ShardSeed: s.opts.shardSeed,
+		Detail:    s.status().detail,
 	})
 }
 
@@ -765,7 +727,7 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.shardStates()[i])
+	writeJSON(w, http.StatusOK, s.status().detail[i])
 }
 
 // reloadBody is the successful /reload response.
@@ -830,24 +792,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	// Answer from the snapshots the reload just installed — including
-	// their warm-start outcome, so a reload that switched artifacts (or
-	// lost one) reports the state /healthz will now show: warm only
-	// when every shard warmed, with the first note explaining a
-	// fallback.
-	res := reloadBody{Version: v, WarmStart: true}
-	for _, e := range s.engines {
-		st, serr := e.Snapshot()
-		if serr != nil {
-			continue
-		}
-		res.ModelVersion = st.ModelVersion
-		res.WarmStart = res.WarmStart && st.WarmStart
-		if res.WarmNote == "" {
-			res.WarmNote = st.WarmNote
-		}
-	}
-	writeJSON(w, http.StatusOK, res)
+	// Answer with the warm-start outcome of the snapshots the reload just
+	// installed — the state /healthz will now show.
+	h := s.Health()
+	writeJSON(w, http.StatusOK, reloadBody{Version: v, ModelVersion: h.ModelVersion, WarmStart: h.WarmStart, WarmNote: h.WarmNote})
 }
 
 // setArtifactBase retargets the artifact base — every shard engine's
@@ -858,7 +806,7 @@ func (s *Server) setArtifactBase(base string) (prev string) {
 	prev, s.artBase = s.artBase, base
 	s.mu.Unlock()
 	for i, e := range s.engines {
-		e.SetArtifactPath(s.shardArtifact(base, i))
+		e.setArtifactPath(s.shardArtifact(base, i))
 	}
 	return prev
 }

@@ -211,7 +211,7 @@ func TestReloadDuringQueries(t *testing.T) {
 		t.Error(err)
 	}
 
-	var health healthBody
+	var health Health
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 || health.Status != "ok" {
 		t.Fatalf("post-test health = %d %+v", code, health)
 	}
@@ -226,24 +226,35 @@ func TestReloadDuringQueries(t *testing.T) {
 // reference for the version it reports: a query must take its vector
 // and scan its table in one snapshot, never one version's vector
 // against the next version's table (which would also be memoized
-// under the wrong version).
+// under the wrong version). The reference is Engine.TopKWith, so the
+// served path and the library call are held to the same answer —
+// every field but the version — in exact mode, in ann mode at the
+// default and an explicit ef, and where the beam covers the table and
+// ann falls back to the exact scan.
 func TestTopKOneSnapshotUnderReload(t *testing.T) {
-	ds := testDataset(t, false)
+	ds := testDataset(t, false) // 300 vertices
 	dir := t.TempDir()
 	ckpts := []string{trainAndSave(t, ds, 1, dir), trainAndSave(t, ds, 2, dir)}
 	const ids, k = 64, 3
-	var want [2][ids][]Neighbor
+	queries := []struct {
+		mode string
+		ef   int
+	}{{ModeExact, 0}, {ModeANN, 0}, {ModeANN, 24}, {ModeANN, 300}}
+	var want [2][][ids]*TopKResult
 	for c, path := range ckpts {
 		ref := NewEngine(ds, Options{Workers: 1})
 		if _, err := ref.LoadCheckpoint(path); err != nil {
 			t.Fatal(err)
 		}
-		for id := range want[c] {
-			res, err := ref.TopKWith(id, k, ModeExact, 0)
-			if err != nil {
-				t.Fatal(err)
+		want[c] = make([][ids]*TopKResult, len(queries))
+		for qi, q := range queries {
+			for id := range want[c][qi] {
+				res, err := ref.TopKWith(id, k, q.mode, q.ef)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[c][qi][id] = res
 			}
-			want[c][id] = res.Neighbors
 		}
 	}
 	srv := NewServer(ds, Options{Workers: 1})
@@ -265,9 +276,9 @@ func TestTopKOneSnapshotUnderReload(t *testing.T) {
 					return
 				default:
 				}
-				id := i % ids
+				id, qi := i%ids, (g+i/ids)%len(queries) // goroutine g starts on query g
 				res, err := srv.topK(context.Background(), func() (topkQuery, error) {
-					return topkQuery{id: id, k: k}, nil // mode exact
+					return topkQuery{id: id, k: k, ann: queries[qi].mode == ModeANN, ef: queries[qi].ef}, nil
 				})
 				if err != nil {
 					errs <- err
@@ -275,8 +286,10 @@ func TestTopKOneSnapshotUnderReload(t *testing.T) {
 				}
 				// Version v was loaded from ckpts[(v-1)%2].
 				got := res.(*TopKResult)
-				if ref := want[(got.Version-1)%2][id]; !reflect.DeepEqual(got.Neighbors, ref) {
-					errs <- fmt.Errorf("id %d at version %d: got %v, want %v", id, got.Version, got.Neighbors, ref)
+				ref := *want[(got.Version-1)%2][qi][id]
+				ref.Version = got.Version
+				if !reflect.DeepEqual(*got, ref) {
+					errs <- fmt.Errorf("%+v id %d at version %d: got %+v, want %+v", queries[qi], id, got.Version, *got, ref)
 					return
 				}
 			}

@@ -69,7 +69,7 @@ func TestServerEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	// Before any checkpoint: healthz reports loading, queries 503.
-	var health healthBody
+	var health Health
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatalf("healthz = %d", code)
 	}
@@ -212,7 +212,7 @@ func TestServerReloadSwapsVersion(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("bodyless reload = %d", resp.StatusCode)
 	}
-	var health healthBody
+	var health Health
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Version != 3 {
 		t.Errorf("version after two reloads = %d, want 3", health.Version)
@@ -297,7 +297,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 		t.Error(err)
 	}
 
-	var health healthBody
+	var health Health
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Version != reloads+1 {
 		t.Errorf("final version = %d, want %d", health.Version, reloads+1)

@@ -39,9 +39,9 @@ func artifactMetaFor(m *core.Model, ds *datasets.Dataset) artifact.Meta {
 func (e *Engine) wantMeta(m *core.Model) artifact.Meta {
 	want := artifactMetaFor(m, e.ds)
 	if e.opts.sharded() {
-		want.Shards = e.opts.ShardCount
-		want.Shard = e.opts.ShardIndex
-		want.ShardSeed = e.opts.ShardSeed
+		want.Shards = e.opts.shards
+		want.Shard = e.opts.shard
+		want.ShardSeed = e.opts.shardSeed
 		want.ShardRows = len(e.owned)
 	}
 	return want

@@ -142,7 +142,7 @@ func TestWarmStartFallsBack(t *testing.T) {
 		if st.WarmNote == "" {
 			t.Fatalf("%s: fallback left no note", name)
 		}
-		if _, err := eng.TopK(0, 5); err != nil {
+		if _, err := eng.TopKWith(0, 5, ModeAuto, 0); err != nil {
 			t.Fatalf("%s: queries broken after fallback: %v", name, err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestWarmV1ArtifactFallsBackCold(t *testing.T) {
 		if _, err := srv.Install(m); err != nil {
 			t.Fatal(err)
 		}
-		health := srv.health()
+		health := srv.Health()
 		if health.Status != "ok" || health.WarmStart || !strings.Contains(health.WarmNote, "format version 1") {
 			t.Errorf("mmap=%v: health after a v1 artifact = %+v", mmap, health)
 		}

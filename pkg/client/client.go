@@ -18,9 +18,8 @@
 // message the JSON envelope carries, again identical on every
 // transport.
 //
-// cmd/gsgcn-loadgen and cmd/gsgcn-probe are built on this package,
-// so there is exactly one request-building implementation in the
-// repo.
+// cmd/gsgcn-loadgen is built on this package, so there is exactly one
+// request-building implementation in the repo.
 package client
 
 import (
