@@ -39,7 +39,7 @@ func trainCkpt(t *testing.T, ds *gsgcn.Dataset, dir string) string {
 // TestHandleSignalsDrainsBeforeClose is the shutdown-sequencing
 // regression test. The old lifecycle closed the registry concurrently
 // with the HTTP drain, so requests still in flight when SIGTERM
-// arrived were answered 503 from closed micro-batchers. The fixed
+// arrived were answered 503 from closed models. The fixed
 // sequence — Shutdown (drain) first, registry Close after — must
 // answer every in-flight request 200, and only then tear the
 // registry down. SIGHUP along the way must hot-reload the fleet

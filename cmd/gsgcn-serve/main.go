@@ -33,9 +33,9 @@
 // Multiple models, one per -model flag (first one is the default
 // unless -default says otherwise). The value is name=checkpoint
 // followed by optional comma-separated key=value settings — data,
-// artifact, dtype, mmap, ann, ann-m, ann-ef, workers, block, batch,
-// shards, shard-seed, deadline, shed-queue, qps — which fall back to
-// the matching global flags when absent:
+// artifact, dtype, mmap, ann, ann-m, ann-ef, workers, block, shards,
+// shard-seed, deadline, shed-queue, qps — which fall back to the
+// matching global flags when absent:
 //
 //	gsgcn-serve -data g.gsg \
 //	    -model prod=prod.ckpt,artifact=prod.ckpt.art,ann=true \
@@ -106,18 +106,17 @@ type modelSpec struct {
 	ANNEf   int  `json:"ann_ef"`
 	Workers int  `json:"workers"`
 	Block   int  `json:"block"`
-	Batch   int  `json:"batch"`
 	// Shards > 1 serves the model as a sharded fleet behind a
 	// scatter-gather router; ShardSeed keys the deterministic
 	// vertex-shard assignment and must match the artifact build.
 	Shards    int    `json:"shards"`
 	ShardSeed uint64 `json:"shard_seed"`
-	// DeadlineMS bounds each query's total wait (queue + answer) in
-	// milliseconds (fractional for sub-millisecond bounds); expired
-	// queries answer 504. 0 = no deadline.
+	// DeadlineMS bounds each query's time from arrival, in milliseconds
+	// (fractional for sub-millisecond bounds); expired queries answer
+	// 504. 0 = no deadline.
 	DeadlineMS float64 `json:"deadline_ms"`
-	// ShedQueue is the micro-batch queue-depth high-water mark above
-	// which new queries are shed with 429. 0 = never shed.
+	// ShedQueue is the high-water mark of the model's queries in flight
+	// at which new queries are shed with 429. 0 = never shed.
 	ShedQueue int `json:"shed_queue"`
 	// QPS is this model's admission quota in queries/sec (token
 	// bucket, one second of burst). 0 = unlimited.
@@ -212,8 +211,6 @@ func parseModelFlag(v string, def modelSpec) (modelSpec, error) {
 			spec.Workers, err = strconv.Atoi(val)
 		case "block":
 			spec.Block, err = strconv.Atoi(val)
-		case "batch":
-			spec.Batch, err = strconv.Atoi(val)
 		case "shards":
 			spec.Shards, err = strconv.Atoi(val)
 		case "shard-seed":
@@ -256,7 +253,6 @@ func main() {
 		wireAt  = flag.String("wire-addr", "", "also serve the persistent binary wire transport on this TCP address (e.g. :9001); off when empty — see docs/API.md for the framing")
 		workers = flag.Int("workers", 0, "goroutines for embedding computation and top-K scans (0 = GOMAXPROCS)")
 		block   = flag.Int("block", 0, "vertices per streamed inference block (0 = 256)")
-		batch   = flag.Int("batch", 0, "max queries coalesced per micro-batch (0 = 64, 1 = off)")
 		annOn   = flag.Bool("ann", false, "answer /topk with the approximate HNSW index by default (per-request mode=exact|ann overrides)")
 		annM    = flag.Int("ann-m", 0, "HNSW connectivity: links per vertex per layer, 2x on the base layer (0 = 16)")
 		annEf   = flag.Int("ann-ef", 0, "default HNSW query beam width; higher = better recall, slower (0 = 64)")
@@ -265,20 +261,20 @@ func main() {
 		useMmap = flag.Bool("mmap", false, "serve the float64 table from the memory-mapped artifact instead of decoding it onto the heap (needs -artifact)")
 		shards  = flag.Int("shards", 0, "serve each model as N vertex shards behind a scatter-gather router (0 or 1 = unsharded)")
 		shSeed  = flag.Uint64("shard-seed", 0, "seed keying the deterministic vertex-shard assignment (must match gsgcn-index -shard-seed)")
-		dline   = flag.Duration("deadline", 0, "per-query deadline covering queue wait and answer; expired queries get 504 (0 = none)")
-		shedQ   = flag.Int("shed-queue", 0, "micro-batch queue-depth high-water mark; deeper queues shed new queries with 429 (0 = never)")
+		dline   = flag.Duration("deadline", 0, "per-query deadline counted from arrival; work past it does not start and a late top-K answer is not sent, both 504 (0 = none)")
+		shedQ   = flag.Int("shed-queue", 0, "high-water mark of a model's queries in flight; at it, new queries are shed with 429 (0 = never)")
 		qps     = flag.Float64("qps", 0, "per-model admission quota in queries/sec, token bucket with one second of burst (0 = unlimited)")
 		pprofAt = flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (e.g. 127.0.0.1:6060); off when empty, and never on the serving listener")
 		noLog   = flag.Bool("no-access-log", false, "disable the per-request JSON access log (lifecycle events still log)")
 	)
-	flag.Var(&models, "model", "serve an extra model: name=checkpoint[,data=…][,artifact=…][,dtype=…][,mmap=…][,ann=…][,ann-m=…][,ann-ef=…][,workers=…][,block=…][,batch=…][,shards=…][,shard-seed=…][,deadline=…][,shed-queue=…][,qps=…] (repeatable; first is the default model)")
+	flag.Var(&models, "model", "serve an extra model: name=checkpoint[,data=…][,artifact=…][,dtype=…][,mmap=…][,ann=…][,ann-m=…][,ann-ef=…][,workers=…][,block=…][,shards=…][,shard-seed=…][,deadline=…][,shed-queue=…][,qps=…] (repeatable; first is the default model)")
 	flag.Parse()
 
 	// Global flags double as the per-model defaults.
 	defaults := modelSpec{
 		Artifact: *art, Dtype: *dtype, Mmap: *useMmap,
 		ANN: *annOn, ANNM: *annM, ANNEf: *annEf,
-		Workers: *workers, Block: *block, Batch: *batch,
+		Workers: *workers, Block: *block,
 		Shards: *shards, ShardSeed: *shSeed,
 		DeadlineMS: float64(*dline) / float64(time.Millisecond), ShedQueue: *shedQ, QPS: *qps,
 	}
@@ -375,7 +371,7 @@ func main() {
 			fatal(fmt.Errorf("model %q: mmap needs an artifact to map", spec.Name))
 		}
 		opts := gsgcn.ServeOptions{
-			Workers: spec.Workers, BlockSize: spec.Block, MaxBatch: spec.Batch,
+			Workers: spec.Workers, BlockSize: spec.Block,
 			ANN: spec.ANN, ANNM: spec.ANNM, ANNEf: spec.ANNEf,
 			ArtifactPath: spec.Artifact, Dtype: dt, Mmap: spec.Mmap,
 			Deadline:    time.Duration(spec.DeadlineMS * float64(time.Millisecond)),
@@ -427,7 +423,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: reg}
 
 	// The wire listener rides the same registry: frames run through
-	// the same admission, deadline and batching as HTTP requests.
+	// the same admission and deadline as HTTP requests.
 	var wireLn net.Listener
 	if *wireAt != "" {
 		var err error
@@ -463,10 +459,10 @@ func main() {
 //
 // The shutdown order is load-bearing: Shutdown must finish (all
 // in-flight requests drained, or the timeout expired) before
-// reg.Close stops the micro-batch dispatchers — closing them first
-// would answer still-draining requests with spurious 503s. Its error
-// is logged, not dropped: a deadline expiry means requests really
-// were cut off, and silence there cost us a dropped-work bug.
+// reg.Close marks every model closed — closing first would answer
+// still-draining requests with spurious 503s. Its error is logged, not
+// dropped: a deadline expiry means requests really were cut off, and
+// silence there cost us a dropped-work bug.
 func handleSignals(sigs <-chan os.Signal, httpSrv *http.Server, wireLn net.Listener, reg *gsgcn.ModelRegistry, drainTimeout time.Duration, done chan<- struct{}) {
 	defer close(done)
 	for sig := range sigs {

@@ -22,14 +22,14 @@ func TestParseModelFlag(t *testing.T) {
 	}
 
 	spec, err = parseModelFlag(
-		"canary=c.ckpt,data=g.gsg,artifact=c.art,ann=true,ann-m=32,ann-ef=128,workers=2,block=64,batch=16",
+		"canary=c.ckpt,data=g.gsg,artifact=c.art,ann=true,ann-m=32,ann-ef=128,workers=2,block=64",
 		defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := modelSpec{
 		Name: "canary", Checkpoint: "c.ckpt", Data: "g.gsg", Artifact: "c.art",
-		ANN: true, ANNM: 32, ANNEf: 128, Workers: 2, Block: 64, Batch: 16,
+		ANN: true, ANNM: 32, ANNEf: 128, Workers: 2, Block: 64,
 	}
 	if spec != want {
 		t.Errorf("full spec = %+v, want %+v", spec, want)
@@ -61,6 +61,7 @@ func TestParseModelFlag(t *testing.T) {
 		"a=a.ckpt,ann=maybe",  // bad bool
 		"a=a.ckpt,ann-m=lots", // bad int
 		"a=a.ckpt,garbage",    // bare token that is not ann
+		"a=a.ckpt,batch=16",   // retired key: there is no micro-batch size
 	} {
 		if _, err := parseModelFlag(bad, defaults); err == nil {
 			t.Errorf("parseModelFlag(%q) accepted", bad)
@@ -103,6 +104,7 @@ func TestParseFleetConfig(t *testing.T) {
 		"missing-name":    `{"models": [{"checkpoint": "a.ckpt"}]}`,
 		"missing-ckpt":    `{"models": [{"name": "a"}]}`,
 		"top-level-typo":  `{"defualt": "a", "models": [{"name": "a", "checkpoint": "a.ckpt"}]}`,
+		"retired-batch":   `{"models": [{"name": "a", "checkpoint": "a.ckpt", "batch": 16}]}`,
 		"not-even-object": `[1, 2]`,
 	} {
 		if _, err := parseFleetConfig([]byte(bad), defaults); err == nil {

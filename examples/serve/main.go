@@ -1,8 +1,8 @@
 // Serve: the full train → checkpoint → serve → hot-reload loop in one
 // process — the online-inference counterpart of examples/quickstart.
 //
-// It trains a small model, saves a checkpoint, mounts the batched
-// HTTP serving layer on an ephemeral port, queries /embed, /predict
+// It trains a small model, saves a checkpoint, mounts the HTTP
+// serving layer on an ephemeral port, queries /embed, /predict
 // and /topk, then trains further, saves again and hot-reloads the
 // server, showing the snapshot version advance without restarting.
 package main

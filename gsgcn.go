@@ -67,8 +67,8 @@ type (
 	// InferenceEngine computes and serves full-graph embeddings from a
 	// checkpointed model, with atomic hot reload.
 	InferenceEngine = serve.Engine
-	// InferenceServer serves one model over HTTP (micro-batching,
-	// /embed /predict /topk /healthz /reload): N >= 1 shard
+	// InferenceServer serves one model over HTTP (admission control,
+	// deadlines, /embed /predict /topk /healthz /reload): N >= 1 shard
 	// InferenceEngines behind one request layer. NewInferenceServer
 	// builds the unsharded fleet of one, NewShardedServer the same type
 	// over several vertex shards — it then also serves the /shards
@@ -208,7 +208,7 @@ func NewInferenceEngine(ds *Dataset, opts ServeOptions) *InferenceEngine {
 	return serve.NewEngine(ds, opts)
 }
 
-// NewInferenceServer builds the batched HTTP serving layer over ds.
+// NewInferenceServer builds the HTTP serving layer over ds.
 // Call Load with a checkpoint path, then mount it as an http.Handler.
 func NewInferenceServer(ds *Dataset, opts ServeOptions) *InferenceServer {
 	return serve.NewServer(ds, opts)

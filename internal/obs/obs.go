@@ -192,7 +192,7 @@ func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn fun
 
 // CounterFunc registers (or replaces) a function-backed counter — for
 // monotonic values a subsystem already tracks in its own atomics
-// (e.g. the micro-batcher's dispatch counts), exposed without double
+// (e.g. the serving batcher's answer count), exposed without double
 // accounting. fn must be non-blocking and monotonically non-decreasing.
 func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn func() float64) {
 	s := r.register(name, help, kindCounter, labels)

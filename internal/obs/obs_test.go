@@ -18,6 +18,7 @@ func TestExpositionGolden(t *testing.T) {
 	r.Counter("app_requests_total", "Total requests.", map[string]string{"endpoint": "/embed", "model": "canary"}).Inc()
 	r.Gauge("app_up", "Serving state.", map[string]string{"model": "prod"}).Set(1)
 	r.GaugeFunc("app_queue_depth", "Queued requests.", map[string]string{"model": "prod"}, func() float64 { return 7 })
+	r.CounterFunc("app_answers_total", "Answers.", map[string]string{"model": "prod"}, func() float64 { return 5 })
 	h := r.Histogram("app_latency_seconds", "Request latency.", map[string]string{"model": "prod"}, []float64{0.01, 0.1, 1})
 	h.Observe(0.005) // le=0.01
 	h.Observe(0.05)  // le=0.1
@@ -28,7 +29,10 @@ func TestExpositionGolden(t *testing.T) {
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP app_latency_seconds Request latency.
+	want := `# HELP app_answers_total Answers.
+# TYPE app_answers_total counter
+app_answers_total{model="prod"} 5
+# HELP app_latency_seconds Request latency.
 # TYPE app_latency_seconds histogram
 app_latency_seconds_bucket{le="0.01",model="prod"} 1
 app_latency_seconds_bucket{le="0.1",model="prod"} 3

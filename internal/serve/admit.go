@@ -1,7 +1,7 @@
 // Overload protection: the admission gate every query endpoint passes
-// before any work is queued. The gate sheds early — before parsing,
-// before the micro-batch queue — when the batcher's queue depth is at
-// its high-water mark or a per-model QPS quota is exhausted, so an
+// before any work starts. The gate sheds early — before parsing, before
+// any shard runs — when the model's admitted queries in flight reach
+// the high-water mark or a per-model QPS quota is exhausted, so an
 // overloaded model answers cheap 429s instead of stacking requests it
 // will answer late or never. Shedding is observation-equivalent by
 // construction: it only decides *whether* a request is admitted, never
@@ -21,24 +21,25 @@ import (
 	"gsgcn/internal/obs"
 )
 
-// errShed marks a query rejected because the micro-batch queue is at
-// its high-water mark. 429: the client should back off and retry.
+// errShed marks a query rejected because the model's in-flight depth
+// is at its high-water mark. 429: the client should back off and retry.
+// The error text still says "queue depth", as it always has.
 var errShed = errors.New("serve: overloaded, request shed")
 
 // errQuota marks a query rejected by the per-model QPS quota. Also
 // 429, distinguished in the error body and the shed metrics.
 var errQuota = errors.New("serve: rate quota exceeded")
 
-// admitGate is one model's admission control: a queue-depth high-water
+// admitGate is one model's admission control: a depth high-water
 // check, an optional token-bucket QPS quota, and the in-flight count
 // behind gsgcn_inflight. A gate with both limits disabled admits
 // unconditionally (and reads no clock), so a server built without
 // shedding options behaves exactly as before the gate existed.
 type admitGate struct {
-	// hw is the queue-depth high-water mark; 0 disables the check.
+	// hw is the depth high-water mark; 0 disables the check.
 	hw int
-	// depth reads the live micro-batch queue depth (max across shards
-	// of a sharded model). Consulted only when hw > 0.
+	// depth reads the gate's own in-flight count (tests may pin it).
+	// Consulted only when hw > 0.
 	depth func() int
 
 	// limit is the QPS quota (0 = unlimited), enforced by a token
@@ -60,10 +61,10 @@ type admitGate struct {
 	shedQuota *obs.Counter
 }
 
-// newAdmitGate builds a gate from resolved options. depth sources the
-// live queue measurement; it is only called when ShedQueueHW is set.
-func newAdmitGate(opts Options, depth func() int) *admitGate {
-	g := &admitGate{hw: opts.ShedQueueHW, depth: depth, limit: opts.QPSLimit, now: time.Now}
+// newAdmitGate builds a gate from resolved options.
+func newAdmitGate(opts Options) *admitGate {
+	g := &admitGate{hw: opts.ShedQueueHW, limit: opts.QPSLimit, now: time.Now}
+	g.depth = func() int { return int(g.inflight.Load()) }
 	if g.limit > 0 {
 		g.burst = g.limit
 		if g.burst < 1 {

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"context"
-	"fmt"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -11,45 +8,6 @@ import (
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
 )
-
-// BenchmarkServeEmbed measures single-node embedding query
-// throughput through the request layer, batched (micro-batching
-// dispatcher coalescing concurrent queries) vs unbatched (every
-// query dispatched alone). Run with -cpu to vary client concurrency.
-func BenchmarkServeEmbed(b *testing.B) {
-	ds := datasets.Generate(datasets.Config{
-		Name: "serve-bench", Vertices: 2000, TargetEdges: 16000,
-		FeatureDim: 32, NumClasses: 8, Seed: 7,
-	})
-	m := testModel(b, ds, 2, "mean")
-	eng := NewEngine(ds, Options{})
-	if _, err := eng.Install(m); err != nil {
-		b.Fatal(err)
-	}
-
-	run := func(b *testing.B, maxBatch int) {
-		bat := newBatcher(eng, maxBatch)
-		defer bat.close()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if resp := bat.submit(context.Background(), []int{i % 2000}, false); resp.err != nil {
-					b.Error(resp.err)
-					return
-				}
-				i++
-			}
-		})
-		b.StopTimer()
-		batches, queries := bat.Stats()
-		if batches > 0 {
-			b.ReportMetric(float64(queries)/float64(batches), "queries/batch")
-		}
-	}
-	b.Run("unbatched", func(b *testing.B) { run(b, 1) })
-	b.Run("batched", func(b *testing.B) { run(b, 64) })
-}
 
 // BenchmarkTopKAnnVsExact tracks the speedup of the HNSW index over
 // the exact sharded scan on a Table-I-shaped graph: the exact path is
@@ -189,46 +147,6 @@ func BenchmarkWarmStartMmap(b *testing.B) {
 	}
 	b.Run("decode", func(b *testing.B) { run(b, false) })
 	b.Run("mmap", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkObsOverhead prices the observability middleware on the
-// /embed hot path: "instrumented" goes through Server.ServeHTTP (the
-// metrics middleware wrapping the mux), "bare" dispatches on the mux
-// directly. The gap between the two is the whole cost of /metrics
-// instrumentation per request — the acceptance bar is under 3%.
-func BenchmarkObsOverhead(b *testing.B) {
-	ds := datasets.Generate(datasets.Config{
-		Name: "obs-bench", Vertices: 2000, TargetEdges: 16000,
-		FeatureDim: 32, NumClasses: 8, Seed: 7,
-	})
-	m := testModel(b, ds, 2, "mean")
-	srv := NewServer(ds, Options{})
-	defer srv.Close()
-	if _, err := srv.Install(m); err != nil {
-		b.Fatal(err)
-	}
-
-	run := func(b *testing.B, instrumented bool) {
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				req := httptest.NewRequest("GET", fmt.Sprintf("/embed?ids=%d", i%2000), nil)
-				rec := httptest.NewRecorder()
-				if instrumented {
-					srv.ServeHTTP(rec, req)
-				} else {
-					srv.mux.ServeHTTP(rec, req)
-				}
-				if rec.Code != 200 {
-					b.Errorf("status %d: %s", rec.Code, rec.Body)
-					return
-				}
-				i++
-			}
-		})
-	}
-	b.Run("bare", func(b *testing.B) { run(b, false) })
-	b.Run("instrumented", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkFullEmbeddings tracks the cost of one full-graph

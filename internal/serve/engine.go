@@ -49,9 +49,6 @@ type Options struct {
 	// layer-wise forward pass (0 = 256). Affects scratch memory and
 	// scheduling granularity only, never results.
 	BlockSize int
-	// MaxBatch caps how many queued queries the request layer
-	// coalesces into one gather (0 = 64; 1 disables micro-batching).
-	MaxBatch int
 	// ANN makes the HNSW index the default /topk mode (requests may
 	// still pick mode=exact per call). The index is built lazily on
 	// the first ANN query against a snapshot and memoized until the
@@ -96,17 +93,18 @@ type Options struct {
 	shards, shard int
 	shardSeed     uint64
 	// Deadline bounds each query's time in the serving path (0 =
-	// none). It covers the wait for a micro-batch slot and the wait
-	// for the dispatched answer; an expired request frees its queue
-	// slot, its rows are skipped at gather time, and the client gets a
-	// 504. Client disconnects cancel the same way (503). Deadlines
+	// none), counted from its arrival, before admission and parsing.
+	// Work whose deadline has passed does not start — a point query's
+	// per-shard gather, a top-K query's shard probes — and a top-K
+	// answer ready only after it is not sent: the client gets a 504. A
+	// client that disconnected gets a 503 the same way. Deadlines
 	// change only *whether* a request is answered, never the bytes of
 	// an answered response.
 	Deadline time.Duration
-	// ShedQueueHW is the admission gate's queue-depth high-water mark:
-	// when the micro-batcher already has this many requests queued
-	// (the deepest shard's queue, on a sharded model), new queries are shed
-	// with 429 before any work is queued. 0 disables shedding.
+	// ShedQueueHW is the admission gate's depth high-water mark: when
+	// this many admitted queries of the model are already in flight,
+	// new queries are shed with 429 before any work starts. 0 disables
+	// shedding.
 	ShedQueueHW int
 	// QPSLimit is the per-model admission quota in queries/sec,
 	// enforced by a token bucket with one second of burst credit.
@@ -162,9 +160,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockSize == 0 {
 		o.BlockSize = 256
-	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 64
 	}
 	if o.ANNM == 0 {
 		o.ANNM = 16
@@ -307,9 +302,8 @@ func (s *State) IndexReady() bool { return s.annIdx.Load() != nil }
 // start, hot reload) of its rows and answers from the latest published
 // State. A Server runs one per shard; embedded as a library it is the
 // whole graph, and its Embed, Predict and TopKWith run the same code a
-// Server runs on a shard — the micro-batcher's run on a batch of one,
-// and the probe Server.topK sends each shard — without the Server's
-// admission, batching or memo.
+// Server runs on a shard — point, and the probe Server.topK sends each
+// shard — without the Server's admission, deadline or memo.
 type Engine struct {
 	ds   *datasets.Dataset
 	opts Options
@@ -777,10 +771,10 @@ func headLogits(st *State, h *mat.Dense) *mat.Dense {
 	return out
 }
 
-// predictionsFromLogits converts logits rows [off, off+len(ids)) into
-// a PredictResult: thresholded labels plus calibrated probabilities
+// predictionsFromLogits converts one logits row per id into a
+// PredictResult: thresholded labels plus calibrated probabilities
 // (sigmoid per class when multi-label, softmax otherwise).
-func predictionsFromLogits(st *State, ids []int, logits *mat.Dense, off int) *PredictResult {
+func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResult {
 	multi := st.Model.Loss.Name() == "sigmoid-bce"
 	k := logits.Cols
 	res := &PredictResult{
@@ -793,7 +787,7 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense, off int) *Pr
 		Probs:        make([][]float64, len(ids)),
 	}
 	for i := range ids {
-		zrow := logits.Row(off + i)
+		zrow := logits.Row(i)
 		probs := make([]float64, k)
 		labels := make([]int, 0, 1) // non-nil: an empty label set serializes as []
 		if multi {
@@ -832,24 +826,45 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense, off int) *Pr
 	return res
 }
 
-// Embed answers an embedding query against the latest snapshot,
-// through the micro-batcher's run on a batch of one (see runOne).
+// point answers one point query against a single snapshot: validation,
+// one row gather for the queried ids and, for a prediction, one head
+// GEMM. It is the whole of Embed and Predict, and what a Server's
+// batcher runs on each shard.
+func (e *Engine) point(ids []int, predict bool) batchResp {
+	st, err := e.Snapshot()
+	if err != nil {
+		return batchResp{err: err}
+	}
+	rows, err := localRows(st, ids)
+	if err != nil {
+		return batchResp{err: err}
+	}
+	h := mat.New(len(rows), st.Dim())
+	mat.GatherRowsSrc(h, st.Emb, rows)
+	if predict {
+		return batchResp{pred: predictionsFromLogits(st, ids, headLogits(st, h))}
+	}
+	return batchResp{embed: embedResult(st, ids, h)}
+}
+
+// Embed answers an embedding query against the latest snapshot with
+// the shard code a Server runs (point).
 func (e *Engine) Embed(ids []int) (*EmbedResult, error) {
-	resp := e.runOne(ids, false)
+	resp := e.point(ids, false)
 	return resp.embed, resp.err
 }
 
 // Predict answers a prediction query against the latest snapshot, like
 // Embed.
 func (e *Engine) Predict(ids []int) (*PredictResult, error) {
-	resp := e.runOne(ids, true)
+	resp := e.point(ids, true)
 	return resp.pred, resp.err
 }
 
 // embedResult assembles the answer to an embedding query for ids from
-// rows [off, off+len(ids)) of h, freshly gathered from st's table and
-// not written again: the vectors are capped views of h, not copies.
-func embedResult(st *State, ids []int, h *mat.Dense, off int) *EmbedResult {
+// the rows of h, freshly gathered from st's table and not written
+// again: the vectors are capped views of h, not copies.
+func embedResult(st *State, ids []int, h *mat.Dense) *EmbedResult {
 	res := &EmbedResult{
 		Version:      st.Version,
 		ModelVersion: st.ModelVersion,
@@ -858,7 +873,7 @@ func embedResult(st *State, ids []int, h *mat.Dense, off int) *EmbedResult {
 		Vectors:      make([][]float64, len(ids)),
 	}
 	for i := range ids {
-		row := h.Row(off + i)
+		row := h.Row(i)
 		res.Vectors[i] = row[:len(row):len(row)]
 	}
 	return res

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -10,65 +9,88 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gsgcn/internal/wire"
 )
 
-// TestBatcherCloseSubmitRace is the close-race regression test: any
-// number of goroutines hammering embed/predict submits while close() fires —
-// repeatedly, from several goroutines at once — must end with every
-// in-flight request answered (a result or errClosed, never a hang)
-// and no panic on double close. Run under -race this also proves the
-// closed-flag/done-channel handoff is properly ordered.
-func TestBatcherCloseSubmitRace(t *testing.T) {
+// TestCloseRacesPointQueries is the close-race regression test, at one
+// shard and at three: goroutines hammering /embed and /predict while
+// Close fires — from two goroutines at once — must each get either the
+// reference bytes (an untouched server's answer) or 503 "serve: server
+// closed", and none may hang. Run under -race this also proves the
+// closed flag is the only state Close and the queries share.
+func TestCloseRacesPointQueries(t *testing.T) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
-
-	for round := 0; round < 8; round++ {
-		eng := NewEngine(ds, Options{Workers: 2})
-		if _, err := eng.Install(m); err != nil {
+	build := func(t *testing.T, shards int) *Server {
+		s, err := NewRouter(ds, Options{Workers: 2}, shards, 42)
+		if err != nil {
 			t.Fatal(err)
 		}
-		b := newBatcher(eng, 8)
+		if _, err := s.Install(m); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	query := func(h http.Handler, g, i int) (int, string) {
+		path := fmt.Sprintf("/embed?ids=%d,%d", (g+i)%300, (g*37+i)%300)
+		if g%2 == 1 {
+			path = fmt.Sprintf("/predict?ids=%d", (g+i)%300)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Code, rec.Body.String()
+	}
+	closedBody := `{"error":"serve: server closed"}` + "\n"
 
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				<-start
-				for i := 0; i < 50; i++ {
-					err := b.submit(context.Background(), []int{(g + i) % 300}, g%2 == 1).err
-					if err != nil && err != errClosed {
-						t.Errorf("submit during close: %v", err)
-						return
-					}
-					if err == errClosed {
-						return
-					}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ref := build(t, shards)
+			defer ref.Close()
+			for round := 0; round < 4; round++ {
+				srv := build(t, shards)
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for g := 0; g < 8; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						<-start
+						for i := 0; i < 50; i++ {
+							code, body := query(srv, g, i)
+							if code == http.StatusServiceUnavailable && body == closedBody {
+								return
+							}
+							if wantCode, want := query(ref, g, i); code != wantCode || body != want {
+								t.Errorf("query racing Close = %d %s, want the reference %d %s or 503 closed",
+									code, body, wantCode, want)
+								return
+							}
+						}
+					}(g)
 				}
-			}(g)
-		}
-		// Two goroutines race the close itself: it must be idempotent.
-		for c := 0; c < 2; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				b.close()
-			}()
-		}
-		close(start)
-		wg.Wait()
-
-		// After close, every submit fails fast with errClosed.
-		if err := b.submit(context.Background(), []int{0}, false).err; err != errClosed {
-			t.Fatalf("post-close embed err = %v, want errClosed", err)
-		}
-		if err := b.submit(context.Background(), []int{0}, true).err; err != errClosed {
-			t.Fatalf("post-close predict err = %v, want errClosed", err)
-		}
+				for c := 0; c < 2; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						srv.Close()
+					}()
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				close(start)
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatalf("round %d: a query racing Close never returned", round)
+				}
+				if code, body := query(srv, 0, 0); code != http.StatusServiceUnavailable || body != closedBody {
+					t.Fatalf("query after Close = %d %s", code, body)
+				}
+			}
+		})
 	}
 }
 

@@ -127,7 +127,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 type annotKey struct{}
 
 // reqAnnot carries observability facts a handler learns mid-flight —
-// scatter fan-out width, micro-batch id — back to the middleware for
+// scatter fan-out width, batch id — back to the middleware for
 // the request log line. It is written and read on the one goroutine
 // serving the request.
 type reqAnnot struct {
@@ -257,34 +257,34 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		dlabels, func(st *State) float64 { return float64(st.MappedBytes()) })
 }
 
-// batcherInst holds the micro-batcher's histogram handles (nil on an
-// unobserved batcher, e.g. one built directly in a benchmark).
+// batcherInst holds the batcher's histogram handles (nil on an
+// unobserved batcher, e.g. one built directly in a test).
 type batcherInst struct {
 	batchSize *obs.Histogram
 	flush     *obs.Histogram
 }
 
-// instrument exports the batcher's queue and dispatch metrics. The
-// counts the batcher already tracks in its own atomics surface as
-// func-backed series — no double accounting — and queue depth reads
-// the channel length at scrape time. Call before the batcher takes
-// traffic.
-func (b *batcher) instrument(reg *obs.Registry, labels map[string]string) {
+// instrument exports the batcher's gsgcn_batcher_* series. The counts
+// already tracked in atomics — the batcher's own and the model gate's
+// in-flight count — surface as func-backed series: no double
+// accounting. Call before the batcher takes traffic.
+func (b *batcher) instrument(reg *obs.Registry, labels map[string]string, gate *admitGate) {
+	answered := func() float64 { return float64(b.batches.Load()) }
 	reg.GaugeFunc("gsgcn_batcher_queue_depth",
-		"Requests queued in the micro-batcher awaiting dispatch.",
-		labels, func() float64 { return float64(len(b.reqs)) })
+		"Admitted queries of the model in flight (equal to gsgcn_inflight; the depth -shed-queue checks).",
+		labels, func() float64 { return float64(gate.Inflight()) })
 	reg.CounterFunc("gsgcn_batcher_batches_total",
-		"Micro-batches dispatched.",
-		labels, func() float64 { return float64(b.batches.Load()) })
+		"Point queries answered, each a batch of one.",
+		labels, answered)
 	reg.CounterFunc("gsgcn_batcher_queries_total",
-		"Queries carried by dispatched micro-batches.",
-		labels, func() float64 { return float64(b.queries.Load()) })
+		"Point queries answered (equal to gsgcn_batcher_batches_total).",
+		labels, answered)
 	b.inst = &batcherInst{
 		batchSize: reg.Histogram("gsgcn_batcher_batch_size",
-			"Vertex ids per dispatched micro-batch.",
+			"Vertex ids per answered point query.",
 			labels, obs.SizeBuckets),
 		flush: reg.Histogram("gsgcn_batcher_flush_duration_seconds",
-			"Wall time to answer one dispatched micro-batch.",
+			"Wall time to answer one point query on the shard.",
 			labels, obs.LatencyBuckets),
 	}
 }

@@ -302,10 +302,10 @@ func TestScrapeDuringReloadStorm(t *testing.T) {
 }
 
 // TestShardedStatusReportsBatcherStats is the stats-parity check: the
-// sharded router now runs a real micro-batcher per shard, and its
-// health body must account for the query load the same way the
-// single-process server's does. Counts are per coalesced client call,
-// so the router's scatter amplifies them by at most the shard count —
+// sharded router runs a batcher per shard, and its health body must
+// account for the query load the same way the single-process server's
+// does. Counts are per shard sub-query, so the router's scatter
+// amplifies them by at most the shard count —
 // the sharded body must be nonzero (the old gap: it reported nothing)
 // and bounded by solo × shards.
 func TestShardedStatusReportsBatcherStats(t *testing.T) {
@@ -384,7 +384,7 @@ func TestShardedStatusReportsBatcherStats(t *testing.T) {
 
 // TestAccessLogRequestLine pins the structured request line: one JSON
 // object per request carrying the monotonic id, model, endpoint,
-// status, latency and the micro-batch id the answer rode in.
+// status, latency and the batch id the answer rode in.
 func TestAccessLogRequestLine(t *testing.T) {
 	ds := testDataset(t, false)
 	dir := t.TempDir()

@@ -12,11 +12,15 @@ import (
 // and the three transport-neutral operations — embed and predict
 // (point) and top-K — that HTTP-JSON, the negotiated binary encoding
 // and the framed-TCP listener are codecs over. Each operation runs
-// admit → parse/validate → deadline → group by owner → per-shard
-// batcher → stitch, in that order, exactly once in the package.
+// deadline → admit → parse/validate → group by owner → per-shard
+// batcher or probe → stitch or merge, in that order, exactly once in
+// the package.
 
 // errMethod marks requests using an unsupported HTTP method.
 var errMethod = errors.New("serve: method not allowed")
+
+// errClosed is returned for queries that arrive after Close.
+var errClosed = errors.New("serve: server closed")
 
 // errNotOwned marks a query for a vertex a shard engine does not own.
 // A Server never surfaces it — partition-aware routing sends every
@@ -98,16 +102,40 @@ func (s *Server) ownerOf(id int) (int, error) {
 	return o, nil
 }
 
+// withDeadline is the deadline step of both operations, taken on
+// arrival: ctx — which ends when the client goes away (the request
+// context over HTTP, the connection's over the wire listener) —
+// bounded by the per-model Deadline when one is set, so admission and
+// parsing count against it.
+func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.opts.Deadline > 0 {
+		return context.WithTimeout(ctx, s.opts.Deadline)
+	}
+	return ctx, func() {}
+}
+
+// ended reports ctx's error, once it has ended, as the failure of the
+// step about to start.
+func ended(ctx context.Context, step string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("serve: %w %s", err, step)
+	}
+	return nil
+}
+
 // point answers one embed (predict false) or predict query — the one
 // point-query path under every transport. decode yields the
 // transport's already-parsed id list and runs only after admission,
-// so an overloaded model sheds before it parses. ctx bounds every
-// sub-query: when it ends, each shard's submit gives up and the query
-// fails with the context's error. The result is an *EmbedResult or a
-// *PredictResult, byte-identical at every shard count: vertices and
-// their rows are the same bits wherever they live, and the shards'
-// version counters advance in lockstep.
+// so an overloaded model sheds before it parses. ctx, bounded by the
+// deadline from arrival on, reaches every sub-query: a shard's submit
+// that finds it ended does not run, and the query fails with the
+// context's error. The result is an *EmbedResult or a *PredictResult,
+// byte-identical at every shard count: vertices and their rows are the
+// same bits wherever they live, and the shards' version counters
+// advance in lockstep.
 func (s *Server) point(ctx context.Context, decode func() ([]int, error), predict bool) (any, error) {
+	ctx, cancel := s.withDeadline(ctx)
+	defer cancel()
 	release, err := s.gate.admit()
 	if err != nil {
 		return nil, err
@@ -122,21 +150,12 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 	case len(ids) > maxQueryIDs:
 		return nil, fmt.Errorf("serve: %d ids exceeds the per-request limit of %d", len(ids), maxQueryIDs)
 	}
-	// The per-model deadline, when set, bounds the rest of the query;
-	// ctx itself ends when the client goes away (the request context
-	// over HTTP, the connection's over the wire listener).
-	bctx := ctx
-	if s.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		bctx, cancel = context.WithTimeout(ctx, s.opts.Deadline)
-		defer cancel()
-	}
 	if s.closed.Load() {
 		return nil, errClosed
 	}
 
-	// Resolve every owner before any work is queued: partial answers
-	// to point queries are never served.
+	// Resolve every owner before any shard runs: partial answers to
+	// point queries are never served.
 	owners := make([]int, 0, 8)
 	single := true
 	for _, id := range ids {
@@ -151,7 +170,7 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 		// One shard owns every id — always so for a fleet of one: its
 		// batcher's answer is the answer. No scatter goroutine, no
 		// stitch copy.
-		resp := s.bats[owners[0]].submit(bctx, ids, predict)
+		resp := s.bats[owners[0]].submit(ctx, ids, predict)
 		if resp.err != nil {
 			return nil, resp.err
 		}
@@ -175,10 +194,10 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 		}
 		fanout++
 		wg.Add(1)
-		go func(ctx context.Context, o int, sub []int) {
+		go func(o int, sub []int) {
 			defer wg.Done()
 			parts[o] = s.bats[o].submit(ctx, sub, predict)
-		}(bctx, o, sub)
+		}(o, sub)
 	}
 	wg.Wait()
 	for _, p := range parts {
@@ -223,8 +242,8 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 }
 
 // annotate records what the request log says about how a query was
-// answered: the scatter fan-out on a sharded model, the micro-batch id
-// that carried the answer on an unsharded one.
+// answered: the scatter fan-out on a sharded model, the batch id that
+// carried the answer on an unsharded one.
 func (s *Server) annotate(ctx context.Context, fanout int, batch uint64) {
 	if a := annotOf(ctx); a != nil {
 		if s.sharded() {
@@ -324,13 +343,18 @@ func (m *topkMemo) dropStale(version uint64) {
 // topK answers one similar-nodes query — the one top-K path under
 // every transport. decode yields the transport's request, parsed and
 // passed through queryMode and resolveTopK, and runs only after
-// admission. The scatter-gather fetches the query vector from the
-// owning shard, probes every live shard with shardTopK and merges
-// under the ann.Before total order; the scan plan comes from planTopK
-// against the global vertex count. Engine.TopKWith runs the same three
-// steps on one engine, so exact answers are byte-identical to a
-// whole-graph engine's at every shard count.
+// admission. ctx, bounded by the deadline from arrival on, is checked
+// before each shard probe starts and once more when the answer is
+// ready, memo hit or not: a query that ended by either point fails
+// with the context's error. The scatter-gather fetches the query
+// vector from the owning shard, probes every live shard with shardTopK
+// and merges under the ann.Before total order; the scan plan comes
+// from planTopK against the global vertex count. Engine.TopKWith runs
+// the same three steps on one engine, so exact answers are
+// byte-identical to a whole-graph engine's at every shard count.
 func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (any, error) {
+	ctx, cancel := s.withDeadline(ctx)
+	defer cancel()
 	release, err := s.gate.admit()
 	if err != nil {
 		return nil, err
@@ -367,49 +391,57 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 	}
 	degraded := len(live) < len(s.engines)
 	key := topkKey{st.Version, p}
+	var res *TopKResult
 	if !degraded {
-		if hit := s.lookup(key); hit != nil {
-			s.annotate(ctx, len(live), 0)
-			return hit, nil
-		}
+		res = s.lookup(key)
 	}
-
-	parts := make([][]Neighbor, len(live))
-	errs := make([]error, len(live))
-	probe := func(j int) {
-		// The owner scans the snapshot the query vector came from; every
-		// other shard its current one.
-		e, pin := s.engines[live[j]], st
-		if live[j] != owner {
-			if pin, errs[j] = e.Snapshot(); errs[j] != nil {
+	if res == nil {
+		parts := make([][]Neighbor, len(live))
+		errs := make([]error, len(live))
+		probe := func(j int) {
+			if errs[j] = ended(ctx, "before probe"); errs[j] != nil {
 				return
 			}
+			// The owner scans the snapshot the query vector came from;
+			// every other shard its current one.
+			e, pin := s.engines[live[j]], st
+			if live[j] != owner {
+				if pin, errs[j] = e.Snapshot(); errs[j] != nil {
+					return
+				}
+			}
+			parts[j] = e.shardTopK(pin, vec, norm, p)
 		}
-		parts[j] = e.shardTopK(pin, vec, norm, p)
-	}
-	if len(live) == 1 {
-		probe(0) // in the caller's goroutine — always so for a fleet of one
-	} else {
-		var wg sync.WaitGroup
-		for j := range live {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				probe(j)
-			}(j)
+		if len(live) == 1 {
+			probe(0) // in the caller's goroutine — always so for a fleet of one
+		} else {
+			var wg sync.WaitGroup
+			for j := range live {
+				wg.Add(1)
+				go func(j int) {
+					defer wg.Done()
+					probe(j)
+				}(j)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+		res = topkResult(st, p, degraded, mergeTopK(parts, p.k))
+		if !degraded {
+			s.store(key, res)
 		}
 	}
-	res := topkResult(st, p, degraded, mergeTopK(parts, p.k))
+	// An answer ready only after the deadline is not sent; the memo
+	// still keeps it for the next caller.
+	if err := ended(ctx, "before answer"); err != nil {
+		return nil, err
+	}
 	if degraded {
 		s.degraded.Inc()
-	} else {
-		s.store(key, res)
 	}
 	s.annotate(ctx, len(live), 0)
 	return res, nil

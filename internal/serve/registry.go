@@ -14,7 +14,7 @@ import (
 
 // Registry serves N independent models from one process. Each model
 // is a full Server — its own engine per shard, checkpoint, optional
-// warm-start artifact, ANN configuration, micro-batchers and
+// warm-start artifact, ANN configuration, batchers and
 // snapshot/reload lifecycle — keyed by name and reached as
 // /models/{name}/embed|predict|topk|healthz|reload; unsharded and
 // sharded models mix freely, and dispatch, health listing and fleet
@@ -181,7 +181,7 @@ func (r *Registry) Names() []string {
 	return append([]string(nil), r.order...)
 }
 
-// Close stops every model's micro-batch dispatcher.
+// Close closes every model (Server.Close).
 func (r *Registry) Close() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

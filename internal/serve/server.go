@@ -18,16 +18,15 @@ import (
 )
 
 // maxQueryIDs bounds one request's id list; larger lookups should
-// page. It protects the micro-batcher from one request monopolizing
-// a batch.
+// page. It bounds the gather one request can make a shard run.
 const maxQueryIDs = 4096
 
 // Server serves one model: N >= 1 shard Engines — each holding only
 // the embedding rows of the vertices it owns under a deterministic
-// partition.ShardMap — behind one micro-batcher per shard, one
-// admission gate, one obs middleware, one reload lifecycle and one
-// top-K memo. An unsharded model is a fleet of one whole-graph engine
-// (NewServer); NewRouter builds the same type over several shards.
+// partition.ShardMap — behind one batcher per shard, one admission
+// gate, one obs middleware, one reload lifecycle and one top-K memo.
+// An unsharded model is a fleet of one whole-graph engine (NewServer);
+// NewRouter builds the same type over several shards.
 //
 // Endpoints:
 //
@@ -51,14 +50,13 @@ const maxQueryIDs = 4096
 // Routing is partition-aware. /embed and /predict group the queried
 // ids by owning shard, scatter one sub-query per owner, and stitch
 // the answers back in request order; every id touches exactly one
-// shard, and point queries arriving concurrently coalesce in that
-// shard's micro-batcher. /topk first fetches the query vertex's
-// embedding row from its owner, then probes every live shard and
-// merges the per-shard candidates through the same bounded selector
-// and total order (ann.TopK: descending score, ascending id) the
-// single-engine scan uses — selection under it does not depend on
-// offer order, so in exact mode the merged answer is byte-identical at
-// every shard count and Workers setting (test-enforced). In ann mode
+// shard. /topk first fetches the query vertex's embedding row from its
+// owner, then probes every live shard and merges the per-shard
+// candidates through the same bounded selector and total order
+// (ann.TopK: descending score, ascending id) the single-engine scan
+// uses — selection under it does not depend on offer order, so in
+// exact mode the merged answer is byte-identical at every shard count
+// and Workers setting (test-enforced). In ann mode
 // each shard searches its own HNSW index: deterministic at a fixed
 // shard count, but not across shard counts (an index over a shard's
 // rows is a different graph than one over all rows — see docs/API.md).
@@ -81,15 +79,13 @@ type Server struct {
 	ds      *datasets.Dataset
 	opts    Options // resolved; shards/shardSeed describe the fleet
 	engines []*Engine
-	// bats micro-batch each shard's sub-queries: concurrent requests
-	// whose ids land on one shard coalesce into one gather there.
-	// Per-shard counts aggregate into the health body.
+	// bats answer each shard's point sub-queries. Per-shard counts
+	// aggregate into the health body.
 	bats []*batcher
 	down []atomic.Bool
 
-	// gate is the model's admission control; its depth probe reads the
-	// deepest shard queue, because a scatter-gather answers at the pace
-	// of its slowest shard.
+	// gate is the model's admission control; its depth probe reads its
+	// own count of admitted queries in flight, top-K included.
 	gate *admitGate
 
 	closed atomic.Bool
@@ -257,23 +253,15 @@ func newServer(ds *datasets.Dataset, opts Options, shards int, seed uint64) *Ser
 		degraded: new(obs.Counter),
 		topkMemo: topkMemo{cache: make(map[topkKey]*TopKResult)},
 	}
+	s.gate = newAdmitGate(opts)
 	for i := range s.engines {
 		o := opts
 		o.shard = i
 		o.ArtifactPath = s.shardArtifact(opts.ArtifactPath, i)
 		s.engines[i] = NewEngine(ds, o)
-		s.bats[i] = newBatcher(s.engines[i], opts.MaxBatch)
-		s.bats[i].instrument(opts.Obs, o.seriesLabels())
+		s.bats[i] = newBatcher(s.engines[i])
+		s.bats[i].instrument(opts.Obs, o.seriesLabels(), s.gate)
 	}
-	s.gate = newAdmitGate(opts, func() int {
-		max := 0
-		for _, b := range s.bats {
-			if d := len(b.reqs); d > max {
-				max = d
-			}
-		}
-		return max
-	})
 	model := map[string]string{"model": opts.ModelName}
 	s.gate.instrument(opts.Obs, model)
 	s.mux = http.NewServeMux()
@@ -399,15 +387,10 @@ func (s *Server) Install(m *core.Model) (uint64, error) {
 	return version, nil
 }
 
-// Close marks the server closed and stops every shard's micro-batch
-// dispatcher; subsequent queries on every endpoint and transport fail
-// with the retryable errClosed.
-func (s *Server) Close() {
-	s.closed.Store(true)
-	for _, b := range s.bats {
-		b.close()
-	}
-}
+// Close marks the server closed: subsequent queries on every endpoint
+// and transport fail with the retryable errClosed, and queries already
+// past that check finish with their answer.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // setShardDown takes shard i out of service or returns it: while down
 // its vertices stop answering (503) and /healthz reports the fleet
@@ -670,15 +653,14 @@ func (s *Server) status() fleetStatus {
 		}
 	}
 	f.WarmStart = loaded > 0 && warm
-	// Aggregate the per-shard micro-batcher counts so every shard
-	// count reports the same batching fields (parity is test-enforced).
+	// Aggregate the per-shard batch counts so every shard count reports
+	// the same batching fields (parity is test-enforced). Every answer
+	// is a batch of one: queries equal batches, coalescing is 1.
 	for _, b := range s.bats {
-		bb, qq := b.Stats()
-		f.Batches += bb
-		f.Queries += qq
+		f.Batches += b.batches.Load()
 	}
-	if f.Batches > 0 {
-		f.Coalescing = float64(f.Queries) / float64(f.Batches)
+	if f.Queries = f.Batches; f.Batches > 0 {
+		f.Coalescing = 1
 	}
 	return f
 }

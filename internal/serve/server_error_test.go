@@ -123,7 +123,7 @@ func TestTopKDefaultKClampedToTinyGraph(t *testing.T) {
 		Name: "tiny", Vertices: 8, TargetEdges: 20,
 		FeatureDim: 4, NumClasses: 2, Seed: 3,
 	})
-	srv := NewServer(ds, Options{Workers: 1, MaxBatch: 1})
+	srv := NewServer(ds, Options{Workers: 1})
 	m := core.NewModel(ds, core.Config{Layers: 2, Hidden: 4, Workers: 1, Seed: 17})
 	if _, err := srv.Install(m); err != nil {
 		t.Fatal(err)

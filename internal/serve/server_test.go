@@ -2,18 +2,14 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
@@ -301,178 +297,5 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Version != reloads+1 {
 		t.Errorf("final version = %d, want %d", health.Version, reloads+1)
-	}
-}
-
-// TestBatcherCoalesces pre-queues requests before the dispatcher
-// starts, so the first dispatch must drain them all into one batch —
-// a deterministic check that micro-batching actually coalesces.
-func TestBatcherCoalesces(t *testing.T) {
-	ds := testDataset(t, false)
-	eng := NewEngine(ds, Options{Workers: 1})
-	m := testModel(t, ds, 2, "mean")
-	if _, err := eng.Install(m); err != nil {
-		t.Fatal(err)
-	}
-	b := &batcher{
-		eng:      eng,
-		maxBatch: 64,
-		reqs:     make(chan *batchReq, 64),
-		done:     make(chan struct{}),
-	}
-	defer b.close()
-
-	const n = 5
-	outs := make([]*batchReq, n)
-	for i := 0; i < n; i++ {
-		r := &batchReq{ids: []int{i}, predict: i%2 == 1, out: make(chan batchResp, 1)}
-		outs[i] = r
-		b.reqs <- r
-	}
-	go b.loop()
-	for i, r := range outs {
-		resp := <-r.out
-		if resp.err != nil {
-			t.Fatalf("request %d: %v", i, resp.err)
-		}
-		if i%2 == 1 {
-			if resp.pred == nil || len(resp.pred.Labels) != 1 {
-				t.Fatalf("request %d: bad predict response %+v", i, resp.pred)
-			}
-		} else {
-			if resp.embed == nil || len(resp.embed.Vectors) != 1 {
-				t.Fatalf("request %d: bad embed response %+v", i, resp.embed)
-			}
-			// Batched answers must equal direct single-query answers.
-			direct, err := eng.Embed([]int{i})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, x := range resp.embed.Vectors[0] {
-				if x != direct.Vectors[0][j] {
-					t.Fatalf("request %d: batched vector differs from direct", i)
-				}
-			}
-		}
-	}
-	batches, queries := b.Stats()
-	if batches != 1 || queries != n {
-		t.Errorf("stats: %d batches / %d queries, want 1 / %d", batches, queries, n)
-	}
-
-	// A mixed batch with one invalid request fails only that request.
-	bad := &batchReq{ids: []int{-5}, out: make(chan batchResp, 1)}
-	good := &batchReq{ids: []int{1}, out: make(chan batchResp, 1)}
-	b.reqs <- bad
-	b.reqs <- good
-	if resp := <-bad.out; resp.err == nil {
-		t.Error("invalid request succeeded")
-	}
-	if resp := <-good.out; resp.err != nil {
-		t.Errorf("valid request poisoned by batchmate: %v", resp.err)
-	}
-}
-
-// TestBatcherInlineAndQueued drives the two ways into run. A request
-// that finds the queue empty and the inline token free is answered in
-// its own goroutine — here there is no dispatcher to answer it
-// otherwise; one that finds the token held queues for the dispatcher.
-// The answers must be equal and carry consecutive batch ids.
-func TestBatcherInlineAndQueued(t *testing.T) {
-	ds := testDataset(t, false)
-	eng := NewEngine(ds, Options{Workers: 1})
-	if _, err := eng.Install(testModel(t, ds, 2, "mean")); err != nil {
-		t.Fatal(err)
-	}
-	b := &batcher{eng: eng, maxBatch: 8, reqs: make(chan *batchReq, 8), done: make(chan struct{})}
-	defer b.close()
-	ctx := context.Background()
-	ids := []int{4, 1, 4}
-
-	inEmbed := b.submit(ctx, ids, false)
-	inPred := b.submit(ctx, ids, true)
-	if b.inline.Load() {
-		t.Fatal("inline token still held after its submits returned")
-	}
-
-	b.inline.Store(true) // as if another caller were mid-answer
-	go b.loop()
-	qEmbed := b.submit(ctx, ids, false)
-	qPred := b.submit(ctx, ids, true)
-	b.inline.Store(false)
-
-	for i, resp := range []batchResp{inEmbed, inPred, qEmbed, qPred} {
-		if resp.err != nil {
-			t.Fatalf("submit %d: %v", i, resp.err)
-		}
-		if resp.batch != uint64(i+1) {
-			t.Errorf("submit %d answered by batch %d, want %d", i, resp.batch, i+1)
-		}
-	}
-	if !reflect.DeepEqual(inEmbed.embed, qEmbed.embed) {
-		t.Errorf("embed: inline answer %+v != queued answer %+v", inEmbed.embed, qEmbed.embed)
-	}
-	if !reflect.DeepEqual(inPred.pred, qPred.pred) {
-		t.Errorf("predict: inline answer %+v != queued answer %+v", inPred.pred, qPred.pred)
-	}
-	for i, row := range inEmbed.embed.Vectors {
-		if cap(row) != len(row) {
-			t.Errorf("embed row %d: len %d, cap %d — an append could reach the next row of the batch's gather", i, len(row), cap(row))
-		}
-	}
-	if batches, queries := b.Stats(); batches != 4 || queries != 4 {
-		t.Errorf("stats: %d batches / %d queries, want 4 / 4", batches, queries)
-	}
-}
-
-// TestBatcherInlinePanicReleasesToken: a panic in run unwinds through
-// the submitter, as it would through the dispatcher, but must not take
-// the inline token with it — every later request would queue behind a
-// holder that no longer exists.
-func TestBatcherInlinePanicReleasesToken(t *testing.T) {
-	b := &batcher{maxBatch: 1, reqs: make(chan *batchReq, 1), done: make(chan struct{})} // no engine: run panics
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("run on a nil engine did not panic")
-			}
-		}()
-		b.submit(context.Background(), []int{0}, false)
-	}()
-	if b.inline.Load() {
-		t.Fatal("inline token still held after run panicked")
-	}
-}
-
-// TestBatcherCloseRacesInlineSubmit: close landing anywhere in a
-// submit — before it, while it answers inline, while it is queued —
-// yields the answer or errClosed, and never a hang.
-func TestBatcherCloseRacesInlineSubmit(t *testing.T) {
-	ds := testDataset(t, false)
-	eng := NewEngine(ds, Options{Workers: 1})
-	if _, err := eng.Install(testModel(t, ds, 2, "mean")); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 50; round++ {
-		b := newBatcher(eng, 8)
-		const submitters = 4
-		out := make(chan batchResp, submitters)
-		for i := 0; i < submitters; i++ {
-			go func(i int) { out <- b.submit(context.Background(), []int{i}, i%2 == 0) }(i)
-		}
-		go b.close()
-		for i := 0; i < submitters; i++ {
-			select {
-			case resp := <-out:
-				if resp.err != nil && !errors.Is(resp.err, errClosed) {
-					t.Fatalf("round %d: submit racing close: %v", round, resp.err)
-				}
-				if resp.err == nil && resp.embed == nil && resp.pred == nil {
-					t.Fatalf("round %d: neither an answer nor an error", round)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("round %d: submit racing close never returned", round)
-			}
-		}
 	}
 }

@@ -108,7 +108,7 @@ func writeQuery(w http.ResponseWriter, r *http.Request, res any, err error) {
 // ServeWire accepts persistent wire-protocol connections on l and
 // serves framed requests until the listener closes (its error is
 // returned). Each connection carries pipelined frames through HTTP's
-// admission/deadline/batching machinery; responses keep request order.
+// admission and deadline machinery; responses keep request order.
 func (r *Registry) ServeWire(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -127,10 +127,7 @@ func (r *Registry) ServeWire(l net.Listener) error {
 // empty slot, so pipelined top-K queries still run beside each other
 // and beside the point frames behind them; the frame's type alone
 // decides. The writer drains slots strictly in request order and
-// flushes when the pipeline runs dry. One connection's point frames so
-// reach the micro-batcher one at a time: it coalesces across
-// connections and HTTP requests, not within a pipeline burst. A
-// malformed frame answers with an error frame and closes the
+// flushes when the pipeline runs dry. A malformed frame answers with an error frame and closes the
 // connection: framing is unrecoverable once the stream is off by a byte.
 func (r *Registry) serveWireConn(conn net.Conn) {
 	defer conn.Close()
