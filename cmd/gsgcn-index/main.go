@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "preset generation seed (must match training)")
 		out     = fs.String("out", "", "artifact output path (default <load>.art)")
 		workers = fs.Int("workers", 0, "goroutines for the embedding pass and index build (0 = GOMAXPROCS)")
-		block   = fs.Int("block", 0, "vertices per streamed inference block (0 = 256)")
 		dtype   = fs.String("dtype", "f64", "resident representation to quantize into the artifact: f64|f32|i8pq (exact answers always stay f64)")
 		index   = fs.Bool("index", true, "include the HNSW index (false = embeddings only)")
 		annM    = fs.Int("ann-m", 0, "HNSW connectivity, must match the server's -ann-m (0 = 16)")
@@ -97,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ds.Name, ds.G.NumVertices(), ds.G.NumEdges(), m.ModelVersion)
 
 	opts := gsgcn.ServeOptions{
-		Workers: *workers, BlockSize: *block, ANNM: *annM, ANNEf: *annEf,
+		Workers: *workers, ANNM: *annM, ANNEf: *annEf,
 		Dtype: dt,
 	}
 	nShards := *shards

@@ -30,20 +30,9 @@
 //	gsgcn-serve -data reddit.gsg -load model.ckpt -addr :8080
 //	gsgcn-serve -dataset ppi -scale 0.05 -load model.ckpt
 //
-// Multiple models, one per -model flag (first one is the default
-// unless -default says otherwise). The value is name=checkpoint
-// followed by optional comma-separated key=value settings — data,
-// artifact, dtype, mmap, ann, ann-m, ann-ef, workers, block, shards,
-// shard-seed, deadline, shed-queue, qps — which fall back to the
-// matching global flags when absent:
-//
-//	gsgcn-serve -data g.gsg \
-//	    -model prod=prod.ckpt,artifact=prod.ckpt.art,ann=true \
-//	    -model canary=canary.ckpt
-//
-// Fleets can also be described in a JSON config file; settings absent
-// from a model's JSON object inherit the matching global flags, just
-// like -model:
+// Multiple models are described in a JSON config file (the first model
+// is the default unless "default" or -default says otherwise); settings
+// absent from a model's JSON object inherit the matching global flags:
 //
 //	gsgcn-serve -config fleet.json
 //	{
@@ -67,7 +56,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -82,7 +70,7 @@ import (
 var logger = gsgcn.NewStructuredLogger(os.Stderr)
 
 // modelSpec is one model's serving configuration — the JSON config
-// schema and the parsed form of a -model flag.
+// schema.
 type modelSpec struct {
 	Name       string `json:"name"`
 	Checkpoint string `json:"checkpoint"`
@@ -105,7 +93,6 @@ type modelSpec struct {
 	ANNM    int  `json:"ann_m"`
 	ANNEf   int  `json:"ann_ef"`
 	Workers int  `json:"workers"`
-	Block   int  `json:"block"`
 	// Shards > 1 serves the model as a sharded fleet behind a
 	// scatter-gather router; ShardSeed keys the deterministic
 	// vertex-shard assignment and must match the artifact build.
@@ -132,9 +119,8 @@ type fleetConfig struct {
 // parseFleetConfig decodes and validates a -config document. Each
 // model is decoded over a copy of the global-flag defaults, so
 // settings absent from the JSON inherit the matching command-line
-// flags — the same semantics as -model. Unknown fields are rejected
-// so a typoed setting fails loudly instead of silently serving
-// defaults.
+// flags. Unknown fields are rejected so a typoed setting fails loudly
+// instead of silently serving defaults.
 func parseFleetConfig(raw []byte, defaults modelSpec) (fleetConfig, error) {
 	var doc struct {
 		Default string            `json:"default"`
@@ -164,86 +150,15 @@ func parseFleetConfig(raw []byte, defaults modelSpec) (fleetConfig, error) {
 	return fc, nil
 }
 
-// modelFlags collects repeated -model values.
-type modelFlags []string
-
-func (m *modelFlags) String() string     { return strings.Join(*m, " ") }
-func (m *modelFlags) Set(v string) error { *m = append(*m, v); return nil }
-
-// parseModelFlag parses "name=ckpt[,key=value…]" into a spec seeded
-// from the global-flag defaults.
-func parseModelFlag(v string, def modelSpec) (modelSpec, error) {
-	spec := def
-	parts := strings.Split(v, ",")
-	name, ckpt, ok := strings.Cut(parts[0], "=")
-	if !ok || name == "" || ckpt == "" {
-		return spec, fmt.Errorf("-model %q: want name=checkpoint[,key=value…]", v)
-	}
-	spec.Name, spec.Checkpoint = name, ckpt
-	for _, p := range parts[1:] {
-		key, val, ok := strings.Cut(p, "=")
-		if !ok {
-			// A bare "ann" reads naturally as ann=true.
-			if p == "ann" {
-				spec.ANN = true
-				continue
-			}
-			return spec, fmt.Errorf("-model %q: bad setting %q (want key=value)", v, p)
-		}
-		var err error
-		switch key {
-		case "data":
-			spec.Data = val
-		case "artifact":
-			spec.Artifact = val
-		case "dtype":
-			_, err = gsgcn.ParseServingDtype(val)
-			spec.Dtype = val
-		case "mmap":
-			spec.Mmap, err = strconv.ParseBool(val)
-		case "ann":
-			spec.ANN, err = strconv.ParseBool(val)
-		case "ann-m":
-			spec.ANNM, err = strconv.Atoi(val)
-		case "ann-ef":
-			spec.ANNEf, err = strconv.Atoi(val)
-		case "workers":
-			spec.Workers, err = strconv.Atoi(val)
-		case "block":
-			spec.Block, err = strconv.Atoi(val)
-		case "shards":
-			spec.Shards, err = strconv.Atoi(val)
-		case "shard-seed":
-			spec.ShardSeed, err = strconv.ParseUint(val, 10, 64)
-		case "deadline":
-			var d time.Duration
-			if d, err = time.ParseDuration(val); err == nil {
-				spec.DeadlineMS = float64(d) / float64(time.Millisecond)
-			}
-		case "shed-queue":
-			spec.ShedQueue, err = strconv.Atoi(val)
-		case "qps":
-			spec.QPS, err = strconv.ParseFloat(val, 64)
-		default:
-			return spec, fmt.Errorf("-model %q: unknown setting %q", v, key)
-		}
-		if err != nil {
-			return spec, fmt.Errorf("-model %q: bad %s value %q: %v", v, key, val, err)
-		}
-	}
-	return spec, nil
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "gsgcn-serve:", err)
 	os.Exit(1)
 }
 
 func main() {
-	var models modelFlags
 	var (
 		load    = flag.String("load", "", "model checkpoint to serve (single-model mode)")
-		config  = flag.String("config", "", "JSON fleet config file (see package docs); overrides -load and -model")
+		config  = flag.String("config", "", "JSON fleet config file (see package docs); overrides -load")
 		defName = flag.String("default", "", "model answering the unprefixed legacy routes (default: the first model)")
 		data    = flag.String("data", "", "serving graph in .gsg format (overrides -dataset)")
 		dataset = flag.String("dataset", "ppi", "preset to regenerate when -data is unset: ppi|reddit|yelp|amazon")
@@ -252,7 +167,6 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		wireAt  = flag.String("wire-addr", "", "also serve the persistent binary wire transport on this TCP address (e.g. :9001); off when empty — see docs/API.md for the framing")
 		workers = flag.Int("workers", 0, "goroutines for embedding computation and top-K scans (0 = GOMAXPROCS)")
-		block   = flag.Int("block", 0, "vertices per streamed inference block (0 = 256)")
 		annOn   = flag.Bool("ann", false, "answer /topk with the approximate HNSW index by default (per-request mode=exact|ann overrides)")
 		annM    = flag.Int("ann-m", 0, "HNSW connectivity: links per vertex per layer, 2x on the base layer (0 = 16)")
 		annEf   = flag.Int("ann-ef", 0, "default HNSW query beam width; higher = better recall, slower (0 = 64)")
@@ -267,22 +181,20 @@ func main() {
 		pprofAt = flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (e.g. 127.0.0.1:6060); off when empty, and never on the serving listener")
 		noLog   = flag.Bool("no-access-log", false, "disable the per-request JSON access log (lifecycle events still log)")
 	)
-	flag.Var(&models, "model", "serve an extra model: name=checkpoint[,data=…][,artifact=…][,dtype=…][,mmap=…][,ann=…][,ann-m=…][,ann-ef=…][,workers=…][,block=…][,shards=…][,shard-seed=…][,deadline=…][,shed-queue=…][,qps=…] (repeatable; first is the default model)")
 	flag.Parse()
 
 	// Global flags double as the per-model defaults.
 	defaults := modelSpec{
 		Artifact: *art, Dtype: *dtype, Mmap: *useMmap,
 		ANN: *annOn, ANNM: *annM, ANNEf: *annEf,
-		Workers: *workers, Block: *block,
-		Shards: *shards, ShardSeed: *shSeed,
+		Workers: *workers,
+		Shards:  *shards, ShardSeed: *shSeed,
 		DeadlineMS: float64(*dline) / float64(time.Millisecond), ShedQueue: *shedQ, QPS: *qps,
 	}
 
 	var specs []modelSpec
 	wantDefault := *defName
-	switch {
-	case *config != "":
+	if *config != "" {
 		raw, err := os.ReadFile(*config)
 		if err != nil {
 			fatal(err)
@@ -295,17 +207,9 @@ func main() {
 		if wantDefault == "" {
 			wantDefault = fc.Default
 		}
-	case len(models) > 0:
-		for _, v := range models {
-			spec, err := parseModelFlag(v, defaults)
-			if err != nil {
-				fatal(err)
-			}
-			specs = append(specs, spec)
-		}
-	default:
+	} else {
 		if *load == "" {
-			fmt.Fprintln(os.Stderr, "gsgcn-serve: -load, -model or -config is required")
+			fmt.Fprintln(os.Stderr, "gsgcn-serve: -load or -config is required")
 			os.Exit(2)
 		}
 		spec := defaults
@@ -371,8 +275,8 @@ func main() {
 			fatal(fmt.Errorf("model %q: mmap needs an artifact to map", spec.Name))
 		}
 		opts := gsgcn.ServeOptions{
-			Workers: spec.Workers, BlockSize: spec.Block,
-			ANN: spec.ANN, ANNM: spec.ANNM, ANNEf: spec.ANNEf,
+			Workers: spec.Workers,
+			ANN:     spec.ANN, ANNM: spec.ANNM, ANNEf: spec.ANNEf,
 			ArtifactPath: spec.Artifact, Dtype: dt, Mmap: spec.Mmap,
 			Deadline:    time.Duration(spec.DeadlineMS * float64(time.Millisecond)),
 			ShedQueueHW: spec.ShedQueue,

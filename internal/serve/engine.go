@@ -14,7 +14,7 @@
 // they started with and nothing is ever locked on the query path.
 //
 // Determinism: the embedding table is bit-identical at every Workers
-// and BlockSize setting and to the training-side forward pass (see
+// setting and to the training-side forward pass (see
 // core.Model.FullEmbeddings), and selection under a total order does
 // not depend on how a scan was split, so every answer is too.
 package serve
@@ -45,10 +45,6 @@ type Options struct {
 	// builds and exact top-K scans (0 = GOMAXPROCS); an ANN query runs
 	// on its caller's goroutine. Results are identical at every setting.
 	Workers int
-	// BlockSize is the number of vertices per streamed block of the
-	// layer-wise forward pass (0 = 256). Affects scratch memory and
-	// scheduling granularity only, never results.
-	BlockSize int
 	// ANN makes the HNSW index the default /topk mode (requests may
 	// still pick mode=exact per call). The index is built lazily on
 	// the first ANN query against a snapshot and memoized until the
@@ -82,8 +78,9 @@ type Options struct {
 	// arch metadata and the dataset's graph fingerprint; any mismatch,
 	// corruption or absence falls back to the lazy full compute (the
 	// reason lands in State.WarmNote and /healthz). Empty disables the
-	// warm path. On a sharded Server it is the fleet-wide base, and each
-	// shard engine warm-starts from its artifact.ShardPath.
+	// warm path. On a Server it is the initial artifact base, which the
+	// Server owns from then on: each install warm-starts shard i from
+	// the base's artifact.ShardPath.
 	ArtifactPath string
 	// shards, shard and shardSeed are a shard engine's identity, set
 	// only by newServer: the engine holds and serves only the embedding
@@ -157,9 +154,6 @@ func (o Options) annParams() ann.Params {
 func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = perf.NumWorkers()
-	}
-	if o.BlockSize == 0 {
-		o.BlockSize = 256
 	}
 	if o.ANNM == 0 {
 		o.ANNM = 16
@@ -300,10 +294,12 @@ func (s *State) IndexReady() bool { return s.annIdx.Load() != nil }
 
 // Engine is one shard: it owns the snapshot lifecycle (install, warm
 // start, hot reload) of its rows and answers from the latest published
-// State. A Server runs one per shard; embedded as a library it is the
-// whole graph, and its Embed, Predict and TopKWith run the same code a
-// Server runs on a shard — point, and the probe Server.topK sends each
-// shard — without the Server's admission, deadline or memo.
+// State. A Server runs one per shard and hands each install its
+// warm-start source; embedded as a library it is the whole graph,
+// warm-starting from Options.ArtifactPath, and its Embed, Predict and
+// TopKWith run the same code a Server runs on a shard — point, and the
+// probe Server.topK sends each shard — without the Server's admission,
+// deadline or memo.
 type Engine struct {
 	ds   *datasets.Dataset
 	opts Options
@@ -318,26 +314,13 @@ type Engine struct {
 
 	reloadMu sync.Mutex // serializes snapshot construction
 
-	// artMu guards artifactPath/artDirty — deliberately a separate
-	// mutex from reloadMu so /healthz and /models can report the
-	// warm-start source while a slow snapshot build holds reloadMu;
-	// liveness probes must never stall behind a reload's full-graph
-	// recompute.
-	artMu sync.Mutex
-	// artifactPath is the warm-start source consulted on every
-	// install. It starts as Options.ArtifactPath and can be retargeted
-	// between reloads with setArtifactPath — e.g. a /reload that ships
-	// a new checkpoint together with its freshly built artifact. Empty
-	// disables the warm path.
-	artifactPath string
-	// artDirty marks a retarget since the last install, telling the
-	// next buildState to forget the previous artifact's fingerprint.
-	artDirty bool
-
-	// artSum/artMeta fingerprint the artifact backing the current
-	// warm-started snapshot (guarded by reloadMu; artSum 0 = none). A
-	// reload whose artifact checksum and validation target both match
-	// reuses the in-memory tables instead of re-decoding the file.
+	// artPath/artSum/artMeta fingerprint the artifact backing the
+	// current warm-started snapshot (guarded by reloadMu; artSum 0 =
+	// none): the file it was read from, its checksum and its validation
+	// target. A reload from the same path whose checksum and target all
+	// match reuses the in-memory tables instead of re-decoding the file;
+	// a new path is always read in full.
+	artPath string
 	artSum  uint64
 	artMeta artifact.Meta
 }
@@ -347,7 +330,7 @@ type Engine struct {
 // LoadCheckpoint succeeds.
 func NewEngine(ds *datasets.Dataset, opts Options) *Engine {
 	opts = opts.withDefaults()
-	e := &Engine{ds: ds, opts: opts, artifactPath: opts.ArtifactPath}
+	e := &Engine{ds: ds, opts: opts}
 	if opts.sharded() {
 		e.owned = opts.shardMap().Owned(ds.G.NumVertices(), opts.shard)
 	}
@@ -355,32 +338,6 @@ func NewEngine(ds *datasets.Dataset, opts Options) *Engine {
 		e.registerMetrics(opts.Obs)
 	}
 	return e
-}
-
-// ArtifactPath returns the warm-start artifact path the next install
-// will consult (empty = warm path disabled). It never touches
-// reloadMu, so status endpoints can call it during a slow reload.
-func (e *Engine) ArtifactPath() string {
-	e.artMu.Lock()
-	defer e.artMu.Unlock()
-	return e.artifactPath
-}
-
-// setArtifactPath retargets the warm-start source for subsequent
-// installs and reloads. Changing the path also makes the next install
-// forget the previous artifact's fingerprint, so it fully re-reads
-// and re-validates the new file instead of short-circuiting into the
-// unchanged-artifact reuse path. The current serving snapshot is
-// untouched: /healthz keeps reporting the state it was built with
-// until the next reload actually installs one.
-func (e *Engine) setArtifactPath(path string) {
-	e.artMu.Lock()
-	defer e.artMu.Unlock()
-	if e.artifactPath == path {
-		return
-	}
-	e.artifactPath = path
-	e.artDirty = true
 }
 
 // errNoModel marks a query that arrived before any model was loaded:
@@ -404,40 +361,33 @@ func (e *Engine) Snapshot() (*State, error) {
 // the installed model — hot reload should Install a fresh model or go
 // through LoadCheckpoint, which reconstructs one from disk.
 func (e *Engine) Install(m *core.Model) (uint64, error) {
-	return e.installShared(m, nil)
+	return e.installShared(m, e.opts.ArtifactPath, nil)
 }
 
-// installShared is Install with an optional shared table source: when
+// installShared is Install from the warm-start source artPath (empty
+// disables the warm path), with an optional shared table source: when
 // full is non-nil and the cold path runs, the whole-graph tables come
 // from full() instead of a private computeTables call. A Server
-// installing one model across N shard engines passes a memoized full
-// so the expensive whole-graph pass happens once per fleet install,
-// not once per shard; each engine still keeps only its owned rows.
-func (e *Engine) installShared(m *core.Model, full func() (*mat.Dense, []float64)) (uint64, error) {
+// installing one model across N shard engines passes each its own
+// artifact and a memoized full, so the expensive whole-graph pass
+// happens once per fleet install, not once per shard; each engine
+// still keeps only its owned rows.
+func (e *Engine) installShared(m *core.Model, artPath string, full func() (*mat.Dense, []float64)) (uint64, error) {
 	if err := modelFits(m, e.ds); err != nil {
 		return 0, err
 	}
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
-	st := e.buildState(m, full)
+	st := e.buildState(m, artPath, full)
 	st.Version = e.swaps.Add(1)
 	e.state.Store(st)
 	return st.Version, nil
 }
 
 // buildState produces the next serving snapshot for m (reloadMu
-// held): the artifact warm path when configured and valid, the full
+// held): the warm path from artPath when set and valid, the full
 // layer-wise compute otherwise. Version is left for the caller.
-func (e *Engine) buildState(m *core.Model, full func() (*mat.Dense, []float64)) *State {
-	e.artMu.Lock()
-	artPath, dirty := e.artifactPath, e.artDirty
-	e.artDirty = false
-	e.artMu.Unlock()
-	if dirty {
-		// The source was retargeted since the last install: the cached
-		// fingerprint describes a different file.
-		e.artSum, e.artMeta = 0, artifact.Meta{}
-	}
+func (e *Engine) buildState(m *core.Model, artPath string, full func() (*mat.Dense, []float64)) *State {
 	var warmNote string
 	if artPath != "" {
 		st, note := e.warmState(m, artPath)
@@ -553,14 +503,14 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 	return e.warmDecoded(m, artPath, want)
 }
 
-// reuseState is the no-decode reload path: when the artifact whose
-// checksum is sum is the very file the previous warm snapshot was
-// built from (and, for the mmap path, that snapshot still holds its
-// mapping), it clones the serving-table fields into a fresh State for
-// m. It returns nil when the artifact has to be read again.
-func (e *Engine) reuseState(m *core.Model, sum uint64, want artifact.Meta, needMapping bool) *State {
+// reuseState is the no-decode reload path: when the artifact at
+// artPath whose checksum is sum is the very file the previous warm
+// snapshot was built from (and, for the mmap path, that snapshot still
+// holds its mapping), it clones the serving-table fields into a fresh
+// State for m. It returns nil when the artifact has to be read again.
+func (e *Engine) reuseState(m *core.Model, artPath string, sum uint64, want artifact.Meta, needMapping bool) *State {
 	prev := e.state.Load()
-	if prev == nil || !prev.WarmStart || sum != e.artSum || e.artMeta != want || needMapping && prev.mapped == nil {
+	if prev == nil || !prev.WarmStart || artPath != e.artPath || sum != e.artSum || e.artMeta != want || needMapping && prev.mapped == nil {
 		return nil
 	}
 	st := e.newState(m, prev.Emb, prev.norms)
@@ -584,16 +534,17 @@ type warmTables struct {
 	pq    *mat.PQTable
 }
 
-// adoptTables finishes a warm start from an artifact's tables, backed
-// by mapped when they are views into a mapping: tables built for
-// another target are rejected, the file's checksum becomes the reuse
-// fingerprint, and the snapshot adopts the persisted index and dtype
-// payload where they are what the engine would derive itself.
-func (e *Engine) adoptTables(m *core.Model, want artifact.Meta, sum uint64, t warmTables, mapped *artifact.Mapped) (*State, string) {
+// adoptTables finishes a warm start from the tables of the artifact at
+// artPath, backed by mapped when they are views into a mapping: tables
+// built for another target are rejected, the file's path and checksum
+// become the reuse fingerprint, and the snapshot adopts the persisted
+// index and dtype payload where they are what the engine would derive
+// itself.
+func (e *Engine) adoptTables(m *core.Model, want artifact.Meta, artPath string, sum uint64, t warmTables, mapped *artifact.Mapped) (*State, string) {
 	if t.meta != want {
 		return nil, fmt.Sprintf("artifact was built for %+v, serving %+v", t.meta, want)
 	}
-	e.artSum, e.artMeta = sum, want
+	e.artPath, e.artSum, e.artMeta = artPath, sum, want
 	st := e.newState(m, t.emb, t.norms)
 	st.WarmStart = true
 	// A persisted index is installed only when it is the index the lazy
@@ -618,9 +569,9 @@ func (e *Engine) warmMapped(m *core.Model, artPath string, want artifact.Meta) (
 	if err != nil {
 		return nil, err.Error()
 	}
-	st, note := e.reuseState(m, mp.Sum(), want, true), ""
+	st, note := e.reuseState(m, artPath, mp.Sum(), want, true), ""
 	if st == nil {
-		st, note = e.adoptTables(m, want, mp.Sum(),
+		st, note = e.adoptTables(m, want, artPath, mp.Sum(),
 			warmTables{mp.Meta(), mp.Table(), mp.Norms(), mp.Index(), mp.F32(), mp.PQ()}, mp)
 	}
 	if st == nil || st.mapped != mp {
@@ -643,14 +594,14 @@ func (e *Engine) warmDecoded(m *core.Model, artPath string, want artifact.Meta) 
 	if err != nil {
 		return nil, err.Error()
 	}
-	if st := e.reuseState(m, sum, want, false); st != nil {
+	if st := e.reuseState(m, artPath, sum, want, false); st != nil {
 		return st, ""
 	}
 	snap, err := artifact.DecodeVerified(data)
 	if err != nil {
 		return nil, err.Error()
 	}
-	return e.adoptTables(m, want, sum,
+	return e.adoptTables(m, want, artPath, sum,
 		warmTables{snap.Meta, snap.Emb, snap.Norms, snap.Index, snap.F32, snap.PQ}, nil)
 }
 
@@ -826,10 +777,18 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResu
 	return res
 }
 
+// batchResp is one shard's answer to a point query.
+type batchResp struct {
+	embed *EmbedResult
+	pred  *PredictResult
+	batch uint64 // id of the batch that answered (0 on error)
+	err   error
+}
+
 // point answers one point query against a single snapshot: validation,
 // one row gather for the queried ids and, for a prediction, one head
 // GEMM. It is the whole of Embed and Predict, and what a Server's
-// batcher runs on each shard.
+// shard.point runs.
 func (e *Engine) point(ids []int, predict bool) batchResp {
 	st, err := e.Snapshot()
 	if err != nil {

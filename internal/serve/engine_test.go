@@ -39,7 +39,7 @@ func TestEngineMatchesTrainingForward(t *testing.T) {
 		ctx := m.CtxForGraph(ds.G, ds.FeatureDim(), nil)
 		want := m.Forward(ctx, ds.Features)
 
-		eng := NewEngine(ds, Options{Workers: 3, BlockSize: 33})
+		eng := NewEngine(ds, Options{Workers: 3})
 		if _, err := eng.Install(m); err != nil {
 			t.Fatal(err)
 		}

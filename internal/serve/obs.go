@@ -257,19 +257,13 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		dlabels, func(st *State) float64 { return float64(st.MappedBytes()) })
 }
 
-// batcherInst holds the batcher's histogram handles (nil on an
-// unobserved batcher, e.g. one built directly in a test).
-type batcherInst struct {
-	batchSize *obs.Histogram
-	flush     *obs.Histogram
-}
-
-// instrument exports the batcher's gsgcn_batcher_* series. The counts
-// already tracked in atomics — the batcher's own and the model gate's
+// instrument exports the shard's gsgcn_batcher_* series, named for the
+// micro-batcher that once answered point queries. The counts already
+// tracked in atomics — the shard's answers and the model gate's
 // in-flight count — surface as func-backed series: no double
-// accounting. Call before the batcher takes traffic.
-func (b *batcher) instrument(reg *obs.Registry, labels map[string]string, gate *admitGate) {
-	answered := func() float64 { return float64(b.batches.Load()) }
+// accounting. Call before the shard takes traffic.
+func (sh *shard) instrument(reg *obs.Registry, labels map[string]string, gate *admitGate) {
+	answered := func() float64 { return float64(sh.answered.Load()) }
 	reg.GaugeFunc("gsgcn_batcher_queue_depth",
 		"Admitted queries of the model in flight (equal to gsgcn_inflight; the depth -shed-queue checks).",
 		labels, func() float64 { return float64(gate.Inflight()) })
@@ -279,12 +273,10 @@ func (b *batcher) instrument(reg *obs.Registry, labels map[string]string, gate *
 	reg.CounterFunc("gsgcn_batcher_queries_total",
 		"Point queries answered (equal to gsgcn_batcher_batches_total).",
 		labels, answered)
-	b.inst = &batcherInst{
-		batchSize: reg.Histogram("gsgcn_batcher_batch_size",
-			"Vertex ids per answered point query.",
-			labels, obs.SizeBuckets),
-		flush: reg.Histogram("gsgcn_batcher_flush_duration_seconds",
-			"Wall time to answer one point query on the shard.",
-			labels, obs.LatencyBuckets),
-	}
+	sh.size = reg.Histogram("gsgcn_batcher_batch_size",
+		"Vertex ids per answered point query.",
+		labels, obs.SizeBuckets)
+	sh.flush = reg.Histogram("gsgcn_batcher_flush_duration_seconds",
+		"Wall time to answer one point query on the shard.",
+		labels, obs.LatencyBuckets)
 }

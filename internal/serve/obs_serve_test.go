@@ -217,9 +217,11 @@ func TestEndpointLabelCardinalityBounded(t *testing.T) {
 }
 
 // TestScrapeNeverBlocksOnReloadLocks holds the exact locks a slow
-// reload holds — the engine's reloadMu and the router's swapMu — and
-// proves a scrape still completes: every gauge reads atomics, never a
-// mutex. Run under -race this also checks the reads are clean.
+// reload holds — a shard engine's reloadMu and the server's installMu —
+// and proves a scrape still completes: every gauge reads atomics, never
+// a mutex. So do the status bodies that report the checkpoint and
+// artifact base (/models, /models/{name}/healthz). Run under -race this
+// also checks the reads are clean.
 func TestScrapeNeverBlocksOnReloadLocks(t *testing.T) {
 	ds := testDataset(t, false)
 	dir := t.TempDir()
@@ -244,20 +246,29 @@ func TestScrapeNeverBlocksOnReloadLocks(t *testing.T) {
 	ts := httptest.NewServer(reg)
 	defer ts.Close()
 
-	srv.engines[0].reloadMu.Lock()
-	defer srv.engines[0].reloadMu.Unlock()
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
+	srv.shards[0].eng.reloadMu.Lock()
+	defer srv.shards[0].eng.reloadMu.Unlock()
+	srv.installMu.Lock()
+	defer srv.installMu.Unlock()
+	rt.installMu.Lock()
+	defer rt.installMu.Unlock()
 
-	done := make(chan string, 1)
-	go func() { done <- scrape(t, ts.URL+"/metrics") }()
-	select {
-	case body := <-done:
-		if !strings.Contains(body, `gsgcn_snapshot_version{model="m"} 1`) {
-			t.Error("scrape under held locks lost the snapshot gauge")
+	for path, want := range map[string]string{
+		"/metrics":              `gsgcn_snapshot_version{model="m"} 1`,
+		"/models":               fmt.Sprintf(`"checkpoint":%q`, ckpt),
+		"/models/m/healthz":     fmt.Sprintf(`"checkpoint":%q`, ckpt),
+		"/models/fleet/healthz": fmt.Sprintf(`"checkpoint":%q`, ckpt),
+	} {
+		done := make(chan string, 1)
+		go func(path string) { done <- scrape(t, ts.URL+path) }(path)
+		select {
+		case body := <-done:
+			if !strings.Contains(body, want) {
+				t.Errorf("%s under held locks lacks %s", path, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s blocked on reload locks", path)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("scrape blocked on reload locks")
 	}
 }
 

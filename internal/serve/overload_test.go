@@ -55,7 +55,7 @@ func TestSubmitSkipsInvalidQueries(t *testing.T) {
 	if _, err := eng.Install(m); err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(eng)
+	b := &shard{eng: eng}
 	reg := obs.NewRegistry()
 	b.instrument(reg, nil, newAdmitGate(Options{}))
 	observed := func(want int) {
@@ -71,14 +71,14 @@ func TestSubmitSkipsInvalidQueries(t *testing.T) {
 		}
 	}
 
-	if resp := b.submit(context.Background(), []int{99999}, false); resp.err == nil || resp.batch != 0 {
+	if resp := b.point(context.Background(), []int{99999}, false); resp.err == nil || resp.batch != 0 {
 		t.Fatalf("invalid query: batch=%d err=%v, want an error and no batch", resp.batch, resp.err)
 	}
-	if n := b.batches.Load(); n != 0 {
+	if n := b.answered.Load(); n != 0 {
 		t.Fatalf("invalid query burned %d batch ids", n)
 	}
 	observed(0)
-	if resp := b.submit(context.Background(), []int{1}, false); resp.err != nil || resp.batch != 1 {
+	if resp := b.point(context.Background(), []int{1}, false); resp.err != nil || resp.batch != 1 {
 		t.Fatalf("first valid query: batch=%d err=%v, want batch 1", resp.batch, resp.err)
 	}
 	observed(1)
@@ -94,7 +94,7 @@ func TestSubmitEndedContextRunsNothing(t *testing.T) {
 	if _, err := eng.Install(testModel(t, ds, 2, "mean")); err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(eng)
+	b := &shard{eng: eng}
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -105,7 +105,7 @@ func TestSubmitEndedContextRunsNothing(t *testing.T) {
 		want error
 	}{{canceled, context.Canceled}, {expired, context.DeadlineExceeded}} {
 		for _, predict := range []bool{false, true} {
-			resp := b.submit(c.ctx, []int{0}, predict)
+			resp := b.point(c.ctx, []int{0}, predict)
 			if !errors.Is(resp.err, c.want) || !strings.Contains(resp.err.Error(), "before enqueue") {
 				t.Fatalf("predict=%v: err = %v, want %v before enqueue", predict, resp.err, c.want)
 			}
@@ -114,7 +114,7 @@ func TestSubmitEndedContextRunsNothing(t *testing.T) {
 			}
 		}
 	}
-	if n := b.batches.Load(); n != 0 {
+	if n := b.answered.Load(); n != 0 {
 		t.Fatalf("ended contexts burned %d batch ids", n)
 	}
 }
@@ -129,7 +129,7 @@ func TestSubmitNumbersBatchesAndCapsRows(t *testing.T) {
 	if _, err := eng.Install(testModel(t, ds, 2, "mean")); err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(eng)
+	b := &shard{eng: eng}
 	ids := []int{4, 1, 4}
 	wantEmbed, err := eng.Embed(ids)
 	if err != nil {
@@ -142,7 +142,7 @@ func TestSubmitNumbersBatchesAndCapsRows(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		predict := i%2 == 1
-		resp := b.submit(context.Background(), ids, predict)
+		resp := b.point(context.Background(), ids, predict)
 		if resp.err != nil {
 			t.Fatalf("submit %d: %v", i, resp.err)
 		}
@@ -164,7 +164,7 @@ func TestSubmitNumbersBatchesAndCapsRows(t *testing.T) {
 			}
 		}
 	}
-	if n := b.batches.Load(); n != 4 {
+	if n := b.answered.Load(); n != 4 {
 		t.Errorf("batches = %d after 4 answered queries, want 4", n)
 	}
 }
@@ -174,8 +174,8 @@ func TestSubmitNumbersBatchesAndCapsRows(t *testing.T) {
 // would read one deeper forever and -shed-queue would shed early.
 func TestPointPanicReleasesInflight(t *testing.T) {
 	srv := overloadServer(t, Options{Workers: 1, ShedQueueHW: 1})
-	good := srv.bats[0]
-	srv.bats[0] = newBatcher(nil) // no engine: the shard's answer panics
+	good := srv.shards[0].eng
+	srv.shards[0].eng = nil // no engine: the shard's answer panics
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -184,7 +184,7 @@ func TestPointPanicReleasesInflight(t *testing.T) {
 		}()
 		srv.point(context.Background(), func() ([]int, error) { return []int{0}, nil }, false)
 	}()
-	srv.bats[0] = good
+	srv.shards[0].eng = good
 	if n := srv.gate.Inflight(); n != 0 {
 		t.Fatalf("inflight = %d after the query panicked", n)
 	}
@@ -253,7 +253,7 @@ func TestShedCountsQueriesInFlight(t *testing.T) {
 		return rec.Code, rec.Body.String()
 	}
 
-	release := holdIndexBuild(t, rt.engines[2])
+	release := holdIndexBuild(t, rt.shards[2].eng)
 	held := make(chan int, 1)
 	go func() {
 		code, _ := get(heldTopK)
@@ -360,8 +360,8 @@ func TestDeadlineCountsFromArrival(t *testing.T) {
 				t.Fatalf("shards=%d %s, body slower than the deadline: code=%d body=%s", shards, path, rec.Code, rec.Body)
 			}
 		}
-		for i, b := range rt.bats {
-			if n := b.batches.Load(); n != 0 {
+		for i := range rt.shards {
+			if n := rt.shards[i].answered.Load(); n != 0 {
 				t.Errorf("shards=%d: shard %d answered %d queries past their deadline", shards, i, n)
 			}
 		}
@@ -376,7 +376,7 @@ func TestDeadlineCountsFromArrival(t *testing.T) {
 func TestDeadlineBindsSlowTopK(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		rt := deadlineRouter(t, shards)
-		release := holdIndexBuild(t, rt.engines[shards-1])
+		release := holdIndexBuild(t, rt.shards[shards-1].eng)
 		done := make(chan *httptest.ResponseRecorder, 1)
 		query := func(ctx context.Context) {
 			rec := httptest.NewRecorder()

@@ -13,8 +13,8 @@ import (
 // (point) and top-K — that HTTP-JSON, the negotiated binary encoding
 // and the framed-TCP listener are codecs over. Each operation runs
 // deadline → admit → parse/validate → group by owner → per-shard
-// batcher or probe → stitch or merge, in that order, exactly once in
-// the package.
+// point or probe → stitch or merge, in that order, exactly once in the
+// package.
 
 // errMethod marks requests using an unsupported HTTP method.
 var errMethod = errors.New("serve: method not allowed")
@@ -95,7 +95,7 @@ func (s *Server) ownerOf(id int) (int, error) {
 		}
 		o = s.opts.shardMap().Assign(int32(id))
 	}
-	if s.down[o].Load() {
+	if s.shards[o].down.Load() {
 		s.degraded.Inc()
 		return 0, fmt.Errorf("%w: vertex id %d is owned by stopped shard %d", errShardDown, id, o)
 	}
@@ -168,9 +168,8 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 	}
 	if single {
 		// One shard owns every id — always so for a fleet of one: its
-		// batcher's answer is the answer. No scatter goroutine, no
-		// stitch copy.
-		resp := s.bats[owners[0]].submit(ctx, ids, predict)
+		// answer is the answer. No scatter goroutine, no stitch copy.
+		resp := s.shards[owners[0]].point(ctx, ids, predict)
 		if resp.err != nil {
 			return nil, resp.err
 		}
@@ -181,11 +180,11 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 		return resp.embed, nil
 	}
 
-	groups := make([][]int, len(s.engines))
+	groups := make([][]int, len(s.shards))
 	for i, o := range owners {
 		groups[o] = append(groups[o], ids[i])
 	}
-	parts := make([]batchResp, len(s.engines))
+	parts := make([]batchResp, len(s.shards))
 	fanout := 0
 	var wg sync.WaitGroup
 	for o, sub := range groups {
@@ -196,7 +195,7 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 		wg.Add(1)
 		go func(o int, sub []int) {
 			defer wg.Done()
-			parts[o] = s.bats[o].submit(ctx, sub, predict)
+			parts[o] = s.shards[o].point(ctx, sub, predict)
 		}(o, sub)
 	}
 	wg.Wait()
@@ -208,7 +207,7 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 	s.annotate(ctx, fanout, 0)
 
 	// Stitch the per-shard answers back in request order.
-	pos := make([]int, len(s.engines))
+	pos := make([]int, len(s.shards))
 	first := parts[owners[0]]
 	if predict {
 		res := &PredictResult{
@@ -371,7 +370,7 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 	if err != nil {
 		return nil, err
 	}
-	st, vec, norm, err := s.engines[owner].snapshotRow(q.id)
+	st, vec, norm, err := s.shards[owner].eng.snapshotRow(q.id)
 	if err != nil {
 		return nil, err
 	}
@@ -384,12 +383,12 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 	// Snapshot the down set once: the probes and the degraded flag
 	// must agree on which shards were skipped.
 	live := make([]int, 0, 8)
-	for i := range s.engines {
-		if !s.down[i].Load() {
+	for i := range s.shards {
+		if !s.shards[i].down.Load() {
 			live = append(live, i)
 		}
 	}
-	degraded := len(live) < len(s.engines)
+	degraded := len(live) < len(s.shards)
 	key := topkKey{st.Version, p}
 	var res *TopKResult
 	if !degraded {
@@ -404,7 +403,7 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 			}
 			// The owner scans the snapshot the query vector came from;
 			// every other shard its current one.
-			e, pin := s.engines[live[j]], st
+			e, pin := s.shards[live[j]].eng, st
 			if live[j] != owner {
 				if pin, errs[j] = e.Snapshot(); errs[j] != nil {
 					return

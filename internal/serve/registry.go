@@ -14,8 +14,8 @@ import (
 
 // Registry serves N independent models from one process. Each model
 // is a full Server — its own engine per shard, checkpoint, optional
-// warm-start artifact, ANN configuration, batchers and
-// snapshot/reload lifecycle — keyed by name and reached as
+// warm-start artifact, ANN configuration and snapshot/reload
+// lifecycle — keyed by name and reached as
 // /models/{name}/embed|predict|topk|healthz|reload; unsharded and
 // sharded models mix freely, and dispatch, health listing and fleet
 // reload never distinguish them. The unprefixed
@@ -252,7 +252,7 @@ func (r *Registry) statusFor(name string, srv *Server) modelStatus {
 	ms.Checkpoint, ms.Artifact = srv.ckptPath, srv.artBase
 	srv.mu.Unlock()
 	if srv.sharded() {
-		ms.Shards = len(srv.engines)
+		ms.Shards = len(srv.shards)
 	}
 	return ms
 }

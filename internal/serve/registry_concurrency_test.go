@@ -115,8 +115,8 @@ func TestRegistryIsolationUnderFailingReload(t *testing.T) {
 
 	// A's snapshot never moved; B advanced by the 6 good reloads plus
 	// 6 failed Loads that must not have bumped its version.
-	stA, _ := srvA.engines[0].Snapshot()
-	stB, _ := srvB.engines[0].Snapshot()
+	stA, _ := srvA.shards[0].eng.Snapshot()
+	stB, _ := srvB.shards[0].eng.Snapshot()
 	if stA.Version != 1 {
 		t.Errorf("model A version after B's reload storm = %d, want 1", stA.Version)
 	}
@@ -181,7 +181,7 @@ func TestRegistryReloadAllIsolation(t *testing.T) {
 	if failures := reg.ReloadAll(); len(failures) != 0 {
 		t.Fatalf("healthy ReloadAll failures = %v", failures)
 	}
-	stA, _ := srvA.engines[0].Snapshot()
+	stA, _ := srvA.shards[0].eng.Snapshot()
 	if stA.Version != 2 {
 		t.Errorf("model a version after fleet reload = %d, want 2", stA.Version)
 	}
@@ -200,8 +200,8 @@ func TestRegistryReloadAllIsolation(t *testing.T) {
 	if len(failures) != 1 || failures["b"] == nil {
 		t.Fatalf("failures after corrupting b = %v, want exactly {b: …}", failures)
 	}
-	stA, _ = srvA.engines[0].Snapshot()
-	stB, _ := srvB.engines[0].Snapshot()
+	stA, _ = srvA.shards[0].eng.Snapshot()
+	stB, _ := srvB.shards[0].eng.Snapshot()
 	stC, _ := rtC.Shard(0).Snapshot()
 	if stA.Version != 3 || stC.Version != 3 {
 		t.Errorf("healthy models after partial failure: a=%d c=%d, want 3", stA.Version, stC.Version)

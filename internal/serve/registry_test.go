@@ -149,7 +149,7 @@ func TestRegistryRouting(t *testing.T) {
 	if names := reg.Names(); len(names) != 2 || names[0] != "prod" || names[1] != "canary" {
 		t.Errorf("Names() = %v, want registration order [prod canary]", names)
 	}
-	if opts := srvB.engines[0].opts; !opts.ANN || opts.Workers != 1 {
+	if opts := srvB.shards[0].eng.opts; !opts.ANN || opts.Workers != 1 {
 		t.Errorf("canary options = %+v, want resolved ANN config", opts)
 	}
 
@@ -212,7 +212,7 @@ func TestRegistryRouting(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatal("legacy healthz after SetDefault")
 	}
-	stB, _ := srvB.engines[0].Snapshot()
+	stB, _ := srvB.shards[0].eng.Snapshot()
 	if health.ModelVersion != stB.ModelVersion {
 		t.Errorf("legacy healthz model_version = %d, want canary's %d", health.ModelVersion, stB.ModelVersion)
 	}
@@ -225,8 +225,8 @@ func TestRegistryRouting(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("prod reload = %d", status)
 	}
-	stA, _ := srvA.engines[0].Snapshot()
-	stB, _ = srvB.engines[0].Snapshot()
+	stA, _ := srvA.shards[0].eng.Snapshot()
+	stB, _ = srvB.shards[0].eng.Snapshot()
 	if stA.Version != 2 || stB.Version != 1 {
 		t.Errorf("versions after prod reload = %d/%d, want 2/1", stA.Version, stB.Version)
 	}
@@ -321,13 +321,13 @@ func TestRegistryEmptyAndDatasetSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.engines[0].ds != s2.engines[0].ds {
+	if s1.shards[0].eng.ds != s2.shards[0].eng.ds {
 		t.Error("content-identical datasets were not shared")
 	}
-	if s1.engines[0].ds != ds1 {
+	if s1.shards[0].eng.ds != ds1 {
 		t.Error("first registration does not serve the dataset it brought")
 	}
-	if s3.engines[0].ds == s1.engines[0].ds {
+	if s3.shards[0].eng.ds == s1.shards[0].eng.ds {
 		t.Error("different datasets were wrongly shared")
 	}
 	if core.DataFingerprint(ds1) != core.DataFingerprint(ds2) {
@@ -426,14 +426,27 @@ func TestHealthzReflectsLatestReload(t *testing.T) {
 
 	// A failed reload must roll the artifact retarget back: the 500
 	// leaves snapshot, checkpoint path and warm-start source all
-	// untouched.
-	status, _, _ := doReq(t, "POST", ts.URL+"/models/m/reload",
-		`{"path": "/nope.ckpt", "artifact": "/nope.art"}`)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("failing reload = %d, want 500", status)
+	// untouched — whether the checkpoint cannot be read or it reads but
+	// does not fit the dataset.
+	misfit := filepath.Join(dir, "misfit.ckpt")
+	wide := datasets.Generate(datasets.Config{
+		Name: "wide", Vertices: 50, TargetEdges: 200,
+		FeatureDim: ds.FeatureDim() + 1, NumClasses: ds.NumClasses, Seed: 3,
+	})
+	if err := testModel(t, wide, 2, "mean").SaveFile(misfit); err != nil {
+		t.Fatal(err)
 	}
-	if got := srv.engines[0].ArtifactPath(); got != artPath {
-		t.Errorf("failed reload retargeted the artifact: %q, want %q", got, artPath)
+	for _, bad := range []string{"/nope.ckpt", misfit} {
+		status, _, _ := doReq(t, "POST", ts.URL+"/models/m/reload",
+			fmt.Sprintf(`{"path": %q, "artifact": "/nope.art"}`, bad))
+		if status != http.StatusInternalServerError {
+			t.Fatalf("reload of %s = %d, want 500", bad, status)
+		}
+		var ms modelStatus
+		if getJSON(t, ts.URL+"/models/m", &ms); ms.Artifact != artPath || ms.Checkpoint != ckpt || ms.Version != 3 {
+			t.Errorf("failed reload of %s moved the model: artifact %q, checkpoint %q, version %d; want %q, %q, 3",
+				bad, ms.Artifact, ms.Checkpoint, ms.Version, artPath, ckpt)
+		}
 	}
 	if rb := post(""); !rb.WarmStart {
 		t.Fatalf("plain reload after failed retarget = %+v, want still warm", rb)

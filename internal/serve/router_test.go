@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
@@ -600,10 +602,81 @@ func TestRouterReloadEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	rt.mu.Lock()
+	got := rt.artBase
+	rt.mu.Unlock()
+	if got != "/tmp/nope.art" {
+		t.Errorf("artifact base = %q, want /tmp/nope.art", got)
+	}
 	for i := 0; i < rt.Shards(); i++ {
 		want := artifact.ShardPath("/tmp/nope.art", i, rt.Shards())
-		if got := rt.Shard(i).ArtifactPath(); got != want {
-			t.Errorf("shard %d artifact = %q, want %q", i, got, want)
+		if st, _ := rt.Shard(i).Snapshot(); !strings.Contains(st.WarmNote, want) {
+			t.Errorf("shard %d warm note = %q, want one naming %q", i, st.WarmNote, want)
+		}
+	}
+}
+
+// TestInstallsDoNotInterleave: two loads of one fleet run one after the
+// other, never shard by shard. With shard 1's snapshot build held, a
+// load of A installs on shard 0 and waits; a load of B started then
+// must leave shard 0 alone until A is done, and both end with every
+// shard serving B at one version.
+func TestInstallsDoNotInterleave(t *testing.T) {
+	ds := testDataset(t, false)
+	dir := t.TempDir()
+	ckptA := trainAndSave(t, ds, 1, dir)
+	ckptB := trainAndSave(t, ds, 2, dir)
+	rt, err := NewRouter(ds, Options{Workers: 1}, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	version := func(i int) uint64 {
+		st, err := rt.Shard(i).Snapshot()
+		if err != nil {
+			return 0
+		}
+		return st.Version
+	}
+
+	rt.shards[1].eng.reloadMu.Lock()
+	release := sync.OnceFunc(rt.shards[1].eng.reloadMu.Unlock)
+	defer release()
+	errs := make(chan error, 2)
+	load := func(path string) {
+		_, err := rt.Load(path)
+		errs <- err
+	}
+	go load(ckptA)
+	for give := time.Now().Add(30 * time.Second); version(0) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(give) {
+			t.Fatal("load A never installed on shard 0")
+		}
+	}
+	go load(ckptB)
+	for until := time.Now().Add(200 * time.Millisecond); time.Now().Before(until); time.Sleep(time.Millisecond) {
+		if v := version(0); v != 1 {
+			t.Fatalf("shard 0 moved to version %d while load A waited on shard 1", v)
+		}
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	mB, err := core.LoadModelFile(ckptB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rt.Shards(); i++ {
+		st, err := rt.Shard(i).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Version != 2 || st.Model.WeightsChecksum() != mB.WeightsChecksum() {
+			t.Errorf("shard %d ended at version %d, weights %x; want version 2 serving B (%x)",
+				i, st.Version, st.Model.WeightsChecksum(), mB.WeightsChecksum())
 		}
 	}
 }

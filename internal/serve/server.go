@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
@@ -21,12 +23,20 @@ import (
 // page. It bounds the gather one request can make a shard run.
 const maxQueryIDs = 4096
 
-// Server serves one model: N >= 1 shard Engines — each holding only
+// maxBodyBytes caps an HTTP request body: the longest valid id list
+// (maxQueryIDs ids of at most 10 digits, each with ", ") plus 4 KiB for
+// the envelope. A longer body fails its JSON decode with a 400 before
+// the rest of it is read.
+const maxBodyBytes = maxQueryIDs*12 + 4096
+
+// Server serves one model: N >= 1 shards, each an Engine holding only
 // the embedding rows of the vertices it owns under a deterministic
-// partition.ShardMap — behind one batcher per shard, one admission
-// gate, one obs middleware, one reload lifecycle and one top-K memo.
-// An unsharded model is a fleet of one whole-graph engine (NewServer);
-// NewRouter builds the same type over several shards.
+// partition.ShardMap, behind one admission gate, one obs middleware,
+// one serialized load and one top-K memo. The Server owns the model's
+// state — checkpoint path, artifact base, each shard's service flag
+// and answer count — and hands every install its shard's warm-start
+// source. An unsharded model is a fleet of one whole-graph engine
+// (NewServer); NewRouter builds the same type over several shards.
 //
 // Endpoints:
 //
@@ -76,13 +86,9 @@ const maxQueryIDs = 4096
 // non-owning shard was down carry "degraded": true instead of
 // silently passing off a partial scan as the full one.
 type Server struct {
-	ds      *datasets.Dataset
-	opts    Options // resolved; shards/shardSeed describe the fleet
-	engines []*Engine
-	// bats answer each shard's point sub-queries. Per-shard counts
-	// aggregate into the health body.
-	bats []*batcher
-	down []atomic.Bool
+	ds     *datasets.Dataset
+	opts   Options // resolved; shards/shardSeed describe the fleet
+	shards []shard
 
 	// gate is the model's admission control; its depth probe reads its
 	// own count of admitted queries in flight, top-K included.
@@ -98,23 +104,61 @@ type Server struct {
 	inst     *modelMetrics
 	degraded *obs.Counter
 
-	// mu guards ckptPath and artBase, the artifact base path each shard
-	// derives its own warm-start source from.
+	// installMu serializes installs — Load, Reload, Install, /reload —
+	// so two of them can never interleave shard by shard. It is never
+	// taken on the query or status paths.
+	installMu sync.Mutex
+	// ckptPath and artBase are the last successful load's checkpoint and
+	// artifact base, the base each shard derives its warm-start source
+	// from. Written only by load, under installMu and mu; read under
+	// either, so a status read never waits on an install.
 	mu       sync.Mutex
 	ckptPath string
 	artBase  string
-
-	// swapMu serializes whole /reload sequences (artifact retarget →
-	// load → rollback on failure) so concurrent reloads cannot
-	// interleave their retargets and restores. It is never taken on
-	// the query or health paths.
-	swapMu sync.Mutex
 
 	// topkMemo memoizes merged /topk answers per (version, query) — the
 	// package's one top-K memo. Answers computed while any shard was
 	// down are never memoized: they are partial by construction and
 	// must not outlive the outage.
 	topkMemo
+}
+
+// shard is one of a Server's shards: its engine, whether it is out of
+// service, and the point queries it answered.
+type shard struct {
+	eng  *Engine
+	down atomic.Bool
+
+	// answered counts answered point queries, each a batch of one, and
+	// doubles as the batch-id sequence: every answer gets the
+	// post-increment value as its id, carried on responses so request
+	// logs can name it. A query that fails validation is not answered:
+	// it burns no id and moves no stats.
+	answered atomic.Uint64
+
+	// size and flush are the gsgcn_batcher_* histograms (nil until
+	// instrument).
+	size, flush *obs.Histogram
+}
+
+// point answers one point query on the caller's goroutine, reporting
+// the id of the batch that carried it — unless ctx has already ended,
+// in which case the query is not run at all.
+func (sh *shard) point(ctx context.Context, ids []int, predict bool) batchResp {
+	if err := ended(ctx, "before enqueue"); err != nil {
+		return batchResp{err: err}
+	}
+	start := time.Now()
+	resp := sh.eng.point(ids, predict)
+	if resp.err != nil {
+		return resp
+	}
+	resp.batch = sh.answered.Add(1)
+	if sh.size != nil {
+		sh.size.Observe(float64(len(ids)))
+		sh.flush.Observe(time.Since(start).Seconds())
+	}
+	return resp
 }
 
 // RouteDoc names one registered HTTP route: the methods it accepts
@@ -246,21 +290,17 @@ func newServer(ds *datasets.Dataset, opts Options, shards int, seed uint64) *Ser
 	s := &Server{
 		ds:       ds,
 		opts:     opts,
-		engines:  make([]*Engine, shards),
-		bats:     make([]*batcher, shards),
-		down:     make([]atomic.Bool, shards),
+		shards:   make([]shard, shards),
 		artBase:  opts.ArtifactPath,
 		degraded: new(obs.Counter),
 		topkMemo: topkMemo{cache: make(map[topkKey]*TopKResult)},
 	}
 	s.gate = newAdmitGate(opts)
-	for i := range s.engines {
+	for i := range s.shards {
 		o := opts
-		o.shard = i
-		o.ArtifactPath = s.shardArtifact(opts.ArtifactPath, i)
-		s.engines[i] = NewEngine(ds, o)
-		s.bats[i] = newBatcher(s.engines[i])
-		s.bats[i].instrument(opts.Obs, o.seriesLabels(), s.gate)
+		o.shard, o.ArtifactPath = i, "" // each install passes the shard its source
+		s.shards[i].eng = NewEngine(ds, o)
+		s.shards[i].instrument(opts.Obs, o.seriesLabels(), s.gate)
 	}
 	model := map[string]string{"model": opts.ModelName}
 	s.gate.instrument(opts.Obs, model)
@@ -278,10 +318,10 @@ func newServer(ds *datasets.Dataset, opts Options, shards int, seed uint64) *Ser
 		s.degraded = opts.Obs.Counter("gsgcn_degraded_queries_total",
 			"Queries refused because their owning shard was down, plus top-K answers assembled without a down shard's vertices.",
 			model)
-		for i := range s.engines {
-			up := &s.down[i]
+		for i := range s.shards {
+			sh := &s.shards[i]
 			opts.Obs.GaugeFunc("gsgcn_shard_up", "1 when the shard is in service, 0 while stopped.",
-				s.engines[i].opts.seriesLabels(), func() float64 { return flag(!up.Load()) })
+				sh.eng.opts.seriesLabels(), func() float64 { return flag(!sh.down.Load()) })
 		}
 	}
 	s.inst = newModelMetrics(opts.Obs, opts.ModelName, opts.AccessLog, endpointPatterns(routes))
@@ -306,7 +346,7 @@ func (s *Server) shardArtifact(base string, i int) string {
 	if base == "" || !s.sharded() {
 		return base
 	}
-	return artifact.ShardPath(base, i, len(s.engines))
+	return artifact.ShardPath(base, i, len(s.shards))
 }
 
 // Health returns the model's fleet-wide status — the body of its
@@ -314,37 +354,53 @@ func (s *Server) shardArtifact(base string, i int) string {
 func (s *Server) Health() Health { return s.status().Health }
 
 // Shard returns shard i's engine (for tests and direct inspection).
-func (s *Server) Shard(i int) *Engine { return s.engines[i] }
+func (s *Server) Shard(i int) *Engine { return s.shards[i].eng }
 
 // Shards returns the model's shard count (1 when unsharded).
-func (s *Server) Shards() int { return len(s.engines) }
+func (s *Server) Shards() int { return len(s.shards) }
 
 // Load reads the checkpoint at path once, installs the model on every
 // shard and remembers the path as the default for subsequent Reload
-// calls, returning the new version.
+// calls, returning the new version. An empty path re-reads the last
+// loaded checkpoint, as Reload does.
 func (s *Server) Load(path string) (uint64, error) {
-	m, err := core.LoadModelFile(path)
-	if err != nil {
-		return 0, err
-	}
-	v, err := s.Install(m)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.ckptPath = path
-	s.mu.Unlock()
-	return v, nil
+	h, err := s.load(path, nil)
+	return h.Version, err
 }
 
 // Reload re-reads the last loaded checkpoint path and swaps the new
 // snapshot in without interrupting in-flight requests.
-func (s *Server) Reload() (uint64, error) {
-	path := s.CheckpointPath()
+func (s *Server) Reload() (uint64, error) { return s.Load("") }
+
+// load is the one serialized load behind Load, Reload and /reload: it
+// reads the checkpoint at path ("" = the last loaded) and installs it
+// with the artifact base *base (nil = the current base), reporting the
+// health of what it installed. The path and base are remembered only
+// once the install succeeds, so a failed load leaves every piece of
+// serving state as it was.
+func (s *Server) load(path string, base *string) (Health, error) {
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
 	if path == "" {
-		return 0, fmt.Errorf("serve: no checkpoint path to reload")
+		path = s.ckptPath
 	}
-	return s.Load(path)
+	if path == "" {
+		return Health{}, fmt.Errorf("serve: no checkpoint path to reload")
+	}
+	if base == nil {
+		base = &s.artBase
+	}
+	m, err := core.LoadModelFile(path)
+	if err != nil {
+		return Health{}, err
+	}
+	if _, err := s.install(m, *base); err != nil {
+		return Health{}, err
+	}
+	s.mu.Lock()
+	s.ckptPath, s.artBase = path, *base
+	s.mu.Unlock()
+	return s.Health(), nil
 }
 
 // CheckpointPath returns the checkpoint the server last loaded
@@ -356,13 +412,21 @@ func (s *Server) CheckpointPath() string {
 }
 
 // Install publishes an in-memory model on every shard engine in
-// lockstep. The expensive whole-graph table compute is shared: the
-// first shard that misses its warm-start artifact runs it, every other
-// cold shard compacts from the same tables. Each engine bumps its
-// version by exactly one per install, and the only failure mode
-// (model/dataset shape mismatch) is identical across shards, so shard
-// versions can never diverge.
+// lockstep, warm-starting from the current artifact base.
 func (s *Server) Install(m *core.Model) (uint64, error) {
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	return s.install(m, s.artBase)
+}
+
+// install publishes m on every shard, shard i warm-starting from its
+// shardArtifact of base (installMu held). The expensive whole-graph
+// table compute is shared: the first shard that misses its warm-start
+// artifact runs it, every other cold shard compacts from the same
+// tables. Each engine bumps its version by exactly one per install, and
+// the only failure mode (model/dataset shape mismatch) is identical
+// across shards, so shard versions can never diverge.
+func (s *Server) install(m *core.Model, base string) (uint64, error) {
 	var (
 		once  sync.Once
 		emb   *mat.Dense
@@ -373,8 +437,8 @@ func (s *Server) Install(m *core.Model) (uint64, error) {
 		return emb, norms
 	}
 	var version uint64
-	for i, e := range s.engines {
-		v, err := e.installShared(m, full)
+	for i := range s.shards {
+		v, err := s.shards[i].eng.installShared(m, s.shardArtifact(base, i), full)
 		if err != nil {
 			if s.sharded() {
 				err = fmt.Errorf("serve: shard %d: %w", i, err)
@@ -397,10 +461,10 @@ func (s *Server) Close() { s.closed.Store(true) }
 // degraded. The shard's snapshot is kept, so restoring service is
 // instant.
 func (s *Server) setShardDown(i int, down bool) error {
-	if i < 0 || i >= len(s.engines) {
-		return fmt.Errorf("serve: shard %d out of range [0,%d)", i, len(s.engines))
+	if i < 0 || i >= len(s.shards) {
+		return fmt.Errorf("serve: shard %d out of range [0,%d)", i, len(s.shards))
 	}
-	s.down[i].Store(down)
+	s.shards[i].down.Store(down)
 	return nil
 }
 
@@ -529,6 +593,7 @@ func (s *Server) parseTopKQuery(r *http.Request) (topkQuery, error) {
 // handlePoint is the HTTP codec of the point operation: /embed
 // (predict false) and /predict.
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, predict bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	res, err := s.point(r.Context(), func() ([]int, error) { return parseIDs(r) }, predict)
 	writeQuery(w, r, res, err)
 }
@@ -614,13 +679,18 @@ func (s *Server) status() fleetStatus {
 			Classes:  s.ds.NumClasses,
 			Dtype:    s.opts.Dtype.String(),
 		},
-		detail: make([]shardState, len(s.engines)),
+		detail: make([]shardState, len(s.shards)),
 		index:  "none",
 	}
 	loaded, warm, built := 0, true, true
-	for i, e := range s.engines {
-		ss := shardState{Shard: i, Status: "loading", Vertices: len(e.owned)}
-		if st, err := e.Snapshot(); err != nil {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		// Summed so every shard count reports the same batching fields.
+		// Every answer is a batch of one: queries equal batches,
+		// coalescing is 1.
+		f.Batches += sh.answered.Load()
+		ss := shardState{Shard: i, Status: "loading", Vertices: len(sh.eng.owned)}
+		if st, err := sh.eng.Snapshot(); err != nil {
 			warm, built = false, false
 		} else {
 			if loaded++; loaded == 1 {
@@ -637,7 +707,7 @@ func (s *Server) status() fleetStatus {
 			warm, built = warm && st.WarmStart, built && st.IndexReady()
 			ss.Status, ss.Version, ss.Warm = "ok", st.Version, st.WarmStart
 		}
-		if s.down[i].Load() {
+		if sh.down.Load() {
 			ss.Status = "down"
 			f.down++
 		}
@@ -645,7 +715,7 @@ func (s *Server) status() fleetStatus {
 	}
 	if loaded > 0 {
 		f.Status, f.index = "ok", "lazy"
-		if f.down > 0 || loaded < len(s.engines) {
+		if f.down > 0 || loaded < len(s.shards) {
 			f.Status = "degraded"
 		}
 		if built {
@@ -653,12 +723,6 @@ func (s *Server) status() fleetStatus {
 		}
 	}
 	f.WarmStart = loaded > 0 && warm
-	// Aggregate the per-shard batch counts so every shard count reports
-	// the same batching fields (parity is test-enforced). Every answer
-	// is a batch of one: queries equal batches, coalescing is 1.
-	for _, b := range s.bats {
-		f.Batches += b.batches.Load()
-	}
 	if f.Queries = f.Batches; f.Batches > 0 {
 		f.Coalescing = 1
 	}
@@ -673,7 +737,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, routerHealth{
 		Health:      f.Health,
-		Shards:      len(s.engines),
+		Shards:      len(s.shards),
 		ShardSeed:   s.opts.shardSeed,
 		ShardsDown:  f.down,
 		ShardDetail: f.detail,
@@ -686,7 +750,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, shardsBody{
-		Shards:    len(s.engines),
+		Shards:    len(s.shards),
 		ShardSeed: s.opts.shardSeed,
 		Detail:    s.status().detail,
 	})
@@ -721,10 +785,9 @@ type reloadBody struct {
 }
 
 // handleReload hot-swaps a checkpoint: {"path": …} loads a new one,
-// no path re-reads the last, and {"artifact": base} retargets every
-// shard's warm-start source to its ShardPath under the new base
-// before the load — all-or-nothing, so shard warm sources can never
-// point at mixed bases.
+// no path re-reads the last, and {"artifact": base} makes base the
+// artifact base of this load — every shard warm-starts from its
+// ShardPath under it — and, once the load succeeds, of every later one.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "serve: reload requires POST"})
@@ -732,63 +795,21 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	var body struct {
 		Path string `json:"path"`
-		// Artifact retargets the warm-start source for this and all
-		// subsequent reloads before the new snapshot is built: a string
-		// points at a new artifact file, "" disables the warm path. When
-		// the field is absent the configured source is kept, so a plain
-		// {"path": …} reload behaves exactly as before.
+		// Artifact is the new base: a string points at a new artifact
+		// file, "" disables the warm path, and an absent field keeps the
+		// current base.
 		Artifact *string `json:"artifact"`
 	}
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
 			writeErr(w, fmt.Errorf("serve: bad JSON body: %w", err))
 			return
 		}
 	}
-	// Retarget the warm-start source before building the new snapshot
-	// (the retarget is what the load should warm from), but restore it
-	// if the load fails: a 500 reload must leave every piece of
-	// serving state — snapshot, checkpoint path, artifact source —
-	// exactly as it was. swapMu makes the retarget+load+rollback
-	// sequence atomic against other /reload requests, so a failing
-	// reload's rollback can never clobber a concurrent reload's
-	// freshly set source.
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	restoreArtifact := func() {}
-	if body.Artifact != nil {
-		prevBase := s.setArtifactBase(*body.Artifact)
-		restoreArtifact = func() { s.setArtifactBase(prevBase) }
-	}
-	var (
-		v   uint64
-		err error
-	)
-	if body.Path != "" {
-		v, err = s.Load(body.Path)
-	} else {
-		v, err = s.Reload()
-	}
+	h, err := s.load(body.Path, body.Artifact)
 	if err != nil {
-		restoreArtifact()
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	// Answer with the warm-start outcome of the snapshots the reload just
-	// installed — the state /healthz will now show.
-	h := s.Health()
-	writeJSON(w, http.StatusOK, reloadBody{Version: v, ModelVersion: h.ModelVersion, WarmStart: h.WarmStart, WarmNote: h.WarmNote})
-}
-
-// setArtifactBase retargets the artifact base — every shard engine's
-// warm-start source becomes its shardArtifact under base — and returns
-// the previous base. Callers hold swapMu.
-func (s *Server) setArtifactBase(base string) (prev string) {
-	s.mu.Lock()
-	prev, s.artBase = s.artBase, base
-	s.mu.Unlock()
-	for i, e := range s.engines {
-		e.setArtifactPath(s.shardArtifact(base, i))
-	}
-	return prev
+	writeJSON(w, http.StatusOK, reloadBody{Version: h.Version, ModelVersion: h.ModelVersion, WarmStart: h.WarmStart, WarmNote: h.WarmNote})
 }

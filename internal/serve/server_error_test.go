@@ -414,3 +414,49 @@ func TestErrorTableAcrossTransports(t *testing.T) {
 		}
 	}
 }
+
+// countingBody counts the bytes a handler reads from a request body.
+type countingBody struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestRequestBodyCapped: a POST body longer than maxBodyBytes answers
+// 400 with the cap's error on every endpoint that reads one, and the
+// handler stops reading just past the cap instead of decoding the rest
+// (8 MiB here, four million ids). The longest id list the count limit
+// rejects — 4097 ids of the widest valid width — still fits under the
+// cap and keeps its own error text.
+func TestRequestBodyCapped(t *testing.T) {
+	srv := overloadServer(t, Options{Workers: 1})
+	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", path, body))
+		return rec
+	}
+	huge := `{"ids":[` + strings.Repeat("1,", 4<<20) + `1]}`
+	for _, path := range []string{"/embed", "/predict", "/reload"} {
+		body := &countingBody{r: strings.NewReader(huge)}
+		rec := post(path, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "http: request body too large") {
+			t.Errorf("%s, %d-byte body: code=%d body=%.200s", path, len(huge), rec.Code, rec.Body)
+		}
+		if body.n > maxBodyBytes+512 {
+			t.Errorf("%s read %d bytes of an over-cap body (cap %d)", path, body.n, maxBodyBytes)
+		}
+	}
+	widest := `{"ids":[` + strings.Repeat("1999999999, ", maxQueryIDs) + `1999999999]}`
+	for _, path := range []string{"/embed", "/predict"} {
+		rec := post(path, strings.NewReader(widest))
+		want := fmt.Sprintf("serve: %d ids exceeds the per-request limit of %d", maxQueryIDs+1, maxQueryIDs)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s, %d ids in %d bytes: code=%d body=%.200s", path, maxQueryIDs+1, len(widest), rec.Code, rec.Body)
+		}
+	}
+}

@@ -52,9 +52,10 @@ func (e *Engine) wantMeta(m *core.Model) artifact.Meta {
 // the single implementation behind both Engine.buildState (online
 // cold start) and BuildSnapshot (offline artifact production) — the
 // warm-start contract that artifacts are bit-identical to a fresh
-// compute holds only while both call exactly this code.
+// compute holds only while both call exactly this code. The pass
+// streams 256-vertex blocks; the block size never changes a bit.
 func computeTables(m *core.Model, ds *datasets.Dataset, opts Options) (*mat.Dense, []float64) {
-	emb := m.FullEmbeddings(ds.G, ds.Features, opts.Workers, opts.BlockSize)
+	emb := m.FullEmbeddings(ds.G, ds.Features, opts.Workers, 256)
 	norms := make([]float64, emb.Rows)
 	perf.ParallelMin(emb.Rows, 64, opts.Workers, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {

@@ -225,6 +225,23 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 		t.Fatalf("reload version %d not beyond %d", st2.Version, st1.Version)
 	}
 
+	// A byte-identical copy under another path is a new source: it is
+	// read in full, not matched by its checksum.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyPath := filepath.Join(t.TempDir(), "copy.art")
+	if err := os.WriteFile(copyPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.installShared(m, copyPath, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st3, _ := eng.Snapshot(); !st3.WarmStart || &st3.Emb.(*mat.Dense).Data[0] == &st1.Emb.(*mat.Dense).Data[0] {
+		t.Fatalf("reload from a new path reused the old tables (warm %v: %s)", st3.WarmStart, st3.WarmNote)
+	}
+
 	// Invalidate the artifact on disk: the next reload must notice and
 	// fall back to the cold compute (the file no longer matches m).
 	other := datasets.Generate(datasets.Config{
