@@ -90,7 +90,7 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' \
 		|| { echo "cover: total $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Fuzzing on a fixed budget, five targets from the committed corpora
+# Fuzzing on a fixed budget, six targets from the committed corpora
 # (internal/{wire,artifact,core,mat}/testdata/fuzz and
 # pkg/client/testdata/fuzz), one -fuzz target per `go test` run: the
 # frame decoder against itself — Decode versus ReadMessage parsing in
@@ -98,7 +98,9 @@ cover:
 # then the two file loaders, which must answer any bytes with a value
 # or a typed error, never a panic, then the quantized walk's ADC table,
 # every entry of which must keep Dot's bits on hostile numbers (NaN,
-# ±Inf, subnormals, -0), then query sequences with reloads, whose
+# ±Inf, subnormals, -0), then the products of 8-wide rows, whose
+# masking kernel must keep the untiled portable loops' bits on the same
+# hostile numbers, then query sequences with reloads, whose
 # answers must be the same bytes unsharded and on 3 shards over json,
 # wire and tcp (mode=ann across transports only). The corpora
 # alone run as plain tests in every `go test`; this target also
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadModel -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzPQQuery -fuzztime 30s -fuzzminimizetime 1000x
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzNarrowRows -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./pkg/client -run '^$$' -fuzz FuzzShapesAndTransports -fuzztime 30s -fuzzminimizetime 1000x
 
 # The benchmark's smoke run: 3 s of each of the five workloads, exit

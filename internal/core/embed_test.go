@@ -96,7 +96,8 @@ func naiveEmbeddings(m *Model, g *graph.CSR, feats *mat.Dense) *mat.Dense {
 
 // TestFullEmbeddingsMatchesNaive checks the block-streamed
 // layer-wise forward pass against the naive dense reference,
-// bit-for-bit, at every Workers and BlockSize combination — and for
+// bit-for-bit (Float64bits: Equal would take -0 for +0), at every
+// Workers and BlockSize combination — and for
 // every aggregator and a deeper stack.
 func TestFullEmbeddingsMatchesNaive(t *testing.T) {
 	ds := datasets.Generate(datasets.Config{
@@ -127,9 +128,11 @@ func TestFullEmbeddingsMatchesNaive(t *testing.T) {
 						t.Fatalf("workers=%d block=%d: shape %dx%d, want %dx%d",
 							workers, block, got.Rows, got.Cols, want.Rows, want.Cols)
 					}
-					if !got.Equal(want, 0) {
-						t.Fatalf("workers=%d block=%d: embeddings differ from naive reference (max diff %g)",
-							workers, block, got.MaxAbsDiff(want))
+					for i, v := range got.Data {
+						if w := want.Data[i]; math.Float64bits(v) != math.Float64bits(w) {
+							t.Fatalf("workers=%d block=%d: element %d is %v (%#016x), naive reference %v (%#016x)",
+								workers, block, i, v, math.Float64bits(v), w, math.Float64bits(w))
+						}
 					}
 				}
 			}

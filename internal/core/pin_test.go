@@ -63,6 +63,24 @@ var arithmeticPins = []arithmeticPin{
 		},
 		embCRC: 0xe88e153262310c58,
 	},
+	{
+		// Hidden 8: both layers' products and weight gradients have
+		// rows of 8, the width with a register-blocked kernel of its
+		// own; dropout puts zeros among its alphas. Recorded at
+		// 87c1d5f, before that kernel landed.
+		name: "tiny-h8-dropout",
+		cfg: func() Config {
+			c := tinyConfig()
+			c.Hidden = 8
+			c.DropRate = 0.2
+			return c
+		},
+		lossBits: []uint64{
+			0x3ff9269ce90bb89c, 0x3ff85e7bc66e6382, 0x3ff7a6ecc9c76742,
+			0x3ff66f925a815251, 0x3ff67ca1538166ce, 0x3ff5fdc7320cc839,
+		},
+		embCRC: 0x2a974cef15274074,
+	},
 }
 
 // embeddingTable runs the GCN layers (not the head) over the whole

@@ -31,6 +31,66 @@ func pqFuzzTable(k, d uint16, seed uint64, raw []byte) (*PQTable, []float64) {
 	return pt, vals[:dim]
 }
 
+// hostile are the values a FuzzNarrowRows record can place: zero, NaN,
+// an infinity, subnormals, the edges of the normal range, magnitudes
+// whose products overflow or underflow, and a few ordinary numbers.
+var hostile = [16]float64{
+	0, math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64,
+	0x1p-1022, math.MaxFloat64, 1e300, 1e-300,
+	1e154, 1e-154, 0x1p-1060, 1,
+	0.5, 3, 0.1, 1.0 / 3,
+}
+
+// narrowFuzzMats decodes a FuzzNarrowRows input into a (m x k) and
+// b (k x 8): m = 1 + mb mod 160 and k = 1 + kb mod 140, so that row
+// counts take every residue mod 4 and k reaches past the 64-row tile
+// and, as aᵀ's row count, past MulAT's first shard. Every element is a
+// seeded value in (-1, 1); an element of a is a zero instead (of either
+// sign) with probability zeros/256. Each whole 3-byte record of raw — a
+// little-endian uint16 position into a-then-b, then a byte whose low
+// four bits pick a value of hostile and whose bit 4 negates it —
+// overwrites one element.
+func narrowFuzzMats(mb, kb, zeros uint8, seed uint64, raw []byte) (a, b *Dense) {
+	m, k := 1+int(mb)%160, 1+int(kb)%140
+	vals := make([]float64, m*k+k*8)
+	x := seed
+	for i := range vals {
+		x = x*6364136223846793005 + 1442695040888963407
+		vals[i] = float64(int64(x>>11))/float64(1<<52) - 1
+		if i < m*k && uint8(x>>3) < zeros {
+			vals[i] = math.Copysign(0, float64(int64(x)))
+		}
+	}
+	for ; len(raw) >= 3; raw = raw[3:] {
+		v := hostile[raw[2]&15]
+		if raw[2]&16 != 0 {
+			v = -v
+		}
+		vals[int(binary.LittleEndian.Uint16(raw))%len(vals)] = v
+	}
+	return FromData(m, k, vals[:m*k]), FromData(k, 8, vals[m*k:])
+}
+
+// FuzzNarrowRows holds the products of 8-wide rows — the width whose
+// rows go four at a time through one kernel that masks zero alphas
+// instead of skipping them — to the untiled portable references on
+// hostile numbers: Mul(a, b) to refMul and MulAT(aᵀ, b), the same
+// product formed as a weight gradient, to refMulAT, NaNs by class. Its
+// seed corpus (testdata/fuzz/FuzzNarrowRows) has m = 1..9 against
+// NaN, ±Inf, -0 and subnormals in both operands.
+func FuzzNarrowRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, mb, kb, zeros uint8, seed uint64, raw []byte) {
+		a, b := narrowFuzzMats(mb, kb, zeros, seed, raw)
+		tag := fmt.Sprintf("%dx%dx8", a.Rows, a.Cols)
+		got := New(a.Rows, 8)
+		Mul(got, a, b, 1)
+		requireSameBits(t, "Mul "+tag, got.Data, refMul(a, b).Data)
+		at := Transpose(a)
+		MulAT(got, at, b, 1)
+		requireSameBits(t, "MulAT "+tag, got.Data, refMulAT(at, b).Data)
+	})
+}
+
 // FuzzPQQuery holds the ADC table to Dot on hostile numbers: every
 // entry of a span-2 table (FuzzPQQuery's inputs, pqFuzzTable's
 // decoding), whatever K leaves for the remainder loop, has the bits of

@@ -150,6 +150,44 @@ func TestAxpyRowsStaysInsideItsSlices(t *testing.T) {
 	}
 }
 
+// TestAxpyRows4x8StaysInsideItsSlices: the four-row kernel with its
+// rows, the last of its source rows and the last alpha it reads each
+// ending on the last bytes of an allocation — alphas a row of a (stride
+// 1) and a column of a (stride k) — where the fourth row's alphas or
+// the last term's are cut off where a stride would run on.
+func TestAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
+	const k = 5
+	for _, count := range []int{1, 3, k, 64, 70} {
+		for _, lay := range []struct{ rs, ts int }{{count + 2, 1}, {1, k}} {
+			d := guardedFloats(t, 32)
+			src := guardedFloats(t, 8*count)
+			alpha := guardedFloats(t, 3*lay.rs+(count-1)*lay.ts+1)
+			for i := range src {
+				src[i] = 0.25
+			}
+			var want [4]float64
+			for r := range want {
+				for i := 0; i < count; i++ {
+					alpha[r*lay.rs+i*lay.ts] = float64((i + r) % 3) // a third of the terms are zeros
+					want[r] += float64((i+r)%3) * 0.25
+				}
+			}
+			axpyRows4x8(d, src, alpha, lay.rs, lay.ts, count)
+			if useAVX2 {
+				axpyRows4x8AVX2(d, src, alpha, lay.rs, lay.ts, count)
+				for r := range want {
+					want[r] *= 2
+				}
+			}
+			for i, v := range d {
+				if v != want[i/8] {
+					t.Fatalf("count=%d rs=%d ts=%d: element %d = %v, want %v", count, lay.rs, lay.ts, i, v, want[i/8])
+				}
+			}
+		}
+	}
+}
+
 // TestGatherSumStaysInsideItsSlices: the gather kernel with its row and
 // the last row an index names each ending on the last bytes of an
 // allocation — at list lengths that take one kernel call, exactly one

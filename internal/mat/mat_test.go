@@ -255,6 +255,46 @@ func TestMulLinearityQuick(t *testing.T) {
 	}
 }
 
+// TestEqualAndMaxAbsDiffSeeNaN: a NaN opposite a number is a difference
+// of +Inf, not the 0 that math.Abs(NaN) > tol once made it; two NaNs,
+// like two equal infinities, differ by 0; -0 equals +0 (by value).
+func TestEqualAndMaxAbsDiffSeeNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		v, w  float64
+		diff  float64
+		equal bool // at tol 1e-9
+	}{
+		{1, 1, 0, true},
+		{1, 1 + 1e-12, 1e-12, true},
+		{1, 2, 1, false},
+		{nan, 1, inf, false},
+		{0, nan, inf, false},
+		{nan, inf, inf, false},
+		{nan, nan, 0, true},
+		{inf, inf, 0, true},
+		{-inf, -inf, 0, true},
+		{inf, -inf, inf, false},
+		{inf, 1, inf, false},
+		{math.Copysign(0, -1), 0, 0, true},
+	} {
+		for _, swap := range []bool{false, true} {
+			v, w := tc.v, tc.w
+			if swap {
+				v, w = w, v
+			}
+			a := FromData(1, 3, []float64{5, v, -2})
+			b := FromData(1, 3, []float64{5, w, -2})
+			if d := a.MaxAbsDiff(b); !(d == tc.diff || math.Abs(d-tc.diff) <= 1e-15) {
+				t.Errorf("MaxAbsDiff(%v, %v) = %v, want %v", v, w, d, tc.diff)
+			}
+			if got := a.Equal(b, 1e-9); got != tc.equal {
+				t.Errorf("Equal(%v, %v, 1e-9) = %t, want %t", v, w, got, tc.equal)
+			}
+		}
+	}
+}
+
 func TestFrobeniusAndSum(t *testing.T) {
 	a := FromData(2, 2, []float64{3, 4, 0, 0})
 	if got := a.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
@@ -279,6 +319,7 @@ var gemmShapes = []struct {
 	{"434x50x128", 434, 50, 128, false},
 	{"434x256x121-half-zeros", 434, 256, 121, true},
 	{"700x602x8", 700, 602, 8, false},
+	{"700x16x8-half-zeros", 700, 16, 8, true},
 	{"700x16x41-half-zeros", 700, 16, 41, true},
 	{"256x256x256", 256, 256, 256, false},
 }

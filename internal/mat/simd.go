@@ -10,10 +10,11 @@ import "math"
 // Go loop's arithmetic exactly — a separate multiply and add per
 // element, never a fused one, for dot the same four accumulator lanes
 // reduced as ((s0+s1)+s2)+s3 before a scalar tail, and for axpyRows
-// the same terms in the same order, zeros skipped — so which one runs
-// never shows in a result. The choice is made from what the code can
-// observe: the CPU's feature bits, read once at start-up (useAVX2), and
-// the vector length.
+// the same terms in the same order, zeros skipped (axpyRows4x8 masks
+// them to +0 instead, which on its +0-started sums is the same thing)
+// — so which one runs never shows in a result. The choice is made from
+// what the code can observe: the CPU's feature bits, read once at
+// start-up (useAVX2), and the vector length.
 //
 // axpyRows and GatherSum are the two primitives that are more than a
 // loop over elements: a row plus, or set to, a weighted sum of other
@@ -206,6 +207,41 @@ func axpyRowsGo(dst, src []float64, stride int, alpha []float64, astride, count 
 		if av := alpha[t*astride]; av != 0 {
 			axpyGo(dst, src[t*stride:t*stride+n], av)
 		}
+	}
+}
+
+// axpyRows4x8 is axpyRows on four 8-wide rows of dst at once, each with
+// its own alphas against the same count rows of src, packed 8 apart:
+// for r = 0..3 and t = 0..count-1 in that order,
+//
+//	dst[8r : 8r+8] += alpha[r*rs+t*ts] * src[8t : 8t+8]
+//
+// skipping every zero alpha — four rows of a·b (rs = a's row stride,
+// ts = 1) or of aᵀ·b (rs = 1, ts = a's row stride). The assembly shares
+// each load of a src row among the four and masks a zero alpha's
+// products to +0 instead of branching, which gives the bits of skipping
+// only where no element of dst is -0: every element must be a sum that
+// started from +0, as every GEMM accumulator here is. It panics if dst
+// holds fewer than four rows or src or alpha is too short for count
+// terms.
+func axpyRows4x8(dst, src, alpha []float64, rs, ts, count int) {
+	if count <= 0 {
+		return
+	}
+	dst = dst[:32:len(dst)]
+	src = src[: 8*count : len(src)]
+	alpha = alpha[: 3*rs+(count-1)*ts+1 : len(alpha)]
+	if useAVX2 {
+		axpyRows4x8AVX2(dst, src, alpha, rs, ts, count)
+		return
+	}
+	axpyRows4x8Go(dst, src, alpha, rs, ts, count)
+}
+
+// axpyRows4x8Go is the portable axpyRows4x8: axpyRowsGo on each row.
+func axpyRows4x8Go(dst, src, alpha []float64, rs, ts, count int) {
+	for r := 0; r < 4; r++ {
+		axpyRowsGo(dst[8*r:8*r+8], src, 8, alpha[r*rs:], ts, count)
 	}
 }
 

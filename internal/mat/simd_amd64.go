@@ -58,6 +58,16 @@ func axpyAVX2(dst, src []float64, alpha float64)
 //go:noescape
 func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int)
 
+// axpyRows4x8AVX2 computes, for r < 4 and t = 0..count-1 in that order,
+// dst[8r+i] += alpha[r*rs+t*ts]*src[8t+i] for i < 8, with the products
+// of zero alphas masked to +0: skipped, to the bit, on a dst whose every
+// element is a sum started from +0. count must be at least 1, rs and ts
+// non-negative, len(dst) at least 32, len(src) at least 8*count and
+// len(alpha) at least 3*rs+(count-1)*ts+1.
+//
+//go:noescape
+func axpyRows4x8AVX2(dst, src, alpha []float64, rs, ts, count int)
+
 // gatherRowsAVX2 computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
 // for i < len(dst), over t = 0..len(offs)-1 in that order, with +0 in
 // place of dst[i] when fresh. len(offs) must be 1..listMax, len(alpha)

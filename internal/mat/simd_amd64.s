@@ -548,6 +548,85 @@ rowsDone:
 	VZEROUPPER
 	RET
 
+// ROW8 adds one term to one 8-wide output row: the alpha at the given
+// address, broadcast into Y10, times the src row in Y8:Y9, each product
+// ANDed with Y11 — all ones unless the alpha is zero — and added to the
+// accumulators lo:hi. Y15 is +0 and Y12, Y13 are scratch.
+#define ROW8(alpha, lo, hi) \
+	VBROADCASTSD alpha, Y10;        \
+	VCMPPD       $4, Y15, Y10, Y11; \
+	VMULPD       Y8, Y10, Y12;      \
+	VMULPD       Y9, Y10, Y13;      \
+	VANDPD       Y11, Y12, Y12;     \
+	VANDPD       Y11, Y13, Y13;     \
+	VADDPD       lo, Y12, lo;       \
+	VADDPD       hi, Y13, hi
+
+// func axpyRows4x8AVX2(dst, src, alpha []float64, rs, ts, count int)
+//
+// Four 8-wide rows of dst live in Y0..Y7 for the whole call. Each pass
+// loads one 8-element row of src (SI, 64 bytes on per term) and adds it,
+// times each row's own alpha, to all four: row r's alpha for term t is
+// at R8 + r*rs*8 once R8 has moved on t*ts*8 bytes, read where it lies.
+// Two YMM add chains per row become eight per pass, and no list is
+// built: on rows of 8 axpyRowsAVX2's compaction cost as much as the
+// arithmetic it spared.
+//
+// A zero alpha is not skipped but masked, and that changes no bit. The
+// compare (NEQ_UQ: true for a NaN) clears Y11 for an alpha of +0 or -0,
+// so the AND turns that term's products into +0 whatever the src row
+// holds — a NaN or an Inf under a zero alpha is never added in. Adding
+// +0 is the identity on every value but -0, and no element of dst is
+// -0: the caller's contract is that each one is a sum that started from
+// +0 (mulRange clears dst, MulAT each partial), and such a sum never
+// becomes -0: under round-to-nearest x + y is -0 only when x and y both
+// are (an exact zero sum of anything else rounds to +0, and a non-zero
+// one is never rounded to zero). A NaN in dst is one an add produced,
+// already quiet, which +0 returns unchanged. So each element receives
+// exactly the rounded product-then-add of axpyGo for each non-zero
+// alpha, in term order, and nothing for the others.
+TEXT ·axpyRows4x8AVX2(SB), NOSPLIT, $0-96
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    alpha_base+48(FP), R8
+	MOVQ    rs+72(FP), R9
+	MOVQ    ts+80(FP), R12
+	MOVQ    count+88(FP), CX
+	SHLQ    $3, R9
+	SHLQ    $3, R12
+	LEAQ    (R9)(R9*2), R11
+	VXORPD  Y15, Y15, Y15
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+
+quadTerm:
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	ROW8((R8), Y0, Y1)
+	ROW8((R8)(R9*1), Y2, Y3)
+	ROW8((R8)(R9*2), Y4, Y5)
+	ROW8((R8)(R11*1), Y6, Y7)
+	ADDQ    $64, SI
+	ADDQ    R12, R8
+	DECQ    CX
+	JNZ     quadTerm
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET
+
 // func gatherRowsAVX2(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
 //
 // The caller's list goes to listWalk as it is. Y14 is all zeros when

@@ -13,6 +13,10 @@ func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, coun
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
+func axpyRows4x8AVX2(dst, src, alpha []float64, rs, ts, count int) {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
 func gatherRowsAVX2(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool) {
 	panic("mat: no AVX2 kernels on this architecture")
 }

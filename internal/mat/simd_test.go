@@ -9,7 +9,9 @@ package mat
 // payload depends on operand order, which Go does not fix). The
 // second half pins the tiled GEMM loops to untiled loops over the
 // portable primitives. The list kernel under a·b and aᵀ·b (axpyRows)
-// gets both treatments, and a third for where its zeros fall.
+// gets both treatments, and a third for where its zeros fall; so does
+// the four-row kernel that replaces it on rows of 8 (axpyRows4x8),
+// whose GEMMs are also held to the untiled loops on hostile values.
 
 import (
 	"fmt"
@@ -281,6 +283,129 @@ func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
 	}
 }
 
+// TestAxpyRows4x8AVX2MatchesPortable: the four-row kernel against the
+// portable per-row loop, every term count from 1 to past two 64-row
+// tiles, in both alpha layouts (a·b's rows of a, aᵀ·b's columns), with
+// each of the four rows under its own zero pattern. dst starts as the
+// kernel's contract has it — +0, then the sums of a first call — so
+// the second call adds onto NaNs, infinities and zeros of the first.
+func TestAxpyRows4x8AVX2MatchesPortable(t *testing.T) {
+	requireAVX2(t)
+	const maxCount, gap = 130, 3
+	for _, vc := range valueClasses {
+		r := rng.New(151)
+		src := offsetSlice(r, vc.gen, 1, 8*maxCount)
+		drawn := offsetSlice(r, vc.gen, 2, (maxCount-1)*(maxCount+gap)+4) // the columns layout's reach
+		alpha := make([]float64, len(drawn))
+		want, got := make([]float64, 32), make([]float64, 32)
+		for count := 1; count <= maxCount; count++ {
+			k := count + gap // a's row stride
+			for _, lay := range []struct {
+				name   string
+				rs, ts int
+			}{{"rows", k, 1}, {"columns", 1, k}} {
+				for p := range alphaPatterns {
+					copy(alpha, drawn)
+					for row := 0; row < 4; row++ {
+						ap := alphaPatterns[(p+row)%len(alphaPatterns)]
+						for i := 0; i < count; i++ {
+							if ap.zero(i, count) { // +0 and -0 in turn
+								alpha[row*lay.rs+i*lay.ts] = math.Copysign(0, float64(1-2*(i%2)))
+							}
+						}
+					}
+					clear(want)
+					clear(got)
+					half := count / 2
+					for _, part := range [][2]int{{0, half}, {half, count}} {
+						al := alpha[part[0]*lay.ts:]
+						axpyRows4x8Go(want, src[8*part[0]:], al, lay.rs, lay.ts, part[1]-part[0])
+						if part[1] > part[0] {
+							axpyRows4x8AVX2(got, src[8*part[0]:], al, lay.rs, lay.ts, part[1]-part[0])
+						}
+					}
+					if !slices.EqualFunc(got, want, sameBits) {
+						requireSameBits(t, fmt.Sprintf("%s count=%d %s rows from %s", vc.name, count, lay.name, alphaPatterns[p].name), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// zeroFills shape the zeros of a GEMM's left operand: none beyond what
+// a value class draws, about half (of either sign), and all of them.
+var zeroFills = []struct {
+	name string
+	zero func(r *rng.RNG) bool
+}{
+	{"dense", func(*rng.RNG) bool { return false }},
+	{"half-zeros", func(r *rng.RNG) bool { return r.Intn(2) == 0 }},
+	{"all-zeros", func(*rng.RNG) bool { return true }},
+}
+
+// TestNarrowRowsMatchUntiledPortable holds a·b and aᵀ·b at width 8 — the
+// width that runs four rows at a time — to the untiled portable loops,
+// on hostile values in both operands: row counts of every residue mod 4
+// (the groups of four and the rows left over), inner dimensions on both
+// sides of the 64-row tile and of MulAT's sharding, zeros in a's rows
+// and columns, workers 1, 2 and 4, and on the portable path too.
+func TestNarrowRowsMatchUntiledPortable(t *testing.T) {
+	const n = 8
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 9, 66, 67, 131, 133}
+	ks := []int{1, 3, 4, 5, 63, 64, 65, 130}
+	for _, portable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("portable=%t", portable), func(t *testing.T) {
+			if portable {
+				withoutAVX2(t)
+			}
+			for _, vc := range valueClasses {
+				r := rng.New(157)
+				for _, m := range ms {
+					for _, k := range ks {
+						for _, zf := range zeroFills {
+							a, b, c := New(m, k), New(k, n), New(m, n)
+							for i := range a.Data {
+								a.Data[i] = vc.gen(r)
+								if zf.zero(r) {
+									a.Data[i] = math.Copysign(0, float64(1-2*r.Intn(2)))
+								}
+							}
+							for _, x := range []*Dense{b, c} {
+								for i := range x.Data {
+									x.Data[i] = vc.gen(r)
+								}
+							}
+							wantMul, wantAT := refMul(a, b), refMulAT(a, c)
+							for _, workers := range []int{1, 2, 4} {
+								tag := fmt.Sprintf("%s %dx%dx%d %s workers=%d", vc.name, m, k, n, zf.name, workers)
+								got := New(m, n)
+								got.Fill(99)
+								Mul(got, a, b, workers)
+								requireSameBits(t, "Mul "+tag, got.Data, wantMul.Data)
+								got.Fill(99)
+								for w, lo := 0, 0; w < workers; w++ {
+									hi := m * (w + 1) * (w + 2) / (workers * (workers + 1))
+									MulRange(got, a, b, lo, hi)
+									lo = hi
+								}
+								requireSameBits(t, "MulRange "+tag, got.Data, wantMul.Data)
+								got.Fill(99)
+								MulShards(got, a, b, workers, perf.SimConfig{})
+								requireSameBits(t, "MulShards "+tag, got.Data, wantMul.Data)
+								gotAT := New(k, n)
+								gotAT.Fill(99)
+								MulAT(gotAT, a, c, workers)
+								requireSameBits(t, "MulAT "+tag, gotAT.Data, wantAT.Data)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // gatherSumRef is what GatherSum replaced, on the portable loops: the
 // row cleared, one add (unweighted) or axpy per index, and one scaling
 // pass unless the scale is 1.
@@ -544,6 +669,20 @@ func TestPrimitiveLengthContract(t *testing.T) {
 		mustPanic(t, fmt.Sprintf("axpyRows long list n=%d", n), func() {
 			axpyRows(long, make([]float64, n), 0, make([]float64, listMax+1), 1, listMax+1)
 		})
+		// axpyRows4x8 over n terms: 32 outputs, n rows of 8, alphas a
+		// row of n + 2 apart.
+		mustPanic(t, fmt.Sprintf("axpyRows4x8 short dst n=%d", n), func() {
+			axpyRows4x8(make([]float64, 31, 40), make([]float64, 8*n), make([]float64, 4*n+6), n+2, 1, n)
+		})
+		mustPanic(t, fmt.Sprintf("axpyRows4x8 short rows n=%d", n), func() {
+			axpyRows4x8(make([]float64, 32), make([]float64, 8*n-1, 8*n+8), make([]float64, 4*n+6), n+2, 1, n)
+		})
+		mustPanic(t, fmt.Sprintf("axpyRows4x8 short alphas n=%d", n), func() {
+			axpyRows4x8(make([]float64, 32), make([]float64, 8*n), make([]float64, 4*n+5, 4*n+16), n+2, 1, n)
+		})
+		mustPanic(t, fmt.Sprintf("axpyRows4x8 short alpha columns n=%d", n), func() {
+			axpyRows4x8(make([]float64, 32), make([]float64, 8*n), make([]float64, 3+(n-1)*5, 5*n+8), 1, 5, n)
+		})
 		// GatherSum: three rows of n, two columns to the left of them.
 		table := make([]float64, 3*(n+2))
 		for tag, fn := range map[string]func(){
@@ -605,6 +744,10 @@ func TestPrimitivesOnEmptySlices(t *testing.T) {
 	axpyRows(nil, nil, 0, []float64{1}, 1, 1) // no columns
 	axpyRows(out1, nil, 1, nil, 1, 0)         // no terms
 	requireSameBits(t, "axpyRows with no terms", out1, []float64{9})
+	out32 := make([]float64, 32)
+	out32[5] = 9
+	axpyRows4x8(out32, nil, nil, 0, 0, 0) // no terms, whatever the path
+	requireSameBits(t, "axpyRows4x8 with no terms", out32[5:6], []float64{9})
 	GatherSum(nil, nil, 0, 0, []int32{0, 0}, nil, 2) // no columns
 	GatherSum(out1, nil, 1, 0, nil, nil, 2)          // no terms: the empty sum, scaled
 	requireSameBits(t, "GatherSum with no terms", out1, []float64{0})
@@ -709,6 +852,9 @@ var tiledCases = []struct{ m, k, n int }{
 	{7, 50, 128},
 	{13, 256, 33},
 	{9, 602, 8},
+	{10, 602, 8},
+	{11, 16, 8},
+	{700, 16, 8},
 	{67, 19, 23},
 	{131, 50, 37},
 	{203, 256, 121},

@@ -48,7 +48,7 @@ func TestEngineMatchesTrainingForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := headLogits(st, st.Emb.(*mat.Dense))
-		if !got.Equal(want, 0) {
+		if got.Rows != want.Rows || got.Cols != want.Cols || !bitsEqual([][]float64{got.Data}, [][]float64{want.Data}) {
 			t.Fatalf("%s: serving logits differ from training forward pass (max diff %g)", agg, got.MaxAbsDiff(want))
 		}
 	}
