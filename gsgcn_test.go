@@ -248,6 +248,12 @@ func TestTheorem2Quick(t *testing.T) {
 	if r.VolumeBest > 0 && r.VolumeFOnly > 2*r.VolumeBest*(1+1e-9) {
 		t.Errorf("feature-only exceeds 2x optimum: %.0f vs %.0f", r.VolumeFOnly, r.VolumeBest)
 	}
+	if r.Q < 1 || r.PaperQ < 1 || !(r.QMS > 0) || !(r.PaperMS > 0) {
+		t.Errorf("executed Q=%d (%v ms), paper's Q=%d (%v ms): want counts >= 1 and measured times", r.Q, r.QMS, r.PaperQ, r.PaperMS)
+	}
+	if s := r.String(); !strings.Contains(s, "paper's Q=") || !strings.Contains(s, "executed Q=") {
+		t.Errorf("report does not print both Qs:\n%s", s)
+	}
 }
 
 func TestMeasureSamplerComparison(t *testing.T) {

@@ -8,9 +8,11 @@ package core
 // the frontier and node2vec sampler families.
 
 import (
+	"math"
 	"testing"
 
 	"gsgcn/internal/datasets"
+	"gsgcn/internal/mat"
 	"gsgcn/internal/sampler"
 )
 
@@ -62,6 +64,46 @@ func TestLossTraceIdenticalAcrossWorkers(t *testing.T) {
 					t.Fatal("degenerate trace: first step loss is 0")
 				}
 			})
+		}
+	}
+}
+
+// TestQNeverReachesABit: the propagation chunk count only re-chunks
+// columns, so the loss trace and the full-graph logits are the same
+// bits under every Q — explicit counts and the solver's (Q = 0) — at
+// one worker and two. The features (200) and the second layer's input
+// (2 × 64) are wide enough to be cut.
+func TestQNeverReachesABit(t *testing.T) {
+	ds := datasets.Generate(datasets.Config{
+		Name: "wide", Vertices: 400, TargetEdges: 4000,
+		FeatureDim: 200, NumClasses: 5, Homophily: 0.85, NoiseStd: 0.4, Seed: 3,
+	})
+	run := func(q, workers int) ([]float64, *mat.Dense) {
+		cfg := tinyConfig()
+		cfg.Hidden = 64
+		cfg.DropRate = 0.2
+		cfg.Q, cfg.Workers = q, workers
+		tr := NewTrainer(ds, NewModel(ds, cfg))
+		losses := make([]float64, 8) // four epochs of two steps
+		for i := range losses {
+			losses[i] = tr.Step()
+		}
+		return losses, tr.Infer()
+	}
+	refLoss, refLogits := run(1, 1)
+	for _, q := range []int{1, 2, 3, 13, 0} {
+		for _, workers := range []int{1, 2} {
+			loss, logits := run(q, workers)
+			for i := range refLoss {
+				if math.Float64bits(loss[i]) != math.Float64bits(refLoss[i]) {
+					t.Fatalf("Q=%d workers=%d: step %d loss %v, want %v", q, workers, i, loss[i], refLoss[i])
+				}
+			}
+			for i := range refLogits.Data {
+				if math.Float64bits(logits.Data[i]) != math.Float64bits(refLogits.Data[i]) {
+					t.Fatalf("Q=%d workers=%d: logit %d = %v, want %v", q, workers, i, logits.Data[i], refLogits.Data[i])
+				}
+			}
 		}
 	}
 }

@@ -50,11 +50,9 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// Q is the feature-partition count for propagation; 0 derives it
-	// from the Theorem 2 solver with CacheBytes.
+	// per graph from partition.Chunks, Theorem 2 priced against the
+	// machine. It never changes a result.
 	Q int
-	// CacheBytes is the per-core fast-memory size used by the
-	// Theorem 2 solver (default 256 KiB, the paper's L2 size).
-	CacheBytes int
 
 	// Aggregator selects the neighbor-pooling operator: "mean" (the
 	// paper's choice, default), "sym" (Kipf-Welling symmetric
@@ -116,9 +114,6 @@ func (c Config) withDefaults(ds *datasets.Dataset) Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = perf.NumWorkers()
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 256 << 10
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -228,22 +223,17 @@ func (m *Model) NumParams() int {
 }
 
 // ctxFor builds the execution context for a given (sub)graph,
-// deriving Q from the Theorem 2 solver when unset.
+// deriving Q from partition.Chunks when unset.
 func (m *Model) ctxFor(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
 	q := m.cfg.Q
 	if q == 0 {
-		cm := partition.CommModel{
-			N: g.N, AvgDeg: g.AvgDegree(), F: feat,
-			Cores: m.cfg.Workers, CacheBytes: m.cfg.CacheBytes,
-		}
-		q = cm.OptimalQ()
+		q = partition.Chunks(g.N, g.AvgDegree(), feat)
 	}
 	return &nn.Ctx{G: g, Q: q, Workers: m.cfg.Workers, Timer: timer}
 }
 
 // CtxForGraph exposes execution-context construction (including the
-// Theorem 2 Q derivation) to external trainers such as the
-// full-batch baseline.
+// Q derivation) to external trainers such as the full-batch baseline.
 func (m *Model) CtxForGraph(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
 	return m.ctxFor(g, feat, timer)
 }

@@ -58,7 +58,8 @@ type SoftmaxCE struct{}
 // Name implements Loss.
 func (SoftmaxCE) Name() string { return "softmax-ce" }
 
-// Eval implements Loss.
+// Eval implements Loss. A row's exp(z − max) terms are staged in its
+// own dLogits slots, so a masked call allocates nothing.
 func (SoftmaxCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense) float64 {
 	checkLossShapes(logits, labels, dLogits)
 	rows := maskOrAll(mask, logits.Rows)
@@ -70,7 +71,6 @@ func (SoftmaxCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense)
 	total := 0.0
 	inv := 1 / float64(len(rows))
 	c := logits.Cols
-	probs := make([]float64, c)
 	for _, i := range rows {
 		zrow := logits.Row(i)
 		yrow := labels.Row(i)
@@ -83,13 +83,12 @@ func (SoftmaxCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense)
 		}
 		sum := 0.0
 		for j, z := range zrow {
-			probs[j] = math.Exp(z - maxZ)
-			sum += probs[j]
+			drow[j] = math.Exp(z - maxZ)
+			sum += drow[j]
 		}
 		logSum := math.Log(sum) + maxZ
 		for j := 0; j < c; j++ {
-			p := probs[j] / sum
-			drow[j] = (p - yrow[j]) * inv
+			drow[j] = (drow[j]/sum - yrow[j]) * inv
 			if yrow[j] == 1 {
 				total += logSum - zrow[j]
 			}

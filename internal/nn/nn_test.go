@@ -226,6 +226,56 @@ func TestSoftmaxCEGradientNumeric(t *testing.T) {
 	}
 }
 
+// TestSoftmaxCEMaskedAllocatesNothing: a training step's loss (a
+// non-nil mask) stages its exponentials in dLogits, not in a slice of
+// its own, and gets the bits of the separate-buffer form.
+func TestSoftmaxCEMaskedAllocatesNothing(t *testing.T) {
+	r := rng.New(11)
+	logits := randMat(r, 40, 41)
+	labels := mat.New(40, 41)
+	for i := 0; i < 40; i++ {
+		labels.Set(i, r.Intn(41), 1)
+	}
+	mask := []int{0, 3, 4, 17, 39}
+	dl := mat.New(40, 41)
+	loss := SoftmaxCE{}.Eval(logits, labels, mask, dl)
+	if a := testing.AllocsPerRun(20, func() { SoftmaxCE{}.Eval(logits, labels, mask, dl) }); a != 0 {
+		t.Errorf("SoftmaxCE.Eval allocates %v times per call, want 0", a)
+	}
+
+	want, wantLoss := mat.New(40, 41), 0.0
+	probs := make([]float64, 41)
+	for _, i := range mask {
+		zrow := logits.Row(i)
+		maxZ := zrow[0]
+		for _, z := range zrow[1:] {
+			if z > maxZ {
+				maxZ = z
+			}
+		}
+		sum := 0.0
+		for j, z := range zrow {
+			probs[j] = math.Exp(z - maxZ)
+			sum += probs[j]
+		}
+		for j := range zrow {
+			want.Set(i, j, (probs[j]/sum-labels.At(i, j))*(1/float64(len(mask))))
+			if labels.At(i, j) == 1 {
+				wantLoss += math.Log(sum) + maxZ - zrow[j]
+			}
+		}
+	}
+	wantLoss *= 1 / float64(len(mask))
+	if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+		t.Errorf("loss %v, want %v", loss, wantLoss)
+	}
+	for k := range dl.Data {
+		if math.Float64bits(dl.Data[k]) != math.Float64bits(want.Data[k]) {
+			t.Fatalf("dLogits[%d] = %v, want %v", k, dl.Data[k], want.Data[k])
+		}
+	}
+}
+
 func TestLossPerfectPrediction(t *testing.T) {
 	labels := mat.FromData(2, 3, []float64{1, 0, 0, 0, 1, 0})
 	confident := mat.FromData(2, 3, []float64{30, -30, -30, -30, 30, -30})

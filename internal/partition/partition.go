@@ -1,9 +1,12 @@
 // Package partition implements the paper's Section V: parallel
 // feature propagation within the sampled subgraph, partitioned along
 // the feature dimension (Algorithm 6), together with the
-// communication-cost model of Equation (3) and the Theorem 2 solver
-// that justifies feature-only partitioning (P = 1) as a
-// 2-approximation of the communication-minimal schedule.
+// communication-cost model of Equation (3) and Theorem 2's closed form
+// (OptimalQ), which justifies feature-only partitioning (P = 1) as a
+// 2-approximation of the communication-minimal schedule. The count the
+// trainer runs comes from Chunks instead: the same question priced
+// against the machine — a fixed cost per chunk plus the slab bytes
+// that miss the cache — with constants fitted by measurement.
 //
 // Propagation semantics: every vertex aggregates the mean of its
 // neighbors' feature vectors (the feature-aggregation step of Section

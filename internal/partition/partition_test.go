@@ -331,6 +331,82 @@ func TestBestVolumeNeverBeatsLowerBoundHalf(t *testing.T) {
 	}
 }
 
+// TestBestVolumeRoundsLikeOptimalQ: at P = 1 the exhaustive search asks
+// for OptimalQ's partition count — the same ceiling at an exact multiple
+// of the cache, the same clamp to f — so its optimum never exceeds the
+// feature-only volume it is compared with.
+func TestBestVolumeRoundsLikeOptimalQ(t *testing.T) {
+	cfg := datasets.Config{Name: "t", Vertices: 256, TargetEdges: 2000, FeatureDim: 4, NumClasses: 4, Seed: 17}
+	g := datasets.Generate(cfg).G
+	// 8·n·f = 8·256·256 = 2·S_cache exactly.
+	m := CommModel{N: g.N, AvgDeg: g.AvgDegree(), F: 256, Cores: 1, CacheBytes: 256 << 10}
+	if q := m.OptimalQ(); q != 2 {
+		t.Fatalf("OptimalQ = %d, want 2", q)
+	}
+	for _, m := range []CommModel{m, {N: g.N, AvgDeg: g.AvgDegree(), F: 16, Cores: 100, CacheBytes: 256 << 10}} {
+		if p, q, v := m.BestVolume(g, 1); p != 1 || q != m.OptimalQ() || v != m.Volume(1, q, 1) {
+			t.Errorf("f=%d cores=%d: P=1 candidate (P=%d, Q=%d, %.0f), want (1, %d, %.0f)",
+				m.F, m.Cores, p, q, v, m.OptimalQ(), m.Volume(1, m.OptimalQ(), 1))
+		}
+		if _, _, best := m.BestVolume(g, 16); best > m.Volume(1, m.OptimalQ(), 1) {
+			t.Errorf("f=%d cores=%d: exhaustive best %.0f above the feature-only volume %.0f",
+				m.F, m.Cores, best, m.Volume(1, m.OptimalQ(), 1))
+		}
+	}
+}
+
+// TestChunksOne: the shapes on which one chunk is the answer — the
+// degenerate ones, and the measured ones whose best count is 1.
+func TestChunksOne(t *testing.T) {
+	for _, c := range []struct {
+		n      int
+		avgDeg float64
+		f      int
+	}{
+		{0, 25, 602},        // no vertices
+		{675, 0, 602},       // no edges: no source row is read
+		{100000, 25, 63},    // under two panels
+		{675, 25, 0},        // no columns
+		{1, 1, 100000},      // one vertex's slab fits the cache at any width
+		{675, 25, 300},      // the train_prop subgraph's slab fits at 300
+		{435, 7.6, 602},     // the train_gemm subgraph's fits at 602
+		{425, 8.6, 50},      // train_gemm's own width
+		{3494, 42.5, 128},   // the reddit graph: past 2048 vertices a chunk
+		{3494, 42.5, 602},   // costs more than the cache it can save
+		{1000000, 50, 2000}, // gigabytes of slab
+	} {
+		if got := Chunks(c.n, c.avgDeg, c.f); got != 1 {
+			t.Errorf("Chunks(%d, %g, %d) = %d, want 1", c.n, c.avgDeg, c.f, got)
+		}
+	}
+}
+
+// TestChunksWithinCap: whatever the shape, Chunks asks for a count the
+// schedule runs as asked — at least 1, at most colChunks' cap.
+func TestChunksWithinCap(t *testing.T) {
+	for _, n := range []int{1, 10, 100, 256, 675, 2000, 10000} {
+		for _, d := range []float64{1, 8, 25} {
+			for f := 0; f <= 4096; f += 7 {
+				q := Chunks(n, d, f)
+				if q < 1 || q > colChunks(f, f) || colChunks(f, q) != q {
+					t.Fatalf("Chunks(%d, %g, %d) = %d, cap %d", n, d, f, q, colChunks(f, f))
+				}
+			}
+		}
+	}
+}
+
+// TestChunksBelowTheorem2 pins the motivating case: on the train_prop
+// subgraph's shape at its input width, the machine-priced count is the
+// measured best (2) and below the paper's closed form (13).
+func TestChunksBelowTheorem2(t *testing.T) {
+	m := CommModel{N: 675, AvgDeg: 25, F: 602, Cores: 1, CacheBytes: 256 << 10}
+	q := Chunks(m.N, m.AvgDeg, m.F)
+	if q != 2 || q >= m.OptimalQ() {
+		t.Errorf("Chunks = %d, OptimalQ = %d; want 2, below OptimalQ", q, m.OptimalQ())
+	}
+}
+
 func TestPropagateShapePanics(t *testing.T) {
 	g := smallGraph(t)
 	defer func() {
@@ -341,30 +417,29 @@ func TestPropagateShapePanics(t *testing.T) {
 	Propagate(mat.New(4, 2), mat.New(5, 2), g, NormDst, 1, 1)
 }
 
-// BenchmarkPropagate: one core on a training-sized subgraph (~670
-// vertices, ~13 neighbors each), at a hidden layer's width and at two
-// input widths, in one chunk and at the Theorem 2 count of the 602-wide
-// input, forward and backward. Bytes are the rows a pass reads (one per
-// directed edge) and writes (one per vertex).
+// BenchmarkPropagate is the source of Chunks' table: the forward
+// operator at one core on a graph of the train_prop subgraph's shape
+// (675 vertices, ~25 neighbors each), at train_gemm's input width, a
+// middle one and train_prop's, over the chunk counts of the table.
+// Every case reports the count Chunks picks for its width as solver_q.
+// Bytes are the rows a pass reads (one per directed edge) and writes
+// (one per vertex).
 func BenchmarkPropagate(b *testing.B) {
-	cfg := datasets.Config{Name: "b", Vertices: 670, TargetEdges: 4350, FeatureDim: 4, NumClasses: 4, Seed: 1}
+	cfg := datasets.Config{Name: "b", Vertices: 675, TargetEdges: 11700, FeatureDim: 4, NumClasses: 4, Seed: 1}
 	g := datasets.Generate(cfg).G
-	for _, f := range []int{16, 256, 602} {
+	for _, f := range []int{50, 300, 602} {
 		src := randomFeatures(rng.New(1), g.N, f)
 		dst := mat.New(g.N, f)
-		for _, q := range []int{1, 13} {
-			for _, op := range []struct {
-				name string
-				norm Norm
-			}{{"mean", NormDst}, {"transpose", NormSrc}} {
-				b.Run(fmt.Sprintf("f=%d/q=%d/%s", f, q, op.name), func(b *testing.B) {
-					b.SetBytes((g.NumDirectedEdges() + int64(g.N)) * int64(f) * 8)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						Propagate(dst, src, g, op.norm, q, 1)
-					}
-				})
-			}
+		solver := Chunks(g.N, g.AvgDegree(), f)
+		for _, q := range []int{1, 2, 3, 4, 6, 9, 13} {
+			b.Run(fmt.Sprintf("f=%d/q=%d", f, q), func(b *testing.B) {
+				b.SetBytes((g.NumDirectedEdges() + int64(g.N)) * int64(f) * 8)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Propagate(dst, src, g, NormDst, q, 1)
+				}
+				b.ReportMetric(float64(solver), "solver_q")
+			})
 		}
 	}
 }

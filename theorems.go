@@ -2,8 +2,11 @@ package gsgcn
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
+	"gsgcn/internal/mat"
 	"gsgcn/internal/partition"
 	"gsgcn/internal/rng"
 	"gsgcn/internal/sampler"
@@ -67,9 +70,9 @@ func (r *Theorem1Result) String() string {
 
 // Theorem2Result validates the feature-partitioning analysis: the
 // communication volume of the feature-only (P=1) schedule against the
-// exhaustive optimum and the 8nf lower bound, plus the measured
-// propagation-time ratio of 1-D (feature) vs 2-D (graph x feature)
-// partitioning on a sampled subgraph.
+// exhaustive optimum and the 8nf lower bound, and the paper's Q beside
+// the one the trainer runs (partition.Chunks), each with its measured
+// propagation time on the same sampled subgraph.
 type Theorem2Result struct {
 	Dataset     string
 	N           int
@@ -82,7 +85,14 @@ type Theorem2Result struct {
 	LowerBound  float64
 	ApproxRatio float64
 	Feasible    bool
+	PaperQ      int     // Theorem 2's closed form at S_cache = 256 KB
+	Q           int     // the count the trainer executes
+	PaperMS     float64 // Propagate at PaperQ, one core, fastest of theorem2Runs
+	QMS         float64 // Propagate at Q, the same way
 }
+
+// theorem2Runs is how many times RunTheorem2 times each Q, alternating.
+const theorem2Runs = 9
 
 // RunTheorem2 evaluates the communication model on one sampled
 // subgraph per the paper's typical parameters.
@@ -96,16 +106,17 @@ func RunTheorem2(o ExpOptions) (*Theorem2Result, error) {
 	m, budget := trainParams(ds, o)
 	fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
 	sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(o.Seed, 0x7E02))
+	f := ds.FeatureDim()
 	cm := partition.CommModel{
-		N: sub.N, AvgDeg: sub.AvgDegree(), F: ds.FeatureDim(),
+		N: sub.N, AvgDeg: sub.AvgDegree(), F: f,
 		Cores: maxInt(o.Cores), CacheBytes: 256 << 10,
 	}
 	bestP, bestQ, best := cm.BestVolume(sub.CSR, 16)
-	return &Theorem2Result{
+	res := &Theorem2Result{
 		Dataset:     ds.Name,
 		N:           sub.N,
 		AvgDeg:      sub.AvgDegree(),
-		F:           ds.FeatureDim(),
+		F:           f,
 		VolumeFOnly: cm.Volume(1, cm.OptimalQ(), 1),
 		VolumeBest:  best,
 		BestP:       bestP,
@@ -113,7 +124,21 @@ func RunTheorem2(o ExpOptions) (*Theorem2Result, error) {
 		LowerBound:  cm.LowerBound(),
 		ApproxRatio: cm.ApproxRatio(),
 		Feasible:    cm.FeasibleTheorem2(),
-	}, nil
+		PaperQ:      cm.OptimalQ(),
+		Q:           partition.Chunks(sub.N, sub.AvgDegree(), f),
+	}
+	src, dst := randomDense(rngFor(o.Seed), sub.N, f), mat.New(sub.N, f)
+	propagateMS := func(q int) float64 {
+		t0 := time.Now()
+		partition.Propagate(dst, src, sub.CSR, partition.NormDst, q, 1)
+		return float64(time.Since(t0).Nanoseconds()) / 1e6
+	}
+	res.PaperMS, res.QMS = math.Inf(1), math.Inf(1)
+	for i := 0; i < theorem2Runs; i++ {
+		res.PaperMS = min(res.PaperMS, propagateMS(res.PaperQ))
+		res.QMS = min(res.QMS, propagateMS(res.Q))
+	}
+	return res, nil
 }
 
 // String renders the analysis.
@@ -126,5 +151,7 @@ func (r *Theorem2Result) String() string {
 	if r.VolumeBest > 0 {
 		fmt.Fprintf(&b, "  feature-only / best        : %.3f (Theorem 2 guarantees <= 2)\n", r.VolumeFOnly/r.VolumeBest)
 	}
+	fmt.Fprintf(&b, "  Propagate, one core        : paper's Q=%d %.3f ms | executed Q=%d %.3f ms (partition.Chunks)\n",
+		r.PaperQ, r.PaperMS, r.Q, r.QMS)
 	return b.String()
 }
