@@ -98,9 +98,10 @@ cover:
 # then the two file loaders, which must answer any bytes with a value
 # or a typed error, never a panic, then the quantized walk's ADC table,
 # every entry of which must keep Dot's bits on hostile numbers (NaN,
-# ±Inf, subnormals, -0), then the products of 8-wide rows, whose
-# masking kernel must keep the untiled portable loops' bits on the same
-# hostile numbers, then query sequences with reloads, whose
+# ±Inf, subnormals, -0), then the three GEMM forms on rows 1 to 200
+# wide (FuzzNarrowRows, named for the 8-wide rows it began with), which
+# must keep the untiled portable loops' bits on the same hostile
+# numbers, then query sequences with reloads, whose
 # answers must be the same bytes unsharded and on 3 shards over json,
 # wire and tcp (mode=ann across transports only). The corpora
 # alone run as plain tests in every `go test`; this target also

@@ -325,7 +325,7 @@ func TestF32ScoresMatchPerRow(t *testing.T) {
 func TestPQQueryEntriesMatchDot(t *testing.T) {
 	tabs := pqEntryTables(t)
 	t.Run("portable", func(t *testing.T) {
-		withoutAVX2(t)
+		forceLevel(t, levelGo)
 		for i, tab := range pqEntryTables(t) {
 			requireSameBits(t, fmt.Sprintf("table %d on the portable loops", i), tab, tabs[i])
 		}

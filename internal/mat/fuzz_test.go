@@ -42,17 +42,19 @@ var hostile = [16]float64{
 }
 
 // narrowFuzzMats decodes a FuzzNarrowRows input into a (m x k) and
-// b (k x 8): m = 1 + mb mod 160 and k = 1 + kb mod 140, so that row
-// counts take every residue mod 4 and k reaches past the 64-row tile
-// and, as aᵀ's row count, past MulAT's first shard. Every element is a
-// seeded value in (-1, 1); an element of a is a zero instead (of either
-// sign) with probability zeros/256. Each whole 3-byte record of raw — a
-// little-endian uint16 position into a-then-b, then a byte whose low
-// four bits pick a value of hostile and whose bit 4 negates it —
-// overwrites one element.
-func narrowFuzzMats(mb, kb, zeros uint8, seed uint64, raw []byte) (a, b *Dense) {
-	m, k := 1+int(mb)%160, 1+int(kb)%140
-	vals := make([]float64, m*k+k*8)
+// b (k x n): m = 1 + mb mod 160, k = 1 + kb mod 140 and n = 1 + nb mod
+// 200, so that row counts take every residue mod 4, k reaches past the
+// 64-row tile and, as aᵀ's row count, past MulAT's first shard, and n
+// crosses every panel width of the list walks (AVX2's 32/16/8/4/1,
+// AVX-512's 64 and its masked rest) and, as bᵀ's row count, dot16's
+// sixteen-row groups. Every element is a seeded value in (-1, 1); an
+// element of a is a zero instead (of either sign) with probability
+// zeros/256. Each whole 3-byte record of raw — a little-endian uint16
+// position into a-then-b, then a byte whose low four bits pick a value
+// of hostile and whose bit 4 negates it — overwrites one element.
+func narrowFuzzMats(mb, kb, nb, zeros uint8, seed uint64, raw []byte) (a, b *Dense) {
+	m, k, n := 1+int(mb)%160, 1+int(kb)%140, 1+int(nb)%200
+	vals := make([]float64, m*k+k*n)
 	x := seed
 	for i := range vals {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -68,26 +70,34 @@ func narrowFuzzMats(mb, kb, zeros uint8, seed uint64, raw []byte) (a, b *Dense) 
 		}
 		vals[int(binary.LittleEndian.Uint16(raw))%len(vals)] = v
 	}
-	return FromData(m, k, vals[:m*k]), FromData(k, 8, vals[m*k:])
+	return FromData(m, k, vals[:m*k]), FromData(k, n, vals[m*k:])
 }
 
-// FuzzNarrowRows holds the products of 8-wide rows — the width whose
-// rows go four at a time through one kernel that masks zero alphas
-// instead of skipping them — to the untiled portable references on
-// hostile numbers: Mul(a, b) to refMul and MulAT(aᵀ, b), the same
-// product formed as a weight gradient, to refMulAT, NaNs by class. Its
-// seed corpus (testdata/fuzz/FuzzNarrowRows) has m = 1..9 against
-// NaN, ±Inf, -0 and subnormals in both operands.
+// FuzzNarrowRows holds the three GEMM forms, at the kernel level of the
+// host, to the untiled portable references on hostile numbers: Mul(a, b)
+// to refMul, MulAT(aᵀ, b), the same product formed as a weight
+// gradient, to refMulAT, and MulBT(a, bᵀ), the same product formed from
+// inner products, to refMulBT, NaNs by class. It is named for the rows
+// it began with, 8 wide — the width whose rows go four at a time
+// through one kernel that masks zero alphas instead of skipping them —
+// and now takes rows of 1 to 200. Its seed corpus
+// (testdata/fuzz/FuzzNarrowRows) has m = 1..9 at width 8 against NaN,
+// ±Inf, -0 and subnormals in both operands, and the same values at
+// widths 63, 64, 65, 121, 128 and 129, where the list walks' panels
+// end and the AVX-512 walk masks its rest.
 func FuzzNarrowRows(f *testing.F) {
-	f.Fuzz(func(t *testing.T, mb, kb, zeros uint8, seed uint64, raw []byte) {
-		a, b := narrowFuzzMats(mb, kb, zeros, seed, raw)
-		tag := fmt.Sprintf("%dx%dx8", a.Rows, a.Cols)
-		got := New(a.Rows, 8)
+	f.Fuzz(func(t *testing.T, mb, kb, nb, zeros uint8, seed uint64, raw []byte) {
+		a, b := narrowFuzzMats(mb, kb, nb, zeros, seed, raw)
+		tag := fmt.Sprintf("%dx%dx%d", a.Rows, a.Cols, b.Cols)
+		got := New(a.Rows, b.Cols)
 		Mul(got, a, b, 1)
 		requireSameBits(t, "Mul "+tag, got.Data, refMul(a, b).Data)
 		at := Transpose(a)
 		MulAT(got, at, b, 1)
 		requireSameBits(t, "MulAT "+tag, got.Data, refMulAT(at, b).Data)
+		bt := Transpose(b)
+		MulBT(got, a, bt, 1)
+		requireSameBits(t, "MulBT "+tag, got.Data, refMulBT(a, bt).Data)
 	})
 }
 

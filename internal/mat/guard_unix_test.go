@@ -35,8 +35,14 @@ func guardedFloats(t *testing.T, n int) []float64 {
 
 // TestKernelsStayInsideTheirSlices runs every primitive on operands
 // that end on the last bytes of an allocation, at lengths covering
-// each loop of the assembly (16-wide body, 4-wide body, scalar tail).
+// each loop of the assembly (16-wide body, 4-wide body, scalar tail),
+// at every kernel level.
 func TestKernelsStayInsideTheirSlices(t *testing.T) {
+	atEveryLevel(t, testKernelsStayInsideTheirSlices)
+}
+
+func testKernelsStayInsideTheirSlices(t *testing.T) {
+	k := levelKernels()
 	for n := 1; n <= 70; n++ {
 		x, y, d := guardedFloats(t, n), guardedFloats(t, n), guardedFloats(t, n)
 		rows, out := guardedFloats(t, 4*n), guardedFloats(t, 4)
@@ -72,15 +78,15 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 				t.Fatalf("n=%d: element %d = %v after the gate, want 0.5", n, i, v)
 			}
 		}
-		if useAVX2 { // below the cut-over the wrappers never reach these
-			axpyAVX2(d, x, 2)
-			addAVX2(d, y)
-			scaleAVX2(d, 2)
-			dotSink = dotAVX2(x, y)
-			dot4AVX2(out, x, rows, n)
-			reluAVX2(d, x)
-			reluGateAVX2(d, x, y)
-		}
+		// Below the cut-over the wrappers never reach the level's own
+		// routines; these do.
+		k.axpy(d, x, 2)
+		k.add(d, y)
+		k.scale(d, 2)
+		dotSink = k.dot(x, y)
+		k.dot4(out, x, rows, n)
+		k.relu(d, x)
+		k.reluGate(d, x, y)
 	}
 }
 
@@ -88,8 +94,12 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 // pair ends on the last bytes of a mapping, as a mapped artifact's
 // codebook may, with K a whole number of the kernel's passes and with
 // one centroid left for the remainder loop; and the kernel alone on the
-// last whole passes before the guard page.
+// last whole passes before the guard page. At every level.
 func TestPQQueryStaysInsideItsCodebook(t *testing.T) {
+	atEveryLevel(t, testPQQueryStaysInsideItsCodebook)
+}
+
+func testPQQueryStaysInsideItsCodebook(t *testing.T) {
 	const dim, m = 6, 3
 	for _, k := range []int{4, 5, 256} {
 		pt := handPQ(t, 4, dim, m, k)
@@ -116,9 +126,17 @@ func TestPQQueryStaysInsideItsCodebook(t *testing.T) {
 // TestAxpyRowsStaysInsideItsSlices: the list kernel with its row, the
 // last of its source rows and the last of its alphas each ending on the
 // last bytes of an allocation — packed, and strided with the final
-// alpha and the final row cut off where their strides would run on.
+// alpha and the final row cut off where their strides would run on —
+// at every level. Widths run past two AVX-512 panels: each masked rest
+// (1..63 elements after the whole panels) ends on the guard page, with
+// the lanes its mask turns off lying on it.
 func TestAxpyRowsStaysInsideItsSlices(t *testing.T) {
-	for n := 1; n <= 70; n++ {
+	atEveryLevel(t, testAxpyRowsStaysInsideItsSlices)
+}
+
+func testAxpyRowsStaysInsideItsSlices(t *testing.T) {
+	k := levelKernels()
+	for n := 1; n <= 130; n++ {
 		for _, count := range []int{1, 3, listMax} {
 			for _, lay := range []struct{ astride, gap int }{{1, 0}, {4, 2}} {
 				stride := n + lay.gap
@@ -136,10 +154,8 @@ func TestAxpyRowsStaysInsideItsSlices(t *testing.T) {
 					want += float64(i%3) * 0.25
 				}
 				axpyRows(d, src, stride, alpha, lay.astride, count)
-				if useAVX2 {
-					axpyRowsAVX2(d, src, stride, alpha, lay.astride, count)
-					want *= 2
-				}
+				k.axpyRows(d, src, stride, alpha, lay.astride, count)
+				want *= 2
 				for i, v := range d {
 					if v != want {
 						t.Fatalf("n=%d count=%d astride=%d: element %d = %v, want %v", n, count, lay.astride, i, v, want)
@@ -154,8 +170,14 @@ func TestAxpyRowsStaysInsideItsSlices(t *testing.T) {
 // rows, the last of its source rows and the last alpha it reads each
 // ending on the last bytes of an allocation — alphas a row of a (stride
 // 1) and a column of a (stride k) — where the fourth row's alphas or
-// the last term's are cut off where a stride would run on.
+// the last term's are cut off where a stride would run on. At every
+// level.
 func TestAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
+	atEveryLevel(t, testAxpyRows4x8StaysInsideItsSlices)
+}
+
+func testAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
+	kern := levelKernels()
 	const k = 5
 	for _, count := range []int{1, 3, k, 64, 70} {
 		for _, lay := range []struct{ rs, ts int }{{count + 2, 1}, {1, k}} {
@@ -173,11 +195,9 @@ func TestAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
 				}
 			}
 			axpyRows4x8(d, src, alpha, lay.rs, lay.ts, count)
-			if useAVX2 {
-				axpyRows4x8AVX2(d, src, alpha, lay.rs, lay.ts, count)
-				for r := range want {
-					want[r] *= 2
-				}
+			kern.axpyRows4x8(d, src, alpha, lay.rs, lay.ts, count)
+			for r := range want {
+				want[r] *= 2
 			}
 			for i, v := range d {
 				if v != want[i/8] {
@@ -193,10 +213,15 @@ func TestAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
 // allocation — at list lengths that take one kernel call, exactly one
 // and more than one — and with the first index that names anything
 // further, or anything before the table, stopped in Go: past the guard
-// page the assembly would fault, not panic.
+// page the assembly would fault, not panic. At every level, at widths
+// past two AVX-512 panels.
 func TestGatherSumStaysInsideItsSlices(t *testing.T) {
+	atEveryLevel(t, testGatherSumStaysInsideItsSlices)
+}
+
+func testGatherSumStaysInsideItsSlices(t *testing.T) {
 	const rows, off = 5, 2
-	for n := 1; n <= 70; n++ {
+	for n := 1; n <= 130; n++ {
 		stride := n + off + 1
 		d := guardedFloats(t, n)
 		src := guardedFloats(t, (rows-1)*stride+off+n) // the last row is cut off where its columns end
@@ -234,4 +259,47 @@ func TestGatherSumStaysInsideItsSlices(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMulBTStaysInsideItsSlices: a·bᵀ with a, b and dst each ending on
+// the last bytes of an allocation, at every level, with b's row count
+// off the sixteen-row groups (m mod 16 = 5, so rows are left for dot4
+// and dot) and the inner dimension off the 4-element chunks (k mod 4 =
+// 1 and 3, so the tail runs); and at AVX-512 dot16 alone, with its
+// packed rows, its last a row and its last output group each ending on
+// the guard page.
+func TestMulBTStaysInsideItsSlices(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		const rows, m = 3, 37
+		for _, k := range []int{1, 4, 13, 67} {
+			a, b, dst := guardedFloats(t, rows*k), guardedFloats(t, m*k), guardedFloats(t, rows*m)
+			for i := range a {
+				a[i] = 0.5
+			}
+			for i := range b {
+				b[i] = 0.25
+			}
+			want := 0.125 * float64(k)
+			MulBT(FromData(rows, m, dst), FromData(rows, k, a), FromData(m, k, b), 1)
+			for i, v := range dst {
+				if v != want {
+					t.Fatalf("k=%d: element %d = %v, want %v", k, i, v, want)
+				}
+			}
+			if !useAVX512 {
+				continue
+			}
+			packed := guardedFloats(t, 16*k)
+			packBT16(packed, b, k, 1)
+			out := guardedFloats(t, (rows-1)*m+16)
+			dot16(out, m, a, k, rows, packed)
+			for r := 0; r < rows; r++ {
+				for j, v := range out[r*m : r*m+16] {
+					if v != want {
+						t.Fatalf("k=%d: dot16 row %d result %d = %v, want %v", k, r, j, v, want)
+					}
+				}
+			}
+		}
+	})
 }

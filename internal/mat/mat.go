@@ -10,9 +10,14 @@
 // the list kernel axpyRows, which keeps a stretch of an output row in
 // registers while it takes a whole tile's non-zero terms, and on rows
 // of 8 axpyRows4x8, which advances four output rows per pass and masks
-// a zero term to +0 where axpyRows skips it) that run as AVX2
-// assembly where the CPU has it and as portable Go loops elsewhere,
-// with the same bits either way. GatherSum, the feature-aggregation
+// a zero term to +0 where axpyRows skips it, and under a·bᵀ dot16,
+// sixteen inner products per pass over a pair-packed copy of b) at
+// three levels picked once from the CPU's feature bits: AVX-512 where
+// the CPU and the operating system have it, AVX2 assembly elsewhere on
+// amd64, portable Go loops otherwise. The levels give the same bits,
+// because none changes the operations an element sees or their order:
+// a wider register only holds more lanes, and dot16's packing keeps
+// each inner product's four Dot lanes. GatherSum, the feature-aggregation
 // step's inner loop (Section V-B), walks a vertex's adjacency list the
 // same way: every element of the output row keeps a lane of its own,
 // starts from +0, takes the neighbors in list order and is scaled once,
@@ -238,7 +243,11 @@ func MulBTRange(dst, a, b *Dense, lo, hi int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBTRange shape mismatch")
 	}
-	mulBTRange(dst, a, b, lo, hi)
+	packed, buf := mulBTPack(b)
+	if buf != nil {
+		defer mulBTPacks.Put(buf)
+	}
+	mulBTRange(dst, a, b, packed, lo, hi)
 }
 
 // mulRange computes rows [lo, hi) of dst = a*b serially. The inner
@@ -420,22 +429,65 @@ func MulBT(dst, a, b *Dense, workers int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBT shape mismatch")
 	}
+	packed, buf := mulBTPack(b)
+	if buf != nil {
+		defer mulBTPacks.Put(buf)
+	}
 	perf.Parallel(a.Rows, workers, func(_, lo, hi int) {
-		mulBTRange(dst, a, b, lo, hi)
+		mulBTRange(dst, a, b, packed, lo, hi)
 	})
 }
 
-// mulBTRange computes rows [lo, hi) of dst = a * bᵀ serially. Rows of
-// b are taken a tile at a time and stay in the L1 cache while the rows
-// of a stream past; within a tile dot4 forms four inner products for
-// one pass over the a row. Every element is the same dot as in the
-// untiled loop.
-func mulBTRange(dst, a, b *Dense, lo, hi int) {
+// mulBTPacks recycles the packed copies of b that MulBT hands dot16,
+// as mulATScratch recycles MulAT's partials: a buffer belongs to one
+// call from Get to Put and is written whole before it is read.
+var mulBTPacks sync.Pool
+
+// mulBTPack packs b's rows for dot16, as many whole groups of sixteen as
+// it has, into a buffer from mulBTPacks, which the caller puts back
+// once the product is done. It returns nil where dot16 does not run:
+// below the AVX-512 level, on rows shorter than simdMinLen or fewer than
+// sixteen of them.
+func mulBTPack(b *Dense) (packed []float64, buf *[]float64) {
+	groups := b.Rows / 16
+	if !useAVX512 || b.Cols < simdMinLen || groups == 0 {
+		return nil, nil
+	}
+	size := groups * 16 * b.Cols
+	buf, _ = mulBTPacks.Get().(*[]float64)
+	if buf == nil || cap(*buf) < size {
+		grown := make([]float64, size)
+		buf = &grown
+	}
+	packed = (*buf)[:size]
+	packBT16(packed, b.Data, b.Cols, groups)
+	return packed, buf
+}
+
+// mulBTRange computes rows [lo, hi) of dst = a * bᵀ serially. The rows
+// of b that packed holds (mulBTPack's, possibly none) go sixteen at a
+// time through dot16, each group of them staying in the L1 cache while
+// the rows of a stream past. The rest are taken a tile at a time, also
+// kept in the L1 cache while the rows of a stream past; within a tile
+// dot4 forms four inner products for one pass over the a row. Every
+// element is the same dot as in the untiled loop.
+func mulBTRange(dst, a, b *Dense, packed []float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	k := a.Cols
 	m := b.Rows
+	done := 0
+	if len(packed) > 0 {
+		done = len(packed) / k
+		arows := a.Data[lo*k : hi*k]
+		for j0 := 0; j0 < done; j0 += 16 {
+			dot16(dst.Data[lo*m+j0:], m, arows, k, hi-lo, packed[j0*k:(j0+16)*k])
+		}
+	}
 	dot := dotFor(k)
-	tile := tileRows(k, m, dotTileBytes)
-	for j0 := 0; j0 < m; j0 += tile {
+	tile := tileRows(k, m-done, dotTileBytes)
+	for j0 := done; j0 < m; j0 += tile {
 		j1 := min(j0+tile, m)
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*k : (i+1)*k]

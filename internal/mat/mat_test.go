@@ -68,20 +68,25 @@ func TestMulATMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMulBTMatchesNaive runs at every kernel level, with b's row count
+// n on and off the sixteen-row groups of dot16 and the inner dimension
+// k on and off its 4-element chunks.
 func TestMulBTMatchesNaive(t *testing.T) {
-	r := rng.New(3)
-	for _, s := range []struct{ m, k, n int }{{3, 4, 5}, {33, 8, 21}} {
-		a := randomMat(r, s.m, s.k)
-		b := randomMat(r, s.n, s.k)
-		want := naiveMul(a, Transpose(b))
-		for _, workers := range []int{1, 4} {
-			got := New(s.m, s.n)
-			MulBT(got, a, b, workers)
-			if !got.Equal(want, 1e-10) {
-				t.Errorf("MulBT %v workers=%d: max diff %g", s, workers, got.MaxAbsDiff(want))
+	atEveryLevel(t, func(t *testing.T) {
+		r := rng.New(3)
+		for _, s := range []struct{ m, k, n int }{{3, 4, 5}, {33, 8, 21}, {19, 13, 37}, {5, 64, 48}} {
+			a := randomMat(r, s.m, s.k)
+			b := randomMat(r, s.n, s.k)
+			want := naiveMul(a, Transpose(b))
+			for _, workers := range []int{1, 4} {
+				got := New(s.m, s.n)
+				MulBT(got, a, b, workers)
+				if !got.Equal(want, 1e-10) {
+					t.Errorf("MulBT %v workers=%d: max diff %g", s, workers, got.MaxAbsDiff(want))
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestMulShardsMatchesMul(t *testing.T) {
@@ -326,21 +331,29 @@ var gemmShapes = []struct {
 
 // benchGEMM times, on one core at every shape, the product run builds
 // from the layer's input h (m x k), weights w (k x n) and output
-// gradient dz (m x n).
+// gradient dz (m x n), once at each kernel level the host has: the
+// levels of one shape run back to back in one process, so a comparison
+// between them is not at the mercy of the host's drift between runs.
 func benchGEMM(b *testing.B, run func(h, w, dz *Dense) func()) {
 	for _, sh := range gemmShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			r := rng.New(1)
-			h := randomMat(r, sh.m, sh.k)
-			if sh.sparse {
-				h = sparseMat(r, sh.m, sh.k)
-			}
-			step := run(h, randomMat(r, sh.k, sh.n), randomMat(r, sh.m, sh.n))
-			b.ReportAllocs()
-			b.SetBytes(int64(2 * sh.m * sh.k * sh.n)) // so that "MB/s" reads MFLOP/s, zeros counted
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
+			for lvl := levelGo; lvl <= hostLevel(); lvl++ {
+				lvl := lvl
+				b.Run(levelNames[lvl], func(b *testing.B) {
+					forceLevel(b, lvl)
+					r := rng.New(1)
+					h := randomMat(r, sh.m, sh.k)
+					if sh.sparse {
+						h = sparseMat(r, sh.m, sh.k)
+					}
+					step := run(h, randomMat(r, sh.k, sh.n), randomMat(r, sh.m, sh.n))
+					b.ReportAllocs()
+					b.SetBytes(int64(2 * sh.m * sh.k * sh.n)) // so that "MB/s" reads MFLOP/s, zeros counted
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						step()
+					}
+				})
 			}
 		})
 	}

@@ -3,18 +3,23 @@ package mat
 import "math"
 
 // Vector primitives under every GEMM form, the propagation loops, the
-// rectifier and the top-K scans. Each has two implementations that
-// return the same bits: a portable Go loop (the only path off amd64 or
-// without AVX2, and the reference the differential tests compare
-// against) and an AVX2 routine in simd_amd64.s. The assembly keeps the
-// Go loop's arithmetic exactly — a separate multiply and add per
-// element, never a fused one, for dot the same four accumulator lanes
-// reduced as ((s0+s1)+s2)+s3 before a scalar tail, and for axpyRows
-// the same terms in the same order, zeros skipped (axpyRows4x8 masks
-// them to +0 instead, which on its +0-started sums is the same thing)
-// — so which one runs never shows in a result. The choice is made from
-// what the code can observe: the CPU's feature bits, read once at
-// start-up (useAVX2), and the vector length.
+// rectifier and the top-K scans. They run at one of three levels that
+// return the same bits: the portable Go loops (the only path off amd64,
+// and the reference the differential tests compare against), AVX2
+// routines in simd_amd64.s, and on CPUs with AVX-512 the AVX2 routines
+// but for two AVX-512 kernels — the list walk under axpyRows and
+// GatherSum, and the sixteen-row dot under MulBT (dot16). The assembly
+// keeps the Go loop's arithmetic exactly — a separate multiply and add
+// per element, never a fused one, for dot the same four accumulator
+// lanes reduced as ((s0+s1)+s2)+s3 before a scalar tail, and for
+// axpyRows the same terms in the same order, zeros skipped
+// (axpyRows4x8 masks them to +0 instead, which on its +0-started sums
+// is the same thing) — so which one runs never shows in a result: a
+// wider register only changes which elements share an instruction, the
+// operations each element sees and their order stay put, and dot16's
+// packing keeps each inner product's four lanes. The choice is made
+// from what the code can observe: the CPU's feature bits, read once at
+// start-up (useAVX2, useAVX512), and the vector length.
 //
 // axpyRows and GatherSum are the two primitives that are more than a
 // loop over elements: a row plus, or set to, a weighted sum of other
@@ -156,6 +161,51 @@ func dot4(out, x, y []float64, stride int) {
 	}
 }
 
+// dot16 sets dst[r*dstride+j] = Dot(a[r*k:r*k+k], row j of b) for j <
+// 16 and r < rows: sixteen inner products per row of a, rows of a k
+// apart and rows of dst dstride apart, against sixteen rows of b that
+// packBT16 packed. Each result has exactly Dot's bits. Only the
+// AVX-512 level runs it; it panics if an operand is too short.
+func dot16(dst []float64, dstride int, a []float64, k, rows int, packed []float64) {
+	if rows <= 0 {
+		return
+	}
+	if dstride < 16 { // rows of 16 results would overlap, or run backwards past dst
+		panic("mat: dot16 arguments out of range")
+	}
+	dst = dst[: (rows-1)*dstride+16 : len(dst)]
+	a = a[: rows*k : len(a)]
+	packed = packed[: 16*k : len(packed)]
+	dot16AVX512(dst, dstride, a, k, rows, packed)
+}
+
+// packBT16 lays out the first 16*groups rows of b (rows of k elements)
+// for dot16, sixteen rows to a group of 16*k elements: for each 4-element
+// chunk of the first k&^3 columns, rows 0..15's chunks in row order —
+// so that rows 2p and 2p+1 share an 8-element register — then for each
+// column left, its sixteen elements in row order.
+func packBT16(dst, b []float64, k, groups int) {
+	k4 := k &^ 3
+	for g := 0; g < groups; g++ {
+		rows := b[g*16*k : (g+1)*16*k]
+		out := dst[g*16*k : (g+1)*16*k]
+		o := 0
+		for c := 0; c < k4; c += 4 {
+			for r := 0; r < 16; r++ {
+				x := rows[r*k+c : r*k+c+4]
+				out[o], out[o+1], out[o+2], out[o+3] = x[0], x[1], x[2], x[3]
+				o += 4
+			}
+		}
+		for c := k4; c < k; c++ {
+			for r := 0; r < 16; r++ {
+				out[o] = rows[r*k+c]
+				o++
+			}
+		}
+	}
+}
+
 // axpyFor returns the axpy kernel for vectors of n elements. Kernels
 // index src by dst's length: they are for callers that cut both slices
 // to n elements themselves.
@@ -194,7 +244,7 @@ func axpyRows(dst, src []float64, stride int, alpha []float64, astride, count in
 	src = src[: (count-1)*stride+n : len(src)]
 	alpha = alpha[: (count-1)*astride+1 : len(alpha)]
 	if useAVX2 && n >= simdMinLen {
-		axpyRowsAVX2(dst, src, stride, alpha, astride, count)
+		axpyRowsSIMD(dst, src, stride, alpha, astride, count, useAVX512)
 		return
 	}
 	axpyRowsGo(dst, src, stride, alpha, astride, count)
@@ -310,7 +360,7 @@ func GatherSum(dst, src []float64, stride, off int, idx []int32, alpha []float64
 			s = scale
 		}
 		if useAVX2 && n >= simdMinLen {
-			gatherRowsAVX2(dst, src, offs[:c], a, s, fresh)
+			gatherRowsSIMD(dst, src, offs[:c], a, s, fresh, useAVX512)
 		} else {
 			gatherRowsGo(dst, src, offs[:c], a, s, fresh)
 		}

@@ -1,11 +1,18 @@
 package mat
 
-// useAVX2 reports whether the AVX2 kernels may run: the CPU has AVX2
-// and the operating system saves the YMM registers across context
-// switches. It is read from CPUID and XGETBV once, at package
-// initialisation; only a test sets it again, to run the portable loops
-// on an AVX2 host, and puts it back before it returns.
-var useAVX2 = detectAVX2()
+// useAVX2 and useAVX512 are the kernel level: the portable loops when
+// both are false, the AVX2 kernels when only useAVX2 is set, and with
+// useAVX512 too the AVX-512 ones where there are any. useAVX2 says the
+// CPU has AVX2 and the operating system saves the YMM registers across
+// context switches; useAVX512 that it also has AVX512F and the system
+// saves the opmask and all 32 ZMM registers. Both are read from CPUID
+// and XGETBV once, at package initialisation; only a test sets them
+// again, to run a lower level on the same host, and puts them back
+// before it returns.
+var (
+	useAVX2   = detectAVX2()
+	useAVX512 = useAVX2 && detectAVX512()
+)
 
 func detectAVX2() bool {
 	const (
@@ -29,6 +36,20 @@ func detectAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
+// detectAVX512 reports AVX512F and the ZMM state enabled. It is only
+// asked once detectAVX2 has found CPUID leaf 7 and OSXSAVE.
+func detectAVX512() bool {
+	const (
+		avx512f = 1 << 16 // CPUID.(7,0):EBX
+		zmmSave = 0xe6    // XCR0: SSE, AVX, opmask, ZMM0-15 upper halves, ZMM16-31
+	)
+	if xcr0, _ := xgetbv(); xcr0&zmmSave != zmmSave {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&avx512f != 0
+}
+
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -39,9 +60,11 @@ func xgetbv() (eax, edx uint32)
 // The routines below have no bounds checks: callers (simd.go, and
 // PQTable.Query for adc2AVX2) slice every operand to the length the
 // routine will touch before the call.
-// All end in VZEROUPPER and all are NOSPLIT leaves but axpyRowsAVX2,
-// whose frame holds its term list and which, like gatherRowsAVX2,
-// finishes in the list walk the two share.
+// All end in VZEROUPPER and all are NOSPLIT leaves but axpyRowsSIMD,
+// whose frame holds its term list and which, like gatherRowsSIMD,
+// finishes in the list walk the two share. Those two take the level as
+// an argument: zmm selects the AVX-512 walk and may only be set where
+// useAVX512 is; every other routine is AVX2 but dot16AVX512.
 
 // axpyAVX2 computes dst[i] += alpha*src[i] for i < len(dst).
 // len(src) must be at least len(dst).
@@ -49,14 +72,14 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func axpyAVX2(dst, src []float64, alpha float64)
 
-// axpyRowsAVX2 computes dst[i] += alpha[t*astride]*src[t*stride+i]
+// axpyRowsSIMD computes dst[i] += alpha[t*astride]*src[t*stride+i]
 // for i < len(dst), for t = 0..count-1 in that order, skipping zero
 // alphas. count must be 1..listMax, stride and astride non-negative,
 // len(src) at least (count-1)*stride+len(dst) and len(alpha) at least
 // (count-1)*astride+1.
 //
 //go:noescape
-func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int)
+func axpyRowsSIMD(dst, src []float64, stride int, alpha []float64, astride, count int, zmm bool)
 
 // axpyRows4x8AVX2 computes, for r < 4 and t = 0..count-1 in that order,
 // dst[8r+i] += alpha[r*rs+t*ts]*src[8t+i] for i < 8, with the products
@@ -68,16 +91,16 @@ func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, coun
 //go:noescape
 func axpyRows4x8AVX2(dst, src, alpha []float64, rs, ts, count int)
 
-// gatherRowsAVX2 computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
+// gatherRowsSIMD computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
 // for i < len(dst), over t = 0..len(offs)-1 in that order, with +0 in
 // place of dst[i] when fresh. len(offs) must be 1..listMax, len(alpha)
 // at least len(offs), and every offs[t] in 0..len(src)-len(dst).
 //
 //go:noescape
-func gatherRowsAVX2(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
+func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float64, fresh, zmm bool)
 
 func _() {
-	// axpyRowsAVX2's frame is laid out for 64 terms; an "invalid
+	// axpyRowsSIMD's frame is laid out for 64 terms; an "invalid
 	// array index" error here says listMax has moved without it.
 	var x [1]struct{}
 	_ = x[listMax-64]
@@ -95,6 +118,16 @@ func dotAVX2(x, y []float64) float64
 //
 //go:noescape
 func dot4AVX2(out, x, y []float64, stride int)
+
+// dot16AVX512 sets dst[r*dstride+j] to the inner product of
+// a[r*k : r*k+k] and row j of the sixteen rows packBT16 packed into
+// packed, with dotGo's bits, for j < 16 and r < rows. k must be
+// non-negative, dstride at least 16, len(dst) at least
+// (rows-1)*dstride+16 when rows > 0, len(a) at least rows*k and
+// len(packed) at least 16*k.
+//
+//go:noescape
+func dot16AVX512(dst []float64, dstride int, a []float64, k, rows int, packed []float64)
 
 // adc2AVX2 sets row[c] to the inner product of (q0, q1) and
 // cents[2c : 2c+2] for c < len(row): the ADC table row of a span-2

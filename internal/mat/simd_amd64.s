@@ -1,12 +1,21 @@
 #include "textflag.h"
 
-// AVX2 vector kernels. Arithmetic is VMULPD followed by VADDPD (and
-// the scalar VMULSD/VADDSD in tails) — never a fused multiply-add —
-// so every element is rounded exactly as in the portable Go loops of
-// simd.go. adc2AVX2 alone moves elements between lanes — it splits
-// packed centroid pairs in registers and restores centroid order
-// before its store — and moving a value never changes its bits.
-// Callers guarantee the operand lengths; nothing here checks a bound.
+// Vector kernels at two levels, AVX2 and AVX-512, picked once from
+// CPUID (simd_amd64.go). Arithmetic is VMULPD followed by VADDPD (and
+// the scalar VMULSD/VADDSD in tails) — never a fused multiply-add — so
+// every element is rounded exactly as in the portable Go loops of
+// simd.go, at either width. A wider register changes which elements
+// share an instruction, never the operations an element sees or their
+// order: the ZMM list walk gives each element of dst its own lane as
+// the YMM one does, and dot16AVX512 keeps dotGo's four accumulator
+// lanes per inner product — its packing puts two rows' four lanes in
+// one register — and reduces them in dotGo's order. adc2AVX2 and
+// dot16AVX512's reduction alone move elements between lanes, and
+// moving a value never changes its bits. Masked AVX-512 loads and
+// stores touch no element outside their mask. Callers guarantee the
+// operand lengths; nothing here checks a bound. AVX-512 code uses
+// Z0..Z15 only, which VZEROUPPER leaves clean, and nothing beyond
+// AVX512F.
 
 // HSUM leaves ((s0+s1)+s2)+s3 of the four lanes of Yacc in lane 0 of
 // Xres, the order dotGo sums its accumulators in. Xacc is the low
@@ -497,18 +506,18 @@ adc2Done:
 	CMPQ AX, R10; \
 	JLT  loop
 
-// func axpyRowsAVX2(dst, src []float64, stride int, alpha []float64, astride, count int)
+// func axpyRowsSIMD(dst, src []float64, stride int, alpha []float64, astride, count int, zmm bool)
 //
 // The count alphas, astride apart, are compacted into a list at 0(SP),
 // the offsets of their rows at 512(SP), without a branch: every one is
 // written, and the write position moves on only past an alpha whose
-// bits other than the sign are not all zero. listWalk then adds the
-// listed terms to dst as it stands (Y14 keeps every bit) and leaves the
-// sums as they come (Y15 is 1, and x*1 is x).
+// bits other than the sign are not all zero. listWalk (listWalkZ when
+// zmm) then adds the listed terms to dst as it stands (Y14 keeps every
+// bit) and leaves the sums as they come (Y15 is 1, and x*1 is x).
 //
 // The 1 KB frame is more than a NOSPLIT function may have, so this one
 // routine carries the assembler's stack check.
-TEXT ·axpyRowsAVX2(SB), $1024-96
+TEXT ·axpyRowsSIMD(SB), $1024-97
 	MOVQ  dst_base+0(FP), DI
 	MOVQ  dst_len+8(FP), CX
 	MOVQ  src_base+24(FP), SI
@@ -541,7 +550,13 @@ rowsCompact:
 	MOVQ         $0x3ff0000000000000, AX
 	VMOVQ        AX, X15
 	VPBROADCASTQ X15, Y15
+	CMPB         zmm+96(FP), $0
+	JNE          rowsZ
 	CALL         listWalk<>(SB)
+	RET
+
+rowsZ:
+	CALL listWalkZ<>(SB)
 	RET
 
 rowsDone:
@@ -627,12 +642,12 @@ quadTerm:
 	VZEROUPPER
 	RET
 
-// func gatherRowsAVX2(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
+// func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float64, fresh, zmm bool)
 //
-// The caller's list goes to listWalk as it is. Y14 is all zeros when
-// fresh, so that every sum starts from +0 whatever dst holds, and all
-// ones otherwise.
-TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-105
+// The caller's list goes to listWalk (listWalkZ when zmm) as it is.
+// Y14 is all zeros when fresh, so that every sum starts from +0
+// whatever dst holds, and all ones otherwise.
+TEXT ·gatherRowsSIMD(SB), NOSPLIT, $0-106
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
 	MOVQ         src_base+24(FP), SI
@@ -644,7 +659,12 @@ TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-105
 	DECQ         AX
 	VMOVQ        AX, X14
 	VPBROADCASTQ X14, Y14
+	CMPB         zmm+105(FP), $0
+	JNE          gatherZ
 	JMP          listWalk<>(SB)
+
+gatherZ:
+	JMP listWalkZ<>(SB)
 
 // listWalk is the loop under both: for each element i of the CX at DI,
 //
@@ -804,5 +824,276 @@ list1Term:
 	JMP    list1
 
 listDone:
+	VZEROUPPER
+	RET
+
+// LISTROWZ is LISTROW for listWalkZ: the alpha goes to every lane of Z8.
+#define LISTROWZ \
+	MOVQ         (R8)(AX*8), DX; \
+	VBROADCASTSD (R9)(AX*8), Z8; \
+	LEAQ         (SI)(DX*8), DX
+
+// listWalkZ is listWalk on ZMM registers, for the same callers with the
+// same registers set: dst is walked in column panels of 64 elements in
+// Z0..Z7, and the 1 to 63 elements left after them take one more panel
+// under k-masks, the bits of which are one per element left. More than
+// 32 left go through the 64-element panel code with Z4..Z7 masked by
+// K4..K7 (all ones in a whole panel); 32 or fewer through a panel of
+// Z0..Z3 masked by K1..K4. A masked-off lane is neither read nor
+// written, and an element in a lane sees exactly listWalk's operations:
+// the AND, a product and a sum per term, the scaling.
+TEXT listWalkZ<>(SB), NOSPLIT|NOFRAME, $0-0
+	VPBROADCASTQ X14, Z14
+	VPBROADCASTQ X15, Z15
+	MOVQ         $-1, AX
+	KMOVW        AX, K4
+	KMOVW        AX, K5
+	KMOVW        AX, K6
+	KMOVW        AX, K7
+
+zlist64:
+	CMPQ CX, $64
+	JLT  zlistRest
+
+zpanel64:
+	VPANDQ   (DI), Z14, Z0
+	VPANDQ   64(DI), Z14, Z1
+	VPANDQ   128(DI), Z14, Z2
+	VPANDQ   192(DI), Z14, Z3
+	VPANDQ.Z 256(DI), Z14, K4, Z4
+	VPANDQ.Z 320(DI), Z14, K5, Z5
+	VPANDQ.Z 384(DI), Z14, K6, Z6
+	VPANDQ.Z 448(DI), Z14, K7, Z7
+	XORQ     AX, AX
+
+zterm64:
+	LISTROWZ
+	VMULPD   (DX), Z8, Z9
+	VMULPD   64(DX), Z8, Z10
+	VMULPD   128(DX), Z8, Z11
+	VMULPD   192(DX), Z8, Z12
+	VADDPD   Z0, Z9, Z0
+	VADDPD   Z1, Z10, Z1
+	VADDPD   Z2, Z11, Z2
+	VADDPD   Z3, Z12, Z3
+	VMULPD.Z 256(DX), Z8, K4, Z9
+	VMULPD.Z 320(DX), Z8, K5, Z10
+	VMULPD.Z 384(DX), Z8, K6, Z11
+	VMULPD.Z 448(DX), Z8, K7, Z12
+	VADDPD   Z4, Z9, Z4
+	VADDPD   Z5, Z10, Z5
+	VADDPD   Z6, Z11, Z6
+	VADDPD   Z7, Z12, Z7
+	LISTNEXT(zterm64)
+	VMULPD   Z15, Z0, Z0
+	VMULPD   Z15, Z1, Z1
+	VMULPD   Z15, Z2, Z2
+	VMULPD   Z15, Z3, Z3
+	VMULPD   Z15, Z4, Z4
+	VMULPD   Z15, Z5, Z5
+	VMULPD   Z15, Z6, Z6
+	VMULPD   Z15, Z7, Z7
+	VMOVUPD  Z0, (DI)
+	VMOVUPD  Z1, 64(DI)
+	VMOVUPD  Z2, 128(DI)
+	VMOVUPD  Z3, 192(DI)
+	VMOVUPD  Z4, K4, 256(DI)
+	VMOVUPD  Z5, K5, 320(DI)
+	VMOVUPD  Z6, K6, 384(DI)
+	VMOVUPD  Z7, K7, 448(DI)
+	ADDQ     $512, SI
+	ADDQ     $512, DI
+	SUBQ     $64, CX
+	JMP      zlist64
+
+zlistRest:
+	TESTQ CX, CX
+	JZ    zlistDone
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX         // bit i set for each of the CX elements left
+	CMPQ  CX, $32
+	JLE   zlist32
+	SHRQ  $32, AX
+	KMOVW AX, K4
+	SHRQ  $8, AX
+	KMOVW AX, K5
+	SHRQ  $8, AX
+	KMOVW AX, K6
+	SHRQ  $8, AX
+	KMOVW AX, K7
+	MOVQ  $64, CX    // the last panel
+	JMP   zpanel64
+
+zlist32:
+	KMOVW    AX, K1
+	SHRQ     $8, AX
+	KMOVW    AX, K2
+	SHRQ     $8, AX
+	KMOVW    AX, K3
+	SHRQ     $8, AX
+	KMOVW    AX, K4
+	VPANDQ.Z (DI), Z14, K1, Z0
+	VPANDQ.Z 64(DI), Z14, K2, Z1
+	VPANDQ.Z 128(DI), Z14, K3, Z2
+	VPANDQ.Z 192(DI), Z14, K4, Z3
+	XORQ     AX, AX
+
+zterm32:
+	LISTROWZ
+	VMULPD.Z (DX), Z8, K1, Z9
+	VMULPD.Z 64(DX), Z8, K2, Z10
+	VMULPD.Z 128(DX), Z8, K3, Z11
+	VMULPD.Z 192(DX), Z8, K4, Z12
+	VADDPD   Z0, Z9, Z0
+	VADDPD   Z1, Z10, Z1
+	VADDPD   Z2, Z11, Z2
+	VADDPD   Z3, Z12, Z3
+	LISTNEXT(zterm32)
+	VMULPD   Z15, Z0, Z0
+	VMULPD   Z15, Z1, Z1
+	VMULPD   Z15, Z2, Z2
+	VMULPD   Z15, Z3, Z3
+	VMOVUPD  Z0, K1, (DI)
+	VMOVUPD  Z1, K2, 64(DI)
+	VMOVUPD  Z2, K3, 128(DI)
+	VMOVUPD  Z3, K4, 192(DI)
+
+zlistDone:
+	VZEROUPPER
+	RET
+
+// pairIdx holds the VPERMI2PD indices of PAIRSUM: from two registers of
+// unpacked pairs, lane 0 (first half) and lane 2 (second half) of each
+// of eight rows, in row order.
+DATA pairIdx<>+0(SB)/8, $0
+DATA pairIdx<>+8(SB)/8, $4
+DATA pairIdx<>+16(SB)/8, $1
+DATA pairIdx<>+24(SB)/8, $5
+DATA pairIdx<>+32(SB)/8, $8
+DATA pairIdx<>+40(SB)/8, $12
+DATA pairIdx<>+48(SB)/8, $9
+DATA pairIdx<>+56(SB)/8, $13
+DATA pairIdx<>+64(SB)/8, $2
+DATA pairIdx<>+72(SB)/8, $6
+DATA pairIdx<>+80(SB)/8, $3
+DATA pairIdx<>+88(SB)/8, $7
+DATA pairIdx<>+96(SB)/8, $10
+DATA pairIdx<>+104(SB)/8, $14
+DATA pairIdx<>+112(SB)/8, $11
+DATA pairIdx<>+120(SB)/8, $15
+GLOBL pairIdx<>(SB), RODATA|NOPTR, $128
+
+// PAIRSUM reduces four pair accumulators — A0..A3, each the lanes
+// s0..s3 of row 2q in its low half and of row 2q+1 in its high half —
+// to the eight sums ((s0+s1)+s2)+s3 in A0, rows in order, dotGo's
+// reduction lane by lane. The unpacks put lanes 0 and 2 (Z9, Z11) and
+// lanes 1 and 3 (Z10, Z12) of rows 0..3 and 4..7 side by side; the
+// permutes gather each lane of the eight rows into one register (A0
+// lane 0, A2 lane 1, A1 lane 2, A3 lane 3); three adds reduce them.
+// Z14 and Z15 hold pairIdx.
+#define PAIRSUM(A0, A1, A2, A3) \
+	VUNPCKLPD A1, A0, Z9;     \
+	VUNPCKHPD A1, A0, Z10;    \
+	VUNPCKLPD A3, A2, Z11;    \
+	VUNPCKHPD A3, A2, Z12;    \
+	VMOVUPD   Z14, A0;        \
+	VPERMI2PD Z11, Z9, A0;    \
+	VMOVUPD   Z15, A1;        \
+	VPERMI2PD Z11, Z9, A1;    \
+	VMOVUPD   Z14, A2;        \
+	VPERMI2PD Z12, Z10, A2;   \
+	VMOVUPD   Z15, A3;        \
+	VPERMI2PD Z12, Z10, A3;   \
+	VADDPD    A2, A0, A0;     \
+	VADDPD    A1, A0, A0;     \
+	VADDPD    A3, A0, A0
+
+// func dot16AVX512(dst []float64, dstride int, a []float64, k, rows int, packed []float64)
+//
+// Sixteen dotGo inner products per row of a, against the sixteen rows
+// of b that packBT16 laid out in packed, for rows rows of a (k apart,
+// SI) into rows of dst (dstride apart, DI). Z0..Z7 are the accumulators
+// of the eight row pairs; each 4-element chunk of the a row, broadcast
+// to both halves of Z8, meets the eight pairs' chunks (512 bytes at
+// BX). After the k&^3 body elements come PAIRSUM and then the tail, an
+// element at a time: its product with the sixteen rows' elements (128
+// bytes at BX) added to the sums, rows 0..7 in Z0 and 8..15 in Z4.
+TEXT ·dot16AVX512(SB), NOSPLIT, $0-96
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dstride+24(FP), R11
+	SHLQ    $3, R11
+	MOVQ    a_base+32(FP), SI
+	MOVQ    k+56(FP), R12
+	MOVQ    rows+64(FP), R13
+	MOVQ    packed_base+72(FP), R8
+	MOVQ    R12, R14
+	ANDQ    $-4, R14
+	VMOVUPD pairIdx<>+0(SB), Z14
+	VMOVUPD pairIdx<>+64(SB), Z15
+	TESTQ   R13, R13
+	JLE     dot16Done
+
+dot16Row:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ   R8, BX
+	XORQ   AX, AX
+
+dot16Body:
+	CMPQ            AX, R14
+	JGE             dot16Reduce
+	VBROADCASTF64X4 (SI)(AX*8), Z8
+	VMULPD          (BX), Z8, Z9
+	VMULPD          64(BX), Z8, Z10
+	VMULPD          128(BX), Z8, Z11
+	VMULPD          192(BX), Z8, Z12
+	VADDPD          Z9, Z0, Z0
+	VADDPD          Z10, Z1, Z1
+	VADDPD          Z11, Z2, Z2
+	VADDPD          Z12, Z3, Z3
+	VMULPD          256(BX), Z8, Z9
+	VMULPD          320(BX), Z8, Z10
+	VMULPD          384(BX), Z8, Z11
+	VMULPD          448(BX), Z8, Z12
+	VADDPD          Z9, Z4, Z4
+	VADDPD          Z10, Z5, Z5
+	VADDPD          Z11, Z6, Z6
+	VADDPD          Z12, Z7, Z7
+	ADDQ            $512, BX
+	ADDQ            $4, AX
+	JMP             dot16Body
+
+dot16Reduce:
+	PAIRSUM(Z0, Z1, Z2, Z3)
+	PAIRSUM(Z4, Z5, Z6, Z7)
+
+dot16Tail:
+	CMPQ         AX, R12
+	JGE          dot16Store
+	VBROADCASTSD (SI)(AX*8), Z8
+	VMULPD       (BX), Z8, Z9
+	VMULPD       64(BX), Z8, Z10
+	VADDPD       Z9, Z0, Z0
+	VADDPD       Z10, Z4, Z4
+	ADDQ         $128, BX
+	INCQ         AX
+	JMP          dot16Tail
+
+dot16Store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z4, 64(DI)
+	ADDQ    R11, DI
+	LEAQ    (SI)(R12*8), SI
+	DECQ    R13
+	JNZ     dot16Row
+
+dot16Done:
 	VZEROUPPER
 	RET

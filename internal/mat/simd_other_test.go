@@ -4,6 +4,9 @@ package mat
 
 import "testing"
 
-// withoutAVX2 has nothing to switch off: the portable loops are the
-// only path here.
-func withoutAVX2(t *testing.T) {}
+// hostLevel is the portable loops' here: there is no assembly.
+func hostLevel() int { return levelGo }
+
+// forceLevel has nothing to switch: the portable loops are the only
+// path here.
+func forceLevel(testing.TB, int) {}

@@ -1,17 +1,20 @@
 package mat
 
-// Differential suite for the vector primitives (ISSUE 12): the AVX2
-// routines must return the bits of the portable Go loops for every
-// length and alignment, for ordinary values and for the ones where a
-// fused multiply-add, a different accumulator layout or a reordered
-// reduction would show — signed zeros, subnormals, magnitudes whose
-// products overflow or underflow. NaNs are compared by class (the
-// payload depends on operand order, which Go does not fix). The
-// second half pins the tiled GEMM loops to untiled loops over the
+// Differential suite for the vector primitives: at every kernel level
+// the host has — the portable loops, AVX2, AVX-512; the tests named for
+// AVX2 predate the third level and run at all three — each routine must
+// return the bits of the portable Go loops for every length and
+// alignment, for ordinary values and for the ones where a fused
+// multiply-add, a different accumulator layout or a reordered reduction
+// would show — signed zeros, subnormals, magnitudes whose products
+// overflow or underflow. NaNs are compared by class (the payload
+// depends on operand order, which Go does not fix). The second half
+// pins the tiled GEMM loops, at every level, to untiled loops over the
 // portable primitives. The list kernel under a·b and aᵀ·b (axpyRows)
 // gets both treatments, and a third for where its zeros fall; so does
 // the four-row kernel that replaces it on rows of 8 (axpyRows4x8),
-// whose GEMMs are also held to the untiled loops on hostile values.
+// whose GEMMs are also held to the untiled loops on hostile values, and
+// the sixteen-row dot under a·bᵀ (dot16).
 
 import (
 	"fmt"
@@ -111,15 +114,80 @@ func offsetSlice(r *rng.RNG, gen func(*rng.RNG) float64, off, n int) []float64 {
 	return buf[off : off+n : off+n]
 }
 
-func requireAVX2(t *testing.T) {
-	t.Helper()
-	if !useAVX2 {
-		t.Skip("no AVX2 kernels on this host; the portable loops are the only path")
+// Kernel levels, lowest first: what useAVX2 and useAVX512 select.
+const (
+	levelGo = iota
+	levelAVX2
+	levelAVX512
+)
+
+var levelNames = [...]string{"go", "avx2", "avx512"}
+
+// atEveryLevel runs fn as one subtest per kernel level, with the
+// package forced to it, and logs the level each ran at; a level above
+// the host's is skipped, with the reason.
+func atEveryLevel(t *testing.T, fn func(t *testing.T)) {
+	for lvl, name := range levelNames {
+		lvl, name := lvl, name
+		t.Run(name, func(t *testing.T) {
+			if host := hostLevel(); lvl > host {
+				t.Skipf("no %s kernels here: the host's highest level is %s", name, levelNames[host])
+			}
+			forceLevel(t, lvl)
+			t.Logf("kernel level %s", name)
+			fn(t)
+		})
 	}
 }
 
-func TestAxpyAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
+// kernelSet is every routine of one level, taken directly: the entry
+// points in simd.go cut short vectors over to the Go loops, these run
+// the level's code, assembly tails included, at every length.
+type kernelSet struct {
+	axpy        func(dst, src []float64, alpha float64)
+	add         func(dst, src []float64)
+	scale       func(dst []float64, alpha float64)
+	dot         func(x, y []float64) float64
+	dot4        func(out, x, y []float64, stride int)
+	relu        func(dst, src []float64)
+	reluGate    func(dst, z, grad []float64)
+	axpyRows    func(dst, src []float64, stride int, alpha []float64, astride, count int)
+	axpyRows4x8 func(dst, src, alpha []float64, rs, ts, count int)
+	gatherRows  func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
+}
+
+// levelKernels returns the routines of the level the package is at.
+func levelKernels() kernelSet {
+	if !useAVX2 {
+		return kernelSet{
+			axpy: axpyGo, add: addGo, scale: scaleGo, dot: dotGo,
+			dot4: func(out, x, y []float64, stride int) {
+				for j := range out[:4] {
+					out[j] = dotGo(x, y[j*stride:j*stride+len(x)])
+				}
+			},
+			relu: reluGo, reluGate: reluGateGo, axpyRows: axpyRowsGo,
+			axpyRows4x8: axpyRows4x8Go, gatherRows: gatherRowsGo,
+		}
+	}
+	zmm := useAVX512
+	return kernelSet{
+		axpy: axpyAVX2, add: addAVX2, scale: scaleAVX2, dot: dotAVX2, dot4: dot4AVX2,
+		relu: reluAVX2, reluGate: reluGateAVX2,
+		axpyRows: func(dst, src []float64, stride int, alpha []float64, astride, count int) {
+			axpyRowsSIMD(dst, src, stride, alpha, astride, count, zmm)
+		},
+		axpyRows4x8: axpyRows4x8AVX2,
+		gatherRows: func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool) {
+			gatherRowsSIMD(dst, src, offs, alpha, scale, fresh, zmm)
+		},
+	}
+}
+
+func TestAxpyAVX2MatchesPortable(t *testing.T) { atEveryLevel(t, testAxpyMatchesPortable) }
+
+func testAxpyMatchesPortable(t *testing.T) {
+	k := levelKernels()
 	for _, vc := range valueClasses {
 		r := rng.New(101)
 		for n := 0; n <= maxDiffLen; n++ {
@@ -130,7 +198,7 @@ func TestAxpyAVX2MatchesPortable(t *testing.T) {
 					want := append([]float64(nil), base...)
 					got := append([]float64(nil), base...)
 					axpyGo(want, src, alpha)
-					axpyAVX2(got, src, alpha)
+					k.axpy(got, src, alpha)
 					requireSameBits(t, fmt.Sprintf("%s n=%d off=%d alpha=%v", vc.name, n, off, alpha), got, want)
 				}
 			}
@@ -138,15 +206,17 @@ func TestAxpyAVX2MatchesPortable(t *testing.T) {
 	}
 }
 
-func TestDotAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
+func TestDotAVX2MatchesPortable(t *testing.T) { atEveryLevel(t, testDotMatchesPortable) }
+
+func testDotMatchesPortable(t *testing.T) {
+	k := levelKernels()
 	for _, vc := range valueClasses {
 		r := rng.New(103)
 		for n := 0; n <= maxDiffLen; n++ {
 			for off := 0; off <= maxDiffOffset; off++ {
 				x := offsetSlice(r, vc.gen, off, n)
 				y := offsetSlice(r, vc.gen, (off+2)%(maxDiffOffset+1), n)
-				want, got := dotGo(x, y), dotAVX2(x, y)
+				want, got := dotGo(x, y), k.dot(x, y)
 				if !sameBits(got, want) {
 					t.Fatalf("%s n=%d off=%d: %v (%#016x) != %v (%#016x)", vc.name, n, off,
 						got, math.Float64bits(got), want, math.Float64bits(want))
@@ -156,8 +226,10 @@ func TestDotAVX2MatchesPortable(t *testing.T) {
 	}
 }
 
-func TestDot4AVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
+func TestDot4AVX2MatchesPortable(t *testing.T) { atEveryLevel(t, testDot4MatchesPortable) }
+
+func testDot4MatchesPortable(t *testing.T) {
+	k := levelKernels()
 	for _, vc := range valueClasses {
 		r := rng.New(107)
 		for n := 0; n <= maxDiffLen; n++ {
@@ -170,7 +242,7 @@ func TestDot4AVX2MatchesPortable(t *testing.T) {
 					for j := range want {
 						want[j] = dotGo(x, y[j*stride:j*stride+n])
 					}
-					dot4AVX2(got[:], x, y, stride)
+					k.dot4(got[:], x, y, stride)
 					requireSameBits(t, fmt.Sprintf("%s n=%d off=%d stride=%d", vc.name, n, off, stride), got[:], want[:])
 				}
 			}
@@ -178,8 +250,41 @@ func TestDot4AVX2MatchesPortable(t *testing.T) {
 	}
 }
 
-func TestAddScaleAVX2MatchPortable(t *testing.T) {
-	requireAVX2(t)
+// TestDot16MatchesPortable: the sixteen-row kernel against dotGo at
+// every inner length (each 4-element chunk count, each tail of 0..3),
+// alignment and value class, for two rows of a into rows of dst with a
+// gap. Only the AVX-512 level has the kernel.
+func TestDot16MatchesPortable(t *testing.T) {
+	if hostLevel() < levelAVX512 {
+		t.Skipf("no avx512 kernels here: the host's highest level is %s", levelNames[hostLevel()])
+	}
+	const rows, dstride = 2, 19
+	for _, vc := range valueClasses {
+		r := rng.New(163)
+		for k := 0; k <= maxDiffLen; k++ {
+			for off := 0; off <= maxDiffOffset; off++ {
+				a := offsetSlice(r, vc.gen, off, rows*k)
+				b := offsetSlice(r, vc.gen, (off+1)%(maxDiffOffset+1), 16*k)
+				packed := make([]float64, 16*k)
+				packBT16(packed, b, k, 1)
+				got := make([]float64, (rows-1)*dstride+16)
+				dot16(got, dstride, a, k, rows, packed)
+				for i := 0; i < rows; i++ {
+					want := make([]float64, 16)
+					for j := range want {
+						want[j] = dotGo(a[i*k:(i+1)*k], b[j*k:(j+1)*k])
+					}
+					requireSameBits(t, fmt.Sprintf("%s k=%d off=%d row %d", vc.name, k, off, i), got[i*dstride:i*dstride+16], want)
+				}
+			}
+		}
+	}
+}
+
+func TestAddScaleAVX2MatchPortable(t *testing.T) { atEveryLevel(t, testAddScaleMatchPortable) }
+
+func testAddScaleMatchPortable(t *testing.T) {
+	k := levelKernels()
 	for _, vc := range valueClasses {
 		r := rng.New(109)
 		for n := 0; n <= maxDiffLen; n++ {
@@ -191,14 +296,14 @@ func TestAddScaleAVX2MatchPortable(t *testing.T) {
 				want := append([]float64(nil), base...)
 				got := append([]float64(nil), base...)
 				addGo(want, src)
-				addAVX2(got, src)
+				k.add(got, src)
 				requireSameBits(t, "add "+tag, got, want)
 
 				for _, alpha := range alphas {
 					copy(want, base)
 					copy(got, base)
 					scaleGo(want, alpha)
-					scaleAVX2(got, alpha)
+					k.scale(got, alpha)
 					requireSameBits(t, fmt.Sprintf("scale %s alpha=%v", tag, alpha), got, want)
 				}
 			}
@@ -223,14 +328,18 @@ var alphaPatterns = []alphaPattern{
 	{"all-but-last", func(t, count int) bool { return t != count-1 }},
 }
 
-// TestAxpyRowsAVX2MatchesPortable: every row length with the list
-// lengths at the ends of the range, and every list length with row
-// lengths that take each panel of the assembly (32, 16, 8, 4, 1) alone
-// and together. Each (length, count, offset) is run under several zero
-// patterns, with the operands packed (a row of a, rows of b back to
-// back) and strided (a column of a, rows with a gap).
-func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
+// TestAxpyRowsAVX2MatchesPortable: every row length with the list lengths
+// at the ends of the range, and every list length with row lengths that
+// take each panel of the assembly alone and together — AVX2's 32, 16,
+// 8, 4 and 1, AVX-512's 64 and its masked rest of 1..32 and 33..63
+// (121 is a whole panel and a 57-wide rest). Each (length, count,
+// offset) is run under several zero patterns, with the operands packed
+// (a row of a, rows of b back to back) and strided (a column of a, rows
+// with a gap).
+func TestAxpyRowsAVX2MatchesPortable(t *testing.T) { atEveryLevel(t, testAxpyRowsMatchesPortable) }
+
+func testAxpyRowsMatchesPortable(t *testing.T) {
+	kern := levelKernels()
 	const maxAstride, maxGap = 5, 3
 	layouts := []struct{ astride, gap int }{{1, 0}, {maxAstride, maxGap}}
 	sweep := func(vcName string, gen func(*rng.RNG) float64, r *rng.RNG, ns, counts []int, patterns []alphaPattern) {
@@ -255,7 +364,7 @@ func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
 							copy(want, base)
 							copy(got, base)
 							axpyRowsGo(want, src[:(count-1)*stride+n], stride, alpha[:(count-1)*lay.astride+1], lay.astride, count)
-							axpyRowsAVX2(got, src[:(count-1)*stride+n], stride, alpha[:(count-1)*lay.astride+1], lay.astride, count)
+							kern.axpyRows(got, src[:(count-1)*stride+n], stride, alpha[:(count-1)*lay.astride+1], lay.astride, count)
 							if !slices.EqualFunc(got, want, sameBits) { // a hundred thousand cases: name only the one that fails
 								requireSameBits(t, fmt.Sprintf("%s n=%d count=%d off=%d %s astride=%d gap=%d",
 									vcName, n, count, off, ap.name, lay.astride, lay.gap), got, want)
@@ -279,7 +388,7 @@ func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
 		// Where the zeros fall is the compaction's business, which
 		// does not look at the row length: two patterns suffice there.
 		sweep(vc.name, vc.gen, r, everyLen, []int{1, 7, listMax}, []alphaPattern{alphaPatterns[0], alphaPatterns[4]})
-		sweep(vc.name, vc.gen, r, []int{1, 4, 8, 21, 61}, everyCount, alphaPatterns)
+		sweep(vc.name, vc.gen, r, []int{1, 4, 8, 21, 61, 121}, everyCount, alphaPatterns)
 	}
 }
 
@@ -290,7 +399,11 @@ func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
 // kernel's contract has it — +0, then the sums of a first call — so
 // the second call adds onto NaNs, infinities and zeros of the first.
 func TestAxpyRows4x8AVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
+	atEveryLevel(t, testAxpyRows4x8MatchesPortable)
+}
+
+func testAxpyRows4x8MatchesPortable(t *testing.T) {
+	kern := levelKernels()
 	const maxCount, gap = 130, 3
 	for _, vc := range valueClasses {
 		r := rng.New(151)
@@ -321,7 +434,7 @@ func TestAxpyRows4x8AVX2MatchesPortable(t *testing.T) {
 						al := alpha[part[0]*lay.ts:]
 						axpyRows4x8Go(want, src[8*part[0]:], al, lay.rs, lay.ts, part[1]-part[0])
 						if part[1] > part[0] {
-							axpyRows4x8AVX2(got, src[8*part[0]:], al, lay.rs, lay.ts, part[1]-part[0])
+							kern.axpyRows4x8(got, src[8*part[0]:], al, lay.rs, lay.ts, part[1]-part[0])
 						}
 					}
 					if !slices.EqualFunc(got, want, sameBits) {
@@ -345,65 +458,65 @@ var zeroFills = []struct {
 }
 
 // TestNarrowRowsMatchUntiledPortable holds a·b and aᵀ·b at width 8 — the
-// width that runs four rows at a time — to the untiled portable loops,
+// width that runs four rows at a time — and a·bᵀ over rows of 8 to the
+// untiled portable loops,
 // on hostile values in both operands: row counts of every residue mod 4
 // (the groups of four and the rows left over), inner dimensions on both
 // sides of the 64-row tile and of MulAT's sharding, zeros in a's rows
-// and columns, workers 1, 2 and 4, and on the portable path too.
+// and columns, workers 1, 2 and 4, at every kernel level.
 func TestNarrowRowsMatchUntiledPortable(t *testing.T) {
 	const n = 8
 	ms := []int{1, 2, 3, 4, 5, 6, 7, 9, 66, 67, 131, 133}
 	ks := []int{1, 3, 4, 5, 63, 64, 65, 130}
-	for _, portable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("portable=%t", portable), func(t *testing.T) {
-			if portable {
-				withoutAVX2(t)
-			}
-			for _, vc := range valueClasses {
-				r := rng.New(157)
-				for _, m := range ms {
-					for _, k := range ks {
-						for _, zf := range zeroFills {
-							a, b, c := New(m, k), New(k, n), New(m, n)
-							for i := range a.Data {
-								a.Data[i] = vc.gen(r)
-								if zf.zero(r) {
-									a.Data[i] = math.Copysign(0, float64(1-2*r.Intn(2)))
-								}
+	atEveryLevel(t, func(t *testing.T) {
+		for _, vc := range valueClasses {
+			r := rng.New(157)
+			for _, m := range ms {
+				for _, k := range ks {
+					for _, zf := range zeroFills {
+						a, b, c := New(m, k), New(k, n), New(m, n)
+						for i := range a.Data {
+							a.Data[i] = vc.gen(r)
+							if zf.zero(r) {
+								a.Data[i] = math.Copysign(0, float64(1-2*r.Intn(2)))
 							}
-							for _, x := range []*Dense{b, c} {
-								for i := range x.Data {
-									x.Data[i] = vc.gen(r)
-								}
+						}
+						for _, x := range []*Dense{b, c} {
+							for i := range x.Data {
+								x.Data[i] = vc.gen(r)
 							}
-							wantMul, wantAT := refMul(a, b), refMulAT(a, c)
-							for _, workers := range []int{1, 2, 4} {
-								tag := fmt.Sprintf("%s %dx%dx%d %s workers=%d", vc.name, m, k, n, zf.name, workers)
-								got := New(m, n)
-								got.Fill(99)
-								Mul(got, a, b, workers)
-								requireSameBits(t, "Mul "+tag, got.Data, wantMul.Data)
-								got.Fill(99)
-								for w, lo := 0, 0; w < workers; w++ {
-									hi := m * (w + 1) * (w + 2) / (workers * (workers + 1))
-									MulRange(got, a, b, lo, hi)
-									lo = hi
-								}
-								requireSameBits(t, "MulRange "+tag, got.Data, wantMul.Data)
-								got.Fill(99)
-								MulShards(got, a, b, workers, perf.SimConfig{})
-								requireSameBits(t, "MulShards "+tag, got.Data, wantMul.Data)
-								gotAT := New(k, n)
-								gotAT.Fill(99)
-								MulAT(gotAT, a, c, workers)
-								requireSameBits(t, "MulAT "+tag, gotAT.Data, wantAT.Data)
+						}
+						wantMul, wantAT, wantBT := refMul(a, b), refMulAT(a, c), refMulBT(c, b)
+						for _, workers := range []int{1, 2, 4} {
+							tag := fmt.Sprintf("%s %dx%dx%d %s workers=%d", vc.name, m, k, n, zf.name, workers)
+							got := New(m, n)
+							got.Fill(99)
+							Mul(got, a, b, workers)
+							requireSameBits(t, "Mul "+tag, got.Data, wantMul.Data)
+							got.Fill(99)
+							for w, lo := 0, 0; w < workers; w++ {
+								hi := m * (w + 1) * (w + 2) / (workers * (workers + 1))
+								MulRange(got, a, b, lo, hi)
+								lo = hi
 							}
+							requireSameBits(t, "MulRange "+tag, got.Data, wantMul.Data)
+							got.Fill(99)
+							MulShards(got, a, b, workers, perf.SimConfig{})
+							requireSameBits(t, "MulShards "+tag, got.Data, wantMul.Data)
+							gotAT := New(k, n)
+							gotAT.Fill(99)
+							MulAT(gotAT, a, c, workers)
+							requireSameBits(t, "MulAT "+tag, gotAT.Data, wantAT.Data)
+							gotBT := New(m, k)
+							gotBT.Fill(99)
+							MulBT(gotBT, c, b, workers)
+							requireSameBits(t, "MulBT "+tag, gotBT.Data, wantBT.Data)
 						}
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // gatherSumRef is what GatherSum replaced, on the portable loops: the
@@ -424,7 +537,7 @@ func gatherSumRef(dst, src []float64, stride, off int, idx []int32, alpha []floa
 	}
 }
 
-// TestGatherSumMatchesPerIndexSequence runs on every host: every row
+// TestGatherSumMatchesPerIndexSequence runs at every level: every row
 // width (each panel of the assembly alone and together, and the Go
 // path below the cut-over) at every column offset, for lists that are
 // empty, short, exactly one kernel call, one more than that and several
@@ -434,6 +547,10 @@ func gatherSumRef(dst, src []float64, stride, off int, idx []int32, alpha []floa
 // unweighted, scaled by 1 and by 1/degree. The destination starts as
 // garbage: nothing of it may reach a result.
 func TestGatherSumMatchesPerIndexSequence(t *testing.T) {
+	atEveryLevel(t, testGatherSumMatchesPerIndexSequence)
+}
+
+func testGatherSumMatchesPerIndexSequence(t *testing.T) {
 	const rows, gap = 7, 2
 	degrees := []int{0, 1, 2, listMax - 1, listMax, listMax + 1, 200}
 	for _, vc := range valueClasses {
@@ -505,8 +622,10 @@ func TestGatherSumStartsFromPositiveZero(t *testing.T) {
 	}
 }
 
-func TestReluAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
+func TestReluAVX2MatchesPortable(t *testing.T) { atEveryLevel(t, testReluMatchesPortable) }
+
+func testReluMatchesPortable(t *testing.T) {
+	k := levelKernels()
 	for _, vc := range valueClasses {
 		r := rng.New(139)
 		for n := 0; n <= maxDiffLen; n++ {
@@ -519,11 +638,11 @@ func TestReluAVX2MatchesPortable(t *testing.T) {
 					want[i], got[i] = 99, 99
 				}
 				reluGo(want, z)
-				reluAVX2(got, z)
+				k.relu(got, z)
 				requireSameBits(t, "relu "+tag, got, want)
 
 				reluGateGo(want, z, grad)
-				reluGateAVX2(got, z, grad)
+				k.reluGate(got, z, grad)
 				requireSameBits(t, "reluGate "+tag, got, want)
 
 				// In place: the forward pass of serving rectifies a
@@ -531,7 +650,7 @@ func TestReluAVX2MatchesPortable(t *testing.T) {
 				copy(want, z)
 				copy(got, z)
 				reluGo(want, want)
-				reluAVX2(got, got)
+				k.relu(got, got)
 				requireSameBits(t, "relu in place "+tag, got, want)
 			}
 		}
@@ -566,10 +685,12 @@ func TestReluSemantics(t *testing.T) {
 	}
 }
 
-// TestDispatchMatchesPortable runs on every host: whatever axpy, dot,
+// TestDispatchMatchesPortable runs at every level: whatever axpy, dot,
 // dot4, add and scale dispatch to, across the cut-over length, they
 // return the portable loops' bits.
-func TestDispatchMatchesPortable(t *testing.T) {
+func TestDispatchMatchesPortable(t *testing.T) { atEveryLevel(t, testDispatchMatchesPortable) }
+
+func testDispatchMatchesPortable(t *testing.T) {
 	r := rng.New(113)
 	gen := valueClasses[0].gen
 	for n := 0; n <= 48; n++ {
@@ -683,6 +804,17 @@ func TestPrimitiveLengthContract(t *testing.T) {
 		mustPanic(t, fmt.Sprintf("axpyRows4x8 short alpha columns n=%d", n), func() {
 			axpyRows4x8(make([]float64, 32), make([]float64, 8*n), make([]float64, 3+(n-1)*5, 5*n+8), 1, 5, n)
 		})
+		// dot16 over two rows of n into rows of dst 17 apart: each
+		// operand one element short. The slicing stops it on every host.
+		mustPanic(t, fmt.Sprintf("dot16 short rows n=%d", n), func() {
+			dot16(make([]float64, 33), 17, make([]float64, 2*n-1, 2*n+8), n, 2, make([]float64, 16*n))
+		})
+		mustPanic(t, fmt.Sprintf("dot16 short packed n=%d", n), func() {
+			dot16(make([]float64, 33), 17, make([]float64, 2*n), n, 2, make([]float64, 16*n-1, 16*n+8))
+		})
+		mustPanic(t, fmt.Sprintf("dot16 short dst n=%d", n), func() {
+			dot16(make([]float64, 32, 40), 17, make([]float64, 2*n), n, 2, make([]float64, 16*n))
+		})
 		// GatherSum: three rows of n, two columns to the left of them.
 		table := make([]float64, 3*(n+2))
 		for tag, fn := range map[string]func(){
@@ -755,12 +887,23 @@ func TestPrimitivesOnEmptySlices(t *testing.T) {
 	out := []float64{9, 9, 9, 9}
 	dot4(out, nil, nil, 0)
 	requireSameBits(t, "dot4 of empty rows", out, []float64{0, 0, 0, 0})
+	out16 := make([]float64, 16)
+	dot16(out16, 16, nil, 0, 0, nil) // no rows: nothing written, whatever the path
+	requireSameBits(t, "dot16 with no rows", out16, make([]float64, 16))
+	if useAVX512 {
+		out16[3] = 9
+		dot16(out16, 16, nil, 0, 1, nil) // no columns: the empty dot, +0
+		requireSameBits(t, "dot16 of empty rows", out16, make([]float64, 16))
+		axpyRowsSIMD(nil, nil, 0, []float64{1}, 1, 1, true)
+		axpyRowsSIMD(out1, nil, 1, nil, 1, 0, true)
+		requireSameBits(t, "axpyRowsSIMD zmm with no terms", out1, []float64{9})
+	}
 	if useAVX2 {
 		reluAVX2(nil, nil)
 		reluGateAVX2(nil, nil, nil)
-		axpyRowsAVX2(nil, nil, 0, []float64{1}, 1, 1)
-		axpyRowsAVX2(out1, nil, 1, nil, 1, 0)
-		requireSameBits(t, "axpyRowsAVX2 with no terms", out1, []float64{9})
+		axpyRowsSIMD(nil, nil, 0, []float64{1}, 1, 1, false)
+		axpyRowsSIMD(out1, nil, 1, nil, 1, 0, false)
+		requireSameBits(t, "axpyRowsSIMD with no terms", out1, []float64{9})
 		axpyAVX2(nil, nil, 2)
 		addAVX2(nil, nil)
 		scaleAVX2(nil, 2)
@@ -865,6 +1008,10 @@ var tiledCases = []struct{ m, k, n int }{
 }
 
 func TestTiledGEMMMatchesUntiledPortable(t *testing.T) {
+	atEveryLevel(t, testTiledGEMMMatchesUntiledPortable)
+}
+
+func testTiledGEMMMatchesUntiledPortable(t *testing.T) {
 	for _, tc := range tiledCases {
 		for _, fill := range []struct {
 			name string
@@ -929,6 +1076,23 @@ func TestMulATReusesScratch(t *testing.T) {
 		t.Errorf("MulAT allocates %.1f objects per call with warm scratch", avg)
 	}
 	requireSameBits(t, "MulAT on recycled scratch", dst.Data, want.Data)
+}
+
+// TestMulBTReusesItsPackBuffer: after a warm-up call the packed copy of b
+// comes from the pool, so MulBT allocates (almost) nothing at any level;
+// the packing that first allocated it 16*k floats per call would show.
+func TestMulBTReusesItsPackBuffer(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		r := rng.New(167)
+		a, b := randMat(r, 40, 64), randMat(r, 48, 64)
+		dst := New(40, 48)
+		MulBT(dst, a, b, 1)
+		want := dst.Clone()
+		if avg := testing.AllocsPerRun(20, func() { MulBT(dst, a, b, 1) }); avg > 2 {
+			t.Errorf("MulBT allocates %.1f objects per call with a pooled pack buffer", avg)
+		}
+		requireSameBits(t, "MulBT on a recycled pack buffer", dst.Data, want.Data)
+	})
 }
 
 func benchVec(b *testing.B, fn func(x, y []float64)) {

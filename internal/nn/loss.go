@@ -26,7 +26,8 @@ type SigmoidBCE struct{}
 func (SigmoidBCE) Name() string { return "sigmoid-bce" }
 
 // Eval implements Loss. The loss per element is computed in the
-// numerically stable form max(z,0) - z*y + log(1+exp(-|z|)).
+// numerically stable form max(z,0) - z*y + log(1+exp(-|z|)), and the
+// gradient's sigmoid from the same exp(-|z|).
 func (SigmoidBCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense) float64 {
 	checkLossShapes(logits, labels, dLogits)
 	rows := maskOrAll(mask, logits.Rows)
@@ -44,8 +45,9 @@ func (SigmoidBCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense
 		drow := dLogits.Row(i)
 		for j := 0; j < c; j++ {
 			z, y := zrow[j], yrow[j]
-			total += math.Max(z, 0) - z*y + math.Log1p(math.Exp(-math.Abs(z)))
-			drow[j] = (sigmoid(z) - y) * inv
+			e := math.Exp(-math.Abs(z))
+			total += math.Max(z, 0) - z*y + math.Log1p(e)
+			drow[j] = (sigmoidOf(z, e) - y) * inv
 		}
 	}
 	return total * inv
@@ -97,11 +99,15 @@ func (SoftmaxCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense)
 	return total * inv
 }
 
-func sigmoid(z float64) float64 {
+// sigmoidOf returns 1/(1+exp(-z)) given e = exp(-|z|), in the form that
+// does not overflow: 1/(1+e) for z >= 0 (-0 included, where e is 1) and
+// e/(1+e) below — for a NaN z too, whose e is NaN. Each branch is the
+// exponential it always took, exp(-z) or exp(z), now shared with the
+// loss term.
+func sigmoidOf(z, e float64) float64 {
 	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
+		return 1 / (1 + e)
 	}
-	e := math.Exp(z)
 	return e / (1 + e)
 }
 
