@@ -141,7 +141,7 @@ func BenchmarkDashboardEta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, budget := trainParams(ds, DefaultOptions())
+	m, budget := trainParams(ds.G.NumVertices())
 	for _, eta := range []float64{1.25, 1.5, 2, 3, 4} {
 		b.Run(fmt.Sprintf("eta=%.2f", eta), func(b *testing.B) {
 			fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: eta}
@@ -160,7 +160,7 @@ func BenchmarkFrontierVsNaive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, budget := trainParams(ds, DefaultOptions())
+	m, budget := trainParams(ds.G.NumVertices())
 	b.Run("dashboard", func(b *testing.B) {
 		fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
 		r := rng.New(1)
@@ -184,7 +184,7 @@ func BenchmarkPoolSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, budget := trainParams(ds, DefaultOptions())
+	m, budget := trainParams(ds.G.NumVertices())
 	for _, pinter := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("pinter=%d", pinter), func(b *testing.B) {
 			fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
@@ -206,7 +206,7 @@ func BenchmarkPropagationPartitioning(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, budget := trainParams(ds, DefaultOptions())
+	m, budget := trainParams(ds.G.NumVertices())
 	fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
 	sub := sampler.SampleSubgraph(ds.G, fr, rng.New(2))
 	f := ds.FeatureDim()

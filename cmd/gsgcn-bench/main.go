@@ -8,8 +8,11 @@
 // Each experiment prints the rows/series of the corresponding table
 // or figure: gsgcn.ExperimentNames lists them and gsgcn.RunExperiment
 // maps each name to its driver (table1.go, fig2.go, ...). The scaling
-// figures sweep simulated cores (internal/perf, in the package map of
-// docs/ARCHITECTURE.md).
+// figures fold a recorded training step onto simulated cores
+// (internal/perf, in the package map of docs/ARCHITECTURE.md), and
+// fig3 prints the real step's measured speedup beside the simulated
+// one at every worker count up to -workers. -quick picks the
+// test-sized configuration; flags given with it override its settings.
 package main
 
 import (
@@ -35,8 +38,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		hidden   = fs.Int("hidden", 64, "hidden dimension for training experiments")
 		datasets = fs.String("datasets", "", "comma-separated preset subset (default: all four)")
 		seed     = fs.Uint64("seed", 1, "experiment seed")
-		workers  = fs.Int("workers", 0, "real goroutines for experiments that honor ExpOptions.Workers (currently the samplers ablation; the scaling figures sweep simulated cores, and fig2 trains serially by design). 0 = GOMAXPROCS; results are identical at any setting")
-		quick    = fs.Bool("quick", false, "tiny smoke-test configuration")
+		workers  = fs.Int("workers", 0, "real goroutines: the samplers ablation trains on this many, and fig3 measures the real training step at every count up to it beside the simulated speedup (fig2 trains on one by design). 0 = GOMAXPROCS; results are identical at any setting")
+		quick    = fs.Bool("quick", false, "tiny smoke-test configuration; flags given with it override its settings")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,11 +49,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *quick {
 		o = gsgcn.QuickOptions()
 	}
-	o.Scale = *scale
-	o.Epochs = *epochs
-	o.Hidden = *hidden
-	o.Seed = *seed
-	o.Workers = *workers
+	// Only the flags given override the configuration: a flag's default
+	// would undo -quick's.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			o.Scale = *scale
+		case "epochs":
+			o.Epochs = *epochs
+		case "hidden":
+			o.Hidden = *hidden
+		case "seed":
+			o.Seed = *seed
+		case "workers":
+			o.Workers = *workers
+		}
+	})
 	if *datasets != "" {
 		o.Datasets = strings.Split(*datasets, ",")
 	}

@@ -31,11 +31,12 @@ type ExpOptions struct {
 	Hidden int
 	// Sim configures the simulated multicore executor.
 	Sim perf.SimConfig
-	// Workers is the real goroutine budget for training experiments
-	// (0 = GOMAXPROCS). The scaling figures still sweep *simulated*
-	// cores via Cores; Workers controls actual wall-clock parallelism.
-	// Every kernel is worker-invariant, so results are identical at
-	// any setting — only speed changes.
+	// Workers is the real goroutine budget (0 = GOMAXPROCS): the
+	// samplers ablation trains on it, and Fig. 3 measures the real
+	// training step at every worker count up to it, beside the
+	// simulated speedup at as many cores. The scaling figures sweep
+	// *simulated* cores via Cores. Every kernel is worker-invariant, so
+	// results are identical at any setting — only speed changes.
 	Workers int
 	// Seed makes the whole suite reproducible.
 	Seed uint64
@@ -126,10 +127,28 @@ func (c *datasetCache) get(name string) (*Dataset, error) {
 	return d, nil
 }
 
+// stepSizes is trainParams for the scaling runs (Figs. 3-4, Table II)
+// on a graph of v vertices: the budget capped at fig3Budget (400 under
+// Quick), the frontier at a quarter of the budget.
+func stepSizes(v int, quick bool) (frontierM, budget int) {
+	frontierM, budget = trainParams(v)
+	if quick {
+		budget = min(budget, 400)
+	}
+	budget = min(budget, fig3Budget)
+	return min(frontierM, budget/4), budget
+}
+
+// epochSteps is how many scaling-run steps make an epoch on a graph of
+// v vertices: |V| over the budget those steps actually sample.
+func epochSteps(v int, quick bool) float64 {
+	_, budget := stepSizes(v, quick)
+	return max(1, float64(v)/float64(budget))
+}
+
 // trainParams derives sampler sizes proportional to the (scaled)
-// graph so experiments behave uniformly across presets.
-func trainParams(ds *Dataset, o ExpOptions) (frontierM, budget int) {
-	v := ds.G.NumVertices()
+// graph of v vertices so experiments behave uniformly across presets.
+func trainParams(v int) (frontierM, budget int) {
 	frontierM = v / 50
 	if frontierM < 25 {
 		frontierM = 25

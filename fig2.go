@@ -79,7 +79,7 @@ func RunFig2(o ExpOptions) (*Fig2Result, error) {
 }
 
 func runProposedCurve(ds *Dataset, o ExpOptions, lr float64) Fig2Series {
-	m, budget := trainParams(ds, o)
+	m, budget := trainParams(ds.G.NumVertices())
 	cfg := core.Config{
 		Layers: 2, Hidden: o.Hidden, LR: lr,
 		FrontierM: m, Budget: budget,

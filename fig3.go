@@ -2,11 +2,11 @@ package gsgcn
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
-	"gsgcn/internal/mat"
-	"gsgcn/internal/partition"
+	"gsgcn/internal/core"
 	"gsgcn/internal/perf"
 	"gsgcn/internal/rng"
 	"gsgcn/internal/sampler"
@@ -18,9 +18,20 @@ type Fig3Point struct {
 	IterSpeedup   float64 // Fig. 3A: whole-iteration speedup
 	FeatSpeedup   float64 // Fig. 3B: feature-propagation speedup
 	WeightSpeedup float64 // Fig. 3C: weight-application speedup
-	// Breakdown is the share of iteration time spent in
-	// [sampling, feature propagation, weight application] (Fig. 3D).
-	Breakdown [3]float64
+	// Breakdown is the share of iteration time spent in [sampling,
+	// feature propagation, weight application, other] (Fig. 3D). Other
+	// is the rest of the training step — gathers, concatenation, ReLU,
+	// loss, optimizer — where this implementation departs from the
+	// paper's three phases.
+	Breakdown [4]float64
+}
+
+// Fig3Real is the training step without sampling (Trainer.StepOn) at
+// Workers real goroutines: its measured speedup over one worker,
+// beside the simulator's at as many cores.
+type Fig3Real struct {
+	Workers             int
+	Measured, Simulated float64
 }
 
 // Fig3Curve is one (dataset, hidden-dimension) scaling series.
@@ -28,6 +39,9 @@ type Fig3Curve struct {
 	Dataset string
 	Hidden  int
 	Points  []Fig3Point
+	// Real covers every worker count from 1 to ExpOptions.Workers (0:
+	// GOMAXPROCS), up to the largest simulated core count.
+	Real []Fig3Real
 }
 
 // Fig3Result reproduces Figure 3: training-step scaling and its
@@ -37,11 +51,10 @@ type Fig3Result struct {
 	Cores  []int
 }
 
-// fig3Samples is how many times fig3Curve times every shard; each
-// shard keeps its fastest time. At quick scale a shard runs for tens of
-// microseconds, so one preempted by the host would on its own set the
-// simulated critical path (the table2Samples pattern). addGEMM, which
-// Table II shares, times its shards the same way.
+// fig3Samples is how many times the scaling runs time a step (and each
+// sampler instance); every chunk keeps its fastest time. At quick scale
+// a chunk runs for microseconds, so one preempted by the host would on
+// its own set the simulated critical path.
 const fig3Samples = 3
 
 // fig3Budget caps the subgraph size for the scaling runs; Fig. 3
@@ -50,10 +63,10 @@ const fig3Samples = 3
 // paper's matrix shapes (hidden 512/1024, real attribute widths).
 const fig3Budget = 2000
 
-// RunFig3 measures one training iteration's three phases — sampling,
-// feature propagation, weight application — decomposed into
-// max(Cores) shards, then reports the simulated speedup at every
-// requested core count (see perf.GroupWall for the model).
+// RunFig3 records one training step per (dataset, hidden dimension) at
+// max(Cores) workers (see recordStep) and reports the simulated
+// speedup at every requested core count, with the step's measured
+// speedup on the host's own cores beside it.
 func RunFig3(o ExpOptions) (*Fig3Result, error) {
 	o = o.normalized()
 	cache := newDatasetCache(o)
@@ -73,105 +86,155 @@ func RunFig3(o ExpOptions) (*Fig3Result, error) {
 }
 
 func fig3Curve(ds *Dataset, hidden int, o ExpOptions, maxP int) Fig3Curve {
-	m, budget := trainParams(ds, o)
-	if budget > fig3Budget && !o.Quick {
-		budget = fig3Budget
-	}
-	if o.Quick && budget > 400 {
-		budget = 400
-	}
-	if m > budget/4 {
-		m = budget / 4
-	}
-	fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
-	r := rng.NewStream(o.Seed, 0xF163)
-	sub := sampler.SampleSubgraph(ds.G, fr, r)
-	n := sub.N
-	f0 := ds.FeatureDim()
-
-	// --- Sampling: one instance per simulated core. -----------------
-	sampleTimes := fastestShardTimes(maxP, func(i int) {
-		rr := rng.NewStream(o.Seed, 1000+i)
-		_ = sampler.SampleSubgraph(ds.G, fr, rr)
-	})
-
-	// --- Feature propagation: Q feature chunks per layer, forward
-	// (NormDst) and backward (NormSrc). Chunk count fixed at the
-	// Theorem 2 value for maxP cores; GroupWall folds chunks onto
-	// fewer cores. ------------------------------------------------
-	layers := 2
-	dims := layerDims(f0, hidden, layers)
-	cm := partition.CommModel{N: n, AvgDeg: sub.AvgDegree(), F: f0, Cores: maxP, CacheBytes: 256 << 10}
-	q := cm.OptimalQ()
-	if q < maxP {
-		q = maxP
-	}
-	featTimes := make([]time.Duration, q)
-	for _, in := range dims {
-		src := randomDense(r, n, in)
-		dst := mat.New(n, in)
-		for _, norm := range []partition.Norm{partition.NormDst, partition.NormSrc} {
-			ts := fastestShardTimes(q, func(i int) {
-				lo := i * in / q
-				hi := (i + 1) * in / q
-				if lo < hi {
-					partition.PropagateRange(dst, src, sub.CSR, norm, lo, hi)
-				}
-			})
-			for i, t := range ts {
-				featTimes[i] += t
-			}
-		}
-	}
-
-	// --- Weight application: every GEMM of forward + backward,
-	// row-sharded into maxP pieces. ---------------------------------
-	weightTimes := make([]time.Duration, maxP)
-	classes := ds.NumClasses
-	for _, in := range dims {
-		// Forward: two GEMMs (self, neigh) of shape (n,in)x(in,h).
-		addGEMM(weightTimes, r, maxP, n, in, hidden)
-		addGEMM(weightTimes, r, maxP, n, in, hidden)
-		// Backward: two dW GEMMs (in,n)x(n,h) and two dH GEMMs
-		// (n,h)x(h,in) modeled at identical FLOP counts.
-		addGEMM(weightTimes, r, maxP, in, n, hidden)
-		addGEMM(weightTimes, r, maxP, in, n, hidden)
-		addGEMM(weightTimes, r, maxP, n, hidden, in)
-		addGEMM(weightTimes, r, maxP, n, hidden, in)
-	}
-	headIn := 2 * hidden
-	addGEMM(weightTimes, r, maxP, n, headIn, classes) // logits
-	addGEMM(weightTimes, r, maxP, headIn, n, classes) // dW
-	addGEMM(weightTimes, r, maxP, n, classes, headIn) // dH
-
-	// --- Fold into per-core-count results. --------------------------
+	prof := recordStep(ds, o, 2, hidden, maxP)
 	curve := Fig3Curve{Dataset: ds.Name, Hidden: hidden}
-	featSerial := perf.GroupWall(featTimes, 1, o.Sim).Wall
-	weightSerial := perf.GroupWall(weightTimes, 1, o.Sim).Wall
-	sampleSerial := samplePerIter(sampleTimes, 1, o.Sim)
-	iterSerial := featSerial + weightSerial + sampleSerial
+	one := prof.at(1, o.Sim)
 	for _, p := range o.Cores {
-		feat := perf.GroupWall(featTimes, p, o.Sim).Wall
-		weight := perf.GroupWall(weightTimes, p, o.Sim).Wall
-		sample := samplePerIter(sampleTimes, p, o.Sim)
-		iter := feat + weight + sample
+		at := prof.at(p, o.Sim)
+		iter := sum(at[:]...)
 		pt := Fig3Point{
 			Cores:         p,
-			IterSpeedup:   ratio(iterSerial, iter),
-			FeatSpeedup:   ratio(featSerial, feat),
-			WeightSpeedup: ratio(weightSerial, weight),
+			IterSpeedup:   ratio(sum(one[:]...), iter),
+			FeatSpeedup:   ratio(one[1], at[1]),
+			WeightSpeedup: ratio(one[2], at[2]),
 		}
-		total := float64(iter)
-		if total > 0 {
-			pt.Breakdown = [3]float64{
-				float64(sample) / total,
-				float64(feat) / total,
-				float64(weight) / total,
-			}
+		for i, d := range at {
+			pt.Breakdown[i] = ratio(d, iter)
 		}
 		curve.Points = append(curve.Points, pt)
 	}
+	workers := o.Workers
+	if workers <= 0 {
+		workers = perf.NumWorkers()
+	}
+	serial := measureStep(ds, o, 2, hidden, 1)
+	for w := 1; w <= min(workers, maxP); w++ {
+		t := serial
+		if w > 1 {
+			t = measureStep(ds, o, 2, hidden, w)
+		}
+		at := prof.at(w, o.Sim)
+		curve.Real = append(curve.Real, Fig3Real{
+			Workers:   w,
+			Measured:  ratio(serial, t),
+			Simulated: ratio(sum(one[1:]...), sum(at[1:]...)),
+		})
+	}
 	return curve
+}
+
+// stepProfile is a training step recorded for the simulator: the time
+// of each of maxP sampler instances (Fig. 4A's inter-subgraph
+// parallelism), and for feature propagation, weight application and
+// the rest of the step ("other") the time spent outside any parallel
+// region plus the chunk times of every region.
+type stepProfile struct {
+	sample []time.Duration
+	phases [3]stepPhase
+}
+
+type stepPhase struct {
+	serial  time.Duration
+	regions [][]time.Duration
+}
+
+// stepPhases maps the trainer's Timer segments to phases; a region
+// outside both is "other".
+var stepPhases = map[string]int{"featprop": 0, "weight": 1}
+
+// at returns the simulated [sampling, featprop, weight, other] times
+// of one iteration at p cores: each phase's serial remainder plus
+// GroupWall of each of its regions.
+func (s *stepProfile) at(p int, cfg perf.SimConfig) [4]time.Duration {
+	t := [4]time.Duration{samplePerIter(s.sample, p, cfg)}
+	for i, ph := range s.phases {
+		t[i+1] = max(ph.serial, 0)
+		for _, r := range ph.regions {
+			t[i+1] += perf.GroupWall(r, p, cfg).Wall
+		}
+	}
+	return t
+}
+
+// recordStep steps one subgraph fig3Samples times under perf.Record at
+// maxP workers, after a warm-up step, and keeps every chunk's and
+// every serial remainder's fastest time. A phase is its Timer
+// segment's time less its regions' chunks, plus those regions; other
+// is the rest of the step. The recordings step the same subgraph at
+// the same shapes, so their regions correspond one to one.
+func recordStep(ds *Dataset, o ExpOptions, layers, hidden, maxP int) *stepProfile {
+	tr, sub, fr := stepTrainer(ds, o, layers, hidden, maxP)
+	var prof *stepProfile
+	for s := 0; s < fig3Samples; s++ {
+		tr.Timer.Reset()
+		var step time.Duration
+		regions := perf.Record(func() {
+			start := time.Now()
+			tr.StepOn(sub)
+			step = time.Since(start)
+		})
+		cur := &stepProfile{}
+		cur.phases[2].serial = step
+		for seg, i := range stepPhases {
+			cur.phases[i].serial = tr.Timer.Get(seg)
+			cur.phases[2].serial -= cur.phases[i].serial
+		}
+		for _, r := range regions {
+			i, ok := stepPhases[r.Segment]
+			if !ok {
+				i = 2
+			}
+			cur.phases[i].regions = append(cur.phases[i].regions, r.Chunks)
+			cur.phases[i].serial -= sum(r.Chunks...)
+		}
+		if prof == nil {
+			prof = cur
+			continue
+		}
+		for i := range prof.phases {
+			a, b := &prof.phases[i], cur.phases[i]
+			a.serial = min(a.serial, b.serial)
+			for j, r := range a.regions {
+				for k := range r {
+					r[k] = min(r[k], b.regions[j][k])
+				}
+			}
+		}
+	}
+	prof.sample = fastestShardTimes(maxP, func(i int) {
+		_ = sampler.SampleSubgraph(ds.G, fr, rng.NewStream(o.Seed, 1000+i))
+	})
+	return prof
+}
+
+// stepTrainer builds a scaling run's trainer at the given worker count
+// — the Fig. 2 configuration, sized by stepSizes — with the one
+// subgraph every scaling run steps, and warms it with a step (scratch
+// buffers, Adam moments, first-touch faults). Stepping a subgraph of
+// its own, the trainer never starts its sampler pool.
+func stepTrainer(ds *Dataset, o ExpOptions, layers, hidden, workers int) (*core.Trainer, *Subgraph, *sampler.Frontier) {
+	m, budget := stepSizes(ds.G.NumVertices(), o.Quick)
+	fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
+	sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(o.Seed, 0xF163))
+	tr := core.NewTrainer(ds, core.NewModel(ds, core.Config{
+		Layers: layers, Hidden: hidden, LR: 0.01,
+		FrontierM: m, Budget: budget, PInter: 1, Workers: workers, Seed: o.Seed,
+	}))
+	tr.StepOn(sub)
+	return tr, sub, fr
+}
+
+// measureStep is the fastest of fig3Samples unrecorded StepOn calls at
+// workers real goroutines.
+func measureStep(ds *Dataset, o ExpOptions, layers, hidden, workers int) time.Duration {
+	tr, sub, _ := stepTrainer(ds, o, layers, hidden, workers)
+	best := time.Duration(math.MaxInt64)
+	for s := 0; s < fig3Samples; s++ {
+		start := time.Now()
+		tr.StepOn(sub)
+		best = min(best, time.Since(start))
+	}
+	return best
 }
 
 // fastestShardTimes is perf.SimShardTimes taken fig3Samples times,
@@ -191,51 +254,16 @@ func fastestShardTimes(n int, shard func(i int)) []time.Duration {
 // refill produces p subgraphs in max-instance time, one consumed per
 // iteration.
 func samplePerIter(times []time.Duration, p int, cfg perf.SimConfig) time.Duration {
-	if p > len(times) {
-		p = len(times)
-	}
-	if p < 1 {
-		p = 1
-	}
-	res := perf.GroupWall(times[:p], p, cfg)
-	return res.Wall / time.Duration(p)
+	p = max(1, min(p, len(times)))
+	return perf.GroupWall(times[:p], p, cfg).Wall / time.Duration(p)
 }
 
-// layerDims returns the input width of each GCN layer.
-func layerDims(f0, hidden, layers int) []int {
-	dims := make([]int, layers)
-	in := f0
-	for l := 0; l < layers; l++ {
-		dims[l] = in
-		in = 2 * hidden
+func sum(ts ...time.Duration) time.Duration {
+	var s time.Duration
+	for _, t := range ts {
+		s += t
 	}
-	return dims
-}
-
-// addGEMM measures a (rows x k) x (k x cols) GEMM decomposed into
-// maxP row shards and accumulates per-shard times.
-func addGEMM(times []time.Duration, r *rng.RNG, maxP, rows, k, cols int) {
-	a := randomDense(r, rows, k)
-	b := randomDense(r, k, cols)
-	dst := mat.New(rows, cols)
-	ts := fastestShardTimes(maxP, func(i int) {
-		lo := i * rows / maxP
-		hi := (i + 1) * rows / maxP
-		if lo < hi {
-			mat.MulRange(dst, a, b, lo, hi)
-		}
-	})
-	for i, t := range ts {
-		times[i] += t
-	}
-}
-
-func randomDense(r *rng.RNG, rows, cols int) *mat.Dense {
-	m := mat.New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = r.Float64() + 0.1 // strictly positive: no zero-skip shortcuts
-	}
-	return m
+	return s
 }
 
 func ratio(a, b time.Duration) float64 {
@@ -255,18 +283,24 @@ func maxInt(xs []int) int {
 	return m
 }
 
-// String renders the four panels per hidden dimension.
+// String renders the four panels per hidden dimension, then the
+// training step's measured speedup on real cores beside the simulated.
 func (r *Fig3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 3: training scaling (simulated cores; A=iteration, B=feat-prop, C=weight-app speedup; D=breakdown)")
 	for _, c := range r.Curves {
 		fmt.Fprintf(&b, "\n[%s hidden=%d]\n", c.Dataset, c.Hidden)
-		fmt.Fprintf(&b, "  %6s %10s %10s %10s   %s\n", "cores", "A:iter", "B:feat", "C:weight", "D:breakdown sample/feat/weight")
+		fmt.Fprintf(&b, "  %6s %10s %10s %10s   %s\n", "cores", "A:iter", "B:feat", "C:weight", "D:breakdown sample/feat/weight/other")
 		for _, p := range c.Points {
-			fmt.Fprintf(&b, "  %6d %9.2fx %9.2fx %9.2fx   %.2f / %.2f / %.2f\n",
+			fmt.Fprintf(&b, "  %6d %9.2fx %9.2fx %9.2fx   %.2f / %.2f / %.2f / %.2f\n",
 				p.Cores, p.IterSpeedup, p.FeatSpeedup, p.WeightSpeedup,
-				p.Breakdown[0], p.Breakdown[1], p.Breakdown[2])
+				p.Breakdown[0], p.Breakdown[1], p.Breakdown[2], p.Breakdown[3])
 		}
+		fmt.Fprint(&b, "  training step (no sampling) on real cores, measured (simulated):")
+		for _, x := range c.Real {
+			fmt.Fprintf(&b, "  %d: %.2fx (%.2fx)", x.Workers, x.Measured, x.Simulated)
+		}
+		fmt.Fprintln(&b)
 	}
 	return b.String()
 }

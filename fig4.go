@@ -53,13 +53,7 @@ func RunFig4(o ExpOptions) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, budget := trainParams(ds, o)
-		if budget > fig3Budget && !o.Quick {
-			budget = fig3Budget
-		}
-		if m > budget/4 {
-			m = budget / 4
-		}
+		m, budget := stepSizes(ds.G.NumVertices(), o.Quick)
 		fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
 
 		// Panel A: measure maxP independent instances once.
@@ -69,29 +63,9 @@ func RunFig4(o ExpOptions) (*Fig4Result, error) {
 		})
 		a := Fig4ASeries{Dataset: name}
 		for _, p := range o.Cores {
-			pp := p
-			if pp > len(times) {
-				pp = len(times)
-			}
-			var total float64
-			maxT := 0.0
-			for i := 0; i < pp; i++ {
-				t := float64(times[i])
-				total += t
-				if o.Sim.SocketCores > 0 && o.Sim.NUMAPenalty > 1 && i >= o.Sim.SocketCores {
-					t *= o.Sim.NUMAPenalty
-				}
-				if t > maxT {
-					maxT = t
-				}
-			}
-			barrier := o.Sim.BarrierNS
-			if barrier == 0 {
-				barrier = 1500
-			}
-			wall := maxT + barrier*math.Log2(float64(pp)+1)
+			pp := min(p, len(times))
 			a.PInter = append(a.PInter, p)
-			a.Speedups = append(a.Speedups, total/wall)
+			a.Speedups = append(a.Speedups, perf.GroupWall(times[:pp], pp, o.Sim).Speedup())
 		}
 		res.A = append(res.A, a)
 
@@ -126,7 +100,7 @@ func RunFig4(o ExpOptions) (*Fig4Result, error) {
 // motivation for the Dashboard data structure) and returns
 // (dashboard, naive) durations for one subgraph.
 func MeasureSamplerComparison(ds *Dataset, seed uint64) (dashboard, naive time.Duration) {
-	m, budget := trainParams(ds, DefaultOptions())
+	m, budget := trainParams(ds.G.NumVertices())
 	fast := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
 	slow := &sampler.NaiveFrontier{G: ds.G, M: m, N: budget}
 	start := time.Now()

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"gsgcn/internal/perf"
 )
 
 func TestLoadPreset(t *testing.T) {
@@ -133,8 +135,16 @@ func TestFig2Quick(t *testing.T) {
 	}
 }
 
+// TestFig3Quick runs Fig. 3 on the recorded training step. The quick
+// scale's ppi graph (484 vertices) caps the step's budget at 200
+// vertices, where the serial optimizer and loss outweigh the parallel
+// kernels; at scale 0.25 the step samples the quick cap of 400. On a
+// two-thread Xeon host the p = 4 iteration speedup read 1.2-1.3x at
+// the quick scale and ~1.9x at 0.25.
 func TestFig3Quick(t *testing.T) {
-	r, err := RunFig3(quickOptions())
+	o := quickOptions()
+	o.Scale = 0.25
+	r, err := RunFig3(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +168,56 @@ func TestFig3Quick(t *testing.T) {
 	if p4.FeatSpeedup < 1.5 || p4.WeightSpeedup < 1.5 {
 		t.Errorf("component speedups too low: feat %.2f weight %.2f", p4.FeatSpeedup, p4.WeightSpeedup)
 	}
-	var sum float64
-	for _, f := range p4.Breakdown {
-		if f < 0 || f > 1 {
-			t.Errorf("breakdown fraction %v out of range", f)
+	for _, p := range c.Points {
+		// Four shares: sampling, feature propagation, weight, other.
+		var sum float64
+		for _, f := range p.Breakdown {
+			if f < 0 || f > 1 {
+				t.Errorf("%d cores: breakdown fraction %v out of range", p.Cores, f)
+			}
+			sum += f
 		}
-		sum += f
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%d cores: four shares %v sum to %v", p.Cores, p.Breakdown, sum)
+		}
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("breakdown sums to %v", sum)
+	// The measured step: one entry per worker count the host has, up
+	// to the largest simulated one, the first the serial reference.
+	if want := min(perf.NumWorkers(), 4); len(c.Real) != want {
+		t.Fatalf("measured entries = %d, want %d", len(c.Real), want)
+	}
+	for i, x := range c.Real {
+		if x.Workers != i+1 || !(x.Measured > 0) || !(x.Simulated > 0) {
+			t.Errorf("measured entry %d = %+v", i, x)
+		}
+	}
+	if x := c.Real[0]; x.Measured != 1 || x.Simulated != 1 {
+		t.Errorf("one worker: measured %v, simulated %v; want 1 and 1", x.Measured, x.Simulated)
+	}
+	if s := r.String(); !strings.Contains(s, "/other") || !strings.Contains(s, "on real cores") {
+		t.Errorf("report lacks the other share or the measured step:\n%s", s)
+	}
+}
+
+// TestEpochStepsCountsTheSteppedBudget: Table II charges our epoch as
+// |V| over the budget its recorded step actually sampled — capped at
+// fig3Budget, 400 under Quick — not trainParams' uncapped |V|/8.
+func TestEpochStepsCountsTheSteppedBudget(t *testing.T) {
+	for _, c := range []struct {
+		v     int
+		quick bool
+		want  float64
+	}{
+		{100000, false, 50}, // |V|/8 = 12500, capped at 2000
+		{16000, false, 8},   // budget 2560 (8 × the frontier), capped at 2000
+		{8000, true, 20},    // budget 1280, capped at 400
+		{8000, false, 6.25}, // budget 1280, under the cap
+		{484, true, 2.42},   // budget 200
+		{59, true, 1},       // the budget is the graph
+	} {
+		if got := epochSteps(c.v, c.quick); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("epochSteps(%d, quick=%v) = %v, want %v", c.v, c.quick, got, c.want)
+		}
 	}
 }
 

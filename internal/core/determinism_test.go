@@ -8,11 +8,15 @@ package core
 // the frontier and node2vec sampler families.
 
 import (
+	"encoding/binary"
+	"hash/crc64"
 	"math"
 	"testing"
 
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
+	"gsgcn/internal/perf"
+	"gsgcn/internal/rng"
 	"gsgcn/internal/sampler"
 )
 
@@ -106,6 +110,50 @@ func TestQNeverReachesABit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecordedStepIsTheStep: StepOn under perf.Record — every parallel
+// region's chunks run one after another on the caller, each timed —
+// gives the losses and weights, bit for bit, of the same steps
+// dispatched to the pool at the same Workers, with dropout on.
+func TestRecordedStepIsTheStep(t *testing.T) {
+	ds := tinyDataset(t, false)
+	cfg := tinyConfig()
+	cfg.DropRate = 0.2
+	cfg.Workers = 4
+	fr := &sampler.Frontier{G: ds.G, M: cfg.FrontierM, N: cfg.Budget, Eta: 2}
+	plain := NewTrainer(ds, NewModel(ds, cfg))
+	recorded := NewTrainer(ds, NewModel(ds, cfg))
+	regions := 0
+	for i := 0; i < 4; i++ {
+		sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(5, i))
+		want := plain.StepOn(sub)
+		var got float64
+		regions += len(perf.Record(func() { got = recorded.StepOn(sub) }))
+		if math.Float64bits(got) != math.Float64bits(want) || want == 0 {
+			t.Fatalf("step %d: recorded loss %v, unrecorded %v", i, got, want)
+		}
+	}
+	if regions == 0 {
+		t.Fatal("the recorded steps ran no parallel region")
+	}
+	if got, want := weightCRC(recorded.Model), weightCRC(plain.Model); got != want {
+		t.Errorf("weights after the recorded steps: CRC %#x, unrecorded %#x", got, want)
+	}
+}
+
+// weightCRC is the CRC-64/ECMA of every parameter's Float64bits.
+func weightCRC(m *Model) uint64 {
+	tab := crc64.MakeTable(crc64.ECMA)
+	var crc uint64
+	var b [8]byte
+	for _, p := range m.Params() {
+		for _, v := range p.W.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			crc = crc64.Update(crc, tab, b[:])
+		}
+	}
+	return crc
 }
 
 // TestPoolSequenceIdenticalAcrossWorkers verifies at the trainer level

@@ -23,7 +23,8 @@ type Trainer struct {
 	Pool  *sampler.Pool
 	Opt   *nn.Adam
 	// Timer accumulates the "sampling", "featprop" and "weight"
-	// segments that make up Fig. 3D's execution-time breakdown.
+	// segments of Fig. 3D's execution-time breakdown; the rest of a
+	// step is the breakdown's fourth share, "other".
 	Timer *perf.Timer
 
 	trainMask []bool
@@ -73,14 +74,17 @@ func NewTrainerWithSampler(ds *datasets.Dataset, m *Model, s sampler.VertexSampl
 // Steps returns the number of weight updates performed.
 func (t *Trainer) Steps() int { return t.steps }
 
-// Step performs one training iteration (Algorithm 1 lines 2-13):
-// draw a subgraph, gather its features and labels, run forward and
-// backward propagation, and apply an Adam update. It returns the
-// minibatch loss. Subgraphs whose vertex set contains no training
-// vertices are skipped with zero loss (possible on tiny datasets).
-func (t *Trainer) Step() float64 {
-	sub := t.nextSubgraph()
+// Step performs one training iteration (Algorithm 1 lines 2-13) on
+// the next subgraph of the pool; see StepOn.
+func (t *Trainer) Step() float64 { return t.StepOn(t.nextSubgraph()) }
 
+// StepOn performs one training iteration on sub: gather its features
+// and labels, run forward and backward propagation, and apply an Adam
+// update. It returns the minibatch loss. A subgraph whose vertex set
+// contains no training vertices is skipped with zero loss (possible on
+// tiny datasets). StepOn never touches the Pool, so a caller stepping
+// subgraphs of its own starts no background sampling.
+func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
 	n := sub.N
 	feat := t.DS.FeatureDim()
 	t.bufH0 = mat.Reuse(t.bufH0, n, feat)

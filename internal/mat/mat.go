@@ -228,16 +228,6 @@ func Mul(dst, a, b *Dense, workers int) {
 	})
 }
 
-// MulRange computes rows [lo, hi) of dst = a*b serially. It is the
-// unit of work one (simulated) core performs in a row-sharded GEMM;
-// the scaling harness measures it shard by shard.
-func MulRange(dst, a, b *Dense, lo, hi int) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("mat: MulRange shape mismatch")
-	}
-	mulRange(dst, a, b, lo, hi)
-}
-
 // MulBTRange computes rows [lo, hi) of dst = a * bᵀ serially.
 func MulBTRange(dst, a, b *Dense, lo, hi int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
@@ -276,20 +266,6 @@ func mulRange(dst, a, b *Dense, lo, hi int) {
 			axpyRows(dst.Data[i*n:(i+1)*n], btile, n, a.Data[i*ka+k0:i*ka+k1], 1, k1-k0)
 		}
 	}
-}
-
-// MulShards computes dst = a * b decomposed into p row shards and
-// executes the shards under the simulated multicore executor,
-// returning its timing. It performs exactly the same arithmetic as
-// Mul; it exists so the weight-application scaling of Fig. 3C can be
-// measured on hosts with few physical cores.
-func MulShards(dst, a, b *Dense, p int, cfg perf.SimConfig) perf.SimResult {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("mat: MulShards shape mismatch")
-	}
-	return perf.SimRange(a.Rows, p, cfg, func(lo, hi int) {
-		mulRange(dst, a, b, lo, hi)
-	})
 }
 
 // MulAT computes dst = aᵀ * b (dst is a.Cols x b.Cols). Needed by the

@@ -89,6 +89,9 @@ func TestMulBTMatchesNaive(t *testing.T) {
 	})
 }
 
+// TestMulShardsMatchesMul: a Mul recorded for the simulated executor
+// runs its row shards one after another and still returns the serial
+// Mul's bits, with one timed shard per worker.
 func TestMulShardsMatchesMul(t *testing.T) {
 	r := rng.New(4)
 	a := randomMat(r, 40, 16)
@@ -97,12 +100,21 @@ func TestMulShardsMatchesMul(t *testing.T) {
 	Mul(want, a, b, 1)
 	for _, p := range []int{1, 2, 5, 40, 64} {
 		got := New(40, 24)
-		res := MulShards(got, a, b, p, perf.SimConfig{})
+		regions := perf.Record(func() { Mul(got, a, b, p) })
 		if !got.Equal(want, 0) {
-			t.Errorf("MulShards p=%d differs from Mul", p)
+			t.Errorf("recorded Mul p=%d differs from Mul", p)
 		}
-		if res.Wall <= 0 {
-			t.Errorf("MulShards p=%d reported non-positive wall time", p)
+		if p == 1 {
+			if len(regions) != 0 {
+				t.Errorf("serial Mul recorded %d regions", len(regions))
+			}
+			continue
+		}
+		if len(regions) != 1 || len(regions[0].Chunks) != min(p, 40) {
+			t.Fatalf("recorded Mul p=%d: regions %v, want one of %d shards", p, regions, min(p, 40))
+		}
+		if res := perf.GroupWall(regions[0].Chunks, p, perf.SimConfig{}); res.Wall <= 0 {
+			t.Errorf("recorded Mul p=%d reported non-positive wall time", p)
 		}
 	}
 }
@@ -391,11 +403,11 @@ func TestMulRangeMatchesMul(t *testing.T) {
 	Mul(want, a, b, 1)
 	got := New(20, 9)
 	// Compute in three uneven row chunks.
-	MulRange(got, a, b, 0, 7)
-	MulRange(got, a, b, 7, 8)
-	MulRange(got, a, b, 8, 20)
+	mulRange(got, a, b, 0, 7)
+	mulRange(got, a, b, 7, 8)
+	mulRange(got, a, b, 8, 20)
 	if !got.Equal(want, 0) {
-		t.Error("piecewise MulRange differs from Mul")
+		t.Error("piecewise mulRange differs from Mul")
 	}
 }
 
@@ -411,15 +423,6 @@ func TestMulBTRangeMatchesMulBT(t *testing.T) {
 	if !got.Equal(want, 0) {
 		t.Error("piecewise MulBTRange differs from MulBT")
 	}
-}
-
-func TestMulRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MulRange shape mismatch did not panic")
-		}
-	}()
-	MulRange(New(2, 2), New(2, 3), New(2, 2), 0, 2)
 }
 
 func TestReuse(t *testing.T) {

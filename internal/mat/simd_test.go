@@ -22,7 +22,6 @@ import (
 	"slices"
 	"testing"
 
-	"gsgcn/internal/perf"
 	"gsgcn/internal/rng"
 )
 
@@ -496,13 +495,10 @@ func TestNarrowRowsMatchUntiledPortable(t *testing.T) {
 							got.Fill(99)
 							for w, lo := 0, 0; w < workers; w++ {
 								hi := m * (w + 1) * (w + 2) / (workers * (workers + 1))
-								MulRange(got, a, b, lo, hi)
+								mulRange(got, a, b, lo, hi)
 								lo = hi
 							}
-							requireSameBits(t, "MulRange "+tag, got.Data, wantMul.Data)
-							got.Fill(99)
-							MulShards(got, a, b, workers, perf.SimConfig{})
-							requireSameBits(t, "MulShards "+tag, got.Data, wantMul.Data)
+							requireSameBits(t, "mulRange "+tag, got.Data, wantMul.Data)
 							gotAT := New(k, n)
 							gotAT.Fill(99)
 							MulAT(gotAT, a, c, workers)
@@ -1030,18 +1026,14 @@ func testTiledGEMMMatchesUntiledPortable(t *testing.T) {
 				Mul(got, a, b, workers)
 				requireSameBits(t, "Mul "+tag, got.Data, wantMul.Data)
 
-				// The same product in `workers` uneven row ranges, and
-				// as that many shards of the simulated executor.
+				// The same product in `workers` uneven row ranges.
 				got.Fill(99)
 				for w, lo := 0, 0; w < workers; w++ {
 					hi := tc.m * (w + 1) * (w + 2) / (workers * (workers + 1))
-					MulRange(got, a, b, lo, hi)
+					mulRange(got, a, b, lo, hi)
 					lo = hi
 				}
-				requireSameBits(t, "MulRange "+tag, got.Data, wantMul.Data)
-				got.Fill(99)
-				MulShards(got, a, b, workers, perf.SimConfig{})
-				requireSameBits(t, "MulShards "+tag, got.Data, wantMul.Data)
+				requireSameBits(t, "mulRange "+tag, got.Data, wantMul.Data)
 
 				got.Fill(99)
 				MulBT(got, a, bt, workers)

@@ -23,7 +23,8 @@ import (
 // the (sub)graph to propagate over, the feature-partition count Q,
 // the real worker goroutine budget, and an optional timer that
 // receives the "featprop" and "weight" segments used by the Fig. 3
-// breakdown.
+// breakdown (under perf.Record, the segments also tag the parallel
+// regions inside them; everything else in a step is "other").
 type Ctx struct {
 	G       *graph.CSR
 	Q       int

@@ -147,7 +147,7 @@ func TestPropagateKernelMatchesPerOperatorLoops(t *testing.T) {
 		for _, cr := range [][2]int{{0, f}, {0, 1}, {3, 4}, {5, 16}, {16, f}, {f - 1, f}} {
 			dst := mat.New(n, f)
 			dst.Fill(stale)
-			PropagateRange(dst, src, g, norm, cr[0], cr[1])
+			propagateBlock(dst, 0, src, g, norm, 0, n, cr[0], cr[1])
 			sameBits(t, name+"/cols", dst, 0, n, cr[0], cr[1], want, 0)
 			for v := 0; v < n; v++ {
 				for c := 0; c < f; c++ {

@@ -21,8 +21,8 @@
 // from +0, takes the neighbors in adjacency order and is scaled once,
 // so no cut of the work can change a bit of a result.
 //
-// One schedule cuts the work for Propagate, Propagate2D and
-// SimPropagate: columns first, into the chunk count asked for but never
+// One schedule cuts the work for Propagate and Propagate2D: columns
+// first, into the chunk count asked for but never
 // into chunks narrower than a register panel (32 columns; a row under
 // 64 is one chunk) and always on panel multiples, then vertex ranges
 // when that leaves fewer chunks than workers.
@@ -53,14 +53,6 @@ const (
 	// unnormalized adjacency, its own transpose on an undirected graph.
 	NormSum
 )
-
-// PropagateRange aggregates columns [colLo, colHi) of src into dst
-// for every vertex of g. dst and src are |V| x f matrices; rows of
-// dst outside the column range are left untouched. This is the unit
-// of work one processor performs on one feature partition H^(i,j).
-func PropagateRange(dst, src *mat.Dense, g *graph.CSR, norm Norm, colLo, colHi int) {
-	propagateBlock(dst, 0, src, g, norm, 0, g.N, colLo, colHi)
-}
 
 // PropagateRows aggregates every column of src for vertices
 // [vlo, vhi) into the (vhi-vlo) x f block dst, whose row i receives
@@ -153,14 +145,6 @@ func (s schedule) run(blo, bhi int) {
 // are processed by `workers` real goroutines. dst must not alias src.
 func Propagate(dst, src *mat.Dense, g *graph.CSR, norm Norm, q, workers int) {
 	newSchedule(dst, src, g, norm, 0, q, workers).parallel(workers)
-}
-
-// SimPropagate executes the same schedule under the simulated
-// multicore executor with p cores, returning the simulated timing used
-// by the Fig. 3B harness.
-func SimPropagate(dst, src *mat.Dense, g *graph.CSR, norm Norm, q, p int, cfg perf.SimConfig) perf.SimResult {
-	s := newSchedule(dst, src, g, norm, 0, q, p)
-	return perf.SimRange(s.pv*s.nq, p, cfg, s.run)
 }
 
 // Propagate2D is the ablation comparator: it additionally partitions

@@ -1,22 +1,18 @@
 // Package perf provides the parallel-execution substrate used across
 // the repository: real goroutine-based data-parallel loops, wall-clock
-// timers, and a simulated multicore executor.
+// timers, and the simulated multicore executor behind the scaling
+// figures.
 //
-// The simulated executor exists because the paper's evaluation (Figs.
-// 3-4, Table II) ran on a dual-socket 40-core Xeon, while the
-// reproduction host may have very few cores. Each parallel region is
-// decomposed into the same shards a real run would use; the shards are
-// executed (and timed) one by one, and the simulated parallel wall time
-// is the critical path -- the maximum shard time -- plus a small modeled
-// synchronization term and an optional cross-socket (NUMA) penalty.
-// This preserves the *shape* of scaling curves: load imbalance, serial
-// bottlenecks and Amdahl effects all show up exactly as they would on
-// real silicon, while absolute times remain honest per-shard
-// measurements.
+// The simulator exists because the paper's evaluation (Figs. 3-4,
+// Table II) ran on a dual-socket 40-core Xeon, while the reproduction
+// host may have very few cores. Record runs real code with every
+// parallel region's chunks serial and timed, in the decomposition a
+// real run would dispatch (so with the same bits); GroupWall folds a
+// region's chunk times onto p simulated cores: the slowest group plus
+// a modeled barrier and an optional cross-socket (NUMA) penalty.
 package perf
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -34,7 +30,8 @@ import (
 // The chunk decomposition depends only on (n, workers): chunk w covers
 // [w*ceil(n/workers), ...). Kernels that assign each output element to
 // exactly one chunk therefore produce bit-identical results however
-// the pool schedules the chunks.
+// the pool schedules the chunks — or, under Record, when the chunks
+// run one after another on the caller.
 func Parallel(n, workers int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -47,16 +44,17 @@ func Parallel(n, workers int, fn func(worker, lo, hi int)) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	Shared().Run(workers, func(w int) {
+	run := func(w int) {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
+		if hi := min(lo+chunk, n); lo < hi {
 			fn(w, lo, hi)
 		}
-	})
+	}
+	if rec := active.Load(); rec != nil {
+		rec.region((n+chunk-1)/chunk, run)
+		return
+	}
+	Shared().Run(workers, run)
 }
 
 // ParallelMin is Parallel with a minimum chunk grain: it caps the
@@ -119,61 +117,6 @@ func (r SimResult) Speedup() float64 {
 	return float64(r.Total) / float64(r.Wall)
 }
 
-// SimParallel executes shard(0..p-1) serially, timing each, and returns
-// the simulated parallel timing under cfg. The shard function must
-// perform the work that simulated core i would perform in a real run.
-func SimParallel(p int, cfg SimConfig, shard func(i int)) SimResult {
-	if p < 1 {
-		p = 1
-	}
-	barrier := cfg.BarrierNS
-	if barrier == 0 {
-		barrier = 1500
-	}
-	var total, max float64 // nanoseconds
-	for i := 0; i < p; i++ {
-		start := time.Now()
-		shard(i)
-		t := float64(time.Since(start))
-		total += t
-		if cfg.SocketCores > 0 && cfg.NUMAPenalty > 1 && i >= cfg.SocketCores {
-			t *= cfg.NUMAPenalty
-		}
-		if t > max {
-			max = t
-		}
-	}
-	wall := max + barrier*math.Log2(float64(p)+1)
-	return SimResult{
-		Wall:     time.Duration(wall),
-		Total:    time.Duration(total),
-		MaxShard: time.Duration(max),
-		Shards:   p,
-	}
-}
-
-// SimRange is a convenience wrapper: it splits [0, n) into p contiguous
-// shards and simulates executing them on p cores.
-func SimRange(n, p int, cfg SimConfig, fn func(lo, hi int)) SimResult {
-	if p > n && n > 0 {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	chunk := (n + p - 1) / p
-	return SimParallel(p, cfg, func(i int) {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
-			fn(lo, hi)
-		}
-	})
-}
-
 // Timer accumulates named wall-clock segments; it backs the
 // execution-time breakdown in Fig. 3D.
 type Timer struct {
@@ -184,8 +127,12 @@ type Timer struct {
 // NewTimer returns an empty Timer.
 func NewTimer() *Timer { return &Timer{spans: make(map[string]time.Duration)} }
 
-// Time runs fn and charges its duration to the named segment.
+// Time runs fn and charges its duration to the named segment. Under
+// Record, the parallel regions fn runs are tagged with the segment.
 func (t *Timer) Time(name string, fn func()) {
+	if rec := active.Load(); rec != nil {
+		defer rec.swap(rec.swap(name)) // the outer segment again once fn returns
+	}
 	start := time.Now()
 	fn()
 	t.Add(name, time.Since(start))

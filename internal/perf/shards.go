@@ -2,18 +2,85 @@ package perf
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// SimShardTimes executes the given work decomposed into n shards,
-// serially, and returns each shard's measured duration. Combined with
-// GroupWall it lets a harness measure a parallel decomposition once
-// and then evaluate the simulated wall time for *any* smaller core
-// count whose partition boundaries align (grouping k consecutive
-// shards per core reproduces the coarser partition exactly).
+// Region is one parallel region of a recorded run: the Timer segment
+// it ran in ("" outside every Timer.Time) and the measured time of
+// each of its chunks, in chunk order.
+type Region struct {
+	Segment string
+	Chunks  []time.Duration
+}
+
+// recorder collects the regions of one Record call.
+type recorder struct {
+	mu      sync.Mutex
+	segment string
+	depth   int // regions open; a region opened inside one is nested
+	regions []Region
+}
+
+// active is the running Record call's recorder, nil when none runs:
+// loading it is all that recording costs Parallel otherwise.
+var active atomic.Pointer[recorder]
+
+// Record runs fn with recording on and returns, in order, the parallel
+// regions fn ran. A recorded region runs its chunks one after another
+// on the caller, timing each: the chunks Parallel would dispatch, with
+// the same worker ids and bounds, so fn computes the same bits. A
+// region nested inside a chunk runs the same way but is no region of
+// its own: its time is its parent chunk's. Recording is process-wide —
+// any goroutine's Parallel runs serially meanwhile — so it belongs in
+// a harness with nothing else running, and Record calls do not nest.
+func Record(fn func()) []Region {
+	rec := &recorder{}
+	if !active.CompareAndSwap(nil, rec) {
+		panic("perf: Record called while recording")
+	}
+	defer active.Store(nil)
+	fn()
+	return rec.regions
+}
+
+// region runs chunks 0..k-1 of a region serially, timing each, and
+// keeps the region unless it is nested.
+func (r *recorder) region(k int, run func(w int)) {
+	r.mu.Lock()
+	outer := r.depth == 0
+	r.depth++
+	reg := Region{Segment: r.segment, Chunks: make([]time.Duration, k)}
+	r.mu.Unlock()
+	for w := range reg.Chunks {
+		start := time.Now()
+		run(w)
+		reg.Chunks[w] = time.Since(start)
+	}
+	r.mu.Lock()
+	r.depth--
+	if outer {
+		r.regions = append(r.regions, reg)
+	}
+	r.mu.Unlock()
+}
+
+// swap makes seg the segment of the regions that follow and returns
+// the one before.
+func (r *recorder) swap(seg string) (prev string) {
+	r.mu.Lock()
+	prev, r.segment = r.segment, seg
+	r.mu.Unlock()
+	return prev
+}
+
+// SimShardTimes runs shard(0) .. shard(n-1) serially and returns each
+// one's measured duration: independent units of work (sampler
+// instances) for GroupWall to fold onto any core count up to n.
 func SimShardTimes(n int, shard func(i int)) []time.Duration {
 	times := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
+	for i := range times {
 		start := time.Now()
 		shard(i)
 		times[i] = time.Since(start)
@@ -27,52 +94,26 @@ func SimShardTimes(n int, shard func(i int)) []time.Duration {
 // NUMA penalty; wall = slowest group + barrier term.
 func GroupWall(times []time.Duration, cores int, cfg SimConfig) SimResult {
 	n := len(times)
-	if cores < 1 {
-		cores = 1
-	}
-	if cores > n && n > 0 {
-		cores = n
-	}
+	cores = max(1, min(cores, n))
 	barrier := cfg.BarrierNS
 	if barrier == 0 {
 		barrier = 1500
 	}
 	chunk := (n + cores - 1) / cores
-	var total, max float64
+	var total, slowest float64
 	groups := 0
-	for g := 0; g*chunk < n; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < n; lo += chunk {
 		var sum float64
-		for _, t := range times[lo:hi] {
+		for _, t := range times[lo:min(lo+chunk, n)] {
 			sum += float64(t)
-			total += float64(t)
 		}
-		if cfg.SocketCores > 0 && cfg.NUMAPenalty > 1 && g >= cfg.SocketCores {
+		total += sum
+		if cfg.SocketCores > 0 && cfg.NUMAPenalty > 1 && groups >= cfg.SocketCores {
 			sum *= cfg.NUMAPenalty
 		}
-		if sum > max {
-			max = sum
-		}
+		slowest = max(slowest, sum)
 		groups++
 	}
-	wall := max + barrier*math.Log2(float64(groups)+1)
-	return SimResult{
-		Wall:     time.Duration(wall),
-		Total:    time.Duration(total),
-		MaxShard: time.Duration(max),
-		Shards:   groups,
-	}
-}
-
-// SumDurations adds a slice of durations.
-func SumDurations(ts []time.Duration) time.Duration {
-	var s time.Duration
-	for _, t := range ts {
-		s += t
-	}
-	return s
+	wall := slowest + barrier*math.Log2(float64(groups)+1)
+	return SimResult{Wall: time.Duration(wall), Total: time.Duration(total), MaxShard: time.Duration(slowest), Shards: groups}
 }

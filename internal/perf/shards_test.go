@@ -94,12 +94,3 @@ func TestGroupWallEquivalentToSimRangeGrouping(t *testing.T) {
 		t.Errorf("Total = %v, want 36", res.Total)
 	}
 }
-
-func TestSumDurations(t *testing.T) {
-	if got := SumDurations([]time.Duration{1, 2, 3}); got != 6 {
-		t.Errorf("SumDurations = %v", got)
-	}
-	if got := SumDurations(nil); got != 0 {
-		t.Errorf("SumDurations(nil) = %v", got)
-	}
-}

@@ -51,7 +51,7 @@ type Pool struct {
 	cond     *sync.Cond
 	ch       chan *graph.Subgraph
 	credits  int // buffer slots not owned by a buffered or in-flight subgraph
-	nextWave int // next wave number to claim (also advanced by SimulateRefill)
+	nextWave int // next wave number to claim; only pumpLocked claims one
 	deliver  int // wave currently allowed to deposit into ch
 }
 
@@ -149,34 +149,4 @@ func (p *Pool) Pending() int {
 		return 0
 	}
 	return len(p.ch)
-}
-
-// SimulateRefill measures one pool wave under the simulated multicore
-// executor: PInter instances, one per simulated core. The returned
-// SimResult's Speedup is the Fig. 4A series point for p_inter =
-// PInter. It consumes the next wave number, so interleaving it with
-// Next keeps RNG streams disjoint.
-func (p *Pool) SimulateRefill(cfg perf.SimConfig) perf.SimResult {
-	p.mu.Lock()
-	wave := p.nextWave
-	p.nextWave++
-	if p.ch != nil {
-		// Keep in-flight waves' delivery tickets consistent: the
-		// simulated wave delivers nothing, so skip its turn once its
-		// predecessors have delivered.
-		go func() {
-			p.mu.Lock()
-			for p.deliver != wave {
-				p.cond.Wait()
-			}
-			p.deliver++
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}()
-	}
-	p.mu.Unlock()
-	return perf.SimParallel(p.PInter, cfg, func(i int) {
-		r := rng.NewStream(p.Seed, wave*p.PInter+i)
-		_ = SampleSubgraph(p.G, p.Sampler, r)
-	})
 }

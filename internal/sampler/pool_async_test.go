@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"gsgcn/internal/graph"
-	"gsgcn/internal/perf"
 )
 
 // poolSamplers returns the table of (name, sampler) pairs the
@@ -137,24 +136,5 @@ func TestPoolConcurrentNextMultiset(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPoolSimulateRefillInterleaved interleaves SimulateRefill with an
-// active pipeline; wave numbering must stay disjoint (no subgraph
-// sequence disturbance) and delivery must not wedge.
-func TestPoolSimulateRefillInterleaved(t *testing.T) {
-	g := testGraph(t)
-	fr := &Frontier{G: g, M: 30, N: 150, Eta: 2}
-	p := NewPool(g, fr, 4, 3)
-	p.Next()
-	res := p.SimulateRefill(perf.SimConfig{})
-	if res.Shards != 4 {
-		t.Fatalf("shards = %d, want 4", res.Shards)
-	}
-	for i := 0; i < 2*p.PInter; i++ {
-		if p.Next() == nil {
-			t.Fatal("Next wedged after interleaved SimulateRefill")
-		}
 	}
 }

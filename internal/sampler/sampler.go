@@ -9,7 +9,9 @@
 //
 // All samplers consume an explicit *rng.RNG so that sampling is
 // reproducible and goroutine-safe by construction (one RNG per
-// sampler instance, never shared).
+// sampler instance, never shared). The package has no simulated mode:
+// the scaling figures time independent SampleSubgraph calls, one per
+// simulated core, and fold them with perf.GroupWall.
 package sampler
 
 import (

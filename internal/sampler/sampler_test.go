@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gsgcn/internal/graph"
-	"gsgcn/internal/perf"
 	"gsgcn/internal/rng"
 )
 
@@ -245,22 +244,6 @@ func TestPoolSubgraphsIndependent(t *testing.T) {
 	}
 	if same {
 		t.Fatal("two pooled subgraphs are identical; RNG streams not independent")
-	}
-}
-
-func TestPoolSimulateRefill(t *testing.T) {
-	g := testGraph(t)
-	fr := &Frontier{G: g, M: 100, N: 1800}
-	// Warm the caches so the first simulated instance is not charged
-	// for faulting the graph in.
-	fr.SampleVertices(rng.New(99))
-	p := NewPool(g, fr, 8, 1)
-	res := p.SimulateRefill(perf.SimConfig{})
-	if res.Shards != 8 {
-		t.Fatalf("shards = %d, want 8", res.Shards)
-	}
-	if s := res.Speedup(); s < 2 {
-		t.Errorf("simulated inter-sampler speedup %.2f at p=8; want > 2 (independent instances)", s)
 	}
 }
 

@@ -368,6 +368,24 @@ func TestDeadlineCountsFromArrival(t *testing.T) {
 	}
 }
 
+// lateTimerCtx is a context whose deadline has passed but whose
+// cancelling timer has not run yet: Err is still nil.
+type lateTimerCtx struct{ context.Context }
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestEndedCountsAPassedDeadline: a step about to start fails with
+// DeadlineExceeded once the clock is past the deadline, without
+// waiting for the context's timer — which a loaded host can run late.
+func TestEndedCountsAPassedDeadline(t *testing.T) {
+	if err := ended(lateTimerCtx{context.Background()}, "before enqueue"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("passed deadline, timer not yet run: err = %v, want DeadlineExceeded", err)
+	}
+	if err := ended(context.Background(), "before enqueue"); err != nil {
+		t.Errorf("no deadline: err = %v", err)
+	}
+}
+
 // TestDeadlineBindsSlowTopK: a /topk whose probe outlasts the deadline —
 // a first ANN query held in a shard's lazy index build — answers 504
 // "deadline" instead of a late 200, at one shard and at three. A query

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 )
 
 // This file is the query core: the error table every transport reads,
@@ -115,9 +116,15 @@ func (s *Server) withDeadline(ctx context.Context) (context.Context, context.Can
 }
 
 // ended reports ctx's error, once it has ended, as the failure of the
-// step about to start.
+// step about to start. A deadline counts as ended once the clock has
+// passed it, before the timer that cancels ctx has run: on a loaded
+// host that timer can fire well after the query's deadline.
 func ended(ctx context.Context, step string) error {
-	if err := ctx.Err(); err != nil {
+	err := ctx.Err()
+	if d, ok := ctx.Deadline(); ok && err == nil && !time.Now().Before(d) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
 		return fmt.Errorf("serve: %w %s", err, step)
 	}
 	return nil

@@ -37,7 +37,7 @@ func RunSamplerAblation(o ExpOptions) (*SamplerAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, budget := trainParams(ds, o)
+	m, budget := trainParams(ds.G.NumVertices())
 	lr := 0.01
 	if ds.MultiLabel {
 		lr = 0.04

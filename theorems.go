@@ -35,7 +35,7 @@ func RunTheorem1(o ExpOptions) (*Theorem1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, budget := trainParams(ds, o)
+	m, budget := trainParams(ds.G.NumVertices())
 	res := &Theorem1Result{
 		Dataset:   ds.Name,
 		AvgDegree: ds.G.AvgDegree(),
@@ -103,7 +103,7 @@ func RunTheorem2(o ExpOptions) (*Theorem2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, budget := trainParams(ds, o)
+	m, budget := trainParams(ds.G.NumVertices())
 	fr := &sampler.Frontier{G: ds.G, M: m, N: budget, Eta: 2}
 	sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(o.Seed, 0x7E02))
 	f := ds.FeatureDim()
@@ -139,6 +139,14 @@ func RunTheorem2(o ExpOptions) (*Theorem2Result, error) {
 		res.QMS = min(res.QMS, propagateMS(res.Q))
 	}
 	return res, nil
+}
+
+func randomDense(r *rng.RNG, rows, cols int) *mat.Dense {
+	m := mat.New(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = r.Float64() + 0.1 // strictly positive: no zero-skip shortcuts
+	}
+	return m
 }
 
 // String renders the analysis.
