@@ -84,7 +84,9 @@ func narrowFuzzMats(mb, kb, nb, zeros uint8, seed uint64, raw []byte) (a, b *Den
 // (testdata/fuzz/FuzzNarrowRows) has m = 1..9 at width 8 against NaN,
 // ±Inf, -0 and subnormals in both operands, and the same values at
 // widths 63, 64, 65, 121, 128 and 129, where the list walks' panels
-// end and the AVX-512 walk masks its rest.
+// end and the AVX-512 walk masks its rest. The n8-m*-k65..k140 seeds
+// are for MulAT on rows of 8: k of every residue mod 4, one shard and
+// two, with ±Inf and NaN in rows of b whose alphas in a are zeros.
 func FuzzNarrowRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zeros uint8, seed uint64, raw []byte) {
 		a, b := narrowFuzzMats(mb, kb, nb, zeros, seed, raw)

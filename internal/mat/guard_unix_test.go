@@ -168,44 +168,75 @@ func testAxpyRowsStaysInsideItsSlices(t *testing.T) {
 
 // TestAxpyRows4x8StaysInsideItsSlices: the four-row kernel with its
 // rows, the last of its source rows and the last alpha it reads each
-// ending on the last bytes of an allocation — alphas a row of a (stride
-// 1) and a column of a (stride k) — where the fourth row's alphas or
-// the last term's are cut off where a stride would run on. At every
-// level.
+// ending on the last bytes of an allocation — alphas a row of a apart,
+// the fourth row's cut off where its run ends. At every level.
 func TestAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
 	atEveryLevel(t, testAxpyRows4x8StaysInsideItsSlices)
 }
 
 func testAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
 	kern := levelKernels()
-	const k = 5
-	for _, count := range []int{1, 3, k, 64, 70} {
-		for _, lay := range []struct{ rs, ts int }{{count + 2, 1}, {1, k}} {
-			d := guardedFloats(t, 32)
-			src := guardedFloats(t, 8*count)
-			alpha := guardedFloats(t, 3*lay.rs+(count-1)*lay.ts+1)
-			for i := range src {
-				src[i] = 0.25
+	for _, count := range []int{1, 3, 5, 64, 70} {
+		rs := count + 2
+		d := guardedFloats(t, 32)
+		src := guardedFloats(t, 8*count)
+		alpha := guardedFloats(t, 3*rs+count)
+		for i := range src {
+			src[i] = 0.25
+		}
+		var want [4]float64
+		for r := range want {
+			for i := 0; i < count; i++ {
+				alpha[r*rs+i] = float64((i + r) % 3) // a third of the terms are zeros
+				want[r] += float64((i+r)%3) * 0.25
 			}
-			var want [4]float64
-			for r := range want {
-				for i := 0; i < count; i++ {
-					alpha[r*lay.rs+i*lay.ts] = float64((i + r) % 3) // a third of the terms are zeros
-					want[r] += float64((i+r)%3) * 0.25
-				}
-			}
-			axpyRows4x8(d, src, alpha, lay.rs, lay.ts, count)
-			kern.axpyRows4x8(d, src, alpha, lay.rs, lay.ts, count)
-			for r := range want {
-				want[r] *= 2
-			}
-			for i, v := range d {
-				if v != want[i/8] {
-					t.Fatalf("count=%d rs=%d ts=%d: element %d = %v, want %v", count, lay.rs, lay.ts, i, v, want[i/8])
-				}
+		}
+		axpyRows4x8(d, src, alpha, rs, count)
+		kern.axpyRows4x8(d, src, alpha, rs, count)
+		for r := range want {
+			want[r] *= 2
+		}
+		for i, v := range d {
+			if v != want[i/8] {
+				t.Fatalf("count=%d rs=%d: element %d = %v, want %v", count, rs, i, v, want[i/8])
 			}
 		}
 	}
+}
+
+// TestAccumAT8StaysInsideItsSlices: the aᵀ·b kernel on rows of 8 with
+// its accumulator, its last row of a and its last row of b each ending
+// on the last bytes of an allocation, at widths k of a from one column
+// to the first layer's 602, over row counts that end on a pass of four
+// rows (where the last row of a is the fourth of a pass) and that leave
+// one to three rows over. At every level.
+func TestAccumAT8StaysInsideItsSlices(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		kern := levelKernels()
+		for _, k := range []int{1, 3, 5, 64, 602} {
+			for _, count := range []int{4, 5, 6, 7, 8, 67} {
+				acc, a, b := guardedFloats(t, 8*k), guardedFloats(t, count*k), guardedFloats(t, 8*count)
+				want := make([]float64, k)
+				for i := range b {
+					b[i] = 0.25
+				}
+				for row := 0; row < count; row++ {
+					for c := 0; c < k; c++ {
+						v := float64((row + c) % 3) // a third of a is zeros
+						a[row*k+c] = v
+						want[c] += v * 0.25
+					}
+				}
+				accumAT8(acc, a, b, k, count)
+				kern.accumAT8(acc, a, b, k, count)
+				for i, v := range acc {
+					if v != 2*want[i/8] {
+						t.Fatalf("k=%d count=%d: element %d = %v, want %v", k, count, i, v, 2*want[i/8])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestGatherSumStaysInsideItsSlices: the gather kernel with its row and

@@ -8,9 +8,11 @@
 // multiplication kernels are loops over a handful of vector
 // primitives (simd.go: Axpy, Dot, AddTo, Scal, and under a·b and aᵀ·b
 // the list kernel axpyRows, which keeps a stretch of an output row in
-// registers while it takes a whole tile's non-zero terms, and on rows
-// of 8 axpyRows4x8, which advances four output rows per pass and masks
-// a zero term to +0 where axpyRows skips it, and under a·bᵀ dot16,
+// registers while it takes a whole tile's non-zero terms; on rows of 8
+// axpyRows4x8 under a·b, which advances four output rows per pass, and
+// accumAT8 under aᵀ·b, which reads a along its rows four at a time into
+// an accumulator that stays in the L1 cache, both masking a zero term
+// to +0 where axpyRows skips it; and under a·bᵀ dot16,
 // sixteen inner products per pass over a pair-packed copy of b) at
 // three levels picked once from the CPU's feature bits: AVX-512 where
 // the CPU and the operating system have it, AVX2 assembly elsewhere on
@@ -245,17 +247,18 @@ func MulBTRange(dst, a, b *Dense, lo, hi int) {
 // output row takes its updates from rows of b that are still in the
 // L1 cache; an output row still receives its terms in ascending k,
 // and a zero a[i][k] (half of a ReLU output, more under dropout) adds
-// nothing to it. Rows of 8 go four at a time through axpyRows4x8 over
-// the whole of b (602 rows of 8 are 38 KB), which measured 12% faster
-// than by tiles; it masks the zeros rather than skipping them, the
-// same bits because the rows were cleared to +0 first.
+// nothing to it. Rows of 8 go four at a time through axpyRows4x8 —
+// its one caller — over the whole of b (602 rows of 8 are 38 KB),
+// which measured 12% faster than by tiles; it masks the zeros rather
+// than skipping them, the same bits because the rows were cleared to
+// +0 first.
 func mulRange(dst, a, b *Dense, lo, hi int) {
 	n := b.Cols
 	ka := a.Cols
 	clear(dst.Data[lo*n : hi*n])
 	if n == 8 {
 		for ; lo+4 <= hi; lo += 4 {
-			axpyRows4x8(dst.Data[lo*8:(lo+4)*8], b.Data, a.Data[lo*ka:], ka, 1, ka)
+			axpyRows4x8(dst.Data[lo*8:(lo+4)*8], b.Data, a.Data[lo*ka:], ka, ka)
 		}
 	}
 	tile := listRows(n, ka)
@@ -372,28 +375,28 @@ func mulATShards(rows, k, n int) int {
 }
 
 // accumATRange adds rows [lo, hi) of the product aᵀ·b into acc (a
-// k x n buffer in row-major order). Rows [lo, hi) are taken a tile at
-// a time, few enough that the tile of b stays in the L1 cache while
-// every row of acc takes its terms from it: row c from column c of the
-// tile of a, top to bottom. Each element of acc still receives its
-// terms in ascending row order, and a zero of a adds nothing: skipped,
-// or on rows of 8, four of which axpyRows4x8 takes at a time, masked to
-// +0 — the same bits, because every caller starts acc from +0.
+// k x n buffer in row-major order), every element taking its terms in
+// ascending row order, a zero of a adding nothing. On rows of 8 the
+// whole range goes to accumAT8, which reads a along its rows and keeps
+// acc (at most 602 rows of 64 bytes) in the L1 cache; it masks the
+// zeros to +0 rather than skipping them, the same bits because every
+// caller starts acc from +0. Other widths take the rows a tile at a
+// time, few enough that the tile of b stays in the L1 cache while every
+// row of acc takes its terms from it: row c from column c of the tile
+// of a, top to bottom.
 func accumATRange(acc []float64, a, b *Dense, lo, hi int) {
 	n := b.Cols
 	k := a.Cols
+	if n == 8 {
+		accumAT8(acc, a.Data[lo*k:hi*k], b.Data[lo*8:hi*8], k, hi-lo)
+		return
+	}
 	tile := listRows(n, hi-lo)
 	for r0 := lo; r0 < hi; r0 += tile {
 		r1 := min(r0+tile, hi)
 		btile := b.Data[r0*n : r1*n]
 		atile := a.Data[r0*k : r1*k]
-		c := 0
-		if n == 8 {
-			for ; c+4 <= k; c += 4 {
-				axpyRows4x8(acc[c*8:(c+4)*8], btile, atile[c:], 1, k, r1-r0)
-			}
-		}
-		for ; c < k; c++ {
+		for c := 0; c < k; c++ {
 			axpyRows(acc[c*n:(c+1)*n], btile, n, atile[c:], k, r1-r0)
 		}
 	}

@@ -326,7 +326,8 @@ func TestFrobeniusAndSum(t *testing.T) {
 // benchmark, as (rows of the subgraph) x (layer input) x (layer
 // output), with the zeros a ReLU leaves in a hidden layer's input, and
 // a dense square for comparison with other libraries. A training step
-// runs all three products below on each.
+// runs all three products below on each. The first layer of each
+// workload is also timed cold (coldShapes).
 var gemmShapes = []struct {
 	name    string
 	m, k, n int
@@ -341,39 +342,79 @@ var gemmShapes = []struct {
 	{"256x256x256", 256, 256, 256, false},
 }
 
+// coldShapes are the shapes whose Mul and MulAT are also timed with
+// the layer's input h evicted from the caches before every call — the
+// "<shape>-cold" sub-benchmarks. That is how a training step meets
+// them: between the forward product and the weight gradient the rest
+// of the step passes through the caches, and the 3.4 MB input of the
+// 700x602x8 layer no longer fits the L2 of one core. A warm run
+// under-priced that weight gradient badly while it read h down its
+// columns: about 1.0 ms warm against 2.4 ms cold, where the forward
+// product took 0.5 and 0.65.
+var coldShapes = map[string]bool{"700x602x8": true, "434x256x128-half-zeros": true}
+
+// evictBuf is written whole to push everything else out of the caches:
+// 32 MB, sixteen times the 2 MB L2 of a core of the development host.
+var evictBuf []float64
+
+func evictCaches() {
+	if evictBuf == nil {
+		evictBuf = make([]float64, 4<<20)
+	}
+	for i := range evictBuf {
+		evictBuf[i] = float64(i)
+	}
+}
+
 // benchGEMM times, on one core at every shape, the product run builds
 // from the layer's input h (m x k), weights w (k x n) and output
 // gradient dz (m x n), once at each kernel level the host has: the
 // levels of one shape run back to back in one process, so a comparison
 // between them is not at the mercy of the host's drift between runs.
-func benchGEMM(b *testing.B, run func(h, w, dz *Dense) func()) {
+// With cold set, the coldShapes are timed a second time with the
+// caches cleared (timer stopped) before every call.
+func benchGEMM(b *testing.B, cold bool, run func(h, w, dz *Dense) func()) {
 	for _, sh := range gemmShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			for lvl := levelGo; lvl <= hostLevel(); lvl++ {
-				lvl := lvl
-				b.Run(levelNames[lvl], func(b *testing.B) {
-					forceLevel(b, lvl)
-					r := rng.New(1)
-					h := randomMat(r, sh.m, sh.k)
-					if sh.sparse {
-						h = sparseMat(r, sh.m, sh.k)
-					}
-					step := run(h, randomMat(r, sh.k, sh.n), randomMat(r, sh.m, sh.n))
-					b.ReportAllocs()
-					b.SetBytes(int64(2 * sh.m * sh.k * sh.n)) // so that "MB/s" reads MFLOP/s, zeros counted
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						step()
-					}
-				})
+		for _, evict := range []bool{false, true} {
+			if evict && !(cold && coldShapes[sh.name]) {
+				continue
 			}
-		})
+			name := sh.name
+			if evict {
+				name += "-cold"
+			}
+			b.Run(name, func(b *testing.B) {
+				for lvl := levelGo; lvl <= hostLevel(); lvl++ {
+					lvl := lvl
+					b.Run(levelNames[lvl], func(b *testing.B) {
+						forceLevel(b, lvl)
+						r := rng.New(1)
+						h := randomMat(r, sh.m, sh.k)
+						if sh.sparse {
+							h = sparseMat(r, sh.m, sh.k)
+						}
+						step := run(h, randomMat(r, sh.k, sh.n), randomMat(r, sh.m, sh.n))
+						b.ReportAllocs()
+						b.SetBytes(int64(2 * sh.m * sh.k * sh.n)) // so that "MB/s" reads MFLOP/s, zeros counted
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if evict {
+								b.StopTimer()
+								evictCaches()
+								b.StartTimer()
+							}
+							step()
+						}
+					})
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkMul is the forward product z = h·w.
 func BenchmarkMul(b *testing.B) {
-	benchGEMM(b, func(h, w, dz *Dense) func() {
+	benchGEMM(b, true, func(h, w, dz *Dense) func() {
 		z := New(h.Rows, w.Cols)
 		return func() { Mul(z, h, w, 1) }
 	})
@@ -381,7 +422,7 @@ func BenchmarkMul(b *testing.B) {
 
 // BenchmarkMulAT is the weight gradient dw = hᵀ·dz.
 func BenchmarkMulAT(b *testing.B) {
-	benchGEMM(b, func(h, w, dz *Dense) func() {
+	benchGEMM(b, true, func(h, w, dz *Dense) func() {
 		dw := New(w.Rows, w.Cols)
 		return func() { MulAT(dw, h, dz, 1) }
 	})
@@ -389,7 +430,7 @@ func BenchmarkMulAT(b *testing.B) {
 
 // BenchmarkMulBT is the input gradient dh = dz·wᵀ.
 func BenchmarkMulBT(b *testing.B) {
-	benchGEMM(b, func(h, w, dz *Dense) func() {
+	benchGEMM(b, false, func(h, w, dz *Dense) func() {
 		dh := New(h.Rows, h.Cols)
 		return func() { MulBT(dh, dz, w, 1) }
 	})

@@ -13,13 +13,14 @@ import "math"
 // per element, never a fused one, for dot the same four accumulator
 // lanes reduced as ((s0+s1)+s2)+s3 before a scalar tail, and for
 // axpyRows the same terms in the same order, zeros skipped
-// (axpyRows4x8 masks them to +0 instead, which on its +0-started sums
-// is the same thing) — so which one runs never shows in a result: a
-// wider register only changes which elements share an instruction, the
-// operations each element sees and their order stay put, and dot16's
-// packing keeps each inner product's four lanes. The choice is made
-// from what the code can observe: the CPU's feature bits, read once at
-// start-up (useAVX2, useAVX512), and the vector length.
+// (axpyRows4x8 and accumAT8 mask them to +0 instead, which on their
+// +0-started sums is the same thing) — so which one runs never shows
+// in a result: a wider register only changes which elements share an
+// instruction, the operations each element sees and their order stay
+// put, and dot16's packing keeps each inner product's four lanes. The
+// choice is made from what the code can observe: the CPU's feature
+// bits, read once at start-up (useAVX2, useAVX512), and the vector
+// length.
 //
 // axpyRows and GatherSum are the two primitives that are more than a
 // loop over elements: a row plus, or set to, a weighted sum of other
@@ -226,13 +227,13 @@ const listMax = 64
 //
 // skipping every term whose alpha is zero (of either sign): the inner
 // loop of a·b (dst a row of the product, alpha a run of a's row, src
-// the matching rows of b) and of aᵀ·b (dst a row of the accumulator,
-// alpha a run of a's column, src the matching rows of b). The result
-// is that of one Axpy per non-zero alpha, to the bit. The assembly
-// gathers the non-zero terms first and then keeps each stretch of dst
-// in registers while it takes all of them, where Axpy loads and stores
-// dst once per term. It panics if count exceeds listMax or if src or
-// alpha is too short for count terms.
+// the matching rows of b) and of aᵀ·b on rows other than 8 wide (dst a
+// row of the accumulator, alpha a run of a's column, src the matching
+// rows of b). The result is that of one Axpy per non-zero alpha, to
+// the bit. The assembly gathers the non-zero terms first and then
+// keeps each stretch of dst in registers while it takes all of them,
+// where Axpy loads and stores dst once per term. It panics if count
+// exceeds listMax or if src or alpha is too short for count terms.
 func axpyRows(dst, src []float64, stride int, alpha []float64, astride, count int) {
 	n := len(dst)
 	if count <= 0 || n == 0 {
@@ -261,37 +262,77 @@ func axpyRowsGo(dst, src []float64, stride int, alpha []float64, astride, count 
 }
 
 // axpyRows4x8 is axpyRows on four 8-wide rows of dst at once, each with
-// its own alphas against the same count rows of src, packed 8 apart:
-// for r = 0..3 and t = 0..count-1 in that order,
+// its own run of alphas, rs apart, against the same count rows of src,
+// packed 8 apart: for r = 0..3 and t = 0..count-1 in that order,
 //
-//	dst[8r : 8r+8] += alpha[r*rs+t*ts] * src[8t : 8t+8]
+//	dst[8r : 8r+8] += alpha[r*rs+t] * src[8t : 8t+8]
 //
-// skipping every zero alpha — four rows of a·b (rs = a's row stride,
-// ts = 1) or of aᵀ·b (rs = 1, ts = a's row stride). The assembly shares
-// each load of a src row among the four and masks a zero alpha's
-// products to +0 instead of branching, which gives the bits of skipping
-// only where no element of dst is -0: every element must be a sum that
-// started from +0, as every GEMM accumulator here is. It panics if dst
-// holds fewer than four rows or src or alpha is too short for count
-// terms.
-func axpyRows4x8(dst, src, alpha []float64, rs, ts, count int) {
+// skipping every zero alpha — four rows of a·b, rs being a's row
+// stride. The assembly shares each load of a src row among the four
+// and masks a zero alpha's products to +0 instead of branching, which
+// gives the bits of skipping only where no element of dst is -0: every
+// element must be a sum that started from +0, as every GEMM accumulator
+// here is. It panics if dst holds fewer than four rows or src or alpha
+// is too short for count terms.
+func axpyRows4x8(dst, src, alpha []float64, rs, count int) {
 	if count <= 0 {
 		return
 	}
 	dst = dst[:32:len(dst)]
 	src = src[: 8*count : len(src)]
-	alpha = alpha[: 3*rs+(count-1)*ts+1 : len(alpha)]
+	alpha = alpha[: 3*rs+count : len(alpha)]
 	if useAVX2 {
-		axpyRows4x8AVX2(dst, src, alpha, rs, ts, count)
+		axpyRows4x8AVX2(dst, src, alpha, rs, count)
 		return
 	}
-	axpyRows4x8Go(dst, src, alpha, rs, ts, count)
+	axpyRows4x8Go(dst, src, alpha, rs, count)
 }
 
 // axpyRows4x8Go is the portable axpyRows4x8: axpyRowsGo on each row.
-func axpyRows4x8Go(dst, src, alpha []float64, rs, ts, count int) {
+func axpyRows4x8Go(dst, src, alpha []float64, rs, count int) {
 	for r := 0; r < 4; r++ {
-		axpyRowsGo(dst[8*r:8*r+8], src, 8, alpha[r*rs:], ts, count)
+		axpyRowsGo(dst[8*r:8*r+8], src, 8, alpha[r*rs:], 1, count)
+	}
+}
+
+// accumAT8 adds aᵀ·b into the k x 8 accumulator acc, for count rows of
+// a (k wide, packed) and of b (8 wide): for t = 0..count-1 in that
+// order and every c < k,
+//
+//	acc[8c : 8c+8] += a[t*k+c] * b[8t : 8t+8]
+//
+// skipping every zero of a — a weight gradient on rows of 8, with a
+// read along its rows, the order it lies in memory. The assembly, AVX2
+// at both amd64 levels, holds four rows of b in registers and walks
+// acc once for the four rows of a beside them, each acc row taking its
+// four terms in row order; the rows left over go one at a time. It
+// masks a zero's products to +0, as axpyRows4x8 does and with the same
+// contract: every element of acc must be a sum that started from +0.
+// It panics if acc holds fewer than k rows or a or b fewer than count.
+func accumAT8(acc, a, b []float64, k, count int) {
+	if count <= 0 || k <= 0 {
+		return
+	}
+	acc = acc[: 8*k : len(acc)]
+	a = a[: count*k : len(a)]
+	b = b[: 8*count : len(b)]
+	if useAVX2 {
+		accumAT8AVX2(acc, a, b, k, count)
+		return
+	}
+	accumAT8Go(acc, a, b, k, count)
+}
+
+// accumAT8Go is the portable accumAT8: one axpyGo per non-zero of a, in
+// row order.
+func accumAT8Go(acc, a, b []float64, k, count int) {
+	for t := 0; t < count; t++ {
+		brow := b[8*t : 8*t+8]
+		for c, av := range a[t*k : t*k+k] {
+			if av != 0 {
+				axpyGo(acc[8*c:8*c+8], brow, av)
+			}
+		}
 	}
 }
 

@@ -82,14 +82,23 @@ func axpyAVX2(dst, src []float64, alpha float64)
 func axpyRowsSIMD(dst, src []float64, stride int, alpha []float64, astride, count int, zmm bool)
 
 // axpyRows4x8AVX2 computes, for r < 4 and t = 0..count-1 in that order,
-// dst[8r+i] += alpha[r*rs+t*ts]*src[8t+i] for i < 8, with the products
-// of zero alphas masked to +0: skipped, to the bit, on a dst whose every
-// element is a sum started from +0. count must be at least 1, rs and ts
+// dst[8r+i] += alpha[r*rs+t]*src[8t+i] for i < 8, with the products of
+// zero alphas masked to +0: skipped, to the bit, on a dst whose every
+// element is a sum started from +0. count must be at least 1, rs
 // non-negative, len(dst) at least 32, len(src) at least 8*count and
-// len(alpha) at least 3*rs+(count-1)*ts+1.
+// len(alpha) at least 3*rs+count.
 //
 //go:noescape
-func axpyRows4x8AVX2(dst, src, alpha []float64, rs, ts, count int)
+func axpyRows4x8AVX2(dst, src, alpha []float64, rs, count int)
+
+// accumAT8AVX2 computes, for t = 0..count-1 in that order and c < k,
+// acc[8c+i] += a[t*k+c]*b[8t+i] for i < 8, with the products of zeros
+// of a masked to +0, as axpyRows4x8AVX2 masks them. k and count must be
+// at least 1, len(acc) at least 8*k, len(a) at least count*k and len(b)
+// at least 8*count.
+//
+//go:noescape
+func accumAT8AVX2(acc, a, b []float64, k, count int)
 
 // gatherRowsSIMD computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
 // for i < len(dst), over t = 0..len(offs)-1 in that order, with +0 in

@@ -563,26 +563,26 @@ rowsDone:
 	VZEROUPPER
 	RET
 
-// ROW8 adds one term to one 8-wide output row: the alpha at the given
-// address, broadcast into Y10, times the src row in Y8:Y9, each product
-// ANDed with Y11 — all ones unless the alpha is zero — and added to the
+// ROW8 adds one term to one 8-wide row: the alpha at the given address,
+// broadcast into Y10, times the row in slo:shi, each product ANDed with
+// Y11 — all ones unless the alpha is zero — and added to the
 // accumulators lo:hi. Y15 is +0 and Y12, Y13 are scratch.
-#define ROW8(alpha, lo, hi) \
+#define ROW8(alpha, slo, shi, lo, hi) \
 	VBROADCASTSD alpha, Y10;        \
 	VCMPPD       $4, Y15, Y10, Y11; \
-	VMULPD       Y8, Y10, Y12;      \
-	VMULPD       Y9, Y10, Y13;      \
+	VMULPD       slo, Y10, Y12;     \
+	VMULPD       shi, Y10, Y13;     \
 	VANDPD       Y11, Y12, Y12;     \
 	VANDPD       Y11, Y13, Y13;     \
 	VADDPD       lo, Y12, lo;       \
 	VADDPD       hi, Y13, hi
 
-// func axpyRows4x8AVX2(dst, src, alpha []float64, rs, ts, count int)
+// func axpyRows4x8AVX2(dst, src, alpha []float64, rs, count int)
 //
 // Four 8-wide rows of dst live in Y0..Y7 for the whole call. Each pass
 // loads one 8-element row of src (SI, 64 bytes on per term) and adds it,
 // times each row's own alpha, to all four: row r's alpha for term t is
-// at R8 + r*rs*8 once R8 has moved on t*ts*8 bytes, read where it lies.
+// at R8 + r*rs*8 once R8 has moved on t*8 bytes, read where it lies.
 // Two YMM add chains per row become eight per pass, and no list is
 // built: on rows of 8 axpyRowsAVX2's compaction cost as much as the
 // arithmetic it spared.
@@ -593,22 +593,20 @@ rowsDone:
 // holds — a NaN or an Inf under a zero alpha is never added in. Adding
 // +0 is the identity on every value but -0, and no element of dst is
 // -0: the caller's contract is that each one is a sum that started from
-// +0 (mulRange clears dst, MulAT each partial), and such a sum never
-// becomes -0: under round-to-nearest x + y is -0 only when x and y both
-// are (an exact zero sum of anything else rounds to +0, and a non-zero
-// one is never rounded to zero). A NaN in dst is one an add produced,
-// already quiet, which +0 returns unchanged. So each element receives
-// exactly the rounded product-then-add of axpyGo for each non-zero
-// alpha, in term order, and nothing for the others.
-TEXT ·axpyRows4x8AVX2(SB), NOSPLIT, $0-96
+// +0 (mulRange clears dst), and such a sum never becomes -0: under
+// round-to-nearest x + y is -0 only when x and y both are (an exact
+// zero sum of anything else rounds to +0, and a non-zero one is never
+// rounded to zero). A NaN in dst is one an add produced, already quiet,
+// which +0 returns unchanged. So each element receives exactly the
+// rounded product-then-add of axpyGo for each non-zero alpha, in term
+// order, and nothing for the others.
+TEXT ·axpyRows4x8AVX2(SB), NOSPLIT, $0-88
 	MOVQ    dst_base+0(FP), DI
 	MOVQ    src_base+24(FP), SI
 	MOVQ    alpha_base+48(FP), R8
 	MOVQ    rs+72(FP), R9
-	MOVQ    ts+80(FP), R12
-	MOVQ    count+88(FP), CX
+	MOVQ    count+80(FP), CX
 	SHLQ    $3, R9
-	SHLQ    $3, R12
 	LEAQ    (R9)(R9*2), R11
 	VXORPD  Y15, Y15, Y15
 	VMOVUPD (DI), Y0
@@ -623,12 +621,12 @@ TEXT ·axpyRows4x8AVX2(SB), NOSPLIT, $0-96
 quadTerm:
 	VMOVUPD (SI), Y8
 	VMOVUPD 32(SI), Y9
-	ROW8((R8), Y0, Y1)
-	ROW8((R8)(R9*1), Y2, Y3)
-	ROW8((R8)(R9*2), Y4, Y5)
-	ROW8((R8)(R11*1), Y6, Y7)
+	ROW8((R8), Y8, Y9, Y0, Y1)
+	ROW8((R8)(R9*1), Y8, Y9, Y2, Y3)
+	ROW8((R8)(R9*2), Y8, Y9, Y4, Y5)
+	ROW8((R8)(R11*1), Y8, Y9, Y6, Y7)
 	ADDQ    $64, SI
-	ADDQ    R12, R8
+	ADDQ    $8, R8
 	DECQ    CX
 	JNZ     quadTerm
 	VMOVUPD Y0, (DI)
@@ -639,6 +637,96 @@ quadTerm:
 	VMOVUPD Y5, 160(DI)
 	VMOVUPD Y6, 192(DI)
 	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func accumAT8AVX2(acc, a, b []float64, k, count int)
+//
+// axpyRows4x8AVX2 turned around for aᵀ·b: the four rows of b live in
+// Y0..Y7 and the rows of acc stream past them. Each pass takes rows t..t+3
+// of a (SI, R9 bytes apart; R11 is three of them) and walks c = 0..k-1
+// once: row c of acc is loaded into Y8:Y9, takes a[t][c]*b[t] through
+// a[t+3][c]*b[t+3] in that order, and is stored. So a is read along its
+// rows, four sequential streams, where a walk down its columns would
+// take each term from a new cache line; acc, k rows of 64 bytes, stays
+// in the L1 cache from one pass to the next. The rows of a left over
+// after the last four go one at a time, by the same arithmetic on Y0:Y1.
+// Each element of acc receives the rounded product-then-add of axpyGo
+// for each non-zero of a in its column, in row order, and zeros are
+// masked to +0 under axpyRows4x8AVX2's argument: the caller (MulAT,
+// through accumATRange) starts every acc from +0.
+TEXT ·accumAT8AVX2(SB), NOSPLIT, $0-88
+	MOVQ   acc_base+0(FP), DI
+	MOVQ   a_base+24(FP), SI
+	MOVQ   b_base+48(FP), DX
+	MOVQ   k+72(FP), R9
+	MOVQ   count+80(FP), CX
+	MOVQ   R9, R12
+	SHLQ   $3, R9
+	LEAQ   (R9)(R9*2), R11
+	VXORPD Y15, Y15, Y15
+	CMPQ   CX, $4
+	JB     atOne
+
+atQuad:
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	VMOVUPD 128(DX), Y4
+	VMOVUPD 160(DX), Y5
+	VMOVUPD 192(DX), Y6
+	VMOVUPD 224(DX), Y7
+	MOVQ    DI, R8
+	MOVQ    SI, R10
+	MOVQ    R12, BX
+
+atQuadCol:
+	VMOVUPD (R8), Y8
+	VMOVUPD 32(R8), Y9
+	ROW8((R10), Y0, Y1, Y8, Y9)
+	ROW8((R10)(R9*1), Y2, Y3, Y8, Y9)
+	ROW8((R10)(R9*2), Y4, Y5, Y8, Y9)
+	ROW8((R10)(R11*1), Y6, Y7, Y8, Y9)
+	VMOVUPD Y8, (R8)
+	VMOVUPD Y9, 32(R8)
+	ADDQ    $64, R8
+	ADDQ    $8, R10
+	DECQ    BX
+	JNZ     atQuadCol
+	LEAQ    (SI)(R9*4), SI
+	ADDQ    $256, DX
+	SUBQ    $4, CX
+	CMPQ    CX, $4
+	JAE     atQuad
+
+atOne:
+	TESTQ CX, CX
+	JZ    atDone
+
+atOneRow:
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	MOVQ    DI, R8
+	MOVQ    SI, R10
+	MOVQ    R12, BX
+
+atOneCol:
+	VMOVUPD (R8), Y8
+	VMOVUPD 32(R8), Y9
+	ROW8((R10), Y0, Y1, Y8, Y9)
+	VMOVUPD Y8, (R8)
+	VMOVUPD Y9, 32(R8)
+	ADDQ    $64, R8
+	ADDQ    $8, R10
+	DECQ    BX
+	JNZ     atOneCol
+	ADDQ    R9, SI
+	ADDQ    $64, DX
+	DECQ    CX
+	JNZ     atOneRow
+
+atDone:
 	VZEROUPPER
 	RET
 

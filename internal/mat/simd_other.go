@@ -16,7 +16,11 @@ func axpyRowsSIMD(dst, src []float64, stride int, alpha []float64, astride, coun
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
-func axpyRows4x8AVX2(dst, src, alpha []float64, rs, ts, count int) {
+func axpyRows4x8AVX2(dst, src, alpha []float64, rs, count int) {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
+func accumAT8AVX2(acc, a, b []float64, k, count int) {
 	panic("mat: no AVX2 kernels on this architecture")
 }
 

@@ -11,10 +11,10 @@ package mat
 // depends on operand order, which Go does not fix). The second half
 // pins the tiled GEMM loops, at every level, to untiled loops over the
 // portable primitives. The list kernel under a·b and aᵀ·b (axpyRows)
-// gets both treatments, and a third for where its zeros fall; so does
-// the four-row kernel that replaces it on rows of 8 (axpyRows4x8),
-// whose GEMMs are also held to the untiled loops on hostile values, and
-// the sixteen-row dot under a·bᵀ (dot16).
+// gets both treatments, and a third for where its zeros fall; so do
+// the two kernels that replace it on rows of 8 (axpyRows4x8 under a·b,
+// accumAT8 under aᵀ·b), whose GEMMs are also held to the untiled loops
+// on hostile values, and the sixteen-row dot under a·bᵀ (dot16).
 
 import (
 	"fmt"
@@ -151,7 +151,8 @@ type kernelSet struct {
 	relu        func(dst, src []float64)
 	reluGate    func(dst, z, grad []float64)
 	axpyRows    func(dst, src []float64, stride int, alpha []float64, astride, count int)
-	axpyRows4x8 func(dst, src, alpha []float64, rs, ts, count int)
+	axpyRows4x8 func(dst, src, alpha []float64, rs, count int)
+	accumAT8    func(acc, a, b []float64, k, count int)
 	gatherRows  func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
 }
 
@@ -166,7 +167,7 @@ func levelKernels() kernelSet {
 				}
 			},
 			relu: reluGo, reluGate: reluGateGo, axpyRows: axpyRowsGo,
-			axpyRows4x8: axpyRows4x8Go, gatherRows: gatherRowsGo,
+			axpyRows4x8: axpyRows4x8Go, accumAT8: accumAT8Go, gatherRows: gatherRowsGo,
 		}
 	}
 	zmm := useAVX512
@@ -177,6 +178,7 @@ func levelKernels() kernelSet {
 			axpyRowsSIMD(dst, src, stride, alpha, astride, count, zmm)
 		},
 		axpyRows4x8: axpyRows4x8AVX2,
+		accumAT8:    accumAT8AVX2,
 		gatherRows: func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool) {
 			gatherRowsSIMD(dst, src, offs, alpha, scale, fresh, zmm)
 		},
@@ -393,10 +395,10 @@ func testAxpyRowsMatchesPortable(t *testing.T) {
 
 // TestAxpyRows4x8AVX2MatchesPortable: the four-row kernel against the
 // portable per-row loop, every term count from 1 to past two 64-row
-// tiles, in both alpha layouts (a·b's rows of a, aᵀ·b's columns), with
-// each of the four rows under its own zero pattern. dst starts as the
-// kernel's contract has it — +0, then the sums of a first call — so
-// the second call adds onto NaNs, infinities and zeros of the first.
+// tiles, alphas a row of a apart as a·b has them, with each of the four
+// rows under its own zero pattern. dst starts as the kernel's contract
+// has it — +0, then the sums of a first call — so the second call adds
+// onto NaNs, infinities and zeros of the first.
 func TestAxpyRows4x8AVX2MatchesPortable(t *testing.T) {
 	atEveryLevel(t, testAxpyRows4x8MatchesPortable)
 }
@@ -407,37 +409,83 @@ func testAxpyRows4x8MatchesPortable(t *testing.T) {
 	for _, vc := range valueClasses {
 		r := rng.New(151)
 		src := offsetSlice(r, vc.gen, 1, 8*maxCount)
-		drawn := offsetSlice(r, vc.gen, 2, (maxCount-1)*(maxCount+gap)+4) // the columns layout's reach
+		drawn := offsetSlice(r, vc.gen, 2, 3*(maxCount+gap)+maxCount)
 		alpha := make([]float64, len(drawn))
 		want, got := make([]float64, 32), make([]float64, 32)
 		for count := 1; count <= maxCount; count++ {
-			k := count + gap // a's row stride
-			for _, lay := range []struct {
-				name   string
-				rs, ts int
-			}{{"rows", k, 1}, {"columns", 1, k}} {
+			rs := count + gap // a's row stride
+			for p := range alphaPatterns {
+				copy(alpha, drawn)
+				for row := 0; row < 4; row++ {
+					ap := alphaPatterns[(p+row)%len(alphaPatterns)]
+					for i := 0; i < count; i++ {
+						if ap.zero(i, count) { // +0 and -0 in turn
+							alpha[row*rs+i] = math.Copysign(0, float64(1-2*(i%2)))
+						}
+					}
+				}
+				clear(want)
+				clear(got)
+				half := count / 2
+				for _, part := range [][2]int{{0, half}, {half, count}} {
+					al := alpha[part[0]:]
+					axpyRows4x8Go(want, src[8*part[0]:], al, rs, part[1]-part[0])
+					if part[1] > part[0] {
+						kern.axpyRows4x8(got, src[8*part[0]:], al, rs, part[1]-part[0])
+					}
+				}
+				if !slices.EqualFunc(got, want, sameBits) {
+					requireSameBits(t, fmt.Sprintf("%s count=%d rows from %s", vc.name, count, alphaPatterns[p].name), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAccumAT8MatchesPortable: the aᵀ·b kernel on rows of 8 against its
+// portable loop, every row count from 1 to 13 — each residue mod 4 of
+// the four-row passes and the rows left over, three times — and 64 and
+// 70, at widths k of a from 1 to the 602 features of the first layer,
+// with each row of a under its own zero pattern along it. acc starts
+// as the contract has it — +0, then the sums of a first call over the
+// first rows — so the second call adds onto NaNs, infinities and zeros
+// of the first.
+func TestAccumAT8MatchesPortable(t *testing.T) { atEveryLevel(t, testAccumAT8MatchesPortable) }
+
+func testAccumAT8MatchesPortable(t *testing.T) {
+	kern := levelKernels()
+	const maxCount = 70
+	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 64, maxCount}
+	for _, vc := range valueClasses {
+		r := rng.New(163)
+		for _, k := range []int{1, 2, 3, 5, 8, 17, 64, 602} {
+			b := offsetSlice(r, vc.gen, 1, 8*maxCount)
+			drawn := offsetSlice(r, vc.gen, 2, maxCount*k)
+			a := make([]float64, len(drawn))
+			want, got := make([]float64, 8*k), make([]float64, 8*k)
+			for _, count := range counts {
 				for p := range alphaPatterns {
-					copy(alpha, drawn)
-					for row := 0; row < 4; row++ {
+					copy(a, drawn)
+					for row := 0; row < count; row++ {
 						ap := alphaPatterns[(p+row)%len(alphaPatterns)]
-						for i := 0; i < count; i++ {
-							if ap.zero(i, count) { // +0 and -0 in turn
-								alpha[row*lay.rs+i*lay.ts] = math.Copysign(0, float64(1-2*(i%2)))
+						for c := 0; c < k; c++ {
+							if ap.zero(c, k) { // +0 and -0 in turn
+								a[row*k+c] = math.Copysign(0, float64(1-2*(c%2)))
 							}
 						}
 					}
 					clear(want)
 					clear(got)
-					half := count / 2
+					half := count / 3
 					for _, part := range [][2]int{{0, half}, {half, count}} {
-						al := alpha[part[0]*lay.ts:]
-						axpyRows4x8Go(want, src[8*part[0]:], al, lay.rs, lay.ts, part[1]-part[0])
-						if part[1] > part[0] {
-							kern.axpyRows4x8(got, src[8*part[0]:], al, lay.rs, lay.ts, part[1]-part[0])
+						rows := part[1] - part[0]
+						accumAT8Go(want, a[part[0]*k:], b[8*part[0]:], k, rows)
+						if rows > 0 {
+							kern.accumAT8(got, a[part[0]*k:], b[8*part[0]:], k, rows)
 						}
 					}
 					if !slices.EqualFunc(got, want, sameBits) {
-						requireSameBits(t, fmt.Sprintf("%s count=%d %s rows from %s", vc.name, count, lay.name, alphaPatterns[p].name), got, want)
+						requireSameBits(t, fmt.Sprintf("%s k=%d count=%d rows from %s", vc.name, k, count, alphaPatterns[p].name), got, want)
 					}
 				}
 			}
@@ -508,6 +556,43 @@ func TestNarrowRowsMatchUntiledPortable(t *testing.T) {
 							MulBT(gotBT, c, b, workers)
 							requireSameBits(t, "MulBT "+tag, gotBT.Data, wantBT.Data)
 						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestNarrowMulATMatchesUntiledPortableAtWidth holds aᵀ·b at width 8 to
+// refMulAT where TestNarrowRowsMatchUntiledPortable's a is too narrow to
+// reach: a 16 and 602 columns wide — the hidden layer's and the first
+// layer's inputs on train_prop — so that acc has the rows a training
+// step gives it, over row counts of every residue mod 4, one of them the
+// step's 673, on hostile values with half of a zeros, as a ReLU leaves
+// it, workers 1, 2 and 4, at every kernel level.
+func TestNarrowMulATMatchesUntiledPortableAtWidth(t *testing.T) {
+	const n = 8
+	atEveryLevel(t, func(t *testing.T) {
+		for _, vc := range valueClasses {
+			r := rng.New(173)
+			for _, m := range []int{66, 67, 131, 133, 673} {
+				for _, k := range []int{16, 602} {
+					a, c := New(m, k), New(m, n)
+					for i := range a.Data {
+						a.Data[i] = vc.gen(r)
+						if r.Intn(2) == 0 {
+							a.Data[i] = math.Copysign(0, float64(1-2*r.Intn(2)))
+						}
+					}
+					for i := range c.Data {
+						c.Data[i] = vc.gen(r)
+					}
+					want := refMulAT(a, c)
+					for _, workers := range []int{1, 2, 4} {
+						got := New(k, n)
+						got.Fill(99)
+						MulAT(got, a, c, workers)
+						requireSameBits(t, fmt.Sprintf("MulAT %s %dx%dx%d workers=%d", vc.name, m, k, n, workers), got.Data, want.Data)
 					}
 				}
 			}
@@ -789,16 +874,24 @@ func TestPrimitiveLengthContract(t *testing.T) {
 		// axpyRows4x8 over n terms: 32 outputs, n rows of 8, alphas a
 		// row of n + 2 apart.
 		mustPanic(t, fmt.Sprintf("axpyRows4x8 short dst n=%d", n), func() {
-			axpyRows4x8(make([]float64, 31, 40), make([]float64, 8*n), make([]float64, 4*n+6), n+2, 1, n)
+			axpyRows4x8(make([]float64, 31, 40), make([]float64, 8*n), make([]float64, 4*n+6), n+2, n)
 		})
 		mustPanic(t, fmt.Sprintf("axpyRows4x8 short rows n=%d", n), func() {
-			axpyRows4x8(make([]float64, 32), make([]float64, 8*n-1, 8*n+8), make([]float64, 4*n+6), n+2, 1, n)
+			axpyRows4x8(make([]float64, 32), make([]float64, 8*n-1, 8*n+8), make([]float64, 4*n+6), n+2, n)
 		})
 		mustPanic(t, fmt.Sprintf("axpyRows4x8 short alphas n=%d", n), func() {
-			axpyRows4x8(make([]float64, 32), make([]float64, 8*n), make([]float64, 4*n+5, 4*n+16), n+2, 1, n)
+			axpyRows4x8(make([]float64, 32), make([]float64, 8*n), make([]float64, 4*n+5, 4*n+16), n+2, n)
 		})
-		mustPanic(t, fmt.Sprintf("axpyRows4x8 short alpha columns n=%d", n), func() {
-			axpyRows4x8(make([]float64, 32), make([]float64, 8*n), make([]float64, 3+(n-1)*5, 5*n+8), 1, 5, n)
+		// accumAT8 over n rows of a, 3 wide, into 3 rows of 8: each
+		// operand one element short.
+		mustPanic(t, fmt.Sprintf("accumAT8 short acc n=%d", n), func() {
+			accumAT8(make([]float64, 23, 32), make([]float64, 3*n), make([]float64, 8*n), 3, n)
+		})
+		mustPanic(t, fmt.Sprintf("accumAT8 short a n=%d", n), func() {
+			accumAT8(make([]float64, 24), make([]float64, 3*n-1, 3*n+8), make([]float64, 8*n), 3, n)
+		})
+		mustPanic(t, fmt.Sprintf("accumAT8 short b n=%d", n), func() {
+			accumAT8(make([]float64, 24), make([]float64, 3*n), make([]float64, 8*n-1, 8*n+8), 3, n)
 		})
 		// dot16 over two rows of n into rows of dst 17 apart: each
 		// operand one element short. The slicing stops it on every host.
@@ -874,8 +967,11 @@ func TestPrimitivesOnEmptySlices(t *testing.T) {
 	requireSameBits(t, "axpyRows with no terms", out1, []float64{9})
 	out32 := make([]float64, 32)
 	out32[5] = 9
-	axpyRows4x8(out32, nil, nil, 0, 0, 0) // no terms, whatever the path
+	axpyRows4x8(out32, nil, nil, 0, 0) // no terms, whatever the path
 	requireSameBits(t, "axpyRows4x8 with no terms", out32[5:6], []float64{9})
+	accumAT8(out32, nil, nil, 4, 0) // no rows
+	accumAT8(out32, nil, nil, 0, 4) // no columns
+	requireSameBits(t, "accumAT8 with no terms", out32[5:6], []float64{9})
 	GatherSum(nil, nil, 0, 0, []int32{0, 0}, nil, 2) // no columns
 	GatherSum(out1, nil, 1, 0, nil, nil, 2)          // no terms: the empty sum, scaled
 	requireSameBits(t, "GatherSum with no terms", out1, []float64{0})
