@@ -103,16 +103,12 @@ func runSAGECurve(ds *Dataset, o ExpOptions, lr float64) Fig2Series {
 		Layers: 2, Hidden: o.Hidden, DLS: 10,
 		Batch: 256, LR: lr, Seed: o.Seed, Workers: 1,
 	}
-	if cfg.Batch > len(ds.TrainIdx) {
-		cfg.Batch = len(ds.TrainIdx)
-	}
 	s := baseline.NewSAGE(ds, cfg)
 	series := Fig2Series{Method: "graphsage"}
-	stepsPerEpoch := (len(ds.TrainIdx) + cfg.Batch - 1) / cfg.Batch
 	var elapsed time.Duration
 	for e := 0; e < o.Epochs; e++ {
 		start := time.Now()
-		for i := 0; i < stepsPerEpoch; i++ {
+		for i := 0; i < s.EpochSteps(); i++ {
 			s.Step()
 		}
 		elapsed += time.Since(start)

@@ -64,7 +64,7 @@ const fig3Samples = 3
 const fig3Budget = 2000
 
 // RunFig3 records one training step per (dataset, hidden dimension) at
-// max(Cores) workers (see recordStep) and reports the simulated
+// max(Cores) workers (see recordTrainerStep) and reports the simulated
 // speedup at every requested core count, with the step's measured
 // speedup on the host's own cores beside it.
 func RunFig3(o ExpOptions) (*Fig3Result, error) {
@@ -86,7 +86,7 @@ func RunFig3(o ExpOptions) (*Fig3Result, error) {
 }
 
 func fig3Curve(ds *Dataset, hidden int, o ExpOptions, maxP int) Fig3Curve {
-	prof := recordStep(ds, o, 2, hidden, maxP)
+	prof := recordTrainerStep(ds, o, 2, hidden, maxP)
 	curve := Fig3Curve{Dataset: ds.Name, Hidden: hidden}
 	one := prof.at(1, o.Sim)
 	for _, p := range o.Cores {
@@ -123,14 +123,16 @@ func fig3Curve(ds *Dataset, hidden int, o ExpOptions, maxP int) Fig3Curve {
 	return curve
 }
 
-// stepProfile is a training step recorded for the simulator: the time
-// of each of maxP sampler instances (Fig. 4A's inter-subgraph
-// parallelism), and for feature propagation, weight application and
-// the rest of the step ("other") the time spent outside any parallel
-// region plus the chunk times of every region.
+// stepProfile is a training step recorded for the simulator, in the
+// four phases of Fig. 3D — sampling, feature propagation, weight
+// application and the rest of the step ("other") — each the time spent
+// outside any parallel region plus the chunk times of every region,
+// and beside the step the time of each of maxP sampler instances when
+// sampling runs apart from it (ours: Fig. 4A's inter-subgraph
+// parallelism).
 type stepProfile struct {
 	sample []time.Duration
-	phases [3]stepPhase
+	phases [4]stepPhase
 }
 
 type stepPhase struct {
@@ -138,51 +140,55 @@ type stepPhase struct {
 	regions [][]time.Duration
 }
 
-// stepPhases maps the trainer's Timer segments to phases; a region
-// outside both is "other".
-var stepPhases = map[string]int{"featprop": 0, "weight": 1}
+// stepPhases maps the Timer segments of both methods Table II records
+// to phases: the baseline's "gather" is its feature propagation and
+// its "gemm" its weight application. A region outside all is "other".
+var stepPhases = map[string]int{"sample": 0, "featprop": 1, "gather": 1, "weight": 2, "gemm": 2}
 
 // at returns the simulated [sampling, featprop, weight, other] times
 // of one iteration at p cores: each phase's serial remainder plus
-// GroupWall of each of its regions.
+// GroupWall of each of its regions, and the sampler instances'
+// amortized refill.
 func (s *stepProfile) at(p int, cfg perf.SimConfig) [4]time.Duration {
-	t := [4]time.Duration{samplePerIter(s.sample, p, cfg)}
+	var t [4]time.Duration
 	for i, ph := range s.phases {
-		t[i+1] = max(ph.serial, 0)
+		t[i] = max(ph.serial, 0)
 		for _, r := range ph.regions {
-			t[i+1] += perf.GroupWall(r, p, cfg).Wall
+			t[i] += perf.GroupWall(r, p, cfg).Wall
 		}
+	}
+	if len(s.sample) > 0 {
+		t[0] += samplePerIter(s.sample, p, cfg)
 	}
 	return t
 }
 
-// recordStep steps one subgraph fig3Samples times under perf.Record at
-// maxP workers, after a warm-up step, and keeps every chunk's and
-// every serial remainder's fastest time. A phase is its Timer
-// segment's time less its regions' chunks, plus those regions; other
-// is the rest of the step. The recordings step the same subgraph at
-// the same shapes, so their regions correspond one to one.
-func recordStep(ds *Dataset, o ExpOptions, layers, hidden, maxP int) *stepProfile {
-	tr, sub, fr := stepTrainer(ds, o, layers, hidden, maxP)
+// recordStep runs step fig3Samples times under perf.Record and keeps
+// every chunk's and every serial remainder's fastest time; the caller
+// has warmed it. timer is the Timer step charges: a phase is its
+// segments' time less their regions' chunks, plus those regions; other
+// is the rest of the step. Every call must run the same shapes, so
+// that the recordings' regions correspond one to one.
+func recordStep(step func(), timer *perf.Timer) *stepProfile {
 	var prof *stepProfile
 	for s := 0; s < fig3Samples; s++ {
-		tr.Timer.Reset()
-		var step time.Duration
+		timer.Reset()
+		var d time.Duration
 		regions := perf.Record(func() {
 			start := time.Now()
-			tr.StepOn(sub)
-			step = time.Since(start)
+			step()
+			d = time.Since(start)
 		})
 		cur := &stepProfile{}
-		cur.phases[2].serial = step
+		cur.phases[3].serial = d
 		for seg, i := range stepPhases {
-			cur.phases[i].serial = tr.Timer.Get(seg)
-			cur.phases[2].serial -= cur.phases[i].serial
+			cur.phases[i].serial += timer.Get(seg)
+			cur.phases[3].serial -= timer.Get(seg)
 		}
 		for _, r := range regions {
 			i, ok := stepPhases[r.Segment]
 			if !ok {
-				i = 2
+				i = 3
 			}
 			cur.phases[i].regions = append(cur.phases[i].regions, r.Chunks)
 			cur.phases[i].serial -= sum(r.Chunks...)
@@ -201,6 +207,15 @@ func recordStep(ds *Dataset, o ExpOptions, layers, hidden, maxP int) *stepProfil
 			}
 		}
 	}
+	return prof
+}
+
+// recordTrainerStep is recordStep of Trainer.StepOn at maxP workers —
+// stepTrainer's trainer and subgraph — with maxP sampler instances
+// timed beside it.
+func recordTrainerStep(ds *Dataset, o ExpOptions, layers, hidden, maxP int) *stepProfile {
+	tr, sub, fr := stepTrainer(ds, o, layers, hidden, maxP)
+	prof := recordStep(func() { tr.StepOn(sub) }, tr.Timer)
 	prof.sample = fastestShardTimes(maxP, func(i int) {
 		_ = sampler.SampleSubgraph(ds.G, fr, rng.NewStream(o.Seed, 1000+i))
 	})

@@ -9,8 +9,9 @@
 //   - the Dashboard-based parallel frontier sampler (paper §IV),
 //   - cache-aware feature-partitioned propagation (paper §V),
 //   - the subgraph-pool training scheduler (Algorithm 5),
-//   - layer-sampling baselines (GraphSAGE-style, full-batch GCN,
-//     FastGCN-style) for comparison,
+//   - the comparators of the paper's evaluation (GraphSAGE-style
+//     layer sampling, full-batch GCN) as batching policies over the
+//     same model,
 //   - synthetic dataset presets matching the paper's Table I, and
 //   - experiment drivers regenerating every table and figure of the
 //     paper's evaluation (see RunExperiment).

@@ -265,6 +265,16 @@ func TestTable2Quick(t *testing.T) {
 	if !strings.Contains(r.String(), "Table II") {
 		t.Error("String() missing header")
 	}
+	for i, row := range r.Speedups {
+		for j, s := range row {
+			if math.IsInf(s, 0) || math.IsNaN(s) || s <= 0 {
+				t.Errorf("L%d at %d cores: speedup %v, want finite and > 0", r.Layers[i], r.Cores[j], s)
+			}
+		}
+	}
+	if s := r.String(); !strings.Contains(s, "  (paper)      2.03x") || !strings.Contains(s, table2Comparator) {
+		t.Errorf("String() lacks the paper's row or the sentence on its comparator:\n%s", s)
+	}
 }
 
 func TestTheorem1Quick(t *testing.T) {

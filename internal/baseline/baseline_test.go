@@ -1,10 +1,13 @@
 package baseline
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
+	"gsgcn/internal/perf"
 )
 
 func tinyDataset(tb testing.TB, multi bool) *datasets.Dataset {
@@ -82,7 +85,7 @@ func TestSAGEMultiLabel(t *testing.T) {
 func TestSAGEInferShape(t *testing.T) {
 	ds := tinyDataset(t, false)
 	s := NewSAGE(ds, sageCfg())
-	logits := s.Infer()
+	logits := s.Model.Infer(ds)
 	if logits.Rows != ds.G.NumVertices() || logits.Cols != ds.NumClasses {
 		t.Fatalf("logits shape %dx%d", logits.Rows, logits.Cols)
 	}
@@ -107,68 +110,88 @@ func TestFullBatchLearns(t *testing.T) {
 	}
 }
 
-func TestFastGCNRunsAndImproves(t *testing.T) {
-	ds := tinyDataset(t, false)
-	f := NewFastGCN(ds, sageCfg(), 200)
-	first := f.Step()
-	var last float64
-	for i := 0; i < 40; i++ {
-		last = f.Step()
-	}
-	if last >= first {
-		t.Errorf("FastGCN loss did not decrease: %.4f -> %.4f", first, last)
-	}
-	if f1 := f.Evaluate(ds.ValIdx); f1 < 0.3 {
-		t.Errorf("FastGCN val F1 = %.3f", f1)
-	}
-	if f.Steps() != 41 {
-		t.Errorf("Steps = %d", f.Steps())
-	}
-}
-
-func TestFastGCNLayerSizeClamped(t *testing.T) {
-	ds := tinyDataset(t, false)
-	f := NewFastGCN(ds, sageCfg(), 10_000_000)
-	if f.LayerSize != ds.G.NumVertices() {
-		t.Errorf("LayerSize = %d, want clamped %d", f.LayerSize, ds.G.NumVertices())
-	}
-	f2 := NewFastGCN(ds, sageCfg(), 0)
-	if f2.LayerSize <= 0 {
-		t.Error("default LayerSize not set")
-	}
-}
-
-func TestFastGCNPreprocessingDistribution(t *testing.T) {
-	ds := tinyDataset(t, false)
-	f := NewFastGCN(ds, sageCfg(), 100)
-	sum := 0.0
-	for _, p := range f.probs {
-		if p < 0 {
-			t.Fatal("negative probability")
-		}
-		sum += p
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
+// TestSAGEDeterministic: the row-parallel gathers and the kernels
+// under them give the same losses and weights, bit for bit, at every
+// Workers setting.
 func TestSAGEDeterministic(t *testing.T) {
 	ds := tinyDataset(t, false)
-	run := func() []float64 {
-		s := NewSAGE(ds, sageCfg())
-		var out []float64
+	run := func(workers int) ([]uint64, *SAGE) {
+		cfg := sageCfg()
+		cfg.Workers = workers
+		s := NewSAGE(ds, cfg)
+		var out []uint64
 		for i := 0; i < 3; i++ {
-			out = append(out, s.Step())
+			out = append(out, math.Float64bits(s.Step()))
 		}
-		return out
+		return out, s
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("SAGE not deterministic at step %d", i)
+	want, ref := run(1)
+	for _, w := range []int{2, 4} {
+		got, s := run(w)
+		if !slices.Equal(got, want) {
+			t.Errorf("Workers %d: loss bits %x, Workers 1 %x", w, got, want)
+		}
+		if !sameWeights(s, ref) {
+			t.Errorf("Workers %d: weights differ from Workers 1", w)
 		}
 	}
+}
+
+// TestRecordedSAGEStepIsTheStep: a SAGE step under perf.Record — every
+// parallel region's chunks run one after another on the caller, each
+// timed — gives the loss and weights, bit for bit, of the same step
+// dispatched to the pool, and its gathers are regions tagged "gather".
+func TestRecordedSAGEStepIsTheStep(t *testing.T) {
+	ds := tinyDataset(t, false)
+	cfg := sageCfg()
+	cfg.Workers = 4
+	plain, recorded := NewSAGE(ds, cfg), NewSAGE(ds, cfg)
+	segs := map[string]int{}
+	for i := 0; i < 3; i++ {
+		want := plain.Step()
+		var got float64
+		for _, r := range perf.Record(func() { got = recorded.Step() }) {
+			segs[r.Segment]++
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: recorded loss %v, unrecorded %v", i, got, want)
+		}
+	}
+	if segs["gather"] == 0 || segs["gemm"] == 0 {
+		t.Errorf("recorded regions by segment %v: want gather and gemm regions", segs)
+	}
+	if !sameWeights(recorded, plain) {
+		t.Error("weights after the recorded steps differ from the unrecorded")
+	}
+}
+
+// TestSAGEEpochStepsRoundsUp: an epoch is ceil(|train| / batch) steps,
+// on a split that is not a multiple of the batch too, and a batch past
+// the split is capped at it.
+func TestSAGEEpochStepsRoundsUp(t *testing.T) {
+	ds := tinyDataset(t, false)
+	n := len(ds.TrainIdx)
+	for _, c := range []struct{ batch, want int }{
+		{n/2 + 1, 2}, {n - 1, 2}, {n, 1}, {10 * n, 1}, {1, n},
+	} {
+		cfg := sageCfg()
+		cfg.Batch = c.batch
+		if got := NewSAGE(ds, cfg).EpochSteps(); got != c.want {
+			t.Errorf("|train| %d, batch %d: %d steps an epoch, want %d", n, c.batch, got, c.want)
+		}
+	}
+}
+
+func sameWeights(a, b *SAGE) bool {
+	pa, pb := a.Model.Params(), b.Model.Params()
+	for i := range pa {
+		for j, v := range pa[i].W.Data {
+			if math.Float64bits(v) != math.Float64bits(pb[i].W.Data[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func BenchmarkSAGEStep(b *testing.B) {

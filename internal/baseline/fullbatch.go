@@ -56,18 +56,4 @@ func (f *FullBatch) Step() float64 {
 }
 
 // Evaluate returns micro-F1 over idx using full-graph inference.
-func (f *FullBatch) Evaluate(idx []int32) float64 {
-	ctx := f.Model.CtxForGraph(f.DS.G, f.DS.FeatureDim(), nil)
-	logits := f.Model.Forward(ctx, f.DS.Features)
-	var pred *mat.Dense
-	if f.DS.MultiLabel {
-		pred = nn.PredictMulti(logits)
-	} else {
-		pred = nn.PredictSingle(logits)
-	}
-	rows := make([]int, len(idx))
-	for i, v := range idx {
-		rows[i] = int(v)
-	}
-	return nn.F1Micro(pred, f.DS.Labels, rows)
-}
+func (f *FullBatch) Evaluate(idx []int32) float64 { return f.Model.Evaluate(f.DS, idx) }

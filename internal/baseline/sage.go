@@ -1,5 +1,5 @@
-// Package baseline implements the layer-sampling GCN comparators of
-// the paper's evaluation:
+// Package baseline implements the comparators of the paper's
+// evaluation as batching policies over the one core.Model:
 //
 //   - GraphSAGE-style edge layer sampling [Hamilton et al., NIPS'17]:
 //     every node of layer l draws DLS neighbors from layer l-1, so the
@@ -8,18 +8,14 @@
 //     O(d_LS^L · |V| · f · (f + d_LS)) for small batches.
 //   - Full-batch GCN [Kipf & Welling, ICLR'17]: one weight update per
 //     pass over the entire graph ("Batched GCN" in Fig. 2).
-//   - FastGCN-style independent node sampling per layer
-//     [Chen et al., ICLR'18] with degree-proportional importance
-//     sampling.
 //
-// The trainers share the nn kernels with the core package so that
-// Fig. 2's time-accuracy comparison isolates the *algorithmic*
-// difference, not implementation quality.
+// Both train a core.Model — the same layers, head, loss, optimizer and
+// full-graph evaluation as the graph-sampling trainer — so Fig. 2 and
+// Table II compare the batching policy, not the implementation.
 package baseline
 
 import (
-	"time"
-
+	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
 	"gsgcn/internal/nn"
@@ -35,7 +31,7 @@ type SAGEConfig struct {
 	Batch  int // minibatch size of target vertices
 	LR     float64
 	Seed   uint64
-	// Workers bounds goroutines inside dense kernels.
+	// Workers bounds goroutines inside dense kernels and gathers.
 	Workers int
 }
 
@@ -64,22 +60,28 @@ func (c SAGEConfig) withDefaults() SAGEConfig {
 	return c
 }
 
-// SAGE is the GraphSAGE-style layer-sampling trainer.
+// gatherGrain is the fewest rows of a sampled layer worth a worker of
+// their own in the gathers; each output row is one chunk's, so the
+// split never reaches a bit.
+const gatherGrain = 16
+
+// SAGE is the GraphSAGE-style layer-sampling trainer. It trains a
+// core.Model whose layers it walks over a sampled tree instead of a
+// graph: a node's W_self applies to its own row one layer down, its
+// W_neigh to the mean of its DLS sampled neighbors' rows there.
 type SAGE struct {
-	DS  *datasets.Dataset
-	Cfg SAGEConfig
-	// Timer, when set, accumulates "sample", "gather" and "gemm"
-	// segments per step; the Table II harness uses the gather/gemm
-	// split to model the baseline's parallel scaling (gathers are
-	// memory-bound, GEMMs compute-bound).
+	DS    *datasets.Dataset
+	Cfg   SAGEConfig
+	Model *core.Model
+	// Timer accumulates each step's "sample", "gather" and "gemm"
+	// segments; under perf.Record they also tag the parallel regions
+	// inside them, which is how Table II records this step beside the
+	// graph-sampling one. The head, loss and optimizer are in none.
 	Timer *perf.Timer
 
-	wSelf, wNeigh []*nn.Param // per layer
-	head          *nn.Dense
-	loss          nn.Loss
-	opt           *nn.Adam
-	r             *rng.RNG
-	steps         int
+	opt   *nn.Adam
+	r     *rng.RNG
+	steps int
 
 	// LastBatchNodes reports the total node count across all layers
 	// of the most recent minibatch — the direct measurement of
@@ -87,72 +89,49 @@ type SAGE struct {
 	LastBatchNodes int
 }
 
-// NewSAGE builds the baseline trainer for the dataset.
+// NewSAGE builds the baseline trainer for the dataset. The batch is
+// capped at the training split.
 func NewSAGE(ds *datasets.Dataset, cfg SAGEConfig) *SAGE {
 	cfg = cfg.withDefaults()
-	r := rng.NewStream(cfg.Seed, 0x5A6E)
-	s := &SAGE{DS: ds, Cfg: cfg, r: r, opt: nn.NewAdam(cfg.LR)}
-	in := ds.FeatureDim()
-	for l := 0; l < cfg.Layers; l++ {
-		ws := nn.NewParam("sage_w_self", in, cfg.Hidden)
-		wn := nn.NewParam("sage_w_neigh", in, cfg.Hidden)
-		ws.GlorotInit(r)
-		wn.GlorotInit(r)
-		s.wSelf = append(s.wSelf, ws)
-		s.wNeigh = append(s.wNeigh, wn)
-		in = 2 * cfg.Hidden
+	cfg.Batch = max(1, min(cfg.Batch, len(ds.TrainIdx)))
+	return &SAGE{
+		DS: ds, Cfg: cfg,
+		Model: core.NewModel(ds, core.Config{
+			Layers: cfg.Layers, Hidden: cfg.Hidden, LR: cfg.LR,
+			Seed: cfg.Seed, Workers: cfg.Workers,
+		}),
+		Timer: perf.NewTimer(),
+		opt:   nn.NewAdam(cfg.LR),
+		r:     rng.NewStream(cfg.Seed, 0x5A6E),
 	}
-	s.head = nn.NewDense(in, ds.NumClasses, r)
-	if ds.MultiLabel {
-		s.loss = nn.SigmoidBCE{}
-	} else {
-		s.loss = nn.SoftmaxCE{}
-	}
-	return s
-}
-
-// Params returns all trainable parameters.
-func (s *SAGE) Params() []*nn.Param {
-	var ps []*nn.Param
-	for l := range s.wSelf {
-		ps = append(ps, s.wSelf[l], s.wNeigh[l])
-	}
-	ps = append(ps, s.head.Params()...)
-	return ps
 }
 
 // Steps returns the number of updates performed.
 func (s *SAGE) Steps() int { return s.steps }
 
-// layerPlan holds the sampled computation tree of one minibatch.
-// nodes[L] are the batch targets; going down, nodes[l-1] holds, for
+// EpochSteps is ceil(|train| / batch), the steps of one pass over the
+// training split.
+func (s *SAGE) EpochSteps() int {
+	return (len(s.DS.TrainIdx) + s.Cfg.Batch - 1) / s.Cfg.Batch
+}
+
+// sampleBatch draws Batch training targets and expands the layer
+// tree: nodes[L] are the targets; going down, nodes[l-1] holds, for
 // each node of nodes[l], first the node itself then DLS sampled
 // neighbors — length |nodes[l]| * (1 + DLS). No deduplication is
 // performed, faithfully reproducing the redundant computation of
 // small-batch layer sampling.
-type layerPlan struct {
-	nodes [][]int32
-}
-
-// sampleBatch draws B training targets and expands the layer tree.
-func (s *SAGE) sampleBatch() *layerPlan {
-	cfg := s.Cfg
-	train := s.DS.TrainIdx
-	b := cfg.Batch
-	if b > len(train) {
-		b = len(train)
-	}
-	targets := make([]int32, b)
+func (s *SAGE) sampleBatch() [][]int32 {
+	cfg, train, g := s.Cfg, s.DS.TrainIdx, s.DS.G
+	nodes := make([][]int32, cfg.Layers+1)
+	targets := make([]int32, cfg.Batch)
 	for i := range targets {
 		targets[i] = train[s.r.Intn(len(train))]
 	}
-	plan := &layerPlan{nodes: make([][]int32, cfg.Layers+1)}
-	plan.nodes[cfg.Layers] = targets
-	g := s.DS.G
+	nodes[cfg.Layers] = targets
 	for l := cfg.Layers; l >= 1; l-- {
-		upper := plan.nodes[l]
-		lower := make([]int32, 0, len(upper)*(1+cfg.DLS))
-		for _, v := range upper {
+		lower := make([]int32, 0, len(nodes[l])*(1+cfg.DLS))
+		for _, v := range nodes[l] {
 			lower = append(lower, v) // self
 			deg := g.Degree(v)
 			for k := 0; k < cfg.DLS; k++ {
@@ -163,206 +142,125 @@ func (s *SAGE) sampleBatch() *layerPlan {
 				lower = append(lower, g.Neighbor(v, s.r.Intn(deg)))
 			}
 		}
-		plan.nodes[l-1] = lower
+		nodes[l-1] = lower
 	}
-	return plan
+	return nodes
 }
 
-// charge adds elapsed time to the named timer segment when a timer
-// is attached.
-func (s *SAGE) charge(name string, start time.Time) {
-	if s.Timer != nil {
-		s.Timer.Add(name, time.Since(start))
+// eachRow runs fn on rows [0, n) in chunks of at least gatherGrain
+// rows over the configured workers.
+func (s *SAGE) eachRow(n int, fn func(i int)) {
+	perf.ParallelMin(n, gatherGrain, s.Cfg.Workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
+}
+
+// gatherRows returns the rows of m listed in vs.
+func (s *SAGE) gatherRows(m *mat.Dense, vs []int32) *mat.Dense {
+	idx := make([]int, len(vs))
+	for i, v := range vs {
+		idx[i] = int(v)
 	}
+	out := mat.New(len(vs), m.Cols)
+	mat.GatherRowsP(out, m, idx, s.Cfg.Workers)
+	return out
 }
 
 // Step performs one layer-sampled minibatch update and returns the
 // loss.
 func (s *SAGE) Step() float64 {
-	cfg := s.Cfg
-	tSample := time.Now()
-	plan := s.sampleBatch()
-	s.charge("sample", tSample)
-	total := 0
-	for _, ns := range plan.nodes {
-		total += len(ns)
+	cfg, m := s.Cfg, s.Model
+	var nodes [][]int32
+	s.Timer.Time("sample", func() { nodes = s.sampleBatch() })
+	s.LastBatchNodes = 0
+	for _, ns := range nodes {
+		s.LastBatchNodes += len(ns)
 	}
-	s.LastBatchNodes = total
+	stride, inv := 1+cfg.DLS, 1/float64(cfg.DLS)
 
-	// Forward. acts[l] is the feature matrix of plan.nodes[l];
-	// preacts cache pre-ReLU values for the backward pass.
-	acts := make([]*mat.Dense, cfg.Layers+1)
-	preacts := make([]*mat.Dense, cfg.Layers+1)
-	aggs := make([]*mat.Dense, cfg.Layers+1)
-	h := mat.New(len(plan.nodes[0]), s.DS.FeatureDim())
-	for i, v := range plan.nodes[0] {
-		copy(h.Row(i), s.DS.Features.Row(int(v)))
-	}
-	acts[0] = h
-	for l := 1; l <= cfg.Layers; l++ {
-		hPrev := acts[l-1]
-		nUp := len(plan.nodes[l])
-		fin := hPrev.Cols
-		// Split previous layer rows into self rows and neighbor
-		// groups: row i*(1+DLS) is self, the next DLS rows are its
-		// sampled neighbors.
-		tGather := time.Now()
-		self := mat.New(nUp, fin)
-		neighMean := mat.New(nUp, fin)
-		stride := 1 + cfg.DLS
-		inv := 1 / float64(cfg.DLS)
-		for i := 0; i < nUp; i++ {
-			base := i * stride
-			copy(self.Row(i), hPrev.Row(base))
-			nrow := neighMean.Row(i)
-			for k := 1; k <= cfg.DLS; k++ {
-				mat.Axpy(nrow, hPrev.Row(base+k), inv)
-			}
-		}
-		s.charge("gather", tGather)
-		tGemm := time.Now()
-		zs := mat.New(nUp, cfg.Hidden)
-		zn := mat.New(nUp, cfg.Hidden)
-		mat.Mul(zs, self, s.wSelf[l-1].W, cfg.Workers)
-		mat.Mul(zn, neighMean, s.wNeigh[l-1].W, cfg.Workers)
-		s.charge("gemm", tGemm)
-		z := mat.New(nUp, 2*cfg.Hidden)
-		mat.ConcatCols(z, zs, zn)
-		preacts[l] = z
-		aggs[l] = neighMean
-		out := mat.New(nUp, 2*cfg.Hidden)
-		mat.Apply(out, z, func(x float64) float64 {
-			if x > 0 {
-				return x
-			}
-			return 0
+	// Forward. acts[l] holds the rows of nodes[l]; self[l] and mean[l]
+	// are each node's own row one layer down and the mean of its
+	// sampled neighbors' rows there, and z[l] the pre-ReLU output.
+	L := cfg.Layers
+	acts := make([]*mat.Dense, L+1)
+	self := make([]*mat.Dense, L+1)
+	mean := make([]*mat.Dense, L+1)
+	z := make([]*mat.Dense, L+1)
+	s.Timer.Time("gather", func() { acts[0] = s.gatherRows(s.DS.Features, nodes[0]) })
+	for l := 1; l <= L; l++ {
+		layer, below := m.Layers[l-1], acts[l-1]
+		n := len(nodes[l])
+		self[l], mean[l] = mat.New(n, below.Cols), mat.New(n, below.Cols)
+		s.Timer.Time("gather", func() {
+			s.eachRow(n, func(i int) {
+				copy(self[l].Row(i), below.Row(i*stride))
+				for k := 1; k <= cfg.DLS; k++ {
+					mat.Axpy(mean[l].Row(i), below.Row(i*stride+k), inv)
+				}
+			})
 		})
-		acts[l] = out
+		zs, zn := mat.New(n, cfg.Hidden), mat.New(n, cfg.Hidden)
+		s.Timer.Time("gemm", func() {
+			mat.Mul(zs, self[l], layer.WSelf.W, cfg.Workers)
+			mat.Mul(zn, mean[l], layer.WNeigh.W, cfg.Workers)
+		})
+		z[l] = mat.New(n, 2*cfg.Hidden)
+		mat.ConcatColsP(z[l], zs, zn, cfg.Workers)
+		acts[l] = mat.New(n, 2*cfg.Hidden)
+		mat.Relu(acts[l].Data, z[l].Data)
 	}
 
-	// Head + loss over the batch targets (all are training vertices).
-	ctx := &nn.Ctx{G: nil, Q: 1, Workers: cfg.Workers}
-	logits := s.head.Forward(ctx, acts[cfg.Layers])
-	labels := mat.New(logits.Rows, s.DS.NumClasses)
-	for i, v := range plan.nodes[cfg.Layers] {
-		copy(labels.Row(i), s.DS.Labels.Row(int(v)))
-	}
+	// Head and loss over the batch targets, all training vertices.
+	ctx := &nn.Ctx{Workers: cfg.Workers}
+	logits := m.Head.Forward(ctx, acts[L])
 	dLogits := mat.New(logits.Rows, logits.Cols)
-	loss := s.loss.Eval(logits, labels, nil, dLogits)
+	loss := m.Loss.Eval(logits, s.gatherRows(s.DS.Labels, nodes[L]), nil, dLogits)
+	m.ZeroGrad()
+	d := m.Head.Backward(ctx, dLogits)
 
-	for _, p := range s.Params() {
-		p.ZeroGrad()
-	}
-	d := s.head.Backward(ctx, dLogits)
-
-	// Backward through the layer tree.
-	for l := cfg.Layers; l >= 1; l-- {
-		nUp := len(plan.nodes[l])
-		z := preacts[l]
-		dZ := mat.New(nUp, 2*cfg.Hidden)
-		for i, zv := range z.Data {
-			if zv > 0 {
-				dZ.Data[i] = d.Data[i]
+	// Backward through the tree. The first layer's input is data, so
+	// no gradient w.r.t. it is computed (as in Model.Backward).
+	for l := L; l >= 1; l-- {
+		layer := m.Layers[l-1]
+		n, f := len(nodes[l]), acts[l-1].Cols
+		dZ := mat.New(n, 2*cfg.Hidden)
+		mat.ReluGate(dZ.Data, z[l].Data, d.Data)
+		dZs, dZn := mat.New(n, cfg.Hidden), mat.New(n, cfg.Hidden)
+		mat.SplitColsP(dZs, dZn, dZ, cfg.Workers)
+		dSelf, dMean := mat.New(n, f), mat.New(n, f)
+		s.Timer.Time("gemm", func() {
+			dw := mat.New(f, cfg.Hidden)
+			mat.MulAT(dw, self[l], dZs, cfg.Workers)
+			mat.AddScaled(layer.WSelf.Grad, dw, 1)
+			mat.MulAT(dw, mean[l], dZn, cfg.Workers)
+			mat.AddScaled(layer.WNeigh.Grad, dw, 1)
+			if l > 1 {
+				mat.MulBT(dSelf, dZs, layer.WSelf.W, cfg.Workers)
+				mat.MulBT(dMean, dZn, layer.WNeigh.W, cfg.Workers)
 			}
+		})
+		if l == 1 {
+			break
 		}
-		dZs := mat.New(nUp, cfg.Hidden)
-		dZn := mat.New(nUp, cfg.Hidden)
-		mat.SplitCols(dZs, dZn, dZ)
-
-		hPrev := acts[l-1]
-		fin := hPrev.Cols
-		stride := 1 + cfg.DLS
-		// Recompute self/neighbor views for weight gradients.
-		tGather := time.Now()
-		self := mat.New(nUp, fin)
-		for i := 0; i < nUp; i++ {
-			copy(self.Row(i), hPrev.Row(i*stride))
-		}
-		s.charge("gather", tGather)
-		tGemm := time.Now()
-		dw := mat.New(fin, cfg.Hidden)
-		mat.MulAT(dw, self, dZs, cfg.Workers)
-		mat.AddScaled(s.wSelf[l-1].Grad, dw, 1)
-		mat.MulAT(dw, aggs[l], dZn, cfg.Workers)
-		mat.AddScaled(s.wNeigh[l-1].Grad, dw, 1)
-
-		// Gradient to the previous layer's rows.
-		dSelf := mat.New(nUp, fin)
-		dNeigh := mat.New(nUp, fin)
-		mat.MulBT(dSelf, dZs, s.wSelf[l-1].W, cfg.Workers)
-		mat.MulBT(dNeigh, dZn, s.wNeigh[l-1].W, cfg.Workers)
-		s.charge("gemm", tGemm)
-		tGather = time.Now()
-		dPrev := mat.New(len(plan.nodes[l-1]), fin)
-		inv := 1 / float64(cfg.DLS)
-		for i := 0; i < nUp; i++ {
-			base := i * stride
-			copy(dPrev.Row(base), dSelf.Row(i))
-			for k := 1; k <= cfg.DLS; k++ {
-				mat.Axpy(dPrev.Row(base+k), dNeigh.Row(i), inv)
-			}
-		}
-		s.charge("gather", tGather)
-		d = dPrev
+		d = mat.New(len(nodes[l-1]), f)
+		s.Timer.Time("gather", func() {
+			s.eachRow(n, func(i int) {
+				copy(d.Row(i*stride), dSelf.Row(i))
+				for k := 1; k <= cfg.DLS; k++ {
+					mat.Axpy(d.Row(i*stride+k), dMean.Row(i), inv)
+				}
+			})
+		})
 	}
 
-	s.opt.Step(s.Params())
+	s.opt.Step(m.Params())
 	s.steps++
 	return loss
 }
 
-// Evaluate runs full-graph inference with expectation-exact
-// aggregation (every neighbor, not a sample) and returns micro-F1
-// over idx. This mirrors how GraphSAGE is evaluated in practice.
-func (s *SAGE) Evaluate(idx []int32) float64 {
-	logits := s.Infer()
-	var pred *mat.Dense
-	if s.DS.MultiLabel {
-		pred = nn.PredictMulti(logits)
-	} else {
-		pred = nn.PredictSingle(logits)
-	}
-	rows := make([]int, len(idx))
-	for i, v := range idx {
-		rows[i] = int(v)
-	}
-	return nn.F1Micro(pred, s.DS.Labels, rows)
-}
-
-// Infer computes full-graph logits using exact mean aggregation.
-func (s *SAGE) Infer() *mat.Dense {
-	g := s.DS.G
-	cfg := s.Cfg
-	h := s.DS.Features.Clone()
-	for l := 0; l < cfg.Layers; l++ {
-		n := g.NumVertices()
-		fin := h.Cols
-		neigh := mat.New(n, fin)
-		for v := 0; v < n; v++ {
-			nb := g.Neighbors(int32(v))
-			if len(nb) == 0 {
-				continue
-			}
-			nrow := neigh.Row(v)
-			inv := 1 / float64(len(nb))
-			for _, u := range nb {
-				mat.Axpy(nrow, h.Row(int(u)), inv)
-			}
-		}
-		zs := mat.New(n, cfg.Hidden)
-		zn := mat.New(n, cfg.Hidden)
-		mat.Mul(zs, h, s.wSelf[l].W, cfg.Workers)
-		mat.Mul(zn, neigh, s.wNeigh[l].W, cfg.Workers)
-		z := mat.New(n, 2*cfg.Hidden)
-		mat.ConcatCols(z, zs, zn)
-		mat.Apply(z, z, func(x float64) float64 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		})
-		h = z
-	}
-	ctx := &nn.Ctx{G: nil, Q: 1, Workers: cfg.Workers}
-	return s.head.Forward(ctx, h)
-}
+// Evaluate returns the model's full-graph micro-F1 over idx: exact
+// mean aggregation over every neighbor, not a sample, which is how
+// GraphSAGE is evaluated in practice.
+func (s *SAGE) Evaluate(idx []int32) float64 { return s.Model.Evaluate(s.DS, idx) }

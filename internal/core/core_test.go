@@ -190,9 +190,7 @@ func TestEvaluateBounds(t *testing.T) {
 
 func TestInferShape(t *testing.T) {
 	ds := tinyDataset(t, false)
-	m := NewModel(ds, tinyConfig())
-	tr := NewTrainer(ds, m)
-	logits := tr.Infer()
+	logits := NewModel(ds, tinyConfig()).Infer(ds)
 	if logits.Rows != ds.G.NumVertices() || logits.Cols != ds.NumClasses {
 		t.Fatalf("logits shape %dx%d", logits.Rows, logits.Cols)
 	}

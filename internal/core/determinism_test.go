@@ -92,7 +92,7 @@ func TestQNeverReachesABit(t *testing.T) {
 		for i := range losses {
 			losses[i] = tr.Step()
 		}
-		return losses, tr.Infer()
+		return losses, tr.Model.Infer(tr.DS)
 	}
 	refLoss, refLogits := run(1, 1)
 	for _, q := range []int{1, 2, 3, 13, 0} {

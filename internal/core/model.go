@@ -238,6 +238,30 @@ func (m *Model) CtxForGraph(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
 	return m.ctxFor(g, feat, timer)
 }
 
+// Infer runs the model over the whole of ds's graph and returns the
+// logits of every vertex.
+func (m *Model) Infer(ds *datasets.Dataset) *mat.Dense {
+	return m.Forward(m.ctxFor(ds.G, ds.FeatureDim(), nil), ds.Features)
+}
+
+// Evaluate returns the micro-F1 over the vertices idx of full-graph
+// inference on ds: the one evaluation behind every trainer, the
+// baselines' included.
+func (m *Model) Evaluate(ds *datasets.Dataset, idx []int32) float64 {
+	logits := m.Infer(ds)
+	var pred *mat.Dense
+	if ds.MultiLabel {
+		pred = nn.PredictMulti(logits)
+	} else {
+		pred = nn.PredictSingle(logits)
+	}
+	rows := make([]int, len(idx))
+	for i, v := range idx {
+		rows[i] = int(v)
+	}
+	return nn.F1Micro(pred, ds.Labels, rows)
+}
+
 // Forward runs the full model on graph g with input features h and
 // returns the logits.
 func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {

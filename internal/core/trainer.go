@@ -206,24 +206,4 @@ func (t *Trainer) TrainUntil(target float64, maxEpochs int) (epochs int, trainTi
 
 // Evaluate runs full-graph inference and returns micro-F1 over the
 // given vertex subset (e.g. the validation split).
-func (t *Trainer) Evaluate(idx []int32) float64 {
-	logits := t.Infer()
-	var pred *mat.Dense
-	if t.DS.MultiLabel {
-		pred = nn.PredictMulti(logits)
-	} else {
-		pred = nn.PredictSingle(logits)
-	}
-	rows := make([]int, len(idx))
-	for i, v := range idx {
-		rows[i] = int(v)
-	}
-	return nn.F1Micro(pred, t.DS.Labels, rows)
-}
-
-// Infer runs the model over the entire training graph and returns
-// logits for every vertex.
-func (t *Trainer) Infer() *mat.Dense {
-	ctx := t.Model.ctxFor(t.DS.G, t.DS.FeatureDim(), nil)
-	return t.Model.Forward(ctx, t.DS.Features)
-}
+func (t *Trainer) Evaluate(idx []int32) float64 { return t.Model.Evaluate(t.DS, idx) }
