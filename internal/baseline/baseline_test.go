@@ -182,6 +182,58 @@ func TestSAGEEpochStepsRoundsUp(t *testing.T) {
 	}
 }
 
+// TestSAGEBatchCappedAtTrainSplit: a batch past the training split, the
+// default batch on a split smaller than it, and a batch below one all
+// become a batch the split can fill, and a step draws exactly that many
+// targets.
+func TestSAGEBatchCappedAtTrainSplit(t *testing.T) {
+	ds := tinyDataset(t, false)
+	n := len(ds.TrainIdx)
+	if n >= 512 {
+		t.Fatalf("|train| %d: the default batch 512 would not be capped", n)
+	}
+	for _, c := range []struct{ batch, want int }{
+		{10 * n, n}, {n + 1, n}, {0, n}, {-3, 1}, {n - 1, n - 1},
+	} {
+		cfg := sageCfg()
+		cfg.Layers, cfg.Batch = 1, c.batch
+		s := NewSAGE(ds, cfg)
+		if s.Cfg.Batch != c.want {
+			t.Errorf("batch %d: capped to %d, want %d", c.batch, s.Cfg.Batch, c.want)
+		}
+		// One layer: the targets, then each with itself and DLS samples.
+		s.Step()
+		if want := c.want * (2 + cfg.DLS); s.LastBatchNodes != want {
+			t.Errorf("batch %d: a step drew %d nodes, want %d", c.batch, s.LastBatchNodes, want)
+		}
+	}
+}
+
+// TestSAGETimerChargesItsSegments: an unrecorded step charges its time
+// to exactly the segments the step profile (stepPhases) folds for the
+// comparator — "sample", "gather" and "gemm" — and a new SAGE starts
+// with an empty timer.
+func TestSAGETimerChargesItsSegments(t *testing.T) {
+	ds := tinyDataset(t, false)
+	s := NewSAGE(ds, sageCfg())
+	if segs := s.Timer.Segments(); len(segs) != 0 {
+		t.Fatalf("new SAGE timer holds %v", segs)
+	}
+	s.Step()
+	segs := s.Timer.Segments()
+	var names []string
+	for name := range segs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	if want := []string{"gather", "gemm", "sample"}; !slices.Equal(names, want) {
+		t.Errorf("segments %v, want %v", names, want)
+	}
+	if s.Timer.Total() <= 0 {
+		t.Errorf("a step charged %v in all", s.Timer.Total())
+	}
+}
+
 func sameWeights(a, b *SAGE) bool {
 	pa, pb := a.Model.Params(), b.Model.Params()
 	for i := range pa {
