@@ -20,9 +20,9 @@ type Fig3Point struct {
 	WeightSpeedup float64 // Fig. 3C: weight-application speedup
 	// Breakdown is the share of iteration time spent in [sampling,
 	// feature propagation, weight application, other] (Fig. 3D). Other
-	// is the rest of the training step — gathers, concatenation, ReLU,
-	// loss, optimizer — where this implementation departs from the
-	// paper's three phases.
+	// is the rest of the training step — gathers, concatenation and
+	// ReLU (one pass), loss, optimizer — where this implementation
+	// departs from the paper's three phases.
 	Breakdown [4]float64
 }
 
@@ -87,22 +87,8 @@ func RunFig3(o ExpOptions) (*Fig3Result, error) {
 
 func fig3Curve(ds *Dataset, hidden int, o ExpOptions, maxP int) Fig3Curve {
 	prof := recordTrainerStep(ds, o, 2, hidden, maxP)
-	curve := Fig3Curve{Dataset: ds.Name, Hidden: hidden}
+	curve := Fig3Curve{Dataset: ds.Name, Hidden: hidden, Points: prof.points(o.Cores, o.Sim)}
 	one := prof.at(1, o.Sim)
-	for _, p := range o.Cores {
-		at := prof.at(p, o.Sim)
-		iter := sum(at[:]...)
-		pt := Fig3Point{
-			Cores:         p,
-			IterSpeedup:   ratio(sum(one[:]...), iter),
-			FeatSpeedup:   ratio(one[1], at[1]),
-			WeightSpeedup: ratio(one[2], at[2]),
-		}
-		for i, d := range at {
-			pt.Breakdown[i] = ratio(d, iter)
-		}
-		curve.Points = append(curve.Points, pt)
-	}
 	workers := o.Workers
 	if workers <= 0 {
 		workers = perf.NumWorkers()
@@ -142,7 +128,9 @@ type stepPhase struct {
 
 // stepPhases maps the Timer segments of both methods Table II records
 // to phases: the baseline's "gather" is its feature propagation and
-// its "gemm" its weight application. A region outside all is "other".
+// its "gemm" its weight application. A region outside all is "other",
+// and so are the trainer's "loss" and "optimizer" segments, which
+// Fig. 3D does not name.
 var stepPhases = map[string]int{"sample": 0, "featprop": 1, "gather": 1, "weight": 2, "gemm": 2}
 
 // at returns the simulated [sampling, featprop, weight, other] times
@@ -161,6 +149,28 @@ func (s *stepProfile) at(p int, cfg perf.SimConfig) [4]time.Duration {
 		t[0] += samplePerIter(s.sample, p, cfg)
 	}
 	return t
+}
+
+// points folds the profile at each of the core counts: Fig. 3A-C's
+// speedups over one core and Fig. 3D's four shares.
+func (s *stepProfile) points(cores []int, cfg perf.SimConfig) []Fig3Point {
+	one := s.at(1, cfg)
+	var pts []Fig3Point
+	for _, p := range cores {
+		at := s.at(p, cfg)
+		iter := sum(at[:]...)
+		pt := Fig3Point{
+			Cores:         p,
+			IterSpeedup:   ratio(sum(one[:]...), iter),
+			FeatSpeedup:   ratio(one[1], at[1]),
+			WeightSpeedup: ratio(one[2], at[2]),
+		}
+		for i, d := range at {
+			pt.Breakdown[i] = ratio(d, iter)
+		}
+		pts = append(pts, pt)
+	}
+	return pts
 }
 
 // recordStep runs step fig3Samples times under perf.Record and keeps

@@ -254,3 +254,48 @@ func BenchmarkSAGEStep(b *testing.B) {
 		s.Step()
 	}
 }
+
+// TestStepsWriteEveryGradient: both comparators' steps set every
+// gradient of their core.Model rather than adding to it. A twin whose
+// gradients are all NaN before every step gives the losses and weights,
+// bit for bit, of one whose gradients are left as the last step set
+// them.
+func TestStepsWriteEveryGradient(t *testing.T) {
+	ds := tinyDataset(t, false)
+	fbCfg := core.Config{Layers: 2, Hidden: 16, LR: 0.02, Workers: 1, Seed: 9}
+	for _, c := range []struct {
+		name string
+		make func() (*core.Model, func() float64)
+	}{
+		{"SAGE", func() (*core.Model, func() float64) {
+			s := NewSAGE(ds, sageCfg())
+			return s.Model, s.Step
+		}},
+		{"FullBatch", func() (*core.Model, func() float64) {
+			f := NewFullBatch(ds, fbCfg)
+			return f.Model, f.Step
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plain, plainStep := c.make()
+			poisoned, poisonedStep := c.make()
+			for i := 0; i < 4; i++ {
+				for _, p := range poisoned.Params() {
+					p.Grad.Fill(math.NaN())
+				}
+				want, got := plainStep(), poisonedStep()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d: loss %v after poisoned gradients, %v without", i, got, want)
+				}
+				pa, pb := poisoned.Params(), plain.Params()
+				for k := range pa {
+					if !slices.EqualFunc(pa[k].W.Data, pb[k].W.Data, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					}) {
+						t.Fatalf("step %d: %s differs after poisoned gradients", i, pa[k].Name)
+					}
+				}
+			}
+		})
+	}
+}

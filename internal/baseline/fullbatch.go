@@ -32,11 +32,9 @@ func NewFullBatch(ds *datasets.Dataset, cfg core.Config) *FullBatch {
 	for i, v := range ds.TrainIdx {
 		rows[i] = int(v)
 	}
-	return &FullBatch{
-		DS: ds, Model: m,
-		opt:       nn.NewAdam(m.Config().LR),
-		trainRows: rows,
-	}
+	opt := nn.NewAdam(m.Config().LR)
+	opt.Workers = m.Config().Workers
+	return &FullBatch{DS: ds, Model: m, opt: opt, trainRows: rows}
 }
 
 // Steps returns the number of updates performed.
@@ -48,7 +46,6 @@ func (f *FullBatch) Step() float64 {
 	logits := f.Model.Forward(ctx, f.DS.Features)
 	dLogits := mat.New(logits.Rows, logits.Cols)
 	loss := f.Model.Loss.Eval(logits, f.DS.Labels, f.trainRows, dLogits)
-	f.Model.ZeroGrad()
 	f.Model.Backward(ctx, dLogits)
 	f.opt.Step(f.Model.Params())
 	f.steps++

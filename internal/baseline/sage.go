@@ -94,6 +94,8 @@ type SAGE struct {
 func NewSAGE(ds *datasets.Dataset, cfg SAGEConfig) *SAGE {
 	cfg = cfg.withDefaults()
 	cfg.Batch = max(1, min(cfg.Batch, len(ds.TrainIdx)))
+	opt := nn.NewAdam(cfg.LR)
+	opt.Workers = cfg.Workers
 	return &SAGE{
 		DS: ds, Cfg: cfg,
 		Model: core.NewModel(ds, core.Config{
@@ -101,7 +103,7 @@ func NewSAGE(ds *datasets.Dataset, cfg SAGEConfig) *SAGE {
 			Seed: cfg.Seed, Workers: cfg.Workers,
 		}),
 		Timer: perf.NewTimer(),
-		opt:   nn.NewAdam(cfg.LR),
+		opt:   opt,
 		r:     rng.NewStream(cfg.Seed, 0x5A6E),
 	}
 }
@@ -182,12 +184,11 @@ func (s *SAGE) Step() float64 {
 
 	// Forward. acts[l] holds the rows of nodes[l]; self[l] and mean[l]
 	// are each node's own row one layer down and the mean of its
-	// sampled neighbors' rows there, and z[l] the pre-ReLU output.
+	// sampled neighbors' rows there.
 	L := cfg.Layers
 	acts := make([]*mat.Dense, L+1)
 	self := make([]*mat.Dense, L+1)
 	mean := make([]*mat.Dense, L+1)
-	z := make([]*mat.Dense, L+1)
 	s.Timer.Time("gather", func() { acts[0] = s.gatherRows(s.DS.Features, nodes[0]) })
 	for l := 1; l <= L; l++ {
 		layer, below := m.Layers[l-1], acts[l-1]
@@ -206,10 +207,8 @@ func (s *SAGE) Step() float64 {
 			mat.Mul(zs, self[l], layer.WSelf.W, cfg.Workers)
 			mat.Mul(zn, mean[l], layer.WNeigh.W, cfg.Workers)
 		})
-		z[l] = mat.New(n, 2*cfg.Hidden)
-		mat.ConcatColsP(z[l], zs, zn, cfg.Workers)
 		acts[l] = mat.New(n, 2*cfg.Hidden)
-		mat.Relu(acts[l].Data, z[l].Data)
+		layer.Combine(acts[l], zs, zn, cfg.Workers)
 	}
 
 	// Head and loss over the batch targets, all training vertices.
@@ -217,7 +216,6 @@ func (s *SAGE) Step() float64 {
 	logits := m.Head.Forward(ctx, acts[L])
 	dLogits := mat.New(logits.Rows, logits.Cols)
 	loss := m.Loss.Eval(logits, s.gatherRows(s.DS.Labels, nodes[L]), nil, dLogits)
-	m.ZeroGrad()
 	d := m.Head.Backward(ctx, dLogits)
 
 	// Backward through the tree. The first layer's input is data, so
@@ -225,17 +223,12 @@ func (s *SAGE) Step() float64 {
 	for l := L; l >= 1; l-- {
 		layer := m.Layers[l-1]
 		n, f := len(nodes[l]), acts[l-1].Cols
-		dZ := mat.New(n, 2*cfg.Hidden)
-		mat.ReluGate(dZ.Data, z[l].Data, d.Data)
 		dZs, dZn := mat.New(n, cfg.Hidden), mat.New(n, cfg.Hidden)
-		mat.SplitColsP(dZs, dZn, dZ, cfg.Workers)
+		layer.CombineGrad(dZs, dZn, acts[l], d, cfg.Workers)
 		dSelf, dMean := mat.New(n, f), mat.New(n, f)
 		s.Timer.Time("gemm", func() {
-			dw := mat.New(f, cfg.Hidden)
-			mat.MulAT(dw, self[l], dZs, cfg.Workers)
-			mat.AddScaled(layer.WSelf.Grad, dw, 1)
-			mat.MulAT(dw, mean[l], dZn, cfg.Workers)
-			mat.AddScaled(layer.WNeigh.Grad, dw, 1)
+			mat.MulAT(layer.WSelf.Grad, self[l], dZs, cfg.Workers)
+			mat.MulAT(layer.WNeigh.Grad, mean[l], dZn, cfg.Workers)
 			if l > 1 {
 				mat.MulBT(dSelf, dZs, layer.WSelf.W, cfg.Workers)
 				mat.MulBT(dMean, dZn, layer.WNeigh.W, cfg.Workers)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/nn"
+	"gsgcn/internal/rng"
 	"gsgcn/internal/sampler"
 )
 
@@ -130,16 +132,37 @@ func TestEpochStepCount(t *testing.T) {
 	}
 }
 
+// TestTrainerTimerSegments pins the Timer segments a step charges:
+// StepOn "featprop" and "weight", which Fig. 3D folds as its feature
+// propagation and weight application, and "loss" and "optimizer",
+// which it leaves in "other"; Step adds the "sampling" wait. A new
+// trainer starts with an empty timer.
 func TestTrainerTimerSegments(t *testing.T) {
 	ds := tinyDataset(t, false)
-	m := NewModel(ds, tinyConfig())
-	tr := NewTrainer(ds, m)
-	tr.Step()
-	seg := tr.Timer.Segments()
-	for _, name := range []string{"sampling", "featprop", "weight"} {
-		if seg[name] <= 0 {
-			t.Errorf("timer segment %q not charged: %v", name, seg)
+	cfg := tinyConfig()
+	tr := NewTrainer(ds, NewModel(ds, cfg))
+	if segs := tr.Timer.Segments(); len(segs) != 0 {
+		t.Fatalf("new trainer's timer holds %v", segs)
+	}
+	names := func() []string {
+		var ns []string
+		for name, d := range tr.Timer.Segments() {
+			if d <= 0 {
+				t.Errorf("segment %q charged %v", name, d)
+			}
+			ns = append(ns, name)
 		}
+		slices.Sort(ns)
+		return ns
+	}
+	fr := &sampler.Frontier{G: ds.G, M: cfg.FrontierM, N: cfg.Budget, Eta: 2}
+	tr.StepOn(sampler.SampleSubgraph(ds.G, fr, rng.NewStream(5, 0)))
+	if got, want := names(), []string{"featprop", "loss", "optimizer", "weight"}; !slices.Equal(got, want) {
+		t.Errorf("StepOn charged %v, want %v", got, want)
+	}
+	tr.Step()
+	if got, want := names(), []string{"featprop", "loss", "optimizer", "sampling", "weight"}; !slices.Equal(got, want) {
+		t.Errorf("Step charged %v, want %v", got, want)
 	}
 }
 

@@ -222,9 +222,10 @@ func (m *Model) NumParams() int {
 	return total
 }
 
-// ctxFor builds the execution context for a given (sub)graph,
-// deriving Q from partition.Chunks when unset.
-func (m *Model) ctxFor(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
+// CtxForGraph builds the execution context for a given (sub)graph,
+// deriving Q from partition.Chunks when unset: the one context of
+// every trainer, the full-batch baseline's included.
+func (m *Model) CtxForGraph(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
 	q := m.cfg.Q
 	if q == 0 {
 		q = partition.Chunks(g.N, g.AvgDegree(), feat)
@@ -232,16 +233,10 @@ func (m *Model) ctxFor(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
 	return &nn.Ctx{G: g, Q: q, Workers: m.cfg.Workers, Timer: timer}
 }
 
-// CtxForGraph exposes execution-context construction (including the
-// Q derivation) to external trainers such as the full-batch baseline.
-func (m *Model) CtxForGraph(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
-	return m.ctxFor(g, feat, timer)
-}
-
 // Infer runs the model over the whole of ds's graph and returns the
-// logits of every vertex.
+// logits of every vertex, in a matrix the caller owns.
 func (m *Model) Infer(ds *datasets.Dataset) *mat.Dense {
-	return m.Forward(m.ctxFor(ds.G, ds.FeatureDim(), nil), ds.Features)
+	return m.Forward(m.CtxForGraph(ds.G, ds.FeatureDim(), nil), ds.Features).Clone()
 }
 
 // Evaluate returns the micro-F1 over the vertices idx of full-graph
@@ -263,7 +258,7 @@ func (m *Model) Evaluate(ds *datasets.Dataset, idx []int32) float64 {
 }
 
 // Forward runs the full model on graph g with input features h and
-// returns the logits.
+// returns the logits, which are the head's until its next call.
 func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 	x := h
 	for _, l := range m.Layers {
@@ -331,20 +326,13 @@ func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur, next *mat.Dense, work
 			zNb := mat.FromData(rows, out, zN[:rows*out])
 			mat.Mul(zSb, hBlock, l.WSelf.W, 1)
 			mat.Mul(zNb, hNb, l.WNeigh.W, 1)
-			for i := 0; i < rows; i++ {
-				drow := next.Row(lo + i)
-				copy(drow[:out], zSb.Row(i))
-				copy(drow[out:], zNb.Row(i))
-				if l.Activate {
-					mat.Relu(drow, drow)
-				}
-			}
+			l.Combine(mat.FromData(rows, 2*out, next.Data[lo*2*out:hi*2*out]), zSb, zNb, 1)
 		}
 	})
 }
 
-// Backward propagates dLogits through head and layers, accumulating
-// parameter gradients. The first layer's input is the feature matrix,
+// Backward propagates dLogits through head and layers, setting every
+// parameter gradient. The first layer's input is the feature matrix,
 // so nothing reads a gradient w.r.t. it and none is computed.
 func (m *Model) Backward(ctx *nn.Ctx, dLogits *mat.Dense) {
 	d := m.Head.Backward(ctx, dLogits)
@@ -353,13 +341,6 @@ func (m *Model) Backward(ctx *nn.Ctx, dLogits *mat.Dense) {
 	}
 	if len(m.Layers) > 0 {
 		m.Layers[0].BackwardParams(ctx, d)
-	}
-}
-
-// ZeroGrad clears all parameter gradients.
-func (m *Model) ZeroGrad() {
-	for _, p := range m.Params() {
-		p.ZeroGrad()
 	}
 }
 

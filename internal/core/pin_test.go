@@ -86,7 +86,7 @@ var arithmeticPins = []arithmeticPin{
 // embeddingTable runs the GCN layers (not the head) over the whole
 // training graph: the table a serving process would answer from.
 func embeddingTable(ds *datasets.Dataset, m *Model) *mat.Dense {
-	ctx := m.ctxFor(ds.G, ds.FeatureDim(), nil)
+	ctx := m.CtxForGraph(ds.G, ds.FeatureDim(), nil)
 	x := ds.Features
 	for _, l := range m.Layers {
 		x = l.Forward(ctx, x)

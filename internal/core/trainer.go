@@ -23,8 +23,9 @@ type Trainer struct {
 	Pool  *sampler.Pool
 	Opt   *nn.Adam
 	// Timer accumulates the "sampling", "featprop" and "weight"
-	// segments of Fig. 3D's execution-time breakdown; the rest of a
-	// step is the breakdown's fourth share, "other".
+	// segments of Fig. 3D's execution-time breakdown, and the "loss"
+	// and "optimizer" segments that the breakdown's fourth share,
+	// "other" (the rest of a step), holds.
 	Timer *perf.Timer
 
 	trainMask []bool
@@ -60,11 +61,13 @@ func NewTrainerWithSampler(ds *datasets.Dataset, m *Model, s sampler.VertexSampl
 	pool := sampler.NewPool(ds.G, s, cfg.PInter, cfg.Seed)
 	pool.Workers = cfg.Workers
 	pool.Prefetch = cfg.Prefetch
+	opt := nn.NewAdam(cfg.LR)
+	opt.Workers = cfg.Workers
 	return &Trainer{
 		DS:        ds,
 		Model:     m,
 		Pool:      pool,
-		Opt:       nn.NewAdam(cfg.LR),
+		Opt:       opt,
 		Timer:     perf.NewTimer(),
 		trainMask: mask,
 		dropRng:   rng.NewStream(cfg.Seed, 0xD409),
@@ -85,13 +88,8 @@ func (t *Trainer) Step() float64 { return t.StepOn(t.nextSubgraph()) }
 // tiny datasets). StepOn never touches the Pool, so a caller stepping
 // subgraphs of its own starts no background sampling.
 func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
-	n := sub.N
-	feat := t.DS.FeatureDim()
-	t.bufH0 = mat.Reuse(t.bufH0, n, feat)
-	t.bufLabels = mat.Reuse(t.bufLabels, n, t.DS.NumClasses)
-	h0 := t.bufH0
-	labels := t.bufLabels
-	workers := t.Model.cfg.Workers
+	n, feat, cfg := sub.N, t.DS.FeatureDim(), t.Model.cfg
+	h0, labels := mat.Reuse(&t.bufH0, n, feat), mat.Reuse(&t.bufLabels, n, t.DS.NumClasses)
 	if cap(t.bufIdx) < n {
 		t.bufIdx = make([]int, n)
 	}
@@ -107,32 +105,30 @@ func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
 	if len(mask) == 0 {
 		return 0
 	}
-	mat.GatherRowsP(h0, t.DS.Features, idx, workers)
-	mat.GatherRowsP(labels, t.DS.Labels, idx, workers)
+	mat.GatherRowsP(h0, t.DS.Features, idx, cfg.Workers)
+	mat.GatherRowsP(labels, t.DS.Labels, idx, cfg.Workers)
 
-	ctx := t.Model.ctxFor(sub.CSR, feat, t.Timer)
-	cfg := t.Model.cfg
+	ctx := t.Model.CtxForGraph(sub.CSR, feat, t.Timer)
 	if cfg.DropRate > 0 {
-		ctx.Train = true
-		ctx.DropRate = cfg.DropRate
-		ctx.Rng = t.dropRng
+		ctx.Train, ctx.DropRate, ctx.Rng = true, cfg.DropRate, t.dropRng
 	}
 	logits := t.Model.Forward(ctx, h0)
-	t.bufDLogits = mat.Reuse(t.bufDLogits, n, t.DS.NumClasses)
-	dLogits := t.bufDLogits
-	loss := t.Model.Loss.Eval(logits, labels, mask, dLogits)
-	t.Model.ZeroGrad()
+	dLogits := mat.Reuse(&t.bufDLogits, n, t.DS.NumClasses)
+	var loss float64
+	t.Timer.Time("loss", func() { loss = t.Model.Loss.Eval(logits, labels, mask, dLogits) })
 	t.Model.Backward(ctx, dLogits)
-	params := t.Model.Params()
-	if cfg.WeightDecay > 0 {
-		for _, p := range params {
-			mat.AddScaled(p.Grad, p.W, cfg.WeightDecay)
+	t.Timer.Time("optimizer", func() {
+		params := t.Model.Params()
+		if cfg.WeightDecay > 0 {
+			for _, p := range params {
+				mat.AddScaled(p.Grad, p.W, cfg.WeightDecay)
+			}
 		}
-	}
-	if cfg.GradClip > 0 {
-		clipGradients(params, cfg.GradClip)
-	}
-	t.Opt.Step(params)
+		if cfg.GradClip > 0 {
+			clipGradients(params, cfg.GradClip)
+		}
+		t.Opt.Step(params)
+	})
 	t.steps++
 	return loss
 }

@@ -137,19 +137,7 @@ func TestRowOpsBitExactAcrossWorkers(t *testing.T) {
 	for _, rows := range []int{0, 1, 3, 7, 64, 251} {
 		r := rng.New(41)
 		a := randMat(r, rows, 13)
-		b := randMat(r, rows, 11)
-		cat := New(rows, 24)
-		ConcatCols(cat, a, b)
 		for _, w := range workerSweep {
-			catP := New(rows, 24)
-			ConcatColsP(catP, a, b, w)
-			requireIdentical(t, "ConcatColsP", catP, cat)
-
-			sa, sb := New(rows, 13), New(rows, 11)
-			SplitColsP(sa, sb, cat, w)
-			requireIdentical(t, "SplitColsP/a", sa, a)
-			requireIdentical(t, "SplitColsP/b", sb, b)
-
 			acc := randMat(rng.New(43), rows, 13)
 			accP := acc.Clone()
 			AddScaled(acc, a, 0.37)

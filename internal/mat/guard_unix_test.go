@@ -90,6 +90,32 @@ func testKernelsStayInsideTheirSlices(t *testing.T) {
 	}
 }
 
+// TestAdamStaysInsideItsSlices: the Adam update with its weights,
+// gradient and both moments each ending on the last bytes of an
+// allocation, at lengths covering the four-wide body and every scalar
+// tail, through Adam and the level's own routine, at every level.
+func TestAdamStaysInsideItsSlices(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		kern := levelKernels()
+		c := &AdamCoef{0.9, 0.1, 0.999, 0.001, 0.1, 0.001, 0.01, 1e-8}
+		for n := 1; n <= 70; n++ {
+			w, g, m, v := guardedFloats(t, n), guardedFloats(t, n), guardedFloats(t, n), guardedFloats(t, n)
+			want := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+			for i := range w {
+				w[i], g[i], m[i], v[i] = 1, float64(i%5)-2, 0, 0
+				want[0][i] = 1
+			}
+			adamGo(want[0], g, want[1], want[2], c)
+			adamGo(want[0], g, want[1], want[2], c)
+			Adam(w, g, m, v, c)
+			kern.adam(w, g, m, v, c)
+			for j, got := range [][]float64{w, m, v} {
+				requireSameBits(t, fmt.Sprintf("n=%d part %d", n, j), got, want[j])
+			}
+		}
+	})
+}
+
 // TestPQQueryStaysInsideItsCodebook: a span-2 table whose last centroid
 // pair ends on the last bytes of a mapping, as a mapped artifact's
 // codebook may, with K a whole number of the kernel's passes and with

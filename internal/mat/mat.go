@@ -106,20 +106,20 @@ func New(r, c int) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// Reuse returns an r x c matrix backed by buf's storage when its
-// capacity suffices, allocating a fresh matrix otherwise. Contents
-// are unspecified — callers must fully overwrite (or Zero) the
+// Reuse reshapes *buf to r x c over its own storage when its capacity
+// suffices, and sets *buf to a fresh matrix otherwise; it returns *buf.
+// Contents are unspecified — callers must fully overwrite (or Zero) the
 // result. It exists so per-step scratch matrices in the training hot
 // path keep their backing arrays across iterations instead of paying
 // a New (allocation + GC) per kernel call.
-func Reuse(buf *Dense, r, c int) *Dense {
+func Reuse(buf **Dense, r, c int) *Dense {
 	n := r * c
-	if buf == nil || cap(buf.Data) < n {
-		return New(r, c)
+	if *buf == nil || cap((*buf).Data) < n {
+		*buf = New(r, c)
 	}
-	buf.Rows, buf.Cols = r, c
-	buf.Data = buf.Data[:n]
-	return buf
+	m := *buf
+	m.Rows, m.Cols, m.Data = r, c, m.Data[:n]
+	return m
 }
 
 // FromData wraps the given backing slice (not copied) as an r x c
@@ -272,7 +272,11 @@ func mulRange(dst, a, b *Dense, lo, hi int) {
 }
 
 // MulAT computes dst = aᵀ * b (dst is a.Cols x b.Cols). Needed by the
-// backward pass: dW = Hᵀ · dY.
+// backward pass: dW = Hᵀ · dY, written straight into the gradient.
+// Every element of dst is a sum started from +0, whatever dst held,
+// and such a sum is never -0 (+0 + -0 is +0, and so is x + -x): so
+// MulAT never returns -0, and writing its result into a gradient gives
+// the bits of adding it to a cleared one.
 //
 // The row range of a is decomposed into a fixed number of shards that
 // depends only on a.Rows — never on workers — each shard accumulates a
@@ -528,64 +532,6 @@ func AddScaledP(dst, src *Dense, alpha float64, workers int) {
 	}
 	perf.ParallelMin(len(dst.Data), elemGrain, workers, func(_, lo, hi int) {
 		Axpy(dst.Data[lo:hi], src.Data[lo:hi], alpha)
-	})
-}
-
-// ConcatCols writes [a | b] into dst (dst is a.Rows x (a.Cols+b.Cols)).
-// This implements the neighbor-self concatenation of Algorithm 1 line 9.
-func ConcatCols(dst, a, b *Dense) {
-	if a.Rows != b.Rows || dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
-		panic("mat: ConcatCols shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		drow := dst.Row(i)
-		copy(drow[:a.Cols], a.Row(i))
-		copy(drow[a.Cols:], b.Row(i))
-	}
-}
-
-// ConcatColsP is ConcatCols sharded by contiguous row blocks; each
-// output row is owned by exactly one worker, so the result matches
-// ConcatCols bit-for-bit at every worker count.
-func ConcatColsP(dst, a, b *Dense, workers int) {
-	if a.Rows != b.Rows || dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
-		panic("mat: ConcatColsP shape mismatch")
-	}
-	perf.ParallelMin(a.Rows, copyRowGrain, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dst.Row(i)
-			copy(drow[:a.Cols], a.Row(i))
-			copy(drow[a.Cols:], b.Row(i))
-		}
-	})
-}
-
-// SplitCols is the inverse of ConcatCols: it copies the first a.Cols
-// columns of src into a and the rest into b (used to route gradients
-// back through the concatenation).
-func SplitCols(a, b, src *Dense) {
-	if a.Rows != src.Rows || b.Rows != src.Rows || src.Cols != a.Cols+b.Cols {
-		panic("mat: SplitCols shape mismatch")
-	}
-	for i := 0; i < src.Rows; i++ {
-		srow := src.Row(i)
-		copy(a.Row(i), srow[:a.Cols])
-		copy(b.Row(i), srow[a.Cols:])
-	}
-}
-
-// SplitColsP is SplitCols sharded by contiguous row blocks
-// (row-owned, bit-identical to SplitCols at every worker count).
-func SplitColsP(a, b, src *Dense, workers int) {
-	if a.Rows != src.Rows || b.Rows != src.Rows || src.Cols != a.Cols+b.Cols {
-		panic("mat: SplitColsP shape mismatch")
-	}
-	perf.ParallelMin(src.Rows, copyRowGrain, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			srow := src.Row(i)
-			copy(a.Row(i), srow[:a.Cols])
-			copy(b.Row(i), srow[a.Cols:])
-		}
 	})
 }
 

@@ -177,22 +177,6 @@ func TestApply(t *testing.T) {
 	}
 }
 
-func TestConcatSplitRoundTrip(t *testing.T) {
-	r := rng.New(6)
-	a := randomMat(r, 5, 3)
-	b := randomMat(r, 5, 4)
-	cat := New(5, 7)
-	ConcatCols(cat, a, b)
-	a2, b2 := New(5, 3), New(5, 4)
-	SplitCols(a2, b2, cat)
-	if !a2.Equal(a, 0) || !b2.Equal(b, 0) {
-		t.Error("ConcatCols/SplitCols round trip failed")
-	}
-	if cat.At(2, 0) != a.At(2, 0) || cat.At(2, 3) != b.At(2, 0) {
-		t.Error("ConcatCols misplaced columns")
-	}
-}
-
 func TestGatherRows(t *testing.T) {
 	a := FromData(4, 2, []float64{0, 1, 10, 11, 20, 21, 30, 31})
 	dst := New(3, 2)
@@ -467,13 +451,14 @@ func TestMulBTRangeMatchesMulBT(t *testing.T) {
 }
 
 func TestReuse(t *testing.T) {
-	m := Reuse(nil, 3, 4)
-	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
-		t.Fatalf("Reuse(nil) shape = %dx%d len %d", m.Rows, m.Cols, len(m.Data))
+	var buf *Dense
+	m := Reuse(&buf, 3, 4)
+	if buf != m || m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
+		t.Fatalf("Reuse(nil) shape = %dx%d len %d, stored %t", m.Rows, m.Cols, len(m.Data), buf == m)
 	}
 	base := &m.Data[0]
 	// Shrinking reuses the backing array.
-	s := Reuse(m, 2, 3)
+	s := Reuse(&buf, 2, 3)
 	if s != m || &s.Data[0] != base {
 		t.Error("shrinking Reuse reallocated")
 	}
@@ -481,14 +466,15 @@ func TestReuse(t *testing.T) {
 		t.Errorf("shrunk shape = %dx%d len %d", s.Rows, s.Cols, len(s.Data))
 	}
 	// Growing within capacity reuses too.
-	g := Reuse(s, 4, 3)
+	g := Reuse(&buf, 4, 3)
 	if g != s || &g.Data[0] != base {
 		t.Error("growth within capacity reallocated")
 	}
-	// Growing beyond capacity allocates fresh storage of the right shape.
-	big := Reuse(g, 10, 10)
-	if big == g {
-		t.Error("growth beyond capacity did not reallocate")
+	// Growing beyond capacity allocates fresh storage of the right
+	// shape, and stores it.
+	big := Reuse(&buf, 10, 10)
+	if big == g || buf != big {
+		t.Error("growth beyond capacity did not reallocate and store")
 	}
 	if big.Rows != 10 || big.Cols != 10 || len(big.Data) != 100 {
 		t.Errorf("big shape = %dx%d len %d", big.Rows, big.Cols, len(big.Data))

@@ -3,8 +3,8 @@ package mat
 import "math"
 
 // Vector primitives under every GEMM form, the propagation loops, the
-// rectifier and the top-K scans. They run at one of three levels that
-// return the same bits: the portable Go loops (the only path off amd64,
+// rectifier, the optimizer and the top-K scans. They run at one of
+// three levels that return the same bits: the portable Go loops (the only path off amd64,
 // and the reference the differential tests compare against), AVX2
 // routines in simd_amd64.s, and on CPUs with AVX-512 the AVX2 routines
 // but for two AVX-512 kernels — the list walk under axpyRows and
@@ -136,6 +136,50 @@ func ReluGate(dst, z, grad []float64) {
 		return
 	}
 	reluGateGo(dst, z, grad)
+}
+
+// AdamCoef holds the scalars of one Adam update: the decay rates β1
+// and β2 with their complements, the step's bias corrections
+// c1 = 1−β1ᵗ and c2 = 1−β2ᵗ, the learning rate and ε. The assembly
+// reads the fields in this order.
+type AdamCoef struct {
+	Beta1, OneMinusBeta1, Beta2, OneMinusBeta2 float64
+	C1, C2, LR, Eps                            float64
+}
+
+// Adam applies one Adam update (Kingma & Ba) to the weights w over
+// len(w) elements, from their gradient g, with their first and second
+// moments m and v:
+//
+//	m = β1·m + (1−β1)·g
+//	v = β2·v + ((1−β2)·g)·g
+//	w = w − (lr·(m/c1)) / (√(v/c2) + ε)
+//
+// every operation rounded on its own, in that order: adamGo is the
+// statement of it. The AVX2 routine does the same operations four
+// elements at a time — VMULPD, VADDPD, VSUBPD, VDIVPD, VSQRTPD, never a
+// fused multiply-add — and so gives the same bits, because IEEE 754
+// rounds a quotient and a square root correctly, as it does a product
+// and a sum. It panics if g, m or v is shorter than w.
+func Adam(w, g, m, v []float64, c *AdamCoef) {
+	n := len(w)
+	g, m, v = g[:n:len(g)], m[:n:len(m)], v[:n:len(v)]
+	if useAVX2 && n >= simdMinLen {
+		adamAVX2(w, g, m, v, c)
+		return
+	}
+	adamGo(w, g, m, v, c)
+}
+
+// adamGo is the portable Adam.
+func adamGo(w, g, m, v []float64, c *AdamCoef) {
+	for i, gi := range g[:len(w)] {
+		m[i] = c.Beta1*m[i] + c.OneMinusBeta1*gi
+		v[i] = c.Beta2*v[i] + c.OneMinusBeta2*gi*gi
+		mhat := m[i] / c.C1
+		vhat := v[i] / c.C2
+		w[i] -= c.LR * mhat / (math.Sqrt(vhat) + c.Eps)
+	}
 }
 
 // Dot returns the inner product of x and the first len(x) elements of

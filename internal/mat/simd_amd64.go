@@ -168,3 +168,10 @@ func reluAVX2(dst, src []float64)
 //
 //go:noescape
 func reluGateAVX2(dst, z, grad []float64)
+
+// adamAVX2 is Adam over len(w) elements, four at a time with a scalar
+// tail, in adamGo's operations and order. len(g), len(m) and len(v)
+// must be at least len(w).
+//
+//go:noescape
+func adamAVX2(w, g, m, v []float64, c *AdamCoef)

@@ -4,7 +4,8 @@
 // CPUID (simd_amd64.go). Arithmetic is VMULPD followed by VADDPD (and
 // the scalar VMULSD/VADDSD in tails) — never a fused multiply-add — so
 // every element is rounded exactly as in the portable Go loops of
-// simd.go, at either width. A wider register changes which elements
+// simd.go, at either width; adamAVX2 adds VSUBPD, VDIVPD and VSQRTPD,
+// which IEEE 754 rounds correctly as the Go loop's operations are. A wider register changes which elements
 // share an instruction, never the operations an element sees or their
 // order: the ZMM list walk gives each element of dst its own lane as
 // the YMM one does, and dot16AVX512 keeps dotGo's four accumulator
@@ -1183,5 +1184,92 @@ dot16Store:
 	JNZ     dot16Row
 
 dot16Done:
+	VZEROUPPER
+	RET
+
+// func adamAVX2(w, g, m, v []float64, c *AdamCoef)
+//
+// Y8..Y15 hold the eight coefficients in AdamCoef's field order. Per
+// element, in adamGo's order: m = β1·m + (1−β1)·g, v = β2·v +
+// ((1−β2)·g)·g, then w = w − (lr·(m/c1)) / (√(v/c2) + ε). Which NaN
+// a NaN meeting a NaN returns depends on operand order, which Go does
+// not fix; the differential test compares NaNs by class.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	MOVQ         c+96(FP), AX
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y15
+
+adam4:
+	CMPQ    CX, $4
+	JLT     adam1
+	VMOVUPD (SI), Y0
+	VMULPD  (R8), Y8, Y1
+	VMULPD  Y0, Y9, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (R8)
+	VMULPD  (R9), Y10, Y3
+	VMULPD  Y0, Y11, Y4
+	VMULPD  Y0, Y4, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (R9)
+	VDIVPD  Y12, Y1, Y1
+	VDIVPD  Y13, Y3, Y3
+	VSQRTPD Y3, Y3
+	VADDPD  Y15, Y3, Y3
+	VMULPD  Y1, Y14, Y1
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     adam4
+
+adam1:
+	TESTQ   CX, CX
+	JZ      adamDone
+	VMOVSD  (SI), X0
+	VMOVSD  (R8), X1
+	VMULSD  X1, X8, X1
+	VMULSD  X0, X9, X2
+	VADDSD  X2, X1, X1
+	VMOVSD  X1, (R8)
+	VMOVSD  (R9), X3
+	VMULSD  X3, X10, X3
+	VMULSD  X0, X11, X4
+	VMULSD  X0, X4, X4
+	VADDSD  X4, X3, X3
+	VMOVSD  X3, (R9)
+	VDIVSD  X12, X1, X1
+	VDIVSD  X13, X3, X3
+	VSQRTSD X3, X3, X3
+	VADDSD  X15, X3, X3
+	VMULSD  X1, X14, X1
+	VDIVSD  X3, X1, X1
+	VMOVSD  (DI), X5
+	VSUBSD  X1, X5, X5
+	VMOVSD  X5, (DI)
+	ADDQ    $8, SI
+	ADDQ    $8, R8
+	ADDQ    $8, R9
+	ADDQ    $8, DI
+	DECQ    CX
+	JMP     adam1
+
+adamDone:
 	VZEROUPPER
 	RET

@@ -47,3 +47,5 @@ func scaleAVX2(dst []float64, alpha float64) { panic("mat: no AVX2 kernels on th
 func reluAVX2(dst, src []float64) { panic("mat: no AVX2 kernels on this architecture") }
 
 func reluGateAVX2(dst, z, grad []float64) { panic("mat: no AVX2 kernels on this architecture") }
+
+func adamAVX2(w, g, m, v []float64, c *AdamCoef) { panic("mat: no AVX2 kernels on this architecture") }

@@ -154,6 +154,7 @@ type kernelSet struct {
 	axpyRows4x8 func(dst, src, alpha []float64, rs, count int)
 	accumAT8    func(acc, a, b []float64, k, count int)
 	gatherRows  func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
+	adam        func(w, g, m, v []float64, c *AdamCoef)
 }
 
 // levelKernels returns the routines of the level the package is at.
@@ -168,6 +169,7 @@ func levelKernels() kernelSet {
 			},
 			relu: reluGo, reluGate: reluGateGo, axpyRows: axpyRowsGo,
 			axpyRows4x8: axpyRows4x8Go, accumAT8: accumAT8Go, gatherRows: gatherRowsGo,
+			adam: adamGo,
 		}
 	}
 	zmm := useAVX512
@@ -182,6 +184,7 @@ func levelKernels() kernelSet {
 		gatherRows: func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool) {
 			gatherRowsSIMD(dst, src, offs, alpha, scale, fresh, zmm)
 		},
+		adam: adamAVX2,
 	}
 }
 
@@ -491,6 +494,112 @@ func testAccumAT8MatchesPortable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// adamValues are the special operands of the Adam differential test:
+// signed zeros (g = 0 among them), infinities, NaN, subnormals and
+// magnitudes whose squares, quotients and square roots overflow or
+// underflow — a huge second moment among them.
+var adamValues = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -0x1p-1030, 0x1p-1022, 1e-300, 1e160, 1e300, math.MaxFloat64}
+
+// TestAdamAVX2MatchesPortable: the Adam kernel, and Adam with its
+// cut-over to the Go loop, against adamGo at every length from 0 to 37
+// — the four-wide body with each tail length, ten times over — on
+// weights, gradients and moments drawn half from adamValues and half
+// normal, under the first step's bias corrections and the
+// thousandth's, a learning rate that overflows and an ε of 0, at every
+// kernel level.
+func TestAdamAVX2MatchesPortable(t *testing.T) { atEveryLevel(t, testAdamMatchesPortable) }
+
+func testAdamMatchesPortable(t *testing.T) {
+	kern := levelKernels()
+	coef := func(step, lr, eps float64) AdamCoef {
+		return AdamCoef{0.9, 1 - 0.9, 0.999, 1 - 0.999,
+			1 - math.Pow(0.9, step), 1 - math.Pow(0.999, step), lr, eps}
+	}
+	coefs := []AdamCoef{coef(1, 0.01, 1e-8), coef(1000, 0.01, 1e-8), coef(3, 1e300, 1e-8), coef(2, 0.5, 0)}
+	r := rng.New(181)
+	draw := func(n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			if r.Intn(2) == 0 {
+				x[i] = adamValues[r.Intn(len(adamValues))]
+			} else {
+				x[i] = r.NormFloat64()
+			}
+		}
+		return x
+	}
+	for ci := range coefs {
+		c := &coefs[ci]
+		for n := 0; n <= 37; n++ {
+			for trial := 0; trial < 8; trial++ {
+				w, g, m, v := draw(n), draw(n), draw(n), draw(n)
+				want := [3][]float64{slices.Clone(w), slices.Clone(m), slices.Clone(v)}
+				adamGo(want[0], g, want[1], want[2], c)
+				for name, run := range map[string]func(w, g, m, v []float64, c *AdamCoef){"kernel": kern.adam, "Adam": Adam} {
+					got := [3][]float64{slices.Clone(w), slices.Clone(m), slices.Clone(v)}
+					run(got[0], g, got[1], got[2], c)
+					for j, part := range []string{"w", "m", "v"} {
+						requireSameBits(t, fmt.Sprintf("%s coef %d n=%d trial %d: %s", name, ci, n, trial, part), got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMulATNeverReturnsNegativeZero: every element of aᵀ·b is a sum
+// started from +0, and such a sum is never -0 (+0 + -0 is +0, and so
+// is x + -x), so MulAT never returns -0 — which is what lets a
+// backward pass write a weight gradient straight into Param.Grad with
+// the bits of adding it to a cleared one: 0 + x has x's bits for every
+// x but -0. The operands are every value class, one of small integers
+// whose sums cancel exactly, with half of a zeros of either sign;
+// widths 8 (accumAT8) and 5 and 24 (axpyRows); row counts that make one
+// shard and several; workers 1 and 2; at every kernel level.
+func TestMulATNeverReturnsNegativeZero(t *testing.T) {
+	classes := append(valueClasses[:len(valueClasses):len(valueClasses)], struct {
+		name string
+		gen  func(r *rng.RNG) float64
+	}{"cancelling", func(r *rng.RNG) float64 { return float64(r.Intn(5) - 2) }})
+	atEveryLevel(t, func(t *testing.T) {
+		sharded := false
+		for _, vc := range classes {
+			r := rng.New(191)
+			for _, m := range []int{1, 7, 130, 700} {
+				for _, k := range []int{3, 16} {
+					for _, n := range []int{5, 8, 24} {
+						sharded = sharded || mulATShards(m, k, n) > 1
+						a, b := New(m, k), New(m, n)
+						for i := range a.Data {
+							a.Data[i] = vc.gen(r)
+							if r.Intn(2) == 0 {
+								a.Data[i] = math.Copysign(0, float64(1-2*r.Intn(2)))
+							}
+						}
+						for i := range b.Data {
+							b.Data[i] = vc.gen(r)
+						}
+						for _, workers := range []int{1, 2} {
+							got := New(k, n)
+							got.Fill(math.Copysign(0, -1))
+							MulAT(got, a, b, workers)
+							for i, x := range got.Data {
+								if math.Float64bits(x) == 1<<63 {
+									t.Fatalf("%s %dx%dx%d workers=%d: element %d is -0", vc.name, m, k, n, workers, i)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if !sharded {
+			t.Fatal("no shape took MulAT's sharded path")
+		}
+	})
 }
 
 // zeroFills shape the zeros of a GEMM's left operand: none beyond what
@@ -861,6 +970,10 @@ func TestPrimitiveLengthContract(t *testing.T) {
 		mustPanic(t, fmt.Sprintf("Relu n=%d", n), func() { Relu(long, short) })
 		mustPanic(t, fmt.Sprintf("ReluGate short z n=%d", n), func() { ReluGate(long, short, long) })
 		mustPanic(t, fmt.Sprintf("ReluGate short grad n=%d", n), func() { ReluGate(long, long, short) })
+		c := &AdamCoef{0.9, 0.1, 0.999, 0.001, 0.1, 0.001, 0.01, 1e-8}
+		mustPanic(t, fmt.Sprintf("Adam short g n=%d", n), func() { Adam(long, short, long, long, c) })
+		mustPanic(t, fmt.Sprintf("Adam short m n=%d", n), func() { Adam(long, long, short, long, c) })
+		mustPanic(t, fmt.Sprintf("Adam short v n=%d", n), func() { Adam(long, long, long, short, c) })
 		three := []float64{1, 1, 1}
 		mustPanic(t, fmt.Sprintf("axpyRows short rows n=%d", n), func() {
 			axpyRows(long, make([]float64, 3*n-1, 3*n+8), n, three, 1, 3)
@@ -962,6 +1075,7 @@ func TestPrimitivesOnEmptySlices(t *testing.T) {
 	}
 	Relu(nil, empty)
 	ReluGate(empty, nil, nil)
+	Adam(nil, empty, nil, empty, &AdamCoef{})
 	axpyRows(nil, nil, 0, []float64{1}, 1, 1) // no columns
 	axpyRows(out1, nil, 1, nil, 1, 0)         // no terms
 	requireSameBits(t, "axpyRows with no terms", out1, []float64{9})

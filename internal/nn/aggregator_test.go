@@ -84,8 +84,6 @@ func TestGCNLayerGradientAllAggregators(t *testing.T) {
 		coeff := randMat(r, n, 2*out)
 		eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
 		eval()
-		l.WSelf.ZeroGrad()
-		l.WNeigh.ZeroGrad()
 		dh := l.Backward(ctx, coeff)
 		num := numericalGrad(h, eval)
 		if d := dh.MaxAbsDiff(num); d > 1e-5 {
@@ -139,14 +137,15 @@ func TestDropoutOnlyInTraining(t *testing.T) {
 	// Inference context: DropRate set but Train false -> deterministic.
 	ctx.DropRate = 0.5
 	ctx.Rng = rng.New(1)
-	a := l.Forward(ctx, h)
+	// Forward returns the layer's own buffer: clone what is compared.
+	a := l.Forward(ctx, h).Clone()
 	b := l.Forward(ctx, h)
 	if a.MaxAbsDiff(b) != 0 {
 		t.Fatal("inference with Train=false is non-deterministic")
 	}
 	// Training context: outputs vary between calls.
 	ctx.Train = true
-	c := l.Forward(ctx, h)
+	c := l.Forward(ctx, h).Clone()
 	d := l.Forward(ctx, h)
 	if c.MaxAbsDiff(d) == 0 {
 		t.Fatal("dropout produced identical outputs on consecutive calls")

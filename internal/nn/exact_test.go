@@ -1,12 +1,13 @@
 package nn
 
-// Bit-exactness suite for the parallel nn kernels (ISSUE 1): forward
+// Bit-exactness suite for the parallel nn kernels: forward
 // aggregation, full layer forward/backward and the dense head must
 // produce element-identical outputs and gradients at every Workers
 // (and feature-partition Q) setting. Run with -race to exercise the
 // sharded paths under the race detector.
 
 import (
+	"math"
 	"testing"
 
 	"gsgcn/internal/mat"
@@ -112,5 +113,62 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			t.Fatalf("gradient %d is zero: the comparison would be vacuous", i)
 		}
 		requireSame(t, "BackwardParams gradient", got[i], want[i])
+	}
+}
+
+// TestCombineIsReluOfTheConcatenation holds the fused pass to the two
+// it replaced: Combine's output to mat.Relu over [zSelf | zNeigh], and
+// CombineGrad's halves, gated by that output, to the halves of
+// mat.ReluGate gated by the concatenation itself — bit for bit, on
+// NaNs, infinities, zeros of either sign and subnormals in both z and
+// dOut, with Activate on and off, at 1 and 3 workers over enough rows
+// for several chunks.
+func TestCombineIsReluOfTheConcatenation(t *testing.T) {
+	const n, f = 1500, 3
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	r := rng.New(13)
+	draw := func(rows, cols int) *mat.Dense {
+		m := randMat(r, rows, cols)
+		for i := range m.Data {
+			if r.Intn(3) == 0 {
+				m.Data[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		return m
+	}
+	zSelf, zNeigh, dOut := draw(n, f), draw(n, f), draw(n, 2*f)
+	z := mat.New(n, 2*f)
+	for i := 0; i < n; i++ {
+		copy(z.Row(i)[:f], zSelf.Row(i))
+		copy(z.Row(i)[f:], zNeigh.Row(i))
+	}
+	for _, activate := range []bool{true, false} {
+		wantOut, wantDZ := z.Clone(), dOut.Clone()
+		if activate {
+			mat.Relu(wantOut.Data, z.Data)
+			mat.ReluGate(wantDZ.Data, z.Data, dOut.Data)
+		}
+		l := &GCNLayer{OutDim: f, Activate: activate}
+		for _, workers := range []int{1, 3} {
+			out, dSelf, dNeigh := mat.New(n, 2*f), mat.New(n, f), mat.New(n, f)
+			l.Combine(out, zSelf, zNeigh, workers)
+			l.CombineGrad(dSelf, dNeigh, out, dOut, workers)
+			gotDZ := mat.New(n, 2*f)
+			for i := 0; i < n; i++ {
+				copy(gotDZ.Row(i)[:f], dSelf.Row(i))
+				copy(gotDZ.Row(i)[f:], dNeigh.Row(i))
+			}
+			for _, c := range []struct {
+				name      string
+				got, want *mat.Dense
+			}{{"output", out, wantOut}, {"gradient", gotDZ, wantDZ}} {
+				for i, v := range c.want.Data {
+					if math.Float64bits(c.got.Data[i]) != math.Float64bits(v) && !(math.IsNaN(v) && math.IsNaN(c.got.Data[i])) {
+						t.Fatalf("activate=%t workers=%d: %s element %d = %v, want %v", activate, workers, c.name, i, c.got.Data[i], v)
+					}
+				}
+			}
+		}
 	}
 }

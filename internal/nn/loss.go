@@ -30,12 +30,11 @@ func (SigmoidBCE) Name() string { return "sigmoid-bce" }
 // gradient's sigmoid from the same exp(-|z|).
 func (SigmoidBCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense) float64 {
 	checkLossShapes(logits, labels, dLogits)
+	dLogits.Zero()
 	rows := maskOrAll(mask, logits.Rows)
 	if len(rows) == 0 {
-		dLogits.Zero()
 		return 0
 	}
-	dLogits.Zero()
 	total := 0.0
 	inv := 1 / float64(len(rows))
 	c := logits.Cols
@@ -64,12 +63,11 @@ func (SoftmaxCE) Name() string { return "softmax-ce" }
 // own dLogits slots, so a masked call allocates nothing.
 func (SoftmaxCE) Eval(logits, labels *mat.Dense, mask []int, dLogits *mat.Dense) float64 {
 	checkLossShapes(logits, labels, dLogits)
+	dLogits.Zero()
 	rows := maskOrAll(mask, logits.Rows)
 	if len(rows) == 0 {
-		dLogits.Zero()
 		return 0
 	}
-	dLogits.Zero()
 	total := 0.0
 	inv := 1 / float64(len(rows))
 	c := logits.Cols

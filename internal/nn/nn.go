@@ -8,6 +8,12 @@
 // gradients in the tests. The feature-aggregation step is routed
 // through the partition package so that training exercises the
 // paper's cache-aware feature-dimension partitioning (Section V).
+//
+// Layers own what they return: the matrix a layer's Forward or
+// Backward returns is that layer's buffer, overwritten by its next
+// call, so a step allocates no activation or gradient; a caller that
+// keeps one longer copies it. A backward pass sets its parameters'
+// gradients (Param.Grad) rather than adding to them.
 package nn
 
 import (
@@ -48,7 +54,8 @@ func (c *Ctx) time(name string, fn func()) {
 	fn()
 }
 
-// Param is one trainable tensor with its gradient and Adam state.
+// Param is one trainable tensor with its gradient and Adam state. The
+// backward pass of the layer that holds it sets Grad whole.
 type Param struct {
 	Name string
 	W    *mat.Dense
@@ -69,9 +76,6 @@ func (p *Param) GlorotInit(r *rng.RNG) {
 	}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
 // Adam is the Adam optimizer (Kingma & Ba), the weight-update rule of
 // Algorithm 1 line 13.
 type Adam struct {
@@ -79,31 +83,41 @@ type Adam struct {
 	Beta1   float64
 	Beta2   float64
 	Epsilon float64
+	// Workers is the goroutine budget of Step (<= 1: serial). Every
+	// element's update is its own, so it never changes a bit.
+	Workers int
 	t       int
 }
+
+// adamGrain is the fewest elements of a parameter worth a worker of
+// their own in Step: each is a few divisions and a square root.
+const adamGrain = 4096
 
 // NewAdam returns an Adam optimizer with the usual defaults.
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step applies one Adam update to every parameter from its Grad.
+// Step applies one Adam update to every parameter from its Grad:
+// mat.Adam over element ranges split across Workers.
 func (a *Adam) Step(params []*Param) {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := mat.AdamCoef{
+		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		C1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		C2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR: a.LR, Eps: a.Epsilon,
+	}
 	for _, p := range params {
 		if p.m == nil {
 			p.m = mat.New(p.W.Rows, p.W.Cols)
 			p.v = mat.New(p.W.Rows, p.W.Cols)
 		}
-		for i, g := range p.Grad.Data {
-			p.m.Data[i] = a.Beta1*p.m.Data[i] + (1-a.Beta1)*g
-			p.v.Data[i] = a.Beta2*p.v.Data[i] + (1-a.Beta2)*g*g
-			mhat := p.m.Data[i] / c1
-			vhat := p.v.Data[i] / c2
-			p.W.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Epsilon)
-		}
+		w, g, m, v := p.W.Data, p.Grad.Data, p.m.Data, p.v.Data
+		perf.ParallelMin(len(w), adamGrain, a.Workers, func(_, lo, hi int) {
+			mat.Adam(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], &c)
+		})
 	}
 }
 
@@ -113,8 +127,8 @@ func (a *Adam) Steps() int { return a.t }
 // GCNLayer implements one graph-convolution layer:
 //
 //	H_neigh = MeanAgg(H)                 (feature propagation)
-//	Z       = [ H·W_self | H_neigh·W_neigh ]   (weight application + concat)
-//	out     = ReLU(Z)                     (optional activation)
+//	Z_self, Z_neigh = H·W_self, H_neigh·W_neigh   (weight application)
+//	out     = [ ReLU(Z_self) | ReLU(Z_neigh) ]    (concat + optional activation)
 //
 // Output width is 2*OutDim because of the concatenation.
 type GCNLayer struct {
@@ -127,25 +141,27 @@ type GCNLayer struct {
 	// the paper's choice).
 	Agg Aggregator
 
-	// Cached activations from the last Forward, consumed by Backward.
-	lastH, lastHNeigh, lastZ *mat.Dense
-	lastMask                 []float64
+	// Cached activations from the last Forward, consumed by Backward;
+	// lastOut is also the matrix Forward returns.
+	lastH, lastHNeigh, lastOut *mat.Dense
+	lastMask                   []float64
 
-	// Persistent scratch reused across steps so the hot path does not
-	// pay an allocation per kernel call (matrices returned to callers
-	// are still freshly allocated — only layer-internal intermediates
-	// recycle their backing arrays). Every kernel writing into these
-	// fully overwrites its destination, so reuse never changes the
-	// arithmetic and the determinism contract holds.
+	// Buffers reused across steps so the hot path allocates nothing:
+	// bufDH is the matrix Backward returns, the rest are the layer's
+	// own intermediates. A returned matrix, like lastOut, belongs to
+	// the layer and is valid until the layer's next Forward or
+	// Backward. Every kernel writing into these fully overwrites its
+	// destination, so reuse never changes the arithmetic and the
+	// determinism contract holds.
 	bufDrop, bufZSelf, bufZNeigh *mat.Dense
-	bufDZ, bufDZSelf, bufDZNeigh *mat.Dense
-	bufDW, bufDHNeigh, bufBack   *mat.Dense
+	bufDZSelf, bufDZNeigh, bufDH *mat.Dense
+	bufDHNeigh, bufBack          *mat.Dense
 	bufMask                      []float64
 }
 
 // reluGrain is the fewest elements of an activation matrix worth a
-// worker of their own in the rectifier and its gate; each element is
-// owned by one chunk, so the split never shows in a result.
+// worker of their own in the rectifier and its gate; each row is owned
+// by one chunk, so the split never shows in a result.
 const reluGrain = 4096
 
 // NewGCNLayer constructs a layer with Glorot-initialized weights.
@@ -168,7 +184,8 @@ func (l *GCNLayer) Params() []*Param { return []*Param{l.WSelf, l.WNeigh} }
 func (l *GCNLayer) OutWidth() int { return 2 * l.OutDim }
 
 // Forward runs the layer over ctx.G and returns the n x 2*OutDim
-// output, caching intermediates for Backward.
+// output, caching intermediates for Backward. The output is the
+// layer's, until its next call.
 func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 	n := h.Rows
 	if n != ctx.G.N {
@@ -179,58 +196,94 @@ func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 		if ctx.Rng == nil {
 			panic("nn: dropout requires Ctx.Rng")
 		}
-		l.bufDrop = mat.Reuse(l.bufDrop, n, h.Cols)
-		l.bufDrop.CopyFrom(h)
-		h = l.bufDrop
+		drop := mat.Reuse(&l.bufDrop, n, h.Cols)
+		drop.CopyFrom(h)
+		h = drop
 		l.lastMask = dropoutInPlace(h, ctx.DropRate, ctx.Rng, l.bufMask)
 		l.bufMask = l.lastMask
 	}
-	hNeigh := mat.Reuse(l.lastHNeigh, n, l.InDim)
-	ctx.time("featprop", func() {
-		aggregate(hNeigh, h, ctx.G, l.Agg, ctx.Q, ctx.Workers)
-	})
-	zSelf := mat.Reuse(l.bufZSelf, n, l.OutDim)
-	zNeigh := mat.Reuse(l.bufZNeigh, n, l.OutDim)
-	l.bufZSelf, l.bufZNeigh = zSelf, zNeigh
+	l.lastH = h
+	hNeigh := mat.Reuse(&l.lastHNeigh, n, l.InDim)
+	ctx.time("featprop", func() { aggregate(hNeigh, h, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
+	zSelf, zNeigh := mat.Reuse(&l.bufZSelf, n, l.OutDim), mat.Reuse(&l.bufZNeigh, n, l.OutDim)
 	ctx.time("weight", func() {
 		mat.Mul(zSelf, h, l.WSelf.W, ctx.Workers)
 		mat.Mul(zNeigh, hNeigh, l.WNeigh.W, ctx.Workers)
 	})
-	z := mat.Reuse(l.lastZ, n, 2*l.OutDim)
-	mat.ConcatColsP(z, zSelf, zNeigh, ctx.Workers)
-	l.lastH, l.lastHNeigh, l.lastZ = h, hNeigh, z
-	if !l.Activate {
-		return z.Clone()
-	}
-	out := mat.New(n, 2*l.OutDim)
-	perf.ParallelMin(len(z.Data), reluGrain, ctx.Workers, func(_, lo, hi int) {
-		mat.Relu(out.Data[lo:hi], z.Data[lo:hi])
-	})
+	out := mat.Reuse(&l.lastOut, n, 2*l.OutDim)
+	l.Combine(out, zSelf, zNeigh, ctx.Workers)
 	return out
 }
 
-// Backward consumes dOut (gradient w.r.t. the layer output),
-// accumulates parameter gradients, and returns the gradient w.r.t.
-// the layer input.
+// Combine writes the layer output out = [ReLU(zSelf) | ReLU(zNeigh)],
+// or [zSelf | zNeigh] with Activate off: the concatenation and the
+// activation in one row-owned pass. CombineGrad is its backward pass:
+// dOut's two column halves into dZSelf and dZNeigh, gated by Combine's
+// out. ReLU(z) > 0 exactly where z > 0 (mat.Relu's contract: a NaN, a
+// negative and a zero of either sign all become +0), so gating by the
+// output is gating by the pre-activation, to the bit.
+func (l *GCNLayer) Combine(out, zSelf, zNeigh *mat.Dense, workers int) {
+	l.eachRow(out, zSelf, zNeigh, workers, func(i, f int) {
+		row := out.Row(i)
+		if !l.Activate {
+			copy(row[:f], zSelf.Row(i))
+			copy(row[f:], zNeigh.Row(i))
+			return
+		}
+		mat.Relu(row[:f], zSelf.Row(i))
+		mat.Relu(row[f:], zNeigh.Row(i))
+	})
+}
+
+// CombineGrad is Combine's backward pass (see Combine). out and dOut
+// are n x 2*OutDim.
+func (l *GCNLayer) CombineGrad(dZSelf, dZNeigh, out, dOut *mat.Dense, workers int) {
+	if out.Rows != dOut.Rows || out.Cols != dOut.Cols {
+		panic("nn: CombineGrad shape mismatch")
+	}
+	l.eachRow(dOut, dZSelf, dZNeigh, workers, func(i, f int) {
+		o, d := out.Row(i), dOut.Row(i)
+		if !l.Activate {
+			copy(dZSelf.Row(i), d[:f])
+			copy(dZNeigh.Row(i), d[f:])
+			return
+		}
+		mat.ReluGate(dZSelf.Row(i), o[:f], d[:f])
+		mat.ReluGate(dZNeigh.Row(i), o[f:], d[f:])
+	})
+}
+
+// eachRow runs fn(i, OutDim) on every row of whole, n x 2*OutDim, in
+// row-owned chunks of about reluGrain elements, after checking that a
+// and b are n x OutDim.
+func (l *GCNLayer) eachRow(whole, a, b *mat.Dense, workers int, fn func(i, f int)) {
+	f := l.OutDim
+	if whole.Cols != 2*f || a.Cols != f || b.Cols != f || a.Rows != whole.Rows || b.Rows != whole.Rows {
+		panic("nn: Combine shape mismatch")
+	}
+	perf.ParallelMin(whole.Rows, max(1, reluGrain/(2*f)), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i, f)
+		}
+	})
+}
+
+// Backward consumes dOut (gradient w.r.t. the layer output), sets the
+// parameter gradients, and returns the gradient w.r.t. the layer
+// input, which is the layer's until its next call.
 func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 	l.BackwardParams(ctx, dOut)
 	dZSelf, dZNeigh := l.bufDZSelf, l.bufDZNeigh
 	n := dOut.Rows
 
-	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ). dH is
-	// returned to the caller, so it stays freshly allocated.
-	dH := mat.New(n, l.InDim)
-	dHNeigh := mat.Reuse(l.bufDHNeigh, n, l.InDim)
-	l.bufDHNeigh = dHNeigh
+	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ).
+	dH, dHNeigh := mat.Reuse(&l.bufDH, n, l.InDim), mat.Reuse(&l.bufDHNeigh, n, l.InDim)
 	ctx.time("weight", func() {
 		mat.MulBT(dH, dZSelf, l.WSelf.W, ctx.Workers)
 		mat.MulBT(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Workers)
 	})
-	back := mat.Reuse(l.bufBack, n, l.InDim)
-	l.bufBack = back
-	ctx.time("featprop", func() {
-		aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers)
-	})
+	back := mat.Reuse(&l.bufBack, n, l.InDim)
+	ctx.time("featprop", func() { aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
 	mat.AddScaledP(dH, back, 1, ctx.Workers)
 	if l.lastMask != nil {
 		for i, m := range l.lastMask {
@@ -240,38 +293,24 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 	return dH
 }
 
-// BackwardParams is the part of Backward that accumulates the
-// parameter gradients, without the gradient w.r.t. the layer input:
-// what the first layer of a stack needs, whose input is data. The
-// input gradient costs two GEMMs, a transpose aggregation and an
-// n x InDim allocation at the stack's widest feature dimension.
+// BackwardParams is the part of Backward that sets the parameter
+// gradients, without the gradient w.r.t. the layer input: what the
+// first layer of a stack needs, whose input is data. The input
+// gradient costs two GEMMs and a transpose aggregation at the stack's
+// widest feature dimension.
 func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
-	if l.lastZ == nil {
+	if l.lastOut == nil {
 		panic("nn: Backward called before Forward")
 	}
 	n := dOut.Rows
-	dZ := mat.Reuse(l.bufDZ, n, 2*l.OutDim)
-	l.bufDZ = dZ
-	if l.Activate {
-		perf.ParallelMin(len(l.lastZ.Data), reluGrain, ctx.Workers, func(_, lo, hi int) {
-			mat.ReluGate(dZ.Data[lo:hi], l.lastZ.Data[lo:hi], dOut.Data[lo:hi])
-		})
-	} else {
-		dZ.CopyFrom(dOut)
-	}
-	dZSelf := mat.Reuse(l.bufDZSelf, n, l.OutDim)
-	dZNeigh := mat.Reuse(l.bufDZNeigh, n, l.OutDim)
-	l.bufDZSelf, l.bufDZNeigh = dZSelf, dZNeigh
-	mat.SplitColsP(dZSelf, dZNeigh, dZ, ctx.Workers)
+	dZSelf, dZNeigh := mat.Reuse(&l.bufDZSelf, n, l.OutDim), mat.Reuse(&l.bufDZNeigh, n, l.OutDim)
+	l.CombineGrad(dZSelf, dZNeigh, l.lastOut, dOut, ctx.Workers)
 
 	ctx.time("weight", func() {
-		// dW_self += Hᵀ·dZ_self ; dW_neigh += H_neighᵀ·dZ_neigh.
-		dw := mat.Reuse(l.bufDW, l.InDim, l.OutDim)
-		l.bufDW = dw
-		mat.MulAT(dw, l.lastH, dZSelf, ctx.Workers)
-		mat.AddScaled(l.WSelf.Grad, dw, 1)
-		mat.MulAT(dw, l.lastHNeigh, dZNeigh, ctx.Workers)
-		mat.AddScaled(l.WNeigh.Grad, dw, 1)
+		// dW_self = Hᵀ·dZ_self ; dW_neigh = H_neighᵀ·dZ_neigh, each
+		// written straight into its gradient (see mat.MulAT on -0).
+		mat.MulAT(l.WSelf.Grad, l.lastH, dZSelf, ctx.Workers)
+		mat.MulAT(l.WNeigh.Grad, l.lastHNeigh, dZNeigh, ctx.Workers)
 	})
 }
 
@@ -306,7 +345,9 @@ type Dense struct {
 	InDim, OutDim int
 	W, B          *Param
 	lastH         *mat.Dense
-	bufDW         *mat.Dense // reused dW scratch (see GCNLayer buffers)
+	// The matrices Forward and Backward return, the head's until its
+	// next call (see GCNLayer's buffers).
+	bufOut, bufDH *mat.Dense
 }
 
 // NewDense constructs a Glorot-initialized dense layer.
@@ -323,39 +364,30 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 // Params returns the trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Forward returns logits = h·W + b.
+// Forward returns logits = h·W + b, the head's until its next call.
 func (d *Dense) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
-	out := mat.New(h.Rows, d.OutDim)
-	ctx.time("weight", func() {
-		mat.Mul(out, h, d.W.W, ctx.Workers)
-	})
+	out := mat.Reuse(&d.bufOut, h.Rows, d.OutDim)
+	ctx.time("weight", func() { mat.Mul(out, h, d.W.W, ctx.Workers) })
 	perf.ParallelMin(out.Rows, 64, ctx.Workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := out.Row(i)
-			for j := range row {
-				row[j] += d.B.W.Data[j]
-			}
+			mat.AddTo(out.Row(i), d.B.W.Data)
 		}
 	})
 	d.lastH = h
 	return out
 }
 
-// Backward accumulates dW, dB and returns dH.
+// Backward sets dW and dB and returns dH, the head's until its next
+// call.
 func (d *Dense) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
-	dH := mat.New(dOut.Rows, d.InDim)
+	dH := mat.Reuse(&d.bufDH, dOut.Rows, d.InDim)
 	ctx.time("weight", func() {
-		dw := mat.Reuse(d.bufDW, d.InDim, d.OutDim)
-		d.bufDW = dw
-		mat.MulAT(dw, d.lastH, dOut, ctx.Workers)
-		mat.AddScaled(d.W.Grad, dw, 1)
+		mat.MulAT(d.W.Grad, d.lastH, dOut, ctx.Workers)
 		mat.MulBT(dH, dOut, d.W.W, ctx.Workers)
 	})
+	d.B.Grad.Zero()
 	for i := 0; i < dOut.Rows; i++ {
-		row := dOut.Row(i)
-		for j := range row {
-			d.B.Grad.Data[j] += row[j]
-		}
+		mat.AddTo(d.B.Grad.Data, dOut.Row(i))
 	}
 	return dH
 }

@@ -111,8 +111,6 @@ func TestGCNLayerGradientNumeric(t *testing.T) {
 	eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
 
 	eval() // populate caches
-	l.WSelf.ZeroGrad()
-	l.WNeigh.ZeroGrad()
 	dh := l.Backward(ctx, coeff)
 
 	for _, tc := range []struct {
@@ -142,8 +140,6 @@ func TestGCNLayerGradientNumericWithReLU(t *testing.T) {
 	coeff := randMat(r, n, 2*out)
 	eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
 	eval()
-	l.WSelf.ZeroGrad()
-	l.WNeigh.ZeroGrad()
 	dh := l.Backward(ctx, coeff)
 	num := numericalGrad(h, eval)
 	if d := dh.MaxAbsDiff(num); d > 1e-5 {
@@ -160,8 +156,6 @@ func TestDenseGradientNumeric(t *testing.T) {
 	coeff := randMat(r, n, out)
 	eval := func() float64 { return objective(d.Forward(ctx, h), coeff) }
 	eval()
-	d.W.ZeroGrad()
-	d.B.ZeroGrad()
 	dh := d.Backward(ctx, coeff)
 	for _, tc := range []struct {
 		name     string
