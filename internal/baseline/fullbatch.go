@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"slices"
+
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
@@ -20,8 +22,10 @@ type FullBatch struct {
 	Model *core.Model
 	opt   *nn.Adam
 
-	trainRows []int
-	steps     int
+	// trainRows is the loss mask, in TrainIdx's order; sortedRows the
+	// same rows ascending, the rows the last layer and the head compute.
+	trainRows, sortedRows []int
+	steps                 int
 }
 
 // NewFullBatch builds the full-batch trainer; cfg's sampler fields
@@ -34,7 +38,9 @@ func NewFullBatch(ds *datasets.Dataset, cfg core.Config) *FullBatch {
 	}
 	opt := nn.NewAdam(m.Config().LR)
 	opt.Workers = m.Config().Workers
-	return &FullBatch{DS: ds, Model: m, opt: opt, trainRows: rows}
+	sorted := slices.Clone(rows)
+	slices.Sort(sorted)
+	return &FullBatch{DS: ds, Model: m, opt: opt, trainRows: rows, sortedRows: slices.Compact(sorted)}
 }
 
 // Steps returns the number of updates performed.
@@ -43,6 +49,7 @@ func (f *FullBatch) Steps() int { return f.steps }
 // Step performs one full-graph weight update and returns the loss.
 func (f *FullBatch) Step() float64 {
 	ctx := f.Model.CtxForGraph(f.DS.G, f.DS.FeatureDim(), nil)
+	ctx.Rows = f.sortedRows
 	logits := f.Model.Forward(ctx, f.DS.Features)
 	dLogits := mat.New(logits.Rows, logits.Cols)
 	loss := f.Model.Loss.Eval(logits, f.DS.Labels, f.trainRows, dLogits)

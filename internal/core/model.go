@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/graph"
@@ -241,9 +242,18 @@ func (m *Model) Infer(ds *datasets.Dataset) *mat.Dense {
 
 // Evaluate returns the micro-F1 over the vertices idx of full-graph
 // inference on ds: the one evaluation behind every trainer, the
-// baselines' included.
+// baselines' included. The last layer and the head run on the scored
+// vertices alone (nn.Ctx.Rows); a row's logits are its own arithmetic,
+// so they are Infer's bits.
 func (m *Model) Evaluate(ds *datasets.Dataset, idx []int32) float64 {
-	logits := m.Infer(ds)
+	ctx := m.CtxForGraph(ds.G, ds.FeatureDim(), nil)
+	ctx.Rows = make([]int, len(idx))
+	for i, v := range idx {
+		ctx.Rows[i] = int(v)
+	}
+	slices.Sort(ctx.Rows)
+	ctx.Rows = slices.Compact(ctx.Rows)
+	logits := m.Forward(ctx, ds.Features)
 	var pred *mat.Dense
 	if ds.MultiLabel {
 		pred = nn.PredictMulti(logits)
@@ -258,12 +268,20 @@ func (m *Model) Evaluate(ds *datasets.Dataset, idx []int32) float64 {
 }
 
 // Forward runs the full model on graph g with input features h and
-// returns the logits, which are the head's until its next call.
+// returns the logits, which are the head's until its next call. The
+// rows ctx lists go to the last layer and the head alone: every layer
+// below feeds the last one's propagation, which reads all its rows.
 func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
+	rows := ctx.Rows
+	ctx.Rows = nil
 	x := h
-	for _, l := range m.Layers {
+	for i, l := range m.Layers {
+		if i == len(m.Layers)-1 {
+			ctx.Rows = rows
+		}
 		x = l.Forward(ctx, x)
 	}
+	ctx.Rows = rows
 	return m.Head.Forward(ctx, x)
 }
 
@@ -333,15 +351,20 @@ func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur, next *mat.Dense, work
 
 // Backward propagates dLogits through head and layers, setting every
 // parameter gradient. The first layer's input is the feature matrix,
-// so nothing reads a gradient w.r.t. it and none is computed.
+// so nothing reads a gradient w.r.t. it and none is computed. As in
+// Forward, the rows ctx lists go to the head and the last layer alone;
+// dLogits must be +0 in the others, as a masked loss leaves it.
 func (m *Model) Backward(ctx *nn.Ctx, dLogits *mat.Dense) {
+	rows := ctx.Rows
 	d := m.Head.Backward(ctx, dLogits)
 	for i := len(m.Layers) - 1; i > 0; i-- {
 		d = m.Layers[i].Backward(ctx, d)
+		ctx.Rows = nil
 	}
 	if len(m.Layers) > 0 {
 		m.Layers[0].BackwardParams(ctx, d)
 	}
+	ctx.Rows = rows
 }
 
 // String summarizes the architecture.

@@ -109,6 +109,7 @@ func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
 	mat.GatherRowsP(labels, t.DS.Labels, idx, cfg.Workers)
 
 	ctx := t.Model.CtxForGraph(sub.CSR, feat, t.Timer)
+	ctx.Rows = mask // the rows the loss reads, ascending
 	if cfg.DropRate > 0 {
 		ctx.Train, ctx.DropRate, ctx.Rng = true, cfg.DropRate, t.dropRng
 	}

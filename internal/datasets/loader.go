@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -74,7 +75,11 @@ func Write(ds *Dataset, w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a dataset previously serialized by Write.
+// Read parses a dataset previously serialized by Write. A feature
+// that is not a finite number — NaN, ±Inf, or one out of float64's
+// range — is an error naming its vertex and column: training assumes
+// finite values (see nn.Ctx.Rows), and a NaN it met would spread into
+// the weights unseen.
 func Read(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -155,6 +160,9 @@ func Read(r io.Reader) (*Dataset, error) {
 			x, err := strconv.ParseFloat(s, 64)
 			if err != nil {
 				return nil, fmt.Errorf("datasets: feature row %d col %d: %w", v, j, err)
+			}
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("datasets: feature row %d col %d: %q is not a finite number", v, j, s)
 			}
 			row[j] = x
 		}

@@ -94,6 +94,25 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNonFiniteFeatures: every spelling of a NaN or an
+// infinity strconv.ParseFloat accepts, and a number past float64's
+// range, is refused in a feature, with an error naming the vertex and
+// the column it sits in.
+func TestReadRejectsNonFiniteFeatures(t *testing.T) {
+	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-Infinity", "1e400"} {
+		input := "gsgcn-dataset x vertices=2 edges=1 features=3 classes=1 multi=false\n[edges]\n0 1\n[features]\n" +
+			"0.5 1 2\n3 4 " + bad + "\n[labels]\n0\n0\n[train]\n0\n[val]\n1\n[test]\n"
+		_, err := Read(strings.NewReader(input))
+		if err == nil {
+			t.Errorf("feature %q accepted", bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "row 1 col 2") {
+			t.Errorf("feature %q: error %q does not name vertex 1, column 2", bad, msg)
+		}
+	}
+}
+
 func TestWriteReadFile(t *testing.T) {
 	ds := Generate(smallCfg())
 	path := filepath.Join(t.TempDir(), "ds.gsg")

@@ -87,6 +87,13 @@ func narrowFuzzMats(mb, kb, nb, zeros uint8, seed uint64, raw []byte) (a, b *Den
 // end and the AVX-512 walk masks its rest. The n8-m*-k65..k140 seeds
 // are for MulAT on rows of 8: k of every residue mod 4, one shard and
 // two, with ±Inf and NaN in rows of b whose alphas in a are zeros.
+//
+// Each input also draws a row list from its seed (fuzzRows) and holds
+// the row-list forms to the every-row ones: MulList and MulBTList give
+// the listed rows the every-row bits and the others +0, and MulATList
+// the bits of MulAT with the unlisted rows of both operands zeroed —
+// of aᵀ too, because a hostile value there times a zero of b is a NaN
+// the list form never forms.
 func FuzzNarrowRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zeros uint8, seed uint64, raw []byte) {
 		a, b := narrowFuzzMats(mb, kb, nb, zeros, seed, raw)
@@ -94,13 +101,38 @@ func FuzzNarrowRows(f *testing.F) {
 		got := New(a.Rows, b.Cols)
 		Mul(got, a, b, 1)
 		requireSameBits(t, "Mul "+tag, got.Data, refMul(a, b).Data)
+		rows := fuzzRows(seed, a.Rows)
+		list := New(a.Rows, b.Cols)
+		MulList(list, a, b, rows, 1)
+		requireSameBits(t, "MulList "+tag, list.Data, zeroUnlisted(got, rows).Data)
 		at := Transpose(a)
 		MulAT(got, at, b, 1)
 		requireSameBits(t, "MulAT "+tag, got.Data, refMulAT(at, b).Data)
+		rowsK := fuzzRows(seed>>1, at.Rows)
+		MulAT(got, zeroUnlisted(at, rowsK), zeroUnlisted(b, rowsK), 1)
+		MulATList(list, at, b, rowsK, 1)
+		requireSameBits(t, "MulATList "+tag, list.Data, got.Data)
 		bt := Transpose(b)
 		MulBT(got, a, bt, 1)
 		requireSameBits(t, "MulBT "+tag, got.Data, refMulBT(a, bt).Data)
+		MulBTList(list, a, bt, rows, 1)
+		requireSameBits(t, "MulBTList "+tag, list.Data, zeroUnlisted(got, rows).Data)
 	})
+}
+
+// fuzzRows draws a row list over m rows from a fuzz input's seed: each
+// row is listed or not by one bit of a stream of its own, so a seed
+// of 0 lists none and the lists of other seeds run from one row to all.
+func fuzzRows(seed uint64, m int) []int {
+	rows := []int{}
+	x := seed
+	for i := 0; i < m; i++ {
+		x = x*2862933555777941757 + 3037000493
+		if seed != 0 && x>>62 != 0 {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 // FuzzPQQuery holds the ADC table to Dot on hostile numbers: every

@@ -192,6 +192,47 @@ func testAxpyRowsStaysInsideItsSlices(t *testing.T) {
 	}
 }
 
+// TestAxpyRowsAtStaysInsideItsSlices: the indexed list kernel with its
+// destination, the last listed row of src and the last alpha it reads
+// each ending on the last bytes of an allocation, at the row widths of
+// TestAxpyRowsStaysInsideItsSlices and a list that ends on the last row
+// in reach. At every level.
+func TestAxpyRowsAtStaysInsideItsSlices(t *testing.T) {
+	atEveryLevel(t, testAxpyRowsAtStaysInsideItsSlices)
+}
+
+func testAxpyRowsAtStaysInsideItsSlices(t *testing.T) {
+	k := levelKernels()
+	const rowsN, astride = 9, 4
+	rows := []int{0, 2, 3, 7, rowsN - 1}
+	for n := 1; n <= 130; n++ {
+		stride := n + 2
+		d := guardedFloats(t, n)
+		src := guardedFloats(t, (rowsN-1)*stride+n)
+		alpha := guardedFloats(t, (rowsN-1)*astride+1)
+		for i := range src {
+			src[i] = 0.25
+		}
+		for i, r := range rows {
+			alpha[r*astride] = float64(i % 3) // a third of the terms are skipped
+		}
+		want := 0.0
+		for i := range rows {
+			want += float64(i%3) * 0.25
+		}
+		axpyRowsAt(d, src, stride, alpha, astride, rows, rowsN)
+		if !k.axpyRowsAt(d, src, stride, alpha, astride, rows, rowsN) {
+			t.Fatalf("n=%d: rows in reach refused", n)
+		}
+		want *= 2
+		for i, v := range d {
+			if v != want {
+				t.Fatalf("n=%d: element %d = %v, want %v", n, i, v, want)
+			}
+		}
+	}
+}
+
 // TestAxpyRows4x8StaysInsideItsSlices: the four-row kernel with its
 // rows, the last of its source rows and the last alpha it reads each
 // ending on the last bytes of an allocation — alphas a row of a apart,

@@ -28,12 +28,16 @@
 // element's sum in ascending k order and tiles only the loops around
 // it, so that one operand is consumed an L1-sized block at a time
 // while the other streams past; they parallelize across row blocks
-// via perf.Parallel.
+// via perf.Parallel. Each form also takes a row list (MulList,
+// MulATList, MulBTList; the plain names are the every-row case): a
+// training step's last layer computes only the rows its loss reads,
+// and gets the every-row bits in them.
 package mat
 
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"gsgcn/internal/perf"
@@ -219,15 +223,107 @@ func absDiff(v, w float64) float64 {
 
 // Mul computes dst = a * b using workers goroutines. dst must be
 // pre-shaped (a.Rows x b.Cols) and must not alias a or b. This is the
-// weight-application GEMM of the paper's Section V-A.
-func Mul(dst, a, b *Dense, workers int) {
+// weight-application GEMM of the paper's Section V-A. It is MulList
+// on every row.
+func Mul(dst, a, b *Dense, workers int) { MulList(dst, a, b, nil, workers) }
+
+// MulList computes the rows of dst = a * b that rows lists (every row
+// when rows is nil; otherwise strictly ascending rows of a) and sets
+// every other row of dst to +0: the product with a's unlisted rows
+// taken as zeros, to the bit, reading none of them. A row of the
+// product is its own serial arithmetic, so a listed row gets Mul's
+// bits whatever else is listed; the rows are split among the workers
+// by their count, as Mul splits a's.
+func MulList(dst, a, b *Dense, rows []int, workers int) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: Mul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	perf.Parallel(a.Rows, workers, func(_, lo, hi int) {
-		mulRange(dst, a, b, lo, hi)
+	s := rowsOf(rows, a.Rows, "Mul")
+	if s.len() == 0 {
+		clear(dst.Data)
+		return
+	}
+	perf.Parallel(s.len(), workers, func(_, lo, hi int) {
+		mulRange(dst, a, b, s, lo, hi)
 	})
+}
+
+// rowSet is the rows of an n-row operand that a row-list form
+// computes: every row when list is nil, else the ones list names,
+// ascending. A form walks it by position: position t is row at(t), and
+// positions [lo, hi) own the rows span(lo, hi) of the result — theirs
+// and the unlisted rows up to the next listed one, which the form sets
+// to +0. On every row each of these is the identity, so the every-row
+// case runs the loops it always ran.
+type rowSet struct {
+	list []int
+	n    int
+}
+
+// rowsOf returns the rowSet of list over an n-row operand, after
+// checking that list, unless nil, names rows below n in strictly
+// ascending order: a repeated row would be added twice.
+func rowsOf(list []int, n int, op string) rowSet {
+	prev := -1
+	for _, i := range list {
+		if i <= prev || i >= n {
+			panic(fmt.Sprintf("mat: %s row list is not strictly ascending rows below %d", op, n))
+		}
+		prev = i
+	}
+	return rowSet{list, n}
+}
+
+// len returns the number of rows in the set.
+func (s rowSet) len() int {
+	if s.list == nil {
+		return s.n
+	}
+	return len(s.list)
+}
+
+// at returns the row at position t.
+func (s rowSet) at(t int) int {
+	if s.list == nil {
+		return t
+	}
+	return s.list[t]
+}
+
+// span returns the rows [from, to) that positions [lo, hi) own.
+func (s rowSet) span(lo, hi int) (from, to int) {
+	if s.list == nil {
+		return lo, hi
+	}
+	from, to = 0, s.n
+	if lo > 0 {
+		from = s.list[lo]
+	}
+	if hi < len(s.list) {
+		to = s.list[hi]
+	}
+	return from, to
+}
+
+// run returns the end of the run of consecutive rows that starts at
+// position t < hi: the first position after t, at most hi, whose row
+// does not follow the one before it.
+func (s rowSet) run(t, hi int) int {
+	if s.list == nil {
+		return hi
+	}
+	for t++; t < hi && s.list[t] == s.list[t-1]+1; t++ {
+	}
+	return t
+}
+
+// pos returns the position of the first listed row at or after row i.
+func (s rowSet) pos(i int) int {
+	if s.list == nil {
+		return i
+	}
+	return sort.SearchInts(s.list, i)
 }
 
 // MulBTRange computes rows [lo, hi) of dst = a * bᵀ serially.
@@ -239,33 +335,47 @@ func MulBTRange(dst, a, b *Dense, lo, hi int) {
 	if buf != nil {
 		defer mulBTPacks.Put(buf)
 	}
-	mulBTRange(dst, a, b, packed, lo, hi)
+	mulBTRange(dst, a, b, packed, rowSet{n: a.Rows}, lo, hi)
 }
 
-// mulRange computes rows [lo, hi) of dst = a*b serially. The inner
-// dimension is walked a tile of b's rows at a time, so that every
-// output row takes its updates from rows of b that are still in the
-// L1 cache; an output row still receives its terms in ascending k,
+// mulRange computes the rows of dst = a*b at positions [lo, hi) of s
+// serially, and clears the unlisted rows those positions own. The
+// inner dimension is walked a tile of b's rows at a time, so that
+// every output row takes its updates from rows of b that are still in
+// the L1 cache; an output row still receives its terms in ascending k,
 // and a zero a[i][k] (half of a ReLU output, more under dropout) adds
-// nothing to it. Rows of 8 go four at a time through axpyRows4x8 —
-// its one caller — over the whole of b (602 rows of 8 are 38 KB),
-// which measured 12% faster than by tiles; it masks the zeros rather
-// than skipping them, the same bits because the rows were cleared to
-// +0 first.
-func mulRange(dst, a, b *Dense, lo, hi int) {
+// nothing to it. Rows of 8 go four consecutive rows at a time through
+// axpyRows4x8 — its one caller — over the whole of b (602 rows of 8
+// are 38 KB), which measured 12% faster than by tiles; it masks the
+// zeros rather than skipping them, the same bits because the rows were
+// cleared to +0 first.
+func mulRange(dst, a, b *Dense, s rowSet, lo, hi int) {
 	n := b.Cols
 	ka := a.Cols
-	clear(dst.Data[lo*n : hi*n])
-	if n == 8 {
-		for ; lo+4 <= hi; lo += 4 {
-			axpyRows4x8(dst.Data[lo*8:(lo+4)*8], b.Data, a.Data[lo*ka:], ka, ka)
-		}
-	}
+	from, to := s.span(lo, hi)
+	clear(dst.Data[from*n : to*n])
 	tile := listRows(n, ka)
+	if n == 8 {
+		for t := lo; t < hi; {
+			i := s.at(t)
+			if t+4 <= hi && s.at(t+3) == i+3 {
+				axpyRows4x8(dst.Data[i*8:(i+4)*8], b.Data, a.Data[i*ka:], ka, ka)
+				t += 4
+				continue
+			}
+			for k0 := 0; k0 < ka; k0 += tile {
+				k1 := min(k0+tile, ka)
+				axpyRows(dst.Data[i*8:(i+1)*8], b.Data[k0*8:k1*8], 8, a.Data[i*ka+k0:i*ka+k1], 1, k1-k0)
+			}
+			t++
+		}
+		return
+	}
 	for k0 := 0; k0 < ka; k0 += tile {
 		k1 := min(k0+tile, ka)
 		btile := b.Data[k0*n : k1*n]
-		for i := lo; i < hi; i++ {
+		for t := lo; t < hi; t++ {
+			i := s.at(t)
 			axpyRows(dst.Data[i*n:(i+1)*n], btile, n, a.Data[i*ka+k0:i*ka+k1], 1, k1-k0)
 		}
 	}
@@ -276,7 +386,8 @@ func mulRange(dst, a, b *Dense, lo, hi int) {
 // Every element of dst is a sum started from +0, whatever dst held,
 // and such a sum is never -0 (+0 + -0 is +0, and so is x + -x): so
 // MulAT never returns -0, and writing its result into a gradient gives
-// the bits of adding it to a cleared one.
+// the bits of adding it to a cleared one. It is MulATList on every
+// row.
 //
 // The row range of a is decomposed into a fixed number of shards that
 // depends only on a.Rows — never on workers — each shard accumulates a
@@ -285,16 +396,27 @@ func mulRange(dst, a, b *Dense, lo, hi int) {
 // decomposition is what makes the result bit-identical at every worker
 // count (the training engine's determinism contract: Workers=1 and
 // Workers=8 must produce the same loss trace).
-func MulAT(dst, a, b *Dense, workers int) {
+func MulAT(dst, a, b *Dense, workers int) { MulATList(dst, a, b, nil, workers) }
+
+// MulATList computes dst = aᵀ * b over the rows of a and b that rows
+// lists (every row when rows is nil; otherwise strictly ascending):
+// the sum leaves the other rows out, where MulAT on a b whose unlisted
+// rows are zeros adds a·(±0) = ±0 for each. Adding ±0 to a sum that
+// started from +0 changes none of its bits (such a sum is never -0),
+// so, for finite a, the two agree to the bit. The shards are MulAT's,
+// cut from a.Rows alone, each taking the listed rows of its range in
+// ascending order.
+func MulATList(dst, a, b *Dense, rows []int, workers int) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulAT shape mismatch")
 	}
+	s := rowsOf(rows, a.Rows, "MulAT")
 	n := b.Cols
 	k := a.Cols
 	shards := mulATShards(a.Rows, k, n)
 	if shards <= 1 {
 		dst.Zero()
-		accumATRange(dst.Data, a, b, 0, a.Rows)
+		accumATRange(dst.Data, a, b, s, 0, s.len())
 		return
 	}
 	// shards > 1 always goes through per-shard partial products — even
@@ -318,18 +440,15 @@ func MulAT(dst, a, b *Dense, workers int) {
 	partials := (*buf)[:live*size]
 	if live == 1 {
 		dst.Zero()
-		for s := 0; s < shards; s++ {
-			clear(partials)
-			accumATRange(partials, a, b, s*a.Rows/shards, (s+1)*a.Rows/shards)
+		for sh := 0; sh < shards; sh++ {
+			accumATShard(partials, a, b, s, sh, shards)
 			AddTo(dst.Data, partials)
 		}
 		return
 	}
 	perf.Parallel(shards, workers, func(_, slo, shi int) {
-		for s := slo; s < shi; s++ {
-			p := partials[s*size : (s+1)*size]
-			clear(p)
-			accumATRange(p, a, b, s*a.Rows/shards, (s+1)*a.Rows/shards)
+		for sh := slo; sh < shi; sh++ {
+			accumATShard(partials[sh*size:(sh+1)*size], a, b, s, sh, shards)
 		}
 	})
 	// Each output element is owned by exactly one chunk, so the
@@ -337,8 +456,8 @@ func MulAT(dst, a, b *Dense, workers int) {
 	perf.ParallelMin(size, elemGrain, workers, func(_, lo, hi int) {
 		d := dst.Data[lo:hi]
 		clear(d)
-		for s := 0; s < shards; s++ {
-			AddTo(d, partials[s*size+lo:s*size+hi])
+		for sh := 0; sh < shards; sh++ {
+			AddTo(d, partials[sh*size+lo:sh*size+hi])
 		}
 	})
 }
@@ -378,26 +497,48 @@ func mulATShards(rows, k, n int) int {
 	return s
 }
 
-// accumATRange adds rows [lo, hi) of the product aᵀ·b into acc (a
-// k x n buffer in row-major order), every element taking its terms in
-// ascending row order, a zero of a adding nothing. On rows of 8 the
-// whole range goes to accumAT8, which reads a along its rows and keeps
-// acc (at most 602 rows of 64 bytes) in the L1 cache; it masks the
-// zeros to +0 rather than skipping them, the same bits because every
-// caller starts acc from +0. Other widths take the rows a tile at a
-// time, few enough that the tile of b stays in the L1 cache while every
-// row of acc takes its terms from it: row c from column c of the tile
-// of a, top to bottom.
-func accumATRange(acc []float64, a, b *Dense, lo, hi int) {
+// accumATShard sets p to shard sh of shards of MulATList's sum: the
+// listed rows of a.Rows' sh-th of shards equal ranges.
+func accumATShard(p []float64, a, b *Dense, s rowSet, sh, shards int) {
+	clear(p)
+	accumATRange(p, a, b, s, s.pos(sh*a.Rows/shards), s.pos((sh+1)*a.Rows/shards))
+}
+
+// accumATRange adds the rows at positions [lo, hi) of s of the product
+// aᵀ·b into acc (a k x n buffer in row-major order), every element
+// taking its terms in ascending row order, a zero of a adding nothing.
+// On rows of 8 each run of consecutive rows goes to accumAT8, which
+// reads a along its rows and keeps acc (at most 602 rows of 64 bytes)
+// in the L1 cache; it masks the zeros to +0 rather than skipping them,
+// the same bits because every caller starts acc from +0. Other widths
+// take the rows a tile at a time, few enough that the tile of b stays
+// in the L1 cache while every row of acc takes its terms from it: row c
+// from column c of the tile of a, top to bottom — by stride where the
+// tile's rows are consecutive, through their list (axpyRowsAt) where
+// they are not.
+func accumATRange(acc []float64, a, b *Dense, s rowSet, lo, hi int) {
 	n := b.Cols
 	k := a.Cols
 	if n == 8 {
-		accumAT8(acc, a.Data[lo*k:hi*k], b.Data[lo*8:hi*8], k, hi-lo)
+		for t := lo; t < hi; {
+			end := s.run(t, hi)
+			r0, r1 := s.at(t), s.at(end-1)+1
+			accumAT8(acc, a.Data[r0*k:r1*k], b.Data[r0*8:r1*8], k, r1-r0)
+			t = end
+		}
 		return
 	}
 	tile := listRows(n, hi-lo)
-	for r0 := lo; r0 < hi; r0 += tile {
-		r1 := min(r0+tile, hi)
+	for t0 := lo; t0 < hi; t0 += tile {
+		t1 := min(t0+tile, hi)
+		if s.run(t0, t1) < t1 {
+			listed := s.list[t0:t1]
+			for c := 0; c < k; c++ {
+				axpyRowsAt(acc[c*n:(c+1)*n], b.Data, n, a.Data[c:], k, listed, a.Rows)
+			}
+			continue
+		}
+		r0, r1 := s.at(t0), s.at(t1-1)+1
 		btile := b.Data[r0*n : r1*n]
 		atile := a.Data[r0*k : r1*k]
 		for c := 0; c < k; c++ {
@@ -407,17 +548,30 @@ func accumATRange(acc []float64, a, b *Dense, lo, hi int) {
 }
 
 // MulBT computes dst = a * bᵀ (dst is a.Rows x b.Rows). Needed by the
-// backward pass: dH = dY · Wᵀ.
-func MulBT(dst, a, b *Dense, workers int) {
+// backward pass: dH = dY · Wᵀ. It is MulBTList on every row.
+func MulBT(dst, a, b *Dense, workers int) { MulBTList(dst, a, b, nil, workers) }
+
+// MulBTList computes the rows of dst = a * bᵀ that rows lists (every
+// row when rows is nil; otherwise strictly ascending rows of a) and
+// sets every other row to +0 — what MulBT gives a zero row of a
+// against a finite b, a dot whose lanes start from +0 and add only
+// ±0. A listed row gets MulBT's bits; the rows are split among the
+// workers by their count.
+func MulBTList(dst, a, b *Dense, rows []int, workers int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulBT shape mismatch")
+	}
+	s := rowsOf(rows, a.Rows, "MulBT")
+	if s.len() == 0 {
+		clear(dst.Data)
+		return
 	}
 	packed, buf := mulBTPack(b)
 	if buf != nil {
 		defer mulBTPacks.Put(buf)
 	}
-	perf.Parallel(a.Rows, workers, func(_, lo, hi int) {
-		mulBTRange(dst, a, b, packed, lo, hi)
+	perf.Parallel(s.len(), workers, func(_, lo, hi int) {
+		mulBTRange(dst, a, b, packed, s, lo, hi)
 	})
 }
 
@@ -447,32 +601,47 @@ func mulBTPack(b *Dense) (packed []float64, buf *[]float64) {
 	return packed, buf
 }
 
-// mulBTRange computes rows [lo, hi) of dst = a * bᵀ serially. The rows
-// of b that packed holds (mulBTPack's, possibly none) go sixteen at a
-// time through dot16, each group of them staying in the L1 cache while
-// the rows of a stream past. The rest are taken a tile at a time, also
-// kept in the L1 cache while the rows of a stream past; within a tile
-// dot4 forms four inner products for one pass over the a row. Every
-// element is the same dot as in the untiled loop.
-func mulBTRange(dst, a, b *Dense, packed []float64, lo, hi int) {
+// mulBTRange computes the rows of dst = a * bᵀ at positions [lo, hi)
+// of s serially, and clears the unlisted rows those positions own. The
+// rows of b that packed holds (mulBTPack's, possibly none) go sixteen
+// at a time through dot16, each group of them staying in the L1 cache
+// while the runs of consecutive rows of a stream past. The rest are
+// taken a tile at a time, also kept in the L1 cache while the rows of a
+// stream past; within a tile dot4 forms four inner products for one
+// pass over the a row. Every element is the same dot as in the untiled
+// loop.
+func mulBTRange(dst, a, b *Dense, packed []float64, s rowSet, lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	k := a.Cols
 	m := b.Rows
+	if s.list != nil {
+		next, to := s.span(lo, hi)
+		for _, i := range s.list[lo:hi] {
+			clear(dst.Data[next*m : i*m])
+			next = i + 1
+		}
+		clear(dst.Data[next*m : to*m])
+	}
 	done := 0
 	if len(packed) > 0 {
 		done = len(packed) / k
-		arows := a.Data[lo*k : hi*k]
 		for j0 := 0; j0 < done; j0 += 16 {
-			dot16(dst.Data[lo*m+j0:], m, arows, k, hi-lo, packed[j0*k:(j0+16)*k])
+			for t := lo; t < hi; {
+				end := s.run(t, hi)
+				r0, r1 := s.at(t), s.at(end-1)+1
+				dot16(dst.Data[r0*m+j0:], m, a.Data[r0*k:r1*k], k, r1-r0, packed[j0*k:(j0+16)*k])
+				t = end
+			}
 		}
 	}
 	dot := dotFor(k)
 	tile := tileRows(k, m-done, dotTileBytes)
 	for j0 := done; j0 < m; j0 += tile {
 		j1 := min(j0+tile, m)
-		for i := lo; i < hi; i++ {
+		for t := lo; t < hi; t++ {
+			i := s.at(t)
 			arow := a.Data[i*k : (i+1)*k]
 			drow := dst.Data[i*m : (i+1)*m]
 			j := j0

@@ -428,9 +428,9 @@ func TestMulRangeMatchesMul(t *testing.T) {
 	Mul(want, a, b, 1)
 	got := New(20, 9)
 	// Compute in three uneven row chunks.
-	mulRange(got, a, b, 0, 7)
-	mulRange(got, a, b, 7, 8)
-	mulRange(got, a, b, 8, 20)
+	mulRange(got, a, b, rowSet{n: 20}, 0, 7)
+	mulRange(got, a, b, rowSet{n: 20}, 7, 8)
+	mulRange(got, a, b, rowSet{n: 20}, 8, 20)
 	if !got.Equal(want, 0) {
 		t.Error("piecewise mulRange differs from Mul")
 	}

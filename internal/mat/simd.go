@@ -1,6 +1,9 @@
 package mat
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Vector primitives under every GEMM form, the propagation loops, the
 // rectifier, the optimizer and the top-K scans. They run at one of
@@ -28,8 +31,9 @@ import "math"
 // and dst = scale·Σ alpha[t]·row[idx[t]], a vertex's neighbor
 // aggregation. Both hand the assembly a list of (alpha, row offset)
 // terms — axpyRows' is its non-zero terms, compacted in the assembly's
-// frame; GatherSum's is built here from the indices, every one checked
-// — and one loop walks it: dst a column panel at a time, each panel
+// frame (axpyRowsAt's the same, from rows named by an index list rather
+// than counted); GatherSum's is built here from the indices, every one
+// checked — and one loop walks it: dst a column panel at a time, each panel
 // loaded (or started from +0) once, updated by every term on the list,
 // scaled and stored once. None of this can change an element's sum:
 // the list holds the terms in the order the portable loop visits them
@@ -44,7 +48,9 @@ import "math"
 // the call: a mismatched pair panics there, as an index into the short
 // slice used to, and never reaches the assembly. GatherSum, whose rows
 // are wherever its indices say, checks every index against the table's
-// length first.
+// length first; axpyRowsAt, whose rows come from a list too, checks a
+// row limit against its operands and has the assembly compare each
+// listed row with it while it builds the term list, before any write.
 
 // simdMinLen is the shortest vector handed to the assembly: one full
 // YMM register. Measured on the development host (Xeon, Go 1.24), the
@@ -301,6 +307,61 @@ func axpyRowsGo(dst, src []float64, stride int, alpha []float64, astride, count 
 	for t := 0; t < count; t++ {
 		if av := alpha[t*astride]; av != 0 {
 			axpyGo(dst, src[t*stride:t*stride+n], av)
+		}
+	}
+}
+
+// axpyRowsAt is axpyRows over the rows that rows lists instead of count
+// consecutive ones: for each r of rows, in that order,
+//
+//	dst += alpha[r*astride] * src[r*stride : r*stride+len(dst)]
+//
+// skipping every term whose alpha is zero — the inner loop of aᵀ·b over
+// a row list (dst a row of the accumulator, alpha column c of a from row
+// 0, src b from row 0). The result is that of one Axpy per listed
+// non-zero alpha, to the bit. Every row must be below limit, whose rows
+// src and alpha must both reach: the caller passes the row count of
+// its operands, which is checked here once per call by products that
+// cannot overflow unseen, and the assembly checks each listed row
+// against it. It panics, before anything is written, if a row is not
+// below limit, if limit is out of reach, or if rows holds more than
+// listMax rows.
+func axpyRowsAt(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int) {
+	n := len(dst)
+	if len(rows) == 0 || n == 0 {
+		return
+	}
+	if len(rows) > listMax || stride < 0 || astride < 0 || limit < 1 || len(src) < n || len(alpha) < 1 {
+		panic("mat: axpyRowsAt arguments out of range")
+	}
+	last := uint64(limit - 1)
+	if hi, lo := bits.Mul64(last, uint64(stride)); hi != 0 || lo > uint64(len(src)-n) {
+		panic("mat: axpyRowsAt rows out of src's reach")
+	}
+	if hi, lo := bits.Mul64(last, uint64(astride)); hi != 0 || lo >= uint64(len(alpha)) {
+		panic("mat: axpyRowsAt rows out of alpha's reach")
+	}
+	if useAVX2 && n >= simdMinLen {
+		if !axpyRowsAtSIMD(dst, src, stride, alpha, astride, rows, limit, useAVX512) {
+			panic("mat: axpyRowsAt row out of range")
+		}
+		return
+	}
+	for _, r := range rows {
+		if uint(r) >= uint(limit) {
+			panic("mat: axpyRowsAt row out of range")
+		}
+	}
+	axpyRowsAtGo(dst, src, stride, alpha, astride, rows)
+}
+
+// axpyRowsAtGo is the portable axpyRowsAt: one axpyGo per listed
+// non-zero alpha.
+func axpyRowsAtGo(dst, src []float64, stride int, alpha []float64, astride int, rows []int) {
+	n := len(dst)
+	for _, r := range rows {
+		if av := alpha[r*astride]; av != 0 {
+			axpyGo(dst, src[r*stride:r*stride+n], av)
 		}
 	}
 }

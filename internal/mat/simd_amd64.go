@@ -60,11 +60,12 @@ func xgetbv() (eax, edx uint32)
 // The routines below have no bounds checks: callers (simd.go, and
 // PQTable.Query for adc2AVX2) slice every operand to the length the
 // routine will touch before the call.
-// All end in VZEROUPPER and all are NOSPLIT leaves but axpyRowsSIMD,
-// whose frame holds its term list and which, like gatherRowsSIMD,
-// finishes in the list walk the two share. Those two take the level as
-// an argument: zmm selects the AVX-512 walk and may only be set where
-// useAVX512 is; every other routine is AVX2 but dot16AVX512.
+// All end in VZEROUPPER and all are NOSPLIT leaves but axpyRowsSIMD and
+// axpyRowsAtSIMD, whose frames hold their term lists and which, like
+// gatherRowsSIMD, finish in the list walk the three share. Those three
+// take the level as an argument: zmm selects the AVX-512 walk and may
+// only be set where useAVX512 is; every other routine is AVX2 but
+// dot16AVX512.
 
 // axpyAVX2 computes dst[i] += alpha*src[i] for i < len(dst).
 // len(src) must be at least len(dst).
@@ -80,6 +81,17 @@ func axpyAVX2(dst, src []float64, alpha float64)
 //
 //go:noescape
 func axpyRowsSIMD(dst, src []float64, stride int, alpha []float64, astride, count int, zmm bool)
+
+// axpyRowsAtSIMD is axpyRowsSIMD over the rows rows lists: it computes
+// dst[i] += alpha[r*astride]*src[r*stride+i] for i < len(dst), for each
+// r of rows in that order, skipping zero alphas, and reports true. It
+// reports false, having written nothing, if a row is not below limit
+// (compared unsigned: a negative row is not). rows must hold 1..listMax
+// rows, stride and astride be non-negative, and every row below limit
+// have its term inside src and alpha.
+//
+//go:noescape
+func axpyRowsAtSIMD(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int, zmm bool) (ok bool)
 
 // axpyRows4x8AVX2 computes, for r < 4 and t = 0..count-1 in that order,
 // dst[8r+i] += alpha[r*rs+t]*src[8t+i] for i < 8, with the products of

@@ -490,8 +490,9 @@ adc2Done:
 	RET
 
 // A term list is two parallel arrays, R9 the alphas and R8 the element
-// offsets of their rows in src, R10 terms long. axpyRowsAVX2 compacts
-// one into its frame; gatherRowsAVX2 is handed one by its caller.
+// offsets of their rows in src, R10 terms long. axpyRowsSIMD and
+// axpyRowsAtSIMD compact one into their frames; gatherRowsSIMD is
+// handed one by its caller.
 //
 // LISTROW sets DX to the start of the AX-th listed row of the current
 // column panel (SI is src advanced to the panel) and Y8 to its alpha
@@ -561,6 +562,66 @@ rowsZ:
 	RET
 
 rowsDone:
+	VZEROUPPER
+	RET
+
+// func axpyRowsAtSIMD(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int, zmm bool) (ok bool)
+//
+// axpyRowsSIMD with each term's row read from rows (R14) instead of
+// counted: row r's alpha is at alpha + r*astride elements, its offset
+// in src r*stride. A row not below limit — unsigned, so a negative one
+// is not either — ends the call before the walk, with nothing written
+// and ok false.
+TEXT ·axpyRowsAtSIMD(SB), $1024-129
+	MOVB  $0, ok+128(FP)
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  dst_len+8(FP), CX
+	MOVQ  src_base+24(FP), SI
+	MOVQ  stride+48(FP), BX
+	MOVQ  alpha_base+56(FP), R11
+	MOVQ  astride+80(FP), R12
+	MOVQ  rows_base+88(FP), R14
+	MOVQ  rows_len+96(FP), R13
+	TESTQ R13, R13
+	JLE   rowsAtDone
+	SHLQ  $3, R12
+	LEAQ  0(SP), R9
+	LEAQ  512(SP), R8
+	XORQ  R10, R10
+
+rowsAtCompact:
+	MOVQ  (R14), DX
+	CMPQ  DX, limit+112(FP)
+	JAE   rowsAtDone
+	MOVQ  DX, AX
+	IMULQ R12, AX
+	MOVQ  (R11)(AX*1), AX
+	IMULQ BX, DX
+	MOVQ  AX, (R9)(R10*8)
+	MOVQ  DX, (R8)(R10*8)
+	ADDQ  AX, AX          // shifts the sign out: zero for +0 and -0 only
+	NEGQ  AX              // sets the carry unless AX is zero
+	ADCQ  $0, R10
+	ADDQ  $8, R14
+	DECQ  R13
+	JNZ   rowsAtCompact
+	MOVB  $1, ok+128(FP)
+	TESTQ R10, R10
+	JZ    rowsAtDone
+	VPCMPEQD     Y14, Y14, Y14
+	MOVQ         $0x3ff0000000000000, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+	CMPB         zmm+120(FP), $0
+	JNE          rowsAtZ
+	CALL         listWalk<>(SB)
+	RET
+
+rowsAtZ:
+	CALL listWalkZ<>(SB)
+	RET
+
+rowsAtDone:
 	VZEROUPPER
 	RET
 

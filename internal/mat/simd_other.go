@@ -16,6 +16,10 @@ func axpyRowsSIMD(dst, src []float64, stride int, alpha []float64, astride, coun
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
+func axpyRowsAtSIMD(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int, zmm bool) bool {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
 func axpyRows4x8AVX2(dst, src, alpha []float64, rs, count int) {
 	panic("mat: no AVX2 kernels on this architecture")
 }

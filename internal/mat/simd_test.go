@@ -151,6 +151,7 @@ type kernelSet struct {
 	relu        func(dst, src []float64)
 	reluGate    func(dst, z, grad []float64)
 	axpyRows    func(dst, src []float64, stride int, alpha []float64, astride, count int)
+	axpyRowsAt  func(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int) bool
 	axpyRows4x8 func(dst, src, alpha []float64, rs, count int)
 	accumAT8    func(acc, a, b []float64, k, count int)
 	gatherRows  func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
@@ -168,6 +169,15 @@ func levelKernels() kernelSet {
 				}
 			},
 			relu: reluGo, reluGate: reluGateGo, axpyRows: axpyRowsGo,
+			axpyRowsAt: func(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int) bool {
+				for _, r := range rows {
+					if uint(r) >= uint(limit) {
+						return false
+					}
+				}
+				axpyRowsAtGo(dst, src, stride, alpha, astride, rows)
+				return true
+			},
 			axpyRows4x8: axpyRows4x8Go, accumAT8: accumAT8Go, gatherRows: gatherRowsGo,
 			adam: adamGo,
 		}
@@ -178,6 +188,9 @@ func levelKernels() kernelSet {
 		relu: reluAVX2, reluGate: reluGateAVX2,
 		axpyRows: func(dst, src []float64, stride int, alpha []float64, astride, count int) {
 			axpyRowsSIMD(dst, src, stride, alpha, astride, count, zmm)
+		},
+		axpyRowsAt: func(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int) bool {
+			return axpyRowsAtSIMD(dst, src, stride, alpha, astride, rows, limit, zmm)
 		},
 		axpyRows4x8: axpyRows4x8AVX2,
 		accumAT8:    accumAT8AVX2,
@@ -652,7 +665,7 @@ func TestNarrowRowsMatchUntiledPortable(t *testing.T) {
 							got.Fill(99)
 							for w, lo := 0, 0; w < workers; w++ {
 								hi := m * (w + 1) * (w + 2) / (workers * (workers + 1))
-								mulRange(got, a, b, lo, hi)
+								mulRange(got, a, b, rowSet{n: a.Rows}, lo, hi)
 								lo = hi
 							}
 							requireSameBits(t, "mulRange "+tag, got.Data, wantMul.Data)
@@ -1240,7 +1253,7 @@ func testTiledGEMMMatchesUntiledPortable(t *testing.T) {
 				got.Fill(99)
 				for w, lo := 0, 0; w < workers; w++ {
 					hi := tc.m * (w + 1) * (w + 2) / (workers * (workers + 1))
-					mulRange(got, a, b, lo, hi)
+					mulRange(got, a, b, rowSet{n: a.Rows}, lo, hi)
 					lo = hi
 				}
 				requireSameBits(t, "mulRange "+tag, got.Data, wantMul.Data)

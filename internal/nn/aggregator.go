@@ -49,9 +49,10 @@ func (a Aggregator) Norm() partition.Norm {
 	return partition.NormDst
 }
 
-// aggregate applies the forward aggregation operator over g.
-func aggregate(dst, src *mat.Dense, g *graph.CSR, agg Aggregator, q, workers int) {
-	partition.Propagate(dst, src, g, agg.Norm(), q, workers)
+// aggregate applies the forward aggregation operator over g, for the
+// vertices rows lists (every vertex when nil; +0 in the others).
+func aggregate(dst, src *mat.Dense, g *graph.CSR, agg Aggregator, rows []int, q, workers int) {
+	partition.PropagateList(dst, src, g, agg.Norm(), rows, q, workers)
 }
 
 // aggregateT applies the transpose (backward) operator. Only the mean

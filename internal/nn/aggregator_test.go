@@ -26,7 +26,7 @@ func TestAggSumSemantics(t *testing.T) {
 	}
 	src := mat.FromData(3, 1, []float64{1, 10, 100})
 	dst := mat.New(3, 1)
-	aggregate(dst, src, g, AggSum, 1, 1)
+	aggregate(dst, src, g, AggSum, nil, 1, 1)
 	want := []float64{10, 101, 10}
 	for i, w := range want {
 		if dst.Data[i] != w {
@@ -43,7 +43,7 @@ func TestAggSymSemantics(t *testing.T) {
 	}
 	src := mat.FromData(3, 1, []float64{1, 1, 1})
 	dst := mat.New(3, 1)
-	aggregate(dst, src, g, AggSym, 1, 1)
+	aggregate(dst, src, g, AggSym, nil, 1, 1)
 	s2 := 1 / math.Sqrt(2)
 	want := []float64{s2, 2 * s2, s2}
 	for i, w := range want {
@@ -60,7 +60,7 @@ func TestAggSymSelfAdjoint(t *testing.T) {
 	y := randMat(r, 14, 3)
 	ax := mat.New(14, 3)
 	ay := mat.New(14, 3)
-	aggregate(ax, x, ctx.G, AggSym, 2, 1)
+	aggregate(ax, x, ctx.G, AggSym, nil, 2, 1)
 	aggregateT(ay, y, ctx.G, AggSym, 2, 1)
 	var left, right float64
 	for i := range ax.Data {

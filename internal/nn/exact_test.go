@@ -32,11 +32,11 @@ func TestAggregateBitExactAcrossWorkersAndQ(t *testing.T) {
 	src := randMat(rng.New(3), n, f)
 	for _, agg := range []Aggregator{AggMean, AggSym, AggSum} {
 		want := mat.New(n, f)
-		aggregate(want, src, ctx.G, agg, 1, 1)
+		aggregate(want, src, ctx.G, agg, nil, 1, 1)
 		for _, q := range []int{1, 2, 5, f, f + 10} {
 			for _, w := range []int{1, 2, 8} {
 				got := mat.New(n, f)
-				aggregate(got, src, ctx.G, agg, q, w)
+				aggregate(got, src, ctx.G, agg, nil, q, w)
 				requireSame(t, agg.String(), got, want)
 				gotT := mat.New(n, f)
 				aggregateT(gotT, src, ctx.G, agg, q, w)

@@ -14,6 +14,17 @@
 // call, so a step allocates no activation or gradient; a caller that
 // keeps one longer copies it. A backward pass sets its parameters'
 // gradients (Param.Grad) rather than adding to them.
+//
+// A layer computes only the rows its caller reads when Ctx.Rows lists
+// them — the training rows of a sampled subgraph, whose loss reads no
+// other — and the result is the every-row pass's, to the bit: a listed
+// row's arithmetic is its own; an unlisted row's output gradient is +0
+// (the masked loss leaves it so), so its input gradient is +0 and its
+// terms in a weight gradient are ±0, which add nothing to a sum
+// started from +0. That holds on finite values: a NaN or an Inf in an
+// unlisted row would have reached the every-row gradients (NaN·0 is
+// NaN) and does not reach these. The determinism contract's row
+// restriction (docs/ARCHITECTURE.md) states the argument whole.
 package nn
 
 import (
@@ -44,6 +55,18 @@ type Ctx struct {
 	DropRate float64
 	// Rng drives dropout masks; required when DropRate > 0 and Train.
 	Rng *rng.RNG
+	// Rows are the rows of a layer's output its caller reads, strictly
+	// ascending; nil means every row. A GCNLayer or Dense given a list
+	// runs its propagation, products and bias on those rows and leaves
+	// +0 in the others (the rectifier, one elementwise pass, maps that
+	// +0 to +0), and its backward pass sums its weight and bias
+	// gradients over them and forms the input gradient's rows from them
+	// alone: on finite values, the bits of the every-row pass on an
+	// output gradient that is +0 in the unlisted rows (see the package
+	// comment). Only the last layer of a stack and its head can be given
+	// one: every layer below feeds the last one's propagation, which
+	// reads every row.
+	Rows []int
 }
 
 func (c *Ctx) time(name string, fn func()) {
@@ -185,7 +208,9 @@ func (l *GCNLayer) OutWidth() int { return 2 * l.OutDim }
 
 // Forward runs the layer over ctx.G and returns the n x 2*OutDim
 // output, caching intermediates for Backward. The output is the
-// layer's, until its next call.
+// layer's, until its next call. Under ctx.Rows only the listed rows are
+// computed, the others +0 (Combine of two +0 rows); dropout still
+// draws for every element of h, which the propagation reads whole.
 func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 	n := h.Rows
 	if n != ctx.G.N {
@@ -204,11 +229,11 @@ func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 	}
 	l.lastH = h
 	hNeigh := mat.Reuse(&l.lastHNeigh, n, l.InDim)
-	ctx.time("featprop", func() { aggregate(hNeigh, h, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
+	ctx.time("featprop", func() { aggregate(hNeigh, h, ctx.G, l.Agg, ctx.Rows, ctx.Q, ctx.Workers) })
 	zSelf, zNeigh := mat.Reuse(&l.bufZSelf, n, l.OutDim), mat.Reuse(&l.bufZNeigh, n, l.OutDim)
 	ctx.time("weight", func() {
-		mat.Mul(zSelf, h, l.WSelf.W, ctx.Workers)
-		mat.Mul(zNeigh, hNeigh, l.WNeigh.W, ctx.Workers)
+		mat.MulList(zSelf, h, l.WSelf.W, ctx.Rows, ctx.Workers)
+		mat.MulList(zNeigh, hNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
 	})
 	out := mat.Reuse(&l.lastOut, n, 2*l.OutDim)
 	l.Combine(out, zSelf, zNeigh, ctx.Workers)
@@ -276,11 +301,13 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 	dZSelf, dZNeigh := l.bufDZSelf, l.bufDZNeigh
 	n := dOut.Rows
 
-	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ).
+	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ); under
+	// ctx.Rows the products' unlisted rows are +0, and the transpose
+	// aggregation spreads the listed ones to every row.
 	dH, dHNeigh := mat.Reuse(&l.bufDH, n, l.InDim), mat.Reuse(&l.bufDHNeigh, n, l.InDim)
 	ctx.time("weight", func() {
-		mat.MulBT(dH, dZSelf, l.WSelf.W, ctx.Workers)
-		mat.MulBT(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Workers)
+		mat.MulBTList(dH, dZSelf, l.WSelf.W, ctx.Rows, ctx.Workers)
+		mat.MulBTList(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
 	})
 	back := mat.Reuse(&l.bufBack, n, l.InDim)
 	ctx.time("featprop", func() { aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
@@ -309,8 +336,8 @@ func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 	ctx.time("weight", func() {
 		// dW_self = Hᵀ·dZ_self ; dW_neigh = H_neighᵀ·dZ_neigh, each
 		// written straight into its gradient (see mat.MulAT on -0).
-		mat.MulAT(l.WSelf.Grad, l.lastH, dZSelf, ctx.Workers)
-		mat.MulAT(l.WNeigh.Grad, l.lastHNeigh, dZNeigh, ctx.Workers)
+		mat.MulATList(l.WSelf.Grad, l.lastH, dZSelf, ctx.Rows, ctx.Workers)
+		mat.MulATList(l.WNeigh.Grad, l.lastHNeigh, dZNeigh, ctx.Rows, ctx.Workers)
 	})
 }
 
@@ -364,13 +391,14 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 // Params returns the trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Forward returns logits = h·W + b, the head's until its next call.
+// Forward returns logits = h·W + b, the head's until its next call:
+// under ctx.Rows the listed rows, and +0 in the others.
 func (d *Dense) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 	out := mat.Reuse(&d.bufOut, h.Rows, d.OutDim)
-	ctx.time("weight", func() { mat.Mul(out, h, d.W.W, ctx.Workers) })
-	perf.ParallelMin(out.Rows, 64, ctx.Workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mat.AddTo(out.Row(i), d.B.W.Data)
+	ctx.time("weight", func() { mat.MulList(out, h, d.W.W, ctx.Rows, ctx.Workers) })
+	perf.ParallelMin(rowCount(ctx.Rows, out.Rows), 64, ctx.Workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			mat.AddTo(out.Row(rowAt(ctx.Rows, t)), d.B.W.Data)
 		}
 	})
 	d.lastH = h
@@ -378,16 +406,33 @@ func (d *Dense) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 }
 
 // Backward sets dW and dB and returns dH, the head's until its next
-// call.
+// call: under ctx.Rows from the listed rows of dOut, dH +0 in the
+// others.
 func (d *Dense) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 	dH := mat.Reuse(&d.bufDH, dOut.Rows, d.InDim)
 	ctx.time("weight", func() {
-		mat.MulAT(d.W.Grad, d.lastH, dOut, ctx.Workers)
-		mat.MulBT(dH, dOut, d.W.W, ctx.Workers)
+		mat.MulATList(d.W.Grad, d.lastH, dOut, ctx.Rows, ctx.Workers)
+		mat.MulBTList(dH, dOut, d.W.W, ctx.Rows, ctx.Workers)
 	})
 	d.B.Grad.Zero()
-	for i := 0; i < dOut.Rows; i++ {
-		mat.AddTo(d.B.Grad.Data, dOut.Row(i))
+	for t := 0; t < rowCount(ctx.Rows, dOut.Rows); t++ {
+		mat.AddTo(d.B.Grad.Data, dOut.Row(rowAt(ctx.Rows, t)))
 	}
 	return dH
+}
+
+// rowCount is the number of rows a row list names out of n: n for nil.
+func rowCount(rows []int, n int) int {
+	if rows == nil {
+		return n
+	}
+	return len(rows)
+}
+
+// rowAt is the row at position t of a row list: t for nil.
+func rowAt(rows []int, t int) int {
+	if rows == nil {
+		return t
+	}
+	return rows[t]
 }

@@ -62,7 +62,7 @@ func PropagateRows(dst, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi int) {
 	if dst.Rows != vhi-vlo || src.Rows != g.N || dst.Cols != src.Cols {
 		panic("partition: PropagateRows shape mismatch")
 	}
-	propagateBlock(dst, vlo, src, g, norm, vlo, vhi, 0, src.Cols)
+	propagateBlock(dst, vlo, src, g, norm, nil, vlo, vhi, 0, src.Cols)
 }
 
 // panel is the narrowest column chunk of a schedule: the widest
@@ -91,33 +91,48 @@ func chunkCols(f, n, i int) (lo, hi int) {
 }
 
 // schedule is one propagation cut into pv vertex ranges times nq column
-// chunks; block b is vertex range b/nq of column chunk b%nq. Every
-// output element belongs to one block and its sum is taken in adjacency
-// order inside it, so neither the cut nor the order the blocks run in
-// reaches a result.
+// chunks; block b is vertex range b/nq of column chunk b%nq. The vertex
+// ranges are ranges of positions in rows, the vertices the propagation
+// computes (every vertex when rows is nil), count of them. Every output
+// element belongs to one block and its sum is taken in adjacency order
+// inside it, so neither the cut nor the order the blocks run in reaches
+// a result.
 type schedule struct {
 	dst, src *mat.Dense
 	g        *graph.CSR
 	norm     Norm
+	rows     []int
+	count    int
 	pv, nq   int
 }
 
-// newSchedule cuts the propagation into colChunks(f, q) column chunks
-// and pv vertex ranges — or, for pv = 0, as few vertex ranges as make
-// at least `workers` blocks: columns are split first, because a column
-// cut repeats only the adjacency lists and no feature (Equation 3 with
-// P = 1), where a vertex cut reads a neighbor's row again on every side
-// of it; vertices second, when the row is too narrow to give every
-// worker a chunk of its own.
-func newSchedule(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers int) schedule {
+// newSchedule cuts the propagation of the vertices rows lists into
+// colChunks(f, q) column chunks and pv vertex ranges — or, for pv = 0,
+// as few vertex ranges as make at least `workers` blocks: columns are
+// split first, because a column cut repeats only the adjacency lists
+// and no feature (Equation 3 with P = 1), where a vertex cut reads a
+// neighbor's row again on every side of it; vertices second, when the
+// row is too narrow to give every worker a chunk of its own.
+func newSchedule(dst, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, pv, q, workers int) schedule {
 	if dst.Rows != g.N || src.Rows != g.N || dst.Cols != src.Cols {
 		panic("partition: propagation shape mismatch")
+	}
+	count := g.N
+	if rows != nil {
+		prev := -1
+		for _, v := range rows {
+			if v <= prev || v >= g.N {
+				panic("partition: row list is not strictly ascending vertices of the graph")
+			}
+			prev = v
+		}
+		count = len(rows)
 	}
 	nq := colChunks(src.Cols, q)
 	if pv == 0 {
 		pv = (workers + nq - 1) / nq
 	}
-	return schedule{dst, src, g, norm, max(1, min(pv, g.N)), nq}
+	return schedule{dst, src, g, norm, rows, count, max(1, min(pv, count)), nq}
 }
 
 // parallel runs every block, on up to `workers` goroutines.
@@ -134,7 +149,7 @@ func (s schedule) run(blo, bhi int) {
 	for b := blo; b < bhi; b++ {
 		vi := b / s.nq
 		clo, chi := chunkCols(s.src.Cols, s.nq, b%s.nq)
-		propagateBlock(s.dst, 0, s.src, s.g, s.norm, vi*s.g.N/s.pv, (vi+1)*s.g.N/s.pv, clo, chi)
+		propagateBlock(s.dst, 0, s.src, s.g, s.norm, s.rows, vi*s.count/s.pv, (vi+1)*s.count/s.pv, clo, chi)
 	}
 }
 
@@ -143,8 +158,19 @@ func (s schedule) run(blo, bhi int) {
 // chunks, none narrower than a register panel, and the chunks — cut
 // into vertex ranges too when there are fewer of them than workers —
 // are processed by `workers` real goroutines. dst must not alias src.
+// It is PropagateList on every vertex.
 func Propagate(dst, src *mat.Dense, g *graph.CSR, norm Norm, q, workers int) {
-	newSchedule(dst, src, g, norm, 0, q, workers).parallel(workers)
+	PropagateList(dst, src, g, norm, nil, q, workers)
+}
+
+// PropagateList is Propagate for the vertices rows lists, strictly
+// ascending (nil: every vertex): each listed vertex's row of dst gets
+// Propagate's bits — a row is its own adjacency walk, whatever else is
+// computed — and every other row +0. The vertex ranges of the schedule
+// are ranges of the list, so the work splits among the workers by the
+// count of listed vertices.
+func PropagateList(dst, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, q, workers int) {
+	newSchedule(dst, src, g, norm, rows, 0, q, workers).parallel(workers)
 }
 
 // Propagate2D is the ablation comparator: it additionally partitions
@@ -153,12 +179,16 @@ func Propagate(dst, src *mat.Dense, g *graph.CSR, norm Norm, q, workers int) {
 // The paper argues this brings no benefit for small subgraphs and
 // harms load balance; BenchmarkPartitionAblation quantifies it.
 func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers int) {
-	newSchedule(dst, src, g, norm, max(pv, 1), q, workers).parallel(workers)
+	newSchedule(dst, src, g, norm, nil, max(pv, 1), q, workers).parallel(workers)
 }
 
-// propagateBlock aggregates the column range for vertices [vlo, vhi)
+// propagateBlock aggregates the column range for the vertices at
+// positions [tlo, thi) of rows (vertices tlo..thi-1 when rows is nil)
 // into dst, whose row 0 is vertex dstLo (0 for a |V|-row destination,
-// vlo for a block-local one). A vertex is one mat.GatherSum over its
+// vlo for a block-local one), and clears that column range in the
+// unlisted rows the positions own: those up to the next listed vertex,
+// and before the first for tlo = 0 and after the last for thi = the
+// list's end. A vertex is one mat.GatherSum over its
 // adjacency list: every element of the row keeps a lane and a running
 // sum of its own, which starts from +0, takes the neighbors in
 // adjacency order and is scaled once at the end (the mean) — so the
@@ -166,11 +196,29 @@ func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers in
 // about a result. An edge's weight is computed where it is used: a
 // neighbor of anything has degree >= 1 on a symmetric graph, and a
 // per-vertex table would cost every subgraph step an O(|V|) pass.
-func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, vlo, vhi, colLo, colHi int) {
+func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, tlo, thi, colLo, colHi int) {
 	f := src.Cols
 	var wbuf [256]float64 // a longer adjacency list moves w to the heap, for the rest of the block
 	w := wbuf[:0]
-	for v := vlo; v < vhi; v++ {
+	next, end := tlo, thi // the first row the block owns that it has not written, and the row after its last
+	if rows != nil {
+		next, end = 0, g.N
+		if tlo > 0 {
+			next = rows[tlo]
+		}
+		if thi < len(rows) {
+			end = rows[thi]
+		}
+	}
+	for t := tlo; t < thi; t++ {
+		v := t
+		if rows != nil {
+			v = rows[t]
+		}
+		for ; next < v; next++ {
+			clear(dst.Data[(next-dstLo)*f+colLo : (next-dstLo)*f+colHi])
+		}
+		next = v + 1
 		drow := dst.Data[(v-dstLo)*f+colLo : (v-dstLo)*f+colHi]
 		nb := g.Neighbors(int32(v))
 		if len(nb) == 0 {
@@ -193,5 +241,8 @@ func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, nor
 			}
 		}
 		mat.GatherSum(drow, src.Data, f, colLo, nb, w, scale)
+	}
+	for ; next < end; next++ {
+		clear(dst.Data[(next-dstLo)*f+colLo : (next-dstLo)*f+colHi])
 	}
 }

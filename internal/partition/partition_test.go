@@ -223,6 +223,60 @@ func TestPropagateSchedulesMatchSerial(t *testing.T) {
 	}
 }
 
+// TestPropagateListMatchesPropagate: PropagateList gives each listed
+// vertex's row Propagate's bits and every other row +0, into a
+// destination full of garbage, for lists that are empty, every vertex,
+// scattered, in runs, and the first and last vertex alone, on a graph
+// with isolated vertices, under every operator, chunk counts that cut
+// columns and worker counts that cut the list; a list that is not
+// strictly ascending vertices of the graph panics.
+func TestPropagateListMatchesPropagate(t *testing.T) {
+	g := holeyGraph(t, 83)
+	r := rng.New(41)
+	lists := map[string][]int{"empty": {}, "ends": {0, g.N - 1}}
+	var every, scattered, runs []int
+	for v := 0; v < g.N; v++ {
+		every = append(every, v)
+		if r.Intn(3) != 0 {
+			scattered = append(scattered, v)
+		}
+		if v%10 < 4 {
+			runs = append(runs, v)
+		}
+	}
+	lists["every"], lists["scattered"], lists["runs"] = every, scattered, runs
+	for _, f := range []int{1, 16, 64, 100} {
+		src := randomFeatures(rng.New(uint64(f)), g.N, f)
+		dst := mat.New(g.N, f)
+		for _, norm := range []Norm{NormDst, NormSrc, NormSym, NormSum} {
+			full := refVector(src, g, norm)
+			for name, rows := range lists {
+				want := mat.New(g.N, f)
+				for _, v := range rows {
+					copy(want.Row(v), full.Row(v))
+				}
+				for _, q := range []int{1, 3} {
+					for _, workers := range []int{1, 2, 3, 8} {
+						dst.Fill(99.5)
+						PropagateList(dst, src, g, norm, rows, q, workers)
+						sameBits(t, fmt.Sprintf("f=%d norm=%d rows %s q=%d workers=%d", f, norm, name, q, workers), dst, 0, g.N, 0, f, want, 0)
+					}
+				}
+			}
+		}
+	}
+	for name, rows := range map[string][]int{"descending": {5, 2}, "repeated": {3, 3}, "negative": {-1}, "past the end": {g.N}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("row list %s did not panic", name)
+				}
+			}()
+			PropagateList(mat.New(g.N, 4), mat.New(g.N, 4), g, NormDst, rows, 1, 1)
+		}()
+	}
+}
+
 // TestSimPropagateMatchesAndTimes: a feature-partitioned propagation
 // recorded for the simulated executor returns the serial bits, in one
 // timed chunk per worker, and its balanced chunks fold to a speedup.
