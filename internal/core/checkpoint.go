@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
+	"math"
 	"os"
 )
 
@@ -105,12 +107,27 @@ const (
 	maxCheckpointParams = 1 << 28 // ~2 GiB of float64 weights
 )
 
+// ErrNonFinite is what Save and every load return, wrapped with the
+// parameter's name and flat index, for a NaN or ±Inf weight.
+var ErrNonFinite = errors.New("core: non-finite weight")
+
+// checkFinite is the one check Save and restore share, so whatever
+// loads also saves.
+func checkFinite(name string, w []float64) error {
+	for i, v := range w {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s[%d] = %v", ErrNonFinite, name, i, v)
+		}
+	}
+	return nil
+}
+
 // Save writes the model's trainable parameters and architecture
-// metadata to w in gob format. Optimizer state is not saved; resumed
-// training restarts Adam's moment estimates.
+// metadata to w in gob format, or nothing on a non-finite weight.
+// Optimizer state is not saved; resumed training restarts Adam's
+// moment estimates.
 func (m *Model) Save(w io.Writer) error {
-	ps := m.Params()
-	arch := m.ArchMeta()
+	ps, arch := m.Params(), m.ArchMeta()
 	ck := checkpoint{
 		Version:      checkpointVersion,
 		ModelVersion: arch.ModelVersion,
@@ -122,6 +139,9 @@ func (m *Model) Save(w io.Writer) error {
 		Hidden:       arch.Hidden,
 	}
 	for _, p := range ps {
+		if err := checkFinite(p.Name, p.W.Data); err != nil {
+			return err
+		}
 		ck.Names = append(ck.Names, p.Name)
 		ck.Rows = append(ck.Rows, p.W.Rows)
 		ck.Cols = append(ck.Cols, p.W.Cols)
@@ -143,16 +163,13 @@ func (m *Model) Load(r io.Reader) error {
 	if ck.Version < 1 || ck.Version > checkpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want 1..%d", ck.Version, checkpointVersion)
 	}
-	if err := m.restore(&ck); err != nil {
-		return err
-	}
-	return nil
+	return m.restore(&ck)
 }
 
-// restore copies checkpoint tensors into m after verifying shapes.
-// Every length is checked before any index: a corrupted or truncated
-// checkpoint must fail with an error, never panic or silently
-// short-copy weights.
+// restore copies checkpoint tensors into m after verifying shapes and
+// finiteness. Every length is checked before any index: a corrupted or
+// truncated checkpoint must fail with an error, never panic or
+// silently short-copy weights.
 func (m *Model) restore(ck *checkpoint) error {
 	ps := m.Params()
 	if len(ps) != len(ck.Names) {
@@ -173,6 +190,9 @@ func (m *Model) restore(ck *checkpoint) error {
 		if len(ck.Data[i]) != ck.Rows[i]*ck.Cols[i] {
 			return fmt.Errorf("core: tensor %q carries %d values for a %dx%d shape",
 				p.Name, len(ck.Data[i]), ck.Rows[i], ck.Cols[i])
+		}
+		if err := checkFinite(p.Name, ck.Data[i]); err != nil {
+			return err
 		}
 	}
 	for i, p := range ps {
@@ -197,10 +217,6 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: checkpoint metadata invalid (in=%d classes=%d layers=%d hidden=%d)",
 			ck.InDim, ck.Classes, ck.Layers, ck.Hidden)
 	}
-	// Bound the architecture before allocating it: a corrupted or
-	// hostile checkpoint that decodes cleanly must not be able to make
-	// newModelArch allocate unbounded weight matrices. The caps are far
-	// above any model this repository trains.
 	if ck.InDim > maxCheckpointDim || ck.Classes > maxCheckpointDim ||
 		ck.Hidden > maxCheckpointDim || ck.Layers > maxCheckpointLayers {
 		return nil, fmt.Errorf("core: checkpoint metadata out of bounds (in=%d classes=%d layers=%d hidden=%d, caps %d/%d)",
@@ -217,13 +233,8 @@ func LoadModel(r io.Reader) (*Model, error) {
 		// take the serving process down.
 		return nil, fmt.Errorf("core: checkpoint has unknown aggregator %q", ck.Aggregator)
 	}
-	cfg := Config{
-		Layers:     ck.Layers,
-		Hidden:     ck.Hidden,
-		Aggregator: ck.Aggregator,
-		Seed:       1,
-	}
-	m := newModelArch(ck.InDim, ck.Classes, ck.MultiLabel, cfg)
+	m := newModelArch(ck.InDim, ck.Classes, ck.MultiLabel,
+		Config{Layers: ck.Layers, Hidden: ck.Hidden, Aggregator: ck.Aggregator, Seed: 1})
 	if err := m.restore(&ck); err != nil {
 		return nil, err
 	}

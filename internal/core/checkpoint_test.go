@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -199,5 +202,41 @@ func TestCheckpointFile(t *testing.T) {
 	}
 	if err := m2.LoadFile(filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
 		t.Fatal("missing file should error")
+	}
+}
+
+// TestNonFiniteWeightsAreRefused: a model with one NaN weight — what
+// ten steps on a feature row holding a NaN left behind before inputs
+// were checked — is refused by Save with ErrNonFinite naming the
+// parameter and the flat index, writing nothing; a checkpoint carrying
+// a NaN or an Inf is refused by Load the same way, and the model it
+// was loaded into keeps its weights.
+func TestNonFiniteWeightsAreRefused(t *testing.T) {
+	ds := tinyDataset(t, false)
+	m := NewModel(ds, tinyConfig())
+	var good bytes.Buffer
+	if err := m.Save(&good); err != nil {
+		t.Fatal(err)
+	}
+	m.Layers[1].WNeigh.W.Data[5] = math.NaN()
+	var buf bytes.Buffer
+	err := m.Save(&buf)
+	if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "w_neigh[5]") {
+		t.Fatalf("Save of a NaN weight: %v, want ErrNonFinite naming w_neigh[5]", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Save wrote %d bytes before refusing", buf.Len())
+	}
+
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		fresh := NewModel(ds, tinyConfig())
+		before := weightCRC(fresh)
+		err := fresh.Load(bytes.NewReader(withWeight(t, good.Bytes(), v)))
+		if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "[2]") {
+			t.Fatalf("Load of a %v weight: %v, want ErrNonFinite naming index 2", v, err)
+		}
+		if weightCRC(fresh) != before {
+			t.Fatalf("a refused Load of a %v weight changed the model", v)
+		}
 	}
 }

@@ -73,10 +73,11 @@ func TestLossTraceIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestQNeverReachesABit: the propagation chunk count only re-chunks
-// columns, so the loss trace and the full-graph logits are the same
-// bits under every Q — explicit counts and the solver's (Q = 0) — at
-// one worker and two. The features (200) and the second layer's input
-// (2 × 64) are wide enough to be cut.
+// columns, so the loss trace and the logits of training's every-row
+// pass over the whole graph (Model.Forward, which runs the ctx's Q) are
+// the same bits under every Q — explicit counts and the solver's
+// (Q = 0) — at one worker and two. The features (200) and the second
+// layer's input (2 × 64) are wide enough to be cut.
 func TestQNeverReachesABit(t *testing.T) {
 	ds := datasets.Generate(datasets.Config{
 		Name: "wide", Vertices: 400, TargetEdges: 4000,
@@ -92,7 +93,7 @@ func TestQNeverReachesABit(t *testing.T) {
 		for i := range losses {
 			losses[i] = tr.Step()
 		}
-		return losses, tr.Model.Infer(tr.DS)
+		return losses, tr.Model.Forward(tr.Model.CtxForGraph(ds.G, ds.FeatureDim(), nil), ds.Features)
 	}
 	refLoss, refLogits := run(1, 1)
 	for _, q := range []int{1, 2, 3, 13, 0} {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"math"
 	"testing"
 
 	"gsgcn/internal/datasets"
@@ -19,6 +21,22 @@ func fuzzCheckpointBytes(tb interface{ Fatal(...any) }) []byte {
 	m.ModelVersion = 7
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withWeight returns the checkpoint bytes valid with weight 2 of its
+// second tensor set to v: a checkpoint sound in every field but one
+// weight.
+func withWeight(tb interface{ Fatal(...any) }, valid []byte, v float64) []byte {
+	var ck checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&ck); err != nil {
+		tb.Fatal(err)
+	}
+	ck.Data[1][2] = v
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -61,6 +79,9 @@ func FuzzLoadModel(f *testing.F) {
 		Data: [][]float64{{1}},
 	})
 	f.Add(mismatch.Bytes())
+
+	// One NaN weight in an otherwise sound checkpoint (ErrNonFinite).
+	f.Add(withWeight(f, valid, math.NaN()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModel(bytes.NewReader(data))
@@ -126,7 +147,10 @@ func TestLoadModelRejectsCorruptMetadata(t *testing.T) {
 			Version: 2, InDim: 5, Classes: 3, Hidden: 4, Layers: 2,
 			Names: []string{"a", "b"}, Rows: []int{1}, Cols: []int{1}, Data: [][]float64{{1}},
 		})},
+		{"nan-weight", withWeight(t, valid, math.NaN())},
+		{"inf-weight", withWeight(t, valid, math.Inf(1))},
 	}
+	nonFinite := map[string]bool{"nan-weight": true, "inf-weight": true}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := LoadModel(bytes.NewReader(tc.data))
@@ -135,6 +159,9 @@ func TestLoadModelRejectsCorruptMetadata(t *testing.T) {
 			}
 			if m != nil {
 				t.Fatalf("model returned alongside error %v", err)
+			}
+			if errors.Is(err, ErrNonFinite) != nonFinite[tc.name] {
+				t.Fatalf("error %v: errors.Is(err, ErrNonFinite) = %v", err, !nonFinite[tc.name])
 			}
 		})
 	}

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/graph"
@@ -90,13 +89,7 @@ func (c Config) withDefaults(ds *datasets.Dataset) Config {
 		// The paper's m = 1000 assumes Table-I-sized graphs; scale it
 		// down on small graphs so an epoch still contains several
 		// weight updates.
-		c.FrontierM = n / 20
-		if c.FrontierM > 1000 {
-			c.FrontierM = 1000
-		}
-		if c.FrontierM < 25 {
-			c.FrontierM = 25
-		}
+		c.FrontierM = min(max(n/20, 25), 1000)
 	}
 	if c.FrontierM > n/2 && n > 1 {
 		c.FrontierM = n/2 + 1
@@ -234,37 +227,42 @@ func (m *Model) CtxForGraph(g *graph.CSR, feat int, timer *perf.Timer) *nn.Ctx {
 	return &nn.Ctx{G: g, Q: q, Workers: m.cfg.Workers, Timer: timer}
 }
 
-// Infer runs the model over the whole of ds's graph and returns the
-// logits of every vertex, in a matrix the caller owns.
-func (m *Model) Infer(ds *datasets.Dataset) *mat.Dense {
-	return m.Forward(m.CtxForGraph(ds.G, ds.FeatureDim(), nil), ds.Features).Clone()
-}
+// Infer returns the logits of every vertex of ds's graph, in a matrix
+// the caller owns: the head over FullEmbeddings' table.
+func (m *Model) Infer(ds *datasets.Dataset) *mat.Dense { return m.infer(ds, nil) }
 
 // Evaluate returns the micro-F1 over the vertices idx of full-graph
 // inference on ds: the one evaluation behind every trainer, the
-// baselines' included. The last layer and the head run on the scored
-// vertices alone (nn.Ctx.Rows); a row's logits are its own arithmetic,
-// so they are Infer's bits.
+// baselines' included. The layers below the last stream over the graph
+// as in FullEmbeddings; the last layer and the head run on the scored
+// vertices alone. A row's logits are its own arithmetic, so they are
+// Infer's bits.
 func (m *Model) Evaluate(ds *datasets.Dataset, idx []int32) float64 {
-	ctx := m.CtxForGraph(ds.G, ds.FeatureDim(), nil)
-	ctx.Rows = make([]int, len(idx))
-	for i, v := range idx {
-		ctx.Rows[i] = int(v)
-	}
-	slices.Sort(ctx.Rows)
-	ctx.Rows = slices.Compact(ctx.Rows)
-	logits := m.Forward(ctx, ds.Features)
-	var pred *mat.Dense
-	if ds.MultiLabel {
-		pred = nn.PredictMulti(logits)
-	} else {
-		pred = nn.PredictSingle(logits)
-	}
 	rows := make([]int, len(idx))
 	for i, v := range idx {
 		rows[i] = int(v)
 	}
-	return nn.F1Micro(pred, ds.Labels, rows)
+	labels := mat.New(len(rows), ds.NumClasses)
+	mat.GatherRows(labels, ds.Labels, rows)
+	predict := nn.PredictSingle
+	if ds.MultiLabel {
+		predict = nn.PredictMulti
+	}
+	return nn.F1Micro(predict(m.infer(ds, rows)), labels, nil)
+}
+
+// infer returns the logits of the vertices rows lists (in any order;
+// nil: every vertex), row t for vertex rows[t], reading only the
+// model's weights: the layers below the last stream over every vertex
+// as in FullEmbeddings, and the last one and the head over the listed
+// ones.
+func (m *Model) infer(ds *datasets.Dataset, rows []int) *mat.Dense {
+	last, workers := len(m.Layers)-1, m.cfg.Workers
+	h := forwardBlocks(m.Layers[:last], ds.G, ds.Features, workers, 0)
+	h = layerForwardBlocks(m.Layers[last], ds.G, h, rows, workers, 256)
+	logits := mat.New(h.Rows, m.Head.OutDim)
+	m.Head.Apply(logits, h, nil, workers)
+	return logits
 }
 
 // Forward runs the full model on graph g with input features h and
@@ -288,8 +286,8 @@ func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 // FullEmbeddings runs the GCN stack (without the classifier head) over
 // the entire graph and returns the |V| x OutWidth final-layer
 // embedding table — the one full-graph pass, behind serving's cold
-// start and the offline artifact build alike. Training samples
-// subgraphs because backpropagation over the full graph is
+// start, the artifact build, Infer and Evaluate alike. Training
+// samples subgraphs because backpropagation over the full graph is
 // intractable; inference has no such constraint, and the exact
 // embeddings the paper evaluates (Section VI) come from this pass. It
 // streams one layer at a time in vertex blocks of `block` rows
@@ -303,6 +301,12 @@ func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 // to exactly one block, so the table is bit-identical at every workers
 // and block setting and to Forward's own activations over g.
 func (m *Model) FullEmbeddings(g *graph.CSR, feats *mat.Dense, workers, block int) *mat.Dense {
+	return forwardBlocks(m.Layers, g, feats, workers, block)
+}
+
+// forwardBlocks is FullEmbeddings over the given layers: feats itself
+// for none.
+func forwardBlocks(layers []*nn.GCNLayer, g *graph.CSR, feats *mat.Dense, workers, block int) *mat.Dense {
 	if feats.Rows != g.N {
 		panic("core: feature rows do not match graph vertices")
 	}
@@ -313,40 +317,51 @@ func (m *Model) FullEmbeddings(g *graph.CSR, feats *mat.Dense, workers, block in
 		block = 256
 	}
 	cur := feats
-	for _, l := range m.Layers {
-		next := mat.New(g.N, l.OutWidth())
-		layerForwardBlocks(l, g, cur, next, workers, block)
-		cur = next
+	for _, l := range layers {
+		cur = layerForwardBlocks(l, g, cur, nil, workers, block)
 	}
 	return cur
 }
 
-// layerForwardBlocks computes next = GCNLayer(cur) in vertex blocks.
-// Each block of rows is owned by exactly one worker; all arithmetic
-// inside a block is serial and per-row, so block boundaries never
-// change results.
-func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur, next *mat.Dense, workers, block int) {
-	in, out := l.InDim, l.OutDim
-	nBlocks := (g.N + block - 1) / block
+// layerForwardBlocks returns GCNLayer(cur) for the vertices rows lists
+// (nil: every vertex), row t for vertex rows[t], computed in blocks of
+// rows that each worker owns whole. All arithmetic inside a block is
+// serial and per-row, so neither the blocks nor the list change a
+// result.
+func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur *mat.Dense, rows []int, workers, block int) *mat.Dense {
+	n := g.N
+	if rows != nil {
+		n = len(rows)
+	}
+	next := mat.New(n, l.OutWidth())
+	in, out, norm := l.InDim, l.OutDim, l.Agg.Norm()
+	nBlocks := (next.Rows + block - 1) / block
 	perf.Parallel(nBlocks, workers, func(_, blo, bhi int) {
 		// Per-worker scratch, reused across this worker's blocks.
-		hN := make([]float64, block*in)
-		zS := make([]float64, block*out)
-		zN := make([]float64, block*out)
+		hS, hN := make([]float64, block*in), make([]float64, block*in)
+		zS, zN := make([]float64, block*out), make([]float64, block*out)
+		hNv := &mat.Dense{Rows: 1, Cols: in} // a listed vertex's row of hN
 		for b := blo; b < bhi; b++ {
-			lo := b * block
-			hi := min(lo+block, g.N)
-			rows := hi - lo
-			hNb := mat.FromData(rows, in, hN[:rows*in])
-			partition.PropagateRows(hNb, cur, g, l.Agg.Norm(), lo, hi)
-			hBlock := mat.FromData(rows, in, cur.Data[lo*in:hi*in])
-			zSb := mat.FromData(rows, out, zS[:rows*out])
-			zNb := mat.FromData(rows, out, zN[:rows*out])
-			mat.Mul(zSb, hBlock, l.WSelf.W, 1)
+			lo, hi := b*block, min(b*block+block, next.Rows)
+			k := hi - lo
+			hSb, hNb := mat.FromData(k, in, hS[:k*in]), mat.FromData(k, in, hN[:k*in])
+			if rows == nil {
+				hSb = mat.FromData(k, in, cur.Data[lo*in:hi*in])
+				partition.PropagateRows(hNb, cur, g, norm, lo, hi)
+			} else {
+				for t, v := range rows[lo:hi] {
+					copy(hSb.Row(t), cur.Row(v))
+					hNv.Data = hNb.Row(t)
+					partition.PropagateRows(hNv, cur, g, norm, v, v+1)
+				}
+			}
+			zSb, zNb := mat.FromData(k, out, zS[:k*out]), mat.FromData(k, out, zN[:k*out])
+			mat.Mul(zSb, hSb, l.WSelf.W, 1)
 			mat.Mul(zNb, hNb, l.WNeigh.W, 1)
-			l.Combine(mat.FromData(rows, 2*out, next.Data[lo*2*out:hi*2*out]), zSb, zNb, 1)
+			l.Combine(mat.FromData(k, 2*out, next.Data[lo*2*out:hi*2*out]), zSb, zNb, 1)
 		}
 	})
+	return next
 }
 
 // Backward propagates dLogits through head and layers, setting every

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"math"
+	"reflect"
 	"testing"
 
+	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
 	"gsgcn/internal/nn"
 	"gsgcn/internal/rng"
@@ -82,11 +86,12 @@ func TestStepOnMatchesEveryRowPass(t *testing.T) {
 	}
 }
 
-// TestForwardOnRowsIsInferOnThem: Model.Forward under ctx.Rows gives
-// the listed rows Infer's logits, bit for bit, and +0 everywhere else;
-// Evaluate, which scores that way, returns the F1 of Infer's
+// TestForwardOnRowsIsInferOnThem: Evaluate's own pass gives each
+// listed vertex the logits of Infer (the head over FullEmbeddings), bit
+// for bit, and Model.Forward under ctx.Rows gives them to the listed
+// rows and +0 everywhere else; Evaluate returns the F1 of Infer's
 // predictions — over the splits, a list in no order with a repeated
-// vertex, and none. Both losses, one and three layers.
+// vertex (not a Ctx.Rows), and none. Both losses, one and three layers.
 func TestForwardOnRowsIsInferOnThem(t *testing.T) {
 	for _, multi := range []bool{true, false} {
 		ds := tinyDataset(t, multi)
@@ -115,6 +120,12 @@ func TestForwardOnRowsIsInferOnThem(t *testing.T) {
 				if want := nn.F1Micro(pred, ds.Labels, rows); m.Evaluate(ds, idx) != want {
 					t.Errorf("%s: Evaluate %v, F1 of Infer %v", tag, m.Evaluate(ds, idx), want)
 				}
+				own := m.infer(ds, rows)
+				for i, v := range own.Data {
+					if want := full.At(rows[i/own.Cols], i%own.Cols); math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("%s: Evaluate's logit %d of vertex %d = %v, want %v", tag, i%own.Cols, rows[i/own.Cols], v, want)
+					}
+				}
 				if name == "unordered" {
 					continue // Ctx.Rows must be ascending
 				}
@@ -139,5 +150,85 @@ func TestForwardOnRowsIsInferOnThem(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// reachableFloats walks everything reachable from m — weights,
+// gradients, Adam moments, every layer's cached activations and
+// buffers, each pointer once — and returns how many float64s the
+// slices it meets can hold and a CRC-64 of the bits they hold.
+func reachableFloats(m *Model) (capacity int, crc uint64) {
+	seen := map[uintptr]bool{}
+	var b [8]byte
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				walk(v.Elem())
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if v.Type().Elem().Kind() != reflect.Float64 {
+				for i := 0; i < v.Len(); i++ {
+					walk(v.Index(i))
+				}
+				return
+			}
+			capacity += v.Cap()
+			for i := 0; i < v.Len(); i++ {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.Index(i).Float()))
+				crc = crc64.Update(crc, weightsCRCTable, b[:])
+			}
+		}
+	}
+	walk(reflect.ValueOf(m))
+	return capacity, crc
+}
+
+// TestEvaluateLeavesTheModelAsTrainingLeftIt: on a graph fifteen times
+// the subgraph budget, Evaluate and Infer read the model's weights and
+// nothing else — every float the model reaches (caches and buffers
+// included) is the bits, and every buffer the capacity, the last
+// training step left — and the next step's loss and weights are those
+// of a twin that never evaluated.
+func TestEvaluateLeavesTheModelAsTrainingLeftIt(t *testing.T) {
+	ds := datasets.Generate(datasets.Config{
+		Name: "large", Vertices: 3000, TargetEdges: 30000,
+		FeatureDim: 16, NumClasses: 5, Homophily: 0.85, NoiseStd: 0.4, Seed: 3,
+	})
+	cfg := tinyConfig()
+	cfg.DropRate = 0.2
+	evaluated, twin := NewTrainer(ds, NewModel(ds, cfg)), NewTrainer(ds, NewModel(ds, cfg))
+	fr := &sampler.Frontier{G: ds.G, M: cfg.FrontierM, N: cfg.Budget, Eta: 2}
+	for step := 0; step < 4; step++ {
+		sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(9, step))
+		if step == 3 {
+			capBefore, crcBefore := reachableFloats(evaluated.Model)
+			if f1 := evaluated.Evaluate(ds.ValIdx); f1 <= 0 {
+				t.Fatalf("Evaluate = %v", f1)
+			}
+			evaluated.Model.Infer(ds)
+			capAfter, crcAfter := reachableFloats(evaluated.Model)
+			if capAfter != capBefore || crcAfter != crcBefore {
+				t.Fatalf("inference changed the model: %d floats of capacity (CRC %#x), %d (CRC %#x) before",
+					capAfter, crcAfter, capBefore, crcBefore)
+			}
+		}
+		got, want := evaluated.StepOn(sub), twin.StepOn(sub)
+		if math.Float64bits(got) != math.Float64bits(want) || want == 0 {
+			t.Fatalf("step %d: loss %v, twin %v", step, got, want)
+		}
+	}
+	if got, want := weightCRC(evaluated.Model), weightCRC(twin.Model); got != want {
+		t.Errorf("weights after a step that followed Evaluate: CRC %#x, twin %#x", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"gsgcn/internal/datasets"
@@ -90,10 +91,8 @@ func (t *Trainer) Step() float64 { return t.StepOn(t.nextSubgraph()) }
 func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
 	n, feat, cfg := sub.N, t.DS.FeatureDim(), t.Model.cfg
 	h0, labels := mat.Reuse(&t.bufH0, n, feat), mat.Reuse(&t.bufLabels, n, t.DS.NumClasses)
-	if cap(t.bufIdx) < n {
-		t.bufIdx = make([]int, n)
-	}
-	idx := t.bufIdx[:n]
+	idx := slices.Grow(t.bufIdx[:0], n)[:n]
+	t.bufIdx = idx
 	mask := t.bufMask[:0]
 	for i, v := range sub.Orig {
 		idx[i] = int(v)
@@ -164,14 +163,8 @@ func (t *Trainer) nextSubgraph() *graph.Subgraph {
 // training vertex budget as defined in Section III-B — and returns
 // the mean minibatch loss.
 func (t *Trainer) Epoch() float64 {
-	b := t.Model.cfg.Budget
-	if b <= 0 {
-		b = 1
-	}
-	iters := (t.DS.G.NumVertices() + b - 1) / b
-	if iters < 1 {
-		iters = 1
-	}
+	b := max(t.Model.cfg.Budget, 1)
+	iters := max((t.DS.G.NumVertices()+b-1)/b, 1)
 	total := 0.0
 	for i := 0; i < iters; i++ {
 		total += t.Step()
@@ -188,15 +181,12 @@ func (t *Trainer) Epoch() float64 {
 // measurement behind the paper's "training time to reach an accuracy
 // threshold" speedups (Section VI-B).
 func (t *Trainer) TrainUntil(target float64, maxEpochs int) (epochs int, trainTime time.Duration, f1 float64) {
-	for epochs < maxEpochs {
+	for epochs < maxEpochs && (epochs == 0 || f1 < target) {
 		start := time.Now()
 		t.Epoch()
 		trainTime += time.Since(start)
 		epochs++
 		f1 = t.Evaluate(t.DS.ValIdx)
-		if f1 >= target {
-			return epochs, trainTime, f1
-		}
 	}
 	return epochs, trainTime, f1
 }

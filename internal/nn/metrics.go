@@ -35,40 +35,32 @@ func PredictSingle(logits *mat.Dense) *mat.Dense {
 // rows is nil). This is the accuracy measure of the paper's Figure 2.
 // For single-label (one-hot) data micro-F1 equals plain accuracy.
 func F1Micro(pred, labels *mat.Dense, rows []int) float64 {
-	rows = maskOrAll(rows, pred.Rows)
-	var tp, fp, fn float64
-	c := pred.Cols
-	for _, i := range rows {
-		prow := pred.Row(i)
-		lrow := labels.Row(i)
-		for j := 0; j < c; j++ {
-			switch {
-			case prow[j] == 1 && lrow[j] == 1:
-				tp++
-			case prow[j] == 1 && lrow[j] == 0:
-				fp++
-			case prow[j] == 0 && lrow[j] == 1:
-				fn++
-			}
-		}
+	tp, fp, fn := confusion(pred, labels, rows)
+	var t, p, n float64
+	for j := range tp {
+		t, p, n = t+tp[j], p+fp[j], n+fn[j]
 	}
-	if tp == 0 {
-		return 0
-	}
-	return 2 * tp / (2*tp + fp + fn)
+	return f1(t, p, n)
 }
 
 // F1Macro computes the macro-averaged F1 (unweighted mean of
 // per-class F1 scores), a secondary metric for skewed label sets.
 func F1Macro(pred, labels *mat.Dense, rows []int) float64 {
-	rows = maskOrAll(rows, pred.Rows)
+	tp, fp, fn := confusion(pred, labels, rows)
+	sum := 0.0
+	for j := range tp {
+		sum += f1(tp[j], fp[j], fn[j])
+	}
+	return sum / float64(len(tp))
+}
+
+// confusion counts the true positives, false positives and false
+// negatives of each class (column) over the rows (all when nil).
+func confusion(pred, labels *mat.Dense, rows []int) (tp, fp, fn []float64) {
 	c := pred.Cols
-	tp := make([]float64, c)
-	fp := make([]float64, c)
-	fn := make([]float64, c)
-	for _, i := range rows {
-		prow := pred.Row(i)
-		lrow := labels.Row(i)
+	tp, fp, fn = make([]float64, c), make([]float64, c), make([]float64, c)
+	for _, i := range maskOrAll(rows, pred.Rows) {
+		prow, lrow := pred.Row(i), labels.Row(i)
 		for j := 0; j < c; j++ {
 			switch {
 			case prow[j] == 1 && lrow[j] == 1:
@@ -80,11 +72,13 @@ func F1Macro(pred, labels *mat.Dense, rows []int) float64 {
 			}
 		}
 	}
-	sum := 0.0
-	for j := 0; j < c; j++ {
-		if tp[j] > 0 {
-			sum += 2 * tp[j] / (2*tp[j] + fp[j] + fn[j])
-		}
+	return tp, fp, fn
+}
+
+// f1 is 2·tp / (2·tp + fp + fn), and 0 without a true positive.
+func f1(tp, fp, fn float64) float64 {
+	if tp == 0 {
+		return 0
 	}
-	return sum / float64(c)
+	return 2 * tp / (2*tp + fp + fn)
 }

@@ -17,18 +17,21 @@
 //
 // A layer computes only the rows its caller reads when Ctx.Rows lists
 // them — the training rows of a sampled subgraph, whose loss reads no
-// other — and the result is the every-row pass's, to the bit: a listed
-// row's arithmetic is its own; an unlisted row's output gradient is +0
-// (the masked loss leaves it so), so its input gradient is +0 and its
-// terms in a weight gradient are ±0, which add nothing to a sum
-// started from +0. That holds on finite values: a NaN or an Inf in an
-// unlisted row would have reached the every-row gradients (NaN·0 is
-// NaN) and does not reach these. The determinism contract's row
-// restriction (docs/ARCHITECTURE.md) states the argument whole.
+// other (inference runs no layer's Forward: core's Evaluate and Infer
+// stream the graph and call Dense.Apply) — and the result is the
+// every-row pass's, to the bit: a listed row's arithmetic is its own;
+// an unlisted row's output gradient is +0 (the masked loss leaves it
+// so), so its input gradient is +0 and its terms in a weight gradient
+// are ±0, which add nothing to a sum started from +0. That holds on
+// finite values: a NaN or an Inf in an unlisted row would have reached
+// the every-row gradients (NaN·0 is NaN) and does not reach these. The
+// determinism contract's row restriction (docs/ARCHITECTURE.md) states
+// the argument whole.
 package nn
 
 import (
 	"math"
+	"slices"
 
 	"gsgcn/internal/graph"
 	"gsgcn/internal/mat"
@@ -56,16 +59,13 @@ type Ctx struct {
 	// Rng drives dropout masks; required when DropRate > 0 and Train.
 	Rng *rng.RNG
 	// Rows are the rows of a layer's output its caller reads, strictly
-	// ascending; nil means every row. A GCNLayer or Dense given a list
-	// runs its propagation, products and bias on those rows and leaves
-	// +0 in the others (the rectifier, one elementwise pass, maps that
-	// +0 to +0), and its backward pass sums its weight and bias
-	// gradients over them and forms the input gradient's rows from them
-	// alone: on finite values, the bits of the every-row pass on an
-	// output gradient that is +0 in the unlisted rows (see the package
-	// comment). Only the last layer of a stack and its head can be given
-	// one: every layer below feeds the last one's propagation, which
-	// reads every row.
+	// ascending; nil means every row. Only the last layer of a stack and
+	// its head can be given a list (every layer below feeds the last
+	// one's propagation, which reads every row), and only core's
+	// Trainer.StepOn and baseline.FullBatch set one. A GCNLayer or Dense
+	// given a list computes those rows, +0 in the others, and its
+	// backward pass reads them alone: the every-row pass's bits on
+	// finite values (see the package comment).
 	Rows []int
 }
 
@@ -312,10 +312,8 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 	back := mat.Reuse(&l.bufBack, n, l.InDim)
 	ctx.time("featprop", func() { aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
 	mat.AddScaledP(dH, back, 1, ctx.Workers)
-	if l.lastMask != nil {
-		for i, m := range l.lastMask {
-			dH.Data[i] *= m
-		}
+	for i, m := range l.lastMask {
+		dH.Data[i] *= m
 	}
 	return dH
 }
@@ -348,12 +346,7 @@ func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 func dropoutInPlace(h *mat.Dense, rate float64, r *rng.RNG, buf []float64) []float64 {
 	keep := 1 - rate
 	inv := 1 / keep
-	mask := buf
-	if cap(mask) < len(h.Data) {
-		mask = make([]float64, len(h.Data))
-	} else {
-		mask = mask[:len(h.Data)]
-	}
+	mask := slices.Grow(buf[:0], len(h.Data))[:len(h.Data)]
 	for i := range h.Data {
 		if r.Float64() < keep {
 			mask[i] = inv
@@ -391,18 +384,26 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 // Params returns the trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Forward returns logits = h·W + b, the head's until its next call:
-// under ctx.Rows the listed rows, and +0 in the others.
+// Forward returns logits = h·W + b (Apply under ctx.Rows), the head's
+// until its next call, and keeps h for Backward.
 func (d *Dense) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 	out := mat.Reuse(&d.bufOut, h.Rows, d.OutDim)
-	ctx.time("weight", func() { mat.MulList(out, h, d.W.W, ctx.Rows, ctx.Workers) })
-	perf.ParallelMin(rowCount(ctx.Rows, out.Rows), 64, ctx.Workers, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			mat.AddTo(out.Row(rowAt(ctx.Rows, t)), d.B.W.Data)
-		}
-	})
+	ctx.time("weight", func() { d.Apply(out, h, ctx.Rows, ctx.Workers) })
 	d.lastH = h
 	return out
+}
+
+// Apply writes logits = h·W + b into out for the rows that rows lists
+// (strictly ascending; nil: every row), +0 in the others, on up to
+// workers goroutines: the one head arithmetic, reading only the
+// weights, of training, evaluation and serving.
+func (d *Dense) Apply(out, h *mat.Dense, rows []int, workers int) {
+	mat.MulList(out, h, d.W.W, rows, workers)
+	perf.ParallelMin(rowCount(rows, out.Rows), 64, workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			mat.AddTo(out.Row(rowAt(rows, t)), d.B.W.Data)
+		}
+	})
 }
 
 // Backward sets dW and dB and returns dH, the head's until its next

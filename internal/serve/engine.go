@@ -3,9 +3,9 @@
 // codecs. It keeps no numerics of its own. The embedding table is the
 // one full-graph forward pass, core.Model.FullEmbeddings — the exact
 // embeddings the paper evaluates (Section VI), aggregated by the same
-// partition kernel training uses; the classifier head and the cosine
-// scans are mat's GEMM and dot; every top-K, exact or approximate,
-// selects through ann.TopK and ranks by ann.Before.
+// partition kernel training uses; the classifier head is nn.Dense.Apply
+// and the cosine scans are mat's dot; every top-K, exact or
+// approximate, selects through ann.TopK and ranks by ann.Before.
 //
 // The computed embedding table, the model that produced it, and a
 // top-K similarity index form one immutable State published through
@@ -706,22 +706,6 @@ func localRows(st *State, ids []int) ([]int, error) {
 	return rows, nil
 }
 
-// headLogits computes the classifier head over gathered embedding
-// rows: logits = h·W + b, the same per-row arithmetic as the
-// training-side nn.Dense forward pass.
-func headLogits(st *State, h *mat.Dense) *mat.Dense {
-	head := st.Model.Head
-	out := mat.New(h.Rows, head.OutDim)
-	mat.Mul(out, h, head.W.W, 1)
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += head.B.W.Data[j]
-		}
-	}
-	return out
-}
-
 // predictionsFromLogits converts one logits row per id into a
 // PredictResult: thresholded labels plus calibrated probabilities
 // (sigmoid per class when multi-label, softmax otherwise).
@@ -801,7 +785,9 @@ func (e *Engine) point(ids []int, predict bool) batchResp {
 	h := mat.New(len(rows), st.Dim())
 	mat.GatherRowsSrc(h, st.Emb, rows)
 	if predict {
-		return batchResp{pred: predictionsFromLogits(st, ids, headLogits(st, h))}
+		logits := mat.New(len(rows), st.Model.Head.OutDim)
+		st.Model.Head.Apply(logits, h, nil, 1)
+		return batchResp{pred: predictionsFromLogits(st, ids, logits)}
 	}
 	return batchResp{embed: embedResult(st, ids, h)}
 }

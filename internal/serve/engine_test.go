@@ -47,7 +47,8 @@ func TestEngineMatchesTrainingForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := headLogits(st, st.Emb.(*mat.Dense))
+		got := mat.New(ds.G.N, m.Head.OutDim)
+		st.Model.Head.Apply(got, st.Emb.(*mat.Dense), nil, 1)
 		if got.Rows != want.Rows || got.Cols != want.Cols || !bitsEqual([][]float64{got.Data}, [][]float64{want.Data}) {
 			t.Fatalf("%s: serving logits differ from training forward pass (max diff %g)", agg, got.MaxAbsDiff(want))
 		}
@@ -92,7 +93,8 @@ func TestEngineEmbedAndPredict(t *testing.T) {
 		}
 		// Labels must match the training-side prediction rule applied
 		// to the full-graph logits.
-		logits := headLogits(st, st.Emb.(*mat.Dense))
+		logits := mat.New(ds.G.N, m.Head.OutDim)
+		st.Model.Head.Apply(logits, st.Emb.(*mat.Dense), nil, 1)
 		var ref *mat.Dense
 		if multi {
 			ref = nn.PredictMulti(logits)
