@@ -27,9 +27,10 @@
 // open loop on a shared host measures the host's timers as much as
 // the server, so performance claims come from `go run ./benchmark`.
 //
-// Error classes: ok (200), shed (429), unavailable (503, includes
+// Error classes: ok (200), then the server error table's classes
+// (serve.FailureClass) — shed (429), unavailable (503, includes
 // requests owned by a killed shard — expected during churn), deadline
-// (504), client_error (other 4xx), server_error (other 5xx) and
+// (504), client_error (other 4xx), server_error (other 5xx) — and
 // transport (the request never completed). -fail-on-errors exits
 // nonzero when any client_error, server_error or transport occurred,
 // or when nothing succeeded at all — shed and unavailable are the
@@ -51,6 +52,7 @@ import (
 	"sync"
 	"time"
 
+	"gsgcn/internal/serve"
 	"gsgcn/pkg/client"
 )
 
@@ -75,26 +77,24 @@ var classNames = [numClasses]string{
 }
 
 // classify buckets one SDK outcome. Server rejections arrive as
-// *client.APIError carrying the HTTP status on every transport, so
-// the classification is transport-independent; anything else that
-// failed is a transport error.
+// *client.APIError carrying the HTTP status and reason on every
+// transport, and serve.FailureClass names their class from the
+// server's own error table, so the classification is
+// transport-independent; anything else that failed is a transport
+// error.
 func classify(err error) class {
-	if err == nil {
-		return clsOK
-	}
 	var ae *client.APIError
-	if !errors.As(err, &ae) {
+	switch {
+	case err == nil:
+		return clsOK
+	case !errors.As(err, &ae):
 		return clsTransport
 	}
-	switch {
-	case ae.Status == http.StatusTooManyRequests:
-		return clsShed
-	case ae.Status == http.StatusServiceUnavailable:
-		return clsUnavailable
-	case ae.Status == http.StatusGatewayTimeout:
-		return clsDeadline
-	case ae.Status >= 400 && ae.Status < 500:
-		return clsClient
+	name := serve.FailureClass(ae.Status, ae.Reason)
+	for cl := clsShed; cl < clsTransport; cl++ {
+		if classNames[cl] == name {
+			return cl
+		}
 	}
 	return clsServer
 }

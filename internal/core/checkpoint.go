@@ -122,11 +122,26 @@ func checkFinite(name string, w []float64) error {
 	return nil
 }
 
+// CheckFinite reports the model's first NaN or ±Inf weight as
+// ErrNonFinite, wrapped as Save and every load wrap it: the check
+// Save runs, for callers that take a model in memory.
+func (m *Model) CheckFinite() error {
+	for _, p := range m.Params() {
+		if err := checkFinite(p.Name, p.W.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Save writes the model's trainable parameters and architecture
 // metadata to w in gob format, or nothing on a non-finite weight.
 // Optimizer state is not saved; resumed training restarts Adam's
 // moment estimates.
 func (m *Model) Save(w io.Writer) error {
+	if err := m.CheckFinite(); err != nil {
+		return err
+	}
 	ps, arch := m.Params(), m.ArchMeta()
 	ck := checkpoint{
 		Version:      checkpointVersion,
@@ -139,9 +154,6 @@ func (m *Model) Save(w io.Writer) error {
 		Hidden:       arch.Hidden,
 	}
 	for _, p := range ps {
-		if err := checkFinite(p.Name, p.W.Data); err != nil {
-			return err
-		}
 		ck.Names = append(ck.Names, p.Name)
 		ck.Rows = append(ck.Rows, p.W.Rows)
 		ck.Cols = append(ck.Cols, p.W.Cols)

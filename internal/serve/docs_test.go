@@ -3,7 +3,9 @@ package serve
 import (
 	"net/http"
 	"os"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,5 +103,48 @@ func TestRegisteredRoutesComplete(t *testing.T) {
 		} else if !seen["/v1"+r.Pattern] {
 			t.Errorf("route %s has no /v1 spelling", r.Pattern)
 		}
+	}
+}
+
+// TestAPIDocErrorModelIsTheTable holds docs/API.md's error model to
+// errorTable both ways: its status table lists exactly the statuses
+// the rows produce, in table order, then the 400 every other error
+// gets, and its reason vocabulary is exactly the rows' non-empty
+// reasons, in table order.
+func TestAPIDocErrorModelIsTheTable(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Error model\n")
+	if !ok {
+		t.Fatal(`docs/API.md has no "## Error model" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+
+	var docStatuses, docReasons, wantStatuses, wantReasons []string
+	for _, m := range regexp.MustCompile(`(?m)^\| (\d{3}) +\|`).FindAllStringSubmatch(section, -1) {
+		docStatuses = append(docStatuses, m[1])
+	}
+	for _, m := range regexp.MustCompile("`\"([a-z_]+)\"`").FindAllStringSubmatch(section, -1) {
+		docReasons = append(docReasons, m[1])
+	}
+	seen := map[string]bool{}
+	add := func(list *[]string, v string) {
+		if v != "" && !seen[v] {
+			seen[v] = true
+			*list = append(*list, v)
+		}
+	}
+	for _, row := range errorTable {
+		add(&wantStatuses, strconv.Itoa(row.status))
+		add(&wantReasons, row.reason)
+	}
+	add(&wantStatuses, strconv.Itoa(http.StatusBadRequest))
+	if !reflect.DeepEqual(docStatuses, wantStatuses) {
+		t.Errorf("docs/API.md's error model lists statuses %v; errorTable produces %v", docStatuses, wantStatuses)
+	}
+	if !reflect.DeepEqual(docReasons, wantReasons) {
+		t.Errorf("docs/API.md's error model lists reasons %v; errorTable's rows carry %v", docReasons, wantReasons)
 	}
 }

@@ -359,7 +359,8 @@ func (e *Engine) Snapshot() (*State, error) {
 // queries keep reading the previous snapshot until they finish. The
 // engine holds a live reference to m: callers must not keep training
 // the installed model — hot reload should Install a fresh model or go
-// through LoadCheckpoint, which reconstructs one from disk.
+// through LoadCheckpoint, which reconstructs one from disk. A model
+// modelFits refuses (core.ErrNonFinite among them) is not installed.
 func (e *Engine) Install(m *core.Model) (uint64, error) {
 	return e.installShared(m, e.opts.ArtifactPath, nil)
 }

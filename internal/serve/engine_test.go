@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -328,5 +329,55 @@ func TestTopKMemoStopsAdmittingWhenFull(t *testing.T) {
 	a = serverTopK(t, srv, late)
 	if serverTopK(t, srv, late) != a || len(memoKeys(srv)) != 1 {
 		t.Errorf("after an install the memo holds %d answers and does not serve the new one", len(memoKeys(srv)))
+	}
+}
+
+// TestInstallRefusesNonFiniteWeights: an in-memory model with one
+// non-finite first-layer weight is refused at install with
+// core.ErrNonFinite — on an Engine and on 1- and 3-shard Servers — and
+// the snapshot installed before it keeps its version and its answers.
+func TestInstallRefusesNonFiniteWeights(t *testing.T) {
+	ds := testDataset(t, false)
+	good := testModel(t, ds, 2, "mean")
+	eng := NewEngine(ds, Options{Workers: 1})
+	srv1 := NewServer(ds, Options{Workers: 1})
+	srv3, err := NewRouter(ds, Options{Workers: 1}, 3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{0, 1, 2, 150, 299}
+	serverPredict := func(s *Server) func() (any, error) {
+		return func() (any, error) {
+			return s.point(context.Background(), func() ([]int, error) { return ids, nil }, true)
+		}
+	}
+	targets := []struct {
+		name    string
+		install func(*core.Model) (uint64, error)
+		predict func() (any, error)
+	}{
+		{"engine", eng.Install, func() (any, error) { return eng.Predict(ids) }},
+		{"shards1", srv1.Install, serverPredict(srv1)},
+		{"shards3", srv3.Install, serverPredict(srv3)},
+	}
+	for _, tg := range targets {
+		if v, err := tg.install(good); v != 1 || err != nil {
+			t.Fatalf("%s: good install = %d, %v", tg.name, v, err)
+		}
+		want, err := tg.predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := testModel(t, ds, 2, "mean")
+			bad.Params()[0].W.Data[5] = v
+			if ver, err := tg.install(bad); ver != 0 || !errors.Is(err, core.ErrNonFinite) {
+				t.Errorf("%s: install with a %v weight = %d, %v; want 0 and core.ErrNonFinite", tg.name, v, ver, err)
+			}
+			got, err := tg.predict()
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: after a refused %v install, predict = %+v, %v; want %+v", tg.name, v, got, err, want)
+			}
+		}
 	}
 }

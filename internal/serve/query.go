@@ -34,32 +34,58 @@ var errNotOwned = errors.New("serve: vertex not owned by this shard")
 // retryable) from a caller mistake.
 var errShardDown = errors.New("serve: owning shard is down")
 
+// errNotFound marks a request for something the surface does not
+// have: an unknown model, endpoint or path, or a shard operation on
+// an unsharded model.
+var errNotFound = errors.New("serve: not found")
+
+// errInternal marks a failure of the server's own work rather than of
+// the request: a /reload that could not load, an answer that could not
+// be encoded.
+var errInternal = errors.New("serve: internal error")
+
+// refusal is an error with its own text, msg, that errorTable
+// classifies by kind: a refusal whose message names what was refused.
+type refusal struct {
+	kind error
+	msg  string
+}
+
+func (e refusal) Error() string { return e.msg }
+func (e refusal) Unwrap() error { return e.kind }
+
 // errorTable is the one mapping from error sentinels to what a client
 // sees, in match order: the HTTP status (also the wire error frame's
-// status) and the machine-readable reason of the structured error
-// body. Server-side conditions (no model loaded yet, server closing, a
-// down shard) are 503 so retry policies keyed on 4xx-vs-5xx treat them
-// as retryable, shed requests are 429 (back off and retry), expired
-// deadlines are 504, and an error matching no row is a caller mistake:
-// 400. Reasons classify overload-protection rejections only; they are
-// absent from every other body, so pre-existing error bodies stay
-// byte-identical.
+// status), the machine-readable reason of the structured error body,
+// and the failure class FailureClass names the row by. Server-side
+// conditions (no model loaded yet, server closing, a down shard) are
+// 503 so retry policies keyed on 4xx-vs-5xx treat them as retryable,
+// shed requests are 429 (back off and retry), expired deadlines are
+// 504, and an error matching no row is a caller mistake: 400. Reasons
+// classify overload-protection rejections only; they are absent from
+// every other body, so pre-existing error bodies stay byte-identical.
+// Every non-2xx body and every error frame comes from this table,
+// through writeErr or wireErrFor.
 var errorTable = []struct {
 	err    error
 	status int
 	reason string
+	class  string
 }{
-	{errShed, http.StatusTooManyRequests, "shed"},
-	{errQuota, http.StatusTooManyRequests, "quota"},
-	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline"},
+	{errShed, http.StatusTooManyRequests, "shed", "shed"},
+	{errQuota, http.StatusTooManyRequests, "quota", "shed"},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline", "deadline"},
 	// The client disconnected; the status is for the log line, not the
 	// (gone) client. 503 keeps it in the retryable class.
-	{context.Canceled, http.StatusServiceUnavailable, "canceled"},
-	{errClosed, http.StatusServiceUnavailable, ""},
-	{errShardDown, http.StatusServiceUnavailable, ""},
-	{errNoModel, http.StatusServiceUnavailable, ""},
-	{errNotOwned, http.StatusNotFound, ""},
-	{errMethod, http.StatusMethodNotAllowed, ""},
+	{context.Canceled, http.StatusServiceUnavailable, "canceled", "unavailable"},
+	{errClosed, http.StatusServiceUnavailable, "", "unavailable"},
+	{errShardDown, http.StatusServiceUnavailable, "", "unavailable"},
+	// Also an empty registry behind the legacy routes.
+	{errNoModel, http.StatusServiceUnavailable, "", "unavailable"},
+	{errNotOwned, http.StatusNotFound, "", "client_error"},
+	{errNotFound, http.StatusNotFound, "", "client_error"},
+	{errMethod, http.StatusMethodNotAllowed, "", "client_error"},
+	{errInternal, http.StatusInternalServerError, "", "server_error"},
 }
 
 // classify looks err up in errorTable.
@@ -70,6 +96,23 @@ func classify(err error) (status int, reason string) {
 		}
 	}
 	return http.StatusBadRequest, ""
+}
+
+// FailureClass is the read-only view of errorTable a client uses: the
+// failure class of a refusal received as (status, reason), named by
+// the first row with that status or non-empty reason. A status no row
+// produces is a "client_error" if 4xx (the 400 default among them), a
+// "server_error" otherwise.
+func FailureClass(status int, reason string) string {
+	for _, row := range errorTable {
+		if row.status == status || reason != "" && row.reason == reason {
+			return row.class
+		}
+	}
+	if status/100 == 4 {
+		return "client_error"
+	}
+	return "server_error"
 }
 
 type errorBody struct {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -161,17 +162,36 @@ func (r *Registry) SetDefault(name string) error {
 // Default returns the name of the model behind the legacy routes
 // (empty while the registry is empty).
 func (r *Registry) Default() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.def
+	name, _, _ := r.model("", true)
+	return name
 }
 
 // Get returns the named model's server.
 func (r *Registry) Get(name string) (*Server, bool) {
+	_, srv, err := r.model(name, false)
+	return srv, err == nil
+}
+
+// model is the one model lookup, under one read lock: the model
+// named name, or — when name is empty and dflt is set, as for the
+// legacy routes and a request frame naming no model — the default
+// model, whose name it returns. Its error is the refusal every
+// transport sends: 503 while the registry is empty, 404 for an
+// unknown name (an empty one included when dflt is unset).
+func (r *Registry) model(name string, dflt bool) (string, *Server, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	if dflt && name == "" {
+		if r.def == "" {
+			return "", nil, refusal{errNoModel, "serve: no models registered"}
+		}
+		name = r.def
+	}
 	srv, ok := r.models[name]
-	return srv, ok
+	if !ok {
+		return name, nil, refusal{errNotFound, fmt.Sprintf("serve: unknown model %q", name)}
+	}
+	return name, srv, nil
 }
 
 // Names returns the registered model names in registration order.
@@ -265,19 +285,17 @@ type listBody struct {
 
 // handleList answers GET /models with every model's live status.
 func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeErr(w, fmt.Errorf("%w: %s", errMethod, req.Method))
-		return
-	}
-	r.mu.RLock()
-	names, servers := r.snapshot()
-	r.mu.RUnlock()
-	body := listBody{Default: r.Default(), Models: make([]modelStatus, 0, len(names))}
-	for i, n := range names {
-		body.Models = append(body.Models, r.statusFor(n, servers[i]))
-	}
-	sort.SliceStable(body.Models, func(i, j int) bool { return body.Models[i].Name < body.Models[j].Name })
-	writeJSON(w, http.StatusOK, body)
+	writeGet(w, req, func() any {
+		r.mu.RLock()
+		names, servers := r.snapshot()
+		r.mu.RUnlock()
+		body := listBody{Default: r.Default(), Models: make([]modelStatus, 0, len(names))}
+		for i, n := range names {
+			body.Models = append(body.Models, r.statusFor(n, servers[i]))
+		}
+		sort.SliceStable(body.Models, func(i, j int) bool { return body.Models[i].Name < body.Models[j].Name })
+		return body
+	})
 }
 
 // ServeHTTP routes requests: /models lists, /metrics is the global
@@ -287,7 +305,7 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 // default model's own mux byte-for-byte. Every branch runs under an
 // obs middleware: model-addressed requests under the model's own
 // instruments, registry-level ones (listing, global scrape, unknown
-// names) under the registry's.
+// names and endpoints, an empty registry) under the registry's.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	// The /v1 prefix is a spelling, not a route: fold it away once and
 	// dispatch the canonical path (model muxes fold their own copy, so
@@ -301,65 +319,46 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		r.inst.serve("/metrics", http.HandlerFunc(r.inst.handleMetrics), w, req)
 		return
 	}
-	if rest, ok := strings.CutPrefix(path, "/models/"); ok {
-		name, sub, _ := strings.Cut(rest, "/")
-		srv, found := r.Get(name)
-		if !found {
-			r.inst.serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: unknown model %q", name)})
-			}), w, req)
-			return
-		}
-		if sub == "" || sub == "healthz" {
-			// Per-model health: the extended status body (a superset of
-			// the legacy /healthz fields, plus index residency), also
-			// served at the bare /models/{name}. Billed to the model's
-			// /healthz endpoint — it is that model's health surface.
-			srv.inst.serve("/healthz", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				if req.Method != http.MethodGet {
-					writeErr(w, fmt.Errorf("%w: %s", errMethod, req.Method))
-					return
-				}
-				writeJSON(w, http.StatusOK, r.statusFor(name, srv))
-			}), w, req)
-			return
-		}
-		shardOp := sub == "shards" || strings.HasPrefix(sub, "shards/")
-		if shardOp && !srv.sharded() {
-			// Shard operations exist only on sharded models.
-			srv.inst.serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: model %q is not sharded", name)})
-			}), w, req)
-			return
-		}
-		served := shardOp
-		for _, e := range perModelEndpoints {
-			served = served || e.Pattern == "/"+sub
-		}
-		if served {
-			// Hand the request to the model's own mux under the
-			// unprefixed spelling; a shallow copy keeps the caller's
-			// request (and its URL) untouched.
-			req2 := new(http.Request)
-			*req2 = *req
-			u2 := *req.URL
-			u2.Path = "/" + sub
-			req2.URL = &u2
-			srv.ServeHTTP(w, req2)
-			return
-		}
-		r.inst.serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: unknown endpoint %q for model %q", sub, name)})
-		}), w, req)
-		return
+	rest, named := strings.CutPrefix(path, "/models/")
+	name, sub, _ := strings.Cut(rest, "/")
+	if !named {
+		name = ""
 	}
-	def := r.Default()
-	if def == "" {
-		r.inst.serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "serve: no models registered"})
+	name, srv, err := r.model(name, !named)
+	shardOp := sub == "shards" || strings.HasPrefix(sub, "shards/")
+	switch {
+	case err != nil:
+		refuseHTTP(r.inst, w, req, err)
+	case !named:
+		srv.ServeHTTP(w, req)
+	case sub == "" || sub == "healthz":
+		// Per-model health: the extended status body (a superset of
+		// the legacy /healthz fields, plus index residency), also
+		// served at the bare /models/{name}. Billed to the model's
+		// /healthz endpoint — it is that model's health surface.
+		srv.inst.serve("/healthz", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			writeGet(w, req, func() any { return r.statusFor(name, srv) })
 		}), w, req)
-		return
+	case shardOp && !srv.sharded():
+		// Shard operations exist only on sharded models.
+		refuseHTTP(srv.inst, w, req, refusal{errNotFound, fmt.Sprintf("serve: model %q is not sharded", name)})
+	case shardOp || slices.ContainsFunc(perModelEndpoints, func(e RouteDoc) bool { return e.Pattern[1:] == sub }):
+		// Hand the request to the model's own mux under the unprefixed
+		// spelling; a shallow copy keeps the caller's request (and its
+		// URL) untouched.
+		req2 := new(http.Request)
+		*req2 = *req
+		u2 := *req.URL
+		u2.Path = "/" + sub
+		req2.URL = &u2
+		srv.ServeHTTP(w, req2)
+	default:
+		refuseHTTP(r.inst, w, req, refusal{errNotFound, fmt.Sprintf("serve: unknown endpoint %q for model %q", sub, name)})
 	}
-	srv, _ := r.Get(def)
-	srv.ServeHTTP(w, req)
+}
+
+// refuseHTTP answers req with err's table row, billed to inst's
+// catch-all endpoint.
+func refuseHTTP(inst *modelMetrics, w http.ResponseWriter, req *http.Request, err error) {
+	inst.serve(epOther, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { writeErr(w, err) }), w, req)
 }

@@ -239,7 +239,7 @@ func stripV1(path string) string {
 // away so an unknown path 404s byte-identically under both
 // spellings, like every other answer.
 func notFoundHandler(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: unknown endpoint %q", stripV1(r.URL.Path))})
+	writeErr(w, refusal{errNotFound, fmt.Sprintf("serve: unknown endpoint %q", stripV1(r.URL.Path))})
 }
 
 // handlerFor maps a per-model endpoint pattern to its handler on s.
@@ -412,7 +412,8 @@ func (s *Server) CheckpointPath() string {
 }
 
 // Install publishes an in-memory model on every shard engine in
-// lockstep, warm-starting from the current artifact base.
+// lockstep, warm-starting from the current artifact base; a model
+// modelFits refuses (core.ErrNonFinite among them) changes nothing.
 func (s *Server) Install(m *core.Model) (uint64, error) {
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
@@ -424,8 +425,9 @@ func (s *Server) Install(m *core.Model) (uint64, error) {
 // table compute is shared: the first shard that misses its warm-start
 // artifact runs it, every other cold shard compacts from the same
 // tables. Each engine bumps its version by exactly one per install, and
-// the only failure mode (model/dataset shape mismatch) is identical
-// across shards, so shard versions can never diverge.
+// the only failure modes (model/dataset shape mismatch, a non-finite
+// weight: modelFits) are identical across shards, so shard versions
+// can never diverge.
 func (s *Server) install(m *core.Model, base string) (uint64, error) {
 	var (
 		once  sync.Once
@@ -729,30 +731,39 @@ func (s *Server) status() fleetStatus {
 	return f
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	f := s.status()
-	if !s.sharded() {
-		writeJSON(w, http.StatusOK, f.Health)
-		return
-	}
-	writeJSON(w, http.StatusOK, routerHealth{
-		Health:      f.Health,
-		Shards:      len(s.shards),
-		ShardSeed:   s.opts.shardSeed,
-		ShardsDown:  f.down,
-		ShardDetail: f.detail,
-	})
-}
-
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
+// writeGet answers a GET-only JSON endpoint: body() with 200, or
+// errMethod's row for any other method.
+func writeGet(w http.ResponseWriter, r *http.Request, body func() any) {
 	if r.Method != http.MethodGet {
 		writeErr(w, fmt.Errorf("%w: %s", errMethod, r.Method))
 		return
 	}
-	writeJSON(w, http.StatusOK, shardsBody{
-		Shards:    len(s.shards),
-		ShardSeed: s.opts.shardSeed,
-		Detail:    s.status().detail,
+	writeJSON(w, http.StatusOK, body())
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	writeGet(w, r, func() any {
+		f := s.status()
+		if !s.sharded() {
+			return f.Health
+		}
+		return routerHealth{
+			Health:      f.Health,
+			Shards:      len(s.shards),
+			ShardSeed:   s.opts.shardSeed,
+			ShardsDown:  f.down,
+			ShardDetail: f.detail,
+		}
+	})
+}
+
+func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
+	writeGet(w, r, func() any {
+		return shardsBody{
+			Shards:    len(s.shards),
+			ShardSeed: s.opts.shardSeed,
+			Detail:    s.status().detail,
+		}
 	})
 }
 
@@ -790,7 +801,7 @@ type reloadBody struct {
 // ShardPath under it — and, once the load succeeds, of every later one.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "serve: reload requires POST"})
+		writeErr(w, refusal{errMethod, "serve: reload requires POST"})
 		return
 	}
 	var body struct {
@@ -808,7 +819,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	h, err := s.load(body.Path, body.Artifact)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		writeErr(w, refusal{errInternal, err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, reloadBody{Version: h.Version, ModelVersion: h.ModelVersion, WarmStart: h.WarmStart, WarmNote: h.WarmNote})

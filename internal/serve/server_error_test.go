@@ -336,7 +336,7 @@ func TestErrorTableAcrossTransports(t *testing.T) {
 			want{row.err, row.status, row.reason},
 			want{fmt.Errorf("serve: shard %d: %w", 1, row.err), row.status, row.reason})
 	}
-	if len(cases) != 1+2*9 {
+	if len(cases) != 1+2*11 {
 		t.Fatalf("errorTable has %d rows; update this walk", len(errorTable))
 	}
 
@@ -457,6 +457,165 @@ func TestRequestBodyCapped(t *testing.T) {
 		want := fmt.Sprintf("serve: %d ids exceeds the per-request limit of %d", maxQueryIDs+1, maxQueryIDs)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("%s, %d ids in %d bytes: code=%d body=%.200s", path, maxQueryIDs+1, len(widest), rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestEveryRouteRefusesUnlistedMethods: every route RegisteredRoutes
+// lists answers each method it does not list with a 405 in the JSON
+// envelope — under both spellings, on an unsharded and a 3-shard
+// Server and through a Registry (the /models routes and the legacy
+// ones). Shard routes on an unsharded model are left out: they 404.
+func TestEveryRouteRefusesUnlistedMethods(t *testing.T) {
+	ds := testDataset(t, false)
+	ckpt := trainAndSave(t, ds, 1, t.TempDir())
+	reg := NewRegistry()
+	defer reg.Close()
+	plain, err := reg.Add("plain", ds, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := reg.AddSharded("fleet", ds, Options{Workers: 1}, 3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Server{plain, fleet} {
+		if _, err := s.Load(ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, h http.Handler, method, path string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		var body errorBody
+		jerr := json.Unmarshal(rec.Body.Bytes(), &body)
+		if rec.Code != http.StatusMethodNotAllowed || jerr != nil || body.Error == "" ||
+			rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s %s %s = %d %q, want a 405 JSON envelope", label, method, path, rec.Code, rec.Body)
+		}
+	}
+	checked := 0
+	for _, r := range RegisteredRoutes() {
+		shardRoute := strings.Contains(r.Pattern, "/shards")
+		path := strings.ReplaceAll(r.Pattern, "{i}", "1")
+		for _, method := range []string{"GET", "POST", "PUT", "DELETE"} {
+			if strings.Contains(r.Methods, method) {
+				continue
+			}
+			checked++
+			named := func(name string) string { return strings.ReplaceAll(path, "{name}", name) }
+			if !shardRoute { // the legacy routes reach the default model, plain
+				check("registry", reg, method, named("plain"))
+			}
+			if strings.Contains(r.Pattern, "{name}") {
+				check("registry", reg, method, named("fleet"))
+				continue
+			}
+			if stripV1(r.Pattern) == "/models" {
+				continue
+			}
+			if !shardRoute {
+				check("unsharded", plain, method, path)
+			}
+			check("shards3", fleet, method, path)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no route has an unlisted method")
+	}
+}
+
+// TestOneModelLookupEdges holds the edges of the registry's one model
+// lookup to their status, message and billing: each HTTP refusal is
+// counted on the gsgcn_http_requests_total{endpoint="other"} series of
+// the instruments it has always been billed to — the registry's for an
+// unknown model, an empty registry or an unknown endpoint, the model's
+// own for a shard operation on an unsharded model — and a request
+// frame on gsgcn_requests_total{transport="wire"} of the registry or
+// of the model it reached.
+func TestOneModelLookupEdges(t *testing.T) {
+	ds := testDataset(t, false)
+	empty := NewRegistry()
+	defer empty.Close()
+	reg := NewRegistry()
+	defer reg.Close()
+	plain, err := reg.Add("plain", ds, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := func(mm *modelMetrics, class int) uint64 { return mm.endpoints[epOther].byClass[class].Value() }
+	cases := []struct {
+		reg    *Registry
+		path   string
+		status int
+		msg    string
+		billed *modelMetrics
+	}{
+		// An empty name is unknown under /models/: it does not fall
+		// through to the default model.
+		{reg, "/models//embed?ids=0", http.StatusNotFound, `serve: unknown model ""`, reg.inst},
+		{empty, "/embed?ids=0", http.StatusServiceUnavailable, "serve: no models registered", empty.inst},
+		{reg, "/models/nope/embed?ids=0", http.StatusNotFound, `serve: unknown model "nope"`, reg.inst},
+		{reg, "/models/plain/nope", http.StatusNotFound, `serve: unknown endpoint "nope" for model "plain"`, reg.inst},
+		{reg, "/models/plain/shards/0/stop", http.StatusNotFound, `serve: model "plain" is not sharded`, plain.inst},
+	}
+	for _, tc := range cases {
+		for _, path := range []string{tc.path, "/v1" + tc.path} {
+			class := tc.status/100 - 2
+			before := other(tc.billed, class)
+			rec := httptest.NewRecorder()
+			tc.reg.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			want, _ := json.Marshal(errorBody{Error: tc.msg})
+			if rec.Code != tc.status || rec.Body.String() != string(want)+"\n" {
+				t.Errorf("GET %s = %d %q, want %d %s", path, rec.Code, rec.Body, tc.status, want)
+			}
+			if got := other(tc.billed, class) - before; got != 1 {
+				t.Errorf("GET %s billed %d to its endpoint=\"other\" series, want 1", path, got)
+			}
+		}
+	}
+
+	frames := []struct {
+		reg    *Registry
+		model  string
+		status int
+		msg    string
+		billed *modelMetrics
+	}{
+		{reg, "nope", http.StatusNotFound, `serve: unknown model "nope"`, reg.inst},
+		{empty, "", http.StatusServiceUnavailable, "serve: no models registered", empty.inst},
+		// A frame naming no model reaches the default one (not yet loaded).
+		{reg, "", http.StatusServiceUnavailable, errNoModel.Error(), plain.inst},
+	}
+	for _, tc := range frames {
+		before := tc.billed.reqWire.Value()
+		got := tc.reg.answerWire(context.Background(), &wire.EmbedRequest{Model: tc.model, IDs: []int{0}})
+		want := wire.ErrorResponse{Status: tc.status, Message: tc.msg}
+		if er, ok := got.(*wire.ErrorResponse); !ok || *er != want {
+			t.Errorf("embed frame for model %q = %#v, want %+v", tc.model, got, want)
+		}
+		if n := tc.billed.reqWire.Value() - before; n != 1 {
+			t.Errorf("embed frame for model %q billed %d wire requests, want 1", tc.model, n)
+		}
+	}
+}
+
+// TestFailureClassReadsTheTable: a client that receives a row's
+// (status, reason) gets the row's class back — also without the
+// reason, so rows sharing a status must share a class — and a status
+// no row produces falls back to its family.
+func TestFailureClassReadsTheTable(t *testing.T) {
+	for _, row := range errorTable {
+		for _, reason := range []string{row.reason, ""} {
+			if got := FailureClass(row.status, reason); got != row.class {
+				t.Errorf("FailureClass(%d, %q) = %q, want row %v's %q", row.status, reason, got, row.err, row.class)
+			}
+		}
+	}
+	for status, want := range map[int]string{400: "client_error", 418: "client_error", 502: "server_error"} {
+		if got := FailureClass(status, ""); got != want {
+			t.Errorf("FailureClass(%d, \"\") = %q, want %q", status, got, want)
 		}
 	}
 }

@@ -67,7 +67,9 @@ func computeTables(m *core.Model, ds *datasets.Dataset, opts Options) (*mat.Dens
 }
 
 // modelFits checks that m's input and output widths are the dataset's
-// feature and class counts — the one way a model can fail to install.
+// feature and class counts and that every weight is finite
+// (core.ErrNonFinite otherwise) — the one way a model can fail to
+// install.
 func modelFits(m *core.Model, ds *datasets.Dataset) error {
 	if got, want := m.Layers[0].InDim, ds.FeatureDim(); got != want {
 		return fmt.Errorf("serve: model expects %d input features, dataset has %d", got, want)
@@ -75,7 +77,7 @@ func modelFits(m *core.Model, ds *datasets.Dataset) error {
 	if got, want := m.Head.OutDim, ds.NumClasses; got != want {
 		return fmt.Errorf("serve: model predicts %d classes, dataset has %d", got, want)
 	}
-	return nil
+	return m.CheckFinite()
 }
 
 // BuildSnapshot computes the serving tables offline — exactly the

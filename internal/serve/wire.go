@@ -29,12 +29,12 @@ func wantsWire(r *http.Request) bool {
 
 // writeWire emits one wire frame as the HTTP response body. Encode can
 // only fail on a string field overflowing its u16 length prefix, which
-// wireError already truncates away, so the fallback is unreachable in
+// wireErrFor already truncates away, so the fallback is unreachable in
 // practice.
 func writeWire(w http.ResponseWriter, status int, m wire.Message) {
 	frame, err := wire.Encode(m)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		writeErr(w, refusal{errInternal, err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType)
@@ -42,21 +42,17 @@ func writeWire(w http.ResponseWriter, status int, m wire.Message) {
 	_, _ = w.Write(frame)
 }
 
-// wireError builds an error frame, truncating the message to the u16
-// string cap so encoding cannot fail.
-func wireError(status int, reason, msg string) *wire.ErrorResponse {
+// wireErrFor maps an error to its wire frame: the same errorTable
+// status and reason and the same message the JSON envelope carries,
+// so every transport fails identically. The message is truncated to
+// the u16 string cap so encoding cannot fail.
+func wireErrFor(err error) *wire.ErrorResponse {
+	status, reason := classify(err)
+	msg := err.Error()
 	if len(msg) > math.MaxUint16 {
 		msg = msg[:math.MaxUint16]
 	}
 	return &wire.ErrorResponse{Status: status, Reason: reason, Message: msg}
-}
-
-// wireErrFor maps a query error to its wire frame: the same errorTable
-// status and reason and the same message the JSON envelope carries,
-// so every transport fails identically.
-func wireErrFor(err error) *wire.ErrorResponse {
-	status, reason := classify(err)
-	return wireError(status, reason, err.Error())
 }
 
 // wireResp converts a query operation's result to its response frame.
@@ -158,7 +154,7 @@ func (r *Registry) serveWireConn(conn net.Conn) {
 		if err != nil {
 			if err != io.EOF {
 				slot := make(chan wire.Message, 1)
-				slot <- wireError(http.StatusBadRequest, "", err.Error())
+				slot <- wireErrFor(err)
 				slots <- slot
 			}
 			break
@@ -196,19 +192,15 @@ func (r *Registry) answerWire(ctx context.Context, msg wire.Message) wire.Messag
 		model, topk = m.Model, m
 	default:
 		r.inst.countWire()
-		return wireError(http.StatusBadRequest, "",
-			fmt.Sprintf("serve: frame type 0x%02x is not a request", byte(msg.FrameType())))
+		return wireErrFor(fmt.Errorf("serve: frame type 0x%02x is not a request", byte(msg.FrameType())))
 	}
-	srv, errResp := r.wireModel(model)
-	if errResp != nil {
+	_, srv, err := r.model(model, true)
+	if err != nil {
 		r.inst.countWire()
-		return errResp
+		return wireErrFor(err)
 	}
 	srv.inst.countWire()
-	var (
-		res any
-		err error
-	)
+	var res any
 	if topk == nil {
 		res, err = srv.point(ctx, func() ([]int, error) { return ids, nil }, predict)
 	} else {
@@ -230,20 +222,4 @@ func (r *Registry) answerWire(ctx context.Context, msg wire.Message) wire.Messag
 		return wireErrFor(err)
 	}
 	return wireResp(res)
-}
-
-// wireModel resolves a request frame's model name exactly as HTTP
-// dispatch does: empty addresses the default model, with the same
-// error statuses and messages for unknown names and an empty registry.
-func (r *Registry) wireModel(name string) (*Server, *wire.ErrorResponse) {
-	if name == "" {
-		if name = r.Default(); name == "" {
-			return nil, wireError(http.StatusServiceUnavailable, "", "serve: no models registered")
-		}
-	}
-	srv, ok := r.Get(name)
-	if !ok {
-		return nil, wireError(http.StatusNotFound, "", fmt.Sprintf("serve: unknown model %q", name))
-	}
-	return srv, nil
 }

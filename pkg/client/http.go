@@ -63,36 +63,53 @@ func topkPath(q TopKQuery) string {
 	return path
 }
 
-// get issues one GET and decodes the answer into out (a pointer to
-// the JSON result struct) or, on the wire transport, returns the
-// decoded frame for the caller to convert. Server rejections come
-// back as *APIError on both encodings.
-func (c *httpClient) get(ctx context.Context, path string, out any) (wire.Message, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
+// query issues one GET and returns its answer: the JSON body decoded
+// into a new R or, on the wire transport, the frame converted by conv.
+// Server rejections come back as *APIError on both encodings.
+func query[R any](ctx context.Context, c *httpClient, path string, conv func(wire.Message) (*R, error)) (*R, error) {
+	msg, raw, err := roundTrip(ctx, c.hc, http.MethodGet, c.base+path, c.wantWire)
+	switch {
+	case err != nil:
+		return nil, err
+	case msg != nil:
+		return conv(msg)
+	}
+	var res R
+	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, err
 	}
-	if c.wantWire {
+	return &res, nil
+}
+
+// roundTrip is the one HTTP exchange, shared by queries and the
+// control plane: it sends a bodiless request (negotiating the wire
+// encoding when wantWire is set) and returns a wire-frame answer
+// decoded, any other 200 answer's raw body, and a refusal as
+// *APIError, from its error frame or its JSON envelope.
+func roundTrip(ctx context.Context, hc *http.Client, method, url string, wantWire bool) (wire.Message, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if wantWire {
 		req.Header.Set("Accept", wire.ContentType)
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if resp.Header.Get("Content-Type") == wire.ContentType {
 		msg, _, err := wire.Decode(raw)
 		if err != nil {
-			return nil, fmt.Errorf("client: bad wire frame from server: %w", err)
+			return nil, nil, fmt.Errorf("client: bad wire frame from server: %w", err)
 		}
-		if e, ok := msg.(*wire.ErrorResponse); ok {
-			return nil, &APIError{Status: e.Status, Reason: e.Reason, Message: e.Message}
-		}
-		return msg, nil
+		msg, err = refusal(msg)
+		return msg, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var eb struct {
@@ -100,47 +117,33 @@ func (c *httpClient) get(ctx context.Context, path string, out any) (wire.Messag
 			Reason string `json:"reason"`
 		}
 		if json.Unmarshal(raw, &eb) != nil || eb.Error == "" {
-			return nil, fmt.Errorf("client: HTTP %d: %s", resp.StatusCode, raw)
+			return nil, nil, fmt.Errorf("client: HTTP %d: %s", resp.StatusCode, raw)
 		}
-		return nil, &APIError{Status: resp.StatusCode, Reason: eb.Reason, Message: eb.Error}
+		return nil, nil, &APIError{Status: resp.StatusCode, Reason: eb.Reason, Message: eb.Error}
 	}
-	return nil, json.Unmarshal(raw, out)
+	return nil, raw, nil
+}
+
+// refusal turns an error frame into the *APIError it carries and
+// passes any other frame through: the one frame decoder of the
+// negotiated-wire and TCP transports.
+func refusal(msg wire.Message) (wire.Message, error) {
+	if e, ok := msg.(*wire.ErrorResponse); ok {
+		return nil, &APIError{Status: e.Status, Reason: e.Reason, Message: e.Message}
+	}
+	return msg, nil
 }
 
 func (c *httpClient) Embed(ctx context.Context, ids []int) (*serve.EmbedResult, error) {
-	var res serve.EmbedResult
-	msg, err := c.get(ctx, "/embed?ids="+idsParam(ids), &res)
-	if err != nil {
-		return nil, err
-	}
-	if msg != nil {
-		return embedResult(msg)
-	}
-	return &res, nil
+	return query(ctx, c, "/embed?ids="+idsParam(ids), embedResult)
 }
 
 func (c *httpClient) Predict(ctx context.Context, ids []int) (*serve.PredictResult, error) {
-	var res serve.PredictResult
-	msg, err := c.get(ctx, "/predict?ids="+idsParam(ids), &res)
-	if err != nil {
-		return nil, err
-	}
-	if msg != nil {
-		return predictResult(msg)
-	}
-	return &res, nil
+	return query(ctx, c, "/predict?ids="+idsParam(ids), predictResult)
 }
 
 func (c *httpClient) TopK(ctx context.Context, q TopKQuery) (*serve.TopKResult, error) {
-	var res serve.TopKResult
-	msg, err := c.get(ctx, topkPath(q), &res)
-	if err != nil {
-		return nil, err
-	}
-	if msg != nil {
-		return topkResult(msg)
-	}
-	return &res, nil
+	return query(ctx, c, topkPath(q), topkResult)
 }
 
 func (c *httpClient) Close() error {
@@ -149,20 +152,15 @@ func (c *httpClient) Close() error {
 }
 
 // embedResult converts a decoded wire frame into the JSON-equivalent
-// result struct. Conversion is pure field copying — floats stay the
+// result struct. The point frames mirror their results field for
+// field, so the conversions are type conversions — floats stay the
 // same bits they crossed the wire as.
 func embedResult(msg wire.Message) (*serve.EmbedResult, error) {
 	m, ok := msg.(*wire.EmbedResponse)
 	if !ok {
 		return nil, fmt.Errorf("client: unexpected frame %T for an embed query", msg)
 	}
-	return &serve.EmbedResult{
-		Version:      m.Version,
-		ModelVersion: m.ModelVersion,
-		Dim:          m.Dim,
-		IDs:          m.IDs,
-		Vectors:      m.Vectors,
-	}, nil
+	return (*serve.EmbedResult)(m), nil
 }
 
 func predictResult(msg wire.Message) (*serve.PredictResult, error) {
@@ -170,15 +168,7 @@ func predictResult(msg wire.Message) (*serve.PredictResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("client: unexpected frame %T for a predict query", msg)
 	}
-	return &serve.PredictResult{
-		Version:      m.Version,
-		ModelVersion: m.ModelVersion,
-		Classes:      m.Classes,
-		MultiLabel:   m.MultiLabel,
-		IDs:          m.IDs,
-		Labels:       m.Labels,
-		Probs:        m.Probs,
-	}, nil
+	return (*serve.PredictResult)(m), nil
 }
 
 func topkResult(msg wire.Message) (*serve.TopKResult, error) {
@@ -201,7 +191,7 @@ func topkResult(msg wire.Message) (*serve.TopKResult, error) {
 		Neighbors:    make([]serve.Neighbor, len(m.Neighbors)),
 	}
 	for i, n := range m.Neighbors {
-		res.Neighbors[i] = serve.Neighbor{ID: n.ID, Score: n.Score}
+		res.Neighbors[i] = serve.Neighbor(n)
 	}
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 )
@@ -46,31 +45,9 @@ func NewOps(addr, model string, hc *http.Client) *Ops {
 // drains the body for connection reuse). Non-200s surface as
 // *APIError.
 func (o *Ops) do(ctx context.Context, method, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, method, o.base+path, nil)
-	if err != nil {
+	_, raw, err := roundTrip(ctx, o.hc, method, o.base+path, false)
+	if err != nil || out == nil {
 		return err
-	}
-	resp, err := o.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var eb struct {
-			Error  string `json:"error"`
-			Reason string `json:"reason"`
-		}
-		if json.Unmarshal(raw, &eb) != nil || eb.Error == "" {
-			return fmt.Errorf("client: HTTP %d: %s", resp.StatusCode, raw)
-		}
-		return &APIError{Status: resp.StatusCode, Reason: eb.Reason, Message: eb.Error}
-	}
-	if out == nil {
-		return nil
 	}
 	return json.Unmarshal(raw, out)
 }

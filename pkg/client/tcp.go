@@ -115,10 +115,7 @@ func (c *tcpClient) roundTrip(ctx context.Context, req wire.Message) (wire.Messa
 	}
 	select {
 	case msg := <-slot:
-		if e, ok := msg.(*wire.ErrorResponse); ok {
-			return nil, &APIError{Status: e.Status, Reason: e.Reason, Message: e.Message}
-		}
-		return msg, nil
+		return refusal(msg)
 	case <-c.done:
 		return nil, c.readErr
 	case <-ctx.Done():
