@@ -290,6 +290,9 @@ func TestFig4Quick(t *testing.T) {
 			t.Errorf("lane gain %v outside (1, 8]", g)
 		}
 	}
+	if !strings.Contains(r.String(), dashboardTimed) {
+		t.Errorf("report does not say which Dashboard it times:\n%s", r)
+	}
 }
 
 func TestTable2Quick(t *testing.T) {

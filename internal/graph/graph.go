@@ -178,19 +178,28 @@ func (g *CSR) Induce(vs []int32) *Subgraph {
 		before[i] = int32(count)
 		count += bits.OnesCount64(word)
 	}
+	// The walk has no branch on membership, which is a coin flip on a
+	// sampled subgraph: every neighbour's rank is written at k, and k
+	// moves on by its membership bit, so a non-member's rank is
+	// overwritten by the next one. col is sized once, to the members'
+	// degree sum, a bound on k at every write.
+	total := 0
+	for _, v := range uniq {
+		total += g.Degree(v)
+	}
 	rowPtr := make([]int64, n+1)
-	var col []int32
+	col := make([]int32, total)
+	k := 0
 	for i, v := range uniq {
 		for _, w := range g.Neighbors(v) {
-			word, bit := member[w>>6], uint64(1)<<(w&63)
-			if word&bit != 0 {
-				col = append(col, before[w>>6]+int32(bits.OnesCount64(word&(bit-1))))
-			}
+			word, sh := member[w>>6], uint(w&63)
+			col[k] = before[w>>6] + int32(bits.OnesCount64(word&(1<<sh-1)))
+			k += int(word >> sh & 1)
 		}
-		rowPtr[i+1] = int64(len(col))
+		rowPtr[i+1] = int64(k)
 	}
 	return &Subgraph{
-		CSR:  &CSR{N: n, RowPtr: rowPtr, ColIdx: col},
+		CSR:  &CSR{N: n, RowPtr: rowPtr, ColIdx: col[:k:k]},
 		Orig: uniq,
 	}
 }

@@ -161,27 +161,38 @@ func induceByMap(g *CSR, vs []int32) *Subgraph {
 	return &Subgraph{CSR: &CSR{N: len(uniq), RowPtr: rowPtr, ColIdx: col}, Orig: uniq}
 }
 
-// TestInduceMatchesMapVersion: the bitmap-and-rank lookup gives the
-// map's subgraph exactly, on vertex multisets of every density, on
-// graphs whose size is and is not a multiple of the bitmap's word, and
-// with the first and last vertex (the ends of the bitmap) in the set.
+// TestInduceMatchesMapVersion: the bitmap-and-rank lookup and the
+// branch-free walk give the map's subgraph exactly, on unsorted vertex
+// multisets with duplicates at every density, on graphs whose size is
+// and is not a multiple of the bitmap's word, with the first and last
+// vertex (the ends of the bitmap) in the set, and on graphs where every
+// even vertex, 0 among them, is isolated.
 func TestInduceMatchesMapVersion(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 128, 517} {
-		g := randomGraph(t, n, 6*n, uint64(n))
 		r := rng.New(uint64(1000 + n))
-		for _, k := range []int{0, 1, n / 3, n, 3 * n} {
-			vs := make([]int32, k, k+2)
-			for i := range vs {
-				vs[i] = int32(r.Intn(n))
-			}
-			if k > 1 {
-				vs = append(vs, 0, int32(n-1))
-			}
-			got, want := g.Induce(vs), induceByMap(g, vs)
-			if got.N != want.N || !slices.Equal(got.Orig, want.Orig) ||
-				!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
-				t.Fatalf("n=%d k=%d: Induce differs from the map version:\n got %+v %v\nwant %+v %v",
-					n, k, got.CSR, got.Orig, want.CSR, want.Orig)
+		var odd []Edge
+		for i := 0; n > 1 && i < 3*n; i++ {
+			odd = append(odd, Edge{int32(r.Intn(n/2)*2 + 1), int32(r.Intn(n/2)*2 + 1)})
+		}
+		isolated, err := FromEdges(n, odd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gi, g := range []*CSR{randomGraph(t, n, 6*n, uint64(n)), isolated} {
+			for _, k := range []int{0, 1, n / 3, n, 3 * n} {
+				vs := make([]int32, k, k+2)
+				for i := range vs {
+					vs[i] = int32(r.Intn(n))
+				}
+				if k > 1 {
+					vs = append(vs, 0, int32(n-1))
+				}
+				got, want := g.Induce(vs), induceByMap(g, vs)
+				if got.N != want.N || !slices.Equal(got.Orig, want.Orig) ||
+					!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+					t.Fatalf("graph %d n=%d k=%d: Induce differs from the map version:\n got %+v %v\nwant %+v %v",
+						gi, n, k, got.CSR, got.Orig, want.CSR, want.Orig)
+				}
 			}
 		}
 	}

@@ -10,11 +10,13 @@ import (
 // three levels that return the same bits: the portable Go loops (the only path off amd64,
 // and the reference the differential tests compare against), AVX2
 // routines in simd_amd64.s, and on CPUs with AVX-512 the AVX2 routines
-// but for two AVX-512 kernels — the list walk under axpyRows and
-// GatherSum, and the sixteen-row dot under MulBT (dot16). The assembly
-// keeps the Go loop's arithmetic exactly — a separate multiply and add
-// per element, never a fused one, for dot the same four accumulator
-// lanes reduced as ((s0+s1)+s2)+s3 before a scalar tail, and for
+// but for the AVX-512 kernels — the list walk under axpyRows and
+// GatherSum, the sixteen-row dot under MulBT (dot16), and the two
+// kernels on rows of 8, axpyRows4x8 and accumAT8, one ZMM register a
+// row. The assembly keeps the Go loop's arithmetic exactly — a
+// separate multiply and add per element, never a fused one, for dot
+// the same four accumulator lanes reduced as ((s0+s1)+s2)+s3 before a
+// scalar tail, and for
 // axpyRows the same terms in the same order, zeros skipped
 // (axpyRows4x8 and accumAT8 mask them to +0 instead, which on their
 // +0-started sums is the same thing) — so which one runs never shows
@@ -386,11 +388,14 @@ func axpyRows4x8(dst, src, alpha []float64, rs, count int) {
 	dst = dst[:32:len(dst)]
 	src = src[: 8*count : len(src)]
 	alpha = alpha[: 3*rs+count : len(alpha)]
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		axpyRows4x8AVX512(dst, src, alpha, rs, count)
+	case useAVX2:
 		axpyRows4x8AVX2(dst, src, alpha, rs, count)
-		return
+	default:
+		axpyRows4x8Go(dst, src, alpha, rs, count)
 	}
-	axpyRows4x8Go(dst, src, alpha, rs, count)
 }
 
 // axpyRows4x8Go is the portable axpyRows4x8: axpyRowsGo on each row.
@@ -407,8 +412,8 @@ func axpyRows4x8Go(dst, src, alpha []float64, rs, count int) {
 //	acc[8c : 8c+8] += a[t*k+c] * b[8t : 8t+8]
 //
 // skipping every zero of a — a weight gradient on rows of 8, with a
-// read along its rows, the order it lies in memory. The assembly, AVX2
-// at both amd64 levels, holds four rows of b in registers and walks
+// read along its rows, the order it lies in memory. The assembly, at
+// either amd64 level, holds four rows of b in registers and walks
 // acc once for the four rows of a beside them, each acc row taking its
 // four terms in row order; the rows left over go one at a time. It
 // masks a zero's products to +0, as axpyRows4x8 does and with the same
@@ -421,11 +426,14 @@ func accumAT8(acc, a, b []float64, k, count int) {
 	acc = acc[: 8*k : len(acc)]
 	a = a[: count*k : len(a)]
 	b = b[: 8*count : len(b)]
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		accumAT8AVX512(acc, a, b, k, count)
+	case useAVX2:
 		accumAT8AVX2(acc, a, b, k, count)
-		return
+	default:
+		accumAT8Go(acc, a, b, k, count)
 	}
-	accumAT8Go(acc, a, b, k, count)
 }
 
 // accumAT8Go is the portable accumAT8: one axpyGo per non-zero of a, in

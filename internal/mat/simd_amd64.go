@@ -65,7 +65,7 @@ func xgetbv() (eax, edx uint32)
 // gatherRowsSIMD, finish in the list walk the three share. Those three
 // take the level as an argument: zmm selects the AVX-512 walk and may
 // only be set where useAVX512 is; every other routine is AVX2 but
-// dot16AVX512.
+// those named AVX512, which only run where useAVX512 is set.
 
 // axpyAVX2 computes dst[i] += alpha*src[i] for i < len(dst).
 // len(src) must be at least len(dst).
@@ -111,6 +111,18 @@ func axpyRows4x8AVX2(dst, src, alpha []float64, rs, count int)
 //
 //go:noescape
 func accumAT8AVX2(acc, a, b []float64, k, count int)
+
+// axpyRows4x8AVX512 is axpyRows4x8AVX2 in ZMM registers, with its
+// bits and its contract.
+//
+//go:noescape
+func axpyRows4x8AVX512(dst, src, alpha []float64, rs, count int)
+
+// accumAT8AVX512 is accumAT8AVX2 in ZMM registers, with its bits and
+// its contract.
+//
+//go:noescape
+func accumAT8AVX512(acc, a, b []float64, k, count int)
 
 // gatherRowsSIMD computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
 // for i < len(dst), over t = 0..len(offs)-1 in that order, with +0 in

@@ -7,8 +7,8 @@
 // simd.go, at either width; adamAVX2 adds VSUBPD, VDIVPD and VSQRTPD,
 // which IEEE 754 rounds correctly as the Go loop's operations are. A wider register changes which elements
 // share an instruction, never the operations an element sees or their
-// order: the ZMM list walk gives each element of dst its own lane as
-// the YMM one does, and dot16AVX512 keeps dotGo's four accumulator
+// order: the ZMM list walk and the ZMM kernels on rows of 8 give each
+// element of dst its own lane as the YMM ones do, and dot16AVX512 keeps dotGo's four accumulator
 // lanes per inner product — its packing puts two rows' four lanes in
 // one register — and reduces them in dotGo's order. adc2AVX2 and
 // dot16AVX512's reduction alone move elements between lanes, and
@@ -789,6 +789,130 @@ atOneCol:
 	JNZ     atOneRow
 
 atDone:
+	VZEROUPPER
+	RET
+
+// ROW8Z is ROW8 in one ZMM register: the alpha at the given address,
+// broadcast into Z10, sets the mask k unless it is zero (the NEQ_UQ
+// compare with Z15, +0, true for a NaN); the zero-masking multiply
+// then leaves +0 in every lane of Z11 for a zero alpha, as ROW8's AND
+// does, and the product s times the alpha otherwise, which is added
+// to the accumulator acc.
+#define ROW8Z(alpha, s, k, acc) \
+	VBROADCASTSD alpha, Z10;        \
+	VCMPPD       $4, Z15, Z10, k;   \
+	VMULPD.Z     s, Z10, k, Z11;    \
+	VADDPD       Z11, acc, acc
+
+// func axpyRows4x8AVX512(dst, src, alpha []float64, rs, count int)
+//
+// axpyRows4x8AVX2 with each 8-wide row in one ZMM register: the four
+// rows of dst live in Z0..Z3, each pass loads a row of src into Z8 and
+// adds it to all four, times row r's own alpha at R8 + r*rs*8, under
+// its own mask K1..K4. The arithmetic per element is ROW8's, and so is
+// the argument that masking a zero alpha changes no bit.
+TEXT ·axpyRows4x8AVX512(SB), NOSPLIT, $0-88
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    alpha_base+48(FP), R8
+	MOVQ    rs+72(FP), R9
+	MOVQ    count+80(FP), CX
+	SHLQ    $3, R9
+	LEAQ    (R9)(R9*2), R11
+	VPXORQ  Z15, Z15, Z15
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+
+zquadTerm:
+	VMOVUPD (SI), Z8
+	ROW8Z((R8), Z8, K1, Z0)
+	ROW8Z((R8)(R9*1), Z8, K2, Z1)
+	ROW8Z((R8)(R9*2), Z8, K3, Z2)
+	ROW8Z((R8)(R11*1), Z8, K4, Z3)
+	ADDQ    $64, SI
+	ADDQ    $8, R8
+	DECQ    CX
+	JNZ     zquadTerm
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VZEROUPPER
+	RET
+
+// func accumAT8AVX512(acc, a, b []float64, k, count int)
+//
+// accumAT8AVX2 with each 8-wide row in one ZMM register: four rows of
+// b in Z0..Z3, row c of acc in Z8 taking a[t][c]*b[t] through
+// a[t+3][c]*b[t+3] in that order, each under its own mask K1..K4; the
+// rows of a left over after the last four go one at a time, on Z0.
+// The arithmetic per element, and the masking argument, are
+// accumAT8AVX2's.
+TEXT ·accumAT8AVX512(SB), NOSPLIT, $0-88
+	MOVQ   acc_base+0(FP), DI
+	MOVQ   a_base+24(FP), SI
+	MOVQ   b_base+48(FP), DX
+	MOVQ   k+72(FP), R9
+	MOVQ   count+80(FP), CX
+	MOVQ   R9, R12
+	SHLQ   $3, R9
+	LEAQ   (R9)(R9*2), R11
+	VPXORQ Z15, Z15, Z15
+	CMPQ   CX, $4
+	JB     zatOne
+
+zatQuad:
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD 128(DX), Z2
+	VMOVUPD 192(DX), Z3
+	MOVQ    DI, R8
+	MOVQ    SI, R10
+	MOVQ    R12, BX
+
+zatQuadCol:
+	VMOVUPD (R8), Z8
+	ROW8Z((R10), Z0, K1, Z8)
+	ROW8Z((R10)(R9*1), Z1, K2, Z8)
+	ROW8Z((R10)(R9*2), Z2, K3, Z8)
+	ROW8Z((R10)(R11*1), Z3, K4, Z8)
+	VMOVUPD Z8, (R8)
+	ADDQ    $64, R8
+	ADDQ    $8, R10
+	DECQ    BX
+	JNZ     zatQuadCol
+	LEAQ    (SI)(R9*4), SI
+	ADDQ    $256, DX
+	SUBQ    $4, CX
+	CMPQ    CX, $4
+	JAE     zatQuad
+
+zatOne:
+	TESTQ CX, CX
+	JZ    zatDone
+
+zatOneRow:
+	VMOVUPD (DX), Z0
+	MOVQ    DI, R8
+	MOVQ    SI, R10
+	MOVQ    R12, BX
+
+zatOneCol:
+	VMOVUPD (R8), Z8
+	ROW8Z((R10), Z0, K1, Z8)
+	VMOVUPD Z8, (R8)
+	ADDQ    $64, R8
+	ADDQ    $8, R10
+	DECQ    BX
+	JNZ     zatOneCol
+	ADDQ    R9, SI
+	ADDQ    $64, DX
+	DECQ    CX
+	JNZ     zatOneRow
+
+zatDone:
 	VZEROUPPER
 	RET
 

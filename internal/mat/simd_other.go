@@ -28,6 +28,14 @@ func accumAT8AVX2(acc, a, b []float64, k, count int) {
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
+func axpyRows4x8AVX512(dst, src, alpha []float64, rs, count int) {
+	panic("mat: no AVX-512 kernels on this architecture")
+}
+
+func accumAT8AVX512(acc, a, b []float64, k, count int) {
+	panic("mat: no AVX-512 kernels on this architecture")
+}
+
 func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float64, fresh, zmm bool) {
 	panic("mat: no AVX2 kernels on this architecture")
 }

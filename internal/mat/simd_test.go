@@ -183,6 +183,10 @@ func levelKernels() kernelSet {
 		}
 	}
 	zmm := useAVX512
+	rows4x8, at8 := axpyRows4x8AVX2, accumAT8AVX2
+	if zmm {
+		rows4x8, at8 = axpyRows4x8AVX512, accumAT8AVX512
+	}
 	return kernelSet{
 		axpy: axpyAVX2, add: addAVX2, scale: scaleAVX2, dot: dotAVX2, dot4: dot4AVX2,
 		relu: reluAVX2, reluGate: reluGateAVX2,
@@ -192,8 +196,8 @@ func levelKernels() kernelSet {
 		axpyRowsAt: func(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int) bool {
 			return axpyRowsAtSIMD(dst, src, stride, alpha, astride, rows, limit, zmm)
 		},
-		axpyRows4x8: axpyRows4x8AVX2,
-		accumAT8:    accumAT8AVX2,
+		axpyRows4x8: rows4x8,
+		accumAT8:    at8,
 		gatherRows: func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool) {
 			gatherRowsSIMD(dst, src, offs, alpha, scale, fresh, zmm)
 		},
@@ -505,6 +509,86 @@ func testAccumAT8MatchesPortable(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNarrowKernelsMaskZeroAlphas: the two kernels on rows of 8, at
+// every level, where their masking matters: every row of src (of b for
+// accumAT8) is NaN, +Inf or -Inf throughout, and the alphas cycle
+// through +0, -0, NaN, subnormals of both signs and 1. A zero alpha's
+// products must come out +0 — an element that only zeros reach stays
+// +0, to the bit — and every element must have the portable loop's
+// bits. axpyRows4x8 runs 1 to 5 terms, accumAT8 1 to 9 rows of a, so
+// that its four-row passes end with each number of rows left over.
+func TestNarrowKernelsMaskZeroAlphas(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		kern := levelKernels()
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		alphaCycle := []float64{0, math.Copysign(0, -1), math.NaN(), 0x1p-1070, -0x1p-1050, 1}
+		alphaAt := func(i int) float64 { return alphaCycle[i%len(alphaCycle)] }
+		rowsOf := func(count int) []float64 {
+			src := make([]float64, 8*count)
+			for i := range src {
+				src[i] = specials[(i/8)%len(specials)]
+			}
+			return src
+		}
+		for count := 1; count <= 5; count++ {
+			for shift := 0; shift < len(alphaCycle); shift++ {
+				const rs = 7
+				alpha := make([]float64, 3*rs+count)
+				for i := range alpha {
+					alpha[i] = alphaAt(i + shift)
+				}
+				src := rowsOf(count)
+				want, got := make([]float64, 32), make([]float64, 32)
+				axpyRows4x8Go(want, src, alpha, rs, count)
+				kern.axpyRows4x8(got, src, alpha, rs, count)
+				tag := fmt.Sprintf("axpyRows4x8 count=%d shift=%d", count, shift)
+				requireSameBits(t, tag, got, want)
+				requireZerosOnlyGiveZero(t, tag, got, func(row int) bool {
+					for i := 0; i < count; i++ {
+						if alpha[row*rs+i] != 0 {
+							return false
+						}
+					}
+					return true
+				})
+			}
+		}
+		for count := 1; count <= 9; count++ {
+			for _, k := range []int{1, 2, 3, 7} {
+				a := make([]float64, count*k)
+				for i := range a {
+					a[i] = alphaAt(i)
+				}
+				b := rowsOf(count)
+				want, got := make([]float64, 8*k), make([]float64, 8*k)
+				accumAT8Go(want, a, b, k, count)
+				kern.accumAT8(got, a, b, k, count)
+				tag := fmt.Sprintf("accumAT8 count=%d k=%d", count, k)
+				requireSameBits(t, tag, got, want)
+				requireZerosOnlyGiveZero(t, tag, got, func(c int) bool {
+					for row := 0; row < count; row++ {
+						if a[row*k+c] != 0 {
+							return false
+						}
+					}
+					return true
+				})
+			}
+		}
+	})
+}
+
+// requireZerosOnlyGiveZero fails unless every 8-wide row r of got for
+// which onlyZeros(r) holds is +0 in every element.
+func requireZerosOnlyGiveZero(t *testing.T, tag string, got []float64, onlyZeros func(r int) bool) {
+	t.Helper()
+	for i, v := range got {
+		if onlyZeros(i/8) && math.Float64bits(v) != 0 {
+			t.Fatalf("%s: element %d, which only zero alphas reach, is %v (%#016x), want +0", tag, i, v, math.Float64bits(v))
 		}
 	}
 }

@@ -98,127 +98,103 @@ func (f *Frontier) Name() string { return "frontier-dashboard" }
 
 // SampleVertices implements VertexSampler using the Dashboard.
 func (f *Frontier) SampleVertices(r *rng.RNG) []int32 {
-	vs, _ := f.SampleVerticesStats(r)
-	return vs
-}
-
-// dashboard is the paper's DB/IA pair in structure-of-arrays form.
-// Per DB entry: vertex id (slot 1), offset within its block (slot 2;
-// the block head instead stores the block length), and the index of
-// the owning IA record (slot 3). IA records the block start and a
-// liveness flag per vertex ever added (current or historical frontier
-// vertex), enabling cleanup without scanning dead space.
-type dashboard struct {
-	vertex []int32
-	offset []int32
-	iaIdx  []int32
-
-	iaStart []int32
-	iaLive  []bool
-	iaVert  []int32
-
-	used int // first free DB slot
-	live int // number of live IA records (current frontier size)
-}
-
-func newDashboard(capacity int) *dashboard {
-	db := &dashboard{
-		vertex: make([]int32, capacity),
-		offset: make([]int32, capacity),
-		iaIdx:  make([]int32, capacity),
-	}
-	for i := range db.vertex {
-		db.vertex[i] = invalid
-	}
-	return db
-}
-
-// appendBlock writes a block of n entries for vertex v and registers
-// it in IA. The caller guarantees capacity.
-func (db *dashboard) appendBlock(v int32, n int) {
-	start := db.used
-	ia := int32(len(db.iaStart))
-	db.iaStart = append(db.iaStart, int32(start))
-	db.iaLive = append(db.iaLive, true)
-	db.iaVert = append(db.iaVert, v)
-	for k := 0; k < n; k++ {
-		db.vertex[start+k] = v
-		if k == 0 {
-			db.offset[start+k] = int32(-n) // block head stores -length
-		} else {
-			db.offset[start+k] = int32(k)
-		}
-		db.iaIdx[start+k] = ia
-	}
-	db.used += n
-	db.live++
-}
-
-// invalidate kills the block containing entry idx and returns its
-// vertex and length.
-func (db *dashboard) invalidate(idx int) (v int32, blockLen int) {
-	off := db.offset[idx]
-	start := idx
-	if off > 0 {
-		start = idx - int(off)
-	}
-	blockLen = int(-db.offset[start])
-	v = db.vertex[start]
-	for k := 0; k < blockLen; k++ {
-		db.vertex[start+k] = invalid
-	}
-	db.iaLive[db.iaIdx[start]] = false
-	db.live--
-	return v, blockLen
-}
-
-// cleanup compacts live blocks to the front of the DB and rebuilds IA
-// (Algorithm 4, PARDO_CLEANUP). It returns the number of entries
-// moved.
-func (db *dashboard) cleanup() int64 {
-	newStart := make([]int32, 0, db.live)
-	newVert := make([]int32, 0, db.live)
-	w := 0
-	var moved int64
-	for ia, liveFlag := range db.iaLive {
-		if !liveFlag {
-			continue
-		}
-		start := int(db.iaStart[ia])
-		blockLen := int(-db.offset[start])
-		newIA := int32(len(newStart))
-		newStart = append(newStart, int32(w))
-		newVert = append(newVert, db.iaVert[ia])
-		// Move the block; regions never overlap forward since w <= start.
-		for k := 0; k < blockLen; k++ {
-			db.vertex[w+k] = db.vertex[start+k]
-			db.offset[w+k] = db.offset[start+k]
-			db.iaIdx[w+k] = newIA
-		}
-		w += blockLen
-		moved += int64(blockLen)
-	}
-	for i := w; i < db.used; i++ {
-		db.vertex[i] = invalid
-	}
-	db.used = w
-	newLive := make([]bool, len(newStart))
-	for i := range newLive {
-		newLive[i] = true
-	}
-	db.iaStart = newStart
-	db.iaLive = newLive
-	db.iaVert = newVert
-	return moved
+	return f.sample(r, nil)
 }
 
 // SampleVerticesStats runs the Dashboard-based frontier sampler
 // (Algorithm 3) and returns the sampled vertex multiset plus
-// operation statistics.
+// operation statistics. The vertex multiset is SampleVertices' for
+// the same RNG state.
 func (f *Frontier) SampleVerticesStats(r *rng.RNG) ([]int32, *Stats) {
+	stats := &Stats{BlockLens: make(map[int]int64)}
+	return f.sample(r, stats), stats
+}
+
+// dashboard is the paper's DB/IA pair held implicitly. DB's used
+// prefix is a run of blocks laid end to end, live and dead, in the
+// order they were appended, as the paper's DB holds them; here a block
+// is one record — its first entry and its vertex, invalid once popped,
+// its length the distance to the next block's start — instead of a
+// vertex, an offset and an IA index in each of its entries. An entry's
+// block is the last one starting at or before it, found by binary
+// search over the starts, so popping a block costs O(1) where the
+// explicit DB wrote each of its deg(v) entries. capacity is the DB's
+// length: cleanup and growth happen exactly when they happen in the
+// explicit structure, and so the RNG draws, the vertex lists and every
+// Stats counter are the explicit structure's.
+type dashboard struct {
+	start []int32 // ascending, start[0] = 0
+	vert  []int32 // the block's vertex, or invalid once popped
+
+	used     int // first free DB slot
+	capacity int // DB length
+}
+
+// appendBlock adds a block of n entries for vertex v. The caller
+// guarantees capacity.
+func (db *dashboard) appendBlock(v int32, n int) {
+	db.start = append(db.start, int32(db.used))
+	db.vert = append(db.vert, v)
+	db.used += n
+}
+
+// blockLen returns the number of entries of block b.
+func (db *dashboard) blockLen(b int) int {
+	end := db.used
+	if b+1 < len(db.start) {
+		end = int(db.start[b+1])
+	}
+	return end - int(db.start[b])
+}
+
+// find returns the block holding DB entry idx < used.
+func (db *dashboard) find(idx int32) int {
+	s, b := db.start, 0
+	for n := len(s); n > 1; {
+		half := n >> 1
+		if s[b+half] <= idx {
+			b += half
+		}
+		n -= half
+	}
+	return b
+}
+
+// cleanup compacts the live blocks to the front of the DB, in order
+// (Algorithm 4, PARDO_CLEANUP), and returns the number of entries
+// moved.
+func (db *dashboard) cleanup() int64 {
+	w, k := 0, 0
+	for b, v := range db.vert {
+		if v == invalid {
+			continue
+		}
+		n := db.blockLen(b)
+		db.start[k], db.vert[k] = int32(w), v
+		w += n
+		k++
+	}
+	db.start, db.vert = db.start[:k], db.vert[:k]
+	db.used = w
+	return int64(w)
+}
+
+// grow is the safety valve beyond the paper's fixed η·m·d̄ sizing,
+// needed when hubs exceed the average-degree estimate: the DB doubles,
+// or grows to twice need if doubling falls short of it.
+func (db *dashboard) grow(need int) {
+	db.capacity *= 2
+	if db.capacity < need {
+		db.capacity = need * 2
+	}
+}
+
+// sample is the one Dashboard sampler (Algorithm 3). stats, when not
+// nil, receives the operation counts; the draws do not depend on it.
+func (f *Frontier) sample(r *rng.RNG, stats *Stats) []int32 {
 	g := f.G
 	if g.NumVertices() == 0 {
-		return nil, &Stats{BlockLens: map[int]int64{}}
+		return nil
 	}
 	m := f.M
 	if m > g.NumVertices() {
@@ -236,11 +212,10 @@ func (f *Frontier) SampleVerticesStats(r *rng.RNG) ([]int32, *Stats) {
 		eta = 2
 	}
 
-	stats := &Stats{BlockLens: make(map[int]int64)}
-
 	// Capacity η·m·d̄ where d̄ is the (capped) average degree estimate
 	// (Algorithm 3 lines 1-2). Grown on demand if a burst of hubs
-	// lands in the frontier.
+	// lands in the frontier. There are never more blocks than the n
+	// vertices emitted: m initial ones and one per pop.
 	dbar := g.AvgDegree()
 	if f.DegCap > 0 && dbar > float64(f.DegCap) {
 		dbar = float64(f.DegCap)
@@ -248,20 +223,27 @@ func (f *Frontier) SampleVerticesStats(r *rng.RNG) ([]int32, *Stats) {
 	if dbar < 1 {
 		dbar = 1
 	}
-	capacity := int(eta * float64(m) * dbar)
-	db := newDashboard(capacity)
+	db := dashboard{
+		start:    make([]int32, 0, n),
+		vert:     make([]int32, 0, n),
+		capacity: int(eta * float64(m) * dbar),
+	}
+	var probes, cleanups int
+	var written, invalidated int64
 
 	// Initial frontier: m distinct vertices uniformly at random.
 	vsub := make([]int32, 0, n)
 	for _, v := range r.Sample(g.NumVertices(), m) {
 		vv := int32(v)
 		e := f.entries(vv)
-		if db.used+e > len(db.vertex) {
-			db = growDashboard(db, db.used+e)
+		if db.used+e > db.capacity {
+			db.grow(db.used + e)
 		}
 		db.appendBlock(vv, e)
-		stats.Written += int64(e)
-		stats.BlockLens[e]++
+		written += int64(e)
+		if stats != nil {
+			stats.BlockLens[e]++
+		}
 		vsub = append(vsub, vv)
 	}
 
@@ -269,19 +251,22 @@ func (f *Frontier) SampleVerticesStats(r *rng.RNG) ([]int32, *Stats) {
 		// Pop: rejection-probe the used prefix of the DB; entry
 		// counts are proportional to (capped) degree, so the hit
 		// distribution matches Algorithm 2 line 4.
-		var idx int
+		var b int
 		for {
-			stats.Probes++
-			idx = r.Intn(db.used)
-			if db.vertex[idx] != invalid {
+			probes++
+			b = db.find(int32(r.Intn(db.used)))
+			if db.vert[b] != invalid {
 				break
 			}
 		}
-		vpop, blockLen := db.invalidate(idx)
-		stats.Pops++
-		stats.Invalidated += int64(blockLen)
-		stats.BlockLens[blockLen]++
+		vpop := db.vert[b]
+		db.vert[b] = invalid
 		vsub = append(vsub, vpop)
+		if stats != nil {
+			blockLen := db.blockLen(b)
+			invalidated += int64(blockLen)
+			stats.BlockLens[blockLen]++
+		}
 
 		// Replace with a uniformly random neighbor (Algorithm 2 line
 		// 5); isolated vertices fall back to a uniform vertex so the
@@ -293,40 +278,26 @@ func (f *Frontier) SampleVerticesStats(r *rng.RNG) ([]int32, *Stats) {
 			vnew = int32(r.Intn(g.NumVertices()))
 		}
 		e := f.entries(vnew)
-		if db.used+e > len(db.vertex) {
+		if db.used+e > db.capacity {
 			// Dashboard full (Algorithm 3 line 20): compact.
-			moved := db.cleanup()
-			stats.Cleanups++
-			stats.Written += moved
-			if db.used+e > len(db.vertex) {
-				db = growDashboard(db, db.used+e)
+			written += db.cleanup()
+			cleanups++
+			if db.used+e > db.capacity {
+				db.grow(db.used + e)
 			}
 		}
 		db.appendBlock(vnew, e)
-		stats.Written += int64(e)
-		stats.BlockLens[e]++
+		written += int64(e)
+		if stats != nil {
+			stats.BlockLens[e]++
+		}
 	}
-	return vsub, stats
-}
-
-// growDashboard doubles capacity (at least to need), preserving
-// content. This is a safety valve beyond the paper's fixed η·m·d̄
-// sizing, needed when hubs exceed the average-degree estimate.
-func growDashboard(db *dashboard, need int) *dashboard {
-	newCap := 2 * len(db.vertex)
-	if newCap < need {
-		newCap = need * 2
+	if stats != nil {
+		stats.Pops = n - m
+		stats.Probes, stats.Cleanups = probes, cleanups
+		stats.Written, stats.Invalidated = written, invalidated
 	}
-	nd := newDashboard(newCap)
-	copy(nd.vertex, db.vertex[:db.used])
-	copy(nd.offset, db.offset[:db.used])
-	copy(nd.iaIdx, db.iaIdx[:db.used])
-	nd.iaStart = db.iaStart
-	nd.iaLive = db.iaLive
-	nd.iaVert = db.iaVert
-	nd.used = db.used
-	nd.live = db.live
-	return nd
+	return vsub
 }
 
 // NaiveFrontier is the straightforward O(m) -per-pop implementation
