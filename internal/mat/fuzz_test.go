@@ -93,7 +93,9 @@ func narrowFuzzMats(mb, kb, nb, zeros uint8, seed uint64, raw []byte) (a, b *Den
 // the listed rows the every-row bits and the others +0, and MulATList
 // the bits of MulAT with the unlisted rows of both operands zeroed —
 // of aᵀ too, because a hostile value there times a zero of b is a NaN
-// the list form never forms.
+// the list form never forms. MulAT and MulATList run at 1 to 4
+// workers, picked by the seed's low bits: how their output rows are
+// split among the workers must not reach a bit.
 func FuzzNarrowRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zeros uint8, seed uint64, raw []byte) {
 		a, b := narrowFuzzMats(mb, kb, nb, zeros, seed, raw)
@@ -106,12 +108,13 @@ func FuzzNarrowRows(f *testing.F) {
 		MulList(list, a, b, rows, 1)
 		requireSameBits(t, "MulList "+tag, list.Data, zeroUnlisted(got, rows).Data)
 		at := Transpose(a)
-		MulAT(got, at, b, 1)
-		requireSameBits(t, "MulAT "+tag, got.Data, refMulAT(at, b).Data)
+		workers := 1 + int(seed%4)
+		MulAT(got, at, b, workers)
+		requireSameBits(t, fmt.Sprintf("MulAT %s workers=%d", tag, workers), got.Data, refMulAT(at, b).Data)
 		rowsK := fuzzRows(seed>>1, at.Rows)
-		MulAT(got, zeroUnlisted(at, rowsK), zeroUnlisted(b, rowsK), 1)
-		MulATList(list, at, b, rowsK, 1)
-		requireSameBits(t, "MulATList "+tag, list.Data, got.Data)
+		MulAT(got, zeroUnlisted(at, rowsK), zeroUnlisted(b, rowsK), workers)
+		MulATList(list, at, b, rowsK, workers)
+		requireSameBits(t, fmt.Sprintf("MulATList %s workers=%d", tag, workers), list.Data, got.Data)
 		bt := Transpose(b)
 		MulBT(got, a, bt, 1)
 		requireSameBits(t, "MulBT "+tag, got.Data, refMulBT(a, bt).Data)

@@ -276,29 +276,35 @@ func testAxpyRows4x8StaysInsideItsSlices(t *testing.T) {
 // on the last bytes of an allocation, at widths k of a from one column
 // to the first layer's 602, over row counts that end on a pass of four
 // rows (where the last row of a is the fourth of a pass) and that leave
-// one to three rows over. At every level.
+// one to three rows over; a packed, and a block of k columns of wider
+// rows from an odd column offset, its last row's block ending the
+// allocation. At every level.
 func TestAccumAT8StaysInsideItsSlices(t *testing.T) {
 	atEveryLevel(t, func(t *testing.T) {
 		kern := levelKernels()
 		for _, k := range []int{1, 3, 5, 64, 602} {
-			for _, count := range []int{4, 5, 6, 7, 8, 67} {
-				acc, a, b := guardedFloats(t, 8*k), guardedFloats(t, count*k), guardedFloats(t, 8*count)
-				want := make([]float64, k)
-				for i := range b {
-					b[i] = 0.25
-				}
-				for row := 0; row < count; row++ {
-					for c := 0; c < k; c++ {
-						v := float64((row + c) % 3) // a third of a is zeros
-						a[row*k+c] = v
-						want[c] += v * 0.25
+			for _, block := range []struct{ extra, off int }{{0, 0}, {3, 1}, {k | 1, k | 1}} {
+				astride := k + block.extra
+				for _, count := range []int{4, 5, 6, 7, 8, 67} {
+					acc, b := guardedFloats(t, 8*k), guardedFloats(t, 8*count)
+					a := guardedFloats(t, block.off+(count-1)*astride+k)[block.off:]
+					want := make([]float64, k)
+					for i := range b {
+						b[i] = 0.25
 					}
-				}
-				accumAT8(acc, a, b, k, count)
-				kern.accumAT8(acc, a, b, k, count)
-				for i, v := range acc {
-					if v != 2*want[i/8] {
-						t.Fatalf("k=%d count=%d: element %d = %v, want %v", k, count, i, v, 2*want[i/8])
+					for row := 0; row < count; row++ {
+						for c := 0; c < k; c++ {
+							v := float64((row + c) % 3) // a third of a is zeros
+							a[row*astride+c] = v
+							want[c] += v * 0.25
+						}
+					}
+					accumAT8(acc, a, b, k, astride, count)
+					kern.accumAT8(acc, a, b, k, astride, count)
+					for i, v := range acc {
+						if v != 2*want[i/8] {
+							t.Fatalf("k=%d astride=%d count=%d: element %d = %v, want %v", k, astride, count, i, v, 2*want[i/8])
+						}
 					}
 				}
 			}

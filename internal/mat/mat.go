@@ -389,13 +389,13 @@ func mulRange(dst, a, b *Dense, s rowSet, lo, hi int) {
 // the bits of adding it to a cleared one. It is MulATList on every
 // row.
 //
-// The row range of a is decomposed into a fixed number of shards that
-// depends only on a.Rows — never on workers — each shard accumulates a
-// private partial product, and the partials are reduced in shard
-// order. Floating-point addition is not associative, so this fixed
-// decomposition is what makes the result bit-identical at every worker
-// count (the training engine's determinism contract: Workers=1 and
-// Workers=8 must produce the same loss trace).
+// The row range of a is cut into shards whose count depends only on
+// the shape — never on workers — and every element of dst is its
+// shards' sums, each taken from +0, added in shard order.
+// Floating-point addition is not associative, so this fixed grouping
+// is what makes the result bit-identical at every worker count (the
+// training engine's determinism contract: Workers=1 and Workers=8 must
+// produce the same loss trace); the workers only split dst's rows.
 func MulAT(dst, a, b *Dense, workers int) { MulATList(dst, a, b, nil, workers) }
 
 // MulATList computes dst = aᵀ * b over the rows of a and b that rows
@@ -406,6 +406,15 @@ func MulAT(dst, a, b *Dense, workers int) { MulATList(dst, a, b, nil, workers) }
 // so, for finite a, the two agree to the bit. The shards are MulAT's,
 // cut from a.Rows alone, each taking the listed rows of its range in
 // ascending order.
+//
+// Each chunk of the one parallel region owns rows [c0, c1) of dst:
+// it clears them, accumulates shard 0 straight into them — the bits of
+// +0 plus that shard's sum, which is never -0 — and adds each later
+// shard in order through its own rows of a k x n partial, cleared
+// first. So a shard's sum is the same whichever block or worker count
+// forms it. A chunk writes its block once per shard, and the grain
+// makes that at least elemGrain elements: a 602 x 8 gradient over ten
+// shards still splits, one over 16 x 8 does not.
 func MulATList(dst, a, b *Dense, rows []int, workers int) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulAT shape mismatch")
@@ -414,74 +423,52 @@ func MulATList(dst, a, b *Dense, rows []int, workers int) {
 	n := b.Cols
 	k := a.Cols
 	shards := mulATShards(a.Rows, k, n)
-	if shards <= 1 {
-		dst.Zero()
-		accumATRange(dst.Data, a, b, s, 0, s.len())
-		return
-	}
-	// shards > 1 always goes through per-shard partial products — even
-	// at workers == 1 — so that every worker count performs the exact
-	// same additions in the exact same grouping: each partial starts
-	// from zero, and dst is zero plus the partials in shard order. One
-	// worker adds each partial to dst as soon as it is complete and
-	// reuses its buffer for the next; several workers need all of them
-	// at once.
-	size := k * n
-	live := shards
-	if workers <= 1 {
-		live = 1
-	}
-	buf, _ := mulATScratch.Get().(*[]float64)
-	if buf == nil || cap(*buf) < live*size {
-		grown := make([]float64, live*size)
-		buf = &grown
-	}
-	defer mulATScratch.Put(buf)
-	partials := (*buf)[:live*size]
-	if live == 1 {
-		dst.Zero()
-		for sh := 0; sh < shards; sh++ {
-			accumATShard(partials, a, b, s, sh, shards)
-			AddTo(dst.Data, partials)
+	var partial []float64
+	if shards > 1 {
+		buf, _ := mulATScratch.Get().(*[]float64)
+		if buf == nil || cap(*buf) < k*n {
+			grown := make([]float64, k*n)
+			buf = &grown
 		}
-		return
+		defer mulATScratch.Put(buf)
+		partial = (*buf)[:k*n]
 	}
-	perf.Parallel(shards, workers, func(_, slo, shi int) {
-		for sh := slo; sh < shi; sh++ {
-			accumATShard(partials[sh*size:(sh+1)*size], a, b, s, sh, shards)
-		}
-	})
-	// Each output element is owned by exactly one chunk, so the
-	// reduction parallelizes bit-exactly.
-	perf.ParallelMin(size, elemGrain, workers, func(_, lo, hi int) {
-		d := dst.Data[lo:hi]
+	perf.ParallelMin(k, elemGrain/max(1, n*shards), workers, func(_, c0, c1 int) {
+		d := dst.Data[c0*n : c1*n]
 		clear(d)
 		for sh := 0; sh < shards; sh++ {
-			AddTo(d, partials[sh*size+lo:sh*size+hi])
+			lo, hi := s.pos(sh*a.Rows/shards), s.pos((sh+1)*a.Rows/shards)
+			if sh == 0 {
+				accumATRange(d, a, b, s, lo, hi, c0, c1)
+				continue
+			}
+			p := partial[c0*n : c1*n]
+			clear(p)
+			accumATRange(p, a, b, s, lo, hi, c0, c1)
+			AddTo(d, p)
 		}
 	})
 }
 
-// mulATScratch recycles MulAT's partial buffers between calls: a
-// training step makes five calls at up to shards x k x n floats each
-// (k x n on one worker), which used to be that many fresh allocations.
-// A buffer belongs to one call from Get to Put, and every shard zeroes
-// its slice before accumulating, so concurrent callers and stale
+// mulATScratch recycles MulAT's k x n partial buffer between calls. A
+// buffer belongs to one call from Get to Put, each chunk clears its own
+// rows of it before every shard, so concurrent callers and stale
 // contents are both harmless.
 var mulATScratch sync.Pool
 
 // mulATShards returns the fixed shard count for a MulAT of the given
-// shape: at least 64 rows per shard so each partial amortizes its
-// zeroing and reduction, at most 64 shards (enough to occupy the
-// paper's 40-core platform), and few enough that the k x n partial buffers stay
-// within a fixed memory budget. The count is a function of the
-// problem shape only — never of the worker count — which is what
-// keeps the reduction order, and therefore the result, bit-identical
-// at every Workers setting.
+// shape: at least 64 rows per shard so each shard's sum amortizes its
+// clear and its add, and at most 64 shards (enough to occupy the
+// paper's 40-core platform). The 16 MB budget caps the count so that
+// shards x k x n floats stay within it. MulAT holds one k x n partial
+// whatever the count, so the budget bounds no memory; it only fixes
+// the count, which fixes the grouping of every sum and so the bits. The count is a function of the problem shape only — never of
+// the worker count — which is what keeps the result bit-identical at
+// every Workers setting.
 func mulATShards(rows, k, n int) int {
 	const minBlock = 64
 	const maxShards = 64
-	const partialBudget = 16 << 20 // bytes across all partial buffers
+	const partialBudget = 16 << 20 // bytes of shards x k x n floats
 	s := rows / minBlock
 	if s > maxShards {
 		s = maxShards
@@ -497,33 +484,28 @@ func mulATShards(rows, k, n int) int {
 	return s
 }
 
-// accumATShard sets p to shard sh of shards of MulATList's sum: the
-// listed rows of a.Rows' sh-th of shards equal ranges.
-func accumATShard(p []float64, a, b *Dense, s rowSet, sh, shards int) {
-	clear(p)
-	accumATRange(p, a, b, s, s.pos(sh*a.Rows/shards), s.pos((sh+1)*a.Rows/shards))
-}
-
-// accumATRange adds the rows at positions [lo, hi) of s of the product
-// aᵀ·b into acc (a k x n buffer in row-major order), every element
-// taking its terms in ascending row order, a zero of a adding nothing.
-// On rows of 8 each run of consecutive rows goes to accumAT8, which
-// reads a along its rows and keeps acc (at most 602 rows of 64 bytes)
-// in the L1 cache; it masks the zeros to +0 rather than skipping them,
-// the same bits because every caller starts acc from +0. Other widths
-// take the rows a tile at a time, few enough that the tile of b stays
-// in the L1 cache while every row of acc takes its terms from it: row c
-// from column c of the tile of a, top to bottom — by stride where the
-// tile's rows are consecutive, through their list (axpyRowsAt) where
-// they are not.
-func accumATRange(acc []float64, a, b *Dense, s rowSet, lo, hi int) {
+// accumATRange adds, into acc (rows [c0, c1) of the k x n product in
+// row-major order, acc's row 0 being row c0), the rows at positions
+// [lo, hi) of s of aᵀ·b: every element taking its terms in ascending
+// row order, a zero of a adding nothing. Row c of the product reads
+// column c of a alone, so a block of rows gets the bits it has in the
+// whole. On rows of 8 each run of consecutive rows goes to accumAT8,
+// which reads a's block of columns along its rows and keeps acc (at
+// most 602 rows of 64 bytes) in the L1 cache; it masks the zeros to +0
+// rather than skipping them, the same bits because every caller starts
+// acc from +0. Other widths take the rows a tile at a time, few enough
+// that the tile of b stays in the L1 cache while every row of acc takes
+// its terms from it: row c from column c of the tile of a, top to
+// bottom — by stride where the tile's rows are consecutive, through
+// their list (axpyRowsAt) where they are not.
+func accumATRange(acc []float64, a, b *Dense, s rowSet, lo, hi, c0, c1 int) {
 	n := b.Cols
 	k := a.Cols
 	if n == 8 {
 		for t := lo; t < hi; {
 			end := s.run(t, hi)
 			r0, r1 := s.at(t), s.at(end-1)+1
-			accumAT8(acc, a.Data[r0*k:r1*k], b.Data[r0*8:r1*8], k, r1-r0)
+			accumAT8(acc, a.Data[r0*k+c0:], b.Data[r0*8:r1*8], c1-c0, k, r1-r0)
 			t = end
 		}
 		return
@@ -533,16 +515,16 @@ func accumATRange(acc []float64, a, b *Dense, s rowSet, lo, hi int) {
 		t1 := min(t0+tile, hi)
 		if s.run(t0, t1) < t1 {
 			listed := s.list[t0:t1]
-			for c := 0; c < k; c++ {
-				axpyRowsAt(acc[c*n:(c+1)*n], b.Data, n, a.Data[c:], k, listed, a.Rows)
+			for c := c0; c < c1; c++ {
+				axpyRowsAt(acc[(c-c0)*n:(c-c0+1)*n], b.Data, n, a.Data[c:], k, listed, a.Rows)
 			}
 			continue
 		}
 		r0, r1 := s.at(t0), s.at(t1-1)+1
 		btile := b.Data[r0*n : r1*n]
 		atile := a.Data[r0*k : r1*k]
-		for c := 0; c < k; c++ {
-			axpyRows(acc[c*n:(c+1)*n], btile, n, atile[c:], k, r1-r0)
+		for c := c0; c < c1; c++ {
+			axpyRows(acc[(c-c0)*n:(c-c0+1)*n], btile, n, atile[c:], k, r1-r0)
 		}
 	}
 }
@@ -576,7 +558,7 @@ func MulBTList(dst, a, b *Dense, rows []int, workers int) {
 }
 
 // mulBTPacks recycles the packed copies of b that MulBT hands dot16,
-// as mulATScratch recycles MulAT's partials: a buffer belongs to one
+// as mulATScratch recycles MulAT's partial: a buffer belongs to one
 // call from Get to Put and is written whole before it is read.
 var mulBTPacks sync.Pool
 

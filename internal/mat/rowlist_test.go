@@ -85,12 +85,14 @@ func zeroUnlisted(x *Dense, rows []int) *Dense {
 // every row, scattered, in runs and around MulAT's shard edges, over
 // one shard (40 rows) and many (700), at widths 8 (the four-row
 // kernels, accumAT8) and 16 and 121 (the list walks, dot16's groups of
-// sixteen and its rest), Workers 1, 2, 3 and 8, at every kernel level.
+// sixteen and its rest), Workers 1, 2, 3 and 8, at every kernel level;
+// aᵀ's 1 and 3 columns leave MulATList fewer output rows than workers,
+// and its 37 over 700 rows split among them, past width 8.
 func TestListFormsMatchZeroedEveryRow(t *testing.T) {
 	atEveryLevel(t, func(t *testing.T) {
 		many := false
 		for _, m := range []int{1, 5, 40, 700} {
-			for _, k := range []int{16, 37} {
+			for _, k := range []int{1, 3, 16, 37} {
 				for _, n := range []int{8, 16, 121} {
 					r := rng.New(uint64(233 + m + k + n))
 					a, b, c, bt := New(m, k), New(k, n), New(m, n), New(n, k)

@@ -406,42 +406,47 @@ func axpyRows4x8Go(dst, src, alpha []float64, rs, count int) {
 }
 
 // accumAT8 adds aᵀ·b into the k x 8 accumulator acc, for count rows of
-// a (k wide, packed) and of b (8 wide): for t = 0..count-1 in that
-// order and every c < k,
+// a (k wide, astride apart) and of b (8 wide, packed): for t =
+// 0..count-1 in that order and every c < k,
 //
-//	acc[8c : 8c+8] += a[t*k+c] * b[8t : 8t+8]
+//	acc[8c : 8c+8] += a[t*astride+c] * b[8t : 8t+8]
 //
 // skipping every zero of a — a weight gradient on rows of 8, with a
-// read along its rows, the order it lies in memory. The assembly, at
-// either amd64 level, holds four rows of b in registers and walks
-// acc once for the four rows of a beside them, each acc row taking its
-// four terms in row order; the rows left over go one at a time. It
-// masks a zero's products to +0, as axpyRows4x8 does and with the same
-// contract: every element of acc must be a sum that started from +0.
-// It panics if acc holds fewer than k rows or a or b fewer than count.
-func accumAT8(acc, a, b []float64, k, count int) {
+// read along its rows, the order it lies in memory; a stride past k
+// takes a block of a's columns. The assembly, at either amd64 level,
+// holds four rows of b in registers and walks acc once for the four
+// rows of a beside them, each acc row taking its four terms in row
+// order; the rows left over go one at a time. It masks a zero's
+// products to +0, as axpyRows4x8 does and with the same contract:
+// every element of acc must be a sum that started from +0. It panics
+// if acc holds fewer than k rows, a fewer than count rows, b fewer
+// than count, or astride is less than k.
+func accumAT8(acc, a, b []float64, k, astride, count int) {
 	if count <= 0 || k <= 0 {
 		return
 	}
+	if astride < k {
+		panic("mat: accumAT8 rows of a overlap")
+	}
 	acc = acc[: 8*k : len(acc)]
-	a = a[: count*k : len(a)]
+	a = a[: (count-1)*astride+k : len(a)]
 	b = b[: 8*count : len(b)]
 	switch {
 	case useAVX512:
-		accumAT8AVX512(acc, a, b, k, count)
+		accumAT8AVX512(acc, a, b, k, astride, count)
 	case useAVX2:
-		accumAT8AVX2(acc, a, b, k, count)
+		accumAT8AVX2(acc, a, b, k, astride, count)
 	default:
-		accumAT8Go(acc, a, b, k, count)
+		accumAT8Go(acc, a, b, k, astride, count)
 	}
 }
 
 // accumAT8Go is the portable accumAT8: one axpyGo per non-zero of a, in
 // row order.
-func accumAT8Go(acc, a, b []float64, k, count int) {
+func accumAT8Go(acc, a, b []float64, k, astride, count int) {
 	for t := 0; t < count; t++ {
 		brow := b[8*t : 8*t+8]
-		for c, av := range a[t*k : t*k+k] {
+		for c, av := range a[t*astride : t*astride+k] {
 			if av != 0 {
 				axpyGo(acc[8*c:8*c+8], brow, av)
 			}

@@ -104,13 +104,13 @@ func axpyRowsAtSIMD(dst, src []float64, stride int, alpha []float64, astride int
 func axpyRows4x8AVX2(dst, src, alpha []float64, rs, count int)
 
 // accumAT8AVX2 computes, for t = 0..count-1 in that order and c < k,
-// acc[8c+i] += a[t*k+c]*b[8t+i] for i < 8, with the products of zeros
-// of a masked to +0, as axpyRows4x8AVX2 masks them. k and count must be
-// at least 1, len(acc) at least 8*k, len(a) at least count*k and len(b)
-// at least 8*count.
+// acc[8c+i] += a[t*astride+c]*b[8t+i] for i < 8, with the products of
+// zeros of a masked to +0, as axpyRows4x8AVX2 masks them. k and count
+// must be at least 1, astride at least k, len(acc) at least 8*k, len(a)
+// at least (count-1)*astride+k and len(b) at least 8*count.
 //
 //go:noescape
-func accumAT8AVX2(acc, a, b []float64, k, count int)
+func accumAT8AVX2(acc, a, b []float64, k, astride, count int)
 
 // axpyRows4x8AVX512 is axpyRows4x8AVX2 in ZMM registers, with its
 // bits and its contract.
@@ -122,7 +122,7 @@ func axpyRows4x8AVX512(dst, src, alpha []float64, rs, count int)
 // its contract.
 //
 //go:noescape
-func accumAT8AVX512(acc, a, b []float64, k, count int)
+func accumAT8AVX512(acc, a, b []float64, k, astride, count int)
 
 // gatherRowsSIMD computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
 // for i < len(dst), over t = 0..len(offs)-1 in that order, with +0 in

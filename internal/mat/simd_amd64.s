@@ -702,28 +702,28 @@ quadTerm:
 	VZEROUPPER
 	RET
 
-// func accumAT8AVX2(acc, a, b []float64, k, count int)
+// func accumAT8AVX2(acc, a, b []float64, k, astride, count int)
 //
 // axpyRows4x8AVX2 turned around for aᵀ·b: the four rows of b live in
 // Y0..Y7 and the rows of acc stream past them. Each pass takes rows t..t+3
-// of a (SI, R9 bytes apart; R11 is three of them) and walks c = 0..k-1
-// once: row c of acc is loaded into Y8:Y9, takes a[t][c]*b[t] through
-// a[t+3][c]*b[t+3] in that order, and is stored. So a is read along its
-// rows, four sequential streams, where a walk down its columns would
-// take each term from a new cache line; acc, k rows of 64 bytes, stays
-// in the L1 cache from one pass to the next. The rows of a left over
+// of a (SI, R9 = astride*8 bytes apart; R11 is three of them) and
+// walks c = 0..k-1 once: row c of acc is loaded into Y8:Y9, takes
+// a[t][c]*b[t] through a[t+3][c]*b[t+3] in that order, and is stored.
+// So a is read along its rows, four sequential streams, where a walk
+// down its columns would take each term from a new cache line; acc, k
+// rows of 64 bytes, stays in the L1 cache from one pass to the next. The rows of a left over
 // after the last four go one at a time, by the same arithmetic on Y0:Y1.
 // Each element of acc receives the rounded product-then-add of axpyGo
 // for each non-zero of a in its column, in row order, and zeros are
 // masked to +0 under axpyRows4x8AVX2's argument: the caller (MulAT,
 // through accumATRange) starts every acc from +0.
-TEXT ·accumAT8AVX2(SB), NOSPLIT, $0-88
+TEXT ·accumAT8AVX2(SB), NOSPLIT, $0-96
 	MOVQ   acc_base+0(FP), DI
 	MOVQ   a_base+24(FP), SI
 	MOVQ   b_base+48(FP), DX
-	MOVQ   k+72(FP), R9
-	MOVQ   count+80(FP), CX
-	MOVQ   R9, R12
+	MOVQ   k+72(FP), R12
+	MOVQ   astride+80(FP), R9
+	MOVQ   count+88(FP), CX
 	SHLQ   $3, R9
 	LEAQ   (R9)(R9*2), R11
 	VXORPD Y15, Y15, Y15
@@ -842,7 +842,7 @@ zquadTerm:
 	VZEROUPPER
 	RET
 
-// func accumAT8AVX512(acc, a, b []float64, k, count int)
+// func accumAT8AVX512(acc, a, b []float64, k, astride, count int)
 //
 // accumAT8AVX2 with each 8-wide row in one ZMM register: four rows of
 // b in Z0..Z3, row c of acc in Z8 taking a[t][c]*b[t] through
@@ -850,13 +850,13 @@ zquadTerm:
 // rows of a left over after the last four go one at a time, on Z0.
 // The arithmetic per element, and the masking argument, are
 // accumAT8AVX2's.
-TEXT ·accumAT8AVX512(SB), NOSPLIT, $0-88
+TEXT ·accumAT8AVX512(SB), NOSPLIT, $0-96
 	MOVQ   acc_base+0(FP), DI
 	MOVQ   a_base+24(FP), SI
 	MOVQ   b_base+48(FP), DX
-	MOVQ   k+72(FP), R9
-	MOVQ   count+80(FP), CX
-	MOVQ   R9, R12
+	MOVQ   k+72(FP), R12
+	MOVQ   astride+80(FP), R9
+	MOVQ   count+88(FP), CX
 	SHLQ   $3, R9
 	LEAQ   (R9)(R9*2), R11
 	VPXORQ Z15, Z15, Z15

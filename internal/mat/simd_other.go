@@ -24,7 +24,7 @@ func axpyRows4x8AVX2(dst, src, alpha []float64, rs, count int) {
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
-func accumAT8AVX2(acc, a, b []float64, k, count int) {
+func accumAT8AVX2(acc, a, b []float64, k, astride, count int) {
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
@@ -32,7 +32,7 @@ func axpyRows4x8AVX512(dst, src, alpha []float64, rs, count int) {
 	panic("mat: no AVX-512 kernels on this architecture")
 }
 
-func accumAT8AVX512(acc, a, b []float64, k, count int) {
+func accumAT8AVX512(acc, a, b []float64, k, astride, count int) {
 	panic("mat: no AVX-512 kernels on this architecture")
 }
 

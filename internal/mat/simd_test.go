@@ -153,7 +153,7 @@ type kernelSet struct {
 	axpyRows    func(dst, src []float64, stride int, alpha []float64, astride, count int)
 	axpyRowsAt  func(dst, src []float64, stride int, alpha []float64, astride int, rows []int, limit int) bool
 	axpyRows4x8 func(dst, src, alpha []float64, rs, count int)
-	accumAT8    func(acc, a, b []float64, k, count int)
+	accumAT8    func(acc, a, b []float64, k, astride, count int)
 	gatherRows  func(dst, src []float64, offs []int, alpha []float64, scale float64, fresh bool)
 	adam        func(w, g, m, v []float64, c *AdamCoef)
 }
@@ -463,13 +463,15 @@ func testAxpyRows4x8MatchesPortable(t *testing.T) {
 }
 
 // TestAccumAT8MatchesPortable: the aᵀ·b kernel on rows of 8 against its
-// portable loop, every row count from 1 to 13 — each residue mod 4 of
-// the four-row passes and the rows left over, three times — and 64 and
-// 70, at widths k of a from 1 to the 602 features of the first layer,
-// with each row of a under its own zero pattern along it. acc starts
-// as the contract has it — +0, then the sums of a first call over the
-// first rows — so the second call adds onto NaNs, infinities and zeros
-// of the first.
+// portable loop over a packed copy of a, every row count from 1 to 13 —
+// each residue mod 4 of the four-row passes and the rows left over,
+// three times — and 64 and 70, at widths k of a from 1 to the 602
+// features of the first layer, with each row of a under its own zero
+// pattern along it. a is read packed and as a block of k columns of
+// wider rows, from odd column offsets, as MulAT's output blocks read
+// it. acc starts as the contract has it — +0, then the sums of a first
+// call over the first rows — so the second call adds onto NaNs,
+// infinities and zeros of the first.
 func TestAccumAT8MatchesPortable(t *testing.T) { atEveryLevel(t, testAccumAT8MatchesPortable) }
 
 func testAccumAT8MatchesPortable(t *testing.T) {
@@ -480,32 +482,37 @@ func testAccumAT8MatchesPortable(t *testing.T) {
 		r := rng.New(163)
 		for _, k := range []int{1, 2, 3, 5, 8, 17, 64, 602} {
 			b := offsetSlice(r, vc.gen, 1, 8*maxCount)
-			drawn := offsetSlice(r, vc.gen, 2, maxCount*k)
-			a := make([]float64, len(drawn))
-			want, got := make([]float64, 8*k), make([]float64, 8*k)
-			for _, count := range counts {
-				for p := range alphaPatterns {
-					copy(a, drawn)
-					for row := 0; row < count; row++ {
-						ap := alphaPatterns[(p+row)%len(alphaPatterns)]
-						for c := 0; c < k; c++ {
-							if ap.zero(c, k) { // +0 and -0 in turn
-								a[row*k+c] = math.Copysign(0, float64(1-2*(c%2)))
+			for _, block := range []struct{ extra, off int }{{0, 0}, {1, 1}, {6, 3}, {k | 1, k | 1}} {
+				astride := k + block.extra
+				drawn := offsetSlice(r, vc.gen, 2, maxCount*astride)
+				a, packed := make([]float64, len(drawn)), make([]float64, maxCount*k)
+				want, got := make([]float64, 8*k), make([]float64, 8*k)
+				for _, count := range counts {
+					for p := range alphaPatterns {
+						copy(a, drawn)
+						for row := 0; row < count; row++ {
+							ap := alphaPatterns[(p+row)%len(alphaPatterns)]
+							for c := 0; c < k; c++ {
+								if ap.zero(c, k) { // +0 and -0 in turn
+									a[row*astride+block.off+c] = math.Copysign(0, float64(1-2*(c%2)))
+								}
+							}
+							copy(packed[row*k:(row+1)*k], a[row*astride+block.off:])
+						}
+						clear(want)
+						clear(got)
+						half := count / 3
+						for _, part := range [][2]int{{0, half}, {half, count}} {
+							rows := part[1] - part[0]
+							accumAT8Go(want, packed[part[0]*k:], b[8*part[0]:], k, k, rows)
+							if rows > 0 {
+								kern.accumAT8(got, a[part[0]*astride+block.off:], b[8*part[0]:], k, astride, rows)
 							}
 						}
-					}
-					clear(want)
-					clear(got)
-					half := count / 3
-					for _, part := range [][2]int{{0, half}, {half, count}} {
-						rows := part[1] - part[0]
-						accumAT8Go(want, a[part[0]*k:], b[8*part[0]:], k, rows)
-						if rows > 0 {
-							kern.accumAT8(got, a[part[0]*k:], b[8*part[0]:], k, rows)
+						if !slices.EqualFunc(got, want, sameBits) {
+							requireSameBits(t, fmt.Sprintf("%s k=%d astride=%d off=%d count=%d rows from %s",
+								vc.name, k, astride, block.off, count, alphaPatterns[p].name), got, want)
 						}
-					}
-					if !slices.EqualFunc(got, want, sameBits) {
-						requireSameBits(t, fmt.Sprintf("%s k=%d count=%d rows from %s", vc.name, k, count, alphaPatterns[p].name), got, want)
 					}
 				}
 			}
@@ -565,8 +572,8 @@ func TestNarrowKernelsMaskZeroAlphas(t *testing.T) {
 				}
 				b := rowsOf(count)
 				want, got := make([]float64, 8*k), make([]float64, 8*k)
-				accumAT8Go(want, a, b, k, count)
-				kern.accumAT8(got, a, b, k, count)
+				accumAT8Go(want, a, b, k, k, count)
+				kern.accumAT8(got, a, b, k, k, count)
 				tag := fmt.Sprintf("accumAT8 count=%d k=%d", count, k)
 				requireSameBits(t, tag, got, want)
 				requireZerosOnlyGiveZero(t, tag, got, func(c int) bool {
@@ -1093,15 +1100,22 @@ func TestPrimitiveLengthContract(t *testing.T) {
 			axpyRows4x8(make([]float64, 32), make([]float64, 8*n), make([]float64, 4*n+5, 4*n+16), n+2, n)
 		})
 		// accumAT8 over n rows of a, 3 wide, into 3 rows of 8: each
-		// operand one element short.
+		// operand one element short, packed and 5 apart, and rows of a
+		// that overlap.
 		mustPanic(t, fmt.Sprintf("accumAT8 short acc n=%d", n), func() {
-			accumAT8(make([]float64, 23, 32), make([]float64, 3*n), make([]float64, 8*n), 3, n)
+			accumAT8(make([]float64, 23, 32), make([]float64, 3*n), make([]float64, 8*n), 3, 3, n)
 		})
 		mustPanic(t, fmt.Sprintf("accumAT8 short a n=%d", n), func() {
-			accumAT8(make([]float64, 24), make([]float64, 3*n-1, 3*n+8), make([]float64, 8*n), 3, n)
+			accumAT8(make([]float64, 24), make([]float64, 3*n-1, 3*n+8), make([]float64, 8*n), 3, 3, n)
+		})
+		mustPanic(t, fmt.Sprintf("accumAT8 short strided a n=%d", n), func() {
+			accumAT8(make([]float64, 24), make([]float64, 5*n-3, 5*n+8), make([]float64, 8*n), 3, 5, n)
+		})
+		mustPanic(t, fmt.Sprintf("accumAT8 overlapping a n=%d", n), func() {
+			accumAT8(make([]float64, 24), make([]float64, 3*n), make([]float64, 8*n), 3, 2, n)
 		})
 		mustPanic(t, fmt.Sprintf("accumAT8 short b n=%d", n), func() {
-			accumAT8(make([]float64, 24), make([]float64, 3*n), make([]float64, 8*n-1, 8*n+8), 3, n)
+			accumAT8(make([]float64, 24), make([]float64, 3*n), make([]float64, 8*n-1, 8*n+8), 3, 3, n)
 		})
 		// dot16 over two rows of n into rows of dst 17 apart: each
 		// operand one element short. The slicing stops it on every host.
@@ -1180,8 +1194,8 @@ func TestPrimitivesOnEmptySlices(t *testing.T) {
 	out32[5] = 9
 	axpyRows4x8(out32, nil, nil, 0, 0) // no terms, whatever the path
 	requireSameBits(t, "axpyRows4x8 with no terms", out32[5:6], []float64{9})
-	accumAT8(out32, nil, nil, 4, 0) // no rows
-	accumAT8(out32, nil, nil, 0, 4) // no columns
+	accumAT8(out32, nil, nil, 4, 4, 0) // no rows
+	accumAT8(out32, nil, nil, 0, 0, 4) // no columns
 	requireSameBits(t, "accumAT8 with no terms", out32[5:6], []float64{9})
 	GatherSum(nil, nil, 0, 0, []int32{0, 0}, nil, 2) // no columns
 	GatherSum(out1, nil, 1, 0, nil, nil, 2)          // no terms: the empty sum, scaled
@@ -1355,26 +1369,30 @@ func testTiledGEMMMatchesUntiledPortable(t *testing.T) {
 	}
 }
 
-// TestMulATReusesScratch: after a warm-up call the partial buffers
-// come from the pool, so a sharded MulAT allocates (almost) nothing;
-// the fresh-buffer version allocated shards x k x n floats per call.
+// TestMulATReusesScratch: after a warm-up call the k x n partial that
+// every shard after the first is summed in comes from the pool, so a
+// sharded MulAT allocates (almost) nothing, at one worker and at two,
+// where each of two blocks of 128 output rows takes its own rows of
+// it; a fresh partial per call would show.
 func TestMulATReusesScratch(t *testing.T) {
 	r := rng.New(131)
-	a := randMat(r, 256, 32)
+	a := randMat(r, 256, 256)
 	b := randMat(r, 256, 32)
-	dst := New(32, 32)
 	if mulATShards(a.Rows, a.Cols, b.Cols) < 2 {
 		t.Fatal("shape does not shard; the test would not reach the scratch")
 	}
-	MulAT(dst, a, b, 1)
-	want := dst.Clone()
-	avg := testing.AllocsPerRun(20, func() { MulAT(dst, a, b, 1) })
-	// A collection between runs may empty the pool once; the closures
-	// handed to perf.Parallel account for the rest.
-	if avg > 4 {
-		t.Errorf("MulAT allocates %.1f objects per call with warm scratch", avg)
+	for _, workers := range []int{1, 2} {
+		dst := New(256, 32)
+		MulAT(dst, a, b, workers)
+		want := dst.Clone()
+		avg := testing.AllocsPerRun(20, func() { MulAT(dst, a, b, workers) })
+		// A collection between runs may empty the pool once; the closures
+		// handed to perf.Parallel account for the rest.
+		if avg > 4 {
+			t.Errorf("MulAT at %d workers allocates %.1f objects per call with warm scratch", workers, avg)
+		}
+		requireSameBits(t, fmt.Sprintf("MulAT at %d workers on recycled scratch", workers), dst.Data, want.Data)
 	}
-	requireSameBits(t, "MulAT on recycled scratch", dst.Data, want.Data)
 }
 
 // TestMulBTReusesItsPackBuffer: after a warm-up call the packed copy of b
