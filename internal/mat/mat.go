@@ -462,9 +462,10 @@ var mulATScratch sync.Pool
 // paper's 40-core platform). The 16 MB budget caps the count so that
 // shards x k x n floats stay within it. MulAT holds one k x n partial
 // whatever the count, so the budget bounds no memory; it only fixes
-// the count, which fixes the grouping of every sum and so the bits. The count is a function of the problem shape only — never of
-// the worker count — which is what keeps the result bit-identical at
-// every Workers setting.
+// the count, which fixes the grouping of every sum and so the bits.
+// The count is a function of the problem shape only — never of the
+// worker count — which is what keeps the result bit-identical at every
+// Workers setting.
 func mulATShards(rows, k, n int) int {
 	const minBlock = 64
 	const maxShards = 64

@@ -350,11 +350,11 @@ func evictCaches() {
 	}
 }
 
-// benchGEMM times, on one core at every shape, the product run builds
-// from the layer's input h (m x k), weights w (k x n) and output
-// gradient dz (m x n), once at each kernel level the host has: the
-// levels of one shape run back to back in one process, so a comparison
-// between them is not at the mercy of the host's drift between runs.
+// benchGEMM times, at every shape, the product run builds from the
+// layer's input h (m x k), weights w (k x n) and output gradient dz
+// (m x n), once at each kernel level the host has: the levels of one
+// shape run back to back in one process, so a comparison between them
+// is not at the mercy of the host's drift between runs.
 // With cold set, the coldShapes are timed a second time with the
 // caches cleared (timer stopped) before every call.
 func benchGEMM(b *testing.B, cold bool, run func(h, w, dz *Dense) func()) {
@@ -409,6 +409,18 @@ func BenchmarkMulAT(b *testing.B) {
 	benchGEMM(b, true, func(h, w, dz *Dense) func() {
 		dw := New(w.Rows, w.Cols)
 		return func() { MulAT(dw, h, dz, 1) }
+	})
+}
+
+// BenchmarkMulATTwoWorkers is BenchmarkMulAT split between two workers,
+// as a training step on more than one core runs it: every shape but
+// 700x16x8 and 700x16x41, which its grain keeps on one worker, forms
+// its output rows in two blocks. Run it with -cpu 2 or more, the two
+// sides of a comparison alternating.
+func BenchmarkMulATTwoWorkers(b *testing.B) {
+	benchGEMM(b, false, func(h, w, dz *Dense) func() {
+		dw := New(w.Rows, w.Cols)
+		return func() { MulAT(dw, h, dz, 2) }
 	})
 }
 

@@ -711,8 +711,9 @@ quadTerm:
 // a[t][c]*b[t] through a[t+3][c]*b[t+3] in that order, and is stored.
 // So a is read along its rows, four sequential streams, where a walk
 // down its columns would take each term from a new cache line; acc, k
-// rows of 64 bytes, stays in the L1 cache from one pass to the next. The rows of a left over
-// after the last four go one at a time, by the same arithmetic on Y0:Y1.
+// rows of 64 bytes, stays in the L1 cache from one pass to the next.
+// The rows of a left over after the last four go one at a time, by the
+// same arithmetic on Y0:Y1.
 // Each element of acc receives the rounded product-then-add of axpyGo
 // for each non-zero of a in its column, in row order, and zeros are
 // masked to +0 under axpyRows4x8AVX2's argument: the caller (MulAT,
