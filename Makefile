@@ -41,7 +41,9 @@ loc:
 # staticcheck runs when the host has it (the offline CI image does not
 # vendor it). internal/mat has amd64 assembly with a portable
 # fallback that an amd64 host never compiles, so lint also builds the
-# module and vets mat for arm64 — the fallback cannot rot unseen.
+# module and vets mat for arm64 — the fallback cannot rot unseen. For
+# the same reason it vets internal/artifact for windows: its non-unix
+# byte source (mmap_portable.go) reads the file into the heap.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -50,6 +52,7 @@ lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/mat/...
+	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/artifact/...
 	$(GO) run ./scripts/pkgdoc-lint
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -86,8 +86,8 @@ type modelSpec struct {
 	// f64 (default), f32 or i8pq. Exact answers always read float64
 	// rows; quantized tables only steer the ANN candidate scan.
 	Dtype string `json:"dtype"`
-	// Mmap serves the float64 table straight from the memory-mapped
-	// artifact instead of decoding it onto the heap (requires Artifact).
+	// Mmap maps the artifact's bytes from the shared page cache instead
+	// of reading them into private heap (requires Artifact).
 	Mmap    bool `json:"mmap"`
 	ANN     bool `json:"ann"`
 	ANNM    int  `json:"ann_m"`
@@ -172,7 +172,7 @@ func main() {
 		annEf   = flag.Int("ann-ef", 0, "default HNSW query beam width; higher = better recall, slower (0 = 64)")
 		art     = flag.String("artifact", "", "snapshot artifact (gsgcn-index output) to warm-start from; \"auto\" tries <load>.art; mismatch or absence falls back to the full compute")
 		dtype   = flag.String("dtype", "", "resident representation of the embedding table: f64|f32|i8pq (default f64; exact answers always read f64 rows)")
-		useMmap = flag.Bool("mmap", false, "serve the float64 table from the memory-mapped artifact instead of decoding it onto the heap (needs -artifact)")
+		useMmap = flag.Bool("mmap", false, "map the artifact from the shared page cache instead of reading it into private heap (needs -artifact)")
 		shards  = flag.Int("shards", 0, "serve each model as N vertex shards behind a scatter-gather router (0 or 1 = unsharded)")
 		shSeed  = flag.Uint64("shard-seed", 0, "seed keying the deterministic vertex-shard assignment (must match gsgcn-index -shard-seed)")
 		dline   = flag.Duration("deadline", 0, "per-query deadline counted from arrival; work past it does not start and a late top-K answer is not sent, both 504 (0 = none)")

@@ -166,81 +166,65 @@ func trainParams(v int) (frontierM, budget int) {
 	return
 }
 
-// RunExperiment dispatches an experiment by name ("table1", "fig2",
-// "fig3", "fig4", "table2", "theorem1", "theorem2", "all") and writes
-// its report to w.
+// experiments is the ordered table of runnable experiments:
+// RunExperiment dispatches on it, "all" runs it in this order and
+// ExperimentNames lists it.
+var experiments = []struct {
+	name string
+	run  func(ExpOptions) (fmt.Stringer, error)
+}{
+	{"table1", report(RunTable1)},
+	{"fig2", report(RunFig2)},
+	{"fig3", report(RunFig3)},
+	{"fig4", report(RunFig4)},
+	{"table2", report(RunTable2)},
+	{"theorem1", report(RunTheorem1)},
+	{"theorem2", report(RunTheorem2)},
+	{"samplers", report(RunSamplerAblation)},
+}
+
+// report adapts a typed experiment runner to the table's signature.
+func report[R fmt.Stringer](run func(ExpOptions) (R, error)) func(ExpOptions) (fmt.Stringer, error) {
+	return func(o ExpOptions) (fmt.Stringer, error) { return run(o) }
+}
+
+// RunExperiment dispatches an experiment by name (one of
+// ExperimentNames; "all" runs every other one in order) and writes its
+// report to w.
 func RunExperiment(name string, o ExpOptions, w io.Writer) error {
 	o = o.normalized()
-	switch strings.ToLower(name) {
-	case "table1":
-		r, err := RunTable1(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "fig2":
-		r, err := RunFig2(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "fig3":
-		r, err := RunFig3(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "fig4":
-		r, err := RunFig4(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "table2":
-		r, err := RunTable2(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "theorem1":
-		r, err := RunTheorem1(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "theorem2":
-		r, err := RunTheorem2(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "samplers":
-		r, err := RunSamplerAblation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.String())
-	case "all":
-		for _, e := range ExperimentNames() {
-			if e == "all" {
-				continue
-			}
-			fmt.Fprintf(w, "=== %s ===\n", e)
-			if err := RunExperiment(e, o, w); err != nil {
+	key := strings.ToLower(name)
+	if key == "all" {
+		for _, e := range experiments {
+			fmt.Fprintf(w, "=== %s ===\n", e.name)
+			if err := RunExperiment(e.name, o, w); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
 		}
-	default:
-		return fmt.Errorf("gsgcn: unknown experiment %q (want %s)",
-			name, strings.Join(ExperimentNames(), "|"))
+		return nil
 	}
-	return nil
+	for _, e := range experiments {
+		if key == e.name {
+			r, err := e.run(o)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(w, r.String())
+			return nil
+		}
+	}
+	return fmt.Errorf("gsgcn: unknown experiment %q (want %s)",
+		name, strings.Join(ExperimentNames(), "|"))
 }
 
-// ExperimentNames lists the runnable experiments.
+// ExperimentNames lists the runnable experiments, "all" last.
 func ExperimentNames() []string {
-	return []string{"table1", "fig2", "fig3", "fig4", "table2", "theorem1", "theorem2", "samplers", "all"}
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return append(names, "all")
 }
 
 // rngFor builds a deterministic RNG from a seed.

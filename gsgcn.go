@@ -82,11 +82,14 @@ type (
 	// from a configured default model. See docs/API.md for the HTTP
 	// surface.
 	ModelRegistry = serve.Registry
-	// ServingArtifact is a decoded snapshot artifact: precomputed
-	// full-graph embedding table, norms and (optionally) the
-	// deterministic HNSW index, with the metadata to validate them
+	// ServingArtifact is a snapshot artifact as it is written:
+	// precomputed full-graph embedding table, norms and (optionally)
+	// the deterministic HNSW index, with the metadata to validate them
 	// against a checkpoint and dataset.
 	ServingArtifact = artifact.Snapshot
+	// ServingArtifactFile is a validated artifact file as it is read:
+	// the same tables as views into the file's bytes.
+	ServingArtifactFile = artifact.File
 	// ArtifactMeta identifies what a serving artifact was computed from.
 	ArtifactMeta = artifact.Meta
 	// MetricsRegistry is the observability plane's metric store:
@@ -159,9 +162,9 @@ func WriteArtifactManifest(artifactPath, checkpointPath string, s *ServingArtifa
 	return artifact.WriteManifest(artifactPath, checkpointPath, s, checksum)
 }
 
-// ReadServingArtifact loads and validates the artifact at path,
-// returning the snapshot and its checksum.
-func ReadServingArtifact(path string) (*ServingArtifact, uint64, error) {
+// ReadServingArtifact reads the artifact at path into the heap and
+// validates it, trailer and every section CRC; Sum is its checksum.
+func ReadServingArtifact(path string) (*ServingArtifactFile, error) {
 	return artifact.ReadFile(path)
 }
 

@@ -27,17 +27,14 @@
 // "index" (ann.EncodeBinary output) is optional. Every section
 // carries its own CRC-64 in the header, so a memory-mapped reader can
 // validate lazily, section by section, without touching the rest of
-// the file. The 8-byte alignment is what lets the mmap path cast
-// float sections in place instead of copying them.
+// the file. The 8-byte alignment is what lets the one reader, File,
+// cast float sections in place instead of copying them, whether its
+// bytes are a mapping (OpenMapped) or a heap buffer (ReadFile,
+// Decode).
 //
 // Any other format version — including the retired version 1 (the
 // PR 4–9 single-blob layout) — is rejected with a typed error; a
 // serving engine then falls back to its cold compute.
-//
-// Decode validates the trailer checksum, every declared length against
-// the actual data, and caps all metadata-driven allocations, so a
-// corrupted, truncated or hostile artifact fails with a clean error —
-// never a panic, short read or unbounded allocation (FuzzDecode).
 package artifact
 
 import (
@@ -136,9 +133,9 @@ func (m Meta) validateShard() error {
 	return nil
 }
 
-// Snapshot is a decoded artifact: the precomputed serving tables plus
+// Snapshot is what Encode writes: the precomputed serving tables plus
 // the metadata to validate them against a checkpoint and dataset.
-// Index is nil when the artifact was written without one.
+// Index is nil when the artifact is written without one.
 type Snapshot struct {
 	Meta  Meta
 	Emb   *mat.Dense
@@ -309,11 +306,9 @@ func f64Bytes(xs []float64) []byte {
 	return out
 }
 
-// Checksum returns the artifact's integrity fingerprint: the
-// CRC-64/ECMA every valid artifact carries as its trailer. Two reads
-// of an unchanged artifact file yield the same checksum, which is how
-// a reload detects it can reuse in-memory tables without re-decoding.
-func Checksum(data []byte) (uint64, error) {
+// checksum verifies the CRC-64/ECMA trailer every valid artifact
+// carries over its preceding bytes and returns it.
+func checksum(data []byte) (uint64, error) {
 	if len(data) < 8 {
 		return 0, fmt.Errorf("artifact: %d bytes is too short to carry a checksum", len(data))
 	}
@@ -324,43 +319,10 @@ func Checksum(data []byte) (uint64, error) {
 	return trailer, nil
 }
 
-// Decode parses and validates an artifact blob, checksum included.
-// The returned snapshot's tables are freshly allocated (independent
-// of data).
-func Decode(data []byte) (*Snapshot, error) {
-	if _, err := Checksum(data); err != nil {
-		return nil, err
-	}
-	return DecodeVerified(data)
-}
-
-// DecodeVerified parses an artifact blob whose trailer the caller has
-// already verified with Checksum, skipping the second full-file CRC
-// pass — the warm path reads multi-gigabyte artifacts, and hashing
-// them twice per install is pure wasted latency. All structural
-// validation still runs; only the integrity re-check is elided.
-func DecodeVerified(data []byte) (*Snapshot, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("artifact: %d bytes is too short to carry a checksum", len(data))
-	}
-	body := data[:len(data)-8]
-	if len(body) < 16 {
-		return nil, fmt.Errorf("artifact: truncated header (%d bytes)", len(body))
-	}
-	if string(body[:8]) != magic {
-		return nil, fmt.Errorf("artifact: bad magic %q", body[:8])
-	}
-	if v := binary.LittleEndian.Uint32(body[8:12]); v != formatVersion {
-		return nil, fmt.Errorf("artifact: format version %d, want %d", v, formatVersion)
-	}
-	return decodeV2(body)
-}
-
 // parsedV2 is a validated v2 header: the metadata plus the located
 // sections, lengths already cross-checked against the declared shape
 // and the bytes actually present. Section CRCs are NOT yet verified —
-// the in-memory decoder checks them all, the mmap loader checks them
-// lazily.
+// File.init checks them, the mapped embedding section lazily.
 type parsedV2 struct {
 	meta  Meta
 	dtype mat.Dtype
@@ -475,67 +437,6 @@ func parseV2(body []byte) (*parsedV2, error) {
 	return &parsedV2{meta: meta, dtype: dtype, pq: hdr.PQ, secs: secs, base: base}, nil
 }
 
-// decodeV2 parses the section layout into freshly allocated tables,
-// verifying every section CRC (the trailer may already be verified,
-// but per-section CRCs are the integrity statement of the v2 format —
-// a header claiming a wrong CRC is corrupt even if the file hashes
-// consistently).
-func decodeV2(body []byte) (*Snapshot, error) {
-	p, err := parseV2(body)
-	if err != nil {
-		return nil, err
-	}
-	for name, s := range p.secs {
-		if got := crc64.Checksum(p.sec(body, name), crcTable); got != s.CRC {
-			return nil, fmt.Errorf("artifact: section %q CRC mismatch (stored %016x, computed %016x)", name, s.CRC, got)
-		}
-	}
-	rows := p.meta.rows()
-	emb := mat.New(rows, p.meta.Dim)
-	f64Decode(p.sec(body, secEmb), emb.Data)
-	norms := make([]float64, rows)
-	f64Decode(p.sec(body, secNorms), norms)
-	snap := &Snapshot{Meta: p.meta, Emb: emb, Norms: norms, Dtype: p.dtype}
-	switch p.dtype {
-	case mat.DtypeF32:
-		t := &mat.F32Table{RowsN: rows, ColsN: p.meta.Dim, Data: make([]float32, rows*p.meta.Dim)}
-		raw := p.sec(body, secF32)
-		for i := range t.Data {
-			t.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-		snap.F32 = t
-	case mat.DtypeI8PQ:
-		t := &mat.PQTable{
-			RowsN:     rows,
-			ColsN:     p.meta.Dim,
-			Params:    mat.PQParams{M: p.pq.M, K: p.pq.K, Iters: p.pq.Iters, Seed: p.pq.Seed},
-			Centroids: make([]float64, mat.PQCentroidsLen(p.meta.Dim, p.pq.M, p.pq.K)),
-			Codes:     append([]uint8(nil), p.sec(body, secPQCodes)...),
-		}
-		f64Decode(p.sec(body, secPQCent), t.Centroids)
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("artifact: %w", err)
-		}
-		snap.PQ = t
-	}
-	if s, ok := p.secs[secIndex]; ok && s.Len > 0 {
-		idx, err := ann.DecodeIndex(p.sec(body, secIndex), emb, norms)
-		if err != nil {
-			return nil, err
-		}
-		snap.Index = idx
-	}
-	return snap, nil
-}
-
-// f64Decode fills out from little-endian float64 bytes (len(raw) must
-// be 8*len(out), which parseV2 guarantees).
-func f64Decode(raw []byte, out []float64) {
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-}
-
 // ShardPath derives the conventional per-shard artifact filename from
 // an unsharded base path: shard 2 of 4 over base "m.ckpt.art" lives at
 // "m.ckpt.art.s2of4". The producer (cmd/gsgcn-index -shards) and every
@@ -582,23 +483,6 @@ func WriteFile(path string, s *Snapshot) (uint64, error) {
 		return 0, err
 	}
 	return sum, nil
-}
-
-// ReadFile loads and validates the artifact at path.
-func ReadFile(path string) (*Snapshot, uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	sum, err := Checksum(data)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	snap, err := DecodeVerified(data)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return snap, sum, nil
 }
 
 // Manifest is the human-readable sidecar written next to an artifact

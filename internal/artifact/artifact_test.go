@@ -46,6 +46,18 @@ func testSnapshot(n, dim int, withIndex bool) *Snapshot {
 	return s
 }
 
+// snapshotOf rebuilds the Snapshot a File was encoded from, copying
+// the rows out through the table so it works on either byte source.
+func snapshotOf(f *File) *Snapshot {
+	tbl := f.Table()
+	emb := mat.New(tbl.NumRows(), tbl.NumCols())
+	for i := 0; i < emb.Rows; i++ {
+		copy(emb.Row(i), tbl.Row(i))
+	}
+	return &Snapshot{Meta: f.Meta(), Emb: emb, Norms: f.Norms(), Index: f.Index(),
+		Dtype: f.Dtype(), F32: f.F32(), PQ: f.PQ()}
+}
+
 // TestRoundTrip pins the warm-start contract: a decoded artifact is
 // bit-identical to what was encoded — embedding bytes, norms, meta and
 // index encoding all equal — and re-encoding reproduces the file
@@ -57,10 +69,11 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(blob)
+		file, err := Decode(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := snapshotOf(file)
 		if got.Meta != s.Meta {
 			t.Fatalf("meta round-trip: got %+v, want %+v", got.Meta, s.Meta)
 		}
@@ -94,6 +107,15 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(re, blob) {
 			t.Fatal("decode+encode does not reproduce the artifact bytes")
 		}
+		// A caller's slice off the 8-byte grid is copied once, then
+		// read the same way.
+		odd, err := Decode(append([]byte{0}, blob...)[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re, err := Encode(snapshotOf(odd)); err != nil || !bytes.Equal(re, blob) {
+			t.Fatalf("misaligned decode+encode does not reproduce the artifact bytes (%v)", err)
+		}
 	}
 }
 
@@ -107,12 +129,16 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotSum, err := ReadFile(path)
+	file, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, gotSum := snapshotOf(file), file.Sum()
 	if gotSum != sum {
 		t.Fatalf("checksum %016x from read, %016x from write", gotSum, sum)
+	}
+	if tr, err := Trailer(path); err != nil || tr != sum {
+		t.Fatalf("Trailer = %016x, %v; want %016x", tr, err, sum)
 	}
 	if got.Meta != s.Meta || got.Index == nil {
 		t.Fatalf("file round-trip mangled the snapshot: %+v", got.Meta)
@@ -188,7 +214,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if snap, err := Decode(tc.data); err == nil {
-				t.Fatalf("corrupt artifact accepted: %+v", snap.Meta)
+				t.Fatalf("corrupt artifact accepted: %+v", snap.Meta())
 			}
 		})
 	}
@@ -226,18 +252,19 @@ func shardSnapshot(rows, vertices, dim, shard, shards int, seed uint64) *Snapsho
 }
 
 // TestShardMetaRoundTrip pins the sharded artifact format: the shard
-// identity fields survive Encode/Decode exactly, and DecodeVerified
-// accepts a well-formed shard file.
+// identity fields survive Encode/Decode exactly, and Decode accepts a
+// well-formed shard file.
 func TestShardMetaRoundTrip(t *testing.T) {
 	s := shardSnapshot(40, 100, 8, 2, 4, 77)
 	blob, err := Encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeVerified(blob)
+	file, err := Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := snapshotOf(file)
 	if got.Meta != s.Meta {
 		t.Fatalf("shard meta round-trip: got %+v, want %+v", got.Meta, s.Meta)
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // mapRO on platforms without a wired mmap syscall reads the file into
-// a private buffer: the Mapped API keeps working (lazy section CRCs
-// included), only the page-sharing win is absent.
+// an 8-aligned private buffer: OpenMapped keeps working (lazy embedding
+// CRC included), only the page-sharing win is absent.
 func mapRO(f *os.File, size int) ([]byte, func([]byte) error, error) {
-	data := make([]byte, size)
+	data := alignedBytes(size)
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, nil, err
 	}

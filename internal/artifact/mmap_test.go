@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -57,9 +59,9 @@ func sectionSpan(t *testing.T, blob []byte, name string) (int, int) {
 	return 0, 0
 }
 
-// TestV2DtypeRoundTrip pins the quantized payloads through the
-// copying decoder: bit-identical f32/centroid/code payloads, dtype
-// preserved, and a canonical re-encode that reproduces the file.
+// TestV2DtypeRoundTrip pins the quantized payloads through Decode:
+// bit-identical f32/centroid/code payloads, dtype preserved, and a
+// canonical re-encode that reproduces the file.
 func TestV2DtypeRoundTrip(t *testing.T) {
 	for _, dtype := range []mat.Dtype{mat.DtypeF64, mat.DtypeF32, mat.DtypeI8PQ} {
 		s := quantSnapshot(150, 12, dtype, true)
@@ -67,10 +69,11 @@ func TestV2DtypeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(blob)
+		file, err := Decode(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := snapshotOf(file)
 		if got.Dtype != dtype {
 			t.Fatalf("dtype %v round-tripped as %v", dtype, got.Dtype)
 		}
@@ -152,78 +155,130 @@ func TestV1RejectedCleanly(t *testing.T) {
 		m.Close()
 		t.Fatal("OpenMapped accepted a v1 artifact")
 	}
-	if _, _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "format version 1") {
+	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "format version 1") {
 		t.Fatalf("ReadFile(v1) error = %v", err)
 	}
 }
 
-// TestMappedMatchesDecode is the mmap path's exactness contract: every
-// accessor of a mapped artifact is bit-identical to the copying
-// decoder's output — table rows, norms, quantized payloads, index
-// encoding and checksum.
-func TestMappedMatchesDecode(t *testing.T) {
+// TestSourcesAgreeOnCorpus is the one-parser contract, over every
+// committed FuzzDecode corpus file and every FuzzDecode seed: Decode
+// accepts exactly when the file-backed OpenMapped accepts, the
+// embedding section it defers validates, and the trailer Decode
+// verifies (and OpenMapped only reads) matches the body. Accepted
+// inputs give the same meta, dtype and trailer, the same bits in every
+// row, norm and quantized payload, and the same index checksum from
+// both sources.
+func TestSourcesAgreeOnCorpus(t *testing.T) {
+	inputs := fuzzSeeds()
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", e.Name(), err)
+		}
+		inputs = append(inputs, []byte(data))
+	}
+	tmp := t.TempDir()
+	accepted := map[mat.Dtype]int{}
+	for i, data := range inputs {
+		path := filepath.Join(tmp, fmt.Sprintf("%d.art", i))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		heap, herr := Decode(data)
+		m, merr := OpenMapped(path)
+		_, cerr := checksum(data)
+		mapOK := merr == nil && m.ValidateSection(secEmb) == nil && cerr == nil
+		if (herr == nil) != mapOK {
+			t.Fatalf("input %d: Decode error %v, OpenMapped error %v, trailer %v", i, herr, merr, cerr)
+		}
+		if herr == nil {
+			accepted[heap.Dtype()]++
+			sameFile(t, heap, m)
+		}
+		if m != nil {
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("second Close not idempotent: %v", err)
+			}
+		}
+	}
 	for _, dtype := range []mat.Dtype{mat.DtypeF64, mat.DtypeF32, mat.DtypeI8PQ} {
-		s := quantSnapshot(130, 16, dtype, true)
-		path := writeArt(t, s)
-		snap, sum, err := ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		if accepted[dtype] == 0 {
+			t.Errorf("no input of dtype %v was accepted: the comparison never ran on it", dtype)
 		}
-		m, err := OpenMapped(path)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// sameFile fails unless a heap File and a mapped File of the same
+// bytes agree bit for bit.
+func sameFile(t *testing.T, heap, m *File) {
+	t.Helper()
+	if m.Meta() != heap.Meta() || m.Dtype() != heap.Dtype() || m.Sum() != heap.Sum() {
+		t.Fatalf("mapped meta %+v dtype %v sum %016x, heap %+v %v %016x",
+			m.Meta(), m.Dtype(), m.Sum(), heap.Meta(), heap.Dtype(), heap.Sum())
+	}
+	if m.MappedBytes() <= 0 || heap.MappedBytes() != 0 {
+		t.Fatalf("mapped bytes %d (mapped), %d (heap)", m.MappedBytes(), heap.MappedBytes())
+	}
+	ht, mt := heap.Table(), m.Table()
+	if _, ok := ht.(*mat.Dense); !ok {
+		t.Fatalf("heap table is a %T, not a *mat.Dense view", ht)
+	}
+	if mt.NumRows() != ht.NumRows() || mt.NumCols() != ht.NumCols() {
+		t.Fatalf("mapped table %dx%d, heap %dx%d", mt.NumRows(), mt.NumCols(), ht.NumRows(), ht.NumCols())
+	}
+	for v := 0; v < ht.NumRows(); v++ {
+		sameBits(t, "row", mt.Row(v), ht.Row(v))
+	}
+	sameBits(t, "norms", m.Norms(), heap.Norms())
+	if (m.F32() == nil) != (heap.F32() == nil) || (m.PQ() == nil) != (heap.PQ() == nil) {
+		t.Fatal("quantized payloads differ in presence")
+	}
+	if f := heap.F32(); f != nil {
+		g := m.F32()
+		if g.RowsN != f.RowsN || g.ColsN != f.ColsN || len(g.Data) != len(f.Data) {
+			t.Fatal("f32 payload shapes differ")
 		}
-		if m.Meta() != snap.Meta || m.Dtype() != dtype {
-			t.Fatalf("dtype %v: mapped meta %+v dtype %v", dtype, m.Meta(), m.Dtype())
-		}
-		if m.Sum() != sum {
-			t.Fatalf("dtype %v: mapped sum %016x, file sum %016x", dtype, m.Sum(), sum)
-		}
-		tbl := m.Table()
-		if tbl.NumRows() != snap.Emb.Rows || tbl.NumCols() != snap.Emb.Cols {
-			t.Fatalf("dtype %v: mapped table %dx%d", dtype, tbl.NumRows(), tbl.NumCols())
-		}
-		for v := 0; v < snap.Emb.Rows; v++ {
-			row, want := tbl.Row(v), snap.Emb.Row(v)
-			for j := range want {
-				if math.Float64bits(row[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("dtype %v: mapped row %d col %d differs", dtype, v, j)
-				}
+		for i := range f.Data {
+			if math.Float32bits(g.Data[i]) != math.Float32bits(f.Data[i]) {
+				t.Fatalf("f32 element %d differs", i)
 			}
 		}
-		for v := range snap.Norms {
-			if math.Float64bits(m.Norms()[v]) != math.Float64bits(snap.Norms[v]) {
-				t.Fatalf("dtype %v: mapped norm %d differs", dtype, v)
-			}
+	}
+	if p := heap.PQ(); p != nil {
+		q := m.PQ()
+		if q.Params != p.Params || q.RowsN != p.RowsN || q.ColsN != p.ColsN || !bytes.Equal(q.Codes, p.Codes) {
+			t.Fatal("pq payload differs")
 		}
-		switch dtype {
-		case mat.DtypeF32:
-			for i := range snap.F32.Data {
-				if math.Float32bits(m.F32().Data[i]) != math.Float32bits(snap.F32.Data[i]) {
-					t.Fatalf("mapped f32 element %d differs", i)
-				}
-			}
-		case mat.DtypeI8PQ:
-			if m.PQ().Params != snap.PQ.Params || !bytes.Equal(m.PQ().Codes, snap.PQ.Codes) {
-				t.Fatal("mapped pq payload differs")
-			}
-			for i := range snap.PQ.Centroids {
-				if math.Float64bits(m.PQ().Centroids[i]) != math.Float64bits(snap.PQ.Centroids[i]) {
-					t.Fatalf("mapped centroid %d differs", i)
-				}
-			}
-		}
-		if m.Index() == nil || !bytes.Equal(m.Index().EncodeBinary(), snap.Index.EncodeBinary()) {
-			t.Fatalf("dtype %v: mapped index differs from decoded", dtype)
-		}
-		if m.MappedBytes() <= 0 {
-			t.Fatal("MappedBytes not positive")
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Close(); err != nil {
-			t.Fatalf("second Close not idempotent: %v", err)
+		sameBits(t, "centroids", q.Centroids, p.Centroids)
+	}
+	if (m.Index() == nil) != (heap.Index() == nil) ||
+		heap.Index() != nil && m.Index().Checksum() != heap.Index().Checksum() {
+		t.Fatal("index differs between the sources")
+	}
+}
+
+// sameBits fails unless got and want hold the same float64 bits.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %x, want %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }

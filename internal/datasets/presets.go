@@ -66,10 +66,3 @@ func Preset(name string, scale float64) (Config, error) {
 
 // PresetNames lists the available presets in Table I order.
 func PresetNames() []string { return []string{"ppi", "reddit", "yelp", "amazon"} }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

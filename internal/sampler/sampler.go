@@ -188,10 +188,3 @@ func (s *ForestFire) SampleVertices(r *rng.RNG) []int32 {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

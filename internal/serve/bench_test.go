@@ -108,9 +108,9 @@ func BenchmarkWarmVsColdStart(b *testing.B) {
 	})
 }
 
-// BenchmarkWarmStartMmap prices the two warm-start transports on a
-// >= 2k-vertex i8pq artifact: "decode" reads, checksums and copies the
-// whole file into heap tables; "mmap" maps it, validates the small
+// BenchmarkWarmStartMmap prices the two artifact byte sources on a
+// >= 2k-vertex i8pq artifact: "heap" reads the whole file into private
+// heap and checks every CRC; "mmap" maps it, validates the small
 // sections eagerly and lets the embedding pages fault in on demand.
 // Both go through the engine's real install path with a fresh engine
 // per iteration; each case reports the private working set it ends up
@@ -145,7 +145,7 @@ func BenchmarkWarmStartMmap(b *testing.B) {
 		}
 		b.ReportMetric(float64(resident), "resident_bytes")
 	}
-	b.Run("decode", func(b *testing.B) { run(b, false) })
+	b.Run("heap", func(b *testing.B) { run(b, false) })
 	b.Run("mmap", func(b *testing.B) { run(b, true) })
 }
 

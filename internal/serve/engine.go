@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,12 +62,11 @@ type Options struct {
 	// representation only steers the ANN walk to a candidate beam, which
 	// is reranked with exact float64 scores before anything is returned.
 	Dtype mat.Dtype
-	// Mmap makes warm starts memory-map the artifact instead of
-	// decoding it to private heap: the float64 table then lives in
-	// shared page cache and faults in on demand. Only version-2
-	// artifacts map; anything else falls back to the decoding warm
-	// path. Answers are byte-identical either way (the mapping holds
-	// the same bytes the decoder would copy).
+	// Mmap chooses where a warm start's artifact bytes live: mapped
+	// read-only from the shared page cache (the float64 table faults
+	// in on demand) instead of read into private heap. Both sources
+	// parse the same bytes with the same reader, so answers are
+	// byte-identical either way.
 	Mmap bool
 	// ArtifactPath names a snapshot artifact file (internal/artifact,
 	// produced by cmd/gsgcn-index) to warm-start from. When set, every
@@ -201,13 +199,13 @@ type State struct {
 	// and the quantized codes plus codebooks.
 	resident int64
 	// mappedBytes is the size of the backing artifact mapping (0 when
-	// the snapshot was decoded to heap).
+	// the tables are private heap).
 	mappedBytes int64
-	// mapped pins the artifact mapping for the snapshot's lifetime;
-	// the unmap happens via finalizer after the last reference to a
-	// swapped-out snapshot is collected, so in-flight readers of an
-	// old State never race an munmap.
-	mapped *artifact.Mapped
+	// art pins the artifact the tables view (nil on a cold start) for
+	// the snapshot's lifetime; a mapping's unmap happens via finalizer
+	// after the last reference to a swapped-out snapshot is collected,
+	// so in-flight readers of an old State never race an munmap.
+	art *artifact.File
 
 	// total is the graph's full vertex count — the id range queries
 	// validate against, which for a shard engine exceeds Emb.Rows.
@@ -253,7 +251,7 @@ func (s *State) Dtype() mat.Dtype { return s.dtype }
 func (s *State) ResidentBytes() int64 { return s.resident }
 
 // MappedBytes returns the size of the artifact mapping backing this
-// snapshot (0 when decoded to heap).
+// snapshot (0 when held on the heap).
 func (s *State) MappedBytes() int64 { return s.mappedBytes }
 
 // rowOf maps a global vertex id to its local row, reporting false
@@ -315,11 +313,11 @@ type Engine struct {
 	reloadMu sync.Mutex // serializes snapshot construction
 
 	// artPath/artSum/artMeta fingerprint the artifact backing the
-	// current warm-started snapshot (guarded by reloadMu; artSum 0 =
-	// none): the file it was read from, its checksum and its validation
-	// target. A reload from the same path whose checksum and target all
-	// match reuses the in-memory tables instead of re-decoding the file;
-	// a new path is always read in full.
+	// current warm-started snapshot (guarded by reloadMu): the file it
+	// was read from, its stored trailer and its validation target. A
+	// reload from the same path whose trailer and target all match
+	// reuses the in-memory tables without opening the file; a new path
+	// is always read.
 	artPath string
 	artSum  uint64
 	artMeta artifact.Meta
@@ -406,7 +404,7 @@ func (e *Engine) buildState(m *core.Model, artPath string, full func() (*mat.Den
 	}
 	st := e.newState(m, emb, norms)
 	st.WarmNote = warmNote
-	e.attachPlane(st, nil, nil, nil)
+	e.attachPlane(st, nil)
 	return st
 }
 
@@ -423,15 +421,21 @@ func (e *Engine) newState(m *core.Model, emb mat.RowSource, norms []float64) *St
 }
 
 // attachPlane fills a freshly built snapshot's memory-plane fields:
-// the quantized table for non-f64 dtypes and the byte
-// accounting. A payload decoded from an artifact (f32/pq) is adopted
-// only when it is exactly what the engine would train itself — same
-// shape, same resolved parameters — so quantization, like every other
-// table, is a pure function of the embedding rows however it reaches
-// the process.
-func (e *Engine) attachPlane(st *State, f32 *mat.F32Table, pq *mat.PQTable, mapped *artifact.Mapped) {
+// the quantized table for non-f64 dtypes and the byte accounting. The
+// f32/pq payload of the artifact f the tables came from (nil on a cold
+// start) is adopted only when it is exactly what the engine would
+// train itself — same shape, same resolved parameters — so
+// quantization, like every other table, is a pure function of the
+// embedding rows however it reaches the process.
+func (e *Engine) attachPlane(st *State, f *artifact.File) {
 	st.dtype = e.opts.Dtype
 	rows, cols := st.Emb.NumRows(), st.Emb.NumCols()
+	var f32 *mat.F32Table
+	var pq *mat.PQTable
+	if f != nil {
+		f32, pq = f.F32(), f.PQ()
+		st.art, st.mappedBytes = f, f.MappedBytes()
+	}
 	switch e.opts.Dtype {
 	case mat.DtypeF32:
 		if f32 != nil && f32.RowsN == rows && f32.ColsN == cols {
@@ -450,10 +454,7 @@ func (e *Engine) attachPlane(st *State, f32 *mat.F32Table, pq *mat.PQTable, mapp
 			st.quant = mat.TrainPQ(st.Emb, want, e.opts.Workers)
 		}
 	}
-	st.mapped = mapped
-	if mapped != nil {
-		st.mappedBytes = mapped.MappedBytes()
-	} else {
+	if st.mappedBytes == 0 {
 		st.resident += int64(rows) * int64(cols) * 8
 	}
 	st.resident += int64(len(st.norms)) * 8
@@ -474,136 +475,65 @@ func compactRows(emb *mat.Dense, norms []float64, owned []int32) (*mat.Dense, []
 	return sub, subNorms
 }
 
-// warmState tries to satisfy an install from the configured artifact.
-// It returns (nil, reason) on any failure — unreadable or corrupt
-// file, or metadata that does not match the model being installed and
-// the serving dataset — making the warm path strictly opt-in: a wrong
-// artifact can never alter what the engine serves, only how fast it
-// comes up. When the artifact file is unchanged since the previous
-// warm snapshot (same checksum) and still matches m, the in-memory
-// tables and any already-built index are reused outright, so a
-// /reload against an unchanged artifact costs one file read and no
-// decode. Because both the embedding compute and the HNSW build are
-// bit-deterministic, a warm snapshot is byte-identical to the cold
-// one it replaces (test-enforced in warm_test.go).
+// warmState tries to satisfy an install from the artifact at
+// artPath. It returns (nil, reason) on any failure — unreadable or
+// corrupt file, or metadata that does not match the model being
+// installed and the serving dataset — making the warm path strictly
+// opt-in: a wrong artifact can never alter what the engine serves,
+// only how fast it comes up. One reuse rule serves both byte sources:
+// when the file at the previous warm snapshot's path still carries
+// that snapshot's trailer and m wants the same meta, the tables and
+// any already-built index are reused without opening the artifact —
+// they were verified when first read. Otherwise the file is opened
+// from the source Options.Mmap names and adopted. Because both the
+// embedding compute and the HNSW build are bit-deterministic, a warm
+// snapshot is byte-identical to the cold one it replaces
+// (test-enforced in warm_test.go).
 func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
+	// Read the trailer before fingerprinting the model: the common
+	// no-artifact miss costs one failed open, not a CRC pass over
+	// every weight tensor.
+	sum, err := artifact.Trailer(artPath)
+	if err != nil {
+		return nil, err.Error()
+	}
 	want := e.wantMeta(m)
+	if prev := e.state.Load(); prev != nil && prev.WarmStart && artPath == e.artPath && sum == e.artSum && want == e.artMeta {
+		st := e.newState(m, prev.Emb, prev.norms)
+		st.WarmStart = true
+		st.quant, st.dtype, st.resident = prev.quant, prev.dtype, prev.resident
+		st.art, st.mappedBytes = prev.art, prev.mappedBytes
+		if idx := prev.annIdx.Load(); idx != nil {
+			st.setIndex(idx)
+		}
+		return st, ""
+	}
+	open := artifact.ReadFile
 	if e.opts.Mmap {
-		st, note := e.warmMapped(m, artPath, want)
-		if st != nil {
-			return st, ""
-		}
-		// Anything that cannot map (an exotic platform) may still
-		// decode; remember why the fast path was skipped.
-		st, note2 := e.warmDecoded(m, artPath, want)
-		if st != nil {
-			return st, ""
-		}
-		return nil, fmt.Sprintf("mmap: %s; decode: %s", note, note2)
+		open = artifact.OpenMapped
 	}
-	return e.warmDecoded(m, artPath, want)
-}
-
-// reuseState is the no-decode reload path: when the artifact at
-// artPath whose checksum is sum is the very file the previous warm
-// snapshot was built from (and, for the mmap path, that snapshot still
-// holds its mapping), it clones the serving-table fields into a fresh
-// State for m. It returns nil when the artifact has to be read again.
-func (e *Engine) reuseState(m *core.Model, artPath string, sum uint64, want artifact.Meta, needMapping bool) *State {
-	prev := e.state.Load()
-	if prev == nil || !prev.WarmStart || artPath != e.artPath || sum != e.artSum || e.artMeta != want || needMapping && prev.mapped == nil {
-		return nil
+	f, err := open(artPath)
+	if err != nil {
+		return nil, err.Error()
 	}
-	st := e.newState(m, prev.Emb, prev.norms)
-	st.WarmStart = true
-	st.quant, st.dtype, st.resident = prev.quant, prev.dtype, prev.resident
-	st.mapped, st.mappedBytes = prev.mapped, prev.mappedBytes
-	if idx := prev.annIdx.Load(); idx != nil {
-		st.setIndex(idx)
+	if f.Meta() != want {
+		_ = f.Close()
+		return nil, fmt.Sprintf("artifact was built for %+v, serving %+v", f.Meta(), want)
 	}
-	return st
-}
-
-// warmTables is an artifact's payload as a warm path obtained it:
-// decoded to private heap, or views into a read-only mapping.
-type warmTables struct {
-	meta  artifact.Meta
-	emb   mat.RowSource
-	norms []float64
-	index *ann.Index
-	f32   *mat.F32Table
-	pq    *mat.PQTable
-}
-
-// adoptTables finishes a warm start from the tables of the artifact at
-// artPath, backed by mapped when they are views into a mapping: tables
-// built for another target are rejected, the file's path and checksum
-// become the reuse fingerprint, and the snapshot adopts the persisted
-// index and dtype payload where they are what the engine would derive
-// itself.
-func (e *Engine) adoptTables(m *core.Model, want artifact.Meta, artPath string, sum uint64, t warmTables, mapped *artifact.Mapped) (*State, string) {
-	if t.meta != want {
-		return nil, fmt.Sprintf("artifact was built for %+v, serving %+v", t.meta, want)
-	}
-	e.artPath, e.artSum, e.artMeta = artPath, sum, want
-	st := e.newState(m, t.emb, t.norms)
+	e.artPath, e.artSum, e.artMeta = artPath, f.Sum(), want
+	st := e.newState(m, f.Table(), f.Norms())
 	st.WarmStart = true
 	// A persisted index is installed only when it is the index the lazy
 	// path would build (same structural parameters); otherwise the lazy
 	// build stays in place — the embeddings are still warm.
-	if t.index != nil {
-		if got, want := t.index.Params(), e.opts.annParams().Resolved(); got.M == want.M &&
+	if idx := f.Index(); idx != nil {
+		if got, want := idx.Params(), e.opts.annParams().Resolved(); got.M == want.M &&
 			got.EfConstruction == want.EfConstruction && got.Seed == want.Seed {
-			st.setIndex(t.index)
+			st.setIndex(idx)
 		}
 	}
-	e.attachPlane(st, t.f32, t.pq, mapped)
+	e.attachPlane(st, f)
 	return st, ""
-}
-
-// warmMapped is the mmap warm path: open the artifact as a read-only
-// mapping and serve straight out of it. Integrity is per section
-// (eager for the small sections, first-row-access for the table);
-// the stored trailer sum is the reuse fingerprint.
-func (e *Engine) warmMapped(m *core.Model, artPath string, want artifact.Meta) (*State, string) {
-	mp, err := artifact.OpenMapped(artPath)
-	if err != nil {
-		return nil, err.Error()
-	}
-	st, note := e.reuseState(m, artPath, mp.Sum(), want, true), ""
-	if st == nil {
-		st, note = e.adoptTables(m, want, artPath, mp.Sum(),
-			warmTables{mp.Meta(), mp.Table(), mp.Norms(), mp.Index(), mp.F32(), mp.PQ()}, mp)
-	}
-	if st == nil || st.mapped != mp {
-		_ = mp.Close() // rejected, or unchanged and served from the earlier mapping
-	}
-	return st, note
-}
-
-// warmDecoded is the copying warm path: read, checksum and decode the
-// whole artifact into private heap.
-func (e *Engine) warmDecoded(m *core.Model, artPath string, want artifact.Meta) (*State, string) {
-	// Read and integrity-check the file before fingerprinting the
-	// model: the common no-artifact miss should cost one failed open,
-	// not a CRC pass over every weight tensor.
-	data, err := os.ReadFile(artPath)
-	if err != nil {
-		return nil, err.Error()
-	}
-	sum, err := artifact.Checksum(data)
-	if err != nil {
-		return nil, err.Error()
-	}
-	if st := e.reuseState(m, artPath, sum, want, false); st != nil {
-		return st, ""
-	}
-	snap, err := artifact.DecodeVerified(data)
-	if err != nil {
-		return nil, err.Error()
-	}
-	return e.adoptTables(m, want, artPath, sum,
-		warmTables{snap.Meta, snap.Emb, snap.Norms, snap.Index, snap.F32, snap.PQ}, nil)
 }
 
 // LoadCheckpoint reconstructs a model from a v2 checkpoint file and

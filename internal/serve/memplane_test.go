@@ -226,7 +226,7 @@ func TestMemPlaneWarmMmapServesIdentically(t *testing.T) {
 		if !st.WarmStart || st.WarmNote != "" {
 			t.Fatalf("dtype=%s: mmap warm start failed: warm=%v note=%q", dtype, st.WarmStart, st.WarmNote)
 		}
-		if st.MappedBytes() <= 0 || st.mapped == nil {
+		if st.MappedBytes() <= 0 || st.art == nil {
 			t.Fatalf("dtype=%s: snapshot does not hold the mapping", dtype)
 		}
 		if _, heap := st.Emb.(*mat.Dense); heap {
@@ -274,7 +274,7 @@ func TestMemPlaneWarmMmapServesIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		st2, _ := warm.Snapshot()
-		if st2.mapped != st.mapped {
+		if st2.art != st.art {
 			t.Fatalf("dtype=%s: reload remapped an unchanged artifact", dtype)
 		}
 	}

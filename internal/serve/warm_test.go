@@ -120,18 +120,32 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStartFallsBack pins the safety half of the contract: a
-// missing, corrupt or mismatched artifact must never change what the
-// engine serves — it computes cold, records why, and the result is
-// identical to an artifact-free engine.
+// sourceName names an artifact byte source in subtest names.
+func sourceName(mmap bool) string {
+	if mmap {
+		return "mmap"
+	}
+	return "heap"
+}
+
+// TestWarmStartFallsBack pins the safety half of the contract, under
+// both byte sources: a missing, corrupt or mismatched artifact must
+// never change what the engine serves — it computes cold, records
+// why, and the result is identical to an artifact-free engine.
 func TestWarmStartFallsBack(t *testing.T) {
+	for _, mmap := range []bool{false, true} {
+		t.Run(sourceName(mmap), func(t *testing.T) { warmStartFallsBack(t, mmap) })
+	}
+}
+
+func warmStartFallsBack(t *testing.T, mmap bool) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
 	good := writeTestArtifact(t, ds, m, true)
 
 	check := func(name, path string) {
 		t.Helper()
-		eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path})
+		eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path, Mmap: mmap})
 		if _, err := eng.Install(m); err != nil {
 			t.Fatalf("%s: install failed outright: %v", name, err)
 		}
@@ -159,13 +173,19 @@ func TestWarmStartFallsBack(t *testing.T) {
 	}
 	check("truncated", truncated)
 
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)/3] ^= 0x10
-	flippedPath := filepath.Join(t.TempDir(), "flip.art")
-	if err := os.WriteFile(flippedPath, flipped, 0o644); err != nil {
-		t.Fatal(err)
+	// A flipped bit inside emb.f64. Only the heap source checks that
+	// section's CRC at open; the mapped source defers it to the first
+	// row read by design (artifact.TestMappedLazyEmbCRC pins the panic
+	// there), so it would warm-start here.
+	if !mmap {
+		flipped := append([]byte(nil), data...)
+		flipped[len(flipped)/3] ^= 0x10
+		flippedPath := filepath.Join(t.TempDir(), "flip.art")
+		if err := os.WriteFile(flippedPath, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check("bit-flipped", flippedPath)
 	}
-	check("bit-flipped", flippedPath)
 
 	// Version skew: the artifact was built for an older weights
 	// generation than the model being installed.
@@ -190,16 +210,24 @@ func TestWarmStartFallsBack(t *testing.T) {
 	check("wrong-graph", writeTestArtifact(t, other, mo, false))
 }
 
-// TestWarmReloadReusesUnchangedArtifact checks the reload fast path:
-// when the artifact file is unchanged, a reload reuses the in-memory
-// tables and index outright (pointer-equal), and a changed-on-disk
-// artifact that no longer validates drops back to the cold compute.
+// TestWarmReloadReusesUnchangedArtifact checks the reload fast path
+// under both byte sources: when the artifact file is unchanged, a
+// reload reuses the in-memory tables and index outright
+// (pointer-equal), and a changed-on-disk artifact that no longer
+// validates drops back to the cold compute.
 func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
+	for _, mmap := range []bool{false, true} {
+		t.Run(sourceName(mmap), func(t *testing.T) { warmReloadReusesUnchangedArtifact(t, mmap) })
+	}
+}
+
+func warmReloadReusesUnchangedArtifact(t *testing.T, mmap bool) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
 	path := writeTestArtifact(t, ds, m, true)
+	firstRow := func(st *State) *float64 { return &st.Emb.Row(0)[0] }
 
-	eng := NewEngine(ds, Options{Workers: 2, ANN: true, ArtifactPath: path})
+	eng := NewEngine(ds, Options{Workers: 2, ANN: true, ArtifactPath: path, Mmap: mmap})
 	if _, err := eng.Install(m); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +246,7 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 	if !st2.WarmStart {
 		t.Fatal("reload lost the warm start")
 	}
-	if &st2.Emb.(*mat.Dense).Data[0] != &st1.Emb.(*mat.Dense).Data[0] || st2.annIdx.Load() != st1.annIdx.Load() {
+	if firstRow(st2) != firstRow(st1) || st2.annIdx.Load() != st1.annIdx.Load() {
 		t.Fatal("reload against an unchanged artifact re-decoded instead of reusing tables")
 	}
 	if st2.Version <= st1.Version {
@@ -238,7 +266,7 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 	if _, err := eng.installShared(m, copyPath, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st3, _ := eng.Snapshot(); !st3.WarmStart || &st3.Emb.(*mat.Dense).Data[0] == &st1.Emb.(*mat.Dense).Data[0] {
+	if st3, _ := eng.Snapshot(); !st3.WarmStart || firstRow(st3) == firstRow(st1) {
 		t.Fatalf("reload from a new path reused the old tables (warm %v: %s)", st3.WarmStart, st3.WarmNote)
 	}
 
@@ -271,8 +299,8 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 
 // TestWarmV1ArtifactFallsBackCold pins the retirement of artifact
 // format 1: a v1 file with an intact trailer is refused with the typed
-// version error on both warm paths, the engine computes cold, and the
-// reason reaches /healthz as warm_note.
+// version error under both byte sources, the engine computes cold, and
+// the reason reaches /healthz as warm_note.
 func TestWarmV1ArtifactFallsBackCold(t *testing.T) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
