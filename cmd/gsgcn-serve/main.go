@@ -75,8 +75,8 @@ type modelSpec struct {
 	Name       string `json:"name"`
 	Checkpoint string `json:"checkpoint"`
 	// Data names a .gsg dataset file; empty uses the process-wide
-	// dataset (-data / -dataset). Models naming bit-identical data
-	// share one in-memory graph.
+	// dataset (-data / -dataset). Models naming the same path, the
+	// -data path included, share one in-memory graph.
 	Data string `json:"data"`
 	// Artifact warm-starts this model ("auto" tries checkpoint+".art").
 	// For a sharded model it is the artifact base path; shard i warms
@@ -218,8 +218,8 @@ func main() {
 	}
 
 	// Datasets: the process-wide one (global flags) is loaded lazily;
-	// per-model data files are read once per distinct path. The
-	// registry additionally dedupes by content fingerprint.
+	// per-model data files are read once per distinct path, and every
+	// model naming a path serves that one *Dataset.
 	dsCache := make(map[string]*gsgcn.Dataset)
 	datasetFor := func(path string) (*gsgcn.Dataset, error) {
 		if path == "" {

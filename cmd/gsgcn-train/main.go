@@ -36,7 +36,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		degCap  = fs.Int("degcap", 0, "Dashboard degree cap (0 = uncapped; paper uses 30 for amazon)")
 		workers = fs.Int("workers", 0, "real goroutines for sampling and dense kernels (0 = GOMAXPROCS; the loss trace is identical at any setting)")
 		pinter  = fs.Int("pinter", 0, "sampler instances per pool wave, p_inter (0 = GOMAXPROCS)")
-		prefet  = fs.Int("prefetch", 0, "sampler pipeline depth in waves (0 = default 2)")
 		seed    = fs.Uint64("seed", 1, "seed")
 		sampler = fs.String("sampler", "frontier", "sampler: frontier|random-node|random-edge|random-walk|forest-fire")
 		save    = fs.String("save", "", "write model checkpoint to this path after training")
@@ -65,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg := gsgcn.Config{
 		Layers: *layers, Hidden: *hidden, LR: *lr,
 		FrontierM: *m, Budget: *budget, DegCap: *degCap,
-		Workers: *workers, PInter: *pinter, Prefetch: *prefet, Seed: *seed,
+		Workers: *workers, PInter: *pinter, Seed: *seed,
 	}
 	model := gsgcn.NewModel(ds, cfg)
 	fmt.Fprintln(stdout, model)

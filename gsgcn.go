@@ -228,9 +228,9 @@ func NewShardedServer(ds *Dataset, opts ServeOptions, shards int, seed uint64) (
 }
 
 // NewModelRegistry returns an empty multi-model serving registry.
-// Register models with Add (datasets with identical content are
-// shared between them automatically), pick a default, and mount the
-// registry as an http.Handler.
+// Register models with Add (models given the same *Dataset share its
+// one in-memory graph), pick a default, and mount the registry as an
+// http.Handler.
 func NewModelRegistry() *ModelRegistry { return serve.NewRegistry() }
 
 // NewMetricsRegistry returns an empty metrics registry — for training
@@ -247,11 +247,6 @@ func Log(key string, val any) LogField { return obs.F(key, val) }
 // DurationBuckets are histogram bounds suited to long-running work
 // (training epochs, index builds): 0.1s to 10 minutes.
 var DurationBuckets = obs.DurationBuckets
-
-// DatasetFingerprint hashes a dataset's content — graph structure,
-// feature bits and label regime. Models registered over datasets with
-// equal fingerprints share one in-memory graph (see ModelRegistry).
-func DatasetFingerprint(ds *Dataset) uint64 { return core.DataFingerprint(ds) }
 
 // NewTrainer wires a trainer using the Dashboard frontier sampler.
 func NewTrainer(ds *Dataset, m *Model) *Trainer { return core.NewTrainer(ds, m) }

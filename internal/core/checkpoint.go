@@ -97,6 +97,30 @@ func (m *Model) WeightsChecksum() uint64 {
 	return h.Sum64()
 }
 
+// hashChunk is the staging-buffer size (in 8-byte words) for the
+// batched hash helpers: large enough that per-Write call overhead
+// vanishes against Table-I-scale matrices, small enough to live on
+// the stack.
+const hashChunk = 512
+
+// hashFloat64s writes the IEEE-754 bit patterns of xs to h in order,
+// batched through a fixed buffer. The byte stream is identical to
+// writing each value individually.
+func hashFloat64s(h io.Writer, xs []float64) {
+	var buf [hashChunk * 8]byte
+	for len(xs) > 0 {
+		n := len(xs)
+		if n > hashChunk {
+			n = hashChunk
+		}
+		for i, x := range xs[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
+		}
+		h.Write(buf[:n*8])
+		xs = xs[n:]
+	}
+}
+
 // Sanity caps on checkpoint-declared architecture, enforced by
 // LoadModel before any allocation sized by the metadata. They bound a
 // reload's memory exposure to corrupted (or hostile) checkpoint files

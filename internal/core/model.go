@@ -41,10 +41,6 @@ type Config struct {
 	DegCap int
 	// PInter is the number of sampler instances per pool refill.
 	PInter int
-	// Prefetch is the sampler pipeline depth in waves of PInter
-	// subgraphs (0 = the pool default of 2). Raise it when sampling
-	// is bursty relative to training; it never changes results.
-	Prefetch int
 
 	// Workers is the real goroutine budget for all parallel kernels
 	// (0 = GOMAXPROCS).

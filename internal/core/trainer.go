@@ -61,7 +61,6 @@ func NewTrainerWithSampler(ds *datasets.Dataset, m *Model, s sampler.VertexSampl
 	}
 	pool := sampler.NewPool(ds.G, s, cfg.PInter, cfg.Seed)
 	pool.Workers = cfg.Workers
-	pool.Prefetch = cfg.Prefetch
 	opt := nn.NewAdam(cfg.LR)
 	opt.Workers = cfg.Workers
 	return &Trainer{

@@ -28,11 +28,6 @@ type Frontier struct {
 	// 30 for the highly skewed Amazon graph to stop hub vertices from
 	// dominating every subgraph (Section VI-C2).
 	DegCap int
-	// Lanes is the intra-sampler parallelism width p_intra (the AVX
-	// lane count on the paper's platform, at most 8 with AVX2).
-	// It affects only the lane-decomposition statistics used to
-	// evaluate Fig. 4B; the sampled distribution is identical.
-	Lanes int
 }
 
 const invalid = int32(-1)

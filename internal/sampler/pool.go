@@ -20,14 +20,15 @@ import (
 // subgraphs into the buffer in (wave, instance) order. The sequence of
 // subgraphs returned by a single Next caller is therefore a pure
 // function of (Seed, Sampler, PInter) — independent of Workers,
-// Prefetch, GOMAXPROCS and goroutine scheduling.
+// GOMAXPROCS and goroutine scheduling.
 //
 // The pipeline is pull-driven and self-limiting: background waves are
-// only launched from Next (and the initial priming), at most Prefetch
-// waves are in flight or buffered at once, and an in-flight wave can
-// always deposit its results without blocking (buffer space is
-// reserved at launch). Abandoning a Pool therefore leaks nothing: any
-// running waves finish, park their subgraphs in the buffer, and exit.
+// only launched from Next (and the initial priming), at most
+// pipelineWaves waves are in flight or buffered at once, and an
+// in-flight wave can always deposit its results without blocking
+// (buffer space is reserved at launch). Abandoning a Pool therefore
+// leaks nothing: any running waves finish, park their subgraphs in the
+// buffer, and exit.
 type Pool struct {
 	G       *graph.CSR
 	Sampler VertexSampler
@@ -40,12 +41,7 @@ type Pool struct {
 	// hosts, and the sampled subgraphs are identical at every Workers
 	// setting.
 	Workers int
-	// Prefetch is the pipeline depth in waves: how many waves of
-	// PInter subgraphs may be buffered or in flight ahead of the
-	// consumer. Zero means 2 (one wave being trained on, one being
-	// sampled). Raise it when sampling is bursty relative to training.
-	Prefetch int
-	Seed     uint64
+	Seed    uint64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -63,13 +59,10 @@ func NewPool(g *graph.CSR, s VertexSampler, pinter int, seed uint64) *Pool {
 	return &Pool{G: g, Sampler: s, PInter: pinter, Seed: seed}
 }
 
-// depth returns the pipeline depth in waves.
-func (p *Pool) depth() int {
-	if p.Prefetch > 0 {
-		return p.Prefetch
-	}
-	return 2
-}
+// pipelineWaves is the pipeline depth: how many waves of PInter
+// subgraphs may be buffered or in flight ahead of the consumer — one
+// being trained on, one being sampled.
+const pipelineWaves = 2
 
 // start lazily allocates the buffer and primes the pipeline. Callers
 // hold p.mu.
@@ -78,8 +71,8 @@ func (p *Pool) startLocked() {
 		return
 	}
 	p.cond = sync.NewCond(&p.mu)
-	p.ch = make(chan *graph.Subgraph, p.depth()*p.PInter)
-	p.credits = p.depth() * p.PInter
+	p.ch = make(chan *graph.Subgraph, pipelineWaves*p.PInter)
+	p.credits = pipelineWaves * p.PInter
 	p.deliver = p.nextWave
 	p.pumpLocked()
 }

@@ -181,7 +181,7 @@ func TestPoolRefillAndNext(t *testing.T) {
 	launched := p.nextWave * p.PInter
 	credits := p.credits
 	p.mu.Unlock()
-	if bound := draws + p.depth()*p.PInter; launched > bound {
+	if bound := draws + pipelineWaves*p.PInter; launched > bound {
 		t.Fatalf("launched %d subgraphs after consuming %d; pipeline bound is %d", launched, draws, bound)
 	}
 	if credits < 0 {

@@ -73,12 +73,12 @@ type Options struct {
 	// install — initial load and hot reload alike — first tries to
 	// load the precomputed embedding table and HNSW index from the
 	// artifact, validated against the checkpoint's model_version plus
-	// arch metadata and the dataset's graph fingerprint; any mismatch,
-	// corruption or absence falls back to the lazy full compute (the
-	// reason lands in State.WarmNote and /healthz). Empty disables the
-	// warm path. On a Server it is the initial artifact base, which the
-	// Server owns from then on: each install warm-starts shard i from
-	// the base's artifact.ShardPath.
+	// arch metadata and the dataset's vertex, edge and feature counts;
+	// any mismatch, corruption or absence falls back to the lazy full
+	// compute (the reason lands in State.WarmNote and /healthz). Empty
+	// disables the warm path. On a Server it is the initial artifact
+	// base, which the Server owns from then on: each install
+	// warm-starts shard i from the base's artifact.ShardPath.
 	ArtifactPath string
 	// shards, shard and shardSeed are a shard engine's identity, set
 	// only by newServer: the engine holds and serves only the embedding
@@ -426,8 +426,12 @@ func (e *Engine) newState(m *core.Model, emb mat.RowSource, norms []float64) *St
 // start) is adopted only when it is exactly what the engine would
 // train itself — same shape, same resolved parameters — so
 // quantization, like every other table, is a pure function of the
-// embedding rows however it reaches the process.
-func (e *Engine) attachPlane(st *State, f *artifact.File) {
+// embedding rows however it reaches the process. Training reads every
+// row, and a mapped table checks its CRC on the first row read by
+// panicking, so before training from a mapped f it checks emb.f64
+// itself and returns the mismatch: the install can still fall back
+// cold. With f nil it cannot fail.
+func (e *Engine) attachPlane(st *State, f *artifact.File) error {
 	st.dtype = e.opts.Dtype
 	rows, cols := st.Emb.NumRows(), st.Emb.NumCols()
 	var f32 *mat.F32Table
@@ -436,10 +440,18 @@ func (e *Engine) attachPlane(st *State, f *artifact.File) {
 		f32, pq = f.F32(), f.PQ()
 		st.art, st.mappedBytes = f, f.MappedBytes()
 	}
+	rowsOK := func() error {
+		if st.mappedBytes == 0 {
+			return nil
+		}
+		return f.ValidateSection("emb.f64")
+	}
 	switch e.opts.Dtype {
 	case mat.DtypeF32:
 		if f32 != nil && f32.RowsN == rows && f32.ColsN == cols {
 			st.quant = f32
+		} else if err := rowsOK(); err != nil {
+			return err
 		} else {
 			st.quant = mat.ToF32(st.Emb, e.opts.Workers)
 		}
@@ -450,6 +462,8 @@ func (e *Engine) attachPlane(st *State, f *artifact.File) {
 		want := mat.ResolvePQ(rows, cols)
 		if pq != nil && pq.RowsN == rows && pq.ColsN == cols && pq.Params == want {
 			st.quant = pq
+		} else if err := rowsOK(); err != nil {
+			return err
 		} else {
 			st.quant = mat.TrainPQ(st.Emb, want, e.opts.Workers)
 		}
@@ -461,6 +475,7 @@ func (e *Engine) attachPlane(st *State, f *artifact.File) {
 	if st.quant != nil {
 		st.resident += st.quant.ResidentBytes()
 	}
+	return nil
 }
 
 // compactRows extracts the owned rows (and norms) of a whole-graph
@@ -520,7 +535,6 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 		_ = f.Close()
 		return nil, fmt.Sprintf("artifact was built for %+v, serving %+v", f.Meta(), want)
 	}
-	e.artPath, e.artSum, e.artMeta = artPath, f.Sum(), want
 	st := e.newState(m, f.Table(), f.Norms())
 	st.WarmStart = true
 	// A persisted index is installed only when it is the index the lazy
@@ -532,7 +546,11 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 			st.setIndex(idx)
 		}
 	}
-	e.attachPlane(st, f)
+	if err := e.attachPlane(st, f); err != nil {
+		_ = f.Close()
+		return nil, err.Error()
+	}
+	e.artPath, e.artSum, e.artMeta = artPath, f.Sum(), want
 	return st, ""
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/obs"
 )
@@ -32,22 +31,15 @@ import (
 // carries over unchanged. The registry concurrency suite enforces
 // this.
 //
-// Memory is shared where it provably cannot affect answers: Add
-// fingerprints each dataset's content (core.DataFingerprint — graph
-// structure, feature bits, label regime) and models registered over
-// identical data serve from one in-memory graph and feature table.
+// A model serves exactly the *Dataset it was registered with: models
+// given the same pointer share one in-memory graph and feature table,
+// and a caller that loads each data path once (gsgcn-serve does) gets
+// one graph per path.
 type Registry struct {
 	mu     sync.RWMutex
 	models map[string]*Server
 	order  []string // registration order, for stable listings
 	def    string
-
-	// data dedupes registered datasets by content fingerprint;
-	// dataFP memoizes the fingerprint per already-seen instance so
-	// registering N models over the same *Dataset pointer hashes its
-	// content once, not N times.
-	data   map[uint64]*datasets.Dataset
-	dataFP map[*datasets.Dataset]uint64
 
 	// obs is the shared metrics registry every registered model
 	// reports into, each under its own model label; the registry's
@@ -63,8 +55,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{
 		models: make(map[string]*Server),
-		data:   make(map[uint64]*datasets.Dataset),
-		dataFP: make(map[*datasets.Dataset]uint64),
 		obs:    obs.NewRegistry(),
 	}
 	r.inst = newModelMetrics(r.obs, "", nil, []string{"/models", "/metrics"})
@@ -98,22 +88,18 @@ func validModelName(name string) bool {
 
 // Add registers an unsharded model: a fresh Server over ds with its
 // own options. The first model added becomes the default until
-// SetDefault says otherwise. When ds has the same content fingerprint
-// as an earlier model's dataset, the earlier (identical) in-memory
-// dataset is shared instead — embeddings are a pure function of
-// (weights, graph, features), so sharing bit-equal data can never
-// change an answer, and a fleet of models trained on one graph costs
-// one graph's memory. No checkpoint is loaded yet; call Load on the
-// returned server.
+// SetDefault says otherwise. The model serves ds itself: the registry
+// neither copies nor dedupes it. No checkpoint is loaded yet; call Load
+// on the returned server.
 func (r *Registry) Add(name string, ds *datasets.Dataset, opts Options) (*Server, error) {
 	return r.AddSharded(name, ds, opts, 1, 0)
 }
 
 // AddSharded registers a model split across `shards` shard engines
 // whose vertex ownership is keyed by seed (see NewRouter). Everything
-// Add does — name validation, dataset dedup, default election —
-// applies identically; with more than one shard the registered model
-// additionally serves the /shards operations.
+// Add does — name validation, default election — applies identically;
+// with more than one shard the registered model additionally serves
+// the /shards operations.
 func (r *Registry) AddSharded(name string, ds *datasets.Dataset, opts Options, shards int, seed uint64) (*Server, error) {
 	if !validModelName(name) {
 		return nil, fmt.Errorf("serve: invalid model name %q", name)
@@ -125,16 +111,6 @@ func (r *Registry) AddSharded(name string, ds *datasets.Dataset, opts Options, s
 	opts.Obs, opts.ModelName, opts.AccessLog = r.obs, name, r.accessLog
 	if _, dup := r.models[name]; dup {
 		return nil, fmt.Errorf("serve: model %q already registered", name)
-	}
-	fp, seen := r.dataFP[ds]
-	if !seen {
-		fp = core.DataFingerprint(ds)
-		r.dataFP[ds] = fp
-	}
-	if shared, ok := r.data[fp]; ok {
-		ds = shared
-	} else {
-		r.data[fp] = ds
 	}
 	srv, err := NewRouter(ds, opts, shards, seed)
 	if err != nil {

@@ -143,9 +143,9 @@ func warmStartFallsBack(t *testing.T, mmap bool) {
 	m := testModel(t, ds, 2, "mean")
 	good := writeTestArtifact(t, ds, m, true)
 
-	check := func(name, path string) {
+	check := func(name, path string, dt mat.Dtype) {
 		t.Helper()
-		eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path, Mmap: mmap})
+		eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path, Mmap: mmap, Dtype: dt})
 		if _, err := eng.Install(m); err != nil {
 			t.Fatalf("%s: install failed outright: %v", name, err)
 		}
@@ -161,7 +161,7 @@ func warmStartFallsBack(t *testing.T, mmap bool) {
 		}
 	}
 
-	check("missing", filepath.Join(t.TempDir(), "absent.art"))
+	check("missing", filepath.Join(t.TempDir(), "absent.art"), mat.DtypeF64)
 
 	data, err := os.ReadFile(good)
 	if err != nil {
@@ -171,26 +171,29 @@ func warmStartFallsBack(t *testing.T, mmap bool) {
 	if err := os.WriteFile(truncated, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	check("truncated", truncated)
+	check("truncated", truncated, mat.DtypeF64)
 
 	// A flipped bit inside emb.f64. Only the heap source checks that
 	// section's CRC at open; the mapped source defers it to the first
 	// row read by design (artifact.TestMappedLazyEmbCRC pins the panic
-	// there), so it would warm-start here.
-	if !mmap {
-		flipped := append([]byte(nil), data...)
-		flipped[len(flipped)/3] ^= 0x10
-		flippedPath := filepath.Join(t.TempDir(), "flip.art")
-		if err := os.WriteFile(flippedPath, flipped, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check("bit-flipped", flippedPath)
+	// there), so at f64 it would warm-start here. An i8pq install over
+	// this f64 artifact trains its codebook from those rows, so both
+	// sources must refuse it at install.
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)/3] ^= 0x10
+	flippedPath := filepath.Join(t.TempDir(), "flip.art")
+	if err := os.WriteFile(flippedPath, flipped, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	if !mmap {
+		check("bit-flipped", flippedPath, mat.DtypeF64)
+	}
+	check("bit-flipped-i8pq", flippedPath, mat.DtypeI8PQ)
 
 	// Version skew: the artifact was built for an older weights
 	// generation than the model being installed.
 	m.ModelVersion++
-	check("model-version-skew", good)
+	check("model-version-skew", good, mat.DtypeF64)
 	m.ModelVersion--
 
 	// Retrained weights whose step count collides: ModelVersion and
@@ -198,7 +201,7 @@ func warmStartFallsBack(t *testing.T, mmap bool) {
 	// differ — the WeightsSum fingerprint must catch it.
 	w := &m.Params()[0].W.Data[0]
 	*w += 0.125
-	check("same-version-different-weights", good)
+	check("same-version-different-weights", good, mat.DtypeF64)
 	*w -= 0.125
 
 	// Wrong graph: an artifact computed over a different dataset.
@@ -207,7 +210,7 @@ func warmStartFallsBack(t *testing.T, mmap bool) {
 		FeatureDim: ds.FeatureDim(), NumClasses: ds.NumClasses, Seed: 99,
 	})
 	mo := testModel(t, other, 2, "mean")
-	check("wrong-graph", writeTestArtifact(t, other, mo, false))
+	check("wrong-graph", writeTestArtifact(t, other, mo, false), mat.DtypeF64)
 }
 
 // TestWarmReloadReusesUnchangedArtifact checks the reload fast path

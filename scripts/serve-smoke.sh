@@ -5,7 +5,9 @@
 # the scrape surface, and identical bytes over json, wire and tcp — is
 # held by the Go suites (internal/serve, pkg/client's
 # FuzzShapesAndTransports). This script keeps the rest:
-#   - flag and -config parsing end to end, one boot each;
+#   - flag and -config parsing end to end, one boot each, and one
+#     dataset load per data path (a model naming -data's file shares
+#     the process-wide dataset);
 #   - -addr discovery (the next port on a bind collision) and
 #     -wire-addr discovery (an ephemeral port, read from the log);
 #   - SIGHUP advances the snapshot version, SIGTERM exits cleanly;
@@ -117,17 +119,20 @@ for i in 0 1 2; do
         fail "missing shard artifact s${i}of3 or its manifest"
 done
 
-echo "== serve -config (two models, canary the default)"
+echo "== serve -config (three models over one data file, canary the default)"
 cat >"$TMP/fleet.json" <<EOF
 {
   "default": "canary",
   "models": [
     {"name": "prod", "checkpoint": "$TMP/m.ckpt"},
-    {"name": "canary", "checkpoint": "$TMP/m.ckpt", "ann": true}
+    {"name": "canary", "checkpoint": "$TMP/m.ckpt", "ann": true},
+    {"name": "named", "checkpoint": "$TMP/m.ckpt", "data": "$TMP/g.gsg"}
   ]
 }
 EOF
 start_server -data "$TMP/g.gsg" -config "$TMP/fleet.json"
+loads=$(grep -c '"event":"dataset"' "$TMP/server.log" || true)
+[ "$loads" = 1 ] || fail "$loads dataset loads for one data file, want 1"
 expect /models '"default":"canary"' '"name":"canary","default":true' '"name":"prod","default":false'
 expect /models/canary/healthz '"ann_default":true'
 expect /models/prod/healthz '"ann_default":false'
