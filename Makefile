@@ -3,8 +3,8 @@
 # smoke run — all five workloads of `go run ./benchmark` against a real
 # trainer and a real gsgcn-serve, every answer checked — and
 # `make serve-smoke` drives the datagen→train→index→serve pipeline as
-# real processes: flags, signals, ports, mmap and shard churn. Neither
-# writes a tracked file;
+# real processes: flags, signals, ports, a mapped warm boot and shard
+# churn. Neither writes a tracked file;
 # performance claims come from `go run ./benchmark` alone
 # (benchmark/README.md).
 
@@ -42,8 +42,8 @@ loc:
 # vendor it). internal/mat has amd64 assembly with a portable
 # fallback that an amd64 host never compiles, so lint also builds the
 # module and vets mat for arm64 — the fallback cannot rot unseen. For
-# the same reason it vets internal/artifact for windows: its non-unix
-# byte source (mmap_portable.go) reads the file into the heap.
+# the same reason it vets internal/artifact for windows: on a non-unix
+# host Open (mmap_portable.go) reads the file into the heap.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -134,7 +134,7 @@ bench:
 # answers' bytes are the Go suites' business): generate a dataset,
 # train briefly, build 3 i8pq shard artifacts with gsgcn-index, boot
 # gsgcn-serve from a -config file (SIGHUP must advance the version,
-# SIGTERM must exit 0), then from flags, mmap-warm from those artifacts
+# SIGTERM must exit 0), then from flags, warm from those mapped artifacts
 # with the wire listener on an ephemeral port, read from the log. The
 # final phase runs gsgcn-loadgen against it (reload storm + shard churn
 # mid-traffic): no hard failure, and the share of requests the stopped

@@ -27,8 +27,8 @@
 // With -dtype f32 or i8pq the artifact also carries that quantized
 // table; the exact float64 table is always present, so exact answers
 // never change. A server started with the same -dtype adopts the
-// persisted payload instead of re-quantizing, and -mmap then serves
-// the float64 rows straight from the mapped file. Every dtype answers
+// persisted payload instead of re-quantizing, and serves the float64
+// rows straight from the mapped file. Every dtype answers
 // mode=ann by walking the HNSW index, so -index=false means the same
 // thing whatever the -dtype: the server builds the index lazily on the
 // first ann query against the snapshot.

@@ -85,14 +85,11 @@ type modelSpec struct {
 	// Dtype names the resident representation of the embedding table —
 	// f64 (default), f32 or i8pq. Exact answers always read float64
 	// rows; quantized tables only steer the ANN candidate scan.
-	Dtype string `json:"dtype"`
-	// Mmap maps the artifact's bytes from the shared page cache instead
-	// of reading them into private heap (requires Artifact).
-	Mmap    bool `json:"mmap"`
-	ANN     bool `json:"ann"`
-	ANNM    int  `json:"ann_m"`
-	ANNEf   int  `json:"ann_ef"`
-	Workers int  `json:"workers"`
+	Dtype   string `json:"dtype"`
+	ANN     bool   `json:"ann"`
+	ANNM    int    `json:"ann_m"`
+	ANNEf   int    `json:"ann_ef"`
+	Workers int    `json:"workers"`
 	// Shards > 1 serves the model as a sharded fleet behind a
 	// scatter-gather router; ShardSeed keys the deterministic
 	// vertex-shard assignment and must match the artifact build.
@@ -172,7 +169,6 @@ func main() {
 		annEf   = flag.Int("ann-ef", 0, "default HNSW query beam width; higher = better recall, slower (0 = 64)")
 		art     = flag.String("artifact", "", "snapshot artifact (gsgcn-index output) to warm-start from; \"auto\" tries <load>.art; mismatch or absence falls back to the full compute")
 		dtype   = flag.String("dtype", "", "resident representation of the embedding table: f64|f32|i8pq (default f64; exact answers always read f64 rows)")
-		useMmap = flag.Bool("mmap", false, "map the artifact from the shared page cache instead of reading it into private heap (needs -artifact)")
 		shards  = flag.Int("shards", 0, "serve each model as N vertex shards behind a scatter-gather router (0 or 1 = unsharded)")
 		shSeed  = flag.Uint64("shard-seed", 0, "seed keying the deterministic vertex-shard assignment (must match gsgcn-index -shard-seed)")
 		dline   = flag.Duration("deadline", 0, "per-query deadline counted from arrival; work past it does not start and a late top-K answer is not sent, both 504 (0 = none)")
@@ -181,11 +177,14 @@ func main() {
 		pprofAt = flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (e.g. 127.0.0.1:6060); off when empty, and never on the serving listener")
 		noLog   = flag.Bool("no-access-log", false, "disable the per-request JSON access log (lifecycle events still log)")
 	)
+	// -mmap is retired: an artifact is always mapped. The flag stays
+	// registered, read by nothing, so existing command lines still parse.
+	flag.Bool("mmap", false, "retired no-op: an artifact is always mapped")
 	flag.Parse()
 
 	// Global flags double as the per-model defaults.
 	defaults := modelSpec{
-		Artifact: *art, Dtype: *dtype, Mmap: *useMmap,
+		Artifact: *art, Dtype: *dtype,
 		ANN: *annOn, ANNM: *annM, ANNEf: *annEf,
 		Workers: *workers,
 		Shards:  *shards, ShardSeed: *shSeed,
@@ -271,13 +270,10 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("model %q: %w", spec.Name, err))
 		}
-		if spec.Mmap && spec.Artifact == "" {
-			fatal(fmt.Errorf("model %q: mmap needs an artifact to map", spec.Name))
-		}
 		opts := gsgcn.ServeOptions{
 			Workers: spec.Workers,
 			ANN:     spec.ANN, ANNM: spec.ANNM, ANNEf: spec.ANNEf,
-			ArtifactPath: spec.Artifact, Dtype: dt, Mmap: spec.Mmap,
+			ArtifactPath: spec.Artifact, Dtype: dt,
 			Deadline:    time.Duration(spec.DeadlineMS * float64(time.Millisecond)),
 			ShedQueueHW: spec.ShedQueue,
 			QPSLimit:    spec.QPS,

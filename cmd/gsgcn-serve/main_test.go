@@ -38,6 +38,7 @@ func TestParseFleetConfig(t *testing.T) {
 		"top-level-typo":  `{"defualt": "a", "models": [{"name": "a", "checkpoint": "a.ckpt"}]}`,
 		"retired-batch":   `{"models": [{"name": "a", "checkpoint": "a.ckpt", "batch": 16}]}`,
 		"retired-block":   `{"models": [{"name": "a", "checkpoint": "a.ckpt", "block": 64}]}`,
+		"retired-mmap":    `{"models": [{"name": "a", "checkpoint": "a.ckpt", "mmap": true}]}`,
 		"not-even-object": `[1, 2]`,
 	} {
 		if _, err := parseFleetConfig([]byte(bad), defaults); err == nil {

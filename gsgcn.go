@@ -162,10 +162,10 @@ func WriteArtifactManifest(artifactPath, checkpointPath string, s *ServingArtifa
 	return artifact.WriteManifest(artifactPath, checkpointPath, s, checksum)
 }
 
-// ReadServingArtifact reads the artifact at path into the heap and
-// validates it, trailer and every section CRC; Sum is its checksum.
+// ReadServingArtifact maps the artifact at path and checks every
+// section CRC; Sum is its stored trailer, read as an identity.
 func ReadServingArtifact(path string) (*ServingArtifactFile, error) {
-	return artifact.ReadFile(path)
+	return artifact.Open(path)
 }
 
 // LoadPreset generates a synthetic dataset matching one of the

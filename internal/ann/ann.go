@@ -124,7 +124,7 @@ type node struct {
 // table. Queries are read-only and safe for concurrent use.
 type Index struct {
 	params Params
-	emb    mat.RowSource
+	emb    *mat.Dense
 	norms  []float64
 
 	nodes []node
@@ -195,7 +195,7 @@ func (ix *Index) sim(q []float64, qn float64, v int32) float64 {
 // budget for the distance-heavy candidate searches (<= 0 uses the
 // shared pool default); the resulting structure is bit-identical at
 // every setting.
-func Build(emb mat.RowSource, norms []float64, p Params, workers int) *Index {
+func Build(emb *mat.Dense, norms []float64, p Params, workers int) *Index {
 	p = p.withDefaults()
 	n := emb.NumRows()
 	if workers < 1 {

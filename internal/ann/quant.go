@@ -63,7 +63,7 @@ func (ix *Index) SearchQuant(qt mat.Quantized, query []float64, qn float64, ef i
 // row — and returns the k best under the Before order. It selects
 // through TopK as the exact scanner does, so a row whose exact score is
 // not a number is dropped here as it is there.
-func RerankExact(emb mat.RowSource, norms []float64, q []float64, qn float64, beam []Candidate, k int) []Candidate {
+func RerankExact(emb *mat.Dense, norms []float64, q []float64, qn float64, beam []Candidate, k int) []Candidate {
 	tk := NewTopK(k)
 	for _, c := range beam {
 		score := 0.0

@@ -17,7 +17,7 @@ import (
 // the serving layer's exact scan, which selects through TopK where
 // this sorts everything, so ANN answers are comparable
 // element-for-element.
-func ExactTopK(emb mat.RowSource, norms []float64, query []float64, qn float64, k int, exclude int32) []Candidate {
+func ExactTopK(emb *mat.Dense, norms []float64, query []float64, qn float64, k int, exclude int32) []Candidate {
 	n := emb.NumRows()
 	if k < 1 || n == 0 {
 		return nil

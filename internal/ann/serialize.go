@@ -89,7 +89,7 @@ func (ix *Index) Checksum() uint64 {
 // validated before use: corrupted or truncated input yields an error,
 // never a panic or an unboundedly large allocation. Trailing bytes
 // after the encoded structure are an error.
-func DecodeIndex(data []byte, emb mat.RowSource, norms []float64) (*Index, error) {
+func DecodeIndex(data []byte, emb *mat.Dense, norms []float64) (*Index, error) {
 	if len(data) < 40 {
 		return nil, fmt.Errorf("ann: index blob truncated (%d bytes)", len(data))
 	}

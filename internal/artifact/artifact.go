@@ -25,12 +25,11 @@
 // float32) rides with dtype f32; "pq.centroids" (packed float64
 // codebook) and "pq.codes" (rows*M uint8) ride with dtype i8pq;
 // "index" (ann.EncodeBinary output) is optional. Every section
-// carries its own CRC-64 in the header, so a memory-mapped reader can
-// validate lazily, section by section, without touching the rest of
-// the file. The 8-byte alignment is what lets the one reader, File,
-// cast float sections in place instead of copying them, whether its
-// bytes are a mapping (OpenMapped) or a heap buffer (ReadFile,
-// Decode).
+// carries its own CRC-64 in the header, so a mapped reader validates
+// the bytes it serves from without a second pass for the trailer. The
+// 8-byte alignment is what lets the one reader, File, cast float
+// sections in place instead of copying them, whether its bytes are a
+// mapping (Open) or a buffer in memory (Decode).
 //
 // Any other format version — including the retired version 1 (the
 // PR 4–9 single-blob layout) — is rejected with a typed error; a
@@ -322,7 +321,7 @@ func checksum(data []byte) (uint64, error) {
 // parsedV2 is a validated v2 header: the metadata plus the located
 // sections, lengths already cross-checked against the declared shape
 // and the bytes actually present. Section CRCs are NOT yet verified —
-// File.init checks them, the mapped embedding section lazily.
+// File.init checks them next.
 type parsedV2 struct {
 	meta  Meta
 	dtype mat.Dtype

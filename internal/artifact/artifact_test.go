@@ -129,7 +129,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, err := ReadFile(path)
+	file, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

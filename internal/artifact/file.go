@@ -7,7 +7,6 @@ import (
 	"hash/crc64"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -17,30 +16,25 @@ import (
 
 // This file is the one read path of the version-2 format: one parser
 // over the artifact's bytes, every float section cast in place, never
-// copied element by element. The constructors differ only in where
-// the bytes live:
+// copied element by element, and every section CRC-checked before the
+// File is returned. Open maps the file read-only from the page cache,
+// so its tables are shared by every process serving the same artifact
+// (on a platform without a wired mmap syscall it reads the file into
+// a private buffer instead); Decode parses bytes already in memory.
 //
-//   - OpenMapped maps the file read-only from the page cache. Warm
-//     start becomes O(header): table pages fault in on first touch and
-//     are shared by every process serving the same artifact. The small
-//     sections (norms, codebooks, index) are CRC-checked at open, the
-//     big embedding section lazily on its first row read, so opening a
-//     multi-gigabyte artifact never reads the whole file.
-//   - ReadFile and Decode hold the bytes on the private heap and verify
-//     the trailer and every section CRC before returning; the table is
-//     a *mat.Dense view of the buffer.
-//
-// Lifetime: a mapping stays valid while the File (or any snapshot
-// built from it) is reachable; a finalizer unmaps after the last
-// reference is collected, so a reload can drop an old snapshot
-// without coordinating with in-flight readers. Truncating or
-// rewriting the file in place under a live mapping is undefined
-// (SIGBUS) — producers must follow WriteFile's write-temp-then-rename
-// protocol, which leaves old mappings pointing at the old inode.
+// Lifetime: a mapping stays valid while the File is reachable; a
+// finalizer unmaps after the last reference is collected, so a reload
+// can drop an old snapshot without coordinating with in-flight
+// readers. The views (the table, its rows, the index's vectors) do
+// not pin the File themselves: whoever holds them holds the File too,
+// as a serving snapshot does. Truncating or rewriting the file in
+// place under a live mapping is undefined (SIGBUS) — producers must
+// follow WriteFile's write-temp-then-rename protocol, which leaves old
+// mappings pointing at the old inode.
 
 // hostLittleEndian reports whether float sections can be cast in
-// place. Both byte sources refuse a big-endian host with
-// errBigEndian; a serving engine then computes cold.
+// place. Open and Decode refuse a big-endian host with errBigEndian;
+// a serving engine then computes cold.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -48,30 +42,31 @@ var hostLittleEndian = func() bool {
 
 var errBigEndian = errors.New("artifact: reading in place needs a little-endian host")
 
-// File is a parsed artifact whose sections alias its bytes — a
-// read-only mapping (OpenMapped) or a private heap buffer (ReadFile,
-// Decode). Accessors return views into those bytes; they stay valid
-// while the File is reachable and must not be mutated.
+// File is a parsed, CRC-checked artifact whose sections alias its
+// bytes — a read-only mapping (Open) or the caller's buffer (Decode).
+// Accessors return views into those bytes; they stay valid while the
+// File is reachable and must not be mutated.
 type File struct {
 	data   []byte
 	unmap  func([]byte) error // nil when data is heap
 	closed atomic.Bool
 
-	path  string
 	sum   uint64
 	parse *parsedV2
 
-	table mat.RowSource
+	table *mat.Dense
 	norms []float64
 	f32   *mat.F32Table
 	pq    *mat.PQTable
 	index *ann.Index
 }
 
-// OpenMapped maps the version-2 artifact at path read-only and
-// validates everything except the embedding section, whose CRC is
-// deferred to the first row read. The trailer is read, not verified.
-func OpenMapped(path string) (*File, error) {
+// Open maps the version-2 artifact at path read-only and validates
+// it: every declared length and every section CRC, the embedding
+// section included. The trailer is read as the file's identity, not
+// verified: the section CRCs cover every byte a table is read from,
+// and the trailer would cost a second full pass over the file.
+func Open(path string) (*File, error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -92,29 +87,14 @@ func OpenMapped(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact: mapping %s: %w", path, err)
 	}
-	f := &File{data: data, unmap: unmap, path: path}
-	if err := f.init(true); err != nil {
+	f := &File{data: data, unmap: unmap}
+	if err := f.init(); err != nil {
 		_ = f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// Unmap after the last reference (the File or any view handed out
-	// by it keeps f alive through the table's back-pointer).
-	runtime.SetFinalizer(f, func(f *File) { _ = f.Close() })
-	return f, nil
-}
-
-// ReadFile reads the artifact at path into the private heap and
-// validates it as Decode does.
-func ReadFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	if unmap != nil {
+		runtime.SetFinalizer(f, func(f *File) { _ = f.Close() })
 	}
-	f, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	f.path = path
 	return f, nil
 }
 
@@ -134,7 +114,7 @@ func Decode(data []byte) (*File, error) {
 		data = buf
 	}
 	f := &File{data: data}
-	if err := f.init(false); err != nil {
+	if err := f.init(); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -173,10 +153,9 @@ func Trailer(path string) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// init parses and validates f.data (8-aligned, trailer included).
-// With deferEmb the embedding section's CRC waits for the first row
-// read; otherwise every section is checked here.
-func (f *File) init(deferEmb bool) error {
+// init parses and validates f.data (8-aligned, trailer included):
+// the header, then every section's CRC, then the views.
+func (f *File) init() error {
 	if !hostLittleEndian {
 		return errBigEndian
 	}
@@ -196,20 +175,13 @@ func (f *File) init(deferEmb bool) error {
 		return err
 	}
 	f.parse = p
-	for name := range p.secs {
-		if deferEmb && name == secEmb {
-			continue
-		}
-		if err := f.ValidateSection(name); err != nil {
-			return err
+	for name, s := range p.secs {
+		if got := crc64.Checksum(p.sec(body, name), crcTable); got != s.CRC {
+			return fmt.Errorf("artifact: section %q CRC mismatch (stored %016x, computed %016x)", name, s.CRC, got)
 		}
 	}
 	rows, cols := p.meta.rows(), p.meta.Dim
-	emb := &mat.Dense{Rows: rows, Cols: cols, Data: castF64(p.sec(body, secEmb))}
-	f.table = emb
-	if deferEmb {
-		f.table = &mappedTable{f: f, emb: emb}
-	}
+	f.table = &mat.Dense{Rows: rows, Cols: cols, Data: castF64(p.sec(body, secEmb))}
 	f.norms = castF64(p.sec(body, secNorms))
 	switch p.dtype {
 	case mat.DtypeF32:
@@ -254,21 +226,6 @@ func castF32(b []byte) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// ValidateSection CRC-checks one section by name against its header
-// entry. On a mapped File the embedding section check also runs
-// implicitly (once) on the first row read.
-func (f *File) ValidateSection(name string) error {
-	s, ok := f.parse.secs[name]
-	if !ok {
-		return fmt.Errorf("artifact: no section %q", name)
-	}
-	body := f.data[:len(f.data)-8]
-	if got := crc64.Checksum(f.parse.sec(body, name), crcTable); got != s.CRC {
-		return fmt.Errorf("artifact: section %q CRC mismatch (stored %016x, computed %016x)", name, s.CRC, got)
-	}
-	return nil
-}
-
 // Meta returns the artifact metadata.
 func (f *File) Meta() Meta { return f.parse.meta }
 
@@ -276,17 +233,14 @@ func (f *File) Meta() Meta { return f.parse.meta }
 // for.
 func (f *File) Dtype() mat.Dtype { return f.parse.dtype }
 
-// Sum returns the stored trailer checksum. ReadFile and Decode have
-// verified it against the body; OpenMapped only reads it — not
-// touching every page is the point of mapping — so there it is an
-// identity fingerprint (good for "has the file changed" reload
-// comparisons), while integrity rests on the per-section CRCs.
+// Sum returns the stored trailer checksum. Decode has verified it
+// against the body; Open only reads it, as an identity fingerprint
+// (good for "has the file changed" reload comparisons), while
+// integrity rests on the per-section CRCs.
 func (f *File) Sum() uint64 { return f.sum }
 
-// Table returns the embedding table: a *mat.Dense view of a heap
-// File's bytes, or a RowSource over a mapping that checks the
-// section's CRC on its first row read.
-func (f *File) Table() mat.RowSource { return f.table }
+// Table returns the embedding table, a view of the File's bytes.
+func (f *File) Table() *mat.Dense { return f.table }
 
 // Norms returns the norm vector (aliasing the File's bytes).
 func (f *File) Norms() []float64 { return f.norms }
@@ -320,31 +274,4 @@ func (f *File) Close() error {
 	}
 	runtime.SetFinalizer(f, nil)
 	return f.unmap(f.data)
-}
-
-// mappedTable is the RowSource over a mapped embedding section. The
-// sync.Once runs the deferred CRC on the first row read; a mismatch
-// panics — by the time rows are being served, silently wrong floats
-// are strictly worse than a crash, and the eager sections have
-// already vouched for the header that declared the CRC.
-type mappedTable struct {
-	f     *File
-	emb   *mat.Dense
-	check sync.Once
-}
-
-// NumRows returns the row count.
-func (t *mappedTable) NumRows() int { return t.emb.Rows }
-
-// NumCols returns the column count.
-func (t *mappedTable) NumCols() int { return t.emb.Cols }
-
-// Row returns row i, validating the section CRC on first access.
-func (t *mappedTable) Row(i int) []float64 {
-	t.check.Do(func() {
-		if err := t.f.ValidateSection(secEmb); err != nil {
-			panic(fmt.Errorf("%s: %w", t.f.path, err))
-		}
-	})
-	return t.emb.Row(i)
 }

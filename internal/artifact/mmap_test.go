@@ -139,8 +139,8 @@ func crc64Sum(b []byte) uint64 { return crcChecksum(b) }
 
 // TestV1RejectedCleanly pins the retirement of format 1: a valid v1
 // blob (intact trailer, well-formed header and tables) is refused by
-// both loaders with the typed version error — never decoded, never a
-// panic.
+// Decode and Open with the typed version error — never decoded, never
+// a panic.
 func TestV1RejectedCleanly(t *testing.T) {
 	blob := encodeV1(t, testSnapshot(90, 8, true))
 	snap, err := Decode(blob)
@@ -151,23 +151,18 @@ func TestV1RejectedCleanly(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := OpenMapped(path); err == nil {
-		m.Close()
-		t.Fatal("OpenMapped accepted a v1 artifact")
-	}
-	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "format version 1") {
-		t.Fatalf("ReadFile(v1) error = %v", err)
+	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("Open(v1) error = %v", err)
 	}
 }
 
 // TestSourcesAgreeOnCorpus is the one-parser contract, over every
 // committed FuzzDecode corpus file and every FuzzDecode seed: Decode
-// accepts exactly when the file-backed OpenMapped accepts, the
-// embedding section it defers validates, and the trailer Decode
-// verifies (and OpenMapped only reads) matches the body. Accepted
+// accepts exactly when the file-backed Open accepts and the trailer
+// Decode verifies (and Open only reads) matches the body. Accepted
 // inputs give the same meta, dtype and trailer, the same bits in every
 // row, norm and quantized payload, and the same index checksum from
-// both sources.
+// both entries.
 func TestSourcesAgreeOnCorpus(t *testing.T) {
 	inputs := fuzzSeeds()
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
@@ -195,11 +190,10 @@ func TestSourcesAgreeOnCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		heap, herr := Decode(data)
-		m, merr := OpenMapped(path)
+		m, merr := Open(path)
 		_, cerr := checksum(data)
-		mapOK := merr == nil && m.ValidateSection(secEmb) == nil && cerr == nil
-		if (herr == nil) != mapOK {
-			t.Fatalf("input %d: Decode error %v, OpenMapped error %v, trailer %v", i, herr, merr, cerr)
+		if (herr == nil) != (merr == nil && cerr == nil) {
+			t.Fatalf("input %d: Decode error %v, Open error %v, trailer %v", i, herr, merr, cerr)
 		}
 		if herr == nil {
 			accepted[heap.Dtype()]++
@@ -233,9 +227,6 @@ func sameFile(t *testing.T, heap, m *File) {
 		t.Fatalf("mapped bytes %d (mapped), %d (heap)", m.MappedBytes(), heap.MappedBytes())
 	}
 	ht, mt := heap.Table(), m.Table()
-	if _, ok := ht.(*mat.Dense); !ok {
-		t.Fatalf("heap table is a %T, not a *mat.Dense view", ht)
-	}
 	if mt.NumRows() != ht.NumRows() || mt.NumCols() != ht.NumCols() {
 		t.Fatalf("mapped table %dx%d, heap %dx%d", mt.NumRows(), mt.NumCols(), ht.NumRows(), ht.NumCols())
 	}
@@ -283,43 +274,10 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestMappedLazyEmbCRC pins the deferred-integrity design: a corrupt
-// embedding section does NOT fail the open (its CRC is deferred so
-// opening never touches the big section), ValidateSection reports the
-// damage, and the first row read panics rather than serve wrong
-// floats.
-func TestMappedLazyEmbCRC(t *testing.T) {
-	s := testSnapshot(60, 8, false)
-	path := writeArt(t, s)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, _ := sectionSpan(t, blob, secEmb)
-	blob[lo+9] ^= 0x40
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatalf("open should defer the emb CRC, got %v", err)
-	}
-	defer m.Close()
-	if err := m.ValidateSection(secEmb); err == nil {
-		t.Fatal("corrupt emb section validated")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reading a corrupt mapped row did not panic")
-		}
-	}()
-	_ = m.Table().Row(0)
-}
-
-// TestMappedEagerSectionCRC: damage to any small section (norms,
-// codebook, codes, index) must fail OpenMapped outright.
+// TestMappedEagerSectionCRC: damage to any section (embedding table,
+// norms, codebook, codes, index) must fail Open outright.
 func TestMappedEagerSectionCRC(t *testing.T) {
-	for _, name := range []string{secNorms, secPQCent, secPQCodes, secIndex} {
+	for _, name := range []string{secEmb, secNorms, secPQCent, secPQCodes, secIndex} {
 		s := quantSnapshot(80, 8, mat.DtypeI8PQ, true)
 		path := writeArt(t, s)
 		blob, err := os.ReadFile(path)
@@ -331,7 +289,7 @@ func TestMappedEagerSectionCRC(t *testing.T) {
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := OpenMapped(path); err == nil {
+		if m, err := Open(path); err == nil {
 			m.Close()
 			t.Fatalf("corrupt %q section mapped cleanly", name)
 		}

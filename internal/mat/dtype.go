@@ -6,16 +6,14 @@ import (
 	"gsgcn/internal/perf"
 )
 
-// This file is the serving memory plane's dtype substrate: the
-// RowSource abstraction that lets the serving and ANN layers read
-// exact float64 rows without caring whether they live on the private
-// heap or inside a memory-mapped artifact, plus the two lossy
-// representations (float32 and int8 product quantization) the ANN
-// hot path can score rows from instead of the full-precision table.
-// Exactness is preserved by construction: quantized tables only ever
-// generate candidates — every reported score is recomputed from a
-// RowSource's float64 rows, so answers in exact mode are bit-identical
-// across dtypes.
+// This file is the serving memory plane's dtype substrate: the two
+// lossy representations (float32 and int8 product quantization) the
+// ANN hot path can score rows from instead of the full-precision
+// table. Exactness is preserved by construction: quantized tables
+// only ever generate candidates — every reported score is recomputed
+// from the float64 rows of a Dense table (on the heap or a view of a
+// mapped artifact), so answers in exact mode are bit-identical across
+// dtypes.
 
 // Dtype names a resident representation of an embedding table.
 type Dtype uint8
@@ -61,32 +59,11 @@ func ParseDtype(s string) (Dtype, error) {
 	return DtypeF64, fmt.Errorf("mat: unknown dtype %q (want f64, f32 or i8pq)", s)
 }
 
-// RowSource is a read-only row-major float64 table. Dense implements
-// it on the heap; the artifact package implements it over a memory
-// mapping. Row returns a view valid until the source is released;
-// callers must not mutate it.
-type RowSource interface {
-	NumRows() int
-	NumCols() int
-	Row(i int) []float64
-}
-
-// NumRows returns the row count (RowSource).
+// NumRows returns the row count.
 func (m *Dense) NumRows() int { return m.Rows }
 
-// NumCols returns the column count (RowSource).
+// NumCols returns the column count.
 func (m *Dense) NumCols() int { return m.Cols }
-
-// GatherRowsSrc writes src rows idx[i] into dst row i — GatherRows
-// generalized to any RowSource.
-func GatherRowsSrc(dst *Dense, src RowSource, idx []int) {
-	if dst.Rows != len(idx) || dst.Cols != src.NumCols() {
-		panic("mat: GatherRowsSrc shape mismatch")
-	}
-	for i, r := range idx {
-		copy(dst.Row(i), src.Row(r))
-	}
-}
 
 // Quantized is a lossy, compact row representation that can score
 // rows against a query by approximate inner product. Implementations
@@ -123,7 +100,7 @@ type F32Table struct {
 
 // ToF32 rounds src to float32 row by row. The conversion is a pure
 // elementwise rounding, so it is deterministic at any worker count.
-func ToF32(src RowSource, workers int) *F32Table {
+func ToF32(src *Dense, workers int) *F32Table {
 	rows, cols := src.NumRows(), src.NumCols()
 	t := &F32Table{RowsN: rows, ColsN: cols, Data: make([]float32, rows*cols)}
 	perf.ParallelMin(rows, copyRowGrain, workers, func(_, lo, hi int) {
@@ -285,7 +262,7 @@ func splitmix64(x uint64) uint64 {
 // id order; distance ties break toward the lower centroid id; empty
 // clusters keep their previous centroid. The result is bit-identical
 // at any worker count.
-func TrainPQ(src RowSource, p PQParams, workers int) *PQTable {
+func TrainPQ(src *Dense, p PQParams, workers int) *PQTable {
 	rows, dim := src.NumRows(), src.NumCols()
 	if p.M < 1 || p.M > dim || p.K < 1 || p.K > 256 || p.K > rows || p.Iters < 0 {
 		panic(fmt.Sprintf("mat: invalid PQ params M=%d K=%d iters=%d for %dx%d table", p.M, p.K, p.Iters, rows, dim))

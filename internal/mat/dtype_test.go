@@ -180,19 +180,6 @@ func TestPQValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestGatherRowsSrc(t *testing.T) {
-	src := dtypeTable(20, 6)
-	dst := New(3, 6)
-	GatherRowsSrc(dst, src, []int{19, 0, 7})
-	for i, r := range []int{19, 0, 7} {
-		for j := 0; j < 6; j++ {
-			if dst.At(i, j) != src.At(r, j) {
-				t.Fatalf("gathered row %d col %d mismatch", i, j)
-			}
-		}
-	}
-}
-
 // handPQ builds a structurally valid PQ table without training: seeded
 // centroids in (-1, 1) and seeded codes below K.
 func handPQ(t *testing.T, rows, dim, m, k int) *PQTable {

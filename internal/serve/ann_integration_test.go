@@ -248,7 +248,7 @@ func TestANNDeterministicAcrossWorkersAndRebuilds(t *testing.T) {
 		if _, err := artifact.WriteFile(path, snap); err != nil {
 			t.Fatal(err)
 		}
-		same("warm mmap", collect(Options{Workers: 2, ArtifactPath: path, Mmap: true}), ref)
+		same("warm mmap", collect(Options{Workers: 2, ArtifactPath: path}), ref)
 	}
 }
 

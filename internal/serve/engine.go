@@ -62,12 +62,6 @@ type Options struct {
 	// representation only steers the ANN walk to a candidate beam, which
 	// is reranked with exact float64 scores before anything is returned.
 	Dtype mat.Dtype
-	// Mmap chooses where a warm start's artifact bytes live: mapped
-	// read-only from the shared page cache (the float64 table faults
-	// in on demand) instead of read into private heap. Both sources
-	// parse the same bytes with the same reader, so answers are
-	// byte-identical either way.
-	Mmap bool
 	// ArtifactPath names a snapshot artifact file (internal/artifact,
 	// produced by cmd/gsgcn-index) to warm-start from. When set, every
 	// install — initial load and hot reload alike — first tries to
@@ -180,11 +174,11 @@ type State struct {
 	ModelVersion uint64
 	// Emb is the final-layer embedding table: |V| x dim for a
 	// whole-graph engine, |owned| x dim for a shard engine (rows in
-	// ascending owned-id order). It is a RowSource: a heap matrix on
-	// the cold path, a view into a memory-mapped artifact on the mmap
-	// warm path. Either way the rows are exact float64 — every exact
-	// answer reads this table, whatever the configured dtype.
-	Emb mat.RowSource
+	// ascending owned-id order): a heap matrix on the cold path, a view
+	// into the mapped artifact on the warm path. Either way the rows
+	// are exact float64 — every exact answer reads this table, whatever
+	// the configured dtype.
+	Emb *mat.Dense
 	// norms[r] is ||Emb[r]||₂, precomputed for cosine similarity.
 	norms []float64
 
@@ -202,9 +196,10 @@ type State struct {
 	// the tables are private heap).
 	mappedBytes int64
 	// art pins the artifact the tables view (nil on a cold start) for
-	// the snapshot's lifetime; a mapping's unmap happens via finalizer
-	// after the last reference to a swapped-out snapshot is collected,
-	// so in-flight readers of an old State never race an munmap.
+	// the snapshot's lifetime — the views do not pin it themselves; a
+	// mapping's unmap happens via finalizer after the last reference to
+	// a swapped-out snapshot is collected, so in-flight readers of an
+	// old State never race an munmap.
 	art *artifact.File
 
 	// total is the graph's full vertex count — the id range queries
@@ -251,7 +246,7 @@ func (s *State) Dtype() mat.Dtype { return s.dtype }
 func (s *State) ResidentBytes() int64 { return s.resident }
 
 // MappedBytes returns the size of the artifact mapping backing this
-// snapshot (0 when held on the heap).
+// snapshot (0 for a cold compute).
 func (s *State) MappedBytes() int64 { return s.mappedBytes }
 
 // rowOf maps a global vertex id to its local row, reporting false
@@ -409,7 +404,7 @@ func (e *Engine) buildState(m *core.Model, artPath string, full func() (*mat.Den
 }
 
 // newState starts the snapshot that serves m from the given tables.
-func (e *Engine) newState(m *core.Model, emb mat.RowSource, norms []float64) *State {
+func (e *Engine) newState(m *core.Model, emb *mat.Dense, norms []float64) *State {
 	return &State{
 		Model:        m,
 		ModelVersion: m.ModelVersion,
@@ -426,12 +421,8 @@ func (e *Engine) newState(m *core.Model, emb mat.RowSource, norms []float64) *St
 // start) is adopted only when it is exactly what the engine would
 // train itself — same shape, same resolved parameters — so
 // quantization, like every other table, is a pure function of the
-// embedding rows however it reaches the process. Training reads every
-// row, and a mapped table checks its CRC on the first row read by
-// panicking, so before training from a mapped f it checks emb.f64
-// itself and returns the mismatch: the install can still fall back
-// cold. With f nil it cannot fail.
-func (e *Engine) attachPlane(st *State, f *artifact.File) error {
+// embedding rows however it reaches the process.
+func (e *Engine) attachPlane(st *State, f *artifact.File) {
 	st.dtype = e.opts.Dtype
 	rows, cols := st.Emb.NumRows(), st.Emb.NumCols()
 	var f32 *mat.F32Table
@@ -440,18 +431,10 @@ func (e *Engine) attachPlane(st *State, f *artifact.File) error {
 		f32, pq = f.F32(), f.PQ()
 		st.art, st.mappedBytes = f, f.MappedBytes()
 	}
-	rowsOK := func() error {
-		if st.mappedBytes == 0 {
-			return nil
-		}
-		return f.ValidateSection("emb.f64")
-	}
 	switch e.opts.Dtype {
 	case mat.DtypeF32:
 		if f32 != nil && f32.RowsN == rows && f32.ColsN == cols {
 			st.quant = f32
-		} else if err := rowsOK(); err != nil {
-			return err
 		} else {
 			st.quant = mat.ToF32(st.Emb, e.opts.Workers)
 		}
@@ -462,8 +445,6 @@ func (e *Engine) attachPlane(st *State, f *artifact.File) error {
 		want := mat.ResolvePQ(rows, cols)
 		if pq != nil && pq.RowsN == rows && pq.ColsN == cols && pq.Params == want {
 			st.quant = pq
-		} else if err := rowsOK(); err != nil {
-			return err
 		} else {
 			st.quant = mat.TrainPQ(st.Emb, want, e.opts.Workers)
 		}
@@ -475,7 +456,6 @@ func (e *Engine) attachPlane(st *State, f *artifact.File) error {
 	if st.quant != nil {
 		st.resident += st.quant.ResidentBytes()
 	}
-	return nil
 }
 
 // compactRows extracts the owned rows (and norms) of a whole-graph
@@ -495,15 +475,14 @@ func compactRows(emb *mat.Dense, norms []float64, owned []int32) (*mat.Dense, []
 // corrupt file, or metadata that does not match the model being
 // installed and the serving dataset — making the warm path strictly
 // opt-in: a wrong artifact can never alter what the engine serves,
-// only how fast it comes up. One reuse rule serves both byte sources:
-// when the file at the previous warm snapshot's path still carries
-// that snapshot's trailer and m wants the same meta, the tables and
-// any already-built index are reused without opening the artifact —
-// they were verified when first read. Otherwise the file is opened
-// from the source Options.Mmap names and adopted. Because both the
-// embedding compute and the HNSW build are bit-deterministic, a warm
-// snapshot is byte-identical to the cold one it replaces
-// (test-enforced in warm_test.go).
+// only how fast it comes up. When the file at the previous warm
+// snapshot's path still carries that snapshot's trailer and m wants
+// the same meta, the tables and any already-built index are reused
+// without opening the artifact — they were verified when first read.
+// Otherwise the file is opened (mapped, every section CRC-checked) and
+// adopted. Because both the embedding compute and the HNSW build are
+// bit-deterministic, a warm snapshot is byte-identical to the cold one
+// it replaces (test-enforced in warm_test.go).
 func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 	// Read the trailer before fingerprinting the model: the common
 	// no-artifact miss costs one failed open, not a CRC pass over
@@ -523,11 +502,7 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 		}
 		return st, ""
 	}
-	open := artifact.ReadFile
-	if e.opts.Mmap {
-		open = artifact.OpenMapped
-	}
-	f, err := open(artPath)
+	f, err := artifact.Open(artPath)
 	if err != nil {
 		return nil, err.Error()
 	}
@@ -546,10 +521,7 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 			st.setIndex(idx)
 		}
 	}
-	if err := e.attachPlane(st, f); err != nil {
-		_ = f.Close()
-		return nil, err.Error()
-	}
+	e.attachPlane(st, f)
 	e.artPath, e.artSum, e.artMeta = artPath, f.Sum(), want
 	return st, ""
 }
@@ -732,7 +704,7 @@ func (e *Engine) point(ids []int, predict bool) batchResp {
 		return batchResp{err: err}
 	}
 	h := mat.New(len(rows), st.Dim())
-	mat.GatherRowsSrc(h, st.Emb, rows)
+	mat.GatherRows(h, st.Emb, rows)
 	if predict {
 		logits := mat.New(len(rows), st.Model.Head.OutDim)
 		st.Model.Head.Apply(logits, h, nil, 1)

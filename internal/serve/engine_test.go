@@ -49,7 +49,7 @@ func TestEngineMatchesTrainingForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := mat.New(ds.G.N, m.Head.OutDim)
-		st.Model.Head.Apply(got, st.Emb.(*mat.Dense), nil, 1)
+		st.Model.Head.Apply(got, st.Emb, nil, 1)
 		if got.Rows != want.Rows || got.Cols != want.Cols || !bitsEqual([][]float64{got.Data}, [][]float64{want.Data}) {
 			t.Fatalf("%s: serving logits differ from training forward pass (max diff %g)", agg, got.MaxAbsDiff(want))
 		}
@@ -95,7 +95,7 @@ func TestEngineEmbedAndPredict(t *testing.T) {
 		// Labels must match the training-side prediction rule applied
 		// to the full-graph logits.
 		logits := mat.New(ds.G.N, m.Head.OutDim)
-		st.Model.Head.Apply(logits, st.Emb.(*mat.Dense), nil, 1)
+		st.Model.Head.Apply(logits, st.Emb, nil, 1)
 		var ref *mat.Dense
 		if multi {
 			ref = nn.PredictMulti(logits)

@@ -246,14 +246,14 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	// The memory-plane gauges carry the dtype label (a per-engine
 	// constant, so cardinality stays bounded): resident is the private
 	// working set of the table representation, mapped the size of the
-	// artifact mapping behind it (0 when held on the heap).
+	// artifact mapping behind it (0 for a cold compute).
 	dlabels := e.opts.seriesLabels()
 	dlabels["dtype"] = e.opts.Dtype.String()
 	gauge("gsgcn_resident_bytes",
 		"Bytes of the serving table working set held privately: the f64 table when held on the heap, the norms, and quantized codes plus codebooks.",
 		dlabels, func(st *State) float64 { return float64(st.ResidentBytes()) })
 	gauge("gsgcn_mapped_bytes",
-		"Bytes of the memory-mapped artifact backing the snapshot (0 when held on the heap).",
+		"Bytes of the memory-mapped artifact backing the snapshot (0 for a cold compute).",
 		dlabels, func(st *State) float64 { return float64(st.MappedBytes()) })
 }
 

@@ -65,7 +65,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	if stc.WarmStart {
 		t.Fatal("cold engine claims a warm start")
 	}
-	embC, embW := stc.Emb.(*mat.Dense), stw.Emb.(*mat.Dense)
+	embC, embW := stc.Emb, stw.Emb
 	if embC.Rows != embW.Rows || embC.Cols != embW.Cols {
 		t.Fatalf("table shapes differ: %dx%d vs %dx%d", embC.Rows, embC.Cols, embW.Rows, embW.Cols)
 	}
@@ -120,32 +120,18 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	}
 }
 
-// sourceName names an artifact byte source in subtest names.
-func sourceName(mmap bool) string {
-	if mmap {
-		return "mmap"
-	}
-	return "heap"
-}
-
-// TestWarmStartFallsBack pins the safety half of the contract, under
-// both byte sources: a missing, corrupt or mismatched artifact must
-// never change what the engine serves — it computes cold, records
-// why, and the result is identical to an artifact-free engine.
+// TestWarmStartFallsBack pins the safety half of the contract: a
+// missing, corrupt or mismatched artifact must never change what the
+// engine serves — it computes cold, records why, and the result is
+// identical to an artifact-free engine.
 func TestWarmStartFallsBack(t *testing.T) {
-	for _, mmap := range []bool{false, true} {
-		t.Run(sourceName(mmap), func(t *testing.T) { warmStartFallsBack(t, mmap) })
-	}
-}
-
-func warmStartFallsBack(t *testing.T, mmap bool) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
 	good := writeTestArtifact(t, ds, m, true)
 
 	check := func(name, path string, dt mat.Dtype) {
 		t.Helper()
-		eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path, Mmap: mmap, Dtype: dt})
+		eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path, Dtype: dt})
 		if _, err := eng.Install(m); err != nil {
 			t.Fatalf("%s: install failed outright: %v", name, err)
 		}
@@ -173,21 +159,17 @@ func warmStartFallsBack(t *testing.T, mmap bool) {
 	}
 	check("truncated", truncated, mat.DtypeF64)
 
-	// A flipped bit inside emb.f64. Only the heap source checks that
-	// section's CRC at open; the mapped source defers it to the first
-	// row read by design (artifact.TestMappedLazyEmbCRC pins the panic
-	// there), so at f64 it would warm-start here. An i8pq install over
-	// this f64 artifact trains its codebook from those rows, so both
-	// sources must refuse it at install.
+	// A flipped bit inside emb.f64: the open checks that section's CRC
+	// like every other, so no row read can meet the damage — neither a
+	// query at f64 nor the codebook an i8pq install trains from this
+	// f64 artifact's rows.
 	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)/3] ^= 0x10
 	flippedPath := filepath.Join(t.TempDir(), "flip.art")
 	if err := os.WriteFile(flippedPath, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !mmap {
-		check("bit-flipped", flippedPath, mat.DtypeF64)
-	}
+	check("bit-flipped", flippedPath, mat.DtypeF64)
 	check("bit-flipped-i8pq", flippedPath, mat.DtypeI8PQ)
 
 	// Version skew: the artifact was built for an older weights
@@ -213,24 +195,17 @@ func warmStartFallsBack(t *testing.T, mmap bool) {
 	check("wrong-graph", writeTestArtifact(t, other, mo, false), mat.DtypeF64)
 }
 
-// TestWarmReloadReusesUnchangedArtifact checks the reload fast path
-// under both byte sources: when the artifact file is unchanged, a
-// reload reuses the in-memory tables and index outright
-// (pointer-equal), and a changed-on-disk artifact that no longer
-// validates drops back to the cold compute.
+// TestWarmReloadReusesUnchangedArtifact checks the reload fast path:
+// when the artifact file is unchanged, a reload reuses the in-memory
+// tables and index outright (pointer-equal), and a changed-on-disk
+// artifact that no longer validates drops back to the cold compute.
 func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
-	for _, mmap := range []bool{false, true} {
-		t.Run(sourceName(mmap), func(t *testing.T) { warmReloadReusesUnchangedArtifact(t, mmap) })
-	}
-}
-
-func warmReloadReusesUnchangedArtifact(t *testing.T, mmap bool) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
 	path := writeTestArtifact(t, ds, m, true)
 	firstRow := func(st *State) *float64 { return &st.Emb.Row(0)[0] }
 
-	eng := NewEngine(ds, Options{Workers: 2, ANN: true, ArtifactPath: path, Mmap: mmap})
+	eng := NewEngine(ds, Options{Workers: 2, ANN: true, ArtifactPath: path})
 	if _, err := eng.Install(m); err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +277,8 @@ func warmReloadReusesUnchangedArtifact(t *testing.T, mmap bool) {
 
 // TestWarmV1ArtifactFallsBackCold pins the retirement of artifact
 // format 1: a v1 file with an intact trailer is refused with the typed
-// version error under both byte sources, the engine computes cold, and
-// the reason reaches /healthz as warm_note.
+// version error, the engine computes cold, and the reason reaches
+// /healthz as warm_note.
 func TestWarmV1ArtifactFallsBackCold(t *testing.T) {
 	ds := testDataset(t, false)
 	m := testModel(t, ds, 2, "mean")
@@ -313,15 +288,13 @@ func TestWarmV1ArtifactFallsBackCold(t *testing.T) {
 	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mmap := range []bool{false, true} {
-		srv := NewServer(ds, Options{Workers: 1, ArtifactPath: path, Mmap: mmap})
-		defer srv.Close()
-		if _, err := srv.Install(m); err != nil {
-			t.Fatal(err)
-		}
-		health := srv.Health()
-		if health.Status != "ok" || health.WarmStart || !strings.Contains(health.WarmNote, "format version 1") {
-			t.Errorf("mmap=%v: health after a v1 artifact = %+v", mmap, health)
-		}
+	srv := NewServer(ds, Options{Workers: 1, ArtifactPath: path})
+	defer srv.Close()
+	if _, err := srv.Install(m); err != nil {
+		t.Fatal(err)
+	}
+	health := srv.Health()
+	if health.Status != "ok" || health.WarmStart || !strings.Contains(health.WarmNote, "format version 1") {
+		t.Errorf("health after a v1 artifact = %+v", health)
 	}
 }

@@ -11,8 +11,9 @@
 #   - -addr discovery (the next port on a bind collision) and
 #     -wire-addr discovery (an ephemeral port, read from the log);
 #   - SIGHUP advances the snapshot version, SIGTERM exits cleanly;
-#   - an i8pq -mmap boot from shard artifacts gsgcn-index wrote in
-#     another process;
+#   - an i8pq warm boot from shard artifacts gsgcn-index wrote in
+#     another process, mapped without asking (no flag selects it:
+#     /healthz must report mapped_bytes);
 #   - gsgcn-loadgen through a reload storm and shard churn: no hard
 #     failure, and the share of requests the stopped shard turned away
 #     above zero and at most 35%.
@@ -151,9 +152,9 @@ expect "/models/prod/healthz" '"version":2'
 echo "== SIGTERM: drain and exit 0"
 stop_server
 
-echo "== serve flags (3 i8pq shards, mmap warm start, wire listener)"
+echo "== serve flags (3 i8pq shards, mapped warm start, wire listener)"
 start_server -data "$TMP/g.gsg" -load "$TMP/m.ckpt" -ann \
-    -artifact "$TMP/sh.art" -dtype i8pq -mmap -shards 3 -shard-seed 42 \
+    -artifact "$TMP/sh.art" -dtype i8pq -shards 3 -shard-seed 42 \
     -deadline 2s -shed-queue 256 -wire-addr 127.0.0.1:0
 expect /healthz '"shards":3' '"warm_start":true' '"dtype":"i8pq"' '"mapped_bytes":'
 expect /shards '"shard_seed":42'
