@@ -129,22 +129,25 @@ func TestWarmStartFallsBack(t *testing.T) {
 	m := testModel(t, ds, 2, "mean")
 	good := writeTestArtifact(t, ds, m, true)
 
+	// Each case is its own subtest, so one bad artifact's failure does
+	// not hide the others.
 	check := func(name, path string, dt mat.Dtype) {
-		t.Helper()
-		eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path, Dtype: dt})
-		if _, err := eng.Install(m); err != nil {
-			t.Fatalf("%s: install failed outright: %v", name, err)
-		}
-		st, _ := eng.Snapshot()
-		if st.WarmStart {
-			t.Fatalf("%s: engine warm-started from a bad artifact", name)
-		}
-		if st.WarmNote == "" {
-			t.Fatalf("%s: fallback left no note", name)
-		}
-		if _, err := eng.TopKWith(0, 5, ModeAuto, 0); err != nil {
-			t.Fatalf("%s: queries broken after fallback: %v", name, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			eng := NewEngine(ds, Options{Workers: 2, ArtifactPath: path, Dtype: dt})
+			if _, err := eng.Install(m); err != nil {
+				t.Fatalf("install failed outright: %v", err)
+			}
+			st, _ := eng.Snapshot()
+			if st.WarmStart {
+				t.Fatal("engine warm-started from a bad artifact")
+			}
+			if st.WarmNote == "" {
+				t.Fatal("fallback left no note")
+			}
+			if _, err := eng.TopKWith(0, 5, ModeAuto, 0); err != nil {
+				t.Fatalf("queries broken after fallback: %v", err)
+			}
+		})
 	}
 
 	check("missing", filepath.Join(t.TempDir(), "absent.art"), mat.DtypeF64)
