@@ -15,19 +15,23 @@ import (
 // artifactPins maps each artifact TestRunArtifactsGolden writes to the
 // CRC-64/ECMA of its bytes before the 8-byte trailer (the trailer is
 // that CRC, so a whole-file CRC is the same constant for every file),
-// recorded at 4b59a64 on linux/amd64 with that commit's gsgcn-index
-// and the same checkpoint and flags. The artifact format is frozen: a
-// build that moves a byte of any of them fails here. As in the other
-// pins, embedding bits are promised on amd64 only.
+// on linux/amd64 with the same checkpoint and flags. First recorded at
+// 4b59a64; re-recorded by the change after 83f53fc, which made ppi's
+// first layer (50 features -> hidden 8) propagate its 8-wide output,
+// A·(H·W_neigh), instead of its 50-wide input, and so moved the
+// embedding bits; the artifact format did not change (forcing the old
+// order restores the 4b59a64 constants). The format is frozen: a build
+// that moves a byte of any of them fails here. As in the other pins,
+// embedding bits are promised on amd64 only.
 var artifactPins = map[string]uint64{
-	"i8pq shard 0 of 1": 0x1b40db9ae45fd4d8,
-	"i8pq shard 0 of 3": 0xdfb55b9be74decb2,
-	"i8pq shard 1 of 3": 0x0d191ca2af59a92e,
-	"i8pq shard 2 of 3": 0xfe086be2be5d700b,
-	"f64 shard 0 of 1":  0x2e4af3a2cacbbc82,
-	"f64 shard 0 of 3":  0x64c7701251853776,
-	"f64 shard 1 of 3":  0xa76ee20f71fbc6da,
-	"f64 shard 2 of 3":  0xf70c29efcda3df2b,
+	"i8pq shard 0 of 1": 0x3458d3050cb5ee49,
+	"i8pq shard 0 of 3": 0x7325de7f3a7ce5b3,
+	"i8pq shard 1 of 3": 0xf0ac06f31e6d227b,
+	"i8pq shard 2 of 3": 0xc33f91416c5a3d5e,
+	"f64 shard 0 of 1":  0xb02b1964cf2f72d0,
+	"f64 shard 0 of 3":  0x66936d42e5bf46c4,
+	"f64 shard 1 of 3":  0x860603e3c11bf8f4,
+	"f64 shard 2 of 3":  0x63fcd3ff80ba2d3c,
 }
 
 // TestRunArtifactsGolden indexes a seeded, untrained model over a tiny

@@ -14,9 +14,17 @@ import (
 
 func tinyDataset(tb testing.TB, multi bool) *datasets.Dataset {
 	tb.Helper()
+	return tinyDatasetOf(tb, multi, 16)
+}
+
+// tinyDatasetOf is tinyDataset with features columns. At 40, more than
+// twice tinyConfig's Hidden 16 and hidden 8, the first layer propagates
+// its output (nn.GCNLayer.PropagatesOutput).
+func tinyDatasetOf(tb testing.TB, multi bool, features int) *datasets.Dataset {
+	tb.Helper()
 	cfg := datasets.Config{
 		Name: "tiny", Vertices: 600, TargetEdges: 6000,
-		FeatureDim: 16, NumClasses: 5, MultiLabel: multi,
+		FeatureDim: features, NumClasses: 5, MultiLabel: multi,
 		Homophily: 0.85, NoiseStd: 0.4, Seed: 3,
 	}
 	return datasets.Generate(cfg)

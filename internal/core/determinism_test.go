@@ -29,8 +29,10 @@ func lossTrace(ds *datasets.Dataset, s func(*datasets.Dataset, Config) *Trainer,
 	return out
 }
 
+// TestLossTraceIdenticalAcrossWorkers runs on 16 features and on 40,
+// where the first layer propagates its output.
 func TestLossTraceIdenticalAcrossWorkers(t *testing.T) {
-	ds := tinyDataset(t, false)
+	datas := []*datasets.Dataset{tinyDataset(t, false), tinyDatasetOf(t, false, 40)}
 	makeTrainer := map[string]func(ds *datasets.Dataset, cfg Config) *Trainer{
 		"frontier": func(ds *datasets.Dataset, cfg Config) *Trainer {
 			return NewTrainer(ds, NewModel(ds, cfg))
@@ -44,28 +46,30 @@ func TestLossTraceIdenticalAcrossWorkers(t *testing.T) {
 	for name, mk := range makeTrainer {
 		for _, dropRate := range []float64{0, 0.2} {
 			t.Run(name, func(t *testing.T) {
-				base := tinyConfig()
-				base.PInter = 3
-				base.DropRate = dropRate
-				base.WeightDecay = 1e-4
-				base.GradClip = 5
+				for _, ds := range datas {
+					base := tinyConfig()
+					base.PInter = 3
+					base.DropRate = dropRate
+					base.WeightDecay = 1e-4
+					base.GradClip = 5
 
-				serial := base
-				serial.Workers = 1
-				ref := lossTrace(ds, mk, serial, steps)
+					serial := base
+					serial.Workers = 1
+					ref := lossTrace(ds, mk, serial, steps)
 
-				parallel := base
-				parallel.Workers = 8
-				got := lossTrace(ds, mk, parallel, steps)
+					parallel := base
+					parallel.Workers = 8
+					got := lossTrace(ds, mk, parallel, steps)
 
-				for i := range ref {
-					if ref[i] != got[i] {
-						t.Fatalf("drop=%.1f step %d: loss %v (Workers=1) != %v (Workers=8)",
-							dropRate, i, ref[i], got[i])
+					for i := range ref {
+						if ref[i] != got[i] {
+							t.Fatalf("features=%d drop=%.1f step %d: loss %v (Workers=1) != %v (Workers=8)",
+								ds.FeatureDim(), dropRate, i, ref[i], got[i])
+						}
 					}
-				}
-				if ref[0] == 0 {
-					t.Fatal("degenerate trace: first step loss is 0")
+					if ref[0] == 0 {
+						t.Fatalf("features=%d: degenerate trace: first step loss is 0", ds.FeatureDim())
+					}
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,11 +14,29 @@ import (
 // naiveEmbeddings is the dense reference: plain per-vertex loops with
 // the same accumulation orders as the training kernels (neighbors in
 // adjacency order, GEMM terms in k order), no parallelism, no
-// blocking.
+// blocking. A layer that propagates its output aggregates the rows of
+// P = H·W_neigh, formed first for every vertex, and takes the result
+// as Z_neigh.
 func naiveEmbeddings(m *Model, g *graph.CSR, feats *mat.Dense) *mat.Dense {
 	cur := feats
 	for _, l := range m.Layers {
 		in, out := l.InDim, l.OutDim
+		// src is what the layer aggregates: H, or P = H·W_neigh.
+		src := cur
+		if l.PropagatesOutput() {
+			src = mat.New(g.N, out)
+			for u := 0; u < g.N; u++ {
+				hrow, prow := cur.Row(u), src.Row(u)
+				for k := 0; k < in; k++ {
+					if av := hrow[k]; av != 0 {
+						wrow := l.WNeigh.W.Row(k)
+						for j := 0; j < out; j++ {
+							prow[j] += av * wrow[j]
+						}
+					}
+				}
+			}
+		}
 		var invSqrt []float64
 		if l.Agg == nn.AggSym {
 			invSqrt = make([]float64, g.N)
@@ -28,7 +47,7 @@ func naiveEmbeddings(m *Model, g *graph.CSR, feats *mat.Dense) *mat.Dense {
 			}
 		}
 		next := mat.New(g.N, 2*out)
-		agg := make([]float64, in)
+		agg := make([]float64, src.Cols)
 		for v := 0; v < g.N; v++ {
 			for j := range agg {
 				agg[j] = 0
@@ -37,7 +56,7 @@ func naiveEmbeddings(m *Model, g *graph.CSR, feats *mat.Dense) *mat.Dense {
 			switch l.Agg {
 			case nn.AggMean:
 				for _, u := range nb {
-					for j, x := range cur.Row(int(u)) {
+					for j, x := range src.Row(int(u)) {
 						agg[j] += x
 					}
 				}
@@ -50,13 +69,13 @@ func naiveEmbeddings(m *Model, g *graph.CSR, feats *mat.Dense) *mat.Dense {
 			case nn.AggSym:
 				for _, u := range nb {
 					w := invSqrt[v] * invSqrt[u]
-					for j, x := range cur.Row(int(u)) {
+					for j, x := range src.Row(int(u)) {
 						agg[j] += w * x
 					}
 				}
 			case nn.AggSum:
 				for _, u := range nb {
-					for j, x := range cur.Row(int(u)) {
+					for j, x := range src.Row(int(u)) {
 						agg[j] += x
 					}
 				}
@@ -73,11 +92,15 @@ func naiveEmbeddings(m *Model, g *graph.CSR, feats *mat.Dense) *mat.Dense {
 					}
 				}
 			}
-			for k := 0; k < in; k++ {
-				if av := agg[k]; av != 0 {
-					wrow := l.WNeigh.W.Row(k)
-					for j := 0; j < out; j++ {
-						drow[out+j] += av * wrow[j]
+			if l.PropagatesOutput() {
+				copy(drow[out:], agg)
+			} else {
+				for k := 0; k < in; k++ {
+					if av := agg[k]; av != 0 {
+						wrow := l.WNeigh.W.Row(k)
+						for j := 0; j < out; j++ {
+							drow[out+j] += av * wrow[j]
+						}
 					}
 				}
 			}
@@ -98,25 +121,37 @@ func naiveEmbeddings(m *Model, g *graph.CSR, feats *mat.Dense) *mat.Dense {
 // layer-wise forward pass against the naive dense reference,
 // bit-for-bit (Float64bits: Equal would take -0 for +0), at every
 // Workers and BlockSize combination — and for
-// every aggregator and a deeper stack.
+// every aggregator and a deeper stack, and on 40 features, where the
+// first layer (40 -> 8) propagates its output, at one to three layers.
 func TestFullEmbeddingsMatchesNaive(t *testing.T) {
-	ds := datasets.Generate(datasets.Config{
-		Name: "embed-test", Vertices: 300, TargetEdges: 2400,
-		FeatureDim: 12, NumClasses: 4,
-		Homophily: 0.8, NoiseStd: 0.5, Seed: 11,
-	})
-	cases := []struct {
+	embedData := func(features int) *datasets.Dataset {
+		return datasets.Generate(datasets.Config{
+			Name: "embed-test", Vertices: 300, TargetEdges: 2400,
+			FeatureDim: features, NumClasses: 4,
+			Homophily: 0.8, NoiseStd: 0.5, Seed: 11,
+		})
+	}
+	narrow, wide := embedData(12), embedData(40)
+	type embedCase struct {
 		name   string
+		ds     *datasets.Dataset
 		layers int
 		agg    string
-	}{
-		{"mean-2layer", 2, "mean"},
-		{"sym-2layer", 2, "sym"},
-		{"sum-2layer", 2, "sum"},
-		{"mean-3layer", 3, "mean"},
+	}
+	cases := []embedCase{
+		{"mean-2layer", narrow, 2, "mean"},
+		{"sym-2layer", narrow, 2, "sym"},
+		{"sum-2layer", narrow, 2, "sum"},
+		{"mean-3layer", narrow, 3, "mean"},
+	}
+	for layers := 1; layers <= 3; layers++ {
+		for _, agg := range []string{"mean", "sym", "sum"} {
+			cases = append(cases, embedCase{fmt.Sprintf("wide-%s-%dlayer", agg, layers), wide, layers, agg})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ds := tc.ds
 			m := NewModel(ds, Config{
 				Layers: tc.layers, Hidden: 8, Workers: 1, Seed: 17, Aggregator: tc.agg,
 			})

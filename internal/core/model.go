@@ -292,10 +292,12 @@ func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 // full, plus per-worker block scratch, so memory stays O(|V|·f).
 //
 // Every output row is produced by serial per-row arithmetic in the
-// order Forward uses (neighbor aggregation in adjacency order through
-// the same partition kernel, GEMM accumulation in k order) and belongs
-// to exactly one block, so the table is bit-identical at every workers
-// and block setting and to Forward's own activations over g.
+// order Forward uses (each layer's association order, (A·H)·W_neigh or
+// A·(H·W_neigh) by nn.GCNLayer.PropagatesOutput; neighbor aggregation
+// in adjacency order through the same partition kernel; GEMM
+// accumulation in k order) and belongs to exactly one block, so the
+// table is bit-identical at every workers and block setting and to
+// Forward's own activations over g.
 func (m *Model) FullEmbeddings(g *graph.CSR, feats *mat.Dense, workers, block int) *mat.Dense {
 	return forwardBlocks(m.Layers, g, feats, workers, block)
 }
@@ -323,7 +325,9 @@ func forwardBlocks(layers []*nn.GCNLayer, g *graph.CSR, feats *mat.Dense, worker
 // (nil: every vertex), row t for vertex rows[t], computed in blocks of
 // rows that each worker owns whole. All arithmetic inside a block is
 // serial and per-row, so neither the blocks nor the list change a
-// result.
+// result. A layer that propagates its output (see
+// nn.GCNLayer.PropagatesOutput) first forms cur·W_neigh over every
+// vertex, as its Forward does, and its blocks propagate that.
 func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur *mat.Dense, rows []int, workers, block int) *mat.Dense {
 	n := g.N
 	if rows != nil {
@@ -331,29 +335,53 @@ func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur *mat.Dense, rows []int
 	}
 	next := mat.New(n, l.OutWidth())
 	in, out, norm := l.InDim, l.OutDim, l.Agg.Norm()
+	// src is what the blocks propagate: cur, or cur·W_neigh for a
+	// layer that propagates its output.
+	reorder := l.PropagatesOutput()
+	src := cur
+	if reorder {
+		src = mat.New(g.N, out)
+		mat.Mul(src, cur, l.WNeigh.W, workers)
+	}
 	nBlocks := (next.Rows + block - 1) / block
 	perf.Parallel(nBlocks, workers, func(_, blo, bhi int) {
-		// Per-worker scratch, reused across this worker's blocks.
-		hS, hN := make([]float64, block*in), make([]float64, block*in)
+		// Per-worker scratch, reused across this worker's blocks. hS
+		// holds a row list's own rows (an every-vertex block reads cur
+		// in place) and hN the propagated rows W_neigh multiplies after;
+		// a reordered layer propagates straight into zN.
+		var hS, hN []float64
+		if rows != nil {
+			hS = make([]float64, block*in)
+		}
+		if !reorder {
+			hN = make([]float64, block*in)
+		}
 		zS, zN := make([]float64, block*out), make([]float64, block*out)
-		hNv := &mat.Dense{Rows: 1, Cols: in} // a listed vertex's row of hN
+		pv := &mat.Dense{Rows: 1, Cols: src.Cols} // a listed vertex's propagated row
 		for b := blo; b < bhi; b++ {
 			lo, hi := b*block, min(b*block+block, next.Rows)
 			k := hi - lo
-			hSb, hNb := mat.FromData(k, in, hS[:k*in]), mat.FromData(k, in, hN[:k*in])
+			zSb, zNb := mat.FromData(k, out, zS[:k*out]), mat.FromData(k, out, zN[:k*out])
+			pb := zNb
+			if !reorder {
+				pb = mat.FromData(k, in, hN[:k*in])
+			}
+			var hSb *mat.Dense
 			if rows == nil {
 				hSb = mat.FromData(k, in, cur.Data[lo*in:hi*in])
-				partition.PropagateRows(hNb, cur, g, norm, lo, hi)
+				partition.PropagateRows(pb, src, g, norm, lo, hi)
 			} else {
+				hSb = mat.FromData(k, in, hS[:k*in])
 				for t, v := range rows[lo:hi] {
 					copy(hSb.Row(t), cur.Row(v))
-					hNv.Data = hNb.Row(t)
-					partition.PropagateRows(hNv, cur, g, norm, v, v+1)
+					pv.Data = pb.Row(t)
+					partition.PropagateRows(pv, src, g, norm, v, v+1)
 				}
 			}
-			zSb, zNb := mat.FromData(k, out, zS[:k*out]), mat.FromData(k, out, zN[:k*out])
 			mat.Mul(zSb, hSb, l.WSelf.W, 1)
-			mat.Mul(zNb, hNb, l.WNeigh.W, 1)
+			if !reorder {
+				mat.Mul(zNb, pb, l.WNeigh.W, 1)
+			}
 			l.Combine(mat.FromData(k, 2*out, next.Data[lo*2*out:hi*2*out]), zSb, zNb, 1)
 		}
 	})

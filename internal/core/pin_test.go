@@ -23,6 +23,7 @@ import (
 type arithmeticPin struct {
 	name     string
 	multi    bool
+	features int // tinyDataset's feature columns; 0 means its 16
 	cfg      func() Config
 	lossBits []uint64 // Float64bits of the first len(lossBits) Step losses
 	embCRC   uint64   // CRC-64/ECMA of the full-graph embedding table after those steps
@@ -81,6 +82,25 @@ var arithmeticPins = []arithmeticPin{
 		},
 		embCRC: 0x2a974cef15274074,
 	},
+	{
+		// 40 features, hidden 8: the first layer (40 -> 8) propagates
+		// its output, A·(H·W_neigh), the second (16 -> 8) its input.
+		// Recorded by the change that introduced that order (parent
+		// 83f53fc, whose order gives other bits).
+		name:     "tiny-wide-input",
+		features: 40,
+		cfg: func() Config {
+			c := tinyConfig()
+			c.Hidden = 8
+			c.DropRate = 0.2
+			return c
+		},
+		lossBits: []uint64{
+			0x3ffac09ed9c08dc2, 0x3ffa427ff2213e57, 0x3ff998ac52e94ffb,
+			0x3ff932bd5bf6d7ec, 0x3ff85e73d2504edc, 0x3ff81a9ed809dffe,
+		},
+		embCRC: 0xcb1a9f84a3b2fe89,
+	},
 }
 
 // embeddingTable runs the GCN layers (not the head) over the whole
@@ -100,7 +120,11 @@ func TestArithmeticPinnedAcrossCommits(t *testing.T) {
 	}
 	for _, pin := range arithmeticPins {
 		t.Run(pin.name, func(t *testing.T) {
-			ds := tinyDataset(t, pin.multi)
+			features := pin.features
+			if features == 0 {
+				features = 16
+			}
+			ds := tinyDatasetOf(t, pin.multi, features)
 			tr := NewTrainer(ds, NewModel(ds, pin.cfg()))
 			for i, want := range pin.lossBits {
 				if got := math.Float64bits(tr.Step()); got != want {

@@ -20,12 +20,14 @@ import (
 // loss and every gradient it hands Adam have the bits of the every-row
 // pass — Model.Forward, Loss.Eval over the same mask and Model.Backward
 // with Rows nil — on a twin model stepped by its own Adam, over three
-// steps on three subgraphs: sigmoid-BCE and softmax-CE, one to three
-// layers, every aggregator, with dropout and without, at Workers 1
-// and 3.
+// steps on three subgraphs: sigmoid-BCE and softmax-CE, 16 and 40
+// features (at 40 the first layer propagates its output, and at one
+// layer it is also the row-restricted last one), one to three layers,
+// every aggregator, with dropout and without, at Workers 1 and 3.
 func TestStepOnMatchesEveryRowPass(t *testing.T) {
-	for _, multi := range []bool{true, false} {
-		ds := tinyDataset(t, multi)
+	for _, c := range lossFeatureCases {
+		multi := c.multi
+		ds := tinyDatasetOf(t, multi, c.features)
 		train := make([]bool, ds.G.NumVertices())
 		for _, v := range ds.TrainIdx {
 			train[v] = true
@@ -36,7 +38,7 @@ func TestStepOnMatchesEveryRowPass(t *testing.T) {
 					for _, workers := range []int{1, 3} {
 						cfg := tinyConfig()
 						cfg.Layers, cfg.Aggregator, cfg.DropRate, cfg.Workers = layers, agg, drop, workers
-						tag := fmt.Sprintf("multi=%v layers=%d agg=%s drop=%v workers=%d", multi, layers, agg, drop, workers)
+						tag := fmt.Sprintf("multi=%v features=%d layers=%d agg=%s drop=%v workers=%d", multi, c.features, layers, agg, drop, workers)
 						tr := NewTrainer(ds, NewModel(ds, cfg))
 						twin := NewModel(ds, cfg)
 						opt := nn.NewAdam(cfg.LR)
@@ -91,10 +93,12 @@ func TestStepOnMatchesEveryRowPass(t *testing.T) {
 // for bit, and Model.Forward under ctx.Rows gives them to the listed
 // rows and +0 everywhere else; Evaluate returns the F1 of Infer's
 // predictions — over the splits, a list in no order with a repeated
-// vertex (not a Ctx.Rows), and none. Both losses, one and three layers.
+// vertex (not a Ctx.Rows), and none. Both losses, 16 and 40 features
+// (at 40 the first layer propagates its output), one and three layers.
 func TestForwardOnRowsIsInferOnThem(t *testing.T) {
-	for _, multi := range []bool{true, false} {
-		ds := tinyDataset(t, multi)
+	for _, c := range lossFeatureCases {
+		multi := c.multi
+		ds := tinyDatasetOf(t, multi, c.features)
 		for _, layers := range []int{1, 3} {
 			cfg := tinyConfig()
 			cfg.Layers = layers
@@ -112,7 +116,7 @@ func TestForwardOnRowsIsInferOnThem(t *testing.T) {
 				"val": ds.ValIdx, "test": ds.TestIdx, "train": ds.TrainIdx,
 				"unordered": {17, 3, 599, 3, 42}, "none": {},
 			} {
-				tag := fmt.Sprintf("multi=%v layers=%d %s", multi, layers, name)
+				tag := fmt.Sprintf("multi=%v features=%d layers=%d %s", multi, c.features, layers, name)
 				rows := make([]int, len(idx))
 				for i, v := range idx {
 					rows[i] = int(v)
@@ -152,6 +156,15 @@ func TestForwardOnRowsIsInferOnThem(t *testing.T) {
 		}
 	}
 }
+
+// lossFeatureCases are the losses and feature widths the row-list
+// tests run: sigmoid-BCE and softmax-CE, each on 16 features, where no
+// layer of tinyConfig's stack propagates its output, and on 40, where
+// the first one does.
+var lossFeatureCases = []struct {
+	multi    bool
+	features int
+}{{true, 16}, {false, 16}, {true, 40}, {false, 40}}
 
 // reachableFloats walks everything reachable from m — weights,
 // gradients, Adam moments, every layer's cached activations and

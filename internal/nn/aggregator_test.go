@@ -73,25 +73,34 @@ func TestAggSymSelfAdjoint(t *testing.T) {
 }
 
 func TestGCNLayerGradientAllAggregators(t *testing.T) {
-	const n, in, out = 9, 5, 3
-	ctx := testCtx(t, n)
-	r := rng.New(33)
-	for _, agg := range []Aggregator{AggMean, AggSym, AggSum} {
-		l := NewGCNLayer(in, out, r)
-		l.Agg = agg
-		l.Activate = false
-		h := randMat(r, n, in)
-		coeff := randMat(r, n, 2*out)
-		eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
-		eval()
-		dh := l.Backward(ctx, coeff)
-		num := numericalGrad(h, eval)
-		if d := dh.MaxAbsDiff(num); d > 1e-5 {
-			t.Errorf("%s: dH max diff %g", agg, d)
-		}
-		numW := numericalGrad(l.WNeigh.W, eval)
-		if d := l.WNeigh.Grad.MaxAbsDiff(numW); d > 1e-5 {
-			t.Errorf("%s: dWneigh max diff %g", agg, d)
+	const n = 9
+	for _, c := range gradCases(layerShapes) {
+		in, out := c.in, c.out
+		ctx := testGraphCtx(t, n, c.hub)
+		r := rng.New(33)
+		for _, agg := range []Aggregator{AggMean, AggSym, AggSum} {
+			l := NewGCNLayer(in, out, r)
+			l.Agg = agg
+			l.Activate = false
+			h := randMat(r, n, in)
+			coeff := randMat(r, n, 2*out)
+			eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
+			eval()
+			dh := l.Backward(ctx, coeff)
+			for _, tc := range []struct {
+				name     string
+				analytic *mat.Dense
+				variable *mat.Dense
+			}{
+				{"dH", dh, h},
+				{"dWself", l.WSelf.Grad, l.WSelf.W},
+				{"dWneigh", l.WNeigh.Grad, l.WNeigh.W},
+			} {
+				num := numericalGrad(tc.variable, eval)
+				if d := tc.analytic.MaxAbsDiff(num); d > 1e-5 {
+					t.Errorf("%d -> %d hub=%t %s: %s max diff %g", in, out, c.hub, agg, tc.name, d)
+				}
+			}
 		}
 	}
 }

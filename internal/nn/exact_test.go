@@ -7,6 +7,7 @@ package nn
 // sharded paths under the race detector.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,12 +50,12 @@ func TestAggregateBitExactAcrossWorkersAndQ(t *testing.T) {
 }
 
 // layerPass runs one forward+backward through a freshly initialized
-// layer and head at the given worker count and returns everything a
-// training step derives from the kernels: output, input gradient and
-// parameter gradients.
-func layerPass(t *testing.T, workers int) []*mat.Dense {
+// in -> out layer and head at the given worker count and returns
+// everything a training step derives from the kernels: output, input
+// gradient and parameter gradients.
+func layerPass(t *testing.T, in, out, workers int) []*mat.Dense {
 	t.Helper()
-	const n, in, out = 21, 9, 5
+	const n = 21
 	ctx := testCtx(t, n)
 	ctx.Workers = workers
 	ctx.Q = 3
@@ -76,12 +77,18 @@ func layerPass(t *testing.T, workers int) []*mat.Dense {
 	return results
 }
 
+// exactShapes are the (in, out) layer shapes of the bit-exactness
+// tests: 9 -> 5 propagates the input, 11 -> 3 the output.
+var exactShapes = [][2]int{{9, 5}, {11, 3}}
+
 func TestLayerForwardBackwardBitExactAcrossWorkers(t *testing.T) {
-	want := layerPass(t, 1)
-	for _, workers := range []int{2, 8} {
-		got := layerPass(t, workers)
-		for i := range want {
-			requireSame(t, "pass output", got[i], want[i])
+	for _, shape := range exactShapes {
+		want := layerPass(t, shape[0], shape[1], 1)
+		for _, workers := range []int{2, 8} {
+			got := layerPass(t, shape[0], shape[1], workers)
+			for i := range want {
+				requireSame(t, fmt.Sprintf("%d -> %d pass output %d", shape[0], shape[1], i), got[i], want[i])
+			}
 		}
 	}
 }
@@ -90,29 +97,96 @@ func TestLayerForwardBackwardBitExactAcrossWorkers(t *testing.T) {
 // model uses for its first layer accumulates exactly the gradients of
 // the full Backward, with dropout on so the mask path is covered.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
-	const n, in, out = 21, 9, 5
-	grads := func(paramsOnly bool) []*mat.Dense {
-		ctx := testCtx(t, n)
-		ctx.Q = 3
-		ctx.Train, ctx.DropRate, ctx.Rng = true, 0.3, rng.New(5)
-		r := rng.New(77)
-		layer := NewGCNLayer(in, out, r)
-		x := randMat(r, n, in)
-		dOut := randMat(r, n, layer.OutWidth())
-		layer.Forward(ctx, x)
-		if paramsOnly {
-			layer.BackwardParams(ctx, dOut)
-		} else {
-			layer.Backward(ctx, dOut)
+	const n = 21
+	for _, shape := range exactShapes {
+		in, out := shape[0], shape[1]
+		grads := func(paramsOnly bool) []*mat.Dense {
+			ctx := testCtx(t, n)
+			ctx.Q = 3
+			ctx.Train, ctx.DropRate, ctx.Rng = true, 0.3, rng.New(5)
+			r := rng.New(77)
+			layer := NewGCNLayer(in, out, r)
+			x := randMat(r, n, in)
+			dOut := randMat(r, n, layer.OutWidth())
+			layer.Forward(ctx, x)
+			if paramsOnly {
+				layer.BackwardParams(ctx, dOut)
+			} else {
+				layer.Backward(ctx, dOut)
+			}
+			return []*mat.Dense{layer.WSelf.Grad, layer.WNeigh.Grad}
 		}
-		return []*mat.Dense{layer.WSelf.Grad, layer.WNeigh.Grad}
+		want, got := grads(false), grads(true)
+		for i := range want {
+			if want[i].FrobeniusNorm() == 0 {
+				t.Fatalf("%d -> %d: gradient %d is zero: the comparison would be vacuous", in, out, i)
+			}
+			requireSame(t, fmt.Sprintf("%d -> %d BackwardParams gradient", in, out), got[i], want[i])
+		}
 	}
-	want, got := grads(false), grads(true)
-	for i := range want {
-		if want[i].FrobeniusNorm() == 0 {
-			t.Fatalf("gradient %d is zero: the comparison would be vacuous", i)
+}
+
+// TestRowsGetTheEveryRowPassBits: a layer under Ctx.Rows gives the
+// listed rows of its output the every-row pass's bits and +0 to the
+// others, and from an output gradient that is +0 off the list (as a
+// masked loss leaves it) the every-row pass's parameter and input
+// gradients — for a layer that propagates its input and one that
+// propagates its output, with dropout on, at 1 and 3 workers. The
+// second never holds the n x InDim propagated input.
+func TestRowsGetTheEveryRowPassBits(t *testing.T) {
+	const n = 23
+	rows := []int{0, 4, 5, 6, 13, 22}
+	same := func(tag string, got, want *mat.Dense) {
+		t.Helper()
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: element %d = %v, every-row pass %v", tag, i, got.Data[i], v)
+			}
 		}
-		requireSame(t, "BackwardParams gradient", got[i], want[i])
+	}
+	for _, shape := range exactShapes {
+		in, out := shape[0], shape[1]
+		for _, workers := range []int{1, 3} {
+			pass := func(list []int) []*mat.Dense {
+				ctx := testCtx(t, n)
+				ctx.Q, ctx.Workers = 3, workers
+				ctx.Train, ctx.DropRate, ctx.Rng = true, 0.3, rng.New(9)
+				ctx.Rows = list
+				r := rng.New(21)
+				layer := NewGCNLayer(in, out, r)
+				h := randMat(r, n, in)
+				dOut := mat.New(n, layer.OutWidth())
+				for _, i := range rows {
+					copy(dOut.Row(i), randMat(r, 1, layer.OutWidth()).Data)
+				}
+				z := layer.Forward(ctx, h).Clone()
+				dH := layer.Backward(ctx, dOut)
+				if layer.PropagatesOutput() != (layer.lastHNeigh == nil) {
+					t.Fatalf("%d -> %d: PropagatesOutput %t, yet the propagated input is held: %t",
+						in, out, layer.PropagatesOutput(), layer.lastHNeigh != nil)
+				}
+				return []*mat.Dense{z, dH, layer.WSelf.Grad, layer.WNeigh.Grad}
+			}
+			every, listed := pass(nil), pass(rows)
+			tag := fmt.Sprintf("%d -> %d workers=%d", in, out, workers)
+			onList := make([]bool, n)
+			for _, i := range rows {
+				onList[i] = true
+			}
+			wantZ := every[0].Clone()
+			for i := 0; i < n; i++ {
+				if !onList[i] {
+					clear(wantZ.Row(i))
+				}
+			}
+			same(tag+" output", listed[0], wantZ)
+			for i, name := range []string{"dH", "dWself", "dWneigh"} {
+				if every[i+1].FrobeniusNorm() == 0 {
+					t.Fatalf("%s: %s is zero: the comparison would be vacuous", tag, name)
+				}
+				same(tag+" "+name, listed[i+1], every[i+1])
+			}
+		}
 	}
 }
 

@@ -7,7 +7,10 @@
 // All backward passes are hand-derived and verified against numerical
 // gradients in the tests. The feature-aggregation step is routed
 // through the partition package so that training exercises the
-// paper's cache-aware feature-dimension partitioning (Section V).
+// paper's cache-aware feature-dimension partitioning (Section V). A
+// layer propagates the narrower side of its neighbor product: its
+// input H, or H·W_neigh when that is less than half as wide
+// (GCNLayer.PropagatesOutput), a choice made from the shape alone.
 //
 // Layers own what they return: the matrix a layer's Forward or
 // Backward returns is that layer's buffer, overwritten by its next
@@ -153,7 +156,10 @@ func (a *Adam) Steps() int { return a.t }
 //	Z_self, Z_neigh = H·W_self, H_neigh·W_neigh   (weight application)
 //	out     = [ ReLU(Z_self) | ReLU(Z_neigh) ]    (concat + optional activation)
 //
-// Output width is 2*OutDim because of the concatenation.
+// Output width is 2*OutDim because of the concatenation. MeanAgg is a
+// matrix A, so Z_neigh = A·(H·W_neigh) as well: a layer for which
+// PropagatesOutput holds computes it in that order and propagates
+// OutDim columns instead of InDim.
 type GCNLayer struct {
 	InDim, OutDim int
 	WSelf, WNeigh *Param
@@ -165,7 +171,8 @@ type GCNLayer struct {
 	Agg Aggregator
 
 	// Cached activations from the last Forward, consumed by Backward;
-	// lastOut is also the matrix Forward returns.
+	// lastOut is also the matrix Forward returns. lastHNeigh is held
+	// only by a layer that propagates its input.
 	lastH, lastHNeigh, lastOut *mat.Dense
 	lastMask                   []float64
 
@@ -175,10 +182,13 @@ type GCNLayer struct {
 	// the layer and is valid until the layer's next Forward or
 	// Backward. Every kernel writing into these fully overwrites its
 	// destination, so reuse never changes the arithmetic and the
-	// determinism contract holds.
+	// determinism contract holds. bufP (H·W_neigh) and bufDP (its
+	// gradient) are a layer's that propagates its output, bufDHNeigh
+	// one's that does not.
 	bufDrop, bufZSelf, bufZNeigh *mat.Dense
 	bufDZSelf, bufDZNeigh, bufDH *mat.Dense
 	bufDHNeigh, bufBack          *mat.Dense
+	bufP, bufDP                  *mat.Dense
 	bufMask                      []float64
 }
 
@@ -206,11 +216,25 @@ func (l *GCNLayer) Params() []*Param { return []*Param{l.WSelf, l.WNeigh} }
 // OutWidth is the post-concatenation feature width.
 func (l *GCNLayer) OutWidth() int { return 2 * l.OutDim }
 
+// PropagatesOutput reports whether the layer computes its neighbor
+// half as A·(H·W_neigh), propagating OutDim columns, rather than as
+// (A·H)·W_neigh, propagating InDim: when 2·OutDim < InDim. A step
+// propagates OutDim columns twice in that order (forward, and the
+// transpose under dW_neigh = Hᵀ·(Aᵀ·dZ_neigh)) and InDim columns once
+// in the other, twice below the first layer (the input gradient), so
+// the rule is exact for a first layer and conservative above it. It
+// reads the shape alone, so the order is the same at every worker
+// count, block size, row list and kernel level, and inference
+// (core.FullEmbeddings) takes it too.
+func (l *GCNLayer) PropagatesOutput() bool { return 2*l.OutDim < l.InDim }
+
 // Forward runs the layer over ctx.G and returns the n x 2*OutDim
 // output, caching intermediates for Backward. The output is the
 // layer's, until its next call. Under ctx.Rows only the listed rows are
 // computed, the others +0 (Combine of two +0 rows); dropout still
-// draws for every element of h, which the propagation reads whole.
+// draws for every element of h, which the propagation reads whole, and
+// H·W_neigh is still formed on every row when the layer propagates its
+// output.
 func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 	n := h.Rows
 	if n != ctx.G.N {
@@ -228,13 +252,24 @@ func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 		l.bufMask = l.lastMask
 	}
 	l.lastH = h
-	hNeigh := mat.Reuse(&l.lastHNeigh, n, l.InDim)
-	ctx.time("featprop", func() { aggregate(hNeigh, h, ctx.G, l.Agg, ctx.Rows, ctx.Q, ctx.Workers) })
 	zSelf, zNeigh := mat.Reuse(&l.bufZSelf, n, l.OutDim), mat.Reuse(&l.bufZNeigh, n, l.OutDim)
-	ctx.time("weight", func() {
-		mat.MulList(zSelf, h, l.WSelf.W, ctx.Rows, ctx.Workers)
-		mat.MulList(zNeigh, hNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
-	})
+	if l.PropagatesOutput() {
+		// Z_neigh = MeanAgg(H·W_neigh): the product over every row,
+		// all of which the propagation reads.
+		p := mat.Reuse(&l.bufP, n, l.OutDim)
+		ctx.time("weight", func() {
+			mat.MulList(zSelf, h, l.WSelf.W, ctx.Rows, ctx.Workers)
+			mat.Mul(p, h, l.WNeigh.W, ctx.Workers)
+		})
+		ctx.time("featprop", func() { aggregate(zNeigh, p, ctx.G, l.Agg, ctx.Rows, ctx.Q, ctx.Workers) })
+	} else {
+		hNeigh := mat.Reuse(&l.lastHNeigh, n, l.InDim)
+		ctx.time("featprop", func() { aggregate(hNeigh, h, ctx.G, l.Agg, ctx.Rows, ctx.Q, ctx.Workers) })
+		ctx.time("weight", func() {
+			mat.MulList(zSelf, h, l.WSelf.W, ctx.Rows, ctx.Workers)
+			mat.MulList(zNeigh, hNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
+		})
+	}
 	out := mat.Reuse(&l.lastOut, n, 2*l.OutDim)
 	l.Combine(out, zSelf, zNeigh, ctx.Workers)
 	return out
@@ -301,16 +336,25 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 	dZSelf, dZNeigh := l.bufDZSelf, l.bufDZNeigh
 	n := dOut.Rows
 
-	// dH = dZ_self·W_selfᵀ + MeanAggᵀ(dZ_neigh·W_neighᵀ); under
-	// ctx.Rows the products' unlisted rows are +0, and the transpose
-	// aggregation spreads the listed ones to every row.
-	dH, dHNeigh := mat.Reuse(&l.bufDH, n, l.InDim), mat.Reuse(&l.bufDHNeigh, n, l.InDim)
-	ctx.time("weight", func() {
-		mat.MulBTList(dH, dZSelf, l.WSelf.W, ctx.Rows, ctx.Workers)
-		mat.MulBTList(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
-	})
-	back := mat.Reuse(&l.bufBack, n, l.InDim)
-	ctx.time("featprop", func() { aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
+	// dH = dZ_self·W_selfᵀ + back, the neighbor half's share: under
+	// ctx.Rows the products of listed rows are +0 in the others, and the
+	// transpose aggregation spreads the listed ones to every row.
+	dH, back := mat.Reuse(&l.bufDH, n, l.InDim), mat.Reuse(&l.bufBack, n, l.InDim)
+	if l.PropagatesOutput() {
+		// back = dP·W_neighᵀ, dP = MeanAggᵀ(dZ_neigh) (BackwardParams).
+		ctx.time("weight", func() {
+			mat.MulBTList(dH, dZSelf, l.WSelf.W, ctx.Rows, ctx.Workers)
+			mat.MulBT(back, l.bufDP, l.WNeigh.W, ctx.Workers)
+		})
+	} else {
+		// back = MeanAggᵀ(dZ_neigh·W_neighᵀ).
+		dHNeigh := mat.Reuse(&l.bufDHNeigh, n, l.InDim)
+		ctx.time("weight", func() {
+			mat.MulBTList(dH, dZSelf, l.WSelf.W, ctx.Rows, ctx.Workers)
+			mat.MulBTList(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
+		})
+		ctx.time("featprop", func() { aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
+	}
 	mat.AddScaledP(dH, back, 1, ctx.Workers)
 	for i, m := range l.lastMask {
 		dH.Data[i] *= m
@@ -321,8 +365,8 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 // BackwardParams is the part of Backward that sets the parameter
 // gradients, without the gradient w.r.t. the layer input: what the
 // first layer of a stack needs, whose input is data. The input
-// gradient costs two GEMMs and a transpose aggregation at the stack's
-// widest feature dimension.
+// gradient costs two GEMMs at the stack's widest feature dimension and,
+// for a layer that propagates its input, a transpose aggregation there.
 func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 	if l.lastOut == nil {
 		panic("nn: Backward called before Forward")
@@ -331,11 +375,22 @@ func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 	dZSelf, dZNeigh := mat.Reuse(&l.bufDZSelf, n, l.OutDim), mat.Reuse(&l.bufDZNeigh, n, l.OutDim)
 	l.CombineGrad(dZSelf, dZNeigh, l.lastOut, dOut, ctx.Workers)
 
+	// dW_self = Hᵀ·dZ_self; dW_neigh = H_neighᵀ·dZ_neigh, or Hᵀ·dP with
+	// dP = MeanAggᵀ(dZ_neigh) on every row for a layer that propagates
+	// its output. Each is written straight into its gradient (see
+	// mat.MulAT on -0).
+	if !l.PropagatesOutput() {
+		ctx.time("weight", func() {
+			mat.MulATList(l.WSelf.Grad, l.lastH, dZSelf, ctx.Rows, ctx.Workers)
+			mat.MulATList(l.WNeigh.Grad, l.lastHNeigh, dZNeigh, ctx.Rows, ctx.Workers)
+		})
+		return
+	}
+	dP := mat.Reuse(&l.bufDP, n, l.OutDim)
+	ctx.time("featprop", func() { aggregateT(dP, dZNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
 	ctx.time("weight", func() {
-		// dW_self = Hᵀ·dZ_self ; dW_neigh = H_neighᵀ·dZ_neigh, each
-		// written straight into its gradient (see mat.MulAT on -0).
 		mat.MulATList(l.WSelf.Grad, l.lastH, dZSelf, ctx.Rows, ctx.Workers)
-		mat.MulATList(l.WNeigh.Grad, l.lastHNeigh, dZNeigh, ctx.Rows, ctx.Workers)
+		mat.MulAT(l.WNeigh.Grad, l.lastH, dP, ctx.Workers)
 	})
 }
 

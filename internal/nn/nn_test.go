@@ -11,11 +11,22 @@ import (
 
 func testCtx(tb testing.TB, n int) *Ctx {
 	tb.Helper()
-	// A ring plus chords gives every vertex degree >= 2.
+	return testGraphCtx(tb, n, false)
+}
+
+// testGraphCtx is testCtx's graph, a ring plus chords, which gives every
+// vertex degree >= 2 — and, with hub, edges from vertex 0 to every even
+// vertex. The ring alone is regular, and on a regular graph the mean
+// aggregator is its own transpose; the hub's degrees tell them apart.
+func testGraphCtx(tb testing.TB, n int, hub bool) *Ctx {
+	tb.Helper()
 	var edges []graph.Edge
 	for i := 0; i < n; i++ {
 		edges = append(edges, graph.Edge{U: int32(i), V: int32((i + 1) % n)})
 		edges = append(edges, graph.Edge{U: int32(i), V: int32((i + 3) % n)})
+		if hub && i > 0 && i%2 == 0 {
+			edges = append(edges, graph.Edge{U: 0, V: int32(i)})
+		}
 	}
 	g, err := graph.FromEdges(n, edges)
 	if err != nil {
@@ -99,32 +110,68 @@ func numericalGrad(x *mat.Dense, eval func() float64) *mat.Dense {
 	return g
 }
 
+// layerShapes are the (in, out) shapes the layer tests run: one a layer
+// propagates its input at, one it propagates its output at (2·out < in).
+var layerShapes = [][2]int{{5, 3}, {11, 3}}
+
+// gradCase is a layer shape and a test graph of the numerical gradient
+// checks.
+type gradCase struct {
+	in, out int
+	hub     bool
+}
+
+// gradCases pairs every shape with testCtx's regular graph and with
+// the hub graph, where a propagation that should be transposed and is
+// not gives a wrong gradient.
+func gradCases(shapes [][2]int) []gradCase {
+	var cs []gradCase
+	for _, s := range shapes {
+		cs = append(cs, gradCase{s[0], s[1], false}, gradCase{s[0], s[1], true})
+	}
+	return cs
+}
+
+func TestPropagatesOutputRule(t *testing.T) {
+	for _, c := range []struct {
+		in, out int
+		want    bool
+	}{{5, 3, false}, {11, 3, true}, {16, 8, false}, {17, 8, true}, {602, 8, true}, {50, 128, false}, {256, 128, false}, {6, 3, false}, {7, 3, true}} {
+		if got := (&GCNLayer{InDim: c.in, OutDim: c.out}).PropagatesOutput(); got != c.want {
+			t.Errorf("%d -> %d: PropagatesOutput = %t, want %t", c.in, c.out, got, c.want)
+		}
+	}
+}
+
 func TestGCNLayerGradientNumeric(t *testing.T) {
-	const n, in, out = 9, 5, 3
-	ctx := testCtx(t, n)
-	r := rng.New(3)
-	l := NewGCNLayer(in, out, r)
-	l.Activate = false // keep the objective smooth for central differences
-	h := randMat(r, n, in)
-	coeff := randMat(r, n, 2*out)
+	const n = 9
+	for _, c := range gradCases(layerShapes) {
+		in, out := c.in, c.out
+		ctx := testGraphCtx(t, n, c.hub)
+		r := rng.New(3)
+		l := NewGCNLayer(in, out, r)
+		l.Activate = false // keep the objective smooth for central differences
+		h := randMat(r, n, in)
+		coeff := randMat(r, n, 2*out)
 
-	eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
+		eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
 
-	eval() // populate caches
-	dh := l.Backward(ctx, coeff)
+		eval() // populate caches
+		dh := l.Backward(ctx, coeff)
 
-	for _, tc := range []struct {
-		name     string
-		analytic *mat.Dense
-		variable *mat.Dense
-	}{
-		{"dH", dh, h},
-		{"dWself", l.WSelf.Grad, l.WSelf.W},
-		{"dWneigh", l.WNeigh.Grad, l.WNeigh.W},
-	} {
-		num := numericalGrad(tc.variable, eval)
-		if d := tc.analytic.MaxAbsDiff(num); d > 1e-5 {
-			t.Errorf("%s: max |analytic - numeric| = %g", tc.name, d)
+		for _, tc := range []struct {
+			name     string
+			analytic *mat.Dense
+			variable *mat.Dense
+		}{
+			{"dH", dh, h},
+			{"dWself", l.WSelf.Grad, l.WSelf.W},
+			{"dWneigh", l.WNeigh.Grad, l.WNeigh.W},
+		} {
+			num := numericalGrad(tc.variable, eval)
+			if d := tc.analytic.MaxAbsDiff(num); d > 1e-5 {
+				t.Errorf("%d -> %d hub=%t %s: max |analytic - numeric| = %g", in, out, c.hub, tc.name, d)
+			}
 		}
 	}
 }
@@ -132,18 +179,31 @@ func TestGCNLayerGradientNumeric(t *testing.T) {
 func TestGCNLayerGradientNumericWithReLU(t *testing.T) {
 	// With ReLU active the objective is piecewise linear; points on a
 	// kink are measure-zero, so central differences still agree.
-	const n, in, out = 8, 4, 2
-	ctx := testCtx(t, n)
-	r := rng.New(4)
-	l := NewGCNLayer(in, out, r)
-	h := randMat(r, n, in)
-	coeff := randMat(r, n, 2*out)
-	eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
-	eval()
-	dh := l.Backward(ctx, coeff)
-	num := numericalGrad(h, eval)
-	if d := dh.MaxAbsDiff(num); d > 1e-5 {
-		t.Errorf("dH with ReLU: max diff %g", d)
+	const n = 8
+	for _, c := range gradCases([][2]int{{4, 2}, {11, 3}}) {
+		in, out := c.in, c.out
+		ctx := testGraphCtx(t, n, c.hub)
+		r := rng.New(4)
+		l := NewGCNLayer(in, out, r)
+		h := randMat(r, n, in)
+		coeff := randMat(r, n, 2*out)
+		eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
+		eval()
+		dh := l.Backward(ctx, coeff)
+		for _, tc := range []struct {
+			name     string
+			analytic *mat.Dense
+			variable *mat.Dense
+		}{
+			{"dH", dh, h},
+			{"dWself", l.WSelf.Grad, l.WSelf.W},
+			{"dWneigh", l.WNeigh.Grad, l.WNeigh.W},
+		} {
+			num := numericalGrad(tc.variable, eval)
+			if d := tc.analytic.MaxAbsDiff(num); d > 1e-5 {
+				t.Errorf("%d -> %d hub=%t %s with ReLU: max diff %g", in, out, c.hub, tc.name, d)
+			}
+		}
 	}
 }
 
