@@ -265,8 +265,11 @@ func (m *Model) infer(ds *datasets.Dataset, rows []int) *mat.Dense {
 // returns the logits, which are the head's until its next call. The
 // rows ctx lists go to the last layer and the head alone: every layer
 // below feeds the last one's propagation, which reads all its rows.
+// ctx.InRows, where h is a table the graph's vertices index (a
+// subgraph's into the dataset's features), goes to the first layer
+// alone: every layer above reads its own predecessor's output.
 func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
-	rows := ctx.Rows
+	rows, in := ctx.Rows, ctx.InRows
 	ctx.Rows = nil
 	x := h
 	for i, l := range m.Layers {
@@ -274,8 +277,9 @@ func (m *Model) Forward(ctx *nn.Ctx, h *mat.Dense) *mat.Dense {
 			ctx.Rows = rows
 		}
 		x = l.Forward(ctx, x)
+		ctx.InRows = nil
 	}
-	ctx.Rows = rows
+	ctx.Rows, ctx.InRows = rows, in
 	return m.Head.Forward(ctx, x)
 }
 

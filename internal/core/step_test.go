@@ -66,3 +66,38 @@ func TestWarmStepOnAllocatesLessThanAnActivation(t *testing.T) {
 		t.Errorf("a warm StepOn allocates %d bytes, one %d x %d activation is %d", perStep, sub.N, 2*cfg.Hidden, activation)
 	}
 }
+
+// TestWarmReorderedStepOnAllocations: a warmed StepOn whose first layer
+// propagates its output (40 features, hidden 8, two layers) reads the
+// features in place through the pair forms, which take their scratch
+// from pools, so its allocation count per step — closures handed to the
+// parallel regions, and small headers — is a ratchet: no higher than
+// the count before the pair forms, measured at that commit (ba5188a)
+// with this test's loop: 36 at Workers 1 and 68 at Workers 2. The
+// collector is off while it counts, as in the test above; under the
+// race detector the counts are logged, not held to the ceiling.
+func TestWarmReorderedStepOnAllocations(t *testing.T) {
+	ds := tinyDatasetOf(t, false, 40)
+	for _, c := range []struct{ workers, ceiling int }{{1, 36}, {2, 68}} {
+		cfg := tinyConfig()
+		cfg.Hidden, cfg.Layers, cfg.Workers = 8, 2, c.workers
+		tr := NewTrainer(ds, NewModel(ds, cfg))
+		if !tr.Model.Layers[0].PropagatesOutput() {
+			t.Fatal("the first layer does not propagate its output; the test would not reach the pair forms")
+		}
+		fr := &sampler.Frontier{G: ds.G, M: cfg.FrontierM, N: cfg.Budget, Eta: 2}
+		sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(5, 0))
+		tr.StepOn(sub)
+		tr.StepOn(sub)
+		gc := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(50, func() { tr.StepOn(sub) })
+		debug.SetGCPercent(gc)
+		t.Logf("Workers %d: %v allocations per step", c.workers, allocs)
+		if allocs > float64(c.ceiling) && !raceDetector {
+			t.Errorf("a warm StepOn at Workers %d allocates %v objects, more than the ceiling %d", c.workers, allocs, c.ceiling)
+		}
+	}
+}
+
+// raceDetector is set in builds with the race detector (race_test.go).
+var raceDetector bool

@@ -33,11 +33,12 @@ type Trainer struct {
 	steps     int
 	dropRng   *rng.RNG
 
-	// Per-step gather scratch, reused across Step calls (fully
-	// overwritten each step) to cut allocation churn on the hot path.
-	bufH0, bufLabels, bufDLogits *mat.Dense
-	bufIdx                       []int
-	bufMask                      []int
+	// Per-step scratch, reused across Step calls (fully overwritten
+	// each step) to cut allocation churn on the hot path. The features
+	// are not gathered: the first layer reads them through bufIdx.
+	bufLabels, bufDLogits *mat.Dense
+	bufIdx                []int
+	bufMask               []int
 }
 
 // NewTrainer wires a trainer with a Dashboard frontier sampler pool.
@@ -81,15 +82,16 @@ func (t *Trainer) Steps() int { return t.steps }
 // the next subgraph of the pool; see StepOn.
 func (t *Trainer) Step() float64 { return t.StepOn(t.nextSubgraph()) }
 
-// StepOn performs one training iteration on sub: gather its features
-// and labels, run forward and backward propagation, and apply an Adam
+// StepOn performs one training iteration on sub: gather its labels,
+// run forward and backward propagation — the first layer reading sub's
+// rows of the feature table through nn.Ctx.InRows — and apply an Adam
 // update. It returns the minibatch loss. A subgraph whose vertex set
 // contains no training vertices is skipped with zero loss (possible on
 // tiny datasets). StepOn never touches the Pool, so a caller stepping
 // subgraphs of its own starts no background sampling.
 func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
 	n, feat, cfg := sub.N, t.DS.FeatureDim(), t.Model.cfg
-	h0, labels := mat.Reuse(&t.bufH0, n, feat), mat.Reuse(&t.bufLabels, n, t.DS.NumClasses)
+	labels := mat.Reuse(&t.bufLabels, n, t.DS.NumClasses)
 	idx := slices.Grow(t.bufIdx[:0], n)[:n]
 	t.bufIdx = idx
 	mask := t.bufMask[:0]
@@ -103,15 +105,15 @@ func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
 	if len(mask) == 0 {
 		return 0
 	}
-	mat.GatherRowsP(h0, t.DS.Features, idx, cfg.Workers)
 	mat.GatherRowsP(labels, t.DS.Labels, idx, cfg.Workers)
 
 	ctx := t.Model.CtxForGraph(sub.CSR, feat, t.Timer)
 	ctx.Rows = mask // the rows the loss reads, ascending
+	ctx.InRows = idx
 	if cfg.DropRate > 0 {
 		ctx.Train, ctx.DropRate, ctx.Rng = true, cfg.DropRate, t.dropRng
 	}
-	logits := t.Model.Forward(ctx, h0)
+	logits := t.Model.Forward(ctx, t.DS.Features)
 	dLogits := mat.Reuse(&t.bufDLogits, n, t.DS.NumClasses)
 	var loss float64
 	t.Timer.Time("loss", func() { loss = t.Model.Loss.Eval(logits, labels, mask, dLogits) })

@@ -96,6 +96,15 @@ func narrowFuzzMats(mb, kb, nb, zeros uint8, seed uint64, raw []byte) (a, b *Den
 // the list form never forms. MulAT and MulATList run at 1 to 4
 // workers, picked by the seed's low bits: how their output rows are
 // split among the workers must not reach a bit.
+//
+// The pair forms are held to the single forms over the gathered rows,
+// bit for bit, NaN payloads included, at the same workers: MulPair
+// reads a's rows through a list the seed draws (fuzzAt: in no order,
+// with repeats) and MulATPair aᵀ's, each against b and b with its rows
+// reversed, so that the hostile values of b meet other terms in the
+// second product. The pair-* seeds are for them: rows of 8 (the fused
+// kernels) with one MulAT shard and several, and rows of 13 (the
+// gathered fallback).
 func FuzzNarrowRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zeros uint8, seed uint64, raw []byte) {
 		a, b := narrowFuzzMats(mb, kb, nb, zeros, seed, raw)
@@ -120,7 +129,43 @@ func FuzzNarrowRows(f *testing.F) {
 		requireSameBits(t, "MulBT "+tag, got.Data, refMulBT(a, bt).Data)
 		MulBTList(list, a, bt, rows, 1)
 		requireSameBits(t, "MulBTList "+tag, list.Data, zeroUnlisted(got, rows).Data)
+
+		br := New(b.Rows, b.Cols)
+		for i := 0; i < b.Rows; i++ {
+			copy(br.Row(i), b.Row(b.Rows-1-i))
+		}
+		wantA, wantB, gotA, gotB := New(a.Rows, b.Cols), New(a.Rows, b.Cols), New(a.Rows, b.Cols), New(a.Rows, b.Cols)
+		in := fuzzAt(seed, a.Rows)
+		g := New(len(in), a.Cols)
+		GatherRows(g, a, in)
+		Mul(wantA, g, b, workers)
+		Mul(wantB, g, br, workers)
+		MulPair(gotA, gotB, a, in, b, br, workers)
+		ptag := fmt.Sprintf("%s workers=%d", tag, workers)
+		requireBits(t, "MulPair (b) "+ptag, gotA.Data, wantA.Data)
+		requireBits(t, "MulPair (b reversed) "+ptag, gotB.Data, wantB.Data)
+		in = fuzzAt(seed, at.Rows)
+		g = New(len(in), at.Cols)
+		GatherRows(g, at, in)
+		MulAT(wantA, g, b, workers)
+		MulAT(wantB, g, br, workers)
+		MulATPair(gotA, gotB, at, in, b, br, workers)
+		requireBits(t, "MulATPair (b) "+ptag, gotA.Data, wantA.Data)
+		requireBits(t, "MulATPair (b reversed) "+ptag, gotB.Data, wantB.Data)
 	})
+}
+
+// fuzzAt draws the row list of a pair form over m rows from a fuzz
+// input's seed: m entries, each a row below m, in no order and with
+// repeats.
+func fuzzAt(seed uint64, m int) []int {
+	at := make([]int, m)
+	x := seed ^ 0x9e3779b97f4a7c15
+	for i := range at {
+		x = x*6364136223846793005 + 1442695040888963407
+		at[i] = int(x>>33) % m
+	}
+	return at
 }
 
 // fuzzRows draws a row list over m rows from a fuzz input's seed: each

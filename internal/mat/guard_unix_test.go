@@ -407,3 +407,56 @@ func TestMulBTStaysInsideItsSlices(t *testing.T) {
 		}
 	})
 }
+
+// TestPairKernelsStayInsideTheirSlices: the two pair kernels on rows of
+// 8 with every operand ending on the last bytes of an allocation — their
+// outputs or accumulators, both right operands, the four-row copy they
+// take below AVX-512, and a table whose last row is one of the four
+// rows they read, at an offset of each position — at widths from one
+// column to the first layer's 602, at every level.
+func TestPairKernelsStayInsideTheirSlices(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		for _, k := range []int{1, 3, 5, 64, 602} {
+			const rows = 6
+			a := guardedFloats(t, rows*k)
+			for i := range a {
+				a[i] = float64((i/k + i%k) % 3) // a third of a is zeros
+			}
+			for last := 0; last < 4; last++ {
+				offs := [4]int{0, 2 * k, 4 * k, 3 * k}
+				offs[last] = (rows - 1) * k
+				quad := guardedFloats(t, 4*k)
+				dA, dB := guardedFloats(t, 32), guardedFloats(t, 32)
+				srcA, srcB := guardedFloats(t, 8*k), guardedFloats(t, 8*k)
+				for i := range srcA {
+					srcA[i], srcB[i] = 0.25, 0.5
+				}
+				axpyRows4x8Pair(dA, dB, srcA, srcB, a, &offs, k, quad)
+				for i := range dA {
+					want := 0.0
+					for _, v := range a[offs[i/8] : offs[i/8]+k] {
+						want += v
+					}
+					if dA[i] != want*0.25 || dB[i] != want*0.5 {
+						t.Fatalf("axpyRows4x8Pair k=%d last=%d: element %d = %v, %v, want %v, %v", k, last, i, dA[i], dB[i], want*0.25, want*0.5)
+					}
+				}
+				accA, accB := guardedFloats(t, 8*k), guardedFloats(t, 8*k)
+				bA, bB := guardedFloats(t, 32), guardedFloats(t, 32)
+				for i := range bA {
+					bA[i], bB[i] = 0.25, 0.5
+				}
+				accumAT8Pair(accA, accB, a, &offs, bA, bB, k, quad)
+				for i := range accA {
+					want := 0.0
+					for _, o := range offs {
+						want += a[o+i/8]
+					}
+					if accA[i] != want*0.25 || accB[i] != want*0.5 {
+						t.Fatalf("accumAT8Pair k=%d last=%d: element %d = %v, %v, want %v, %v", k, last, i, accA[i], accB[i], want*0.25, want*0.5)
+					}
+				}
+			}
+		}
+	})
+}

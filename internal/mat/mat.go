@@ -31,7 +31,16 @@
 // via perf.Parallel. Each form also takes a row list (MulList,
 // MulATList, MulBTList; the plain names are the every-row case): a
 // training step's last layer computes only the rows its loss reads,
-// and gets the every-row bits in them.
+// and gets the every-row bits in them. The pair forms (pair.go: MulPair,
+// MulATPair) compute a layer's two products of one left operand in one
+// pass over it, reading its rows through a row-index operand at (a
+// subgraph's vertex ids into the feature table, in any order), so a
+// first layer needs no gathered copy of its input; on rows of 8 the
+// AVX-512 level runs them through axpyRows4x8Pair and accumAT8Pair,
+// axpyRows4x8 and accumAT8 with two accumulators a row and one masked
+// alpha shared by both, and the lower levels through those two over a
+// four-row copy. Either way they give the bits of the single forms
+// over the gathered rows.
 package mat
 
 import (
@@ -425,11 +434,7 @@ func MulATList(dst, a, b *Dense, rows []int, workers int) {
 	shards := mulATShards(a.Rows, k, n)
 	var partial []float64
 	if shards > 1 {
-		buf, _ := mulATScratch.Get().(*[]float64)
-		if buf == nil || cap(*buf) < k*n {
-			grown := make([]float64, k*n)
-			buf = &grown
-		}
+		buf := scratchOf(&mulATScratch, k*n)
 		defer mulATScratch.Put(buf)
 		partial = (*buf)[:k*n]
 	}
@@ -455,6 +460,17 @@ func MulATList(dst, a, b *Dense, rows []int, workers int) {
 // rows of it before every shard, so concurrent callers and stale
 // contents are both harmless.
 var mulATScratch sync.Pool
+
+// scratchOf returns a buffer of at least n floats from pool, which the
+// caller puts back once it is done with it.
+func scratchOf(pool *sync.Pool, n int) *[]float64 {
+	buf, _ := pool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < n {
+		grown := make([]float64, n)
+		buf = &grown
+	}
+	return buf
+}
 
 // mulATShards returns the fixed shard count for a MulAT of the given
 // shape: at least 64 rows per shard so each shard's sum amortizes its
@@ -574,11 +590,7 @@ func mulBTPack(b *Dense) (packed []float64, buf *[]float64) {
 		return nil, nil
 	}
 	size := groups * 16 * b.Cols
-	buf, _ = mulBTPacks.Get().(*[]float64)
-	if buf == nil || cap(*buf) < size {
-		grown := make([]float64, size)
-		buf = &grown
-	}
+	buf = scratchOf(&mulBTPacks, size)
 	packed = (*buf)[:size]
 	packBT16(packed, b.Data, b.Cols, groups)
 	return packed, buf

@@ -11,9 +11,10 @@ import (
 // and the reference the differential tests compare against), AVX2
 // routines in simd_amd64.s, and on CPUs with AVX-512 the AVX2 routines
 // but for the AVX-512 kernels — the list walk under axpyRows and
-// GatherSum, the sixteen-row dot under MulBT (dot16), and the two
-// kernels on rows of 8, axpyRows4x8 and accumAT8, one ZMM register a
-// row. The assembly keeps the Go loop's arithmetic exactly — a
+// GatherSum, the sixteen-row dot under MulBT (dot16), and the four
+// kernels on rows of 8, axpyRows4x8 and accumAT8 and their pair forms
+// axpyRows4x8Pair and accumAT8Pair, one ZMM register a row. The
+// assembly keeps the Go loop's arithmetic exactly — a
 // separate multiply and add per element, never a fused one, for dot
 // the same four accumulator lanes reduced as ((s0+s1)+s2)+s3 before a
 // scalar tail, and for
@@ -452,6 +453,81 @@ func accumAT8Go(acc, a, b []float64, k, astride, count int) {
 			}
 		}
 	}
+}
+
+// axpyRows4x8Pair is axpyRows4x8 for two products of the same four rows
+// of a, which lie wherever offs says: for r = 0..3 and t = 0..count-1
+// in that order,
+//
+//	dstA[8r : 8r+8] += a[offs[r]+t] * srcA[8t : 8t+8]
+//	dstB[8r : 8r+8] += a[offs[r]+t] * srcB[8t : 8t+8]
+//
+// skipping every zero alpha — four rows of a[at]·bA and a[at]·bB. At
+// the AVX-512 level one kernel reads each alpha once for both; below
+// it the four rows are copied into quad (4*count floats) and taken by
+// axpyRows4x8, once per product. Either way each element gets
+// axpyRows4x8's bits, under its contract: every element of dstA and
+// dstB is a sum that started from +0. It panics if an offset leaves
+// its row outside a, or if an operand is too short.
+func axpyRows4x8Pair(dstA, dstB, srcA, srcB, a []float64, offs *[4]int, count int, quad []float64) {
+	if count <= 0 {
+		return
+	}
+	dstA, dstB = dstA[:32:len(dstA)], dstB[:32:len(dstB)]
+	srcA, srcB = srcA[:8*count:len(srcA)], srcB[:8*count:len(srcB)]
+	for _, o := range offs {
+		if o < 0 || o > len(a)-count {
+			panic("mat: axpyRows4x8Pair row outside a")
+		}
+	}
+	if useAVX512 {
+		axpyRows4x8PairAVX512(dstA, dstB, srcA, srcB, a, offs, count)
+		return
+	}
+	quad = quad[: 4*count : len(quad)]
+	for r, o := range offs {
+		copy(quad[r*count:(r+1)*count], a[o:o+count])
+	}
+	axpyRows4x8(dstA, srcA, quad, count, count)
+	axpyRows4x8(dstB, srcB, quad, count, count)
+}
+
+// accumAT8Pair is accumAT8 for two products of the same four rows of a,
+// which lie wherever offs says, each k long: for t = 0..3 in that
+// order and every c < k,
+//
+//	accA[8c : 8c+8] += a[offs[t]+c] * bA[8t : 8t+8]
+//	accB[8c : 8c+8] += a[offs[t]+c] * bB[8t : 8t+8]
+//
+// skipping every zero of a — four rows' terms of a[at]ᵀ·bA and
+// a[at]ᵀ·bB. At the AVX-512 level one kernel walks accA and accB
+// together, reading each element of a once for both; below it the four
+// rows are copied into quad (4*k floats) and taken by accumAT8, once per
+// product. Either way each element gets accumAT8's bits, under its
+// contract: every element of accA and accB is a sum that started from
+// +0. It panics if an offset leaves its row outside a, or if an operand
+// is too short.
+func accumAT8Pair(accA, accB, a []float64, offs *[4]int, bA, bB []float64, k int, quad []float64) {
+	if k <= 0 {
+		return
+	}
+	accA, accB = accA[:8*k:len(accA)], accB[:8*k:len(accB)]
+	bA, bB = bA[:32:len(bA)], bB[:32:len(bB)]
+	for _, o := range offs {
+		if o < 0 || o > len(a)-k {
+			panic("mat: accumAT8Pair row outside a")
+		}
+	}
+	if useAVX512 {
+		accumAT8PairAVX512(accA, accB, a, offs, bA, bB, k)
+		return
+	}
+	quad = quad[: 4*k : len(quad)]
+	for r, o := range offs {
+		copy(quad[r*k:(r+1)*k], a[o:o+k])
+	}
+	accumAT8(accA, quad, bA, k, k, 4)
+	accumAT8(accB, quad, bB, k, k, 4)
 }
 
 // ones is the alpha list of an unweighted GatherSum: x*1 is x.

@@ -124,7 +124,27 @@ func axpyRows4x8AVX512(dst, src, alpha []float64, rs, count int)
 //go:noescape
 func accumAT8AVX512(acc, a, b []float64, k, astride, count int)
 
-// gatherRowsSIMD computes dst[i] = (dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
+// axpyRows4x8PairAVX512 computes, for r < 4 and t = 0..count-1 in that
+// order, dstA[8r+i] += a[offs[r]+t]*srcA[8t+i] and dstB[8r+i] +=
+// a[offs[r]+t]*srcB[8t+i] for i < 8, with the products of zero alphas
+// masked to +0 as axpyRows4x8AVX2 masks them. count must be at least 1,
+// len(dstA) and len(dstB) at least 32, len(srcA) and len(srcB) at least
+// 8*count, and every offs[r] in 0..len(a)-count.
+//
+//go:noescape
+func axpyRows4x8PairAVX512(dstA, dstB, srcA, srcB, a []float64, offs *[4]int, count int)
+
+// accumAT8PairAVX512 computes, for t = 0..3 in that order and c < k,
+// accA[8c+i] += a[offs[t]+c]*bA[8t+i] and accB[8c+i] +=
+// a[offs[t]+c]*bB[8t+i] for i < 8, with the products of zeros of a
+// masked to +0 as accumAT8AVX2 masks them. k must be at least 1,
+// len(accA) and len(accB) at least 8*k, len(bA) and len(bB) at least
+// 32, and every offs[t] in 0..len(a)-k.
+//
+//go:noescape
+func accumAT8PairAVX512(accA, accB, a []float64, offs *[4]int, bA, bB []float64, k int)
+
+// gatherRowsSIMD computes dst[i] =(dst[i] + Σ alpha[t]*src[offs[t]+i]) * scale
 // for i < len(dst), over t = 0..len(offs)-1 in that order, with +0 in
 // place of dst[i] when fresh. len(offs) must be 1..listMax, len(alpha)
 // at least len(offs), and every offs[t] in 0..len(src)-len(dst).

@@ -917,6 +917,130 @@ zatDone:
 	VZEROUPPER
 	RET
 
+// ROW8PAIRZ is ROW8Z for two products that share an alpha: the alpha at
+// the given address, broadcast into Z10 and compared with Z15 (+0) once,
+// sets the mask k; the zero-masking multiplies leave sA and sB times it
+// in Z11 and Z12 (+0 in every lane for a zero alpha), which are added to
+// accA and accB. Each accumulator sees ROW8Z's arithmetic.
+#define ROW8PAIRZ(alpha, sA, sB, k, accA, accB) \
+	VBROADCASTSD alpha, Z10;        \
+	VCMPPD       $4, Z15, Z10, k;   \
+	VMULPD.Z     sA, Z10, k, Z11;   \
+	VMULPD.Z     sB, Z10, k, Z12;   \
+	VADDPD       Z11, accA, accA;   \
+	VADDPD       Z12, accB, accB
+
+// PAIRROWS points R10..R13 at the four rows of a, the element offsets
+// in the [4]int at BX from a's base in AX.
+#define PAIRROWS \
+	MOVQ (BX), R10;         \
+	LEAQ (AX)(R10*8), R10;  \
+	MOVQ 8(BX), R11;        \
+	LEAQ (AX)(R11*8), R11;  \
+	MOVQ 16(BX), R12;       \
+	LEAQ (AX)(R12*8), R12;  \
+	MOVQ 24(BX), R13;       \
+	LEAQ (AX)(R13*8), R13
+
+// func axpyRows4x8PairAVX512(dstA, dstB, srcA, srcB, a []float64, offs *[4]int, count int)
+//
+// axpyRows4x8AVX512 for two products at once: the four rows of dstA
+// live in Z0..Z3 and those of dstB in Z4..Z7, and each pass loads row t
+// of srcA into Z8 and of srcB into Z9 and adds both, times each row's
+// alpha a[offs[r]+t] (R10..R13, indexed by t in BX), to the row's two
+// accumulators under one mask. The four rows of a are read where they
+// lie, one element each per pass. The arithmetic per element, and the
+// argument that masking a zero alpha changes no bit, are
+// axpyRows4x8AVX2's.
+TEXT ·axpyRows4x8PairAVX512(SB), NOSPLIT, $0-136
+	MOVQ    dstA_base+0(FP), DI
+	MOVQ    dstB_base+24(FP), DX
+	MOVQ    srcA_base+48(FP), SI
+	MOVQ    srcB_base+72(FP), R9
+	MOVQ    a_base+96(FP), AX
+	MOVQ    offs+120(FP), BX
+	MOVQ    count+128(FP), CX
+	PAIRROWS
+	XORQ    BX, BX
+	VPXORQ  Z15, Z15, Z15
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD (DX), Z4
+	VMOVUPD 64(DX), Z5
+	VMOVUPD 128(DX), Z6
+	VMOVUPD 192(DX), Z7
+
+zpairTerm:
+	VMOVUPD (SI), Z8
+	VMOVUPD (R9), Z9
+	ROW8PAIRZ((R10)(BX*8), Z8, Z9, K1, Z0, Z4)
+	ROW8PAIRZ((R11)(BX*8), Z8, Z9, K2, Z1, Z5)
+	ROW8PAIRZ((R12)(BX*8), Z8, Z9, K3, Z2, Z6)
+	ROW8PAIRZ((R13)(BX*8), Z8, Z9, K4, Z3, Z7)
+	ADDQ    $64, SI
+	ADDQ    $64, R9
+	INCQ    BX
+	CMPQ    BX, CX
+	JB      zpairTerm
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, (DX)
+	VMOVUPD Z5, 64(DX)
+	VMOVUPD Z6, 128(DX)
+	VMOVUPD Z7, 192(DX)
+	VZEROUPPER
+	RET
+
+// func accumAT8PairAVX512(accA, accB, a []float64, offs *[4]int, bA, bB []float64, k int)
+//
+// accumAT8AVX512 for two products at once: the four rows of bA live in
+// Z0..Z3 and those of bB in Z4..Z7, and each pass over c = 0..k-1 loads
+// row c of accA into Z8 and of accB into Z9 and adds to both the terms
+// of rows t = 0..3 in that order, a[offs[t]+c] (R10..R13, indexed by c
+// in BX) times row t of bA and of bB, under one mask per term. The four
+// rows of a are read along their length, where they lie. The arithmetic
+// per element, and the masking argument, are accumAT8AVX2's.
+TEXT ·accumAT8PairAVX512(SB), NOSPLIT, $0-136
+	MOVQ    accA_base+0(FP), DI
+	MOVQ    accB_base+24(FP), DX
+	MOVQ    a_base+48(FP), AX
+	MOVQ    offs+72(FP), BX
+	MOVQ    bA_base+80(FP), SI
+	MOVQ    bB_base+104(FP), R8
+	MOVQ    k+128(FP), CX
+	PAIRROWS
+	XORQ    BX, BX
+	VPXORQ  Z15, Z15, Z15
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z1
+	VMOVUPD 128(SI), Z2
+	VMOVUPD 192(SI), Z3
+	VMOVUPD (R8), Z4
+	VMOVUPD 64(R8), Z5
+	VMOVUPD 128(R8), Z6
+	VMOVUPD 192(R8), Z7
+
+zpairCol:
+	VMOVUPD (DI), Z8
+	VMOVUPD (DX), Z9
+	ROW8PAIRZ((R10)(BX*8), Z0, Z4, K1, Z8, Z9)
+	ROW8PAIRZ((R11)(BX*8), Z1, Z5, K2, Z8, Z9)
+	ROW8PAIRZ((R12)(BX*8), Z2, Z6, K3, Z8, Z9)
+	ROW8PAIRZ((R13)(BX*8), Z3, Z7, K4, Z8, Z9)
+	VMOVUPD Z8, (DI)
+	VMOVUPD Z9, (DX)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	INCQ    BX
+	CMPQ    BX, CX
+	JB      zpairCol
+	VZEROUPPER
+	RET
+
 // func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float64, fresh, zmm bool)
 //
 // The caller's list goes to listWalk (listWalkZ when zmm) as it is.

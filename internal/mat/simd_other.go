@@ -36,6 +36,14 @@ func accumAT8AVX512(acc, a, b []float64, k, astride, count int) {
 	panic("mat: no AVX-512 kernels on this architecture")
 }
 
+func axpyRows4x8PairAVX512(dstA, dstB, srcA, srcB, a []float64, offs *[4]int, count int) {
+	panic("mat: no AVX-512 kernels on this architecture")
+}
+
+func accumAT8PairAVX512(accA, accB, a []float64, offs *[4]int, bA, bB []float64, k int) {
+	panic("mat: no AVX-512 kernels on this architecture")
+}
+
 func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float64, fresh, zmm bool) {
 	panic("mat: no AVX2 kernels on this architecture")
 }

@@ -246,3 +246,68 @@ func TestCombineIsReluOfTheConcatenation(t *testing.T) {
 		}
 	}
 }
+
+// TestInRowsGetTheGatheredBits: a layer handed a table and Ctx.InRows
+// gives the bits of one handed the rows gathered — output, input
+// gradient and both weight gradients — whether it reads them in place
+// (it propagates its output, takes both products on every row and
+// applies no dropout: 11 -> 3 through the pair forms' gathered
+// fallback, 20 -> 8 through the fused kernels) or gathers them itself
+// (9 -> 5, which propagates its input, and any layer under dropout or
+// given a row list), over a list in no order with repeats, at Workers 1
+// and 3. Under a row list a NaN in an unlisted vertex's row of the
+// table reaches no element of dW_self, as on the gathered rows.
+func TestInRowsGetTheGatheredBits(t *testing.T) {
+	const n, tableRows = 23, 31
+	rows := []int{0, 4, 5, 6, 13, 22}
+	r := rng.New(33)
+	in := make([]int, n)
+	for i := range in {
+		in[i] = r.Intn(tableRows - 1) // the last row is the NaN case's alone
+	}
+	in[7] = in[3]
+	for _, shape := range append(exactShapes, [2]int{20, 8}) {
+		for _, drop := range []float64{0, 0.3} {
+			for _, list := range [][]int{nil, rows} {
+				for _, workers := range []int{1, 3} {
+					tag := fmt.Sprintf("%d -> %d drop=%v rows=%v workers=%d", shape[0], shape[1], drop, list, workers)
+					table := randMat(rng.New(41), tableRows, shape[0])
+					if list != nil {
+						in[9] = tableRows - 1 // vertex 9 is not listed
+						for c := range table.Row(tableRows - 1) {
+							table.Row(tableRows - 1)[c] = math.NaN()
+						}
+					}
+					pass := func(h *mat.Dense, inRows []int) []*mat.Dense {
+						ctx := testCtx(t, n)
+						ctx.Q, ctx.Workers, ctx.Rows, ctx.InRows = 3, workers, list, inRows
+						ctx.Train, ctx.DropRate, ctx.Rng = drop > 0, drop, rng.New(9)
+						r := rng.New(21)
+						layer := NewGCNLayer(shape[0], shape[1], r)
+						dOut := randMat(r, n, layer.OutWidth())
+						z := layer.Forward(ctx, h).Clone()
+						dH := layer.Backward(ctx, dOut)
+						return []*mat.Dense{z, dH, layer.WSelf.Grad, layer.WNeigh.Grad}
+					}
+					g := mat.New(n, shape[0])
+					mat.GatherRows(g, table, in)
+					want, got := pass(g, nil), pass(table, in)
+					for i, name := range []string{"output", "dH", "dWself", "dWneigh"} {
+						for j, v := range want[i].Data {
+							if w := got[i].Data[j]; math.Float64bits(w) != math.Float64bits(v) && !(math.IsNaN(v) && math.IsNaN(w)) {
+								t.Fatalf("%s: %s element %d = %v, gathered rows %v", tag, name, j, w, v)
+							}
+						}
+					}
+					if list != nil {
+						for j, v := range got[2].Data {
+							if math.IsNaN(v) {
+								t.Fatalf("%s: dWself element %d is NaN: an unlisted row reached it", tag, j)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -30,6 +30,15 @@
 // the every-row gradients (NaN·0 is NaN) and does not reach these. The
 // determinism contract's row restriction (docs/ARCHITECTURE.md) states
 // the argument whole.
+//
+// A stack's first layer can be handed the whole feature table with
+// Ctx.InRows naming a subgraph's rows of it. Where it takes both its
+// products on every row — it propagates its output and is not the
+// last layer — and applies no dropout, it reads those rows in place
+// through mat's pair forms, forward and backward; everywhere else (under
+// dropout, when it propagates its input, when it is the last layer and
+// has a row list) it gathers them into a buffer of its own first. Both
+// give the bits of a caller's gathered matrix.
 package nn
 
 import (
@@ -70,6 +79,15 @@ type Ctx struct {
 	// backward pass reads them alone: the every-row pass's bits on
 	// finite values (see the package comment).
 	Rows []int
+	// InRows, when set, says where a layer's input rows are: vertex i
+	// of G is row InRows[i] of the matrix the layer is handed (a
+	// subgraph's vertex ids into the feature table), which may have any
+	// number of rows; nil means row i. Only the first layer of a stack is
+	// given one: core's Model.Forward keeps it from every layer above.
+	// A layer that runs both its products on every row reads those rows
+	// in place (mat.MulPair, mat.MulATPair); any other gathers them
+	// into a matrix of its own first, as its caller used to.
+	InRows []int
 }
 
 func (c *Ctx) time(name string, fn func()) {
@@ -172,8 +190,10 @@ type GCNLayer struct {
 
 	// Cached activations from the last Forward, consumed by Backward;
 	// lastOut is also the matrix Forward returns. lastHNeigh is held
-	// only by a layer that propagates its input.
+	// only by a layer that propagates its input. The input's rows are
+	// lastH's rows lastIn (Ctx.InRows), every row for nil.
 	lastH, lastHNeigh, lastOut *mat.Dense
+	lastIn                     []int
 	lastMask                   []float64
 
 	// Buffers reused across steps so the hot path allocates nothing:
@@ -184,8 +204,10 @@ type GCNLayer struct {
 	// destination, so reuse never changes the arithmetic and the
 	// determinism contract holds. bufP (H·W_neigh) and bufDP (its
 	// gradient) are a layer's that propagates its output, bufDHNeigh
-	// one's that does not.
-	bufDrop, bufZSelf, bufZNeigh *mat.Dense
+	// one's that does not. bufIn is the layer's own copy of its input,
+	// where it needs one: under dropout, and where it gathers the rows
+	// Ctx.InRows names.
+	bufIn, bufZSelf, bufZNeigh   *mat.Dense
 	bufDZSelf, bufDZNeigh, bufDH *mat.Dense
 	bufDHNeigh, bufBack          *mat.Dense
 	bufP, bufDP                  *mat.Dense
@@ -234,30 +256,47 @@ func (l *GCNLayer) PropagatesOutput() bool { return 2*l.OutDim < l.InDim }
 // computed, the others +0 (Combine of two +0 rows); dropout still
 // draws for every element of h, which the propagation reads whole, and
 // H·W_neigh is still formed on every row when the layer propagates its
-// output.
+// output. Under ctx.InRows h is read through the list (see Ctx), in
+// place where the layer takes both its products on every row and
+// applies no dropout: the first layer of a stack of two or more that
+// propagates its output.
 func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
-	n := h.Rows
-	if n != ctx.G.N {
+	n, in := ctx.G.N, ctx.InRows
+	if in == nil && h.Rows != n || in != nil && len(in) != n {
 		panic("nn: feature rows do not match graph vertices")
 	}
+	pair := l.PropagatesOutput() && ctx.Rows == nil
+	dropout := ctx.Train && ctx.DropRate > 0
 	l.lastMask = nil
-	if ctx.Train && ctx.DropRate > 0 {
-		if ctx.Rng == nil {
-			panic("nn: dropout requires Ctx.Rng")
+	if dropout && ctx.Rng == nil {
+		panic("nn: dropout requires Ctx.Rng")
+	}
+	// The copy stays outside the timed segments, as a caller's gather
+	// of the rows was.
+	if dropout || in != nil && !pair {
+		own := mat.Reuse(&l.bufIn, n, h.Cols)
+		if in != nil {
+			mat.GatherRowsP(own, h, in, ctx.Workers)
+		} else {
+			own.CopyFrom(h)
 		}
-		drop := mat.Reuse(&l.bufDrop, n, h.Cols)
-		drop.CopyFrom(h)
-		h = drop
+		h, in = own, nil
+	}
+	if dropout {
 		l.lastMask = dropoutInPlace(h, ctx.DropRate, ctx.Rng, l.bufMask)
 		l.bufMask = l.lastMask
 	}
-	l.lastH = h
+	l.lastH, l.lastIn = h, in
 	zSelf, zNeigh := mat.Reuse(&l.bufZSelf, n, l.OutDim), mat.Reuse(&l.bufZNeigh, n, l.OutDim)
 	if l.PropagatesOutput() {
 		// Z_neigh = MeanAgg(H·W_neigh): the product over every row,
 		// all of which the propagation reads.
 		p := mat.Reuse(&l.bufP, n, l.OutDim)
 		ctx.time("weight", func() {
+			if pair {
+				mat.MulPair(zSelf, p, h, in, l.WSelf.W, l.WNeigh.W, ctx.Workers)
+				return
+			}
 			mat.MulList(zSelf, h, l.WSelf.W, ctx.Rows, ctx.Workers)
 			mat.Mul(p, h, l.WNeigh.W, ctx.Workers)
 		})
@@ -389,6 +428,10 @@ func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 	dP := mat.Reuse(&l.bufDP, n, l.OutDim)
 	ctx.time("featprop", func() { aggregateT(dP, dZNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
 	ctx.time("weight", func() {
+		if ctx.Rows == nil {
+			mat.MulATPair(l.WSelf.Grad, l.WNeigh.Grad, l.lastH, l.lastIn, dZSelf, dP, ctx.Workers)
+			return
+		}
 		mat.MulATList(l.WSelf.Grad, l.lastH, dZSelf, ctx.Rows, ctx.Workers)
 		mat.MulAT(l.WNeigh.Grad, l.lastH, dP, ctx.Workers)
 	})
