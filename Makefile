@@ -26,15 +26,19 @@ ci: loc lint build race cover bench serve-smoke
 # log. Every package of the module is counted, the root package (.)
 # and benchmark/ included: the list is `go list ./...`'s, as module
 # paths made relative. A package with *.s files shows how many of its
-# lines they are.
+# lines they are. The last line is the sum over every package, so a
+# change's net effect on the code is one number.
 loc:
-	@mod=$$($(GO) list -m); \
+	@mod=$$($(GO) list -m); total=0; \
 	for d in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | sed -e "s|^$$mod\$$|.|" -e "s|^$$mod/||"); do \
 		asm=$$(cat /dev/null $$(find $$d -maxdepth 1 -name '*.s') | wc -l); \
-		printf '%6d  %s' $$(cat $$(find $$d -maxdepth 1 \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go') | wc -l) $$d; \
+		n=$$(cat $$(find $$d -maxdepth 1 \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go') | wc -l); \
+		total=$$((total + n)); \
+		printf '%6d  %s' $$n $$d; \
 		if [ $$asm -gt 0 ]; then printf ' (%d asm)' $$asm; fi; \
 		echo; \
-	done
+	done; \
+	printf '%6d  total\n' $$total
 
 # lint subsumes vet: formatting drift fails the gate, every package
 # must carry a godoc package comment (scripts/pkgdoc-lint), and

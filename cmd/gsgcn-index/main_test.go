@@ -20,9 +20,11 @@ import (
 // first layer (50 features -> hidden 8) propagate its 8-wide output,
 // A·(H·W_neigh), instead of its 50-wide input, and so moved the
 // embedding bits; the artifact format did not change (forcing the old
-// order restores the 4b59a64 constants). The format is frozen: a build
-// that moves a byte of any of them fails here. As in the other pins,
-// embedding bits are promised on amd64 only.
+// order restores the 4b59a64 constants). The four f32 constants were
+// recorded at ec48a73, before gsgcn-index built its tables by
+// installing the model on a serving engine. The format is frozen: a
+// build that moves a byte of any of them fails here. As in the other
+// pins, embedding bits are promised on amd64 only.
 var artifactPins = map[string]uint64{
 	"i8pq shard 0 of 1": 0x3458d3050cb5ee49,
 	"i8pq shard 0 of 3": 0x7325de7f3a7ce5b3,
@@ -32,10 +34,14 @@ var artifactPins = map[string]uint64{
 	"f64 shard 0 of 3":  0x66936d42e5bf46c4,
 	"f64 shard 1 of 3":  0x860603e3c11bf8f4,
 	"f64 shard 2 of 3":  0x63fcd3ff80ba2d3c,
+	"f32 shard 0 of 1":  0xdbc66b3c4c9361bf,
+	"f32 shard 0 of 3":  0xd8e69b5d6b47c136,
+	"f32 shard 1 of 3":  0x7948d2d8382d5c8f,
+	"f32 shard 2 of 3":  0x05ce3a78f54936d6,
 }
 
 // TestRunArtifactsGolden indexes a seeded, untrained model over a tiny
-// preset at -dtype i8pq and f64, whole and as three shards, and holds
+// preset at -dtype i8pq, f64 and f32, whole and as three shards, and holds
 // every artifact written to its pin; each is named on stdout and has
 // its manifest beside it.
 func TestRunArtifactsGolden(t *testing.T) {
@@ -54,7 +60,7 @@ func TestRunArtifactsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	crcTable := crc64.MakeTable(crc64.ECMA)
-	for _, dtype := range []string{"i8pq", "f64"} {
+	for _, dtype := range []string{"i8pq", "f64", "f32"} {
 		for _, shards := range []int{1, 3} {
 			out := filepath.Join(dir, fmt.Sprintf("%s-%d.art", dtype, shards))
 			var stdout, stderr strings.Builder

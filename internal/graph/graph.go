@@ -204,16 +204,6 @@ func (g *CSR) Induce(vs []int32) *Subgraph {
 	}
 }
 
-// DegreeHistogram returns counts[d] = number of vertices with degree
-// d, up to the maximum degree.
-func (g *CSR) DegreeHistogram() []int64 {
-	h := make([]int64, g.MaxDegree()+1)
-	for v := int32(0); v < int32(g.N); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // ConnectedComponents labels each vertex with a component id in
 // [0, k) and returns the labels and k. BFS-based, O(V+E).
 func (g *CSR) ConnectedComponents() (labels []int32, k int) {

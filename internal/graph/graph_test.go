@@ -269,12 +269,23 @@ func TestLargestComponentFraction(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
+// TestPathDegreesAndNeighbors: a path's two endpoints have degree 1
+// and its three inner vertices degree 2; Neighbor(v, i) is entry i of
+// Neighbors(v), and each of the four edges is stored as two arcs.
+func TestPathDegreesAndNeighbors(t *testing.T) {
 	g := path5(t)
-	h := g.DegreeHistogram()
-	// Path: two degree-1 endpoints, three degree-2 internal vertices.
-	if h[1] != 2 || h[2] != 3 {
-		t.Errorf("histogram = %v", h)
+	for v, want := range []int{1, 2, 2, 2, 1} {
+		if got := g.Degree(int32(v)); got != want {
+			t.Errorf("Degree(%d) = %d, want %d", v, got, want)
+		}
+		for i, u := range g.Neighbors(int32(v)) {
+			if got := g.Neighbor(int32(v), i); got != u {
+				t.Errorf("Neighbor(%d, %d) = %d, want %d", v, i, got, u)
+			}
+		}
+	}
+	if got := g.NumDirectedEdges(); got != 2*g.NumEdges() || got != 8 {
+		t.Errorf("NumDirectedEdges = %d, want 8", got)
 	}
 }
 

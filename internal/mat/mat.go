@@ -335,18 +335,6 @@ func (s rowSet) pos(i int) int {
 	return sort.SearchInts(s.list, i)
 }
 
-// MulBTRange computes rows [lo, hi) of dst = a * bᵀ serially.
-func MulBTRange(dst, a, b *Dense, lo, hi int) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("mat: MulBTRange shape mismatch")
-	}
-	packed, buf := mulBTPack(b)
-	if buf != nil {
-		defer mulBTPacks.Put(buf)
-	}
-	mulBTRange(dst, a, b, packed, rowSet{n: a.Rows}, lo, hi)
-}
-
 // mulRange computes the rows of dst = a*b at positions [lo, hi) of s
 // serially, and clears the unlisted rows those positions own. The
 // inner dimension is walked a tile of b's rows at a time, so that
@@ -650,22 +638,6 @@ func mulBTRange(dst, a, b *Dense, packed []float64, s rowSet, lo, hi int) {
 	}
 }
 
-// Add computes dst = a + b elementwise.
-func Add(dst, a, b *Dense) {
-	checkSameShape3(dst, a, b, "Add")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// Sub computes dst = a - b elementwise.
-func Sub(dst, a, b *Dense) {
-	checkSameShape3(dst, a, b, "Sub")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // AddScaled computes dst += alpha * src.
 func AddScaled(dst, src *Dense, alpha float64) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
@@ -676,16 +648,6 @@ func AddScaled(dst, src *Dense, alpha float64) {
 
 // Scale multiplies every element by alpha in place.
 func (m *Dense) Scale(alpha float64) { Scal(m.Data, alpha) }
-
-// Apply sets dst[i] = f(a[i]) elementwise. dst may alias a.
-func Apply(dst, a *Dense, f func(float64) float64) {
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("mat: Apply shape mismatch")
-	}
-	for i, v := range a.Data {
-		dst.Data[i] = f(v)
-	}
-}
 
 // AddScaledP is AddScaled sharded across workers goroutines;
 // element-owned, hence bit-identical to AddScaled at every worker
@@ -745,19 +707,4 @@ func (m *Dense) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Sum returns the sum of all elements.
-func (m *Dense) Sum() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
-func checkSameShape3(a, b, c *Dense, op string) {
-	if a.Rows != b.Rows || a.Cols != b.Cols || a.Rows != c.Rows || a.Cols != c.Cols {
-		panic("mat: " + op + " shape mismatch")
-	}
 }

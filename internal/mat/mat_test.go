@@ -136,19 +136,10 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestScaleAndAddScaled(t *testing.T) {
 	a := FromData(2, 2, []float64{1, 2, 3, 4})
-	b := FromData(2, 2, []float64{10, 20, 30, 40})
-	sum := New(2, 2)
-	Add(sum, a, b)
-	if sum.At(1, 1) != 44 {
-		t.Errorf("Add: got %v", sum.Data)
-	}
-	diff := New(2, 2)
-	Sub(diff, b, a)
-	if diff.At(0, 0) != 9 {
-		t.Errorf("Sub: got %v", diff.Data)
-	}
+	sum := FromData(2, 2, []float64{11, 22, 33, 44})
+	diff := FromData(2, 2, []float64{9, 18, 27, 36})
 	diff.Scale(2)
 	if diff.At(0, 0) != 18 {
 		t.Errorf("Scale: got %v", diff.Data)
@@ -159,22 +150,35 @@ func TestAddSubScale(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	a := FromData(1, 3, []float64{-1, 0, 2})
-	out := New(1, 3)
-	Apply(out, a, func(v float64) float64 { return math.Max(v, 0) })
-	want := []float64{0, 0, 2}
-	for i, v := range want {
-		if out.Data[i] != v {
-			t.Errorf("Apply relu: got %v", out.Data)
-			break
+func TestZeroAndCopyFrom(t *testing.T) {
+	src := FromData(2, 3, []float64{1, -2, 3, -4, 5, -6})
+	dst := New(2, 3)
+	dst.CopyFrom(src)
+	if !dst.Equal(src, 0) {
+		t.Errorf("CopyFrom: got %v", dst.Data)
+	}
+	dst.Zero()
+	for i, v := range dst.Data {
+		if v != 0 {
+			t.Fatalf("Zero: element %d = %v", i, v)
 		}
 	}
-	// In-place application.
-	Apply(a, a, func(v float64) float64 { return v * v })
-	if a.Data[0] != 1 || a.Data[2] != 4 {
-		t.Errorf("Apply in place: got %v", a.Data)
+	if src.Data[5] != -6 {
+		t.Errorf("CopyFrom aliased its source: %v", src.Data)
 	}
+	mustPanic(t, "CopyFrom 3x2 from 2x3", func() { New(3, 2).CopyFrom(src) })
+}
+
+// TestShapeChecksPanic: the constructors and the elementwise and
+// gather kernels refuse operands whose shapes do not fit.
+func TestShapeChecksPanic(t *testing.T) {
+	a, b := New(2, 3), New(3, 2)
+	mustPanic(t, "New negative", func() { New(-1, 2) })
+	mustPanic(t, "FromData short", func() { FromData(2, 2, make([]float64, 3)) })
+	mustPanic(t, "AddScaled", func() { AddScaled(a, b, 1) })
+	mustPanic(t, "AddScaledP", func() { AddScaledP(a, b, 1, 2) })
+	mustPanic(t, "GatherRows rows", func() { GatherRows(New(2, 2), b, []int{0}) })
+	mustPanic(t, "GatherRows cols", func() { GatherRows(New(1, 3), b, []int{0}) })
 }
 
 func TestGatherRows(t *testing.T) {
@@ -241,15 +245,18 @@ func TestMulLinearityQuick(t *testing.T) {
 		a2 := randomMat(r, m, k)
 		b := randomMat(r, k, n)
 		sum := New(m, k)
-		Add(sum, a1, a2)
+		for i := range sum.Data {
+			sum.Data[i] = a1.Data[i] + a2.Data[i]
+		}
 		left := New(m, n)
 		Mul(left, sum, b, 1)
 		r1, r2 := New(m, n), New(m, n)
 		Mul(r1, a1, b, 1)
 		Mul(r2, a2, b, 1)
-		right := New(m, n)
-		Add(right, r1, r2)
-		return left.Equal(right, 1e-9)
+		for i := range r1.Data {
+			r1.Data[i] += r2.Data[i]
+		}
+		return left.Equal(r1, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -296,13 +303,10 @@ func TestEqualAndMaxAbsDiffSeeNaN(t *testing.T) {
 	}
 }
 
-func TestFrobeniusAndSum(t *testing.T) {
+func TestFrobeniusNorm(t *testing.T) {
 	a := FromData(2, 2, []float64{3, 4, 0, 0})
 	if got := a.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("FrobeniusNorm = %v, want 5", got)
-	}
-	if got := a.Sum(); got != 7 {
-		t.Errorf("Sum = %v, want 7", got)
 	}
 }
 
@@ -445,20 +449,6 @@ func TestMulRangeMatchesMul(t *testing.T) {
 	mulRange(got, a, b, rowSet{n: 20}, 8, 20)
 	if !got.Equal(want, 0) {
 		t.Error("piecewise mulRange differs from Mul")
-	}
-}
-
-func TestMulBTRangeMatchesMulBT(t *testing.T) {
-	r := rng.New(22)
-	a := randomMat(r, 15, 8)
-	b := randomMat(r, 11, 8)
-	want := New(15, 11)
-	MulBT(want, a, b, 1)
-	got := New(15, 11)
-	MulBTRange(got, a, b, 0, 6)
-	MulBTRange(got, a, b, 6, 15)
-	if !got.Equal(want, 0) {
-		t.Error("piecewise MulBTRange differs from MulBT")
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 )
 
 // Aggregator selects how a GCN layer pools neighbor features. The
-// paper trains with the mean aggregator (Section II-A); the symmetric
-// and sum variants are the standard Kipf-Welling and GIN-style
-// alternatives used by the sampler-ablation experiments.
+// paper trains with the mean aggregator (Section II-A), and every
+// experiment driver and command uses it; the symmetric and sum variants
+// are the standard Kipf-Welling and GIN-style alternatives, selected
+// only through core.Config.Aggregator (a library caller's choice,
+// carried by checkpoints).
 type Aggregator int
 
 const (

@@ -43,17 +43,6 @@ func F1Micro(pred, labels *mat.Dense, rows []int) float64 {
 	return f1(t, p, n)
 }
 
-// F1Macro computes the macro-averaged F1 (unweighted mean of
-// per-class F1 scores), a secondary metric for skewed label sets.
-func F1Macro(pred, labels *mat.Dense, rows []int) float64 {
-	tp, fp, fn := confusion(pred, labels, rows)
-	sum := 0.0
-	for j := range tp {
-		sum += f1(tp[j], fp[j], fn[j])
-	}
-	return sum / float64(len(tp))
-}
-
 // confusion counts the true positives, false positives and false
 // negatives of each class (column) over the rows (all when nil).
 func confusion(pred, labels *mat.Dense, rows []int) (tp, fp, fn []float64) {

@@ -461,13 +461,24 @@ func TestF1MicroRowsSubset(t *testing.T) {
 	}
 }
 
-func TestF1MacroHandCase(t *testing.T) {
-	pred := mat.FromData(2, 2, []float64{1, 0, 1, 0})
-	labels := mat.FromData(2, 2, []float64{1, 0, 0, 1})
-	// Class 0: tp=1 fp=1 fn=0 -> F1 = 2/3. Class 1: tp=0 -> 0.
-	got := F1Macro(pred, labels, nil)
-	if math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Errorf("F1Macro = %v, want 1/3", got)
+// TestLossNamesAndShapeCheck: each criterion reports its name, and
+// each refuses a dLogits whose shape differs from the logits'.
+func TestLossNamesAndShapeCheck(t *testing.T) {
+	for _, tc := range []struct {
+		loss Loss
+		name string
+	}{{SigmoidBCE{}, "sigmoid-bce"}, {SoftmaxCE{}, "softmax-ce"}} {
+		if got := tc.loss.Name(); got != tc.name {
+			t.Errorf("Name() = %q, want %q", got, tc.name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Eval with a 2x3 dLogits for 2x2 logits did not panic", tc.name)
+				}
+			}()
+			tc.loss.Eval(mat.New(2, 2), mat.New(2, 2), nil, mat.New(2, 3))
+		}()
 	}
 }
 

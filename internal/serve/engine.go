@@ -136,9 +136,9 @@ func (o Options) seriesLabels() map[string]string {
 	return labels
 }
 
-// annParams is the HNSW configuration the engine's lazy index build
-// uses; BuildSnapshot uses the same so persisted indexes are
-// byte-equal to lazily built ones.
+// annParams is the HNSW configuration of annIndex, the one index
+// build: BuildShardSnapshots persists the index annIndex builds on its
+// engines, so a persisted index is byte-equal to a lazily built one.
 func (o Options) annParams() ann.Params {
 	return ann.Params{M: o.ANNM, EfSearch: o.ANNEf}
 }
@@ -188,13 +188,6 @@ type State struct {
 	quant mat.Quantized
 	// dtype is the resident representation this snapshot serves with.
 	dtype mat.Dtype
-	// resident counts the bytes of the hot serving working set:
-	// the f64 table when it is private heap (not mapped), the norms,
-	// and the quantized codes plus codebooks.
-	resident int64
-	// mappedBytes is the size of the backing artifact mapping (0 when
-	// the tables are private heap).
-	mappedBytes int64
 	// art pins the artifact the tables view (nil on a cold start) for
 	// the snapshot's lifetime — the views do not pin it themselves; a
 	// mapping's unmap happens via finalizer after the last reference to
@@ -242,12 +235,27 @@ func (s *State) Dim() int { return s.Emb.NumCols() }
 func (s *State) Dtype() mat.Dtype { return s.dtype }
 
 // ResidentBytes returns the private working-set size of the serving
-// table representation (see the resident field).
-func (s *State) ResidentBytes() int64 { return s.resident }
+// table representation: the f64 table when it is private heap (not
+// mapped), the norms, and the quantized codes plus codebooks.
+func (s *State) ResidentBytes() int64 {
+	n := int64(len(s.norms)) * 8
+	if s.MappedBytes() == 0 {
+		n += int64(s.Emb.NumRows()) * int64(s.Emb.NumCols()) * 8
+	}
+	if s.quant != nil {
+		n += s.quant.ResidentBytes()
+	}
+	return n
+}
 
 // MappedBytes returns the size of the artifact mapping backing this
-// snapshot (0 for a cold compute).
-func (s *State) MappedBytes() int64 { return s.mappedBytes }
+// snapshot (0 when the tables are private heap).
+func (s *State) MappedBytes() int64 {
+	if s.art == nil {
+		return 0
+	}
+	return s.art.MappedBytes()
+}
 
 // rowOf maps a global vertex id to its local row, reporting false
 // when the snapshot does not hold that vertex (a shard snapshot and a
@@ -355,17 +363,16 @@ func (e *Engine) Snapshot() (*State, error) {
 // through LoadCheckpoint, which reconstructs one from disk. A model
 // modelFits refuses (core.ErrNonFinite among them) is not installed.
 func (e *Engine) Install(m *core.Model) (uint64, error) {
-	return e.installShared(m, e.opts.ArtifactPath, nil)
+	return e.installShared(m, e.opts.ArtifactPath, sharedTables(m, e.ds, e.opts))
 }
 
 // installShared is Install from the warm-start source artPath (empty
-// disables the warm path), with an optional shared table source: when
-// full is non-nil and the cold path runs, the whole-graph tables come
-// from full() instead of a private computeTables call. A Server
+// disables the warm path) and the whole-graph tables full (a
+// sharedTables memo), which only the cold path calls. A Server
 // installing one model across N shard engines passes each its own
-// artifact and a memoized full, so the expensive whole-graph pass
-// happens once per fleet install, not once per shard; each engine
-// still keeps only its owned rows.
+// artifact and one memo, so the expensive whole-graph pass happens once
+// per fleet install, not once per shard; each engine still keeps only
+// its owned rows.
 func (e *Engine) installShared(m *core.Model, artPath string, full func() (*mat.Dense, []float64)) (uint64, error) {
 	if err := modelFits(m, e.ds); err != nil {
 		return 0, err
@@ -390,9 +397,6 @@ func (e *Engine) buildState(m *core.Model, artPath string, full func() (*mat.Den
 		}
 		warmNote = note
 	}
-	if full == nil {
-		full = func() (*mat.Dense, []float64) { return computeTables(m, e.ds, e.opts) }
-	}
 	emb, norms := full()
 	if e.opts.sharded() {
 		emb, norms = compactRows(emb, norms, e.owned)
@@ -415,21 +419,23 @@ func (e *Engine) newState(m *core.Model, emb *mat.Dense, norms []float64) *State
 	}
 }
 
-// attachPlane fills a freshly built snapshot's memory-plane fields:
-// the quantized table for non-f64 dtypes and the byte accounting. The
-// f32/pq payload of the artifact f the tables came from (nil on a cold
-// start) is adopted only when it is exactly what the engine would
+// attachPlane fills a freshly built snapshot's memory plane: the
+// artifact f its tables view (nil on a cold start) and, at a non-f64
+// dtype, the quantized table — none for an empty table. The f32/pq
+// payload of f is adopted only when it is exactly what the engine would
 // train itself — same shape, same resolved parameters — so
 // quantization, like every other table, is a pure function of the
 // embedding rows however it reaches the process.
 func (e *Engine) attachPlane(st *State, f *artifact.File) {
-	st.dtype = e.opts.Dtype
+	st.dtype, st.art = e.opts.Dtype, f
 	rows, cols := st.Emb.NumRows(), st.Emb.NumCols()
+	if rows == 0 || cols == 0 {
+		return
+	}
 	var f32 *mat.F32Table
 	var pq *mat.PQTable
 	if f != nil {
 		f32, pq = f.F32(), f.PQ()
-		st.art, st.mappedBytes = f, f.MappedBytes()
 	}
 	switch e.opts.Dtype {
 	case mat.DtypeF32:
@@ -439,22 +445,12 @@ func (e *Engine) attachPlane(st *State, f *artifact.File) {
 			st.quant = mat.ToF32(st.Emb, e.opts.Workers)
 		}
 	case mat.DtypeI8PQ:
-		if rows == 0 || cols == 0 {
-			break
-		}
 		want := mat.ResolvePQ(rows, cols)
 		if pq != nil && pq.RowsN == rows && pq.ColsN == cols && pq.Params == want {
 			st.quant = pq
 		} else {
 			st.quant = mat.TrainPQ(st.Emb, want, e.opts.Workers)
 		}
-	}
-	if st.mappedBytes == 0 {
-		st.resident += int64(rows) * int64(cols) * 8
-	}
-	st.resident += int64(len(st.norms)) * 8
-	if st.quant != nil {
-		st.resident += st.quant.ResidentBytes()
 	}
 }
 
@@ -495,8 +491,7 @@ func (e *Engine) warmState(m *core.Model, artPath string) (*State, string) {
 	if prev := e.state.Load(); prev != nil && prev.WarmStart && artPath == e.artPath && sum == e.artSum && want == e.artMeta {
 		st := e.newState(m, prev.Emb, prev.norms)
 		st.WarmStart = true
-		st.quant, st.dtype, st.resident = prev.quant, prev.dtype, prev.resident
-		st.art, st.mappedBytes = prev.art, prev.mappedBytes
+		st.quant, st.dtype, st.art = prev.quant, prev.dtype, prev.art
 		if idx := prev.annIdx.Load(); idx != nil {
 			st.setIndex(idx)
 		}

@@ -15,7 +15,6 @@ import (
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
-	"gsgcn/internal/mat"
 	"gsgcn/internal/obs"
 )
 
@@ -429,15 +428,7 @@ func (s *Server) Install(m *core.Model) (uint64, error) {
 // weight: modelFits) are identical across shards, so shard versions
 // can never diverge.
 func (s *Server) install(m *core.Model, base string) (uint64, error) {
-	var (
-		once  sync.Once
-		emb   *mat.Dense
-		norms []float64
-	)
-	full := func() (*mat.Dense, []float64) {
-		once.Do(func() { emb, norms = computeTables(m, s.ds, s.opts) })
-		return emb, norms
-	}
+	full := sharedTables(m, s.ds, s.opts)
 	var version uint64
 	for i := range s.shards {
 		v, err := s.shards[i].eng.installShared(m, s.shardArtifact(base, i), full)

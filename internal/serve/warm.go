@@ -3,57 +3,55 @@ package serve
 import (
 	"fmt"
 	"math"
+	"sync"
 
-	"gsgcn/internal/ann"
 	"gsgcn/internal/artifact"
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
-	"gsgcn/internal/partition"
 	"gsgcn/internal/perf"
 )
 
-// artifactMetaFor returns the Meta an artifact must carry to stand in
-// for a fresh compute over (m, ds): the model's architecture
-// fingerprint, a content hash of its trained weights (ModelVersion
-// alone is a step count — two trainings can collide on it), and the
-// dataset's graph shape. Embeddings are a pure function of (weights,
-// graph, features), so equality of this struct is the precondition
-// for serving persisted tables.
-func artifactMetaFor(m *core.Model, ds *datasets.Dataset) artifact.Meta {
-	return artifact.Meta{
+// wantMeta returns the Meta an artifact must carry to stand in for
+// this engine's cold install of m — the Meta BuildShardSnapshots
+// writes: the model's architecture fingerprint, a content hash of its
+// trained weights (ModelVersion alone is a step count — two trainings
+// can collide on it) and the dataset's graph shape, plus the shard
+// identity and owned-row count when the engine serves one shard of a
+// fleet. Embeddings are a pure function of (weights, graph, features),
+// so equality of this struct is the precondition for serving persisted
+// tables, and a shard engine only ever adopts the artifact built for
+// exactly its shard under exactly its seed.
+func (e *Engine) wantMeta(m *core.Model) artifact.Meta {
+	want := artifact.Meta{
 		Arch:       m.ArchMeta(),
 		WeightsSum: m.WeightsChecksum(),
-		Vertices:   ds.G.NumVertices(),
-		Edges:      ds.G.NumEdges(),
-		FeatureDim: ds.FeatureDim(),
+		Vertices:   e.ds.G.NumVertices(),
+		Edges:      e.ds.G.NumEdges(),
+		FeatureDim: e.ds.FeatureDim(),
 		Dim:        m.EmbeddingDim(),
 	}
-}
-
-// wantMeta returns the Meta an artifact must carry to warm this
-// engine: the whole-graph meta, extended with the shard identity and
-// owned-row count when the engine serves one shard of a fleet — a
-// shard engine only ever adopts the artifact built for exactly its
-// shard under exactly its seed.
-func (e *Engine) wantMeta(m *core.Model) artifact.Meta {
-	want := artifactMetaFor(m, e.ds)
 	if e.opts.sharded() {
-		want.Shards = e.opts.shards
-		want.Shard = e.opts.shard
-		want.ShardSeed = e.opts.shardSeed
+		want.Shards, want.Shard, want.ShardSeed = e.opts.shards, e.opts.shard, e.opts.shardSeed
 		want.ShardRows = len(e.owned)
 	}
 	return want
 }
 
+// sharedTables memoizes one install's whole-graph tables: the first
+// engine of the install that computes cold runs computeTables, every
+// other one compacts its owned rows from the same tables. Server.install,
+// Engine.Install and BuildShardSnapshots each take one per install.
+func sharedTables(m *core.Model, ds *datasets.Dataset, opts Options) func() (*mat.Dense, []float64) {
+	return sync.OnceValues(func() (*mat.Dense, []float64) { return computeTables(m, ds, opts) })
+}
+
 // computeTables runs the cold-start table computation for (m, ds):
-// the full-graph embedding pass plus per-vertex cosine norms. It is
-// the single implementation behind both Engine.buildState (online
-// cold start) and BuildSnapshot (offline artifact production) — the
-// warm-start contract that artifacts are bit-identical to a fresh
-// compute holds only while both call exactly this code. The pass
-// streams 256-vertex blocks; the block size never changes a bit.
+// the full-graph embedding pass plus per-vertex cosine norms. Every
+// cold install reaches it through sharedTables, gsgcn-index's included
+// (BuildShardSnapshots installs cold on one engine per shard), so an
+// artifact is bit-identical to a fresh compute by construction. The
+// pass streams 256-vertex blocks; the block size never changes a bit.
 func computeTables(m *core.Model, ds *datasets.Dataset, opts Options) (*mat.Dense, []float64) {
 	emb := m.FullEmbeddings(ds.G, ds.Features, opts.Workers, 256)
 	norms := make([]float64, emb.Rows)
@@ -80,12 +78,12 @@ func modelFits(m *core.Model, ds *datasets.Dataset) error {
 	return m.CheckFinite()
 }
 
-// BuildSnapshot computes the serving tables offline — exactly the
-// arithmetic Engine.Install runs on a cold start — and packages them
-// as an artifact snapshot: the full-graph embedding table, its cosine
-// norms and, when withIndex is set, the deterministic HNSW index
-// built with the same parameters the engine's lazy path would use.
-// Both computations are bit-deterministic, so a snapshot written by
+// BuildSnapshot computes the serving tables offline — the cold
+// install a whole-graph Engine runs — and packages them as an artifact
+// snapshot: the full-graph embedding table, its cosine norms, the
+// dtype payload the options select and, when withIndex is set, the
+// deterministic HNSW index the engine's lazy path would build. Both
+// computations are bit-deterministic, so a snapshot written by
 // cmd/gsgcn-index and loaded by a server is byte-equal to what that
 // server would have computed itself.
 func BuildSnapshot(ds *datasets.Dataset, m *core.Model, opts Options, withIndex bool) (*artifact.Snapshot, error) {
@@ -96,63 +94,42 @@ func BuildSnapshot(ds *datasets.Dataset, m *core.Model, opts Options, withIndex 
 	return snaps[0], nil
 }
 
-// quantizeSnapshot attaches the dtype payload the options select to a
-// freshly built artifact snapshot: the f32 table or the PQ codebook
-// and codes, trained with exactly the parameters a serving engine
-// resolves for the same shape — which is what lets the engine adopt
-// the persisted payload instead of re-deriving it.
-func quantizeSnapshot(snap *artifact.Snapshot, opts Options) {
-	snap.Dtype = opts.Dtype
-	rows, cols := snap.Emb.Rows, snap.Emb.Cols
-	if rows == 0 || cols == 0 {
-		snap.Dtype = mat.DtypeF64
-		return
-	}
-	switch opts.Dtype {
-	case mat.DtypeF32:
-		snap.F32 = mat.ToF32(snap.Emb, opts.Workers)
-	case mat.DtypeI8PQ:
-		snap.PQ = mat.TrainPQ(snap.Emb, mat.ResolvePQ(rows, cols), opts.Workers)
-	}
-}
-
 // BuildShardSnapshots computes the per-shard serving artifacts of a
-// model: one whole-graph table pass (the expensive part runs once, not
-// once per shard), compacted to each shard's owned rows in ascending
-// owned-id order — exactly the compaction a shard engine's cold start
-// performs, so every shard artifact is byte-equal to what that shard
-// would have computed itself. With withIndex, each shard additionally
-// gets the deterministic HNSW index over its own rows (the index a
-// shard engine's lazy ann path would build). A fleet of one keeps the
-// whole-graph table and the unsharded meta: BuildSnapshot's artifact.
+// model by installing it cold on one Engine per shard, sharing one
+// whole-graph table pass as a Server's install does, and writing each
+// engine's State out: its owned rows and norms, the payload attachPlane
+// trained (none, so f64, for an empty table), the index annIndex builds
+// when withIndex is set and the meta wantMeta returns. Every shard
+// artifact is therefore byte-equal to what that shard would have
+// computed itself. A fleet of one is the whole-graph engine:
+// BuildSnapshot's artifact.
 func BuildShardSnapshots(ds *datasets.Dataset, m *core.Model, opts Options, withIndex bool, shards int, shardSeed uint64) ([]*artifact.Snapshot, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("serve: shard count must be >= 1, got %d", shards)
 	}
-	if err := modelFits(m, ds); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
-	emb, norms := computeTables(m, ds, opts)
-	sm := partition.ShardMap{Shards: shards, Seed: shardSeed}
+	// The builder's engines report into no caller's registry and never
+	// warm from an artifact.
+	opts.Obs, opts.ArtifactPath = nil, ""
+	opts.shards, opts.shardSeed = shards, shardSeed
+	full := sharedTables(m, ds, opts)
 	out := make([]*artifact.Snapshot, shards)
 	for i := range out {
-		snap := &artifact.Snapshot{Meta: artifactMetaFor(m, ds), Emb: emb, Norms: norms}
-		if shards > 1 {
-			owned := sm.Owned(ds.G.NumVertices(), i)
-			snap.Emb, snap.Norms = compactRows(emb, norms, owned)
-			snap.Meta.Shards = shards
-			snap.Meta.Shard = i
-			snap.Meta.ShardSeed = shardSeed
-			snap.Meta.ShardRows = len(owned)
+		opts.shard = i
+		e := NewEngine(ds, opts)
+		if _, err := e.installShared(m, "", full); err != nil {
+			return nil, err
+		}
+		st := e.state.Load()
+		snap := &artifact.Snapshot{Meta: e.wantMeta(m), Emb: st.Emb, Norms: st.norms}
+		if st.quant != nil {
+			snap.Dtype = st.dtype
+			snap.F32, _ = st.quant.(*mat.F32Table)
+			snap.PQ, _ = st.quant.(*mat.PQTable)
 		}
 		if withIndex {
-			snap.Index = ann.Build(snap.Emb, snap.Norms, opts.annParams(), opts.Workers)
+			snap.Index = e.annIndex(st)
 		}
-		// Each shard trains its own codebook over its own rows — the
-		// same per-shard quantization a shard engine derives in
-		// process, so the payload is adoptable shard by shard.
-		quantizeSnapshot(snap, opts)
 		out[i] = snap
 	}
 	return out, nil

@@ -14,6 +14,7 @@ import (
 	"gsgcn/internal/core"
 	"gsgcn/internal/datasets"
 	"gsgcn/internal/mat"
+	"gsgcn/internal/obs"
 )
 
 // writeTestArtifact builds and persists a snapshot for (ds, m) with
@@ -244,7 +245,7 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 	if err := os.WriteFile(copyPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.installShared(m, copyPath, nil); err != nil {
+	if _, err := eng.installShared(m, copyPath, sharedTables(m, ds, eng.opts)); err != nil {
 		t.Fatal(err)
 	}
 	if st3, _ := eng.Snapshot(); !st3.WarmStart || firstRow(st3) == firstRow(st1) {
@@ -275,6 +276,25 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 	}
 	if st3.WarmNote == "" {
 		t.Fatal("mismatch fallback left no note")
+	}
+}
+
+// TestBuildShardSnapshotsReportNothing: the builder installs on engines
+// of its own, and those report into no registry, so a caller's Obs
+// stays empty however many shards are built.
+func TestBuildShardSnapshotsReportNothing(t *testing.T) {
+	ds := testDataset(t, false)
+	m := testModel(t, ds, 2, "mean")
+	reg := obs.NewRegistry()
+	if _, err := BuildShardSnapshots(ds, m, Options{Workers: 1, Obs: reg}, false, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if text.Len() != 0 {
+		t.Errorf("the builder reported into the caller's registry:\n%s", text.String())
 	}
 }
 
