@@ -14,8 +14,12 @@ import (
 // ExpOptions controls the experiment drivers that regenerate the
 // paper's tables and figures. The defaults run every experiment at a
 // reduced dataset scale so the full suite completes on a laptop; set
-// Scale to 1 (and accept hours of runtime plus tens of GB of memory)
-// to run at the paper's full Table I sizes.
+// Scale to 1 to run at the paper's full Table I sizes. At scale 1,
+// hidden 128, budget 8000 and Workers 2, on a 2-vCPU Xeon with 8 GB,
+// reddit generates in 18 s, steps in 439 ms, evaluates in 8.3 s and
+// peaks at 3.0 GB; yelp takes 25 s, 464 ms and 15.2 s and peaks at
+// 5.0 GB. Amazon was not measured: its features alone are 2.56 GB of
+// f64.
 type ExpOptions struct {
 	// Scale multiplies the Table I vertex/edge budgets.
 	Scale float64

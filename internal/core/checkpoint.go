@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
 )
 
 // checkpoint is the serialized form of a model's trainable state plus
@@ -23,7 +24,7 @@ type checkpoint struct {
 	InDim        int    // input feature dimensionality
 	Classes      int    // classifier output width
 	MultiLabel   bool   // sigmoid-BCE (true) vs softmax-CE head
-	Aggregator   string // neighbor aggregation operator name
+	Aggregator   string // neighbor aggregation operator name: "mean" ("" reads as "mean")
 
 	Layers     int
 	Hidden     int
@@ -60,7 +61,7 @@ func (m *Model) ArchMeta() ArchMeta {
 		InDim:        m.Layers[0].InDim,
 		Classes:      m.Head.OutDim,
 		MultiLabel:   m.Loss.Name() == "sigmoid-bce",
-		Aggregator:   m.Layers[0].Agg.String(),
+		Aggregator:   "mean", // every layer pools neighbors by their mean
 		Layers:       len(m.Layers),
 		Hidden:       m.cfg.Hidden,
 	}
@@ -109,10 +110,7 @@ const hashChunk = 512
 func hashFloat64s(h io.Writer, xs []float64) {
 	var buf [hashChunk * 8]byte
 	for len(xs) > 0 {
-		n := len(xs)
-		if n > hashChunk {
-			n = hashChunk
-		}
+		n := min(len(xs), hashChunk)
 		for i, x := range xs[:n] {
 			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
 		}
@@ -190,7 +188,8 @@ func (m *Model) Save(w io.Writer) error {
 
 // Load restores trainable parameters previously written by Save into
 // a model of identical architecture. It fails loudly on any shape or
-// ordering mismatch rather than silently mis-assigning weights.
+// ordering mismatch, or v2 metadata other than m's (matchArch), rather
+// than silently mis-assigning weights, and leaves them untouched then.
 func (m *Model) Load(r io.Reader) error {
 	var ck checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
@@ -199,7 +198,26 @@ func (m *Model) Load(r io.Reader) error {
 	if ck.Version < 1 || ck.Version > checkpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want 1..%d", ck.Version, checkpointVersion)
 	}
+	if ck.Version >= 2 {
+		if err := m.matchArch(&ck); err != nil {
+			return err
+		}
+	}
 	return m.restore(&ck)
+}
+
+// matchArch names the first field of ArchMeta but ModelVersion where
+// the v2 checkpoint ck differs from m (an unnamed aggregator is mean).
+func (m *Model) matchArch(ck *checkpoint) error {
+	want, got := reflect.ValueOf(m.ArchMeta()), reflect.ValueOf(*ck)
+	for i := 1; i < want.NumField(); i++ { // field 0 is ModelVersion
+		f := want.Type().Field(i)
+		w, g := want.Field(i).Interface(), got.FieldByName(f.Name).Interface()
+		if g != w && !(f.Name == "Aggregator" && g == "") {
+			return fmt.Errorf("core: checkpoint %s is %#v, the model's is %#v", f.Tag.Get("json"), g, w)
+		}
+	}
+	return nil
 }
 
 // restore copies checkpoint tensors into m after verifying shapes and
@@ -261,16 +279,11 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if total := (int64(ck.InDim) + int64(ck.Hidden)*2*int64(ck.Layers) + int64(ck.Classes)) * 2 * int64(ck.Hidden); total > maxCheckpointParams {
 		return nil, fmt.Errorf("core: checkpoint declares ~%d parameters, cap %d", total, int64(maxCheckpointParams))
 	}
-	switch ck.Aggregator {
-	case "", "mean", "sym", "sum":
-	default:
-		// Validate here rather than panicking inside newModelArch: a
-		// corrupt checkpoint must fail a hot reload with an error, not
-		// take the serving process down.
-		return nil, fmt.Errorf("core: checkpoint has unknown aggregator %q", ck.Aggregator)
+	if ck.Aggregator != "" && ck.Aggregator != "mean" {
+		return nil, fmt.Errorf("core: checkpoint aggregator is %q, the model's is \"mean\"", ck.Aggregator)
 	}
 	m := newModelArch(ck.InDim, ck.Classes, ck.MultiLabel,
-		Config{Layers: ck.Layers, Hidden: ck.Hidden, Aggregator: ck.Aggregator, Seed: 1})
+		Config{Layers: ck.Layers, Hidden: ck.Hidden, Seed: 1})
 	if err := m.restore(&ck); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"hash/crc64"
 	"math"
@@ -177,13 +176,11 @@ func TestCheckpointModelVersionRoundTrip(t *testing.T) {
 }
 
 // TestLoadModelReconstructsArchitecture checks that LoadModel rebuilds
-// the exact architecture (depth, widths, aggregator, loss) and weights
-// from checkpoint metadata alone, producing bit-identical inference.
+// the exact architecture (depth, widths, loss) and weights from
+// checkpoint metadata alone, producing bit-identical inference.
 func TestLoadModelReconstructsArchitecture(t *testing.T) {
 	ds := tinyDataset(t, false)
-	cfg := tinyConfig()
-	cfg.Aggregator = "sym"
-	m := NewModel(ds, cfg)
+	m := NewModel(ds, tinyConfig())
 	tr := NewTrainer(ds, m)
 	for i := 0; i < 3; i++ {
 		tr.Step()
@@ -204,9 +201,6 @@ func TestLoadModelReconstructsArchitecture(t *testing.T) {
 		t.Fatalf("dims %d->%d, want %d->%d",
 			m2.Layers[0].InDim, m2.Head.OutDim, ds.FeatureDim(), ds.NumClasses)
 	}
-	if m2.Layers[0].Agg.String() != "sym" {
-		t.Errorf("aggregator = %q, want sym", m2.Layers[0].Agg.String())
-	}
 	if m2.Loss.Name() != m.Loss.Name() {
 		t.Errorf("loss = %q, want %q", m2.Loss.Name(), m.Loss.Name())
 	}
@@ -224,9 +218,13 @@ func TestLoadModelReconstructsArchitecture(t *testing.T) {
 	}
 }
 
-// TestLoadModelRejectsBadAggregator checks that a corrupt aggregator
-// string fails LoadModel with an error rather than panicking — a
-// hot-reloading server must survive a bad checkpoint file.
+// TestLoadModelRejectsBadAggregator: a v2 checkpoint naming an
+// aggregator other than the mean — Kipf-Welling "sym", GIN-style "sum"
+// or a corrupt string — is refused by LoadModel and by Model.Load with
+// an error naming it, rather than a panic (a hot-reloading server must
+// survive a bad checkpoint file) or a model that computes something
+// else; Model.Load leaves the weights untouched. An empty name, what a
+// checkpoint that predates the field carries, and "mean" load.
 func TestLoadModelRejectsBadAggregator(t *testing.T) {
 	ds := tinyDataset(t, false)
 	m := NewModel(ds, tinyConfig())
@@ -234,17 +232,96 @@ func TestLoadModelRejectsBadAggregator(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var ck checkpoint
-	if err := gob.NewDecoder(&buf).Decode(&ck); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ name, agg string }{
+		{"unnamed", ""}, {"mean", "mean"}, {"sym", "sym"}, {"sum", "sum"}, {"bogus", "bogus"},
+	} {
+		agg := tc.agg
+		t.Run(tc.name, func(t *testing.T) {
+			data := edited(t, buf.Bytes(), func(ck *checkpoint) { ck.Aggregator = agg })
+			_, errModel := LoadModel(bytes.NewReader(data))
+			into := NewModel(ds, tinyConfig())
+			into.Params()[0].W.Data[0]++
+			before := weightCRC(into)
+			errLoad := into.Load(bytes.NewReader(data))
+			if agg == "" || agg == "mean" {
+				if errModel != nil || errLoad != nil {
+					t.Fatalf("LoadModel %v, Load %v; want both to load", errModel, errLoad)
+				}
+				return
+			}
+			for name, err := range map[string]error{"LoadModel": errModel, "Load": errLoad} {
+				if err == nil || !strings.Contains(err.Error(), `"`+agg+`"`) {
+					t.Errorf("%s returned %v, want an error naming it", name, err)
+				}
+			}
+			if weightCRC(into) != before {
+				t.Error("a refused Load changed the weights")
+			}
+		})
 	}
-	ck.Aggregator = "bogus"
-	var buf2 bytes.Buffer
-	if err := gob.NewEncoder(&buf2).Encode(ck); err != nil {
-		t.Fatal(err)
+}
+
+// TestLoadRefusesOtherArchitecture: Model.Load compares every field of
+// a v2 checkpoint's architecture metadata but ModelVersion with the
+// model's, not only its tensor shapes — a multi-label checkpoint
+// loaded into a single-label model of the same shapes would go on
+// training with the other loss — and a refused load names the field
+// and leaves the weights untouched. Each metadata field is edited
+// alone on a checkpoint whose tensors fit the model (the aggregator's
+// values are TestLoadModelRejectsBadAggregator's). Another
+// ModelVersion loads, and so does a v1 checkpoint, which carries no
+// metadata and is still restored by shape.
+func TestLoadRefusesOtherArchitecture(t *testing.T) {
+	single := tinyDataset(t, false)
+	cfg := tinyConfig()
+	cfg.Seed++ // weights other than a fresh model's, so a load shows
+	save := func(m *Model) []byte {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if _, err := LoadModel(&buf2); err == nil {
-		t.Fatal("LoadModel accepted an unknown aggregator")
+	src, multi := NewModel(single, cfg), NewModel(tinyDataset(t, true), cfg)
+	if len(multi.Params()) != len(src.Params()) || multi.NumParams() != src.NumParams() {
+		t.Fatal("the single- and multi-label models differ in shape: the test needs them equal")
+	}
+	singleCk, multiCk := save(src), save(multi)
+	cases := []struct {
+		name string
+		data []byte
+		want string // substring of the refusal; "" means the load succeeds
+		from *Model // the weights a successful load leaves
+	}{
+		{"multi_label", multiCk, "multi_label is true", nil},
+		{"in_dim", edited(t, singleCk, func(ck *checkpoint) { ck.InDim++ }), "in_dim is 17", nil},
+		{"classes", edited(t, singleCk, func(ck *checkpoint) { ck.Classes++ }), "classes is 6", nil},
+		{"layers", edited(t, singleCk, func(ck *checkpoint) { ck.Layers++ }), "layers is 3", nil},
+		{"hidden", edited(t, singleCk, func(ck *checkpoint) { ck.Hidden++ }), "hidden is 17", nil},
+		{"model_version", edited(t, singleCk, func(ck *checkpoint) { ck.ModelVersion += 7 }), "", src},
+		{"v1-multi-label", edited(t, multiCk, func(ck *checkpoint) { ck.Version = 1 }), "", multi},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			into := NewModel(single, tinyConfig())
+			before := weightCRC(into)
+			err := into.Load(bytes.NewReader(tc.data))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("checkpoint of equal shapes: %v", err)
+				}
+				if weightCRC(into) != weightCRC(tc.from) {
+					t.Fatal("the load left other weights than the checkpoint's")
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load: %v, want an error containing %q", err, tc.want)
+			}
+			if weightCRC(into) != before {
+				t.Fatal("a refused Load changed the weights")
+			}
+		})
 	}
 }
 

@@ -253,49 +253,16 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-func TestAggregatorVariantsTrain(t *testing.T) {
-	ds := tinyDataset(t, false)
-	for _, agg := range []string{"mean", "sym", "sum"} {
-		cfg := tinyConfig()
-		cfg.Aggregator = agg
-		m := NewModel(ds, cfg)
-		tr := NewTrainer(ds, m)
-		for e := 0; e < 8; e++ {
-			tr.Epoch()
-		}
-		if f1 := tr.Evaluate(ds.ValIdx); f1 < 0.4 {
-			t.Errorf("aggregator %s: val F1 %.3f, failed to learn", agg, f1)
-		}
-	}
-}
-
-func TestUnknownAggregatorPanics(t *testing.T) {
-	ds := tinyDataset(t, false)
-	cfg := tinyConfig()
-	cfg.Aggregator = "median"
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown aggregator did not panic")
-		}
-	}()
-	NewModel(ds, cfg)
-}
-
 func TestRegularizedTraining(t *testing.T) {
 	ds := tinyDataset(t, false)
 	cfg := tinyConfig()
 	cfg.DropRate = 0.2
 	cfg.WeightDecay = 1e-4
 	cfg.GradClip = 5
-	cfg.LRDecay = 0.95
 	m := NewModel(ds, cfg)
 	tr := NewTrainer(ds, m)
-	lr0 := tr.Opt.LR
 	for e := 0; e < 10; e++ {
 		tr.Epoch()
-	}
-	if tr.Opt.LR >= lr0 {
-		t.Errorf("LR did not decay: %v -> %v", lr0, tr.Opt.LR)
 	}
 	if f1 := tr.Evaluate(ds.ValIdx); f1 < 0.4 {
 		t.Errorf("regularized training F1 %.3f, failed to learn", f1)

@@ -6,18 +6,18 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"gsgcn/internal/datasets"
 )
 
-// fuzzCheckpointBytes serializes a small trained-shape model — the
-// honest corpus seed every mutation starts from.
+// fuzzModel is a freshly initialized model of the fuzz seed's
+// architecture: 5 features, 3 single-label classes, two layers of 4.
+func fuzzModel() *Model {
+	return newModelArch(5, 3, false, Config{Layers: 2, Hidden: 4, Workers: 1, Seed: 3})
+}
+
+// fuzzCheckpointBytes serializes fuzzModel — the honest corpus seed
+// every mutation starts from.
 func fuzzCheckpointBytes(tb interface{ Fatal(...any) }) []byte {
-	ds := datasets.Generate(datasets.Config{
-		Name: "fuzz", Vertices: 60, TargetEdges: 240,
-		FeatureDim: 5, NumClasses: 3, Seed: 13,
-	})
-	m := NewModel(ds, Config{Layers: 2, Hidden: 4, Workers: 1, Seed: 3})
+	m := fuzzModel()
 	m.ModelVersion = 7
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -30,11 +30,16 @@ func fuzzCheckpointBytes(tb interface{ Fatal(...any) }) []byte {
 // second tensor set to v: a checkpoint sound in every field but one
 // weight.
 func withWeight(tb interface{ Fatal(...any) }, valid []byte, v float64) []byte {
+	return edited(tb, valid, func(ck *checkpoint) { ck.Data[1][2] = v })
+}
+
+// edited returns the checkpoint bytes valid re-encoded after edit.
+func edited(tb interface{ Fatal(...any) }, valid []byte, edit func(*checkpoint)) []byte {
 	var ck checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&ck); err != nil {
 		tb.Fatal(err)
 	}
-	ck.Data[1][2] = v
+	edit(&ck)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		tb.Fatal(err)
@@ -42,12 +47,14 @@ func withWeight(tb interface{ Fatal(...any) }, valid []byte, v float64) []byte {
 	return buf.Bytes()
 }
 
-// FuzzLoadModel drives the v2 checkpoint loader with truncated,
+// FuzzLoadModel drives both checkpoint loaders with truncated,
 // bit-flipped, metadata-corrupted and wrong-magic inputs. The
 // contract under fuzzing: LoadModel either returns a usable model or
 // an error — it never panics, and it never allocates unboundedly from
 // attacker-controlled metadata (the dim caps in LoadModel are what
-// keep a 50-byte input from declaring a 2^60-weight architecture).
+// keep a 50-byte input from declaring a 2^60-weight architecture);
+// Model.Load into a model of the seed's shape never panics, and an
+// error leaves its weights as they were.
 func FuzzLoadModel(f *testing.F) {
 	valid := fuzzCheckpointBytes(f)
 	f.Add(valid)
@@ -83,7 +90,18 @@ func FuzzLoadModel(f *testing.F) {
 	// One NaN weight in an otherwise sound checkpoint (ErrNonFinite).
 	f.Add(withWeight(f, valid, math.NaN()))
 
+	// Sound checkpoints naming an aggregator other than the mean.
+	for _, agg := range []string{"sym", "sum"} {
+		f.Add(edited(f, valid, func(ck *checkpoint) { ck.Aggregator = agg }))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		into := fuzzModel()
+		before := into.WeightsChecksum()
+		if err := into.Load(bytes.NewReader(data)); err != nil && into.WeightsChecksum() != before {
+			t.Fatalf("Load refused the input (%v) but changed the weights", err)
+		}
+
 		m, err := LoadModel(bytes.NewReader(data))
 		if err != nil {
 			if m != nil {
@@ -112,9 +130,11 @@ func FuzzLoadModel(f *testing.F) {
 	})
 }
 
-// TestLoadModelRejectsCorruptMetadata pins the loader's hardening as
+// TestLoadModelRejectsCorruptMetadata pins the loaders' hardening as
 // plain unit tests (the fuzz seeds above, asserted explicitly) so the
-// guarantees hold in ordinary `go test` runs too.
+// guarantees hold in ordinary `go test` runs too: LoadModel and
+// Model.Load, into a model of the seed's shape, refuse every case, and
+// a refused Model.Load leaves the weights as they were.
 func TestLoadModelRejectsCorruptMetadata(t *testing.T) {
 	valid := fuzzCheckpointBytes(t)
 	if _, err := LoadModel(bytes.NewReader(valid)); err != nil {
@@ -143,6 +163,8 @@ func TestLoadModelRejectsCorruptMetadata(t *testing.T) {
 		{"absurd-dims", encode(checkpoint{Version: 2, InDim: 1 << 30, Classes: 3, Hidden: 4, Layers: 2})},
 		{"absurd-total", encode(checkpoint{Version: 2, InDim: 1 << 19, Classes: 1 << 19, Hidden: 1 << 19, Layers: 1 << 9})},
 		{"bad-aggregator", encode(checkpoint{Version: 2, InDim: 5, Classes: 3, Hidden: 4, Layers: 2, Aggregator: "median"})},
+		{"sym-aggregator", edited(t, valid, func(ck *checkpoint) { ck.Aggregator = "sym" })},
+		{"sum-aggregator", edited(t, valid, func(ck *checkpoint) { ck.Aggregator = "sum" })},
 		{"tensor-length-mismatch", encode(checkpoint{
 			Version: 2, InDim: 5, Classes: 3, Hidden: 4, Layers: 2,
 			Names: []string{"a", "b"}, Rows: []int{1}, Cols: []int{1}, Data: [][]float64{{1}},
@@ -162,6 +184,18 @@ func TestLoadModelRejectsCorruptMetadata(t *testing.T) {
 			}
 			if errors.Is(err, ErrNonFinite) != nonFinite[tc.name] {
 				t.Fatalf("error %v: errors.Is(err, ErrNonFinite) = %v", err, !nonFinite[tc.name])
+			}
+			into := fuzzModel()
+			before := into.WeightsChecksum()
+			err = into.Load(bytes.NewReader(tc.data))
+			if err == nil {
+				t.Fatal("corrupt checkpoint accepted by Model.Load")
+			}
+			if errors.Is(err, ErrNonFinite) != nonFinite[tc.name] {
+				t.Fatalf("Model.Load error %v: errors.Is(err, ErrNonFinite) = %v", err, !nonFinite[tc.name])
+			}
+			if into.WeightsChecksum() != before {
+				t.Fatal("a refused Model.Load changed the weights")
 			}
 		})
 	}

@@ -50,10 +50,6 @@ type Config struct {
 	// machine. It never changes a result.
 	Q int
 
-	// Aggregator selects the neighbor-pooling operator: "mean" (the
-	// paper's choice, default), "sym" (Kipf-Welling symmetric
-	// normalization) or "sum".
-	Aggregator string
 	// DropRate applies inverted dropout to each layer input during
 	// training (0 disables).
 	DropRate float64
@@ -62,9 +58,6 @@ type Config struct {
 	// GradClip rescales gradients when their global L2 norm exceeds
 	// this value (0 disables).
 	GradClip float64
-	// LRDecay multiplies the learning rate after every epoch
-	// (0 or 1 disables).
-	LRDecay float64
 
 	Seed uint64
 }
@@ -144,19 +137,8 @@ func NewModel(ds *datasets.Dataset, cfg Config) *Model {
 func newModelArch(in, classes int, multiLabel bool, cfg Config) *Model {
 	r := rng.NewStream(cfg.Seed, 0xC0DE)
 	m := &Model{cfg: cfg}
-	agg := nn.AggMean
-	switch cfg.Aggregator {
-	case "", "mean":
-	case "sym":
-		agg = nn.AggSym
-	case "sum":
-		agg = nn.AggSum
-	default:
-		panic(fmt.Sprintf("core: unknown aggregator %q (want mean|sym|sum)", cfg.Aggregator))
-	}
 	for l := 0; l < cfg.Layers; l++ {
 		layer := nn.NewGCNLayer(in, cfg.Hidden, r)
-		layer.Agg = agg
 		m.Layers = append(m.Layers, layer)
 		in = layer.OutWidth()
 	}
@@ -338,7 +320,7 @@ func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur *mat.Dense, rows []int
 		n = len(rows)
 	}
 	next := mat.New(n, l.OutWidth())
-	in, out, norm := l.InDim, l.OutDim, l.Agg.Norm()
+	in, out := l.InDim, l.OutDim
 	// src is what the blocks propagate: cur, or cur·W_neigh for a
 	// layer that propagates its output.
 	reorder := l.PropagatesOutput()
@@ -373,13 +355,13 @@ func layerForwardBlocks(l *nn.GCNLayer, g *graph.CSR, cur *mat.Dense, rows []int
 			var hSb *mat.Dense
 			if rows == nil {
 				hSb = mat.FromData(k, in, cur.Data[lo*in:hi*in])
-				partition.PropagateRows(pb, src, g, norm, lo, hi)
+				partition.PropagateRows(pb, src, g, partition.NormDst, lo, hi)
 			} else {
 				hSb = mat.FromData(k, in, hS[:k*in])
 				for t, v := range rows[lo:hi] {
 					copy(hSb.Row(t), cur.Row(v))
 					pv.Data = pb.Row(t)
-					partition.PropagateRows(pv, src, g, norm, v, v+1)
+					partition.PropagateRows(pv, src, g, partition.NormDst, v, v+1)
 				}
 			}
 			mat.Mul(zSb, hSb, l.WSelf.W, 1)

@@ -23,7 +23,7 @@ import (
 // steps on three subgraphs: sigmoid-BCE and softmax-CE, 16 and 40
 // features (at 40 the first layer propagates its output, and at one
 // layer it is also the row-restricted last one), one to three layers,
-// every aggregator, with dropout and without, at Workers 1 and 3.
+// with dropout and without, at Workers 1 and 3.
 func TestStepOnMatchesEveryRowPass(t *testing.T) {
 	for _, c := range lossFeatureCases {
 		multi := c.multi
@@ -33,54 +33,52 @@ func TestStepOnMatchesEveryRowPass(t *testing.T) {
 			train[v] = true
 		}
 		for layers := 1; layers <= 3; layers++ {
-			for _, agg := range []string{"mean", "sym", "sum"} {
-				for _, drop := range []float64{0, 0.3} {
-					for _, workers := range []int{1, 3} {
-						cfg := tinyConfig()
-						cfg.Layers, cfg.Aggregator, cfg.DropRate, cfg.Workers = layers, agg, drop, workers
-						tag := fmt.Sprintf("multi=%v features=%d layers=%d agg=%s drop=%v workers=%d", multi, c.features, layers, agg, drop, workers)
-						tr := NewTrainer(ds, NewModel(ds, cfg))
-						twin := NewModel(ds, cfg)
-						opt := nn.NewAdam(cfg.LR)
-						dropRng := rng.NewStream(cfg.Seed, 0xD409)
-						fr := &sampler.Frontier{G: ds.G, M: cfg.FrontierM, N: cfg.Budget, Eta: 2}
-						for step := 0; step < 3; step++ {
-							sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(11, step))
-							idx, mask := make([]int, sub.N), []int{}
-							for i, v := range sub.Orig {
-								idx[i] = int(v)
-								if train[v] {
-									mask = append(mask, i)
-								}
+			for _, drop := range []float64{0, 0.3} {
+				for _, workers := range []int{1, 3} {
+					cfg := tinyConfig()
+					cfg.Layers, cfg.DropRate, cfg.Workers = layers, drop, workers
+					tag := fmt.Sprintf("multi=%v features=%d layers=%d drop=%v workers=%d", multi, c.features, layers, drop, workers)
+					tr := NewTrainer(ds, NewModel(ds, cfg))
+					twin := NewModel(ds, cfg)
+					opt := nn.NewAdam(cfg.LR)
+					dropRng := rng.NewStream(cfg.Seed, 0xD409)
+					fr := &sampler.Frontier{G: ds.G, M: cfg.FrontierM, N: cfg.Budget, Eta: 2}
+					for step := 0; step < 3; step++ {
+						sub := sampler.SampleSubgraph(ds.G, fr, rng.NewStream(11, step))
+						idx, mask := make([]int, sub.N), []int{}
+						for i, v := range sub.Orig {
+							idx[i] = int(v)
+							if train[v] {
+								mask = append(mask, i)
 							}
-							if len(mask) == sub.N {
-								t.Fatalf("%s step %d: every row of the subgraph is a training row", tag, step)
-							}
-							h0, labels := mat.New(sub.N, ds.FeatureDim()), mat.New(sub.N, ds.NumClasses)
-							mat.GatherRows(h0, ds.Features, idx)
-							mat.GatherRows(labels, ds.Labels, idx)
-							ctx := twin.CtxForGraph(sub.CSR, ds.FeatureDim(), nil)
-							if drop > 0 {
-								ctx.Train, ctx.DropRate, ctx.Rng = true, drop, dropRng
-							}
-							logits := twin.Forward(ctx, h0)
-							dLogits := mat.New(sub.N, ds.NumClasses)
-							want := twin.Loss.Eval(logits, labels, mask, dLogits)
-							twin.Backward(ctx, dLogits)
-
-							if got := tr.StepOn(sub); math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("%s step %d: loss %v, every-row pass %v", tag, step, got, want)
-							}
-							for i, p := range tr.Model.Params() {
-								q := twin.Params()[i]
-								for j, g := range p.Grad.Data {
-									if math.Float64bits(g) != math.Float64bits(q.Grad.Data[j]) {
-										t.Fatalf("%s step %d: %s gradient element %d = %v, every-row pass %v", tag, step, p.Name, j, g, q.Grad.Data[j])
-									}
-								}
-							}
-							opt.Step(twin.Params())
 						}
+						if len(mask) == sub.N {
+							t.Fatalf("%s step %d: every row of the subgraph is a training row", tag, step)
+						}
+						h0, labels := mat.New(sub.N, ds.FeatureDim()), mat.New(sub.N, ds.NumClasses)
+						mat.GatherRows(h0, ds.Features, idx)
+						mat.GatherRows(labels, ds.Labels, idx)
+						ctx := twin.CtxForGraph(sub.CSR, ds.FeatureDim(), nil)
+						if drop > 0 {
+							ctx.Train, ctx.DropRate, ctx.Rng = true, drop, dropRng
+						}
+						logits := twin.Forward(ctx, h0)
+						dLogits := mat.New(sub.N, ds.NumClasses)
+						want := twin.Loss.Eval(logits, labels, mask, dLogits)
+						twin.Backward(ctx, dLogits)
+
+						if got := tr.StepOn(sub); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s step %d: loss %v, every-row pass %v", tag, step, got, want)
+						}
+						for i, p := range tr.Model.Params() {
+							q := twin.Params()[i]
+							for j, g := range p.Grad.Data {
+								if math.Float64bits(g) != math.Float64bits(q.Grad.Data[j]) {
+									t.Fatalf("%s step %d: %s gradient element %d = %v, every-row pass %v", tag, step, p.Name, j, g, q.Grad.Data[j])
+								}
+							}
+						}
+						opt.Step(twin.Params())
 					}
 				}
 			}

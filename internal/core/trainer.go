@@ -170,9 +170,6 @@ func (t *Trainer) Epoch() float64 {
 	for i := 0; i < iters; i++ {
 		total += t.Step()
 	}
-	if d := t.Model.cfg.LRDecay; d > 0 && d != 1 {
-		t.Opt.LR *= d
-	}
 	return total / float64(iters)
 }
 

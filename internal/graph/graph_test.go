@@ -349,53 +349,6 @@ func BenchmarkInduce(b *testing.B) {
 	}
 }
 
-func TestDegreeKSIdentical(t *testing.T) {
-	g := randomGraph(t, 100, 400, 5)
-	if ks := DegreeKS(g, g); ks != 0 {
-		t.Errorf("KS(g,g) = %v, want 0", ks)
-	}
-}
-
-func TestDegreeKSDiscriminates(t *testing.T) {
-	// A star and a cycle of the same size have very different degree
-	// distributions.
-	star := starLike(t, 50)
-	var ring []Edge
-	for i := 0; i < 51; i++ {
-		ring = append(ring, Edge{U: int32(i), V: int32((i + 1) % 51)})
-	}
-	cyc, err := FromEdges(51, ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks := DegreeKS(star, cyc); ks < 0.5 {
-		t.Errorf("KS(star, cycle) = %v, want large", ks)
-	}
-	if ks := DegreeKS(star, cyc); ks > 1 {
-		t.Errorf("KS > 1: %v", ks)
-	}
-}
-
-func TestDegreeKSEmpty(t *testing.T) {
-	g := randomGraph(t, 10, 20, 7)
-	empty, _ := FromEdges(0, nil)
-	if ks := DegreeKS(g, empty); ks != 1 {
-		t.Errorf("KS vs empty = %v, want 1", ks)
-	}
-}
-
-func TestQualityReport(t *testing.T) {
-	g := randomGraph(t, 200, 1000, 9)
-	all := make([]int32, g.N)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	q := Quality(g, g.Induce(all))
-	if q.DegreeKS != 0 || q.Vertices != g.N || q.Edges != g.NumEdges() {
-		t.Errorf("whole-graph quality wrong: %+v", q)
-	}
-}
-
 // starLike builds a star graph with n leaves.
 func starLike(t *testing.T, n int) *CSR {
 	t.Helper()

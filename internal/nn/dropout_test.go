@@ -4,106 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"gsgcn/internal/graph"
 	"gsgcn/internal/mat"
 	"gsgcn/internal/rng"
 )
-
-func TestAggregatorNames(t *testing.T) {
-	if AggMean.String() != "mean" || AggSym.String() != "sym" || AggSum.String() != "sum" {
-		t.Error("aggregator names wrong")
-	}
-	if Aggregator(99).String() != "unknown" {
-		t.Error("unknown aggregator name")
-	}
-}
-
-func TestAggSumSemantics(t *testing.T) {
-	// Path 0-1-2: vertex 1 sums both neighbors.
-	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := mat.FromData(3, 1, []float64{1, 10, 100})
-	dst := mat.New(3, 1)
-	aggregate(dst, src, g, AggSum, nil, 1, 1)
-	want := []float64{10, 101, 10}
-	for i, w := range want {
-		if dst.Data[i] != w {
-			t.Fatalf("AggSum = %v, want %v", dst.Data, want)
-		}
-	}
-}
-
-func TestAggSymSemantics(t *testing.T) {
-	// Path 0-1-2: deg = 1,2,1.
-	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := mat.FromData(3, 1, []float64{1, 1, 1})
-	dst := mat.New(3, 1)
-	aggregate(dst, src, g, AggSym, nil, 1, 1)
-	s2 := 1 / math.Sqrt(2)
-	want := []float64{s2, 2 * s2, s2}
-	for i, w := range want {
-		if math.Abs(dst.Data[i]-w) > 1e-12 {
-			t.Fatalf("AggSym = %v, want %v", dst.Data, want)
-		}
-	}
-}
-
-func TestAggSymSelfAdjoint(t *testing.T) {
-	ctx := testCtx(t, 14)
-	r := rng.New(31)
-	x := randMat(r, 14, 3)
-	y := randMat(r, 14, 3)
-	ax := mat.New(14, 3)
-	ay := mat.New(14, 3)
-	aggregate(ax, x, ctx.G, AggSym, nil, 2, 1)
-	aggregateT(ay, y, ctx.G, AggSym, 2, 1)
-	var left, right float64
-	for i := range ax.Data {
-		left += y.Data[i] * ax.Data[i]
-		right += ay.Data[i] * x.Data[i]
-	}
-	if math.Abs(left-right) > 1e-9*(1+math.Abs(left)) {
-		t.Errorf("<y,Ax>=%v != <A'y,x>=%v", left, right)
-	}
-}
-
-func TestGCNLayerGradientAllAggregators(t *testing.T) {
-	const n = 9
-	for _, c := range gradCases(layerShapes) {
-		in, out := c.in, c.out
-		ctx := testGraphCtx(t, n, c.hub)
-		r := rng.New(33)
-		for _, agg := range []Aggregator{AggMean, AggSym, AggSum} {
-			l := NewGCNLayer(in, out, r)
-			l.Agg = agg
-			l.Activate = false
-			h := randMat(r, n, in)
-			coeff := randMat(r, n, 2*out)
-			eval := func() float64 { return objective(l.Forward(ctx, h), coeff) }
-			eval()
-			dh := l.Backward(ctx, coeff)
-			for _, tc := range []struct {
-				name     string
-				analytic *mat.Dense
-				variable *mat.Dense
-			}{
-				{"dH", dh, h},
-				{"dWself", l.WSelf.Grad, l.WSelf.W},
-				{"dWneigh", l.WNeigh.Grad, l.WNeigh.W},
-			} {
-				num := numericalGrad(tc.variable, eval)
-				if d := tc.analytic.MaxAbsDiff(num); d > 1e-5 {
-					t.Errorf("%d -> %d hub=%t %s: %s max diff %g", in, out, c.hub, agg, tc.name, d)
-				}
-			}
-		}
-	}
-}
 
 func TestDropoutMaskStatistics(t *testing.T) {
 	r := rng.New(35)

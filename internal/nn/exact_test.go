@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gsgcn/internal/mat"
+	"gsgcn/internal/partition"
 	"gsgcn/internal/rng"
 )
 
@@ -31,20 +32,18 @@ func TestAggregateBitExactAcrossWorkersAndQ(t *testing.T) {
 	const n, f = 23, 13 // prime-ish odd sizes
 	ctx := testCtx(t, n)
 	src := randMat(rng.New(3), n, f)
-	for _, agg := range []Aggregator{AggMean, AggSym, AggSum} {
-		want := mat.New(n, f)
-		aggregate(want, src, ctx.G, agg, nil, 1, 1)
-		for _, q := range []int{1, 2, 5, f, f + 10} {
-			for _, w := range []int{1, 2, 8} {
-				got := mat.New(n, f)
-				aggregate(got, src, ctx.G, agg, nil, q, w)
-				requireSame(t, agg.String(), got, want)
-				gotT := mat.New(n, f)
-				aggregateT(gotT, src, ctx.G, agg, q, w)
-				wantT := mat.New(n, f)
-				aggregateT(wantT, src, ctx.G, agg, 1, 1)
-				requireSame(t, agg.String()+"/T", gotT, wantT)
-			}
+	want := mat.New(n, f)
+	partition.PropagateList(want, src, ctx.G, partition.NormDst, nil, 1, 1)
+	wantT := mat.New(n, f)
+	partition.Propagate(wantT, src, ctx.G, partition.NormSrc, 1, 1)
+	for _, q := range []int{1, 2, 5, f, f + 10} {
+		for _, w := range []int{1, 2, 8} {
+			got := mat.New(n, f)
+			partition.PropagateList(got, src, ctx.G, partition.NormDst, nil, q, w)
+			requireSame(t, "mean", got, want)
+			gotT := mat.New(n, f)
+			partition.Propagate(gotT, src, ctx.G, partition.NormSrc, q, w)
+			requireSame(t, "mean/T", gotT, wantT)
 		}
 	}
 }

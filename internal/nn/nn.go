@@ -47,6 +47,7 @@ import (
 
 	"gsgcn/internal/graph"
 	"gsgcn/internal/mat"
+	"gsgcn/internal/partition"
 	"gsgcn/internal/perf"
 	"gsgcn/internal/rng"
 )
@@ -184,9 +185,6 @@ type GCNLayer struct {
 	// Activate disables the ReLU when false (the classifier head
 	// prefers raw features from the last layer in some stacks).
 	Activate bool
-	// Agg selects the neighbor aggregation operator (default mean,
-	// the paper's choice).
-	Agg Aggregator
 
 	// Cached activations from the last Forward, consumed by Backward;
 	// lastOut is also the matrix Forward returns. lastHNeigh is held
@@ -300,10 +298,10 @@ func (l *GCNLayer) Forward(ctx *Ctx, h *mat.Dense) *mat.Dense {
 			mat.MulList(zSelf, h, l.WSelf.W, ctx.Rows, ctx.Workers)
 			mat.Mul(p, h, l.WNeigh.W, ctx.Workers)
 		})
-		ctx.time("featprop", func() { aggregate(zNeigh, p, ctx.G, l.Agg, ctx.Rows, ctx.Q, ctx.Workers) })
+		ctx.time("featprop", func() { partition.PropagateList(zNeigh, p, ctx.G, partition.NormDst, ctx.Rows, ctx.Q, ctx.Workers) })
 	} else {
 		hNeigh := mat.Reuse(&l.lastHNeigh, n, l.InDim)
-		ctx.time("featprop", func() { aggregate(hNeigh, h, ctx.G, l.Agg, ctx.Rows, ctx.Q, ctx.Workers) })
+		ctx.time("featprop", func() { partition.PropagateList(hNeigh, h, ctx.G, partition.NormDst, ctx.Rows, ctx.Q, ctx.Workers) })
 		ctx.time("weight", func() {
 			mat.MulList(zSelf, h, l.WSelf.W, ctx.Rows, ctx.Workers)
 			mat.MulList(zNeigh, hNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
@@ -392,7 +390,7 @@ func (l *GCNLayer) Backward(ctx *Ctx, dOut *mat.Dense) *mat.Dense {
 			mat.MulBTList(dH, dZSelf, l.WSelf.W, ctx.Rows, ctx.Workers)
 			mat.MulBTList(dHNeigh, dZNeigh, l.WNeigh.W, ctx.Rows, ctx.Workers)
 		})
-		ctx.time("featprop", func() { aggregateT(back, dHNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
+		ctx.time("featprop", func() { partition.Propagate(back, dHNeigh, ctx.G, partition.NormSrc, ctx.Q, ctx.Workers) })
 	}
 	mat.AddScaledP(dH, back, 1, ctx.Workers)
 	for i, m := range l.lastMask {
@@ -426,7 +424,7 @@ func (l *GCNLayer) BackwardParams(ctx *Ctx, dOut *mat.Dense) {
 		return
 	}
 	dP := mat.Reuse(&l.bufDP, n, l.OutDim)
-	ctx.time("featprop", func() { aggregateT(dP, dZNeigh, ctx.G, l.Agg, ctx.Q, ctx.Workers) })
+	ctx.time("featprop", func() { partition.Propagate(dP, dZNeigh, ctx.G, partition.NormSrc, ctx.Q, ctx.Workers) })
 	ctx.time("weight", func() {
 		if ctx.Rows == nil {
 			mat.MulATPair(l.WSelf.Grad, l.WNeigh.Grad, l.lastH, l.lastIn, dZSelf, dP, ctx.Workers)

@@ -12,9 +12,8 @@
 // neighbors' feature vectors (the feature-aggregation step of Section
 // II-A). The backward pass of the same operator distributes gradient
 // mass to neighbors scaled by the *source* degree, which on an
-// undirected graph is the transpose operator; both directions, and the
-// symmetric and unnormalized operators of the aggregator ablation,
-// share one kernel parameterized by the normalization mode — the one
+// undirected graph is the transpose operator; both directions share
+// one kernel parameterized by the normalization mode — the one
 // loop in the module that sums neighbor feature rows, under training's
 // subgraph steps and serving's full-graph pass alike. A vertex is one
 // mat.GatherSum: each output element has a lane of its own, starts
@@ -29,8 +28,6 @@
 package partition
 
 import (
-	"math"
-
 	"gsgcn/internal/graph"
 	"gsgcn/internal/mat"
 	"gsgcn/internal/perf"
@@ -46,12 +43,6 @@ const (
 	// NormSrc computes dst[v] = sum_{u in N(v)} src[u]/deg(u)
 	// — the transpose (backward) of the mean aggregator.
 	NormSrc
-	// NormSym computes dst[v] = sum_{u in N(v)} src[u]/sqrt(deg(v)·deg(u))
-	// — Kipf & Welling's symmetric normalization, its own transpose.
-	NormSym
-	// NormSum computes dst[v] = sum_{u in N(v)} src[u] — the
-	// unnormalized adjacency, its own transpose on an undirected graph.
-	NormSum
 )
 
 // PropagateRows aggregates every column of src for vertices
@@ -227,17 +218,11 @@ func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, nor
 		}
 		scale := 1.0
 		w = w[:0]
-		switch norm {
-		case NormDst:
+		if norm == NormDst {
 			scale = 1 / float64(len(nb))
-		case NormSrc:
+		} else {
 			for _, u := range nb {
 				w = append(w, 1/float64(g.Degree(u)))
-			}
-		case NormSym:
-			sv := 1 / math.Sqrt(float64(len(nb)))
-			for _, u := range nb {
-				w = append(w, sv*(1/math.Sqrt(float64(g.Degree(u)))))
 			}
 		}
 		mat.GatherSum(drow, src.Data, f, colLo, nb, w, scale)

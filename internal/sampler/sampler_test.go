@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -330,12 +331,68 @@ func TestFrontierPreservesDegreeDistribution(t *testing.T) {
 	// parent's degree distribution than uniform node samples.
 	g := testGraph(t)
 	r := rng.New(25)
-	fr := graph.Quality(g, SampleSubgraph(g, &Frontier{G: g, M: 60, N: 600}, r))
-	rn := graph.Quality(g, SampleSubgraph(g, &RandomNode{G: g, Budget: 600}, r))
-	if fr.LCCFraction <= rn.LCCFraction {
-		t.Errorf("frontier LCC %.3f <= random %.3f", fr.LCCFraction, rn.LCCFraction)
+	fr := SampleSubgraph(g, &Frontier{G: g, M: 60, N: 600}, r)
+	rn := SampleSubgraph(g, &RandomNode{G: g, Budget: 600}, r)
+	if f, u := fr.LargestComponentFraction(), rn.LargestComponentFraction(); f <= u {
+		t.Errorf("frontier LCC %.3f <= random %.3f", f, u)
 	}
-	if fr.DegreeKS <= 0 || fr.DegreeKS >= 1 {
-		t.Errorf("frontier KS %.3f out of (0,1)", fr.DegreeKS)
+	if ks := degreeKS(g, fr.CSR); ks <= 0 || ks >= 1 {
+		t.Errorf("frontier KS %.3f out of (0,1)", ks)
 	}
+}
+
+func TestDegreeKSIdentical(t *testing.T) {
+	g := testGraph(t)
+	if ks := degreeKS(g, g); ks != 0 {
+		t.Errorf("KS(g, g) = %v, want 0", ks)
+	}
+}
+
+func TestDegreeKSDiscriminates(t *testing.T) {
+	// A star and a cycle of the same size have very different degree
+	// distributions: 50 of the star's 51 vertices have degree 1, every
+	// cycle vertex degree 2.
+	star := starGraph(t, 50)
+	ring := make([]graph.Edge, 51)
+	for i := range ring {
+		ring[i] = graph.Edge{U: int32(i), V: int32((i + 1) % 51)}
+	}
+	cyc, err := graph.FromEdges(51, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks := degreeKS(star, cyc); ks < 0.5 || ks > 1 {
+		t.Errorf("KS(star, cycle) = %v, want in [0.5, 1]", ks)
+	}
+	if a, b := degreeKS(star, cyc), degreeKS(cyc, star); a != b {
+		t.Errorf("KS not symmetric: %v vs %v", a, b)
+	}
+}
+
+// degreeKS returns the Kolmogorov-Smirnov distance between the degree
+// distributions of g and h, two non-empty graphs — one of the
+// "connectivity measures" a good graph sampler should preserve
+// (Section III-C; Ribeiro & Towsley evaluate frontier sampling with
+// this family of statistics). 0 means identical distributions, 1
+// maximal divergence.
+func degreeKS(g, h *graph.CSR) float64 {
+	maxDeg := max(g.MaxDegree(), h.MaxDegree())
+	cdf := func(x *graph.CSR) []float64 {
+		counts := make([]float64, maxDeg+2)
+		for v := int32(0); v < int32(x.N); v++ {
+			counts[x.Degree(v)]++
+		}
+		run := 0.0
+		for i := range counts {
+			run += counts[i]
+			counts[i] = run / float64(x.N)
+		}
+		return counts
+	}
+	cg, ch := cdf(g), cdf(h)
+	ks := 0.0
+	for i := range cg {
+		ks = max(ks, math.Abs(cg[i]-ch[i]))
+	}
+	return ks
 }

@@ -172,7 +172,7 @@ func TestANNFallsBackToExact(t *testing.T) {
 func trainedSmall(tb testing.TB, ds *datasets.Dataset, opts Options) *Engine {
 	tb.Helper()
 	eng := NewEngine(ds, opts)
-	if _, err := eng.Install(testModel(tb, ds, 2, "mean")); err != nil {
+	if _, err := eng.Install(testModel(tb, ds, 2)); err != nil {
 		tb.Fatal(err)
 	}
 	return eng
@@ -276,7 +276,7 @@ func TestANNIndexLazyAndInvalidated(t *testing.T) {
 		}
 
 		// New snapshot: fresh index over the new table.
-		if _, err := eng.Install(testModel(t, ds, 2, "sym")); err != nil {
+		if _, err := eng.Install(testModelSeed(ds, 2, 18)); err != nil {
 			t.Fatal(err)
 		}
 		st2, _ := eng.Snapshot()

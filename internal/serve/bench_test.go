@@ -21,7 +21,7 @@ func BenchmarkTopKAnnVsExact(b *testing.B) {
 		Name: "topk-bench", Vertices: 6000, TargetEdges: 48000,
 		FeatureDim: 32, NumClasses: 8, Seed: 7,
 	})
-	m := testModel(b, ds, 2, "mean")
+	m := testModel(b, ds, 2)
 	eng := NewEngine(ds, Options{})
 	if _, err := eng.Install(m); err != nil {
 		b.Fatal(err)
@@ -72,7 +72,7 @@ func BenchmarkWarmVsColdStart(b *testing.B) {
 		Name: "warm-bench", Vertices: 2000, TargetEdges: 16000,
 		FeatureDim: 32, NumClasses: 8, Seed: 7,
 	})
-	m := testModel(b, ds, 2, "mean")
+	m := testModel(b, ds, 2)
 	snap, err := BuildSnapshot(ds, m, Options{}, true)
 	if err != nil {
 		b.Fatal(err)
@@ -118,7 +118,7 @@ func BenchmarkWarmStart(b *testing.B) {
 		Name: "warm-bench", Vertices: 2000, TargetEdges: 16000,
 		FeatureDim: 32, NumClasses: 8, Seed: 7,
 	})
-	m := testModel(b, ds, 2, "mean")
+	m := testModel(b, ds, 2)
 	snap, err := BuildSnapshot(ds, m, Options{Dtype: mat.DtypeI8PQ}, true)
 	if err != nil {
 		b.Fatal(err)
@@ -150,7 +150,7 @@ func BenchmarkFullEmbeddings(b *testing.B) {
 		Name: "serve-bench", Vertices: 2000, TargetEdges: 16000,
 		FeatureDim: 32, NumClasses: 8, Seed: 7,
 	})
-	m := testModel(b, ds, 2, "mean")
+	m := testModel(b, ds, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.FullEmbeddings(ds.G, ds.Features, 0, 256)

@@ -23,43 +23,45 @@ func testDataset(tb testing.TB, multi bool) *datasets.Dataset {
 	})
 }
 
-func testModel(tb testing.TB, ds *datasets.Dataset, layers int, agg string) *core.Model {
+func testModel(tb testing.TB, ds *datasets.Dataset, layers int) *core.Model {
 	tb.Helper()
-	return core.NewModel(ds, core.Config{
-		Layers: layers, Hidden: 8, Workers: 1, Seed: 17, Aggregator: agg,
-	})
+	return testModelSeed(ds, layers, 17)
+}
+
+// testModelSeed is testModel initialized from another seed: a model of
+// the same architecture with other weights.
+func testModelSeed(ds *datasets.Dataset, layers int, seed uint64) *core.Model {
+	return core.NewModel(ds, core.Config{Layers: layers, Hidden: 8, Workers: 1, Seed: seed})
 }
 
 // TestEngineMatchesTrainingForward checks that serving logits (engine
 // embeddings + head) are bit-identical to the training engine's own
-// full-graph forward pass, for every aggregator.
+// full-graph forward pass.
 func TestEngineMatchesTrainingForward(t *testing.T) {
 	ds := testDataset(t, false)
-	for _, agg := range []string{"mean", "sym", "sum"} {
-		m := testModel(t, ds, 2, agg)
-		ctx := m.CtxForGraph(ds.G, ds.FeatureDim(), nil)
-		want := m.Forward(ctx, ds.Features)
+	m := testModel(t, ds, 2)
+	ctx := m.CtxForGraph(ds.G, ds.FeatureDim(), nil)
+	want := m.Forward(ctx, ds.Features)
 
-		eng := NewEngine(ds, Options{Workers: 3})
-		if _, err := eng.Install(m); err != nil {
-			t.Fatal(err)
-		}
-		st, err := eng.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mat.New(ds.G.N, m.Head.OutDim)
-		st.Model.Head.Apply(got, st.Emb, nil, 1)
-		if got.Rows != want.Rows || got.Cols != want.Cols || !bitsEqual([][]float64{got.Data}, [][]float64{want.Data}) {
-			t.Fatalf("%s: serving logits differ from training forward pass (max diff %g)", agg, got.MaxAbsDiff(want))
-		}
+	eng := NewEngine(ds, Options{Workers: 3})
+	if _, err := eng.Install(m); err != nil {
+		t.Fatal(err)
+	}
+	st, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mat.New(ds.G.N, m.Head.OutDim)
+	st.Model.Head.Apply(got, st.Emb, nil, 1)
+	if got.Rows != want.Rows || got.Cols != want.Cols || !bitsEqual([][]float64{got.Data}, [][]float64{want.Data}) {
+		t.Fatalf("serving logits differ from training forward pass (max diff %g)", got.MaxAbsDiff(want))
 	}
 }
 
 func TestEngineEmbedAndPredict(t *testing.T) {
 	for _, multi := range []bool{false, true} {
 		ds := testDataset(t, multi)
-		m := testModel(t, ds, 2, "mean")
+		m := testModel(t, ds, 2)
 		eng := NewEngine(ds, Options{Workers: 2})
 		if _, err := eng.Install(m); err != nil {
 			t.Fatal(err)
@@ -136,7 +138,7 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := eng.Embed([]int{0}); err == nil {
 		t.Error("Embed before Install should fail")
 	}
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	if _, err := eng.Install(m); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestEngineErrors(t *testing.T) {
 		Name: "other", Vertices: 100, TargetEdges: 400,
 		FeatureDim: 7, NumClasses: 3, Seed: 5,
 	})
-	if _, err := eng.Install(testModel(t, other, 2, "mean")); err == nil {
+	if _, err := eng.Install(testModel(t, other, 2)); err == nil {
 		t.Error("installing a mismatched model should fail")
 	}
 }
@@ -168,7 +170,7 @@ func TestEngineErrors(t *testing.T) {
 // query node itself is excluded.
 func TestTopKMatchesBruteForce(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	for _, workers := range []int{1, 2, 5} {
 		eng := NewEngine(ds, Options{Workers: workers})
 		if _, err := eng.Install(m); err != nil {
@@ -233,7 +235,7 @@ func memoServer(tb testing.TB, ds *datasets.Dataset) *Server {
 	tb.Helper()
 	srv := NewServer(ds, Options{Workers: 2})
 	tb.Cleanup(srv.Close)
-	if _, err := srv.Install(testModel(tb, ds, 2, "mean")); err != nil {
+	if _, err := srv.Install(testModel(tb, ds, 2)); err != nil {
 		tb.Fatal(err)
 	}
 	return srv
@@ -323,7 +325,7 @@ func TestTopKMemoStopsAdmittingWhenFull(t *testing.T) {
 		t.Error("an answer stored before the memo filled is no longer served from it")
 	}
 
-	if _, err := srv.Install(testModel(t, ds, 2, "sym")); err != nil {
+	if _, err := srv.Install(testModelSeed(ds, 2, 18)); err != nil {
 		t.Fatal(err)
 	}
 	a = serverTopK(t, srv, late)
@@ -338,7 +340,7 @@ func TestTopKMemoStopsAdmittingWhenFull(t *testing.T) {
 // the snapshot installed before it keeps its version and its answers.
 func TestInstallRefusesNonFiniteWeights(t *testing.T) {
 	ds := testDataset(t, false)
-	good := testModel(t, ds, 2, "mean")
+	good := testModel(t, ds, 2)
 	eng := NewEngine(ds, Options{Workers: 1})
 	srv1 := NewServer(ds, Options{Workers: 1})
 	srv3, err := NewRouter(ds, Options{Workers: 1}, 3, 42)
@@ -369,7 +371,7 @@ func TestInstallRefusesNonFiniteWeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			bad := testModel(t, ds, 2, "mean")
+			bad := testModel(t, ds, 2)
 			bad.Params()[0].W.Data[5] = v
 			if ver, err := tg.install(bad); ver != 0 || !errors.Is(err, core.ErrNonFinite) {
 				t.Errorf("%s: install with a %v weight = %d, %v; want 0 and core.ErrNonFinite", tg.name, v, ver, err)

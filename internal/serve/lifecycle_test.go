@@ -22,7 +22,7 @@ import (
 // closed flag is the only state Close and the queries share.
 func TestCloseRacesPointQueries(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	build := func(t *testing.T, shards int) *Server {
 		s, err := NewRouter(ds, Options{Workers: 2}, shards, 42)
 		if err != nil {

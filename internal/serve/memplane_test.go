@@ -84,7 +84,7 @@ func TestMemPlaneExactByteIdentity(t *testing.T) {
 // that row — quantization bounds recall, never score fidelity.
 func TestMemPlaneAnnScoresAreExact(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 
 	exact := NewEngine(ds, Options{Workers: 2})
 	if _, err := exact.Install(m); err != nil {
@@ -134,7 +134,7 @@ func TestMemPlaneAnnScoresAreExact(t *testing.T) {
 // mapping).
 func TestMemPlaneHealthzAndResident(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 
 	scrape := func(opts Options) Health {
 		t.Helper()
@@ -204,7 +204,7 @@ func TestMemPlaneHealthzAndResident(t *testing.T) {
 // f64 engine.
 func TestMemPlaneWarmMmapServesIdentically(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 
 	cold := NewEngine(ds, Options{Workers: 2, ANN: true})
 	if _, err := cold.Install(m); err != nil {
@@ -333,7 +333,7 @@ func mappedFrom(t *testing.T, p *float64, path string) (in, ok bool) {
 // the exact scan answers with nothing, gets nothing here either.
 func TestMemPlaneAnnHostileNumbers(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	nan, inf := math.NaN(), math.Inf(1)
 	hostile := []float64{nan, inf, -inf, 0, math.Copysign(0, -1), 5e-324}
 	for _, dtype := range memPlaneDtypes {

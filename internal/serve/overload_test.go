@@ -22,7 +22,7 @@ import (
 func overloadServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	srv := NewServer(ds, opts)
 	t.Cleanup(srv.Close)
 	if _, err := srv.Install(m); err != nil {
@@ -50,7 +50,7 @@ func getStatus(t *testing.T, url string) (int, string) {
 // histograms, so the next valid query is still batch 1.
 func TestSubmitSkipsInvalidQueries(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	eng := NewEngine(ds, Options{Workers: 1})
 	if _, err := eng.Install(m); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestSubmitSkipsInvalidQueries(t *testing.T) {
 func TestSubmitEndedContextRunsNothing(t *testing.T) {
 	ds := testDataset(t, false)
 	eng := NewEngine(ds, Options{Workers: 1})
-	if _, err := eng.Install(testModel(t, ds, 2, "mean")); err != nil {
+	if _, err := eng.Install(testModel(t, ds, 2)); err != nil {
 		t.Fatal(err)
 	}
 	b := &shard{eng: eng}
@@ -126,7 +126,7 @@ func TestSubmitEndedContextRunsNothing(t *testing.T) {
 func TestSubmitNumbersBatchesAndCapsRows(t *testing.T) {
 	ds := testDataset(t, false)
 	eng := NewEngine(ds, Options{Workers: 1})
-	if _, err := eng.Install(testModel(t, ds, 2, "mean")); err != nil {
+	if _, err := eng.Install(testModel(t, ds, 2)); err != nil {
 		t.Fatal(err)
 	}
 	b := &shard{eng: eng}
@@ -244,7 +244,7 @@ func TestShedCountsQueriesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if _, err := rt.Install(testModel(t, ds, 2, "mean")); err != nil {
+	if _, err := rt.Install(testModel(t, ds, 2)); err != nil {
 		t.Fatal(err)
 	}
 	get := func(q string) (int, string) {
@@ -328,7 +328,7 @@ func deadlineRouter(t *testing.T, shards int) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	if _, err := rt.Install(testModel(t, ds, 2, "mean")); err != nil {
+	if _, err := rt.Install(testModel(t, ds, 2)); err != nil {
 		t.Fatal(err)
 	}
 	return rt
@@ -430,7 +430,7 @@ func TestDeadlineBindsSlowTopK(t *testing.T) {
 // a growing gsgcn_shed_total, then full recovery once pressure drops.
 func TestShedQueuePressure(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 
 	// pressure swaps a gate's depth probe for one pinned at the
 	// high-water mark. Installed before the httptest server starts, so
@@ -584,7 +584,7 @@ func TestQPSQuotaHTTP(t *testing.T) {
 // what an answered response contains.
 func TestSheddingPreservesAnswerBytes(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 
 	build := func(opts Options) *httptest.Server {
 		srv := NewServer(ds, opts)
@@ -619,7 +619,7 @@ func TestSheddingPreservesAnswerBytes(t *testing.T) {
 // the same three outcomes as TestDeadlineExpires.
 func TestRouterDeadlineAndCtxScatter(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	build := func(d time.Duration) *Server {
 		rt, err := NewRouter(ds, Options{Workers: 1, Deadline: d}, 3, 42)
 		if err != nil {

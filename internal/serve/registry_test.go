@@ -408,7 +408,7 @@ func TestHealthzReflectsLatestReload(t *testing.T) {
 		Name: "wide", Vertices: 50, TargetEdges: 200,
 		FeatureDim: ds.FeatureDim() + 1, NumClasses: ds.NumClasses, Seed: 3,
 	})
-	if err := testModel(t, wide, 2, "mean").SaveFile(misfit); err != nil {
+	if err := testModel(t, wide, 2).SaveFile(misfit); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{"/nope.ckpt", misfit} {

@@ -127,7 +127,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 // identical to an artifact-free engine.
 func TestWarmStartFallsBack(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	good := writeTestArtifact(t, ds, m, true)
 
 	// Each case is its own subtest, so one bad artifact's failure does
@@ -195,7 +195,7 @@ func TestWarmStartFallsBack(t *testing.T) {
 		Name: "other", Vertices: 180, TargetEdges: 720,
 		FeatureDim: ds.FeatureDim(), NumClasses: ds.NumClasses, Seed: 99,
 	})
-	mo := testModel(t, other, 2, "mean")
+	mo := testModel(t, other, 2)
 	check("wrong-graph", writeTestArtifact(t, other, mo, false), mat.DtypeF64)
 }
 
@@ -205,7 +205,7 @@ func TestWarmStartFallsBack(t *testing.T) {
 // artifact that no longer validates drops back to the cold compute.
 func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	path := writeTestArtifact(t, ds, m, true)
 	firstRow := func(st *State) *float64 { return &st.Emb.Row(0)[0] }
 
@@ -258,7 +258,7 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 		Name: "other", Vertices: ds.G.NumVertices(), TargetEdges: 900,
 		FeatureDim: ds.FeatureDim(), NumClasses: ds.NumClasses, Seed: 5,
 	})
-	mo := testModel(t, other, 2, "mean")
+	mo := testModel(t, other, 2)
 	mo.ModelVersion = 12345
 	snap, err := BuildSnapshot(other, mo, Options{Workers: 1}, false)
 	if err != nil {
@@ -284,7 +284,7 @@ func TestWarmReloadReusesUnchangedArtifact(t *testing.T) {
 // stays empty however many shards are built.
 func TestBuildShardSnapshotsReportNothing(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	reg := obs.NewRegistry()
 	if _, err := BuildShardSnapshots(ds, m, Options{Workers: 1, Obs: reg}, false, 2, 3); err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestBuildShardSnapshotsReportNothing(t *testing.T) {
 // /healthz as warm_note.
 func TestWarmV1ArtifactFallsBackCold(t *testing.T) {
 	ds := testDataset(t, false)
-	m := testModel(t, ds, 2, "mean")
+	m := testModel(t, ds, 2)
 	v1 := append([]byte("GSGCNART"), 1, 0, 0, 0, 0, 0, 0, 0) // version 1, empty header
 	v1 = binary.LittleEndian.AppendUint64(v1, crc64.Checksum(v1, crc64.MakeTable(crc64.ECMA)))
 	path := filepath.Join(t.TempDir(), "v1.art")
