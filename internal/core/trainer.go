@@ -33,9 +33,11 @@ type Trainer struct {
 	steps     int
 	dropRng   *rng.RNG
 
-	// Per-step scratch, reused across Step calls (fully overwritten
-	// each step) to cut allocation churn on the hot path. The features
-	// are not gathered: the first layer reads them through bufIdx.
+	// Per-step scratch, reused across Step calls to cut allocation
+	// churn on the hot path: fully overwritten each step but for
+	// bufLabels, of which a step writes the masked rows alone, the
+	// only ones its loss reads. The features are not gathered: the
+	// first layer reads them through bufIdx.
 	bufLabels, bufDLogits *mat.Dense
 	bufIdx                []int
 	bufMask               []int
@@ -105,7 +107,9 @@ func (t *Trainer) StepOn(sub *graph.Subgraph) float64 {
 	if len(mask) == 0 {
 		return 0
 	}
-	mat.GatherRowsP(labels, t.DS.Labels, idx, cfg.Workers)
+	for _, i := range mask { // the loss reads no other row's labels
+		copy(labels.Row(i), t.DS.Labels.Row(idx[i]))
+	}
 
 	ctx := t.Model.CtxForGraph(sub.CSR, feat, t.Timer)
 	ctx.Rows = mask // the rows the loss reads, ascending

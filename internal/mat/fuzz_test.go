@@ -198,3 +198,32 @@ func FuzzPQQuery(f *testing.F) {
 		requireEntriesMatchDot(t, fmt.Sprintf("K %d dim %d", pt.Params.K, pt.ColsN), pt, q, tab)
 	})
 }
+
+// FuzzExpLog1p holds Exp and Log1p to math.Exp and math.Log1p on
+// arbitrary float64 bit patterns, at every kernel level the host has:
+// raw is read as little-endian float64s (a trailing 1 to 7 bytes are
+// dropped) and both run over them as one vector, so a length of each
+// residue mod 4 reaches the masked last group; every element must have
+// the scalar call's bits, NaN payloads included. Its seed corpus
+// (testdata/fuzz/FuzzExpLog1p) puts each branch boundary, with its
+// neighbours, among ordinary values: log1p's 2^-54 and 2^-29, √2−1 and
+// √2/2−1, and 1 (1+x a power of two); exp's overflow bound near
+// 709.78, the normal-result edge near -708.4 and the scale's at
+// -1022.5·ln 2, the underflow to 0 near -745.13, and the rounding
+// edges of its k = round(x·log2e).
+func FuzzExpLog1p(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		src := make([]float64, len(raw)/8)
+		for i := range src {
+			src[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		got := make([]float64, len(src))
+		for lvl := levelGo; lvl <= hostLevel(); lvl++ {
+			forceLevel(t, lvl)
+			for _, fn := range elementwise {
+				fn.run(got, src)
+				requireScalarBits(t, fmt.Sprintf("%s at %s", fn.name, levelNames[lvl]), fn.ref, got, src)
+			}
+		}
+	})
+}

@@ -116,6 +116,37 @@ func TestAdamStaysInsideItsSlices(t *testing.T) {
 	})
 }
 
+// TestExpLog1pStayInsideTheirSlices: Exp and Log1p, in place and
+// into a second operand, each ending on the last bytes of a mapping,
+// at every length to 70 — whole groups of four and each partial last
+// group, whose masked-off lanes must touch nothing — once with every
+// input inside the vector range and once with the last one outside
+// it, so that the last group goes to the scalar call. At every level.
+func TestExpLog1pStayInsideTheirSlices(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		for _, fn := range elementwise {
+			for n := 1; n <= 70; n++ {
+				for _, last := range []float64{0.5, math.Inf(1)} {
+					src, dst := guardedFloats(t, n), guardedFloats(t, n)
+					want := make([]float64, n)
+					for i := range src {
+						src[i] = 0.125 * float64(i%9)
+					}
+					src[n-1] = last
+					for i, x := range src {
+						want[i] = fn.ref(x)
+					}
+					tag := fmt.Sprintf("%s n=%d last=%v", fn.name, n, last)
+					fn.run(dst, src)
+					requireSameBits(t, tag, dst, want)
+					fn.run(src, src)
+					requireSameBits(t, tag+" in place", src, want)
+				}
+			}
+		}
+	})
+}
+
 // TestPQQueryStaysInsideItsCodebook: a span-2 table whose last centroid
 // pair ends on the last bytes of a mapping, as a mapped artifact's
 // codebook may, with K a whole number of the kernel's passes and with

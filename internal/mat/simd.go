@@ -6,14 +6,19 @@ import (
 )
 
 // Vector primitives under every GEMM form, the propagation loops, the
-// rectifier, the optimizer and the top-K scans. They run at one of
+// rectifier, the optimizer, the losses' exponentials and logarithms
+// (Exp, Log1p) and the top-K scans. They run at one of
 // three levels that return the same bits: the portable Go loops (the only path off amd64,
 // and the reference the differential tests compare against), AVX2
 // routines in simd_amd64.s, and on CPUs with AVX-512 the AVX2 routines
 // but for the AVX-512 kernels — the list walk under axpyRows and
 // GatherSum, the sixteen-row dot under MulBT (dot16), and the four
 // kernels on rows of 8, axpyRows4x8 and accumAT8 and their pair forms
-// axpyRows4x8Pair and accumAT8Pair, one ZMM register a row. The
+// axpyRows4x8Pair and accumAT8Pair, one ZMM register a row. Adam, Exp
+// and Log1p are one AVX2 routine at both amd64 levels; Exp's runs only
+// on CPUs with FMA too (hasFMA), because it reproduces math.Exp's own
+// fused branch, the one fused multiply-add in this package, and
+// math.Exp takes that branch only there. The
 // assembly keeps the Go loop's arithmetic exactly — a
 // separate multiply and add per element, never a fused one, for dot
 // the same four accumulator lanes reduced as ((s0+s1)+s2)+s3 before a
@@ -25,7 +30,7 @@ import (
 // instruction, the operations each element sees and their order stay
 // put, and dot16's packing keeps each inner product's four lanes. The
 // choice is made from what the code can observe: the CPU's feature
-// bits, read once at start-up (useAVX2, useAVX512), and the vector
+// bits, read once at start-up (useAVX2, useAVX512, hasFMA), and the vector
 // length.
 //
 // axpyRows and GatherSum are the two primitives that are more than a
@@ -188,6 +193,66 @@ func adamGo(w, g, m, v []float64, c *AdamCoef) {
 		mhat := m[i] / c.C1
 		vhat := v[i] / c.C2
 		w[i] -= c.LR * mhat / (math.Sqrt(vhat) + c.Eps)
+	}
+}
+
+// Exp sets dst[i] to math.Exp(src[i]) over len(dst) elements, with its
+// bits. dst may be src. It panics if src is shorter than dst.
+//
+// On amd64 math.Exp is assembly that, on a CPU with AVX and FMA, takes
+// a branch with fused multiply-adds. expAVX2 is that branch four lanes
+// wide, so it runs where the CPU has FMA as well as AVX2 (hasFMA), and
+// expGo everywhere else. A group of four that holds an input outside
+// expAVX2's range (not finite, overflowing, or scaled below the normal
+// numbers; the losses' exp(-|z|) for |z| <= 700 and exp(z - max) for
+// z - max >= -708 are inside it) takes the scalar call.
+func Exp(dst, src []float64) {
+	src = src[:len(dst):len(src)]
+	if !useAVX2 || !hasFMA {
+		expGo(dst, src)
+		return
+	}
+	for i := 0; i < len(dst); {
+		i += expAVX2(dst[i:], src[i:])
+		for end := min(i+4, len(dst)); i < end; i++ {
+			dst[i] = math.Exp(src[i])
+		}
+	}
+}
+
+// Log1p sets dst[i] to math.Log1p(src[i]) over len(dst) elements, with
+// its bits. dst may be src. It panics if src is shorter than dst.
+//
+// math.Log1p is pure Go on amd64, with no fused operation; log1pAVX2
+// performs its operations lane by lane in its order, every branch
+// computed and each lane's selected by mask. A group of four that holds
+// an input at or below -1, a NaN or one of 2^53 and above takes the
+// scalar call.
+func Log1p(dst, src []float64) {
+	src = src[:len(dst):len(src)]
+	if !useAVX2 {
+		log1pGo(dst, src)
+		return
+	}
+	for i := 0; i < len(dst); {
+		i += log1pAVX2(dst[i:], src[i:])
+		for end := min(i+4, len(dst)); i < end; i++ {
+			dst[i] = math.Log1p(src[i])
+		}
+	}
+}
+
+// expGo and log1pGo are the portable Exp and Log1p: the standard
+// library's call, element by element.
+func expGo(dst, src []float64) {
+	for i, x := range src {
+		dst[i] = math.Exp(x)
+	}
+}
+
+func log1pGo(dst, src []float64) {
+	for i, x := range src {
+		dst[i] = math.Log1p(x)
 	}
 }
 

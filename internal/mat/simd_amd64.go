@@ -14,6 +14,12 @@ var (
 	useAVX512 = useAVX2 && detectAVX512()
 )
 
+// hasFMA says the CPU has FMA beside the AVX that useAVX2 found: the
+// condition under which math.Exp takes the fused-multiply-add branch
+// of exp_amd64.s that expAVX2 replicates. Exp runs expAVX2 only where
+// both are set. Unlike the level, no test moves it.
+var hasFMA = useAVX2 && detectFMA()
+
 func detectAVX2() bool {
 	const (
 		osxsave = 1 << 27 // CPUID.1:ECX
@@ -34,6 +40,14 @@ func detectAVX2() bool {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&avx2 != 0
+}
+
+// detectFMA reports CPUID.1:ECX.FMA. It is only asked once detectAVX2
+// has found AVX and the YMM state enabled, the rest of math's useFMA.
+func detectFMA() bool {
+	const fma = 1 << 12 // CPUID.1:ECX
+	_, _, ecx1, _ := cpuid(1, 0)
+	return ecx1&fma != 0
 }
 
 // detectAVX512 reports AVX512F and the ZMM state enabled. It is only
@@ -219,3 +233,20 @@ func reluGateAVX2(dst, z, grad []float64)
 //
 //go:noescape
 func adamAVX2(w, g, m, v []float64, c *AdamCoef)
+
+// expAVX2 sets dst[i] to math.Exp(src[i]), with its bits, four
+// elements at a time (the last one to four through a mask), until a
+// group of four holds an input it does not replicate: one that is not
+// finite, above archExp's overflow bound, or whose 2^k scale is not a
+// normal number. It writes nothing of that group and returns its
+// start, or len(dst). It runs only where hasFMA is set. len(src) must
+// be at least len(dst); dst may be src.
+//
+//go:noescape
+func expAVX2(dst, src []float64) int
+
+// log1pAVX2 is expAVX2's contract for math.Log1p, over the inputs
+// -1 < x < 2^53.
+//
+//go:noescape
+func log1pAVX2(dst, src []float64) int

@@ -2,7 +2,8 @@
 
 // Vector kernels at two levels, AVX2 and AVX-512, picked once from
 // CPUID (simd_amd64.go). Arithmetic is VMULPD followed by VADDPD (and
-// the scalar VMULSD/VADDSD in tails) — never a fused multiply-add — so
+// the scalar VMULSD/VADDSD in tails) — never a fused multiply-add, but
+// in expAVX2, which reproduces math.Exp's own fused steps — so
 // every element is rounded exactly as in the portable Go loops of
 // simd.go, at either width; adamAVX2 adds VSUBPD, VDIVPD and VSQRTPD,
 // which IEEE 754 rounds correctly as the Go loop's operations are. A wider register changes which elements
@@ -1583,3 +1584,333 @@ adam1:
 adamDone:
 	VZEROUPPER
 	RET
+
+// The elementwise transcendentals under the losses, four lanes a pass:
+// expAVX2 is math.Exp as $GOROOT/src/math/exp_amd64.s computes it on a
+// CPU with AVX and FMA (its avxfma branch: Shibata's method, the
+// argument reduced by two VFNMADD231 and the Taylor polynomial folded
+// by VFMADD213, the only fused operations in this file), and
+// log1pAVX2 is the pure-Go math.log1p, whose branches become lane
+// masks and whose operations each lane performs in its order. A lane
+// runs exactly the standard library's operations on its own input,
+// and the integer steps between them — conversions between a double
+// and an integer, moves of exponent and mantissa bits — are exact, so
+// each element gets the scalar call's bits. Each routine covers the
+// inputs whose path it replicates in registers — Exp: a finite x at
+// most archExp's overflow bound whose 2^k scale is a normal number (x
+// from about -708.7 to 709.78); Log1p: -1 < x < 2^53 — and stops in
+// front of the first group of four with a lane outside them, writing
+// nothing of that group: its caller (simd.go) computes that group with
+// the scalar call and resumes after it. Every group is read and
+// written with VMASKMOVPD, the last one masked to the one to four
+// elements left: masked-off lanes touch no memory and load as +0, a
+// value inside both ranges.
+
+// vecmath holds each constant four times, one YMM load wide, at the
+// offsets below; the int32 constants of expAVX2 are four wide.
+#define VM_LOG2E 0
+#define VM_LN2U 32
+#define VM_LN2L 64
+#define VM_SIXTEENTH 96
+#define VM_C8 128
+#define VM_C7 160
+#define VM_C6 192
+#define VM_C5 224
+#define VM_C4 256
+#define VM_C3 288
+#define VM_HALF 320
+#define VM_ONE 352
+#define VM_TWO 384
+#define VM_OVERFLOW 416
+#define VM_BIAS 448
+#define VM_BIASM1 464
+#define VM_MAXBM1 480
+#define VM_NEGONE 512
+#define VM_TWO53 544
+#define VM_ABS 576
+#define VM_E1023 608
+#define VM_E1022 640
+#define VM_MANT 672
+#define VM_SQRT2MANT 704
+#define VM_TWO52I 736
+#define VM_SQRT2M1 768
+#define VM_SQRT2HALFM1 800
+#define VM_MAGIC 832
+#define VM_LP7 864
+#define VM_LP6 896
+#define VM_LP5 928
+#define VM_LP4 960
+#define VM_LP3 992
+#define VM_LP2 1024
+#define VM_LP1 1056
+#define VM_LN2LO 1088
+#define VM_LN2HI 1120
+#define VM_TWOTHIRDS 1152
+#define VM_SMALL 1184
+#define VM_TINY 1216
+
+#define VM4(off, bits) \
+	DATA vecmath<>+(off)(SB)/8, bits;    \
+	DATA vecmath<>+(off+8)(SB)/8, bits;  \
+	DATA vecmath<>+(off+16)(SB)/8, bits; \
+	DATA vecmath<>+(off+24)(SB)/8, bits
+
+#define VM4D(off, bits) \
+	DATA vecmath<>+(off)(SB)/4, bits;    \
+	DATA vecmath<>+(off+4)(SB)/4, bits;  \
+	DATA vecmath<>+(off+8)(SB)/4, bits;  \
+	DATA vecmath<>+(off+12)(SB)/4, bits
+
+// archExp's constants (exp_amd64.s: LOG2E, LN2U, LN2L, exprodata) and
+// its overflow bound, by their bits.
+VM4(VM_LOG2E, $0x3ff71547652b82fe)
+VM4(VM_LN2U, $0x3fe62e42fefa3000)
+VM4(VM_LN2L, $0x3d53de6af278ece6)
+VM4(VM_SIXTEENTH, $0x3fb0000000000000)
+VM4(VM_C8, $0x3efa01a01a01a01a)
+VM4(VM_C7, $0x3f2a01a01a01a01a)
+VM4(VM_C6, $0x3f56c16c16c16c17)
+VM4(VM_C5, $0x3f81111111111111)
+VM4(VM_C4, $0x3fa5555555555555)
+VM4(VM_C3, $0x3fc5555555555555)
+VM4(VM_HALF, $0x3fe0000000000000)
+VM4(VM_ONE, $0x3ff0000000000000)
+VM4(VM_TWO, $0x4000000000000000)
+VM4(VM_OVERFLOW, $0x40862e42fefa39ef)
+VM4D(VM_BIAS, $0x3ff)
+VM4D(VM_BIASM1, $0x3fe)
+VM4D(VM_MAXBM1, $0x7fd)
+
+// log1p's constants (math/log1p.go), by their bits, and the masks and
+// integers of its bit manipulation.
+VM4(VM_NEGONE, $0xbff0000000000000)
+VM4(VM_TWO53, $0x4340000000000000)
+VM4(VM_ABS, $0x7fffffffffffffff)
+VM4(VM_E1023, $1023)
+VM4(VM_E1022, $1022)
+VM4(VM_MANT, $0x000fffffffffffff)
+VM4(VM_SQRT2MANT, $0x0006a09e667f3bcd)
+VM4(VM_TWO52I, $0x0010000000000000)
+VM4(VM_SQRT2M1, $0x3fda827999fcef32)
+VM4(VM_SQRT2HALFM1, $0xbfd2bec333018867)
+VM4(VM_MAGIC, $0x4338000000000000)
+VM4(VM_LP7, $0x3fc2f112df3e5244)
+VM4(VM_LP6, $0x3fc39a09d078c69f)
+VM4(VM_LP5, $0x3fc7466496cb03de)
+VM4(VM_LP4, $0x3fcc71c51d8e78af)
+VM4(VM_LP3, $0x3fd2492494229359)
+VM4(VM_LP2, $0x3fd999999997fa04)
+VM4(VM_LP1, $0x3fe5555555555593)
+VM4(VM_LN2LO, $0x3dea39ef35793c76)
+VM4(VM_LN2HI, $0x3fe62e42fee00000)
+VM4(VM_TWOTHIRDS, $0x3fe5555555555555)
+VM4(VM_SMALL, $0x3e20000000000000)
+VM4(VM_TINY, $0x3c90000000000000)
+GLOBL vecmath<>(SB), RODATA|NOPTR, $1248
+
+// EXP4 replaces the four lanes of Y0 with their math.Exp, or jumps to
+// out, Y0 unchanged, if a lane is outside expAVX2's range. Per lane, in
+// archExp's avxfma order: k = int32(x·log2e) rounded as CVTSD2SL
+// rounds (VCVTPD2DQ, by MXCSR), r = x − k·ln2u − k·ln2l (fused),
+// r/16, the Taylor polynomial in Horner form (fused), four squarings
+// e·(e+2), the last fused with the +1, and the scale 2^k multiplied in
+// through the exponent bits k+1023. Uses Y1..Y4 and R9.
+#define EXP4(out) \
+	VMULPD       vecmath<>+VM_LOG2E(SB), Y0, Y1;    \
+	VCVTPD2DQY   Y1, X2;                            \
+	VCVTDQ2PD    X2, Y1;                            \
+	VPADDD       vecmath<>+VM_BIASM1(SB), X2, X3;   \
+	VPMINUD      vecmath<>+VM_MAXBM1(SB), X3, X4;   \
+	VPCMPEQD     X4, X3, X3;                        \
+	VPMOVSXDQ    X3, Y3;                            \
+	VCMPPD       $2, vecmath<>+VM_OVERFLOW(SB), Y0, Y4; \
+	VANDPD       Y4, Y3, Y3;                        \
+	VMOVMSKPD    Y3, R9;                            \
+	CMPQ         R9, $15;                           \
+	JNE          out;                               \
+	VFNMADD231PD vecmath<>+VM_LN2U(SB), Y1, Y0;     \
+	VFNMADD231PD vecmath<>+VM_LN2L(SB), Y1, Y0;     \
+	VMULPD       vecmath<>+VM_SIXTEENTH(SB), Y0, Y0; \
+	VMOVUPD      vecmath<>+VM_C8(SB), Y1;           \
+	VFMADD213PD  vecmath<>+VM_C7(SB), Y0, Y1;       \
+	VFMADD213PD  vecmath<>+VM_C6(SB), Y0, Y1;       \
+	VFMADD213PD  vecmath<>+VM_C5(SB), Y0, Y1;       \
+	VFMADD213PD  vecmath<>+VM_C4(SB), Y0, Y1;       \
+	VFMADD213PD  vecmath<>+VM_C3(SB), Y0, Y1;       \
+	VFMADD213PD  vecmath<>+VM_HALF(SB), Y0, Y1;     \
+	VFMADD213PD  vecmath<>+VM_ONE(SB), Y0, Y1;      \
+	VMULPD       Y1, Y0, Y0;                        \
+	VADDPD       vecmath<>+VM_TWO(SB), Y0, Y1;      \
+	VMULPD       Y1, Y0, Y0;                        \
+	VADDPD       vecmath<>+VM_TWO(SB), Y0, Y1;      \
+	VMULPD       Y1, Y0, Y0;                        \
+	VADDPD       vecmath<>+VM_TWO(SB), Y0, Y1;      \
+	VMULPD       Y1, Y0, Y0;                        \
+	VADDPD       vecmath<>+VM_TWO(SB), Y0, Y1;      \
+	VFMADD213PD  vecmath<>+VM_ONE(SB), Y1, Y0;      \
+	VPADDD       vecmath<>+VM_BIAS(SB), X2, X2;     \
+	VPMOVZXDQ    X2, Y2;                            \
+	VPSLLQ       $52, Y2, Y2;                       \
+	VMULPD       Y2, Y0, Y0
+
+// LOG1P4 replaces the four lanes of Y0 with their math.Log1p, or jumps
+// to out, Y0 unchanged, if a lane is outside log1pAVX2's range
+// (x <= -1, NaN, x >= 2^53). Every branch of log1p is computed and the
+// lane's own one selected with VBLENDVPD: the path through u = 1+x
+// with its correction term c and the renormalisation of u's mantissa
+// about √2; k = 0, f = x where √2/2−1 < x < √2−1; the two iu == 0
+// returns; the general s = f/(2+f) form; and |x| < 2^-29 and |x| <
+// 2^-54 last, those two and the iu == 0 returns skipped when no lane
+// takes them. k stays an int64 and becomes a float64 by the exact
+// 1.5·2^52 bias. Uses Y1..Y14 and R9.
+#define LOG1P4(out) \
+	VCMPPD    $0x0e, vecmath<>+VM_NEGONE(SB), Y0, Y1;  \
+	VCMPPD    $1, vecmath<>+VM_TWO53(SB), Y0, Y2;      \
+	VANDPD    Y2, Y1, Y1;                              \
+	VMOVMSKPD Y1, R9;                                  \
+	CMPQ      R9, $15;                                 \
+	JNE       out;                                     \
+	VADDPD    vecmath<>+VM_ONE(SB), Y0, Y1;            \
+	VPSRLQ    $52, Y1, Y2;                             \
+	VSUBPD    Y0, Y1, Y3;                              \
+	VMOVUPD   vecmath<>+VM_ONE(SB), Y4;                \
+	VSUBPD    Y3, Y4, Y3;                              \
+	VSUBPD    vecmath<>+VM_ONE(SB), Y1, Y4;            \
+	VSUBPD    Y4, Y0, Y4;                              \
+	VPCMPGTQ  vecmath<>+VM_E1023(SB), Y2, Y5;          \
+	VBLENDVPD Y5, Y3, Y4, Y3;                          \
+	VDIVPD    Y1, Y3, Y3;                              \
+	VPAND     vecmath<>+VM_MANT(SB), Y1, Y4;           \
+	VMOVDQU   vecmath<>+VM_SQRT2MANT(SB), Y5;          \
+	VPCMPGTQ  Y4, Y5, Y5;                              \
+	VPOR      vecmath<>+VM_ONE(SB), Y4, Y1;            \
+	VPOR      vecmath<>+VM_HALF(SB), Y4, Y6;           \
+	VBLENDVPD Y5, Y1, Y6, Y6;                          \
+	VPSUBQ    vecmath<>+VM_E1022(SB), Y2, Y2;          \
+	VPADDQ    Y5, Y2, Y2;                              \
+	VMOVDQU   vecmath<>+VM_TWO52I(SB), Y1;             \
+	VPSUBQ    Y4, Y1, Y1;                              \
+	VPSRLQ    $2, Y1, Y1;                              \
+	VBLENDVPD Y5, Y4, Y1, Y4;                          \
+	VSUBPD    vecmath<>+VM_ONE(SB), Y6, Y6;            \
+	VANDPD    vecmath<>+VM_ABS(SB), Y0, Y1;            \
+	VCMPPD    $1, vecmath<>+VM_SQRT2M1(SB), Y1, Y7;    \
+	VCMPPD    $0x0e, vecmath<>+VM_SQRT2HALFM1(SB), Y0, Y1; \
+	VANDPD    Y1, Y7, Y7;                              \
+	VBLENDVPD Y7, Y0, Y6, Y6;                          \
+	VPANDN    Y2, Y7, Y2;                              \
+	VPXOR     Y1, Y1, Y1;                              \
+	VPCMPEQQ  Y1, Y4, Y4;                              \
+	VPANDN    Y4, Y7, Y4;                              \
+	VMULPD    vecmath<>+VM_HALF(SB), Y6, Y8;           \
+	VMULPD    Y6, Y8, Y8;                              \
+	VPADDQ    vecmath<>+VM_MAGIC(SB), Y2, Y9;          \
+	VSUBPD    vecmath<>+VM_MAGIC(SB), Y9, Y9;          \
+	VPCMPEQQ  Y1, Y2, Y12;                             \
+	VMULPD    vecmath<>+VM_LN2LO(SB), Y9, Y14;         \
+	VADDPD    Y3, Y14, Y14;                            \
+	VMULPD    vecmath<>+VM_LN2HI(SB), Y9, Y11;         \
+	VADDPD    vecmath<>+VM_TWO(SB), Y6, Y10;           \
+	VDIVPD    Y10, Y6, Y10;                            \
+	VMULPD    Y10, Y10, Y13;                           \
+	VMULPD    vecmath<>+VM_LP7(SB), Y13, Y5;           \
+	VADDPD    vecmath<>+VM_LP6(SB), Y5, Y5;            \
+	VMULPD    Y5, Y13, Y5;                             \
+	VADDPD    vecmath<>+VM_LP5(SB), Y5, Y5;            \
+	VMULPD    Y5, Y13, Y5;                             \
+	VADDPD    vecmath<>+VM_LP4(SB), Y5, Y5;            \
+	VMULPD    Y5, Y13, Y5;                             \
+	VADDPD    vecmath<>+VM_LP3(SB), Y5, Y5;            \
+	VMULPD    Y5, Y13, Y5;                             \
+	VADDPD    vecmath<>+VM_LP2(SB), Y5, Y5;            \
+	VMULPD    Y5, Y13, Y5;                             \
+	VADDPD    vecmath<>+VM_LP1(SB), Y5, Y5;            \
+	VMULPD    Y5, Y13, Y5;                             \
+	VADDPD    Y5, Y8, Y5;                              \
+	VMULPD    Y5, Y10, Y5;                             \
+	VADDPD    Y14, Y5, Y10;                            \
+	VSUBPD    Y10, Y8, Y10;                            \
+	VSUBPD    Y6, Y10, Y10;                            \
+	VSUBPD    Y10, Y11, Y10;                           \
+	VSUBPD    Y5, Y8, Y5;                              \
+	VSUBPD    Y5, Y6, Y5;                              \
+	VBLENDVPD Y12, Y5, Y10, Y10;                       \
+	VTESTPD   Y4, Y4;                                  \
+	JZ        noE;                                     \
+	VMULPD    vecmath<>+VM_TWOTHIRDS(SB), Y6, Y5;      \
+	VMOVUPD   vecmath<>+VM_ONE(SB), Y13;               \
+	VSUBPD    Y5, Y13, Y5;                             \
+	VMULPD    Y5, Y8, Y5;                              \
+	VSUBPD    Y14, Y5, Y13;                            \
+	VSUBPD    Y6, Y13, Y13;                            \
+	VSUBPD    Y13, Y11, Y13;                           \
+	VSUBPD    Y5, Y6, Y5;                              \
+	VBLENDVPD Y12, Y5, Y13, Y13;                       \
+	VADDPD    Y14, Y11, Y5;                            \
+	VPANDN    Y5, Y12, Y5;                             \
+	VCMPPD    $0, Y1, Y6, Y7;                          \
+	VBLENDVPD Y7, Y5, Y13, Y13;                        \
+	VBLENDVPD Y4, Y13, Y10, Y10;                       \
+noE:;                                                  \
+	VANDPD    vecmath<>+VM_ABS(SB), Y0, Y13;           \
+	VCMPPD    $1, vecmath<>+VM_SMALL(SB), Y13, Y7;     \
+	VTESTPD   Y7, Y7;                                  \
+	JZ        noSmall;                                 \
+	VMULPD    Y0, Y0, Y5;                              \
+	VMULPD    vecmath<>+VM_HALF(SB), Y5, Y5;           \
+	VSUBPD    Y5, Y0, Y5;                              \
+	VBLENDVPD Y7, Y5, Y10, Y10;                        \
+	VCMPPD    $1, vecmath<>+VM_TINY(SB), Y13, Y7;      \
+	VBLENDVPD Y7, Y0, Y10, Y10;                        \
+noSmall:;                                              \
+	VMOVAPD   Y10, Y0
+
+// tailMask, read from element 4-r, is the VMASKMOVPD mask of the first
+// r = 1..4 lanes.
+DATA tailMask<>+0(SB)/8, $-1
+DATA tailMask<>+8(SB)/8, $-1
+DATA tailMask<>+16(SB)/8, $-1
+DATA tailMask<>+24(SB)/8, $-1
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+DATA tailMask<>+48(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $56
+
+// ELEMENTWISE is the body of expAVX2 and log1pAVX2: LANES over the
+// elements four at a time from AX, the last one to four through a
+// tailMask mask in Y15, returning the count of elements written:
+// len(dst), or the start of the group LANES refused.
+#define ELEMENTWISE(LANES) \
+	MOVQ       dst_base+0(FP), DI;    \
+	MOVQ       dst_len+8(FP), CX;     \
+	MOVQ       src_base+24(FP), SI;   \
+	XORQ       AX, AX;                \
+	LEAQ       tailMask<>+32(SB), R8; \
+loop:;                                \
+	MOVQ       CX, DX;                \
+	SUBQ       AX, DX;                \
+	JLE        done;                  \
+	MOVQ       $4, R10;               \
+	CMPQ       DX, R10;               \
+	CMOVQGT    R10, DX;               \
+	NEGQ       DX;                    \
+	VMOVDQU    (R8)(DX*8), Y15;       \
+	VMASKMOVPD (SI)(AX*8), Y15, Y0;   \
+	LANES(done);                      \
+	VMASKMOVPD Y0, Y15, (DI)(AX*8);   \
+	ADDQ       $4, AX;                \
+	JMP        loop;                  \
+done:;                                \
+	CMPQ       AX, CX;                \
+	CMOVQGT    CX, AX;                \
+	MOVQ       AX, ret+48(FP);        \
+	VZEROUPPER;                       \
+	RET
+
+// func expAVX2(dst, src []float64) int
+TEXT ·expAVX2(SB), NOSPLIT, $0-56
+	ELEMENTWISE(EXP4)
+
+// func log1pAVX2(dst, src []float64) int
+TEXT ·log1pAVX2(SB), NOSPLIT, $0-56
+	ELEMENTWISE(LOG1P4)

@@ -8,6 +8,7 @@ package mat
 const (
 	useAVX2   = false
 	useAVX512 = false
+	hasFMA    = false
 )
 
 func axpyAVX2(dst, src []float64, alpha float64) { panic("mat: no AVX2 kernels on this architecture") }
@@ -69,3 +70,7 @@ func reluAVX2(dst, src []float64) { panic("mat: no AVX2 kernels on this architec
 func reluGateAVX2(dst, z, grad []float64) { panic("mat: no AVX2 kernels on this architecture") }
 
 func adamAVX2(w, g, m, v []float64, c *AdamCoef) { panic("mat: no AVX2 kernels on this architecture") }
+
+func expAVX2(dst, src []float64) int { panic("mat: no AVX2 kernels on this architecture") }
+
+func log1pAVX2(dst, src []float64) int { panic("mat: no AVX2 kernels on this architecture") }

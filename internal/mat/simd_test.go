@@ -1072,6 +1072,8 @@ func TestPrimitiveLengthContract(t *testing.T) {
 			dot4(make([]float64, 3, 8), long, make([]float64, 4*n), n)
 		})
 		mustPanic(t, fmt.Sprintf("Relu n=%d", n), func() { Relu(long, short) })
+		mustPanic(t, fmt.Sprintf("Exp n=%d", n), func() { Exp(long, short) })
+		mustPanic(t, fmt.Sprintf("Log1p n=%d", n), func() { Log1p(long, short) })
 		mustPanic(t, fmt.Sprintf("ReluGate short z n=%d", n), func() { ReluGate(long, short, long) })
 		mustPanic(t, fmt.Sprintf("ReluGate short grad n=%d", n), func() { ReluGate(long, long, short) })
 		c := &AdamCoef{0.9, 0.1, 0.999, 0.001, 0.1, 0.001, 0.01, 1e-8}

@@ -48,7 +48,8 @@ func F1Micro(pred, labels *mat.Dense, rows []int) float64 {
 func confusion(pred, labels *mat.Dense, rows []int) (tp, fp, fn []float64) {
 	c := pred.Cols
 	tp, fp, fn = make([]float64, c), make([]float64, c), make([]float64, c)
-	for _, i := range maskOrAll(rows, pred.Rows) {
+	for t := 0; t < rowCount(rows, pred.Rows); t++ {
+		i := rowAt(rows, t)
 		prow, lrow := pred.Row(i), labels.Row(i)
 		for j := 0; j < c; j++ {
 			switch {

@@ -495,44 +495,3 @@ func TestTimerSegmentsCharged(t *testing.T) {
 		t.Errorf("timer segments missing: %v", seg)
 	}
 }
-
-// TestSigmoidBCEMatchesTwoExponentials holds SigmoidBCE.Eval, which
-// takes exp(-|z|) once per element, to the form it replaced — the loss
-// term's exponential and the sigmoid's own, exp(-z) for z >= 0 and
-// exp(z) below — bit for bit on the loss and on dLogits, NaNs by class,
-// one element at a time against labels 0 and 1: signed zeros,
-// infinities, subnormals, values whose exponential overflows or
-// underflows, and NaN.
-func TestSigmoidBCEMatchesTwoExponentials(t *testing.T) {
-	oldSigmoid := func(z float64) float64 {
-		if z >= 0 {
-			return 1 / (1 + math.Exp(-z))
-		}
-		e := math.Exp(z)
-		return e / (1 + e)
-	}
-	same := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return math.IsNaN(a) && math.IsNaN(b)
-		}
-		return math.Float64bits(a) == math.Float64bits(b)
-	}
-	zs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1030,
-		math.MaxFloat64, -math.MaxFloat64, 1e300, -1e300, 709.8, -709.8, 745.2, -745.2,
-		36.7, -36.7, 1, -1, 0.5, -2.5, 1e-17, -1e-17}
-	dl := mat.New(1, 1)
-	for _, z := range zs {
-		for _, y := range []float64{0, 1} {
-			loss := (SigmoidBCE{}).Eval(mat.FromData(1, 1, []float64{z}), mat.FromData(1, 1, []float64{y}), nil, dl)
-			wantLoss := math.Max(z, 0) - z*y + math.Log1p(math.Exp(-math.Abs(z)))
-			wantGrad := oldSigmoid(z) - y
-			if !same(loss, wantLoss) {
-				t.Errorf("z=%v y=%v: loss %v (%#016x), want %v (%#016x)", z, y, loss, math.Float64bits(loss), wantLoss, math.Float64bits(wantLoss))
-			}
-			if got := dl.Data[0]; !same(got, wantGrad) {
-				t.Errorf("z=%v y=%v: dLogits %v (%#016x), want %v (%#016x)", z, y, got, math.Float64bits(got), wantGrad, math.Float64bits(wantGrad))
-			}
-		}
-	}
-}
