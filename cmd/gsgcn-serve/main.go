@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"gsgcn"
+	"gsgcn/internal/obs"
 )
 
 // logger emits every lifecycle event (startup, reload, shutdown) as a
@@ -253,6 +254,7 @@ func main() {
 
 	reg := gsgcn.NewModelRegistry()
 	defer reg.Close()
+	obs.RegisterRuntime(reg.Metrics())
 	if !*noLog {
 		// Before the Add loop: models capture the access logger at
 		// registration time.

@@ -40,6 +40,7 @@ package ann
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"gsgcn/internal/mat"
 	"gsgcn/internal/perf"
@@ -261,7 +262,9 @@ func (ix *Index) buildCandidates(v int32) ([][]Candidate, uint64) {
 	if ix.entry < 0 {
 		return out, 0
 	}
-	w := ix.newWalk(exactScorer{ix, ix.emb.Row(int(v)), ix.norms[v]})
+	s := getScratch(len(ix.nodes))
+	defer putScratch(s)
+	w := walk{ix: ix, sc: exactScorer{ix, ix.emb.Row(int(v)), ix.norms[v]}, scratch: s}
 	ep, epSim := w.descend(lvl)
 	top := lvl
 	if el := ix.nodes[ix.entry].level; el < top {
@@ -275,9 +278,7 @@ func (ix *Index) buildCandidates(v int32) ([][]Candidate, uint64) {
 		}
 		// Reset the visited set between layers: each layer's beam is
 		// an independent search (links differ per layer).
-		for i := range w.visited {
-			w.visited[i] = 0
-		}
+		w.clearVisited()
 	}
 	return out, w.scored
 }
@@ -424,23 +425,63 @@ func (s exactScorer) scoreRows(ids []int32, out []float64) {
 	}
 }
 
-// walk is one query's pass over the graph: its scorer, the gather
-// scratch every expansion reuses, the visited bitset of the layer being
-// searched (zeroed; one bit per vertex), and the number of rows scored
-// so far.
-type walk struct {
-	ix      *Index
-	sc      scorer
-	ids     []int32
-	scores  []float64
+// scratch is one walk's reusable state: the visited bitset (one bit
+// per vertex), ids — every vertex this walk marked visited, in order,
+// whose tail is the batch an expansion scores — the scores buffer, the
+// backing arrays of the expansion frontier and of the result selector,
+// and the buffer a quantized query is prepared in. A scratch is taken
+// from scratchPool for one walk and put back after it. The rule that
+// keeps reuse out of every answer: visited is all zero while the
+// scratch is in the pool (putScratch clears the words the walk set,
+// which ids names), and every other buffer is cleared or wholly
+// overwritten before it is read.
+type scratch struct {
 	visited []uint64
-	scored  uint64
+	ids     []int32
+	entry   [1]int32 // the entry point, scored alone by descend
+	scores  []float64
+	cand    heap
+	res     TopK
+	quant   mat.QueryScratch
 }
 
-func (ix *Index) newWalk(sc scorer) *walk {
-	width := 2 * ix.params.M // the longest link list Build leaves
-	return &walk{ix: ix, sc: sc, ids: make([]int32, 0, width), scores: make([]float64, width),
-		visited: make([]uint64, (len(ix.nodes)+63)/64)}
+// scratchPool holds the walks' scratches. A scratch grows to the
+// largest index it has walked, so one pool serves indexes of every
+// size.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a scratch from the pool with a clean visited bitset
+// of at least n bits.
+func getScratch(n int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if words := (n + 63) / 64; len(s.visited) < words {
+		s.visited = make([]uint64, words)
+	}
+	return s
+}
+
+// clearVisited zeroes the visited words this walk set — those of the
+// ids it recorded, not the whole bitset — and forgets the ids.
+func (s *scratch) clearVisited() {
+	for _, v := range s.ids {
+		s.visited[v>>6] = 0
+	}
+	s.ids = s.ids[:0]
+}
+
+// putScratch returns a scratch to the pool, its visited bits cleared.
+func putScratch(s *scratch) {
+	s.clearVisited()
+	scratchPool.Put(s)
+}
+
+// walk is one query's pass over the graph: its scorer, the scratch it
+// runs in, and the number of rows scored so far.
+type walk struct {
+	ix *Index
+	sc scorer
+	*scratch
+	scored uint64
 }
 
 // score scores ids in one scorer call; the result is valid until the
@@ -459,7 +500,8 @@ func (w *walk) score(ids []int32) []float64 {
 // above stop, returning where layer stop's search starts.
 func (w *walk) descend(stop int32) (int32, float64) {
 	ep := w.ix.entry
-	epSim := w.score(append(w.ids[:0], ep))[0]
+	w.entry[0] = ep
+	epSim := w.score(w.entry[:])[0]
 	for l := w.ix.nodes[ep].level; l > stop; l-- {
 		ep, epSim = w.greedyAt(ep, epSim, l)
 	}
@@ -490,13 +532,20 @@ func (w *walk) greedyAt(ep int32, epSim float64, l int32) (int32, float64) {
 // neighbors, score them in one call, then admit them in link order —
 // until it cannot improve the worst of the ef best found. exclude
 // (when >= 0) is traversable but never enters the result set — the
-// serving layer's own-vertex exclusion. w.visited must be zeroed.
-// Results come back sorted best-first under the Before order.
+// serving layer's own-vertex exclusion. The frontier and the selector
+// start empty over the scratch's arrays; w.visited must hold no bit of
+// this layer's walk yet (a scratch from getScratch, or one cleared by
+// clearVisited), and every vertex it marks is appended to w.ids.
+// Results come back sorted best-first under the Before order, in a
+// slice of their own.
 func (w *walk) searchLayer(ep int32, epSim float64, l int32, ef int, exclude int32) []Candidate {
-	cand := newHeap(true) // best-first expansion frontier
-	res := NewTopK(ef)    // the ef best found so far
+	cand := &w.cand // best-first expansion frontier
+	*cand = heap{best: true, v: cand.v[:0]}
+	res := &w.res // the ef best found so far
+	*res = TopK{k: ef, h: heap{v: res.h.v[:0]}}
 	visited := w.visited
 	visited[ep>>6] |= 1 << (uint(ep) & 63)
+	w.ids = append(w.ids, ep)
 	cand.push(Candidate{ID: ep, Score: epSim})
 	if ep != exclude {
 		res.Offer(ep, epSim)
@@ -506,14 +555,14 @@ func (w *walk) searchLayer(ep int32, epSim float64, l int32, ef int, exclude int
 		if worst, full := res.worst(); full && Before(worst.Score, worst.ID, c.Score, c.ID) {
 			break
 		}
-		ids := w.ids[:0]
+		start := len(w.ids)
 		for _, u := range w.ix.nodes[c.ID].links[l] {
 			if visited[u>>6]&(1<<(uint(u)&63)) == 0 {
 				visited[u>>6] |= 1 << (uint(u) & 63)
-				ids = append(ids, u)
+				w.ids = append(w.ids, u)
 			}
 		}
-		w.ids = ids
+		ids := w.ids[start:]
 		for i, s := range w.score(ids) {
 			u := ids[i]
 			if !res.admits(u, s) {
@@ -529,9 +578,10 @@ func (w *walk) searchLayer(ep int32, epSim float64, l int32, ef int, exclude int
 }
 
 // beam descends to the base layer and returns its ef-wide beam — the
-// one query path, whatever scores the rows.
-func (ix *Index) beam(sc scorer, ef int, exclude int32) []Candidate {
-	w := ix.newWalk(sc)
+// one query path, whatever scores the rows — walking in s, which the
+// caller took from getScratch and puts back after.
+func (ix *Index) beam(s *scratch, sc scorer, ef int, exclude int32) []Candidate {
+	w := walk{ix: ix, sc: sc, scratch: s}
 	ep, epSim := w.descend(0)
 	return w.searchLayer(ep, epSim, 0, ef, exclude)
 }
@@ -552,7 +602,9 @@ func (ix *Index) Search(query []float64, qn float64, k, ef int, exclude int32) [
 	if ef < k {
 		ef = k
 	}
-	res := ix.beam(exactScorer{ix, query, qn}, ef, exclude)
+	s := getScratch(len(ix.nodes))
+	res := ix.beam(s, exactScorer{ix, query, qn}, ef, exclude)
+	putScratch(s)
 	if len(res) > k {
 		res = res[:k]
 	}

@@ -229,7 +229,7 @@ func TestHeapTotalOrder(t *testing.T) {
 		items = append(items, Candidate{ID: int32(i), Score: float64(r.Intn(5))})
 	}
 	for _, best := range []bool{true, false} {
-		h := newHeap(best)
+		h := &heap{best: best}
 		for _, c := range items {
 			h.push(c)
 		}

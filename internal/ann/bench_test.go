@@ -19,11 +19,12 @@ import (
 // go test counterpart of serve.engine_topk_ann_i8pq_us: at dim 256 the
 // ADC table is 128 x 256 entries (256 KB, out of L1), which the
 // 8192 x 32 case (M 16, a 32 KB table) hides. It prices the two halves
-// of a quantized search apart (query: the per-query table or vector;
-// scores: every row scored once) and then the whole, both ways:
-// scan+rerank scores every row, walk+rerank — what is served — the
-// rows the HNSW walk visits. rows_scored/op and recall@10 sit beside
-// each so neither time is read without what it bought.
+// of a quantized search apart (query: the per-query table or vector,
+// built in one reused scratch; scores: every row scored once) and then
+// the whole, both ways: scan+rerank scores every row, walk+rerank —
+// what is served — the rows the HNSW walk visits. rows_scored/op and
+// recall@10 sit beside each so neither time is read without what it
+// bought.
 func BenchmarkAnnScanDtype(b *testing.B) {
 	emb, norms := randTable(8192, 32, 16, 5)
 	b.Run("f64", func(b *testing.B) { benchExactScan(b, emb, norms) })
@@ -40,13 +41,14 @@ func BenchmarkAnnScanDtype(b *testing.B) {
 		for _, name := range []string{"f32", "i8pq"} {
 			qt := qts[name]
 			b.Run(name+"/query", func(b *testing.B) {
+				var s mat.QueryScratch // reused, as the walk's pooled scratch is
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					benchQuery = qt.Query(emb.Row(i % n))
+					benchQuery = qt.Query(emb.Row(i%n), &s)
 				}
 			})
 			b.Run(name+"/scores", func(b *testing.B) {
-				qq, out, ids := qt.Query(emb.Row(0)), make([]float64, n), make([]int32, n)
+				qq, out, ids := qt.Query(emb.Row(0), nil), make([]float64, n), make([]int32, n)
 				for i := range ids {
 					ids[i] = int32(i)
 				}
@@ -98,8 +100,8 @@ type countedTable struct {
 	rows *int
 }
 
-func (t countedTable) Query(q []float64) mat.QuantQuery {
-	return countedQuery{t.Quantized.Query(q), t.rows}
+func (t countedTable) Query(q []float64, s *mat.QueryScratch) mat.QuantQuery {
+	return countedQuery{t.Quantized.Query(q, s), t.rows}
 }
 
 type countedQuery struct {

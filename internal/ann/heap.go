@@ -14,8 +14,6 @@ type heap struct {
 	v    []Candidate
 }
 
-func newHeap(best bool) *heap { return &heap{best: best} }
-
 func (h *heap) len() int { return len(h.v) }
 
 // above reports whether element i must sit above element j.

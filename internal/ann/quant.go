@@ -42,8 +42,10 @@ func (s quantScorer) scoreRows(ids []int32, out []float64) {
 // ef-wide beam (Params.EfSearch when ef <= 0) ranked by approximate
 // cosine, for RerankExact to rescore — the graph's links were chosen
 // on exact scores, only the steering is approximate. The ADC table or
-// converted vector is prepared once; each expansion then scores its
-// neighbors in one gather pass over the codes.
+// converted vector is prepared once, in the walk's pooled scratch
+// beside its visited bits and heaps, so a query allocates no table;
+// each expansion then scores its neighbors in one gather pass over the
+// codes. The returned beam is the caller's own.
 func (ix *Index) SearchQuant(qt mat.Quantized, query []float64, qn float64, ef int, exclude int32) []Candidate {
 	if qt.NumRows() != len(ix.nodes) {
 		panic(fmt.Sprintf("ann: quantized table has %d rows, index %d vertices", qt.NumRows(), len(ix.nodes)))
@@ -54,7 +56,10 @@ func (ix *Index) SearchQuant(qt mat.Quantized, query []float64, qn float64, ef i
 	if ef <= 0 {
 		ef = ix.params.EfSearch
 	}
-	return ix.beam(quantScorer{qt.Query(query), ix.norms, qn}, ef, exclude)
+	s := getScratch(len(ix.nodes))
+	beam := ix.beam(s, quantScorer{qt.Query(query, &s.quant), ix.norms, qn}, ef, exclude)
+	putScratch(s)
+	return beam
 }
 
 // RerankExact rescores a candidate beam with the exact float64
@@ -62,9 +67,10 @@ func (ix *Index) SearchQuant(qt mat.Quantized, query []float64, qn float64, ef i
 // score is bit-identical to what an exact scan would report for that
 // row — and returns the k best under the Before order. It selects
 // through TopK as the exact scanner does, so a row whose exact score is
-// not a number is dropped here as it is there.
+// not a number is dropped here as it is there. The selector's array is
+// sized once, to what it can hold.
 func RerankExact(emb *mat.Dense, norms []float64, q []float64, qn float64, beam []Candidate, k int) []Candidate {
-	tk := NewTopK(k)
+	tk := &TopK{k: k, h: heap{v: make([]Candidate, 0, max(0, min(k, len(beam))))}}
 	for _, c := range beam {
 		score := 0.0
 		if d := qn * norms[c.ID]; d > 0 {

@@ -34,7 +34,7 @@ func ScanQuant(qt mat.Quantized, norms []float64, q []float64, qn float64, ef in
 	if shards < 1 {
 		shards = 1
 	}
-	qq := qt.Query(q)
+	qq := qt.Query(q, nil)
 	parts := make([]*TopK, shards)
 	perf.Parallel(shards, workers, func(_, slo, shi int) {
 		var buf [quantChunk]float64

@@ -78,8 +78,33 @@ type Quantized interface {
 	// exports as its memory-plane gauge.
 	ResidentBytes() int64
 	// Query prepares per-query state (a converted vector or an
-	// asymmetric distance table) amortized across all row scores.
-	Query(q []float64) QuantQuery
+	// asymmetric distance table) amortized across all row scores, in
+	// s's buffers (a fresh scratch when s is nil). The query it returns
+	// reads s and is valid until the next Query through s.
+	Query(q []float64, s *QueryScratch) QuantQuery
+}
+
+// QueryScratch is the storage a prepared query lives in: the ADC table
+// of a PQTable query or the converted vector of an F32Table one. A
+// buffer that is short is grown; one that is long enough is reused as
+// it is, so Query clears or wholly overwrites every element it reads.
+// A caller that keeps a scratch and passes it to every Query allocates
+// nothing per query once the buffers have grown to the table. One
+// scratch serves one query at a time. The zero value is ready to use.
+type QueryScratch struct {
+	tab []float64
+	q32 []float32
+	pq  pqQuery
+	f32 f32Query
+}
+
+// grow returns a slice of n elements backed by *buf, replacing *buf
+// when its capacity is short. The elements keep whatever they held.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // QuantQuery is prepared per-query scoring state. ScoreRows writes the
@@ -127,14 +152,19 @@ func (t *F32Table) NumCols() int { return t.ColsN }
 // ResidentBytes returns the table size in bytes.
 func (t *F32Table) ResidentBytes() int64 { return int64(len(t.Data)) * 4 }
 
-// Query converts the query's first ColsN elements once (it panics here
-// if q is shorter); scoring is then a float32 dot per row.
-func (t *F32Table) Query(q []float64) QuantQuery {
-	q32 := make([]float32, t.ColsN)
+// Query converts the query's first ColsN elements once into s (it
+// panics here if q is shorter), overwriting every element it will
+// read; scoring is then a float32 dot per row.
+func (t *F32Table) Query(q []float64, s *QueryScratch) QuantQuery {
+	if s == nil {
+		s = new(QueryScratch)
+	}
+	q32 := grow(&s.q32, t.ColsN)
 	for j := range q32 {
 		q32[j] = float32(q[j])
 	}
-	return &f32Query{t: t, q: q32}
+	s.f32 = f32Query{t: t, q: q32}
+	return &s.f32
 }
 
 type f32Query struct {
@@ -394,32 +424,36 @@ func (t *PQTable) ResidentBytes() int64 {
 	return int64(len(t.Codes)) + int64(len(t.Centroids))*8
 }
 
-// Query builds the asymmetric distance table: tab[s*K+c] =
-// dot(query_s, centroid_{s,c}), so a row scores in M table lookups.
+// Query builds the asymmetric distance table in s: tab[sub*K+c] =
+// dot(query_sub, centroid_{sub,c}), so a row scores in M table lookups.
 // It is one pass over the packed codebook, read where it lies (a
 // mapped codebook is never copied), M*K entries each with the bits of
-// Dot(query_s, centroid). A span of 2 — every span at ResolvePQ's
+// Dot(query_sub, centroid). A span of 2 — every span at ResolvePQ's
 // default M but one span of 1 at an odd width — goes to adc2AVX2 where
 // AVX2 is present: four centroids a pass, each entry (+0 + q0*c0) +
-// q1*c1 as dotGo sums it. What the kernel leaves (the last K mod 4
-// entries), spans of 1 and 3, and every short span without AVX2 are
-// summed in place as dotGo sums them — an entry starts as the +0 make
-// left there and takes a rounded product then a rounded add per element
-// in order, so a lone -0 product still gives +0 — one query element
-// across all of the row's remaining centroids at a time: independent
-// sums in flight and no call per two-element dot. A wider span goes
-// through dot4, four centroids a pass, and dot for the last K mod 4. It
-// panics, before anything is scored, if q is shorter than the table is
-// wide.
-func (t *PQTable) Query(q []float64) QuantQuery {
+// q1*c1 as dotGo sums it, written without being read. What the kernel
+// leaves (the last K mod 4 entries), spans of 1 and 3, and every short
+// span without AVX2 are summed in place as dotGo sums them — the row
+// is cleared to +0 first (a reused table holds the last query's
+// entries), then each entry takes a rounded product then a rounded add
+// per element in order, so a lone -0 product still gives +0 — one
+// query element across all of the row's remaining centroids at a time:
+// independent sums in flight and no call per two-element dot. A wider
+// span goes through dot4, four centroids a pass, and dot for the last
+// K mod 4, both of which write their entries. It panics, before
+// anything is scored, if q is shorter than the table is wide.
+func (t *PQTable) Query(q []float64, s *QueryScratch) QuantQuery {
 	m, k := t.Params.M, t.Params.K
 	q = q[:t.ColsN:len(q)]
-	tab := make([]float64, m*k)
+	if s == nil {
+		s = new(QueryScratch)
+	}
+	tab := grow(&s.tab, m*k)
 	off := 0
-	for s := 0; s < m; s++ {
-		lo, hi := subSpan(t.ColsN, m, s)
+	for sub := 0; sub < m; sub++ {
+		lo, hi := subSpan(t.ColsN, m, sub)
 		w := hi - lo
-		qs, cents, row := q[lo:hi], t.Centroids[off:off+k*w], tab[s*k:(s+1)*k]
+		qs, cents, row := q[lo:hi], t.Centroids[off:off+k*w], tab[sub*k:(sub+1)*k]
 		off += k * w
 		if w < simdMinLen {
 			if w == 2 && useAVX2 {
@@ -427,6 +461,7 @@ func (t *PQTable) Query(q []float64) QuantQuery {
 				adc2AVX2(row[:n], cents[:2*n], qs[0], qs[1])
 				row, cents = row[n:], cents[2*n:]
 			}
+			clear(row)
 			for j, x := range qs {
 				for c := range row {
 					row[c] += x * cents[c*w+j]
@@ -442,7 +477,8 @@ func (t *PQTable) Query(q []float64) QuantQuery {
 			row[c] = dot(qs, cents[c*w:(c+1)*w])
 		}
 	}
-	return &pqQuery{t: t, tab: tab}
+	s.pq = pqQuery{t: t, tab: tab}
+	return &s.pq
 }
 
 type pqQuery struct {

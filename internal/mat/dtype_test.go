@@ -135,7 +135,7 @@ func TestPQQueryMatchesReconstruction(t *testing.T) {
 	pt := TrainPQ(src, p, 2)
 	q := src.Row(7)
 	out := make([]float64, 120)
-	pt.Query(q).ScoreRows(idRange(0, 120), out)
+	pt.Query(q, nil).ScoreRows(idRange(0, 120), out)
 	for r := 0; r < 120; r++ {
 		acc, off := 0.0, 0
 		for s := 0; s < p.M; s++ {
@@ -270,7 +270,7 @@ func TestPQScoresMatchPerRow(t *testing.T) {
 		for _, k := range []int{2, 255, 256} {
 			pt := handPQ(t, rows, dim, m, k)
 			q := dtypeTable(3, dim).Row(2)
-			qq := pt.Query(q)
+			qq := pt.Query(q, nil)
 			tab := qq.(*pqQuery).tab
 			checkScoreRows(t, "pq", rows, qq, func(r int) float64 {
 				acc := 0.0
@@ -291,7 +291,7 @@ func TestF32ScoresMatchPerRow(t *testing.T) {
 		ft := ToF32(dtypeTable(rows, cols), 2)
 		ft.Data[5*cols] = float32(math.Inf(1)) // a row that overflows must not leak into its neighbours
 		q := dtypeTable(3, cols).Row(1)
-		checkScoreRows(t, "f32", rows, ft.Query(q), func(r int) float64 {
+		checkScoreRows(t, "f32", rows, ft.Query(q, nil), func(r int) float64 {
 			var acc float32
 			for j := 0; j < cols; j++ {
 				acc += float32(q[j]) * ft.Data[r*cols+j]
@@ -342,7 +342,7 @@ func pqEntryTables(t *testing.T) [][]float64 {
 			for j := 0; j < w0; j++ {
 				cent[w0+j] = special[(j+k)%len(special)]
 			}
-			tab := pt.Query(q).(*pqQuery).tab
+			tab := pt.Query(q, nil).(*pqQuery).tab
 			requireEntriesMatchDot(t, fmt.Sprintf("dim %d M %d K %d", dim, m, k), pt, q, tab)
 			if bits := math.Float64bits(tab[0]); bits != 0 {
 				t.Fatalf("dim %d M %d K %d: all -0 products gave %#x, want +0", dim, m, k, bits)
@@ -351,6 +351,68 @@ func pqEntryTables(t *testing.T) [][]float64 {
 		}
 	}
 	return tabs
+}
+
+// TestQueryScratchReuseNeverShows: a query prepared in a scratch that
+// an earlier query left NaN-filled — longer than this table needs, so
+// it is reused rather than grown — has the bits of one prepared in a
+// fresh scratch. The ADC tables run spans of 1, 2 and 3 and the mixed
+// splits (a span of 1 then spans of 2; spans of 2 then one of 3), a
+// span wide enough for dot4, and K at every residue mod 4 on both
+// sides of the span-2 kernel's four, at every kernel level; an
+// F32Table query scores from a reused, NaN-filled float32 vector.
+func TestQueryScratchReuseNeverShows(t *testing.T) {
+	nan32 := float32(math.NaN())
+	poisoned := func(n int) *QueryScratch {
+		s := &QueryScratch{tab: make([]float64, n+8), q32: make([]float32, n+8)}
+		for i := range s.tab {
+			s.tab[i], s.q32[i] = math.NaN(), nan32
+		}
+		return s
+	}
+	atEveryLevel(t, func(t *testing.T) {
+		shapes := [][2]int{{3, 3}, {6, 3}, {9, 3}, {9, 5}, {7, 3}, {12, 2}} // dim, M
+		for _, sh := range shapes {
+			dim, m := sh[0], sh[1]
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
+				tag := fmt.Sprintf("dim %d M %d K %d", dim, m, k)
+				pt := handPQ(t, 4, dim, m, k)
+				q := dtypeTable(5, dim).Row(4)
+				want := pt.Query(q, nil).(*pqQuery).tab
+				s := poisoned(m * k)
+				got := pt.Query(q, s).(*pqQuery).tab
+				if &got[0] != &s.tab[0] {
+					t.Fatalf("%s: the table was not built in the scratch's buffer", tag)
+				}
+				requireSameBits(t, tag+" in a poisoned scratch", got, want)
+				requireEntriesMatchDot(t, tag, pt, q, got)
+			}
+		}
+		src := dtypeTable(40, 9)
+		ft := ToF32(src, 1)
+		ids := idRange(0, 40)
+		want, got := make([]float64, 40), make([]float64, 40)
+		ft.Query(src.Row(3), nil).ScoreRows(ids, want)
+		s := poisoned(9)
+		ft.Query(src.Row(3), s).ScoreRows(ids, got)
+		requireSameBits(t, "f32 in a poisoned scratch", got, want)
+	})
+}
+
+// TestQueryScratchGrows: a scratch too short for the table is grown,
+// and one query after another through the same scratch each get their
+// own table's bits.
+func TestQueryScratchGrows(t *testing.T) {
+	small, large := handPQ(t, 4, 6, 3, 4), handPQ(t, 4, 12, 6, 9)
+	var s QueryScratch
+	for i, pt := range []*PQTable{small, large, small} {
+		q := dtypeTable(5, pt.ColsN).Row(i)
+		requireSameBits(t, fmt.Sprintf("query %d", i),
+			pt.Query(q, &s).(*pqQuery).tab, pt.Query(q, nil).(*pqQuery).tab)
+	}
+	if cap(s.tab) < 6*9 {
+		t.Fatalf("scratch table capacity %d after a 6 x 9 table", cap(s.tab))
+	}
 }
 
 // requireEntriesMatchDot checks that every entry of pt's ADC table tab
@@ -391,7 +453,7 @@ func TestQuantQueryShortPanics(t *testing.T) {
 					t.Errorf("%s: Query accepted a 5-element query for a 6-column table", name)
 				}
 			}()
-			qt.Query(make([]float64, 5, 8))
+			qt.Query(make([]float64, 5, 8), nil)
 		}()
 	}
 }
@@ -406,7 +468,7 @@ func TestQuantConcurrentQueries(t *testing.T) {
 		want := make([][]float64, goroutines)
 		for g := range want {
 			want[g] = make([]float64, rows)
-			qt.Query(src.Row(g)).ScoreRows(idRange(0, rows), want[g])
+			qt.Query(src.Row(g), nil).ScoreRows(idRange(0, rows), want[g])
 		}
 		errs := make(chan string, goroutines) // one send per goroutine at most
 		var wg sync.WaitGroup
@@ -416,7 +478,7 @@ func TestQuantConcurrentQueries(t *testing.T) {
 				defer wg.Done()
 				got := make([]float64, rows)
 				for rep := 0; rep < 20; rep++ {
-					qq := qt.Query(src.Row(g))
+					qq := qt.Query(src.Row(g), nil)
 					mid := rows/2 + rep%4
 					qq.ScoreRows(idRange(0, mid), got[:mid])
 					qq.ScoreRows(idRange(mid, rows), got[mid:])

@@ -186,16 +186,31 @@ func fuzzRows(seed uint64, m int) []int {
 // FuzzPQQuery holds the ADC table to Dot on hostile numbers: every
 // entry of a span-2 table (FuzzPQQuery's inputs, pqFuzzTable's
 // decoding), whatever K leaves for the remainder loop, has the bits of
-// Dot(query_s, centroid), NaNs by class. Its seed corpus
-// (testdata/fuzz/FuzzPQQuery) is TestPQQueryEntriesMatchDot's cases at
-// this shape: its Ks at dims 2, 6, 9 and 64, with centroid 0 of
-// subspace 0 all zeros against a negative query and centroid 1 holding
-// the special values.
+// Dot(query_s, centroid), NaNs by class. Each table is then built a
+// second time through the same scratch, NaN-filled in between, and
+// must come out with the first build's bits in the same buffer: reuse
+// never reaches an entry. Its seed corpus (testdata/fuzz/FuzzPQQuery)
+// is TestPQQueryEntriesMatchDot's cases at this shape: its Ks at dims
+// 2, 6, 9 and 64, with centroid 0 of subspace 0 all zeros against a
+// negative query and centroid 1 holding the special values; the
+// reuse-* seeds add K at 1, 2 and 3 mod 4 over even dims and an odd
+// dim, whose span of 1 is summed in place.
 func FuzzPQQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k, d uint16, seed uint64, raw []byte) {
 		pt, q := pqFuzzTable(k, d, seed, raw)
-		tab := pt.Query(q).(*pqQuery).tab
-		requireEntriesMatchDot(t, fmt.Sprintf("K %d dim %d", pt.Params.K, pt.ColsN), pt, q, tab)
+		tag := fmt.Sprintf("K %d dim %d", pt.Params.K, pt.ColsN)
+		var s QueryScratch
+		tab := pt.Query(q, &s).(*pqQuery).tab
+		requireEntriesMatchDot(t, tag, pt, q, tab)
+		first := append([]float64(nil), tab...)
+		for i := range tab {
+			tab[i] = math.NaN()
+		}
+		again := pt.Query(q, &s).(*pqQuery).tab
+		if &again[0] != &tab[0] {
+			t.Fatalf("%s: the second build did not reuse the scratch's table", tag)
+		}
+		requireSameBits(t, tag+" rebuilt over a poisoned table", again, first)
 	})
 }
 

@@ -164,7 +164,7 @@ func testPQQueryStaysInsideItsCodebook(t *testing.T) {
 		copy(cents, pt.Centroids)
 		pt.Centroids = cents
 		q := dtypeTable(2, dim).Row(1)
-		tab := pt.Query(q).(*pqQuery).tab
+		tab := pt.Query(q, nil).(*pqQuery).tab
 		requireEntriesMatchDot(t, fmt.Sprintf("K %d", k), pt, q, tab)
 		if useAVX2 {
 			n := k &^ 3

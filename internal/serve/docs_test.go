@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"gsgcn/internal/obs"
 )
 
 // TestAPIDocCoversRegisteredRoutes enforces the documentation
@@ -146,5 +148,55 @@ func TestAPIDocErrorModelIsTheTable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(docReasons, wantReasons) {
 		t.Errorf("docs/API.md's error model lists reasons %v; errorTable's rows carry %v", docReasons, wantReasons)
+	}
+}
+
+// TestAPIDocCoversMetricFamilies holds docs/API.md's table of exported
+// families to what a serving process registers, both ways: every
+// family a scrape of a registry serving a sharded model and an
+// unsharded one, with the process's runtime series (as gsgcn-serve
+// registers them), renders is named in the doc, and every family the
+// table names is rendered. Every family is registered eagerly, so no
+// traffic is needed.
+func TestAPIDocCoversMetricFamilies(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	ds := testDataset(t, false)
+	reg := NewRegistry()
+	defer reg.Close()
+	obs.RegisterRuntime(reg.Metrics())
+	if _, err := reg.Add("prod", ds, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.AddSharded("fleet", ds, Options{Workers: 1}, 2, 9); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := reg.Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	rendered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(text.String(), -1) {
+		rendered[m[1]] = true
+		if !strings.Contains(doc, "`"+m[1]+"`") {
+			t.Errorf("metric family %s is not documented in docs/API.md", m[1])
+		}
+	}
+	if len(rendered) == 0 {
+		t.Fatal("the scrape rendered no family")
+	}
+	rows := regexp.MustCompile("(?m)^\\| `(gsgcn_[a-z0-9_]+)`(?: / `(gsgcn_[a-z0-9_]+)`)? \\|").FindAllStringSubmatch(doc, -1)
+	if len(rows) == 0 {
+		t.Fatal("docs/API.md has no table row naming a metric family")
+	}
+	for _, m := range rows {
+		for _, family := range m[1:] {
+			if family != "" && !rendered[family] {
+				t.Errorf("docs/API.md documents metric family %s, which no registry renders", family)
+			}
+		}
 	}
 }

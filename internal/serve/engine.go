@@ -22,7 +22,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -624,7 +623,11 @@ func localRows(st *State, ids []int) ([]int, error) {
 
 // predictionsFromLogits converts one logits row per id into a
 // PredictResult: thresholded labels plus calibrated probabilities
-// (sigmoid per class when multi-label, softmax otherwise).
+// (sigmoid per class when multi-label, softmax otherwise). The
+// probabilities of every id share one backing array: each element is
+// first the exponent's argument — -z for a sigmoid, z - max for a
+// softmax — and one mat.Exp over the whole array turns them into
+// math.Exp's values, bit for bit, before the per-row arithmetic.
 func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResult {
 	multi := st.Model.Loss.Name() == "sigmoid-bce"
 	k := logits.Cols
@@ -637,42 +640,56 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResu
 		Labels:       make([][]int, len(ids)),
 		Probs:        make([][]float64, len(ids)),
 	}
+	all := make([]float64, len(ids)*k)
 	for i := range ids {
-		zrow := logits.Row(i)
-		probs := make([]float64, k)
-		labels := make([]int, 0, 1) // non-nil: an empty label set serializes as []
+		zrow, probs := logits.Row(i), all[i*k:(i+1)*k:(i+1)*k]
+		if multi {
+			for j, z := range zrow {
+				probs[j] = -z
+			}
+		} else {
+			maxZ := zrow[0]
+			for _, z := range zrow {
+				if z > maxZ {
+					maxZ = z
+				}
+			}
+			for j, z := range zrow {
+				probs[j] = z - maxZ
+			}
+		}
+		res.Probs[i] = probs
+	}
+	mat.Exp(all, all)
+	for i := range ids {
+		zrow, probs := logits.Row(i), res.Probs[i]
 		if multi {
 			// Mirrors nn.PredictMulti: class on iff logit > 0.
+			labels := make([]int, 0, 1) // non-nil: an empty label set serializes as []
 			for j, z := range zrow {
-				probs[j] = 1 / (1 + math.Exp(-z))
+				probs[j] = 1 / (1 + probs[j])
 				if z > 0 {
 					labels = append(labels, j)
 				}
 			}
-		} else {
-			// Mirrors nn.PredictSingle: argmax class, stable softmax.
-			best := 0
-			maxZ := zrow[0]
-			for j, z := range zrow {
-				if z > maxZ {
-					maxZ = z
-				}
-				if z > zrow[best] {
-					best = j
-				}
-			}
-			sum := 0.0
-			for j, z := range zrow {
-				probs[j] = math.Exp(z - maxZ)
-				sum += probs[j]
-			}
-			for j := range probs {
-				probs[j] /= sum
-			}
-			labels = []int{best}
+			res.Labels[i] = labels
+			continue
 		}
-		res.Probs[i] = probs
-		res.Labels[i] = labels
+		// Mirrors nn.PredictSingle: argmax class, stable softmax.
+		best := 0
+		for j, z := range zrow {
+			if z > zrow[best] {
+				best = j
+			}
+		}
+		sum := 0.0
+		for _, p := range probs {
+			sum += p
+		}
+		for j := range probs {
+			probs[j] /= sum
+		}
+		res.Labels[i] = []int{best}
 	}
 	return res
 }
@@ -698,14 +715,19 @@ func (e *Engine) point(ids []int, predict bool) batchResp {
 	if err != nil {
 		return batchResp{err: err}
 	}
-	h := mat.New(len(rows), st.Dim())
-	mat.GatherRows(h, st.Emb, rows)
-	if predict {
-		logits := mat.New(len(rows), st.Model.Head.OutDim)
-		st.Model.Head.Apply(logits, h, nil, 1)
-		return batchResp{pred: predictionsFromLogits(st, ids, logits)}
+	if !predict {
+		h := mat.New(len(rows), st.Dim())
+		mat.GatherRows(h, st.Emb, rows)
+		return batchResp{embed: embedResult(st, ids, h)}
 	}
-	return batchResp{embed: embedResult(st, ids, h)}
+	// The gathered rows and the logits are scratch of this one answer:
+	// one allocation holds both.
+	n, dim, out := len(rows), st.Dim(), st.Model.Head.OutDim
+	buf := make([]float64, n*(dim+out))
+	h, logits := mat.FromData(n, dim, buf[:n*dim]), mat.FromData(n, out, buf[n*dim:])
+	mat.GatherRows(h, st.Emb, rows)
+	st.Model.Head.Apply(logits, h, nil, 1)
+	return batchResp{pred: predictionsFromLogits(st, ids, logits)}
 }
 
 // Embed answers an embedding query against the latest snapshot with

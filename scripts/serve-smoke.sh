@@ -5,6 +5,7 @@
 # the scrape surface, and identical bytes over json, wire and tcp — is
 # held by the Go suites (internal/serve, pkg/client's
 # FuzzShapesAndTransports). This script keeps the rest:
+#   - the runtime series gsgcn-serve registers on its own scrape;
 #   - flag and -config parsing end to end, one boot each, and one
 #     dataset load per data path (a model naming -data's file shares
 #     the process-wide dataset);
@@ -137,6 +138,9 @@ loads=$(grep -c '"event":"dataset"' "$TMP/server.log" || true)
 expect /models '"default":"canary"' '"name":"canary","default":true' '"name":"prod","default":false'
 expect /models/canary/healthz '"ann_default":true'
 expect /models/prod/healthz '"ann_default":false'
+# The process registers its runtime series itself (the Go suites build
+# registries without them): they must reach the real scrape.
+expect /metrics 'gsgcn_build_info{commit=' 'gsgcn_go_heap_alloc_bytes_total ' 'gsgcn_go_gc_cycles_total '
 
 echo "== SIGHUP: every model reloads, the version advances"
 v=$(version)
