@@ -105,8 +105,10 @@ cover:
 # then the two file loaders, which must answer any bytes with a value
 # or a typed error, never a panic, then the quantized walk's ADC table,
 # every entry of which must keep Dot's bits on hostile numbers (NaN,
-# ±Inf, subnormals, -0), then the three GEMM forms on rows 1 to 200
-# wide (FuzzNarrowRows, named for the 8-wide rows it began with), which
+# ±Inf, subnormals, -0), and its row scores, which must keep the Go
+# loop's bits at every kernel level the host has, then the three GEMM
+# forms on rows 1 to 200 wide (FuzzNarrowRows, named for the 8-wide
+# rows it began with), which
 # must keep the untiled portable loops' bits on the same hostile
 # numbers, then Exp and Log1p on arbitrary float64 bit patterns, which
 # must keep math.Exp's and math.Log1p's bits at every kernel level the

@@ -39,6 +39,7 @@ package ann
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -114,11 +115,11 @@ func Before(s1 float64, id1 int32, s2 float64, id2 int32) bool {
 	return id1 < id2
 }
 
-// node is one indexed vertex: its layer height and, per layer
-// 0..level, its out-links.
+// node is one indexed vertex: its layer height and where its links
+// start in Index.links.
 type node struct {
 	level int32
-	links [][]int32
+	off   int
 }
 
 // Index is an immutable-after-Build HNSW graph over an embedding
@@ -129,6 +130,16 @@ type Index struct {
 	norms  []float64
 
 	nodes []node
+	// links holds every vertex's out-links in one vertex-major array,
+	// laid out as the binary encoding lays them out: from
+	// nodes[v].off, per layer 0..level, a link count and then that
+	// many neighbour ids. A walk reaches a vertex's base-layer links
+	// through its node and one count, not through per-node and
+	// per-layer slice headers.
+	links []int32
+	// adj is the graph while Build grows it — per vertex, per layer,
+	// its out-links — and nil once Build has packed it into links.
+	adj   [][][]int32
 	entry int32 // highest-level vertex, lowest id on ties (-1 when empty)
 
 	// distComps counts similarity evaluations during Build — exposed
@@ -148,15 +159,50 @@ type Stats struct {
 // Stats summarizes the index structure.
 func (ix *Index) Stats() Stats {
 	s := Stats{N: len(ix.nodes), Entry: ix.entry, BuildDistComps: ix.buildDistComps}
-	for _, nd := range ix.nodes {
+	for v, nd := range ix.nodes {
 		if int(nd.level) > s.MaxLevel {
 			s.MaxLevel = int(nd.level)
 		}
-		for _, ls := range nd.links {
-			s.Links += len(ls)
+		for l := int32(0); l <= nd.level; l++ {
+			s.Links += len(ix.linksAt(int32(v), l))
 		}
 	}
 	return s
+}
+
+// linksAt returns vertex v's out-links at layer l, which must be at
+// most v's level.
+func (ix *Index) linksAt(v, l int32) []int32 {
+	if ix.adj != nil {
+		return ix.adj[v][l]
+	}
+	off := ix.nodes[v].off
+	for ; l > 0; l-- {
+		off += 1 + int(ix.links[off])
+	}
+	end := off + 1 + int(ix.links[off])
+	return ix.links[off+1 : end : end]
+}
+
+// pack moves the graph Build grew in adj into the one links array,
+// in one pass in vertex order, and drops adj.
+func (ix *Index) pack() {
+	size := 0
+	for _, ls := range ix.adj {
+		size += len(ls)
+		for _, l := range ls {
+			size += len(l)
+		}
+	}
+	ix.links = make([]int32, 0, size)
+	for v, ls := range ix.adj {
+		ix.nodes[v].off = len(ix.links)
+		for _, l := range ls {
+			ix.links = append(ix.links, int32(len(l)))
+			ix.links = append(ix.links, l...)
+		}
+	}
+	ix.adj = nil
 }
 
 // Params returns the resolved construction parameters.
@@ -211,10 +257,11 @@ func Build(emb *mat.Dense, norms []float64, p Params, workers int) *Index {
 			}
 		})
 	}
-	ix := &Index{params: p, emb: emb, norms: norms, entry: -1, nodes: make([]node, n)}
+	ix := &Index{params: p, emb: emb, norms: norms, entry: -1, nodes: make([]node, n), adj: make([][][]int32, n)}
 	for v := 0; v < n; v++ {
 		lvl := levelFor(p.Seed, int32(v))
-		ix.nodes[v] = node{level: lvl, links: make([][]int32, lvl+1)}
+		ix.nodes[v].level = lvl
+		ix.adj[v] = make([][]int32, lvl+1)
 	}
 
 	// Per-wave scratch: candidate lists found against the frozen
@@ -247,6 +294,7 @@ func Build(emb *mat.Dense, norms []float64, p Params, workers int) *Index {
 		}
 	}
 	ix.buildDistComps = dist
+	ix.pack()
 	return ix
 }
 
@@ -264,7 +312,7 @@ func (ix *Index) buildCandidates(v int32) ([][]Candidate, uint64) {
 	}
 	s := getScratch(len(ix.nodes))
 	defer putScratch(s)
-	w := walk{ix: ix, sc: exactScorer{ix, ix.emb.Row(int(v)), ix.norms[v]}, scratch: s}
+	w := newWalk(ix, exactScorer{ix, ix.emb.Row(int(v)), ix.norms[v]}, s)
 	ep, epSim := w.descend(lvl)
 	top := lvl
 	if el := ix.nodes[ix.entry].level; el < top {
@@ -316,15 +364,15 @@ func (ix *Index) commit(v, waveLo int32, cands [][]Candidate) uint64 {
 		})
 		sel, d := ix.selectNeighbors(cs, ix.params.M)
 		dist += d
-		ix.nodes[v].links[l] = sel
+		ix.adj[v][l] = sel
 		capL := ix.capAt(l)
 		for _, u := range sel {
-			ul := append(ix.nodes[u].links[l], v)
+			ul := append(ix.adj[u][l], v)
 			if len(ul) > capL {
 				ul, d = ix.pruneLinks(u, l, ul, capL)
 				dist += d
 			}
-			ix.nodes[u].links[l] = ul
+			ix.adj[u][l] = ul
 		}
 	}
 	if lvl > ix.nodes[ix.entry].level {
@@ -427,19 +475,26 @@ func (s exactScorer) scoreRows(ids []int32, out []float64) {
 
 // scratch is one walk's reusable state: the visited bitset (one bit
 // per vertex), ids — every vertex this walk marked visited, in order,
-// whose tail is the batch an expansion scores — the scores buffer, the
-// backing arrays of the expansion frontier and of the result selector,
-// and the buffer a quantized query is prepared in. A scratch is taken
-// from scratchPool for one walk and put back after it. The rule that
-// keeps reuse out of every answer: visited is all zero while the
+// whose tail is the batch an expansion scores — the score memo, the
+// scores buffer and the misses' buffers, the backing arrays of the
+// expansion frontier and of the result selector, and the buffer a
+// quantized query is prepared in. A scratch is taken from scratchPool
+// for one walk and put back after it. The rule that keeps reuse out of
+// every answer: visited is all zero and the memo empty while the
 // scratch is in the pool (putScratch clears the words the walk set,
-// which ids names), and every other buffer is cleared or wholly
+// which ids names, and the memo's slots through the ones it filled),
+// and every other buffer — ids' spare capacity too, which the link
+// gather writes ahead of what it keeps — is cleared or wholly
 // overwritten before it is read.
 type scratch struct {
 	visited []uint64
 	ids     []int32
 	entry   [1]int32 // the entry point, scored alone by descend
+	memo    memo
 	scores  []float64
+	missIDs []int32   // the ids of a batch the memo lacks, in batch order
+	missAt  []int32   // their positions in the batch
+	missOut []float64 // their scores
 	cand    heap
 	res     TopK
 	quant   mat.QueryScratch
@@ -451,7 +506,7 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // getScratch takes a scratch from the pool with a clean visited bitset
-// of at least n bits.
+// of at least n bits and an empty memo.
 func getScratch(n int) *scratch {
 	s := scratchPool.Get().(*scratch)
 	if words := (n + 63) / 64; len(s.visited) < words {
@@ -469,31 +524,171 @@ func (s *scratch) clearVisited() {
 	s.ids = s.ids[:0]
 }
 
-// putScratch returns a scratch to the pool, its visited bits cleared.
-func putScratch(s *scratch) {
+// release clears what a walk left in s — its visited bits and its
+// memo — as putScratch does before s goes back to the pool.
+func (s *scratch) release() {
 	s.clearVisited()
+	s.memo.clear()
+}
+
+// putScratch returns a scratch to the pool, its visited bits and memo
+// cleared.
+func putScratch(s *scratch) {
+	s.release()
 	scratchPool.Put(s)
 }
 
+// memo is a walk's record of the scores it has computed, so that no
+// vertex is scored twice in one walk: the greedy descent re-scores
+// every link of every hop, and the base-layer beam meets vertices the
+// descent scored. A score is a pure function of (query, vertex) — a
+// scorer's row never depends on the rows batched with it — so a
+// remembered score has the bits a second scoring would, and no
+// comparison can change. It is an open-addressed table of vertex id+1
+// (0 marks an empty slot), probed linearly from a Fibonacci hash and
+// kept at most half full, the scores in a parallel array read only on
+// a hit, plus the slots it filled, through which it is cleared. Its
+// size follows the rows a walk scores — the table doubles when half
+// full, and a pooled scratch keeps the largest it has grown to — never
+// |V|.
+type memo struct {
+	keys   []int32 // vertex id + 1; 0 when the slot is empty
+	scores []float64
+	used   []int32 // the filled slots, in fill order
+}
+
+// memoMinSlots is a fresh memo's table size: room for the ~60 rows a
+// serving walk's descent scores, several times over, before it
+// doubles.
+const memoMinSlots = 256
+
+// memoHome is the slot vertex v's probe starts at in a table of mask+1
+// slots.
+func memoHome(v int32, mask int) int {
+	return int(uint64(uint32(v))*0x9E3779B97F4A7C15>>32) & mask
+}
+
+// get returns v's remembered score and whether there is one.
+func (m *memo) get(v int32) (float64, bool) {
+	mask := len(m.keys) - 1
+	if mask < 0 {
+		return 0, false
+	}
+	for i := memoHome(v, mask); ; i = (i + 1) & mask {
+		switch m.keys[i] {
+		case v + 1:
+			return m.scores[i], true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// put remembers v's score; a second put of v overwrites the first.
+func (m *memo) put(v int32, score float64) {
+	if 2*(len(m.used)+1) > len(m.keys) {
+		m.grow()
+	}
+	mask := len(m.keys) - 1
+	i := memoHome(v, mask)
+	for ; m.keys[i] != 0 && m.keys[i] != v+1; i = (i + 1) & mask {
+	}
+	if m.keys[i] == 0 {
+		m.keys[i] = v + 1
+		m.used = append(m.used, int32(i))
+	}
+	m.scores[i] = score
+}
+
+// grow doubles the table (to memoMinSlots when it has none) and
+// re-inserts what it holds, in fill order.
+func (m *memo) grow() {
+	keys, scores, used := m.keys, m.scores, m.used
+	n := max(memoMinSlots, 2*len(keys))
+	m.keys, m.scores, m.used = make([]int32, n), make([]float64, n), make([]int32, 0, n/2)
+	for _, i := range used {
+		m.put(keys[i]-1, scores[i])
+	}
+}
+
+// clear empties the memo through the slots it filled.
+func (m *memo) clear() {
+	for _, i := range m.used {
+		m.keys[i] = 0
+	}
+	m.used = m.used[:0]
+}
+
 // walk is one query's pass over the graph: its scorer, the scratch it
-// runs in, and the number of rows scored so far.
+// runs in, the memo it remembers scores in — the scratch's, or none —
+// and the number of rows handed to the scorer so far.
 type walk struct {
 	ix *Index
 	sc scorer
 	*scratch
+	mem    *memo
 	scored uint64
 }
 
-// score scores ids in one scorer call; the result is valid until the
-// next call.
-func (w *walk) score(ids []int32) []float64 {
-	if len(ids) > len(w.scores) {
-		w.scores = make([]float64, len(ids))
+// newWalk starts a walk over ix scored by sc in s, remembering its
+// scores in s's memo. Build's insertion searches walk this way too: a
+// remembered score is the score, so the links it builds are the links
+// it built without one.
+func newWalk(ix *Index, sc scorer, s *scratch) walk {
+	return walk{ix: ix, sc: sc, scratch: s, mem: &s.memo}
+}
+
+// score returns the scores of ids, the result valid until the next
+// call: remembered ones from the memo, the rest from one scorer call,
+// after which the memo holds them too if remember is set. Every walk
+// ends in a base-layer search, whose scores no later step asks for
+// again, so that search remembers nothing. A walk without a memo
+// scores every id.
+func (w *walk) score(ids []int32, remember bool) []float64 {
+	out := grow(&w.scores, len(ids))
+	if w.mem == nil {
+		w.sc.scoreRows(ids, out)
+		w.scored += uint64(len(ids))
+		return out
 	}
-	out := w.scores[:len(ids)]
-	w.sc.scoreRows(ids, out)
-	w.scored += uint64(len(ids))
+	w.missIDs, w.missAt = w.missIDs[:0], w.missAt[:0]
+	for i, v := range ids {
+		if s, ok := w.mem.get(v); ok {
+			out[i] = s
+		} else {
+			w.missIDs = append(w.missIDs, v)
+			w.missAt = append(w.missAt, int32(i))
+		}
+	}
+	miss := w.missIDs
+	if len(miss) == 0 {
+		return out
+	}
+	w.scored += uint64(len(miss))
+	if len(miss) == len(ids) {
+		w.sc.scoreRows(ids, out)
+	} else {
+		got := grow(&w.missOut, len(miss))
+		w.sc.scoreRows(miss, got)
+		for j, at := range w.missAt {
+			out[at] = got[j]
+		}
+	}
+	if remember {
+		for j, v := range miss {
+			w.mem.put(v, out[w.missAt[j]])
+		}
+	}
 	return out
+}
+
+// grow returns a slice of n elements backed by *buf, replacing *buf
+// when its capacity is short. The elements keep whatever they held.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // descend scores the entry point and walks greedily down every layer
@@ -501,7 +696,7 @@ func (w *walk) score(ids []int32) []float64 {
 func (w *walk) descend(stop int32) (int32, float64) {
 	ep := w.ix.entry
 	w.entry[0] = ep
-	epSim := w.score(w.entry[:])[0]
+	epSim := w.score(w.entry[:], true)[0]
 	for l := w.ix.nodes[ep].level; l > stop; l-- {
 		ep, epSim = w.greedyAt(ep, epSim, l)
 	}
@@ -513,9 +708,9 @@ func (w *walk) descend(stop int32) (int32, float64) {
 // walk terminates and is deterministic.
 func (w *walk) greedyAt(ep int32, epSim float64, l int32) (int32, float64) {
 	for {
-		links := w.ix.nodes[ep].links[l]
+		links := w.ix.linksAt(ep, l)
 		improved := false
-		for i, s := range w.score(links) {
+		for i, s := range w.score(links, true) {
 			if u := links[i]; Before(s, u, epSim, ep) {
 				ep, epSim = u, s
 				improved = true
@@ -536,8 +731,10 @@ func (w *walk) greedyAt(ep int32, epSim float64, l int32) (int32, float64) {
 // start empty over the scratch's arrays; w.visited must hold no bit of
 // this layer's walk yet (a scratch from getScratch, or one cleared by
 // clearVisited), and every vertex it marks is appended to w.ids.
-// Results come back sorted best-first under the Before order, in a
-// slice of their own.
+// The gather has no branch on the visited bit: each link is written
+// at the tail of w.ids, and the tail moves past it only if its bit was
+// clear. Results come back sorted best-first under the Before order,
+// in a slice of their own.
 func (w *walk) searchLayer(ep int32, epSim float64, l int32, ef int, exclude int32) []Candidate {
 	cand := &w.cand // best-first expansion frontier
 	*cand = heap{best: true, v: cand.v[:0]}
@@ -555,15 +752,19 @@ func (w *walk) searchLayer(ep int32, epSim float64, l int32, ef int, exclude int
 		if worst, full := res.worst(); full && Before(worst.Score, worst.ID, c.Score, c.ID) {
 			break
 		}
+		links := w.ix.linksAt(c.ID, l)
 		start := len(w.ids)
-		for _, u := range w.ix.nodes[c.ID].links[l] {
-			if visited[u>>6]&(1<<(uint(u)&63)) == 0 {
-				visited[u>>6] |= 1 << (uint(u) & 63)
-				w.ids = append(w.ids, u)
-			}
+		buf := slices.Grow(w.ids, len(links))[:start+len(links)]
+		tail := start
+		for _, u := range links {
+			buf[tail] = u
+			word, bit := &visited[u>>6], uint(u)&63
+			tail += int(*word>>bit&1 ^ 1)
+			*word |= 1 << bit
 		}
+		w.ids = buf[:tail]
 		ids := w.ids[start:]
-		for i, s := range w.score(ids) {
+		for i, s := range w.score(ids, l > 0) {
 			u := ids[i]
 			if !res.admits(u, s) {
 				continue
@@ -581,7 +782,7 @@ func (w *walk) searchLayer(ep int32, epSim float64, l int32, ef int, exclude int
 // one query path, whatever scores the rows — walking in s, which the
 // caller took from getScratch and puts back after.
 func (ix *Index) beam(s *scratch, sc scorer, ef int, exclude int32) []Candidate {
-	w := walk{ix: ix, sc: sc, scratch: s}
+	w := newWalk(ix, sc, s)
 	ep, epSim := w.descend(0)
 	return w.searchLayer(ep, epSim, 0, ef, exclude)
 }

@@ -193,28 +193,39 @@ func TestIndexStructure(t *testing.T) {
 		t.Errorf("entry = %d (level %d), want %d (level %d)",
 			ix.entry, ix.nodes[ix.entry].level, wantEntry, ix.nodes[wantEntry].level)
 	}
+	if ix.adj != nil {
+		t.Fatal("Build left its growing graph unpacked")
+	}
+	// The links array holds, vertex after vertex, each layer's count
+	// and links and nothing else.
+	off := 0
 	for v := int32(0); v < n; v++ {
 		nd := ix.nodes[v]
-		if int(nd.level) != len(nd.links)-1 {
-			t.Fatalf("vertex %d: level %d but %d link layers", v, nd.level, len(nd.links))
+		if nd.off != off {
+			t.Fatalf("vertex %d: links start at %d, the vertex before ends at %d", v, nd.off, off)
 		}
-		for l, ls := range nd.links {
-			if len(ls) > ix.capAt(int32(l)) {
-				t.Fatalf("vertex %d layer %d: %d links exceeds cap %d", v, l, len(ls), ix.capAt(int32(l)))
+		for l := int32(0); l <= nd.level; l++ {
+			ls := ix.linksAt(v, l)
+			off += 1 + len(ls)
+			if len(ls) > ix.capAt(l) {
+				t.Fatalf("vertex %d layer %d: %d links exceeds cap %d", v, l, len(ls), ix.capAt(l))
 			}
 			for _, u := range ls {
 				if u < 0 || u >= n || u == v {
 					t.Fatalf("vertex %d layer %d: bad link %d", v, l, u)
 				}
-				if int(ix.nodes[u].level) < l {
+				if ix.nodes[u].level < l {
 					t.Fatalf("vertex %d layer %d links to %d whose level is %d", v, l, u, ix.nodes[u].level)
 				}
 			}
 		}
 	}
+	if off != len(ix.links) {
+		t.Fatalf("vertices end at %d of a %d-entry links array", off, len(ix.links))
+	}
 	// Base layer must keep every non-entry vertex attached.
 	for v := int32(0); v < n; v++ {
-		if v != ix.entry && len(ix.nodes[v].links[0]) == 0 {
+		if v != ix.entry && len(ix.linksAt(v, 0)) == 0 {
 			t.Fatalf("vertex %d has no base-layer links", v)
 		}
 	}

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"fmt"
 	"testing"
 
 	"gsgcn/internal/mat"
@@ -20,7 +21,9 @@ import (
 // ADC table is 128 x 256 entries (256 KB, out of L1), which the
 // 8192 x 32 case (M 16, a 32 KB table) hides. It prices the two halves
 // of a quantized search apart (query: the per-query table or vector,
-// built in one reused scratch; scores: every row scored once) and then
+// built in one reused scratch; scores: every row scored once, in one
+// call; i8pq's scores-batchN: every row once, N scattered rows a call
+// — the 1-to-16-row calls a walk's expansions make) and then
 // the whole, both ways: scan+rerank scores every row, walk+rerank —
 // what is served — the rows the HNSW walk visits. rows_scored/op and
 // recall@10 sit beside each so neither time is read without what it
@@ -59,10 +62,36 @@ func BenchmarkAnnScanDtype(b *testing.B) {
 				}
 				reportRowsPerSec(b, n)
 			})
+			if name == "i8pq" {
+				for _, batch := range []int{1, 3, 5, 8, 16} {
+					b.Run(fmt.Sprintf("%s/scores-batch%d", name, batch), func(b *testing.B) { benchScoreBatches(b, qt, emb.Row(0), batch) })
+				}
+			}
 			b.Run(name+"/scan+rerank", func(b *testing.B) { benchQuantSearch(b, emb, norms, qt, flatScan(norms, 1)) })
 			b.Run(name+"/walk+rerank", func(b *testing.B) { benchQuantSearch(b, emb, norms, qt, ix.SearchQuant) })
 		}
 	})
+}
+
+// benchScoreBatches scores every row of qt once an op, batch rows a
+// call, in a scattered order (row i*977 mod n for i = 0..n-1, 977
+// prime to the shard's 2460 rows), as a walk gathers the neighbours it
+// scores from all over the table.
+func benchScoreBatches(b *testing.B, qt mat.Quantized, q []float64, batch int) {
+	n := qt.NumRows()
+	qq, out, ids := qt.Query(q, nil), make([]float64, n), make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i * 977 % n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < n; lo += batch {
+			hi := min(lo+batch, n)
+			qq.ScoreRows(ids[lo:hi], out[lo:hi])
+		}
+	}
+	reportRowsPerSec(b, n)
 }
 
 // benchQuery keeps the compiler from discarding a prepared query.

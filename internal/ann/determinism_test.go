@@ -1,7 +1,7 @@
 package ann
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -13,14 +13,11 @@ func indexEqual(a, b *Index) bool {
 		return false
 	}
 	for v := range a.nodes {
-		if a.nodes[v].level != b.nodes[v].level {
-			return false
-		}
-		if !reflect.DeepEqual(a.nodes[v].links, b.nodes[v].links) {
+		if a.nodes[v] != b.nodes[v] {
 			return false
 		}
 	}
-	return true
+	return slices.Equal(a.links, b.links)
 }
 
 // TestBuildDeterministicAcrossWorkers builds the same table at many

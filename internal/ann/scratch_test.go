@@ -14,21 +14,36 @@ var raceDetector bool
 
 // poisonedScratch returns the scratch a walk over every one of n
 // vertices leaves before putScratch clears it — every visited bit set,
-// every id recorded — with junk in each buffer a walk overwrites: NaN
-// scores, frontier and selector arrays full of candidates of no walk,
-// and, when qt is not nil, a prepared query of a NaN vector, whose
-// table or converted vector is NaN throughout.
+// every id recorded, every vertex in the memo, with a NaN score — with
+// junk in each buffer a walk overwrites: ids' spare capacity, where
+// the link gather writes ahead of what it keeps, full of -1 (no
+// vertex); NaN scores; the misses' buffers full of ids, positions and
+// scores of no batch; frontier and selector arrays full of candidates
+// of no walk; and, when qt is not nil, a prepared query of a NaN
+// vector, whose table or converted vector is NaN throughout.
 func poisonedScratch(n int, qt mat.Quantized) *scratch {
 	s := &scratch{visited: make([]uint64, (n+63)/64)}
 	for i := range s.visited {
 		s.visited[i] = ^uint64(0)
 	}
+	s.ids = make([]int32, n, 2*n+64)
+	for v := range s.ids {
+		s.ids[v] = int32(v)
+	}
+	for i := n; i < cap(s.ids); i++ {
+		s.ids[:cap(s.ids)][i] = -1
+	}
 	for v := 0; v < n; v++ {
-		s.ids = append(s.ids, int32(v))
+		s.memo.put(int32(v), math.NaN())
 	}
 	s.scores = make([]float64, 4*n)
+	s.missOut = make([]float64, 4*n)
 	for i := range s.scores {
-		s.scores[i] = math.NaN()
+		s.scores[i], s.missOut[i] = math.NaN(), math.NaN()
+	}
+	for i := 0; i < 4*n; i++ {
+		s.missIDs = append(s.missIDs, int32(i%n))
+		s.missAt = append(s.missAt, int32(4*n-i))
 	}
 	junk := make([]Candidate, 3*n)
 	for i := range junk {
@@ -62,7 +77,8 @@ func requireSameBeam(t *testing.T, tag string, got, want []Candidate) {
 // widths and with and without an excluded vertex. The same poisoned
 // scratch is then put back through the pool for Search and SearchQuant
 // to draw. Without clearVisited the walk would find every vertex
-// visited and answer with the entry point alone.
+// visited and answer with the entry point alone; without the memo's
+// clear it would find every score NaN.
 func TestPoisonedScratchNeverShows(t *testing.T) {
 	emb, norms := randTable(700, 16, 8, 21)
 	ix := Build(emb, norms, Params{}, 2)
@@ -76,7 +92,7 @@ func TestPoisonedScratchNeverShows(t *testing.T) {
 				sc := exactScorer{ix, emb.Row(int(v)), norms[v]}
 				want := ix.beam(fresh(), sc, ef, ex)
 				s := poisonedScratch(n, nil)
-				s.clearVisited()
+				s.release()
 				requireSameBeam(t, tag, ix.beam(s, sc, ef, ex), want)
 				putScratch(poisonedScratch(n, nil))
 				requireSameBeam(t, tag+" through the pool", ix.Search(emb.Row(int(v)), norms[v], ef, ef, ex), want)
@@ -85,7 +101,7 @@ func TestPoisonedScratchNeverShows(t *testing.T) {
 					f := fresh()
 					want := ix.beam(f, quantScorer{qt.Query(emb.Row(int(v)), &f.quant), norms, norms[v]}, ef, ex)
 					s := poisonedScratch(n, qt)
-					s.clearVisited()
+					s.release()
 					got := ix.beam(s, quantScorer{qt.Query(emb.Row(int(v)), &s.quant), norms, norms[v]}, ef, ex)
 					requireSameBeam(t, tag, got, want)
 					putScratch(poisonedScratch(n, qt))
@@ -97,8 +113,9 @@ func TestPoisonedScratchNeverShows(t *testing.T) {
 }
 
 // TestScratchClearsOnlyWhatItSet: after a walk, putScratch leaves the
-// whole visited bitset zero although it walks only the words of the
-// ids the walk recorded — a scratch grown for a larger index included.
+// whole visited bitset zero and the memo empty although it walks only
+// the words of the ids the walk recorded and the slots the memo filled
+// — a scratch grown for a larger index included.
 func TestScratchClearsOnlyWhatItSet(t *testing.T) {
 	emb, norms := randTable(900, 12, 6, 4)
 	ix := Build(emb, norms, Params{}, 1)
@@ -115,6 +132,73 @@ func TestScratchClearsOnlyWhatItSet(t *testing.T) {
 	}
 	if len(s.ids) != 0 {
 		t.Fatalf("%d ids left after clearVisited", len(s.ids))
+	}
+	if len(s.memo.used) == 0 {
+		t.Fatal("the walk's descent remembered no score")
+	}
+	s.release()
+	for i, k := range s.memo.keys {
+		if k != 0 {
+			t.Fatalf("memo slot %d holds vertex %d after release", i, k-1)
+		}
+	}
+	if len(s.memo.used) != 0 {
+		t.Fatalf("%d memo slots recorded after release", len(s.memo.used))
+	}
+}
+
+// onceScorer fails its test if a vertex is scored twice in one walk,
+// and counts the rows it scores.
+type onceScorer struct {
+	scorer
+	t    *testing.T
+	seen map[int32]bool
+	rows *int
+}
+
+func (s onceScorer) scoreRows(ids []int32, out []float64) {
+	for _, v := range ids {
+		if s.seen[v] {
+			s.t.Fatalf("vertex %d scored twice in one walk", v)
+		}
+		s.seen[v] = true
+	}
+	*s.rows += len(ids)
+	s.scorer.scoreRows(ids, out)
+}
+
+// TestMemoNeverChangesABeam: a walk that remembers its scores answers
+// with the ids and Float64bits of one that scores every row it meets
+// (a walk with no memo), for f64, f32 and i8pq, at several beam widths
+// and with and without an excluded vertex — and scores no vertex
+// twice, fewer rows than the walk without it.
+func TestMemoNeverChangesABeam(t *testing.T) {
+	emb, norms := randTable(1500, 16, 8, 17)
+	ix := Build(emb, norms, Params{}, 2)
+	qts := quantizers(emb)
+	for _, ef := range []int{10, 64, 300} {
+		for _, v := range []int32{0, 77, 1499} {
+			for _, ex := range []int32{v, -1} {
+				for _, name := range []string{"f64", "f32", "i8pq"} {
+					tag := fmt.Sprintf("%s ef %d query %d exclude %d", name, ef, v, ex)
+					fresh := &scratch{visited: make([]uint64, (ix.Len()+63)/64)}
+					var sc scorer = exactScorer{ix, emb.Row(int(v)), norms[v]}
+					if qt := qts[name]; qt != nil {
+						sc = quantScorer{qt.Query(emb.Row(int(v)), &fresh.quant), norms, norms[v]}
+					}
+					all := walk{ix: ix, sc: sc, scratch: fresh}
+					ep, epSim := all.descend(0)
+					want := all.searchLayer(ep, epSim, 0, ef, ex)
+					fresh.release()
+					rows := 0
+					got := ix.beam(fresh, onceScorer{sc, t, map[int32]bool{}, &rows}, ef, ex)
+					requireSameBeam(t, tag, got, want)
+					if uint64(rows) >= all.scored {
+						t.Fatalf("%s: %d rows scored with the memo, %d without", tag, rows, all.scored)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -47,14 +47,7 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // DecodeIndex). The output is deterministic: identical structures
 // encode to identical bytes.
 func (ix *Index) EncodeBinary() []byte {
-	size := 40
-	for i := range ix.nodes {
-		size += 1 + 4*len(ix.nodes[i].links)
-		for _, ls := range ix.nodes[i].links {
-			size += 4 * len(ls)
-		}
-	}
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, 40+len(ix.nodes)+4*len(ix.links))
 	buf = append(buf, indexMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, indexVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.params.M))
@@ -63,14 +56,17 @@ func (ix *Index) EncodeBinary() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, ix.params.Seed)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.nodes)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.entry))
-	for i := range ix.nodes {
-		nd := &ix.nodes[i]
+	// The links array is laid out as the encoding is, vertex after
+	// vertex: each vertex's counts and ids run up to the next vertex's
+	// start.
+	for v, nd := range ix.nodes {
+		end := len(ix.links)
+		if v+1 < len(ix.nodes) {
+			end = ix.nodes[v+1].off
+		}
 		buf = append(buf, byte(nd.level))
-		for _, ls := range nd.links {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ls)))
-			for _, u := range ls {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
-			}
+		for _, x := range ix.links[nd.off:end] {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
 		}
 	}
 	return buf
@@ -88,7 +84,9 @@ func (ix *Index) Checksum() uint64 {
 // over (norms nil recomputes them — see Build). Every length and id is
 // validated before use: corrupted or truncated input yields an error,
 // never a panic or an unboundedly large allocation. Trailing bytes
-// after the encoded structure are an error.
+// after the encoded structure are an error. The links are decoded in
+// one pass into the index's one links array, sized once from the
+// blob: every count and id of it is four bytes of data.
 func DecodeIndex(data []byte, emb *mat.Dense, norms []float64) (*Index, error) {
 	if len(data) < 40 {
 		return nil, fmt.Errorf("ann: index blob truncated (%d bytes)", len(data))
@@ -120,6 +118,7 @@ func DecodeIndex(data []byte, emb *mat.Dense, norms []float64) (*Index, error) {
 		return nil, fmt.Errorf("ann: index entry %d invalid for %d vertices", entry, n)
 	}
 	ix := &Index{params: p, emb: emb, norms: norms, entry: entry, nodes: make([]node, n)}
+	links := make([]int32, 0, max(0, (len(data)-40-n)/4))
 	off := 40
 	for v := 0; v < n; v++ {
 		if off >= len(data) {
@@ -130,7 +129,7 @@ func DecodeIndex(data []byte, emb *mat.Dense, norms []float64) (*Index, error) {
 		if lvl >= maxLevel {
 			return nil, fmt.Errorf("ann: vertex %d declares level %d, cap %d", v, lvl, maxLevel-1)
 		}
-		nd := node{level: lvl, links: make([][]int32, lvl+1)}
+		ix.nodes[v] = node{level: lvl, off: len(links)}
 		for l := int32(0); l <= lvl; l++ {
 			if off+4 > len(data) {
 				return nil, fmt.Errorf("ann: index blob truncated at vertex %d layer %d", v, l)
@@ -150,22 +149,21 @@ func DecodeIndex(data []byte, emb *mat.Dense, norms []float64) (*Index, error) {
 			if off+4*cnt > len(data) {
 				return nil, fmt.Errorf("ann: index blob truncated in vertex %d links", v)
 			}
-			ls := make([]int32, cnt)
+			links = append(links, int32(cnt))
 			for i := 0; i < cnt; i++ {
 				u := int32(binary.LittleEndian.Uint32(data[off : off+4]))
 				off += 4
 				if u < 0 || int(u) >= n || u == int32(v) {
 					return nil, fmt.Errorf("ann: vertex %d links to invalid vertex %d", v, u)
 				}
-				ls[i] = u
+				links = append(links, u)
 			}
-			nd.links[l] = ls
 		}
-		ix.nodes[v] = nd
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("ann: %d trailing bytes after index", len(data)-off)
 	}
+	ix.links = links
 	// The entry vertex must sit on the highest occupied layer, or the
 	// descent in Search would start below existing layers.
 	if n > 0 {

@@ -2,13 +2,16 @@ package ann
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
 // TestEncodeDecodeRoundTrip pins the persistence contract end to end:
 // a decoded index is byte-equal to the one that was encoded, a rebuild
-// over the same table encodes to the same bytes, and decoded indexes
-// answer every query identically to the original.
+// over the same table encodes to the same bytes, the decoded links
+// array is the built one, and decoded indexes answer every query
+// identically to the original — the f64 walk and the f32 and i8pq
+// walks, by ids and Float64bits.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	emb, _ := randTable(500, 16, 8, 11)
 	built := Build(emb, nil, Params{M: 8, EfConstruction: 48}, 4)
@@ -32,7 +35,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("params round-trip: got %+v, want %+v", got, want)
 	}
 
+	if !indexEqual(built, loaded) {
+		t.Fatal("decoded index holds a different links array than the built one")
+	}
+	qts := quantizers(emb)
 	for _, v := range []int32{0, 1, 250, 499} {
+		for name, qt := range qts {
+			q, qn := emb.Row(int(v)), built.norms[v]
+			requireSameBeam(t, fmt.Sprintf("%s walk from vertex %d", name, v),
+				loaded.SearchQuant(qt, q, qn, 64, v), built.SearchQuant(qt, q, qn, 64, v))
+		}
 		want := built.SearchVertex(v, 10, 64)
 		got := loaded.SearchVertex(v, 10, 64)
 		if len(got) != len(want) {

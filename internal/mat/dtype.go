@@ -442,13 +442,22 @@ func (t *PQTable) ResidentBytes() int64 {
 // span goes through dot4, four centroids a pass, and dot for the last
 // K mod 4, both of which write their entries. It panics, before
 // anything is scored, if q is shorter than the table is wide.
+//
+// Past its M*K entries the table holds 256-K entries of +0, cleared on
+// every build (none at the serving K of 256): subspace s's entries are
+// read at s*K plus a code byte, so every byte a code can hold — a code
+// of K or more too, in a table Validate never saw or a mapped file
+// changed under it — reads inside the table, at every level. The pad
+// costs 2 KB a scratch at most; checking each code against K instead
+// would cost a compare in the scorer's innermost loop.
 func (t *PQTable) Query(q []float64, s *QueryScratch) QuantQuery {
 	m, k := t.Params.M, t.Params.K
 	q = q[:t.ColsN:len(q)]
 	if s == nil {
 		s = new(QueryScratch)
 	}
-	tab := grow(&s.tab, m*k)
+	tab := grow(&s.tab, m*k+max(0, 256-k))
+	clear(tab[m*k:])
 	off := 0
 	for sub := 0; sub < m; sub++ {
 		lo, hi := subSpan(t.ColsN, m, sub)
@@ -486,19 +495,58 @@ type pqQuery struct {
 	tab []float64
 }
 
-// ScoreRows scores four rows per pass over the table, for
-// f32Query.ScoreRows' reason: a row's score is a chain of M dependent
-// adds, and four rows are four chains the core can overlap. Each row
-// keeps its own accumulator, started from +0 and taking its M entries
-// in subspace order, in the pass and in the remainder loop alike.
+// ScoreRows gives each row one accumulator, started from +0 and taking
+// its M entries in subspace order: a chain of M dependent adds. Rows
+// are independent chains, so where AVX2 is present pqRowsAVX2 keeps up
+// to eight of them in flight — each eight rows of a call in one 8-chain
+// pass, then 5 to 7 left in another, 3 or 4 in a 4-chain pass and 1 or
+// 2 in a 2-chain pass, the short lanes filled by repeating the last id
+// and their scores dropped — and the Go loop, the reference and the
+// path below AVX2, four a pass and the rest one at a time. A call of
+// one row takes the Go loop at every level: one chain either way, and
+// the padded pass measured slower. Which pass scores a row, and
+// beside which rows, never reaches its bits. Every id is checked
+// against the rows the table holds before any row is read; a code byte
+// of K or more reads the padded table (Query).
 func (s *pqQuery) ScoreRows(ids []int32, out []float64) {
 	m, k, tab, codes := s.t.Params.M, s.t.Params.K, s.tab, s.t.Codes
+	out = out[:len(ids)]
+	rows := min(s.t.RowsN, len(codes)/max(m, 1))
+	for _, id := range ids {
+		if uint(id) >= uint(rows) {
+			panic(fmt.Sprintf("mat: pq row %d outside a table of %d rows", id, rows))
+		}
+	}
+	if useAVX2 && len(ids) > 1 {
+		for len(ids) > 0 {
+			n := min(len(ids), 8)
+			switch n {
+			case 2, 4, 8:
+				pqRowsAVX2(&out[0], &ids[0], codes, tab, m, k, n)
+			default:
+				w := 8 // 5 to 7 rows
+				if n < 4 {
+					w = n + 1 // 1 or 3 rows
+				}
+				var lane [8]int32
+				var res [8]float64
+				copy(lane[:], ids[:n])
+				for i := n; i < w; i++ {
+					lane[i] = ids[n-1]
+				}
+				pqRowsAVX2(&res[0], &lane[0], codes, tab, m, k, w)
+				copy(out, res[:n])
+			}
+			ids, out = ids[n:], out[n:]
+		}
+		return
+	}
 	row := func(id int32) []uint8 { return codes[int(id)*m:][:m] }
 	for ; len(ids) >= 4; ids, out = ids[4:], out[4:] {
 		c0, c1, c2, c3 := row(ids[0]), row(ids[1]), row(ids[2]), row(ids[3])
 		var a0, a1, a2, a3 float64
 		for sub, c := range c0 {
-			t := tab[sub*k : (sub+1)*k]
+			t := tab[sub*k:]
 			a0 += t[c]
 			a1 += t[c1[sub]]
 			a2 += t[c2[sub]]

@@ -257,13 +257,16 @@ func checkScoreRows(t *testing.T, name string, rows int, qq QuantQuery, ref func
 	}
 }
 
-// TestPQScoresMatchPerRow: whichever pass scores a row — the four-row
-// one in any slot beside any companions, or the remainder loop — its
-// score is the one-chain sum of its M table entries in subspace order,
-// to the bit: alone, in a group of four and in the remainder alike.
+// TestPQScoresMatchPerRow: whichever pass scores a row — at every
+// level, in any slot beside any companions, or the Go loop's remainder
+// — its score is the one-chain sum of its M table entries in subspace
+// order, to the bit: alone, in a group of four and in the remainder
+// alike.
 // Shapes: spans of 2 (the serving shape), spans of 5 and 6 (entries
 // from the SIMD dot), uneven splits 2/2/3 and 2-then-3, one span.
-func TestPQScoresMatchPerRow(t *testing.T) {
+func TestPQScoresMatchPerRow(t *testing.T) { atEveryLevel(t, testPQScoresMatchPerRow) }
+
+func testPQScoresMatchPerRow(t *testing.T) {
 	const rows = 1031
 	for _, sh := range [][2]int{{256, 128}, {22, 4}, {7, 3}, {257, 128}, {5, 2}, {3, 1}} { // dim, M
 		dim, m := sh[0], sh[1]
@@ -281,6 +284,64 @@ func TestPQScoresMatchPerRow(t *testing.T) {
 			})
 		}
 	}
+}
+
+// pqScoreRef is the Go loop's score of row r of pt against its ADC
+// table tab, written out: one chain from +0 over the row's M entries in
+// subspace order, each read at s*K plus the code.
+func pqScoreRef(pt *PQTable, tab []float64, r int) float64 {
+	m, k := pt.Params.M, pt.Params.K
+	acc := 0.0
+	for s := 0; s < m; s++ {
+		acc += tab[s*k+int(pt.Codes[r*m+s])]
+	}
+	return acc
+}
+
+// TestPQScoreRowsEveryBatchLength: at every kernel level, ScoreRows
+// gives each row its one-chain sum's bits (pqScoreRef) in batches of
+// every length from 1 to 40 — the 2-, 4- and 8-chain passes with and
+// without padded lanes, and several passes a call — for K of 2, 3, 255
+// and 256, at an even dim (spans of 2) and an odd one (one span of 1),
+// with an id repeated inside each batch and the table's last row last.
+// The output is NaN before the call, and the slot after the batch must
+// keep its sentinel.
+func TestPQScoreRowsEveryBatchLength(t *testing.T) {
+	atEveryLevel(t, func(t *testing.T) {
+		const rows, sentinel = 61, -12345.5
+		for _, dim := range []int{256, 9} {
+			m := (dim + 1) / 2
+			for _, k := range []int{2, 3, 255, 256} {
+				pt := handPQ(t, rows, dim, m, k)
+				qq := pt.Query(dtypeTable(3, dim).Row(1), nil)
+				tab := qq.(*pqQuery).tab
+				x := uint64(k*1000 + dim)
+				for n := 1; n <= 40; n++ {
+					ids := make([]int32, n)
+					for i := range ids {
+						x = splitmix64(x)
+						ids[i] = int32(x % rows)
+					}
+					ids[n/2], ids[n-1] = ids[0], rows-1
+					out := make([]float64, n+1)
+					for i := range out {
+						out[i] = math.NaN()
+					}
+					out[n] = sentinel
+					qq.ScoreRows(ids, out[:n])
+					for i, r := range ids {
+						if want := pqScoreRef(pt, tab, int(r)); math.Float64bits(out[i]) != math.Float64bits(want) {
+							t.Fatalf("dim %d K %d batch of %d: row %d (slot %d) = %v (%#x), want %v (%#x)", dim, k, n, r, i,
+								out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+						}
+					}
+					if out[n] != sentinel {
+						t.Fatalf("dim %d K %d batch of %d: wrote past its ids", dim, k, n)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestF32ScoresMatchPerRow is the same statement for the float32
@@ -379,7 +440,7 @@ func TestQueryScratchReuseNeverShows(t *testing.T) {
 				pt := handPQ(t, 4, dim, m, k)
 				q := dtypeTable(5, dim).Row(4)
 				want := pt.Query(q, nil).(*pqQuery).tab
-				s := poisoned(m * k)
+				s := poisoned(m*k + 256)
 				got := pt.Query(q, s).(*pqQuery).tab
 				if &got[0] != &s.tab[0] {
 					t.Fatalf("%s: the table was not built in the scratch's buffer", tag)

@@ -189,12 +189,18 @@ func fuzzRows(seed uint64, m int) []int {
 // Dot(query_s, centroid), NaNs by class. Each table is then built a
 // second time through the same scratch, NaN-filled in between, and
 // must come out with the first build's bits in the same buffer: reuse
-// never reaches an entry. Its seed corpus (testdata/fuzz/FuzzPQQuery)
-// is TestPQQueryEntriesMatchDot's cases at this shape: its Ks at dims
-// 2, 6, 9 and 64, with centroid 0 of subspace 0 all zeros against a
+// never reaches an entry. Last, a batch of rows drawn from raw
+// (pqFuzzBatch) is scored through ScoreRows at every kernel level the
+// host has, each row with the Go loop's bits (pqScoreRef), NaNs by
+// class. Its seed corpus (testdata/fuzz/FuzzPQQuery) is
+// TestPQQueryEntriesMatchDot's cases at this shape: its Ks at dims 2,
+// 6, 9 and 64, with centroid 0 of subspace 0 all zeros against a
 // negative query and centroid 1 holding the special values; the
 // reuse-* seeds add K at 1, 2 and 3 mod 4 over even dims and an odd
-// dim, whose span of 1 is summed in place.
+// dim, whose span of 1 is summed in place; the score-* seeds batches
+// of 1, 2, 3, 4, 5, 8 and 9 rows at K below 256, each pass of the
+// kernel with and without padded lanes, some over NaN and infinite
+// centroids.
 func FuzzPQQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k, d uint16, seed uint64, raw []byte) {
 		pt, q := pqFuzzTable(k, d, seed, raw)
@@ -211,7 +217,44 @@ func FuzzPQQuery(f *testing.F) {
 			t.Fatalf("%s: the second build did not reuse the scratch's table", tag)
 		}
 		requireSameBits(t, tag+" rebuilt over a poisoned table", again, first)
+
+		ids := pqFuzzBatch(pt, k, seed, raw)
+		out := make([]float64, len(ids))
+		for lvl := levelGo; lvl <= hostLevel(); lvl++ {
+			forceLevel(t, lvl)
+			qq := pt.Query(q, &s)
+			qq.ScoreRows(ids, out)
+			for i, r := range ids {
+				if want := pqScoreRef(pt, qq.(*pqQuery).tab, int(r)); !sameBits(out[i], want) {
+					t.Fatalf("%s at %s: batch %v slot %d = %v, the Go loop gives %v", tag, levelNames[lvl], ids, i, out[i], want)
+				}
+			}
+		}
 	})
+}
+
+// pqFuzzBatch gives pt rows to score and returns a batch of them, drawn
+// from a FuzzPQQuery input: n = 1 + (k/300) mod 16 ids — k's low part
+// picks K — over a table of n+1 rows. Code j is raw's byte j, cycled
+// (the seed's bytes when raw is empty), plus j, mod K; id i is the
+// cycled byte at 7i mod the row count, so ids repeat; the last id is
+// the table's last row.
+func pqFuzzBatch(pt *PQTable, k uint16, seed uint64, raw []byte) []int32 {
+	src := raw
+	if len(src) == 0 {
+		src = binary.LittleEndian.AppendUint64(nil, seed)
+	}
+	n, m := 1+int(k/300)%16, pt.Params.M
+	pt.RowsN, pt.Codes = n+1, make([]uint8, (n+1)*m)
+	for j := range pt.Codes {
+		pt.Codes[j] = uint8((int(src[j%len(src)]) + j) % pt.Params.K)
+	}
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(int(src[7*i%len(src)]) % pt.RowsN)
+	}
+	ids[n-1] = int32(pt.RowsN - 1)
+	return ids
 }
 
 // FuzzExpLog1p holds Exp and Log1p to math.Exp and math.Log1p on

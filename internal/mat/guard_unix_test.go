@@ -16,8 +16,19 @@ import (
 // allocator slack.
 func guardedFloats(t *testing.T, n int) []float64 {
 	t.Helper()
+	b := guardedBytes(t, n*8)
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
+}
+
+// guardedBytes is guardedFloats for bytes: n bytes ending on the last
+// byte before an inaccessible page.
+func guardedBytes(t *testing.T, n int) []byte {
+	t.Helper()
 	page := syscall.Getpagesize()
-	data := (n*8 + page - 1) / page * page
+	data := (n + page - 1) / page * page
 	mem, err := syscall.Mmap(-1, 0, data+page, syscall.PROT_READ|syscall.PROT_WRITE,
 		syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
@@ -27,10 +38,7 @@ func guardedFloats(t *testing.T, n int) []float64 {
 	if err := syscall.Mprotect(mem[data:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&mem[data-n*8])), n)
+	return mem[data-n : data : data]
 }
 
 // TestKernelsStayInsideTheirSlices runs every primitive on operands
@@ -174,6 +182,69 @@ func testPQQueryStaysInsideItsCodebook(t *testing.T) {
 			for c, v := range got {
 				if want := Dot(q[4:], last[2*c:2*c+2]); !sameBits(v, want) {
 					t.Fatalf("K %d: kernel entry %d = %v, Dot gives %v", k, c, v, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPQScoreRowsStaysInsideItsTables: ScoreRows over codes whose last
+// row ends on the last byte of a mapping and an ADC table that ends on
+// the last bytes of another — the scratch's buffer, exactly as long as
+// Query asks — at every level, in batches of 1 to 17 rows that all
+// hold the last row. Then every code byte is set at or above K, as a
+// table Validate never saw or a mapped file changed under the server
+// may hold: every read still lands inside the padded table, and every
+// level scores what the Go loop does. An id past the last row, or
+// negative, panics before anything is read — reading the row would
+// fault on the guard page — or written.
+func TestPQScoreRowsStaysInsideItsTables(t *testing.T) {
+	atEveryLevel(t, testPQScoreRowsStaysInsideItsTables)
+}
+
+func testPQScoreRowsStaysInsideItsTables(t *testing.T) {
+	const rows, dim = 23, 9
+	m := (dim + 1) / 2
+	for _, k := range []int{2, 3, 255, 256} {
+		pt := handPQ(t, rows, dim, m, k)
+		codes := guardedBytes(t, len(pt.Codes))
+		copy(codes, pt.Codes)
+		pt.Codes = codes
+		s := &QueryScratch{tab: guardedFloats(t, m*k+max(0, 256-k))}
+		q := dtypeTable(2, dim).Row(1)
+		qq := pt.Query(q, s)
+		tab := qq.(*pqQuery).tab
+		if &tab[len(tab)-1] != &s.tab[len(s.tab)-1] {
+			t.Fatalf("K %d: the table was not built in the guarded scratch", k)
+		}
+		score := func(tag string, ids []int32) {
+			t.Helper()
+			out := make([]float64, len(ids))
+			qq.ScoreRows(ids, out)
+			for i, r := range ids {
+				if want := pqScoreRef(pt, tab, int(r)); !sameBits(out[i], want) {
+					t.Fatalf("K %d %s: row %d = %v, the Go loop gives %v", k, tag, r, out[i], want)
+				}
+			}
+		}
+		for n := 1; n <= 17; n++ {
+			ids := idRange(rows-n, rows)
+			ids[0] = rows - 1
+			score(fmt.Sprintf("last rows x%d", n), ids)
+		}
+		for i := range codes {
+			codes[i] = uint8(k + (i*37)%(256-min(k, 255)))
+			if i%5 == 0 {
+				codes[i] = 255
+			}
+		}
+		score("codes >= K", idRange(0, rows))
+		for _, bad := range []int32{rows, -1, 1 << 30} {
+			out := []float64{math.NaN(), math.NaN(), math.NaN()}
+			mustPanic(t, fmt.Sprintf("K %d id %d", k, bad), func() { qq.ScoreRows([]int32{0, rows - 1, bad}, out) })
+			for i, v := range out {
+				if !math.IsNaN(v) {
+					t.Fatalf("K %d id %d: score %d written (%v) before the panic", k, bad, i, v)
 				}
 			}
 		}

@@ -71,9 +71,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// The routines below have no bounds checks: callers (simd.go, and
-// PQTable.Query for adc2AVX2) slice every operand to the length the
-// routine will touch before the call.
+// The routines below have no bounds checks: callers (simd.go,
+// PQTable.Query for adc2AVX2 and pqQuery.ScoreRows for pqRowsAVX2)
+// slice or check every operand to the length the routine will touch
+// before the call.
 // All end in VZEROUPPER and all are NOSPLIT leaves but axpyRowsSIMD and
 // axpyRowsAtSIMD, whose frames hold their term lists and which, like
 // gatherRowsSIMD, finish in the list walk the three share. Those three
@@ -203,6 +204,16 @@ func dot16AVX512(dst []float64, dstride int, a []float64, k, rows int, packed []
 //
 //go:noescape
 func adc2AVX2(row, cents []float64, q0, q1 float64)
+
+// pqRowsAVX2 sets out[i], for i < lanes, to the sum over s = 0..m-1,
+// in that order and from +0, of tab[s*k + codes[ids[i]*m + s]]: the
+// PQ scores of lanes rows, each row one chain, the chains independent.
+// out and ids point at lanes elements each; lanes must be 2, 4 or 8, m
+// and k non-negative, every ids[i] a row inside codes, and len(tab)
+// at least (m-1)*k+256, so that any code byte reads inside it.
+//
+//go:noescape
+func pqRowsAVX2(out *float64, ids *int32, codes []uint8, tab []float64, m, k, lanes int)
 
 // addAVX2 computes dst[i] += src[i] for i < len(dst).
 // len(src) must be at least len(dst).

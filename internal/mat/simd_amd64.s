@@ -490,6 +490,120 @@ adc2Done:
 	VZEROUPPER
 	RET
 
+// PQROW sets Rrow to codes+(ids[i]+1)*m, one past row ids[i]'s m
+// codes, i = off/4: AX holds ids, SI codes, CX m.
+#define PQROW(off, Rrow) \
+	MOVL  off(AX), Rrow; \
+	INCQ  Rrow;          \
+	IMULQ CX, Rrow;      \
+	ADDQ  SI, Rrow
+
+// PQADD adds row Rrow's entry of the current subspace to Xacc: the
+// code at Rrow+SI (SI runs -m..-1) picks one of the K entries at DI.
+// AX is free by the time the loop runs.
+#define PQADD(Rrow, Xacc) \
+	MOVBLZX (Rrow)(SI*1), AX; \
+	VADDSD  (DI)(AX*8), Xacc, Xacc
+
+// func pqRowsAVX2(out *float64, ids *int32, codes []uint8, tab []float64, m, k, lanes int)
+//
+// lanes (2, 4 or 8) rows a call, one scalar chain each: lane i's
+// accumulator starts from +0 and adds tab[s*k + code] for s = 0..m-1
+// in that order — the Go loop's operations, so its bits — with the
+// lanes' chains independent. Each subspace step moves DI on by k*8
+// bytes (DX) and SI by one code. m = 0 leaves every lane +0.
+TEXT ·pqRowsAVX2(SB), NOSPLIT, $0-88
+	MOVQ   ids+8(FP), AX
+	MOVQ   codes_base+16(FP), SI
+	MOVQ   tab_base+40(FP), DI
+	MOVQ   m+64(FP), CX
+	MOVQ   k+72(FP), DX
+	SHLQ   $3, DX
+	MOVQ   lanes+80(FP), BX
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	PQROW(0, R8)
+	PQROW(4, R9)
+	CMPQ   BX, $4
+	JLT    pq2
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	PQROW(8, R10)
+	PQROW(12, R11)
+	CMPQ   BX, $4
+	JEQ    pq4
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	VXORPD X6, X6, X6
+	VXORPD X7, X7, X7
+	PQROW(16, R12)
+	PQROW(20, R13)
+	PQROW(24, R14)
+	PQROW(28, BX)
+	MOVQ   CX, SI
+	NEGQ   SI
+	JZ     pq8Store
+
+pq8Loop:
+	PQADD(R8, X0)
+	PQADD(R9, X1)
+	PQADD(R10, X2)
+	PQADD(R11, X3)
+	PQADD(R12, X4)
+	PQADD(R13, X5)
+	PQADD(R14, X6)
+	PQADD(BX, X7)
+	ADDQ DX, DI
+	INCQ SI
+	JNZ  pq8Loop
+
+pq8Store:
+	MOVQ   out+0(FP), AX
+	VMOVSD X4, 32(AX)
+	VMOVSD X5, 40(AX)
+	VMOVSD X6, 48(AX)
+	VMOVSD X7, 56(AX)
+	JMP    pq4Store
+
+pq4:
+	MOVQ CX, SI
+	NEGQ SI
+	JZ   pq4Store
+
+pq4Loop:
+	PQADD(R8, X0)
+	PQADD(R9, X1)
+	PQADD(R10, X2)
+	PQADD(R11, X3)
+	ADDQ DX, DI
+	INCQ SI
+	JNZ  pq4Loop
+
+pq4Store:
+	MOVQ   out+0(FP), AX
+	VMOVSD X2, 16(AX)
+	VMOVSD X3, 24(AX)
+	JMP    pq2Store
+
+pq2:
+	MOVQ CX, SI
+	NEGQ SI
+	JZ   pq2Store
+
+pq2Loop:
+	PQADD(R8, X0)
+	PQADD(R9, X1)
+	ADDQ DX, DI
+	INCQ SI
+	JNZ  pq2Loop
+
+pq2Store:
+	MOVQ   out+0(FP), AX
+	VMOVSD X0, (AX)
+	VMOVSD X1, 8(AX)
+	VZEROUPPER
+	RET
+
 // A term list is two parallel arrays, R9 the alphas and R8 the element
 // offsets of their rows in src, R10 terms long. axpyRowsSIMD and
 // axpyRowsAtSIMD compact one into their frames; gatherRowsSIMD is

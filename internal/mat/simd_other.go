@@ -61,6 +61,10 @@ func adc2AVX2(row, cents []float64, q0, q1 float64) {
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
+func pqRowsAVX2(out *float64, ids *int32, codes []uint8, tab []float64, m, k, lanes int) {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
 func addAVX2(dst, src []float64) { panic("mat: no AVX2 kernels on this architecture") }
 
 func scaleAVX2(dst []float64, alpha float64) { panic("mat: no AVX2 kernels on this architecture") }

@@ -218,7 +218,7 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 	}
 	if single {
 		// One shard owns every id — always so for a fleet of one: its
-		// answer is the answer. No scatter goroutine, no stitch copy.
+		// answer is the answer, with no stitch copy.
 		resp := s.shards[owners[0]].point(ctx, ids, predict)
 		if resp.err != nil {
 			return nil, resp.err
@@ -230,28 +230,23 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 		return resp.embed, nil
 	}
 
+	// The owning shards answer in shard order on the caller's
+	// goroutine: each answer is a gather of microseconds, cheaper than
+	// the goroutine and the wait it would take to run it beside the
+	// others. The first that fails fails the query.
 	groups := make([][]int, len(s.shards))
 	for i, o := range owners {
 		groups[o] = append(groups[o], ids[i])
 	}
 	parts := make([]batchResp, len(s.shards))
 	fanout := 0
-	var wg sync.WaitGroup
 	for o, sub := range groups {
 		if len(sub) == 0 {
 			continue
 		}
 		fanout++
-		wg.Add(1)
-		go func(o int, sub []int) {
-			defer wg.Done()
-			parts[o] = s.shards[o].point(ctx, sub, predict)
-		}(o, sub)
-	}
-	wg.Wait()
-	for _, p := range parts {
-		if p.err != nil {
-			return nil, p.err
+		if parts[o] = s.shards[o].point(ctx, sub, predict); parts[o].err != nil {
+			return nil, parts[o].err
 		}
 	}
 	s.annotate(ctx, fanout, 0)
@@ -461,17 +456,18 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 			}
 			parts[j] = e.shardTopK(pin, vec, norm, p)
 		}
-		if len(live) == 1 {
-			probe(0) // in the caller's goroutine — always so for a fleet of one
-		} else {
+		// Every probe but the last runs on a goroutine of its own,
+		// the last on the caller's — for a fleet of one, the only one.
+		if last := len(live) - 1; last >= 0 {
 			var wg sync.WaitGroup
-			for j := range live {
+			for j := 0; j < last; j++ {
 				wg.Add(1)
 				go func(j int) {
 					defer wg.Done()
 					probe(j)
 				}(j)
 			}
+			probe(last)
 			wg.Wait()
 		}
 		for _, err := range errs {
