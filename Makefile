@@ -97,7 +97,7 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' \
 		|| { echo "cover: total $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Fuzzing on a fixed budget, seven targets from the committed corpora
+# Fuzzing on a fixed budget, eight targets from the committed corpora
 # (internal/{wire,artifact,core,mat}/testdata/fuzz and
 # pkg/client/testdata/fuzz), one -fuzz target per `go test` run: the
 # frame decoder against itself — Decode versus ReadMessage parsing in
@@ -110,7 +110,10 @@ cover:
 # forms on rows 1 to 200 wide (FuzzNarrowRows, named for the 8-wide
 # rows it began with), which
 # must keep the untiled portable loops' bits on the same hostile
-# numbers, then Exp and Log1p on arbitrary float64 bit patterns, which
+# numbers, then the block kernel under narrow propagation
+# (FuzzGatherCSR), which must give every row one GatherSum's bits at
+# every kernel level the host has on hostile numbers, row lists and
+# widths 1 to 24, then Exp and Log1p on arbitrary float64 bit patterns, which
 # must keep math.Exp's and math.Log1p's bits at every kernel level the
 # host has (FuzzExpLog1p), then query sequences with reloads, whose
 # answers must be the same bytes unsharded and on 3 shards over json,
@@ -126,6 +129,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadModel -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzPQQuery -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzNarrowRows -fuzztime 30s -fuzzminimizetime 1000x
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzGatherCSR -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzExpLog1p -fuzztime 30s -fuzzminimizetime 1000x
 	$(GO) test ./pkg/client -run '^$$' -fuzz FuzzShapesAndTransports -fuzztime 30s -fuzzminimizetime 1000x
 

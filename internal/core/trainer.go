@@ -81,8 +81,14 @@ func NewTrainerWithSampler(ds *datasets.Dataset, m *Model, s sampler.VertexSampl
 func (t *Trainer) Steps() int { return t.steps }
 
 // Step performs one training iteration (Algorithm 1 lines 2-13) on
-// the next subgraph of the pool; see StepOn.
-func (t *Trainer) Step() float64 { return t.StepOn(t.nextSubgraph()) }
+// the next subgraph of the pool, see StepOn, and hands the subgraph
+// back to the pool, whose next wave samples into its buffers.
+func (t *Trainer) Step() float64 {
+	sub := t.nextSubgraph()
+	loss := t.StepOn(sub)
+	t.Pool.Release(sub)
+	return loss
+}
 
 // StepOn performs one training iteration on sub: gather its labels,
 // run forward and backward propagation — the first layer reading sub's

@@ -640,6 +640,12 @@ func GatherSum(dst, src []float64, stride, off int, idx []int32, alpha []float64
 			panic("mat: GatherSum index out of range")
 		}
 	}
+	gatherSum(dst, src, stride, off, idx, alpha, scale)
+}
+
+// gatherSum is GatherSum past its checks.
+func gatherSum(dst, src []float64, stride, off int, idx []int32, alpha []float64, scale float64) {
+	n := len(dst)
 	if len(idx) == 0 { // the assembly's term loops run at least once
 		gatherRowsGo(dst, src, nil, nil, scale, true)
 		return
@@ -680,6 +686,133 @@ func gatherRowsGo(dst, src []float64, offs []int, alpha []float64, scale float64
 	}
 	if scale != 1 { // x*1 is x
 		scaleGo(dst, scale)
+	}
+}
+
+// GatherCSRMax is the widest row GatherCSR's kernel holds in registers:
+// a vertex's sum is two ZMM registers, or four YMM ones. Wider rows, and
+// rows under simdMinLen, take one GatherSum per vertex.
+const GatherCSRMax = 16
+
+// GatherCSR is GatherSum for a block of vertices of a graph in
+// compressed sparse row form, in one call: for each vertex v of the
+// block — verts[t] for t = lo..hi-1 when verts is non-nil, the
+// vertices lo..hi-1 when it is nil — it sets the n elements of dst at
+// row v-base to
+//
+//	scale(v) * Σ_{j = rowPtr[v]}^{rowPtr[v+1]-1} w[col[j]] * src[col[j]*n : col[j]*n+n]
+//
+// where an empty w weighs every row 1 and scale(v) is 1/deg(v) when
+// mean is set (deg(v) = rowPtr[v+1]-rowPtr[v]) and 1 otherwise; a
+// vertex without terms gets +0. Rows of dst and src are n wide and
+// contiguous. Each row gets the bits of
+//
+//	GatherSum(row, src, n, 0, col[rowPtr[v]:rowPtr[v+1]], alpha, scale(v))
+//
+// with alpha[t] = w[col[rowPtr[v]+t]] (empty when w is): every element
+// starts from +0, takes its terms in adjacency order, a rounded product
+// then a rounded add each, and is multiplied by the scale once. The
+// assembly leaves out the product by an unweighted row's 1: it is the
+// identity on every value, and on a NaN, which the add then quiets as
+// the product would have, with the same operand first. The kernel keeps
+// the row in registers across the vertex's whole adjacency list, and
+// pays the call, the checks and the scale's division once per block or
+// vertex instead of once per vertex or arc.
+//
+// It panics, before anything is written, if a vertex of the block is
+// not a row of rowPtr or its row of dst is outside dst, if rowPtr does
+// not bound its adjacency list inside col, or if a listed neighbour is
+// negative or not a row of src (or of w, when w is not empty).
+func GatherCSR(dst []float64, base int, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, hi int, w []float64, mean bool) {
+	if n <= 0 || lo >= hi {
+		return
+	}
+	if lo < 0 || verts != nil && hi > len(verts) {
+		panic("mat: GatherCSR block out of range")
+	}
+	limit := len(src) / n // the first row index past src, and past w
+	if len(w) != 0 {
+		limit = min(limit, len(w))
+	}
+	checkCSRBlock(len(dst)/n, base, rowPtr, col, verts, lo, hi, limit)
+	if useAVX2 && n >= simdMinLen && n <= GatherCSRMax {
+		gatherCSRSIMD(dst, src, n, rowPtr, col, verts, lo, hi-lo, base, w, mean, useAVX512)
+		return
+	}
+	gatherCSRRows(dst, base, src, n, rowPtr, col, verts, lo, hi, w, mean)
+}
+
+// checkCSRBlock panics unless GatherCSR's block can be walked inside
+// its slices: every vertex a row of rowPtr with its dst row inside the
+// dstRows rows, every adjacency list inside col, every neighbour in
+// 0..limit-1. A contiguous block's lists are one stretch of col, read
+// in one pass.
+func checkCSRBlock(dstRows, base int, rowPtr []int64, col []int32, verts []int, lo, hi, limit int) {
+	nv := len(rowPtr) - 1
+	if verts == nil {
+		if hi > nv || lo-base < 0 || hi-base > dstRows {
+			panic("mat: GatherCSR block out of range")
+		}
+		for v := lo; v < hi; v++ {
+			if rowPtr[v] > rowPtr[v+1] {
+				panic("mat: GatherCSR adjacency list out of range")
+			}
+		}
+		if a, b := rowPtr[lo], rowPtr[hi]; a < 0 || b > int64(len(col)) || !indicesBelow(col[a:b], limit) {
+			panic("mat: GatherCSR adjacency list out of range")
+		}
+		return
+	}
+	for _, v := range verts[lo:hi] {
+		if uint(v) >= uint(nv) || uint(v-base) >= uint(dstRows) {
+			panic("mat: GatherCSR block out of range")
+		}
+		if a, b := rowPtr[v], rowPtr[v+1]; a < 0 || a > b || b > int64(len(col)) || !indicesBelow(col[a:b], limit) {
+			panic("mat: GatherCSR adjacency list out of range")
+		}
+	}
+}
+
+// indicesBelow reports whether every index is in 0..limit-1, from
+// their unsigned maximum (a negative index is above any limit).
+func indicesBelow(idx []int32, limit int) bool {
+	if len(idx) == 0 {
+		return true
+	}
+	var m uint32
+	if useAVX2 && len(idx) >= 16 {
+		m = maxIndexAVX2(idx)
+	} else {
+		for _, u := range idx {
+			m = max(m, uint32(u))
+		}
+	}
+	return int64(m) < int64(limit)
+}
+
+// gatherCSRRows is GatherCSR one vertex at a time, each one GatherSum
+// past its checks: the statement of what the assembly computes, and the
+// path of the rows it does not take.
+func gatherCSRRows(dst []float64, base int, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, hi int, w []float64, mean bool) {
+	var abuf [listMax]float64 // a longer adjacency list moves alpha to the heap, for the rest of the block
+	alpha := abuf[:0]
+	for t := lo; t < hi; t++ {
+		v := t
+		if verts != nil {
+			v = verts[t]
+		}
+		nb := col[rowPtr[v]:rowPtr[v+1]]
+		scale := 1.0
+		if mean && len(nb) > 0 {
+			scale = 1 / float64(len(nb))
+		}
+		alpha = alpha[:0]
+		if len(w) != 0 {
+			for _, u := range nb {
+				alpha = append(alpha, w[u])
+			}
+		}
+		gatherSum(dst[(v-base)*n:(v-base)*n+n], src, n, 0, nb, alpha, scale)
 	}
 }
 

@@ -2028,3 +2028,435 @@ TEXT ·expAVX2(SB), NOSPLIT, $0-56
 // func log1pAVX2(dst, src []float64) int
 TEXT ·log1pAVX2(SB), NOSPLIT, $0-56
 	ELEMENTWISE(LOG1P4)
+
+// narrowMask, read from element 16-n, is the VMASKMOVPD masks of the
+// first n = 1..16 lanes of a row, four registers' worth.
+DATA narrowMask<>+0(SB)/8, $-1
+DATA narrowMask<>+8(SB)/8, $-1
+DATA narrowMask<>+16(SB)/8, $-1
+DATA narrowMask<>+24(SB)/8, $-1
+DATA narrowMask<>+32(SB)/8, $-1
+DATA narrowMask<>+40(SB)/8, $-1
+DATA narrowMask<>+48(SB)/8, $-1
+DATA narrowMask<>+56(SB)/8, $-1
+DATA narrowMask<>+64(SB)/8, $-1
+DATA narrowMask<>+72(SB)/8, $-1
+DATA narrowMask<>+80(SB)/8, $-1
+DATA narrowMask<>+88(SB)/8, $-1
+DATA narrowMask<>+96(SB)/8, $-1
+DATA narrowMask<>+104(SB)/8, $-1
+DATA narrowMask<>+112(SB)/8, $-1
+DATA narrowMask<>+120(SB)/8, $-1
+DATA narrowMask<>+128(SB)/8, $0
+DATA narrowMask<>+136(SB)/8, $0
+DATA narrowMask<>+144(SB)/8, $0
+DATA narrowMask<>+152(SB)/8, $0
+DATA narrowMask<>+160(SB)/8, $0
+DATA narrowMask<>+168(SB)/8, $0
+DATA narrowMask<>+176(SB)/8, $0
+DATA narrowMask<>+184(SB)/8, $0
+DATA narrowMask<>+192(SB)/8, $0
+DATA narrowMask<>+200(SB)/8, $0
+DATA narrowMask<>+208(SB)/8, $0
+DATA narrowMask<>+216(SB)/8, $0
+DATA narrowMask<>+224(SB)/8, $0
+DATA narrowMask<>+232(SB)/8, $0
+DATA narrowMask<>+240(SB)/8, $0
+DATA narrowMask<>+248(SB)/8, $0
+GLOBL narrowMask<>(SB), RODATA|NOPTR, $256
+
+// The loops of gatherCSRSIMD share these registers: DI is dst moved
+// back by base rows, so that vertex v's row is at DI + v*BX; SI src; BX
+// the row's bytes, n*8; R8 rowPtr; R9 col; R10 verts, or 0; R11 the
+// block position and R12 the position after the last; R13 w, or 0 for
+// an unweighted sum; CX 1 for a mean; X4 1.0. Per vertex, DX walks its
+// adjacency list up to R14, R15 points at its row of dst and X5 holds
+// 1/deg(v).
+//
+// CSRROW starts the vertex at position R11: v is verts[R11], or R11
+// itself when there is no list. It jumps to empty, with R15 set, when
+// the adjacency list is empty; otherwise it computes the mean's scale
+// while the terms are summed, off their add chain.
+#define CSRROW(vert, empty) \
+	MOVQ       R11, AX;          \
+	TESTQ      R10, R10;         \
+	JZ         vert;             \
+	MOVQ       (R10)(R11*8), AX; \
+vert:;                           \
+	MOVQ       (R8)(AX*8), DX;   \
+	MOVQ       8(R8)(AX*8), R14; \
+	IMULQ      BX, AX;           \
+	LEAQ       (DI)(AX*1), R15;  \
+	MOVQ       R14, AX;          \
+	SUBQ       DX, AX;           \
+	JZ         empty;            \
+	VCVTSI2SDQ AX, X5, X5;       \
+	VDIVSD     X5, X4, X5
+
+// CSRTERM sets AX to the byte offset in src of the DX-th neighbour's
+// row; CSRTERMW also broadcasts its weight into wreg.
+#define CSRTERM \
+	MOVLQSX (R9)(DX*4), AX; \
+	IMULQ   BX, AX
+
+#define CSRTERMW(wreg) \
+	MOVLQSX      (R9)(DX*4), AX;    \
+	VBROADCASTSD (R13)(AX*8), wreg; \
+	IMULQ        BX, AX
+
+// CSRNEXT closes a vertex's term loop, and CSRDONE the block's vertex
+// loop.
+#define CSRNEXT(loop) \
+	INCQ DX;      \
+	CMPQ DX, R14; \
+	JLT  loop
+
+#define CSRDONE(loop) \
+	INCQ R11;      \
+	CMPQ R11, R12; \
+	JLT  loop
+
+// CSRBASE finishes the set-up for both levels: BX from n to the row's
+// bytes, DI moved back by base rows, CX the mean flag.
+#define CSRBASE \
+	SHLQ    $3, BX;           \
+	MOVQ    base+144(FP), AX; \
+	IMULQ   BX, AX;           \
+	SUBQ    AX, DI;           \
+	MOVBQZX mean+176(FP), CX
+
+// func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean, zmm bool)
+//
+// One pass over the block's vertices, each a GatherSum of its
+// adjacency list with the row in registers from the +0 to the store:
+// each term a product by its weight (none for an unweighted sum: x is
+// 1*x, and the add quiets a signalling NaN as the product would) and
+// an add, product first, as in listWalk; then the mean's one product by
+// 1/deg(v), the accumulator first, as listWalk scales. A vertex without
+// terms stores +0. At the AVX-512 level a row is one or two ZMM
+// registers under the masks K1 (lanes below min(n, 8)) and K2 (lanes
+// 8..n-1); at the AVX2 level two or four YMM registers under the
+// VMASKMOVPD masks Y12..Y15. Masked-off lanes are neither read nor
+// written. There are eight loops: the level, one register panel or two,
+// weighted or not.
+TEXT ·gatherCSRSIMD(SB), NOSPLIT, $0-178
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  n+48(FP), BX
+	MOVQ  rowPtr_base+56(FP), R8
+	MOVQ  col_base+80(FP), R9
+	MOVQ  verts_base+104(FP), R10
+	MOVQ  lo+128(FP), R11
+	MOVQ  count+136(FP), R12
+	ADDQ  R11, R12
+	MOVQ  w_base+152(FP), R13
+	CMPQ  w_len+160(FP), $0
+	JNE   csrWeighted
+	XORQ  R13, R13
+
+csrWeighted:
+	MOVQ  $0x3ff0000000000000, AX
+	VMOVQ AX, X4
+	CMPB  zmm+177(FP), $0
+	JNE   csrZ
+	MOVQ  BX, AX
+	NEGQ  AX
+	LEAQ  narrowMask<>+128(SB), DX
+	LEAQ  (DX)(AX*8), DX
+	VMOVDQU (DX), Y12
+	VMOVDQU 32(DX), Y13
+	VMOVDQU 64(DX), Y14
+	VMOVDQU 96(DX), Y15
+	CSRBASE
+	CMPQ  BX, $64
+	JGT   y4
+	TESTQ R13, R13
+	JNZ   y2w
+
+y2:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	CSRROW(y2v, y2s)
+
+y2t:
+	CSRTERM
+	ADDQ       SI, AX
+	VMASKMOVPD (AX), Y12, Y8
+	VMASKMOVPD 32(AX), Y13, Y9
+	VADDPD     Y0, Y8, Y0
+	VADDPD     Y1, Y9, Y1
+	CSRNEXT(y2t)
+	TESTQ      CX, CX
+	JZ         y2s
+	VBROADCASTSD X5, Y5
+	VMULPD     Y5, Y0, Y0
+	VMULPD     Y5, Y1, Y1
+
+y2s:
+	VMASKMOVPD Y0, Y12, (R15)
+	VMASKMOVPD Y1, Y13, 32(R15)
+	CSRDONE(y2)
+	VZEROUPPER
+	RET
+
+y2w:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	CSRROW(y2wv, y2ws)
+
+y2wt:
+	CSRTERMW(Y6)
+	ADDQ       SI, AX
+	VMASKMOVPD (AX), Y12, Y8
+	VMASKMOVPD 32(AX), Y13, Y9
+	VMULPD     Y8, Y6, Y8
+	VMULPD     Y9, Y6, Y9
+	VADDPD     Y0, Y8, Y0
+	VADDPD     Y1, Y9, Y1
+	CSRNEXT(y2wt)
+	TESTQ      CX, CX
+	JZ         y2ws
+	VBROADCASTSD X5, Y5
+	VMULPD     Y5, Y0, Y0
+	VMULPD     Y5, Y1, Y1
+
+y2ws:
+	VMASKMOVPD Y0, Y12, (R15)
+	VMASKMOVPD Y1, Y13, 32(R15)
+	CSRDONE(y2w)
+	VZEROUPPER
+	RET
+
+y4:
+	TESTQ R13, R13
+	JNZ   y4w
+
+y4l:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	CSRROW(y4v, y4s)
+
+y4t:
+	CSRTERM
+	ADDQ       SI, AX
+	VMASKMOVPD (AX), Y12, Y8
+	VMASKMOVPD 32(AX), Y13, Y9
+	VMASKMOVPD 64(AX), Y14, Y10
+	VMASKMOVPD 96(AX), Y15, Y11
+	VADDPD     Y0, Y8, Y0
+	VADDPD     Y1, Y9, Y1
+	VADDPD     Y2, Y10, Y2
+	VADDPD     Y3, Y11, Y3
+	CSRNEXT(y4t)
+	TESTQ      CX, CX
+	JZ         y4s
+	VBROADCASTSD X5, Y5
+	VMULPD     Y5, Y0, Y0
+	VMULPD     Y5, Y1, Y1
+	VMULPD     Y5, Y2, Y2
+	VMULPD     Y5, Y3, Y3
+
+y4s:
+	VMASKMOVPD Y0, Y12, (R15)
+	VMASKMOVPD Y1, Y13, 32(R15)
+	VMASKMOVPD Y2, Y14, 64(R15)
+	VMASKMOVPD Y3, Y15, 96(R15)
+	CSRDONE(y4l)
+	VZEROUPPER
+	RET
+
+y4w:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	CSRROW(y4wv, y4ws)
+
+y4wt:
+	CSRTERMW(Y6)
+	ADDQ       SI, AX
+	VMASKMOVPD (AX), Y12, Y8
+	VMASKMOVPD 32(AX), Y13, Y9
+	VMASKMOVPD 64(AX), Y14, Y10
+	VMASKMOVPD 96(AX), Y15, Y11
+	VMULPD     Y8, Y6, Y8
+	VMULPD     Y9, Y6, Y9
+	VMULPD     Y10, Y6, Y10
+	VMULPD     Y11, Y6, Y11
+	VADDPD     Y0, Y8, Y0
+	VADDPD     Y1, Y9, Y1
+	VADDPD     Y2, Y10, Y2
+	VADDPD     Y3, Y11, Y3
+	CSRNEXT(y4wt)
+	TESTQ      CX, CX
+	JZ         y4ws
+	VBROADCASTSD X5, Y5
+	VMULPD     Y5, Y0, Y0
+	VMULPD     Y5, Y1, Y1
+	VMULPD     Y5, Y2, Y2
+	VMULPD     Y5, Y3, Y3
+
+y4ws:
+	VMASKMOVPD Y0, Y12, (R15)
+	VMASKMOVPD Y1, Y13, 32(R15)
+	VMASKMOVPD Y2, Y14, 64(R15)
+	VMASKMOVPD Y3, Y15, 96(R15)
+	CSRDONE(y4w)
+	VZEROUPPER
+	RET
+
+csrZ:
+	MOVQ  BX, CX
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	SHRQ  $8, AX
+	KMOVW AX, K2
+	CSRBASE
+	CMPQ  BX, $64
+	JGT   z2
+	TESTQ R13, R13
+	JNZ   z1w
+
+z1:
+	VPXORQ Z0, Z0, Z0
+	CSRROW(z1v, z1s)
+
+z1t:
+	CSRTERM
+	VMOVUPD.Z (SI)(AX*1), K1, Z8
+	VADDPD    Z0, Z8, Z0
+	CSRNEXT(z1t)
+	TESTQ     CX, CX
+	JZ        z1s
+	VBROADCASTSD X5, Z5
+	VMULPD    Z5, Z0, Z0
+
+z1s:
+	VMOVUPD Z0, K1, (R15)
+	CSRDONE(z1)
+	VZEROUPPER
+	RET
+
+z1w:
+	VPXORQ Z0, Z0, Z0
+	CSRROW(z1wv, z1ws)
+
+z1wt:
+	CSRTERMW(Z6)
+	VMULPD.Z (SI)(AX*1), Z6, K1, Z8
+	VADDPD   Z0, Z8, Z0
+	CSRNEXT(z1wt)
+	TESTQ    CX, CX
+	JZ       z1ws
+	VBROADCASTSD X5, Z5
+	VMULPD   Z5, Z0, Z0
+
+z1ws:
+	VMOVUPD Z0, K1, (R15)
+	CSRDONE(z1w)
+	VZEROUPPER
+	RET
+
+z2:
+	TESTQ R13, R13
+	JNZ   z2w
+
+z2l:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	CSRROW(z2v, z2s)
+
+z2t:
+	CSRTERM
+	VMOVUPD   (SI)(AX*1), Z8
+	VMOVUPD.Z 64(SI)(AX*1), K2, Z9
+	VADDPD    Z0, Z8, Z0
+	VADDPD    Z1, Z9, Z1
+	CSRNEXT(z2t)
+	TESTQ     CX, CX
+	JZ        z2s
+	VBROADCASTSD X5, Z5
+	VMULPD    Z5, Z0, Z0
+	VMULPD    Z5, Z1, Z1
+
+z2s:
+	VMOVUPD Z0, (R15)
+	VMOVUPD Z1, K2, 64(R15)
+	CSRDONE(z2l)
+	VZEROUPPER
+	RET
+
+z2w:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	CSRROW(z2wv, z2ws)
+
+z2wt:
+	CSRTERMW(Z6)
+	VMULPD   (SI)(AX*1), Z6, Z8
+	VMULPD.Z 64(SI)(AX*1), Z6, K2, Z9
+	VADDPD   Z0, Z8, Z0
+	VADDPD   Z1, Z9, Z1
+	CSRNEXT(z2wt)
+	TESTQ    CX, CX
+	JZ       z2ws
+	VBROADCASTSD X5, Z5
+	VMULPD   Z5, Z0, Z0
+	VMULPD   Z5, Z1, Z1
+
+z2ws:
+	VMOVUPD Z0, (R15)
+	VMOVUPD Z1, K2, 64(R15)
+	CSRDONE(z2w)
+	VZEROUPPER
+	RET
+
+// func maxIndexAVX2(idx []int32) uint32
+//
+// The unsigned maximum of the indices, 0 for none: sixteen a pass in
+// two VPMAXUD accumulators, then the rest one at a time. A negative
+// index reads as a large unsigned one, so it is the maximum unless a
+// larger one is present, and either way no smaller than 2^31.
+TEXT ·maxIndexAVX2(SB), NOSPLIT, $0-28
+	MOVQ   idx_base+0(FP), SI
+	MOVQ   idx_len+8(FP), CX
+	VPXOR  Y0, Y0, Y0
+	VPXOR  Y1, Y1, Y1
+
+maxIdx16:
+	CMPQ    CX, $16
+	JLT     maxIdxFold
+	VPMAXUD (SI), Y0, Y0
+	VPMAXUD 32(SI), Y1, Y1
+	ADDQ    $64, SI
+	SUBQ    $16, CX
+	JMP     maxIdx16
+
+maxIdxFold:
+	VPMAXUD      Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPMAXUD      X1, X0, X0
+	VMOVD        X0, AX
+	TESTQ        CX, CX
+	JZ           maxIdxDone
+
+maxIdx1:
+	MOVL    (SI), DX
+	CMPL    DX, AX
+	CMOVLHI DX, AX
+	ADDQ    $4, SI
+	DECQ    CX
+	JNZ     maxIdx1
+
+maxIdxDone:
+	MOVL AX, ret+24(FP)
+	VZEROUPPER
+	RET

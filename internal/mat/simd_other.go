@@ -49,6 +49,12 @@ func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
+func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean, zmm bool) {
+	panic("mat: no AVX2 kernels on this architecture")
+}
+
+func maxIndexAVX2(idx []int32) uint32 { panic("mat: no AVX2 kernels on this architecture") }
+
 func dotAVX2(x, y []float64) float64 { panic("mat: no AVX2 kernels on this architecture") }
 
 func dot4AVX2(out, x, y []float64, stride int) { panic("mat: no AVX2 kernels on this architecture") }

@@ -15,10 +15,12 @@
 // undirected graph is the transpose operator; both directions share
 // one kernel parameterized by the normalization mode — the one
 // loop in the module that sums neighbor feature rows, under training's
-// subgraph steps and serving's full-graph pass alike. A vertex is one
-// mat.GatherSum: each output element has a lane of its own, starts
-// from +0, takes the neighbors in adjacency order and is scaled once,
-// so no cut of the work can change a bit of a result.
+// subgraph steps and serving's full-graph pass alike. A vertex is
+// mat.GatherSum's arithmetic — one call per vertex, or, on whole rows
+// of at most 16 columns, one mat.GatherCSR call per vertex block: each
+// output element has a lane of its own, starts from +0, takes the
+// neighbors in adjacency order and is scaled once, so no cut of the
+// work can change a bit of a result.
 //
 // One schedule cuts the work for Propagate and Propagate2D: columns
 // first, into the chunk count asked for but never
@@ -28,6 +30,8 @@
 package partition
 
 import (
+	"sync"
+
 	"gsgcn/internal/graph"
 	"gsgcn/internal/mat"
 	"gsgcn/internal/perf"
@@ -179,28 +183,76 @@ func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers in
 // vlo for a block-local one), and clears that column range in the
 // unlisted rows the positions own: those up to the next listed vertex,
 // and before the first for tlo = 0 and after the last for thi = the
-// list's end. A vertex is one mat.GatherSum over its
-// adjacency list: every element of the row keeps a lane and a running
-// sum of its own, which starts from +0, takes the neighbors in
-// adjacency order and is scaled once at the end (the mean) — so the
-// column range, the vertex range and the vector width decide nothing
-// about a result. An edge's weight is computed where it is used: a
-// neighbor of anything has degree >= 1 on a symmetric graph, and a
-// per-vertex table would cost every subgraph step an O(|V|) pass.
+// list's end. A vertex is GatherSum's arithmetic over its adjacency
+// list: every element of the row keeps a lane and a running sum of its
+// own, which starts from +0, takes the neighbors in adjacency order and
+// is scaled once at the end (the mean) — so the column range, the
+// vertex range and the vector width decide nothing about a result.
+//
+// A whole row of at most mat.GatherCSRMax columns goes through
+// propagateNarrow, one kernel call for the block; anything else through
+// propagatePerVertex, one mat.GatherSum a vertex.
 func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, tlo, thi, colLo, colHi int) {
-	f := src.Cols
-	var wbuf [256]float64 // a longer adjacency list moves w to the heap, for the rest of the block
-	w := wbuf[:0]
-	next, end := tlo, thi // the first row the block owns that it has not written, and the row after its last
-	if rows != nil {
-		next, end = 0, g.N
-		if tlo > 0 {
-			next = rows[tlo]
-		}
-		if thi < len(rows) {
-			end = rows[thi]
-		}
+	if colLo == 0 && colHi == src.Cols && src.Cols <= mat.GatherCSRMax {
+		propagateNarrow(dst, dstLo, src, g, norm, rows, tlo, thi)
+		return
 	}
+	propagatePerVertex(dst, dstLo, src, g, norm, rows, tlo, thi, colLo, colHi)
+}
+
+// owned returns the first and one past the last row a block of
+// positions [tlo, thi) of rows owns: with a list, the rows from the
+// one after the previous block's last vertex to this block's last
+// vertex and the unlisted ones after it.
+func owned(g *graph.CSR, rows []int, tlo, thi int) (next, end int) {
+	if rows == nil {
+		return tlo, thi
+	}
+	next, end = 0, g.N
+	if tlo > 0 {
+		next = rows[tlo]
+	}
+	if thi < len(rows) {
+		end = rows[thi]
+	}
+	return next, end
+}
+
+// propagateNarrow is propagateBlock on whole rows of at most
+// mat.GatherCSRMax columns: the unlisted rows cleared a run at a time,
+// then the block in one mat.GatherCSR call — its neighbour indices
+// checked once, each row's sum in registers, the mean's 1/deg(v)
+// computed once per vertex and NormSrc's 1/deg(u) once per vertex of
+// the graph, in a table, instead of once per arc.
+func propagateNarrow(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, tlo, thi int) {
+	f := src.Cols
+	if rows != nil {
+		next, end := owned(g, rows, tlo, thi)
+		for _, v := range rows[tlo:thi] {
+			clear(dst.Data[(next-dstLo)*f : (v-dstLo)*f])
+			next = v + 1
+		}
+		clear(dst.Data[(next-dstLo)*f : (end-dstLo)*f])
+	}
+	if norm == NormDst {
+		mat.GatherCSR(dst.Data, dstLo, src.Data, f, g.RowPtr, g.ColIdx, rows, tlo, thi, nil, true)
+		return
+	}
+	w := invDegrees(g)
+	mat.GatherCSR(dst.Data, dstLo, src.Data, f, g.RowPtr, g.ColIdx, rows, tlo, thi, *w, false)
+	invDegreeTables.Put(w)
+}
+
+// propagatePerVertex is propagateBlock as one mat.GatherSum per vertex,
+// on any column range: an edge's weight is computed where it is used (a
+// neighbor of anything has degree >= 1 on a symmetric graph), where a
+// per-vertex table would cost a wide propagation's every block an
+// O(|V|) pass.
+func propagatePerVertex(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, tlo, thi, colLo, colHi int) {
+	f := src.Cols
+	next, end := owned(g, rows, tlo, thi) // the first row the block owns that it has not written, and the row after its last
+	var wbuf [256]float64                 // a longer adjacency list moves w to the heap, for the rest of the block
+	w := wbuf[:0]
 	for t := tlo; t < thi; t++ {
 		v := t
 		if rows != nil {
@@ -230,4 +282,25 @@ func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, nor
 	for ; next < end; next++ {
 		clear(dst.Data[(next-dstLo)*f+colLo : (next-dstLo)*f+colHi])
 	}
+}
+
+// invDegreeTables recycles NormSrc's weight tables between blocks; a
+// table belongs to one block from Get to Put and is rewritten whole.
+var invDegreeTables sync.Pool
+
+// invDegrees returns a table of 1/deg(u) for every vertex u of g (+Inf
+// for an isolated one, which no adjacency list names), for the caller
+// to put back into invDegreeTables.
+func invDegrees(g *graph.CSR) *[]float64 {
+	buf, _ := invDegreeTables.Get().(*[]float64)
+	if buf == nil || cap(*buf) < g.N {
+		grown := make([]float64, g.N)
+		buf = &grown
+	}
+	w := (*buf)[:g.N]
+	for u := range w {
+		w[u] = 1 / float64(g.RowPtr[u+1]-g.RowPtr[u])
+	}
+	*buf = w
+	return buf
 }

@@ -46,9 +46,10 @@ type Pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	ch       chan *graph.Subgraph
-	credits  int // buffer slots not owned by a buffered or in-flight subgraph
-	nextWave int // next wave number to claim; only pumpLocked claims one
-	deliver  int // wave currently allowed to deposit into ch
+	credits  int               // buffer slots not owned by a buffered or in-flight subgraph
+	nextWave int               // next wave number to claim; only pumpLocked claims one
+	deliver  int               // wave currently allowed to deposit into ch
+	free     []*graph.Subgraph // released subgraphs, whose buffers the next waves induce into
 }
 
 // NewPool returns a Pool with an empty, unstarted pipeline.
@@ -93,6 +94,14 @@ func (p *Pool) pumpLocked() {
 // was reserved when the wave was claimed.
 func (p *Pool) runWave(wave int) {
 	out := make([]*graph.Subgraph, p.PInter)
+	p.mu.Lock()
+	for i := range out {
+		if len(p.free) == 0 {
+			break
+		}
+		out[i], p.free = p.free[len(p.free)-1], p.free[:len(p.free)-1]
+	}
+	p.mu.Unlock()
 	workers := p.Workers
 	if workers <= 0 {
 		workers = perf.NumWorkers()
@@ -100,7 +109,7 @@ func (p *Pool) runWave(wave int) {
 	perf.Parallel(p.PInter, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := rng.NewStream(p.Seed, wave*p.PInter+i)
-			out[i] = SampleSubgraph(p.G, p.Sampler, r)
+			out[i] = p.G.InduceInto(out[i], p.Sampler.SampleVertices(r))
 		}
 	})
 	p.mu.Lock()
@@ -131,6 +140,19 @@ func (p *Pool) Next() *graph.Subgraph {
 	p.pumpLocked()
 	p.mu.Unlock()
 	return sub
+}
+
+// Release hands back a subgraph Next returned, once its caller is done
+// with it, so that a later wave induces into its buffers instead of
+// allocating new ones (graph.CSR.InduceInto): from the call on, sub may
+// be overwritten at any moment. Each subgraph may be released at most
+// once; one that is never released is ordinary garbage. Which buffers
+// a subgraph lands in changes none of its bytes, so releasing or not
+// leaves the stream Next returns as it was.
+func (p *Pool) Release(sub *graph.Subgraph) {
+	p.mu.Lock()
+	p.free = append(p.free, sub)
+	p.mu.Unlock()
 }
 
 // Pending returns the number of sampled subgraphs currently buffered

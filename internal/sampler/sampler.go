@@ -147,10 +147,13 @@ func (s *ForestFire) SampleVertices(r *rng.RNG) []int32 {
 	if p <= 0 || p >= 1 {
 		p = 0.4
 	}
-	burned := make(map[int32]struct{}, s.Budget)
-	out := make([]int32, 0, s.Budget)
+	// Every vertex burns at most once, so a budget above |V| could never
+	// be met: it is clamped, as RandomNode clamps its own.
+	budget := min(s.Budget, g.N)
+	burned := make(map[int32]struct{}, budget)
+	out := make([]int32, 0, budget)
 	var queue []int32
-	for len(out) < s.Budget {
+	for len(out) < budget {
 		if len(queue) == 0 {
 			root := int32(r.Intn(g.N))
 			if _, ok := burned[root]; ok {
@@ -173,7 +176,7 @@ func (s *ForestFire) SampleVertices(r *rng.RNG) []int32 {
 		v := queue[0]
 		queue = queue[1:]
 		for _, w := range g.Neighbors(v) {
-			if len(out) >= s.Budget {
+			if len(out) >= budget {
 				break
 			}
 			if _, ok := burned[w]; ok {

@@ -121,6 +121,36 @@ func TestForestFireBudget(t *testing.T) {
 	}
 }
 
+// TestForestFireBudgetExceedsGraph: a budget above |V| burns every
+// vertex once and returns. Before the clamp, the loop re-rolled a root
+// it could never emit, forever; the test runs the sampler on its own
+// goroutine so that a regression fails by the deadline, not by hanging
+// the suite.
+func TestForestFireBudgetExceedsGraph(t *testing.T) {
+	edges := make([]graph.Edge, 9)
+	for i := range edges {
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
+	}
+	g, err := graph.FromEdges(10, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []int32, 1)
+	go func() { done <- (&ForestFire{G: g, Budget: 11}).SampleVertices(rng.New(10)) }()
+	select {
+	case vs := <-done:
+		seen := map[int32]bool{}
+		for _, v := range vs {
+			seen[v] = true
+		}
+		if len(vs) != 10 || len(seen) != 10 {
+			t.Fatalf("burned %v, want each of the 10 vertices once", vs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ForestFire with Budget > |V| did not return within 5 s")
+	}
+}
+
 func TestForestFireDefaultProb(t *testing.T) {
 	g := testGraph(t)
 	s := &ForestFire{G: g, Budget: 100} // zero prob -> default
