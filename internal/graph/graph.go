@@ -14,6 +14,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // CSR is an undirected graph in compressed sparse row form.
@@ -153,17 +154,26 @@ func FromEdges(n int, edges []Edge) (*CSR, error) {
 // pool's subgraph, until it is released (sampler.Pool.Release), after
 // which the pool may refill it at any moment. Nothing of a subgraph's
 // contents reaches the next one: every element of Orig, RowPtr and
-// ColIdx is rewritten, and the membership bitmap and the local-id
-// table are all zeros between calls.
+// ColIdx is rewritten, and the call's scratch (induceScratch) is all
+// zeros between calls.
 type Subgraph struct {
 	*CSR
 	// Orig[i] is the parent-graph id of local vertex i; strictly
 	// increasing.
 	Orig []int32
-
-	member []uint64 // a bit per vertex of the parent graph; all zero between calls
-	local  []int32  // 1 + the local id of each member of the parent graph, 0 for the rest; all zero between calls
 }
+
+// induceScratch is what one InduceInto call borrows from
+// induceScratches for its length: a bit per vertex of the graph and a
+// table of 1 + the local id of each member (0 for the rest), sized to
+// the largest graph it has served and all zeros between calls. So the
+// O(|V|) tables live once per concurrent call, not once per subgraph.
+type induceScratch struct {
+	member []uint64
+	local  []int32
+}
+
+var induceScratches sync.Pool
 
 // Induce extracts the subgraph induced by the given vertex set
 // (duplicates tolerated, order irrelevant) into new buffers: it is
@@ -175,10 +185,10 @@ func (g *CSR) Induce(vs []int32) *Subgraph { return g.InduceInto(nil, vs) }
 // must be nil (new buffers) or a subgraph an earlier Induce or
 // InduceInto returned and nobody reads any more; it returns s, or the
 // new subgraph. The result's Orig mapping is sorted ascending. Cost is
-// O(|vs| + Σ deg(v) + |V|/64), plus O(|V|) to allocate a new subgraph's
-// lookup table, and once s's buffers have grown to a subgraph of this
-// size and a graph of this order it allocates nothing. It panics if a vertex is
-// not one of g's, before anything is written.
+// O(|vs| + Σ deg(v) + |V|/64), plus O(|V|) when the pooled scratch has
+// to grow (or the collector has emptied the pool), and once s's buffers
+// have grown to a subgraph of this size it allocates nothing. It panics
+// if a vertex is not one of g's, before anything is written.
 func (g *CSR) InduceInto(s *Subgraph, vs []int32) *Subgraph {
 	for _, v := range vs {
 		if uint32(v) >= uint32(g.N) {
@@ -191,14 +201,18 @@ func (g *CSR) InduceInto(s *Subgraph, vs []int32) *Subgraph {
 	if s.CSR == nil {
 		s.CSR = new(CSR)
 	}
+	sc, _ := induceScratches.Get().(*induceScratch)
+	if sc == nil {
+		sc = new(induceScratch)
+	}
 	words := (g.N + 63) / 64
-	if len(s.member) < words {
-		s.member = make([]uint64, words)
+	if len(sc.member) < words {
+		sc.member = make([]uint64, words)
 	}
-	if len(s.local) < g.N {
-		s.local = make([]int32, g.N)
+	if len(sc.local) < g.N {
+		sc.local = make([]int32, g.N)
 	}
-	member, local := s.member[:words], s.local[:g.N]
+	member, local := sc.member[:words], sc.local[:g.N]
 
 	// member has a bit per vertex of g. Setting the sampled ones
 	// deduplicates them, and reading the bits back a word at a time
@@ -246,6 +260,7 @@ func (g *CSR) InduceInto(s *Subgraph, vs []int32) *Subgraph {
 		member[v>>6] = 0
 		local[v] = 0
 	}
+	induceScratches.Put(sc)
 	*s.CSR = CSR{N: n, RowPtr: rowPtr, ColIdx: col[:k]}
 	s.Orig = orig
 	return s

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -98,9 +99,10 @@ func poison(s *Subgraph) {
 
 // TestInduceIntoReusedSlotNeverShowsStaleContents: one slot induced
 // into over subgraphs that grow, shrink to nothing and grow again, its
-// buffers poisoned between calls, gives each time what a fresh Induce
-// gives, and its membership bitmap and local-id table are all zeros
-// after every call.
+// buffers poisoned between calls, gives each time what sort-and-map
+// gives, and the pooled membership bitmap and local-id table are all
+// zeros after every call; a scratch grown on a large graph serves a
+// small one, and the other way round.
 func TestInduceIntoReusedSlotNeverShowsStaleContents(t *testing.T) {
 	const n = 1000
 	g := randomGraph(t, n, 6*n, 57)
@@ -119,25 +121,36 @@ func TestInduceIntoReusedSlotNeverShowsStaleContents(t *testing.T) {
 			t.Fatalf("call %d: InduceInto did not reuse its slot", i)
 		}
 		slot = got
-		if want := g.Induce(vs); !sameSubgraph(got, want) {
-			t.Fatalf("call %d (k=%d): the reused slot differs from a fresh Induce", i, k)
+		if want := induceByMap(g, vs); !sameSubgraph(got, want) {
+			t.Fatalf("call %d (k=%d): the reused slot differs from sort-and-map", i, k)
 		}
-		for w, word := range slot.member {
-			if word != 0 {
-				t.Fatalf("call %d: membership word %d left at %#x", i, w, word)
+		// The pool hands the scratch back to the goroutine that put it
+		// there, unless the collector (or the race detector) dropped it.
+		if sc, _ := induceScratches.Get().(*induceScratch); sc != nil {
+			for w, word := range sc.member {
+				if word != 0 {
+					t.Fatalf("call %d: membership word %d left at %#x", i, w, word)
+				}
 			}
-		}
-		for v, l := range slot.local {
-			if l != 0 {
-				t.Fatalf("call %d: vertex %d's local id left at %d", i, v, l)
+			for v, l := range sc.local {
+				if l != 0 {
+					t.Fatalf("call %d: vertex %d's local id left at %d", i, v, l)
+				}
 			}
+			induceScratches.Put(sc)
 		}
 	}
-	// A slot grown on a small graph grows again for a larger one.
+	// A slot grown on a small graph grows again for a larger one, and
+	// the graphs take turns with the scratch.
 	small := randomGraph(t, 70, 200, 59)
 	tiny := small.InduceInto(nil, []int32{69, 3, 64})
-	if got, want := g.InduceInto(tiny, []int32{999, 0, 500}), g.Induce([]int32{999, 0, 500}); !sameSubgraph(got, want) {
-		t.Fatal("a slot from a smaller graph differs from a fresh Induce")
+	for i := 0; i < 3; i++ {
+		if got, want := g.InduceInto(tiny, []int32{999, 0, 500}), induceByMap(g, []int32{999, 0, 500}); !sameSubgraph(got, want) {
+			t.Fatal("a slot from a smaller graph differs from sort-and-map")
+		}
+		if got, want := small.InduceInto(tiny, []int32{69, 3, 64, 0}), induceByMap(small, []int32{69, 3, 64, 0}); !sameSubgraph(got, want) {
+			t.Fatal("the smaller graph after the larger one differs from sort-and-map")
+		}
 	}
 }
 
@@ -164,8 +177,14 @@ func TestInduceRejectsVerticesOutsideTheGraph(t *testing.T) {
 }
 
 // TestInduceIntoReleasedSlotAllocatesNothing: once a slot has held a
-// subgraph of the size, inducing into it again allocates nothing.
+// subgraph of the size, inducing into it again allocates nothing, and
+// neither does a fresh Induce's scratch once the pool holds one. The
+// race detector's sync.Pool drops what is put back at random, so under
+// it there is nothing to count.
 func TestInduceIntoReleasedSlotAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
 	g := randomGraph(t, 2000, 12000, 61)
 	r := rng.New(62)
 	vs := make([]int32, 600)
@@ -173,7 +192,17 @@ func TestInduceIntoReleasedSlotAllocatesNothing(t *testing.T) {
 		vs[i] = int32(r.Intn(g.N))
 	}
 	slot := g.Induce(vs)
+	gc := debug.SetGCPercent(-1) // a collection empties the pool
+	defer debug.SetGCPercent(gc)
 	if allocs := testing.AllocsPerRun(20, func() { g.InduceInto(slot, vs) }); allocs != 0 {
 		t.Fatalf("InduceInto a warmed slot: %v allocations, want 0", allocs)
 	}
+	// A new subgraph's buffers only: the subgraph, its CSR, Orig,
+	// RowPtr and ColIdx.
+	if allocs := testing.AllocsPerRun(20, func() { g.Induce(vs) }); allocs != 5 {
+		t.Fatalf("Induce: %v allocations, want 5 (the scratch comes from the pool)", allocs)
+	}
 }
+
+// raceDetector is set in builds with the race detector (race_test.go).
+var raceDetector bool

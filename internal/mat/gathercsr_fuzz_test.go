@@ -9,7 +9,7 @@ import (
 
 // gatherCSRFuzzBlock decodes a FuzzGatherCSR input into a graph block:
 // rows = 1 + vb mod 60 vertices with rows of n = 1 + nb mod 24 columns
-// (one ZMM panel, two, and past GatherCSRMax to the portable loop),
+// (two YMM registers, four, and past GatherCSRMax to the portable loop),
 // each vertex with 0..db mod 40 neighbours drawn from the seed, repeats
 // allowed; src and the per-vertex weights are seeded values in (-1, 1),
 // and each whole 3-byte record of raw — a little-endian uint16 position

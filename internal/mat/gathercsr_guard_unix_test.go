@@ -101,20 +101,3 @@ func testGatherCSRStaysInsideItsSlices(t *testing.T) {
 		}
 	}
 }
-
-// TestIndicesBelowStaysInsideItsSlice: the index check's reduction on
-// lists that end on the last bytes of an allocation, at every length
-// around its sixteen-index passes, at every level.
-func TestIndicesBelowStaysInsideItsSlice(t *testing.T) {
-	atEveryLevel(t, func(t *testing.T) {
-		for n := 1; n <= 70; n++ {
-			idx := guardedInt32s(t, n)
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			if !indicesBelow(idx, n) || indicesBelow(idx, n-1) {
-				t.Fatalf("n=%d: the maximum %d read wrong", n, n-1)
-			}
-		}
-	})
-}

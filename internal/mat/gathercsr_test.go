@@ -75,7 +75,7 @@ func requireSameFloat64bits(t *testing.T, tag string, got, want []float64) {
 }
 
 // TestGatherCSRMatchesGatherSum runs at every level: widths 1 to 20
-// (one ZMM panel, two, the YMM masks of every width, and past the
+// (two YMM registers, four, the masks of every width, and past the
 // kernel's limit), whole blocks, blocks that start and end inside the
 // graph with dst holding just their rows, and row lists that skip
 // vertices; weighted and not, mean and not; ordinary, signed-zero,
@@ -205,42 +205,6 @@ func TestGatherCSRRejectsBlocksOutsideItsSlices(t *testing.T) {
 			for i, v := range dst {
 				if v != 5 {
 					t.Fatalf("%s: element %d of dst written before the panic", name, i)
-				}
-			}
-		}
-	})
-}
-
-// TestIndicesBelowMatchesTheLoop: the check of a block's neighbour
-// indices gives the unsigned maximum's verdict at every level, at every
-// length around the AVX2 reduction's sixteen-index passes, with the
-// maximum (or a negative index) in every position.
-func TestIndicesBelowMatchesTheLoop(t *testing.T) {
-	atEveryLevel(t, func(t *testing.T) {
-		r := rng.New(91)
-		for n := 0; n <= 70; n++ {
-			idx := make([]int32, n)
-			for i := range idx {
-				idx[i] = int32(r.Intn(1000))
-			}
-			for pos := 0; pos < max(n, 1); pos++ {
-				for _, special := range []int32{1000, 999, -1, math.MinInt32, math.MaxInt32} {
-					saved := int32(0)
-					if n > 0 {
-						saved, idx[pos] = idx[pos], special
-					}
-					var m uint32
-					for _, u := range idx {
-						m = max(m, uint32(u))
-					}
-					for _, limit := range []int{0, 999, 1000, 1001, math.MaxInt32, math.MaxInt64} {
-						if got, want := indicesBelow(idx, limit), n == 0 || int64(m) < int64(limit); got != want {
-							t.Fatalf("n=%d pos=%d special=%d limit=%d: %t, want %t", n, pos, special, limit, got, want)
-						}
-					}
-					if n > 0 {
-						idx[pos] = saved
-					}
 				}
 			}
 		}

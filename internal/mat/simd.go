@@ -690,8 +690,8 @@ func gatherRowsGo(dst, src []float64, offs []int, alpha []float64, scale float64
 }
 
 // GatherCSRMax is the widest row GatherCSR's kernel holds in registers:
-// a vertex's sum is two ZMM registers, or four YMM ones. Wider rows, and
-// rows under simdMinLen, take one GatherSum per vertex.
+// a vertex's sum is four YMM registers. Wider rows, and rows under
+// simdMinLen, take one GatherSum per vertex.
 const GatherCSRMax = 16
 
 // GatherCSR is GatherSum for a block of vertices of a graph in
@@ -736,7 +736,7 @@ func GatherCSR(dst []float64, base int, src []float64, n int, rowPtr []int64, co
 	}
 	checkCSRBlock(len(dst)/n, base, rowPtr, col, verts, lo, hi, limit)
 	if useAVX2 && n >= simdMinLen && n <= GatherCSRMax {
-		gatherCSRSIMD(dst, src, n, rowPtr, col, verts, lo, hi-lo, base, w, mean, useAVX512)
+		gatherCSRSIMD(dst, src, n, rowPtr, col, verts, lo, hi-lo, base, w, mean)
 		return
 	}
 	gatherCSRRows(dst, base, src, n, rowPtr, col, verts, lo, hi, w, mean)
@@ -776,18 +776,11 @@ func checkCSRBlock(dstRows, base int, rowPtr []int64, col []int32, verts []int, 
 // indicesBelow reports whether every index is in 0..limit-1, from
 // their unsigned maximum (a negative index is above any limit).
 func indicesBelow(idx []int32, limit int) bool {
-	if len(idx) == 0 {
-		return true
-	}
 	var m uint32
-	if useAVX2 && len(idx) >= 16 {
-		m = maxIndexAVX2(idx)
-	} else {
-		for _, u := range idx {
-			m = max(m, uint32(u))
-		}
+	for _, u := range idx {
+		m = max(m, uint32(u))
 	}
-	return int64(m) < int64(limit)
+	return len(idx) == 0 || int64(m) < int64(limit)
 }
 
 // gatherCSRRows is GatherCSR one vertex at a time, each one GatherSum

@@ -170,18 +170,13 @@ func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float
 // gatherCSRSIMD is GatherCSR's kernel, on count vertices from position
 // lo of the block: the vertex at position p is verts[p], or p itself
 // when verts is nil, and its row of dst starts at (v-base)*n. n must be
-// 1..GatherCSRMax, and every vertex, adjacency list and neighbour
-// inside the slices, as checkCSRBlock checks. zmm selects the AVX-512
-// loops, which may only run where useAVX512 is set.
+// simdMinLen..GatherCSRMax (a row's first four lanes are read whole),
+// and every vertex, adjacency list and neighbour inside the slices, as
+// checkCSRBlock checks. It runs the same AVX2 loops at both amd64
+// levels.
 //
 //go:noescape
-func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean, zmm bool)
-
-// maxIndexAVX2 returns the largest of the indices as unsigned numbers,
-// or 0 for none.
-//
-//go:noescape
-func maxIndexAVX2(idx []int32) uint32
+func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean bool)
 
 func _() {
 	// axpyRowsSIMD's frame is laid out for 64 terms; an "invalid

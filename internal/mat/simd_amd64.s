@@ -2116,16 +2116,7 @@ vert:;                           \
 	CMPQ R11, R12; \
 	JLT  loop
 
-// CSRBASE finishes the set-up for both levels: BX from n to the row's
-// bytes, DI moved back by base rows, CX the mean flag.
-#define CSRBASE \
-	SHLQ    $3, BX;           \
-	MOVQ    base+144(FP), AX; \
-	IMULQ   BX, AX;           \
-	SUBQ    AX, DI;           \
-	MOVBQZX mean+176(FP), CX
-
-// func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean, zmm bool)
+// func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean bool)
 //
 // One pass over the block's vertices, each a GatherSum of its
 // adjacency list with the row in registers from the +0 to the store:
@@ -2133,45 +2124,45 @@ vert:;                           \
 // 1*x, and the add quiets a signalling NaN as the product would) and
 // an add, product first, as in listWalk; then the mean's one product by
 // 1/deg(v), the accumulator first, as listWalk scales. A vertex without
-// terms stores +0. At the AVX-512 level a row is one or two ZMM
-// registers under the masks K1 (lanes below min(n, 8)) and K2 (lanes
-// 8..n-1); at the AVX2 level two or four YMM registers under the
-// VMASKMOVPD masks Y12..Y15. Masked-off lanes are neither read nor
-// written. There are eight loops: the level, one register panel or two,
-// weighted or not.
-TEXT ·gatherCSRSIMD(SB), NOSPLIT, $0-178
-	MOVQ  dst_base+0(FP), DI
-	MOVQ  src_base+24(FP), SI
-	MOVQ  n+48(FP), BX
-	MOVQ  rowPtr_base+56(FP), R8
-	MOVQ  col_base+80(FP), R9
-	MOVQ  verts_base+104(FP), R10
-	MOVQ  lo+128(FP), R11
-	MOVQ  count+136(FP), R12
-	ADDQ  R11, R12
-	MOVQ  w_base+152(FP), R13
-	CMPQ  w_len+160(FP), $0
-	JNE   csrWeighted
-	XORQ  R13, R13
+// terms stores +0. A row is two YMM registers (n <= 8) or four: the
+// first four lanes, and for n > 8 the next four, are whole (n >= 4) and
+// move with plain loads and stores, the rest under the VMASKMOVPD masks
+// Y13..Y15, whose masked-off lanes are neither read nor written. There
+// are four loops: two register panels or four, weighted or not.
+TEXT ·gatherCSRSIMD(SB), NOSPLIT, $0-177
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    n+48(FP), BX
+	MOVQ    rowPtr_base+56(FP), R8
+	MOVQ    col_base+80(FP), R9
+	MOVQ    verts_base+104(FP), R10
+	MOVQ    lo+128(FP), R11
+	MOVQ    count+136(FP), R12
+	ADDQ    R11, R12
+	MOVQ    w_base+152(FP), R13
+	CMPQ    w_len+160(FP), $0
+	JNE     csrWeighted
+	XORQ    R13, R13
 
 csrWeighted:
-	MOVQ  $0x3ff0000000000000, AX
-	VMOVQ AX, X4
-	CMPB  zmm+177(FP), $0
-	JNE   csrZ
-	MOVQ  BX, AX
-	NEGQ  AX
-	LEAQ  narrowMask<>+128(SB), DX
-	LEAQ  (DX)(AX*8), DX
-	VMOVDQU (DX), Y12
+	MOVQ    $0x3ff0000000000000, AX
+	VMOVQ   AX, X4
+	MOVQ    BX, AX
+	NEGQ    AX
+	LEAQ    narrowMask<>+128(SB), DX
+	LEAQ    (DX)(AX*8), DX
 	VMOVDQU 32(DX), Y13
 	VMOVDQU 64(DX), Y14
 	VMOVDQU 96(DX), Y15
-	CSRBASE
-	CMPQ  BX, $64
-	JGT   y4
-	TESTQ R13, R13
-	JNZ   y2w
+	SHLQ    $3, BX             // the row's bytes
+	MOVQ    base+144(FP), AX
+	IMULQ   BX, AX
+	SUBQ    AX, DI             // dst moved back by base rows
+	MOVBQZX mean+176(FP), CX
+	CMPQ    BX, $64
+	JGT     y4
+	TESTQ   R13, R13
+	JNZ     y2w
 
 y2:
 	VXORPD Y0, Y0, Y0
@@ -2181,7 +2172,7 @@ y2:
 y2t:
 	CSRTERM
 	ADDQ       SI, AX
-	VMASKMOVPD (AX), Y12, Y8
+	VMOVUPD    (AX), Y8
 	VMASKMOVPD 32(AX), Y13, Y9
 	VADDPD     Y0, Y8, Y0
 	VADDPD     Y1, Y9, Y1
@@ -2193,7 +2184,7 @@ y2t:
 	VMULPD     Y5, Y1, Y1
 
 y2s:
-	VMASKMOVPD Y0, Y12, (R15)
+	VMOVUPD    Y0, (R15)
 	VMASKMOVPD Y1, Y13, 32(R15)
 	CSRDONE(y2)
 	VZEROUPPER
@@ -2207,7 +2198,7 @@ y2w:
 y2wt:
 	CSRTERMW(Y6)
 	ADDQ       SI, AX
-	VMASKMOVPD (AX), Y12, Y8
+	VMOVUPD    (AX), Y8
 	VMASKMOVPD 32(AX), Y13, Y9
 	VMULPD     Y8, Y6, Y8
 	VMULPD     Y9, Y6, Y9
@@ -2221,7 +2212,7 @@ y2wt:
 	VMULPD     Y5, Y1, Y1
 
 y2ws:
-	VMASKMOVPD Y0, Y12, (R15)
+	VMOVUPD    Y0, (R15)
 	VMASKMOVPD Y1, Y13, 32(R15)
 	CSRDONE(y2w)
 	VZEROUPPER
@@ -2241,8 +2232,8 @@ y4l:
 y4t:
 	CSRTERM
 	ADDQ       SI, AX
-	VMASKMOVPD (AX), Y12, Y8
-	VMASKMOVPD 32(AX), Y13, Y9
+	VMOVUPD    (AX), Y8
+	VMOVUPD    32(AX), Y9
 	VMASKMOVPD 64(AX), Y14, Y10
 	VMASKMOVPD 96(AX), Y15, Y11
 	VADDPD     Y0, Y8, Y0
@@ -2259,8 +2250,8 @@ y4t:
 	VMULPD     Y5, Y3, Y3
 
 y4s:
-	VMASKMOVPD Y0, Y12, (R15)
-	VMASKMOVPD Y1, Y13, 32(R15)
+	VMOVUPD    Y0, (R15)
+	VMOVUPD    Y1, 32(R15)
 	VMASKMOVPD Y2, Y14, 64(R15)
 	VMASKMOVPD Y3, Y15, 96(R15)
 	CSRDONE(y4l)
@@ -2277,8 +2268,8 @@ y4w:
 y4wt:
 	CSRTERMW(Y6)
 	ADDQ       SI, AX
-	VMASKMOVPD (AX), Y12, Y8
-	VMASKMOVPD 32(AX), Y13, Y9
+	VMOVUPD    (AX), Y8
+	VMOVUPD    32(AX), Y9
 	VMASKMOVPD 64(AX), Y14, Y10
 	VMASKMOVPD 96(AX), Y15, Y11
 	VMULPD     Y8, Y6, Y8
@@ -2299,164 +2290,10 @@ y4wt:
 	VMULPD     Y5, Y3, Y3
 
 y4ws:
-	VMASKMOVPD Y0, Y12, (R15)
-	VMASKMOVPD Y1, Y13, 32(R15)
+	VMOVUPD    Y0, (R15)
+	VMOVUPD    Y1, 32(R15)
 	VMASKMOVPD Y2, Y14, 64(R15)
 	VMASKMOVPD Y3, Y15, 96(R15)
 	CSRDONE(y4w)
-	VZEROUPPER
-	RET
-
-csrZ:
-	MOVQ  BX, CX
-	MOVQ  $1, AX
-	SHLQ  CX, AX
-	DECQ  AX
-	KMOVW AX, K1
-	SHRQ  $8, AX
-	KMOVW AX, K2
-	CSRBASE
-	CMPQ  BX, $64
-	JGT   z2
-	TESTQ R13, R13
-	JNZ   z1w
-
-z1:
-	VPXORQ Z0, Z0, Z0
-	CSRROW(z1v, z1s)
-
-z1t:
-	CSRTERM
-	VMOVUPD.Z (SI)(AX*1), K1, Z8
-	VADDPD    Z0, Z8, Z0
-	CSRNEXT(z1t)
-	TESTQ     CX, CX
-	JZ        z1s
-	VBROADCASTSD X5, Z5
-	VMULPD    Z5, Z0, Z0
-
-z1s:
-	VMOVUPD Z0, K1, (R15)
-	CSRDONE(z1)
-	VZEROUPPER
-	RET
-
-z1w:
-	VPXORQ Z0, Z0, Z0
-	CSRROW(z1wv, z1ws)
-
-z1wt:
-	CSRTERMW(Z6)
-	VMULPD.Z (SI)(AX*1), Z6, K1, Z8
-	VADDPD   Z0, Z8, Z0
-	CSRNEXT(z1wt)
-	TESTQ    CX, CX
-	JZ       z1ws
-	VBROADCASTSD X5, Z5
-	VMULPD   Z5, Z0, Z0
-
-z1ws:
-	VMOVUPD Z0, K1, (R15)
-	CSRDONE(z1w)
-	VZEROUPPER
-	RET
-
-z2:
-	TESTQ R13, R13
-	JNZ   z2w
-
-z2l:
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	CSRROW(z2v, z2s)
-
-z2t:
-	CSRTERM
-	VMOVUPD   (SI)(AX*1), Z8
-	VMOVUPD.Z 64(SI)(AX*1), K2, Z9
-	VADDPD    Z0, Z8, Z0
-	VADDPD    Z1, Z9, Z1
-	CSRNEXT(z2t)
-	TESTQ     CX, CX
-	JZ        z2s
-	VBROADCASTSD X5, Z5
-	VMULPD    Z5, Z0, Z0
-	VMULPD    Z5, Z1, Z1
-
-z2s:
-	VMOVUPD Z0, (R15)
-	VMOVUPD Z1, K2, 64(R15)
-	CSRDONE(z2l)
-	VZEROUPPER
-	RET
-
-z2w:
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	CSRROW(z2wv, z2ws)
-
-z2wt:
-	CSRTERMW(Z6)
-	VMULPD   (SI)(AX*1), Z6, Z8
-	VMULPD.Z 64(SI)(AX*1), Z6, K2, Z9
-	VADDPD   Z0, Z8, Z0
-	VADDPD   Z1, Z9, Z1
-	CSRNEXT(z2wt)
-	TESTQ    CX, CX
-	JZ       z2ws
-	VBROADCASTSD X5, Z5
-	VMULPD   Z5, Z0, Z0
-	VMULPD   Z5, Z1, Z1
-
-z2ws:
-	VMOVUPD Z0, (R15)
-	VMOVUPD Z1, K2, 64(R15)
-	CSRDONE(z2w)
-	VZEROUPPER
-	RET
-
-// func maxIndexAVX2(idx []int32) uint32
-//
-// The unsigned maximum of the indices, 0 for none: sixteen a pass in
-// two VPMAXUD accumulators, then the rest one at a time. A negative
-// index reads as a large unsigned one, so it is the maximum unless a
-// larger one is present, and either way no smaller than 2^31.
-TEXT ·maxIndexAVX2(SB), NOSPLIT, $0-28
-	MOVQ   idx_base+0(FP), SI
-	MOVQ   idx_len+8(FP), CX
-	VPXOR  Y0, Y0, Y0
-	VPXOR  Y1, Y1, Y1
-
-maxIdx16:
-	CMPQ    CX, $16
-	JLT     maxIdxFold
-	VPMAXUD (SI), Y0, Y0
-	VPMAXUD 32(SI), Y1, Y1
-	ADDQ    $64, SI
-	SUBQ    $16, CX
-	JMP     maxIdx16
-
-maxIdxFold:
-	VPMAXUD      Y1, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPMAXUD      X1, X0, X0
-	VPSHUFD      $0x4e, X0, X1
-	VPMAXUD      X1, X0, X0
-	VPSHUFD      $0xb1, X0, X1
-	VPMAXUD      X1, X0, X0
-	VMOVD        X0, AX
-	TESTQ        CX, CX
-	JZ           maxIdxDone
-
-maxIdx1:
-	MOVL    (SI), DX
-	CMPL    DX, AX
-	CMOVLHI DX, AX
-	ADDQ    $4, SI
-	DECQ    CX
-	JNZ     maxIdx1
-
-maxIdxDone:
-	MOVL AX, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -49,11 +49,9 @@ func gatherRowsSIMD(dst, src []float64, offs []int, alpha []float64, scale float
 	panic("mat: no AVX2 kernels on this architecture")
 }
 
-func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean, zmm bool) {
+func gatherCSRSIMD(dst, src []float64, n int, rowPtr []int64, col []int32, verts []int, lo, count, base int, w []float64, mean bool) {
 	panic("mat: no AVX2 kernels on this architecture")
 }
-
-func maxIndexAVX2(idx []int32) uint32 { panic("mat: no AVX2 kernels on this architecture") }
 
 func dotAVX2(x, y []float64) float64 { panic("mat: no AVX2 kernels on this architecture") }
 

@@ -17,7 +17,9 @@ import (
 // vertex the per-vertex path's bits, NaN payloads included, at widths 1
 // to 20, under both norms, over the whole graph, vertex blocks and
 // blocks of row lists — the unlisted rows a block owns cleared, the
-// rest untouched — with NaN, ±Inf, -0 and subnormals among the values.
+// rest untouched — with NaN, ±Inf, -0 and subnormals among the values;
+// and the schedules, which share one NormSrc weight table among their
+// blocks, give every vertex the same bits at several vertex cuts.
 func TestNarrowMatchesPerVertex(t *testing.T) {
 	g := holeyGraph(t, 83)
 	r := rng.New(77)
@@ -44,9 +46,35 @@ func TestNarrowMatchesPerVertex(t *testing.T) {
 				got, want := mat.New(g.N, f), mat.New(g.N, f)
 				got.Fill(99.5)
 				want.Fill(99.5)
-				propagateNarrow(got, 0, src, g, norm, b.rows, b.tlo, b.thi)
+				var invDeg []float64
+				if norm == NormSrc {
+					invDeg = *invDegrees(g)
+				}
+				propagateNarrow(got, 0, src, g, invDeg, b.rows, b.tlo, b.thi)
 				propagatePerVertex(want, 0, src, g, norm, b.rows, b.tlo, b.thi, 0, f)
 				sameBits(t, fmt.Sprintf("f=%d norm=%d block %d", f, norm, bi), got, 0, g.N, 0, f, want, 0)
+			}
+			for _, rows := range [][]int{nil, list} {
+				count := g.N
+				if rows != nil {
+					count = len(rows)
+				}
+				want := mat.New(g.N, f)
+				propagatePerVertex(want, 0, src, g, norm, rows, 0, count, 0, f)
+				for _, workers := range []int{1, 3} {
+					got := mat.New(g.N, f)
+					got.Fill(99.5)
+					PropagateList(got, src, g, norm, rows, 1, workers)
+					sameBits(t, fmt.Sprintf("f=%d norm=%d list=%t workers=%d", f, norm, rows != nil, workers), got, 0, g.N, 0, f, want, 0)
+				}
+				if rows == nil {
+					for _, pv := range []int{2, 7} {
+						got := mat.New(g.N, f)
+						got.Fill(99.5)
+						Propagate2D(got, src, g, norm, pv, 1, 2)
+						sameBits(t, fmt.Sprintf("f=%d norm=%d pv=%d", f, norm, pv), got, 0, g.N, 0, f, want, 0)
+					}
+				}
 			}
 		}
 	}
@@ -69,7 +97,9 @@ func trainPropSubgraph(tb testing.TB) *graph.Subgraph {
 // the widths training propagates, 8 (the first layer's output) and 16
 // (the second layer's input), under both norms, at one core: the
 // per-vertex path (one mat.GatherSum a vertex, NormSrc's weights per
-// arc) against the block kernel (one mat.GatherCSR call). The two
+// arc) against a one-worker PropagateList, which is the block kernel
+// (one mat.GatherCSR call; under NormSrc after one pass that builds the
+// weight table). The two
 // alternate inside each iteration, so a drift of the host's speed
 // reaches both alike; each reports µs per propagation.
 func BenchmarkPropagateNarrow(b *testing.B) {
@@ -82,7 +112,7 @@ func BenchmarkPropagateNarrow(b *testing.B) {
 			b.Run(fmt.Sprintf("f=%d/norm=%s", f, [...]string{"dst", "src"}[norm]), func(b *testing.B) {
 				paths := [2]func(){
 					func() { propagatePerVertex(dst, 0, src, g, norm, nil, 0, g.N, 0, f) },
-					func() { propagateNarrow(dst, 0, src, g, norm, nil, 0, g.N) },
+					func() { PropagateList(dst, src, g, norm, nil, 1, 1) },
 				}
 				var spent [2]time.Duration
 				b.ReportAllocs()

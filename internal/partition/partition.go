@@ -99,6 +99,7 @@ type schedule struct {
 	rows     []int
 	count    int
 	pv, nq   int
+	invDeg   []float64 // NormSrc's 1/deg(u) table on a narrow row, set by parallel for its run
 }
 
 // newSchedule cuts the propagation of the vertices rows lists into
@@ -127,11 +128,18 @@ func newSchedule(dst, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, pv, q
 	if pv == 0 {
 		pv = (workers + nq - 1) / nq
 	}
-	return schedule{dst, src, g, norm, rows, count, max(1, min(pv, count)), nq}
+	return schedule{dst: dst, src: src, g: g, norm: norm, rows: rows, count: count, pv: max(1, min(pv, count)), nq: nq}
 }
 
-// parallel runs every block, on up to `workers` goroutines.
+// parallel runs every block, on up to `workers` goroutines. On a row
+// propagateNarrow takes under NormSrc it first builds the table of
+// 1/deg(u) the blocks share: one O(|V|) pass per propagation.
 func (s schedule) parallel(workers int) {
+	if s.norm == NormSrc && s.src.Cols <= mat.GatherCSRMax {
+		buf := invDegrees(s.g)
+		defer invDegreeTables.Put(buf)
+		s.invDeg = *buf
+	}
 	if blocks := s.pv * s.nq; blocks == 1 || workers <= 1 {
 		s.run(0, blocks) // no closure: a serial step allocates nothing
 	} else {
@@ -143,8 +151,13 @@ func (s schedule) parallel(workers int) {
 func (s schedule) run(blo, bhi int) {
 	for b := blo; b < bhi; b++ {
 		vi := b / s.nq
+		tlo, thi := vi*s.count/s.pv, (vi+1)*s.count/s.pv
+		if s.invDeg != nil {
+			propagateNarrow(s.dst, 0, s.src, s.g, s.invDeg, s.rows, tlo, thi)
+			continue
+		}
 		clo, chi := chunkCols(s.src.Cols, s.nq, b%s.nq)
-		propagateBlock(s.dst, 0, s.src, s.g, s.norm, s.rows, vi*s.count/s.pv, (vi+1)*s.count/s.pv, clo, chi)
+		propagateBlock(s.dst, 0, s.src, s.g, s.norm, s.rows, tlo, thi, clo, chi)
 	}
 }
 
@@ -189,12 +202,14 @@ func Propagate2D(dst, src *mat.Dense, g *graph.CSR, norm Norm, pv, q, workers in
 // is scaled once at the end (the mean) — so the column range, the
 // vertex range and the vector width decide nothing about a result.
 //
-// A whole row of at most mat.GatherCSRMax columns goes through
-// propagateNarrow, one kernel call for the block; anything else through
-// propagatePerVertex, one mat.GatherSum a vertex.
+// A whole row of at most mat.GatherCSRMax columns under NormDst goes
+// through propagateNarrow, one kernel call for the block; anything else
+// through propagatePerVertex, one mat.GatherSum a vertex. (A schedule
+// sends narrow NormSrc rows to propagateNarrow itself, with the weight
+// table it builds once for all its blocks.)
 func propagateBlock(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, tlo, thi, colLo, colHi int) {
-	if colLo == 0 && colHi == src.Cols && src.Cols <= mat.GatherCSRMax {
-		propagateNarrow(dst, dstLo, src, g, norm, rows, tlo, thi)
+	if norm == NormDst && colLo == 0 && colHi == src.Cols && src.Cols <= mat.GatherCSRMax {
+		propagateNarrow(dst, dstLo, src, g, nil, rows, tlo, thi)
 		return
 	}
 	propagatePerVertex(dst, dstLo, src, g, norm, rows, tlo, thi, colLo, colHi)
@@ -219,12 +234,13 @@ func owned(g *graph.CSR, rows []int, tlo, thi int) (next, end int) {
 }
 
 // propagateNarrow is propagateBlock on whole rows of at most
-// mat.GatherCSRMax columns: the unlisted rows cleared a run at a time,
-// then the block in one mat.GatherCSR call — its neighbour indices
-// checked once, each row's sum in registers, the mean's 1/deg(v)
-// computed once per vertex and NormSrc's 1/deg(u) once per vertex of
-// the graph, in a table, instead of once per arc.
-func propagateNarrow(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, tlo, thi int) {
+// mat.GatherCSRMax columns, under NormDst when invDeg is nil and under
+// NormSrc with invDeg the table of 1/deg(u) for every vertex u of g:
+// the unlisted rows cleared a run at a time, then the block in one
+// mat.GatherCSR call — its neighbour indices checked once, each row's
+// sum in registers, the mean's 1/deg(v) computed once per vertex and
+// NormSrc's weights read from the table instead of computed per arc.
+func propagateNarrow(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, invDeg []float64, rows []int, tlo, thi int) {
 	f := src.Cols
 	if rows != nil {
 		next, end := owned(g, rows, tlo, thi)
@@ -234,20 +250,14 @@ func propagateNarrow(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, no
 		}
 		clear(dst.Data[(next-dstLo)*f : (end-dstLo)*f])
 	}
-	if norm == NormDst {
-		mat.GatherCSR(dst.Data, dstLo, src.Data, f, g.RowPtr, g.ColIdx, rows, tlo, thi, nil, true)
-		return
-	}
-	w := invDegrees(g)
-	mat.GatherCSR(dst.Data, dstLo, src.Data, f, g.RowPtr, g.ColIdx, rows, tlo, thi, *w, false)
-	invDegreeTables.Put(w)
+	mat.GatherCSR(dst.Data, dstLo, src.Data, f, g.RowPtr, g.ColIdx, rows, tlo, thi, invDeg, invDeg == nil)
 }
 
 // propagatePerVertex is propagateBlock as one mat.GatherSum per vertex,
 // on any column range: an edge's weight is computed where it is used (a
 // neighbor of anything has degree >= 1 on a symmetric graph), where a
-// per-vertex table would cost a wide propagation's every block an
-// O(|V|) pass.
+// per-vertex table would cost a wide propagation an O(|V|) pass for
+// what is a small share of its time.
 func propagatePerVertex(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR, norm Norm, rows []int, tlo, thi, colLo, colHi int) {
 	f := src.Cols
 	next, end := owned(g, rows, tlo, thi) // the first row the block owns that it has not written, and the row after its last
@@ -284,8 +294,9 @@ func propagatePerVertex(dst *mat.Dense, dstLo int, src *mat.Dense, g *graph.CSR,
 	}
 }
 
-// invDegreeTables recycles NormSrc's weight tables between blocks; a
-// table belongs to one block from Get to Put and is rewritten whole.
+// invDegreeTables recycles NormSrc's weight tables between
+// propagations; a table belongs to one propagation from Get to Put and
+// is rewritten whole.
 var invDegreeTables sync.Pool
 
 // invDegrees returns a table of 1/deg(u) for every vertex u of g (+Inf
