@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -101,18 +102,57 @@ func topkRecall(tb testing.TB, exact, ann *Engine, queries []int, k int) float64
 // raceDetector is set in builds with the race detector (race_test.go).
 var raceDetector bool
 
-// TestTopKAnnAllocations holds a warmed ANN top-K answer on the i8pq
-// engine of BenchmarkTopKAnnVsExact's graph, and a warmed prediction,
-// to allocation ceilings: the walk's table, visited bits and heaps come
-// from the ann package's pooled scratch, and a prediction's gathered
-// rows and logits share one allocation. The race detector's pools drop
-// what is put back at random, so under it there is nothing to count.
+// TestTopKAnnAllocations holds warmed answers on BenchmarkTopKAnnVsExact's
+// graph to allocation ceilings: an ANN top-K on the i8pq engine, whose
+// walk's table, visited bits and heaps come from the ann package's
+// pooled scratch; a prediction, whose gathered rows and logits share one
+// allocation; Server.point of three ids on an unsharded i8pq server and
+// on a 3-shard one with the ids on three owners, each owner writing its
+// rows into the one answer; and a 3-shard ANN top-K answered cold (the
+// memo emptied before each query), its probes run on the caller's
+// goroutine. The race detector's pools drop what is put back at random,
+// so under it there is nothing to count.
 func TestTopKAnnAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's sync.Pool drops pooled scratches at random")
 	}
 	_, eng, _ := topkBenchEngines(t)
 	ids := []int{3, 1400, 5999}
+	st, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := NewServer(eng.ds, Options{Dtype: mat.DtypeI8PQ})
+	srv3, err := NewRouter(eng.ds, Options{Dtype: mat.DtypeI8PQ}, 3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range []*Server{srv1, srv3} {
+		if _, err := srv.Install(st.Model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One id per shard: the lowest vertex each shard owns.
+	spread, seen := []int{}, map[int]bool{}
+	for id := 0; len(spread) < 3; id++ {
+		if o := srv3.opts.shardMap().Assign(int32(id)); !seen[o] {
+			seen[o] = true
+			spread = append(spread, id)
+		}
+	}
+	point := func(srv *Server, ids []int, predict bool) func() error {
+		decode := func() ([]int, error) { return ids, nil }
+		return func() error { _, err := srv.point(context.Background(), decode, predict); return err }
+	}
+	coldTopK := func() error {
+		srv3.cacheMu.Lock()
+		clear(srv3.cache)
+		srv3.cacheMu.Unlock()
+		_, err := srv3.topK(context.Background(), func() (topkQuery, error) {
+			return topkQuery{id: 1234, k: 10, ann: true}, nil
+		})
+		return err
+	}
 	cases := []struct {
 		name    string
 		ceiling float64
@@ -120,6 +160,11 @@ func TestTopKAnnAllocations(t *testing.T) {
 	}{
 		{"TopKWith ann i8pq", 6, func() error { _, err := eng.TopKWith(1234, 10, ModeANN, 0); return err }},
 		{"Predict", 12, func() error { _, err := eng.Predict(ids); return err }},
+		{"Server.point embed unsharded", 4, point(srv1, ids, false)},
+		{"Server.point predict unsharded", 13, point(srv1, ids, true)},
+		{"Server.point embed 3 shards", 9, point(srv3, spread, false)},
+		{"Server.point predict 3 shards", 28, point(srv3, spread, true)},
+		{"Server.topK ann 3 shards cold", 25, coldTopK},
 	}
 	for _, c := range cases {
 		if err := c.run(); err != nil { // warm the index and the pool

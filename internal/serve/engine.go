@@ -621,27 +621,17 @@ func localRows(st *State, ids []int) ([]int, error) {
 	return rows, nil
 }
 
-// predictionsFromLogits converts one logits row per id into a
-// PredictResult: thresholded labels plus calibrated probabilities
-// (sigmoid per class when multi-label, softmax otherwise). The
-// probabilities of every id share one backing array: each element is
+// predictionsFromLogits writes one logits row per id into res as
+// thresholded labels plus calibrated probabilities (sigmoid per class
+// when multi, softmax otherwise), row i at position slot(at, i). The
+// probabilities of every row share one backing array: each element is
 // first the exponent's argument — -z for a sigmoid, z - max for a
 // softmax — and one mat.Exp over the whole array turns them into
 // math.Exp's values, bit for bit, before the per-row arithmetic.
-func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResult {
-	multi := st.Model.Loss.Name() == "sigmoid-bce"
-	k := logits.Cols
-	res := &PredictResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		Classes:      k,
-		MultiLabel:   multi,
-		IDs:          ids,
-		Labels:       make([][]int, len(ids)),
-		Probs:        make([][]float64, len(ids)),
-	}
-	all := make([]float64, len(ids)*k)
-	for i := range ids {
+func predictionsFromLogits(res *PredictResult, at []int, logits *mat.Dense, multi bool) {
+	n, k := logits.Rows, logits.Cols
+	all := make([]float64, n*k)
+	for i := 0; i < n; i++ {
 		zrow, probs := logits.Row(i), all[i*k:(i+1)*k:(i+1)*k]
 		if multi {
 			for j, z := range zrow {
@@ -658,11 +648,11 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResu
 				probs[j] = z - maxZ
 			}
 		}
-		res.Probs[i] = probs
 	}
 	mat.Exp(all, all)
-	for i := range ids {
-		zrow, probs := logits.Row(i), res.Probs[i]
+	for i := 0; i < n; i++ {
+		zrow, probs := logits.Row(i), all[i*k:(i+1)*k:(i+1)*k]
+		res.Probs[slot(at, i)] = probs
 		if multi {
 			// Mirrors nn.PredictMulti: class on iff logit > 0.
 			labels := make([]int, 0, 1) // non-nil: an empty label set serializes as []
@@ -672,7 +662,7 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResu
 					labels = append(labels, j)
 				}
 			}
-			res.Labels[i] = labels
+			res.Labels[slot(at, i)] = labels
 			continue
 		}
 		// Mirrors nn.PredictSingle: argmax class, stable softmax.
@@ -689,77 +679,95 @@ func predictionsFromLogits(st *State, ids []int, logits *mat.Dense) *PredictResu
 		for j := range probs {
 			probs[j] /= sum
 		}
-		res.Labels[i] = []int{best}
+		res.Labels[slot(at, i)] = []int{best}
 	}
-	return res
 }
 
-// batchResp is one shard's answer to a point query.
-type batchResp struct {
-	embed *EmbedResult
-	pred  *PredictResult
-	batch uint64 // id of the batch that answered (0 on error)
-	err   error
+// newPointResult is the answer to a point query for ids — an
+// *EmbedResult, or a *PredictResult if predict — before any engine has
+// written into it (Engine.point).
+func newPointResult(ids []int, predict bool) any {
+	if predict {
+		return &PredictResult{IDs: ids, Labels: make([][]int, len(ids)), Probs: make([][]float64, len(ids))}
+	}
+	return &EmbedResult{IDs: ids, Vectors: make([][]float64, len(ids))}
 }
 
-// point answers one point query against a single snapshot: validation,
-// one row gather for the queried ids and, for a prediction, one head
-// GEMM. It is the whole of Embed and Predict, and what a Server's
-// shard.point runs.
-func (e *Engine) point(ids []int, predict bool) batchResp {
+// slot is the query position of an engine's i-th id: at[i], or i when
+// at is nil.
+func slot(at []int, i int) int {
+	if at == nil {
+		return i
+	}
+	return at[i]
+}
+
+// point answers ids against one snapshot, in place in res, a
+// newPointResult answer: ids[i] is the query's id at position
+// slot(at, i), at ascending, and its row — an embedding, or labels and
+// probabilities — is written there and nowhere else. The engine that
+// answers the query's first id writes the header. Nothing is written
+// unless every id validates; then one row gather for the ids and, for
+// a prediction, one head GEMM. It is the whole of Embed and Predict,
+// and what a Server's shard.point runs.
+func (e *Engine) point(res any, ids, at []int) error {
 	st, err := e.Snapshot()
 	if err != nil {
-		return batchResp{err: err}
+		return err
 	}
 	rows, err := localRows(st, ids)
 	if err != nil {
-		return batchResp{err: err}
+		return err
 	}
-	if !predict {
-		h := mat.New(len(rows), st.Dim())
+	first := at == nil || at[0] == 0
+	n, dim := len(rows), st.Dim()
+	switch res := res.(type) {
+	case *EmbedResult:
+		if first {
+			res.Version, res.ModelVersion, res.Dim = st.Version, st.ModelVersion, dim
+		}
+		// The vectors are capped views of one fresh gather, never
+		// written again.
+		h := make([]float64, n*dim)
+		for i, r := range rows {
+			v := h[i*dim : (i+1)*dim : (i+1)*dim]
+			copy(v, st.Emb.Row(r))
+			res.Vectors[slot(at, i)] = v
+		}
+	case *PredictResult:
+		// The gathered rows and the logits are scratch of this one
+		// answer: one allocation holds both.
+		out, multi := st.Model.Head.OutDim, st.Model.Loss.Name() == "sigmoid-bce"
+		if first {
+			res.Version, res.ModelVersion, res.Classes, res.MultiLabel = st.Version, st.ModelVersion, out, multi
+		}
+		buf := make([]float64, n*(dim+out))
+		h, logits := mat.FromData(n, dim, buf[:n*dim]), mat.FromData(n, out, buf[n*dim:])
 		mat.GatherRows(h, st.Emb, rows)
-		return batchResp{embed: embedResult(st, ids, h)}
+		st.Model.Head.Apply(logits, h, nil, 1)
+		predictionsFromLogits(res, at, logits, multi)
 	}
-	// The gathered rows and the logits are scratch of this one answer:
-	// one allocation holds both.
-	n, dim, out := len(rows), st.Dim(), st.Model.Head.OutDim
-	buf := make([]float64, n*(dim+out))
-	h, logits := mat.FromData(n, dim, buf[:n*dim]), mat.FromData(n, out, buf[n*dim:])
-	mat.GatherRows(h, st.Emb, rows)
-	st.Model.Head.Apply(logits, h, nil, 1)
-	return batchResp{pred: predictionsFromLogits(st, ids, logits)}
+	return nil
 }
 
 // Embed answers an embedding query against the latest snapshot with
 // the shard code a Server runs (point).
 func (e *Engine) Embed(ids []int) (*EmbedResult, error) {
-	resp := e.point(ids, false)
-	return resp.embed, resp.err
+	res := newPointResult(ids, false)
+	if err := e.point(res, ids, nil); err != nil {
+		return nil, err
+	}
+	return res.(*EmbedResult), nil
 }
 
 // Predict answers a prediction query against the latest snapshot, like
 // Embed.
 func (e *Engine) Predict(ids []int) (*PredictResult, error) {
-	resp := e.point(ids, true)
-	return resp.pred, resp.err
-}
-
-// embedResult assembles the answer to an embedding query for ids from
-// the rows of h, freshly gathered from st's table and not written
-// again: the vectors are capped views of h, not copies.
-func embedResult(st *State, ids []int, h *mat.Dense) *EmbedResult {
-	res := &EmbedResult{
-		Version:      st.Version,
-		ModelVersion: st.ModelVersion,
-		Dim:          st.Dim(),
-		IDs:          ids,
-		Vectors:      make([][]float64, len(ids)),
+	res := newPointResult(ids, true)
+	if err := e.point(res, ids, nil); err != nil {
+		return nil, err
 	}
-	for i := range ids {
-		row := h.Row(i)
-		res.Vectors[i] = row[:len(row):len(row)]
-	}
-	return res
+	return res.(*PredictResult), nil
 }
 
 // TopKWith answers a similar-nodes query in the requested mode with the

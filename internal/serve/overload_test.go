@@ -45,6 +45,32 @@ func getStatus(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// shardAnswer is one shard's answer to a whole point query as the
+// shard tests read it: the filled answer and its batch id, or the
+// error (and nothing else).
+type shardAnswer struct {
+	embed *EmbedResult
+	pred  *PredictResult
+	batch uint64
+	err   error
+}
+
+// answer runs ids as one point query on b, into a fresh answer.
+func (b *shard) answer(ctx context.Context, ids []int, predict bool) shardAnswer {
+	res := newPointResult(ids, predict)
+	batch, err := b.point(ctx, res, ids, nil)
+	if err != nil {
+		return shardAnswer{err: err}
+	}
+	ans := shardAnswer{batch: batch}
+	if predict {
+		ans.pred = res.(*PredictResult)
+	} else {
+		ans.embed = res.(*EmbedResult)
+	}
+	return ans
+}
+
 // TestSubmitSkipsInvalidQueries: a point query that fails validation is
 // answered with its error but burns no batch id and moves no stats or
 // histograms, so the next valid query is still batch 1.
@@ -71,14 +97,14 @@ func TestSubmitSkipsInvalidQueries(t *testing.T) {
 		}
 	}
 
-	if resp := b.point(context.Background(), []int{99999}, false); resp.err == nil || resp.batch != 0 {
+	if resp := b.answer(context.Background(), []int{99999}, false); resp.err == nil || resp.batch != 0 {
 		t.Fatalf("invalid query: batch=%d err=%v, want an error and no batch", resp.batch, resp.err)
 	}
 	if n := b.answered.Load(); n != 0 {
 		t.Fatalf("invalid query burned %d batch ids", n)
 	}
 	observed(0)
-	if resp := b.point(context.Background(), []int{1}, false); resp.err != nil || resp.batch != 1 {
+	if resp := b.answer(context.Background(), []int{1}, false); resp.err != nil || resp.batch != 1 {
 		t.Fatalf("first valid query: batch=%d err=%v, want batch 1", resp.batch, resp.err)
 	}
 	observed(1)
@@ -105,7 +131,7 @@ func TestSubmitEndedContextRunsNothing(t *testing.T) {
 		want error
 	}{{canceled, context.Canceled}, {expired, context.DeadlineExceeded}} {
 		for _, predict := range []bool{false, true} {
-			resp := b.point(c.ctx, []int{0}, predict)
+			resp := b.answer(c.ctx, []int{0}, predict)
 			if !errors.Is(resp.err, c.want) || !strings.Contains(resp.err.Error(), "before enqueue") {
 				t.Fatalf("predict=%v: err = %v, want %v before enqueue", predict, resp.err, c.want)
 			}
@@ -142,7 +168,7 @@ func TestSubmitNumbersBatchesAndCapsRows(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		predict := i%2 == 1
-		resp := b.point(context.Background(), ids, predict)
+		resp := b.answer(context.Background(), ids, predict)
 		if resp.err != nil {
 			t.Fatalf("submit %d: %v", i, resp.err)
 		}
@@ -420,6 +446,33 @@ func TestDeadlineBindsSlowTopK(t *testing.T) {
 		release()
 		if rec := <-done; rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), `"reason":"deadline"`) {
 			t.Fatalf("shards=%d, probe slower than the deadline: code=%d body=%s", shards, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestTopKProbesInShardOrder: a /topk probes its live shards one after
+// another in shard order, each only while the deadline has not passed.
+// With shard 0's index build held past the deadline, the query fails
+// 504 "before probe", and shards 1 and 2 never start a probe, so their
+// lazy index is never built.
+func TestTopKProbesInShardOrder(t *testing.T) {
+	rt := deadlineRouter(t, 3)
+	release := holdIndexBuild(t, rt.shards[0].eng)
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest("GET", heldTopK, nil))
+		done <- rec
+	}()
+	time.Sleep(5 * time.Millisecond)
+	release()
+	rec := <-done
+	if body := rec.Body.String(); rec.Code != http.StatusGatewayTimeout || !strings.Contains(body, "before probe") {
+		t.Fatalf("probe of shard 0 past the deadline: code=%d body=%s, want 504 before probe", rec.Code, body)
+	}
+	for i := 1; i < 3; i++ {
+		if st, err := rt.shards[i].eng.Snapshot(); err != nil || st.IndexReady() {
+			t.Errorf("shard %d built its index (err %v) for a query that ended before its probe", i, err)
 		}
 	}
 }

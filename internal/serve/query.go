@@ -13,9 +13,10 @@ import (
 // and the three transport-neutral operations — embed and predict
 // (point) and top-K — that HTTP-JSON, the negotiated binary encoding
 // and the framed-TCP listener are codecs over. Each operation runs
-// deadline → admit → parse/validate → group by owner → per-shard
-// point or probe → stitch or merge, in that order, exactly once in the
-// package.
+// deadline → admit → parse/validate → resolve owners → per-shard fill
+// (point) or probe and merge (top-K), in that order, exactly once in
+// the package; the shards run one after another, in shard order, on
+// the caller's goroutine.
 
 // errMethod marks requests using an unsupported HTTP method.
 var errMethod = errors.New("serve: method not allowed")
@@ -216,72 +217,41 @@ func (s *Server) point(ctx context.Context, decode func() ([]int, error), predic
 		owners = append(owners, o)
 		single = single && o == owners[0]
 	}
+	res := newPointResult(ids, predict)
 	if single {
-		// One shard owns every id — always so for a fleet of one: its
-		// answer is the answer, with no stitch copy.
-		resp := s.shards[owners[0]].point(ctx, ids, predict)
-		if resp.err != nil {
-			return nil, resp.err
+		// One shard owns every id — always so for a fleet of one: it
+		// answers them in place, with no position list.
+		batch, err := s.shards[owners[0]].point(ctx, res, ids, nil)
+		if err != nil {
+			return nil, err
 		}
-		s.annotate(ctx, 1, resp.batch)
-		if predict {
-			return resp.pred, nil
-		}
-		return resp.embed, nil
+		s.annotate(ctx, 1, batch)
+		return res, nil
 	}
 
 	// The owning shards answer in shard order on the caller's
-	// goroutine: each answer is a gather of microseconds, cheaper than
-	// the goroutine and the wait it would take to run it beside the
-	// others. The first that fails fails the query.
-	groups := make([][]int, len(s.shards))
-	for i, o := range owners {
-		groups[o] = append(groups[o], ids[i])
-	}
-	parts := make([]batchResp, len(s.shards))
+	// goroutine, each writing its ids' rows at their positions in res:
+	// each answer is a gather of microseconds, cheaper than the
+	// goroutine and the wait it would take to run it beside the others.
+	// The first that fails fails the query.
+	sub, at := make([]int, 0, 8), make([]int, 0, 8)
 	fanout := 0
-	for o, sub := range groups {
+	for o := range s.shards {
+		sub, at = sub[:0], at[:0]
+		for i, owner := range owners {
+			if owner == o {
+				sub, at = append(sub, ids[i]), append(at, i)
+			}
+		}
 		if len(sub) == 0 {
 			continue
 		}
 		fanout++
-		if parts[o] = s.shards[o].point(ctx, sub, predict); parts[o].err != nil {
-			return nil, parts[o].err
+		if _, err := s.shards[o].point(ctx, res, sub, at); err != nil {
+			return nil, err
 		}
 	}
 	s.annotate(ctx, fanout, 0)
-
-	// Stitch the per-shard answers back in request order.
-	pos := make([]int, len(s.shards))
-	first := parts[owners[0]]
-	if predict {
-		res := &PredictResult{
-			Version:      first.pred.Version,
-			ModelVersion: first.pred.ModelVersion,
-			Classes:      first.pred.Classes,
-			MultiLabel:   first.pred.MultiLabel,
-			IDs:          ids,
-			Labels:       make([][]int, len(ids)),
-			Probs:        make([][]float64, len(ids)),
-		}
-		for i, o := range owners {
-			res.Labels[i] = parts[o].pred.Labels[pos[o]]
-			res.Probs[i] = parts[o].pred.Probs[pos[o]]
-			pos[o]++
-		}
-		return res, nil
-	}
-	res := &EmbedResult{
-		Version:      first.embed.Version,
-		ModelVersion: first.embed.ModelVersion,
-		Dim:          first.embed.Dim,
-		IDs:          ids,
-		Vectors:      make([][]float64, len(ids)),
-	}
-	for i, o := range owners {
-		res.Vectors[i] = parts[o].embed.Vectors[pos[o]]
-		pos[o]++
-	}
 	return res, nil
 }
 
@@ -440,40 +410,24 @@ func (s *Server) topK(ctx context.Context, decode func() (topkQuery, error)) (an
 		res = s.lookup(key)
 	}
 	if res == nil {
+		// The live shards are probed in shard order on the caller's
+		// goroutine: a probe is a walk of tens of microseconds, and a
+		// goroutine of its own would grow a fresh stack to the walk's
+		// depth on every query.
 		parts := make([][]Neighbor, len(live))
-		errs := make([]error, len(live))
-		probe := func(j int) {
-			if errs[j] = ended(ctx, "before probe"); errs[j] != nil {
-				return
+		for j, i := range live {
+			if err := ended(ctx, "before probe"); err != nil {
+				return nil, err
 			}
 			// The owner scans the snapshot the query vector came from;
 			// every other shard its current one.
-			e, pin := s.shards[live[j]].eng, st
-			if live[j] != owner {
-				if pin, errs[j] = e.Snapshot(); errs[j] != nil {
-					return
+			e, pin := s.shards[i].eng, st
+			if i != owner {
+				if pin, err = e.Snapshot(); err != nil {
+					return nil, err
 				}
 			}
 			parts[j] = e.shardTopK(pin, vec, norm, p)
-		}
-		// Every probe but the last runs on a goroutine of its own,
-		// the last on the caller's — for a fleet of one, the only one.
-		if last := len(live) - 1; last >= 0 {
-			var wg sync.WaitGroup
-			for j := 0; j < last; j++ {
-				wg.Add(1)
-				go func(j int) {
-					defer wg.Done()
-					probe(j)
-				}(j)
-			}
-			probe(last)
-			wg.Wait()
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
 		}
 		res = topkResult(st, p, degraded, mergeTopK(parts, p.k))
 		if !degraded {

@@ -56,19 +56,20 @@ const maxBodyBytes = maxQueryIDs*12 + 4096
 // observation-only, so answers are bit-identical with instrumentation
 // on or off.
 //
-// Routing is partition-aware. /embed and /predict group the queried
-// ids by owning shard, scatter one sub-query per owner, and stitch
-// the answers back in request order; every id touches exactly one
-// shard. /topk first fetches the query vertex's embedding row from its
-// owner, then probes every live shard and merges the per-shard
-// candidates through the same bounded selector and total order
-// (ann.TopK: descending score, ascending id) the single-engine scan
-// uses — selection under it does not depend on offer order, so in
-// exact mode the merged answer is byte-identical at every shard count
-// and Workers setting (test-enforced). In ann mode
-// each shard searches its own HNSW index: deterministic at a fixed
-// shard count, but not across shard counts (an index over a shard's
-// rows is a different graph than one over all rows — see docs/API.md).
+// Routing is partition-aware, and every shard a query reaches runs on
+// the query's own goroutine, in shard order. /embed and /predict build
+// one answer and each owning shard writes its ids' rows into their
+// positions in it; every id touches exactly one shard. /topk first
+// fetches the query vertex's embedding row from its owner, then probes
+// every live shard and merges the per-shard candidates through the
+// same bounded selector and total order (ann.TopK: descending score,
+// ascending id) the single-engine scan uses — selection under it does
+// not depend on offer order, so in exact mode the merged answer is
+// byte-identical at every shard count and Workers setting
+// (test-enforced). In ann mode each shard searches its own HNSW
+// index: deterministic at a fixed shard count, but not across shard
+// counts (an index over a shard's rows is a different graph than one
+// over all rows — see docs/API.md).
 //
 // A model with more than one shard additionally serves the shard
 // operations (shardEndpoints), reports the fleet view in /healthz,
@@ -140,24 +141,24 @@ type shard struct {
 	size, flush *obs.Histogram
 }
 
-// point answers one point query on the caller's goroutine, reporting
-// the id of the batch that carried it — unless ctx has already ended,
-// in which case the query is not run at all.
-func (sh *shard) point(ctx context.Context, ids []int, predict bool) batchResp {
+// point answers one point query's ids into res on the caller's
+// goroutine (Engine.point), reporting the id of the batch that carried
+// them — unless ctx has already ended, in which case the query is not
+// run at all.
+func (sh *shard) point(ctx context.Context, res any, ids, at []int) (batch uint64, err error) {
 	if err := ended(ctx, "before enqueue"); err != nil {
-		return batchResp{err: err}
+		return 0, err
 	}
 	start := time.Now()
-	resp := sh.eng.point(ids, predict)
-	if resp.err != nil {
-		return resp
+	if err := sh.eng.point(res, ids, at); err != nil {
+		return 0, err
 	}
-	resp.batch = sh.answered.Add(1)
+	batch = sh.answered.Add(1)
 	if sh.size != nil {
 		sh.size.Observe(float64(len(ids)))
 		sh.flush.Observe(time.Since(start).Seconds())
 	}
-	return resp
+	return batch, nil
 }
 
 // RouteDoc names one registered HTTP route: the methods it accepts

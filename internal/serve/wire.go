@@ -119,7 +119,7 @@ func (r *Registry) ServeWire(l net.Listener) error {
 // reader decodes frames and answers an embed or predict frame itself —
 // microseconds of work, less than a goroutine hand-off — passing the
 // writer a slot that is already filled. A top-K frame (hundreds of
-// microseconds, a fan-out across shards) gets its own goroutine and an
+// microseconds, a probe of every live shard) gets its own goroutine and an
 // empty slot, so pipelined top-K queries still run beside each other
 // and beside the point frames behind them; the frame's type alone
 // decides. The writer drains slots strictly in request order and
